@@ -13,13 +13,15 @@
 #   make bench-delta       - delta-shipping bench (per-read bytes, snapshot vs delta)
 #   make bench-faults      - fault-recovery bench (worker MTTR, availability)
 #   make bench-obs         - observability overhead bench (tracing+events on vs off)
+#   make bench-ledger      - the perf ledger, all four workloads (~100 s)
+#   make bench-ledger-quick - ledger smoke mode + its self-test (< 40 s)
 #   make test-chaos        - seeded chaos suite (kill-loop against the daemon)
 #   make bench             - the full pytest-benchmark harness
 
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-equivalence test-fast test-chaos bench-smoke bench-stream bench-churn bench-blocking bench-parallel bench-wal bench-serve bench-delta bench-faults bench-obs bench
+.PHONY: test test-equivalence test-fast test-chaos bench-smoke bench-stream bench-churn bench-blocking bench-parallel bench-wal bench-serve bench-delta bench-faults bench-obs bench-ledger bench-ledger-quick bench
 
 test:
 	$(PYTEST) -x -q
@@ -59,6 +61,14 @@ bench-faults:
 
 bench-obs:
 	$(PYTEST) -q benchmarks/bench_obs_overhead.py
+
+bench-ledger:
+	$(PYTHON) benchmarks/ledger/run.py all
+
+# the self-test breaks one answer on purpose: the harness must exit non-zero
+bench-ledger-quick:
+	$(PYTHON) benchmarks/ledger/run.py all --quick
+	! $(PYTHON) benchmarks/ledger/run.py --workload batch_clean_rcnp --quick --self-test
 
 test-chaos:
 	$(PYTEST) -q -m chaos tests/faults/

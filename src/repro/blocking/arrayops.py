@@ -43,7 +43,11 @@ from ..datamodel import (
     EntityIndexSpace,
 )
 from ..utils.timing import StageTimer
-from ..weights.sparse import EntityBlockCSR, entity_block_csr_from_memberships
+from ..weights.sparse import (
+    EntityBlockCSR,
+    entity_block_csr_from_memberships,
+    expand_pair_chunks,
+)
 from .base import BlockingMethod
 from .token_blocking import TokenBlocking
 
@@ -469,11 +473,11 @@ def extract_candidate_keys(
 ) -> np.ndarray:
     """The distinct candidate pairs as sorted packed ``i * total + j`` keys.
 
-    The expansion follows :func:`pair_expansion_plan` — plain ``np.repeat``
-    + offset arithmetic over membership chunks of at most roughly
-    ``chunk_keys`` pairs, flushed through a sorted-unique pass into a
-    running union: no per-block Python, and peak memory bounded by the
-    chunk size plus the *distinct* pair set — never by the raw
+    The expansion follows :func:`pair_expansion_plan` through
+    :func:`repro.weights.sparse.expand_pair_chunks` — membership chunks of
+    at most roughly ``chunk_keys`` pairs, flushed through a sorted-unique
+    pass into a running union: no per-block Python, and peak memory bounded
+    by the chunk size plus the *distinct* pair set — never by the raw
     (redundancy-bearing) comparison count.
     """
     total = np.int64(max(matrix.index_space.total, 1))
@@ -485,25 +489,30 @@ def extract_candidate_keys(
     repeats, right_begin, pair_offsets = pair_expansion_plan(matrix)
 
     seen: np.ndarray = np.empty(0, dtype=np.int64)
-    start = 0
-    while start < n_memberships:
-        stop = int(
-            np.searchsorted(pair_offsets, pair_offsets[start] + chunk_keys, side="right")
-        ) - 1
-        stop = min(max(stop, start + 1), n_memberships)
-        chunk_repeats = repeats[start:stop]
-        chunk_total = int(pair_offsets[stop] - pair_offsets[start])
-        if chunk_total == 0:
-            start = stop
-            continue
-        left = np.repeat(nodes[start:stop], chunk_repeats)
-        within = np.arange(chunk_total, dtype=np.int64) - np.repeat(
-            pair_offsets[start:stop] - pair_offsets[start], chunk_repeats
-        )
-        right = nodes[np.repeat(right_begin[start:stop], chunk_repeats) + within]
+    for _, _, left, right in expand_pair_chunks(
+        nodes, repeats, right_begin, pair_offsets, chunk_keys
+    ):
         seen = _merge_sorted_unique(seen, _sorted_unique(left * total + right))
-        start = stop
     return seen
+
+
+def matrix_from_csr(csr: EntityBlockCSR, blocks: BlockCollection) -> MembershipMatrix:
+    """Transpose the entity x block CSR of ``blocks`` into its membership matrix.
+
+    The inverse of :meth:`MembershipMatrix.csr`, for collections that did not
+    come out of this module (sides follow the index space: first-source node
+    ids are the ones below ``size_first``).
+    """
+    total = np.int64(max(blocks.index_space.total, 1))
+    row_of = np.repeat(np.arange(csr.num_entities, dtype=np.int64), np.diff(csr.indptr))
+    packed = np.sort(csr.indices * total + row_of)
+    return _matrix_from_sorted(
+        [block.key for block in blocks],
+        packed // total,
+        packed % total,
+        blocks.index_space,
+        blocks.name,
+    )
 
 
 @dataclass

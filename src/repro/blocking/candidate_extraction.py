@@ -68,16 +68,19 @@ class PreparedBlocks:
     )
 
     def statistics(self) -> "BlockStatistics":
-        """Block statistics of ``blocks``, reusing the prepared CSR (cached).
+        """Block statistics of ``blocks``, reusing what was prepared (cached).
 
-        This is the CSR handoff contract: statistics created here inherit
-        :attr:`csr`, so a pipeline run over this preparation never rebuilds
-        the incidence structure.
+        This is the handoff contract: statistics created here inherit
+        :attr:`csr` and :attr:`candidates`, so a pipeline run over this
+        preparation never rebuilds the incidence structure and reads LCP as
+        the degree of each node in the candidate pairs already extracted.
         """
         if self._stats is None:
             from ..weights import BlockStatistics
 
-            self._stats = BlockStatistics(self.blocks, csr=self.csr)
+            self._stats = BlockStatistics(
+                self.blocks, csr=self.csr, candidates=self.candidates
+            )
         return self._stats
 
 

@@ -151,17 +151,19 @@ class FeatureVectorGenerator:
         local_timer = StageTimer()
         workers = executor.workers if executor is not None else self.workers
         if workers > 1 and isinstance(stats, BlockStatistics):
-            # compute the expensive ingredients (co-occurrence pass, LCP)
-            # across workers and seed the statistics caches; the schemes
-            # below then run unchanged on the cached aggregates
+            # compute the co-occurrence pass across workers and seed the
+            # statistics cache; the schemes below then run unchanged on the
+            # cached aggregates
             from ..parallel.executor import ParallelExecutor
-            from ..parallel.features import prefill_feature_caches
+            from ..parallel.features import parallel_pair_cooccurrence
 
             with local_timer.stage("parallel-precompute"):
                 owned = executor is None
                 live = executor if executor is not None else ParallelExecutor(workers)
                 try:
-                    prefill_feature_caches(stats, candidates, self.feature_set, live)
+                    stats.seed_pair_cooccurrence(
+                        candidates, parallel_pair_cooccurrence(stats, candidates, live)
+                    )
                 finally:
                     if owned:
                         live.close()

@@ -14,9 +14,9 @@ this subsystem shards their hot stages across worker processes behind the
   crosses a process boundary through pickle);
 * :mod:`repro.parallel.blocking` — sharded tokenization/assembly and
   candidate extraction, merged with packed-key sorted merges;
-* :mod:`repro.parallel.features` — the pair co-occurrence pass and LCP over
-  candidate-row / block ranges, reusing the :mod:`repro.weights.sparse`
-  kernels unchanged;
+* :mod:`repro.parallel.features` — the pair co-occurrence pass over
+  candidate-row ranges, reusing the :mod:`repro.weights.sparse` kernel
+  unchanged;
 * :mod:`repro.parallel.pruning` — sharded CEP/CNP/RCNP selection and BLAST
   maxima.
 
@@ -39,11 +39,7 @@ from .executor import (
     resolve_workers,
     split_ranges,
 )
-from .features import (
-    parallel_local_candidate_counts,
-    parallel_pair_cooccurrence,
-    prefill_feature_caches,
-)
+from .features import parallel_pair_cooccurrence
 from .planner import EntityShard, ShardPlanner, shard_of_signature, stable_hash
 from .pruning import parallel_prune
 from .shm import SharedArray, SharedArrayHandle, attach_view, detach_view
@@ -60,10 +56,8 @@ __all__ = [
     "attach_view",
     "detach_view",
     "extract_candidate_keys_sharded",
-    "parallel_local_candidate_counts",
     "parallel_pair_cooccurrence",
     "parallel_prune",
-    "prefill_feature_caches",
     "prepare_blocks_sharded",
     "resolve_workers",
     "shard_of_signature",

@@ -8,39 +8,30 @@ arithmetic over two ingredients (:mod:`repro.weights.sparse`):
   feature-generation run-time;
 * per-entity vectors (``|B_i|``, ``||e_i||``, inverse sums, LCP counts).
 
-This module computes the expensive ingredients across worker processes and
-seeds them into the :class:`~repro.weights.BlockStatistics` caches, after
-which the schemes run unchanged (and serially — they are element-wise
-array expressions):
-
-* the **co-occurrence pass** splits the candidate pairs into row ranges;
-  each worker runs :func:`repro.weights.sparse.compute_pair_cooccurrence`
-  — the single-process kernel, unchanged — over its range against the
-  shared read-only CSR and writes the aggregate vectors into shared output
-  buffers at its own offsets.  A pair's aggregates depend only on its own
-  CSR rows, so the result is bit-identical for every worker count;
-* **LCP** splits the *blocks* into ranges; each worker expands its blocks
-  into distinct directed ``(node, neighbour)`` keys and the parent folds
-  the per-range key sets with sorted-set unions — exact, because the
-  directed-pair set of a block partition is partition-independent.
+This module computes the one expensive ingredient — the **co-occurrence
+pass** — across worker processes; the feature generator seeds the result
+into the :class:`~repro.weights.BlockStatistics` cache, after which the
+schemes run unchanged (and serially — they are element-wise array
+expressions).  The candidate pairs are split into row ranges; each worker
+runs :func:`repro.weights.sparse.compute_pair_cooccurrence` — the
+single-process kernel, unchanged — over its range against the shared
+read-only CSR and writes the aggregate vectors into shared output buffers at
+its own offsets.  A pair's aggregates depend only on the blocks its two
+entities share, summed in ascending block id by either pass of the kernel,
+so the result is bit-identical for every worker count.  The per-entity
+vectors need no fan-out: they are ``np.bincount`` passes over the CSR, and
+LCP is the candidate-pair degree the statistics already hold.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import numpy as np
 
-from ..blocking.arrayops import merge_sorted_unique
 from ..datamodel import CandidateSet
 from ..weights.sparse import PairCooccurrence
 from ..weights.statistics import BlockStatistics
 from .executor import ParallelExecutor, split_ranges
-from .worker import cooccurrence_range, lcp_block_range
-
-#: Per-worker flush bound for the LCP directed-key expansion (matches
-#: :data:`repro.weights.sparse.DEFAULT_LCP_CHUNK_KEYS`).
-LCP_CHUNK_KEYS: int = 1 << 22
+from .worker import cooccurrence_range
 
 
 def parallel_pair_cooccurrence(
@@ -97,76 +88,3 @@ def parallel_pair_cooccurrence(
     )
     executor.release_outputs()
     return result
-
-
-def parallel_local_candidate_counts(
-    stats: BlockStatistics, executor: ParallelExecutor
-) -> np.ndarray:
-    """LCP per node, computed by unioning per-block-range directed-key sets.
-
-    Matches :meth:`BlockStatistics.local_candidate_counts_sparse` exactly
-    (the counts are set cardinalities — integers in float storage).
-    """
-    csr = stats.csr()
-    total_nodes = csr.num_entities
-    counts = np.zeros(total_nodes, dtype=np.float64)
-    if csr.indices.size == 0 or csr.num_blocks == 0:
-        return counts
-
-    # invert the entity x block CSR into block-major memberships with
-    # per-block sorted node ids (the layout the directed expansion needs)
-    nodes = np.repeat(
-        np.arange(total_nodes, dtype=np.int64), np.diff(csr.indptr)
-    )
-    packed = np.sort(csr.indices * np.int64(max(total_nodes, 1)) + nodes)
-    block_nodes = packed % max(total_nodes, 1)
-    block_counts = np.bincount(csr.indices, minlength=csr.num_blocks)
-    block_ptr = np.zeros(csr.num_blocks + 1, dtype=np.int64)
-    np.cumsum(block_counts, out=block_ptr[1:])
-
-    block_ptr_h = executor.publish(block_ptr)
-    block_nodes_h = executor.publish(block_nodes)
-    index_space = stats.blocks.index_space
-
-    tasks = [
-        (
-            block_ptr_h,
-            block_nodes_h,
-            index_space.size_first,
-            index_space.is_clean_clean,
-            total_nodes,
-            begin,
-            end,
-            LCP_CHUNK_KEYS,
-        )
-        for begin, end in split_ranges(csr.num_blocks, executor.workers)
-    ]
-    parts = executor.starmap(lcp_block_range, tasks)
-
-    seen: np.ndarray = np.empty(0, dtype=np.int64)
-    for part in parts:
-        seen = merge_sorted_unique(seen, part)
-    if seen.size:
-        counts += np.bincount(seen // total_nodes, minlength=total_nodes)
-    return counts
-
-
-def prefill_feature_caches(
-    stats: BlockStatistics,
-    candidates: CandidateSet,
-    feature_set: Sequence[str],
-    executor: ParallelExecutor,
-) -> None:
-    """Compute the expensive feature ingredients in parallel and seed them.
-
-    After this call, every sparse-backend scheme in ``feature_set`` reads
-    its aggregates from the statistics caches — the schemes themselves run
-    unchanged and produce bit-identical matrices.
-    """
-    stats.seed_pair_cooccurrence(
-        candidates, parallel_pair_cooccurrence(stats, candidates, executor)
-    )
-    if "LCP" in feature_set:
-        stats.seed_local_candidate_counts(
-            parallel_local_candidate_counts(stats, executor)
-        )

@@ -23,7 +23,11 @@ import numpy as np
 from ..blocking.arrayops import merge_sorted_unique, sorted_unique
 from ..blocking.base import BlockingMethod
 from ..datamodel import EntityProfile
-from ..weights.sparse import EntityBlockCSR, compute_pair_cooccurrence
+from ..weights.sparse import (
+    EntityBlockCSR,
+    compute_pair_cooccurrence,
+    expand_pair_chunks,
+)
 from .shm import SharedArrayHandle, attach_view
 
 
@@ -101,10 +105,9 @@ def candidate_chunk(
     """Distinct packed candidate keys spawned by one membership range.
 
     The same expansion :func:`repro.blocking.arrayops.extract_candidate_keys`
-    runs — ``np.repeat`` over per-membership pair counts plus offset
-    arithmetic into the flat ``nodes`` array — restricted to memberships
-    ``[start, stop)`` and flushed through sorted-unique merges every
-    ``chunk_keys`` pairs to bound peak memory.
+    runs (:func:`repro.weights.sparse.expand_pair_chunks`), restricted to
+    memberships ``[start, stop)`` and flushed through sorted-unique merges
+    every ``chunk_keys`` pairs to bound peak memory.
     """
     nodes = attach_view(nodes_h)
     repeats = attach_view(repeats_h)
@@ -113,26 +116,10 @@ def candidate_chunk(
     total = np.int64(total)
 
     seen: np.ndarray = np.empty(0, dtype=np.int64)
-    cursor = start
-    while cursor < stop:
-        end = int(
-            np.searchsorted(
-                pair_offsets, pair_offsets[cursor] + chunk_keys, side="right"
-            )
-        ) - 1
-        end = min(max(end, cursor + 1), stop)
-        chunk_repeats = repeats[cursor:end]
-        chunk_total = int(pair_offsets[end] - pair_offsets[cursor])
-        if chunk_total == 0:
-            cursor = end
-            continue
-        left = np.repeat(nodes[cursor:end], chunk_repeats)
-        within = np.arange(chunk_total, dtype=np.int64) - np.repeat(
-            pair_offsets[cursor:end] - pair_offsets[cursor], chunk_repeats
-        )
-        right = nodes[np.repeat(right_begin[cursor:end], chunk_repeats) + within]
+    for _, _, left, right in expand_pair_chunks(
+        nodes, repeats, right_begin, pair_offsets, chunk_keys, start, stop
+    ):
         seen = merge_sorted_unique(seen, sorted_unique(left * total + right))
-        cursor = end
     return seen
 
 
@@ -177,71 +164,6 @@ def cooccurrence_range(
     attach_view(out_common_h)[start:stop] = aggregates.common
     attach_view(out_inv_cardinality_h)[start:stop] = aggregates.sum_inverse_cardinality
     attach_view(out_inv_size_h)[start:stop] = aggregates.sum_inverse_size
-
-
-def lcp_block_range(
-    block_ptr_h: SharedArrayHandle,
-    block_nodes_h: SharedArrayHandle,
-    size_first: int,
-    is_clean_clean: bool,
-    total_nodes: int,
-    begin_block: int,
-    end_block: int,
-    chunk_keys: int,
-) -> np.ndarray:
-    """Distinct directed ``node * total + neighbour`` keys of a block range.
-
-    The array-native counterpart of the per-block expansion in
-    :func:`repro.weights.sparse.sparse_local_candidate_counts`, fed from the
-    block-major membership CSR instead of :class:`Block` objects.  Blocks
-    whose second side is empty fall back to intra-block pairs, mirroring
-    ``Block.is_bilateral``.  Because the result is a *set* of directed keys,
-    the union over any partition of the blocks is exact.
-    """
-    block_ptr = attach_view(block_ptr_h)
-    members_flat = attach_view(block_nodes_h)
-    total = np.int64(total_nodes)
-
-    seen: np.ndarray = np.empty(0, dtype=np.int64)
-    buffered: List[np.ndarray] = []
-    buffered_size = 0
-
-    def flush() -> None:
-        nonlocal seen, buffered, buffered_size
-        if not buffered:
-            return
-        fresh = sorted_unique(np.concatenate(buffered))
-        seen = merge_sorted_unique(seen, fresh)
-        buffered = []
-        buffered_size = 0
-
-    for block in range(begin_block, end_block):
-        members = members_flat[block_ptr[block] : block_ptr[block + 1]]
-        if is_clean_clean:
-            split = int(np.searchsorted(members, size_first))
-        else:
-            split = members.size
-        first, second = members[:split], members[split:]
-        if second.size > 0:
-            if first.size == 0:
-                continue
-            a = np.repeat(first, second.size)
-            b = np.tile(second, first.size)
-            buffered.append(a * total + b)
-            buffered.append(b * total + a)
-            buffered_size += 2 * a.size
-        else:
-            if first.size < 2:
-                continue
-            a = np.repeat(first, first.size)
-            b = np.tile(first, first.size)
-            off_diagonal = a != b
-            buffered.append(a[off_diagonal] * total + b[off_diagonal])
-            buffered_size += int(off_diagonal.sum())
-        if buffered_size >= chunk_keys:
-            flush()
-    flush()
-    return seen
 
 
 # -- cardinality pruning ---------------------------------------------------------

@@ -12,10 +12,12 @@ aggregates every co-occurrence scheme is built from —
 * ``Σ_{b ∈ B_i ∩ B_j} 1/||b||`` — the RACCB/WJS numerator,
 * ``Σ_{b ∈ B_i ∩ B_j} 1/|b|`` — the RS/NRS numerator —
 
-are computed for *all* candidate pairs at once with sorted-array row
-intersections (NumPy only, no per-pair Python).  The schemes then combine
-these aggregates with precomputed per-entity vectors using plain array
-arithmetic.
+are computed for *all* candidate pairs at once (NumPy only, no per-pair
+Python): block-major, by expanding every block's comparisons once and
+looking them up among the requested pairs, or pair-major, by sorted-array
+row intersections, whichever :func:`plan_block_major` estimates cheaper for
+the request.  The schemes then combine these aggregates with precomputed
+per-entity vectors using plain array arithmetic.
 
 The loop implementations remain the reference oracle; the equivalence tests
 in ``tests/weights/test_backend_equivalence.py`` assert that both backends
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -38,8 +40,8 @@ from ..datamodel import BlockCollection
 #: implementation built on the CSR incidence structure below.
 BACKENDS: Tuple[str, ...] = ("loop", "sparse")
 
-#: Number of candidate pairs processed per chunk by the batched intersection
-#: (bounds the size of the expanded membership arrays).
+#: Pairs intersected (pair-major) or comparisons expanded (block-major) per
+#: chunk of the co-occurrence pass; bounds the size of its temporaries.
 DEFAULT_CHUNK_PAIRS: int = 1 << 16
 
 
@@ -164,6 +166,198 @@ def _gather_rows(csr: EntityBlockCSR, nodes: np.ndarray) -> Tuple[np.ndarray, np
     return rows, csr.indices[flat]
 
 
+def expand_pair_chunks(
+    nodes: np.ndarray,
+    repeats: np.ndarray,
+    right_begin: np.ndarray,
+    pair_offsets: np.ndarray,
+    chunk_pairs: int,
+    start: int = 0,
+    stop: Optional[int] = None,
+) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
+    """The block-major expansion of the comparisons, in bounded chunks.
+
+    ``nodes`` are memberships grouped by block; membership ``m`` is the left
+    endpoint of ``repeats[m]`` comparisons whose right endpoints are the
+    contiguous slice of ``nodes`` starting at ``right_begin[m]``, and
+    ``pair_offsets`` is the exclusive prefix sum of ``repeats``.  Yields
+    ``(begin, end, left, right)`` for successive membership ranges of
+    ``[start, stop)`` spawning roughly ``chunk_pairs`` comparisons each —
+    plain ``np.repeat`` + offset arithmetic, no per-block Python.  Candidate
+    extraction (serial and sharded) and the block-major co-occurrence pass
+    all expand through here.
+    """
+    stop = int(nodes.size) if stop is None else stop
+    while start < stop:
+        end = int(
+            np.searchsorted(pair_offsets, pair_offsets[start] + chunk_pairs, side="right")
+        ) - 1
+        end = min(max(end, start + 1), stop)
+        chunk_total = int(pair_offsets[end] - pair_offsets[start])
+        if chunk_total:
+            chunk_repeats = repeats[start:end]
+            left = np.repeat(nodes[start:end], chunk_repeats)
+            within = np.arange(chunk_total, dtype=np.int64) - np.repeat(
+                pair_offsets[start:end] - pair_offsets[start], chunk_repeats
+            )
+            right = nodes[np.repeat(right_begin[start:end], chunk_repeats) + within]
+            yield start, end, left, right
+        start = end
+
+
+#: Σ row lengths of the requested pairs below which the pair-major pass costs
+#: less than *planning* the block-major one (restriction + transposition), so
+#: no plan is attempted — one-insert streaming deltas live here.
+_MIN_BLOCK_MAJOR_ENTRIES: int = 1 << 15
+
+#: Measured cost of one expanded block-major comparison (a binary search into
+#: the requested keys) in units of one gathered pair-major row entry.
+_BLOCK_MAJOR_UNIT_COST: int = 2
+
+
+class _BlockMajorPlan(NamedTuple):
+    """The requested pairs and their blocks, restricted and transposed."""
+
+    #: sorted distinct packed keys ``lo * n_active + hi`` of the requested pairs
+    keys: np.ndarray
+    #: request position per sorted key (``None``: the request was sorted)
+    order: Optional[np.ndarray]
+    #: key stride — the number of nodes occurring in the requested pairs
+    n_active: np.int64
+    #: memberships of those nodes, sorted by (block id, node rank)
+    block_of: np.ndarray
+    nodes: np.ndarray
+    #: intra-block expansion plan (see :func:`expand_pair_chunks`)
+    repeats: np.ndarray
+    right_begin: np.ndarray
+    pair_offsets: np.ndarray
+
+
+def plan_block_major(
+    csr: EntityBlockCSR, left: np.ndarray, right: np.ndarray
+) -> Optional[_BlockMajorPlan]:
+    """Plan the block-major pass, or ``None`` when pair-major should run.
+
+    The choice is a cost estimate computed from the inputs alone: the
+    comparisons the blocks of the requested nodes expand into (each costs a
+    key lookup) against the row entries the pair-major pass gathers,
+    ``Σ |B_i| + |B_j|`` over the requested pairs.  A full candidate set
+    revisits every row once per neighbour, so block-major wins by the
+    redundancy of the collection; a one-insert delta touches each counterpart
+    row once while their blocks expand into mostly unrequested comparisons,
+    so pair-major wins.  Self-pairs, duplicate pairs and key spaces that
+    would overflow int64 are left to the pair-major pass as well.
+    """
+    indptr = csr.indptr
+    pair_entries = int(
+        (indptr[left + 1] - indptr[left]).sum() + (indptr[right + 1] - indptr[right]).sum()
+    )
+    if pair_entries < _MIN_BLOCK_MAJOR_ENTRIES:
+        return None
+    lo = np.minimum(left, right)
+    hi = np.maximum(left, right)
+    if np.any(lo == hi):
+        return None
+
+    # restrict to the nodes the request mentions: drops unrelated rows and
+    # the stale rows a streaming index leaves behind
+    is_active = np.zeros(csr.num_entities, dtype=bool)
+    is_active[lo] = True
+    is_active[hi] = True
+    active = np.flatnonzero(is_active)
+    n_active = int(active.size)
+    if max(n_active, csr.num_blocks) * n_active > np.iinfo(np.int64).max:
+        return None
+    ranks, block_ids = _gather_rows(csr, active)
+    sizes = np.bincount(block_ids, minlength=csr.num_blocks)
+    expanded = int((sizes * (sizes - 1) // 2).sum())
+    if _BLOCK_MAJOR_UNIT_COST * expanded >= pair_entries:
+        return None
+
+    stride = np.int64(n_active)
+    rank_of = np.cumsum(is_active) - 1
+    keys = rank_of[lo] * stride + rank_of[hi]
+    order = None
+    if not np.all(keys[1:] > keys[:-1]):
+        order = np.argsort(keys)
+        keys = keys[order]
+        if np.any(keys[1:] == keys[:-1]):
+            return None
+
+    # transpose: memberships sorted by (block id, node rank)
+    packed = np.sort(block_ids * stride + ranks)
+    block_ends = np.repeat(np.cumsum(sizes), sizes)
+    positions = np.arange(packed.size, dtype=np.int64)
+    repeats = block_ends - 1 - positions
+    pair_offsets = np.zeros(packed.size + 1, dtype=np.int64)
+    np.cumsum(repeats, out=pair_offsets[1:])
+    return _BlockMajorPlan(
+        keys=keys,
+        order=order,
+        n_active=stride,
+        block_of=packed // stride,
+        nodes=packed % stride,
+        repeats=repeats,
+        right_begin=positions + 1,
+        pair_offsets=pair_offsets,
+    )
+
+
+def _block_major_hits(
+    plan: _BlockMajorPlan, chunk_pairs: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(pair position, block id)`` per shared block, in ascending block id.
+
+    Every block's ``i < j`` member pairs are expanded and looked up in the
+    sorted requested keys; comparisons nobody asked for (and the same-side
+    pairs of a bilateral block) miss and are dropped, so the blocks need no
+    side information.
+    """
+    last = plan.keys.size - 1
+    hit_positions = [np.empty(0, dtype=np.int64)]
+    hit_blocks = [np.empty(0, dtype=np.int64)]
+    for begin, end, left, right in expand_pair_chunks(
+        plan.nodes, plan.repeats, plan.right_begin, plan.pair_offsets, chunk_pairs
+    ):
+        comparison_keys = left * plan.n_active + right
+        found = np.searchsorted(plan.keys, comparison_keys)
+        np.minimum(found, last, out=found)
+        hit = plan.keys[found] == comparison_keys
+        hit_positions.append(found[hit])
+        hit_blocks.append(np.repeat(plan.block_of[begin:end], plan.repeats[begin:end])[hit])
+    positions = np.concatenate(hit_positions)
+    if plan.order is not None:
+        positions = plan.order[positions]
+    return positions, np.concatenate(hit_blocks)
+
+
+def _pair_major_hits(
+    csr: EntityBlockCSR, left: np.ndarray, right: np.ndarray, chunk_pairs: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(pair position, block id)`` per shared block, by row intersection.
+
+    For each chunk of pairs both CSR rows are expanded into
+    ``pair_position * num_blocks + block_id`` keys and intersected with
+    :func:`np.intersect1d`, whose sorted output lists every pair's shared
+    blocks in ascending block id.
+    """
+    num_blocks = np.int64(csr.num_blocks)
+    hit_positions = []
+    hit_blocks = []
+    for start in range(0, int(left.size), chunk_pairs):
+        stop = start + chunk_pairs
+        rows_left, blocks_left = _gather_rows(csr, left[start:stop])
+        rows_right, blocks_right = _gather_rows(csr, right[start:stop])
+        shared = np.intersect1d(
+            rows_left * num_blocks + blocks_left,
+            rows_right * num_blocks + blocks_right,
+            assume_unique=True,
+        )
+        hit_positions.append(shared // num_blocks + start)
+        hit_blocks.append(shared % num_blocks)
+    return np.concatenate(hit_positions), np.concatenate(hit_blocks)
+
+
 def compute_pair_cooccurrence(
     csr: EntityBlockCSR,
     inverse_cardinalities: np.ndarray,
@@ -172,12 +366,16 @@ def compute_pair_cooccurrence(
     right: np.ndarray,
     chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
 ) -> PairCooccurrence:
-    """Batched per-pair co-occurrence aggregates over all candidate pairs.
+    """Batched per-pair co-occurrence aggregates over all requested pairs.
 
-    For each chunk of pairs the per-entity block rows are expanded into
-    ``pair_position * num_blocks + block_id`` keys (sorted by construction),
-    intersected with :func:`np.intersect1d`, and the surviving memberships are
-    aggregated back per pair with ``np.bincount`` — no per-pair Python.
+    Two passes find the ``(pair, shared block)`` incidences — block-major
+    (expand every block's comparisons once, look them up among the requested
+    pairs) and pair-major (intersect the two CSR rows of every pair); which
+    one runs is decided by :func:`plan_block_major` from the inputs.  Both
+    list a pair's shared blocks in ascending block id and the aggregates are
+    one ``np.bincount`` over that list, so the result is bit-identical
+    whichever pass ran and whatever ``chunk_pairs`` is — no per-pair Python
+    either way.
 
     Parameters
     ----------
@@ -186,40 +384,32 @@ def compute_pair_cooccurrence(
     inverse_cardinalities, inverse_sizes:
         Per-block ``1/max(||b||, 1)`` and ``1/max(|b|, 1)`` weight vectors.
     left, right:
-        The candidate set's parallel node-id arrays.
+        Parallel node-id arrays of the requested pairs, in any orientation
+        and order.
     chunk_pairs:
-        Pairs per chunk; bounds the expanded-array memory footprint.
+        Pairs (comparisons) expanded per chunk; bounds the temporaries.
     """
+    left = np.asarray(left, dtype=np.int64)
+    right = np.asarray(right, dtype=np.int64)
     n_pairs = int(left.size)
-    common = np.zeros(n_pairs, dtype=np.float64)
-    sum_inv_cardinality = np.zeros(n_pairs, dtype=np.float64)
-    sum_inv_size = np.zeros(n_pairs, dtype=np.float64)
     if n_pairs == 0 or csr.num_blocks == 0 or csr.indices.size == 0:
-        return PairCooccurrence(common, sum_inv_cardinality, sum_inv_size)
+        zeros = np.zeros(n_pairs, dtype=np.float64)
+        return PairCooccurrence(zeros, zeros.copy(), zeros.copy())
 
-    num_blocks = np.int64(csr.num_blocks)
-    for start in range(0, n_pairs, chunk_pairs):
-        stop = min(start + chunk_pairs, n_pairs)
-        chunk_len = stop - start
-        rows_left, blocks_left = _gather_rows(csr, left[start:stop])
-        rows_right, blocks_right = _gather_rows(csr, right[start:stop])
-        keys_left = rows_left * num_blocks + blocks_left
-        keys_right = rows_right * num_blocks + blocks_right
-        shared = np.intersect1d(keys_left, keys_right, assume_unique=True)
-        if shared.size == 0:
-            continue
-        pair_positions = shared // num_blocks
-        shared_blocks = shared % num_blocks
-        common[start:stop] = np.bincount(pair_positions, minlength=chunk_len)
-        sum_inv_cardinality[start:stop] = np.bincount(
-            pair_positions,
-            weights=inverse_cardinalities[shared_blocks],
-            minlength=chunk_len,
-        )
-        sum_inv_size[start:stop] = np.bincount(
-            pair_positions, weights=inverse_sizes[shared_blocks], minlength=chunk_len
-        )
-    return PairCooccurrence(common, sum_inv_cardinality, sum_inv_size)
+    plan = plan_block_major(csr, left, right)
+    if plan is not None:
+        positions, blocks = _block_major_hits(plan, chunk_pairs)
+    else:
+        positions, blocks = _pair_major_hits(csr, left, right, chunk_pairs)
+    return PairCooccurrence(
+        common=np.bincount(positions, minlength=n_pairs).astype(np.float64),
+        sum_inverse_cardinality=np.bincount(
+            positions, weights=inverse_cardinalities[blocks], minlength=n_pairs
+        ),
+        sum_inverse_size=np.bincount(
+            positions, weights=inverse_sizes[blocks], minlength=n_pairs
+        ),
+    )
 
 
 class PairCooccurrenceCache:
@@ -256,83 +446,6 @@ class PairCooccurrenceCache:
         instead of re-running the intersection pass.
         """
         self._entry = (weakref.ref(candidates), result)
-
-
-#: Upper bound on the number of expanded (node, neighbour) keys buffered
-#: before a dedup flush in :func:`sparse_local_candidate_counts`.
-DEFAULT_LCP_CHUNK_KEYS: int = 1 << 22
-
-
-def _expanded_block_keys(block, total_nodes: int, chunk_keys: int):
-    """Yield the directed ``node * total + neighbour`` keys of one block.
-
-    Large blocks are expanded in row slices so no single array exceeds
-    roughly ``chunk_keys`` entries.
-    """
-    if block.is_bilateral:
-        first = np.asarray(block.entities_first, dtype=np.int64)
-        second = np.asarray(block.entities_second, dtype=np.int64)
-        if first.size == 0 or second.size == 0:
-            return
-        rows_per_slice = max(1, chunk_keys // max(1, int(second.size)))
-        for start in range(0, first.size, rows_per_slice):
-            rows = first[start : start + rows_per_slice]
-            a = np.repeat(rows, second.size)
-            b = np.tile(second, rows.size)
-            yield a * total_nodes + b
-            yield b * total_nodes + a
-    else:
-        members = np.asarray(block.entities_first, dtype=np.int64)
-        if members.size < 2:
-            return
-        rows_per_slice = max(1, chunk_keys // max(1, int(members.size)))
-        for start in range(0, members.size, rows_per_slice):
-            rows = members[start : start + rows_per_slice]
-            a = np.repeat(rows, members.size)
-            b = np.tile(members, rows.size)
-            off_diagonal = a != b
-            yield a[off_diagonal] * total_nodes + b[off_diagonal]
-
-
-def sparse_local_candidate_counts(
-    blocks: BlockCollection, chunk_keys: int = DEFAULT_LCP_CHUNK_KEYS
-) -> np.ndarray:
-    """Vectorized LCP: distinct co-occurring entities per node.
-
-    Expands blocks into directed ``(node, neighbour)`` keys with NumPy
-    broadcasting, deduplicates, and counts neighbours per node.  Matches the
-    loop formulation in :meth:`BlockStatistics.local_candidate_counts`
-    exactly.  Expansion is flushed through :func:`np.unique` every
-    ``chunk_keys`` buffered entries and folded into a running sorted union,
-    so peak memory is bounded by the chunk size plus the *distinct* directed
-    pair set — not by the raw (duplicate-bearing) comparison count.
-    """
-    total_nodes = blocks.index_space.total
-    seen: np.ndarray = np.empty(0, dtype=np.int64)
-    buffered = []
-    buffered_size = 0
-
-    def flush():
-        nonlocal seen, buffered, buffered_size
-        if not buffered:
-            return
-        fresh = np.unique(np.concatenate(buffered))
-        seen = fresh if seen.size == 0 else np.union1d(seen, fresh)
-        buffered = []
-        buffered_size = 0
-
-    for block in blocks:
-        for keys in _expanded_block_keys(block, total_nodes, chunk_keys):
-            buffered.append(keys)
-            buffered_size += keys.size
-            if buffered_size >= chunk_keys:
-                flush()
-    flush()
-
-    counts = np.zeros(total_nodes, dtype=np.float64)
-    if seen.size:
-        counts += np.bincount(seen // total_nodes, minlength=total_nodes)
-    return counts
 
 
 def safe_log_ratio_array(total: float, values: np.ndarray) -> np.ndarray:

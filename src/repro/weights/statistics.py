@@ -16,7 +16,7 @@ intersections, the irreducible part of the cost.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Set
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .sparse import (
     PairCooccurrenceCache,
     build_entity_block_csr,
     compute_pair_cooccurrence,
-    sparse_local_candidate_counts,
 )
 
 
@@ -41,23 +40,36 @@ class BlockStatistics:
     csr:
         Optional prebuilt entity x block CSR incidence structure of
         ``blocks`` (the array blocking backend hands it over through
-        :meth:`repro.blocking.PreparedBlocks.statistics`), so the sparse
-        feature backend never rebuilds it.  Built lazily when omitted.
+        :meth:`repro.blocking.PreparedBlocks.statistics`), so it is never
+        rebuilt.  Built from the block objects when omitted.
+    candidates:
+        Optional distinct candidate pairs of ``blocks`` (same hand-off):
+        LCP is the degree of a node in that pair set, so holding it makes
+        :meth:`local_candidate_counts_sparse` two ``np.bincount`` calls.
+        Derived from the blocks on first use when omitted.
     """
 
     def __init__(
-        self, blocks: BlockCollection, csr: Optional[EntityBlockCSR] = None
+        self,
+        blocks: BlockCollection,
+        csr: Optional[EntityBlockCSR] = None,
+        candidates: Optional[CandidateSet] = None,
     ) -> None:
         self.blocks = blocks
         self.num_blocks = len(blocks)
-        if csr is not None and (
-            csr.num_blocks != len(blocks)
-            or csr.num_entities != blocks.index_space.total
-        ):
+        total_nodes = blocks.index_space.total
+        if csr is None:
+            csr = build_entity_block_csr(blocks)
+        elif csr.num_blocks != len(blocks) or csr.num_entities != total_nodes:
             raise ValueError(
                 "precomputed CSR does not match the block collection "
                 f"({csr.num_entities} x {csr.num_blocks} vs "
-                f"{blocks.index_space.total} x {len(blocks)})"
+                f"{total_nodes} x {len(blocks)})"
+            )
+        if candidates is not None and candidates.index_space.total != total_nodes:
+            raise ValueError(
+                "candidate set does not match the block collection "
+                f"({candidates.index_space.total} vs {total_nodes} nodes)"
             )
 
         # per-block quantities
@@ -73,42 +85,29 @@ class BlockStatistics:
         self.inverse_block_cardinalities = 1.0 / np.maximum(self.block_cardinalities, 1.0)
         self.inverse_block_sizes = 1.0 / np.maximum(self.block_sizes, 1.0)
 
-        # per-entity block memberships as frozensets for fast intersections
-        membership: Dict[int, Set[int]] = {}
-        for block_id, block in enumerate(blocks):
-            for node in block.all_entities():
-                membership.setdefault(node, set()).add(block_id)
-        self._entity_blocks: Dict[int, FrozenSet[int]] = {
-            node: frozenset(block_ids) for node, block_ids in membership.items()
-        }
+        # per-entity aggregates straight from the CSR; np.bincount adds each
+        # row's terms in ascending block id, the order the pair kernel uses
+        row_lengths = np.diff(csr.indptr)
+        row_of = np.repeat(np.arange(total_nodes, dtype=np.int64), row_lengths)
 
-        total_nodes = blocks.index_space.total
-        self.blocks_per_entity = np.zeros(total_nodes, dtype=np.float64)
-        self.entity_cardinality = np.zeros(total_nodes, dtype=np.float64)
-        self.entity_inv_cardinality = np.zeros(total_nodes, dtype=np.float64)
-        self.entity_inv_size = np.zeros(total_nodes, dtype=np.float64)
-        for node, block_ids in self._entity_blocks.items():
-            ids = list(block_ids)
-            self.blocks_per_entity[node] = len(ids)
-            self.entity_cardinality[node] = float(self.block_cardinalities[ids].sum())
-            with np.errstate(divide="ignore"):
-                self.entity_inv_cardinality[node] = float(
-                    np.sum(1.0 / np.maximum(self.block_cardinalities[ids], 1.0))
-                )
-                self.entity_inv_size[node] = float(
-                    np.sum(1.0 / np.maximum(self.block_sizes[ids], 1.0))
-                )
+        def row_sums(per_block: np.ndarray) -> np.ndarray:
+            return np.bincount(row_of, weights=per_block[csr.indices], minlength=total_nodes)
 
+        self.blocks_per_entity = row_lengths.astype(np.float64)
+        self.entity_cardinality = row_sums(self.block_cardinalities)
+        self.entity_inv_cardinality = row_sums(self.inverse_block_cardinalities)
+        self.entity_inv_size = row_sums(self.inverse_block_sizes)
+
+        self._csr = csr
+        self._candidates = candidates
+        self._entity_blocks: Optional[Dict[int, FrozenSet[int]]] = None
         self._lcp: Optional[np.ndarray] = None
         self._lcp_sparse: Optional[np.ndarray] = None
-        self._csr: Optional[EntityBlockCSR] = csr
         self._pair_cache = PairCooccurrenceCache()
 
     # -- sparse backend --------------------------------------------------------
     def csr(self) -> EntityBlockCSR:
-        """The entity x block incidence structure (built lazily, cached)."""
-        if self._csr is None:
-            self._csr = build_entity_block_csr(self.blocks)
+        """The entity x block incidence structure."""
         return self._csr
 
     def pair_cooccurrence(self, candidates: CandidateSet) -> PairCooccurrence:
@@ -122,7 +121,7 @@ class BlockStatistics:
         return self._pair_cache.get(
             candidates,
             lambda: compute_pair_cooccurrence(
-                self.csr(),
+                self._csr,
                 self.inverse_block_cardinalities,
                 self.inverse_block_sizes,
                 candidates.left,
@@ -144,11 +143,29 @@ class BlockStatistics:
 
     def seed_local_candidate_counts(self, counts: np.ndarray) -> None:
         """Install externally computed LCP counts (sparse-backend cache)."""
-        self._lcp_sparse = np.asarray(counts, dtype=np.float64)
+        counts = np.asarray(counts, dtype=np.float64)
+        expected = self.blocks.index_space.total
+        if counts.shape != (expected,):
+            raise ValueError(
+                "LCP counts do not match the block collection "
+                f"(expected length {expected}, given shape {counts.shape})"
+            )
+        self._lcp_sparse = counts
 
     # -- memberships -----------------------------------------------------------
     def blocks_of(self, node: int) -> FrozenSet[int]:
-        """The block ids containing ``node`` (empty when the node has none)."""
+        """The block ids containing ``node`` (empty when the node has none).
+
+        Only the loop oracle intersects these sets, so the map is built from
+        the CSR on the first call rather than at construction.
+        """
+        if self._entity_blocks is None:
+            indptr, indices = self._csr.indptr.tolist(), self._csr.indices.tolist()
+            self._entity_blocks = {
+                node: frozenset(indices[begin:end])
+                for node, (begin, end) in enumerate(zip(indptr, indptr[1:]))
+                if end > begin
+            }
         return self._entity_blocks.get(node, frozenset())
 
     def common_blocks(self, i: int, j: int) -> FrozenSet[int]:
@@ -209,14 +226,26 @@ class BlockStatistics:
         return self._lcp
 
     def local_candidate_counts_sparse(self) -> np.ndarray:
-        """Vectorized counterpart of :meth:`local_candidate_counts`.
+        """LCP as the degree of every node in the distinct candidate-pair set.
 
-        Kept as an independent computation (own cache) so the equivalence
-        tests genuinely compare the two formulations rather than a shared
-        memoised result.
+        The pairs are the ones handed over at construction or, for a bare
+        ``BlockStatistics(blocks)``, derived with the block-major expansion
+        candidate extraction uses.  Independent of the loop formulation
+        above (own cache), so the equivalence tests genuinely compare the
+        two.
         """
         if self._lcp_sparse is None:
-            self._lcp_sparse = sparse_local_candidate_counts(self.blocks)
+            total_nodes = self.blocks.index_space.total
+            if self._candidates is not None:
+                left, right = self._candidates.left, self._candidates.right
+            else:
+                from ..blocking.arrayops import extract_candidate_keys, matrix_from_csr
+
+                keys = extract_candidate_keys(matrix_from_csr(self._csr, self.blocks))
+                left, right = np.divmod(keys, np.int64(max(total_nodes, 1)))
+            degrees = np.bincount(left, minlength=total_nodes)
+            degrees += np.bincount(right, minlength=total_nodes)
+            self._lcp_sparse = degrees.astype(np.float64)
         return self._lcp_sparse
 
     # -- summaries ----------------------------------------------------------------

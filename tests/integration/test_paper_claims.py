@@ -145,8 +145,12 @@ class TestClaimLcpIsExpensive:
             FeatureVectorGenerator(feature_set).generate(prepared_abtbuy.candidates, stats)
             return time.perf_counter() - start
 
-        without_lcp = min(measure(base_features) for _ in range(3))
-        with_lcp = min(measure(base_features + ("LCP",)) for _ in range(3))
+        # interleaved best-of-5: the loop oracle's LCP adds ~2 % here, so the
+        # 10 % allowance has to cover timer noise alone
+        without_lcp = with_lcp = float("inf")
+        for _ in range(5):
+            without_lcp = min(without_lcp, measure(base_features))
+            with_lcp = min(with_lcp, measure(base_features + ("LCP",)))
         assert without_lcp <= with_lcp * 1.1
 
 

@@ -161,6 +161,38 @@ def test_generate_features_backend_equivalence(data):
     np.testing.assert_allclose(sparse.values, loop.values, **TOLERANCES)
 
 
+@given(data=st.one_of(unilateral_collections(), bilateral_collections()))
+@settings(max_examples=60, deadline=None)
+def test_entity_aggregates_and_lcp_match_the_loop_oracle(data):
+    """The array-native statistics equal the per-entity loop formulations.
+
+    The two inverse sums add the same terms in ascending block id instead of
+    set order, so they may differ in the last digits; the rest is exact.
+    """
+    blocks, _ = data
+    stats = BlockStatistics(blocks)
+    memberships = [stats.blocks_of(node) for node in range(blocks.index_space.total)]
+    assert stats.blocks_per_entity.tolist() == [len(ids) for ids in memberships]
+    assert stats.entity_cardinality.tolist() == [
+        float(stats.block_cardinalities[list(ids)].sum()) for ids in memberships
+    ]
+    np.testing.assert_allclose(
+        stats.entity_inv_cardinality,
+        [stats.sum_inverse_cardinality(ids) for ids in memberships],
+        rtol=1e-12,
+        atol=0,
+    )
+    np.testing.assert_allclose(
+        stats.entity_inv_size,
+        [stats.sum_inverse_size(ids) for ids in memberships],
+        rtol=1e-12,
+        atol=0,
+    )
+    assert np.array_equal(
+        stats.local_candidate_counts_sparse(), stats.local_candidate_counts()
+    )
+
+
 # -- deterministic edge cases ---------------------------------------------------------
 
 @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)

@@ -78,3 +78,79 @@ class TestBlockStatistics:
         stats = BlockStatistics(blocks)
         lcp = stats.local_candidate_counts()
         assert lcp.tolist() == [2.0, 2.0, 3.0, 1.0]
+
+
+def loop_entity_aggregates(stats):
+    """The per-entity aggregates as the loop oracle sums them (set order)."""
+    nodes = range(stats.blocks.index_space.total)
+    memberships = [stats.blocks_of(node) for node in nodes]
+    return {
+        "blocks_per_entity": [len(ids) for ids in memberships],
+        "entity_cardinality": [
+            float(stats.block_cardinalities[list(ids)].sum()) for ids in memberships
+        ],
+        "entity_inv_cardinality": [stats.sum_inverse_cardinality(ids) for ids in memberships],
+        "entity_inv_size": [stats.sum_inverse_size(ids) for ids in memberships],
+    }
+
+
+class TestArrayNativeConstruction:
+    """``__init__`` reads the CSR; the loop formulations stay the oracle."""
+
+    @pytest.mark.parametrize("handoff", [True, False], ids=["prepared", "bare"])
+    def test_entity_aggregates_match_the_loop_oracle(self, dblpacm_dataset, handoff):
+        from repro.blocking import prepare_blocks
+
+        prepared = prepare_blocks(dblpacm_dataset.first, dblpacm_dataset.second)
+        stats = prepared.statistics() if handoff else BlockStatistics(prepared.blocks)
+        for name, expected in loop_entity_aggregates(stats).items():
+            np.testing.assert_allclose(
+                getattr(stats, name), expected, rtol=1e-12, atol=0, err_msg=name
+            )
+        # integer-valued sums are exact in any order
+        assert stats.blocks_per_entity.sum() == prepared.blocks.total_block_assignments()
+
+    @pytest.mark.parametrize("fixture", ["dblpacm_dataset", "abtbuy_dataset"])
+    def test_lcp_is_the_candidate_degree(self, request, fixture):
+        from repro.blocking import prepare_blocks
+
+        dataset = request.getfixturevalue(fixture)
+        prepared = prepare_blocks(dataset.first, dataset.second)
+        handed_over = prepared.statistics()
+        bare = BlockStatistics(prepared.blocks)
+        oracle = bare.local_candidate_counts()
+        assert oracle.sum() == 2 * len(prepared.candidates)
+        assert np.array_equal(handed_over.local_candidate_counts_sparse(), oracle)
+        assert np.array_equal(bare.local_candidate_counts_sparse(), oracle)
+
+    def test_bare_lcp_on_stranded_clean_clean_blocks(self):
+        """A clean-clean block whose second side emptied compares intra-side."""
+        from repro.datamodel import Block, BlockCollection, EntityIndexSpace
+
+        blocks = BlockCollection(
+            [
+                Block("cross", [0, 1], [3, 4]),
+                Block("stranded", [0, 1, 2]),
+                Block("one-sided", [], [3, 4]),
+                Block("lonely", [2]),
+            ],
+            EntityIndexSpace(3, 2),
+        )
+        stats = BlockStatistics(blocks)
+        assert stats.local_candidate_counts().tolist() == [4.0, 4.0, 2.0, 2.0, 2.0]
+        assert np.array_equal(
+            stats.local_candidate_counts_sparse(), stats.local_candidate_counts()
+        )
+
+    def test_mismatched_handoffs_rejected(self, small_blocks, small_candidates):
+        from repro.datamodel import CandidateSet, EntityIndexSpace
+
+        stats = BlockStatistics(small_blocks, candidates=small_candidates)
+        assert stats.local_candidate_counts_sparse().tolist() == [2, 3, 2, 2, 3, 2]
+        foreign = CandidateSet.from_pairs([(0, 7)], EntityIndexSpace(4, 4))
+        with pytest.raises(ValueError, match="candidate set does not match"):
+            BlockStatistics(small_blocks, candidates=foreign)
+        with pytest.raises(ValueError, match="expected length 6, given shape \\(5,\\)"):
+            stats.seed_local_candidate_counts(np.zeros(5))
+        stats.seed_local_candidate_counts(np.arange(6))
+        assert stats.local_candidate_counts_sparse().tolist() == [0, 1, 2, 3, 4, 5]
