@@ -1,12 +1,12 @@
 # Convenience targets wrapping the project's canonical commands.
 #
 #   make test              - the tier-1 verification suite (fails fast)
-#   make test-equivalence  - backend-equivalence + golden regression tests only
+#   make test-equivalence  - reference-equivalence + golden regression tests only
 #   make test-fast         - tier-1 suite without the perf smoke tests
-#   make bench-smoke       - quick feature-runtime bench incl. backend speedup
+#   make bench-smoke       - quick feature-runtime bench
 #   make bench-stream      - incremental streaming vs batch recompute bench
 #   make bench-churn       - dynamic churn bench (delete latency, bulk loads)
-#   make bench-blocking    - block-preparation bench (loop vs array backend)
+#   make bench-blocking    - block-preparation bench (per-stage seconds)
 #   make bench-parallel    - sharded-engine scaling bench (speedup vs workers)
 #   make bench-wal         - WAL durability bench (journal overhead, recovery)
 #   make bench-serve       - serving bench (ingest rate, match tails, recovery)
@@ -17,11 +17,12 @@
 #   make bench-ledger-quick - ledger smoke mode + its self-test (< 40 s)
 #   make test-chaos        - seeded chaos suite (kill-loop against the daemon)
 #   make bench             - the full pytest-benchmark harness
+#   make loc               - the tracked src/ line count (ROADMAP aim 2)
 
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-equivalence test-fast test-chaos bench-smoke bench-stream bench-churn bench-blocking bench-parallel bench-wal bench-serve bench-delta bench-faults bench-obs bench-ledger bench-ledger-quick bench
+.PHONY: loc test test-equivalence test-fast test-chaos bench-smoke bench-stream bench-churn bench-blocking bench-parallel bench-wal bench-serve bench-delta bench-faults bench-obs bench-ledger bench-ledger-quick bench
 
 test:
 	$(PYTEST) -x -q
@@ -75,3 +76,6 @@ test-chaos:
 
 bench:
 	$(PYTEST) -q benchmarks/ -o python_files='bench_*.py' --benchmark-only
+
+loc:
+	@git ls-files src | xargs cat | wc -l

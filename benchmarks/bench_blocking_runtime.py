@@ -1,119 +1,89 @@
-"""Bench B1 — block-preparation runtime: loop vs array backend.
+"""Bench B1 — block-preparation runtime per stage.
 
 Runs the full block-preparation pipeline (Token Blocking -> Block Purging ->
-Block Filtering -> candidate extraction) with both blocking backends over the
-synthetic Dirty ER scalability series, reporting per-stage seconds and the
-end-to-end speedup per dataset.  Results are saved to
-``benchmarks/results/blocking_runtime.json``.
+Block Filtering -> candidate extraction) over the synthetic Dirty ER
+scalability series, reporting per-stage seconds per dataset.  Results are
+saved to ``benchmarks/results/blocking_runtime.json``.
 
-Both backends must produce identical candidate sets on every dataset; the
-array backend must deliver at least a 5x end-to-end speedup on the largest
-dataset (a wall-clock claim, downgraded to a measurement when
-``REPRO_SKIP_PERF=1`` — the tier-1 perf-smoke convention for noisy runners).
+One correctness gate: on the smallest dataset the candidate pairs must equal
+those of the object-chain reference, called directly
+(``build_blocks`` -> ``purge_oversized_blocks`` -> ``filter_blocks`` ->
+``CandidateSet.from_blocks``).
 """
 
 import json
-import os
 from pathlib import Path
 
 import numpy as np
 
-from repro.blocking import prepare_blocks
+from repro.blocking import (
+    TokenBlocking,
+    filter_blocks,
+    prepare_blocks,
+    purge_oversized_blocks,
+)
+from repro.datamodel import CandidateSet
 from repro.datasets import load_dirty_dataset
-from repro.utils.timing import StageTimer
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 STAGES = ("blocking", "purging", "filtering", "candidate-extraction")
 
 
-def _prepare_timed(collection, backend):
-    prepared = prepare_blocks(collection, None, backend=backend)
-    return prepared, prepared.timer
-
-
 def _bench_dataset(name, seed, scale):
     dataset = load_dirty_dataset(name, seed=seed, scale=scale)
-    loop_prepared, loop_timer = _prepare_timed(dataset.collection, "loop")
-    array_prepared, array_timer = _prepare_timed(dataset.collection, "array")
-
-    # correctness gate: the backends must agree pair-for-pair
-    assert np.array_equal(loop_prepared.candidates.left, array_prepared.candidates.left)
-    assert np.array_equal(loop_prepared.candidates.right, array_prepared.candidates.right)
-    assert len(loop_prepared.blocks) == len(array_prepared.blocks)
-
+    prepared = prepare_blocks(dataset.collection, None)
     row = {
         "dataset": name,
         "scale": scale,
         "entities": len(dataset.collection),
-        "blocks": len(array_prepared.blocks),
-        "candidate_pairs": len(array_prepared.candidates),
-        "loop": {stage: loop_timer.get(stage) for stage in STAGES},
-        "array": {stage: array_timer.get(stage) for stage in STAGES},
-        "loop_total_seconds": loop_timer.total,
-        "array_total_seconds": array_timer.total,
-        "speedup_total": loop_timer.total / max(array_timer.total, 1e-12),
-        "speedup_per_stage": {
-            stage: loop_timer.get(stage) / max(array_timer.get(stage), 1e-12)
-            for stage in STAGES
-        },
+        "blocks": len(prepared.blocks),
+        "candidate_pairs": len(prepared.candidates),
+        "stage_seconds": {stage: prepared.timer.get(stage) for stage in STAGES},
+        "total_seconds": prepared.timer.total,
     }
-    return row
+    return dataset, prepared, row
 
 
-def test_block_preparation_loop_vs_array(benchmark, full_mode, report_sink):
-    """Array block preparation: identical output, >=5x on the largest dataset."""
+def test_block_preparation_runtime(benchmark, full_mode, report_sink):
+    """Per-stage block-preparation seconds; output equals the reference chain."""
     if full_mode:
         dataset_names, scale = ("D10K", "D100K", "D300K"), 0.02
     else:
         dataset_names, scale = ("D10K", "D300K"), 0.01
 
-    rows = [_bench_dataset(name, 0, scale) for name in dataset_names]
-    largest = rows[-1]
+    measured = [_bench_dataset(name, 0, scale) for name in dataset_names]
+    rows = [row for _, _, row in measured]
 
-    # time the array backend once more under pytest-benchmark for the harness
-    largest_dataset = load_dirty_dataset(dataset_names[-1], seed=0, scale=scale)
+    # correctness gate, on the smallest dataset: the object chain called directly
+    smallest, prepared, _ = measured[0]
+    raw = TokenBlocking().build_blocks(smallest.collection, None).without_empty_blocks()
+    reference = CandidateSet.from_blocks(
+        filter_blocks(purge_oversized_blocks(raw, 0.5), 0.8)
+    )
+    assert np.array_equal(reference.left, prepared.candidates.left)
+    assert np.array_equal(reference.right, prepared.candidates.right)
+
+    # time the largest dataset once more under pytest-benchmark for the harness
     benchmark.pedantic(
-        prepare_blocks,
-        args=(largest_dataset.collection, None),
-        kwargs=dict(backend="array"),
-        rounds=1,
-        iterations=1,
+        prepare_blocks, args=(measured[-1][0].collection, None), rounds=1, iterations=1
     )
 
-    payload = {
-        "scale": scale,
-        "datasets": rows,
-        "largest_dataset": largest["dataset"],
-        "largest_speedup_total": largest["speedup_total"],
-    }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "blocking_runtime.json").write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
+        json.dumps({"scale": scale, "datasets": rows}, indent=2) + "\n",
+        encoding="utf-8",
     )
 
-    lines = [f"Block preparation — loop vs array backend (scale {scale})"]
+    lines = [f"Block preparation — seconds per stage (scale {scale})"]
     for row in rows:
         lines.append(
             f"  {row['dataset']:>6} ({row['entities']} entities, "
-            f"{row['candidate_pairs']} pairs): loop {row['loop_total_seconds']:.3f}s "
-            f"vs array {row['array_total_seconds']:.3f}s "
-            f"({row['speedup_total']:.1f}x)"
+            f"{row['candidate_pairs']} pairs): {row['total_seconds']:.3f}s"
         )
         for stage in STAGES:
-            lines.append(
-                f"      {stage:<21} loop {row['loop'][stage]:.3f}s "
-                f"array {row['array'][stage]:.3f}s "
-                f"({row['speedup_per_stage'][stage]:.1f}x)"
-            )
+            lines.append(f"      {stage:<21} {row['stage_seconds'][stage]:.3f}s")
     report_sink("blocking_runtime", "\n".join(lines))
 
-    # structural expectations that hold on any machine
     assert all(row["candidate_pairs"] > 0 for row in rows)
-    assert all(row["speedup_total"] > 0.0 for row in rows)
-    # the bench's point — wall-clock-sensitive, so skippable on noisy runners
-    if not os.environ.get("REPRO_SKIP_PERF"):
-        assert largest["speedup_total"] >= 5.0, (
-            "array block preparation must be at least 5x faster than the loop "
-            f"path on {largest['dataset']}, got {largest['speedup_total']:.1f}x"
-        )
+    assert all(row["total_seconds"] > 0.0 for row in rows)

@@ -4,16 +4,12 @@ import numpy as np
 
 from repro.experiments import (
     ExperimentConfig,
-    backend_speedups,
-    format_backend_comparison,
     format_scalability,
     format_speedups,
     format_table6,
-    run_backend_comparison,
     run_scalability,
     run_table6,
 )
-from repro.weights import BLAST_FEATURE_SET
 
 
 def test_figure17_figure18_scalability(benchmark, full_mode, report_sink):
@@ -53,39 +49,6 @@ def test_figure17_figure18_scalability(benchmark, full_mode, report_sink):
     # Figure 18: every speedup value is positive and finite.
     speedups = result.speedups()
     assert speedups
-    assert all(np.isfinite(row["speedup"]) and row["speedup"] > 0 for row in speedups)
-
-
-def test_scalability_backend_speedup(benchmark, full_mode, report_sink):
-    """The backend dimension of the scalability study: loop vs sparse feature time.
-
-    Measures pure feature generation with each backend on the synthetic Dirty
-    ER series; the largest dataset is where the sparse backend's batched
-    intersections pay off most, and the reported speedup quantifies it.
-    """
-    names = ("D10K", "D50K", "D100K") if full_mode else ("D10K", "D100K")
-    config = ExperimentConfig(
-        repetitions=2 if full_mode else 1, seed=0, scale=None if full_mode else 0.05
-    )
-    rows = benchmark.pedantic(
-        run_backend_comparison,
-        args=(BLAST_FEATURE_SET,),
-        kwargs=dict(
-            config=config,
-            dataset_names=names,
-            dirty=True,
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    report_sink(
-        "fig17_18_backend_speedup",
-        format_backend_comparison(
-            rows, "Figures 17/18 — feature-generation time per backend (Dirty ER)"
-        ),
-    )
-    speedups = backend_speedups(rows)
-    assert len(speedups) == len(names)
     assert all(np.isfinite(row["speedup"]) and row["speedup"] > 0 for row in speedups)
 
 

@@ -50,7 +50,7 @@ def _batch_recompute_seconds(profiles_with_sides, model):
     started = time.perf_counter()
     prepared = prepare_blocks(first, second, apply_purging=False, apply_filtering=False)
     stats = BlockStatistics(prepared.blocks)
-    matrix = FeatureVectorGenerator(model.feature_set, backend="sparse").generate(
+    matrix = FeatureVectorGenerator(model.feature_set).generate(
         prepared.candidates, stats
     )
     probabilities = model.score(matrix.values)

@@ -1,11 +1,9 @@
 """Schema-agnostic blocking methods and block-cleaning steps."""
 
 from .arrayops import (
-    BLOCKING_BACKENDS,
     MembershipMatrix,
     assemble_blocks,
     prepare_blocks_array,
-    resolve_blocking_backend,
 )
 from .base import BlockingMethod
 from .candidate_extraction import PreparedBlocks, extract_candidates, prepare_blocks
@@ -17,7 +15,6 @@ from .suffix_arrays import SuffixArraysBlocking
 from .token_blocking import TokenBlocking
 
 __all__ = [
-    "BLOCKING_BACKENDS",
     "BlockingMethod",
     "MembershipMatrix",
     "PreparedBlocks",
@@ -32,5 +29,4 @@ __all__ = [
     "prepare_blocks_array",
     "purge_by_comparison_cardinality",
     "purge_oversized_blocks",
-    "resolve_blocking_backend",
 ]

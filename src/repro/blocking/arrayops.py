@@ -1,15 +1,12 @@
-"""Array-native block preparation (the ``array`` blocking backend).
+"""Array-native block preparation.
 
-The object ("loop") pipeline prepares blocks with per-entity token sets, a
-dict-of-lists signature index, per-:class:`Block` purging/filtering loops and
-a Python set of pair tuples for candidate extraction.  That interpreter
-overhead dominates block preparation on the scalability workloads once
-feature generation is vectorized.  This module is the batched counterpart,
-mirroring the feature-backend pattern of :mod:`repro.weights.sparse`:
+Token Blocking -> Block Purging -> Block Filtering -> candidate extraction
+as batched array passes, with no per-entity token sets, dict-of-lists
+signature index, per-:class:`Block` loops or Python set of pair tuples:
 
 * profiles are batch-tokenized and the signatures dictionary-encoded into a
-  token-id array (sorted-vocabulary ranks, so block order matches the loop
-  path's ``sorted(keys)``);
+  token-id array (sorted-vocabulary ranks, so block order matches the
+  object chain's ``sorted(keys)``);
 * blocks are assembled directly as flat ``(block, entity)`` membership
   arrays — a block x entity CSR — via packed-key ``np.unique``, with no
   per-signature dict;
@@ -20,12 +17,13 @@ mirroring the feature-backend pattern of :mod:`repro.weights.sparse`:
   enumeration and packed-key ``np.unique`` dedup — bounded memory, no tuple
   sets;
 * the entity x block CSR incidence structure of the final collection is
-  built once and handed forward, so the sparse feature backend and the
+  built once and handed forward, so feature generation and the
   blocking-graph builder never re-derive it.
 
-The loop path stays the reference oracle: the equivalence tests in
-``tests/blocking/test_array_equivalence.py`` assert both backends produce
-block-for-block and pair-for-pair identical results.
+The object chain (``BlockingMethod.build_blocks``, ``purge_oversized_blocks``,
+``filter_blocks``, ``CandidateSet.from_blocks``) stays as the reference: the
+equivalence tests in ``tests/blocking/test_array_equivalence.py`` call it
+directly and assert block-for-block and pair-for-pair identical results.
 """
 
 from __future__ import annotations
@@ -50,10 +48,6 @@ from ..weights.sparse import (
 )
 from .base import BlockingMethod
 from .token_blocking import TokenBlocking
-
-#: The available block-preparation backends.  ``"loop"`` is the readable
-#: object-based reference pipeline; ``"array"`` is this module.
-BLOCKING_BACKENDS: Tuple[str, ...] = ("loop", "array")
 
 #: Upper bound on the number of packed pair keys buffered before a dedup
 #: flush during candidate extraction (bounds peak memory).
@@ -84,7 +78,7 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
 
 #: Public alias: the incremental subsystem's bulk loader deduplicates its
 #: membership and candidate-pair keys with the same sort + adjacent-diff
-#: kernel the array blocking backend uses.
+#: kernel block preparation uses.
 sorted_unique = _sorted_unique
 
 
@@ -108,20 +102,6 @@ def _merge_sorted_unique(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 #: Public alias: the parallel engine folds per-worker key sets into a global
 #: sorted union with the same two-way merge kernel.
 merge_sorted_unique = _merge_sorted_unique
-
-
-def resolve_blocking_backend(backend: str) -> str:
-    """Validate a blocking-backend name, returning it unchanged.
-
-    Raises
-    ------
-    ValueError
-        With the list of known backends when the name is unknown.
-    """
-    if backend not in BLOCKING_BACKENDS:
-        known = ", ".join(repr(name) for name in BLOCKING_BACKENDS)
-        raise ValueError(f"unknown blocking backend {backend!r}; expected one of {known}")
-    return backend
 
 
 @dataclass
@@ -216,7 +196,7 @@ class MembershipMatrix:
 class LazyBlockCollection(BlockCollection):
     """A :class:`BlockCollection` materialized from its matrix on demand.
 
-    The array backend returns these for the raw/purged stages: production
+    The array engine returns these for the raw/purged stages: production
     consumers only touch the final filtered collection, so the per-block
     object construction is deferred until something (tests, quality
     reports) actually reads the blocks.
@@ -337,7 +317,7 @@ def assemble_from_codes(
 
     ``codes`` index the lexicographically sorted ``vocabulary`` with one
     entry per signature occurrence (duplicates allowed), ``nodes`` are the
-    matching global node ids.  This is the backend of
+    matching global node ids.  This is the core of
     :func:`assemble_blocks`; the parallel engine calls it directly after
     merging per-shard token streams, so sharded and single-pass tokenization
     produce bit-identical matrices.

@@ -40,9 +40,9 @@ class BlockingMethod(ABC):
         """Return the blocking signatures of one entity profile."""
 
     def signature_lists(self, collection: EntityCollection) -> List[List[str]]:
-        """Per-profile signature lists for batch (array-backend) assembly.
+        """Per-profile signature lists for batch (array-engine) assembly.
 
-        Duplicates are allowed — the array backend deduplicates while
+        Duplicates are allowed — the array engine deduplicates while
         dictionary-encoding the signatures — so subclasses may override this
         to skip the per-profile set building of :meth:`signatures_of`.
         """

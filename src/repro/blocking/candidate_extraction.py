@@ -6,17 +6,15 @@ block with (redundancy removal).  :func:`prepare_blocks` chains the paper's
 exact pre-processing: Token Blocking -> Block Purging -> Block Filtering ->
 candidate extraction.
 
-Two interchangeable backends run the pipeline, mirroring the feature-backend
-pattern of :mod:`repro.weights.sparse`:
-
-* ``"array"`` (the default) — the array-native engine of
-  :mod:`repro.blocking.arrayops`: batched tokenization, CSR block assembly,
-  array purging/filtering passes and chunked vectorized pair extraction.
-  It also hands the entity x block CSR incidence structure forward on
-  :attr:`PreparedBlocks.csr` so feature generation never rebuilds it.
-* ``"loop"`` — the readable object-based reference pipeline, kept as the
-  correctness oracle; equivalence tests assert both backends produce
-  identical blocks and candidate pairs.
+The chain runs on the array-native engine of :mod:`repro.blocking.arrayops`
+(batched tokenization, CSR block assembly, array purging/filtering passes and
+chunked vectorized pair extraction), sharded across worker processes by
+:mod:`repro.parallel.blocking` when ``workers > 1``.  It hands the
+entity x block CSR incidence structure forward on :attr:`PreparedBlocks.csr`
+so feature generation never rebuilds it.  The readable object chain
+(``BlockingMethod.build_blocks`` -> ``purge_oversized_blocks`` ->
+``filter_blocks`` -> :func:`extract_candidates`) is the reference the
+equivalence tests compare against; nothing here selects it.
 """
 
 from __future__ import annotations
@@ -27,11 +25,8 @@ from typing import TYPE_CHECKING, Optional
 from ..datamodel import BlockCollection, CandidateSet, EntityCollection
 from ..utils.timing import StageTimer
 from ..weights.sparse import EntityBlockCSR
-from .arrayops import prepare_blocks_array, resolve_blocking_backend
+from .arrayops import prepare_blocks_array
 from .base import BlockingMethod
-from .filtering import filter_blocks
-from .purging import purge_oversized_blocks
-from .token_blocking import TokenBlocking
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..weights import BlockStatistics
@@ -54,12 +49,10 @@ class PreparedBlocks:
     blocks: BlockCollection
     #: the distinct candidate pairs of ``blocks``
     candidates: CandidateSet
-    #: entity x block CSR of ``blocks``, prebuilt by the array backend and
-    #: reused by the sparse feature backend / blocking-graph builder
-    #: (``None`` on the loop backend: statistics build it lazily instead)
+    #: entity x block CSR of ``blocks``, prebuilt by the preparation and
+    #: reused by feature generation / the blocking-graph builder (statistics
+    #: build it themselves when a hand-assembled instance leaves it ``None``)
     csr: Optional[EntityBlockCSR] = field(default=None, compare=False)
-    #: the blocking backend that produced this preparation
-    backend: str = "loop"
     #: per-stage wall-clock of the preparation (blocking, purging,
     #: filtering, candidate-extraction)
     timer: Optional[StageTimer] = field(default=None, compare=False)
@@ -92,7 +85,6 @@ def prepare_blocks(
     filtering_ratio: float = 0.8,
     apply_purging: bool = True,
     apply_filtering: bool = True,
-    backend: str = "array",
     timer: Optional[StageTimer] = None,
     workers=1,
     executor=None,
@@ -111,9 +103,6 @@ def prepare_blocks(
         Block Filtering retention ratio (0.8 = drop each entity's largest 20 %).
     apply_purging, apply_filtering:
         Toggle the cleaning steps (the scalability experiments skip filtering).
-    backend:
-        ``"array"`` (vectorized, the default) or ``"loop"`` (the object-based
-        reference oracle); both produce identical prepared blocks.
     timer:
         Optional :class:`StageTimer`; the preparation's total wall-clock is
         added to its ``"block-preparation"`` stage (the per-stage breakdown
@@ -121,24 +110,26 @@ def prepare_blocks(
     workers:
         Worker-process count (or ``"auto"``) for the sharded engine of
         :mod:`repro.parallel`.  The default ``1`` is the exact
-        single-process path and stays the oracle; any other value requires
-        the ``array`` backend and produces bit-identical prepared blocks.
+        single-process path and stays the oracle; any other value produces
+        bit-identical prepared blocks.
     executor:
         Optional live :class:`repro.parallel.ParallelExecutor` to reuse
         (amortises pool startup and shared-memory publication across
         stages); when omitted and ``workers > 1``, one is created and
         closed around the preparation.
     """
-    resolve_blocking_backend(backend)
     from ..parallel.executor import resolve_workers
 
     worker_count = executor.workers if executor is not None else resolve_workers(workers)
-    if worker_count > 1 and backend != "array":
-        raise ValueError(
-            "workers > 1 requires the 'array' blocking backend; the 'loop' "
-            "backend is the single-process reference oracle"
-        )
     prep_timer = StageTimer()
+    stages = dict(
+        blocking=blocking,
+        purging_fraction=purging_fraction,
+        filtering_ratio=filtering_ratio,
+        apply_purging=apply_purging,
+        apply_filtering=apply_filtering,
+        timer=prep_timer,
+    )
 
     if worker_count > 1:
         from ..parallel.blocking import prepare_blocks_sharded
@@ -147,55 +138,20 @@ def prepare_blocks(
         owned = executor is None
         live_executor = executor if executor is not None else ParallelExecutor(workers)
         try:
-            result = prepare_blocks_sharded(
-                first,
-                second,
-                live_executor,
-                blocking=blocking,
-                purging_fraction=purging_fraction,
-                filtering_ratio=filtering_ratio,
-                apply_purging=apply_purging,
-                apply_filtering=apply_filtering,
-                timer=prep_timer,
-            )
+            result = prepare_blocks_sharded(first, second, live_executor, **stages)
         finally:
             if owned:
                 live_executor.close()
-        raw, purged, filtered = result.raw, result.purged, result.filtered
-        candidates, csr = result.candidates, result.csr
-    elif backend == "array":
-        result = prepare_blocks_array(
-            first,
-            second,
-            blocking=blocking,
-            purging_fraction=purging_fraction,
-            filtering_ratio=filtering_ratio,
-            apply_purging=apply_purging,
-            apply_filtering=apply_filtering,
-            timer=prep_timer,
-        )
-        raw, purged, filtered = result.raw, result.purged, result.filtered
-        candidates, csr = result.candidates, result.csr
     else:
-        method = blocking if blocking is not None else TokenBlocking()
-        with prep_timer.stage("blocking"):
-            raw = method.build_blocks(first, second).without_empty_blocks()
-        with prep_timer.stage("purging"):
-            purged = purge_oversized_blocks(raw, purging_fraction) if apply_purging else raw
-        with prep_timer.stage("filtering"):
-            filtered = filter_blocks(purged, filtering_ratio) if apply_filtering else purged
-        with prep_timer.stage("candidate-extraction"):
-            candidates = extract_candidates(filtered)
-        csr = None
+        result = prepare_blocks_array(first, second, **stages)
 
     if timer is not None:
         timer.add("block-preparation", prep_timer.total)
     return PreparedBlocks(
-        raw_blocks=raw,
-        purged_blocks=purged,
-        blocks=filtered,
-        candidates=candidates,
-        csr=csr,
-        backend=backend,
+        raw_blocks=result.raw,
+        purged_blocks=result.purged,
+        blocks=result.filtered,
+        candidates=result.candidates,
+        csr=result.csr,
         timer=prep_timer,
     )

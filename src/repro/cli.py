@@ -24,10 +24,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from . import __version__
 from . import experiments as ex
-from .blocking import BLOCKING_BACKENDS
 from .core.pruning import PRUNING_ALGORITHMS
 from .datasets import CLEAN_CLEAN_ORDER
-from .weights import BACKENDS
 
 
 def _workers_argument(value: str):
@@ -47,16 +45,12 @@ def _config_from_args(args: argparse.Namespace) -> ex.ExperimentConfig:
         repetitions=args.repetitions,
         training_size=args.training_size,
         seed=args.seed,
-        backend=args.backend,
-        blocking_backend=args.blocking_backend,
         workers=args.workers,
     )
 
 
 def _run_table2(args: argparse.Namespace) -> str:
-    rows = ex.run_block_quality(
-        tuple(args.datasets), seed=args.seed, blocking_backend=args.blocking_backend
-    )
+    rows = ex.run_block_quality(tuple(args.datasets), seed=args.seed)
     return ex.format_block_quality(rows)
 
 
@@ -129,12 +123,7 @@ def _run_fig1516(args: argparse.Namespace) -> str:
 
 
 def _run_scalability(args: argparse.Namespace) -> str:
-    config = ex.ExperimentConfig(
-        repetitions=args.repetitions,
-        seed=args.seed,
-        backend=args.backend,
-        blocking_backend=args.blocking_backend,
-    )
+    config = ex.ExperimentConfig(repetitions=args.repetitions, seed=args.seed)
     result = ex.run_scalability(config, dataset_names=("D10K", "D50K", "D100K"), scale=0.02)
     table6 = ex.run_table6("D100K", iterations=3, config=config, scale=0.01)
     return "\n\n".join(
@@ -181,7 +170,6 @@ def _run_quickstart(args: argparse.Namespace) -> str:
         prepared = prepare_blocks(
             dataset.first,
             dataset.second,
-            backend=args.blocking_backend,
             timer=prep_timer,
             workers=workers,
             executor=executor,
@@ -191,7 +179,6 @@ def _run_quickstart(args: argparse.Namespace) -> str:
             pruning="BLAST",
             training_size=args.training_size,
             seed=args.seed,
-            backend=args.backend,
             workers=workers,
         )
         result = pipeline.run(
@@ -210,8 +197,7 @@ def _run_quickstart(args: argparse.Namespace) -> str:
         f"{name}={seconds:.3f}s" for name, seconds in stages.as_dict().items()
     )
     return (
-        f"{dataset.name}: {len(prepared.candidates)} candidate pairs "
-        f"(blocking backend {prepared.backend!r})\n"
+        f"{dataset.name}: {len(prepared.candidates)} candidate pairs\n"
         f"  before meta-blocking: recall={before.recall:.3f} precision={before.precision:.5f}\n"
         f"  after  meta-blocking: recall={after.recall:.3f} precision={after.precision:.3f} "
         f"f1={after.f1:.3f} ({result.retained_count} pairs retained)\n"
@@ -283,7 +269,6 @@ def _run_stream(args: argparse.Namespace, parser: argparse.ArgumentParser) -> st
             pruning=args.pruning,
             training_size=args.training_size,
             seed=args.seed,
-            backend=args.backend,
         )
     except StreamTrainingError as error:
         parser.error(str(error))
@@ -371,7 +356,6 @@ def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
                 pruning=args.pruning,
                 training_size=args.training_size,
                 seed=args.seed,
-                backend=args.backend,
             )
         except StreamTrainingError as error:
             parser.error(str(error))
@@ -411,7 +395,8 @@ def _run_client(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     import json
 
     from .datamodel import make_profile
-    from .serve import ProtocolError, ServeClient, ServeError, render_stats
+    from .obs.render import render_stats
+    from .serve import ProtocolError, ServeClient, ServeError
 
     try:
         client = ServeClient(
@@ -574,21 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--seed", type=int, default=0)
         sub.add_argument("--max-set-size", type=int, default=3, dest="max_set_size")
         sub.add_argument(
-            "--backend",
-            choices=list(BACKENDS),
-            default="sparse",
-            help="feature-generation backend: 'sparse' (vectorized, default) "
-            "or 'loop' (the per-pair reference oracle)",
-        )
-        sub.add_argument(
-            "--blocking-backend",
-            choices=list(BLOCKING_BACKENDS),
-            default="array",
-            dest="blocking_backend",
-            help="block-preparation backend: 'array' (vectorized, default) "
-            "or 'loop' (the object-based reference oracle)",
-        )
-        sub.add_argument(
             "--workers",
             type=_workers_argument,
             default=1,
@@ -683,12 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream_parser.add_argument("--training-size", type=int, default=50, dest="training_size")
     stream_parser.add_argument("--seed", type=int, default=0)
-    stream_parser.add_argument(
-        "--backend",
-        choices=list(BACKENDS),
-        default="sparse",
-        help="feature backend used while training the frozen classifier",
-    )
 
     serve_parser = subparsers.add_parser(
         "serve",
@@ -752,10 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--scale", type=float, default=None)
     serve_parser.add_argument("--training-size", type=int, default=50, dest="training_size")
     serve_parser.add_argument("--seed", type=int, default=0)
-    serve_parser.add_argument(
-        "--backend", choices=list(BACKENDS), default="sparse",
-        help="feature backend used while training the frozen classifier",
-    )
     serve_parser.add_argument(
         "--degraded-reads", default="on", choices=("on", "off"),
         dest="degraded_reads",
@@ -880,20 +840,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    from .parallel import resolve_workers
-
-    if getattr(args, "workers", 1) and resolve_workers(getattr(args, "workers", 1)) > 1:
-        if getattr(args, "backend", "sparse") == "loop":
-            parser.error(
-                "--workers above 1 requires the 'sparse' feature backend; "
-                "'loop' is the single-process reference oracle"
-            )
-        if getattr(args, "blocking_backend", "array") == "loop":
-            parser.error(
-                "--workers above 1 requires the 'array' blocking backend; "
-                "'loop' is the single-process reference oracle"
-            )
 
     if args.command == "list":
         print("Available experiments:")

@@ -88,8 +88,8 @@ class PreparedDataset:
     candidates: CandidateSet
     ground_truth: GroundTruth
     stats: Optional[BlockStatistics] = None
-    #: optional prebuilt entity x block CSR of ``blocks`` (the array blocking
-    #: backend's handoff), inherited by the statistics built here
+    #: optional prebuilt entity x block CSR of ``blocks`` (block
+    #: preparation's handoff), inherited by the statistics built here
     csr: Optional["EntityBlockCSR"] = None
 
     def statistics(self) -> BlockStatistics:

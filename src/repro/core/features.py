@@ -18,7 +18,6 @@ from ..datamodel import BlockCollection, CandidateSet
 from ..utils.timing import StageTimer
 from ..weights import BlockStatistics, get_schemes
 from ..weights.registry import ORIGINAL_FEATURE_SET
-from ..weights.sparse import resolve_backend
 
 
 @dataclass
@@ -33,8 +32,6 @@ class FeatureMatrix:
     feature_set: Tuple[str, ...]
     #: seconds spent computing each scheme
     scheme_seconds: Dict[str, float] = field(default_factory=dict)
-    #: the feature backend that produced the values ("loop" or "sparse")
-    backend: str = "loop"
 
     @property
     def n_pairs(self) -> int:
@@ -75,36 +72,25 @@ class FeatureVectorGenerator:
     feature_set:
         Scheme names (see :mod:`repro.weights.registry`).  Defaults to the
         optimal set of Supervised Meta-blocking [21].
-    backend:
-        ``"loop"`` (per-pair reference implementation, the default) or
-        ``"sparse"`` (vectorized batched implementation, see
-        :mod:`repro.weights.sparse`).  Both produce identical matrices.
     workers:
         Worker-process count (or ``"auto"``) for the sharded co-occurrence
-        pass of :mod:`repro.parallel.features`.  Requires the ``sparse``
-        backend when above 1; the default ``1`` is the exact single-process
-        path, and every worker count produces bit-identical matrices.
+        pass of :mod:`repro.parallel.features`.  The default ``1`` is the
+        exact single-process path, and every worker count produces
+        bit-identical matrices.
     """
 
     def __init__(
         self,
         feature_set: Sequence[str] = ORIGINAL_FEATURE_SET,
-        backend: str = "loop",
         workers=1,
     ) -> None:
         names = tuple(feature_set)
         if not names:
             raise ValueError("feature_set must contain at least one scheme")
         self.feature_set = names
-        self.backend = resolve_backend(backend)
         from ..parallel.executor import resolve_workers
 
         self.workers = resolve_workers(workers)
-        if self.workers > 1 and self.backend != "sparse":
-            raise ValueError(
-                "workers > 1 requires the 'sparse' feature backend; the "
-                "'loop' backend is the single-process reference oracle"
-            )
         self._schemes = get_schemes(names)
 
     @property
@@ -169,9 +155,7 @@ class FeatureVectorGenerator:
                         live.close()
         for scheme in self._schemes:
             with local_timer.stage(scheme.name):
-                columns.append(
-                    scheme.compute_with_backend(candidates, stats, backend=self.backend)
-                )
+                columns.append(scheme.compute_sparse(candidates, stats))
             scheme_seconds[scheme.name] = local_timer.get(scheme.name)
         values = (
             np.hstack(columns)
@@ -185,7 +169,6 @@ class FeatureVectorGenerator:
             columns=self.columns,
             feature_set=self.feature_set,
             scheme_seconds=scheme_seconds,
-            backend=self.backend,
         )
 
 
@@ -195,16 +178,15 @@ def generate_features(
     feature_set: Sequence[str] = ORIGINAL_FEATURE_SET,
     stats: Optional[BlockStatistics] = None,
     timer: Optional[StageTimer] = None,
-    backend: str = "loop",
     workers=1,
     executor=None,
 ) -> FeatureMatrix:
     """Convenience wrapper: build statistics (if needed) and the feature matrix.
 
     ``workers``/``executor`` enable the sharded co-occurrence pass of
-    :mod:`repro.parallel.features` (sparse backend only); the matrix is
+    :mod:`repro.parallel.features`; the matrix is
     bit-identical for every worker count.
     """
     statistics = stats if stats is not None else BlockStatistics(blocks)
-    generator = FeatureVectorGenerator(feature_set, backend=backend, workers=workers)
+    generator = FeatureVectorGenerator(feature_set, workers=workers)
     return generator.generate(candidates, statistics, timer=timer, executor=executor)

@@ -96,10 +96,6 @@ class GeneralizedSupervisedMetaBlocking:
         Positive fraction for the proportional policy.
     seed:
         Master seed for training-set sampling.
-    backend:
-        Feature-generation backend, ``"sparse"`` (vectorized, the default)
-        or ``"loop"`` (the per-pair reference oracle); see
-        :mod:`repro.weights.sparse`.
     workers:
         Worker-process count (or ``"auto"``) for the sharded execution
         engine of :mod:`repro.parallel`: feature generation's co-occurrence
@@ -119,15 +115,12 @@ class GeneralizedSupervisedMetaBlocking:
         training_policy: str = "balanced",
         positive_fraction: float = 0.05,
         seed: SeedLike = 0,
-        backend: str = "sparse",
         workers=1,
     ) -> None:
         from ..parallel.executor import resolve_workers
 
         self.workers = resolve_workers(workers)
-        self.feature_generator = FeatureVectorGenerator(
-            feature_set, backend=backend, workers=self.workers
-        )
+        self.feature_generator = FeatureVectorGenerator(feature_set, workers=self.workers)
         self.pruning = (
             get_pruning_algorithm(pruning) if isinstance(pruning, str) else pruning
         )
@@ -142,11 +135,6 @@ class GeneralizedSupervisedMetaBlocking:
     def feature_set(self) -> Sequence[str]:
         """The configured weighting-scheme names."""
         return self.feature_generator.feature_set
-
-    @property
-    def backend(self) -> str:
-        """The configured feature-generation backend."""
-        return self.feature_generator.backend
 
     # -- main entry points -----------------------------------------------------------
     def run(
@@ -291,7 +279,7 @@ class GeneralizedSupervisedMetaBlocking:
 
         Extra keyword arguments are forwarded to
         :func:`repro.blocking.prepare_blocks`.  The prepared CSR incidence
-        structure is handed to the feature backend (no rebuild), and the
+        structure is handed to feature generation (no rebuild), and the
         preparation's wall-clock is recorded as the ``"block-preparation"``
         stage of the result's timer — so RT no longer silently starts at
         feature generation.

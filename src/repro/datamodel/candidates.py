@@ -93,7 +93,7 @@ class CandidateSet:
         """Build from sorted distinct packed keys ``left * total + right``.
 
         ``total`` is ``max(index_space.total, 1)`` — the stride the array
-        blocking backend packs candidate pairs with.  No tuples or Python
+        engine packs candidate pairs with.  No tuples or Python
         sets are materialized.
         """
         total = np.int64(max(index_space.total, 1))

@@ -49,14 +49,10 @@ from .common_blocks import (
 )
 from .feature_runtime import (
     BLAST_TOP10,
-    BackendRuntimeRow,
     FeatureRuntimeRow,
     RCNP_TOP10,
-    backend_speedups,
-    format_backend_comparison,
     format_feature_runtime,
     lcp_free_sets_are_faster,
-    run_backend_comparison,
     run_feature_runtime,
     run_figure7,
     run_figure9,
@@ -138,9 +134,6 @@ __all__ = [
     "cnp_pipeline",
     "format_block_quality",
     "format_common_blocks",
-    "BackendRuntimeRow",
-    "backend_speedups",
-    "format_backend_comparison",
     "format_feature_runtime",
     "format_feature_selection",
     "format_figure10",
@@ -170,7 +163,6 @@ __all__ = [
     "rcnp_pipeline",
     "run_block_quality",
     "run_common_block_distribution",
-    "run_backend_comparison",
     "run_feature_runtime",
     "run_feature_selection",
     "run_figure10",

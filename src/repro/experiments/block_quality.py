@@ -47,13 +47,12 @@ def run_block_quality(
     dataset_names: Sequence[str] = CLEAN_CLEAN_ORDER,
     seed: SeedLike = 0,
     scale: Optional[float] = None,
-    blocking_backend: str = "array",
 ) -> List[BlockQualityRow]:
     """Compute Table 1 + Table 2 rows for the given benchmarks."""
     rows: List[BlockQualityRow] = []
     for name in dataset_names:
         dataset = load_benchmark(name, seed=seed, scale=scale)
-        prepared = prepare_blocks(dataset.first, dataset.second, backend=blocking_backend)
+        prepared = prepare_blocks(dataset.first, dataset.second)
         report = evaluate_candidates(prepared.candidates, dataset.ground_truth)
         rows.append(
             BlockQualityRow(

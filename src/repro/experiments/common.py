@@ -51,14 +51,6 @@ class ExperimentConfig:
     classifier:
         ``"logistic"`` (default) or ``"svm"`` — the paper reports both give
         nearly identical results.
-    backend:
-        Feature-generation backend, ``"sparse"`` (vectorized, the default)
-        or ``"loop"`` (the per-pair reference oracle); see
-        :mod:`repro.weights.sparse`.
-    blocking_backend:
-        Block-preparation backend, ``"array"`` (vectorized, the default) or
-        ``"loop"`` (the object-based reference oracle); see
-        :mod:`repro.blocking.arrayops`.
     workers:
         Worker-process count (or ``"auto"``) for the sharded execution
         engine of :mod:`repro.parallel`; ``1`` (the default) is the exact
@@ -73,8 +65,6 @@ class ExperimentConfig:
     seed: SeedLike = 0
     scale: Optional[float] = None
     classifier: str = "logistic"
-    backend: str = "sparse"
-    blocking_backend: str = "array"
     workers: object = 1
 
     def classifier_factory(self) -> Callable:
@@ -102,14 +92,11 @@ def prepare_benchmark_dataset(
     name: str,
     seed: SeedLike = 0,
     scale: Optional[float] = None,
-    blocking_backend: str = "array",
     workers=1,
 ) -> PreparedDataset:
     """Generate one Clean-Clean benchmark and run the blocking pipeline on it."""
     dataset = load_benchmark(name, seed=seed, scale=scale)
-    prepared = prepare_blocks(
-        dataset.first, dataset.second, backend=blocking_backend, workers=workers
-    )
+    prepared = prepare_blocks(dataset.first, dataset.second, workers=workers)
     return PreparedDataset(
         name=name,
         blocks=prepared.blocks,
@@ -126,7 +113,6 @@ def prepare_benchmark_datasets(config: ExperimentConfig) -> List[PreparedDataset
             name,
             seed=config.seed,
             scale=config.scale,
-            blocking_backend=config.blocking_backend,
             workers=config.workers,
         )
         for name in config.dataset_names
@@ -137,14 +123,11 @@ def prepare_dirty_dataset(
     name: str,
     seed: SeedLike = 0,
     scale: Optional[float] = None,
-    blocking_backend: str = "array",
     workers=1,
 ) -> PreparedDataset:
     """Generate one Dirty ER dataset and run Token Blocking + cleaning on it."""
     dataset = load_dirty_dataset(name, seed=seed, scale=scale)
-    prepared = prepare_blocks(
-        dataset.collection, None, backend=blocking_backend, workers=workers
-    )
+    prepared = prepare_blocks(dataset.collection, None, workers=workers)
     return PreparedDataset(
         name=name,
         blocks=prepared.blocks,
@@ -158,15 +141,9 @@ def prepare_dirty_datasets(
     names: Sequence[str] = DIRTY_ORDER,
     seed: SeedLike = 0,
     scale: Optional[float] = None,
-    blocking_backend: str = "array",
 ) -> List[PreparedDataset]:
     """Prepare the D10K–D300K series (scaled) for the scalability experiments."""
-    return [
-        prepare_dirty_dataset(
-            name, seed=seed, scale=scale, blocking_backend=blocking_backend
-        )
-        for name in names
-    ]
+    return [prepare_dirty_dataset(name, seed=seed, scale=scale) for name in names]
 
 
 # -- standard algorithm configurations -----------------------------------------------
@@ -179,7 +156,6 @@ def blast_pipeline(config: ExperimentConfig, training_size: Optional[int] = None
         training_size=training_size or config.training_size,
         classifier_factory=config.classifier_factory(),
         seed=config.seed,
-        backend=config.backend,
         workers=config.workers,
     )
 
@@ -192,7 +168,6 @@ def rcnp_pipeline(config: ExperimentConfig, training_size: Optional[int] = None)
         training_size=training_size or config.training_size,
         classifier_factory=config.classifier_factory(),
         seed=config.seed,
-        backend=config.backend,
         workers=config.workers,
     )
 
@@ -211,7 +186,6 @@ def bcl_pipeline(
         training_policy=training_policy,
         classifier_factory=config.classifier_factory(),
         seed=config.seed,
-        backend=config.backend,
         workers=config.workers,
     )
 
@@ -230,7 +204,6 @@ def cnp_pipeline(
         training_policy=training_policy,
         classifier_factory=config.classifier_factory(),
         seed=config.seed,
-        backend=config.backend,
         workers=config.workers,
     )
 
@@ -248,6 +221,5 @@ def algorithm_pipeline(
         training_size=training_size or config.training_size,
         classifier_factory=config.classifier_factory(),
         seed=config.seed,
-        backend=config.backend,
         workers=config.workers,
     )

@@ -19,12 +19,7 @@ from ..core.features import FeatureVectorGenerator
 from ..core.pipeline import GeneralizedSupervisedMetaBlocking
 from ..core.feature_selection import PreparedDataset
 from ..evaluation import format_table
-from ..weights import BACKENDS, BLAST_FEATURE_SET, RCNP_FEATURE_SET, BlockStatistics
-from .common import (
-    ExperimentConfig,
-    prepare_benchmark_dataset,
-    prepare_dirty_dataset,
-)
+from .common import ExperimentConfig, prepare_benchmark_dataset
 
 #: The ten feature sets of Table 3 (BLAST), in the paper's order.
 BLAST_TOP10: Tuple[Tuple[str, ...], ...] = (
@@ -63,7 +58,6 @@ class FeatureRuntimeRow:
     feature_set: Tuple[str, ...]
     feature_seconds: float
     scoring_seconds: float
-    backend: str = "loop"
 
     @property
     def total_seconds(self) -> float:
@@ -74,7 +68,6 @@ class FeatureRuntimeRow:
         """Flatten for table rendering."""
         return {
             "dataset": self.dataset,
-            "backend": self.backend,
             "feature_set": "{" + ", ".join(self.feature_set) + "}",
             "feature_seconds": self.feature_seconds,
             "scoring_seconds": self.scoring_seconds,
@@ -89,7 +82,7 @@ def measure_feature_set_runtime(
 ) -> FeatureRuntimeRow:
     """Time feature generation + probability scoring for one feature set."""
     stats = dataset.statistics()
-    generator = FeatureVectorGenerator(feature_set, backend=config.backend)
+    generator = FeatureVectorGenerator(feature_set)
 
     start = time.perf_counter()
     matrix = generator.generate(dataset.candidates, stats)
@@ -101,7 +94,6 @@ def measure_feature_set_runtime(
         training_size=config.training_size,
         classifier_factory=config.classifier_factory(),
         seed=config.seed,
-        backend=config.backend,
     )
     result = pipeline.run(
         dataset.blocks,
@@ -116,7 +108,6 @@ def measure_feature_set_runtime(
         feature_set=tuple(feature_set),
         feature_seconds=feature_seconds,
         scoring_seconds=scoring_seconds,
-        backend=config.backend,
     )
 
 
@@ -151,7 +142,6 @@ def format_feature_runtime(rows: Sequence[FeatureRuntimeRow], title: str) -> str
         [row.as_row() for row in rows],
         columns=[
             "dataset",
-            "backend",
             "feature_set",
             "feature_seconds",
             "scoring_seconds",
@@ -159,103 +149,6 @@ def format_feature_runtime(rows: Sequence[FeatureRuntimeRow], title: str) -> str
         ],
         title=title,
     )
-
-
-# -- backend comparison ---------------------------------------------------------------
-
-@dataclass
-class BackendRuntimeRow:
-    """Feature-generation time of one backend on one dataset."""
-
-    dataset: str
-    backend: str
-    n_pairs: int
-    feature_seconds: float
-
-    def as_row(self) -> Dict[str, object]:
-        """Flatten for table rendering."""
-        return {
-            "dataset": self.dataset,
-            "backend": self.backend,
-            "n_pairs": self.n_pairs,
-            "feature_seconds": self.feature_seconds,
-        }
-
-
-def run_backend_comparison(
-    feature_set: Sequence[str] = BLAST_FEATURE_SET,
-    config: Optional[ExperimentConfig] = None,
-    dataset_names: Sequence[str] = ("Movies", "WalmartAmazon"),
-    backends: Sequence[str] = BACKENDS,
-    dirty: bool = False,
-) -> List[BackendRuntimeRow]:
-    """Time pure feature generation per backend on each dataset.
-
-    Every measurement uses a *fresh* :class:`BlockStatistics` so neither
-    backend benefits from the other's cached structures (the loop backend's
-    LCP cache, the sparse backend's CSR/co-occurrence cache).  With
-    ``config.repetitions > 1`` the best of the repetitions is kept.
-    """
-    config = config or ExperimentConfig()
-    prepare = prepare_dirty_dataset if dirty else prepare_benchmark_dataset
-    rows: List[BackendRuntimeRow] = []
-    for name in dataset_names:
-        dataset = prepare(name, seed=config.seed, scale=config.scale)
-        for backend in backends:
-            generator = FeatureVectorGenerator(feature_set, backend=backend)
-            best = float("inf")
-            for _ in range(max(1, config.repetitions)):
-                stats = BlockStatistics(dataset.blocks)
-                start = time.perf_counter()
-                generator.generate(dataset.candidates, stats)
-                best = min(best, time.perf_counter() - start)
-            rows.append(
-                BackendRuntimeRow(
-                    dataset=dataset.name,
-                    backend=backend,
-                    n_pairs=len(dataset.candidates),
-                    feature_seconds=best,
-                )
-            )
-    return rows
-
-
-def backend_speedups(rows: Sequence[BackendRuntimeRow]) -> List[Dict[str, object]]:
-    """Per-dataset speedup of the sparse backend over the loop backend."""
-    by_dataset: Dict[str, Dict[str, BackendRuntimeRow]] = {}
-    for row in rows:
-        by_dataset.setdefault(row.dataset, {})[row.backend] = row
-    speedups: List[Dict[str, object]] = []
-    for dataset, per_backend in by_dataset.items():
-        if "loop" not in per_backend or "sparse" not in per_backend:
-            continue
-        loop_seconds = per_backend["loop"].feature_seconds
-        sparse_seconds = max(per_backend["sparse"].feature_seconds, 1e-12)
-        speedups.append(
-            {
-                "dataset": dataset,
-                "n_pairs": per_backend["loop"].n_pairs,
-                "loop_seconds": loop_seconds,
-                "sparse_seconds": per_backend["sparse"].feature_seconds,
-                "speedup": loop_seconds / sparse_seconds,
-            }
-        )
-    return speedups
-
-
-def format_backend_comparison(rows: Sequence[BackendRuntimeRow], title: str) -> str:
-    """Render the backend comparison plus the derived speedups."""
-    measurements = format_table(
-        [row.as_row() for row in rows],
-        columns=["dataset", "backend", "n_pairs", "feature_seconds"],
-        title=title,
-    )
-    ratios = format_table(
-        backend_speedups(rows),
-        columns=["dataset", "n_pairs", "loop_seconds", "sparse_seconds", "speedup"],
-        title="Sparse-backend speedup over the loop backend",
-    )
-    return measurements + "\n\n" + ratios
 
 
 def lcp_free_sets_are_faster(rows: Sequence[FeatureRuntimeRow]) -> bool:

@@ -36,7 +36,6 @@ def scalability_pipelines(config: ExperimentConfig) -> Dict[str, GeneralizedSupe
             training_size=50,
             classifier_factory=LogisticRegression,
             seed=config.seed,
-            backend=config.backend,
         ),
         "BCl": GeneralizedSupervisedMetaBlocking(
             feature_set=ORIGINAL_FEATURE_SET,
@@ -44,7 +43,6 @@ def scalability_pipelines(config: ExperimentConfig) -> Dict[str, GeneralizedSupe
             training_policy="proportional",
             classifier_factory=LogisticRegression,
             seed=config.seed,
-            backend=config.backend,
         ),
         "RCNP": GeneralizedSupervisedMetaBlocking(
             feature_set=RCNP_FEATURE_SET,
@@ -52,7 +50,6 @@ def scalability_pipelines(config: ExperimentConfig) -> Dict[str, GeneralizedSupe
             training_size=50,
             classifier_factory=LogisticRegression,
             seed=config.seed,
-            backend=config.backend,
         ),
         "CNP": GeneralizedSupervisedMetaBlocking(
             feature_set=ORIGINAL_FEATURE_SET,
@@ -60,7 +57,6 @@ def scalability_pipelines(config: ExperimentConfig) -> Dict[str, GeneralizedSupe
             training_policy="proportional",
             classifier_factory=LogisticRegression,
             seed=config.seed,
-            backend=config.backend,
         ),
     }
 
@@ -114,12 +110,7 @@ def run_scalability(
 ) -> ScalabilityResult:
     """Run the Figure 17/18 scalability study over the Dirty ER datasets."""
     config = config or ExperimentConfig(repetitions=3)
-    datasets = prepare_dirty_datasets(
-        dataset_names,
-        seed=config.seed,
-        scale=scale,
-        blocking_backend=config.blocking_backend,
-    )
+    datasets = prepare_dirty_datasets(dataset_names, seed=config.seed, scale=scale)
     runner = ExperimentRunner(repetitions=config.repetitions, seed=config.seed)
     outcomes = runner.run_matrix(scalability_pipelines(config), datasets)
     candidate_counts = {dataset.name: len(dataset.candidates) for dataset in datasets}
@@ -159,12 +150,7 @@ def run_table6(
     of the scalability measurements.
     """
     config = config or ExperimentConfig()
-    dataset = prepare_dirty_datasets(
-        [dataset_name],
-        seed=config.seed,
-        scale=scale,
-        blocking_backend=config.blocking_backend,
-    )[0]
+    dataset = prepare_dirty_datasets([dataset_name], seed=config.seed, scale=scale)[0]
     stats = dataset.statistics()
 
     snapshots: List[FittedModelSnapshot] = []

@@ -12,7 +12,7 @@ batch-trained classifier serves online match decisions.
   in-place updates and one-pass bulk loads
   (:meth:`MutableBlockIndex.add_entities_bulk`);
 * :class:`DeltaFeatureGenerator` — weighting-scheme feature vectors for the
-  candidate delta of an insert, reusing the sparse backend's kernels;
+  candidate delta of an insert, reusing the vectorized weighting kernels;
 * :class:`MatchingSession` — the online facade: frozen classifier, per-insert
   scored matches under running WEP/top-K thresholds (both retraction-aware),
   and an exact batch-equivalent :meth:`MatchingSession.retained`

@@ -43,7 +43,7 @@ class DeltaFeatureGenerator:
         feature_set: Sequence[str] = BLAST_FEATURE_SET,
     ) -> None:
         self.index = index
-        self._generator = FeatureVectorGenerator(feature_set, backend="sparse")
+        self._generator = FeatureVectorGenerator(feature_set)
 
     @property
     def feature_set(self) -> Tuple[str, ...]:

@@ -376,9 +376,6 @@ class IncrementalStatistics:
         """``LCP(e_i)`` — maintained as the candidate-pair degree per node."""
         return self._index._degrees.view()
 
-    # The loop-backend schemes call the non-sparse name; serve the same array.
-    local_candidate_counts = local_candidate_counts_sparse
-
     def pair_cooccurrence(self, candidates: CandidateSet) -> PairCooccurrence:
         """Batched co-occurrence aggregates via the sparse intersection kernel.
 
@@ -703,7 +700,7 @@ class MutableBlockIndex:
         """Insert a batch of same-side entities in one array pass.
 
         The batch is tokenized with :meth:`BlockingMethod.signature_lists`
-        (the array blocking backend's entry point), its memberships
+        (the array engine's entry point), its memberships
         deduplicated via packed-key sort (:mod:`repro.blocking.arrayops`),
         and the result merged into the live CSR with a single append instead
         of one row append per entity.  Per-block aggregate adjustments are

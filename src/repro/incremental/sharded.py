@@ -106,9 +106,6 @@ class ShardedStatistics:
             self._degrees = degrees
         return self._degrees
 
-    # The loop-backend schemes call the non-sparse name; serve the same array.
-    local_candidate_counts = local_candidate_counts_sparse
-
     def pair_cooccurrence(self, candidates: CandidateSet) -> PairCooccurrence:
         """Batched co-occurrence aggregates over the merged shard CSR."""
         if self._merged is None:

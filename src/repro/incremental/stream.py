@@ -93,7 +93,6 @@ def train_frozen_model(
     pruning: str = "BLAST",
     training_size: int = 50,
     seed: SeedLike = 0,
-    backend: str = "sparse",
 ) -> FrozenModel:
     """Train a frozen classifier on the dataset's bootstrap prefix.
 
@@ -111,7 +110,6 @@ def train_frozen_model(
         pruning=pruning,
         training_size=training_size,
         seed=seed,
-        backend=backend,
     )
     try:
         result = pipeline.run(

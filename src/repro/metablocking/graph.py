@@ -59,7 +59,6 @@ def build_blocking_graph(
     scheme: Union[str, WeightingScheme] = "CBS",
     candidates: Optional[CandidateSet] = None,
     stats: Optional[BlockStatistics] = None,
-    backend: str = "sparse",
     csr: Optional["EntityBlockCSR"] = None,
 ) -> BlockingGraph:
     """Build the blocking graph of ``blocks`` weighted by ``scheme``.
@@ -73,21 +72,16 @@ def build_blocking_graph(
         blocks, as in the paper's running example).
     candidates, stats:
         Optional precomputed candidate pairs / statistics.
-    backend:
-        Edge-weight backend.  The default ``"sparse"`` reuses the CSR
-        incidence structure of :mod:`repro.weights.sparse`, computing all
-        edge weights in one batched intersection pass; ``"loop"`` is the
-        per-pair reference builder the equivalence tests compare against.
     csr:
         Optional prebuilt entity x block CSR of ``blocks`` (e.g.
         :attr:`repro.blocking.PreparedBlocks.csr`), seeded into the
-        statistics so the sparse backend skips the incidence rebuild.
+        statistics so the edge weights skip the incidence rebuild.
         Ignored when ``stats`` is given.
     """
     scheme_obj = get_scheme(scheme) if isinstance(scheme, str) else scheme
     pair_set = candidates if candidates is not None else CandidateSet.from_blocks(blocks)
     statistics = stats if stats is not None else BlockStatistics(blocks, csr=csr)
-    values = scheme_obj.compute_with_backend(pair_set, statistics, backend=backend)
+    values = scheme_obj.compute_sparse(pair_set, statistics)
     if values.shape[1] != 1:
         raise ValueError(
             f"scheme {scheme_obj.name} produces {values.shape[1]} columns; "

@@ -32,7 +32,12 @@ from repro.obs.registry import (
     process_rss_bytes,
     render_prometheus,
 )
-from repro.obs.render import render_event, render_event_summary, render_span_tree
+from repro.obs.render import (
+    render_event,
+    render_event_summary,
+    render_span_tree,
+    render_stats,
+)
 from repro.obs.trace import (
     RequestTrace,
     Span,
@@ -63,6 +68,7 @@ __all__ = [
     "render_event_summary",
     "render_prometheus",
     "render_span_tree",
+    "render_stats",
     "set_role",
     "summarize_events",
 ]

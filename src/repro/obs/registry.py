@@ -2,7 +2,7 @@
 
 :class:`MetricsRegistry` folds the serving stack's previously scattered
 telemetry into one thread-safe object: the per-operation latency
-histograms and error counts formerly in ``serve.metrics.ServerMetrics``,
+histograms and error counts,
 the queue-depth gauges, the delta-shipping / supervision / fault
 counters, accumulated :class:`~repro.utils.timing.StageTimer` stages,
 and **sampled process gauges** (RSS, resident shared-memory bytes, WAL

@@ -1,10 +1,11 @@
-"""Human-readable rendering for ``repro trace``: span trees and event logs."""
+"""Human-readable rendering for ``repro trace`` and ``repro client stats``:
+span trees, event logs and ``stats`` responses."""
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-__all__ = ["render_event", "render_event_summary", "render_span_tree"]
+__all__ = ["render_event", "render_event_summary", "render_span_tree", "render_stats"]
 
 
 def render_span_tree(tree: Optional[Dict[str, Any]], indent: str = "") -> str:
@@ -95,3 +96,82 @@ def render_event_summary(summary: Dict[str, Any]) -> str:
                 f"ok={bool(event.get('ok'))}"
             )
     return "\n".join(lines)
+
+
+def render_stats(stats: Dict[str, Any]) -> str:
+    """Human-readable rendering of a ``stats`` response (``repro client stats``)."""
+    lines: List[str] = []
+    daemon = stats.get("daemon", {})
+    if daemon:
+        lines.append(
+            f"daemon: {daemon.get('entities', 0)} live entities, "
+            f"{daemon.get('pairs', 0)} candidate pairs, "
+            f"WAL offset {daemon.get('wal_offset', 0)}"
+        )
+        policy = daemon.get("online_policy")
+        if policy:
+            lines.append(
+                f"  online policy {policy.get('name')}, "
+                f"threshold {policy.get('threshold', 0.0):.3f}"
+            )
+    shards = stats.get("shards") or []
+    for shard in shards:
+        lines.append(
+            f"shard {shard.get('shard')}: {shard.get('blocks', 0)} blocks "
+            f"({shard.get('spawning_blocks', 0)} spawning), "
+            f"{shard.get('pairs', 0)} shard-local pairs, "
+            f"offset {shard.get('offset', 0)}"
+        )
+    metrics = stats.get("metrics", {})
+    queues = metrics.get("queues", {})
+    if queues:
+        lines.append(
+            "queues: "
+            + ", ".join(f"{name}={depth}" for name, depth in sorted(queues.items()))
+        )
+    counters = metrics.get("counters", {})
+    delta_reads = counters.get("delta_reads", 0)
+    full_reads = counters.get("full_reads", 0)
+    if delta_reads or full_reads:
+        shipped = delta_reads + full_reads
+        hit_rate = delta_reads / shipped if shipped else 0.0
+        lines.append(
+            f"read shipping: {delta_reads} delta / {full_reads} full "
+            f"({hit_rate:.1%} delta hit rate), "
+            f"{counters.get('read_bytes_shipped', 0)} bytes shipped "
+            f"({counters.get('read_bytes_delta', 0)} delta, "
+            f"{counters.get('read_bytes_full', 0)} full)"
+        )
+    if counters:
+        lines.append(
+            "events: "
+            + ", ".join(f"{name}={count}" for name, count in sorted(counters.items()))
+        )
+    gauges = metrics.get("gauges", {})
+    if gauges:
+        lines.append(
+            "gauges: "
+            + ", ".join(
+                f"{name}={value:.0f}" if float(value) >= 10 else f"{name}={value:.3f}"
+                for name, value in sorted(gauges.items())
+            )
+        )
+    connections = metrics.get("connections")
+    if connections:
+        lines.append(
+            f"connections: {connections.get('open', 0)} open / "
+            f"{connections.get('total', 0)} total"
+        )
+    operations = metrics.get("operations", {})
+    if operations:
+        lines.append("per-op latency:")
+        for op, values in operations.items():
+            lines.append(
+                f"  {op:<12} n={values.get('count', 0):<6} "
+                f"mean={values.get('mean_ms', 0.0):.3f}ms "
+                f"p50={values.get('p50_ms', 0.0):.3f}ms "
+                f"p99={values.get('p99_ms', 0.0):.3f}ms "
+                f"max={values.get('max_ms', 0.0):.3f}ms "
+                f"errors={values.get('errors', 0)}"
+            )
+    return "\n".join(lines) if lines else "no stats reported"

@@ -1,6 +1,6 @@
 """Sharded block preparation (the ``workers > 1`` blocking path).
 
-The array blocking backend (:mod:`repro.blocking.arrayops`) runs block
+The array engine (:mod:`repro.blocking.arrayops`) runs block
 preparation as four stages; this module parallelises the two that dominate
 its profile and keeps the rest as the same single-pass array code:
 

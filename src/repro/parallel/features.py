@@ -1,6 +1,6 @@
 """Parallel feature generation over the candidate-pair CSR.
 
-Every co-occurrence weighting scheme of the sparse backend is plain array
+Every co-occurrence weighting scheme (``compute_sparse``) is plain array
 arithmetic over two ingredients (:mod:`repro.weights.sparse`):
 
 * the three per-pair co-occurrence aggregates (shared-block count and the

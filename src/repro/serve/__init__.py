@@ -30,6 +30,7 @@ Modules
     checkpoint adoption.
 """
 
+from ..obs.render import render_stats
 from .client import ServeClient, ServeError
 from .daemon import (
     DeadlineExceededError,
@@ -38,7 +39,6 @@ from .daemon import (
     UnavailableError,
     WalFailedError,
 )
-from .metrics import LatencyHistogram, ServerMetrics, render_prometheus, render_stats
 from .protocol import (
     ERROR_DEADLINE,
     ERROR_OVERLOADED,
@@ -77,9 +77,6 @@ __all__ = [
     "WalRecordFollower",
     "WorkerError",
     "WorkerSupervisor",
-    "LatencyHistogram",
-    "ServerMetrics",
-    "render_prometheus",
     "render_stats",
     "ERROR_DEADLINE",
     "ERROR_OVERLOADED",

@@ -41,10 +41,9 @@ from .. import __version__
 from ..incremental.index import DuplicateEntityError, UnknownEntityError
 from ..incremental.session import MatchingSession
 from ..obs import events
-from ..obs.registry import process_rss_bytes
+from ..obs.registry import MetricsRegistry, process_rss_bytes, render_prometheus
 from ..obs.trace import RequestTrace, activate, hook_span, mint_trace_id
 from ..persistence.log import WalBrokenError
-from .metrics import ServerMetrics, render_prometheus
 from .protocol import (
     ERROR_DEADLINE,
     ERROR_OVERLOADED,
@@ -214,7 +213,7 @@ class MatchingDaemon:
         self.max_pending_mutations = max_pending_mutations
         self.max_pending_reads = max_pending_reads
         self.delta_shipping = delta_shipping
-        self.metrics = ServerMetrics()
+        self.metrics = MetricsRegistry()
         # one serial per applied mutation; the router samples it at pin time
         # (``serial_source``), which makes per-shard replica lag measurable
         # in *records* rather than WAL bytes

@@ -68,11 +68,11 @@ def tokens_of_texts(
 ) -> List[List[str]]:
     """Batch tokenization: one token list per text, duplicates kept.
 
-    This is the entry point of the array blocking backend, which
+    This is the entry point of the array blocking engine, which
     dictionary-encodes the flattened output and deduplicates during block
     assembly — so, unlike :func:`distinct_tokens`, no per-text set is
-    built.  Delegates to :func:`tokens`, so both blocking backends share
-    one tokenization pipeline by construction.
+    built.  Delegates to :func:`tokens`, so the array engine and the object
+    chain share one tokenization pipeline by construction.
     """
     return [
         tokens(text, min_length=min_length, remove_stop_words=remove_stop_words)

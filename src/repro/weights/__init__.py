@@ -1,34 +1,17 @@
 """Weighting schemes and block co-occurrence statistics.
 
-Feature backends
-----------------
-
-Every weighting scheme ships two interchangeable implementations, selected
-with the ``backend`` argument threaded through
-:class:`repro.core.features.FeatureVectorGenerator`,
-:func:`repro.core.features.generate_features`,
-:class:`repro.core.pipeline.GeneralizedSupervisedMetaBlocking` and the CLI's
-``--backend`` flag:
-
-* ``"loop"`` — the per-pair reference implementation: a readable Python loop
-  intersecting per-entity frozensets of block ids.  It mirrors the paper's
-  formulas line by line and serves as the correctness oracle (and remains
-  the default of the low-level :class:`FeatureVectorGenerator`).
-* ``"sparse"`` — the vectorized production backend and the default of the
-  pipeline, :class:`repro.experiments.ExperimentConfig` and the CLI
-  (:mod:`repro.weights.sparse`): the block collection is flattened once into
-  an entity x block CSR incidence structure and the per-pair co-occurrence
-  aggregates of *all* candidate pairs are computed in batched NumPy
-  operations (sorted-array row intersections + ``bincount`` reductions),
-  typically an order of magnitude faster on the scalability workloads.
-
-Use ``loop`` when auditing formulas or debugging a scheme; use ``sparse``
-whenever run-time matters (large candidate sets, the feature-runtime and
-scalability benchmarks).  Both backends are guaranteed to produce
-``np.allclose``-identical feature matrices: randomized Hypothesis tests and
-frozen golden fixtures in ``tests/weights/test_backend_equivalence.py`` and
-``tests/weights/test_golden_features.py`` guard the equivalence for every
-registered scheme, so an optimisation that shifts a score fails the suite.
+Every weighting scheme has one formula (paper Section 4) and two
+implementations of it.  ``WeightingScheme.compute_sparse`` is the one the
+library runs (:mod:`repro.weights.sparse`): the block collection is flattened
+once into an entity x block CSR incidence structure and the per-pair
+co-occurrence aggregates of *all* candidate pairs are computed in batched
+NumPy operations.  ``WeightingScheme.compute`` is the per-pair reference: a
+readable Python loop intersecting per-entity frozensets of block ids that
+mirrors the paper's formulas line by line.  Nothing selects it at run time;
+``tests/weights/test_backend_equivalence.py`` and
+``tests/weights/test_golden_features.py`` call it directly and guard
+``np.allclose``-identical feature matrices for every registered scheme, so an
+optimisation that shifts a score fails the suite.
 """
 
 from .registry import (
@@ -55,17 +38,14 @@ from .schemes import (
     WeightingScheme,
 )
 from .sparse import (
-    BACKENDS,
     EntityBlockCSR,
     PairCooccurrence,
     build_entity_block_csr,
     compute_pair_cooccurrence,
-    resolve_backend,
 )
 from .statistics import BlockStatistics
 
 __all__ = [
-    "BACKENDS",
     "BLAST_FEATURE_SET",
     "BlockStatistics",
     "CFIBFScheme",
@@ -90,5 +70,4 @@ __all__ = [
     "feature_width",
     "get_scheme",
     "get_schemes",
-    "resolve_backend",
 ]

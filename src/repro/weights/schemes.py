@@ -11,14 +11,13 @@ single feature column, entity-level schemes (LCP) produce two.
 
 Every scheme carries two implementations of the same formula:
 
-* :meth:`WeightingScheme.compute` — the readable per-pair reference loop;
-* :meth:`WeightingScheme.compute_sparse` — the vectorized backend, combining
+* :meth:`WeightingScheme.compute_sparse` — what the library runs, combining
   the batched co-occurrence aggregates of
   :meth:`repro.weights.statistics.BlockStatistics.pair_cooccurrence` with
-  per-entity arrays in plain NumPy arithmetic.
-
-:meth:`WeightingScheme.compute_with_backend` dispatches between them; the
-equivalence tests assert both produce ``np.allclose``-identical matrices.
+  per-entity arrays in plain NumPy arithmetic;
+* :meth:`WeightingScheme.compute` — the readable per-pair reference.  Nothing
+  in the library calls it; the equivalence tests do, and assert both produce
+  ``np.allclose``-identical matrices.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 import numpy as np
 
 from ..datamodel import CandidateSet
-from .sparse import resolve_backend, safe_log_ratio_array
+from .sparse import safe_log_ratio_array
 from .statistics import BlockStatistics
 
 
@@ -49,17 +48,6 @@ class WeightingScheme(ABC):
     @abstractmethod
     def compute_sparse(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
         """Vectorized counterpart of :meth:`compute` (same shape and values)."""
-
-    def compute_with_backend(
-        self,
-        candidates: CandidateSet,
-        stats: BlockStatistics,
-        backend: str = "loop",
-    ) -> np.ndarray:
-        """Dispatch to the requested backend (``"loop"`` or ``"sparse"``)."""
-        if resolve_backend(backend) == "sparse":
-            return self.compute_sparse(candidates, stats)
-        return self.compute(candidates, stats)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return self.name

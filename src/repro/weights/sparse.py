@@ -1,12 +1,8 @@
-"""Vectorized sparse feature-generation backend.
+"""Vectorized co-occurrence kernels behind every weighting scheme.
 
-The reference ("loop") implementations of the weighting schemes iterate over
-candidate pairs in Python, intersecting per-entity frozensets of block ids.
-That per-pair interpreter overhead dominates the run-time of feature
-generation (the paper's RT analysis, Figures 7/9).  This module provides the
-batched counterpart: the block collection is flattened once into an
-entity x block incidence structure in CSR form, and the three per-pair
-aggregates every co-occurrence scheme is built from —
+The block collection is flattened once into an entity x block incidence
+structure in CSR form, and the three per-pair aggregates every
+co-occurrence scheme is built from —
 
 * ``|B_i ∩ B_j|`` — the number of shared blocks,
 * ``Σ_{b ∈ B_i ∩ B_j} 1/||b||`` — the RACCB/WJS numerator,
@@ -19,10 +15,10 @@ row intersections, whichever :func:`plan_block_major` estimates cheaper for
 the request.  The schemes then combine these aggregates with precomputed
 per-entity vectors using plain array arithmetic.
 
-The loop implementations remain the reference oracle; the equivalence tests
-in ``tests/weights/test_backend_equivalence.py`` assert that both backends
-produce ``np.allclose``-identical feature matrices on randomized and golden
-inputs.
+The per-pair ``WeightingScheme.compute`` bodies are the reference these
+kernels are checked against: ``tests/weights/test_backend_equivalence.py``
+and ``tests/weights/test_golden_features.py`` assert ``np.allclose``-identical
+feature matrices on randomized and golden inputs.
 """
 
 from __future__ import annotations
@@ -35,28 +31,9 @@ import numpy as np
 
 from ..datamodel import BlockCollection
 
-#: The available feature-generation backends.  ``"loop"`` is the readable
-#: per-pair reference implementation; ``"sparse"`` is the vectorized batched
-#: implementation built on the CSR incidence structure below.
-BACKENDS: Tuple[str, ...] = ("loop", "sparse")
-
 #: Pairs intersected (pair-major) or comparisons expanded (block-major) per
 #: chunk of the co-occurrence pass; bounds the size of its temporaries.
 DEFAULT_CHUNK_PAIRS: int = 1 << 16
-
-
-def resolve_backend(backend: str) -> str:
-    """Validate a backend name, returning it unchanged.
-
-    Raises
-    ------
-    ValueError
-        With the list of known backends when the name is unknown.
-    """
-    if backend not in BACKENDS:
-        known = ", ".join(repr(name) for name in BACKENDS)
-        raise ValueError(f"unknown feature backend {backend!r}; expected one of {known}")
-    return backend
 
 
 @dataclass(frozen=True)
@@ -114,7 +91,7 @@ def entity_block_csr_from_memberships(
         Dimensions of the incidence structure.
     assume_unique:
         Skip deduplication when the (node, block) pairs are known distinct
-        (e.g. when handed over by the array blocking backend).
+        (e.g. when handed over by block preparation).
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     block_ids = np.asarray(block_ids, dtype=np.int64)
@@ -138,7 +115,7 @@ def build_entity_block_csr(blocks: BlockCollection) -> EntityBlockCSR:
     """Flatten a block collection into the CSR incidence structure.
 
     Membership duplicates (an entity listed twice in one block) are collapsed,
-    matching the set semantics of the loop backend.
+    matching the set semantics of the per-pair reference.
     """
     block_ids, nodes = blocks.membership_arrays()
     return entity_block_csr_from_memberships(

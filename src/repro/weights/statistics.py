@@ -39,7 +39,7 @@ class BlockStatistics:
         The (purged/filtered) block collection the candidate pairs come from.
     csr:
         Optional prebuilt entity x block CSR incidence structure of
-        ``blocks`` (the array blocking backend hands it over through
+        ``blocks`` (block preparation hands it over through
         :meth:`repro.blocking.PreparedBlocks.statistics`), so it is never
         rebuilt.  Built from the block objects when omitted.
     candidates:
@@ -80,7 +80,7 @@ class BlockStatistics:
             [block.cardinality() for block in blocks], dtype=np.float64
         )
         self.total_cardinality = float(self.block_cardinalities.sum())
-        # per-block inverse weights shared by both feature backends (the
+        # per-block inverse weights shared by both scheme implementations (the
         # max(..., 1) guard mirrors sum_inverse_cardinality/sum_inverse_size)
         self.inverse_block_cardinalities = 1.0 / np.maximum(self.block_cardinalities, 1.0)
         self.inverse_block_sizes = 1.0 / np.maximum(self.block_sizes, 1.0)
@@ -105,7 +105,7 @@ class BlockStatistics:
         self._lcp_sparse: Optional[np.ndarray] = None
         self._pair_cache = PairCooccurrenceCache()
 
-    # -- sparse backend --------------------------------------------------------
+    # -- vectorized kernels ----------------------------------------------------
     def csr(self) -> EntityBlockCSR:
         """The entity x block incidence structure."""
         return self._csr
@@ -140,17 +140,6 @@ class BlockStatistics:
         candidate-set object read the cache.
         """
         self._pair_cache.seed(candidates, aggregates)
-
-    def seed_local_candidate_counts(self, counts: np.ndarray) -> None:
-        """Install externally computed LCP counts (sparse-backend cache)."""
-        counts = np.asarray(counts, dtype=np.float64)
-        expected = self.blocks.index_space.total
-        if counts.shape != (expected,):
-            raise ValueError(
-                "LCP counts do not match the block collection "
-                f"(expected length {expected}, given shape {counts.shape})"
-            )
-        self._lcp_sparse = counts
 
     # -- memberships -----------------------------------------------------------
     def blocks_of(self, node: int) -> FrozenSet[int]:

@@ -1,7 +1,8 @@
-"""Equivalence tests: the ``array`` blocking backend vs the ``loop`` oracle.
+"""Equivalence tests: ``prepare_blocks`` vs the object-chain reference.
 
 The array engine (:mod:`repro.blocking.arrayops`) must be block-for-block and
-pair-for-pair identical to the object-based reference pipeline — raw, purged
+pair-for-pair identical to the object-based reference chain
+(``reference_prepare_blocks``) — raw, purged
 and filtered collections, candidate pairs, and the handed-over CSR incidence
 structure — across unilateral and bilateral inputs, with and without
 purging/filtering, and under stop-word and minimum-token-length variants.
@@ -12,14 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blocking import (
-    BLOCKING_BACKENDS,
-    QGramsBlocking,
-    TokenBlocking,
-    prepare_blocks,
-)
+from repro.blocking import QGramsBlocking, TokenBlocking, prepare_blocks
 from repro.datamodel import EntityCollection, make_profile
 from repro.weights.sparse import build_entity_block_csr
+
+from reference import reference_prepare_blocks
 
 #: a small vocabulary (stop-words included) so random texts collide heavily
 WORDS = (
@@ -74,8 +72,8 @@ def assert_collections_identical(loop_blocks, array_blocks):
 
 
 def assert_equivalent(first, second, blocking=None, **options):
-    loop = prepare_blocks(first, second, blocking=blocking, backend="loop", **options)
-    array = prepare_blocks(first, second, blocking=blocking, backend="array", **options)
+    loop = reference_prepare_blocks(first, second, blocking=blocking, **options)
+    array = prepare_blocks(first, second, blocking=blocking, **options)
     assert_collections_identical(loop.raw_blocks, array.raw_blocks)
     assert_collections_identical(loop.purged_blocks, array.purged_blocks)
     assert_collections_identical(loop.blocks, array.blocks)
@@ -165,28 +163,36 @@ class TestEdgeCases:
         )
         stranded = [block for block in loop.blocks if not block.is_bilateral]
         assert stranded, "the construction must strand a single-side block"
-        # the stranded block spawns an intra-source pair both backends keep
+        # the stranded block spawns an intra-source pair both implementations keep
         assert (2, 3) in loop.candidates.as_tuples()
 
 
 class TestBackendSwitch:
+    """There is no switch: ``prepare_blocks`` runs the array engine."""
+
     def test_unknown_backend_rejected(self):
         collection = make_collection([["apple"]], "dirty")
-        with pytest.raises(ValueError, match="unknown blocking backend"):
+        with pytest.raises(TypeError, match="backend"):
             prepare_blocks(collection, None, backend="bogus")
 
-    @pytest.mark.parametrize("backend", BLOCKING_BACKENDS)
-    def test_backend_recorded(self, backend):
+    @pytest.mark.parametrize(
+        "prepare",
+        [prepare_blocks, reference_prepare_blocks],
+        ids=["array", "loop"],
+    )
+    def test_backend_recorded(self, prepare):
+        """Both implementations time the same four stages and feed statistics."""
         collection = make_collection([["apple", "x"], ["apple"]], "dirty")
-        prepared = prepare_blocks(collection, None, backend=backend)
-        assert prepared.backend == backend
+        prepared = prepare(collection, None)
         assert prepared.timer is not None
         assert set(prepared.timer.stages) == {
             "blocking", "purging", "filtering", "candidate-extraction",
         }
+        assert prepared.statistics().csr().num_blocks == len(prepared.blocks)
 
     def test_array_is_the_default(self):
         collection = make_collection([["apple", "x"], ["apple"]], "dirty")
         prepared = prepare_blocks(collection, None)
-        assert prepared.backend == "array"
         assert prepared.csr is not None
+        assert prepared.statistics().csr() is prepared.csr
+        assert reference_prepare_blocks(collection, None).csr is None

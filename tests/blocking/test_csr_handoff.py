@@ -1,9 +1,9 @@
 """Regression tests for the zero-rebuild CSR handoff contract.
 
-The array blocking backend builds the entity x block CSR incidence structure
+Block preparation builds the entity x block CSR incidence structure
 while preparing blocks and hands it forward on :attr:`PreparedBlocks.csr`.
 Statistics created through :meth:`PreparedBlocks.statistics` (and therefore
-the sparse feature backend and ``build_blocking_graph``) must reuse it —
+feature generation and ``build_blocking_graph``) must reuse it —
 these tests fail if any consumer re-derives the incidence structure inside a
 pipeline run.
 """
@@ -34,28 +34,20 @@ def forbid_csr_rebuild(monkeypatch):
 
 class TestHandoff:
     def test_prepared_csr_matches_a_fresh_build(self, dblpacm_dataset):
-        prepared = prepare_blocks(
-            dblpacm_dataset.first, dblpacm_dataset.second, backend="array"
-        )
+        prepared = prepare_blocks(dblpacm_dataset.first, dblpacm_dataset.second)
         reference = build_entity_block_csr(prepared.blocks)
         assert np.array_equal(prepared.csr.indptr, reference.indptr)
         assert np.array_equal(prepared.csr.indices, reference.indices)
 
     def test_statistics_reuse_the_prepared_csr(self, dblpacm_dataset, forbid_csr_rebuild):
-        prepared = prepare_blocks(
-            dblpacm_dataset.first, dblpacm_dataset.second, backend="array"
-        )
+        prepared = prepare_blocks(dblpacm_dataset.first, dblpacm_dataset.second)
         stats = prepared.statistics()
         assert stats.csr() is prepared.csr
         assert prepared.statistics() is stats  # cached
 
     def test_pipeline_run_never_rebuilds_the_csr(self, dblpacm_dataset, forbid_csr_rebuild):
-        prepared = prepare_blocks(
-            dblpacm_dataset.first, dblpacm_dataset.second, backend="array"
-        )
-        pipeline = GeneralizedSupervisedMetaBlocking(
-            training_size=50, seed=0, backend="sparse"
-        )
+        prepared = prepare_blocks(dblpacm_dataset.first, dblpacm_dataset.second)
+        pipeline = GeneralizedSupervisedMetaBlocking(training_size=50, seed=0)
         result = pipeline.run(
             prepared.blocks,
             prepared.candidates,
@@ -65,9 +57,7 @@ class TestHandoff:
         assert result.retained_count > 0
 
     def test_blocking_graph_reuses_the_prepared_csr(self, dblpacm_dataset, forbid_csr_rebuild):
-        prepared = prepare_blocks(
-            dblpacm_dataset.first, dblpacm_dataset.second, backend="array"
-        )
+        prepared = prepare_blocks(dblpacm_dataset.first, dblpacm_dataset.second)
         graph = build_blocking_graph(
             prepared.blocks,
             scheme="CBS",
@@ -77,9 +67,7 @@ class TestHandoff:
         assert graph.edge_count == len(prepared.candidates)
 
     def test_mismatched_csr_rejected(self, dblpacm_dataset):
-        prepared = prepare_blocks(
-            dblpacm_dataset.first, dblpacm_dataset.second, backend="array"
-        )
+        prepared = prepare_blocks(dblpacm_dataset.first, dblpacm_dataset.second)
         with pytest.raises(ValueError, match="does not match"):
             BlockStatistics(prepared.raw_blocks, csr=prepared.csr)
 
@@ -103,7 +91,6 @@ class TestBlockPreparationStage:
         prepared = prepare_blocks(
             dblpacm_dataset.first,
             dblpacm_dataset.second,
-            backend="array",
             timer=timer,
         )
         assert timer.get("block-preparation") == pytest.approx(

@@ -4,13 +4,14 @@ The exact outcome of ``prepare_blocks`` on a deterministic generated DblpAcm
 benchmark (seed 3, scale 0.4) is frozen into
 ``tests/data/golden_blocking.json``: block counts per stage, per-stage
 comparison totals, the first/last block keys, a digest of all candidate
-pairs and a pair sample.  Both backends are checked against the frozen
+pairs and a pair sample.  Both ``prepare_blocks`` and the object-chain
+reference (``reference_prepare_blocks``) are checked against the frozen
 values, so a change that shifts blocking output — even one affecting both
-backends identically, which the equivalence tests cannot see — fails here.
+identically, which the equivalence tests cannot see — fails here.
 
 To regenerate the fixture after an *intentional* semantic change::
 
-    PYTHONPATH=src python tests/blocking/test_golden_blocking.py --regenerate
+    PYTHONPATH=src:tests python tests/blocking/test_golden_blocking.py --regenerate
 """
 
 import hashlib
@@ -19,17 +20,22 @@ from pathlib import Path
 
 import pytest
 
-from repro.blocking import BLOCKING_BACKENDS, prepare_blocks
+from repro.blocking import prepare_blocks
 from repro.datasets import load_benchmark
+
+from reference import reference_prepare_blocks
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "data" / "golden_blocking.json"
 
 DATASET, SEED, SCALE = "DblpAcm", 3, 0.4
 
 
-def _prepare(backend):
+IMPLEMENTATIONS = {"loop": reference_prepare_blocks, "array": prepare_blocks}
+
+
+def _prepare(implementation):
     dataset = load_benchmark(DATASET, seed=SEED, scale=SCALE)
-    return prepare_blocks(dataset.first, dataset.second, backend=backend)
+    return IMPLEMENTATIONS[implementation](dataset.first, dataset.second)
 
 
 def _snapshot(prepared):
@@ -58,11 +64,11 @@ def golden():
         return json.load(handle)
 
 
-@pytest.mark.parametrize("backend", BLOCKING_BACKENDS)
-def test_prepared_blocks_match_golden(golden, backend):
-    snapshot = _snapshot(_prepare(backend))
+@pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
+def test_prepared_blocks_match_golden(golden, implementation):
+    snapshot = _snapshot(_prepare(implementation))
     assert snapshot == golden["snapshot"], (
-        f"block preparation ({backend} backend) deviates from the frozen "
+        f"block preparation ({implementation} implementation) deviates from the frozen "
         "DblpAcm fixture; regenerate only if the change is intentional"
     )
 

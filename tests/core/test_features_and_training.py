@@ -7,6 +7,8 @@ from repro.core import FeatureVectorGenerator, build_training_set, generate_feat
 from repro.utils.timing import StageTimer
 from repro.weights import BLAST_FEATURE_SET, ORIGINAL_FEATURE_SET, RCNP_FEATURE_SET
 
+from reference import reference_feature_matrix
+
 
 class TestFeatureVectorGenerator:
     def test_column_labels_expand_lcp(self):
@@ -48,13 +50,10 @@ class TestFeatureVectorGenerator:
         for column in ("'JS'", "'LCP(e_i)'", "'LCP(e_j)'"):
             assert column in message
 
-    def test_backend_recorded_on_matrix(self, small_candidates, small_stats):
-        loop = FeatureVectorGenerator(("JS",)).generate(small_candidates, small_stats)
-        sparse = FeatureVectorGenerator(("JS",), backend="sparse").generate(
-            small_candidates, small_stats
-        )
-        assert loop.backend == "loop"
-        assert sparse.backend == "sparse"
+    def test_matrix_matches_reference(self, small_candidates, small_stats):
+        loop = reference_feature_matrix(("JS", "LCP"), small_candidates, small_stats)
+        sparse = FeatureVectorGenerator(("JS", "LCP")).generate(small_candidates, small_stats)
+        assert (loop.columns, loop.feature_set) == (sparse.columns, sparse.feature_set)
         np.testing.assert_allclose(sparse.values, loop.values)
 
     def test_empty_feature_set_rejected(self):

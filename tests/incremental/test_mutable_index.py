@@ -88,7 +88,7 @@ def _assert_matches_batch(index, first, second):
     # full feature matrices
     if len(candidates):
         streamed_matrix = DeltaFeatureGenerator(index, PAPER_FEATURES).generate(candidates)
-        batch_matrix = FeatureVectorGenerator(PAPER_FEATURES, backend="sparse").generate(
+        batch_matrix = FeatureVectorGenerator(PAPER_FEATURES).generate(
             prepared.candidates, stats
         )
         position = prepared.candidates.position_index()

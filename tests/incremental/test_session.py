@@ -89,7 +89,7 @@ def _batch_retained_on_live(model, first, second, pruning):
         first, second, apply_purging=False, apply_filtering=False
     )
     stats = BlockStatistics(prepared.blocks)
-    matrix = FeatureVectorGenerator(model.feature_set, backend="sparse").generate(
+    matrix = FeatureVectorGenerator(model.feature_set).generate(
         prepared.candidates, stats
     )
     probabilities = model.score(matrix.values)

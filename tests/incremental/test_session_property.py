@@ -80,7 +80,7 @@ def _collection(prefix, texts, is_clean=True):
 
 def _batch_retained_ids(blocks, candidates, model, pruning, id_of):
     stats = BlockStatistics(blocks)
-    matrix = FeatureVectorGenerator(FEATURE_SET, backend="sparse").generate(
+    matrix = FeatureVectorGenerator(FEATURE_SET).generate(
         candidates, stats
     )
     probabilities = model.score(matrix.values)

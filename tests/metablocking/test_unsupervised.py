@@ -14,6 +14,7 @@ from repro.metablocking import (
     UnsupervisedWNP,
     build_blocking_graph,
 )
+from repro.weights import BlockStatistics, get_scheme
 
 
 class TestBlockingGraph:
@@ -45,13 +46,15 @@ class TestBlockingGraph:
     def test_sparse_builder_matches_loop_builder(
         self, small_blocks, prepared_dblpacm, scheme
     ):
-        """The CSR-backed default builder reproduces the per-pair builder."""
+        """The builder's edge weights reproduce the scheme's per-pair reference."""
         for blocks in (small_blocks, prepared_dblpacm.blocks):
-            sparse_graph = build_blocking_graph(blocks, scheme=scheme)
-            loop_graph = build_blocking_graph(blocks, scheme=scheme, backend="loop")
-            assert sparse_graph.scheme_name == loop_graph.scheme_name
+            graph = build_blocking_graph(blocks, scheme=scheme)
+            assert graph.scheme_name == scheme
+            loop_weights = get_scheme(scheme).compute(
+                graph.candidates, BlockStatistics(blocks)
+            )[:, 0]
             np.testing.assert_allclose(
-                sparse_graph.weights, loop_graph.weights, rtol=1e-9, atol=1e-12
+                graph.weights, loop_weights, rtol=1e-9, atol=1e-12
             )
 
 

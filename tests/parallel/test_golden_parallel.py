@@ -45,7 +45,6 @@ def _snapshot(workers: int):
         prepared.blocks,
         feature_set=ALL_SCHEMES,
         stats=prepared.statistics(),
-        backend="sparse",
         workers=workers,
     )
     retained = {}

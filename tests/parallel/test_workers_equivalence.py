@@ -110,7 +110,6 @@ def test_all_feature_schemes_bit_identical(executor, first, second):
         serial.blocks,
         feature_set=ALL_SCHEMES,
         stats=serial.statistics(),
-        backend="sparse",
     )
     sharded = prepare_blocks(first, second, executor=executor)
     matrix_sharded = generate_features(
@@ -118,7 +117,6 @@ def test_all_feature_schemes_bit_identical(executor, first, second):
         sharded.blocks,
         feature_set=ALL_SCHEMES,
         stats=sharded.statistics(),
-        backend="sparse",
         executor=executor,
     )
     assert matrix_serial.columns == matrix_sharded.columns
@@ -159,13 +157,3 @@ def test_all_pruning_algorithms_bit_identical(executor, first, second):
             executor,
         )
         assert np.array_equal(serial, sharded), f"{name} mask differs"
-
-
-def test_loop_backends_reject_workers():
-    first = make_collection([["apple", "phone"], ["apple", "mate"]], "first")
-    with pytest.raises(ValueError, match="array"):
-        prepare_blocks(first, None, backend="loop", workers=2)
-    from repro.core.features import FeatureVectorGenerator
-
-    with pytest.raises(ValueError, match="sparse"):
-        FeatureVectorGenerator(("JS",), backend="loop", workers=2)

@@ -25,7 +25,8 @@ from repro.incremental import MatchingSession
 from repro.incremental.index import MutableBlockIndex
 from repro.incremental.sharded import ShardedMutableBlockIndex
 from repro.parallel import shm
-from repro.serve.metrics import ServerMetrics, render_stats
+from repro.obs.registry import MetricsRegistry
+from repro.obs.render import render_stats
 from repro.serve.router import ShardRouter, match_answer
 from repro.serve.workers import ExportSlots, ShardWorkerHandle
 
@@ -148,7 +149,7 @@ class TestRouterResidentViews:
 
     def test_warm_reads_ship_deltas_and_respawn_reships_full(self, tmp_path):
         session = MatchingSession(MODEL, bilateral=True, wal_path=tmp_path)
-        metrics = ServerMetrics()
+        metrics = MetricsRegistry()
         router = ShardRouter(
             tmp_path, 2, session.index.entity_id, metrics=metrics
         )
@@ -193,7 +194,7 @@ class TestRouterResidentViews:
 
     def test_delta_shipping_off_ships_full_every_read(self, tmp_path):
         session = MatchingSession(MODEL, bilateral=True, wal_path=tmp_path)
-        metrics = ServerMetrics()
+        metrics = MetricsRegistry()
         router = ShardRouter(
             tmp_path,
             2,
@@ -215,7 +216,7 @@ class TestRouterResidentViews:
             session.close()
 
     def test_render_stats_shows_the_shipping_panel(self):
-        metrics = ServerMetrics()
+        metrics = MetricsRegistry()
         metrics.increment("full_reads", 2)
         metrics.increment("delta_reads", 6)
         metrics.increment("read_bytes_shipped", 1000)

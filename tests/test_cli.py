@@ -19,21 +19,24 @@ class TestParser:
         assert excinfo.value.code == 0
         assert __version__ in capsys.readouterr().out
 
-    def test_backend_defaults_to_sparse(self):
-        parser = build_parser()
-        args = parser.parse_args(["run", "table2"])
-        assert args.backend == "sparse"
-        args = parser.parse_args(["quickstart"])
-        assert args.backend == "sparse"
-
-    def test_blocking_backend_defaults_to_array(self):
-        parser = build_parser()
-        args = parser.parse_args(["run", "table2"])
-        assert args.blocking_backend == "array"
-        args = parser.parse_args(["quickstart", "--blocking-backend", "loop"])
-        assert args.blocking_backend == "loop"
-        with pytest.raises(SystemExit):
-            parser.parse_args(["run", "table2", "--blocking-backend", "bogus"])
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            (["run", "table2"], "--backend"),
+            (["quickstart"], "--backend"),
+            (["stream"], "--backend"),
+            (["serve", "--wal", "unused"], "--backend"),
+            (["run", "table2"], "--blocking-backend"),
+            (["quickstart"], "--blocking-backend"),
+        ],
+        ids=lambda value: value[0] if isinstance(value, list) else value,
+    )
+    def test_implementation_selectors_are_gone(self, capsys, command, flag):
+        """Every place the parent commit accepted a selector flag rejects it."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(command + [flag, "loop"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} loop" in capsys.readouterr().err
 
     def test_run_requires_known_experiment(self):
         parser = build_parser()

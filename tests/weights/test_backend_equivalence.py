@@ -1,12 +1,13 @@
-"""Backend-equivalence property tests (loop oracle vs sparse backend).
+"""Reference-equivalence property tests (per-pair ``compute`` vs ``compute_sparse``).
 
-The loop implementations of the weighting schemes are the reference oracle;
-the vectorized sparse backend must reproduce them bit-for-bit up to float
-summation order.  Hypothesis generates randomized unilateral and bilateral
-block collections — including empty blocks, singleton entities, and entities
-absent from every block — and every registered scheme is asserted
-``np.allclose``-identical across backends, both per scheme and through the
-full :class:`FeatureVectorGenerator` stack.
+The per-pair ``compute`` bodies of the weighting schemes are the reference;
+the vectorized ``compute_sparse`` the library runs must reproduce them
+bit-for-bit up to float summation order.  Hypothesis generates randomized
+unilateral and bilateral block collections — including empty blocks,
+singleton entities, and entities absent from every block — and every
+registered scheme is asserted ``np.allclose``-identical, both per scheme and
+through the full :class:`FeatureVectorGenerator` stack against
+``reference_feature_matrix``.
 """
 
 import numpy as np
@@ -16,17 +17,13 @@ from hypothesis import strategies as st
 
 from repro.core import FeatureVectorGenerator, generate_features
 from repro.datamodel import Block, BlockCollection, CandidateSet, EntityIndexSpace
-from repro.weights import (
-    BACKENDS,
-    PAPER_FEATURES,
-    SCHEME_CLASSES,
-    BlockStatistics,
-    resolve_backend,
-)
+from repro.weights import PAPER_FEATURES, SCHEME_CLASSES, BlockStatistics
+
+from reference import reference_feature_matrix
 
 ALL_SCHEMES = tuple(SCHEME_CLASSES)
 
-#: absolute/relative tolerances: the two backends sum the same terms in a
+#: absolute/relative tolerances: the two implementations sum the same terms in a
 #: different order, so only accumulation noise is allowed.
 TOLERANCES = dict(rtol=1e-9, atol=1e-12)
 
@@ -39,8 +36,8 @@ def unilateral_collections(draw):
 
     The node space is drawn larger than the ids actually used, so some
     entities are absent from every block; blocks may be empty or singletons
-    (spawning no comparison), which the loop backend tolerates and the sparse
-    backend must too.
+    (spawning no comparison), which the reference tolerates and the
+    vectorized kernels must too.
     """
     total = draw(st.integers(min_value=2, max_value=14))
     space = EntityIndexSpace(total, 0)
@@ -138,26 +135,23 @@ def test_bilateral_equivalence(scheme_name, data):
 @given(data=bilateral_collections())
 @settings(max_examples=25, deadline=None)
 def test_full_feature_matrix_equivalence(data):
-    """The whole generator stack produces identical matrices per backend."""
+    """The whole generator stack reproduces the reference matrix."""
     blocks, candidates = data
     stats = BlockStatistics(blocks)
     feature_set = ("CBS",) + PAPER_FEATURES
-    loop = FeatureVectorGenerator(feature_set, backend="loop").generate(candidates, stats)
-    sparse = FeatureVectorGenerator(feature_set, backend="sparse").generate(candidates, stats)
+    loop = reference_feature_matrix(feature_set, candidates, stats)
+    sparse = FeatureVectorGenerator(feature_set).generate(candidates, stats)
     assert loop.columns == sparse.columns
-    assert loop.backend == "loop" and sparse.backend == "sparse"
     np.testing.assert_allclose(sparse.values, loop.values, **TOLERANCES)
 
 
 @given(data=unilateral_collections())
 @settings(max_examples=25, deadline=None)
 def test_generate_features_backend_equivalence(data):
-    """The convenience wrapper honours the backend switch."""
+    """The convenience wrapper (builds its own statistics) matches the reference."""
     blocks, candidates = data
-    loop = generate_features(candidates, blocks, feature_set=PAPER_FEATURES)
-    sparse = generate_features(
-        candidates, blocks, feature_set=PAPER_FEATURES, backend="sparse"
-    )
+    loop = reference_feature_matrix(PAPER_FEATURES, candidates, BlockStatistics(blocks))
+    sparse = generate_features(candidates, blocks, feature_set=PAPER_FEATURES)
     np.testing.assert_allclose(sparse.values, loop.values, **TOLERANCES)
 
 
@@ -197,7 +191,7 @@ def test_entity_aggregates_and_lcp_match_the_loop_oracle(data):
 
 @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
 def test_empty_collection_equivalence(scheme_name):
-    """No blocks, no candidates: both backends return empty matrices."""
+    """No blocks, no candidates: both implementations return empty matrices."""
     blocks = BlockCollection([], EntityIndexSpace(4, 0))
     candidates = CandidateSet.from_pairs([], blocks.index_space)
     stats = BlockStatistics(blocks)
@@ -209,7 +203,7 @@ def test_empty_collection_equivalence(scheme_name):
 
 @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
 def test_absent_entities_equivalence(scheme_name):
-    """Pairs whose entities appear in no block score zero on both backends."""
+    """Pairs whose entities appear in no block score zero on both implementations."""
     space = EntityIndexSpace(8, 0)
     blocks = BlockCollection(
         [Block("a", [0, 1, 2]), Block("empty", []), Block("singleton", [5])], space
@@ -224,12 +218,7 @@ def test_absent_entities_equivalence(scheme_name):
     )
 
 
-def test_resolve_backend_rejects_unknown_names():
-    with pytest.raises(ValueError, match="unknown feature backend"):
-        resolve_backend("gpu")
-    assert [resolve_backend(name) for name in BACKENDS] == list(BACKENDS)
-
-
 def test_generator_rejects_unknown_backend():
-    with pytest.raises(ValueError, match="unknown feature backend"):
+    """Every ``backend=`` is unknown now: the keyword itself is gone."""
+    with pytest.raises(TypeError, match="backend"):
         FeatureVectorGenerator(("JS",), backend="fancy")

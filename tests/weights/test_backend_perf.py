@@ -1,10 +1,10 @@
-"""Perf smoke test: the sparse backend must not be slower than the loop.
+"""Perf smoke test: ``compute_sparse`` must not be slower than the reference.
 
 A single coarse guard — not a benchmark (those live in ``benchmarks/``) —
-that fails loudly if a regression makes the vectorized backend degenerate
-back into per-pair work.  On the ~5k-pair synthetic workload below the
-sparse backend is typically >10x faster, so the 1.0x assertion threshold
-leaves ample headroom against timer noise.
+that fails loudly if a regression makes the vectorized kernels degenerate
+back into per-pair work.  On the ~5k-pair synthetic workload below they are
+typically >10x faster than the per-pair ``compute`` bodies, so the 1.0x
+assertion threshold leaves ample headroom against timer noise.
 
 Deselect with ``-m "not perf"`` or skip by exporting ``REPRO_SKIP_PERF=1``
 (for constrained CI runners with unreliable clocks).
@@ -19,6 +19,8 @@ import pytest
 from repro.core import FeatureVectorGenerator
 from repro.datamodel import Block, BlockCollection, CandidateSet, EntityIndexSpace
 from repro.weights import BLAST_FEATURE_SET, PAPER_FEATURES, BlockStatistics
+
+from reference import reference_feature_matrix
 
 pytestmark = [
     pytest.mark.perf,
@@ -46,14 +48,13 @@ def synthetic_workload():
     return collection, candidates
 
 
-def _time_backend(blocks, candidates, backend, feature_set):
+def _best_of_three(generate, blocks, candidates):
     """Best-of-3 feature-generation time with fresh statistics per run."""
-    generator = FeatureVectorGenerator(feature_set, backend=backend)
     best = float("inf")
     for _ in range(3):
         stats = BlockStatistics(blocks)
         start = time.perf_counter()
-        generator.generate(candidates, stats)
+        generate(candidates, stats)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -65,9 +66,15 @@ def _time_backend(blocks, candidates, backend, feature_set):
 )
 def test_sparse_backend_not_slower_than_loop(synthetic_workload, feature_set):
     blocks, candidates = synthetic_workload
-    loop_seconds = _time_backend(blocks, candidates, "loop", feature_set)
-    sparse_seconds = _time_backend(blocks, candidates, "sparse", feature_set)
+    loop_seconds = _best_of_three(
+        lambda pairs, stats: reference_feature_matrix(feature_set, pairs, stats),
+        blocks,
+        candidates,
+    )
+    sparse_seconds = _best_of_three(
+        FeatureVectorGenerator(feature_set).generate, blocks, candidates
+    )
     assert sparse_seconds <= loop_seconds, (
-        f"sparse backend regressed: {sparse_seconds:.4f}s vs loop "
+        f"vectorized kernels regressed: {sparse_seconds:.4f}s vs reference "
         f"{loop_seconds:.4f}s on {len(candidates)} pairs"
     )

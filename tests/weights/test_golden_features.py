@@ -2,14 +2,15 @@
 
 A small deterministic block collection (seeded construction below) has its
 exact feature matrix frozen into ``tests/data/golden_features.json``.  Both
-backends are checked against the frozen values, so any change to a scheme,
-to :class:`BlockStatistics`, or to either backend that silently shifts a
-score fails here — equivalence tests alone would miss a bug that changes
-both backends the same way.
+implementations — the per-pair reference (``reference_feature_matrix``) and
+what the library runs (``FeatureVectorGenerator.generate``) — are checked
+against the frozen values, so any change to a scheme or to
+:class:`BlockStatistics` that silently shifts a score fails here —
+equivalence tests alone would miss a bug that changes both the same way.
 
 To regenerate the fixture after an *intentional* semantic change::
 
-    PYTHONPATH=src python tests/weights/test_golden_features.py --regenerate
+    PYTHONPATH=src:tests python tests/weights/test_golden_features.py --regenerate
 """
 
 import json
@@ -20,7 +21,9 @@ import pytest
 
 from repro.core import FeatureVectorGenerator
 from repro.datamodel import Block, BlockCollection, CandidateSet, EntityIndexSpace
-from repro.weights import BACKENDS, PAPER_FEATURES, BlockStatistics
+from repro.weights import PAPER_FEATURES, BlockStatistics
+
+from reference import reference_feature_matrix
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "data" / "golden_features.json"
 
@@ -69,11 +72,15 @@ def build_golden_cases():
     }
 
 
-def _compute_matrix(blocks, candidates, backend="loop"):
-    stats = BlockStatistics(blocks)
-    return FeatureVectorGenerator(GOLDEN_FEATURE_SET, backend=backend).generate(
-        candidates, stats
-    )
+#: the two implementations of ``(blocks, candidates) -> FeatureMatrix``
+IMPLEMENTATIONS = {
+    "loop": lambda blocks, candidates: reference_feature_matrix(
+        GOLDEN_FEATURE_SET, candidates, BlockStatistics(blocks)
+    ),
+    "sparse": lambda blocks, candidates: FeatureVectorGenerator(
+        GOLDEN_FEATURE_SET
+    ).generate(candidates, BlockStatistics(blocks)),
+}
 
 
 @pytest.fixture(scope="module")
@@ -83,15 +90,15 @@ def golden():
 
 
 @pytest.mark.parametrize("case", ("bilateral", "unilateral"))
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_feature_matrix_matches_golden(golden, case, backend):
+@pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
+def test_feature_matrix_matches_golden(golden, case, implementation):
     blocks, candidates = build_golden_cases()[case]
     frozen = golden[case]
     assert candidates.as_tuples() == [tuple(pair) for pair in frozen["pairs"]], (
         "the deterministic golden construction changed; regenerate the fixture "
         "only if the change is intentional"
     )
-    matrix = _compute_matrix(blocks, candidates, backend=backend)
+    matrix = IMPLEMENTATIONS[implementation](blocks, candidates)
     assert list(matrix.columns) == frozen["columns"]
     np.testing.assert_allclose(
         matrix.values, np.array(frozen["values"]), rtol=1e-10, atol=1e-13
@@ -116,7 +123,7 @@ def _regenerate() -> None:
         ),
     }
     for case, (blocks, candidates) in build_golden_cases().items():
-        matrix = _compute_matrix(blocks, candidates, backend="loop")
+        matrix = IMPLEMENTATIONS["loop"](blocks, candidates)
         payload[case] = {
             "columns": list(matrix.columns),
             "pairs": [list(pair) for pair in candidates.as_tuples()],

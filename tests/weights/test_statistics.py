@@ -150,7 +150,3 @@ class TestArrayNativeConstruction:
         foreign = CandidateSet.from_pairs([(0, 7)], EntityIndexSpace(4, 4))
         with pytest.raises(ValueError, match="candidate set does not match"):
             BlockStatistics(small_blocks, candidates=foreign)
-        with pytest.raises(ValueError, match="expected length 6, given shape \\(5,\\)"):
-            stats.seed_local_candidate_counts(np.zeros(5))
-        stats.seed_local_candidate_counts(np.arange(6))
-        assert stats.local_candidate_counts_sparse().tolist() == [0, 1, 2, 3, 4, 5]
