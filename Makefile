@@ -2,6 +2,7 @@
 #
 #   make test              - the tier-1 verification suite (fails fast)
 #   make test-equivalence  - reference-equivalence + golden regression tests only
+#                            (batch features, and the online answer's budgets/read path)
 #   make test-fast         - tier-1 suite without the perf smoke tests
 #   make bench-smoke       - quick feature-runtime bench
 #   make bench-stream      - incremental streaming vs batch recompute bench
@@ -28,7 +29,8 @@ test:
 	$(PYTEST) -x -q
 
 test-equivalence:
-	$(PYTEST) -q tests/weights/test_backend_equivalence.py tests/weights/test_golden_features.py
+	$(PYTEST) -q tests/weights/test_backend_equivalence.py tests/weights/test_golden_features.py \
+		tests/serve/test_budget_totals_property.py tests/serve/test_read_path_arrays.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q

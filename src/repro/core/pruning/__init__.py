@@ -2,7 +2,7 @@
 
 from typing import Dict, List, Type
 
-from .base import SupervisedPruningAlgorithm, VALIDITY_THRESHOLD
+from .base import BlockTotals, SupervisedPruningAlgorithm, VALIDITY_THRESHOLD
 from .cardinality_based import (
     SupervisedCEP,
     SupervisedCNP,
@@ -51,6 +51,7 @@ def get_pruning_algorithm(name: str, **kwargs) -> SupervisedPruningAlgorithm:
 
 __all__ = [
     "BinaryClassifierPruning",
+    "BlockTotals",
     "CARDINALITY_BASED_ALGORITHMS",
     "PRUNING_ALGORITHMS",
     "SupervisedBLAST",

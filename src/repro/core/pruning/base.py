@@ -6,12 +6,21 @@ decides which pairs to retain.  Pairs with probability below
 :data:`VALIDITY_THRESHOLD` (0.5) are never retained — they are not *valid*
 in the paper's terminology — and the remaining pairs are filtered with either
 a weight-based or a cardinality-based criterion.
+
+The ``blocks`` parameter of :meth:`SupervisedPruningAlgorithm.prune` is read
+by the cardinality-based algorithms only, and only for the two integers of
+:class:`BlockTotals` — ``Σ|b|`` and ``|E1|+|E2|`` — from which their budgets
+``K`` and ``k`` derive.  Batch callers hand in the
+:class:`~repro.datamodel.BlockCollection` itself; the streaming indexes and
+the serving view maintain the two integers under every mutation and hand in
+a :class:`BlockTotals` (``block_totals()``), so an online answer never
+materialises a block collection.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -20,6 +29,27 @@ from ...datamodel import BlockCollection, CandidateSet
 #: Candidate pairs with a classification probability below this value are
 #: discarded before any pruning criterion is applied (paper Definition 2).
 VALIDITY_THRESHOLD: float = 0.5
+
+
+class BlockTotals(NamedTuple):
+    """The two integers cardinality-based pruning reads from a collection."""
+
+    #: ``Σ_{b∈B} |b|`` — (entity, block) memberships over the blocks that
+    #: spawn at least one comparison
+    assignments: int
+    #: ``|E1| + |E2|`` — live entities
+    entities: int
+
+    @classmethod
+    def of(cls, blocks: "BlockSource") -> "BlockTotals":
+        """``blocks`` itself when already totals, else read off the collection."""
+        if isinstance(blocks, cls):
+            return blocks
+        return cls(blocks.total_block_assignments(), blocks.index_space.total)
+
+
+#: what ``prune`` accepts as ``blocks``
+BlockSource = Union[BlockCollection, BlockTotals]
 
 
 class SupervisedPruningAlgorithm(ABC):
@@ -35,7 +65,7 @@ class SupervisedPruningAlgorithm(ABC):
         self,
         probabilities: np.ndarray,
         candidates: CandidateSet,
-        blocks: Optional[BlockCollection] = None,
+        blocks: Optional[BlockSource] = None,
     ) -> np.ndarray:
         """Return a boolean mask over the candidate pairs (True = retained).
 
@@ -47,8 +77,9 @@ class SupervisedPruningAlgorithm(ABC):
         candidates:
             The candidate pairs being pruned.
         blocks:
-            The originating block collection; required by cardinality-based
-            algorithms to derive their retention budgets (K and k).
+            The originating block collection or its :class:`BlockTotals`;
+            required by cardinality-based algorithms to derive their
+            retention budgets (K and k), ignored by the others.
         """
 
     # -- shared helpers -------------------------------------------------------------

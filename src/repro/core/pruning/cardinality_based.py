@@ -25,28 +25,43 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ...datamodel import BlockCollection, CandidateSet
+from ...datamodel import CandidateSet
 from ...utils.pqueue import BoundedTopQueue
-from .base import SupervisedPruningAlgorithm
+from .base import BlockSource, BlockTotals, SupervisedPruningAlgorithm
 
 
-def cep_budget(blocks: BlockCollection) -> int:
+def cep_budget(blocks: BlockSource) -> int:
     """The CEP retention budget: half the sum of block sizes, at least 1."""
-    total_assignments = blocks.total_block_assignments()
-    return max(1, total_assignments // 2)
+    return max(1, BlockTotals.of(blocks).assignments // 2)
 
 
-def cnp_budget(blocks: BlockCollection) -> int:
+def cnp_budget(blocks: BlockSource) -> int:
     """The CNP per-entity budget: the average number of blocks per entity.
 
     ``k = max(1, Σ_{b∈B} |b| / (|E1| + |E2|))``, rounded to the nearest
     integer as in the reference implementation.
     """
-    total_entities = blocks.index_space.total
-    if total_entities == 0:
+    assignments, entities = BlockTotals.of(blocks)
+    if entities == 0:
         return 1
-    average = blocks.total_block_assignments() / total_entities
-    return max(1, int(round(average)))
+    return max(1, int(round(assignments / entities)))
+
+
+def resolve_budget(
+    algorithm, blocks: Optional[BlockSource], derive, symbol: str
+) -> int:
+    """The algorithm's explicit ``budget``, else ``derive(blocks)``.
+
+    The one place the "explicit budget, else derive it, else refuse" rule
+    lives — serial, parallel and unsupervised pruning all resolve here.
+    """
+    if algorithm.budget is not None:
+        return algorithm.budget
+    if blocks is None:
+        raise ValueError(
+            f"{algorithm.name} needs the block collection to derive its budget {symbol}"
+        )
+    return derive(blocks)
 
 
 class SupervisedCEP(SupervisedPruningAlgorithm):
@@ -71,15 +86,10 @@ class SupervisedCEP(SupervisedPruningAlgorithm):
         self,
         probabilities: np.ndarray,
         candidates: CandidateSet,
-        blocks: Optional[BlockCollection] = None,
+        blocks: Optional[BlockSource] = None,
     ) -> np.ndarray:
         probabilities = self._validate(probabilities, candidates)
-        if self.budget is not None:
-            budget = self.budget
-        else:
-            if blocks is None:
-                raise ValueError("CEP needs the block collection to derive its budget K")
-            budget = cep_budget(blocks)
+        budget = resolve_budget(self, blocks, cep_budget, "K")
 
         valid = self.valid_mask(probabilities)
         mask = np.zeros(len(candidates), dtype=bool)
@@ -145,15 +155,10 @@ class SupervisedCNP(SupervisedPruningAlgorithm):
         self,
         probabilities: np.ndarray,
         candidates: CandidateSet,
-        blocks: Optional[BlockCollection] = None,
+        blocks: Optional[BlockSource] = None,
     ) -> np.ndarray:
         probabilities = self._validate(probabilities, candidates)
-        if self.budget is not None:
-            budget = self.budget
-        else:
-            if blocks is None:
-                raise ValueError("CNP needs the block collection to derive its budget k")
-            budget = cnp_budget(blocks)
+        budget = resolve_budget(self, blocks, cnp_budget, "k")
 
         retained_per_node = self._per_entity_queues(probabilities, candidates, budget)
         mask = np.zeros(len(candidates), dtype=bool)

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..core.features import FeatureMatrix, FeatureVectorGenerator
 from ..datamodel import CandidateSet
+from ..obs.trace import hook_span
 from ..weights import BLAST_FEATURE_SET
 from .index import InsertDelta, MutableBlockIndex
 
@@ -101,5 +102,8 @@ class DeltaFeatureGenerator:
         Pairs retracted by entity removals are tombstoned in the index's
         registry and excluded here.
         """
-        candidates = self.index.candidate_set()
-        return candidates, self.generate(candidates)
+        with hook_span("merge-pairs"):
+            candidates = self.index.candidate_set()
+        with hook_span("features"):
+            matrix = self.generate(candidates)
+        return candidates, matrix

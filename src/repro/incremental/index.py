@@ -42,9 +42,23 @@ slot is tombstoned (its aggregates zeroed, its CSR row left behind but
 unreferenced) and an updated entity re-enters under a fresh node id.  The
 :meth:`~MutableBlockIndex.canonical_node_ids` mapping renumbers the *live*
 nodes into the compact batch numbering (first-collection survivors in
-arrival order, then second-collection survivors), which is what
-:meth:`~MutableBlockIndex.snapshot_blocks` and the session's exact
-finalisation use to reproduce batch pruning bit-for-bit.
+arrival order, then second-collection survivors), which is what the
+session's exact finalisation uses to reproduce batch pruning bit-for-bit.
+The finalisation is array-only: the cardinality budgets come from
+:meth:`~MutableBlockIndex.block_totals` (two maintained integers), and
+:meth:`~MutableBlockIndex.snapshot_blocks` stays as the materialisation the
+equivalence tests compare those against.
+
+Export layout (the read state a serving view is built from):
+:meth:`~MutableBlockIndex.export_state` ships thirteen arrays — the CSR
+(``indptr``, ``indices``), ``sides``, three per-block vectors
+(``block_cardinality`` and the two inverse weights), four per-entity
+aggregates and the pair registry (``pair_left``, ``pair_right``,
+``pair_alive``) — plus the scalars of ``_export_meta``, among them
+``total_block_assignments``; :meth:`~MutableBlockIndex.export_delta` ships
+the appended tails of the same arrays, the dirty ids with their new values
+and the tombstoned nodes and registry positions.  Per-block member lists
+and block keys never leave the index.
 
 Per-insert cost is ``O(Σ_{b ∈ tokens(e)} |b|)`` — the size of the touched
 blocks, i.e. the mutation's candidate delta — independent of the number of
@@ -66,6 +80,7 @@ import numpy as np
 from ..blocking.arrayops import sorted_unique
 from ..blocking.base import BlockingMethod
 from ..blocking.token_blocking import TokenBlocking
+from ..core.pruning.base import BlockTotals
 from ..datamodel import (
     Block,
     BlockCollection,
@@ -206,14 +221,13 @@ class _DeltaTracker:
     Tracks *which* blocks and entities changed plus the tombstoned registry
     positions; the changed values themselves are read off the index at
     export time.  Everything appended past the recorded base watermarks
-    (slots, CSR, blocks, pair registry) is shipped as a tail, so only
-    in-place changes need explicit marking.
+    (slots, CSR, pair registry) is shipped as a tail, so only in-place
+    changes — and created blocks, which have no tail — need explicit marking.
     """
 
     __slots__ = (
         "base_epoch",
         "base_slots",
-        "base_blocks",
         "base_indptr",
         "base_indices",
         "base_pairs",
@@ -228,7 +242,6 @@ class _DeltaTracker:
     def rebase(self, index: "MutableBlockIndex") -> None:
         self.base_epoch = index.epoch
         self.base_slots = index.num_slots
-        self.base_blocks = index.num_blocks
         self.base_indptr = len(index._indptr)
         self.base_indices = len(index._indices)
         self.base_pairs = index.num_registered_pairs
@@ -598,6 +611,14 @@ class MutableBlockIndex:
             return EntityIndexSpace(self._side_counts[0], self._side_counts[1])
         return EntityIndexSpace(self._side_counts[0])
 
+    def block_totals(self) -> BlockTotals:
+        """``Σ|b|`` and ``|E1|+|E2|`` of the live collection, in O(1).
+
+        What cardinality-based pruning derives its budgets from — equal to
+        the totals of :meth:`snapshot_blocks` without materialising it.
+        """
+        return BlockTotals(self.total_block_assignments, self.index_space().total)
+
     def canonical_node_ids(self) -> np.ndarray:
         """Map every node slot to its compact batch node id (-1 when dead).
 
@@ -669,7 +690,7 @@ class MutableBlockIndex:
         self._indptr.append(len(self._indices))
 
         if counterpart_parts:
-            counterparts = np.unique(np.concatenate(counterpart_parts))
+            counterparts = sorted_unique(np.concatenate(counterpart_parts))
         else:
             counterparts = np.empty(0, dtype=np.int64)
 
@@ -1094,7 +1115,7 @@ class MutableBlockIndex:
                 counterpart_parts.append(counterparts)
 
         if counterpart_parts:
-            counterparts = np.unique(np.concatenate(counterpart_parts))
+            counterparts = sorted_unique(np.concatenate(counterpart_parts))
         else:
             counterparts = np.empty(0, dtype=np.int64)
 
@@ -1603,39 +1624,14 @@ class MutableBlockIndex:
         return BlockCollection(blocks, self.index_space(), name=self.name)
 
     # -- delta shipping ---------------------------------------------------------
-    def _spawning_members(
-        self, block_ids: List[int]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Flattened member lists + lengths for ``block_ids`` (ship layout)."""
-        first_lists = [self._members_first[b] for b in block_ids]
-        second_lists = [self._members_second[b] for b in block_ids]
-        count = len(block_ids)
-        first_counts = np.fromiter(
-            (len(m) for m in first_lists), dtype=np.int64, count=count
-        )
-        second_counts = np.fromiter(
-            (len(m) for m in second_lists), dtype=np.int64, count=count
-        )
-        flat_first = np.fromiter(
-            (node for members in first_lists for node in members),
-            dtype=np.int64,
-            count=int(first_counts.sum()),
-        )
-        flat_second = np.fromiter(
-            (node for members in second_lists for node in members),
-            dtype=np.int64,
-            count=int(second_counts.sum()),
-        )
-        return flat_first, first_counts, flat_second, second_counts
-
     def _export_meta(self) -> dict:
         return {
             "bilateral": self.bilateral,
-            "name": self.name,
             "num_slots": self.num_slots,
             "num_blocks": self.num_blocks,
             "num_nonempty_blocks": self.num_nonempty_blocks,
             "total_cardinality": self.total_cardinality,
+            "total_block_assignments": self.total_block_assignments,
             "side_counts": tuple(self._side_counts),
             "num_pairs": self.num_pairs,
             "epoch": self.epoch,
@@ -1644,21 +1640,16 @@ class MutableBlockIndex:
     def export_state(self) -> dict:
         """The full read-state ship: every array a pinned view needs.
 
-        Arrays are zero-copy views into the index — consume (copy or ship)
-        them before the next mutation.  Member lists are shipped for the
-        comparison-spawning blocks only; ``meta["block_keys"]`` carries
-        every block key so deltas can address blocks by raw id later.
+        Thirteen arrays plus the scalars of :meth:`_export_meta`; arrays
+        are zero-copy views into the index — consume (copy or ship) them
+        before the next mutation.  Per-block member lists and block keys
+        stay behind: no reader of a pinned view needs them.
         """
-        cardinalities = self._block_cardinalities.view()
-        spawning = np.flatnonzero(cardinalities > 0)
-        flat_first, first_counts, flat_second, second_counts = (
-            self._spawning_members(spawning.tolist())
-        )
         arrays = {
             "indptr": self._indptr.view(),
             "indices": self._indices.view(),
             "sides": self._sides.view(),
-            "block_cardinality": cardinalities,
+            "block_cardinality": self._block_cardinalities.view(),
             "inv_block_cardinality": self._inverse_block_cardinalities.view(),
             "inv_block_size": self._inverse_block_sizes.view(),
             "blocks_per_entity": self._blocks_per_entity.view(),
@@ -1668,15 +1659,9 @@ class MutableBlockIndex:
             "pair_left": self._pair_left.view(),
             "pair_right": self._pair_right.view(),
             "pair_alive": self._pair_alive.view(),
-            "member_blocks": spawning,
-            "members_first": flat_first,
-            "first_counts": first_counts,
-            "members_second": flat_second,
-            "second_counts": second_counts,
         }
         meta = self._export_meta()
         meta["kind"] = "full"
-        meta["block_keys"] = list(self._block_keys)
         return {"arrays": arrays, "meta": meta}
 
     def enable_delta_tracking(self) -> int:
@@ -1704,9 +1689,9 @@ class MutableBlockIndex:
 
         The wire layout mirrors :meth:`export_state`: appended slot/CSR/
         pair-registry tails, the changed per-entity and per-block
-        aggregates as sorted id + value arrays, tombstoned nodes and
-        registry positions, and full member-list replacements for the
-        dirty blocks.
+        aggregates as sorted id + value arrays (``dirty_blocks`` includes
+        every block created since the base, so the receiver learns the new
+        block count from it), and tombstoned nodes and registry positions.
         """
         tracker = self._delta
         if tracker is None or int(since_epoch) != tracker.base_epoch:
@@ -1723,9 +1708,6 @@ class MutableBlockIndex:
             tombstoned = np.empty(0, dtype=np.int64)
         dirty_blocks = np.fromiter(
             sorted(tracker.blocks), dtype=np.int64, count=len(tracker.blocks)
-        )
-        flat_first, first_counts, flat_second, second_counts = (
-            self._spawning_members(dirty_blocks.tolist())
         )
         dead = np.fromiter(
             sorted(p for p in tracker.dead_pairs if p < tracker.base_pairs),
@@ -1755,15 +1737,9 @@ class MutableBlockIndex:
             "pair_right_tail": self._pair_right.view()[tracker.base_pairs :],
             "pair_alive_tail": self._pair_alive.view()[tracker.base_pairs :],
             "dead_pair_positions": dead,
-            "member_blocks": dirty_blocks,
-            "members_first": flat_first,
-            "first_counts": first_counts,
-            "members_second": flat_second,
-            "second_counts": second_counts,
         }
         meta = self._export_meta()
         meta["kind"] = "delta"
-        meta["new_block_keys"] = self._block_keys[tracker.base_blocks :]
         meta["base_epoch"] = tracker.base_epoch
         tracker.rebase(self)
         return {"arrays": arrays, "meta": meta}

@@ -25,7 +25,8 @@ answer is always available through :meth:`MatchingSession.retained`, which
 re-evaluates every live pair against the final statistics (reusing the
 maintained CSR and pair registry — no re-blocking, no re-extraction),
 renumbers the survivors into the canonical batch node space and applies the
-configured *batch* pruning algorithm.  Any interleaving of inserts, removals,
+configured *batch* pruning algorithm, its budgets read off the index's
+maintained block totals.  Any interleaving of inserts, removals,
 updates and bulk loads ending in collection ``C`` therefore reproduces the
 batch pipeline's retained pairs on ``C`` — for every pruning algorithm,
 including the cardinality-based CEP/CNP/RCNP, whose probability ties are
@@ -44,6 +45,7 @@ from ..core.pruning import SupervisedPruningAlgorithm, get_pruning_algorithm
 from ..core.pruning.base import VALIDITY_THRESHOLD
 from ..datamodel import CandidateSet, EntityProfile
 from ..ml import ProbabilisticClassifier, StandardScaler
+from ..obs.trace import hook_span
 from ..utils.pqueue import BoundedTopQueue
 from .delta import DeltaFeatureGenerator
 from .index import (
@@ -99,6 +101,35 @@ class FrozenModel:
             scaler=result.scaler,
             feature_set=tuple(result.feature_set),
         )
+
+
+def exact_answer(
+    features: DeltaFeatureGenerator, model: FrozenModel, pruning
+) -> Tuple[CandidateSet, np.ndarray, np.ndarray]:
+    """Generate → score → prune over every live pair of ``features.index``.
+
+    The one exact read path, shared by :meth:`MatchingSession.retained` and
+    the serving layer's ``match``: features of every live pair against the
+    current statistics, frozen-model scoring, canonical renumbering and the
+    batch pruning algorithm with its budgets derived from the index's
+    maintained :meth:`~MutableBlockIndex.block_totals` — arrays only, no
+    block collection is materialised.  Returns the live candidates (raw
+    node ids), their probabilities and the retained mask.
+    """
+    index = features.index
+    candidates, matrix = features.generate_all()
+    with hook_span("score"):
+        probabilities = model.score(matrix.values)
+    with hook_span("prune"):
+        if len(candidates) == 0:
+            mask = np.zeros(0, dtype=bool)
+        else:
+            mask = pruning.prune(
+                probabilities,
+                index.canonical_candidates(candidates),
+                index.block_totals(),
+            )
+    return candidates, probabilities, mask
 
 
 class StaleSessionError(RuntimeError):
@@ -773,21 +804,14 @@ class MatchingSession:
         statistics (one vectorized pass over the maintained CSR and pair
         registry), scores with the frozen model, renumbers the candidates
         into the canonical batch node space and applies the configured batch
-        pruning algorithm — reproducing what the batch pipeline retains on
-        the same final collection, for every pruning algorithm including
-        CEP/CNP/RCNP.
+        pruning algorithm (:func:`exact_answer`) — reproducing what the
+        batch pipeline retains on the same final collection, for every
+        pruning algorithm including CEP/CNP/RCNP.
         """
         self._check_generation()
-        candidates, matrix = self.features.generate_all()
-        probabilities = self.model.score(matrix.values)
-        if len(candidates) == 0:
-            mask = np.zeros(0, dtype=bool)
-        else:
-            mask = self.pruning.prune(
-                probabilities,
-                self.index.canonical_candidates(candidates),
-                self.index.snapshot_blocks(),
-            )
+        candidates, probabilities, mask = exact_answer(
+            self.features, self.model, self.pruning
+        )
         retained_ids = tuple(
             self._id_pair(int(i), int(j))
             for i, j in zip(candidates.left[mask], candidates.right[mask])

@@ -22,7 +22,7 @@ import numpy as np
 from ..datamodel import BlockCollection
 from ..utils.pqueue import BoundedTopQueue
 from ..utils.validation import check_ratio
-from ..core.pruning.cardinality_based import cep_budget, cnp_budget
+from ..core.pruning.cardinality_based import cep_budget, cnp_budget, resolve_budget
 from .graph import BlockingGraph
 
 
@@ -112,12 +112,7 @@ class UnsupervisedCEP(UnsupervisedPruningAlgorithm):
         self.budget = budget
 
     def prune(self, graph: BlockingGraph, blocks: Optional[BlockCollection] = None) -> np.ndarray:
-        if self.budget is not None:
-            budget = self.budget
-        else:
-            if blocks is None:
-                raise ValueError("CEP needs the block collection to derive its budget K")
-            budget = cep_budget(blocks)
+        budget = resolve_budget(self, blocks, cep_budget, "K")
         mask = np.zeros(graph.edge_count, dtype=bool)
         if graph.edge_count == 0:
             return mask
@@ -143,12 +138,7 @@ class UnsupervisedCNP(UnsupervisedPruningAlgorithm):
         self.budget = budget
 
     def prune(self, graph: BlockingGraph, blocks: Optional[BlockCollection] = None) -> np.ndarray:
-        if self.budget is not None:
-            budget = self.budget
-        else:
-            if blocks is None:
-                raise ValueError("CNP needs the block collection to derive its budget k")
-            budget = cnp_budget(blocks)
+        budget = resolve_budget(self, blocks, cnp_budget, "k")
 
         queues: Dict[int, BoundedTopQueue[int]] = {}
         keys = graph.candidates.packed_keys()

@@ -36,15 +36,16 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.pruning.base import SupervisedPruningAlgorithm
+from ..core.pruning.base import BlockSource, SupervisedPruningAlgorithm
 from ..core.pruning.cardinality_based import (
     SupervisedCEP,
     SupervisedCNP,
     cep_budget,
     cnp_budget,
+    resolve_budget,
 )
 from ..core.pruning.weight_based import SupervisedBLAST
-from ..datamodel import BlockCollection, CandidateSet
+from ..datamodel import CandidateSet
 from .executor import ParallelExecutor, split_ranges
 from .worker import blast_maxima_chunk, cep_chunk, cnp_node_range
 
@@ -53,7 +54,7 @@ def parallel_prune(
     algorithm: SupervisedPruningAlgorithm,
     probabilities: np.ndarray,
     candidates: CandidateSet,
-    blocks: Optional[BlockCollection],
+    blocks: Optional[BlockSource],
     executor: ParallelExecutor,
 ) -> np.ndarray:
     """Prune with worker parallelism where it is exact and profitable.
@@ -70,25 +71,15 @@ def parallel_prune(
     return algorithm.prune(probabilities, candidates, blocks)
 
 
-def _resolve_budget(algorithm, blocks, derive, what: str) -> int:
-    if algorithm.budget is not None:
-        return algorithm.budget
-    if blocks is None:
-        raise ValueError(
-            f"{algorithm.name} needs the block collection to derive its budget {what}"
-        )
-    return derive(blocks)
-
-
 def _prune_cep(
     algorithm: SupervisedCEP,
     probabilities: np.ndarray,
     candidates: CandidateSet,
-    blocks: Optional[BlockCollection],
+    blocks: Optional[BlockSource],
     executor: ParallelExecutor,
 ) -> np.ndarray:
     probabilities = algorithm._validate(probabilities, candidates)
-    budget = _resolve_budget(algorithm, blocks, cep_budget, "K")
+    budget = resolve_budget(algorithm, blocks, cep_budget, "K")
 
     valid = algorithm.valid_mask(probabilities)
     mask = np.zeros(len(candidates), dtype=bool)
@@ -117,11 +108,11 @@ def _prune_cnp(
     algorithm: SupervisedCNP,
     probabilities: np.ndarray,
     candidates: CandidateSet,
-    blocks: Optional[BlockCollection],
+    blocks: Optional[BlockSource],
     executor: ParallelExecutor,
 ) -> np.ndarray:
     probabilities = algorithm._validate(probabilities, candidates)
-    budget = _resolve_budget(algorithm, blocks, cnp_budget, "k")
+    budget = resolve_budget(algorithm, blocks, cnp_budget, "k")
 
     mask = np.zeros(len(candidates), dtype=bool)
     valid_positions = np.flatnonzero(algorithm.valid_mask(probabilities))

@@ -7,11 +7,19 @@ lightweight :class:`ShardStateStub` objects duck-typing the
 :class:`~repro.incremental.MutableBlockIndex` read surface.  Everything
 downstream — the merged pair union, the shard-major CSR concatenation,
 :class:`~repro.incremental.sharded.ShardedStatistics`, canonical
-renumbering, snapshot blocks — is the PR 5 merge contract reused verbatim,
-so a pinned read computes **exactly** what an offline
+renumbering, block totals — is the PR 5 merge contract reused verbatim, and
+the answer itself is :func:`repro.incremental.session.exact_answer`, the
+very function :meth:`MatchingSession.retained` runs, so a pinned read
+computes **exactly** what an offline
 :class:`~repro.incremental.MatchingSession` computes after replaying the
 same log prefix (the sharded/unsharded equivalence already proven by
 ``tests/incremental/test_sharded_index.py``).
+
+The shipped read state is arrays only — thirteen per shard plus a handful
+of scalars (:meth:`MutableBlockIndex.export_state`).  Per-block member
+lists and block keys never cross the worker boundary: the only thing a
+read ever took from them was ``Σ|b|`` for the cardinality budgets, which
+ships as the ``total_block_assignments`` scalar.
 
 Entity-id resolution is delegated to a caller-provided function: node ids
 are append-only in the authority index (slots are tombstoned, never
@@ -37,15 +45,14 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.pruning import SupervisedPruningAlgorithm
-from ..obs.trace import current_trace
-from ..datamodel import Block, BlockCollection, CandidateSet, EntityIndexSpace
+from ..obs.trace import current_trace, hook_span
+from ..datamodel import CandidateSet, EntityIndexSpace
 from ..incremental.delta import DeltaFeatureGenerator
 from ..incremental.index import _Growable, pack_pair_keys
+from ..incremental.session import exact_answer
 from ..incremental.sharded import ShardedMutableBlockIndex
 from ..weights.sparse import EntityBlockCSR
 from .workers import ShardWorkerHandle, WorkerError
-
-_EMPTY_MEMBERS = np.empty(0, dtype=np.int64)
 
 
 def _grown(array: np.ndarray) -> _Growable:
@@ -54,47 +61,35 @@ def _grown(array: np.ndarray) -> _Growable:
     return cell
 
 
-def _split_flat(flat: np.ndarray, counts: np.ndarray) -> List[np.ndarray]:
-    """Split a flattened member array back into per-block arrays."""
-    if counts.size == 0:
-        return []
-    return np.split(
-        np.ascontiguousarray(flat), np.cumsum(counts)[:-1].tolist()
-    )
-
-
 class ShardStateStub:
     """One shard's shipped read state behind the index read surface.
 
     Implements exactly the attributes and methods the sharded merge layer
     touches on its shards: the ``_Growable``-shaped aggregate arrays, the
-    full pair registry with its alive mask, :meth:`csr`,
-    :meth:`snapshot_blocks` and the node-registry helpers.
+    full pair registry with its alive mask, the block-assignment total,
+    :meth:`csr` and the node-registry helpers.
 
     Unlike its PR 7 ancestor the stub is *persistent*: :meth:`apply_full`
     (re)builds it from a full ship and :meth:`apply_delta` advances it in
     place — appended slot/CSR/pair tails, scattered per-entity and
-    per-block aggregates, tombstones, member-list replacements — so a warm
-    read costs O(changed), not O(state).  ``_members`` may retain entries
-    for blocks that have since stopped spawning comparisons; every reader
-    filters on ``block_cardinality > 0`` first.
+    per-block aggregates, tombstones — so a warm read costs O(changed),
+    not O(state).
     """
 
     def __init__(self, resolve_entity_id: Callable[[int], str]) -> None:
         self._resolve = resolve_entity_id
         self._canonical: Optional[np.ndarray] = None
-        #: block id -> (first-side members, second-side members)
-        self._members: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
     def _refresh_scalars(self, meta: Dict[str, Any]) -> None:
         self.num_blocks = int(meta["num_blocks"])
         self.num_nonempty_blocks = int(meta["num_nonempty_blocks"])
         self.total_cardinality = int(meta["total_cardinality"])
+        self.total_block_assignments = int(meta["total_block_assignments"])
         self._side_counts = list(meta["side_counts"])
-        if len(self._block_keys) != self.num_blocks:
+        if len(self._block_cardinalities) != self.num_blocks:
             raise WorkerError(
-                f"shard state desynchronized: {len(self._block_keys)} block "
-                f"keys held but the shipped state reports {self.num_blocks}"
+                f"shard state desynchronized: {len(self._block_cardinalities)} "
+                f"blocks held but the shipped state reports {self.num_blocks}"
             )
         if len(self._sides) != int(meta["num_slots"]):
             raise WorkerError(
@@ -105,8 +100,6 @@ class ShardStateStub:
     def apply_full(self, arrays: Dict[str, np.ndarray], meta: Dict[str, Any]) -> None:
         """(Re)build the stub from a complete shipped state."""
         self.bilateral = bool(meta["bilateral"])
-        self.name = meta["name"]
-        self._block_keys = list(meta["block_keys"])
         self._indptr = _grown(arrays["indptr"])
         self._indices = _grown(arrays["indices"])
         self._sides = _grown(arrays["sides"])
@@ -121,15 +114,6 @@ class ShardStateStub:
         self._pair_right = _grown(arrays["pair_right"])
         self._pair_alive = _grown(arrays["pair_alive"])
         self._num_live = int(np.count_nonzero(arrays["pair_alive"]))
-        self._members = dict(
-            zip(
-                arrays["member_blocks"].tolist(),
-                zip(
-                    _split_flat(arrays["members_first"], arrays["first_counts"]),
-                    _split_flat(arrays["members_second"], arrays["second_counts"]),
-                ),
-            )
-        )
         self._canonical = None
         self._refresh_scalars(meta)
 
@@ -162,16 +146,14 @@ class ShardStateStub:
                 "dirty_entity_inv_cardinality"
             ]
             self._entity_inv_size[dirty_entities] = arrays["dirty_entity_inv_size"]
-        # new blocks: keys + neutral aggregates, then the dirty scatter
-        new_keys = list(meta["new_block_keys"])
-        if new_keys:
-            self._block_keys.extend(new_keys)
-            self._block_cardinalities.extend(
-                np.zeros(len(new_keys), dtype=np.int64)
-            )
-            self._inverse_block_cardinalities.extend(np.ones(len(new_keys)))
-            self._inverse_block_sizes.extend(np.ones(len(new_keys)))
+        # new blocks (always dirty: ids at or past the held count) get
+        # neutral aggregates, then the dirty scatter fills every changed one
         dirty_blocks = arrays["dirty_blocks"]
+        created = int(np.count_nonzero(dirty_blocks >= len(self._block_cardinalities)))
+        if created:
+            self._block_cardinalities.extend(np.zeros(created, dtype=np.int64))
+            self._inverse_block_cardinalities.extend(np.ones(created))
+            self._inverse_block_sizes.extend(np.ones(created))
         if dirty_blocks.size:
             self._block_cardinalities[dirty_blocks] = arrays["dirty_block_cardinality"]
             self._inverse_block_cardinalities[dirty_blocks] = arrays[
@@ -195,11 +177,6 @@ class ShardStateStub:
         if dead.size:
             self._pair_alive[dead] = False
             self._num_live -= int(dead.size)
-        # member-list replacement for every dirty block
-        firsts = _split_flat(arrays["members_first"], arrays["first_counts"])
-        seconds = _split_flat(arrays["members_second"], arrays["second_counts"])
-        for position, block_id in enumerate(arrays["member_blocks"].tolist()):
-            self._members[block_id] = (firsts[position], seconds[position])
         self._refresh_scalars(meta)
 
     # -- registry surface --------------------------------------------------------
@@ -263,27 +240,6 @@ class ShardStateStub:
             num_blocks=self.num_blocks,
         )
 
-    def snapshot_blocks(self) -> BlockCollection:
-        canonical = self.canonical_node_ids()
-        blocks: List[Block] = []
-        spawning = np.flatnonzero(self._block_cardinalities.view() > 0)
-        for block_id in spawning.tolist():
-            first, second = self._members.get(
-                block_id, (_EMPTY_MEMBERS, _EMPTY_MEMBERS)
-            )
-            blocks.append(
-                Block(
-                    key=self._block_keys[block_id],
-                    entities_first=sorted(
-                        int(canonical[node]) for node in first.tolist()
-                    ),
-                    entities_second=sorted(
-                        int(canonical[node]) for node in second.tolist()
-                    ),
-                )
-            )
-        return BlockCollection(blocks, self.index_space(), name=self.name)
-
 
 class _ResidentShard:
     """One shard's resident stub plus the handshake that advances it."""
@@ -304,7 +260,7 @@ def merged_stub_view(
     A real :class:`ShardedMutableBlockIndex` (built without ``__init__``)
     so every merged read path — pair union, shard-major CSR concatenation,
     :class:`~repro.incremental.sharded.ShardedStatistics`, canonical
-    renumbering, snapshot blocks — runs the PR 5 merge code unchanged.
+    renumbering, block totals — runs the PR 5 merge code unchanged.
     Built fresh per query (it caches merged pairs), over stubs that may be
     long-lived residents.
     """
@@ -363,23 +319,15 @@ def match_answer(
 ) -> Dict[str, Any]:
     """The exact retained set at the view's pinned offset.
 
-    Mirrors :meth:`MatchingSession.retained` — features over every live
-    pair, frozen-model scoring, canonical renumbering, batch pruning —
-    against the pinned view instead of the live index.  The retained list
-    is sorted by entity-id pair, so the response is byte-identical however
-    the pairs were distributed over shards.
+    Runs :func:`~repro.incremental.session.exact_answer` — the function
+    behind :meth:`MatchingSession.retained` — against the pinned view
+    instead of the live index.  The retained list is sorted by entity-id
+    pair, so the response is byte-identical however the pairs were
+    distributed over shards.
     """
-    features = DeltaFeatureGenerator(view, model.feature_set)
-    candidates, matrix = features.generate_all()
-    probabilities = model.score(matrix.values)
-    if len(candidates) == 0:
-        mask = np.zeros(0, dtype=bool)
-    else:
-        mask = pruning.prune(
-            probabilities,
-            view.canonical_candidates(candidates),
-            view.snapshot_blocks(),
-        )
+    candidates, probabilities, mask = exact_answer(
+        DeltaFeatureGenerator(view, model.feature_set), model, pruning
+    )
     retained = sorted(
         [*_oriented_pair(view, int(i), int(j)), float(probability)]
         for i, j, probability in zip(
@@ -398,15 +346,18 @@ def top_k_answer(
     point queries cheap); ties are broken deterministically by packed
     candidate key.
     """
-    candidates = view.candidate_set()
+    with hook_span("merge-pairs"):
+        candidates = view.candidate_set()
     mask = (candidates.left == node) | (candidates.right == node)
     left = candidates.left[mask]
     right = candidates.right[mask]
     if left.size == 0:
         return []
     subset = CandidateSet(left, right, view.index_space())
-    features = DeltaFeatureGenerator(view, model.feature_set)
-    probabilities = model.score(features.generate(subset).values)
+    with hook_span("features"):
+        matrix = DeltaFeatureGenerator(view, model.feature_set).generate(subset)
+    with hook_span("score"):
+        probabilities = model.score(matrix.values)
     keys = pack_pair_keys(left, right)
     order = np.lexsort((keys, -probabilities))[: max(0, int(k))]
     matches = []

@@ -98,7 +98,13 @@ def entity_block_csr_from_memberships(
     if nodes.size and num_blocks:
         # (node, block) keys, sorted by node then block id
         keys = nodes * np.int64(num_blocks) + block_ids
-        keys = np.sort(keys) if assume_unique else np.unique(keys)
+        if assume_unique:
+            keys = np.sort(keys)
+        else:
+            # imported here: blocking.arrayops itself imports this module
+            from ..blocking.arrayops import sorted_unique
+
+            keys = sorted_unique(keys)
         nodes = keys // num_blocks
         block_ids = keys % num_blocks
     else:

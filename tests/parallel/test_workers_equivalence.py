@@ -15,7 +15,12 @@ from hypothesis import strategies as st
 
 from repro.blocking import prepare_blocks
 from repro.core.features import generate_features
-from repro.core.pruning import PRUNING_ALGORITHMS, get_pruning_algorithm
+from repro.core.pruning import (
+    CARDINALITY_BASED_ALGORITHMS,
+    PRUNING_ALGORITHMS,
+    BlockTotals,
+    get_pruning_algorithm,
+)
 from repro.datamodel import EntityCollection, make_profile
 from repro.parallel import ParallelExecutor, parallel_prune
 from repro.weights import PAPER_FEATURES
@@ -157,3 +162,28 @@ def test_all_pruning_algorithms_bit_identical(executor, first, second):
             executor,
         )
         assert np.array_equal(serial, sharded), f"{name} mask differs"
+        if name not in CARDINALITY_BASED_ALGORITHMS:
+            continue
+        # one budget resolver behind both paths: the collection's two totals
+        # derive the same budget as the collection, an explicit budget needs
+        # no blocks, and with neither both paths refuse in the same words
+        totals = BlockTotals.of(prepared.blocks)
+        explicit = get_pruning_algorithm(name, budget=2)
+        for prune in (
+            lambda algorithm, blocks: algorithm.prune(
+                probabilities, prepared.candidates, blocks
+            ),
+            lambda algorithm, blocks: parallel_prune(
+                algorithm, probabilities, prepared.candidates, blocks, executor
+            ),
+        ):
+            assert np.array_equal(prune(get_pruning_algorithm(name), totals), serial)
+            assert np.array_equal(
+                prune(explicit, None), explicit.prune(probabilities, prepared.candidates)
+            )
+            symbol = "K" if name == "CEP" else "k"
+            with pytest.raises(
+                ValueError,
+                match=f"^{name} needs the block collection to derive its budget {symbol}$",
+            ):
+                prune(get_pruning_algorithm(name), None)

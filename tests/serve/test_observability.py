@@ -35,6 +35,13 @@ def _span_names(tree):
     return names
 
 
+def _find_spans(tree, name):
+    found = [tree] if tree.get("name") == name else []
+    for child in tree.get("children", ()):
+        found += _find_spans(child, name)
+    return found
+
+
 @pytest.fixture()
 def obs_daemon(tmp_path, frozen_model):
     daemon = MatchingDaemon(
@@ -147,6 +154,8 @@ class TestRequestEvents:
             client.insert(make_profile("b1", text="alpha beta"), side=1)
             client.match()
             match_trace = client.last_trace_id
+            client.top_k("a1", side=0)
+            top_k_trace = client.last_trace_id
         log = read_events(tmp_path / "events")
         requests = {
             event["trace"]: event
@@ -164,6 +173,17 @@ class TestRequestEvents:
             "match", "fan-out", "shard0", "shard1",
             "catch-up", "export", "view-apply", "score-and-prune",
         } <= match_spans
+        # the answer itself is split into its stages, once each per request
+        (answer_span,) = _find_spans(
+            requests[match_trace]["spans"], "score-and-prune"
+        )
+        assert [child["name"] for child in answer_span["children"]] == [
+            "merge-pairs", "features", "score", "prune",
+        ]
+        (top_k_span,) = _find_spans(requests[top_k_trace]["spans"], "score-top-k")
+        assert [child["name"] for child in top_k_span["children"]] == [
+            "merge-pairs", "features", "score",
+        ]
         assert requests[match_trace]["duration_ms"] > 0
 
     def test_request_start_and_slow_request_events(self, obs_daemon, tmp_path):

@@ -1,0 +1,107 @@
+"""The exact read path is array-only and its shard-pair union is exact.
+
+* No exact answer — ``MatchingSession.retained()``, the serving ``match``
+  and ``top_k`` — constructs a :class:`repro.datamodel.Block`, for any
+  pruning algorithm: the budgets of the cardinality-based ones come from the
+  maintained block totals, not from a materialised collection.
+* ``ShardedMutableBlockIndex._merged_pairs`` returns exactly the sorted
+  plain-Python set union of the shards' live pairs, including a pair alive
+  in two shards at once and a shard with no live pair at all.
+"""
+
+import pytest
+
+from conftest import make_frozen_model
+from repro.core.pruning import PRUNING_ALGORITHMS, get_pruning_algorithm
+from repro.datamodel import Block, make_profile
+from repro.incremental import MatchingSession, ShardedMutableBlockIndex
+from repro.parallel import shard_of_signature
+from repro.serve.router import build_pinned_view, match_answer, top_k_answer
+from repro.serve.workers import ShardReplica
+
+MODEL = make_frozen_model()
+
+_TEXTS = ("alpha beta", "beta gamma", "alpha gamma delta", "gamma delta", "alpha eps")
+
+
+def _forbid_blocks(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a Block was constructed on the exact read path")
+
+    monkeypatch.setattr(Block, "__init__", refuse)
+
+
+@pytest.mark.parametrize("pruning", sorted(PRUNING_ALGORITHMS))
+def test_no_exact_answer_constructs_a_block(tmp_path, monkeypatch, pruning):
+    session = MatchingSession(MODEL, bilateral=True, pruning=pruning, wal_path=tmp_path)
+    replicas = [ShardReplica(tmp_path, shard, 2) for shard in range(2)]
+    try:
+        for i, text in enumerate(_TEXTS):
+            session.insert(make_profile(f"a{i}", text=text), side=0)
+            session.insert(make_profile(f"b{i}", text=text), side=1)
+        session.remove("a1", side=0)
+        for replica in replicas:
+            replica.catch_up(session.wal.log_offset)
+        view = build_pinned_view(
+            [replica.read_state() for replica in replicas], session.index.entity_id
+        )
+
+        _forbid_blocks(monkeypatch)
+        result = session.retained()
+        answer = match_answer(view, MODEL, session.pruning)
+        matches = top_k_answer(view, MODEL, session.index.node_of("a0", side=0), 3)
+    finally:
+        for replica in replicas:
+            replica.close()
+        session.close()
+    assert result.retained_count > 0
+    assert [pair[:2] for pair in answer["retained"]] == sorted(
+        list(pair) for pair in result.retained_ids
+    )
+    assert matches and all(match["side"] == 1 for match in matches)
+
+
+def _tokens_per_shard(num_shards, per_shard=2):
+    """``per_shard`` distinct tokens hashing to each shard."""
+    found = [[] for _ in range(num_shards)]
+    serial = 0
+    while any(len(tokens) < per_shard for tokens in found):
+        token = f"tok{serial}"
+        serial += 1
+        shard = shard_of_signature(token, num_shards)
+        if len(found[shard]) < per_shard:
+            found[shard].append(token)
+    return found
+
+
+def test_merged_pairs_equal_the_python_set_union():
+    tokens = _tokens_per_shard(3)
+    index = ShardedMutableBlockIndex(num_shards=3)
+    # e0/e1 co-occur under a shard-0 token *and* a shard-1 token; e2 joins
+    # them through shard 0 only; e3/e4 pair up in shard 1 and e4 then leaves
+    # (a tombstoned registry position); shard 2 never spawns a pair
+    index.add_entity(make_profile("e0", text=f"{tokens[0][0]} {tokens[1][0]}"))
+    index.add_entity(make_profile("e1", text=f"{tokens[0][0]} {tokens[1][0]}"))
+    index.add_entity(make_profile("e2", text=f"{tokens[0][0]} {tokens[2][0]}"))
+    index.add_entity(make_profile("e3", text=tokens[1][1]))
+    index.add_entity(make_profile("e4", text=f"{tokens[1][1]} {tokens[2][1]}"))
+    index.remove_entity("e4")
+
+    per_shard = []
+    for shard in index.shards:
+        alive = shard._pair_alive.view()
+        per_shard.append(
+            set(
+                zip(
+                    shard._pair_left.view()[alive].tolist(),
+                    shard._pair_right.view()[alive].tolist(),
+                )
+            )
+        )
+    assert per_shard[0] & per_shard[1], "no pair is alive in two shards"
+    assert not per_shard[2], "every shard holds a live pair"
+    assert not index.shards[1]._pair_alive.view().all(), "no tombstoned position"
+
+    left, right = index._merged_pairs()
+    assert list(zip(left.tolist(), right.tolist())) == sorted(set().union(*per_shard))
+    assert index.num_pairs == len(set().union(*per_shard))
