@@ -16,6 +16,9 @@
 #   make bench-obs         - observability overhead bench (tracing+events on vs off)
 #   make bench-ledger      - the perf ledger, all four workloads (~100 s)
 #   make bench-ledger-quick - ledger smoke mode + its self-test (< 40 s)
+#   make bench-ab REF=<sha> [WORKLOADS="..."] [SEEDS="..."] [PR=n]
+#                          - same-box A/B of the ledger, parent REF vs the staged
+#                            tree, ten alternated seed pairs -> BENCH_<PR>.json
 #   make test-chaos        - seeded chaos suite (kill-loop against the daemon)
 #   make bench             - the full pytest-benchmark harness
 #   make loc               - the tracked src/ line count (ROADMAP aim 2)
@@ -23,14 +26,16 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: loc test test-equivalence test-fast test-chaos bench-smoke bench-stream bench-churn bench-blocking bench-parallel bench-wal bench-serve bench-delta bench-faults bench-obs bench-ledger bench-ledger-quick bench
+.PHONY: loc test test-equivalence test-fast test-chaos bench-smoke bench-stream bench-churn bench-blocking bench-parallel bench-wal bench-serve bench-delta bench-faults bench-obs bench-ledger bench-ledger-quick bench-ab bench
 
 test:
 	$(PYTEST) -x -q
 
 test-equivalence:
 	$(PYTEST) -q tests/weights/test_backend_equivalence.py tests/weights/test_golden_features.py \
-		tests/serve/test_budget_totals_property.py tests/serve/test_read_path_arrays.py
+		tests/serve/test_budget_totals_property.py tests/serve/test_read_path_arrays.py \
+		tests/weights/test_cooccurrence_kernel.py tests/test_import_layering.py \
+		tests/blocking/test_no_block_objects.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q
@@ -72,6 +77,11 @@ bench-ledger:
 bench-ledger-quick:
 	$(PYTHON) benchmarks/ledger/run.py all --quick
 	! $(PYTHON) benchmarks/ledger/run.py --workload batch_clean_rcnp --quick --self-test
+
+# stage the change first (git add): the change tree is an export of the index
+bench-ab:
+	$(PYTHON) benchmarks/ab.py --ref $(REF) --pr $(or $(PR),16) --trace-seed 2 \
+		$(if $(WORKLOADS),--workloads $(WORKLOADS)) $(if $(SEEDS),--seeds $(SEEDS))
 
 test-chaos:
 	$(PYTEST) -q -m chaos tests/faults/

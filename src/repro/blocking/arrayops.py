@@ -8,17 +8,19 @@ signature index, per-:class:`Block` loops or Python set of pair tuples:
   token-id array (sorted-vocabulary ranks, so block order matches the
   object chain's ``sorted(keys)``);
 * blocks are assembled directly as flat ``(block, entity)`` membership
-  arrays — a block x entity CSR — via packed-key ``np.unique``, with no
+  arrays — a block x entity CSR — via packed-key sorted dedup, with no
   per-signature dict;
 * Block Purging and Block Filtering are pure array passes over those
   memberships (per-block sizes/cardinalities with ``np.bincount``,
   per-entity retention ranks via ``np.lexsort``);
-* distinct candidate pairs are extracted by chunked vectorized pair
-  enumeration and packed-key ``np.unique`` dedup — bounded memory, no tuple
-  sets;
-* the entity x block CSR incidence structure of the final collection is
-  built once and handed forward, so feature generation and the
-  blocking-graph builder never re-derive it.
+* the comparisons are expanded **once** (:mod:`repro.pairs`) and reduced
+  by one sort: the run boundaries are the distinct candidate pairs, the
+  run sums their co-occurrence aggregates (:func:`reduce_candidates`) —
+  bounded memory, no tuple sets, no second expansion in the answer phase;
+* what the answer phase needs rides forward on :class:`PreparedBlocks`
+  (entity x block CSR, candidates, aggregates), and every stage's blocks
+  are a :class:`LazyBlockCollection`: no :class:`Block` is built unless
+  something iterates one.
 
 The object chain (``BlockingMethod.build_blocks``, ``purge_oversized_blocks``,
 ``filter_blocks``, ``CandidateSet.from_blocks``) stays as the reference: the
@@ -28,8 +30,8 @@ directly and assert block-for-block and pair-for-pair identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,67 +43,24 @@ from ..datamodel import (
     EntityIndexSpace,
 )
 from ..utils.timing import StageTimer
+from ..pairs import distinct_pair_keys, key_field_bits, pair_expansion_plan, sorted_unique
 from ..weights.sparse import (
     EntityBlockCSR,
+    PairCooccurrence,
     entity_block_csr_from_memberships,
-    expand_pair_chunks,
+    inverse_block_weights,
+    pair_major_cooccurrence,
+    reduce_pair_cooccurrence,
 )
 from .base import BlockingMethod
 from .token_blocking import TokenBlocking
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..weights import BlockStatistics
+
 #: Upper bound on the number of packed pair keys buffered before a dedup
 #: flush during candidate extraction (bounds peak memory).
 DEFAULT_PAIR_CHUNK_KEYS: int = 1 << 22
-
-
-def _dedup_sorted(ordered: np.ndarray) -> np.ndarray:
-    """Drop adjacent duplicates from an already-sorted array."""
-    if ordered.size == 0:
-        return ordered
-    keep = np.empty(ordered.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-    return ordered[keep]
-
-
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of an int64 array.
-
-    Equivalent to ``np.unique`` but via an explicit sort + adjacent-diff
-    mask; NumPy's hash-based unique is several times slower on the packed
-    int64 keys this module runs on.
-    """
-    if values.size == 0:
-        return values
-    return _dedup_sorted(np.sort(values))
-
-
-#: Public alias: the incremental subsystem's bulk loader deduplicates its
-#: membership and candidate-pair keys with the same sort + adjacent-diff
-#: kernel block preparation uses.
-sorted_unique = _sorted_unique
-
-
-def _merge_sorted_unique(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Union of two sorted distinct arrays, as a sorted distinct array.
-
-    A vectorized two-way merge (scatter by ``searchsorted`` rank) instead of
-    re-sorting the concatenation, so repeated flushes into a growing
-    accumulator stay linear in its size.
-    """
-    if a.size == 0:
-        return b
-    if b.size == 0:
-        return a
-    merged = np.empty(a.size + b.size, dtype=np.int64)
-    merged[np.arange(a.size, dtype=np.int64) + np.searchsorted(b, a, side="left")] = a
-    merged[np.arange(b.size, dtype=np.int64) + np.searchsorted(a, b, side="right")] = b
-    return _dedup_sorted(merged)
-
-
-#: Public alias: the parallel engine folds per-worker key sets into a global
-#: sorted union with the same two-way merge kernel.
-merge_sorted_unique = _merge_sorted_unique
 
 
 @dataclass
@@ -178,10 +137,6 @@ class MembershipMatrix:
             )
         return blocks
 
-    def materialize(self) -> BlockCollection:
-        """Build the equivalent object-based :class:`BlockCollection`."""
-        return BlockCollection(self.build_block_objects(), self.index_space, name=self.name)
-
     def csr(self) -> EntityBlockCSR:
         """The entity x block CSR incidence structure of this collection."""
         return entity_block_csr_from_memberships(
@@ -196,10 +151,11 @@ class MembershipMatrix:
 class LazyBlockCollection(BlockCollection):
     """A :class:`BlockCollection` materialized from its matrix on demand.
 
-    The array engine returns these for the raw/purged stages: production
-    consumers only touch the final filtered collection, so the per-block
-    object construction is deferred until something (tests, quality
-    reports) actually reads the blocks.
+    The array engine returns these for every stage: the pipeline reads a
+    collection's length, totals and per-block sizes / cardinalities, which
+    are answered from the matrix, so the per-block object construction is
+    deferred until something (tests, quality reports) actually reads the
+    blocks.
     """
 
     def __init__(self, matrix: MembershipMatrix) -> None:
@@ -213,6 +169,21 @@ class LazyBlockCollection(BlockCollection):
         if self._cache is None:
             self._cache = self._matrix.build_block_objects()
         return self._cache
+
+    def __len__(self) -> int:
+        return self._matrix.num_blocks
+
+    def total_block_assignments(self) -> int:
+        return int(self._matrix.nodes.size)
+
+    def total_comparisons(self) -> int:
+        return int(self._matrix.block_cardinalities().sum())
+
+    def block_sizes(self) -> np.ndarray:
+        return self._matrix.block_sizes()
+
+    def block_cardinalities(self) -> np.ndarray:
+        return self._matrix.block_cardinalities()
 
 
 def _matrix_from_sorted(
@@ -284,6 +255,7 @@ def assemble_blocks(
     method: BlockingMethod,
     first: EntityCollection,
     second: Optional[EntityCollection] = None,
+    executor=None,
 ) -> MembershipMatrix:
     """Token Blocking (or any blocking method) as one array pass.
 
@@ -291,7 +263,9 @@ def assemble_blocks(
     one entity per source for Clean-Clean ER — become blocks in sorted
     signature order, exactly like the loop path's
     ``build_unilateral_blocks``/``build_bilateral_blocks`` followed by
-    ``without_empty_blocks``.
+    ``without_empty_blocks``.  A live executor shards the tokenization
+    (:func:`repro.parallel.blocking.dictionary_encode_sharded`); the packed-key
+    sorted dedup below makes the result independent of the partitioning.
     """
     if second is None:
         index_space = EntityIndexSpace(len(first))
@@ -299,7 +273,12 @@ def assemble_blocks(
     else:
         index_space = EntityIndexSpace(len(first), len(second))
         name = f"{method.name}({first.name},{second.name})"
-    codes, nodes, vocabulary = _dictionary_encode(method, first, second)
+    if executor is None:
+        codes, nodes, vocabulary = _dictionary_encode(method, first, second)
+    else:
+        from ..parallel.blocking import dictionary_encode_sharded
+
+        codes, nodes, vocabulary = dictionary_encode_sharded(method, first, second, executor)
     return assemble_from_codes(
         codes, nodes, vocabulary, index_space, name, bilateral=second is not None
     )
@@ -326,7 +305,7 @@ def assemble_from_codes(
     num_codes = len(vocabulary)
     if codes.size:
         # distinct (code, node) memberships, sorted by code then node
-        packed = _sorted_unique(codes * np.int64(total) + nodes)
+        packed = sorted_unique(codes * np.int64(total) + nodes)
         codes = packed // total
         nodes = packed % total
 
@@ -404,108 +383,97 @@ def filter_matrix(matrix: MembershipMatrix, ratio: float = 0.8) -> MembershipMat
     return _select_blocks(interim, interim.block_cardinalities() > 0, interim.name)
 
 
-def pair_expansion_plan(
-    matrix: MembershipMatrix,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-membership pair-expansion plan: ``(repeats, right_begin, offsets)``.
+def reduce_candidates(
+    matrix: MembershipMatrix, csr: EntityBlockCSR
+) -> Tuple[CandidateSet, Optional[PairCooccurrence]]:
+    """The distinct candidate pairs of ``matrix`` *and* their aggregates.
 
-    Every membership is assigned the pairs it is the *left* endpoint of —
-    the cross product with the block's second side for bilateral blocks,
-    the strictly-later members of the (sorted) block for intra blocks —
-    giving a per-membership repeat count, the start of its contiguous
-    right-hand slice in the flat ``nodes`` array, and the exclusive prefix
-    sum of the repeats (``offsets``, length ``n_memberships + 1``).  Both the
-    serial extraction below and the sharded extraction of
-    :mod:`repro.parallel.blocking` expand from this plan, which is why any
-    contiguous partitioning of the memberships yields the same pair set.
+    One expansion (:func:`repro.pairs.pair_expansion_plan`) serves both: the
+    reduce pass (:func:`repro.weights.sparse.reduce_pair_cooccurrence`) run
+    on the whole matrix yields the distinct pairs, sorted by (left, right),
+    with their co-occurrence aggregates.  Stranded blocks put same-side
+    pairs among the candidates of a clean-clean collection; those share
+    cross blocks the expansion never lists for them, so they are patched by
+    row intersection.  When :func:`repro.pairs.key_field_bits` refuses the
+    ``(left, right, block id)`` key, the pairs alone are extracted
+    (:func:`repro.pairs.distinct_pair_keys`: no per-block Python, memory
+    bounded by chunk + distinct set) and the answer phase computes the
+    aggregates.
     """
-    nodes = matrix.nodes
-    n_memberships = nodes.size
+    index_space = matrix.index_space
     sizes = matrix.block_sizes()
-    first = matrix.first_side_sizes()
-    second = sizes - first
-    block_starts = np.repeat(matrix.block_ptr[:-1], sizes)
-    positions = np.arange(n_memberships, dtype=np.int64)
-    intra_rank = positions - block_starts
-
-    block_of = matrix.block_of
-    is_cross = second[block_of] > 0
-    # cross blocks: first-side members pair with the whole second side,
-    # which occupies nodes[block_start + first : block_end] (node ids are
-    # sorted, first-source ids are smaller); second-side members emit
-    # nothing.  intra blocks (Dirty ER, or clean-clean blocks whose second
-    # side was emptied by filtering — Block.is_bilateral flips) pair each
-    # member with the strictly-later members of its block.
-    repeats = np.where(
-        is_cross,
-        np.where(intra_rank < first[block_of], second[block_of], 0),
-        sizes[block_of] - 1 - intra_rank,
+    plan = pair_expansion_plan(matrix.block_of, sizes, matrix.first_side_sizes())
+    bits = key_field_bits(index_space.total, index_space.total, matrix.num_blocks)
+    if bits is None:
+        keys = distinct_pair_keys(
+            matrix.nodes, *plan, max(index_space.total, 1), DEFAULT_PAIR_CHUNK_KEYS
+        )
+        return CandidateSet.from_packed_keys(keys, index_space), None
+    weights = (
+        inverse_block_weights(matrix.block_cardinalities()),
+        inverse_block_weights(sizes),
     )
-    right_begin = np.where(is_cross, block_starts + first[block_of], positions + 1)
-
-    pair_offsets = np.zeros(n_memberships + 1, dtype=np.int64)
-    np.cumsum(repeats, out=pair_offsets[1:])
-    return repeats, right_begin, pair_offsets
-
-
-def extract_candidate_keys(
-    matrix: MembershipMatrix, chunk_keys: int = DEFAULT_PAIR_CHUNK_KEYS
-) -> np.ndarray:
-    """The distinct candidate pairs as sorted packed ``i * total + j`` keys.
-
-    The expansion follows :func:`pair_expansion_plan` through
-    :func:`repro.weights.sparse.expand_pair_chunks` — membership chunks of
-    at most roughly ``chunk_keys`` pairs, flushed through a sorted-unique
-    pass into a running union: no per-block Python, and peak memory bounded
-    by the chunk size plus the *distinct* pair set — never by the raw
-    (redundancy-bearing) comparison count.
-    """
-    total = np.int64(max(matrix.index_space.total, 1))
-    nodes = matrix.nodes
-    n_memberships = nodes.size
-    if n_memberships == 0 or matrix.num_blocks == 0:
-        return np.empty(0, dtype=np.int64)
-
-    repeats, right_begin, pair_offsets = pair_expansion_plan(matrix)
-
-    seen: np.ndarray = np.empty(0, dtype=np.int64)
-    for _, _, left, right in expand_pair_chunks(
-        nodes, repeats, right_begin, pair_offsets, chunk_keys
-    ):
-        seen = _merge_sorted_unique(seen, _sorted_unique(left * total + right))
-    return seen
-
-
-def matrix_from_csr(csr: EntityBlockCSR, blocks: BlockCollection) -> MembershipMatrix:
-    """Transpose the entity x block CSR of ``blocks`` into its membership matrix.
-
-    The inverse of :meth:`MembershipMatrix.csr`, for collections that did not
-    come out of this module (sides follow the index space: first-source node
-    ids are the ones below ``size_first``).
-    """
-    total = np.int64(max(blocks.index_space.total, 1))
-    row_of = np.repeat(np.arange(csr.num_entities, dtype=np.int64), np.diff(csr.indptr))
-    packed = np.sort(csr.indices * total + row_of)
-    return _matrix_from_sorted(
-        [block.key for block in blocks],
-        packed // total,
-        packed % total,
-        blocks.index_space,
-        blocks.name,
+    left, aggregates = reduce_pair_cooccurrence(
+        matrix.nodes, matrix.block_of, *plan[:2], bits[0], bits[2], *weights,
+        DEFAULT_PAIR_CHUNK_KEYS,
     )
+    right = left & ((1 << bits[0]) - 1)
+    left >>= bits[0]
+    if index_space.is_clean_clean:
+        same_side = right < index_space.size_first
+        if same_side.any():
+            patch = pair_major_cooccurrence(csr, *weights, left[same_side], right[same_side])
+            for out, values in zip(aggregates, patch):
+                out[same_side] = values
+    return CandidateSet(left, right, index_space), aggregates
 
 
 @dataclass
-class ArrayPreparation:
-    """Raw output of the array block-preparation engine."""
+class PreparedBlocks:
+    """Output of the standard block-preparation pipeline."""
 
-    raw: BlockCollection
-    purged: BlockCollection
-    filtered: BlockCollection
+    #: the raw blocks produced by the blocking method
+    raw_blocks: BlockCollection
+    #: blocks surviving Block Purging
+    purged_blocks: BlockCollection
+    #: blocks surviving Block Filtering — the collection Meta-blocking refines
+    blocks: BlockCollection
+    #: the distinct candidate pairs of ``blocks``
     candidates: CandidateSet
-    #: entity x block CSR of ``filtered``, handed forward to feature
-    #: generation and the blocking-graph builder
-    csr: EntityBlockCSR
+    #: entity x block CSR of ``blocks``, prebuilt by the preparation and
+    #: reused by feature generation / the blocking-graph builder (statistics
+    #: build it themselves when a hand-assembled instance leaves it ``None``)
+    csr: Optional[EntityBlockCSR] = field(default=None, compare=False)
+    #: co-occurrence aggregates of ``candidates``, reduced by the serial
+    #: preparation from the expansion that found them (``None``: computed by
+    #: the statistics on first use)
+    cooccurrence: Optional[PairCooccurrence] = field(default=None, compare=False)
+    #: per-stage wall-clock of the preparation (blocking, purging,
+    #: filtering, candidate-extraction)
+    timer: Optional[StageTimer] = field(default=None, compare=False)
+    _stats: Optional["BlockStatistics"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def statistics(self) -> "BlockStatistics":
+        """Block statistics of ``blocks``, reusing what was prepared (cached).
+
+        This is the handoff contract: statistics created here inherit
+        :attr:`csr`, :attr:`candidates` and :attr:`cooccurrence`, so a
+        pipeline run over this preparation never rebuilds the incidence
+        structure, reads LCP as the degree of each node in the candidate
+        pairs already extracted and finds the pairs' co-occurrence
+        aggregates cached.
+        """
+        if self._stats is None:
+            from ..weights import BlockStatistics
+
+            self._stats = BlockStatistics(
+                self.blocks, csr=self.csr, candidates=self.candidates
+            )
+            if self.cooccurrence is not None:
+                self._stats.seed_pair_cooccurrence(self.candidates, self.cooccurrence)
+        return self._stats
 
 
 def prepare_blocks_array(
@@ -517,41 +485,50 @@ def prepare_blocks_array(
     apply_purging: bool = True,
     apply_filtering: bool = True,
     timer: Optional[StageTimer] = None,
-) -> ArrayPreparation:
+    executor=None,
+) -> PreparedBlocks:
     """Run the paper's block-preparation pipeline array-natively.
 
     Produces bit-identical blocks and candidate pairs to the loop path (see
     the module docstring), plus the final collection's CSR incidence
-    structure.  Per-stage wall-clock is recorded on ``timer`` when given.
+    structure and the candidates' co-occurrence aggregates.  Per-stage
+    wall-clock is recorded on ``timer`` when given.
+
+    With a live :class:`repro.parallel.ParallelExecutor` the two stages that
+    dominate the profile — tokenization and candidate extraction — fan out
+    across its workers (:mod:`repro.parallel.blocking`), bit-identically;
+    Block Purging and Block Filtering stay the same single-pass array code,
+    and no aggregates are handed forward (the feature fan-out computes them).
     """
     timer = timer if timer is not None else StageTimer()
     method = blocking if blocking is not None else TokenBlocking()
-
     with timer.stage("blocking"):
-        raw_matrix = assemble_blocks(method, first, second)
-        raw = LazyBlockCollection(raw_matrix)
-
+        raw_matrix = assemble_blocks(method, first, second, executor)
     with timer.stage("purging"):
-        if apply_purging:
-            purged_matrix = purge_matrix(raw_matrix, purging_fraction)
-            purged = LazyBlockCollection(purged_matrix)
-        else:
-            purged_matrix, purged = raw_matrix, raw
-
+        purged_matrix = (
+            purge_matrix(raw_matrix, purging_fraction) if apply_purging else raw_matrix
+        )
     with timer.stage("filtering"):
-        if apply_filtering:
-            filtered_matrix = filter_matrix(purged_matrix, filtering_ratio)
-            filtered = (
-                purged if filtered_matrix is purged_matrix else filtered_matrix.materialize()
-            )
-        else:
-            filtered_matrix, filtered = purged_matrix, purged
-
+        filtered_matrix = (
+            filter_matrix(purged_matrix, filtering_ratio) if apply_filtering else purged_matrix
+        )
     with timer.stage("candidate-extraction"):
-        keys = extract_candidate_keys(filtered_matrix)
-        candidates = CandidateSet.from_packed_keys(keys, filtered_matrix.index_space)
         csr = filtered_matrix.csr()
+        if executor is None:
+            candidates, cooccurrence = reduce_candidates(filtered_matrix, csr)
+        else:
+            from ..parallel.blocking import extract_candidate_keys_sharded
 
-    return ArrayPreparation(
-        raw=raw, purged=purged, filtered=filtered, candidates=candidates, csr=csr
+            keys = extract_candidate_keys_sharded(filtered_matrix, executor)
+            candidates = CandidateSet.from_packed_keys(keys, filtered_matrix.index_space)
+            cooccurrence = None
+
+    return PreparedBlocks(
+        raw_blocks=LazyBlockCollection(raw_matrix),
+        purged_blocks=LazyBlockCollection(purged_matrix),
+        blocks=LazyBlockCollection(filtered_matrix),
+        candidates=candidates,
+        csr=csr,
+        cooccurrence=cooccurrence,
+        timer=timer,
     )

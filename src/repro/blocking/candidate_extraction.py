@@ -8,10 +8,21 @@ candidate extraction.
 
 The chain runs on the array-native engine of :mod:`repro.blocking.arrayops`
 (batched tokenization, CSR block assembly, array purging/filtering passes and
-chunked vectorized pair extraction), sharded across worker processes by
-:mod:`repro.parallel.blocking` when ``workers > 1``.  It hands the
-entity x block CSR incidence structure forward on :attr:`PreparedBlocks.csr`
-so feature generation never rebuilds it.  The readable object chain
+one sort-and-reduce pass over the expanded comparisons), sharded across
+worker processes by :mod:`repro.parallel.blocking` when ``workers > 1``.
+
+The hand-off contract: everything the answer phase would otherwise derive
+again from the blocks rides forward on :class:`PreparedBlocks` —
+the entity x block CSR incidence structure (:attr:`PreparedBlocks.csr`),
+the distinct candidate pairs (LCP is a node's degree in them) and, from the
+serial engine, the pairs' co-occurrence aggregates
+(:attr:`PreparedBlocks.cooccurrence`), reduced from the *same* expansion of
+the comparisons that found the pairs.  :meth:`PreparedBlocks.statistics`
+installs all three, so feature generation rebuilds no incidence structure
+and ``stats.pair_cooccurrence(candidates)`` is a cache hit.  The sharded
+engine, and a key space the reduce pass refuses
+(:func:`repro.pairs.key_field_bits`), hand no aggregates; the answer phase
+then computes them with the same kernel.  The readable object chain
 (``BlockingMethod.build_blocks`` -> ``purge_oversized_blocks`` ->
 ``filter_blocks`` -> :func:`extract_candidates`) is the reference the
 equivalence tests compare against; nothing here selects it.
@@ -19,62 +30,17 @@ equivalence tests compare against; nothing here selects it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ..datamodel import BlockCollection, CandidateSet, EntityCollection
 from ..utils.timing import StageTimer
-from ..weights.sparse import EntityBlockCSR
-from .arrayops import prepare_blocks_array
+from .arrayops import PreparedBlocks, prepare_blocks_array
 from .base import BlockingMethod
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..weights import BlockStatistics
 
 
 def extract_candidates(blocks: BlockCollection) -> CandidateSet:
     """Return the distinct candidate pairs (comparisons) of ``blocks``."""
     return CandidateSet.from_blocks(blocks)
-
-
-@dataclass
-class PreparedBlocks:
-    """Output of the standard block-preparation pipeline."""
-
-    #: the raw blocks produced by the blocking method
-    raw_blocks: BlockCollection
-    #: blocks surviving Block Purging
-    purged_blocks: BlockCollection
-    #: blocks surviving Block Filtering — the collection Meta-blocking refines
-    blocks: BlockCollection
-    #: the distinct candidate pairs of ``blocks``
-    candidates: CandidateSet
-    #: entity x block CSR of ``blocks``, prebuilt by the preparation and
-    #: reused by feature generation / the blocking-graph builder (statistics
-    #: build it themselves when a hand-assembled instance leaves it ``None``)
-    csr: Optional[EntityBlockCSR] = field(default=None, compare=False)
-    #: per-stage wall-clock of the preparation (blocking, purging,
-    #: filtering, candidate-extraction)
-    timer: Optional[StageTimer] = field(default=None, compare=False)
-    _stats: Optional["BlockStatistics"] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def statistics(self) -> "BlockStatistics":
-        """Block statistics of ``blocks``, reusing what was prepared (cached).
-
-        This is the handoff contract: statistics created here inherit
-        :attr:`csr` and :attr:`candidates`, so a pipeline run over this
-        preparation never rebuilds the incidence structure and reads LCP as
-        the degree of each node in the candidate pairs already extracted.
-        """
-        if self._stats is None:
-            from ..weights import BlockStatistics
-
-            self._stats = BlockStatistics(
-                self.blocks, csr=self.csr, candidates=self.candidates
-            )
-        return self._stats
 
 
 def prepare_blocks(
@@ -121,37 +87,25 @@ def prepare_blocks(
     from ..parallel.executor import resolve_workers
 
     worker_count = executor.workers if executor is not None else resolve_workers(workers)
-    prep_timer = StageTimer()
-    stages = dict(
-        blocking=blocking,
-        purging_fraction=purging_fraction,
-        filtering_ratio=filtering_ratio,
-        apply_purging=apply_purging,
-        apply_filtering=apply_filtering,
-        timer=prep_timer,
-    )
-
-    if worker_count > 1:
-        from ..parallel.blocking import prepare_blocks_sharded
+    owned = None
+    if worker_count > 1 and executor is None:
         from ..parallel.executor import ParallelExecutor
 
-        owned = executor is None
-        live_executor = executor if executor is not None else ParallelExecutor(workers)
-        try:
-            result = prepare_blocks_sharded(first, second, live_executor, **stages)
-        finally:
-            if owned:
-                live_executor.close()
-    else:
-        result = prepare_blocks_array(first, second, **stages)
-
+        executor = owned = ParallelExecutor(workers)
+    try:
+        prepared = prepare_blocks_array(
+            first,
+            second,
+            blocking=blocking,
+            purging_fraction=purging_fraction,
+            filtering_ratio=filtering_ratio,
+            apply_purging=apply_purging,
+            apply_filtering=apply_filtering,
+            executor=executor if worker_count > 1 else None,
+        )
+    finally:
+        if owned is not None:
+            owned.close()
     if timer is not None:
-        timer.add("block-preparation", prep_timer.total)
-    return PreparedBlocks(
-        raw_blocks=result.raw,
-        purged_blocks=result.purged,
-        blocks=result.filtered,
-        candidates=result.candidates,
-        csr=result.csr,
-        timer=prep_timer,
-    )
+        timer.add("block-preparation", prepared.timer.total)
+    return prepared

@@ -77,7 +77,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..blocking.arrayops import sorted_unique
 from ..blocking.base import BlockingMethod
 from ..blocking.token_blocking import TokenBlocking
 from ..core.pruning.base import BlockTotals
@@ -88,11 +87,11 @@ from ..datamodel import (
     EntityIndexSpace,
     EntityProfile,
 )
+from ..pairs import MAX_NODE_ID, node_id_overflow, pack_pair_keys, sorted_unique
 from ..weights.sparse import (
     EntityBlockCSR,
     PairCooccurrence,
     PairCooccurrenceCache,
-    compute_pair_cooccurrence,
 )
 
 
@@ -128,42 +127,14 @@ class DuplicateEntityError(ValueError):
         self.side = side
 
 
-#: node ids must stay below 2^32 for the packed pair keys to be collision
-#: free; the insert path refuses to assign ids past this bound
-MAX_NODE_ID = 1 << 32
-
-
-def _node_id_overflow(node: int) -> OverflowError:
-    return OverflowError(
-        f"node id {node} reaches 2^32: packed pair keys would collide and "
-        "silently corrupt the candidate registry; compact() the index to "
-        "renumber live entities into fresh slots"
-    )
-
-
 def _pack_pair(left: int, right: int) -> int:
-    """A unique dict key for a canonical (left < right) node pair."""
-    if left >= MAX_NODE_ID or right >= MAX_NODE_ID:
-        raise _node_id_overflow(max(left, right))
-    return (left << 32) | right
+    """A unique dict key for a canonical (left < right) node pair.
 
-
-def pack_pair_keys(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`_pack_pair`: one stable int64 key per node pair.
-
-    Node ids below 2^32 make ``left << 32 | right`` collision free and —
-    unlike a stride-based packing — stable as the index grows.  The
-    registry and the session's online tie-breaking share this definition;
-    ids at or past the bound raise :class:`OverflowError` rather than
-    producing colliding keys.
+    The scalar form of :func:`repro.pairs.pack_pair_keys`.
     """
-    left = np.asarray(left, dtype=np.int64)
-    right = np.asarray(right, dtype=np.int64)
-    if left.size and (
-        int(left.max()) >= MAX_NODE_ID or int(right.max()) >= MAX_NODE_ID
-    ):
-        raise _node_id_overflow(max(int(left.max()), int(right.max())))
-    return (left << np.int64(32)) | right
+    if left >= MAX_NODE_ID or right >= MAX_NODE_ID:
+        raise node_id_overflow(max(left, right))
+    return (left << 32) | right
 
 
 class _Growable:
@@ -399,13 +370,10 @@ class IncrementalStatistics:
         index = self._index
         return self._pair_cache.get(
             candidates,
-            lambda: compute_pair_cooccurrence(
-                index.csr(),
-                index._inverse_block_cardinalities.view(),
-                index._inverse_block_sizes.view(),
-                candidates.left,
-                candidates.right,
-            ),
+            index.csr(),
+            index._inverse_block_cardinalities.view(),
+            index._inverse_block_sizes.view(),
+            index.sides(),
         )
 
 
@@ -1052,7 +1020,7 @@ class MutableBlockIndex:
             return
         base = self.num_slots
         if base + n_new > MAX_NODE_ID:
-            raise _node_id_overflow(base + n_new - 1)
+            raise node_id_overflow(base + n_new - 1)
         entity_ids = list(entity_ids)
         self._entity_ids.extend(entity_ids)
         self._node_of_id.update(
@@ -1216,7 +1184,7 @@ class MutableBlockIndex:
     def _register_entity(self, entity_id: str, side: int) -> int:
         node = self.num_slots
         if node >= MAX_NODE_ID:
-            raise _node_id_overflow(node)
+            raise node_id_overflow(node)
         self._entity_ids.append(entity_id)
         self._node_of_id[(side, entity_id)] = node
         self._sides.append(side)
@@ -1246,7 +1214,7 @@ class MutableBlockIndex:
         self.epoch += 1
         node = self.num_slots
         if node >= MAX_NODE_ID:
-            raise _node_id_overflow(node)
+            raise node_id_overflow(node)
         self._entity_ids.append("")
         self._sides.append(-1)
         for array in (

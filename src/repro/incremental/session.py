@@ -46,6 +46,7 @@ from ..core.pruning.base import VALIDITY_THRESHOLD
 from ..datamodel import CandidateSet, EntityProfile
 from ..ml import ProbabilisticClassifier, StandardScaler
 from ..obs.trace import hook_span
+from ..pairs import pack_pair_keys
 from ..utils.pqueue import BoundedTopQueue
 from .delta import DeltaFeatureGenerator
 from .index import (
@@ -54,7 +55,6 @@ from .index import (
     RetractionDelta,
     UnknownEntityError,
     _Growable,
-    pack_pair_keys,
 )
 
 

@@ -40,24 +40,18 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..blocking.arrayops import sorted_unique
 from ..blocking.base import BlockingMethod
 from ..blocking.token_blocking import TokenBlocking
 from ..core.pruning.base import BlockTotals
 from ..datamodel import BlockCollection, CandidateSet, EntityIndexSpace, EntityProfile
+from ..pairs import pack_pair_keys, sorted_unique
 from ..weights.sparse import (
     EntityBlockCSR,
     PairCooccurrence,
     PairCooccurrenceCache,
-    compute_pair_cooccurrence,
     entity_block_csr_from_memberships,
 )
-from .index import (
-    DuplicateEntityError,
-    MutableBlockIndex,
-    UnknownEntityError,
-    pack_pair_keys,
-)
+from .index import DuplicateEntityError, MutableBlockIndex, UnknownEntityError
 
 
 class ShardedStatistics:
@@ -114,14 +108,7 @@ class ShardedStatistics:
             self._merged = self._index._merged_csr()
         csr, inverse_cardinalities, inverse_sizes = self._merged
         return self._pair_cache.get(
-            candidates,
-            lambda: compute_pair_cooccurrence(
-                csr,
-                inverse_cardinalities,
-                inverse_sizes,
-                candidates.left,
-                candidates.right,
-            ),
+            candidates, csr, inverse_cardinalities, inverse_sizes, self._index.sides()
         )
 
 

@@ -27,11 +27,7 @@ aggregation), and the equivalence suite in ``tests/parallel/`` asserts it
 for blocks, candidate sets, all feature schemes and all pruning algorithms.
 """
 
-from .blocking import (
-    assemble_blocks_sharded,
-    extract_candidate_keys_sharded,
-    prepare_blocks_sharded,
-)
+from .blocking import dictionary_encode_sharded, extract_candidate_keys_sharded
 from .executor import (
     WORKERS_AUTO,
     ParallelExecutor,
@@ -52,13 +48,12 @@ __all__ = [
     "SharedArrayHandle",
     "WORKERS_AUTO",
     "WorkerCrashError",
-    "assemble_blocks_sharded",
     "attach_view",
     "detach_view",
+    "dictionary_encode_sharded",
     "extract_candidate_keys_sharded",
     "parallel_pair_cooccurrence",
     "parallel_prune",
-    "prepare_blocks_sharded",
     "resolve_workers",
     "shard_of_signature",
     "split_ranges",

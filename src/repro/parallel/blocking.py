@@ -1,20 +1,21 @@
 """Sharded block preparation (the ``workers > 1`` blocking path).
 
-The array engine (:mod:`repro.blocking.arrayops`) runs block
-preparation as four stages; this module parallelises the two that dominate
-its profile and keeps the rest as the same single-pass array code:
+The array engine (:func:`repro.blocking.arrayops.prepare_blocks_array`) runs
+block preparation as four stages; given an executor it takes the two that
+dominate its profile from this module and keeps the rest as the same
+single-pass array code:
 
 * **tokenization** — the :class:`~repro.parallel.planner.ShardPlanner`
   hash-partitions the profiles into K shards (stable global node ids),
   workers tokenize and dictionary-encode their shard independently, and the
   parent merges the per-shard token streams: shard vocabularies are unioned
   into the global sorted vocabulary, shard codes remapped to global ranks,
-  and the concatenated ``(code, node)`` stream handed to
+  and the concatenated ``(code, node)`` stream handed back to
   :func:`repro.blocking.arrayops.assemble_from_codes` — whose packed-key
   sorted dedup makes the result independent of the partitioning, i.e.
   bit-identical to single-pass assembly;
 * **candidate extraction** — the per-membership expansion plan
-  (:func:`repro.blocking.arrayops.pair_expansion_plan`) is computed once,
+  (:func:`repro.pairs.pair_expansion_plan`) is computed once,
   the flat membership arrays are published to shared memory, and workers
   expand disjoint membership ranges into locally-deduplicated packed pair
   keys; the parent folds the per-worker key sets with two-way sorted merges.
@@ -28,44 +29,27 @@ memory-bandwidth bound and a rounding error in the stage profile.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..blocking.arrayops import (
-    ArrayPreparation,
-    DEFAULT_PAIR_CHUNK_KEYS,
-    LazyBlockCollection,
-    MembershipMatrix,
-    assemble_from_codes,
-    filter_matrix,
-    merge_sorted_unique,
-    pair_expansion_plan,
-    purge_matrix,
-)
+from ..blocking.arrayops import DEFAULT_PAIR_CHUNK_KEYS, MembershipMatrix
 from ..blocking.base import BlockingMethod
-from ..blocking.token_blocking import TokenBlocking
-from ..datamodel import CandidateSet, EntityCollection, EntityIndexSpace
-from ..utils.timing import StageTimer
+from ..datamodel import EntityCollection
+from ..pairs import merge_sorted_unique, pair_expansion_plan
 from .executor import ParallelExecutor
 from .planner import ShardPlanner
 from .worker import candidate_chunk, tokenize_shard
 
 
-def assemble_blocks_sharded(
+def dictionary_encode_sharded(
     method: BlockingMethod,
     first: EntityCollection,
     second: Optional[EntityCollection],
     executor: ParallelExecutor,
-) -> MembershipMatrix:
-    """Sharded tokenization + block assembly, bit-identical to the serial pass."""
-    if second is None:
-        index_space = EntityIndexSpace(len(first))
-        name = f"{method.name}({first.name})"
-    else:
-        index_space = EntityIndexSpace(len(first), len(second))
-        name = f"{method.name}({first.name},{second.name})"
-
+) -> Tuple[np.ndarray, np.ndarray, List[str]]:
+    """Sharded tokenization: the ``(codes, nodes, vocabulary)`` stream of
+    :func:`repro.blocking.arrayops._dictionary_encode`, up to entry order."""
     planner = ShardPlanner(executor.workers)
     shards = planner.plan(first, second)
     results = executor.starmap(
@@ -88,9 +72,7 @@ def assemble_blocks_sharded(
         node_parts.append(np.repeat(shard.nodes, lengths))
     codes = np.concatenate(code_parts) if code_parts else np.empty(0, dtype=np.int64)
     nodes = np.concatenate(node_parts) if node_parts else np.empty(0, dtype=np.int64)
-    return assemble_from_codes(
-        codes, nodes, vocabulary, index_space, name, bilateral=second is not None
-    )
+    return codes, nodes, vocabulary
 
 
 def extract_candidate_keys_sharded(
@@ -104,7 +86,9 @@ def extract_candidate_keys_sharded(
     if n_memberships == 0 or matrix.num_blocks == 0:
         return np.empty(0, dtype=np.int64)
 
-    repeats, right_begin, pair_offsets = pair_expansion_plan(matrix)
+    repeats, right_begin, pair_offsets = pair_expansion_plan(
+        matrix.block_of, matrix.block_sizes(), matrix.first_side_sizes()
+    )
     total_pairs = int(pair_offsets[-1])
     if total_pairs == 0:
         return np.empty(0, dtype=np.int64)
@@ -129,53 +113,3 @@ def extract_candidate_keys_sharded(
     for part in parts:
         seen = merge_sorted_unique(seen, part)
     return seen
-
-
-def prepare_blocks_sharded(
-    first: EntityCollection,
-    second: Optional[EntityCollection],
-    executor: ParallelExecutor,
-    blocking: Optional[BlockingMethod] = None,
-    purging_fraction: float = 0.5,
-    filtering_ratio: float = 0.8,
-    apply_purging: bool = True,
-    apply_filtering: bool = True,
-    timer: Optional[StageTimer] = None,
-) -> ArrayPreparation:
-    """The array block-preparation pipeline with sharded hot stages.
-
-    Stage names and semantics match
-    :func:`repro.blocking.arrayops.prepare_blocks_array`; the output is
-    bit-identical (the ``workers`` equivalence suite asserts it).
-    """
-    timer = timer if timer is not None else StageTimer()
-    method = blocking if blocking is not None else TokenBlocking()
-
-    with timer.stage("blocking"):
-        raw_matrix = assemble_blocks_sharded(method, first, second, executor)
-        raw = LazyBlockCollection(raw_matrix)
-
-    with timer.stage("purging"):
-        if apply_purging:
-            purged_matrix = purge_matrix(raw_matrix, purging_fraction)
-            purged = LazyBlockCollection(purged_matrix)
-        else:
-            purged_matrix, purged = raw_matrix, raw
-
-    with timer.stage("filtering"):
-        if apply_filtering:
-            filtered_matrix = filter_matrix(purged_matrix, filtering_ratio)
-            filtered = (
-                purged if filtered_matrix is purged_matrix else filtered_matrix.materialize()
-            )
-        else:
-            filtered_matrix, filtered = purged_matrix, purged
-
-    with timer.stage("candidate-extraction"):
-        keys = extract_candidate_keys_sharded(filtered_matrix, executor)
-        candidates = CandidateSet.from_packed_keys(keys, filtered_matrix.index_space)
-        csr = filtered_matrix.csr()
-
-    return ArrayPreparation(
-        raw=raw, purged=purged, filtered=filtered, candidates=candidates, csr=csr
-    )

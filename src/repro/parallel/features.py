@@ -57,6 +57,7 @@ def parallel_pair_cooccurrence(
     inv_size_h = executor.publish(stats.inverse_block_sizes)
     left_h = executor.publish(candidates.left)
     right_h = executor.publish(candidates.right)
+    sides_h = executor.publish(stats.sides)
 
     out_common_h, out_common = executor.allocate_output((n_pairs,), np.float64)
     out_sic_h, out_sic = executor.allocate_output((n_pairs,), np.float64)
@@ -71,6 +72,7 @@ def parallel_pair_cooccurrence(
             inv_size_h,
             left_h,
             right_h,
+            sides_h,
             out_common_h,
             out_sic_h,
             out_sis_h,

@@ -10,7 +10,7 @@ pass) or returned as small/result-sized arrays.
 
 All kernels are deterministic and seedless — they reuse the single-process
 NumPy kernels unchanged (:func:`repro.weights.sparse.compute_pair_cooccurrence`,
-the sorted-unique dedup of :mod:`repro.blocking.arrayops`), which is what
+the expansion and sorted-unique dedup of :mod:`repro.pairs`), which is what
 makes every parallel stage bit-identical to its ``workers=1`` oracle.
 """
 
@@ -20,14 +20,10 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..blocking.arrayops import merge_sorted_unique, sorted_unique
 from ..blocking.base import BlockingMethod
 from ..datamodel import EntityProfile
-from ..weights.sparse import (
-    EntityBlockCSR,
-    compute_pair_cooccurrence,
-    expand_pair_chunks,
-)
+from ..pairs import distinct_pair_keys
+from ..weights.sparse import EntityBlockCSR, compute_pair_cooccurrence
 from .shm import SharedArrayHandle, attach_view
 
 
@@ -104,23 +100,19 @@ def candidate_chunk(
 ) -> np.ndarray:
     """Distinct packed candidate keys spawned by one membership range.
 
-    The same expansion :func:`repro.blocking.arrayops.extract_candidate_keys`
-    runs (:func:`repro.weights.sparse.expand_pair_chunks`), restricted to
-    memberships ``[start, stop)`` and flushed through sorted-unique merges
-    every ``chunk_keys`` pairs to bound peak memory.
+    :func:`repro.pairs.distinct_pair_keys` restricted to memberships
+    ``[start, stop)`` of the published plan.
     """
-    nodes = attach_view(nodes_h)
-    repeats = attach_view(repeats_h)
-    right_begin = attach_view(right_begin_h)
-    pair_offsets = attach_view(offsets_h)
-    total = np.int64(total)
-
-    seen: np.ndarray = np.empty(0, dtype=np.int64)
-    for _, _, left, right in expand_pair_chunks(
-        nodes, repeats, right_begin, pair_offsets, chunk_keys, start, stop
-    ):
-        seen = merge_sorted_unique(seen, sorted_unique(left * total + right))
-    return seen
+    return distinct_pair_keys(
+        attach_view(nodes_h),
+        attach_view(repeats_h),
+        attach_view(right_begin_h),
+        attach_view(offsets_h),
+        total,
+        chunk_keys,
+        start,
+        stop,
+    )
 
 
 # -- feature generation ----------------------------------------------------------
@@ -132,6 +124,7 @@ def cooccurrence_range(
     inv_size_h: SharedArrayHandle,
     left_h: SharedArrayHandle,
     right_h: SharedArrayHandle,
+    sides_h: SharedArrayHandle,
     out_common_h: SharedArrayHandle,
     out_inv_cardinality_h: SharedArrayHandle,
     out_inv_size_h: SharedArrayHandle,
@@ -160,6 +153,7 @@ def cooccurrence_range(
         attach_view(inv_size_h),
         left[start:stop],
         right[start:stop],
+        attach_view(sides_h),
     )
     attach_view(out_common_h)[start:stop] = aggregates.common
     attach_view(out_inv_cardinality_h)[start:stop] = aggregates.sum_inverse_cardinality

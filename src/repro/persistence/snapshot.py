@@ -23,8 +23,9 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..incremental.index import MutableBlockIndex, pack_pair_keys
+from ..incremental.index import MutableBlockIndex
 from ..incremental.sharded import ShardedMutableBlockIndex
+from ..pairs import pack_pair_keys
 from .log import WriteAheadLog
 
 #: snapshot/meta record state format version

@@ -48,9 +48,10 @@ from ..core.pruning import SupervisedPruningAlgorithm
 from ..obs.trace import current_trace, hook_span
 from ..datamodel import CandidateSet, EntityIndexSpace
 from ..incremental.delta import DeltaFeatureGenerator
-from ..incremental.index import _Growable, pack_pair_keys
+from ..incremental.index import _Growable
 from ..incremental.session import exact_answer
 from ..incremental.sharded import ShardedMutableBlockIndex
+from ..pairs import pack_pair_keys
 from ..weights.sparse import EntityBlockCSR
 from .workers import ShardWorkerHandle, WorkerError
 
@@ -95,6 +96,11 @@ class ShardStateStub:
             raise WorkerError(
                 f"shard state desynchronized: {len(self._sides)} node slots "
                 f"held but the shipped state reports {meta['num_slots']}"
+            )
+        if self._num_live != int(meta["num_pairs"]):
+            raise WorkerError(
+                f"shard state desynchronized: {self._num_live} live pairs "
+                f"held but the shipped state reports {meta['num_pairs']}"
             )
 
     def apply_full(self, arrays: Dict[str, np.ndarray], meta: Dict[str, Any]) -> None:

@@ -9,11 +9,21 @@ co-occurrence scheme is built from —
 * ``Σ_{b ∈ B_i ∩ B_j} 1/|b|`` — the RS/NRS numerator —
 
 are computed for *all* candidate pairs at once (NumPy only, no per-pair
-Python): block-major, by expanding every block's comparisons once and
-looking them up among the requested pairs, or pair-major, by sorted-array
-row intersections, whichever :func:`plan_block_major` estimates cheaper for
-the request.  The schemes then combine these aggregates with precomputed
-per-entity vectors using plain array arithmetic.
+Python) by one of two passes that add a pair's terms in the same order:
+
+* the **reduce pass** (:func:`reduce_pair_cooccurrence`) expands the blocks
+  into comparisons once through the side-aware plan of :mod:`repro.pairs`,
+  packs each as one int64 ``(left, right, block id)``, sorts, and reads the
+  distinct pairs off the run boundaries and the aggregates off
+  ``np.bincount`` over the run index.  Block preparation runs it on the
+  filtered membership matrix — there the request *is* the distinct set — and
+  hands the result forward; :func:`compute_pair_cooccurrence` runs it on the
+  CSR restricted to the requested nodes and gathers the request out of it;
+* the **pair-major pass** (:func:`pair_major_cooccurrence`) intersects the
+  two sorted CSR rows of every pair — what one-insert deltas, self-pairs,
+  same-side pairs of a bilateral request and key spaces past
+  :data:`repro.pairs.KEY_BITS` get, as :func:`plan_block_major` decides from
+  the inputs alone.
 
 The per-pair ``WeightingScheme.compute`` bodies are the reference these
 kernels are checked against: ``tests/weights/test_backend_equivalence.py``
@@ -25,13 +35,20 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..datamodel import BlockCollection
+from ..pairs import (
+    distinct_pair_keys,
+    expand_pair_chunks,
+    key_field_bits,
+    pair_expansion_plan,
+    sorted_unique,
+)
 
-#: Pairs intersected (pair-major) or comparisons expanded (block-major) per
+#: Pairs intersected (pair-major) or comparisons expanded (reduce pass) per
 #: chunk of the co-occurrence pass; bounds the size of its temporaries.
 DEFAULT_CHUNK_PAIRS: int = 1 << 16
 
@@ -58,8 +75,7 @@ class EntityBlockCSR:
         return int(self.indptr.size - 1)
 
 
-@dataclass(frozen=True)
-class PairCooccurrence:
+class PairCooccurrence(NamedTuple):
     """The per-pair co-occurrence aggregates of one candidate set.
 
     All arrays have shape ``(n_pairs,)`` and align with the candidate set's
@@ -72,6 +88,15 @@ class PairCooccurrence:
     sum_inverse_cardinality: np.ndarray
     #: ``Σ 1/|b|`` over the shared blocks per pair
     sum_inverse_size: np.ndarray
+
+
+def inverse_block_weights(values: np.ndarray) -> np.ndarray:
+    """Per-block ``1/max(value, 1)`` — the term a shared block adds to a sum.
+
+    Block statistics and the reduce pass of block preparation both weigh
+    with this one expression, which keeps their sums bit-identical.
+    """
+    return 1.0 / np.maximum(np.asarray(values, dtype=np.float64), 1.0)
 
 
 def entity_block_csr_from_memberships(
@@ -98,13 +123,7 @@ def entity_block_csr_from_memberships(
     if nodes.size and num_blocks:
         # (node, block) keys, sorted by node then block id
         keys = nodes * np.int64(num_blocks) + block_ids
-        if assume_unique:
-            keys = np.sort(keys)
-        else:
-            # imported here: blocking.arrayops itself imports this module
-            from ..blocking.arrayops import sorted_unique
-
-            keys = sorted_unique(keys)
+        keys = np.sort(keys) if assume_unique else sorted_unique(keys)
         nodes = keys // num_blocks
         block_ids = keys % num_blocks
     else:
@@ -149,185 +168,242 @@ def _gather_rows(csr: EntityBlockCSR, nodes: np.ndarray) -> Tuple[np.ndarray, np
     return rows, csr.indices[flat]
 
 
-def expand_pair_chunks(
-    nodes: np.ndarray,
-    repeats: np.ndarray,
-    right_begin: np.ndarray,
-    pair_offsets: np.ndarray,
-    chunk_pairs: int,
-    start: int = 0,
-    stop: Optional[int] = None,
-) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
-    """The block-major expansion of the comparisons, in bounded chunks.
+def _transposed_plan(
+    csr: EntityBlockCSR, is_active: np.ndarray, second: np.ndarray, two_sided_only: bool
+):
+    """The rows of the active nodes, transposed and planned for expansion.
 
-    ``nodes`` are memberships grouped by block; membership ``m`` is the left
-    endpoint of ``repeats[m]`` comparisons whose right endpoints are the
-    contiguous slice of ``nodes`` starting at ``right_begin[m]``, and
-    ``pair_offsets`` is the exclusive prefix sum of ``repeats``.  Yields
-    ``(begin, end, left, right)`` for successive membership ranges of
-    ``[start, stop)`` spawning roughly ``chunk_pairs`` comparisons each —
-    plain ``np.repeat`` + offset arithmetic, no per-block Python.  Candidate
-    extraction (serial and sharded) and the block-major co-occurrence pass
-    all expand through here.
+    Returns ``(active, nodes, block_of, plan)``: the active node ids ranked
+    first side first, their memberships sorted by (block id, side, node) with
+    nodes as ranks into ``active``, and the
+    :func:`repro.pairs.pair_expansion_plan` of those memberships — optionally
+    of the two-sided blocks only (no other emits a cross-side pair).
     """
-    stop = int(nodes.size) if stop is None else stop
-    while start < stop:
-        end = int(
-            np.searchsorted(pair_offsets, pair_offsets[start] + chunk_pairs, side="right")
-        ) - 1
-        end = min(max(end, start + 1), stop)
-        chunk_total = int(pair_offsets[end] - pair_offsets[start])
-        if chunk_total:
-            chunk_repeats = repeats[start:end]
-            left = np.repeat(nodes[start:end], chunk_repeats)
-            within = np.arange(chunk_total, dtype=np.int64) - np.repeat(
-                pair_offsets[start:end] - pair_offsets[start], chunk_repeats
-            )
-            right = nodes[np.repeat(right_begin[start:end], chunk_repeats) + within]
-            yield start, end, left, right
-        start = end
+    active = np.flatnonzero(is_active)
+    on_second = second[active]
+    active = np.concatenate((active[~on_second], active[on_second]))
+    n_first = active.size - np.count_nonzero(on_second)
+    ranks, block_ids = _gather_rows(csr, active)
+    sizes = np.bincount(block_ids, minlength=csr.num_blocks)
+    first_sizes = np.bincount(block_ids[ranks < n_first], minlength=csr.num_blocks)
+    if two_sided_only:
+        emits = (first_sizes > 0) & (sizes > first_sizes)
+        sizes, first_sizes = sizes * emits, first_sizes * emits
+        keep = emits[block_ids]
+        ranks, block_ids = ranks[keep], block_ids[keep]
+    bits = key_field_bits(csr.num_blocks, active.size)
+    if bits is None:
+        raise OverflowError("(block, node) keys of the collection do not fit an int64")
+    rank_bits = bits[1]
+    packed = np.sort((block_ids << rank_bits) | ranks)
+    block_of = packed >> rank_bits
+    nodes = packed & ((1 << rank_bits) - 1)
+    return active, nodes, block_of, pair_expansion_plan(block_of, sizes, first_sizes)
+
+
+def expansion_pairs(csr: EntityBlockCSR, sides: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct candidate pairs of the whole collection behind ``csr``."""
+    everyone = np.ones(csr.num_entities, dtype=bool)
+    active, nodes, _, plan = _transposed_plan(csr, everyone, np.asarray(sides) == 1, False)
+    stride = max(active.size, 1)
+    left, right = np.divmod(distinct_pair_keys(nodes, *plan, stride, DEFAULT_CHUNK_PAIRS), stride)
+    return active[left], active[right]
 
 
 #: Σ row lengths of the requested pairs below which the pair-major pass costs
-#: less than *planning* the block-major one (restriction + transposition), so
-#: no plan is attempted — one-insert streaming deltas live here.
+#: less than *planning* the reduce pass (restriction + transposition), so no
+#: plan is attempted — one-insert streaming deltas live here.
 _MIN_BLOCK_MAJOR_ENTRIES: int = 1 << 15
 
-#: Measured cost of one expanded block-major comparison (a binary search into
-#: the requested keys) in units of one gathered pair-major row entry.
+#: Measured cost of one expanded comparison of the reduce pass (expansion,
+#: its share of one int64 sort and of the ``np.bincount`` terms, the gather)
+#: in units of one gathered pair-major row entry: on random subsets and
+#: pair-range slices of DblpAcm, AbtBuy and D50K candidate sets the two
+#: passes break even at 1.7-2.6 row entries per comparison.
 _BLOCK_MAJOR_UNIT_COST: int = 2
 
 
 class _BlockMajorPlan(NamedTuple):
-    """The requested pairs and their blocks, restricted and transposed."""
+    """The reducible part of a request and its blocks, restricted and transposed."""
 
-    #: sorted distinct packed keys ``lo * n_active + hi`` of the requested pairs
+    #: request positions the reduce pass serves (``None``: all of them); the
+    #: rest — self-pairs, same-side pairs of a bilateral request — go pair-major
+    positions: Optional[np.ndarray]
+    #: packed ``(rank, rank)`` key of each served pair, in request order
     keys: np.ndarray
-    #: request position per sorted key (``None``: the request was sorted)
-    order: Optional[np.ndarray]
-    #: key stride — the number of nodes occurring in the requested pairs
-    n_active: np.int64
-    #: memberships of those nodes, sorted by (block id, node rank)
-    block_of: np.ndarray
+    #: memberships of the requested nodes (as ranks) sorted by (block, side, node)
     nodes: np.ndarray
-    #: intra-block expansion plan (see :func:`expand_pair_chunks`)
+    block_of: np.ndarray
+    #: their expansion plan, pruned to the requested left endpoints
     repeats: np.ndarray
     right_begin: np.ndarray
-    pair_offsets: np.ndarray
+    #: field widths of the ``(rank, rank, block id)`` key
+    node_bits: int
+    block_bits: int
 
 
 def plan_block_major(
-    csr: EntityBlockCSR, left: np.ndarray, right: np.ndarray
+    csr: EntityBlockCSR, left: np.ndarray, right: np.ndarray, sides: np.ndarray
 ) -> Optional[_BlockMajorPlan]:
-    """Plan the block-major pass, or ``None`` when pair-major should run.
+    """Plan the reduce pass, or ``None`` when pair-major should serve it all.
 
-    The choice is a cost estimate computed from the inputs alone: the
-    comparisons the blocks of the requested nodes expand into (each costs a
-    key lookup) against the row entries the pair-major pass gathers,
-    ``Σ |B_i| + |B_j|`` over the requested pairs.  A full candidate set
-    revisits every row once per neighbour, so block-major wins by the
-    redundancy of the collection; a one-insert delta touches each counterpart
-    row once while their blocks expand into mostly unrequested comparisons,
-    so pair-major wins.  Self-pairs, duplicate pairs and key spaces that
-    would overflow int64 are left to the pair-major pass as well.
+    The side-aware expansion lists *every* shared block only of the pairs a
+    block can emit: the cross-side pairs of a request that has any, else
+    (all pairs same-side, as in Dirty ER) every non-self pair through the
+    intra expansion; the other positions go pair-major.  For the reducible
+    part the choice is a cost estimate from the inputs alone: the
+    comparisons the blocks of the requested nodes expand into from a
+    requested left endpoint, against the row entries pair-major gathers,
+    ``Σ |B_i| + |B_j|``.  A full candidate set revisits every row once per
+    neighbour, so the reduce pass wins by the redundancy of the collection;
+    a one-insert delta touches each counterpart row once while their blocks
+    expand into mostly unrequested comparisons, so pair-major wins — as it
+    does when :func:`repro.pairs.key_field_bits` refuses the key.
     """
     indptr = csr.indptr
-    pair_entries = int(
-        (indptr[left + 1] - indptr[left]).sum() + (indptr[right + 1] - indptr[right]).sum()
-    )
-    if pair_entries < _MIN_BLOCK_MAJOR_ENTRIES:
+    entries = indptr[left + 1] - indptr[left] + indptr[right + 1] - indptr[right]
+    if int(entries.sum()) < _MIN_BLOCK_MAJOR_ENTRIES:
         return None
     lo = np.minimum(left, right)
     hi = np.maximum(left, right)
-    if np.any(lo == hi):
-        return None
+    second = np.asarray(sides) == 1
+    reducible = second[lo] != second[hi]
+    is_cross = bool(reducible.any())
+    if not is_cross:
+        reducible = lo != hi
+    positions = None
+    if not reducible.all():
+        positions = np.flatnonzero(reducible)
+        lo, hi, entries = lo[positions], hi[positions], entries[positions]
 
     # restrict to the nodes the request mentions: drops unrelated rows and
-    # the stale rows a streaming index leaves behind
+    # the stale rows a streaming index leaves behind.  An all-same-side
+    # request sees one side, so every block expands as intra
     is_active = np.zeros(csr.num_entities, dtype=bool)
     is_active[lo] = True
     is_active[hi] = True
-    active = np.flatnonzero(is_active)
-    n_active = int(active.size)
-    if max(n_active, csr.num_blocks) * n_active > np.iinfo(np.int64).max:
+    n_active = np.count_nonzero(is_active)
+    bits = key_field_bits(n_active, n_active, csr.num_blocks)
+    if bits is None:
         return None
-    ranks, block_ids = _gather_rows(csr, active)
-    sizes = np.bincount(block_ids, minlength=csr.num_blocks)
-    expanded = int((sizes * (sizes - 1) // 2).sum())
-    if _BLOCK_MAJOR_UNIT_COST * expanded >= pair_entries:
+    active, nodes, block_of, (repeats, right_begin, _) = _transposed_plan(
+        csr, is_active, second & is_cross, is_cross
+    )
+    rank_of = np.empty(csr.num_entities, dtype=np.int64)
+    rank_of[active] = np.arange(active.size, dtype=np.int64)
+    # the first-side endpoint of a cross pair is ranked lower: it is the left one
+    rank_lo, rank_hi = rank_of[lo], rank_of[hi]
+    rank_lo, rank_hi = np.minimum(rank_lo, rank_hi), np.maximum(rank_lo, rank_hi)
+    # a comparison is only ever asked for through its left endpoint
+    is_left = np.zeros(active.size, dtype=bool)
+    is_left[rank_lo] = True
+    repeats *= is_left[nodes]
+    if _BLOCK_MAJOR_UNIT_COST * int(repeats.sum()) >= int(entries.sum()):
         return None
-
-    stride = np.int64(n_active)
-    rank_of = np.cumsum(is_active) - 1
-    keys = rank_of[lo] * stride + rank_of[hi]
-    order = None
-    if not np.all(keys[1:] > keys[:-1]):
-        order = np.argsort(keys)
-        keys = keys[order]
-        if np.any(keys[1:] == keys[:-1]):
-            return None
-
-    # transpose: memberships sorted by (block id, node rank)
-    packed = np.sort(block_ids * stride + ranks)
-    block_ends = np.repeat(np.cumsum(sizes), sizes)
-    positions = np.arange(packed.size, dtype=np.int64)
-    repeats = block_ends - 1 - positions
-    pair_offsets = np.zeros(packed.size + 1, dtype=np.int64)
-    np.cumsum(repeats, out=pair_offsets[1:])
     return _BlockMajorPlan(
-        keys=keys,
-        order=order,
-        n_active=stride,
-        block_of=packed // stride,
-        nodes=packed % stride,
-        repeats=repeats,
-        right_begin=positions + 1,
-        pair_offsets=pair_offsets,
+        positions, (rank_lo << bits[0]) | rank_hi, nodes, block_of, repeats, right_begin,
+        node_bits=bits[0], block_bits=bits[2],
     )
 
 
-def _block_major_hits(
-    plan: _BlockMajorPlan, chunk_pairs: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(pair position, block id)`` per shared block, in ascending block id.
+def reduce_pair_cooccurrence(
+    nodes: np.ndarray,
+    block_of: np.ndarray,
+    repeats: np.ndarray,
+    right_begin: np.ndarray,
+    node_bits: int,
+    block_bits: int,
+    inverse_cardinalities: np.ndarray,
+    inverse_sizes: np.ndarray,
+    chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
+) -> Tuple[np.ndarray, PairCooccurrence]:
+    """Expand the comparisons once and reduce them to per-pair aggregates.
 
-    Every block's ``i < j`` member pairs are expanded and looked up in the
-    sorted requested keys; comparisons nobody asked for (and the same-side
-    pairs of a bilateral block) miss and are dropped, so the blocks need no
-    side information.
+    ``nodes`` / ``block_of`` are memberships grouped by block, first side
+    ahead of second, ``repeats`` / ``right_begin`` their
+    :func:`repro.pairs.pair_expansion_plan`.  Every comparison becomes one
+    int64 ``(left, right, block id)`` (field widths from
+    :func:`repro.pairs.key_field_bits`, which the caller has asked); sorted,
+    a pair's comparisons are adjacent in ascending block id, so the run
+    boundaries give the distinct pairs and ``np.bincount`` over the run index
+    the aggregates — each pair's terms added in ascending block id, exactly
+    as the pair-major pass adds them.  Returns the sorted distinct
+    ``left << node_bits | right`` keys and their aggregates.
+
+    The expansion runs entity-major — memberships reordered by (node, block)
+    and cut between two left nodes into chunks of roughly ``chunk_pairs``
+    comparisons — so a pair's comparisons fall in one chunk: chunks own
+    disjoint ascending key ranges, nothing is merged or re-associated, and
+    the result is bit-identical at any chunk bound with memory bounded by
+    the chunk (at least one node's comparisons) plus the distinct set.
     """
-    last = plan.keys.size - 1
-    hit_positions = [np.empty(0, dtype=np.int64)]
-    hit_blocks = [np.empty(0, dtype=np.int64)]
-    for begin, end, left, right in expand_pair_chunks(
-        plan.nodes, plan.repeats, plan.right_begin, plan.pair_offsets, chunk_pairs
+    position_bits = max(int(nodes.size), 2).bit_length()
+    order = np.sort((nodes << position_bits) | np.arange(nodes.size, dtype=np.int64))
+    order &= (1 << position_bits) - 1
+    left_nodes, repeats, right_begin = nodes[order], repeats[order], right_begin[order]
+    # the (left, ·, block id) part of every comparison's key, per membership
+    lead = (left_nodes << (node_bits + block_bits)) | block_of[order]
+    pair_offsets = np.zeros(order.size + 1, dtype=np.int64)
+    np.cumsum(repeats, out=pair_offsets[1:])
+    node_cuts = np.concatenate(
+        ([0], np.flatnonzero(left_nodes[1:] != left_nodes[:-1]) + 1, [order.size])
+    )
+    parts = []
+    for packed, scratch in expand_pair_chunks(
+        lead, nodes, repeats, right_begin, pair_offsets, node_cuts, chunk_pairs
     ):
-        comparison_keys = left * plan.n_active + right
-        found = np.searchsorted(plan.keys, comparison_keys)
-        np.minimum(found, last, out=found)
-        hit = plan.keys[found] == comparison_keys
-        hit_positions.append(found[hit])
-        hit_blocks.append(np.repeat(plan.block_of[begin:end], plan.repeats[begin:end])[hit])
-    positions = np.concatenate(hit_positions)
-    if plan.order is not None:
-        positions = plan.order[positions]
-    return positions, np.concatenate(hit_blocks)
+        scratch <<= block_bits
+        packed |= scratch
+        packed.sort()
+        # fresh chunk-sized arrays cost more than the arithmetic on them
+        # (page faults), so the dead ones are reused from here on
+        blocks = np.bitwise_and(packed, (1 << block_bits) - 1, out=scratch)
+        packed >>= block_bits
+        is_start = np.empty(packed.size, dtype=bool)
+        is_start[0] = True
+        np.not_equal(packed[1:], packed[:-1], out=is_start[1:])
+        starts = np.flatnonzero(is_start)
+        keys = packed[starts]
+        common = np.empty(starts.size, dtype=np.float64)
+        np.subtract(starts[1:], starts[:-1], out=common[:-1])
+        common[-1] = packed.size - starts[-1]
+        # 1-based run index: bin 0 stays empty and is sliced off
+        run = np.cumsum(is_start, out=packed)
+        weights = inverse_cardinalities[blocks]
+        sum_inverse_cardinality = np.bincount(run, weights=weights)[1:]
+        np.take(inverse_sizes, blocks, out=weights)
+        parts.append(
+            (keys, common, sum_inverse_cardinality, np.bincount(run, weights=weights)[1:])
+        )
+    if len(parts) == 1:
+        keys, *aggregates = parts[0]
+    elif parts:
+        keys, *aggregates = (np.concatenate(columns) for columns in zip(*parts))
+    else:
+        keys, *aggregates = np.empty(0, dtype=np.int64), *np.zeros((3, 0))
+    return keys, PairCooccurrence(*aggregates)
 
 
-def _pair_major_hits(
-    csr: EntityBlockCSR, left: np.ndarray, right: np.ndarray, chunk_pairs: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(pair position, block id)`` per shared block, by row intersection.
+def pair_major_cooccurrence(
+    csr: EntityBlockCSR,
+    inverse_cardinalities: np.ndarray,
+    inverse_sizes: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
+) -> PairCooccurrence:
+    """The aggregates of the requested pairs by intersecting their CSR rows.
 
     For each chunk of pairs both CSR rows are expanded into
     ``pair_position * num_blocks + block_id`` keys and intersected with
     :func:`np.intersect1d`, whose sorted output lists every pair's shared
-    blocks in ascending block id.
+    blocks in ascending block id; the aggregates are ``np.bincount`` over it.
     """
+    n_pairs = int(left.size)
     num_blocks = np.int64(csr.num_blocks)
     hit_positions = []
     hit_blocks = []
-    for start in range(0, int(left.size), chunk_pairs):
+    for start in range(0, n_pairs, chunk_pairs):
         stop = start + chunk_pairs
         rows_left, blocks_left = _gather_rows(csr, left[start:stop])
         rows_right, blocks_right = _gather_rows(csr, right[start:stop])
@@ -338,7 +414,16 @@ def _pair_major_hits(
         )
         hit_positions.append(shared // num_blocks + start)
         hit_blocks.append(shared % num_blocks)
-    return np.concatenate(hit_positions), np.concatenate(hit_blocks)
+    positions, blocks = np.concatenate(hit_positions), np.concatenate(hit_blocks)
+    return PairCooccurrence(
+        common=np.bincount(positions, minlength=n_pairs).astype(np.float64),
+        sum_inverse_cardinality=np.bincount(
+            positions, weights=inverse_cardinalities[blocks], minlength=n_pairs
+        ),
+        sum_inverse_size=np.bincount(
+            positions, weights=inverse_sizes[blocks], minlength=n_pairs
+        ),
+    )
 
 
 def compute_pair_cooccurrence(
@@ -347,18 +432,19 @@ def compute_pair_cooccurrence(
     inverse_sizes: np.ndarray,
     left: np.ndarray,
     right: np.ndarray,
+    sides: np.ndarray,
     chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
 ) -> PairCooccurrence:
     """Batched per-pair co-occurrence aggregates over all requested pairs.
 
-    Two passes find the ``(pair, shared block)`` incidences — block-major
-    (expand every block's comparisons once, look them up among the requested
-    pairs) and pair-major (intersect the two CSR rows of every pair); which
-    one runs is decided by :func:`plan_block_major` from the inputs.  Both
-    list a pair's shared blocks in ascending block id and the aggregates are
-    one ``np.bincount`` over that list, so the result is bit-identical
-    whichever pass ran and whatever ``chunk_pairs`` is — no per-pair Python
-    either way.
+    Two passes find every pair's shared blocks — the reduce pass (restrict
+    the CSR to the requested nodes, transpose it by (block, side, node),
+    :func:`reduce_pair_cooccurrence`, gather the request out of the reduced
+    keys: one lookup per *requested pair*, not per comparison) and the
+    pair-major pass (intersect the two CSR rows of every pair); which serves
+    which position is decided by :func:`plan_block_major` from the inputs.
+    Both add a pair's terms in ascending block id, so the result is
+    bit-identical whichever pass ran and whatever ``chunk_pairs`` is.
 
     Parameters
     ----------
@@ -369,6 +455,9 @@ def compute_pair_cooccurrence(
     left, right:
         Parallel node-id arrays of the requested pairs, in any orientation
         and order.
+    sides:
+        Source side per node id (``1``: second collection; anything else
+        counts as first) — what makes the expansion first x second.
     chunk_pairs:
         Pairs (comparisons) expanded per chunk; bounds the temporaries.
     """
@@ -379,20 +468,43 @@ def compute_pair_cooccurrence(
         zeros = np.zeros(n_pairs, dtype=np.float64)
         return PairCooccurrence(zeros, zeros.copy(), zeros.copy())
 
-    plan = plan_block_major(csr, left, right)
-    if plan is not None:
-        positions, blocks = _block_major_hits(plan, chunk_pairs)
+    weights = (inverse_cardinalities, inverse_sizes)
+    plan = plan_block_major(csr, left, right, sides)
+    if plan is None:
+        return pair_major_cooccurrence(csr, *weights, left, right, chunk_pairs)
+    keys, reduced = reduce_pair_cooccurrence(*plan[2:], *weights, chunk_pairs)
+    requested = plan.keys
+    if requested.size == keys.size and np.array_equal(requested, keys):
+        # the request *is* the distinct set of the expansion, in its order
+        if plan.positions is None:
+            return reduced
+        where, found = np.arange(keys.size), slice(None)
     else:
-        positions, blocks = _pair_major_hits(csr, left, right, chunk_pairs)
-    return PairCooccurrence(
-        common=np.bincount(positions, minlength=n_pairs).astype(np.float64),
-        sum_inverse_cardinality=np.bincount(
-            positions, weights=inverse_cardinalities[blocks], minlength=n_pairs
-        ),
-        sum_inverse_size=np.bincount(
-            positions, weights=inverse_sizes[blocks], minlength=n_pairs
-        ),
-    )
+        # gather; ascending needles keep the binary searches cache-friendly
+        # (a live registry is sorted but for its tail: the adaptive stable
+        # sort), and requested pairs sharing no block are absent from the
+        # reduction
+        unsorted = np.any(requested[1:] < requested[:-1])
+        order = np.argsort(requested, kind="stable") if unsorted else slice(None)
+        requested = requested[order]
+        found = np.searchsorted(keys, requested)
+        hit = found < keys.size
+        hit[hit] = keys[found[hit]] == requested[hit]
+        where, found = np.arange(requested.size)[order][hit], found[hit]
+    if plan.positions is not None:
+        where = plan.positions[where]
+    result = PairCooccurrence(*(np.zeros(n_pairs, dtype=np.float64) for _ in range(3)))
+    for out, values in zip(result, reduced):
+        out[where] = values[found]
+    if plan.positions is not None:
+        # what the expansion cannot vouch for: self-pairs and the same-side
+        # pairs of a bilateral request, by row intersection
+        rest = np.ones(n_pairs, dtype=bool)
+        rest[plan.positions] = False
+        patch = pair_major_cooccurrence(csr, *weights, left[rest], right[rest], chunk_pairs)
+        for out, values in zip(result, patch):
+            out[rest] = values
+    return result
 
 
 class PairCooccurrenceCache:
@@ -409,24 +521,25 @@ class PairCooccurrenceCache:
         self._entry: Optional[Tuple[weakref.ref, PairCooccurrence]] = None
 
     def get(
-        self, candidates, compute: Callable[[], PairCooccurrence]
+        self, candidates, csr, inverse_cardinalities, inverse_sizes, sides
     ) -> PairCooccurrence:
-        """Return the cached aggregates for ``candidates`` or compute them."""
+        """The cached aggregates of ``candidates``, else the kernel's over ``csr``."""
         if self._entry is not None:
             ref, cached = self._entry
             if ref() is candidates:
                 return cached
-        result = compute()
+        result = compute_pair_cooccurrence(
+            csr, inverse_cardinalities, inverse_sizes, candidates.left, candidates.right, sides
+        )
         self._entry = (weakref.ref(candidates), result)
         return result
 
     def seed(self, candidates, result: PairCooccurrence) -> None:
         """Install precomputed aggregates for ``candidates``.
 
-        The parallel feature engine (:mod:`repro.parallel.features`)
-        computes the aggregates across worker processes and seeds them
-        here, so every scheme of the subsequent generation reads the cache
-        instead of re-running the intersection pass.
+        Block preparation reduces them from its one expansion and the
+        parallel feature engine computes them across worker processes; once
+        seeded, every scheme of the next generation reads the cache.
         """
         self._entry = (weakref.ref(candidates), result)
 

@@ -26,7 +26,8 @@ from .sparse import (
     PairCooccurrence,
     PairCooccurrenceCache,
     build_entity_block_csr,
-    compute_pair_cooccurrence,
+    expansion_pairs,
+    inverse_block_weights,
 )
 
 
@@ -72,18 +73,20 @@ class BlockStatistics:
                 f"({candidates.index_space.total} vs {total_nodes} nodes)"
             )
 
-        # per-block quantities
-        self.block_sizes = np.array(
-            [block.size() for block in blocks], dtype=np.float64
-        )
-        self.block_cardinalities = np.array(
-            [block.cardinality() for block in blocks], dtype=np.float64
-        )
+        # per-block quantities (array-native: a prepared collection answers
+        # these from its membership matrix, no Block object is built)
+        self.block_sizes = np.asarray(blocks.block_sizes(), dtype=np.float64)
+        self.block_cardinalities = np.asarray(blocks.block_cardinalities(), dtype=np.float64)
         self.total_cardinality = float(self.block_cardinalities.sum())
         # per-block inverse weights shared by both scheme implementations (the
         # max(..., 1) guard mirrors sum_inverse_cardinality/sum_inverse_size)
-        self.inverse_block_cardinalities = 1.0 / np.maximum(self.block_cardinalities, 1.0)
-        self.inverse_block_sizes = 1.0 / np.maximum(self.block_sizes, 1.0)
+        self.inverse_block_cardinalities = inverse_block_weights(self.block_cardinalities)
+        self.inverse_block_sizes = inverse_block_weights(self.block_sizes)
+        #: source side per node id (1: second collection) — what makes the
+        #: co-occurrence kernel's expansion first x second
+        self.sides = (
+            np.arange(total_nodes) >= blocks.index_space.size_first
+        ).astype(np.int8)
 
         # per-entity aggregates straight from the CSR; np.bincount adds each
         # row's terms in ascending block id, the order the pair kernel uses
@@ -120,13 +123,10 @@ class BlockStatistics:
         """
         return self._pair_cache.get(
             candidates,
-            lambda: compute_pair_cooccurrence(
-                self._csr,
-                self.inverse_block_cardinalities,
-                self.inverse_block_sizes,
-                candidates.left,
-                candidates.right,
-            ),
+            self._csr,
+            self.inverse_block_cardinalities,
+            self.inverse_block_sizes,
+            self.sides,
         )
 
     # -- parallel-engine seeding -----------------------------------------------
@@ -135,9 +135,10 @@ class BlockStatistics:
     ) -> None:
         """Install externally computed per-pair aggregates for ``candidates``.
 
-        Used by :mod:`repro.parallel.features` after its sharded
-        intersection pass; subsequent scheme computations over the same
-        candidate-set object read the cache.
+        Used by :meth:`repro.blocking.PreparedBlocks.statistics` (the
+        aggregates block preparation reduced from its one expansion) and by
+        :mod:`repro.parallel.features` after its sharded pass; subsequent
+        scheme computations over the same candidate-set object read the cache.
         """
         self._pair_cache.seed(candidates, aggregates)
 
@@ -218,7 +219,7 @@ class BlockStatistics:
         """LCP as the degree of every node in the distinct candidate-pair set.
 
         The pairs are the ones handed over at construction or, for a bare
-        ``BlockStatistics(blocks)``, derived with the block-major expansion
+        ``BlockStatistics(blocks)``, derived with the side-aware expansion
         candidate extraction uses.  Independent of the loop formulation
         above (own cache), so the equivalence tests genuinely compare the
         two.
@@ -228,10 +229,7 @@ class BlockStatistics:
             if self._candidates is not None:
                 left, right = self._candidates.left, self._candidates.right
             else:
-                from ..blocking.arrayops import extract_candidate_keys, matrix_from_csr
-
-                keys = extract_candidate_keys(matrix_from_csr(self._csr, self.blocks))
-                left, right = np.divmod(keys, np.int64(max(total_nodes, 1)))
+                left, right = expansion_pairs(self._csr, self.sides)
             degrees = np.bincount(left, minlength=total_nodes)
             degrees += np.bincount(right, minlength=total_nodes)
             self._lcp_sparse = degrees.astype(np.float64)

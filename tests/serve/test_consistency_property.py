@@ -30,7 +30,7 @@ from repro.serve.router import (
     match_answer,
     merged_stub_view,
 )
-from repro.serve.workers import ShardReplica, WalFollowError
+from repro.serve.workers import ShardReplica, WalFollowError, WorkerError
 
 _TOKENS = ("alpha", "beta", "gamma", "delta", "eps", "zeta")
 _text = st.lists(st.sampled_from(_TOKENS), min_size=0, max_size=4).map(" ".join)
@@ -135,7 +135,7 @@ _STUB_ARRAYS = (
 
 
 class _ReadRecorder(dict):
-    """A shipped ``arrays`` dict that records which names the stub reads."""
+    """A shipped ``arrays`` / ``meta`` dict that records which names are read."""
 
     def __init__(self, arrays):
         super().__init__(arrays)
@@ -172,7 +172,8 @@ def test_resident_delta_view_equals_rebuild(operations, num_shards, respawn_at):
     """The delta-maintained resident view is *identical* — same arrays, same
     answers — to a from-scratch rebuild at every pinned offset, including
     across a forced replica respawn mid-stream (which must full-re-ship);
-    and the stub reads every array a worker ships, full or delta."""
+    and the stub reads every array and every index scalar a worker ships,
+    full or delta."""
     tmp = Path(tempfile.mkdtemp())
     session = MatchingSession(MODEL, bilateral=True, wal_path=tmp)
     try:
@@ -203,7 +204,7 @@ def test_resident_delta_view_equals_rebuild(operations, num_shards, respawn_at):
                 for shard in range(num_shards):
                     resident[shard].catch_up(offset)
                     state = resident[shard].read_state(base=bases[shard])
-                    meta = state["meta"]
+                    meta = _ReadRecorder(state["meta"])
                     if pin == 0 or (respawned and shard == respawn_shard):
                         assert state["kind"] == "full"
                     else:
@@ -222,6 +223,11 @@ def test_resident_delta_view_equals_rebuild(operations, num_shards, respawn_at):
                     # are skipped only when their id array came empty)
                     shipped = {name for name, array in arrays.items() if array.size}
                     assert shipped <= arrays.read, (state["kind"], shipped - arrays.read)
+                    # ... and no index scalar either (``bilateral`` cannot
+                    # change under a delta; ``epoch`` is the next read's base)
+                    scalars = set(session.index._export_meta())
+                    scalars -= {"epoch"} if state["kind"] == "full" else {"epoch", "bilateral"}
+                    assert scalars <= meta.read, (state["kind"], scalars - meta.read)
                     bases[shard] = {
                         "lineage": meta["lineage"],
                         "epoch": int(meta["epoch"]),
@@ -242,6 +248,28 @@ def test_resident_delta_view_equals_rebuild(operations, num_shards, respawn_at):
     finally:
         session.close()
         shutil.rmtree(tmp, ignore_errors=True)
+
+
+def test_stub_refuses_a_state_whose_live_pair_count_disagrees(tmp_path):
+    """``num_pairs`` rides in the shipped scalars to catch a pair registry
+    that drifted from the worker's — like ``num_blocks`` and ``num_slots``."""
+    session = MatchingSession(MODEL, bilateral=True, wal_path=tmp_path)
+    replica = ShardReplica(tmp_path, 0, 1)
+    try:
+        for i, text in enumerate(("alpha beta", "beta gamma")):
+            session.insert(make_profile(f"a{i}", text=text), side=0)
+            session.insert(make_profile(f"b{i}", text=text), side=1)
+        replica.catch_up(session.wal.log_offset)
+        state = replica.read_state()
+        stub = ShardStateStub(session.index.entity_id)
+        stub.apply_full(state["arrays"], state["meta"])
+        assert stub.num_pairs == session.index.num_pairs > 0
+        forged = dict(state["meta"], num_pairs=stub.num_pairs + 1)
+        with pytest.raises(WorkerError, match="live pairs"):
+            stub.apply_full(state["arrays"], forged)
+    finally:
+        replica.close()
+        session.close()
 
 
 class TestFollowerContract:

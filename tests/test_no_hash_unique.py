@@ -1,7 +1,7 @@
 """The array layers deduplicate with sort + adjacent-diff, not ``np.unique``.
 
 NumPy's hash-based ``np.unique`` is ~20x slower than
-:func:`repro.blocking.arrayops.sorted_unique` on the packed int64 keys these
+:func:`repro.pairs.sorted_unique` on the packed int64 keys these
 layers run on (9.5 ms vs 0.49 ms on 55 k keys), and it sat on every exact
 read and every acked mutation.  This guard fails if a call comes back.  The
 two float-label checks in ``ml/base.py`` and ``utils/validation.py`` are not
@@ -14,16 +14,19 @@ import pytest
 
 import repro
 
-GUARDED = ("blocking", "weights", "incremental", "serve", "parallel")
+GUARDED = ("pairs", "blocking", "weights", "incremental", "serve", "parallel")
 
 
 @pytest.mark.parametrize("layer", GUARDED)
 def test_layer_does_not_call_np_unique(layer):
     root = Path(repro.__file__).parent / layer
+    module = root.with_suffix(".py")
+    paths = [module] if module.exists() else sorted(root.rglob("*.py"))
+    assert paths, layer
     offenders = [
         f"{path.relative_to(root.parent)}:{number}"
-        for path in sorted(root.rglob("*.py"))
+        for path in paths
         for number, line in enumerate(path.read_text().splitlines(), start=1)
         if "np.unique(" in line
     ]
-    assert not offenders, f"use blocking.arrayops.sorted_unique instead: {offenders}"
+    assert not offenders, f"use repro.pairs.sorted_unique instead: {offenders}"

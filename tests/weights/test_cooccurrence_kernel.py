@@ -1,12 +1,17 @@
 """The two passes behind :func:`compute_pair_cooccurrence` agree bit for bit.
 
-``compute_pair_cooccurrence`` picks block-major or pair-major from a cost
-estimate of its inputs; no argument selects one.  These tests force each
-pass by patching the two constants of that estimate and assert that, on
-every input the public entry point accepts, both give ``np.array_equal``
-arrays that are ``np.allclose`` to a per-pair Python oracle reading the same
-CSR — and that the estimate itself lands on the expected side for a
-one-insert streaming delta and for a full live candidate set.
+``compute_pair_cooccurrence`` picks the reduce pass (expand the comparisons
+once, sort, reduce, gather the request) or pair-major (row intersection)
+from a cost estimate of its inputs; no argument selects one.  These tests
+force each pass by patching the two constants of that estimate and assert
+that, on every input the public entry point accepts, both give
+``np.array_equal`` arrays that are ``np.allclose`` to a per-pair Python
+oracle reading the same CSR, at any chunk bound — and that the estimate
+itself lands on the expected side for a one-insert streaming delta and for a
+full live candidate set.  Block preparation runs the same reduce pass on its
+membership matrix and hands the aggregates forward: they equal the kernel's,
+the kernel is not called again, and a key space past the bit budget of
+:mod:`repro.pairs` is refused loudly, not silently.
 """
 
 from contextlib import contextmanager
@@ -17,19 +22,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.pairs as pairs
 import repro.weights.sparse as sparse
 from repro.blocking import prepare_blocks
 from repro.datamodel import Block, BlockCollection, EntityIndexSpace
-from repro.datasets import load_benchmark
+from repro.datasets import load_benchmark, load_dirty_dataset
+from repro.datasets.registry import DIRTY_ORDER
 from repro.incremental import MutableBlockIndex
 from repro.weights import BlockStatistics, build_entity_block_csr
-from repro.weights.sparse import compute_pair_cooccurrence, plan_block_major
+from repro.weights.sparse import (
+    PairCooccurrence,
+    compute_pair_cooccurrence,
+    plan_block_major,
+)
 
 
 @contextmanager
 def forced(path):
     """Make the cost estimate always answer ``path`` (where it has a choice)."""
-    if path == "block-major":
+    if path == "reduce":
         patch = mock.patch.multiple(
             sparse, _MIN_BLOCK_MAJOR_ENTRIES=0, _BLOCK_MAJOR_UNIT_COST=0
         )
@@ -53,26 +64,32 @@ def oracle(csr, inverse_cardinalities, inverse_sizes, left, right):
     )
 
 
-def assert_paths_agree(csr, inverse_cardinalities, inverse_sizes, left, right):
+def assert_paths_agree(csr, inverse_cardinalities, inverse_sizes, left, right, sides):
     left = np.asarray(left, dtype=np.int64)
     right = np.asarray(right, dtype=np.int64)
-    args = (csr, inverse_cardinalities, inverse_sizes, left, right)
+    args = (csr, inverse_cardinalities, inverse_sizes, left, right, sides)
     with forced("pair-major"):
-        assert left.size == 0 or plan_block_major(csr, left, right) is None
+        assert left.size == 0 or plan_block_major(csr, left, right, sides) is None
         pair_major = compute_pair_cooccurrence(*args)
-    with forced("block-major"):
-        block_major = compute_pair_cooccurrence(*args)
-        tiny_chunks = compute_pair_cooccurrence(*args, chunk_pairs=3)
-    expected = oracle(*args)
-    for name, reference in zip(
-        ("common", "sum_inverse_cardinality", "sum_inverse_size"), expected
-    ):
-        assert np.array_equal(getattr(block_major, name), getattr(pair_major, name)), name
-        assert np.array_equal(getattr(tiny_chunks, name), getattr(pair_major, name)), name
+    with forced("reduce"):
+        reduced = compute_pair_cooccurrence(*args)
+        chunked = [compute_pair_cooccurrence(*args, chunk_pairs=bound) for bound in (3, 64)]
+    expected = oracle(*args[:5])
+    for name, reference in zip(PairCooccurrence._fields, expected):
+        assert np.array_equal(getattr(reduced, name), getattr(pair_major, name)), name
+        for other in chunked:
+            assert np.array_equal(getattr(other, name), getattr(pair_major, name)), name
         np.testing.assert_allclose(
             getattr(pair_major, name), reference, rtol=1e-12, atol=0, err_msg=name
         )
-    return block_major
+    return reduced
+
+
+def reducible_pairs(left, right, sides):
+    """The request positions the side-aware expansion can vouch for."""
+    second = np.asarray(sides) == 1
+    cross = second[left] != second[right]
+    return cross if cross.any() else left != right
 
 
 # -- strategies -----------------------------------------------------------------------
@@ -118,26 +135,39 @@ def test_block_major_equals_pair_major_and_oracle(data):
     left = np.array([i for i, _ in pairs], dtype=np.int64)
     right = np.array([j for _, j in pairs], dtype=np.int64)
     assert_paths_agree(
-        stats.csr(), stats.inverse_block_cardinalities, stats.inverse_block_sizes, left, right
+        stats.csr(),
+        stats.inverse_block_cardinalities,
+        stats.inverse_block_sizes,
+        left,
+        right,
+        stats.sides,
     )
 
 
 @given(data=collections_and_pairs())
 @settings(max_examples=60, deadline=None)
 def test_block_major_really_runs_on_distinct_canonical_requests(data):
-    """The forcing above is not vacuous: a clean request gets a plan."""
+    """The forcing above is not vacuous: a clean request gets a plan for
+    whatever the expansion can vouch for — its cross-side pairs when it has
+    any, every pair otherwise — and leaves exactly the rest to pair-major."""
     blocks, pairs = data
     distinct = sorted({(min(i, j), max(i, j)) for i, j in pairs if i != j}, reverse=True)
-    csr = build_entity_block_csr(blocks)
+    stats = BlockStatistics(blocks)
+    csr = stats.csr()
     left = np.array([i for i, _ in distinct], dtype=np.int64)
     right = np.array([j for _, j in distinct], dtype=np.int64)
-    touched = int(np.diff(csr.indptr)[np.concatenate((left, right))].sum()) if distinct else 0
-    with forced("block-major"):
-        plan = plan_block_major(csr, left, right) if distinct else None
+    served = reducible_pairs(left, right, stats.sides) if distinct else np.zeros(0, dtype=bool)
+    touched = int(np.diff(csr.indptr)[np.concatenate((left[served], right[served]))].sum())
+    with forced("reduce"):
+        plan = plan_block_major(csr, left, right, stats.sides) if distinct else None
     assert (plan is not None) == (touched > 0)
     if plan is not None:
-        assert np.all(np.diff(plan.keys) > 0)
+        positions = np.arange(left.size) if plan.positions is None else plan.positions
+        assert np.array_equal(positions, np.flatnonzero(served))
+        assert plan.keys.shape == positions.shape
         assert np.all(np.diff(plan.block_of) >= 0)
+        # within a block: first side ahead of second, ranks ascending
+        assert np.all((np.diff(plan.nodes) > 0) | (np.diff(plan.block_of) > 0))
 
 
 profile_tokens = st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=4, unique=True)
@@ -153,7 +183,9 @@ profile_tokens = st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=4, u
 )
 @settings(max_examples=60, deadline=None)
 def test_stale_rows_of_a_mutable_index(bilateral, script):
-    """Removes and updates leave tombstoned CSR rows; both passes skip them."""
+    """Removes and updates leave tombstoned CSR rows and the two sides
+    interleave in node-id space; both passes agree on the live candidates and
+    on arbitrary pairs of slots (tombstoned, same-side, self, repeated)."""
     from repro.datamodel import make_profile
 
     index = MutableBlockIndex(bilateral=bilateral)
@@ -171,13 +203,18 @@ def test_stale_rows_of_a_mutable_index(bilateral, script):
             entity_id, side = live[step % len(live)]
             index.update_entity(make_profile(entity_id, text=" ".join(tokens)), side=side)
     candidates = index.candidate_set()
-    assert_paths_agree(
+    args = (
         index.csr(),
         index._inverse_block_cardinalities.view(),
         index._inverse_block_sizes.view(),
-        candidates.left,
-        candidates.right,
     )
+    assert_paths_agree(*args, candidates.left, candidates.right, index.sides())
+    slots = np.arange(index.num_slots)
+    anything = (
+        np.concatenate((candidates.right[::-1], slots, slots[::-1], slots[:3])),
+        np.concatenate((candidates.left[::-1], slots, np.roll(slots, 1), slots[:3])),
+    )
+    assert_paths_agree(*args, *anything, index.sides())
 
 
 def test_empty_inputs():
@@ -186,7 +223,7 @@ def test_empty_inputs():
     for blocks in ([], [Block("a", [0, 1, 2])]):
         stats = BlockStatistics(BlockCollection(blocks, space))
         args = (stats.csr(), stats.inverse_block_cardinalities, stats.inverse_block_sizes)
-        assert assert_paths_agree(*args, none, none).common.shape == (0,)
+        assert assert_paths_agree(*args, none, none, stats.sides).common.shape == (0,)
     # pairs requested of a collection without a single membership
     stats = BlockStatistics(BlockCollection([Block("empty", [])], space))
     result = compute_pair_cooccurrence(
@@ -195,6 +232,7 @@ def test_empty_inputs():
         stats.inverse_block_sizes,
         np.array([0, 1]),
         np.array([2, 3]),
+        stats.sides,
     )
     assert result.common.tolist() == [0.0, 0.0]
 
@@ -206,27 +244,77 @@ def test_duplicates_self_pairs_and_orientation_through_the_entry_point():
     )
     stats = BlockStatistics(blocks)
     args = (stats.csr(), stats.inverse_block_cardinalities, stats.inverse_block_sizes)
-    with forced("block-major"):
-        reversed_pairs = compute_pair_cooccurrence(*args, np.array([2, 3, 1]), np.array([1, 2, 0]))
-        assert plan_block_major(stats.csr(), np.array([1, 1]), np.array([2, 2])) is None
-        assert plan_block_major(stats.csr(), np.array([1, 2]), np.array([2, 2])) is None
-        duplicated = compute_pair_cooccurrence(*args, np.array([1, 2, 1]), np.array([2, 1, 2]))
-        self_pair = compute_pair_cooccurrence(*args, np.array([2]), np.array([2]))
+    sides = stats.sides
+
+    def run(left, right):
+        return compute_pair_cooccurrence(*args, np.array(left), np.array(right), sides)
+
+    with forced("reduce"):
+        reversed_pairs = run([2, 3, 1], [1, 2, 0])
+        # duplicates are gathered out of the one reduction like any pair ...
+        assert plan_block_major(stats.csr(), np.array([1, 1]), np.array([2, 2]), sides).positions is None
+        duplicated = run([1, 2, 1], [2, 1, 2])
+        # ... a self-pair is no comparison: it is left to pair-major
+        mixed = plan_block_major(stats.csr(), np.array([1, 2]), np.array([2, 2]), sides)
+        assert mixed.positions.tolist() == [0]
+        assert plan_block_major(stats.csr(), np.array([2]), np.array([2]), sides) is None
+        self_pair = run([2], [2])
+        with_self = run([1, 2, 3], [2, 2, 2])
     assert reversed_pairs.common.tolist() == [2.0, 2.0, 1.0]
     assert duplicated.common.tolist() == [2.0, 2.0, 2.0]
     assert self_pair.common.tolist() == [3.0]
+    assert with_self.common.tolist() == [2.0, 3.0, 2.0]
 
 
 def test_key_space_overflow_falls_back_to_pair_major():
-    """The packed ``block * n_active + node`` keys must fit int64."""
+    """The packed ``(rank, rank, block id)`` keys must fit the bit budget."""
     csr = build_entity_block_csr(
         BlockCollection([Block("a", [0, 1, 2])], EntityIndexSpace(3))
     )
-    left, right = np.array([0, 0, 1]), np.array([1, 2, 2])
-    with forced("block-major"):
-        assert plan_block_major(csr, left, right) is not None
+    left, right, sides = np.array([0, 0, 1]), np.array([1, 2, 2]), np.zeros(3, dtype=np.int8)
+    with forced("reduce"):
+        assert plan_block_major(csr, left, right, sides) is not None
         huge = sparse.EntityBlockCSR(csr.indptr, csr.indices, num_blocks=1 << 62)
-        assert plan_block_major(huge, left, right) is None
+        assert plan_block_major(huge, left, right, sides) is None
+
+
+def test_bit_budget_fields():
+    assert pairs.key_field_bits(1 << 21, 1 << 21, 1 << 20) == (21, 21, 20)
+    assert pairs.key_field_bits(1 << 21, 1 << 21, (1 << 20) + 1) is None  # D2M scale
+    assert pairs.key_field_bits(0, 1, 2, 3) == (1, 1, 1, 2)
+    with pytest.raises(OverflowError, match="do not fit"):
+        pairs.distinct_pair_keys(*(np.empty(0, dtype=np.int64),) * 3, np.zeros(1, dtype=np.int64), 1 << 32, 8)
+
+
+def _collections(name, scale):
+    if name in DIRTY_ORDER:
+        return load_dirty_dataset(name, seed=11, scale=scale).collection, None
+    dataset = load_benchmark(name, seed=11, scale=scale)
+    return dataset.first, dataset.second
+
+
+@pytest.mark.parametrize("name", ["DblpAcm", "D10K"])
+def test_refused_keys_change_the_path_not_the_result(name):
+    """Both refusals, forced by shrinking the budget: the kernel takes
+    pair-major, ``prepare_blocks`` hands forward pairs without aggregates —
+    and every number equals the unpatched run's."""
+    collections = _collections(name, 0.05)
+    expected = prepare_blocks(*collections)
+    assert expected.cooccurrence is not None
+    stats = expected.statistics()
+    left, right = expected.candidates.left, expected.candidates.right
+    node_bits = pairs.key_field_bits(expected.candidates.index_space.total)[0]
+    # room for a (left, right) key, not for (left, right, block id)
+    with mock.patch.object(pairs, "KEY_BITS", 2 * node_bits):
+        refused = prepare_blocks(*collections)
+        assert refused.cooccurrence is None
+        assert plan_block_major(stats.csr(), left, right, stats.sides) is None
+        computed = refused.statistics().pair_cooccurrence(refused.candidates)
+    assert np.array_equal(refused.candidates.left, left)
+    assert np.array_equal(refused.candidates.right, right)
+    assert plan_block_major(stats.csr(), left, right, stats.sides) is not None
+    for ours, theirs in zip(computed, expected.cooccurrence):
+        assert np.array_equal(ours, theirs)
 
 
 # -- the cost estimate ---------------------------------------------------------------
@@ -254,12 +342,16 @@ def test_cost_estimate_picks_the_expected_side(churned_index):
     assert index.num_slots - index.num_entities >= 250  # tombstoned rows
 
     full = index.candidate_set()
-    assert plan_block_major(index.csr(), full.left, full.right) is not None
+    plan = plan_block_major(index.csr(), full.left, full.right, index.sides())
+    # every live pair is cross-side, and exactly the live first x second
+    # comparisons are expanded: no same-side pair, no tombstoned row
+    assert plan is not None and plan.positions is None
+    assert int(plan.repeats.sum()) == index.total_cardinality
 
     delta = index.delta_candidate_set(index.add_entity(profile, side=0))
     try:
         assert len(delta) > 20
-        assert plan_block_major(index.csr(), delta.left, delta.right) is None
+        assert plan_block_major(index.csr(), delta.left, delta.right, index.sides()) is None
     finally:
         index.remove_entity(profile.entity_id, side=0)
 
@@ -270,16 +362,70 @@ def test_slices_of_a_candidate_set_equal_the_whole(dblpacm_dataset):
     stats = prepared.statistics()
     left, right = prepared.candidates.left, prepared.candidates.right
     args = (stats.csr(), stats.inverse_block_cardinalities, stats.inverse_block_sizes)
-    assert plan_block_major(stats.csr(), left, right) is not None
-    whole = compute_pair_cooccurrence(*args, left, right)
+    assert plan_block_major(stats.csr(), left, right, stats.sides) is not None
+    whole = compute_pair_cooccurrence(*args, left, right, stats.sides)
     with forced("pair-major"):
-        pair_major = compute_pair_cooccurrence(*args, left, right)
+        pair_major = compute_pair_cooccurrence(*args, left, right, stats.sides)
     cut = left.size // 3
     parts = [
-        compute_pair_cooccurrence(*args, left[:cut], right[:cut]),
-        compute_pair_cooccurrence(*args, left[cut:], right[cut:]),
+        compute_pair_cooccurrence(*args, left[:cut], right[:cut], stats.sides),
+        compute_pair_cooccurrence(*args, left[cut:], right[cut:], stats.sides),
     ]
-    for name in ("common", "sum_inverse_cardinality", "sum_inverse_size"):
+    for name in PairCooccurrence._fields:
         assert np.array_equal(getattr(whole, name), getattr(pair_major, name))
         joined = np.concatenate([getattr(part, name) for part in parts])
         assert np.array_equal(joined, getattr(whole, name))
+
+
+# -- the hand-off ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["DblpAcm", "AbtBuy", "D10K"])
+def test_prepared_aggregates_equal_the_kernel_and_do_not_call_it(name, monkeypatch):
+    prepared = prepare_blocks(*_collections(name, 0.1))
+    candidates = prepared.candidates
+    expected = BlockStatistics(prepared.blocks).pair_cooccurrence(candidates)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the handed-forward aggregates were not used")
+
+    monkeypatch.setattr(sparse, "compute_pair_cooccurrence", refuse)
+    handed = prepared.statistics().pair_cooccurrence(candidates)
+    assert handed is prepared.cooccurrence
+    assert len(candidates) > 1000
+    for ours, theirs in zip(handed, expected):
+        assert np.array_equal(ours, theirs)
+
+
+def test_stranded_blocks_put_same_side_pairs_among_the_candidates():
+    """Block Filtering empties the second side of a clean-clean block: its
+    first-side members become candidates whose shared blocks include cross
+    blocks the expansion never lists for them — patched by row intersection,
+    in the preparation and in the kernel alike."""
+    from repro.datamodel import collection_from_dicts
+
+    def collection(name, texts):
+        rows = [{"id": f"{name}{i}", "text": text} for i, text in enumerate(texts)]
+        return collection_from_dicts(rows, id_field="id", name=name)
+
+    # b0 drops its largest block "v", stranding {a0, a1}; they still share
+    # the cross block "s" with each other (and with b0)
+    first = collection("a", ["v s w", "v p s", "r"])
+    second = collection("b", ["r v p s w"])
+    prepared = prepare_blocks(first, second, filtering_ratio=0.8, apply_purging=False)
+    candidates = prepared.candidates
+    assert (0, 1) in candidates.as_tuples()
+    stats = BlockStatistics(prepared.blocks)
+    kinds = {prepared.blocks[b].is_bilateral for b in stats.common_blocks(0, 1)}
+    assert kinds == {True, False}
+    assert_paths_agree(
+        stats.csr(),
+        stats.inverse_block_cardinalities,
+        stats.inverse_block_sizes,
+        candidates.left,
+        candidates.right,
+        stats.sides,
+    )
+    with forced("pair-major"):
+        expected = stats.pair_cooccurrence(candidates)
+    for ours, theirs in zip(prepared.cooccurrence, expected):
+        assert np.array_equal(ours, theirs)
