@@ -2,7 +2,8 @@
 #
 #   make test              - the tier-1 verification suite (fails fast)
 #   make test-equivalence  - reference-equivalence + golden regression tests only
-#                            (batch features, and the online answer's budgets/read path)
+#                            (batch features, the pruning kernels vs their queue oracle,
+#                            and the online answer's budgets/read path)
 #   make test-fast         - tier-1 suite without the perf smoke tests
 #   make bench-smoke       - quick feature-runtime bench
 #   make bench-stream      - incremental streaming vs batch recompute bench
@@ -35,7 +36,8 @@ test-equivalence:
 	$(PYTEST) -q tests/weights/test_backend_equivalence.py tests/weights/test_golden_features.py \
 		tests/serve/test_budget_totals_property.py tests/serve/test_read_path_arrays.py \
 		tests/weights/test_cooccurrence_kernel.py tests/test_import_layering.py \
-		tests/blocking/test_no_block_objects.py
+		tests/blocking/test_no_block_objects.py \
+		tests/core/test_pruning_kernels.py tests/core/test_no_per_pair_pruning.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q

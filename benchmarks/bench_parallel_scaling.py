@@ -28,8 +28,8 @@ from repro.weights import RCNP_FEATURE_SET
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 WORKER_COUNTS = (1, 2, 4)
-#: RCNP exercises every parallel stage: sharded blocking, the co-occurrence
-#: pass, parallel LCP (the expensive feature) and sharded CNP-family pruning.
+#: RCNP's feature set exercises every parallel stage: sharded blocking and
+#: the co-occurrence pass (LCP and pruning are serial array passes).
 PRUNING, FEATURE_SET = "RCNP", RCNP_FEATURE_SET
 
 

@@ -99,10 +99,10 @@ class GeneralizedSupervisedMetaBlocking:
     workers:
         Worker-process count (or ``"auto"``) for the sharded execution
         engine of :mod:`repro.parallel`: feature generation's co-occurrence
-        pass and the cardinality/BLAST pruning selections run across worker
-        processes, bit-identically to the ``workers=1`` single-process path
-        (the oracle).  Training and scoring always run in the parent — the
-        single RNG entrypoint never leaves it (see :mod:`repro.utils.rng`).
+        pass runs across worker processes, bit-identically to the
+        ``workers=1`` single-process path (the oracle).  Training, scoring
+        and pruning always run in the parent — the single RNG entrypoint
+        never leaves it (see :mod:`repro.utils.rng`).
     """
 
     def __init__(
@@ -243,14 +243,7 @@ class GeneralizedSupervisedMetaBlocking:
             probabilities = classifier.predict_proba(scored_features)
 
         with timer.stage("pruning"):
-            if executor is not None and executor.workers > 1:
-                from ..parallel.pruning import parallel_prune
-
-                retained_mask = parallel_prune(
-                    self.pruning, probabilities, candidates, blocks, executor
-                )
-            else:
-                retained_mask = self.pruning.prune(probabilities, candidates, blocks)
+            retained_mask = self.pruning.prune(probabilities, candidates, blocks)
 
         retained = candidates.subset(retained_mask)
         return MetaBlockingResult(
@@ -285,7 +278,7 @@ class GeneralizedSupervisedMetaBlocking:
         feature generation.
 
         With ``workers > 1`` a single :class:`~repro.parallel.ParallelExecutor`
-        is shared by block preparation, feature generation and pruning, so
+        is shared by block preparation and feature generation, so
         the pool and the published shared-memory inputs are paid for once.
         """
         from ..parallel.executor import ParallelExecutor, resolve_workers

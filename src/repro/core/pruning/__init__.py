@@ -10,6 +10,7 @@ from .cardinality_based import (
     cep_budget,
     cnp_budget,
 )
+from .kernels import strength_order
 from .weight_based import (
     BinaryClassifierPruning,
     SupervisedBLAST,
@@ -67,4 +68,5 @@ __all__ = [
     "cep_budget",
     "cnp_budget",
     "get_pruning_algorithm",
+    "strength_order",
 ]

@@ -60,7 +60,6 @@ class SupervisedPruningAlgorithm(ABC):
     #: "weight", "cardinality" or "baseline"
     kind: str = "weight"
 
-    @abstractmethod
     def prune(
         self,
         probabilities: np.ndarray,
@@ -81,8 +80,24 @@ class SupervisedPruningAlgorithm(ABC):
             required by cardinality-based algorithms to derive their
             retention budgets (K and k), ignored by the others.
         """
+        probabilities = self._validate(probabilities, candidates)
+        positions = np.flatnonzero(probabilities >= VALIDITY_THRESHOLD)
+        mask = np.zeros(len(candidates), dtype=bool)
+        retained = self._retain(probabilities[positions], candidates.subset(positions), blocks)
+        mask[positions[retained]] = True
+        return mask
 
-    # -- shared helpers -------------------------------------------------------------
+    @abstractmethod
+    def _retain(
+        self, probabilities: np.ndarray, valid: CandidateSet, blocks: Optional[BlockSource]
+    ) -> np.ndarray:
+        """The algorithm's criterion: a boolean mask over the *valid* pairs.
+
+        ``prune`` hands in only the pairs that reached the validity
+        threshold (possibly none) with their probabilities, so no algorithm
+        reads — or allocates for — the pairs it could never retain.
+        """
+
     @staticmethod
     def _validate(probabilities: np.ndarray, candidates: CandidateSet) -> np.ndarray:
         """Validate and return the probabilities as a float array."""
@@ -93,14 +108,10 @@ class SupervisedPruningAlgorithm(ABC):
             raise ValueError(
                 f"expected {len(candidates)} probabilities, got {array.size}"
             )
-        if array.size and (array.min() < 0.0 or array.max() > 1.0):
+        # written so that NaN (for which every comparison is False) is refused
+        if array.size and not (0.0 <= array.min() and array.max() <= 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
         return array
-
-    @staticmethod
-    def valid_mask(probabilities: np.ndarray) -> np.ndarray:
-        """Mask of *valid* pairs (probability at least 0.5)."""
-        return np.asarray(probabilities, dtype=np.float64) >= VALIDITY_THRESHOLD
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"

@@ -5,10 +5,10 @@ These algorithms retain a *budgeted number* of the top-weighted valid pairs:
 * :class:`SupervisedCEP` — the global top-K pairs, with
   ``K = Σ_{b∈B} |b| / 2`` (Algorithm 4);
 * :class:`SupervisedCNP` — a per-entity top-k, with ``k`` the average number
-  of block memberships per entity; a pair survives when it is in the queue of
-  *either* constituent entity (Algorithm 5);
-* :class:`SupervisedRCNP` — the reciprocal variant, requiring membership in
-  the queues of *both* entities.
+  of block memberships per entity; a pair survives when it is among the top
+  k of *either* constituent entity (Algorithm 5);
+* :class:`SupervisedRCNP` — the reciprocal variant, requiring it among the
+  top k of *both* entities.
 
 Probability ties at the retention boundary are broken deterministically by
 the packed candidate key (``left * total + right``, smaller key wins), so
@@ -16,18 +16,20 @@ the retained set is a pure function of the scored pair set — independent of
 the order candidate pairs are stored in.  This is what makes the streaming
 session's arrival-ordered registry (:mod:`repro.incremental`) reproduce the
 batch pipeline's canonical ordering exactly for the cardinality algorithms.
+The selection is a sort, not a queue (:mod:`.kernels`): the paper's bounded
+priority queues retain a prefix of that strict order, and ``np.lexsort``'s
+stability resolves duplicate pairs by position the way insertion order did.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ...datamodel import CandidateSet
-from ...utils.pqueue import BoundedTopQueue
 from .base import BlockSource, BlockTotals, SupervisedPruningAlgorithm
+from .kernels import top_k, top_k_per_node
 
 
 def cep_budget(blocks: BlockSource) -> int:
@@ -53,7 +55,7 @@ def resolve_budget(
     """The algorithm's explicit ``budget``, else ``derive(blocks)``.
 
     The one place the "explicit budget, else derive it, else refuse" rule
-    lives — serial, parallel and unsupervised pruning all resolve here.
+    lives — supervised and unsupervised pruning both resolve here.
     """
     if algorithm.budget is not None:
         return algorithm.budget
@@ -82,36 +84,15 @@ class SupervisedCEP(SupervisedPruningAlgorithm):
             raise ValueError("budget must be positive when given")
         self.budget = budget
 
-    def prune(
-        self,
-        probabilities: np.ndarray,
-        candidates: CandidateSet,
-        blocks: Optional[BlockSource] = None,
+    def _retain(
+        self, probabilities: np.ndarray, valid: CandidateSet, blocks: Optional[BlockSource]
     ) -> np.ndarray:
-        probabilities = self._validate(probabilities, candidates)
         budget = resolve_budget(self, blocks, cep_budget, "K")
-
-        valid = self.valid_mask(probabilities)
-        mask = np.zeros(len(candidates), dtype=bool)
-        valid_positions = np.flatnonzero(valid)
-        if valid_positions.size == 0:
-            return mask
-        if valid_positions.size <= budget:
-            mask[valid_positions] = True
-            return mask
-
-        keys = candidates.packed_keys()
-        queue: BoundedTopQueue[int] = BoundedTopQueue(budget)
-        for position in valid_positions:
-            queue.push(
-                float(probabilities[position]), int(position), key=int(keys[position])
-            )
-        mask[np.array(queue.items(), dtype=np.int64)] = True
-        return mask
+        return top_k(probabilities, valid.packed_keys(), budget)
 
 
 class SupervisedCNP(SupervisedPruningAlgorithm):
-    """Cardinality Node Pruning — per-entity top-k queues, OR-semantics.
+    """Cardinality Node Pruning — per-entity top-k, OR-semantics.
 
     Parameters
     ----------
@@ -122,7 +103,7 @@ class SupervisedCNP(SupervisedPruningAlgorithm):
 
     name = "CNP"
     kind = "cardinality"
-    #: whether a pair must be in the queue of both entities (RCNP) or one (CNP)
+    #: whether a pair must be in the top k of both entities (RCNP) or one (CNP)
     require_both = False
 
     def __init__(self, budget: Optional[int] = None) -> None:
@@ -130,53 +111,18 @@ class SupervisedCNP(SupervisedPruningAlgorithm):
             raise ValueError("budget must be positive when given")
         self.budget = budget
 
-    def _per_entity_queues(
-        self,
-        probabilities: np.ndarray,
-        candidates: CandidateSet,
-        budget: int,
-    ) -> Dict[int, Set[int]]:
-        """Return, per node, the set of retained candidate-pair positions."""
-        queues: Dict[int, BoundedTopQueue[int]] = {}
-        keys = candidates.packed_keys()
-        valid_positions = np.flatnonzero(self.valid_mask(probabilities))
-        for position in valid_positions:
-            probability = float(probabilities[position])
-            key = int(keys[position])
-            for node in (int(candidates.left[position]), int(candidates.right[position])):
-                queue = queues.get(node)
-                if queue is None:
-                    queue = BoundedTopQueue(budget)
-                    queues[node] = queue
-                queue.push(probability, int(position), key=key)
-        return {node: set(queue.items()) for node, queue in queues.items()}
-
-    def prune(
-        self,
-        probabilities: np.ndarray,
-        candidates: CandidateSet,
-        blocks: Optional[BlockSource] = None,
+    def _retain(
+        self, probabilities: np.ndarray, valid: CandidateSet, blocks: Optional[BlockSource]
     ) -> np.ndarray:
-        probabilities = self._validate(probabilities, candidates)
         budget = resolve_budget(self, blocks, cnp_budget, "k")
-
-        retained_per_node = self._per_entity_queues(probabilities, candidates, budget)
-        mask = np.zeros(len(candidates), dtype=bool)
-        valid_positions = np.flatnonzero(self.valid_mask(probabilities))
-        for position in valid_positions:
-            left = int(candidates.left[position])
-            right = int(candidates.right[position])
-            in_left = int(position) in retained_per_node.get(left, ())
-            in_right = int(position) in retained_per_node.get(right, ())
-            if self.require_both:
-                mask[position] = in_left and in_right
-            else:
-                mask[position] = in_left or in_right
-        return mask
+        in_left, in_right = top_k_per_node(
+            valid.left, valid.right, probabilities, valid.packed_keys(), budget
+        )
+        return in_left & in_right if self.require_both else in_left | in_right
 
 
 class SupervisedRCNP(SupervisedCNP):
-    """Reciprocal Cardinality Node Pruning — AND-semantics over the two queues."""
+    """Reciprocal Cardinality Node Pruning — AND-semantics over the two top-k."""
 
     name = "RCNP"
     kind = "cardinality"

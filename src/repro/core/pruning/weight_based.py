@@ -22,9 +22,10 @@ from typing import Optional
 
 import numpy as np
 
-from ...datamodel import BlockCollection, CandidateSet
+from ...datamodel import CandidateSet
 from ...utils.validation import check_ratio
-from .base import SupervisedPruningAlgorithm, VALIDITY_THRESHOLD
+from .base import BlockSource, SupervisedPruningAlgorithm
+from .kernels import node_averages, node_maxima
 
 
 class BinaryClassifierPruning(SupervisedPruningAlgorithm):
@@ -38,14 +39,10 @@ class BinaryClassifierPruning(SupervisedPruningAlgorithm):
     name = "BCl"
     kind = "baseline"
 
-    def prune(
-        self,
-        probabilities: np.ndarray,
-        candidates: CandidateSet,
-        blocks: Optional[BlockCollection] = None,
+    def _retain(
+        self, probabilities: np.ndarray, valid: CandidateSet, blocks: Optional[BlockSource]
     ) -> np.ndarray:
-        probabilities = self._validate(probabilities, candidates)
-        return self.valid_mask(probabilities)
+        return np.ones(len(valid), dtype=bool)
 
 
 class SupervisedWEP(SupervisedPruningAlgorithm):
@@ -54,18 +51,12 @@ class SupervisedWEP(SupervisedPruningAlgorithm):
     name = "WEP"
     kind = "weight"
 
-    def prune(
-        self,
-        probabilities: np.ndarray,
-        candidates: CandidateSet,
-        blocks: Optional[BlockCollection] = None,
+    def _retain(
+        self, probabilities: np.ndarray, valid: CandidateSet, blocks: Optional[BlockSource]
     ) -> np.ndarray:
-        probabilities = self._validate(probabilities, candidates)
-        valid = self.valid_mask(probabilities)
-        if not np.any(valid):
-            return np.zeros(len(candidates), dtype=bool)
-        average = float(probabilities[valid].mean())
-        return probabilities >= average
+        if not probabilities.size:
+            return np.zeros(0, dtype=bool)
+        return probabilities >= float(probabilities.mean())
 
 
 class SupervisedWNP(SupervisedPruningAlgorithm):
@@ -77,39 +68,18 @@ class SupervisedWNP(SupervisedPruningAlgorithm):
 
     name = "WNP"
     kind = "weight"
+    #: whether the average of both entities must be reached (RWNP) or one (WNP)
+    require_both = False
 
-    def _node_averages(
-        self, probabilities: np.ndarray, candidates: CandidateSet
+    def _retain(
+        self, probabilities: np.ndarray, valid: CandidateSet, blocks: Optional[BlockSource]
     ) -> np.ndarray:
-        """Average valid probability per node (infinite when a node has none)."""
-        total_nodes = candidates.index_space.total
-        sums = np.zeros(total_nodes, dtype=np.float64)
-        counts = np.zeros(total_nodes, dtype=np.int64)
-        valid = self.valid_mask(probabilities)
-        left_valid = candidates.left[valid]
-        right_valid = candidates.right[valid]
-        valid_probabilities = probabilities[valid]
-        np.add.at(sums, left_valid, valid_probabilities)
-        np.add.at(counts, left_valid, 1)
-        np.add.at(sums, right_valid, valid_probabilities)
-        np.add.at(counts, right_valid, 1)
-        averages = np.full(total_nodes, np.inf, dtype=np.float64)
-        populated = counts > 0
-        averages[populated] = sums[populated] / counts[populated]
-        return averages
-
-    def prune(
-        self,
-        probabilities: np.ndarray,
-        candidates: CandidateSet,
-        blocks: Optional[BlockCollection] = None,
-    ) -> np.ndarray:
-        probabilities = self._validate(probabilities, candidates)
-        averages = self._node_averages(probabilities, candidates)
-        valid = self.valid_mask(probabilities)
-        reaches_left = probabilities >= averages[candidates.left]
-        reaches_right = probabilities >= averages[candidates.right]
-        return valid & (reaches_left | reaches_right)
+        averages = node_averages(
+            valid.left, valid.right, probabilities, valid.index_space.total
+        )
+        reaches_left = probabilities >= averages[valid.left]
+        reaches_right = probabilities >= averages[valid.right]
+        return reaches_left & reaches_right if self.require_both else reaches_left | reaches_right
 
 
 class SupervisedRWNP(SupervisedWNP):
@@ -117,19 +87,7 @@ class SupervisedRWNP(SupervisedWNP):
 
     name = "RWNP"
     kind = "weight"
-
-    def prune(
-        self,
-        probabilities: np.ndarray,
-        candidates: CandidateSet,
-        blocks: Optional[BlockCollection] = None,
-    ) -> np.ndarray:
-        probabilities = self._validate(probabilities, candidates)
-        averages = self._node_averages(probabilities, candidates)
-        valid = self.valid_mask(probabilities)
-        reaches_left = probabilities >= averages[candidates.left]
-        reaches_right = probabilities >= averages[candidates.right]
-        return valid & reaches_left & reaches_right
+    require_both = True
 
 
 class SupervisedBLAST(SupervisedPruningAlgorithm):
@@ -147,20 +105,11 @@ class SupervisedBLAST(SupervisedPruningAlgorithm):
     def __init__(self, ratio: float = 0.35) -> None:
         self.ratio = check_ratio(ratio, "ratio")
 
-    def prune(
-        self,
-        probabilities: np.ndarray,
-        candidates: CandidateSet,
-        blocks: Optional[BlockCollection] = None,
+    def _retain(
+        self, probabilities: np.ndarray, valid: CandidateSet, blocks: Optional[BlockSource]
     ) -> np.ndarray:
-        probabilities = self._validate(probabilities, candidates)
-        valid = self.valid_mask(probabilities)
-        total_nodes = candidates.index_space.total
-        maxima = np.zeros(total_nodes, dtype=np.float64)
-        np.maximum.at(maxima, candidates.left[valid], probabilities[valid])
-        np.maximum.at(maxima, candidates.right[valid], probabilities[valid])
-        thresholds = self.ratio * (maxima[candidates.left] + maxima[candidates.right])
-        return valid & (probabilities >= thresholds)
+        maxima = node_maxima(valid.left, valid.right, probabilities, valid.index_space.total)
+        return probabilities >= self.ratio * (maxima[valid.left] + maxima[valid.right])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SupervisedBLAST(ratio={self.ratio})"

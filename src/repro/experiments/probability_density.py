@@ -20,6 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.pipeline import GeneralizedSupervisedMetaBlocking
+from ..core.pruning import VALIDITY_THRESHOLD
+from ..core.pruning.kernels import node_averages
 from ..evaluation import format_table
 from ..weights import BLAST_FEATURE_SET
 from .common import ExperimentConfig, prepare_benchmark_dataset
@@ -57,16 +59,14 @@ class ProbabilityDensitySnapshot:
 
 def _per_entity_average_thresholds(probabilities: np.ndarray, candidates) -> np.ndarray:
     """Per-node averages of the valid probabilities (the WNP thresholds)."""
-    total_nodes = candidates.index_space.total
-    sums = np.zeros(total_nodes)
-    counts = np.zeros(total_nodes)
-    valid = probabilities >= 0.5
-    np.add.at(sums, candidates.left[valid], probabilities[valid])
-    np.add.at(counts, candidates.left[valid], 1)
-    np.add.at(sums, candidates.right[valid], probabilities[valid])
-    np.add.at(counts, candidates.right[valid], 1)
-    populated = counts > 0
-    return sums[populated] / counts[populated] if np.any(populated) else np.array([])
+    valid = probabilities >= VALIDITY_THRESHOLD
+    averages = node_averages(
+        candidates.left[valid],
+        candidates.right[valid],
+        probabilities[valid],
+        candidates.index_space.total,
+    )
+    return averages[np.isfinite(averages)]
 
 
 def run_probability_density(

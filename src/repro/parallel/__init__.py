@@ -16,15 +16,16 @@ this subsystem shards their hot stages across worker processes behind the
   candidate extraction, merged with packed-key sorted merges;
 * :mod:`repro.parallel.features` — the pair co-occurrence pass over
   candidate-row ranges, reusing the :mod:`repro.weights.sparse` kernel
-  unchanged;
-* :mod:`repro.parallel.pruning` — sharded CEP/CNP/RCNP selection and BLAST
-  maxima.
+  unchanged.
+
+Pruning is not fanned out: every algorithm is a single array pass over the
+valid pairs (:mod:`repro.core.pruning.kernels`), cheaper than publishing
+its inputs to a pool.
 
 ``workers=1`` is the exact single-process path and stays the oracle: every
 parallel stage is constructed to be *bit-identical* to it for any worker
-count (set unions, strict-total-order selections, per-pair-local
-aggregation), and the equivalence suite in ``tests/parallel/`` asserts it
-for blocks, candidate sets, all feature schemes and all pruning algorithms.
+count (set unions, per-pair-local aggregation), and the equivalence suite in ``tests/parallel/`` asserts it
+for blocks, candidate sets and all feature schemes.
 """
 
 from .blocking import dictionary_encode_sharded, extract_candidate_keys_sharded
@@ -37,7 +38,6 @@ from .executor import (
 )
 from .features import parallel_pair_cooccurrence
 from .planner import EntityShard, ShardPlanner, shard_of_signature, stable_hash
-from .pruning import parallel_prune
 from .shm import SharedArray, SharedArrayHandle, attach_view, detach_view
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "dictionary_encode_sharded",
     "extract_candidate_keys_sharded",
     "parallel_pair_cooccurrence",
-    "parallel_prune",
     "resolve_workers",
     "shard_of_signature",
     "split_ranges",

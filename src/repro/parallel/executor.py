@@ -3,11 +3,11 @@
 :class:`ParallelExecutor` owns a ``multiprocessing`` pool plus the registry
 of shared-memory input arrays published to it.  Every parallel stage of the
 library (sharded tokenization, candidate extraction, the pair co-occurrence
-pass, cardinality pruning) goes through the same three-step protocol:
+pass) goes through the same three-step protocol:
 
 1. the parent publishes its large read-only inputs once
-   (:meth:`ParallelExecutor.publish` — CSR buffers, candidate arrays,
-   probability vectors) as shared-memory segments;
+   (:meth:`ParallelExecutor.publish` — CSR buffers, candidate arrays) as
+   shared-memory segments;
 2. tasks are dispatched with :meth:`ParallelExecutor.starmap`, carrying only
    handles, scalars and deterministic range boundaries;
 3. workers attach zero-copy views (:func:`repro.parallel.shm.attach_view`),

@@ -158,83 +158,3 @@ def cooccurrence_range(
     attach_view(out_common_h)[start:stop] = aggregates.common
     attach_view(out_inv_cardinality_h)[start:stop] = aggregates.sum_inverse_cardinality
     attach_view(out_inv_size_h)[start:stop] = aggregates.sum_inverse_size
-
-
-# -- cardinality pruning ---------------------------------------------------------
-def cep_chunk(
-    probabilities_h: SharedArrayHandle,
-    keys_h: SharedArrayHandle,
-    valid_positions_h: SharedArrayHandle,
-    start: int,
-    stop: int,
-    budget: int,
-) -> np.ndarray:
-    """The top-``budget`` candidate positions of one valid-position range.
-
-    Selection order is probability descending, packed key ascending — the
-    strict total order CEP's bounded queue retains under.  A chunk's local
-    top-``budget`` always contains every global survivor the chunk holds, so
-    merging per-chunk selections and re-selecting is exact.
-    """
-    probabilities = attach_view(probabilities_h)
-    keys = attach_view(keys_h)
-    positions = attach_view(valid_positions_h)[start:stop]
-    order = np.lexsort((keys[positions], -probabilities[positions]))
-    return positions[order[:budget]]
-
-
-def cnp_node_range(
-    entry_node_h: SharedArrayHandle,
-    entry_prob_h: SharedArrayHandle,
-    entry_key_h: SharedArrayHandle,
-    entry_id_h: SharedArrayHandle,
-    node_ptr_h: SharedArrayHandle,
-    begin_node: int,
-    end_node: int,
-    budget: int,
-) -> np.ndarray:
-    """The retained entry ids of every node in ``[begin_node, end_node)``.
-
-    Entries are the (node, pair) incidences of the valid candidate pairs,
-    grouped by node.  For each node the top-``budget`` entries by
-    (probability desc, packed key asc) are retained — exactly the contents
-    of CNP's per-entity bounded queue, computed by sorting because bounded
-    top-k selection under a strict total order is insertion-order-free.
-    """
-    node_ptr = attach_view(node_ptr_h)
-    lo, hi = int(node_ptr[begin_node]), int(node_ptr[end_node])
-    nodes = attach_view(entry_node_h)[lo:hi]
-    probabilities = attach_view(entry_prob_h)[lo:hi]
-    keys = attach_view(entry_key_h)[lo:hi]
-    entry_ids = attach_view(entry_id_h)[lo:hi]
-    if nodes.size == 0:
-        return np.empty(0, dtype=np.int64)
-    order = np.lexsort((keys, -probabilities, nodes))
-    ordered_nodes = nodes[order]
-    starts = np.flatnonzero(np.r_[True, ordered_nodes[1:] != ordered_nodes[:-1]])
-    group_start = np.repeat(starts, np.diff(np.r_[starts, ordered_nodes.size]))
-    rank = np.arange(ordered_nodes.size, dtype=np.int64) - group_start
-    return entry_ids[order[rank < budget]]
-
-
-def blast_maxima_chunk(
-    left_h: SharedArrayHandle,
-    right_h: SharedArrayHandle,
-    probabilities_h: SharedArrayHandle,
-    valid_positions_h: SharedArrayHandle,
-    start: int,
-    stop: int,
-    total_nodes: int,
-) -> np.ndarray:
-    """Per-node maxima of the valid probabilities in one pair range.
-
-    Maximum is exact and order-free, so element-wise combination of the
-    per-chunk arrays reproduces the serial ``np.maximum.at`` pass bit for
-    bit.
-    """
-    positions = attach_view(valid_positions_h)[start:stop]
-    probabilities = attach_view(probabilities_h)[positions]
-    maxima = np.zeros(total_nodes, dtype=np.float64)
-    np.maximum.at(maxima, attach_view(left_h)[positions], probabilities)
-    np.maximum.at(maxima, attach_view(right_h)[positions], probabilities)
-    return maxima

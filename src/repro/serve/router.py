@@ -44,7 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.pruning import SupervisedPruningAlgorithm
+from ..core.pruning import SupervisedPruningAlgorithm, strength_order
 from ..obs.trace import current_trace, hook_span
 from ..datamodel import CandidateSet, EntityIndexSpace
 from ..incremental.delta import DeltaFeatureGenerator
@@ -365,7 +365,7 @@ def top_k_answer(
     with hook_span("score"):
         probabilities = model.score(matrix.values)
     keys = pack_pair_keys(left, right)
-    order = np.lexsort((keys, -probabilities))[: max(0, int(k))]
+    order = strength_order(probabilities, keys)[: max(0, int(k))]
     matches = []
     for position in order.tolist():
         counterpart = int(right[position] if left[position] == node else left[position])

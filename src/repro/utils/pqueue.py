@@ -1,19 +1,23 @@
-"""Bounded priority queues for cardinality-based pruning.
+"""A bounded priority queue with lazy deletion, for online top-K retention.
 
-CEP keeps the global top-K weighted comparisons; CNP/RCNP keep the top-k per
-entity.  Both need a *min-heap of bounded size*: pushing beyond capacity
-evicts the lowest-weighted element and exposes the new minimum as the
-admission threshold, exactly as Algorithms 4 and 5 in the paper describe.
+Algorithms 4 and 5 of the paper describe CEP and CNP/RCNP with a *min-heap of
+bounded size*: pushing beyond capacity evicts the lowest-weighted element and
+exposes the new minimum as the admission threshold.  The batch algorithms no
+longer run on it — a bounded queue retains a prefix of a strict total order,
+so :mod:`repro.core.pruning.kernels` selects that prefix with one sort — and
+the queue has one user left: the streaming session's online top-K policy
+(``OnlineTopK`` in :mod:`repro.incremental.session`), which sees pairs one at
+a time and has to retract them.  ``tests/reference.py`` keeps the queue
+bodies of the batch algorithms as the oracle the kernels are checked against.
 
 Two properties matter beyond the textbook structure:
 
 * **Deterministic tie-breaking.**  Equal weights are ordered by an explicit
   *tie key* supplied with each push (smaller key wins; larger keys are
-  evicted first).  The pruning algorithms pass the packed candidate key
+  evicted first).  Callers pass the packed candidate key
   ``left * total + right``, which makes the retained set a pure function of
-  the ``(weight, pair)`` multiset — independent of insertion order.  This is
-  what lets the streaming session (arrival-ordered pairs) reproduce the
-  batch pipeline (canonically ordered pairs) exactly for CEP/CNP/RCNP.
+  the ``(weight, pair)`` multiset — independent of insertion order, and the
+  same set the batch kernels' (weight desc, key asc) sort selects.
   Without an explicit key the insertion counter is used, preserving the old
   earlier-insertions-win behaviour.
 * **Lazy deletion.**  :meth:`BoundedTopQueue.discard` retracts an item

@@ -18,6 +18,7 @@ from repro.core import (
     VALIDITY_THRESHOLD,
     get_pruning_algorithm,
 )
+from repro.core.pruning import CARDINALITY_BASED_ALGORITHMS, PRUNING_ALGORITHMS
 from repro.datamodel import CandidateSet, EntityIndexSpace
 
 
@@ -125,6 +126,16 @@ class TestValidation:
     def test_probability_bounds_checked(self, star_candidates):
         with pytest.raises(ValueError):
             SupervisedWEP().prune(np.array([0.5, 0.5, 0.5, 1.5]), star_candidates)
+
+    @pytest.mark.parametrize("name", sorted(PRUNING_ALGORITHMS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probabilities_refused(self, star_candidates, name, bad):
+        """NaN fails every comparison, so ``min < 0 or max > 1`` let it through
+        and ``NaN >= 0.5`` then silently pruned every pair."""
+        explicit = {"budget": 2} if name in CARDINALITY_BASED_ALGORITHMS else {}
+        algorithm = get_pruning_algorithm(name, **explicit)
+        with pytest.raises(ValueError, match=r"^probabilities must lie in \[0, 1\]$"):
+            algorithm.prune(np.array([0.9, bad, 0.7, 0.3]), star_candidates)
 
     def test_length_mismatch_checked(self, star_candidates):
         with pytest.raises(ValueError):

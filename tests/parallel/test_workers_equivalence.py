@@ -2,10 +2,11 @@
 
 The sharded execution engine must be *bit-identical* to the single-process
 path for every worker count: prepared blocks (raw/purged/filtered,
-key-for-key and member-for-member), candidate sets, the handed-over CSR,
-all 9 feature schemes, and the retained mask of every pruning algorithm —
-including under probability ties, which exercise the deterministic
-packed-key tie-breaking across worker boundaries.
+key-for-key and member-for-member), candidate sets, the handed-over CSR and
+all 9 feature schemes.  Pruning is not fanned out (one array pass over the
+valid pairs, whatever ``workers`` is), so its test here holds every
+algorithm's mask to its reference implementation instead — including under
+probability ties, which exercise the deterministic packed-key tie-breaking.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference import reference_prune, tie_heavy_probabilities
 from repro.blocking import prepare_blocks
 from repro.core.features import generate_features
 from repro.core.pruning import (
@@ -22,7 +24,7 @@ from repro.core.pruning import (
     get_pruning_algorithm,
 )
 from repro.datamodel import EntityCollection, make_profile
-from repro.parallel import ParallelExecutor, parallel_prune
+from repro.parallel import ParallelExecutor
 from repro.weights import PAPER_FEATURES
 
 #: a small vocabulary (stop-words included) so random texts collide heavily
@@ -128,62 +130,50 @@ def test_all_feature_schemes_bit_identical(executor, first, second):
     assert np.array_equal(matrix_serial.values, matrix_sharded.values)
 
 
-def tie_heavy_probabilities(candidates):
-    """Deterministic pseudo-probabilities quantised into heavy ties.
-
-    Quantisation forces many exact probability ties, so any worker-boundary
-    sensitivity in the tie-breaking of the cardinality algorithms would
-    surface as a mask difference.
-    """
-    keys = candidates.packed_keys()
-    raw = (keys * np.int64(2654435761)) % np.int64(1000)
-    return np.round(raw / 999.0, 1)
-
-
 @SLOW_SETTINGS
 @given(
     first=collections("first", min_entities=3, max_entities=12),
     second=st.one_of(st.none(), collections("second", max_entities=8)),
+    seed=st.integers(0, 2**16),
 )
-def test_all_pruning_algorithms_bit_identical(executor, first, second):
+def test_all_pruning_algorithms_bit_identical(first, second, seed):
+    """Every algorithm's mask equals its reference's (``tests/reference.py``).
+
+    This used to hold the sharded pruning path against the serial one; there
+    is one path now, and what it must equal is the implementation it
+    replaced — queues for CEP / CNP / RCNP, full-length ``np.add.at`` /
+    ``np.maximum.at`` thresholds for the weight-based algorithms — on the
+    candidates in canonical order and in a shuffled (registry-like) one.
+    """
     prepared = prepare_blocks(first, second)
     if len(prepared.candidates) == 0:
         return
-    probabilities = tie_heavy_probabilities(prepared.candidates)
-    for name in sorted(PRUNING_ALGORITHMS):
-        serial = get_pruning_algorithm(name).prune(
-            probabilities, prepared.candidates, prepared.blocks
-        )
-        sharded = parallel_prune(
-            get_pruning_algorithm(name),
-            probabilities,
-            prepared.candidates,
-            prepared.blocks,
-            executor,
-        )
-        assert np.array_equal(serial, sharded), f"{name} mask differs"
-        if name not in CARDINALITY_BASED_ALGORITHMS:
-            continue
-        # one budget resolver behind both paths: the collection's two totals
-        # derive the same budget as the collection, an explicit budget needs
-        # no blocks, and with neither both paths refuse in the same words
-        totals = BlockTotals.of(prepared.blocks)
-        explicit = get_pruning_algorithm(name, budget=2)
-        for prune in (
-            lambda algorithm, blocks: algorithm.prune(
-                probabilities, prepared.candidates, blocks
-            ),
-            lambda algorithm, blocks: parallel_prune(
-                algorithm, probabilities, prepared.candidates, blocks, executor
-            ),
-        ):
-            assert np.array_equal(prune(get_pruning_algorithm(name), totals), serial)
+    shuffle = np.random.default_rng(seed).permutation(len(prepared.candidates))
+    for candidates in (prepared.candidates, prepared.candidates.subset(shuffle)):
+        probabilities = tie_heavy_probabilities(candidates)
+        for name in sorted(PRUNING_ALGORITHMS):
+            mask = get_pruning_algorithm(name).prune(
+                probabilities, candidates, prepared.blocks
+            )
             assert np.array_equal(
-                prune(explicit, None), explicit.prune(probabilities, prepared.candidates)
+                mask, reference_prune(name, probabilities, candidates, prepared.blocks)
+            ), f"{name} mask differs"
+            if name not in CARDINALITY_BASED_ALGORITHMS:
+                continue
+            # one budget resolver: the collection's two totals derive the same
+            # budget as the collection, an explicit budget needs no blocks,
+            # and with neither the algorithm refuses in these words
+            totals = BlockTotals.of(prepared.blocks)
+            assert np.array_equal(
+                get_pruning_algorithm(name).prune(probabilities, candidates, totals), mask
+            )
+            assert np.array_equal(
+                get_pruning_algorithm(name, budget=2).prune(probabilities, candidates),
+                reference_prune(name, probabilities, candidates, budget=2),
             )
             symbol = "K" if name == "CEP" else "k"
             with pytest.raises(
                 ValueError,
                 match=f"^{name} needs the block collection to derive its budget {symbol}$",
             ):
-                prune(get_pruning_algorithm(name), None)
+                get_pruning_algorithm(name).prune(probabilities, candidates, None)

@@ -9,11 +9,16 @@ object chain ``BlockingMethod.build_blocks`` -> ``purge_oversized_blocks``
 library selects them.  The two helpers below assemble those public calls
 into the shapes ``FeatureVectorGenerator.generate`` and ``prepare_blocks``
 return, so an equivalence, golden or perf-smoke test compares like with like.
+
+Pruning's references live here outright: the bounded-priority-queue bodies
+of CEP / CNP / RCNP (Algorithms 4-5 as the paper writes them, one push per
+pair) and the ``np.add.at`` / ``np.maximum.at`` per-node passes, which the
+library replaced with the array kernels of ``repro.core.pruning.kernels``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +30,9 @@ from repro.blocking import (
     purge_oversized_blocks,
 )
 from repro.core.features import FeatureMatrix, FeatureVectorGenerator
+from repro.core.pruning import VALIDITY_THRESHOLD, BlockTotals, cep_budget, cnp_budget
 from repro.datamodel import CandidateSet, EntityCollection
+from repro.utils.pqueue import BoundedTopQueue
 from repro.utils.timing import StageTimer
 from repro.weights import BlockStatistics
 
@@ -72,4 +79,136 @@ def reference_prepare_blocks(
         blocks=filtered,
         candidates=candidates,
         timer=timer,
+    )
+
+
+def tie_heavy_probabilities(candidates: CandidateSet) -> np.ndarray:
+    """Deterministic pseudo-probabilities quantised into heavy ties.
+
+    Quantisation forces many exact probability ties, so any sensitivity to
+    storage order in the tie-breaking of the cardinality algorithms would
+    surface as a mask difference.
+    """
+    keys = candidates.packed_keys()
+    raw = (keys * np.int64(2654435761)) % np.int64(1000)
+    return np.round(raw / 999.0, 1)
+
+
+def reference_cardinality_prune(
+    weights: np.ndarray,
+    candidates: CandidateSet,
+    budget: int,
+    per_node: bool,
+    require_both: bool = False,
+    positions: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """CEP (``per_node=False``) or CNP / RCNP on bounded priority queues.
+
+    ``positions`` are the pairs that compete, in push order: the valid ones
+    for the supervised algorithms, every edge (the default) for the
+    unsupervised.  Ties resolve by packed key, then by push order.
+    """
+    if positions is None:
+        positions = np.arange(len(candidates))
+    keys = candidates.packed_keys()
+    mask = np.zeros(len(candidates), dtype=bool)
+    if not per_node:
+        if positions.size <= budget:
+            mask[positions] = True
+            return mask
+        queue: BoundedTopQueue[int] = BoundedTopQueue(budget)
+        for position in positions:
+            queue.push(float(weights[position]), int(position), key=int(keys[position]))
+        mask[np.array(queue.items(), dtype=np.int64)] = True
+        return mask
+
+    queues: Dict[int, BoundedTopQueue[int]] = {}
+    for position in positions:
+        weight = float(weights[position])
+        key = int(keys[position])
+        for node in (int(candidates.left[position]), int(candidates.right[position])):
+            queue = queues.get(node)
+            if queue is None:
+                queue = BoundedTopQueue(budget)
+                queues[node] = queue
+            queue.push(weight, int(position), key=key)
+    retained_per_node = {node: set(queue.items()) for node, queue in queues.items()}
+    for position in positions:
+        left = int(candidates.left[position])
+        right = int(candidates.right[position])
+        in_left = int(position) in retained_per_node.get(left, ())
+        in_right = int(position) in retained_per_node.get(right, ())
+        mask[position] = (in_left and in_right) if require_both else (in_left or in_right)
+    return mask
+
+
+def reference_node_averages(
+    left: np.ndarray, right: np.ndarray, weights: np.ndarray, total_nodes: int
+) -> np.ndarray:
+    """Per-node average weight, accumulated with ``np.add.at`` left then right."""
+    sums = np.zeros(total_nodes, dtype=np.float64)
+    counts = np.zeros(total_nodes, dtype=np.int64)
+    np.add.at(sums, left, weights)
+    np.add.at(counts, left, 1)
+    np.add.at(sums, right, weights)
+    np.add.at(counts, right, 1)
+    averages = np.full(total_nodes, np.inf, dtype=np.float64)
+    populated = counts > 0
+    averages[populated] = sums[populated] / counts[populated]
+    return averages
+
+
+def reference_node_maxima(
+    left: np.ndarray, right: np.ndarray, weights: np.ndarray, total_nodes: int
+) -> np.ndarray:
+    """Per-node maximum weight (zero where a node has no pair)."""
+    maxima = np.zeros(total_nodes, dtype=np.float64)
+    np.maximum.at(maxima, left, weights)
+    np.maximum.at(maxima, right, weights)
+    return maxima
+
+
+def reference_prune(
+    name: str,
+    probabilities: np.ndarray,
+    candidates: CandidateSet,
+    blocks=None,
+    budget: Optional[int] = None,
+) -> np.ndarray:
+    """The retained mask of supervised algorithm ``name``, the long way round.
+
+    Full-length thresholds, the validity mask applied last, queues for the
+    cardinality algorithms — the bodies the library ran before the kernels.
+    """
+    probabilities = np.asarray(probabilities, dtype=np.float64)
+    valid = probabilities >= VALIDITY_THRESHOLD
+    left, right = candidates.left, candidates.right
+    total_nodes = candidates.index_space.total
+    if name == "BCl":
+        return valid
+    if name == "WEP":
+        return valid & (probabilities >= probabilities[valid].mean()) if valid.any() else valid
+    if name in ("WNP", "RWNP"):
+        averages = reference_node_averages(
+            left[valid], right[valid], probabilities[valid], total_nodes
+        )
+        reaches_left = probabilities >= averages[left]
+        reaches_right = probabilities >= averages[right]
+        if name == "RWNP":
+            return valid & reaches_left & reaches_right
+        return valid & (reaches_left | reaches_right)
+    if name == "BLAST":
+        maxima = reference_node_maxima(
+            left[valid], right[valid], probabilities[valid], total_nodes
+        )
+        return valid & (probabilities >= 0.35 * (maxima[left] + maxima[right]))
+    if budget is None:
+        budget = (cep_budget if name == "CEP" else cnp_budget)(BlockTotals.of(blocks))
+    return reference_cardinality_prune(
+        probabilities,
+        candidates,
+        budget,
+        per_node=name != "CEP",
+        require_both=name == "RCNP",
+        positions=np.flatnonzero(valid),
     )
