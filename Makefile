@@ -2,8 +2,9 @@
 #
 #   make test              - the tier-1 verification suite (fails fast)
 #   make test-equivalence  - reference-equivalence + golden regression tests only
-#                            (batch features, the pruning kernels vs their queue oracle,
-#                            and the online answer's budgets/read path)
+#                            (block preparation vs the object chain and its tokeniser /
+#                            encode oracles, batch features, the pruning kernels vs their
+#                            queue oracle, and the online answer's budgets/read path)
 #   make test-fast         - tier-1 suite without the perf smoke tests
 #   make bench-smoke       - quick feature-runtime bench
 #   make bench-stream      - incremental streaming vs batch recompute bench
@@ -17,7 +18,7 @@
 #   make bench-obs         - observability overhead bench (tracing+events on vs off)
 #   make bench-ledger      - the perf ledger, all four workloads (~100 s)
 #   make bench-ledger-quick - ledger smoke mode + its self-test (< 40 s)
-#   make bench-ab REF=<sha> [WORKLOADS="..."] [SEEDS="..."] [PR=n]
+#   make bench-ab REF=<sha> PR=<n> [WORKLOADS="..."] [SEEDS="..."]
 #                          - same-box A/B of the ledger, parent REF vs the staged
 #                            tree, ten alternated seed pairs -> BENCH_<PR>.json
 #   make test-chaos        - seeded chaos suite (kill-loop against the daemon)
@@ -37,7 +38,9 @@ test-equivalence:
 		tests/serve/test_budget_totals_property.py tests/serve/test_read_path_arrays.py \
 		tests/weights/test_cooccurrence_kernel.py tests/test_import_layering.py \
 		tests/blocking/test_no_block_objects.py \
-		tests/core/test_pruning_kernels.py tests/core/test_no_per_pair_pruning.py
+		tests/core/test_pruning_kernels.py tests/core/test_no_per_pair_pruning.py \
+		tests/blocking/test_array_equivalence.py tests/blocking/test_golden_blocking.py \
+		tests/blocking/test_one_encode.py tests/utils/test_text.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q
@@ -82,7 +85,8 @@ bench-ledger-quick:
 
 # stage the change first (git add): the change tree is an export of the index
 bench-ab:
-	$(PYTHON) benchmarks/ab.py --ref $(REF) --pr $(or $(PR),16) --trace-seed 2 \
+	$(if $(and $(REF),$(PR)),,$(error usage: make bench-ab REF=<parent sha> PR=<n> - both are required))
+	$(PYTHON) benchmarks/ab.py --ref $(REF) --pr $(PR) --trace-seed 2 \
 		$(if $(WORKLOADS),--workloads $(WORKLOADS)) $(if $(SEEDS),--seeds $(SEEDS))
 
 test-chaos:

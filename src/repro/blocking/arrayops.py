@@ -4,15 +4,24 @@ Token Blocking -> Block Purging -> Block Filtering -> candidate extraction
 as batched array passes, with no per-entity token sets, dict-of-lists
 signature index, per-:class:`Block` loops or Python set of pair tuples:
 
-* profiles are batch-tokenized and the signatures dictionary-encoded into a
-  token-id array (sorted-vocabulary ranks, so block order matches the
-  object chain's ``sorted(keys)``);
-* blocks are assembled directly as flat ``(block, entity)`` membership
-  arrays — a block x entity CSR — via packed-key sorted dedup, with no
-  per-signature dict;
+* **tokenise**: the blocking method returns one signature list per profile
+  (:meth:`BlockingMethod.signature_lists`; for Token Blocking a byte-table
+  ``translate`` + ``split`` per profile, :func:`repro.utils.text.tokens`);
+* **encode**: :func:`encode_signatures` turns the lists of any method into a
+  token-id array at C speed — the flattened lists, their sorted set as the
+  vocabulary, the ranks looked up with ``map`` (sorted-vocabulary ranks, so
+  block order matches the object chain's ``sorted(keys)``); the sharded
+  engine's workers call the same kernel on their shard;
+* **assemble**: blocks are built directly as flat ``(block, entity)``
+  membership arrays — a block x entity CSR — via packed-key sorted dedup,
+  with no per-signature dict; a method's ``max_block_size`` cut-off is one
+  mask over the block sizes;
 * Block Purging and Block Filtering are pure array passes over those
-  memberships (per-block sizes/cardinalities with ``np.bincount``,
-  per-entity retention ranks via ``np.lexsort``);
+  memberships (per-block sizes/cardinalities with ``np.bincount``).  Block
+  Filtering sorts once: the blocks are ranked by (cardinality, block id),
+  the memberships ordered per entity by one ``argsort`` of the packed
+  ``(node, block rank)`` key, and the keep decision scattered back onto the
+  memberships, which already are in (block, node) order;
 * the comparisons are expanded **once** (:mod:`repro.pairs`) and reduced
   by one sort: the run boundaries are the distinct candidate pairs, the
   run sums their co-occurrence aggregates (:func:`reduce_candidates`) —
@@ -21,6 +30,10 @@ signature index, per-:class:`Block` loops or Python set of pair tuples:
   (entity x block CSR, candidates, aggregates), and every stage's blocks
   are a :class:`LazyBlockCollection`: no :class:`Block` is built unless
   something iterates one.
+
+Every packed key asks :func:`repro.pairs.key_field_bits` for its field
+widths; a refusal raises :class:`OverflowError` (or, for the reduce pass,
+takes the path that needs no such key).
 
 The object chain (``BlockingMethod.build_blocks``, ``purge_oversized_blocks``,
 ``filter_blocks``, ``CandidateSet.from_blocks``) stays as the reference: the
@@ -31,7 +44,8 @@ directly and assert block-for-block and pair-for-pair identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from itertools import chain
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -207,6 +221,26 @@ def _matrix_from_sorted(
     )
 
 
+def encode_signatures(
+    signature_lists: Sequence[Sequence[str]],
+) -> Tuple[np.ndarray, np.ndarray, List[str]]:
+    """Dictionary-encode per-profile signature lists: ``(codes, lengths, vocabulary)``.
+
+    ``codes`` holds one entry per signature occurrence (duplicates included,
+    input order) and indexes the lexicographically sorted ``vocabulary``, so
+    sorting by code reproduces the object chain's ``sorted(keys)`` block
+    order; ``lengths`` is the number of signatures per profile.  It only
+    sees the lists, so it serves every :class:`BlockingMethod`; the ranks
+    are looked up by ``map`` over the flattened lists — no per-token Python.
+    """
+    lengths = np.fromiter(map(len, signature_lists), np.int64, len(signature_lists))
+    flat = list(chain.from_iterable(signature_lists))
+    vocabulary = sorted(set(flat))
+    rank_of = dict(zip(vocabulary, range(len(vocabulary))))
+    codes = np.fromiter(map(rank_of.__getitem__, flat), np.int64, len(flat))
+    return codes, lengths, vocabulary
+
+
 def _dictionary_encode(
     method: BlockingMethod,
     first: EntityCollection,
@@ -214,41 +248,16 @@ def _dictionary_encode(
 ) -> Tuple[np.ndarray, np.ndarray, List[str]]:
     """Batch-tokenize both collections into a token-id membership stream.
 
-    Returns ``(codes, nodes, vocabulary)`` with one entry per signature
-    occurrence (duplicates included); ``codes`` index the lexicographically
-    sorted ``vocabulary``, so sorting by code reproduces the loop path's
-    ``sorted(keys)`` block order.
+    Returns ``(codes, nodes, vocabulary)``: :func:`encode_signatures` over
+    the concatenated (first, second) profiles, whose positions ARE the node
+    ids.
     """
-    code_of: Dict[str, int] = {}
-    codes: List[int] = []
-    lengths: List[int] = []
-
-    def consume(collection: EntityCollection) -> None:
-        setdefault = code_of.setdefault
-        append = codes.append
-        for signatures in method.signature_lists(collection):
-            lengths.append(len(signatures))
-            for signature in signatures:
-                append(setdefault(signature, len(code_of)))
-
-    consume(first)
+    signature_lists = method.signature_lists(first)
     if second is not None:
-        consume(second)
-
-    lengths_arr = np.asarray(lengths, dtype=np.int64)
-    # entity positions in concatenated (first, second) order ARE node ids
-    nodes = np.repeat(np.arange(lengths_arr.size, dtype=np.int64), lengths_arr)
-    codes_arr = np.asarray(codes, dtype=np.int64)
-
-    vocabulary = sorted(code_of)
-    if codes_arr.size:
-        rank_of = {token: rank for rank, token in enumerate(vocabulary)}
-        # code_of iterates in insertion order == first-seen code order
-        remap = np.fromiter(
-            (rank_of[token] for token in code_of), dtype=np.int64, count=len(code_of)
-        )
-        codes_arr = remap[codes_arr]
-    return codes_arr, nodes, vocabulary
+        signature_lists = signature_lists + method.signature_lists(second)
+    codes, lengths, vocabulary = encode_signatures(signature_lists)
+    nodes = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
+    return codes, nodes, vocabulary
 
 
 def assemble_blocks(
@@ -263,7 +272,9 @@ def assemble_blocks(
     one entity per source for Clean-Clean ER — become blocks in sorted
     signature order, exactly like the loop path's
     ``build_unilateral_blocks``/``build_bilateral_blocks`` followed by
-    ``without_empty_blocks``.  A live executor shards the tokenization
+    ``without_empty_blocks``; blocks over the method's ``max_block_size``
+    (the Suffix-Arrays frequency cut-off) are then dropped.  A live executor
+    shards the tokenization
     (:func:`repro.parallel.blocking.dictionary_encode_sharded`); the packed-key
     sorted dedup below makes the result independent of the partitioning.
     """
@@ -279,9 +290,12 @@ def assemble_blocks(
         from ..parallel.blocking import dictionary_encode_sharded
 
         codes, nodes, vocabulary = dictionary_encode_sharded(method, first, second, executor)
-    return assemble_from_codes(
+    matrix = assemble_from_codes(
         codes, nodes, vocabulary, index_space, name, bilateral=second is not None
     )
+    if method.max_block_size is not None:
+        matrix = _select_blocks(matrix, matrix.block_sizes() <= method.max_block_size, name)
+    return matrix
 
 
 def assemble_from_codes(
@@ -301,13 +315,18 @@ def assemble_from_codes(
     merging per-shard token streams, so sharded and single-pass tokenization
     produce bit-identical matrices.
     """
-    total = max(index_space.total, 1)
     num_codes = len(vocabulary)
     if codes.size:
+        bits = key_field_bits(num_codes, index_space.total)
+        if bits is None:
+            raise OverflowError(
+                f"(signature, node) keys over {num_codes} x {index_space.total} do not fit an int64"
+            )
+        node_bits = bits[1]
         # distinct (code, node) memberships, sorted by code then node
-        packed = sorted_unique(codes * np.int64(total) + nodes)
-        codes = packed // total
-        nodes = packed % total
+        packed = sorted_unique((codes << node_bits) | nodes)
+        codes = packed >> node_bits
+        nodes = packed & ((1 << node_bits) - 1)
 
     if not bilateral:
         keep_code = np.bincount(codes, minlength=num_codes) >= 2
@@ -359,24 +378,33 @@ def filter_matrix(matrix: MembershipMatrix, ratio: float = 0.8) -> MembershipMat
     if matrix.num_blocks == 0:
         return matrix
 
-    cardinalities = matrix.block_cardinalities()
-    total = max(matrix.index_space.total, 1)
-    # memberships ordered per entity by (cardinality, block id)
-    order = np.lexsort((matrix.block_of, cardinalities[matrix.block_of], matrix.nodes))
+    # blocks ranked by (cardinality, block id): one stable sort over the blocks
+    block_rank = np.empty(matrix.num_blocks, dtype=np.int64)
+    block_rank[np.argsort(matrix.block_cardinalities(), kind="stable")] = np.arange(
+        matrix.num_blocks, dtype=np.int64
+    )
+    # memberships ordered per entity by block rank: one sort of the packed key
+    total = matrix.index_space.total
+    bits = key_field_bits(total, matrix.num_blocks)
+    if bits is None:
+        raise OverflowError(
+            f"(node, block rank) keys over {total} x {matrix.num_blocks} do not fit an int64"
+        )
+    order = np.argsort((matrix.nodes << bits[1]) | block_rank[matrix.block_of])
     sorted_nodes = matrix.nodes[order]
-    counts = np.bincount(matrix.nodes, minlength=matrix.index_space.total)
+    counts = np.bincount(matrix.nodes, minlength=total)
     starts = np.zeros(counts.size, dtype=np.int64)
     np.cumsum(counts[:-1], out=starts[1:])
     rank = np.arange(sorted_nodes.size, dtype=np.int64) - starts[sorted_nodes]
     keep_counts = np.maximum(1, np.ceil(ratio * counts)).astype(np.int64)
-    keep = rank < keep_counts[sorted_nodes]
+    # scattered back: the survivors are read off in (block, node) order
+    keep = np.empty(sorted_nodes.size, dtype=bool)
+    keep[order] = rank < keep_counts[sorted_nodes]
 
-    # retained memberships back in (block, node) order
-    packed = np.sort(matrix.block_of[order][keep] * np.int64(total) + sorted_nodes[keep])
     interim = _matrix_from_sorted(
         list(matrix.keys),
-        packed // total,
-        packed % total,
+        matrix.block_of[keep],
+        matrix.nodes[keep],
         matrix.index_space,
         f"{matrix.name}|filtered",
     )

@@ -17,7 +17,7 @@ building, block assembly) is shared.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from ..datamodel import (
     BlockCollection,
@@ -34,19 +34,23 @@ class BlockingMethod(ABC):
 
     #: name used in block collection labels and reports
     name: str = "blocking"
+    #: blocks with more entities than this are dropped at assembly (the
+    #: Suffix-Arrays frequency cut-off); ``None`` keeps every block
+    max_block_size: Optional[int] = None
 
     @abstractmethod
     def signatures_of(self, profile: EntityProfile) -> Set[str]:
         """Return the blocking signatures of one entity profile."""
 
-    def signature_lists(self, collection: EntityCollection) -> List[List[str]]:
+    def signature_lists(self, profiles: Iterable[EntityProfile]) -> List[List[str]]:
         """Per-profile signature lists for batch (array-engine) assembly.
 
-        Duplicates are allowed — the array engine deduplicates while
-        dictionary-encoding the signatures — so subclasses may override this
-        to skip the per-profile set building of :meth:`signatures_of`.
+        ``profiles`` is only iterated: a collection, a shard's tuple or a
+        plain list.  Duplicates are allowed — the array engine deduplicates
+        while assembling the blocks — so subclasses may override this to skip
+        the per-profile set building of :meth:`signatures_of`.
         """
-        return [list(self.signatures_of(profile)) for profile in collection]
+        return [list(self.signatures_of(profile)) for profile in profiles]
 
     # -- shared machinery -------------------------------------------------------
     def _signature_index(

@@ -7,10 +7,10 @@ Token Blocking at the cost of larger, noisier blocks.
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Iterable, List, Set
 
 from ..datamodel import EntityProfile
-from ..utils.text import distinct_qgrams
+from ..utils.text import distinct_qgrams, qgrams
 from .base import BlockingMethod
 
 
@@ -32,3 +32,6 @@ class QGramsBlocking(BlockingMethod):
 
     def signatures_of(self, profile: EntityProfile) -> Set[str]:
         return distinct_qgrams(profile.text(), q=self.q)
+
+    def signature_lists(self, profiles: Iterable[EntityProfile]) -> List[List[str]]:
+        return [qgrams(profile.text(), q=self.q) for profile in profiles]

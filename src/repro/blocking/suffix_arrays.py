@@ -9,10 +9,10 @@ Blocking.
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Iterable, List, Set
 
 from ..datamodel import EntityProfile
-from ..utils.text import distinct_suffixes
+from ..utils.text import distinct_suffixes, suffixes
 from .base import BlockingMethod
 
 
@@ -41,8 +41,18 @@ class SuffixArraysBlocking(BlockingMethod):
     def signatures_of(self, profile: EntityProfile) -> Set[str]:
         return distinct_suffixes(profile.text(), min_suffix_length=self.min_suffix_length)
 
+    def signature_lists(self, profiles: Iterable[EntityProfile]) -> List[List[str]]:
+        return [
+            suffixes(profile.text(), min_suffix_length=self.min_suffix_length)
+            for profile in profiles
+        ]
+
     def build_blocks(self, first, second=None):  # type: ignore[override]
-        """Build blocks, then drop blocks larger than ``max_block_size``."""
+        """Build blocks, then drop blocks larger than ``max_block_size``.
+
+        The object chain's statement of the cut-off; the array engine reads
+        the same attribute in :func:`repro.blocking.arrayops.assemble_blocks`.
+        """
         blocks = super().build_blocks(first, second)
         if self.max_block_size is None:
             return blocks

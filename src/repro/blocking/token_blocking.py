@@ -8,10 +8,10 @@ redundancy-positive blocking method.
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Iterable, List, Set
 
-from ..datamodel import EntityCollection, EntityProfile
-from ..utils.text import distinct_tokens, tokens_of_texts
+from ..datamodel import EntityProfile
+from ..utils.text import distinct_tokens, tokens
 from .base import BlockingMethod
 
 
@@ -42,9 +42,8 @@ class TokenBlocking(BlockingMethod):
             remove_stop_words=self.remove_stop_words,
         )
 
-    def signature_lists(self, collection: EntityCollection) -> List[List[str]]:
-        return tokens_of_texts(
-            (profile.text() for profile in collection),
-            min_length=self.min_token_length,
-            remove_stop_words=self.remove_stop_words,
-        )
+    def signature_lists(self, profiles: Iterable[EntityProfile]) -> List[List[str]]:
+        return [
+            tokens(profile.text(), self.min_token_length, self.remove_stop_words)
+            for profile in profiles
+        ]

@@ -387,7 +387,9 @@ class MutableBlockIndex:
         The signature extractor (default :class:`TokenBlocking`, as in the
         paper's evaluation).  Only :meth:`BlockingMethod.signatures_of` /
         :meth:`BlockingMethod.signature_lists` are used — index assembly is
-        incremental.
+        incremental and works on the raw signatures: the batch-only
+        ``BlockingMethod.max_block_size`` cut-off (Suffix-Arrays Blocking)
+        is not, and never was, applied to a streaming index.
     bilateral:
         ``True`` for Clean-Clean ER streams (entities arrive tagged with a
         source side, only cross-side pairs are candidates); ``False`` for

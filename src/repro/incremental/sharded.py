@@ -224,7 +224,7 @@ class ShardedMutableBlockIndex:
                 ],
             )
             return [lists for chunk in chunks for lists in chunk]
-        return self.blocking.signature_lists(_ProfileView(profiles))
+        return self.blocking.signature_lists(profiles)
 
     # -- mutations ---------------------------------------------------------------
     def add_entity(self, profile: EntityProfile, side: int = 0):
@@ -552,16 +552,3 @@ class ShardedMutableBlockIndex:
         collections = [shard.snapshot_blocks() for shard in self.shards]
         blocks = [block for collection in collections for block in collection]
         return BlockCollection(blocks, self.index_space(), name=self.name)
-
-
-class _ProfileView:
-    """Minimal iterable view over a profile list for ``signature_lists``."""
-
-    def __init__(self, profiles: Sequence[EntityProfile]) -> None:
-        self._profiles = profiles
-
-    def __iter__(self):
-        return iter(self._profiles)
-
-    def __len__(self) -> int:
-        return len(self._profiles)

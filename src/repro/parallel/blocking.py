@@ -7,7 +7,8 @@ single-pass array code:
 
 * **tokenization** — the :class:`~repro.parallel.planner.ShardPlanner`
   hash-partitions the profiles into K shards (stable global node ids),
-  workers tokenize and dictionary-encode their shard independently, and the
+  workers tokenize their shard and encode it with the serial engine's own
+  kernel (:func:`repro.blocking.arrayops.encode_signatures`), and the
   parent merges the per-shard token streams: shard vocabularies are unioned
   into the global sorted vocabulary, shard codes remapped to global ranks,
   and the concatenated ``(code, node)`` stream handed back to
@@ -23,7 +24,7 @@ single-pass array code:
   the merged keys equal the serial extraction's output array exactly.
 
 Block Purging and Block Filtering remain single-pass array code: they are a
-handful of ``bincount``/``lexsort`` passes over per-block aggregates —
+handful of ``bincount`` passes and one ``argsort`` over the memberships —
 memory-bandwidth bound and a rounding error in the stage profile.
 """
 
@@ -57,17 +58,15 @@ def dictionary_encode_sharded(
     )
 
     # merge the shard vocabularies into the global sorted vocabulary
-    vocabulary = sorted(set().union(*(vocab for vocab, _, _ in results))) if results else []
-    rank_of = {token: rank for rank, token in enumerate(vocabulary)}
+    vocabulary = sorted(set().union(*(vocab for _, _, vocab in results))) if results else []
+    rank_of = dict(zip(vocabulary, range(len(vocabulary))))
 
     code_parts: List[np.ndarray] = []
     node_parts: List[np.ndarray] = []
-    for shard, (vocab, codes, lengths) in zip(shards, results):
+    for shard, (codes, lengths, vocab) in zip(shards, results):
         if codes.size == 0:
             continue
-        remap = np.fromiter(
-            (rank_of[token] for token in vocab), dtype=np.int64, count=len(vocab)
-        )
+        remap = np.fromiter(map(rank_of.__getitem__, vocab), np.int64, len(vocab))
         code_parts.append(remap[codes])
         node_parts.append(np.repeat(shard.nodes, lengths))
     codes = np.concatenate(code_parts) if code_parts else np.empty(0, dtype=np.int64)

@@ -9,17 +9,19 @@ into pre-allocated shared buffers at disjoint offsets (the co-occurrence
 pass) or returned as small/result-sized arrays.
 
 All kernels are deterministic and seedless — they reuse the single-process
-NumPy kernels unchanged (:func:`repro.weights.sparse.compute_pair_cooccurrence`,
-the expansion and sorted-unique dedup of :mod:`repro.pairs`), which is what
-makes every parallel stage bit-identical to its ``workers=1`` oracle.
+kernels unchanged (:func:`repro.blocking.arrayops.encode_signatures`,
+:func:`repro.weights.sparse.compute_pair_cooccurrence`, the expansion and
+sorted-unique dedup of :mod:`repro.pairs`), which is what makes every
+parallel stage bit-identical to its ``workers=1`` oracle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from ..blocking.arrayops import encode_signatures
 from ..blocking.base import BlockingMethod
 from ..datamodel import EntityProfile
 from ..pairs import distinct_pair_keys
@@ -30,61 +32,22 @@ from .shm import SharedArrayHandle, attach_view
 # -- tokenization ----------------------------------------------------------------
 def tokenize_shard(
     profiles: Sequence[EntityProfile], blocking: BlockingMethod
-) -> Tuple[List[str], np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, List[str]]:
     """Tokenize one entity shard into a dictionary-encoded signature stream.
 
-    Returns ``(vocabulary, codes, lengths)``: the shard's lexicographically
-    sorted signature vocabulary, one code per signature occurrence (indexing
-    that vocabulary, duplicates included) and the number of signatures per
-    profile.  The parent merges the shard vocabularies and remaps the codes
-    into the global sorted vocabulary — the same encoding
-    :func:`repro.blocking.arrayops._dictionary_encode` produces in one pass.
+    Returns :func:`repro.blocking.arrayops.encode_signatures` of the shard —
+    ``(codes, lengths, vocabulary)`` over the shard's own sorted vocabulary;
+    the parent merges the shard vocabularies and remaps the codes into the
+    global one.
     """
-    code_of: Dict[str, int] = {}
-    codes: List[int] = []
-    lengths = np.empty(len(profiles), dtype=np.int64)
-    setdefault = code_of.setdefault
-    append = codes.append
-    for position, signatures in enumerate(
-        blocking.signature_lists(_ProfileSequence(profiles))
-    ):
-        lengths[position] = len(signatures)
-        for signature in signatures:
-            append(setdefault(signature, len(code_of)))
-    codes_arr = np.asarray(codes, dtype=np.int64)
-    vocabulary = sorted(code_of)
-    if codes_arr.size:
-        rank_of = {token: rank for rank, token in enumerate(vocabulary)}
-        remap = np.fromiter(
-            (rank_of[token] for token in code_of), dtype=np.int64, count=len(code_of)
-        )
-        codes_arr = remap[codes_arr]
-    return vocabulary, codes_arr, lengths
+    return encode_signatures(blocking.signature_lists(profiles))
 
 
 def signature_lists_chunk(
     profiles: Sequence[EntityProfile], blocking: BlockingMethod
 ) -> List[List[str]]:
     """Raw per-profile signature lists for one chunk (sharded-index ingest)."""
-    return blocking.signature_lists(_ProfileSequence(profiles))
-
-
-class _ProfileSequence:
-    """Duck-typed stand-in for :class:`EntityCollection` in worker kernels.
-
-    ``BlockingMethod.signature_lists`` only iterates its argument, but
-    building a real collection would re-validate entity-id uniqueness per
-    chunk; this wrapper skips that.
-    """
-
-    def __init__(self, profiles: Sequence[EntityProfile]) -> None:
-        self._profiles = profiles
-
-    def __iter__(self):
-        return iter(self._profiles)
-
-    def __len__(self) -> int:
-        return len(self._profiles)
+    return blocking.signature_lists(profiles)
 
 
 # -- candidate extraction --------------------------------------------------------

@@ -4,15 +4,28 @@ Schema-agnostic blocking derives signatures from attribute values: whitespace
 tokens for Token Blocking, character q-grams for Q-Grams Blocking and token
 suffixes for Suffix-Arrays Blocking.  All functions are deterministic and
 pure so blocking output is reproducible.
+
+A token is a maximal run of ``[a-z0-9]`` in the normalised text.  After the
+NFKD fold and the ASCII encode every character is one byte, so
+:func:`tokens` finds the runs with one 256-entry ``bytes.translate`` table
+(``A-Z`` lower-cased, ``[a-z0-9]`` kept, every other byte blanked) and a
+``split()`` — the same tokens as ``re.findall("[a-z0-9]+", normalize(text))``
+for every input: on ASCII text ``str.lower()`` touches only ``A-Z``, and the
+bytes the table blanks are exactly the complement of the character class.
+The regular expression is the oracle in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
-import re
+import string
 import unicodedata
-from typing import Iterable, List, Sequence, Set
+from typing import Iterable, List, Set
 
-_TOKEN_PATTERN = re.compile(r"[a-z0-9]+")
+_TOKEN_BYTES = (string.ascii_lowercase + string.digits).encode("ascii")
+#: byte -> byte: upper case folded, ``[a-z0-9]`` kept, everything else a space
+_TOKEN_TABLE = bytes(
+    byte if byte in _TOKEN_BYTES else ord(" ") for byte in bytes(range(256)).lower()
+)
 
 #: Frequent English/product stop-words excluded from signatures when the
 #: caller asks for stop-word removal.  Deliberately small: schema-agnostic
@@ -23,6 +36,13 @@ STOP_WORDS: Set[str] = {
 }
 
 
+def _ascii_fold(text: str) -> bytes:
+    """The ASCII bytes left of ``text`` after compatibility decomposition."""
+    if not text:
+        return b""
+    return unicodedata.normalize("NFKD", text).encode("ascii", "ignore")
+
+
 def normalize(text: str) -> str:
     """Lower-case, strip accents and collapse non-alphanumeric characters.
 
@@ -30,11 +50,7 @@ def normalize(text: str) -> str:
     implementations: case folding plus punctuation removal, so that
     "iPhone-X" and "iphone x" produce the same tokens.
     """
-    if not text:
-        return ""
-    folded = unicodedata.normalize("NFKD", text)
-    ascii_only = folded.encode("ascii", "ignore").decode("ascii")
-    return ascii_only.lower()
+    return _ascii_fold(text).decode("ascii").lower()
 
 
 def tokens(text: str, min_length: int = 1, remove_stop_words: bool = False) -> List[str]:
@@ -49,8 +65,9 @@ def tokens(text: str, min_length: int = 1, remove_stop_words: bool = False) -> L
     remove_stop_words:
         Drop tokens in :data:`STOP_WORDS`.
     """
-    extracted = _TOKEN_PATTERN.findall(normalize(text))
-    result = [token for token in extracted if len(token) >= min_length]
+    result = _ascii_fold(text).translate(_TOKEN_TABLE).decode("ascii").split()
+    if min_length > 1:
+        result = [token for token in result if len(token) >= min_length]
     if remove_stop_words:
         result = [token for token in result if token not in STOP_WORDS]
     return result
@@ -61,23 +78,6 @@ def distinct_tokens(
 ) -> Set[str]:
     """Return the set of distinct tokens of ``text``."""
     return set(tokens(text, min_length=min_length, remove_stop_words=remove_stop_words))
-
-
-def tokens_of_texts(
-    texts: Iterable[str], min_length: int = 1, remove_stop_words: bool = False
-) -> List[List[str]]:
-    """Batch tokenization: one token list per text, duplicates kept.
-
-    This is the entry point of the array blocking engine, which
-    dictionary-encodes the flattened output and deduplicates during block
-    assembly — so, unlike :func:`distinct_tokens`, no per-text set is
-    built.  Delegates to :func:`tokens`, so the array engine and the object
-    chain share one tokenization pipeline by construction.
-    """
-    return [
-        tokens(text, min_length=min_length, remove_stop_words=remove_stop_words)
-        for text in texts
-    ]
 
 
 def qgrams(text: str, q: int = 3) -> List[str]:

@@ -5,7 +5,9 @@ pair-for-pair identical to the object-based reference chain
 (``reference_prepare_blocks``) — raw, purged
 and filtered collections, candidate pairs, and the handed-over CSR incidence
 structure — across unilateral and bilateral inputs, with and without
-purging/filtering, and under stop-word and minimum-token-length variants.
+purging/filtering, and under stop-word and minimum-token-length variants,
+for every blocking method, over texts the tokeniser's fold actually changes
+(mixed case, punctuation, accents, repeated tokens).
 """
 
 import numpy as np
@@ -13,16 +15,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blocking import QGramsBlocking, TokenBlocking, prepare_blocks
+from repro.blocking import (
+    QGramsBlocking,
+    StandardBlocking,
+    SuffixArraysBlocking,
+    TokenBlocking,
+    prepare_blocks,
+)
+from repro.blocking.arrayops import _dictionary_encode, encode_signatures
 from repro.datamodel import EntityCollection, make_profile
+from repro.parallel.worker import tokenize_shard
 from repro.weights.sparse import build_entity_block_csr
 
-from reference import reference_prepare_blocks
+from reference import reference_encode_signatures, reference_prepare_blocks
 
 #: a small vocabulary (stop-words included) so random texts collide heavily
 WORDS = (
     "apple", "samsung", "phone", "smartphone", "mate", "fold", "x",
     "s20", "20", "the", "and", "a", "pro", "mini",
+)
+
+
+_ACCENTS = str.maketrans("aeioun", "áéïöüñ")
+
+#: renderings of a word that all fold back to it (or, for the last two, to it
+#: and a neighbour: the separator is part of the rendering)
+RENDERINGS = (
+    str,
+    str.upper,
+    str.title,
+    lambda word: word.translate(_ACCENTS),
+    lambda word: f"({word}),",
+    lambda word: f"{word}-{word}",
+    lambda word: f"{word}/\t",
 )
 
 
@@ -37,11 +62,26 @@ def make_collection(token_rows, name):
 @st.composite
 def collections(draw, name, min_entities=1, max_entities=8):
     n_entities = draw(st.integers(min_entities, max_entities))
+    rendered_words = st.builds(
+        lambda word, render: render(word), st.sampled_from(WORDS), st.sampled_from(RENDERINGS)
+    )
     rows = [
-        draw(st.lists(st.sampled_from(WORDS), min_size=0, max_size=6))
+        draw(st.lists(rendered_words, min_size=0, max_size=6))
         for _ in range(n_entities)
     ]
     return make_collection(rows, name)
+
+
+#: every blocking method, with the parameters that change its signatures
+blocking_methods = st.one_of(
+    st.builds(QGramsBlocking, q=st.sampled_from((2, 3))),
+    st.builds(
+        SuffixArraysBlocking,
+        min_suffix_length=st.sampled_from((2, 3)),
+        max_block_size=st.sampled_from((None, 2, 53)),
+    ),
+    st.builds(StandardBlocking, st.just(["text"]), tokenize=st.booleans()),
+)
 
 
 @st.composite
@@ -116,8 +156,87 @@ class TestPropertyEquivalence:
         """The generic signature_lists path (non-token blocking methods)."""
         assert_equivalent(first, second, blocking=QGramsBlocking(q=3))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        first=collections(name="shop-1"),
+        second=collections(name="shop-2"),
+        options=preparation_options(),
+        blocking=blocking_methods,
+    )
+    def test_bilateral_every_method(self, first, second, options, blocking):
+        assert_equivalent(first, second, blocking=blocking, **options)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        collection=collections(name="dirty", max_entities=10),
+        options=preparation_options(),
+        blocking=blocking_methods,
+    )
+    def test_unilateral_every_method(self, collection, options, blocking):
+        assert_equivalent(collection, None, blocking=blocking, **options)
+
+
+class TestEncodeKernel:
+    """``encode_signatures`` against the per-token ``setdefault`` loop it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        first=collections(name="shop-1"),
+        second=st.one_of(st.none(), collections(name="shop-2")),
+        blocking=st.one_of(token_blocking_variants(), blocking_methods),
+    )
+    def test_same_stream_as_the_loop(self, first, second, blocking):
+        profiles = list(first) + list(second or ())
+        expected = reference_encode_signatures(blocking.signature_lists(profiles))
+        for ours, theirs in zip(tokenize_shard(tuple(profiles), blocking), expected):
+            assert_same_array(ours, theirs)
+        codes, nodes, vocabulary = _dictionary_encode(blocking, first, second)
+        assert_same_array(codes, expected[0])
+        assert_same_array(nodes, np.repeat(np.arange(len(profiles)), expected[1]))
+        assert vocabulary == expected[2]
+
+    @pytest.mark.parametrize(
+        "signature_lists",
+        [[], [[]], [[], [], []], [["x", "x", "x"]], [[], ["x"], [], ["x", "x"]]],
+        ids=["none", "one-empty", "all-empty", "one-repeated", "mixed"],
+    )
+    def test_degenerate_inputs_are_well_typed(self, signature_lists):
+        codes, lengths, vocabulary = encode_signatures(signature_lists)
+        expected = reference_encode_signatures(signature_lists)
+        for ours, theirs in zip((codes, lengths, vocabulary), expected):
+            assert_same_array(ours, theirs)
+        assert lengths.tolist() == [len(signatures) for signatures in signature_lists]
+        assert codes.tolist() == [0] * int(lengths.sum())
+        assert vocabulary == (["x"] if codes.size else [])
+
+
+def assert_same_array(ours, theirs):
+    if isinstance(theirs, list):
+        assert ours == theirs
+        return
+    assert ours.dtype == theirs.dtype == np.int64 and ours.ndim == 1
+    assert np.array_equal(ours, theirs)
+
 
 class TestEdgeCases:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_suffix_arrays_cut_off_reaches_the_array_engine(self, workers):
+        """``max_block_size`` was only applied by the object chain's override."""
+        collection = make_collection(
+            [[f"widget{position % 3}", "gadget"] for position in range(8)], "dirty"
+        )
+        options = dict(
+            blocking=SuffixArraysBlocking(3, 2), apply_purging=False, apply_filtering=False
+        )
+        loop, _ = assert_equivalent(collection, None, **options)
+        assert len(loop.blocks) == 5 and max(loop.blocks.block_sizes()) == 2
+        sharded = prepare_blocks(collection, None, workers=workers, **options)
+        assert_collections_identical(loop.blocks, sharded.blocks)
+        uncut = prepare_blocks(
+            collection, None, **{**options, "blocking": SuffixArraysBlocking(3, None)}
+        )
+        assert len(uncut.blocks) == 19 and max(uncut.blocks.block_sizes()) == 8
+
     def test_empty_collections(self):
         empty = make_collection([], "empty")
         other = make_collection([["apple"]], "other")

@@ -9,12 +9,11 @@ runs under is spelled once.
 """
 
 import ast
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from test_import_layering import ROOT, _imports, _parse
+from test_import_layering import ROOT, _imported_names, _parse
 from repro.blocking import prepare_blocks
 from repro.core.pipeline import GeneralizedSupervisedMetaBlocking
 from repro.core.pruning import PRUNING_ALGORITHMS
@@ -81,17 +80,6 @@ def test_unsupervised_pruning_builds_no_queue(dataset, monkeypatch, algorithm):
     _forbid_queues(monkeypatch)
     mask = algorithm.prune(graph, prepared.blocks)
     assert mask.dtype == bool and 0 < np.count_nonzero(mask) <= graph.edge_count
-
-
-def _imported_names(path: Path):
-    """``{name: module}`` over the import statements of ``path``."""
-    names = {}
-    for module, statement in _imports(path, _parse(path)):
-        if isinstance(statement, ast.ImportFrom):
-            names.update({alias.name: module for alias in statement.names})
-        else:
-            names[module] = module
-    return names
 
 
 def test_the_queue_has_one_user_left():

@@ -14,11 +14,16 @@ Pruning's references live here outright: the bounded-priority-queue bodies
 of CEP / CNP / RCNP (Algorithms 4-5 as the paper writes them, one push per
 pair) and the ``np.add.at`` / ``np.maximum.at`` per-node passes, which the
 library replaced with the array kernels of ``repro.core.pruning.kernels``.
+So do tokenisation's: the regular expression ``repro.utils.text.tokens``
+replaced with a byte table, and the per-token ``dict.setdefault`` loop
+``repro.blocking.arrayops.encode_signatures`` replaced with ``map``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+import re
+import unicodedata
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,8 +38,44 @@ from repro.core.features import FeatureMatrix, FeatureVectorGenerator
 from repro.core.pruning import VALIDITY_THRESHOLD, BlockTotals, cep_budget, cnp_budget
 from repro.datamodel import CandidateSet, EntityCollection
 from repro.utils.pqueue import BoundedTopQueue
+from repro.utils.text import STOP_WORDS
 from repro.utils.timing import StageTimer
 from repro.weights import BlockStatistics
+
+_TOKEN_PATTERN = re.compile(r"[a-z0-9]+")
+
+
+def reference_tokens(
+    text: str, min_length: int = 1, remove_stop_words: bool = False
+) -> List[str]:
+    """``repro.utils.text.tokens`` as a regular expression over the folded text."""
+    folded = unicodedata.normalize("NFKD", text).encode("ascii", "ignore").decode("ascii")
+    result = [
+        token for token in _TOKEN_PATTERN.findall(folded.lower()) if len(token) >= min_length
+    ]
+    if remove_stop_words:
+        result = [token for token in result if token not in STOP_WORDS]
+    return result
+
+
+def reference_encode_signatures(
+    signature_lists: Sequence[Sequence[str]],
+) -> Tuple[np.ndarray, np.ndarray, List[str]]:
+    """``encode_signatures`` one token at a time: first-seen codes through
+    ``dict.setdefault``, then remapped to sorted-vocabulary ranks."""
+    code_of: Dict[str, int] = {}
+    codes: List[int] = []
+    for signatures in signature_lists:
+        for signature in signatures:
+            codes.append(code_of.setdefault(signature, len(code_of)))
+    vocabulary = sorted(code_of)
+    rank_of = {token: rank for rank, token in enumerate(vocabulary)}
+    remap = np.array([rank_of[token] for token in code_of], dtype=np.int64)
+    return (
+        remap[np.array(codes, dtype=np.int64)],
+        np.array([len(signatures) for signatures in signature_lists], dtype=np.int64),
+        vocabulary,
+    )
 
 
 def reference_feature_matrix(

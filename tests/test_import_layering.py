@@ -41,6 +41,17 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _imported_names(path: Path):
+    """``{name: module}`` over the import statements of ``path``."""
+    names = {}
+    for module, statement in _imports(path, _parse(path)):
+        if isinstance(statement, ast.ImportFrom):
+            names.update({alias.name: module for alias in statement.names})
+        else:
+            names[module] = module
+    return names
+
+
 def test_the_leaf_module_imports_only_numpy_stdlib_and_datamodel():
     allowed = set(sys.stdlib_module_names) | {"numpy"}
     offenders = [

@@ -303,9 +303,11 @@ def test_refused_keys_change_the_path_not_the_result(name):
     assert expected.cooccurrence is not None
     stats = expected.statistics()
     left, right = expected.candidates.left, expected.candidates.right
-    node_bits = pairs.key_field_bits(expected.candidates.index_space.total)[0]
-    # room for a (left, right) key, not for (left, right, block id)
-    with mock.patch.object(pairs, "KEY_BITS", 2 * node_bits):
+    total = expected.candidates.index_space.total
+    # one bit short of (left, right, block id): room for every two-field key
+    # — (signature, node), (node, block rank), (left, right) — not for that one
+    short = sum(pairs.key_field_bits(total, total, len(expected.blocks))) - 1
+    with mock.patch.object(pairs, "KEY_BITS", short):
         refused = prepare_blocks(*collections)
         assert refused.cooccurrence is None
         assert plan_block_major(stats.csr(), left, right, stats.sides) is None
