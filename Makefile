@@ -4,7 +4,8 @@
 #   make test-equivalence  - reference-equivalence + golden regression tests only
 #                            (block preparation vs the object chain and its tokeniser /
 #                            encode oracles, batch features, the pruning kernels vs their
-#                            queue oracle, and the online answer's budgets/read path)
+#                            queue oracle, the online answer's budgets/read path, and the
+#                            feature-major layout / row-wise score / label-search guards)
 #   make test-fast         - tier-1 suite without the perf smoke tests
 #   make bench-smoke       - quick feature-runtime bench
 #   make bench-stream      - incremental streaming vs batch recompute bench
@@ -21,6 +22,9 @@
 #   make bench-ab REF=<sha> PR=<n> [WORKLOADS="..."] [SEEDS="..."]
 #                          - same-box A/B of the ledger, parent REF vs the staged
 #                            tree, ten alternated seed pairs -> BENCH_<PR>.json
+#   make profile-answer WORKLOAD=<name> [PHASE=answer|ingest] [SEED=<n>]
+#                          - cProfile of one phase of one ledger workload, under the
+#                            ledger's child environment, after its un-profiled timing
 #   make test-chaos        - seeded chaos suite (kill-loop against the daemon)
 #   make bench             - the full pytest-benchmark harness
 #   make loc               - the tracked src/ line count (ROADMAP aim 2)
@@ -28,7 +32,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: loc test test-equivalence test-fast test-chaos bench-smoke bench-stream bench-churn bench-blocking bench-parallel bench-wal bench-serve bench-delta bench-faults bench-obs bench-ledger bench-ledger-quick bench-ab bench
+.PHONY: loc test test-equivalence test-fast test-chaos bench-smoke bench-stream bench-churn bench-blocking bench-parallel bench-wal bench-serve bench-delta bench-faults bench-obs bench-ledger bench-ledger-quick bench-ab profile-answer bench
 
 test:
 	$(PYTEST) -x -q
@@ -40,7 +44,9 @@ test-equivalence:
 		tests/blocking/test_no_block_objects.py \
 		tests/core/test_pruning_kernels.py tests/core/test_no_per_pair_pruning.py \
 		tests/blocking/test_array_equivalence.py tests/blocking/test_golden_blocking.py \
-		tests/blocking/test_one_encode.py tests/utils/test_text.py
+		tests/blocking/test_one_encode.py tests/utils/test_text.py \
+		tests/core/test_feature_major_layout.py tests/ml/test_score_is_rowwise.py \
+		tests/datamodel/test_ground_truth.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q
@@ -88,6 +94,11 @@ bench-ab:
 	$(if $(and $(REF),$(PR)),,$(error usage: make bench-ab REF=<parent sha> PR=<n> - both are required))
 	$(PYTHON) benchmarks/ab.py --ref $(REF) --pr $(PR) --trace-seed 2 \
 		$(if $(WORKLOADS),--workloads $(WORKLOADS)) $(if $(SEEDS),--seeds $(SEEDS))
+
+profile-answer:
+	$(if $(WORKLOAD),,$(error usage: make profile-answer WORKLOAD=<name> [PHASE=answer|ingest] [SEED=<n>]))
+	$(PYTHON) benchmarks/profile_answer.py --workload $(WORKLOAD) \
+		$(if $(PHASE),--phase $(PHASE)) $(if $(SEED),--seed $(SEED))
 
 test-chaos:
 	$(PYTEST) -q -m chaos tests/faults/

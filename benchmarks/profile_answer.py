@@ -1,0 +1,157 @@
+"""Look before claiming: profile one phase of one ledger workload.
+
+    python3 benchmarks/profile_answer.py --workload batch_dirty_blast
+                                         [--phase answer|ingest] [--seed 1]
+
+The ledger's spans stop at layer boundaries; this is the instrument below
+them.  It sits beside the ledger and only imports it (``ledger_spec``,
+``ledger_workloads``, ``ledger_spans``, ``run.child_environment`` — nothing
+under ``benchmarks/ledger/`` knows about it): the same workload object, the
+same seeded inputs, the same child environment (``ledger_spec.CHILD_ENV``,
+applied by re-executing this file once), so what it reports is the program the
+ledger measures.
+
+One run = set-up, ``WARMUP_ROUNDS`` untimed rounds, ``PLAIN_ROUNDS``
+un-profiled rounds whose min / median / position-wise floor (the ledger's
+estimator) are printed *first* — the number the profile has to be reconciled
+with — then ``cProfile`` over ``PROFILED_ROUNDS`` rounds, switched on only
+inside the chosen phase's spans, and the top ``TOP`` functions by cumulative
+time, per round and per call, in milliseconds.  ``cProfile`` charges every
+Python call but not the work inside native code, so it inflates layers made
+of many small calls: find candidates here, then measure them with the
+ledger (``make bench-ab``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import os
+import pstats
+import shutil
+import statistics
+import sys
+import time
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Iterator, List, Optional, Sequence
+
+HERE = Path(__file__).resolve().parent
+LEDGER = HERE / "ledger"
+sys.path.insert(0, str(LEDGER))
+
+import ledger_spec as spec  # noqa: E402
+from ledger_spans import SpanRecorder  # noqa: E402
+from ledger_stats import positionwise_floor  # noqa: E402
+from run import child_environment  # noqa: E402
+
+WARMUP_ROUNDS = 3
+PLAIN_ROUNDS = 150
+PROFILED_ROUNDS = 30
+TOP = 40
+PHASES = ("answer", "ingest")
+
+
+class PhaseProfiler(SpanRecorder):
+    """A disabled recorder whose ``span(phase)`` switches a profiler on.
+
+    The workloads open one root span around every timed operation whether or
+    not tracing is on; left disabled, the recorder wraps no layer, so the
+    rounds run the program exactly as the ledger's untraced pass does.
+    """
+
+    def __init__(self, phase: str) -> None:
+        super().__init__()
+        self.phase = phase
+        self.profiler: Optional[cProfile.Profile] = None
+
+    @contextmanager
+    def span(self, name: str) -> Iterator[None]:
+        if self.profiler is None or name != self.phase:
+            yield
+            return
+        self.profiler.enable()
+        try:
+            yield
+        finally:
+            self.profiler.disable()
+
+
+def reexec_in_child_environment() -> None:
+    """Re-execute under the ledger's child environment (glibc reads its knobs at start-up)."""
+    if all(os.environ.get(name) == value for name, value in spec.CHILD_ENV.items()):
+        return
+    script = str(Path(__file__).resolve())
+    os.execve(sys.executable, [sys.executable, script, *sys.argv[1:]], child_environment())
+
+
+def print_profile(profiler: cProfile.Profile, rounds: int) -> None:
+    """Top ``TOP`` functions by cumulative time, in ms per round and per call."""
+    rows = sorted(
+        pstats.Stats(profiler).stats.items(), key=lambda item: item[1][3], reverse=True
+    )[:TOP]
+    print(f"{'calls/rd':>9} {'self ms/rd':>11} {'cum ms/rd':>10} {'cum ms/call':>12}  function")
+    for (filename, line, function), (_, calls, own, cumulative, _) in rows:
+        where = function if filename == "~" else f"{Path(filename).name}:{line}({function})"
+        print(
+            f"{calls / rounds:9.1f} {own * 1e3 / rounds:11.3f} "
+            f"{cumulative * 1e3 / rounds:10.3f} {cumulative * 1e3 / calls:12.4f}  {where}"
+        )
+
+
+def main(argv: Sequence[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True, choices=sorted(spec.WORKLOAD_BY_NAME))
+    parser.add_argument("--phase", default="answer", choices=PHASES)
+    parser.add_argument("--seed", type=int, default=1)
+    arguments = parser.parse_args(argv)
+    reexec_in_child_environment()
+
+    from ledger_workloads import make_workload
+
+    tracer = PhaseProfiler(arguments.phase)
+    workdir = LEDGER / "work" / f"profile-{os.getpid()}"
+    workdir.mkdir(parents=True)
+    workload = make_workload(
+        spec.WORKLOAD_BY_NAME[arguments.workload], arguments.seed, workdir, tracer
+    )
+    try:
+        if not workload.in_process:
+            parser.error(
+                f"{arguments.workload} does its work in the daemon's processes; "
+                "profile stream_churn (the same session code, in process) instead"
+            )
+        workload.setup()
+        expected = workload.run_round().digest
+        for _ in range(WARMUP_ROUNDS - 1):
+            workload.run_round()
+
+        samples: List[List[float]] = []
+        for _ in range(PLAIN_ROUNDS):
+            sample = workload.run_round()
+            if sample.digest != expected:
+                raise RuntimeError("a round answered differently from the first")
+            samples.append(getattr(sample, f"{arguments.phase}_seconds"))
+        per_round = [statistics.fmean(row) * 1e3 for row in samples]
+        floor = statistics.fmean(positionwise_floor(samples)) * 1e3
+        print(
+            f"{arguments.workload} seed {arguments.seed}: {arguments.phase}_ms over "
+            f"{PLAIN_ROUNDS} un-profiled rounds ({len(samples[0])} op/round) "
+            f"min {min(per_round):.3f}  median {statistics.median(per_round):.3f}  "
+            f"ledger floor {floor:.3f}"
+        )
+
+        tracer.profiler = cProfile.Profile(time.perf_counter)
+        for _ in range(PROFILED_ROUNDS):
+            workload.run_round()
+        profiler, tracer.profiler = tracer.profiler, None
+        print(f"cProfile of the {arguments.phase} phase, {PROFILED_ROUNDS} rounds:")
+        print_profile(profiler, PROFILED_ROUNDS)
+    finally:
+        workload.close()
+        shutil.rmtree(workdir, ignore_errors=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

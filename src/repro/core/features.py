@@ -5,6 +5,10 @@ whose components are weighting-scheme scores (paper Section 2.1).  The
 generator assembles the requested schemes into an ``(n_pairs, n_features)``
 matrix, recording the time spent per scheme so the run-time experiments can
 attribute cost to individual features (LCP being the expensive one).
+
+The matrix is *feature-major* (Fortran order): the schemes that fill it,
+scaling and the column-ordered score all work a column at a time, and a
+row-major matrix of width 4-6 turns each of those passes into a strided crawl.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from ..weights.registry import ORIGINAL_FEATURE_SET
 class FeatureMatrix:
     """A feature matrix plus its column metadata."""
 
-    #: the (n_pairs, n_features) feature values
+    #: the (n_pairs, n_features) feature values, feature-major
     values: np.ndarray
     #: column labels, e.g. ["CF-IBF", "RACCB", "LCP(e_i)", "LCP(e_j)"]
     columns: Tuple[str, ...]
@@ -132,8 +136,7 @@ class FeatureVectorGenerator:
             when ``workers > 1`` (one is created and closed around the
             generation otherwise).
         """
-        columns: List[np.ndarray] = []
-        scheme_seconds: Dict[str, float] = {}
+        values = np.empty((len(candidates), len(self.columns)), dtype=np.float64, order="F")
         local_timer = StageTimer()
         workers = executor.workers if executor is not None else self.workers
         if workers > 1 and isinstance(stats, BlockStatistics):
@@ -153,22 +156,18 @@ class FeatureVectorGenerator:
                 finally:
                     if owned:
                         live.close()
+        stop = 0
         for scheme in self._schemes:
+            start, stop = stop, stop + scheme.width
             with local_timer.stage(scheme.name):
-                columns.append(scheme.compute_sparse(candidates, stats))
-            scheme_seconds[scheme.name] = local_timer.get(scheme.name)
-        values = (
-            np.hstack(columns)
-            if columns
-            else np.empty((len(candidates), 0), dtype=np.float64)
-        )
+                values[:, start:stop] = scheme.compute_sparse(candidates, stats)
         if timer is not None:
             timer.add("features", local_timer.total)
         return FeatureMatrix(
             values=values,
             columns=self.columns,
             feature_set=self.feature_set,
-            scheme_seconds=scheme_seconds,
+            scheme_seconds={scheme.name: local_timer.get(scheme.name) for scheme in self._schemes},
         )
 
 

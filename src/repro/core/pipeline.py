@@ -23,7 +23,7 @@ import numpy as np
 
 from ..blocking import PreparedBlocks, prepare_blocks
 from ..datamodel import BlockCollection, CandidateSet, EntityCollection, GroundTruth
-from ..ml import LogisticRegression, ProbabilisticClassifier, StandardScaler
+from ..ml import FrozenModel, LogisticRegression, ProbabilisticClassifier, StandardScaler
 from ..utils.rng import SeedLike, make_rng
 from ..utils.timing import StageTimer
 from ..weights import BLAST_FEATURE_SET, BlockStatistics
@@ -227,20 +227,12 @@ class GeneralizedSupervisedMetaBlocking:
                 labels=labels,
             )
             classifier = self.classifier_factory()
-            if self.scale_features:
-                scaler = StandardScaler().fit(training_set.features)
-                training_features = scaler.transform(training_set.features)
-            else:
-                scaler = None
-                training_features = training_set.features
-            classifier.fit(training_features, training_set.labels)
+            scaler = StandardScaler().fit(training_set.features) if self.scale_features else None
+            model = FrozenModel(classifier, scaler, tuple(self.feature_set))
+            classifier.fit(model.scaled(training_set.features), training_set.labels)
 
         with timer.stage("scoring"):
-            if scaler is not None:
-                scored_features = scaler.transform(feature_matrix.values)
-            else:
-                scored_features = feature_matrix.values
-            probabilities = classifier.predict_proba(scored_features)
+            probabilities = model.score(feature_matrix.values)
 
         with timer.stage("pruning"):
             retained_mask = self.pruning.prune(probabilities, candidates, blocks)

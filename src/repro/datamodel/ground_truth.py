@@ -109,7 +109,8 @@ class GroundTruth:
         Labels are computed by a packed-key ``np.searchsorted`` lookup — no
         per-pair tuple allocations; :meth:`labels_for_pairs` remains the
         dict-style reference (and the fallback when the candidate node ids
-        exceed the packing stride).
+        exceed the packing stride).  Candidates stored strictly ascending by
+        key (every batch set) are searched *by* the few truth keys.
         """
         if len(candidates) == 0:
             return np.zeros(0, dtype=bool)
@@ -120,6 +121,11 @@ class GroundTruth:
         if int(candidates.right.max()) >= stride:
             return self.labels_for_pairs(candidates)
         keys = candidates.left * np.int64(stride) + candidates.right
+        if np.all(keys[1:] > keys[:-1]):
+            positions = np.minimum(np.searchsorted(keys, packed), keys.size - 1)
+            labels = np.zeros(keys.size, dtype=bool)
+            labels[positions[keys[positions] == packed]] = True
+            return labels
         positions = np.minimum(np.searchsorted(packed, keys), packed.size - 1)
         return packed[positions] == keys
 

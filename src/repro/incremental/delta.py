@@ -87,9 +87,8 @@ class DeltaFeatureGenerator:
         column = 0
         for scheme in self._generator.schemes:
             if scheme.width == 2:
-                matrix.values[np.ix_(swap, [column, column + 1])] = matrix.values[
-                    np.ix_(swap, [column + 1, column])
-                ]
+                first, second = matrix.values[:, column], matrix.values[:, column + 1]
+                first[swap], second[swap] = second[swap], first[swap]
             column += scheme.width
 
     def generate_delta(self, delta: InsertDelta) -> FeatureMatrix:

@@ -1,7 +1,9 @@
 """Online matching sessions on top of the incremental block index.
 
 A :class:`MatchingSession` wraps a *frozen* probabilistic classifier taken
-from a batch pipeline run (:class:`FrozenModel`) and serves the full dynamic
+from a batch pipeline run (:class:`FrozenModel`: defined in
+:mod:`repro.ml.base`, exported from here because session snapshots pickle it
+under this module's name) and serves the full dynamic
 workload: every ``insert`` registers the entity in a
 :class:`MutableBlockIndex`, computes the feature vectors of the candidate
 delta with a :class:`DeltaFeatureGenerator`, scores them with the frozen
@@ -44,63 +46,17 @@ import numpy as np
 from ..core.pruning import SupervisedPruningAlgorithm, get_pruning_algorithm
 from ..core.pruning.base import VALIDITY_THRESHOLD
 from ..datamodel import CandidateSet, EntityProfile
-from ..ml import ProbabilisticClassifier, StandardScaler
+from ..ml import FrozenModel
 from ..obs.trace import hook_span
 from ..pairs import pack_pair_keys
 from ..utils.pqueue import BoundedTopQueue
 from .delta import DeltaFeatureGenerator
 from .index import (
-    BulkInsertDelta,
     MutableBlockIndex,
     RetractionDelta,
     UnknownEntityError,
     _Growable,
 )
-
-
-@dataclass(frozen=True)
-class FrozenModel:
-    """A trained classifier (plus its scaler) detached from the batch pipeline.
-
-    Parameters
-    ----------
-    classifier:
-        A fitted :class:`ProbabilisticClassifier`.
-    scaler:
-        The :class:`StandardScaler` the classifier was trained behind, or
-        ``None`` when features were not standardised.
-    feature_set:
-        The weighting-scheme names the classifier expects, in order.
-    """
-
-    classifier: ProbabilisticClassifier
-    scaler: Optional[StandardScaler]
-    feature_set: Tuple[str, ...]
-
-    def score(self, features: np.ndarray) -> np.ndarray:
-        """Match probability of every feature row."""
-        if features.shape[0] == 0:
-            return np.zeros(0, dtype=np.float64)
-        values = self.scaler.transform(features) if self.scaler is not None else features
-        return self.classifier.predict_proba(values)
-
-    @classmethod
-    def from_batch(cls, result) -> "FrozenModel":
-        """Freeze the classifier a batch pipeline run trained.
-
-        ``result`` is a :class:`repro.core.pipeline.MetaBlockingResult`; the
-        pipeline records its fitted classifier, scaler and feature set there.
-        """
-        if result.classifier is None:
-            raise ValueError(
-                "the batch result carries no classifier; re-run the pipeline "
-                "(older results predate frozen-model support)"
-            )
-        return cls(
-            classifier=result.classifier,
-            scaler=result.scaler,
-            feature_set=tuple(result.feature_set),
-        )
 
 
 def exact_answer(

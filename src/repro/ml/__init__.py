@@ -1,6 +1,6 @@
 """From-scratch machine-learning substrate: classifiers, scaling, sampling, metrics."""
 
-from .base import ProbabilisticClassifier
+from .base import FrozenModel, ProbabilisticClassifier
 from .calibration import PlattScaler
 from .logistic_regression import LogisticRegression
 from .metrics import (
@@ -24,6 +24,7 @@ from .svm import LinearSVC
 
 __all__ = [
     "ConfusionCounts",
+    "FrozenModel",
     "GaussianNB",
     "LinearSVC",
     "LogisticRegression",

@@ -9,6 +9,9 @@ Training uses iteratively re-weighted least squares (Newton-Raphson) with a
 gradient-descent fallback when the Hessian is ill-conditioned, matching the
 behaviour of mainstream implementations on small, balanced training sets such
 as the 25+25 labelled pairs the paper recommends.
+
+The score is :func:`repro.ml.base.linear_scores` — a column-ordered sum, not a
+BLAS product — so a probability is a function of the feature row alone.
 """
 
 from __future__ import annotations
@@ -17,17 +20,16 @@ from typing import Optional
 
 import numpy as np
 
-from .base import ProbabilisticClassifier
+from .base import ProbabilisticClassifier, linear_scores
 
 
 def _sigmoid(values: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(values)
-    positive = values >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-values[positive]))
-    exp_vals = np.exp(values[~positive])
-    out[~positive] = exp_vals / (1.0 + exp_vals)
-    return out
+    """Numerically stable logistic function: ``1 / (1 + e)`` for ``v >= 0``, else
+    ``e / (1 + e)``, with ``e = exp(-|v|)`` (the two-branch form's bits, no masks)."""
+    decay = np.exp(np.copysign(values, -1.0))
+    numerator = np.where(values >= 0, 1.0, decay)
+    decay += 1.0
+    return np.divide(numerator, decay, out=numerator)
 
 
 class LogisticRegression(ProbabilisticClassifier):
@@ -103,13 +105,7 @@ class LogisticRegression(ProbabilisticClassifier):
     def decision_function(self, features: np.ndarray) -> np.ndarray:
         """Return the raw linear scores ``X·w + b``."""
         self._check_is_fitted("coef_")
-        matrix = np.asarray(features, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[1] != self.coef_.shape[0]:
-            raise ValueError(
-                f"expected a 2-D matrix with {self.coef_.shape[0]} features, "
-                f"got shape {matrix.shape}"
-            )
-        return matrix @ self.coef_ + self.intercept_
+        return linear_scores(features, self.coef_, self.intercept_)
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Return the positive-class probability for every sample."""

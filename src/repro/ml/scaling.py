@@ -2,82 +2,71 @@
 
 The weighting schemes have very different ranges (JS in [0, 1], CF-IBF
 unbounded, LCP in the hundreds), so classifiers converge much better on
-standardised features.  Both scalers follow the fit/transform contract and
-are no-ops on degenerate (constant) columns.
+standardised features.  Both scalers are one affine map, ``(x - offset) /
+scale`` per column (a no-op on constant columns): ``transform`` subtracts into
+a new array and divides it in place, down the contiguous columns of a
+feature-major matrix.  Session snapshots pickle the fitted attribute names.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Tuple
 
 import numpy as np
 
 from ..utils.validation import check_matrix
 
 
-class StandardScaler:
+class _AffineScaler:
+    """``(x - offset) / scale``; a subclass names and learns the two vectors."""
+
+    #: attribute names of the learned (offset, scale)
+    _fitted: Tuple[str, str]
+
+    def fit(self, features: np.ndarray):
+        """Learn the per-column offset and scale."""
+        matrix = check_matrix(features)
+        if matrix.shape[0] == 0:
+            raise ValueError("cannot fit a scaler on an empty matrix")
+        offset, scale = self._statistics(matrix)
+        scale[scale == 0.0] = 1.0
+        for name, value in zip(self._fitted, (offset, scale)):
+            setattr(self, name, value)
+        return self
+
+    def transform(self, features: np.ndarray) -> np.ndarray:
+        """Apply the learned scaling to a new array (the input is left alone)."""
+        offset, scale = (getattr(self, name) for name in self._fitted)
+        if offset is None or scale is None:
+            raise RuntimeError(f"{type(self).__name__} must be fit before transform")
+        matrix = check_matrix(features)
+        if matrix.shape[1] != offset.shape[0]:
+            raise ValueError(f"expected {offset.shape[0]} features, got {matrix.shape[1]}")
+        scaled = matrix - offset
+        scaled /= scale
+        return scaled
+
+    def fit_transform(self, features: np.ndarray) -> np.ndarray:
+        """Fit on ``features`` and return the transformed matrix."""
+        return self.fit(features).transform(features)
+
+
+class StandardScaler(_AffineScaler):
     """Standardise features to zero mean and unit variance."""
 
-    def __init__(self) -> None:
-        self.mean_: Optional[np.ndarray] = None
-        self.scale_: Optional[np.ndarray] = None
+    mean_ = scale_ = None
+    _fitted = ("mean_", "scale_")
 
-    def fit(self, features: np.ndarray) -> "StandardScaler":
-        """Learn per-column mean and standard deviation."""
-        matrix = check_matrix(features)
-        if matrix.shape[0] == 0:
-            raise ValueError("cannot fit a scaler on an empty matrix")
-        self.mean_ = matrix.mean(axis=0)
-        scale = matrix.std(axis=0)
-        scale[scale == 0.0] = 1.0
-        self.scale_ = scale
-        return self
-
-    def transform(self, features: np.ndarray) -> np.ndarray:
-        """Apply the learned standardisation."""
-        if self.mean_ is None or self.scale_ is None:
-            raise RuntimeError("StandardScaler must be fit before transform")
-        matrix = check_matrix(features)
-        if matrix.shape[1] != self.mean_.shape[0]:
-            raise ValueError(
-                f"expected {self.mean_.shape[0]} features, got {matrix.shape[1]}"
-            )
-        return (matrix - self.mean_) / self.scale_
-
-    def fit_transform(self, features: np.ndarray) -> np.ndarray:
-        """Fit on ``features`` and return the transformed matrix."""
-        return self.fit(features).transform(features)
+    def _statistics(self, matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        return matrix.mean(axis=0), matrix.std(axis=0)
 
 
-class MinMaxScaler:
+class MinMaxScaler(_AffineScaler):
     """Scale features to the [0, 1] range column-wise."""
 
-    def __init__(self) -> None:
-        self.min_: Optional[np.ndarray] = None
-        self.range_: Optional[np.ndarray] = None
+    min_ = range_ = None
+    _fitted = ("min_", "range_")
 
-    def fit(self, features: np.ndarray) -> "MinMaxScaler":
-        """Learn per-column minimum and range."""
-        matrix = check_matrix(features)
-        if matrix.shape[0] == 0:
-            raise ValueError("cannot fit a scaler on an empty matrix")
-        self.min_ = matrix.min(axis=0)
-        spread = matrix.max(axis=0) - self.min_
-        spread[spread == 0.0] = 1.0
-        self.range_ = spread
-        return self
-
-    def transform(self, features: np.ndarray) -> np.ndarray:
-        """Apply the learned min-max scaling (values may exceed [0, 1] out of range)."""
-        if self.min_ is None or self.range_ is None:
-            raise RuntimeError("MinMaxScaler must be fit before transform")
-        matrix = check_matrix(features)
-        if matrix.shape[1] != self.min_.shape[0]:
-            raise ValueError(
-                f"expected {self.min_.shape[0]} features, got {matrix.shape[1]}"
-            )
-        return (matrix - self.min_) / self.range_
-
-    def fit_transform(self, features: np.ndarray) -> np.ndarray:
-        """Fit on ``features`` and return the transformed matrix."""
-        return self.fit(features).transform(features)
+    def _statistics(self, matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        low = matrix.min(axis=0)
+        return low, matrix.max(axis=0) - low

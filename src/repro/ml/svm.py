@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from ..utils.rng import make_rng
-from .base import ProbabilisticClassifier
+from .base import ProbabilisticClassifier, linear_scores
 from .calibration import PlattScaler
 
 
@@ -102,13 +102,7 @@ class LinearSVC(ProbabilisticClassifier):
     def decision_function(self, features: np.ndarray) -> np.ndarray:
         """Return the signed distance to the separating hyperplane."""
         self._check_is_fitted("coef_")
-        matrix = np.asarray(features, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[1] != self.coef_.shape[0]:
-            raise ValueError(
-                f"expected a 2-D matrix with {self.coef_.shape[0]} features, "
-                f"got shape {matrix.shape}"
-            )
-        return matrix @ self.coef_ + self.intercept_
+        return linear_scores(features, self.coef_, self.intercept_)
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Return Platt-calibrated (or logistic-squashed) match probabilities."""

@@ -14,7 +14,8 @@ Every scheme carries two implementations of the same formula:
 * :meth:`WeightingScheme.compute_sparse` — what the library runs, combining
   the batched co-occurrence aggregates of
   :meth:`repro.weights.statistics.BlockStatistics.pair_cooccurrence` with
-  per-entity arrays in plain NumPy arithmetic;
+  per-entity arrays in plain NumPy arithmetic (entity-level log factors
+  once per entity; CBS / RACCB / RS are read-only views of the cache);
 * :meth:`WeightingScheme.compute` — the readable per-pair reference.  Nothing
   in the library calls it; the equivalence tests do, and assert both produce
   ``np.allclose``-identical matrices.
@@ -24,12 +25,10 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Dict, FrozenSet, List, Sequence, Tuple
-
 import numpy as np
 
 from ..datamodel import CandidateSet
-from .sparse import safe_log_ratio_array
+from .sparse import entity_log_ratios
 from .statistics import BlockStatistics
 
 
@@ -63,6 +62,14 @@ def _safe_log_ratio(total: float, value: float) -> float:
     return math.log(ratio)
 
 
+def _jaccard_column(shared, per_entity, candidates: CandidateSet, common) -> np.ndarray:
+    """``shared / (x_i + x_j - shared)`` as a column — JS, WJS and NRS — and 0
+    where no block is shared or the union is not positive: one masked divide."""
+    union = per_entity[candidates.left] + per_entity[candidates.right] - shared
+    defined = (common > 0) & (union > 0)
+    return np.divide(shared, union, out=np.zeros(shared.shape), where=defined).reshape(-1, 1)
+
+
 class CommonBlocksScheme(WeightingScheme):
     """CBS — the raw number of blocks shared by the pair, ``|B_i ∩ B_j|``.
 
@@ -80,7 +87,7 @@ class CommonBlocksScheme(WeightingScheme):
         return values
 
     def compute_sparse(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
-        return stats.pair_cooccurrence(candidates).common.reshape(-1, 1).copy()
+        return stats.pair_cooccurrence(candidates).common.reshape(-1, 1)
 
 
 class CFIBFScheme(WeightingScheme):
@@ -107,9 +114,9 @@ class CFIBFScheme(WeightingScheme):
 
     def compute_sparse(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
         common = stats.pair_cooccurrence(candidates).common
-        total_blocks = float(stats.num_blocks)
-        ibf_left = safe_log_ratio_array(total_blocks, stats.blocks_per_entity[candidates.left])
-        ibf_right = safe_log_ratio_array(total_blocks, stats.blocks_per_entity[candidates.right])
+        ibf_left, ibf_right = entity_log_ratios(
+            float(stats.num_blocks), stats.blocks_per_entity, candidates.left, candidates.right
+        )
         return (common * ibf_left * ibf_right).reshape(-1, 1)
 
 
@@ -132,7 +139,7 @@ class RACCBScheme(WeightingScheme):
 
     def compute_sparse(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
         aggregates = stats.pair_cooccurrence(candidates)
-        return aggregates.sum_inverse_cardinality.reshape(-1, 1).copy()
+        return aggregates.sum_inverse_cardinality.reshape(-1, 1)
 
 
 class JaccardScheme(WeightingScheme):
@@ -157,15 +164,7 @@ class JaccardScheme(WeightingScheme):
 
     def compute_sparse(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
         common = stats.pair_cooccurrence(candidates).common
-        union = (
-            stats.blocks_per_entity[candidates.left]
-            + stats.blocks_per_entity[candidates.right]
-            - common
-        )
-        values = np.zeros(common.shape, dtype=np.float64)
-        defined = (common > 0) & (union > 0)
-        values[defined] = common[defined] / union[defined]
-        return values.reshape(-1, 1)
+        return _jaccard_column(common, stats.blocks_per_entity, candidates, common)
 
 
 class EnhancedJaccardScheme(WeightingScheme):
@@ -192,9 +191,9 @@ class EnhancedJaccardScheme(WeightingScheme):
 
     def compute_sparse(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
         jaccard = JaccardScheme().compute_sparse(candidates, stats)[:, 0]
-        total = stats.total_cardinality
-        factor_left = safe_log_ratio_array(total, stats.entity_cardinality[candidates.left])
-        factor_right = safe_log_ratio_array(total, stats.entity_cardinality[candidates.right])
+        factor_left, factor_right = entity_log_ratios(
+            stats.total_cardinality, stats.entity_cardinality, candidates.left, candidates.right
+        )
         return (jaccard * factor_left * factor_right).reshape(-1, 1)
 
 
@@ -227,15 +226,7 @@ class WeightedJaccardScheme(WeightingScheme):
     def compute_sparse(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
         aggregates = stats.pair_cooccurrence(candidates)
         shared = aggregates.sum_inverse_cardinality
-        denominator = (
-            stats.entity_inv_cardinality[candidates.left]
-            + stats.entity_inv_cardinality[candidates.right]
-            - shared
-        )
-        values = np.zeros(shared.shape, dtype=np.float64)
-        defined = (aggregates.common > 0) & (denominator > 0)
-        values[defined] = shared[defined] / denominator[defined]
-        return values.reshape(-1, 1)
+        return _jaccard_column(shared, stats.entity_inv_cardinality, candidates, aggregates.common)
 
 
 class ReciprocalSizesScheme(WeightingScheme):
@@ -254,7 +245,7 @@ class ReciprocalSizesScheme(WeightingScheme):
         return values
 
     def compute_sparse(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
-        return stats.pair_cooccurrence(candidates).sum_inverse_size.reshape(-1, 1).copy()
+        return stats.pair_cooccurrence(candidates).sum_inverse_size.reshape(-1, 1)
 
 
 class NormalizedReciprocalSizesScheme(WeightingScheme):
@@ -283,15 +274,7 @@ class NormalizedReciprocalSizesScheme(WeightingScheme):
     def compute_sparse(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
         aggregates = stats.pair_cooccurrence(candidates)
         shared = aggregates.sum_inverse_size
-        denominator = (
-            stats.entity_inv_size[candidates.left]
-            + stats.entity_inv_size[candidates.right]
-            - shared
-        )
-        values = np.zeros(shared.shape, dtype=np.float64)
-        defined = (aggregates.common > 0) & (denominator > 0)
-        values[defined] = shared[defined] / denominator[defined]
-        return values.reshape(-1, 1)
+        return _jaccard_column(shared, stats.entity_inv_size, candidates, aggregates.common)
 
 
 class LocalCandidatesScheme(WeightingScheme):
@@ -316,7 +299,7 @@ class LocalCandidatesScheme(WeightingScheme):
 
     def compute_sparse(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
         counts = stats.local_candidate_counts_sparse()
-        values = np.zeros((len(candidates), 2), dtype=np.float64)
+        values = np.empty((len(candidates), 2), dtype=np.float64, order="F")
         values[:, 0] = counts[candidates.left]
         values[:, 1] = counts[candidates.right]
         return values

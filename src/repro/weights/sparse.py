@@ -25,6 +25,9 @@ Python) by one of two passes that add a pair's terms in the same order:
   :data:`repro.pairs.KEY_BITS` get, as :func:`plan_block_major` decides from
   the inputs alone.
 
+Cached aggregates are read-only (:class:`PairCooccurrenceCache`); entity-level
+log factors (CF-IBF, EJS) are taken per entity (:func:`entity_log_ratios`).
+
 The per-pair ``WeightingScheme.compute`` bodies are the reference these
 kernels are checked against: ``tests/weights/test_backend_equivalence.py``
 and ``tests/weights/test_golden_features.py`` assert ``np.allclose``-identical
@@ -531,7 +534,7 @@ class PairCooccurrenceCache:
         result = compute_pair_cooccurrence(
             csr, inverse_cardinalities, inverse_sizes, candidates.left, candidates.right, sides
         )
-        self._entry = (weakref.ref(candidates), result)
+        self.seed(candidates, result)
         return result
 
     def seed(self, candidates, result: PairCooccurrence) -> None:
@@ -539,8 +542,11 @@ class PairCooccurrenceCache:
 
         Block preparation reduces them from its one expansion and the
         parallel feature engine computes them across worker processes; once
-        seeded, every scheme of the next generation reads the cache.
+        seeded, every scheme of the next generation reads the cache — and
+        only reads it: the arrays turn non-writeable, CBS / RACCB / RS are views.
         """
+        for array in result:
+            array.flags.writeable = False
         self._entry = (weakref.ref(candidates), result)
 
 
@@ -554,8 +560,18 @@ def safe_log_ratio_array(total: float, values: np.ndarray) -> np.ndarray:
     out = np.zeros(values.shape, dtype=np.float64)
     if total <= 0.0:
         return out
-    positive = values > 0.0
-    ratio = np.divide(total, values, out=np.ones_like(out), where=positive)
-    take = positive & (ratio > 1.0)
-    out[take] = np.log(ratio[take])
-    return out
+    # the ratio stays 1, its logarithm 0, where the denominator is not positive
+    ratio = np.divide(total, values, out=np.ones_like(out), where=values > 0.0)
+    return np.log(ratio, out=out, where=ratio > 1.0)
+
+
+def entity_log_ratios(
+    total: float, per_entity: np.ndarray, left: np.ndarray, right: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`safe_log_ratio_array` of an entity-level quantity at both endpoints:
+    once per entity and gathered, or — a one-insert delta against a large live
+    index — per endpoint; ``min(2 * n_pairs, n_entities)`` logarithms, same bits."""
+    if 2 * left.size < per_entity.size:
+        return tuple(safe_log_ratio_array(total, per_entity[nodes]) for nodes in (left, right))
+    ratios = safe_log_ratio_array(total, per_entity)
+    return ratios[left], ratios[right]

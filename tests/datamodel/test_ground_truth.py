@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datamodel import (
     CandidateSet,
@@ -119,3 +121,67 @@ class TestVectorizedLabels:
         packed = truth.packed_pairs()
         assert np.all(np.diff(packed) > 0)
         assert truth.packed_pairs() is packed
+
+
+@st.composite
+def truths_and_candidates(draw):
+    """A ground truth and a candidate set in one of the orders ``labels_for``
+    distinguishes: ascending by packed key (the batch case: the truth keys
+    search the candidates) or shuffled (a streaming registry: the candidates
+    search the truth)."""
+    total = draw(st.integers(2, 12))
+    pair = st.tuples(st.integers(0, total - 1), st.integers(0, total - 1)).filter(
+        lambda nodes: nodes[0] != nodes[1]
+    )
+    # truth pairs may name nodes past the candidates' largest (the
+    # ``searchsorted == size`` clamp) or past the space (a wider stride)
+    beyond = st.tuples(st.integers(0, total - 1), st.integers(total, total + 6))
+    truth = GroundTruth(
+        draw(st.lists(st.one_of(pair, beyond), max_size=25)), EntityIndexSpace(total)
+    )
+    # candidates: some of the truth (never all of it when it reaches past the
+    # space), some other pairs; possibly fewer than the truth pairs, or none
+    inside = sorted(p for p in truth.pairs() if p[1] < total)
+    kept = draw(st.lists(st.sampled_from(inside), max_size=len(inside))) if inside else []
+    pairs = sorted({tuple(sorted(p)) for p in kept + draw(st.lists(pair, max_size=20))})
+    order = draw(st.permutations(range(len(pairs)))) if draw(st.booleans()) else range(len(pairs))
+    left = np.array([pairs[k][0] for k in order], dtype=np.int64)
+    right = np.array([pairs[k][1] for k in order], dtype=np.int64)
+    return truth, CandidateSet(left, right, EntityIndexSpace(total))
+
+
+class TestLabelsAgainstTheOracle:
+    @given(case=truths_and_candidates())
+    @settings(max_examples=300, deadline=None)
+    def test_either_search_direction_equals_the_tuple_set_oracle(self, case):
+        truth, candidates = case
+        labels = truth.labels_for(candidates)
+        assert labels.dtype == bool and labels.shape == (len(candidates),)
+        assert np.array_equal(labels, truth.labels_for_pairs(candidates))
+
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["ascending", "registry-order"])
+    def test_truth_keys_beyond_every_candidate_key_are_clamped(self, shuffled):
+        space = EntityIndexSpace(10)
+        truth = GroundTruth([(0, 1), (2, 5), (8, 9), (7, 9)], space)
+        left, right = np.array([0, 0, 2, 2, 3]), np.array([1, 4, 5, 6, 4])
+        if shuffled:
+            left, right = left[::-1], right[::-1]
+        labels = truth.labels_for(CandidateSet(left, right, space))
+        expected = [True, False, True, False, False]
+        assert labels.tolist() == (expected[::-1] if shuffled else expected)
+
+    def test_fewer_candidates_than_truth_pairs(self):
+        space = EntityIndexSpace(6)
+        truth = GroundTruth([(0, 1), (0, 2), (1, 2), (3, 4), (4, 5)], space)
+        assert truth.labels_for(CandidateSet.from_pairs([(1, 2)], space)).tolist() == [True]
+        assert truth.labels_for(CandidateSet.from_pairs([(1, 3)], space)).tolist() == [False]
+
+    def test_candidate_ids_past_the_stride_fall_back_in_either_order(self):
+        truth = GroundTruth([(0, 2)], EntityIndexSpace(3))
+        wide = EntityIndexSpace(8)
+        for left, right in (([0, 0, 1], [2, 7, 2]), ([1, 0, 0], [2, 7, 2])):
+            candidates = CandidateSet(np.array(left), np.array(right), wide)
+            labels = truth.labels_for(candidates)
+            assert np.array_equal(labels, truth.labels_for_pairs(candidates))
+            assert labels.sum() == 1
+

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from reference import reference_sigmoid
 from repro.ml import GaussianNB, LinearSVC, LogisticRegression, roc_auc_score
+from repro.ml.logistic_regression import _sigmoid
 
 
 def make_separable(rng, n=200, gap=3.0):
@@ -109,6 +114,44 @@ class TestLogisticRegressionSpecifics:
         probabilities = model.predict_proba(features)
         order = np.argsort(scores)
         assert np.all(np.diff(probabilities[order]) >= -1e-12)
+
+
+    def test_decision_function_is_the_column_ordered_sum(self, rng):
+        """``((x0*w0 + x1*w1) + ...) + b`` with each step rounded: no BLAS, no FMA."""
+        model = LogisticRegression()
+        model.coef_, model.intercept_ = rng.normal(size=5), 0.37
+        features = rng.normal(size=(64, 5)) * 50
+        expected = []
+        for row in features.tolist():
+            score = 0.0  # not sum(): it compensates its float additions from 3.12 on
+            for value, weight in zip(row, model.coef_.tolist()):
+                score += value * weight
+            expected.append(score + 0.37)
+        assert model.decision_function(features).tolist() == expected
+        with pytest.raises(ValueError):
+            model.decision_function(features[:, :4])
+        with pytest.raises(ValueError):
+            model.decision_function(features[0])
+
+
+class TestSigmoid:
+    """``exp(-|v|)`` + one ``np.where``: the two-branch form's bits, not its passes."""
+
+    def test_equals_the_two_branch_form_on_the_whole_range(self):
+        values = np.concatenate(
+            [np.linspace(-750, 750, 30001), [0.0, -0.0, np.inf, -np.inf, 1e-320, -1e-320]]
+        )
+        assert np.array_equal(_sigmoid(values), reference_sigmoid(values))
+        assert _sigmoid(np.array([-np.inf, -0.0, 0.0, np.inf])).tolist() == [0.0, 0.5, 0.5, 1.0]
+        assert _sigmoid(np.zeros(0)).shape == (0,)
+        untouched = np.array([-2.0, 3.0])
+        _sigmoid(untouched)
+        assert untouched.tolist() == [-2.0, 3.0]
+
+    @given(values=hnp.arrays(np.float64, st.integers(0, 50), elements=st.floats(allow_nan=False)))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_two_branch_form_on_any_floats(self, values):
+        assert np.array_equal(_sigmoid(values), reference_sigmoid(values))
 
 
 class TestLinearSVCSpecifics:

@@ -60,6 +60,31 @@ class TestMinMaxScaler:
             MinMaxScaler().transform(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize(
+    "scaler, fitted", [(StandardScaler, ("mean_", "scale_")), (MinMaxScaler, ("min_", "range_"))]
+)
+def test_transform_is_offset_then_scale_bit_for_bit_in_either_layout(rng, scaler, fitted):
+    """One subtract, one in-place divide: ``(x - offset) / scale`` exactly, for
+    row- and feature-major inputs, in a new array of the input's layout; the
+    fitted attribute names are the snapshot format."""
+    data = rng.normal(size=(300, 5)) * [1.0, 1e3, 1e-3, 7.0, 0.0] + [0.0, 5.0, -2.0, 1e6, 4.0]
+    model = scaler().fit(data[:50])
+    assert sorted(vars(model)) == sorted(fitted)
+    offset, scale = (getattr(model, name) for name in fitted)
+    assert scale[4] == 1.0  # the constant column
+    expected = (data - offset) / scale
+    for matrix in (np.ascontiguousarray(data), np.asfortranarray(data)):
+        before = matrix.copy()
+        transformed = model.transform(matrix)
+        assert np.array_equal(transformed, expected)
+        assert np.array_equal(matrix, before) and not np.shares_memory(transformed, matrix)
+        assert transformed.flags.f_contiguous == matrix.flags.f_contiguous
+    assert model.transform(np.zeros((0, 5))).shape == (0, 5)
+    assert np.array_equal(scaler().fit_transform(data), scaler().fit(data).transform(data))
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        model.transform(np.full((2, 5), np.nan))
+
+
 class TestPlattScaler:
     def test_monotone_mapping(self, rng):
         scores = rng.normal(size=300)

@@ -7,9 +7,16 @@ identical online admission thresholds, then keep streaming in lock-step
 with the uninterrupted session.
 """
 
+import hashlib
+import json
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.incremental.session
+import repro.ml
 from repro.core import FeatureVectorGenerator
 from repro.datamodel import make_profile
 from repro.incremental import FrozenModel, MatchingSession
@@ -160,3 +167,45 @@ def test_bare_index_wal_rejects_session_recovery(tmp_path):
     wal.close()
     with pytest.raises(ValueError, match="recover_index"):
         MatchingSession.recover(tmp_path / "wal")
+
+
+def test_a_session_written_by_the_pr18_tree_recovers_to_its_answer(tmp_path):
+    """Cross-version recovery: the on-disk names are a format.
+
+    ``tests/data/session_wal_pr18`` (recipe in its README) pickles the model
+    as ``repro.incremental.session.FrozenModel`` around a ``StandardScaler``
+    with ``mean_`` / ``scale_``; this tree defines both elsewhere and must
+    still load them, replay the tail through its own scoring, and retain
+    exactly what the writing tree retained.
+    """
+    fixture = Path(__file__).resolve().parent.parent / "data" / "session_wal_pr18"
+    wal = tmp_path / "wal"  # recovery truncates and re-attaches the log: work on a copy
+    shutil.copytree(fixture, wal)
+    (wal / "README.md").unlink()
+
+    recovered = MatchingSession.recover(wal)
+    try:
+        model = recovered.model
+        assert type(model) is repro.ml.FrozenModel is repro.incremental.session.FrozenModel
+        assert type(model.scaler) is repro.ml.StandardScaler
+        assert sorted(vars(model.scaler)) == ["mean_", "scale_"]
+        assert model.scaler.mean_.shape == model.classifier.coef_.shape == (4,)
+        assert recovered.index.num_entities == 41 and recovered.num_pairs == 272
+
+        retained = sorted(recovered.retained().retained_id_set())
+        digest = hashlib.blake2b(json.dumps(retained).encode(), digest_size=16).hexdigest()
+        assert len(retained) == 19
+        assert digest == "6a473f04ea2e65075c31f7a095221ecb"
+        assert recovered.online.threshold == pytest.approx(0.9998424244702351, abs=1e-12)
+
+        # the recovered session journals on, and what it writes it can read
+        recovered.insert(make_profile("late", title="efficient query processing"), side=0)
+        expected = recovered.retained().retained_id_set()
+    finally:
+        recovered.close()
+    again = MatchingSession.recover(wal)
+    try:
+        assert again.retained().retained_id_set() == expected
+    finally:
+        again.close()
+

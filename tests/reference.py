@@ -16,7 +16,10 @@ pair) and the ``np.add.at`` / ``np.maximum.at`` per-node passes, which the
 library replaced with the array kernels of ``repro.core.pruning.kernels``.
 So do tokenisation's: the regular expression ``repro.utils.text.tokens``
 replaced with a byte table, and the per-token ``dict.setdefault`` loop
-``repro.blocking.arrayops.encode_signatures`` replaced with ``map``.
+``repro.blocking.arrayops.encode_signatures`` replaced with ``map``.  And the
+answer's row-major arithmetic: the gather / scatter masked ratio of JS / WJS /
+NRS, the two-branch sigmoid and the ``(x - offset) / scale`` expression the
+feature-major passes replaced bit for bit.
 """
 
 from __future__ import annotations
@@ -88,6 +91,26 @@ def reference_feature_matrix(
         columns=generator.columns,
         feature_set=generator.feature_set,
     )
+
+
+def reference_masked_ratio(
+    shared: np.ndarray, denominator: np.ndarray, common: np.ndarray
+) -> np.ndarray:
+    """JS / WJS / NRS as they divided: gather the defined pairs, scatter back."""
+    values = np.zeros(shared.shape, dtype=np.float64)
+    defined = (common > 0) & (denominator > 0)
+    values[defined] = shared[defined] / denominator[defined]
+    return values.reshape(-1, 1)
+
+
+def reference_sigmoid(values: np.ndarray) -> np.ndarray:
+    """The logistic function in its two-branch, two-mask form."""
+    out = np.empty_like(values)
+    positive = values >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-values[positive]))
+    exp_vals = np.exp(values[~positive])
+    out[~positive] = exp_vals / (1.0 + exp_vals)
+    return out
 
 
 def reference_prepare_blocks(

@@ -7,14 +7,27 @@
 * ``ShardedMutableBlockIndex._merged_pairs`` returns exactly the sorted
   plain-Python set union of the shards' live pairs, including a pair alive
   in two shards at once and a shard with no live pair at all.
+* ``top_k`` scores a node's handful of pairs, ``match`` every live pair: with
+  a *trained* logistic regression behind its scaler (not the rounding
+  stand-in of ``conftest``) both report the same probability for the same
+  pair at the same offset, bit for bit.
 """
 
+import numpy as np
 import pytest
 
 from conftest import make_frozen_model
 from repro.core.pruning import PRUNING_ALGORITHMS, get_pruning_algorithm
 from repro.datamodel import Block, make_profile
-from repro.incremental import MatchingSession, ShardedMutableBlockIndex
+from repro.datasets import load_benchmark
+from repro.incremental import (
+    DeltaFeatureGenerator,
+    MatchingSession,
+    ShardedMutableBlockIndex,
+    interleave_profiles,
+    train_frozen_model,
+)
+from repro.incremental.session import exact_answer
 from repro.parallel import shard_of_signature
 from repro.serve.router import build_pinned_view, match_answer, top_k_answer
 from repro.serve.workers import ShardReplica
@@ -59,6 +72,54 @@ def test_no_exact_answer_constructs_a_block(tmp_path, monkeypatch, pruning):
         list(pair) for pair in result.retained_ids
     )
     assert matches and all(match["side"] == 1 for match in matches)
+
+
+def test_top_k_probabilities_equal_the_exact_answers_bit_for_bit(tmp_path):
+    dataset = load_benchmark("DblpAcm", seed=2, scale=0.05)
+    model = train_frozen_model(dataset, seed=1)
+    assert model.scaler is not None and type(model.classifier).__name__ == "LogisticRegression"
+    session = MatchingSession(model, bilateral=True, wal_path=tmp_path)
+    replicas = [ShardReplica(tmp_path, shard, 2) for shard in range(2)]
+    try:
+        for profile, side in interleave_profiles(dataset.first, dataset.second):
+            session.insert(profile, side=side)
+        # the generated collections are dense (every degree >= 25); a BLAS
+        # score differed where a node has *one* pair, so add some that do:
+        # a private token shared with a copy of a dense record
+        for serial, dense in enumerate(list(dataset.second)[:24]):
+            session.insert(make_profile(f"lone{serial}", text=f"zq{serial}"), side=0)
+            session.insert(
+                make_profile(f"copy{serial}", text=f"{dense.text()} zq{serial}"), side=1
+            )
+        for replica in replicas:
+            replica.catch_up(session.wal.log_offset)
+        view = build_pinned_view(
+            [replica.read_state() for replica in replicas], session.index.entity_id
+        )
+        candidates, probabilities, _ = exact_answer(
+            DeltaFeatureGenerator(view, model.feature_set), model, session.pruning
+        )
+        exact = {
+            frozenset((view.entity_id(int(i)), view.entity_id(int(j)))): probability
+            for i, j, probability in zip(candidates.left, candidates.right, probabilities)
+        }
+        degrees = np.bincount(candidates.left, minlength=view.num_slots)
+        degrees += np.bincount(candidates.right, minlength=view.num_slots)
+        checked = 0
+        lone = np.flatnonzero(degrees == 1)
+        assert lone.size == 24
+        for node in [*lone.tolist(), *np.flatnonzero(degrees > 1)[::3].tolist()]:
+            matches = top_k_answer(view, model, node, k=int(degrees[node]))
+            assert len(matches) == degrees[node]
+            for match in matches:
+                pair = frozenset((view.entity_id(node), match["entity_id"]))
+                assert match["probability"] == exact[pair], (node, match)
+            checked += len(matches)
+        assert checked > 500 and 0.0 < min(exact.values()) < max(exact.values()) < 1.0
+    finally:
+        for replica in replicas:
+            replica.close()
+        session.close()
 
 
 def _tokens_per_shard(num_shards, per_shard=2):

@@ -10,16 +10,20 @@ through the full :class:`FeatureVectorGenerator` stack against
 ``reference_feature_matrix``.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypothesis.extra import numpy as hnp
+
 from repro.core import FeatureVectorGenerator, generate_features
 from repro.datamodel import Block, BlockCollection, CandidateSet, EntityIndexSpace
-from repro.weights import PAPER_FEATURES, SCHEME_CLASSES, BlockStatistics
+from repro.weights import PAPER_FEATURES, SCHEME_CLASSES, BlockStatistics, schemes, sparse
 
-from reference import reference_feature_matrix
+from reference import reference_feature_matrix, reference_masked_ratio
 
 ALL_SCHEMES = tuple(SCHEME_CLASSES)
 
@@ -222,3 +226,51 @@ def test_generator_rejects_unknown_backend():
     """Every ``backend=`` is unknown now: the keyword itself is gone."""
     with pytest.raises(TypeError, match="backend"):
         FeatureVectorGenerator(("JS",), backend="fancy")
+
+
+# -- the feature-major arithmetic against the forms it replaced, bit for bit ----------
+
+@pytest.mark.parametrize("n_pairs, n_entities", [(3, 500), (500, 40)])
+def test_entity_log_ratios_equal_the_gathered_form_on_both_sides_of_the_size_rule(
+    monkeypatch, n_pairs, n_entities
+):
+    """Per entity then gathered, or per endpoint: the same bits, and never
+    more logarithms than ``min(2 * n_pairs, n_entities)``."""
+    rng = np.random.default_rng(n_pairs)
+    per_entity = rng.integers(0, 60, size=n_entities).astype(np.float64)
+    per_entity[:5] = (0.0, 1.0, 40.0, 41.0, 1e9)  # absent, ratio > 1, == 1, < 1
+    left = rng.integers(0, n_entities, size=n_pairs)
+    right = rng.integers(0, n_entities, size=n_pairs)
+    left[:3], right[:3] = (0, 2, 4), (1, 3, 0)
+    expected = [sparse.safe_log_ratio_array(40.0, per_entity[nodes]) for nodes in (left, right)]
+
+    taken = []
+    original = sparse.safe_log_ratio_array
+
+    def counting(total, values):
+        taken.append(np.asarray(values).size)
+        return original(total, values)
+
+    monkeypatch.setattr(sparse, "safe_log_ratio_array", counting)
+    for got, want in zip(sparse.entity_log_ratios(40.0, per_entity, left, right), expected):
+        assert np.array_equal(got, want)
+    assert sum(taken) == min(2 * n_pairs, n_entities)
+    assert not np.any(sparse.entity_log_ratios(0.0, per_entity, left, right))
+
+
+_RATIO_TERMS = st.one_of(st.sampled_from([0.0, -1.0, 1.0, 3.0]), st.floats(-4.0, 40.0, width=64))
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_the_masked_divide_equals_the_gather_and_scatter_form(data):
+    """JS / WJS / NRS: one ``np.divide(..., where=)`` against gather, divide, scatter."""
+    n_pairs = data.draw(st.integers(0, 30))
+    per_entity = data.draw(hnp.arrays(np.float64, 6, elements=_RATIO_TERMS))
+    shared, common = data.draw(hnp.arrays(np.float64, (2, n_pairs), elements=_RATIO_TERMS))
+    left, right = data.draw(hnp.arrays(np.int64, (2, n_pairs), elements=st.integers(0, 5)))
+    ends = SimpleNamespace(left=left, right=right)
+    assert np.array_equal(
+        schemes._jaccard_column(shared, per_entity, ends, common),
+        reference_masked_ratio(shared, per_entity[left] + per_entity[right] - shared, common),
+    )
