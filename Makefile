@@ -4,8 +4,11 @@
 #   make test-equivalence  - reference-equivalence + golden regression tests only
 #                            (block preparation vs the object chain and its tokeniser /
 #                            encode oracles, batch features, the pruning kernels vs their
-#                            queue oracle, the online answer's budgets/read path, and the
-#                            feature-major layout / row-wise score / label-search guards)
+#                            queue oracle, the online answer's budgets/read path, the
+#                            feature-major layout / row-wise score / label-search guards,
+#                            and the one index state: IndexStatistics one-vs-many, the
+#                            delta-maintained state vs the worker's live index, and the
+#                            guards against a second schema / private reach-ins)
 #   make test-fast         - tier-1 suite without the perf smoke tests
 #   make bench-smoke       - quick feature-runtime bench
 #   make bench-stream      - incremental streaming vs batch recompute bench
@@ -46,7 +49,9 @@ test-equivalence:
 		tests/blocking/test_array_equivalence.py tests/blocking/test_golden_blocking.py \
 		tests/blocking/test_one_encode.py tests/utils/test_text.py \
 		tests/core/test_feature_major_layout.py tests/ml/test_score_is_rowwise.py \
-		tests/datamodel/test_ground_truth.py
+		tests/datamodel/test_ground_truth.py \
+		tests/incremental/test_index_statistics.py tests/test_one_index_state.py \
+		tests/serve/test_consistency_property.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q

@@ -6,11 +6,16 @@ provides the streaming execution mode: entities are inserted one at a time,
 each insert costs work proportional to its candidate delta, and a frozen
 batch-trained classifier serves online match decisions.
 
-* :class:`MutableBlockIndex` — the incrementally maintained token/block
-  inverted index and entity x block CSR incidence structure, fully dynamic:
+* :class:`IndexState` — the read state of a streaming index (thirteen
+  arrays, a few scalars) and every read over it, :class:`IndexStatistics`
+  included; what a worker ships and a router holds;
+* :class:`MutableBlockIndex` — the state that mutates itself: the
+  incrementally maintained token/block inverted index, fully dynamic:
   per-entity inserts, removals (:meth:`MutableBlockIndex.remove_entity`),
   in-place updates and one-pass bulk loads
   (:meth:`MutableBlockIndex.add_entities_bulk`);
+* :class:`MergedIndexView` / :class:`ShardedMutableBlockIndex` — K
+  signature shards read as one index, and the same with mutation routing;
 * :class:`DeltaFeatureGenerator` — weighting-scheme feature vectors for the
   candidate delta of an insert, reusing the vectorized weighting kernels;
 * :class:`MatchingSession` — the online facade: frozen classifier, per-insert
@@ -24,14 +29,14 @@ from .delta import DeltaFeatureGenerator
 from .index import (
     BulkInsertDelta,
     DuplicateEntityError,
-    IncrementalStatistics,
     InsertDelta,
     MutableBlockIndex,
     RetractionDelta,
     UnknownEntityError,
     UpdateDelta,
 )
-from .sharded import ShardedMutableBlockIndex, ShardedStatistics
+from .sharded import MergedIndexView, ShardedMutableBlockIndex
+from .state import IndexState, IndexStatistics
 from .session import (
     BulkInsertResult,
     FrozenModel,
@@ -63,10 +68,12 @@ __all__ = [
     "DeltaFeatureGenerator",
     "DuplicateEntityError",
     "FrozenModel",
-    "IncrementalStatistics",
+    "IndexState",
+    "IndexStatistics",
     "InsertDelta",
     "InsertResult",
     "MatchingSession",
+    "MergedIndexView",
     "MutableBlockIndex",
     "OnlinePruningPolicy",
     "OnlineTopK",
@@ -75,7 +82,6 @@ __all__ = [
     "RetractionDelta",
     "SessionResult",
     "ShardedMutableBlockIndex",
-    "ShardedStatistics",
     "StaleSessionError",
     "UnknownEntityError",
     "UpdateDelta",

@@ -3,11 +3,14 @@
 The weighting schemes (paper Section 4) are pure functions of block
 co-occurrence statistics.  :class:`DeltaFeatureGenerator` evaluates them over
 an arbitrary subset of candidate pairs — typically the delta introduced by
-one insert — against the *current* state of a :class:`MutableBlockIndex`,
-reusing the vectorized (``sparse``) scheme implementations and the sorted-key
-intersection kernel of :func:`repro.weights.sparse.compute_pair_cooccurrence`
-unchanged: the index's :class:`IncrementalStatistics` view duck-types the
-:class:`repro.weights.BlockStatistics` surface those implementations consume.
+one insert — against the *current* state of anything with the read surface
+of an :class:`~repro.incremental.IndexState`: a live
+:class:`MutableBlockIndex`, or a :class:`~repro.incremental.MergedIndexView`
+over shards or shipped states.  The vectorized (``sparse``) scheme
+implementations and the sorted-key intersection kernel of
+:func:`repro.weights.sparse.compute_pair_cooccurrence` are reused unchanged:
+``index.statistics()`` is an :class:`~repro.incremental.IndexStatistics`, the
+part of the :class:`repro.weights.BlockStatistics` surface they consume.
 
 Evaluating the delta of one insert costs work proportional to the block
 memberships of the entities involved in the delta, not to the collection.
@@ -27,12 +30,12 @@ from .index import InsertDelta, MutableBlockIndex
 
 
 class DeltaFeatureGenerator:
-    """Generate feature vectors against a live :class:`MutableBlockIndex`.
+    """Generate feature vectors against a streaming index's current state.
 
     Parameters
     ----------
     index:
-        The mutable block index the statistics are read from.
+        The index, merged view or state the statistics are read from.
     feature_set:
         Weighting-scheme names forming the feature vector (default: the
         BLAST-optimal Formula 1 set).

@@ -1,30 +1,32 @@
-"""Incrementally maintained block index and co-occurrence statistics.
+"""The mutation side of the streaming index.
 
 The batch pipeline flattens a finished :class:`BlockCollection` into the
 entity x block CSR incidence structure once (:mod:`repro.weights.sparse`).
 Streaming workloads cannot afford that: inserting one entity must cost work
 proportional to the blocks it touches, not to the whole collection.
 
-:class:`MutableBlockIndex` is the streaming counterpart.  It is *fully
-dynamic*: entities can be inserted (:meth:`~MutableBlockIndex.add_entity`,
+:class:`MutableBlockIndex` is the streaming counterpart: an
+:class:`~repro.incremental.IndexState` (:mod:`repro.incremental.state` holds
+the arrays, the schema they ship under and every read over them) that
+mutates itself.  It is *fully dynamic*: entities can be inserted
+(:meth:`~MutableBlockIndex.add_entity`,
 :meth:`~MutableBlockIndex.add_entities_bulk`), retracted
 (:meth:`~MutableBlockIndex.remove_entity`) and corrected
 (:meth:`~MutableBlockIndex.update_entity`).  Under every mutation it
-maintains:
+maintains, beside the state's arrays:
 
-* the token -> block inverted index (one block per distinct signature);
-* the entity x block CSR incidence structure — rows are appended in arrival
-  order, per-row block ids sorted, so the batched intersection kernels of
-  :func:`repro.weights.sparse.compute_pair_cooccurrence` apply unchanged;
-* per-block sizes ``|b|``, comparison cardinalities ``||b||`` and their
-  inverse weight vectors;
+* the token -> block inverted index (one block per distinct signature) and
+  the per-block member lists and sizes ``|b|``, which never leave the index;
 * the per-entity aggregates every weighting scheme needs (``|B_i|``,
   ``||e_i||``, ``Σ 1/||b||``, ``Σ 1/|b|``, LCP degrees), adjusted in place
   for every entity of a touched block — insertions add the contributions,
   removals reverse them exactly;
 * the distinct candidate-pair registry and the per-mutation *delta*: the new
   pairs an insert introduced (:class:`InsertDelta`) or the dead pairs a
-  removal retracted (:class:`RetractionDelta`).
+  removal retracted (:class:`RetractionDelta`);
+* optionally a write-ahead log (append-before-apply) and a
+  :class:`_DeltaTracker`, which is why :meth:`~MutableBlockIndex.export_delta`
+  lives here and not on the state.
 
 All aggregates follow the batch conventions: blocks spawning no comparison
 are excluded from ``|B|``, ``|B_i|`` and the inverse sums (they do not exist
@@ -39,26 +41,13 @@ against ``prepare_blocks(..., apply_purging=False, apply_filtering=False)``.
 
 Node ids are assigned in arrival order and never reused: a removed entity's
 slot is tombstoned (its aggregates zeroed, its CSR row left behind but
-unreferenced) and an updated entity re-enters under a fresh node id.  The
-:meth:`~MutableBlockIndex.canonical_node_ids` mapping renumbers the *live*
-nodes into the compact batch numbering (first-collection survivors in
-arrival order, then second-collection survivors), which is what the
-session's exact finalisation uses to reproduce batch pruning bit-for-bit.
-The finalisation is array-only: the cardinality budgets come from
-:meth:`~MutableBlockIndex.block_totals` (two maintained integers), and
+unreferenced) and an updated entity re-enters under a fresh node id;
+``canonical_node_ids`` renumbers the *live* nodes into the compact batch
+numbering, which is what the session's exact finalisation uses to reproduce
+batch pruning bit-for-bit.  The finalisation is array-only: the cardinality
+budgets come from ``block_totals`` (two maintained integers), and
 :meth:`~MutableBlockIndex.snapshot_blocks` stays as the materialisation the
 equivalence tests compare those against.
-
-Export layout (the read state a serving view is built from):
-:meth:`~MutableBlockIndex.export_state` ships thirteen arrays — the CSR
-(``indptr``, ``indices``), ``sides``, three per-block vectors
-(``block_cardinality`` and the two inverse weights), four per-entity
-aggregates and the pair registry (``pair_left``, ``pair_right``,
-``pair_alive``) — plus the scalars of ``_export_meta``, among them
-``total_block_assignments``; :meth:`~MutableBlockIndex.export_delta` ships
-the appended tails of the same arrays, the dirty ids with their new values
-and the tombstoned nodes and registry positions.  Per-block member lists
-and block keys never leave the index.
 
 Per-insert cost is ``O(Σ_{b ∈ tokens(e)} |b|)`` — the size of the touched
 blocks, i.e. the mutation's candidate delta — independent of the number of
@@ -79,19 +68,14 @@ import numpy as np
 
 from ..blocking.base import BlockingMethod
 from ..blocking.token_blocking import TokenBlocking
-from ..core.pruning.base import BlockTotals
-from ..datamodel import (
-    Block,
-    BlockCollection,
-    CandidateSet,
-    EntityIndexSpace,
-    EntityProfile,
-)
+from ..datamodel import Block, BlockCollection, CandidateSet, EntityProfile
 from ..pairs import MAX_NODE_ID, node_id_overflow, pack_pair_keys, sorted_unique
-from ..weights.sparse import (
-    EntityBlockCSR,
-    PairCooccurrence,
-    PairCooccurrenceCache,
+from .state import (
+    APPENDED,
+    BLOCK_AGGREGATES,
+    ENTITY_AGGREGATES,
+    Growable,
+    IndexState,
 )
 
 
@@ -137,54 +121,6 @@ def _pack_pair(left: int, right: int) -> int:
     return (left << 32) | right
 
 
-class _Growable:
-    """An append-only NumPy array with amortised O(1) growth.
-
-    ``view()`` returns a zero-copy view of the active prefix; the view is
-    invalidated by the next append that triggers a reallocation, so callers
-    must not hold it across inserts.
-    """
-
-    __slots__ = ("_data", "_size")
-
-    def __init__(self, dtype, capacity: int = 64) -> None:
-        self._data = np.zeros(max(1, capacity), dtype=dtype)
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def _reserve(self, extra: int) -> None:
-        needed = self._size + extra
-        if needed > self._data.size:
-            capacity = self._data.size
-            while capacity < needed:
-                capacity *= 2
-            grown = np.zeros(capacity, dtype=self._data.dtype)
-            grown[: self._size] = self._data[: self._size]
-            self._data = grown
-
-    def append(self, value) -> None:
-        self._reserve(1)
-        self._data[self._size] = value
-        self._size += 1
-
-    def extend(self, values: np.ndarray) -> None:
-        values = np.asarray(values)
-        self._reserve(values.size)
-        self._data[self._size : self._size + values.size] = values
-        self._size += values.size
-
-    def view(self) -> np.ndarray:
-        return self._data[: self._size]
-
-    def __getitem__(self, key):
-        return self.view()[key]
-
-    def __setitem__(self, key, value):
-        self.view()[key] = value
-
-
 class _DeltaTracker:
     """Dirty sets accumulated between two :meth:`MutableBlockIndex.export_delta`
     calls.
@@ -196,26 +132,14 @@ class _DeltaTracker:
     changes — and created blocks, which have no tail — need explicit marking.
     """
 
-    __slots__ = (
-        "base_epoch",
-        "base_slots",
-        "base_indptr",
-        "base_indices",
-        "base_pairs",
-        "blocks",
-        "entities",
-        "dead_pairs",
-    )
+    __slots__ = ("base_epoch", "base_lengths", "blocks", "entities", "dead_pairs")
 
     def __init__(self, index: "MutableBlockIndex") -> None:
-        self.rebase(index)
-
-    def rebase(self, index: "MutableBlockIndex") -> None:
         self.base_epoch = index.epoch
-        self.base_slots = index.num_slots
-        self.base_indptr = len(index._indptr)
-        self.base_indices = len(index._indices)
-        self.base_pairs = index.num_registered_pairs
+        #: the watermarks: field -> length of each append-only array
+        self.base_lengths = {
+            field: len(getattr(index, field)) for _, field, _, _ in APPENDED
+        }
         self.blocks: set = set()
         self.entities: set = set()
         self.dead_pairs: List[int] = []
@@ -310,76 +234,14 @@ class BulkInsertDelta:
         return int(self.pair_left.size)
 
 
-class IncrementalStatistics:
-    """A read-only statistics view over a :class:`MutableBlockIndex`.
-
-    Duck-types the subset of :class:`repro.weights.BlockStatistics` the
-    vectorized (``sparse``) scheme implementations consume, backed by the
-    index's incrementally maintained arrays.  Obtain a fresh view per feature
-    computation (:meth:`MutableBlockIndex.statistics`); views snapshot nothing
-    and always read the index's current state.  Per-node arrays cover every
-    node slot ever assigned; tombstoned slots hold zeros and are never
-    referenced by a live candidate pair.
-    """
-
-    def __init__(self, index: "MutableBlockIndex") -> None:
-        self._index = index
-        self._pair_cache = PairCooccurrenceCache()
-
-    @property
-    def num_blocks(self) -> int:
-        """``|B|`` — blocks spawning at least one comparison."""
-        return self._index.num_nonempty_blocks
-
-    @property
-    def total_cardinality(self) -> float:
-        """``||B||`` — the total number of comparisons."""
-        return float(self._index.total_cardinality)
-
-    @property
-    def blocks_per_entity(self) -> np.ndarray:
-        """``|B_i|`` per node (comparison-spawning blocks only)."""
-        return self._index._blocks_per_entity.view()
-
-    @property
-    def entity_cardinality(self) -> np.ndarray:
-        """``||e_i||`` — summed cardinality of every node's blocks."""
-        return self._index._entity_cardinality.view()
-
-    @property
-    def entity_inv_cardinality(self) -> np.ndarray:
-        """``Σ_{b∈B_i} 1/||b||`` per node."""
-        return self._index._entity_inv_cardinality.view()
-
-    @property
-    def entity_inv_size(self) -> np.ndarray:
-        """``Σ_{b∈B_i} 1/|b|`` per node."""
-        return self._index._entity_inv_size.view()
-
-    def local_candidate_counts_sparse(self) -> np.ndarray:
-        """``LCP(e_i)`` — maintained as the candidate-pair degree per node."""
-        return self._index._degrees.view()
-
-    def pair_cooccurrence(self, candidates: CandidateSet) -> PairCooccurrence:
-        """Batched co-occurrence aggregates via the sparse intersection kernel.
-
-        Cached per candidate-set object (weakly referenced) so the schemes of
-        one feature computation share a single intersection pass, exactly as
-        :meth:`repro.weights.BlockStatistics.pair_cooccurrence` does.
-        """
-        index = self._index
-        return self._pair_cache.get(
-            candidates,
-            index.csr(),
-            index._inverse_block_cardinalities.view(),
-            index._inverse_block_sizes.view(),
-            index.sides(),
-        )
-
-
-class MutableBlockIndex:
+class MutableBlockIndex(IndexState):
     """A token/block inverted index supporting online insertion, removal,
     in-place update and bulk loading.
+
+    An :class:`~repro.incremental.IndexState` — every read (registry
+    one-liners, canonical renumbering, CSR, candidate set, statistics, block
+    totals, :meth:`export_state`) is inherited and reads the very arrays the
+    mutations below write — that also owns what only a writer needs.
 
     Parameters
     ----------
@@ -404,61 +266,33 @@ class MutableBlockIndex:
         bilateral: bool = False,
         name: str = "stream",
     ) -> None:
+        super().__init__(bilateral)
         self.blocking = blocking if blocking is not None else TokenBlocking()
-        self.bilateral = bilateral
         self.name = name
 
         # token -> block id
         self._block_ids: Dict[str, int] = {}
         self._block_keys: List[str] = []
-        # per-block membership (node ids, in arrival order)
+        # per-block membership (node ids, in arrival order) and sizes |b|
         self._members_first: List[List[int]] = []
         self._members_second: List[List[int]] = []
-        # per-block aggregates
-        self._block_sizes = _Growable(np.int64)
-        self._block_cardinalities = _Growable(np.int64)
-        self._inverse_block_cardinalities = _Growable(np.float64)
-        self._inverse_block_sizes = _Growable(np.float64)
+        self._block_sizes = Growable(np.int64)
 
         # entity registry; ids are namespaced per side — Clean-Clean sources
-        # commonly number their entities independently.  Node ids are never
-        # reused: a removed entity's slot keeps side -1 as a tombstone.
+        # commonly number their entities independently
         self._entity_ids: List[str] = []
         self._node_of_id: Dict[Tuple[int, str], int] = {}
-        self._sides = _Growable(np.int8)
-        self._side_counts = [0, 0]
+        # LCP, maintained as the candidate-pair degree per node
+        self._degrees = Growable(np.float64, capacity=256)
 
-        # entity x block CSR (rows in arrival order, sorted ids per row;
-        # tombstoned rows are left behind and never referenced by live pairs)
-        self._indptr = _Growable(np.int64, capacity=256)
-        self._indptr.append(0)
-        self._indices = _Growable(np.int64, capacity=1024)
-
-        # per-entity aggregates (over comparison-spawning blocks)
-        self._blocks_per_entity = _Growable(np.float64, capacity=256)
-        self._entity_cardinality = _Growable(np.float64, capacity=256)
-        self._entity_inv_cardinality = _Growable(np.float64, capacity=256)
-        self._entity_inv_size = _Growable(np.float64, capacity=256)
-        self._degrees = _Growable(np.float64, capacity=256)
-
-        # candidate-pair registry (canonical: left < right by construction);
-        # positions are stable, retracted pairs are tombstoned via _pair_alive
-        self._pair_left = _Growable(np.int64, capacity=1024)
-        self._pair_right = _Growable(np.int64, capacity=1024)
-        self._pair_alive = _Growable(np.bool_, capacity=1024)
-        self._pair_keys = _Growable(np.int64, capacity=1024)
-        # packed (left, right) -> registry position of every *live* pair,
-        # synced lazily from _pair_keys (removals need it, inserts don't —
-        # keeping it off the insert path is what lets bulk loads stay
-        # array-only); _pair_synced counts the registry prefix already merged
+        # packed key of every registry position, and packed (left, right) ->
+        # registry position of every *live* pair, synced lazily from
+        # _pair_keys (removals need it, inserts don't — keeping it off the
+        # insert path is what lets bulk loads stay array-only); _pair_synced
+        # counts the registry prefix already merged
+        self._pair_keys = Growable(np.int64, capacity=1024)
         self._pair_position: Dict[int, int] = {}
         self._pair_synced: int = 0
-        self._num_live_pairs: int = 0
-
-        # global aggregates
-        self.total_cardinality: int = 0
-        self.num_nonempty_blocks: int = 0
-        self.total_block_assignments: int = 0
 
         # durability / lifecycle state: an optional write-ahead log every
         # mutation is journaled to (append-before-apply), and a generation
@@ -468,12 +302,11 @@ class MutableBlockIndex:
         self._wal_suspended = False
         self.generation: int = 0
 
-        # delta shipping: every applied mutation bumps ``epoch``; when a
-        # reader has enabled tracking (enable_delta_tracking), the dirty
-        # sets record which blocks/entities changed since the tracker's
-        # base epoch so export_delta can ship O(changed) instead of
-        # O(state).  Single-consumer by design (the serve read path).
-        self.epoch: int = 0
+        # delta shipping: when a reader has enabled tracking
+        # (enable_delta_tracking), the dirty sets record which blocks/entities
+        # changed since the tracker's base epoch so export_delta can ship
+        # O(changed) instead of O(state).  Single-consumer by design (the
+        # serve read path).
         self._delta: Optional[_DeltaTracker] = None
 
     # -- durability --------------------------------------------------------------
@@ -506,26 +339,6 @@ class MutableBlockIndex:
 
     # -- container protocol ----------------------------------------------------
     @property
-    def num_entities(self) -> int:
-        """Number of *live* entities (inserted and not removed)."""
-        return self._side_counts[0] + self._side_counts[1]
-
-    @property
-    def num_slots(self) -> int:
-        """Number of node ids ever assigned, including tombstoned slots."""
-        return len(self._entity_ids)
-
-    @property
-    def num_blocks(self) -> int:
-        """Number of blocks, including those spawning no comparison yet."""
-        return len(self._block_keys)
-
-    @property
-    def num_pairs(self) -> int:
-        """Number of *live* distinct candidate pairs."""
-        return self._num_live_pairs
-
-    @property
     def num_registered_pairs(self) -> int:
         """Number of registry positions ever assigned (live + retracted)."""
         return len(self._pair_left)
@@ -536,21 +349,6 @@ class MutableBlockIndex:
     def entity_id(self, node: int) -> str:
         """The identifier of the entity holding node id ``node``."""
         return self._entity_ids[node]
-
-    def side_of(self, node: int) -> int:
-        """0 for first-collection nodes, 1 for second-collection nodes.
-
-        Tombstoned slots report -1.
-        """
-        return int(self._sides[node])
-
-    def is_live(self, node: int) -> bool:
-        """Whether the node slot currently holds a live entity."""
-        return int(self._sides[node]) >= 0
-
-    def sides(self) -> np.ndarray:
-        """Per-node side flags (0 = first, 1 = second, -1 = removed)."""
-        return self._sides.view()
 
     def node_of(self, entity_id: str, side: int = 0) -> int:
         """The node id assigned to the live entity ``entity_id`` on ``side``.
@@ -568,45 +366,6 @@ class MutableBlockIndex:
     def has_entity(self, entity_id: str, side: int = 0) -> bool:
         """Whether ``entity_id`` is currently live on ``side``."""
         return (side, entity_id) in self._node_of_id
-
-    def index_space(self) -> EntityIndexSpace:
-        """An index space sized to the *live* per-side totals.
-
-        Streaming assigns node ids in arrival order (sides may interleave and
-        removed slots are never reused), so raw node ids do not fit this
-        space — only its totals are meaningful.  The
-        :meth:`canonical_node_ids` mapping renumbers live nodes into it.
-        """
-        if self.bilateral:
-            return EntityIndexSpace(self._side_counts[0], self._side_counts[1])
-        return EntityIndexSpace(self._side_counts[0])
-
-    def block_totals(self) -> BlockTotals:
-        """``Σ|b|`` and ``|E1|+|E2|`` of the live collection, in O(1).
-
-        What cardinality-based pruning derives its budgets from — equal to
-        the totals of :meth:`snapshot_blocks` without materialising it.
-        """
-        return BlockTotals(self.total_block_assignments, self.index_space().total)
-
-    def canonical_node_ids(self) -> np.ndarray:
-        """Map every node slot to its compact batch node id (-1 when dead).
-
-        Live first-collection nodes get 0..n1-1 in arrival order, live
-        second-collection nodes n1..n1+n2-1 — exactly the numbering the
-        batch pipeline assigns when handed the surviving entities in arrival
-        order.  This is the bridge that lets the exact finalisation apply
-        batch pruning (including its packed-key tie-breaking) unchanged.
-        """
-        sides = self._sides.view()
-        canonical = np.full(sides.size, -1, dtype=np.int64)
-        first_nodes = np.flatnonzero(sides == 0)
-        canonical[first_nodes] = np.arange(first_nodes.size, dtype=np.int64)
-        second_nodes = np.flatnonzero(sides == 1)
-        canonical[second_nodes] = first_nodes.size + np.arange(
-            second_nodes.size, dtype=np.int64
-        )
-        return canonical
 
     # -- insertion -------------------------------------------------------------
     def add_entity(self, profile: EntityProfile, side: int = 0) -> InsertDelta:
@@ -1505,37 +1264,6 @@ class MutableBlockIndex:
         return dump
 
     # -- read-side structures --------------------------------------------------
-    def csr(self) -> EntityBlockCSR:
-        """The current entity x block incidence structure (zero-copy views).
-
-        Rows of removed entities are left behind (their node ids never recur
-        in a live candidate pair), so the structure is safe to intersect over
-        any live pair but not a faithful census of live memberships.
-        """
-        return EntityBlockCSR(
-            indptr=self._indptr.view(),
-            indices=self._indices.view(),
-            num_blocks=self.num_blocks,
-        )
-
-    def statistics(self) -> IncrementalStatistics:
-        """A fresh statistics view over the index's current state."""
-        return IncrementalStatistics(self)
-
-    def candidate_set(self) -> CandidateSet:
-        """All *live* distinct candidate pairs (copied arrays).
-
-        Pairs are in registry order with retracted positions filtered out;
-        node ids are raw streaming ids (see :meth:`canonical_node_ids` for
-        the batch renumbering).
-        """
-        alive = self._pair_alive.view()
-        return CandidateSet(
-            self._pair_left.view()[alive],
-            self._pair_right.view()[alive],
-            self.index_space(),
-        )
-
     def delta_candidate_set(self, delta: InsertDelta) -> CandidateSet:
         """The candidate pairs introduced by one insert, as a candidate set."""
         left = delta.counterparts.copy()
@@ -1546,25 +1274,6 @@ class MutableBlockIndex:
         """The candidate pairs introduced by one bulk load, as a candidate set."""
         return CandidateSet(
             delta.pair_left.copy(), delta.pair_right.copy(), self.index_space()
-        )
-
-    def canonical_candidates(self, candidates: CandidateSet) -> CandidateSet:
-        """Renumber a live candidate set into the compact batch node space.
-
-        Every pair keeps its position; only the node ids change (and the
-        left/right orientation is restored to canonical ``left < right`` in
-        the batch numbering).  Probability arrays aligned with the input
-        remain aligned with the output, which is how the exact finalisation
-        applies batch pruning — budgets, per-node thresholds and packed-key
-        tie-breaking included — without re-scoring.
-        """
-        canonical = self.canonical_node_ids()
-        left = canonical[candidates.left]
-        right = canonical[candidates.right]
-        if left.size and (np.any(left < 0) or np.any(right < 0)):
-            raise ValueError("candidate set references removed entities")
-        return CandidateSet(
-            np.minimum(left, right), np.maximum(left, right), self.index_space()
         )
 
     def snapshot_blocks(self) -> BlockCollection:
@@ -1594,46 +1303,6 @@ class MutableBlockIndex:
         return BlockCollection(blocks, self.index_space(), name=self.name)
 
     # -- delta shipping ---------------------------------------------------------
-    def _export_meta(self) -> dict:
-        return {
-            "bilateral": self.bilateral,
-            "num_slots": self.num_slots,
-            "num_blocks": self.num_blocks,
-            "num_nonempty_blocks": self.num_nonempty_blocks,
-            "total_cardinality": self.total_cardinality,
-            "total_block_assignments": self.total_block_assignments,
-            "side_counts": tuple(self._side_counts),
-            "num_pairs": self.num_pairs,
-            "epoch": self.epoch,
-        }
-
-    def export_state(self) -> dict:
-        """The full read-state ship: every array a pinned view needs.
-
-        Thirteen arrays plus the scalars of :meth:`_export_meta`; arrays
-        are zero-copy views into the index — consume (copy or ship) them
-        before the next mutation.  Per-block member lists and block keys
-        stay behind: no reader of a pinned view needs them.
-        """
-        arrays = {
-            "indptr": self._indptr.view(),
-            "indices": self._indices.view(),
-            "sides": self._sides.view(),
-            "block_cardinality": self._block_cardinalities.view(),
-            "inv_block_cardinality": self._inverse_block_cardinalities.view(),
-            "inv_block_size": self._inverse_block_sizes.view(),
-            "blocks_per_entity": self._blocks_per_entity.view(),
-            "entity_cardinality": self._entity_cardinality.view(),
-            "entity_inv_cardinality": self._entity_inv_cardinality.view(),
-            "entity_inv_size": self._entity_inv_size.view(),
-            "pair_left": self._pair_left.view(),
-            "pair_right": self._pair_right.view(),
-            "pair_alive": self._pair_alive.view(),
-        }
-        meta = self._export_meta()
-        meta["kind"] = "full"
-        return {"arrays": arrays, "meta": meta}
-
     def enable_delta_tracking(self) -> int:
         """Start (or restart) recording dirty sets from the current epoch.
 
@@ -1641,10 +1310,7 @@ class MutableBlockIndex:
         :meth:`export_delta` calls against the returned epoch ship only
         what changed.  Single consumer — re-enabling rebases the tracker.
         """
-        if self._delta is None:
-            self._delta = _DeltaTracker(self)
-        else:
-            self._delta.rebase(self)
+        self._delta = _DeltaTracker(self)
         return self.epoch
 
     def export_delta(self, since_epoch: int) -> Optional[dict]:
@@ -1657,8 +1323,9 @@ class MutableBlockIndex:
         current epoch, so the returned delta must be consumed before the
         next mutation (arrays may be zero-copy views).
 
-        The wire layout mirrors :meth:`export_state`: appended slot/CSR/
-        pair-registry tails, the changed per-entity and per-block
+        The wire layout is derived from the schema table of
+        :mod:`repro.incremental.state`, like :meth:`export_state`: appended
+        slot/CSR/pair-registry tails, the changed per-entity and per-block
         aggregates as sorted id + value arrays (``dirty_blocks`` includes
         every block created since the base, so the receiver learns the new
         block count from it), and tombstoned nodes and registry positions.
@@ -1667,7 +1334,8 @@ class MutableBlockIndex:
         if tracker is None or int(since_epoch) != tracker.base_epoch:
             return None
         sides = self._sides.view()
-        base_slots = tracker.base_slots
+        base_slots = tracker.base_lengths["_sides"]
+        base_pairs = tracker.base_lengths["_pair_alive"]
         dirty_entities = np.fromiter(
             sorted(tracker.entities), dtype=np.int64, count=len(tracker.entities)
         )
@@ -1680,36 +1348,25 @@ class MutableBlockIndex:
             sorted(tracker.blocks), dtype=np.int64, count=len(tracker.blocks)
         )
         dead = np.fromiter(
-            sorted(p for p in tracker.dead_pairs if p < tracker.base_pairs),
+            sorted(p for p in tracker.dead_pairs if p < base_pairs),
             dtype=np.int64,
         )
         arrays = {
-            "indptr_tail": self._indptr.view()[tracker.base_indptr :],
-            "indices_tail": self._indices.view()[tracker.base_indices :],
-            "sides_tail": sides[base_slots:],
-            "tombstoned_nodes": tombstoned,
-            "dirty_entities": dirty_entities,
-            "dirty_blocks_per_entity": self._blocks_per_entity.view()[dirty_entities],
-            "dirty_entity_cardinality": self._entity_cardinality.view()[
-                dirty_entities
-            ],
-            "dirty_entity_inv_cardinality": self._entity_inv_cardinality.view()[
-                dirty_entities
-            ],
-            "dirty_entity_inv_size": self._entity_inv_size.view()[dirty_entities],
-            "dirty_blocks": dirty_blocks,
-            "dirty_block_cardinality": self._block_cardinalities.view()[dirty_blocks],
-            "dirty_inv_block_cardinality": self._inverse_block_cardinalities.view()[
-                dirty_blocks
-            ],
-            "dirty_inv_block_size": self._inverse_block_sizes.view()[dirty_blocks],
-            "pair_left_tail": self._pair_left.view()[tracker.base_pairs :],
-            "pair_right_tail": self._pair_right.view()[tracker.base_pairs :],
-            "pair_alive_tail": self._pair_alive.view()[tracker.base_pairs :],
-            "dead_pair_positions": dead,
+            f"{name}_tail": getattr(self, field).view()[tracker.base_lengths[field] :]
+            for name, field, _, _ in APPENDED
         }
+        arrays.update(
+            tombstoned_nodes=tombstoned,
+            dirty_entities=dirty_entities,
+            dirty_blocks=dirty_blocks,
+            dead_pair_positions=dead,
+        )
+        for name, field in ENTITY_AGGREGATES:
+            arrays[f"dirty_{name}"] = getattr(self, field).view()[dirty_entities]
+        for name, field, _, _ in BLOCK_AGGREGATES:
+            arrays[f"dirty_{name}"] = getattr(self, field).view()[dirty_blocks]
         meta = self._export_meta()
         meta["kind"] = "delta"
         meta["base_epoch"] = tracker.base_epoch
-        tracker.rebase(self)
+        self._delta = _DeltaTracker(self)
         return {"arrays": arrays, "meta": meta}

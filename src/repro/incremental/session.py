@@ -51,12 +51,8 @@ from ..obs.trace import hook_span
 from ..pairs import pack_pair_keys
 from ..utils.pqueue import BoundedTopQueue
 from .delta import DeltaFeatureGenerator
-from .index import (
-    MutableBlockIndex,
-    RetractionDelta,
-    UnknownEntityError,
-    _Growable,
-)
+from .index import MutableBlockIndex, RetractionDelta, UnknownEntityError
+from .state import Growable
 
 
 def exact_answer(
@@ -436,7 +432,7 @@ class MatchingSession:
         self.online = _resolve_online_policy(online, top_k)
         #: probability of every registry position at the time it was inserted
         #: (provisional; retracted positions keep their last score)
-        self._insert_probabilities = _Growable(np.float64, capacity=1024)
+        self._insert_probabilities = Growable(np.float64, capacity=1024)
         self._top_k = top_k
         self._generation = self.index.generation
         self._snapshot_every = snapshot_every
@@ -671,7 +667,7 @@ class MatchingSession:
         session.features = DeltaFeatureGenerator(index, model.feature_set)
         session.pruning = pruning
         session.online = online
-        session._insert_probabilities = _Growable(np.float64, capacity=1024)
+        session._insert_probabilities = Growable(np.float64, capacity=1024)
         session._top_k = top_k
         session._generation = index.generation
         session._snapshot_every = snapshot_every
@@ -741,7 +737,7 @@ class MatchingSession:
                 "compaction did not rebuild the expected pair registry; the "
                 "session state cannot be remapped"
             )
-        self._insert_probabilities = _Growable(np.float64, capacity=1024)
+        self._insert_probabilities = Growable(np.float64, capacity=1024)
         self._insert_probabilities.extend(probabilities[order])
         remap = {
             int(old): (int(new), int(key))

@@ -1,42 +1,36 @@
-"""Signature-sharded streaming index for parallel ingest.
+"""Signature-sharded streaming index, and the merged read over K shards.
 
-:class:`ShardedMutableBlockIndex` splits the inverted index of
-:class:`~repro.incremental.MutableBlockIndex` across K shards by *signature*
-(token): shard ``k`` owns every block whose key hashes to ``k``
-(:func:`repro.parallel.shard_of_signature`), so the shards' block sets are
-disjoint and their mutations are independent — the routing layer the
-ROADMAP's "sharded MutableBlockIndex for parallel ingest" asks for.
-
-Every mutation is routed to **all** shards with the entity's signatures
+K signature shards are mergeable by construction.  Shard ``k`` owns every
+block whose key hashes to ``k`` (:func:`repro.parallel.shard_of_signature`),
+and every mutation is routed to **all** shards with the entity's signatures
 filtered per shard (a shard whose filter yields no signature still registers
-the entity with an empty row).  That choice is what makes the shards
-mergeable by construction:
+the entity with an empty row).  :class:`MergedIndexView` is the read-only
+merge of such shards — any :class:`~repro.incremental.IndexState` objects:
+live indexes, or the bare states a router was shipped — and guarantees, because:
 
-* every shard sees every entity in the same order, so node ids — and the
-  canonical batch numbering — are **identical across shards**;
-* per-entity aggregates are sums of disjoint per-shard block contributions;
-* the global candidate-pair set is the packed-key union of the per-shard
-  pair sets (a pair co-occurring under tokens of two shards appears in
-  both and is deduplicated by the merge);
+* every shard sees every entity in the same order, node ids — and the
+  canonical batch numbering — are **identical across shards** (registry
+  reads delegate to shard 0);
+* the shards' block sets are **disjoint**, so per-entity aggregates,
+  ``|B|``, ``||B||`` and ``Σ|b|`` are **sums** of per-shard contributions;
+* the global candidate-pair set is the **packed-key union** of the per-shard
+  pair sets (a pair co-occurring under tokens of two shards appears in both
+  and is deduplicated by the merge; cached per tuple of shard epochs);
 * the entity x block CSR is the row-wise concatenation of the shard CSRs
-  with shard-major block-id offsets.
+  with **shard-major** block-id offsets.
 
-Tokenization — the CPU-heavy Python part of ingest — is performed once per
-mutation by the router (never K times) and, for bulk loads, can be fanned
-out over a :class:`repro.parallel.ParallelExecutor`; the per-shard index
-updates are independent by construction and ready to be dispatched to
-shard-affine workers.
-
-:meth:`ShardedMutableBlockIndex.statistics` exposes the same duck-typed
-statistics contract as :class:`~repro.incremental.IncrementalStatistics`,
-and :meth:`candidate_set`/:meth:`canonical_candidates`/:meth:`snapshot_blocks`
-mirror the unsharded index — the equivalence tests assert a sharded index
-fed any interleaving of add/remove/update/bulk matches the unsharded one.
+:class:`ShardedMutableBlockIndex` is a merged view that also routes
+mutations: tokenization — the CPU-heavy Python part of ingest — is
+performed once per mutation by the router (never K times) and, for bulk
+loads, can be fanned out over a :class:`repro.parallel.ParallelExecutor`;
+the per-shard index updates are independent by construction.  The
+equivalence tests assert a sharded index fed any interleaving of
+add/remove/update/bulk matches the unsharded one, statistic by statistic.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,76 +39,141 @@ from ..blocking.token_blocking import TokenBlocking
 from ..core.pruning.base import BlockTotals
 from ..datamodel import BlockCollection, CandidateSet, EntityIndexSpace, EntityProfile
 from ..pairs import pack_pair_keys, sorted_unique
-from ..weights.sparse import (
-    EntityBlockCSR,
-    PairCooccurrence,
-    PairCooccurrenceCache,
-    entity_block_csr_from_memberships,
-)
+from ..weights.sparse import EntityBlockCSR
 from .index import DuplicateEntityError, MutableBlockIndex, UnknownEntityError
+from .state import IndexState, IndexStatistics, merged_csr
 
 
-class ShardedStatistics:
-    """Merged read-only statistics over the shards (duck-types
-    :class:`~repro.incremental.IncrementalStatistics`).
+class MergedIndexView:
+    """K signature shards behind the read surface of one
+    :class:`~repro.incremental.IndexState` (see the module docstring for what
+    makes them mergeable).
 
-    Aggregates are merged on construction; obtain a fresh view per feature
-    computation, as with the unsharded index.
+    Parameters
+    ----------
+    shards:
+        The per-shard states, in shard order.
+    entity_id:
+        Resolves a node id to its entity identifier (a bare state holds no
+        identifiers; node ids are append-only in the authority index, so its
+        live ``entity_id`` is correct at any pinned offset up to now).
+    name:
+        Label used in snapshots and reports.
     """
 
-    def __init__(self, index: "ShardedMutableBlockIndex") -> None:
-        self._index = index
-        self._pair_cache = PairCooccurrenceCache()
-        shards = index.shards
-        num_slots = index.num_slots
+    def __init__(
+        self,
+        shards: Sequence[IndexState],
+        entity_id: Callable[[int], str],
+        name: str = "merged",
+    ) -> None:
+        self.shards = list(shards)
+        self.bilateral = bool(self.shards[0].bilateral)
+        self.name = name
+        self._entity_id = entity_id
+        # merged-pair cache keyed by the shards' epochs (the merge is an
+        # O(P log P) union across shards — too costly per num_pairs read)
+        self._pairs_cache: Optional[Tuple[tuple, np.ndarray, np.ndarray]] = None
 
-        self.num_blocks = sum(shard.num_nonempty_blocks for shard in shards)
-        self.total_cardinality = float(
-            sum(shard.total_cardinality for shard in shards)
+    # -- registry (identical in every shard) -------------------------------------
+    @property
+    def num_entities(self) -> int:
+        """Number of live entities."""
+        return self.shards[0].num_entities
+
+    @property
+    def num_slots(self) -> int:
+        """Number of node ids ever assigned."""
+        return self.shards[0].num_slots
+
+    @property
+    def num_blocks(self) -> int:
+        """Total number of blocks across the shards (disjoint by token)."""
+        return sum(shard.num_blocks for shard in self.shards)
+
+    @property
+    def num_pairs(self) -> int:
+        """Number of live distinct candidate pairs across the shards."""
+        return int(self._merged_pairs()[0].size)
+
+    def __len__(self) -> int:
+        return self.num_entities
+
+    def entity_id(self, node: int) -> str:
+        """The identifier of the entity holding node id ``node``."""
+        return self._entity_id(int(node))
+
+    def side_of(self, node: int) -> int:
+        """0/1 for live nodes, -1 for tombstoned slots."""
+        return self.shards[0].side_of(node)
+
+    def sides(self) -> np.ndarray:
+        """Per-node side flags (0 = first, 1 = second, -1 = removed)."""
+        return self.shards[0].sides()
+
+    def is_live(self, node: int) -> bool:
+        """Whether the node slot currently holds a live entity."""
+        return self.shards[0].is_live(node)
+
+    def index_space(self) -> EntityIndexSpace:
+        """An index space sized to the live per-side totals."""
+        return self.shards[0].index_space()
+
+    def canonical_node_ids(self) -> np.ndarray:
+        """Compact batch node id per slot."""
+        return self.shards[0].canonical_node_ids()
+
+    def canonical_candidates(self, candidates: CandidateSet) -> CandidateSet:
+        """Renumber a live candidate set into the compact batch node space."""
+        return self.shards[0].canonical_candidates(candidates)
+
+    def block_totals(self) -> BlockTotals:
+        """``Σ|b|`` summed over the shards and the live entity count, in
+        O(shards)."""
+        return BlockTotals(
+            sum(shard.total_block_assignments for shard in self.shards),
+            self.index_space().total,
         )
 
-        def summed(attribute: str) -> np.ndarray:
-            total = np.zeros(num_slots, dtype=np.float64)
-            for shard in shards:
-                total += getattr(shard, attribute).view()
-            return total
+    # -- merged read-side structures ---------------------------------------------
+    def _merged_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The distinct live pairs across shards, sorted by packed key.
 
-        self.blocks_per_entity = summed("_blocks_per_entity")
-        self.entity_cardinality = summed("_entity_cardinality")
-        self.entity_inv_cardinality = summed("_entity_inv_cardinality")
-        self.entity_inv_size = summed("_entity_inv_size")
-        self._degrees: Optional[np.ndarray] = None
-        self._merged: Optional[Tuple[EntityBlockCSR, np.ndarray, np.ndarray]] = None
-
-    def local_candidate_counts_sparse(self) -> np.ndarray:
-        """LCP per node slot — distinct live candidates, from the merged pairs.
-
-        Per-shard degrees cannot be summed (a pair co-occurring under two
-        shards' tokens would count twice); the merged distinct pair set
-        gives the exact global degree.
+        Cached per tuple of shard epochs: repeated reads (``num_pairs``
+        polling, statistics, candidate sets) between mutations pay the
+        cross-shard union once.
         """
-        if self._degrees is None:
-            left, right = self._index._merged_pairs()
-            degrees = np.zeros(self._index.num_slots, dtype=np.float64)
-            if left.size:
-                degrees += np.bincount(left, minlength=degrees.size)
-                degrees += np.bincount(right, minlength=degrees.size)
-            self._degrees = degrees
-        return self._degrees
+        epochs = tuple(shard.epoch for shard in self.shards)
+        if self._pairs_cache is None or self._pairs_cache[0] != epochs:
+            # sort + adjacent-diff, not np.unique: the hash path is ~20x slower
+            # on packed int64 keys, and the result is the same sorted distinct set
+            keys = sorted_unique(
+                np.concatenate(
+                    [pack_pair_keys(*shard.live_pairs()) for shard in self.shards]
+                )
+            )
+            self._pairs_cache = (
+                epochs, keys >> np.int64(32), keys & np.int64((1 << 32) - 1)
+            )
+        return self._pairs_cache[1], self._pairs_cache[2]
 
-    def pair_cooccurrence(self, candidates: CandidateSet) -> PairCooccurrence:
-        """Batched co-occurrence aggregates over the merged shard CSR."""
-        if self._merged is None:
-            self._merged = self._index._merged_csr()
-        csr, inverse_cardinalities, inverse_sizes = self._merged
-        return self._pair_cache.get(
-            candidates, csr, inverse_cardinalities, inverse_sizes, self._index.sides()
-        )
+    def candidate_set(self) -> CandidateSet:
+        """All live distinct candidate pairs, sorted by packed pair key."""
+        return CandidateSet(*self._merged_pairs(), self.index_space())
+
+    def csr(self) -> EntityBlockCSR:
+        """The merged entity x block incidence structure."""
+        return merged_csr(self.shards)[0]
+
+    def statistics(self) -> IndexStatistics:
+        """A fresh merged statistics view over the shards' current state."""
+        return IndexStatistics(self.shards, self._merged_pairs)
 
 
-class ShardedMutableBlockIndex:
+class ShardedMutableBlockIndex(MergedIndexView):
     """K signature-sharded :class:`MutableBlockIndex` instances behind the
-    unsharded aggregate/equivalence contract.
+    unsharded aggregate/equivalence contract: a :class:`MergedIndexView`
+    that also routes mutations.
 
     Parameters
     ----------
@@ -143,20 +202,15 @@ class ShardedMutableBlockIndex:
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
         self.blocking = blocking if blocking is not None else TokenBlocking()
-        self.bilateral = bilateral
         self.num_shards = num_shards
-        self.name = name
         self.executor = executor
-        self.shards: List[MutableBlockIndex] = [
+        shards = [
             MutableBlockIndex(
                 blocking=self.blocking, bilateral=bilateral, name=f"{name}#{shard}"
             )
             for shard in range(num_shards)
         ]
-        # merged-pair cache, invalidated by every mutation (the merge is an
-        # O(P log P) union across shards — too costly per num_pairs read)
-        self._mutations = 0
-        self._pairs_cache: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+        super().__init__(shards, shards[0].entity_id, name)
         self._wal = None
 
     # -- durability --------------------------------------------------------------
@@ -248,7 +302,6 @@ class ShardedMutableBlockIndex:
     def _apply_insert(self, entity_id: str, side: int, signatures):
         """Insert with pre-extracted signatures: tokenize never, split per
         shard, forward to each shard's replay entry point."""
-        self._mutations += 1
         split = self._split_signatures(signatures)
         return [
             shard._apply_insert(entity_id, side, split[position])
@@ -282,7 +335,6 @@ class ShardedMutableBlockIndex:
 
     def _apply_bulk(self, entries, side: int):
         """Bulk-insert pre-tokenized ``(entity_id, signatures)`` entries."""
-        self._mutations += 1
         per_shard: List[List[Tuple[str, List[str]]]] = [
             [] for _ in range(self.num_shards)
         ]
@@ -303,7 +355,6 @@ class ShardedMutableBlockIndex:
         return self._apply_remove(entity_id, side)
 
     def _apply_remove(self, entity_id: str, side: int):
-        self._mutations += 1
         return [shard.remove_entity(entity_id, side=side) for shard in self.shards]
 
     def update_entity(self, profile: EntityProfile, side: int = 0):
@@ -325,7 +376,6 @@ class ShardedMutableBlockIndex:
         return self._apply_update(profile.entity_id, side, signatures)
 
     def _apply_update(self, entity_id: str, side: int, signatures):
-        self._mutations += 1
         split = self._split_signatures(signatures)
         return [
             shard._apply_update(entity_id, side, split[position])
@@ -340,7 +390,6 @@ class ShardedMutableBlockIndex:
         unchanged.  The router's log (if any) is untouched — compaction does
         not change the logical state.
         """
-        self._mutations += 1  # raw node ids are renumbered — drop the cache
         for shard in self.shards:
             shard.compact()
 
@@ -369,72 +418,7 @@ class ShardedMutableBlockIndex:
             ]
         return merged
 
-    # -- delta shipping ----------------------------------------------------------
-    def epochs(self) -> List[int]:
-        """Per-shard mutation epochs (see :attr:`MutableBlockIndex.epoch`)."""
-        return [shard.epoch for shard in self.shards]
-
-    def enable_delta_tracking(self) -> List[int]:
-        """Arm delta tracking on every shard; returns the per-shard epochs."""
-        return [shard.enable_delta_tracking() for shard in self.shards]
-
-    def export_deltas(self, since_epochs) -> Optional[List[dict]]:
-        """Per-shard deltas since ``since_epochs``, all-or-nothing.
-
-        Returns ``None`` — without rebasing any shard's tracker — unless
-        every shard can serve a delta from its requested epoch; callers must
-        then fall back to full exports for all shards.
-        """
-        if len(since_epochs) != self.num_shards:
-            raise ValueError("one base epoch per shard required")
-        for shard, epoch in zip(self.shards, since_epochs):
-            if shard._delta is None or shard._delta.base_epoch != int(epoch):
-                return None
-        return [
-            shard.export_delta(epoch)
-            for shard, epoch in zip(self.shards, since_epochs)
-        ]
-
-    # -- aggregate contract ------------------------------------------------------
-    @property
-    def num_entities(self) -> int:
-        """Number of live entities (identical in every shard)."""
-        return self.shards[0].num_entities
-
-    @property
-    def num_slots(self) -> int:
-        """Number of node ids ever assigned (identical in every shard)."""
-        return self.shards[0].num_slots
-
-    @property
-    def num_blocks(self) -> int:
-        """Total number of blocks across the shards (disjoint by token)."""
-        return sum(shard.num_blocks for shard in self.shards)
-
-    @property
-    def num_pairs(self) -> int:
-        """Number of live distinct candidate pairs across the shards."""
-        return int(self._merged_pairs()[0].size)
-
-    def __len__(self) -> int:
-        return self.num_entities
-
-    def entity_id(self, node: int) -> str:
-        """The identifier of the entity holding node id ``node``."""
-        return self.shards[0].entity_id(node)
-
-    def side_of(self, node: int) -> int:
-        """0/1 for live nodes, -1 for tombstoned slots."""
-        return self.shards[0].side_of(node)
-
-    def sides(self) -> np.ndarray:
-        """Per-node side flags (0 = first, 1 = second, -1 = removed)."""
-        return self.shards[0].sides()
-
-    def is_live(self, node: int) -> bool:
-        """Whether the node slot currently holds a live entity."""
-        return self.shards[0].is_live(node)
-
+    # -- registry lookups only a live index can answer -----------------------------
     def has_entity(self, entity_id: str, side: int = 0) -> bool:
         """Whether ``entity_id`` is currently live on ``side``."""
         return self.shards[0].has_entity(entity_id, side=side)
@@ -442,105 +426,6 @@ class ShardedMutableBlockIndex:
     def node_of(self, entity_id: str, side: int = 0) -> int:
         """The node id of a live entity (identical in every shard)."""
         return self.shards[0].node_of(entity_id, side=side)
-
-    def index_space(self) -> EntityIndexSpace:
-        """An index space sized to the live per-side totals."""
-        return self.shards[0].index_space()
-
-    def block_totals(self) -> BlockTotals:
-        """``Σ|b|`` summed over the shards (their blocks are disjoint by
-        construction) and the live entity count, in O(shards)."""
-        return BlockTotals(
-            sum(shard.total_block_assignments for shard in self.shards),
-            self.index_space().total,
-        )
-
-    def canonical_node_ids(self) -> np.ndarray:
-        """Compact batch node id per slot (identical in every shard)."""
-        return self.shards[0].canonical_node_ids()
-
-    # -- merged read-side structures ---------------------------------------------
-    def _merged_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The distinct live pairs across shards, sorted by packed key.
-
-        Cached per mutation epoch: repeated reads (``num_pairs`` polling,
-        statistics, candidate sets) between mutations pay the cross-shard
-        union once.
-        """
-        if self._pairs_cache is not None and self._pairs_cache[0] == self._mutations:
-            return self._pairs_cache[1], self._pairs_cache[2]
-        parts = []
-        for shard in self.shards:
-            alive = shard._pair_alive.view()
-            parts.append(
-                pack_pair_keys(
-                    shard._pair_left.view()[alive], shard._pair_right.view()[alive]
-                )
-            )
-        # sort + adjacent-diff, not np.unique: the hash path is ~20x slower
-        # on packed int64 keys, and the result is the same sorted distinct set
-        keys = sorted_unique(np.concatenate(parts))
-        left, right = keys >> np.int64(32), keys & np.int64((1 << 32) - 1)
-        self._pairs_cache = (self._mutations, left, right)
-        return left, right
-
-    def candidate_set(self) -> CandidateSet:
-        """All live distinct candidate pairs, sorted by packed pair key."""
-        left, right = self._merged_pairs()
-        return CandidateSet(left, right, self.index_space())
-
-    def canonical_candidates(self, candidates: CandidateSet) -> CandidateSet:
-        """Renumber a live candidate set into the compact batch node space."""
-        return self.shards[0].canonical_candidates(candidates)
-
-    def _merged_csr(self) -> Tuple[EntityBlockCSR, np.ndarray, np.ndarray]:
-        """Row-wise concatenation of the shard CSRs with block-id offsets.
-
-        Returns the merged entity x block CSR plus the concatenated
-        per-block inverse weight vectors, aligned with the offset block ids.
-        """
-        num_slots = self.num_slots
-        node_parts: List[np.ndarray] = []
-        block_parts: List[np.ndarray] = []
-        inv_cardinality_parts: List[np.ndarray] = []
-        inv_size_parts: List[np.ndarray] = []
-        offset = 0
-        for shard in self.shards:
-            csr = shard.csr()
-            counts = np.diff(csr.indptr)
-            node_parts.append(
-                np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-            )
-            block_parts.append(csr.indices + offset)
-            inv_cardinality_parts.append(shard._inverse_block_cardinalities.view())
-            inv_size_parts.append(shard._inverse_block_sizes.view())
-            offset += csr.num_blocks
-        merged = entity_block_csr_from_memberships(
-            np.concatenate(node_parts) if node_parts else np.empty(0, dtype=np.int64),
-            np.concatenate(block_parts) if block_parts else np.empty(0, dtype=np.int64),
-            num_slots,
-            offset,
-            assume_unique=True,
-        )
-        inverse_cardinalities = (
-            np.concatenate(inv_cardinality_parts)
-            if inv_cardinality_parts
-            else np.empty(0, dtype=np.float64)
-        )
-        inverse_sizes = (
-            np.concatenate(inv_size_parts)
-            if inv_size_parts
-            else np.empty(0, dtype=np.float64)
-        )
-        return merged, inverse_cardinalities, inverse_sizes
-
-    def csr(self) -> EntityBlockCSR:
-        """The merged entity x block incidence structure."""
-        return self._merged_csr()[0]
-
-    def statistics(self) -> ShardedStatistics:
-        """A fresh merged statistics view over the shards' current state."""
-        return ShardedStatistics(self)
 
     def snapshot_blocks(self) -> BlockCollection:
         """All comparison-spawning blocks across the shards, canonical ids.

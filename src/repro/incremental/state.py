@@ -1,0 +1,500 @@
+"""The read state of a streaming index, stated once.
+
+Every weighting scheme of the paper is a function of the same few block
+co-occurrence statistics (``|B_i|``, ``||e_i||``, ``Σ 1/||b||``, ``Σ 1/|b|``,
+LCP, ``|B|``, ``||B||``), and a streamed, sharded, recovered or served answer
+equals the batch one only because every execution mode hands the schemes
+those statistics identically.  :class:`IndexState` is that hand-over as one
+type: thirteen arrays, a handful of scalars and the whole read surface over
+them — registry one-liners, canonical renumbering, the CSR, the live
+candidate set, :class:`IndexStatistics`, block totals.
+
+Export layout (the read state a serving view is built from):
+:meth:`IndexState.export_state` ships the thirteen arrays of the schema below
+— the CSR (``indptr``, ``indices``), ``sides``, the pair registry
+(``pair_left``, ``pair_right``, ``pair_alive``), four per-entity aggregates
+and three per-block vectors (``block_cardinality`` and the two inverse
+weights) — plus the scalars of ``CHECKED_SCALARS`` / ``ADOPTED_SCALARS``,
+``bilateral`` and ``side_counts``;
+:meth:`MutableBlockIndex.export_delta <repro.incremental.MutableBlockIndex.export_delta>`
+ships seventeen arrays derived from the same table: the appended
+``<name>_tail`` of the six append-only arrays, the ``dirty_entities`` /
+``dirty_blocks`` ids with one ``dirty_<name>`` value array per aggregate, and
+the ``tombstoned_nodes`` and ``dead_pair_positions``.  Per-block member lists
+and block keys never leave the index.  :meth:`IndexState.apply_full` and
+:meth:`IndexState.apply_delta` are the receiving end; a ship whose counts
+disagree with the arrays it produced is refused *before* any scalar — the
+epoch, i.e. the next read's base, among them — is adopted, so readers only
+ever see a state at a boundary the writer published.
+
+The index *is* a state: :class:`~repro.incremental.MutableBlockIndex`
+subclasses :class:`IndexState` and adds what only a writer needs (the token
+dictionary, member lists, maintained degrees, WAL hook, delta tracker), so
+its mutation code writes the very fields a reader reads, "the shipped state
+equals the worker's state" is a comparison of two objects of one type, and
+no delegation layer sits between them.  The router's resident per-shard copy
+is a bare :class:`IndexState` advanced by :meth:`~IndexState.apply_delta`.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+
+import numpy as np
+
+from ..core.pruning.base import BlockTotals
+from ..datamodel import CandidateSet, EntityIndexSpace
+from ..weights.sparse import (
+    EntityBlockCSR,
+    PairCooccurrence,
+    PairCooccurrenceCache,
+    entity_block_csr_from_memberships,
+)
+
+
+class IndexStateError(RuntimeError):
+    """A shipped state does not fit the state it was applied to."""
+
+
+class Growable:
+    """An append-only NumPy array with amortised O(1) growth.
+
+    ``view()`` returns a zero-copy view of the active prefix; the view is
+    invalidated by the next append that triggers a reallocation, so callers
+    must not hold it across inserts.
+    """
+
+    __slots__ = ("_data", "_size")
+
+    def __init__(self, dtype, capacity: int = 64) -> None:
+        self._data = np.zeros(max(1, capacity), dtype=dtype)
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def _reserve(self, extra: int) -> None:
+        needed = self._size + extra
+        if needed > self._data.size:
+            capacity = self._data.size
+            while capacity < needed:
+                capacity *= 2
+            grown = np.zeros(capacity, dtype=self._data.dtype)
+            grown[: self._size] = self._data[: self._size]
+            self._data = grown
+
+    def append(self, value) -> None:
+        self._reserve(1)
+        self._data[self._size] = value
+        self._size += 1
+
+    def extend(self, values: np.ndarray) -> None:
+        values = np.asarray(values)
+        self._reserve(values.size)
+        self._data[self._size : self._size + values.size] = values
+        self._size += values.size
+
+    def view(self) -> np.ndarray:
+        return self._data[: self._size]
+
+    def __getitem__(self, key):
+        return self.view()[key]
+
+    def __setitem__(self, key, value):
+        self.view()[key] = value
+
+
+# -- the schema: (wire name, field, ...) of the thirteen arrays -------------------
+#: arrays that only grow at the end (dtype, initial capacity) and ship whole or
+#: as ``<name>_tail``: the entity x block CSR (rows in arrival order, sorted ids
+#: per row; tombstoned rows are left behind, never referenced by a live pair),
+#: the side flags (node ids are never reused: a removed slot keeps side -1) and
+#: the candidate-pair registry (canonical ``left < right``; positions are
+#: stable, retracted pairs are tombstoned through ``pair_alive``)
+APPENDED = (
+    ("indptr", "_indptr", np.int64, 256),
+    ("indices", "_indices", np.int64, 1024),
+    ("sides", "_sides", np.int8, 64),
+    ("pair_left", "_pair_left", np.int64, 1024),
+    ("pair_right", "_pair_right", np.int64, 1024),
+    ("pair_alive", "_pair_alive", np.bool_, 1024),
+)
+#: per-entity aggregates over comparison-spawning blocks (float64; a new slot
+#: holds 0), shipped whole or as ``dirty_<name>`` at ``dirty_entities``
+ENTITY_AGGREGATES = (
+    ("blocks_per_entity", "_blocks_per_entity"),
+    ("entity_cardinality", "_entity_cardinality"),
+    ("entity_inv_cardinality", "_entity_inv_cardinality"),
+    ("entity_inv_size", "_entity_inv_size"),
+)
+#: per-block aggregates (dtype, the neutral value a created block holds),
+#: shipped whole or as ``dirty_<name>`` at ``dirty_blocks``
+BLOCK_AGGREGATES = (
+    ("block_cardinality", "_block_cardinalities", np.int64, 0),
+    ("inv_block_cardinality", "_inverse_block_cardinalities", np.float64, 1.0),
+    ("inv_block_size", "_inverse_block_sizes", np.float64, 1.0),
+)
+#: (wire name, field) of a full ship
+FULL_ARRAYS = tuple(row[:2] for row in APPENDED + ENTITY_AGGREGATES + BLOCK_AGGREGATES)
+#: scalars a receiver checks against the arrays it holds (name, what it counts)
+CHECKED_SCALARS = (
+    ("num_blocks", "blocks"),
+    ("num_slots", "node slots"),
+    ("num_pairs", "live pairs"),
+)
+#: scalars a receiver adopts once the checks passed
+ADOPTED_SCALARS = (
+    "num_nonempty_blocks",
+    "total_cardinality",
+    "total_block_assignments",
+    "epoch",
+)
+
+
+def merged_csr(
+    states: Sequence["IndexState"],
+) -> Tuple[EntityBlockCSR, np.ndarray, np.ndarray]:
+    """The entity x block CSR over ``states`` and the two per-block inverse
+    weight vectors aligned with its block ids.
+
+    One state: its own zero-copy views.  Several (signature shards: identical
+    node ids, disjoint blocks): the row-wise concatenation of the shard CSRs
+    with shard-major block-id offsets.
+    """
+    if len(states) == 1:
+        state = states[0]
+        return (
+            state.csr(),
+            state._inverse_block_cardinalities.view(),
+            state._inverse_block_sizes.view(),
+        )
+    node_parts, block_parts, offset = [], [], 0
+    for state in states:
+        csr = state.csr()
+        counts = np.diff(csr.indptr)
+        node_parts.append(np.repeat(np.arange(counts.size, dtype=np.int64), counts))
+        block_parts.append(csr.indices + offset)
+        offset += csr.num_blocks
+    merged = entity_block_csr_from_memberships(
+        np.concatenate(node_parts),
+        np.concatenate(block_parts),
+        states[0].num_slots,
+        offset,
+        assume_unique=True,
+    )
+    return (
+        merged,
+        np.concatenate([s._inverse_block_cardinalities.view() for s in states]),
+        np.concatenate([s._inverse_block_sizes.view() for s in states]),
+    )
+
+
+class IndexStatistics:
+    """Read-only statistics over one :class:`IndexState` or several shards.
+
+    The subset of :class:`repro.weights.BlockStatistics` the vectorized
+    scheme implementations consume.  Over one state every per-entity array is
+    that state's zero-copy view and LCP is the degree array a mutable index
+    maintains (a streamed insert reads O(delta), never O(slots)); over
+    several the aggregates are accumulated in shard order, the CSR is
+    concatenated on first use and LCP is counted off the merged distinct
+    pairs (per-shard degrees cannot be summed: a pair co-occurring under two
+    shards' tokens would count twice).  Which of the two happens is decided
+    by ``len(states)``.  Obtain a fresh view per feature computation
+    (``statistics()``): the arrays are views into growable buffers.  They
+    cover every node slot ever assigned; tombstoned slots hold zeros and are
+    never referenced by a live candidate pair.
+
+    ``live_pairs`` returns the distinct live ``(left, right)`` pairs over
+    ``states``.
+    """
+
+    def __init__(
+        self,
+        states: Sequence["IndexState"],
+        live_pairs: Callable[[], Tuple[np.ndarray, np.ndarray]],
+    ) -> None:
+        self._states = states
+        self._live_pairs = live_pairs
+        self._pair_cache = PairCooccurrenceCache()
+        #: ``|B|`` — blocks spawning at least one comparison
+        self.num_blocks = sum(state.num_nonempty_blocks for state in states)
+        #: ``||B||`` — the total number of comparisons
+        self.total_cardinality = float(sum(s.total_cardinality for s in states))
+        # blocks_per_entity, entity_cardinality, entity_inv_cardinality and
+        # entity_inv_size: blocks are disjoint across shards, so contributions
+        # add — in shard order, and one state's view is handed on as it is
+        for name, field in ENTITY_AGGREGATES:
+            views = [getattr(state, field).view() for state in states]
+            setattr(self, name, sum(views[1:], views[0]))
+        self._degrees: Optional[np.ndarray] = None
+        self._merged: Optional[Tuple[EntityBlockCSR, np.ndarray, np.ndarray]] = None
+
+    def local_candidate_counts_sparse(self) -> np.ndarray:
+        """``LCP(e_i)`` — distinct live candidates per node slot."""
+        if self._degrees is None:
+            states = self._states
+            maintained = getattr(states[0], "_degrees", None) if len(states) == 1 else None
+            if maintained is not None:
+                self._degrees = maintained.view()
+            else:
+                # per-shard degrees cannot be summed: count the distinct pairs
+                size = states[0].num_slots
+                self._degrees = sum(
+                    np.bincount(nodes, minlength=size) for nodes in self._live_pairs()
+                ).astype(np.float64)
+        return self._degrees
+
+    def pair_cooccurrence(self, candidates: CandidateSet) -> PairCooccurrence:
+        """Batched co-occurrence aggregates via the sparse intersection kernel.
+
+        Cached per candidate-set object (weakly referenced) so the schemes of
+        one feature computation share a single intersection pass, exactly as
+        :meth:`repro.weights.BlockStatistics.pair_cooccurrence` does.
+        """
+        if self._merged is None:
+            self._merged = merged_csr(self._states)
+        return self._pair_cache.get(candidates, *self._merged, self._states[0].sides())
+
+
+class IndexState:
+    """The arrays and scalars a reader of a streaming index needs, and every
+    read over them.
+
+    A bare state is a receiver: :meth:`apply_full` (re)builds it from a
+    complete ship and :meth:`apply_delta` advances it in place — appended
+    slot / CSR / pair tails, scattered per-entity and per-block aggregates,
+    tombstones — so a warm read costs O(changed), not O(state).
+    :class:`~repro.incremental.MutableBlockIndex` is the state that mutates
+    itself (and must never be handed to ``apply_*``).
+    """
+
+    def __init__(self, bilateral: bool = False) -> None:
+        self.bilateral = bilateral
+        for _, field, dtype, capacity in APPENDED:
+            setattr(self, field, Growable(dtype, capacity))
+        self._indptr.append(0)
+        for _, field in ENTITY_AGGREGATES:
+            setattr(self, field, Growable(np.float64, capacity=256))
+        for _, field, dtype, _ in BLOCK_AGGREGATES:
+            setattr(self, field, Growable(dtype))
+        #: live entities per side (ids are namespaced per side)
+        self._side_counts = [0, 0]
+        self._num_live_pairs: int = 0
+        # global aggregates
+        self.total_cardinality: int = 0
+        self.num_nonempty_blocks: int = 0
+        self.total_block_assignments: int = 0
+        #: bumped by every applied mutation: the base a delta is shipped against
+        self.epoch: int = 0
+
+    # -- registry ----------------------------------------------------------------
+    @property
+    def num_entities(self) -> int:
+        """Number of *live* entities (inserted and not removed)."""
+        return self._side_counts[0] + self._side_counts[1]
+
+    @property
+    def num_slots(self) -> int:
+        """Number of node ids ever assigned, including tombstoned slots."""
+        return len(self._sides)
+
+    @property
+    def num_blocks(self) -> int:
+        """Number of blocks, including those spawning no comparison yet."""
+        return len(self._block_cardinalities)
+
+    @property
+    def num_pairs(self) -> int:
+        """Number of *live* distinct candidate pairs."""
+        return self._num_live_pairs
+
+    def side_of(self, node: int) -> int:
+        """0 for first-collection nodes, 1 for second-collection nodes.
+
+        Tombstoned slots report -1.
+        """
+        return int(self._sides[node])
+
+    def is_live(self, node: int) -> bool:
+        """Whether the node slot currently holds a live entity."""
+        return int(self._sides[node]) >= 0
+
+    def sides(self) -> np.ndarray:
+        """Per-node side flags (0 = first, 1 = second, -1 = removed)."""
+        return self._sides.view()
+
+    def index_space(self) -> EntityIndexSpace:
+        """An index space sized to the *live* per-side totals.
+
+        Streaming assigns node ids in arrival order (sides may interleave and
+        removed slots are never reused), so raw node ids do not fit this
+        space — only its totals are meaningful.  The
+        :meth:`canonical_node_ids` mapping renumbers live nodes into it.
+        """
+        if self.bilateral:
+            return EntityIndexSpace(self._side_counts[0], self._side_counts[1])
+        return EntityIndexSpace(self._side_counts[0])
+
+    def block_totals(self) -> BlockTotals:
+        """``Σ|b|`` and ``|E1|+|E2|`` of the live collection, in O(1).
+
+        What cardinality-based pruning derives its budgets from — equal to
+        the totals of :meth:`MutableBlockIndex.snapshot_blocks` without
+        materialising it.
+        """
+        return BlockTotals(self.total_block_assignments, self.index_space().total)
+
+    def canonical_node_ids(self) -> np.ndarray:
+        """Map every node slot to its compact batch node id (-1 when dead).
+
+        Live first-collection nodes get 0..n1-1 in arrival order, live
+        second-collection nodes n1..n1+n2-1 — exactly the numbering the
+        batch pipeline assigns when handed the surviving entities in arrival
+        order.  This is the bridge that lets the exact finalisation apply
+        batch pruning (including its packed-key tie-breaking) unchanged.
+        """
+        sides = self._sides.view()
+        canonical = np.full(sides.size, -1, dtype=np.int64)
+        first_nodes = np.flatnonzero(sides == 0)
+        canonical[first_nodes] = np.arange(first_nodes.size, dtype=np.int64)
+        second_nodes = np.flatnonzero(sides == 1)
+        canonical[second_nodes] = first_nodes.size + np.arange(
+            second_nodes.size, dtype=np.int64
+        )
+        return canonical
+
+    def canonical_candidates(self, candidates: CandidateSet) -> CandidateSet:
+        """Renumber a live candidate set into the compact batch node space.
+
+        Every pair keeps its position; only the node ids change (and the
+        left/right orientation is restored to canonical ``left < right`` in
+        the batch numbering).  Probability arrays aligned with the input
+        remain aligned with the output, which is how the exact finalisation
+        applies batch pruning — budgets, per-node thresholds and packed-key
+        tie-breaking included — without re-scoring.
+        """
+        canonical = self.canonical_node_ids()
+        left = canonical[candidates.left]
+        right = canonical[candidates.right]
+        if left.size and (np.any(left < 0) or np.any(right < 0)):
+            raise ValueError("candidate set references removed entities")
+        return CandidateSet(
+            np.minimum(left, right), np.maximum(left, right), self.index_space()
+        )
+
+    # -- read-side structures ----------------------------------------------------
+    def csr(self) -> EntityBlockCSR:
+        """The current entity x block incidence structure (zero-copy views).
+
+        Rows of removed entities are left behind (their node ids never recur
+        in a live candidate pair), so the structure is safe to intersect over
+        any live pair but not a faithful census of live memberships.
+        """
+        return EntityBlockCSR(
+            indptr=self._indptr.view(),
+            indices=self._indices.view(),
+            num_blocks=self.num_blocks,
+        )
+
+    def live_pair_positions(self) -> np.ndarray:
+        """Registry positions of the live pairs, ascending."""
+        return np.flatnonzero(self._pair_alive.view())
+
+    def live_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(left, right)`` of the live pairs in registry order (copies)."""
+        alive = self._pair_alive.view()
+        return self._pair_left.view()[alive], self._pair_right.view()[alive]
+
+    def candidate_set(self) -> CandidateSet:
+        """All *live* distinct candidate pairs (copied arrays).
+
+        Pairs are in registry order with retracted positions filtered out;
+        node ids are raw streaming ids (see :meth:`canonical_node_ids` for
+        the batch renumbering).
+        """
+        return CandidateSet(*self.live_pairs(), self.index_space())
+
+    def statistics(self) -> IndexStatistics:
+        """A fresh statistics view over the current state."""
+        return IndexStatistics((self,), self.live_pairs)
+
+    # -- shipping ----------------------------------------------------------------
+    def _export_meta(self) -> Dict[str, Any]:
+        meta = {name: getattr(self, name) for name, _ in CHECKED_SCALARS}
+        meta.update((name, getattr(self, name)) for name in ADOPTED_SCALARS)
+        meta["bilateral"] = self.bilateral
+        meta["side_counts"] = tuple(self._side_counts)
+        return meta
+
+    def export_state(self) -> Dict[str, Any]:
+        """The full read-state ship: every array a pinned view needs.
+
+        Thirteen arrays plus the scalars of :meth:`_export_meta`; arrays
+        are zero-copy views into the state — consume (copy or ship) them
+        before the next mutation.
+        """
+        arrays = {name: getattr(self, field).view() for name, field in FULL_ARRAYS}
+        return {"arrays": arrays, "meta": dict(self._export_meta(), kind="full")}
+
+    def _adopt_scalars(self, meta: Dict[str, Any]) -> None:
+        """Refuse a ship whose counts disagree with the arrays now held, else
+        adopt its scalars: a refused ship never advances the epoch handshake."""
+        for name, what in CHECKED_SCALARS:
+            if getattr(self, name) != int(meta[name]):
+                raise IndexStateError(
+                    f"shard state desynchronized: {getattr(self, name)} {what} "
+                    f"held but the shipped state reports {meta[name]}"
+                )
+        for name in ADOPTED_SCALARS:
+            setattr(self, name, int(meta[name]))
+        self._side_counts = list(meta["side_counts"])
+
+    def apply_full(self, arrays: Dict[str, np.ndarray], meta: Dict[str, Any]) -> None:
+        """(Re)build the state from a complete shipped state (arrays copied)."""
+        for name, field in FULL_ARRAYS:
+            array = arrays[name]
+            cell = Growable(array.dtype, capacity=array.size)
+            cell.extend(array)
+            setattr(self, field, cell)
+        self._num_live_pairs = int(np.count_nonzero(self._pair_alive.view()))
+        self._adopt_scalars(meta)
+        self.bilateral = bool(meta["bilateral"])
+
+    def apply_delta(self, arrays: Dict[str, np.ndarray], meta: Dict[str, Any]) -> None:
+        """Advance the state in place by one shipped delta."""
+        held_pairs = len(self._pair_alive)
+        for name, field, _, _ in APPENDED:
+            tail = arrays[f"{name}_tail"]
+            if tail.size:
+                getattr(self, field).extend(tail)
+        # new node slots start from zeroed aggregates and created blocks (always
+        # dirty: ids at or past the held count) from neutral ones; the dirty
+        # scatters then fill in every changed value
+        new_slots = self.num_slots - len(self._blocks_per_entity)
+        dirty_entities = arrays["dirty_entities"]
+        for name, field in ENTITY_AGGREGATES:
+            cell = getattr(self, field)
+            if new_slots:
+                cell.extend(np.zeros(new_slots))
+            if dirty_entities.size:
+                cell[dirty_entities] = arrays[f"dirty_{name}"]
+        dirty_blocks = arrays["dirty_blocks"]
+        created = int(np.count_nonzero(dirty_blocks >= self.num_blocks))
+        for name, field, dtype, neutral in BLOCK_AGGREGATES:
+            cell = getattr(self, field)
+            if created:
+                cell.extend(np.full(created, neutral, dtype=dtype))
+            if dirty_blocks.size:
+                cell[dirty_blocks] = arrays[f"dirty_{name}"]
+        # tombstones: removed nodes, and retracted positions below the tail
+        tombstoned = arrays["tombstoned_nodes"]
+        if tombstoned.size:
+            self._sides[tombstoned] = np.int8(-1)
+        dead = arrays["dead_pair_positions"]
+        if dead.size:
+            self._pair_alive[dead] = False
+        self._num_live_pairs += int(
+            np.count_nonzero(self._pair_alive.view()[held_pairs:])
+        ) - int(dead.size)
+        self._adopt_scalars(meta)

@@ -49,7 +49,7 @@ def dump_slot_layout(index) -> Optional[Dict[str, Any]]:
     """
     if isinstance(index, ShardedMutableBlockIndex):
         return None
-    sides = index._sides.view()
+    sides = index.sides()
     return {
         "num_slots": int(sides.size),
         "nodes": {
@@ -146,11 +146,9 @@ def canonical_pair_keys(index) -> Tuple[np.ndarray, np.ndarray]:
     under compaction and snapshot rebuilds — the stable identity per-pair
     session state is serialized under.
     """
-    alive = index._pair_alive.view()
-    positions = np.flatnonzero(alive)
+    positions = index.live_pair_positions()
     canonical = index.canonical_node_ids()
-    left = canonical[index._pair_left.view()[positions]]
-    right = canonical[index._pair_right.view()[positions]]
+    left, right = (canonical[nodes] for nodes in index.live_pairs())
     keys = pack_pair_keys(np.minimum(left, right), np.maximum(left, right))
     return positions, keys
 

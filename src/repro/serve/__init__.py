@@ -21,16 +21,16 @@ Modules
     answer kernels.
 ``client``
     :class:`ServeClient` — the blocking stdlib client.
-``metrics``
-    Latency histograms, gauges and the ``stats`` rendering (backed by the
-    unified :class:`repro.obs.MetricsRegistry`; the ``metrics`` protocol op
-    exposes the same registry in Prometheus text exposition).
 ``supervision``
     :class:`WorkerSupervisor` — heartbeat, hang detection, respawn with
     checkpoint adoption.
+
+Latency histograms, gauges and the ``stats`` rendering are :mod:`repro.obs`'s
+(:class:`repro.obs.MetricsRegistry`, :func:`repro.obs.render_stats`; the
+``metrics`` protocol op exposes the same registry in Prometheus text
+exposition).
 """
 
-from ..obs.render import render_stats
 from .client import ServeClient, ServeError
 from .daemon import (
     DeadlineExceededError,
@@ -77,7 +77,6 @@ __all__ = [
     "WalRecordFollower",
     "WorkerError",
     "WorkerSupervisor",
-    "render_stats",
     "ERROR_DEADLINE",
     "ERROR_OVERLOADED",
     "ERROR_UNAVAILABLE",

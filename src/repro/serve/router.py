@@ -1,38 +1,31 @@
-"""Pinned read views over the shard workers' states.
+"""Pinned read views over the shard workers' states: the shipping handshake.
 
 A ``match`` or ``top_k`` query pins a WAL offset, asks every shard worker
-for its read state *at exactly that offset*, and assembles the states into
-a :class:`~repro.incremental.ShardedMutableBlockIndex` whose shards are
-lightweight :class:`ShardStateStub` objects duck-typing the
-:class:`~repro.incremental.MutableBlockIndex` read surface.  Everything
-downstream — the merged pair union, the shard-major CSR concatenation,
-:class:`~repro.incremental.sharded.ShardedStatistics`, canonical
-renumbering, block totals — is the PR 5 merge contract reused verbatim, and
-the answer itself is :func:`repro.incremental.session.exact_answer`, the
-very function :meth:`MatchingSession.retained` runs, so a pinned read
-computes **exactly** what an offline
-:class:`~repro.incremental.MatchingSession` computes after replaying the
-same log prefix (the sharded/unsharded equivalence already proven by
-``tests/incremental/test_sharded_index.py``).
+for its read state *at exactly that offset*, and reads the K states as one
+index through a :class:`~repro.incremental.MergedIndexView`.  What a state
+is (thirteen arrays plus a handful of scalars), how a delta advances it and
+when a ship is refused live in :mod:`repro.incremental.state`; what makes K
+shards mergeable in :mod:`repro.incremental.sharded`; and the answer itself
+is :func:`repro.incremental.session.exact_answer`, the very function
+:meth:`MatchingSession.retained` runs — so a pinned read computes
+**exactly** what an offline :class:`~repro.incremental.MatchingSession`
+computes after replaying the same log prefix.  This module is what is left:
+who ships what to whom, and when.
 
-The shipped read state is arrays only — thirteen per shard plus a handful
-of scalars (:meth:`MutableBlockIndex.export_state`).  Per-block member
-lists and block keys never cross the worker boundary: the only thing a
-read ever took from them was ``Σ|b|`` for the cardinality budgets, which
-ships as the ``total_block_assignments`` scalar.
+Shipping is incremental: the router keeps one **resident**
+:class:`~repro.incremental.IndexState` per shard and hands each worker a
+``{"lineage", "epoch"}`` handshake describing the state it already holds
+(the epoch is the state's own: it is adopted only by a ship that applied
+cleanly); the worker replies with a delta (applied to the resident state in
+place) or a full state (first contact, respawned worker, checkpoint adoption
+or compaction — anything that breaks the lineage).  A shard whose ship
+fails to apply loses its resident state, so its next read full-ships.  Only
+the cheap merged view is rebuilt per query.
 
 Entity-id resolution is delegated to a caller-provided function: node ids
 are append-only in the authority index (slots are tombstoned, never
 reused), so the daemon's live ``entity_id(node)`` is correct for any node
 that exists at *any* pinned offset ≤ the current one.
-
-Shipping is incremental: the router keeps one **resident**
-:class:`ShardStateStub` per shard and hands each worker a
-``{"lineage", "epoch"}`` handshake describing the state it already holds;
-the worker replies with a delta (applied to the resident stub in place) or
-a full state (first contact, respawned worker, checkpoint adoption or
-compaction — anything that breaks the lineage).  Only the cheap merged
-wrapper is rebuilt per query.
 """
 
 from __future__ import annotations
@@ -40,255 +33,32 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import nullcontext
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.pruning import SupervisedPruningAlgorithm, strength_order
 from ..obs.trace import current_trace, hook_span
-from ..datamodel import CandidateSet, EntityIndexSpace
+from ..datamodel import CandidateSet
 from ..incremental.delta import DeltaFeatureGenerator
-from ..incremental.index import _Growable
 from ..incremental.session import exact_answer
-from ..incremental.sharded import ShardedMutableBlockIndex
+from ..incremental.sharded import MergedIndexView
+from ..incremental.state import IndexState, IndexStateError
 from ..pairs import pack_pair_keys
-from ..weights.sparse import EntityBlockCSR
 from .workers import ShardWorkerHandle, WorkerError
 
 
-def _grown(array: np.ndarray) -> _Growable:
-    cell = _Growable(array.dtype, capacity=max(1, int(array.size)))
-    cell.extend(array)
-    return cell
+class _ResidentShard(NamedTuple):
+    """One shard's resident state plus the lineage it was shipped under."""
 
-
-class ShardStateStub:
-    """One shard's shipped read state behind the index read surface.
-
-    Implements exactly the attributes and methods the sharded merge layer
-    touches on its shards: the ``_Growable``-shaped aggregate arrays, the
-    full pair registry with its alive mask, the block-assignment total,
-    :meth:`csr` and the node-registry helpers.
-
-    Unlike its PR 7 ancestor the stub is *persistent*: :meth:`apply_full`
-    (re)builds it from a full ship and :meth:`apply_delta` advances it in
-    place — appended slot/CSR/pair tails, scattered per-entity and
-    per-block aggregates, tombstones — so a warm read costs O(changed),
-    not O(state).
-    """
-
-    def __init__(self, resolve_entity_id: Callable[[int], str]) -> None:
-        self._resolve = resolve_entity_id
-        self._canonical: Optional[np.ndarray] = None
-
-    def _refresh_scalars(self, meta: Dict[str, Any]) -> None:
-        self.num_blocks = int(meta["num_blocks"])
-        self.num_nonempty_blocks = int(meta["num_nonempty_blocks"])
-        self.total_cardinality = int(meta["total_cardinality"])
-        self.total_block_assignments = int(meta["total_block_assignments"])
-        self._side_counts = list(meta["side_counts"])
-        if len(self._block_cardinalities) != self.num_blocks:
-            raise WorkerError(
-                f"shard state desynchronized: {len(self._block_cardinalities)} "
-                f"blocks held but the shipped state reports {self.num_blocks}"
-            )
-        if len(self._sides) != int(meta["num_slots"]):
-            raise WorkerError(
-                f"shard state desynchronized: {len(self._sides)} node slots "
-                f"held but the shipped state reports {meta['num_slots']}"
-            )
-        if self._num_live != int(meta["num_pairs"]):
-            raise WorkerError(
-                f"shard state desynchronized: {self._num_live} live pairs "
-                f"held but the shipped state reports {meta['num_pairs']}"
-            )
-
-    def apply_full(self, arrays: Dict[str, np.ndarray], meta: Dict[str, Any]) -> None:
-        """(Re)build the stub from a complete shipped state."""
-        self.bilateral = bool(meta["bilateral"])
-        self._indptr = _grown(arrays["indptr"])
-        self._indices = _grown(arrays["indices"])
-        self._sides = _grown(arrays["sides"])
-        self._block_cardinalities = _grown(arrays["block_cardinality"])
-        self._inverse_block_cardinalities = _grown(arrays["inv_block_cardinality"])
-        self._inverse_block_sizes = _grown(arrays["inv_block_size"])
-        self._blocks_per_entity = _grown(arrays["blocks_per_entity"])
-        self._entity_cardinality = _grown(arrays["entity_cardinality"])
-        self._entity_inv_cardinality = _grown(arrays["entity_inv_cardinality"])
-        self._entity_inv_size = _grown(arrays["entity_inv_size"])
-        self._pair_left = _grown(arrays["pair_left"])
-        self._pair_right = _grown(arrays["pair_right"])
-        self._pair_alive = _grown(arrays["pair_alive"])
-        self._num_live = int(np.count_nonzero(arrays["pair_alive"]))
-        self._canonical = None
-        self._refresh_scalars(meta)
-
-    def apply_delta(self, arrays: Dict[str, np.ndarray], meta: Dict[str, Any]) -> None:
-        """Advance the stub in place by one shipped delta."""
-        self._canonical = None
-        # new node slots: sides tail + zeroed per-entity aggregates (the
-        # dirty-entity scatter below fills in the real values)
-        sides_tail = arrays["sides_tail"]
-        if sides_tail.size:
-            self._sides.extend(sides_tail)
-            zeros = np.zeros(sides_tail.size)
-            for cell in (
-                self._blocks_per_entity,
-                self._entity_cardinality,
-                self._entity_inv_cardinality,
-                self._entity_inv_size,
-            ):
-                cell.extend(zeros)
-        tombstoned = arrays["tombstoned_nodes"]
-        if tombstoned.size:
-            self._sides[tombstoned] = np.int8(-1)
-        dirty_entities = arrays["dirty_entities"]
-        if dirty_entities.size:
-            self._blocks_per_entity[dirty_entities] = arrays["dirty_blocks_per_entity"]
-            self._entity_cardinality[dirty_entities] = arrays[
-                "dirty_entity_cardinality"
-            ]
-            self._entity_inv_cardinality[dirty_entities] = arrays[
-                "dirty_entity_inv_cardinality"
-            ]
-            self._entity_inv_size[dirty_entities] = arrays["dirty_entity_inv_size"]
-        # new blocks (always dirty: ids at or past the held count) get
-        # neutral aggregates, then the dirty scatter fills every changed one
-        dirty_blocks = arrays["dirty_blocks"]
-        created = int(np.count_nonzero(dirty_blocks >= len(self._block_cardinalities)))
-        if created:
-            self._block_cardinalities.extend(np.zeros(created, dtype=np.int64))
-            self._inverse_block_cardinalities.extend(np.ones(created))
-            self._inverse_block_sizes.extend(np.ones(created))
-        if dirty_blocks.size:
-            self._block_cardinalities[dirty_blocks] = arrays["dirty_block_cardinality"]
-            self._inverse_block_cardinalities[dirty_blocks] = arrays[
-                "dirty_inv_block_cardinality"
-            ]
-            self._inverse_block_sizes[dirty_blocks] = arrays["dirty_inv_block_size"]
-        # CSR tails (rows are append-only, removals never rewrite them)
-        if arrays["indices_tail"].size:
-            self._indices.extend(arrays["indices_tail"])
-        if arrays["indptr_tail"].size:
-            self._indptr.extend(arrays["indptr_tail"])
-        # pair registry: appended tail + tombstoned positions
-        tail = arrays["pair_left_tail"]
-        if tail.size:
-            alive_tail = arrays["pair_alive_tail"]
-            self._pair_left.extend(tail)
-            self._pair_right.extend(arrays["pair_right_tail"])
-            self._pair_alive.extend(alive_tail)
-            self._num_live += int(np.count_nonzero(alive_tail))
-        dead = arrays["dead_pair_positions"]
-        if dead.size:
-            self._pair_alive[dead] = False
-            self._num_live -= int(dead.size)
-        self._refresh_scalars(meta)
-
-    # -- registry surface --------------------------------------------------------
-    @property
-    def num_slots(self) -> int:
-        return len(self._sides)
-
-    @property
-    def num_entities(self) -> int:
-        return int(self._side_counts[0] + self._side_counts[1])
-
-    @property
-    def num_pairs(self) -> int:
-        return self._num_live
-
-    def sides(self) -> np.ndarray:
-        return self._sides.view()
-
-    def side_of(self, node: int) -> int:
-        return int(self._sides[node])
-
-    def is_live(self, node: int) -> bool:
-        return int(self._sides[node]) >= 0
-
-    def entity_id(self, node: int) -> str:
-        return self._resolve(int(node))
-
-    def index_space(self) -> EntityIndexSpace:
-        if self.bilateral:
-            return EntityIndexSpace(self._side_counts[0], self._side_counts[1])
-        return EntityIndexSpace(self._side_counts[0])
-
-    def canonical_node_ids(self) -> np.ndarray:
-        if self._canonical is None:
-            sides = self._sides.view()
-            canonical = np.full(sides.size, -1, dtype=np.int64)
-            first_nodes = np.flatnonzero(sides == 0)
-            canonical[first_nodes] = np.arange(first_nodes.size, dtype=np.int64)
-            second_nodes = np.flatnonzero(sides == 1)
-            canonical[second_nodes] = first_nodes.size + np.arange(
-                second_nodes.size, dtype=np.int64
-            )
-            self._canonical = canonical
-        return self._canonical
-
-    def canonical_candidates(self, candidates: CandidateSet) -> CandidateSet:
-        canonical = self.canonical_node_ids()
-        left = canonical[candidates.left]
-        right = canonical[candidates.right]
-        if left.size and (np.any(left < 0) or np.any(right < 0)):
-            raise ValueError("candidate set references removed entities")
-        return CandidateSet(
-            np.minimum(left, right), np.maximum(left, right), self.index_space()
-        )
-
-    # -- block surface -----------------------------------------------------------
-    def csr(self) -> EntityBlockCSR:
-        return EntityBlockCSR(
-            indptr=self._indptr.view(),
-            indices=self._indices.view(),
-            num_blocks=self.num_blocks,
-        )
-
-
-class _ResidentShard:
-    """One shard's resident stub plus the handshake that advances it."""
-
-    __slots__ = ("stub", "lineage", "epoch")
-
-    def __init__(self, stub: ShardStateStub, lineage: str, epoch: int) -> None:
-        self.stub = stub
-        self.lineage = lineage
-        self.epoch = epoch
-
-
-def merged_stub_view(
-    stubs: Sequence[ShardStateStub], name: str = "serve-pinned"
-) -> ShardedMutableBlockIndex:
-    """The cheap merged wrapper over per-shard stubs.
-
-    A real :class:`ShardedMutableBlockIndex` (built without ``__init__``)
-    so every merged read path — pair union, shard-major CSR concatenation,
-    :class:`~repro.incremental.sharded.ShardedStatistics`, canonical
-    renumbering, block totals — runs the PR 5 merge code unchanged.
-    Built fresh per query (it caches merged pairs), over stubs that may be
-    long-lived residents.
-    """
-    view = ShardedMutableBlockIndex.__new__(ShardedMutableBlockIndex)
-    view.blocking = None
-    view.bilateral = bool(stubs[0].bilateral)
-    view.num_shards = len(stubs)
-    view.name = name
-    view.executor = None
-    view.shards = list(stubs)
-    view._mutations = 0
-    view._pairs_cache = None
-    view._wal = None
-    return view
+    state: IndexState
+    lineage: str
 
 
 def build_pinned_view(
     states: Sequence[Dict[str, Any]],
     resolve_entity_id: Callable[[int], str],
     name: str = "serve-pinned",
-) -> ShardedMutableBlockIndex:
-    """Assemble *full* shard states into a read-only sharded index view.
+) -> MergedIndexView:
+    """Assemble *full* shard states into a read-only merged view.
 
     The from-scratch assembly (and the oracle the resident delta-maintained
     path is property-tested against): every state must be a ``kind ==
@@ -299,14 +69,14 @@ def build_pinned_view(
     offsets = {int(state["meta"]["offset"]) for state in states}
     if len(offsets) != 1:
         raise ValueError(f"shard states pin different offsets: {sorted(offsets)}")
-    stubs = []
+    shards = []
     for state in states:
         if state.get("kind", state["meta"].get("kind", "full")) != "full":
             raise ValueError("build_pinned_view requires full shard states")
-        stub = ShardStateStub(resolve_entity_id)
-        stub.apply_full(state["arrays"], state["meta"])
-        stubs.append(stub)
-    return merged_stub_view(stubs, name=name)
+        shard = IndexState()
+        shard.apply_full(state["arrays"], state["meta"])
+        shards.append(shard)
+    return MergedIndexView(shards, resolve_entity_id, name)
 
 
 # -- query evaluation over a pinned view -----------------------------------------
@@ -319,7 +89,7 @@ def _oriented_pair(view, i: int, j: int) -> Tuple[str, str]:
 
 
 def match_answer(
-    view: ShardedMutableBlockIndex,
+    view: MergedIndexView,
     model,
     pruning: SupervisedPruningAlgorithm,
 ) -> Dict[str, Any]:
@@ -344,7 +114,7 @@ def match_answer(
 
 
 def top_k_answer(
-    view: ShardedMutableBlockIndex, model, node: int, k: int
+    view: MergedIndexView, model, node: int, k: int
 ) -> List[Dict[str, Any]]:
     """The ``k`` most likely matches of one entity at the pinned offset.
 
@@ -389,12 +159,12 @@ class ShardRouter:
     swapped-out worker is never written to mid-request.
 
     Reads are delta-shipped: the router keeps one resident
-    :class:`ShardStateStub` per shard and passes each worker the
-    ``{"lineage", "epoch"}`` base it holds, so a warm read ships only what
-    changed since the previous one.  A respawn invalidates the shard's
+    :class:`~repro.incremental.IndexState` per shard and passes each worker
+    the ``{"lineage", "epoch"}`` base it holds, so a warm read ships only
+    what changed since the previous one.  A respawn invalidates the shard's
     resident entry; even if an in-flight read resurrects a stale entry the
     replacement worker's fresh lineage token forces the next read to ship
-    full state, so the resident view can never silently diverge.
+    full state, so the resident state can never silently diverge.
     """
 
     def __init__(
@@ -561,10 +331,10 @@ class ShardRouter:
 
     def pinned_view(
         self, offset: int, lookup: Optional[Tuple[int, str]] = None
-    ) -> Tuple[ShardedMutableBlockIndex, int]:
+    ) -> Tuple[MergedIndexView, int]:
         """A read view pinned at ``offset`` plus the optional node lookup.
 
-        Ships deltas against the resident per-shard stubs when the workers
+        Ships deltas against the resident per-shard states when the workers
         still hold the lineage the router last received from them; any
         mismatch (first contact, respawn, checkpoint adoption, compaction,
         ``delta_shipping`` off) degrades to a full ship for that shard.
@@ -581,7 +351,7 @@ class ShardRouter:
             for shard in range(self.num_shards):
                 entry = resident[shard] if self.delta_shipping else None
                 base = (
-                    {"lineage": entry.lineage, "epoch": entry.epoch}
+                    {"lineage": entry.lineage, "epoch": entry.state.epoch}
                     if entry is not None
                     else None
                 )
@@ -626,29 +396,35 @@ class ShardRouter:
                 if shm_bytes is not None:
                     self.worker_shm_bytes[shard] = int(shm_bytes)
                 nbytes = sum(int(a.nbytes) for a in state["arrays"].values())
-                if state["kind"] == "delta":
-                    entry = resident[shard]
-                    if (
-                        entry is None
-                        or entry.lineage != meta["lineage"]
-                        or entry.epoch != int(meta["base_epoch"])
-                    ):
-                        raise WorkerError(
-                            f"shard {shard} shipped a delta against a base "
-                            "the router does not hold"
-                        )
-                    entry.stub.apply_delta(state["arrays"], meta)
-                    entry.epoch = int(meta["epoch"])
-                    delta_reads += 1
-                    bytes_delta += nbytes
-                else:
-                    stub = ShardStateStub(self._resolve)
-                    stub.apply_full(state["arrays"], meta)
-                    resident[shard] = _ResidentShard(
-                        stub, str(meta["lineage"]), int(meta["epoch"])
-                    )
-                    full_reads += 1
-                    bytes_full += nbytes
+                try:
+                    if state["kind"] == "delta":
+                        entry = resident[shard]
+                        if (
+                            entry is None
+                            or entry.lineage != meta["lineage"]
+                            or entry.state.epoch != int(meta["base_epoch"])
+                        ):
+                            raise WorkerError(
+                                f"shard {shard} shipped a delta against a base "
+                                "the router does not hold"
+                            )
+                        entry.state.apply_delta(state["arrays"], meta)
+                        delta_reads += 1
+                        bytes_delta += nbytes
+                    else:
+                        shipped = IndexState()
+                        shipped.apply_full(state["arrays"], meta)
+                        resident[shard] = _ResidentShard(shipped, str(meta["lineage"]))
+                        full_reads += 1
+                        bytes_full += nbytes
+                except Exception as error:
+                    # a ship that did not apply leaves nothing to build on: drop
+                    # the shard's resident state so its next read ships full
+                    with self._lock:
+                        self._resident[shard] = None
+                    if isinstance(error, IndexStateError):
+                        raise WorkerError(f"shard {shard}: {error}") from error
+                    raise
             with self._lock:
                 self._resident = resident
             if serial is not None:
@@ -673,7 +449,9 @@ class ShardRouter:
                 self.metrics.record(
                     "view_apply", time.perf_counter() - started, True
                 )
-            view = merged_stub_view([entry.stub for entry in resident])
+            view = MergedIndexView(
+                [entry.state for entry in resident], self._resolve, "serve-pinned"
+            )
             return view, int(states[0]["meta"]["lookup_node"])
 
     def shard_stats(self, offset: int) -> List[Dict[str, Any]]:

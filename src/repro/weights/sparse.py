@@ -517,7 +517,7 @@ class PairCooccurrenceCache:
     over the same candidate-set object — share a single intersection pass.
     The candidate set is held weakly, so the cache never prolongs its life.
     Both the batch :class:`repro.weights.BlockStatistics` and the streaming
-    :class:`repro.incremental.IncrementalStatistics` delegate here.
+    :class:`repro.incremental.IndexStatistics` delegate here.
     """
 
     def __init__(self) -> None:

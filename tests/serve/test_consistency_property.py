@@ -22,15 +22,11 @@ from hypothesis import strategies as st
 
 from conftest import make_frozen_model, reference_retained
 from repro.datamodel import make_profile
-from repro.incremental import MatchingSession
+from repro.incremental import IndexState, MatchingSession, MergedIndexView
+from repro.incremental.state import FULL_ARRAYS, IndexStateError
 from repro.persistence.recovery import recover_session
-from repro.serve.router import (
-    ShardStateStub,
-    build_pinned_view,
-    match_answer,
-    merged_stub_view,
-)
-from repro.serve.workers import ShardReplica, WalFollowError, WorkerError
+from repro.serve.router import build_pinned_view, match_answer
+from repro.serve.workers import ShardReplica, WalFollowError
 
 _TOKENS = ("alpha", "beta", "gamma", "delta", "eps", "zeta")
 _text = st.lists(st.sampled_from(_TOKENS), min_size=0, max_size=4).map(" ".join)
@@ -117,21 +113,8 @@ def test_every_pinned_offset_equals_canonical(operations, num_shards):
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-_STUB_ARRAYS = (
-    "_sides",
-    "_indptr",
-    "_indices",
-    "_block_cardinalities",
-    "_inverse_block_cardinalities",
-    "_inverse_block_sizes",
-    "_blocks_per_entity",
-    "_entity_cardinality",
-    "_entity_inv_cardinality",
-    "_entity_inv_size",
-    "_pair_left",
-    "_pair_right",
-    "_pair_alive",
-)
+#: the thirteen array fields, from the one schema table
+_STUB_ARRAYS = tuple(field for _, field in FULL_ARRAYS)
 
 
 class _ReadRecorder(dict):
@@ -146,20 +129,28 @@ class _ReadRecorder(dict):
         return super().__getitem__(name)
 
 
-def _assert_stub_identical(actual: ShardStateStub, oracle: ShardStateStub):
-    """The delta-maintained stub must hold the same arrays as a rebuilt one."""
+def _assert_stub_identical(actual: IndexState, oracle: IndexState):
+    """The delta-maintained state must hold the same arrays and scalars as a
+    rebuilt one — or as the worker's own live index: both are one type."""
     for attribute in _STUB_ARRAYS:
         np.testing.assert_array_equal(
             getattr(actual, attribute).view(),
             getattr(oracle, attribute).view(),
             err_msg=attribute,
         )
+        assert (
+            getattr(actual, attribute).view().dtype
+            == getattr(oracle, attribute).view().dtype
+        ), attribute
     assert actual._side_counts == oracle._side_counts
     assert actual.num_blocks == oracle.num_blocks
     assert actual.num_nonempty_blocks == oracle.num_nonempty_blocks
     assert actual.total_cardinality == oracle.total_cardinality
     assert actual.total_block_assignments == oracle.total_block_assignments
-    assert actual._num_live == oracle._num_live
+    assert actual._num_live_pairs == oracle._num_live_pairs
+    # every scalar of the schema; the epoch counts one replica's mutations
+    # and is only comparable with the index the state was shipped from
+    assert dict(actual._export_meta(), epoch=0) == dict(oracle._export_meta(), epoch=0)
 
 
 @settings(max_examples=15, deadline=None)
@@ -170,10 +161,11 @@ def _assert_stub_identical(actual: ShardStateStub, oracle: ShardStateStub):
 )
 def test_resident_delta_view_equals_rebuild(operations, num_shards, respawn_at):
     """The delta-maintained resident view is *identical* — same arrays, same
-    answers — to a from-scratch rebuild at every pinned offset, including
-    across a forced replica respawn mid-stream (which must full-re-ship);
-    and the stub reads every array and every index scalar a worker ships,
-    full or delta."""
+    scalars, same answers — to a from-scratch rebuild *and to the worker's
+    own live index* at every pinned offset, including across a forced
+    replica respawn mid-stream (which must full-re-ship); and the state
+    reads every array and every index scalar a worker ships, full or
+    delta."""
     tmp = Path(tempfile.mkdtemp())
     session = MatchingSession(MODEL, bilateral=True, wal_path=tmp)
     try:
@@ -211,7 +203,7 @@ def test_resident_delta_view_equals_rebuild(operations, num_shards, respawn_at):
                         assert state["kind"] == "delta"
                     arrays = _ReadRecorder(state["arrays"])
                     if state["kind"] == "full":
-                        stub = ShardStateStub(session.index.entity_id)
+                        stub = IndexState()
                         stub.apply_full(arrays, meta)
                         stubs[shard] = stub
                     else:
@@ -240,7 +232,15 @@ def test_resident_delta_view_equals_rebuild(operations, num_shards, respawn_at):
                 )
                 for shard in range(num_shards):
                     _assert_stub_identical(stubs[shard], oracle_view.shards[shard])
-                answer = match_answer(merged_stub_view(stubs), MODEL, session.pruning)
+                    # ... and with the index it was shipped from, which never
+                    # went through apply_full
+                    _assert_stub_identical(stubs[shard], resident[shard].index)
+                    assert stubs[shard].epoch == resident[shard].index.epoch
+                answer = match_answer(
+                    MergedIndexView(stubs, session.index.entity_id),
+                    MODEL,
+                    session.pruning,
+                )
                 assert answer["retained"] == reference
         finally:
             for replica in resident + oracles:
@@ -261,12 +261,15 @@ def test_stub_refuses_a_state_whose_live_pair_count_disagrees(tmp_path):
             session.insert(make_profile(f"b{i}", text=text), side=1)
         replica.catch_up(session.wal.log_offset)
         state = replica.read_state()
-        stub = ShardStateStub(session.index.entity_id)
+        stub = IndexState()
         stub.apply_full(state["arrays"], state["meta"])
         assert stub.num_pairs == session.index.num_pairs > 0
-        forged = dict(state["meta"], num_pairs=stub.num_pairs + 1)
-        with pytest.raises(WorkerError, match="live pairs"):
+        epoch = stub.epoch
+        forged = dict(state["meta"], num_pairs=stub.num_pairs + 1, epoch=epoch + 7)
+        with pytest.raises(IndexStateError, match="live pairs"):
             stub.apply_full(state["arrays"], forged)
+        # a refused ship never advances the handshake
+        assert stub.epoch == epoch
     finally:
         replica.close()
         session.close()

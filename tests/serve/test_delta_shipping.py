@@ -23,12 +23,11 @@ from conftest import make_frozen_model, reference_retained
 from repro.datamodel import make_profile
 from repro.incremental import MatchingSession
 from repro.incremental.index import MutableBlockIndex
-from repro.incremental.sharded import ShardedMutableBlockIndex
 from repro.parallel import shm
 from repro.obs.registry import MetricsRegistry
 from repro.obs.render import render_stats
 from repro.serve.router import ShardRouter, match_answer
-from repro.serve.workers import ExportSlots, ShardWorkerHandle
+from repro.serve.workers import ExportSlots, ShardWorkerHandle, WorkerError
 
 MODEL = make_frozen_model()
 
@@ -125,22 +124,38 @@ class TestExportDeltaContract:
         # compaction renumbered nodes: any delta against the old base would
         # be wrong, so the tracker is gone and a full ship is forced
         assert index.export_delta(index.epoch) is None
-
-    def test_sharded_export_is_all_or_nothing(self):
-        index = ShardedMutableBlockIndex(bilateral=True, num_shards=2, name="unit")
-        index.add_entity(make_profile("a0", text="alpha beta"), side=0)
-        index.add_entity(make_profile("b0", text="alpha"), side=1)
-        with pytest.raises(ValueError, match="epoch"):
-            index.export_deltas([0])
-        assert index.export_deltas(index.epochs()) is None  # not tracking yet
-        epochs = index.enable_delta_tracking()
-        index.add_entity(make_profile("a1", text="beta"), side=0)
-        stale = [epochs[0] - 1] + epochs[1:]
-        # one stale shard poisons the whole export — and must not rebase
-        # the healthy shards' trackers as a side effect
-        assert index.export_deltas(stale) is None
-        deltas = index.export_deltas(epochs)
-        assert deltas is not None and len(deltas) == 2
+    def test_the_wire_format_is_spelled_out_here_once_more(self):
+        """The schema table derives these; a worker and a router of different
+        trees interoperate only while they stay exactly this."""
+        index = self._index()
+        index.enable_delta_tracking()
+        index._apply_insert("a1", 0, ["beta"])
+        full, delta = index.export_state(), index.export_delta(index.epoch - 1)
+        scalars = {
+            "bilateral", "num_slots", "num_blocks", "num_nonempty_blocks",
+            "total_cardinality", "total_block_assignments", "side_counts",
+            "num_pairs", "epoch", "kind",
+        }
+        assert set(full["meta"]) == scalars
+        assert set(delta["meta"]) == scalars | {"base_epoch"}
+        assert {name: array.dtype.str for name, array in full["arrays"].items()} == {
+            "indptr": "<i8", "indices": "<i8", "sides": "|i1",
+            "block_cardinality": "<i8", "inv_block_cardinality": "<f8",
+            "inv_block_size": "<f8", "blocks_per_entity": "<f8",
+            "entity_cardinality": "<f8", "entity_inv_cardinality": "<f8",
+            "entity_inv_size": "<f8", "pair_left": "<i8", "pair_right": "<i8",
+            "pair_alive": "|b1",
+        }
+        assert {name: array.dtype.str for name, array in delta["arrays"].items()} == {
+            "indptr_tail": "<i8", "indices_tail": "<i8", "sides_tail": "|i1",
+            "tombstoned_nodes": "<i8", "dirty_entities": "<i8",
+            "dirty_blocks_per_entity": "<f8", "dirty_entity_cardinality": "<f8",
+            "dirty_entity_inv_cardinality": "<f8", "dirty_entity_inv_size": "<f8",
+            "dirty_blocks": "<i8", "dirty_block_cardinality": "<i8",
+            "dirty_inv_block_cardinality": "<f8", "dirty_inv_block_size": "<f8",
+            "pair_left_tail": "<i8", "pair_right_tail": "<i8",
+            "pair_alive_tail": "|b1", "dead_pair_positions": "<i8",
+        }
 
 
 class TestRouterResidentViews:
@@ -188,6 +203,54 @@ class TestRouterResidentViews:
             assert counters["full_reads"] == 3
             assert counters["delta_reads"] == 3
             assert match_answer(view, MODEL, session.pruning)["retained"] == reference
+        finally:
+            router.stop()
+            session.close()
+
+    def test_a_failed_apply_never_advances_the_handshake(self, tmp_path, monkeypatch):
+        """A delta refused by a desynchronisation check must leave nothing
+        behind the next read could be shipped a delta against: the epoch
+        lives in the state and is adopted only after the checks, and the
+        router drops the shard's resident state."""
+        session = MatchingSession(MODEL, bilateral=True, wal_path=tmp_path)
+        metrics = MetricsRegistry()
+        router = ShardRouter(tmp_path, 2, session.index.entity_id, metrics=metrics)
+        try:
+            for serial, text in enumerate(("alpha beta", "beta gamma", "alpha gamma")):
+                session.insert(make_profile(f"a{serial}", text=text), side=0)
+                session.insert(make_profile(f"b{serial}", text=text), side=1)
+            router.start()
+            router.pinned_view(session.wal.log_offset)
+            assert self._counters(metrics)["full_reads"] == 2
+
+            session.insert(make_profile("a9", text="beta gamma"), side=0)
+            materialize = ShardWorkerHandle.materialize
+
+            def forged(payload):
+                state = materialize(payload)
+                if state["meta"]["shard"] == 1:
+                    assert state["kind"] == "delta"
+                    state["meta"] = dict(
+                        state["meta"], num_pairs=state["meta"]["num_pairs"] + 1
+                    )
+                return state
+
+            monkeypatch.setattr(ShardWorkerHandle, "materialize", staticmethod(forged))
+            with pytest.raises(WorkerError, match="live pairs"):
+                router.pinned_view(session.wal.log_offset)
+            monkeypatch.undo()
+
+            # shard 0's delta applied and its worker rebased: an (empty) delta
+            # again; shard 1 holds nothing any more: exactly one full ship
+            before = self._counters(metrics)
+            view, _ = router.pinned_view(session.wal.log_offset)
+            after = self._counters(metrics)
+            assert after["full_reads"] - before["full_reads"] == 1
+            assert after["delta_reads"] - before.get("delta_reads", 0) == 1
+            assert (
+                match_answer(view, MODEL, session.pruning)["retained"]
+                == reference_retained(session)
+            )
         finally:
             router.stop()
             session.close()

@@ -21,8 +21,8 @@ import pytest
 
 from repro.datamodel import make_profile
 from repro.obs import events as obs_events
-from repro.obs import read_events
-from repro.serve import MatchingDaemon, ServeClient, render_stats
+from repro.obs import read_events, render_stats
+from repro.serve import MatchingDaemon, ServeClient
 from repro.serve.protocol import read_message_from, write_message_to
 
 
