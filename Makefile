@@ -6,9 +6,12 @@
 #                            encode oracles, batch features, the pruning kernels vs their
 #                            queue oracle, the online answer's budgets/read path, the
 #                            feature-major layout / row-wise score / label-search guards,
-#                            and the one index state: IndexStatistics one-vs-many, the
-#                            delta-maintained state vs the worker's live index, and the
-#                            guards against a second schema / private reach-ins)
+#                            the one index state: IndexStatistics one-vs-many, the
+#                            delta-maintained state vs the worker's live index, the
+#                            guards against a second schema / private reach-ins, and
+#                            the derived answer: CSR-derived candidates vs the writer's
+#                            registry and the batch extraction, the refused-key
+#                            fallback, and the guards that keep reads off the registry)
 #   make test-fast         - tier-1 suite without the perf smoke tests
 #   make bench-smoke       - quick feature-runtime bench
 #   make bench-stream      - incremental streaming vs batch recompute bench
@@ -25,9 +28,10 @@
 #   make bench-ab REF=<sha> PR=<n> [WORKLOADS="..."] [SEEDS="..."]
 #                          - same-box A/B of the ledger, parent REF vs the staged
 #                            tree, ten alternated seed pairs -> BENCH_<PR>.json
-#   make profile-answer WORKLOAD=<name> [PHASE=answer|ingest] [SEED=<n>]
+#   make profile-answer WORKLOAD=<name> [PHASE=answer|ingest|recover] [SEED=<n>]
 #                          - cProfile of one phase of one ledger workload, under the
 #                            ledger's child environment, after its un-profiled timing
+#                            (recover: recover_once() per stage, then prepare_recovery())
 #   make test-chaos        - seeded chaos suite (kill-loop against the daemon)
 #   make bench             - the full pytest-benchmark harness
 #   make loc               - the tracked src/ line count (ROADMAP aim 2)
@@ -51,7 +55,8 @@ test-equivalence:
 		tests/core/test_feature_major_layout.py tests/ml/test_score_is_rowwise.py \
 		tests/datamodel/test_ground_truth.py \
 		tests/incremental/test_index_statistics.py tests/test_one_index_state.py \
-		tests/serve/test_consistency_property.py
+		tests/serve/test_consistency_property.py \
+		tests/incremental/test_derived_candidates.py tests/test_derived_answer_guards.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q
@@ -101,7 +106,7 @@ bench-ab:
 		$(if $(WORKLOADS),--workloads $(WORKLOADS)) $(if $(SEEDS),--seeds $(SEEDS))
 
 profile-answer:
-	$(if $(WORKLOAD),,$(error usage: make profile-answer WORKLOAD=<name> [PHASE=answer|ingest] [SEED=<n>]))
+	$(if $(WORKLOAD),,$(error usage: make profile-answer WORKLOAD=<name> [PHASE=answer|ingest|recover] [SEED=<n>]))
 	$(PYTHON) benchmarks/profile_answer.py --workload $(WORKLOAD) \
 		$(if $(PHASE),--phase $(PHASE)) $(if $(SEED),--seed $(SEED))
 

@@ -7,8 +7,11 @@ what changed) — and measures, at each growth stage, the bytes a warm
 single-insert→match cycle ships plus the match latency tails.  The point
 of the refactor is that delta per-read bytes stay O(changed) while full
 per-read bytes grow O(state): at the largest stage a warm delta read must
-ship under 5% of the full-state bytes, with both modes answering
-byte-identically.
+ship under a quarter of the full-state bytes, with both modes answering
+byte-identically.  (The bound was 5 % while a full ship carried the pair
+registry, ~90 % of its bytes; since the live pairs are derived from the CSR
+neither ship carries it — 1 148 kB -> 104 kB full, 17.1 -> 14.3 kB delta at
+547 entities — so both numbers fell and their ratio rose to ~14 %.)
 
 Saved to ``benchmarks/results/delta_shipping.json``.  Qualitative perf
 assertions are downgraded to measurements with ``REPRO_SKIP_PERF=1``.
@@ -184,10 +187,10 @@ def test_delta_shipping_bytes(full_mode, tmp_path, report_sink):
         # worker mid-bench could force an occasional full re-ship)
         assert delta_run["delta_reads"] >= cycles
     # Qualitative claim (REPRO_SKIP_PERF=1 downgrades on noisy runners):
-    # after a warm read, a single-insert step ships under 5% of the bytes
-    # a full-state read ships at the same state size.
+    # after a warm read, a single-insert step ships under a quarter of the
+    # bytes a full-state read ships at the same state size.
     if not os.environ.get("REPRO_SKIP_PERF"):
-        assert largest["delta_fraction"] < 0.05, (
+        assert largest["delta_fraction"] < 0.25, (
             f"warm delta reads ship {largest['delta_fraction']:.1%} of the "
-            "full-state bytes; expected under 5%"
+            "full-state bytes; expected under 25%"
         )

@@ -55,7 +55,7 @@ def _stream_once(dataset, model, wal_path=None, wal_sync="always"):
 
 
 def _canonical_pairs(index):
-    candidates = index.canonical_candidates(index.candidate_set())
+    candidates = index.candidate_set().canonical
     return set(zip(candidates.left.tolist(), candidates.right.tolist()))
 
 

@@ -1,7 +1,7 @@
 """Look before claiming: profile one phase of one ledger workload.
 
     python3 benchmarks/profile_answer.py --workload batch_dirty_blast
-                                         [--phase answer|ingest] [--seed 1]
+                                         [--phase answer|ingest|recover] [--seed 1]
 
 The ledger's spans stop at layer boundaries; this is the instrument below
 them.  It sits beside the ledger and only imports it (``ledger_spec``,
@@ -20,6 +20,13 @@ time, per round and per call, in milliseconds.  ``cProfile`` charges every
 Python call but not the work inside native code, so it inflates layers made
 of many small calls: find candidates here, then measure them with the
 ledger (``make bench-ab``).
+
+``--phase recover`` follows the ledger's recovery phase instead of its
+rounds: after the warm-up rounds, ``prepare_recovery()`` (run once — it closes
+what it checkpoints — under its own profiler: the snapshot write and the tail
+rounds), then ``RECOVER_PLAIN`` un-profiled ``recover_once()`` whose per-stage
+min / median / ledger floor (the sum of the stages' floors, as ``recover_ms``)
+are printed first, then ``RECOVER_PROFILED`` profiled ones, and the two tables.
 """
 
 from __future__ import annotations
@@ -48,8 +55,10 @@ from run import child_environment  # noqa: E402
 WARMUP_ROUNDS = 3
 PLAIN_ROUNDS = 150
 PROFILED_ROUNDS = 30
+RECOVER_PLAIN = 30
+RECOVER_PROFILED = 10
 TOP = 40
-PHASES = ("answer", "ingest")
+PHASES = ("answer", "ingest", "recover")
 
 
 class PhaseProfiler(SpanRecorder):
@@ -85,11 +94,11 @@ def reexec_in_child_environment() -> None:
     os.execve(sys.executable, [sys.executable, script, *sys.argv[1:]], child_environment())
 
 
-def print_profile(profiler: cProfile.Profile, rounds: int) -> None:
-    """Top ``TOP`` functions by cumulative time, in ms per round and per call."""
+def print_profile(profiler: cProfile.Profile, rounds: int, top: int = TOP) -> None:
+    """Top ``top`` functions by cumulative time, in ms per round and per call."""
     rows = sorted(
         pstats.Stats(profiler).stats.items(), key=lambda item: item[1][3], reverse=True
-    )[:TOP]
+    )[:top]
     print(f"{'calls/rd':>9} {'self ms/rd':>11} {'cum ms/rd':>10} {'cum ms/call':>12}  function")
     for (filename, line, function), (_, calls, own, cumulative, _) in rows:
         where = function if filename == "~" else f"{Path(filename).name}:{line}({function})"
@@ -97,6 +106,34 @@ def print_profile(profiler: cProfile.Profile, rounds: int) -> None:
             f"{calls / rounds:9.1f} {own * 1e3 / rounds:11.3f} "
             f"{cumulative * 1e3 / rounds:10.3f} {cumulative * 1e3 / calls:12.4f}  {where}"
         )
+
+
+def profile_recovery(workload, label: str) -> None:
+    """The ledger's recovery phase: un-profiled stage timings first, then profiles."""
+    set_up = cProfile.Profile(time.perf_counter)
+    set_up.runcall(workload.prepare_recovery)
+
+    def recover() -> List[float]:
+        stages, same = workload.recover_once()
+        if not same:
+            raise RuntimeError("a recovery answered differently from the boundary answer")
+        return stages
+
+    samples = [recover() for _ in range(RECOVER_PLAIN)]
+    totals = [sum(row) * 1e3 for row in samples]
+    floors = [seconds * 1e3 for seconds in positionwise_floor(samples)]
+    print(
+        f"{label}: recover_ms over {RECOVER_PLAIN} un-profiled recoveries "
+        f"({len(floors)} stages) min {min(totals):.3f}  median {statistics.median(totals):.3f}  "
+        f"ledger floor {sum(floors):.3f} = " + " + ".join(f"{floor:.3f}" for floor in floors)
+    )
+    profiler = cProfile.Profile(time.perf_counter)
+    for _ in range(RECOVER_PROFILED):
+        profiler.runcall(recover)
+    print(f"cProfile of recover_once(), {RECOVER_PROFILED} recoveries:")
+    print_profile(profiler, RECOVER_PROFILED)
+    print("cProfile of prepare_recovery() (one call: checkpoint, tail rounds, close):")
+    print_profile(set_up, 1, top=15)
 
 
 def main(argv: Sequence[str]) -> int:
@@ -125,6 +162,9 @@ def main(argv: Sequence[str]) -> int:
         expected = workload.run_round().digest
         for _ in range(WARMUP_ROUNDS - 1):
             workload.run_round()
+        if arguments.phase == "recover":
+            profile_recovery(workload, f"{arguments.workload} seed {arguments.seed}")
+            return 0
 
         samples: List[List[float]] = []
         for _ in range(PLAIN_ROUNDS):

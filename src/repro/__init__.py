@@ -96,7 +96,7 @@ from .weights import (
     RCNP_FEATURE_SET,
 )
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "BLAST_FEATURE_SET",

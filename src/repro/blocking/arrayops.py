@@ -57,14 +57,14 @@ from ..datamodel import (
     EntityIndexSpace,
 )
 from ..utils.timing import StageTimer
-from ..pairs import distinct_pair_keys, key_field_bits, pair_expansion_plan, sorted_unique
+from ..pairs import key_field_bits, pair_expansion_plan, sorted_unique
 from ..weights.sparse import (
     EntityBlockCSR,
     PairCooccurrence,
     entity_block_csr_from_memberships,
     inverse_block_weights,
     pair_major_cooccurrence,
-    reduce_pair_cooccurrence,
+    reduce_memberships,
 )
 from .base import BlockingMethod
 from .token_blocking import TokenBlocking
@@ -416,38 +416,26 @@ def reduce_candidates(
 ) -> Tuple[CandidateSet, Optional[PairCooccurrence]]:
     """The distinct candidate pairs of ``matrix`` *and* their aggregates.
 
-    One expansion (:func:`repro.pairs.pair_expansion_plan`) serves both: the
-    reduce pass (:func:`repro.weights.sparse.reduce_pair_cooccurrence`) run
-    on the whole matrix yields the distinct pairs, sorted by (left, right),
-    with their co-occurrence aggregates.  Stranded blocks put same-side
-    pairs among the candidates of a clean-clean collection; those share
-    cross blocks the expansion never lists for them, so they are patched by
-    row intersection.  When :func:`repro.pairs.key_field_bits` refuses the
-    ``(left, right, block id)`` key, the pairs alone are extracted
-    (:func:`repro.pairs.distinct_pair_keys`: no per-block Python, memory
-    bounded by chunk + distinct set) and the answer phase computes the
-    aggregates.
+    One expansion (:func:`repro.pairs.pair_expansion_plan`) serves both:
+    :func:`repro.weights.sparse.reduce_memberships` — the reduction the
+    streaming answer runs over its live rows — yields the distinct pairs,
+    sorted by (left, right), with their co-occurrence aggregates, or the
+    pairs alone when the key does not fit (the answer phase then computes the
+    aggregates).  Stranded blocks put same-side pairs among the candidates of
+    a clean-clean collection; those share cross blocks the expansion never
+    lists for them, so they are patched by row intersection.
     """
     index_space = matrix.index_space
     sizes = matrix.block_sizes()
-    plan = pair_expansion_plan(matrix.block_of, sizes, matrix.first_side_sizes())
-    bits = key_field_bits(index_space.total, index_space.total, matrix.num_blocks)
-    if bits is None:
-        keys = distinct_pair_keys(
-            matrix.nodes, *plan, max(index_space.total, 1), DEFAULT_PAIR_CHUNK_KEYS
-        )
-        return CandidateSet.from_packed_keys(keys, index_space), None
     weights = (
         inverse_block_weights(matrix.block_cardinalities()),
         inverse_block_weights(sizes),
     )
-    left, aggregates = reduce_pair_cooccurrence(
-        matrix.nodes, matrix.block_of, *plan[:2], bits[0], bits[2], *weights,
-        DEFAULT_PAIR_CHUNK_KEYS,
+    plan = pair_expansion_plan(matrix.block_of, sizes, matrix.first_side_sizes())
+    left, right, aggregates = reduce_memberships(
+        matrix.nodes, matrix.block_of, plan, index_space.total, weights, DEFAULT_PAIR_CHUNK_KEYS
     )
-    right = left & ((1 << bits[0]) - 1)
-    left >>= bits[0]
-    if index_space.is_clean_clean:
+    if aggregates is not None and index_space.is_clean_clean:
         same_side = right < index_space.size_first
         if same_side.any():
             patch = pair_major_cooccurrence(csr, *weights, left[same_side], right[same_side])

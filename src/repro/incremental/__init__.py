@@ -6,9 +6,9 @@ provides the streaming execution mode: entities are inserted one at a time,
 each insert costs work proportional to its candidate delta, and a frozen
 batch-trained classifier serves online match decisions.
 
-* :class:`IndexState` — the read state of a streaming index (thirteen
-  arrays, a few scalars) and every read over it, :class:`IndexStatistics`
-  included; what a worker ships and a router holds;
+* :class:`IndexState` — the read state of a streaming index (ten arrays, a
+  few scalars) and every read over it, :class:`IndexStatistics` and the derived
+  :class:`LiveCandidates` included; what a worker ships and a router holds;
 * :class:`MutableBlockIndex` — the state that mutates itself: the
   incrementally maintained token/block inverted index, fully dynamic:
   per-entity inserts, removals (:meth:`MutableBlockIndex.remove_entity`),
@@ -36,7 +36,7 @@ from .index import (
     UpdateDelta,
 )
 from .sharded import MergedIndexView, ShardedMutableBlockIndex
-from .state import IndexState, IndexStatistics
+from .state import IndexState, IndexStatistics, LiveCandidates
 from .session import (
     BulkInsertResult,
     FrozenModel,
@@ -72,6 +72,7 @@ __all__ = [
     "IndexStatistics",
     "InsertDelta",
     "InsertResult",
+    "LiveCandidates",
     "MatchingSession",
     "MergedIndexView",
     "MutableBlockIndex",

@@ -7,13 +7,15 @@ one insert — against the *current* state of anything with the read surface
 of an :class:`~repro.incremental.IndexState`: a live
 :class:`MutableBlockIndex`, or a :class:`~repro.incremental.MergedIndexView`
 over shards or shipped states.  The vectorized (``sparse``) scheme
-implementations and the sorted-key intersection kernel of
-:func:`repro.weights.sparse.compute_pair_cooccurrence` are reused unchanged:
-``index.statistics()`` is an :class:`~repro.incremental.IndexStatistics`, the
-part of the :class:`repro.weights.BlockStatistics` surface they consume.
+implementations are reused unchanged: ``index.statistics()`` is an
+:class:`~repro.incremental.IndexStatistics`, the part of the
+:class:`repro.weights.BlockStatistics` surface they consume.
 
-Evaluating the delta of one insert costs work proportional to the block
-memberships of the entities involved in the delta, not to the collection.
+A delta names its pairs and :func:`repro.weights.sparse.compute_pair_cooccurrence`
+intersects their rows — work proportional to the memberships of the entities
+involved, not to the collection; the exact answer is every live pair, so
+``generate_all`` derives pairs and aggregates together from the CSR in one
+reduce pass, as block preparation does.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from ..datamodel import CandidateSet
 from ..obs.trace import hook_span
 from ..weights import BLAST_FEATURE_SET
 from .index import InsertDelta, MutableBlockIndex
+from .state import LiveCandidates
 
 
 class DeltaFeatureGenerator:
@@ -98,14 +101,17 @@ class DeltaFeatureGenerator:
         """Feature matrix of the pairs introduced by one insert."""
         return self.generate(self.index.delta_candidate_set(delta))
 
-    def generate_all(self) -> Tuple[CandidateSet, FeatureMatrix]:
-        """Features of every *live* pair (used by exact finalisation).
+    def generate_all(self) -> Tuple[LiveCandidates, FeatureMatrix]:
+        """Every *live* pair and its features (the exact finalisation).
 
-        Pairs retracted by entity removals are tombstoned in the index's
-        registry and excluded here.
+        Pairs and co-occurrence aggregates are derived together from the CSR
+        rows of the live nodes (a removed entity's row is skipped by its side
+        flag), in the batch pipeline's candidate order.
         """
         with hook_span("merge-pairs"):
-            candidates = self.index.candidate_set()
+            statistics = self.index.statistics()
+            candidates = statistics.live_candidates()
         with hook_span("features"):
-            matrix = self.generate(candidates)
+            matrix = self._generator.generate(candidates, statistics)
+            self._orient_entity_columns(matrix, candidates)
         return candidates, matrix

@@ -23,7 +23,8 @@ maintains, beside the state's arrays:
   removals reverse them exactly;
 * the distinct candidate-pair registry and the per-mutation *delta*: the new
   pairs an insert introduced (:class:`InsertDelta`) or the dead pairs a
-  removal retracted (:class:`RetractionDelta`);
+  removal retracted (:class:`RetractionDelta`); the registry is writer-only
+  and never ships — every read derives the live pairs from the CSR;
 * optionally a write-ahead log (append-before-apply) and a
   :class:`_DeltaTracker`, which is why :meth:`~MutableBlockIndex.export_delta`
   lives here and not on the state.
@@ -40,14 +41,14 @@ final collection) and are intentionally not replayed here; equivalence is
 against ``prepare_blocks(..., apply_purging=False, apply_filtering=False)``.
 
 Node ids are assigned in arrival order and never reused: a removed entity's
-slot is tombstoned (its aggregates zeroed, its CSR row left behind but
-unreferenced) and an updated entity re-enters under a fresh node id;
-``canonical_node_ids`` renumbers the *live* nodes into the compact batch
-numbering, which is what the session's exact finalisation uses to reproduce
-batch pruning bit-for-bit.  The finalisation is array-only: the cardinality
-budgets come from ``block_totals`` (two maintained integers), and
-:meth:`~MutableBlockIndex.snapshot_blocks` stays as the materialisation the
-equivalence tests compare those against.
+slot is tombstoned (its aggregates zeroed, its side -1, its CSR row left
+behind and skipped by every read) and an updated entity re-enters under a
+fresh node id; the derived candidate set numbers the *live* nodes in the
+compact batch numbering of ``canonical_node_ids``, which is what the session's
+exact finalisation uses to reproduce batch pruning bit-for-bit.  The
+finalisation is array-only: the cardinality budgets come from ``block_totals``
+(two maintained integers), and :meth:`~MutableBlockIndex.snapshot_blocks`
+stays as the materialisation the equivalence tests compare those against.
 
 Per-insert cost is ``O(Σ_{b ∈ tokens(e)} |b|)`` — the size of the touched
 blocks, i.e. the mutation's candidate delta — independent of the number of
@@ -125,14 +126,14 @@ class _DeltaTracker:
     """Dirty sets accumulated between two :meth:`MutableBlockIndex.export_delta`
     calls.
 
-    Tracks *which* blocks and entities changed plus the tombstoned registry
-    positions; the changed values themselves are read off the index at
-    export time.  Everything appended past the recorded base watermarks
-    (slots, CSR, pair registry) is shipped as a tail, so only in-place
-    changes — and created blocks, which have no tail — need explicit marking.
+    Tracks *which* blocks and entities changed; the changed values
+    themselves are read off the index at export time.  Everything appended
+    past the recorded base watermarks (slots, CSR) is shipped as a tail, so
+    only in-place changes — and created blocks, which have no tail — need
+    explicit marking.
     """
 
-    __slots__ = ("base_epoch", "base_lengths", "blocks", "entities", "dead_pairs")
+    __slots__ = ("base_epoch", "base_lengths", "blocks", "entities")
 
     def __init__(self, index: "MutableBlockIndex") -> None:
         self.base_epoch = index.epoch
@@ -142,7 +143,6 @@ class _DeltaTracker:
         }
         self.blocks: set = set()
         self.entities: set = set()
-        self.dead_pairs: List[int] = []
 
 
 @dataclass(frozen=True)
@@ -285,11 +285,17 @@ class MutableBlockIndex(IndexState):
         # LCP, maintained as the candidate-pair degree per node
         self._degrees = Growable(np.float64, capacity=256)
 
+        # the candidate-pair registry (canonical ``left < right``; positions are
+        # stable, retracted pairs are tombstoned through ``_pair_alive``), the
         # packed key of every registry position, and packed (left, right) ->
         # registry position of every *live* pair, synced lazily from
         # _pair_keys (removals need it, inserts don't — keeping it off the
         # insert path is what lets bulk loads stay array-only); _pair_synced
         # counts the registry prefix already merged
+        self._pair_left = Growable(np.int64, capacity=1024)
+        self._pair_right = Growable(np.int64, capacity=1024)
+        self._pair_alive = Growable(np.bool_, capacity=1024)
+        self._num_live_pairs: int = 0
         self._pair_keys = Growable(np.int64, capacity=1024)
         self._pair_position: Dict[int, int] = {}
         self._pair_synced: int = 0
@@ -342,6 +348,20 @@ class MutableBlockIndex(IndexState):
     def num_registered_pairs(self) -> int:
         """Number of registry positions ever assigned (live + retracted)."""
         return len(self._pair_left)
+
+    @property
+    def num_pairs(self) -> int:
+        """Number of *live* distinct candidate pairs."""
+        return self._num_live_pairs
+
+    def live_pair_positions(self) -> np.ndarray:
+        """Registry positions of the live pairs, ascending."""
+        return np.flatnonzero(self._pair_alive.view())
+
+    def live_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(left, right)`` of the live pairs in registry order (copies)."""
+        alive = self._pair_alive.view()
+        return self._pair_left.view()[alive], self._pair_right.view()[alive]
 
     def __len__(self) -> int:
         return self.num_entities
@@ -861,7 +881,6 @@ class MutableBlockIndex(IndexState):
         self._num_live_pairs -= int(pair_positions.size)
         if self._delta is not None:
             self._delta.entities.add(node)
-            self._delta.dead_pairs.extend(pair_positions.tolist())
 
         # the departing node's aggregates must land at exactly zero; assign
         # rather than subtract so float residue cannot accumulate in dead slots
@@ -1208,7 +1227,7 @@ class MutableBlockIndex(IndexState):
 
         The *canonical* view is unchanged: live entities keep their arrival
         order per side, so :meth:`canonical_node_ids`,
-        :meth:`canonical_candidates` and :meth:`snapshot_blocks` — and with
+        :meth:`candidate_set` and :meth:`snapshot_blocks` — and with
         them the exact batch-equivalent finalisation — produce identical
         results before and after.  Raw node ids and registry positions are
         reassigned, which invalidates outstanding
@@ -1325,31 +1344,23 @@ class MutableBlockIndex(IndexState):
 
         The wire layout is derived from the schema table of
         :mod:`repro.incremental.state`, like :meth:`export_state`: appended
-        slot/CSR/pair-registry tails, the changed per-entity and per-block
-        aggregates as sorted id + value arrays (``dirty_blocks`` includes
-        every block created since the base, so the receiver learns the new
-        block count from it), and tombstoned nodes and registry positions.
+        slot/CSR tails, the changed per-entity and per-block aggregates as
+        sorted id + value arrays (``dirty_blocks`` includes every block
+        created since the base, so the receiver learns the new block count
+        from it), and the tombstoned nodes.
         """
         tracker = self._delta
         if tracker is None or int(since_epoch) != tracker.base_epoch:
             return None
         sides = self._sides.view()
         base_slots = tracker.base_lengths["_sides"]
-        base_pairs = tracker.base_lengths["_pair_alive"]
         dirty_entities = np.fromiter(
             sorted(tracker.entities), dtype=np.int64, count=len(tracker.entities)
         )
-        if dirty_entities.size:
-            old = dirty_entities[dirty_entities < base_slots]
-            tombstoned = old[sides[old] < 0]
-        else:
-            tombstoned = np.empty(0, dtype=np.int64)
+        old = dirty_entities[dirty_entities < base_slots]
+        tombstoned = old[sides[old] < 0]
         dirty_blocks = np.fromiter(
             sorted(tracker.blocks), dtype=np.int64, count=len(tracker.blocks)
-        )
-        dead = np.fromiter(
-            sorted(p for p in tracker.dead_pairs if p < base_pairs),
-            dtype=np.int64,
         )
         arrays = {
             f"{name}_tail": getattr(self, field).view()[tracker.base_lengths[field] :]
@@ -1359,7 +1370,6 @@ class MutableBlockIndex(IndexState):
             tombstoned_nodes=tombstoned,
             dirty_entities=dirty_entities,
             dirty_blocks=dirty_blocks,
-            dead_pair_positions=dead,
         )
         for name, field in ENTITY_AGGREGATES:
             arrays[f"dirty_{name}"] = getattr(self, field).view()[dirty_entities]

@@ -24,16 +24,16 @@ The online policies:
 Streaming answers are necessarily provisional: scores are taken at insert
 time, while later mutations keep shifting the block statistics.  The exact
 answer is always available through :meth:`MatchingSession.retained`, which
-re-evaluates every live pair against the final statistics (reusing the
-maintained CSR and pair registry — no re-blocking, no re-extraction),
-renumbers the survivors into the canonical batch node space and applies the
-configured *batch* pruning algorithm, its budgets read off the index's
-maintained block totals.  Any interleaving of inserts, removals,
-updates and bulk loads ending in collection ``C`` therefore reproduces the
-batch pipeline's retained pairs on ``C`` — for every pruning algorithm,
-including the cardinality-based CEP/CNP/RCNP, whose probability ties are
-broken deterministically by packed candidate key on both sides.  The
-equivalence tests in ``tests/incremental/`` assert this exactly.
+derives every live pair — in the canonical batch numbering and order, with
+its co-occurrence aggregates — from the maintained CSR in one reduce pass (no
+re-blocking, no pair registry read), evaluates it against the final
+statistics and applies the configured *batch* pruning algorithm, its budgets
+read off the index's maintained block totals.  Any interleaving of inserts,
+removals, updates and bulk loads ending in collection ``C`` therefore
+reproduces the batch pipeline's retained pairs on ``C`` — for every pruning
+algorithm, including the cardinality-based CEP/CNP/RCNP, whose probability
+ties are broken deterministically by packed candidate key on both sides.
+The equivalence tests in ``tests/incremental/`` assert this exactly.
 """
 
 from __future__ import annotations
@@ -45,30 +45,30 @@ import numpy as np
 
 from ..core.pruning import SupervisedPruningAlgorithm, get_pruning_algorithm
 from ..core.pruning.base import VALIDITY_THRESHOLD
-from ..datamodel import CandidateSet, EntityProfile
+from ..datamodel import EntityProfile
 from ..ml import FrozenModel
 from ..obs.trace import hook_span
 from ..pairs import pack_pair_keys
 from ..utils.pqueue import BoundedTopQueue
 from .delta import DeltaFeatureGenerator
 from .index import MutableBlockIndex, RetractionDelta, UnknownEntityError
-from .state import Growable
+from .state import Growable, LiveCandidates
 
 
 def exact_answer(
     features: DeltaFeatureGenerator, model: FrozenModel, pruning
-) -> Tuple[CandidateSet, np.ndarray, np.ndarray]:
-    """Generate → score → prune over every live pair of ``features.index``.
+) -> Tuple[LiveCandidates, np.ndarray, np.ndarray]:
+    """Derive → score → prune over every live pair of ``features.index``.
 
     The one exact read path, shared by :meth:`MatchingSession.retained` and
-    the serving layer's ``match``: features of every live pair against the
-    current statistics, frozen-model scoring, canonical renumbering and the
-    batch pruning algorithm with its budgets derived from the index's
-    maintained :meth:`~MutableBlockIndex.block_totals` — arrays only, no
-    block collection is materialised.  Returns the live candidates (raw
-    node ids), their probabilities and the retained mask.
+    the serving layer's ``match``: the live pairs and their features derived
+    from the CSR (:meth:`DeltaFeatureGenerator.generate_all`), frozen-model
+    scoring, and the batch pruning algorithm over the pairs' canonical twin,
+    its budgets derived from the maintained :meth:`~MutableBlockIndex.block_totals`
+    — arrays only: no block collection is materialised, no pair registry read.
+    Returns the live candidates (raw node ids, batch candidate order), their
+    probabilities and the retained mask.
     """
-    index = features.index
     candidates, matrix = features.generate_all()
     with hook_span("score"):
         probabilities = model.score(matrix.values)
@@ -77,9 +77,7 @@ def exact_answer(
             mask = np.zeros(0, dtype=bool)
         else:
             mask = pruning.prune(
-                probabilities,
-                index.canonical_candidates(candidates),
-                index.block_totals(),
+                probabilities, candidates.canonical, features.index.block_totals()
             )
     return candidates, probabilities, mask
 
@@ -350,8 +348,8 @@ class BulkInsertResult:
 class SessionResult:
     """The exact (batch-equivalent) answer over all live streamed entities."""
 
-    #: every live candidate pair
-    candidates: CandidateSet
+    #: every live candidate pair (raw node ids, batch candidate order)
+    candidates: LiveCandidates
     #: match probability of every pair under the final statistics
     probabilities: np.ndarray
     #: boolean mask over ``candidates`` (True = retained)
@@ -467,7 +465,8 @@ class MatchingSession:
 
     def insert_time_probabilities(self) -> np.ndarray:
         """The provisional score every registry position received at insert
-        time (including positions whose pairs were since retracted)."""
+        time (including positions whose pairs were since retracted): *not*
+        aligned with ``retained().candidates``, which come in batch order."""
         return self._insert_probabilities.view().copy()
 
     # -- streaming -------------------------------------------------------------
@@ -752,31 +751,21 @@ class MatchingSession:
     def retained(self) -> SessionResult:
         """The exact answer on the live streamed collection.
 
-        Re-evaluates every live pair against the final incremental
-        statistics (one vectorized pass over the maintained CSR and pair
-        registry), scores with the frozen model, renumbers the candidates
-        into the canonical batch node space and applies the configured batch
-        pruning algorithm (:func:`exact_answer`) — reproducing what the
-        batch pipeline retains on the same final collection, for every
-        pruning algorithm including CEP/CNP/RCNP.
+        Derives every live pair with its co-occurrence aggregates from the
+        maintained CSR (one vectorized reduce pass, in the canonical batch
+        numbering and order), evaluates the schemes against the final
+        statistics, scores with the frozen model and applies the configured
+        batch pruning algorithm (:func:`exact_answer`) — what the batch
+        pipeline retains on the same final collection, for every pruning
+        algorithm including CEP/CNP/RCNP.
         """
         self._check_generation()
         candidates, probabilities, mask = exact_answer(
             self.features, self.model, self.pruning
         )
-        retained_ids = tuple(
-            self._id_pair(int(i), int(j))
-            for i, j in zip(candidates.left[mask], candidates.right[mask])
-        )
         return SessionResult(
             candidates=candidates,
             probabilities=probabilities,
             retained_mask=mask,
-            retained_ids=retained_ids,
+            retained_ids=tuple(candidates.id_pairs(mask, self.index.entity_id)),
         )
-
-    def _id_pair(self, i: int, j: int) -> Tuple[str, str]:
-        """Order a retained pair (first side, second side) when bilateral."""
-        if self.index.bilateral and self.index.side_of(i) == 1:
-            i, j = j, i
-        return (self.index.entity_id(i), self.index.entity_id(j))

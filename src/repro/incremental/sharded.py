@@ -13,11 +13,11 @@ live indexes, or the bare states a router was shipped — and guarantees, becaus
   reads delegate to shard 0);
 * the shards' block sets are **disjoint**, so per-entity aggregates,
   ``|B|``, ``||B||`` and ``Σ|b|`` are **sums** of per-shard contributions;
-* the global candidate-pair set is the **packed-key union** of the per-shard
-  pair sets (a pair co-occurring under tokens of two shards appears in both
-  and is deduplicated by the merge; cached per tuple of shard epochs);
 * the entity x block CSR is the row-wise concatenation of the shard CSRs
-  with **shard-major** block-id offsets.
+  with **shard-major** block-id offsets, and the global candidate-pair set
+  is *derived* from it by the reduce pass one state runs: a pair co-occurring
+  under tokens of two shards is one pair with terms from both — no per-shard
+  pair registry is read or merged.
 
 :class:`ShardedMutableBlockIndex` is a merged view that also routes
 mutations: tokenization — the CPU-heavy Python part of ingest — is
@@ -37,11 +37,10 @@ import numpy as np
 from ..blocking.base import BlockingMethod
 from ..blocking.token_blocking import TokenBlocking
 from ..core.pruning.base import BlockTotals
-from ..datamodel import BlockCollection, CandidateSet, EntityIndexSpace, EntityProfile
-from ..pairs import pack_pair_keys, sorted_unique
+from ..datamodel import BlockCollection, EntityIndexSpace, EntityProfile
 from ..weights.sparse import EntityBlockCSR
 from .index import DuplicateEntityError, MutableBlockIndex, UnknownEntityError
-from .state import IndexState, IndexStatistics, merged_csr
+from .state import IndexState, IndexStatistics, LiveCandidates, merged_csr
 
 
 class MergedIndexView:
@@ -71,9 +70,6 @@ class MergedIndexView:
         self.bilateral = bool(self.shards[0].bilateral)
         self.name = name
         self._entity_id = entity_id
-        # merged-pair cache keyed by the shards' epochs (the merge is an
-        # O(P log P) union across shards — too costly per num_pairs read)
-        self._pairs_cache: Optional[Tuple[tuple, np.ndarray, np.ndarray]] = None
 
     # -- registry (identical in every shard) -------------------------------------
     @property
@@ -91,21 +87,12 @@ class MergedIndexView:
         """Total number of blocks across the shards (disjoint by token)."""
         return sum(shard.num_blocks for shard in self.shards)
 
-    @property
-    def num_pairs(self) -> int:
-        """Number of live distinct candidate pairs across the shards."""
-        return int(self._merged_pairs()[0].size)
-
     def __len__(self) -> int:
         return self.num_entities
 
     def entity_id(self, node: int) -> str:
         """The identifier of the entity holding node id ``node``."""
         return self._entity_id(int(node))
-
-    def side_of(self, node: int) -> int:
-        """0/1 for live nodes, -1 for tombstoned slots."""
-        return self.shards[0].side_of(node)
 
     def sides(self) -> np.ndarray:
         """Per-node side flags (0 = first, 1 = second, -1 = removed)."""
@@ -123,10 +110,6 @@ class MergedIndexView:
         """Compact batch node id per slot."""
         return self.shards[0].canonical_node_ids()
 
-    def canonical_candidates(self, candidates: CandidateSet) -> CandidateSet:
-        """Renumber a live candidate set into the compact batch node space."""
-        return self.shards[0].canonical_candidates(candidates)
-
     def block_totals(self) -> BlockTotals:
         """``Σ|b|`` summed over the shards and the live entity count, in
         O(shards)."""
@@ -136,30 +119,9 @@ class MergedIndexView:
         )
 
     # -- merged read-side structures ---------------------------------------------
-    def _merged_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The distinct live pairs across shards, sorted by packed key.
-
-        Cached per tuple of shard epochs: repeated reads (``num_pairs``
-        polling, statistics, candidate sets) between mutations pay the
-        cross-shard union once.
-        """
-        epochs = tuple(shard.epoch for shard in self.shards)
-        if self._pairs_cache is None or self._pairs_cache[0] != epochs:
-            # sort + adjacent-diff, not np.unique: the hash path is ~20x slower
-            # on packed int64 keys, and the result is the same sorted distinct set
-            keys = sorted_unique(
-                np.concatenate(
-                    [pack_pair_keys(*shard.live_pairs()) for shard in self.shards]
-                )
-            )
-            self._pairs_cache = (
-                epochs, keys >> np.int64(32), keys & np.int64((1 << 32) - 1)
-            )
-        return self._pairs_cache[1], self._pairs_cache[2]
-
-    def candidate_set(self) -> CandidateSet:
-        """All live distinct candidate pairs, sorted by packed pair key."""
-        return CandidateSet(*self._merged_pairs(), self.index_space())
+    def candidate_set(self) -> LiveCandidates:
+        """All live distinct candidate pairs, derived from the merged CSR."""
+        return self.statistics().live_candidates()
 
     def csr(self) -> EntityBlockCSR:
         """The merged entity x block incidence structure."""
@@ -167,7 +129,7 @@ class MergedIndexView:
 
     def statistics(self) -> IndexStatistics:
         """A fresh merged statistics view over the shards' current state."""
-        return IndexStatistics(self.shards, self._merged_pairs)
+        return IndexStatistics(self.shards)
 
 
 class ShardedMutableBlockIndex(MergedIndexView):

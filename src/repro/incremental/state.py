@@ -5,40 +5,46 @@ co-occurrence statistics (``|B_i|``, ``||e_i||``, ``Σ 1/||b||``, ``Σ 1/|b|``,
 LCP, ``|B|``, ``||B||``), and a streamed, sharded, recovered or served answer
 equals the batch one only because every execution mode hands the schemes
 those statistics identically.  :class:`IndexState` is that hand-over as one
-type: thirteen arrays, a handful of scalars and the whole read surface over
-them — registry one-liners, canonical renumbering, the CSR, the live
-candidate set, :class:`IndexStatistics`, block totals.
+type: ten arrays, a handful of scalars and the whole read surface over them —
+registry one-liners, canonical renumbering, the CSR, :class:`IndexStatistics`,
+block totals, and the live candidate set, which is *derived*
+(:meth:`IndexStatistics.live_candidates`): a state carries no pair registry,
+and the one a :class:`~repro.incremental.MutableBlockIndex` keeps — what its
+deltas, the online policies and a snapshot's per-pair session state are keyed
+by — is writer-only and never ships.
 
 Export layout (the read state a serving view is built from):
-:meth:`IndexState.export_state` ships the thirteen arrays of the schema below
-— the CSR (``indptr``, ``indices``), ``sides``, the pair registry
-(``pair_left``, ``pair_right``, ``pair_alive``), four per-entity aggregates
-and three per-block vectors (``block_cardinality`` and the two inverse
-weights) — plus the scalars of ``CHECKED_SCALARS`` / ``ADOPTED_SCALARS``,
-``bilateral`` and ``side_counts``;
+:meth:`IndexState.export_state` ships the ten arrays of the schema below —
+the CSR (``indptr``, ``indices``), ``sides``, four per-entity aggregates and
+three per-block vectors (``block_cardinality`` and the two inverse weights) —
+plus the scalars of ``CHECKED_SCALARS`` / ``ADOPTED_SCALARS``, ``bilateral``
+and ``side_counts``;
 :meth:`MutableBlockIndex.export_delta <repro.incremental.MutableBlockIndex.export_delta>`
-ships seventeen arrays derived from the same table: the appended
-``<name>_tail`` of the six append-only arrays, the ``dirty_entities`` /
+ships thirteen arrays derived from the same table: the appended
+``<name>_tail`` of the three append-only arrays, the ``dirty_entities`` /
 ``dirty_blocks`` ids with one ``dirty_<name>`` value array per aggregate, and
-the ``tombstoned_nodes`` and ``dead_pair_positions``.  Per-block member lists
-and block keys never leave the index.  :meth:`IndexState.apply_full` and
+the ``tombstoned_nodes``.  Per-block member lists and block keys never leave
+the index.  :meth:`IndexState.apply_full` and
 :meth:`IndexState.apply_delta` are the receiving end; a ship whose counts
-disagree with the arrays it produced is refused *before* any scalar — the
-epoch, i.e. the next read's base, among them — is adopted, so readers only
-ever see a state at a boundary the writer published.
+disagree with the arrays it produced, or whose CSR is not self-consistent, is
+refused *before* any scalar — the epoch, i.e. the next read's base, among
+them — is adopted, so readers only ever see a state at a boundary the writer
+published.
 
 The index *is* a state: :class:`~repro.incremental.MutableBlockIndex`
 subclasses :class:`IndexState` and adds what only a writer needs (the token
-dictionary, member lists, maintained degrees, WAL hook, delta tracker), so
-its mutation code writes the very fields a reader reads, "the shipped state
-equals the worker's state" is a comparison of two objects of one type, and
-no delegation layer sits between them.  The router's resident per-shard copy
-is a bare :class:`IndexState` advanced by :meth:`~IndexState.apply_delta`.
+dictionary, member lists, maintained degrees, the pair registry, WAL hook,
+delta tracker), so its mutation code writes the very fields a reader reads,
+"the shipped state equals the worker's state" is a comparison of two objects
+of one type, and no delegation layer sits between them.  The router's
+resident per-shard copy is a bare :class:`IndexState` advanced by
+:meth:`~IndexState.apply_delta`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +55,7 @@ from ..weights.sparse import (
     PairCooccurrence,
     PairCooccurrenceCache,
     entity_block_csr_from_memberships,
+    reduce_collection,
 )
 
 
@@ -104,20 +111,16 @@ class Growable:
         self.view()[key] = value
 
 
-# -- the schema: (wire name, field, ...) of the thirteen arrays -------------------
+# -- the schema: (wire name, field, ...) of the ten arrays ------------------------
 #: arrays that only grow at the end (dtype, initial capacity) and ship whole or
 #: as ``<name>_tail``: the entity x block CSR (rows in arrival order, sorted ids
-#: per row; tombstoned rows are left behind, never referenced by a live pair),
-#: the side flags (node ids are never reused: a removed slot keeps side -1) and
-#: the candidate-pair registry (canonical ``left < right``; positions are
-#: stable, retracted pairs are tombstoned through ``pair_alive``)
+#: per row; the rows of removed entities are left behind) and the side flags
+#: (node ids are never reused: a removed slot keeps side -1, which is what
+#: keeps its row out of every read)
 APPENDED = (
     ("indptr", "_indptr", np.int64, 256),
     ("indices", "_indices", np.int64, 1024),
     ("sides", "_sides", np.int8, 64),
-    ("pair_left", "_pair_left", np.int64, 1024),
-    ("pair_right", "_pair_right", np.int64, 1024),
-    ("pair_alive", "_pair_alive", np.bool_, 1024),
 )
 #: per-entity aggregates over comparison-spawning blocks (float64; a new slot
 #: holds 0), shipped whole or as ``dirty_<name>`` at ``dirty_entities``
@@ -140,7 +143,6 @@ FULL_ARRAYS = tuple(row[:2] for row in APPENDED + ENTITY_AGGREGATES + BLOCK_AGGR
 CHECKED_SCALARS = (
     ("num_blocks", "blocks"),
     ("num_slots", "node slots"),
-    ("num_pairs", "live pairs"),
 )
 #: scalars a receiver adopts once the checks passed
 ADOPTED_SCALARS = (
@@ -189,6 +191,29 @@ def merged_csr(
     )
 
 
+class LiveCandidates(CandidateSet):
+    """The live candidate pairs of a streaming index, derived from its CSR.
+
+    Raw streaming node ids in the batch pipeline's candidate order.  Aligned
+    with them: :attr:`canonical`, the very pairs in the compact batch numbering
+    (what batch pruning takes, packed-key tie-breaking included), and
+    :attr:`first` / :attr:`second`, the raw endpoints in reporting order —
+    (first side, second side) when bilateral, arrival order otherwise.
+    """
+
+    def __init__(self, active: np.ndarray, left: np.ndarray, right: np.ndarray, index_space):
+        self.first, self.second = first, second = active[left], active[right]
+        super().__init__(np.minimum(first, second), np.maximum(first, second), index_space)
+        self.canonical = CandidateSet(left, right, index_space)
+
+    def id_pairs(self, mask: np.ndarray, entity_id: Callable[[int], str]) -> List[Tuple[str, str]]:
+        """Entity-id tuples of the pairs selected by ``mask``, in reporting order."""
+        return [
+            (entity_id(i), entity_id(j))
+            for i, j in zip(self.first[mask].tolist(), self.second[mask].tolist())
+        ]
+
+
 class IndexStatistics:
     """Read-only statistics over one :class:`IndexState` or several shards.
 
@@ -197,25 +222,18 @@ class IndexStatistics:
     that state's zero-copy view and LCP is the degree array a mutable index
     maintains (a streamed insert reads O(delta), never O(slots)); over
     several the aggregates are accumulated in shard order, the CSR is
-    concatenated on first use and LCP is counted off the merged distinct
-    pairs (per-shard degrees cannot be summed: a pair co-occurring under two
+    concatenated on first use and LCP is the degree of the derived candidate
+    set (per-shard degrees cannot be summed: a pair co-occurring under two
     shards' tokens would count twice).  Which of the two happens is decided
-    by ``len(states)``.  Obtain a fresh view per feature computation
+    by ``len(states)``; nothing pair- or slot-sized is computed at
+    construction.  Obtain a fresh view per feature computation
     (``statistics()``): the arrays are views into growable buffers.  They
     cover every node slot ever assigned; tombstoned slots hold zeros and are
-    never referenced by a live candidate pair.
-
-    ``live_pairs`` returns the distinct live ``(left, right)`` pairs over
-    ``states``.
+    in no live candidate pair.
     """
 
-    def __init__(
-        self,
-        states: Sequence["IndexState"],
-        live_pairs: Callable[[], Tuple[np.ndarray, np.ndarray]],
-    ) -> None:
+    def __init__(self, states: Sequence["IndexState"]) -> None:
         self._states = states
-        self._live_pairs = live_pairs
         self._pair_cache = PairCooccurrenceCache()
         #: ``|B|`` — blocks spawning at least one comparison
         self.num_blocks = sum(state.num_nonempty_blocks for state in states)
@@ -228,7 +246,46 @@ class IndexStatistics:
             views = [getattr(state, field).view() for state in states]
             setattr(self, name, sum(views[1:], views[0]))
         self._degrees: Optional[np.ndarray] = None
-        self._merged: Optional[Tuple[EntityBlockCSR, np.ndarray, np.ndarray]] = None
+        self._live: Optional[LiveCandidates] = None
+
+    @cached_property
+    def _merged(self) -> Tuple[EntityBlockCSR, np.ndarray, np.ndarray]:
+        return merged_csr(self._states)
+
+    def live_candidates(self) -> LiveCandidates:
+        """Every live distinct candidate pair, derived on first use.
+
+        One reduce pass over the CSR rows of the live nodes yields the pairs
+        in batch numbering and order *and* their co-occurrence aggregates,
+        seeded into this view's cache for the schemes to find; a refused key
+        yields the pairs alone and :meth:`pair_cooccurrence` computes.
+        """
+        if self._live is None:
+            state = self._states[0]
+            *pairs, aggregates = reduce_collection(*self._merged, state.sides(), state.bilateral)
+            self._live = LiveCandidates(*pairs, state.index_space())
+            if aggregates is not None:
+                self._pair_cache.seed(self._live, aggregates)
+        return self._live
+
+    def counterparts(self, node: int) -> np.ndarray:
+        """The live nodes ``node`` forms a candidate pair with, ascending:
+        whoever shares one of its blocks (on the other side of a bilateral
+        index), read off the CSR shard by shard; none for a removed node."""
+        state = self._states[0]
+        sides = state.sides()
+        side = int(sides[node])
+        if side < 0:
+            return np.empty(0, dtype=np.int64)
+        shares = np.zeros(sides.size, dtype=bool)
+        for shard in self._states:
+            csr = shard.csr()
+            row = csr.indices[csr.indptr[node] : csr.indptr[node + 1]]
+            members = np.flatnonzero(np.isin(csr.indices, row))
+            shares[np.searchsorted(csr.indptr, members, side="right") - 1] = True
+        shares &= sides == 1 - side if state.bilateral else sides >= 0
+        shares[node] = False
+        return np.flatnonzero(shares)
 
     def local_candidate_counts_sparse(self) -> np.ndarray:
         """``LCP(e_i)`` — distinct live candidates per node slot."""
@@ -238,10 +295,9 @@ class IndexStatistics:
             if maintained is not None:
                 self._degrees = maintained.view()
             else:
-                # per-shard degrees cannot be summed: count the distinct pairs
-                size = states[0].num_slots
-                self._degrees = sum(
-                    np.bincount(nodes, minlength=size) for nodes in self._live_pairs()
+                live = self.live_candidates()
+                self._degrees = np.bincount(
+                    np.concatenate((live.left, live.right)), minlength=states[0].num_slots
                 ).astype(np.float64)
         return self._degrees
 
@@ -252,8 +308,6 @@ class IndexStatistics:
         one feature computation share a single intersection pass, exactly as
         :meth:`repro.weights.BlockStatistics.pair_cooccurrence` does.
         """
-        if self._merged is None:
-            self._merged = merged_csr(self._states)
         return self._pair_cache.get(candidates, *self._merged, self._states[0].sides())
 
 
@@ -263,7 +317,7 @@ class IndexState:
 
     A bare state is a receiver: :meth:`apply_full` (re)builds it from a
     complete ship and :meth:`apply_delta` advances it in place — appended
-    slot / CSR / pair tails, scattered per-entity and per-block aggregates,
+    slot / CSR tails, scattered per-entity and per-block aggregates,
     tombstones — so a warm read costs O(changed), not O(state).
     :class:`~repro.incremental.MutableBlockIndex` is the state that mutates
     itself (and must never be handed to ``apply_*``).
@@ -280,7 +334,6 @@ class IndexState:
             setattr(self, field, Growable(dtype))
         #: live entities per side (ids are namespaced per side)
         self._side_counts = [0, 0]
-        self._num_live_pairs: int = 0
         # global aggregates
         self.total_cardinality: int = 0
         self.num_nonempty_blocks: int = 0
@@ -303,11 +356,6 @@ class IndexState:
     def num_blocks(self) -> int:
         """Number of blocks, including those spawning no comparison yet."""
         return len(self._block_cardinalities)
-
-    @property
-    def num_pairs(self) -> int:
-        """Number of *live* distinct candidate pairs."""
-        return self._num_live_pairs
 
     def side_of(self, node: int) -> int:
         """0 for first-collection nodes, 1 for second-collection nodes.
@@ -349,10 +397,9 @@ class IndexState:
         """Map every node slot to its compact batch node id (-1 when dead).
 
         Live first-collection nodes get 0..n1-1 in arrival order, live
-        second-collection nodes n1..n1+n2-1 — exactly the numbering the
-        batch pipeline assigns when handed the surviving entities in arrival
-        order.  This is the bridge that lets the exact finalisation apply
-        batch pruning (including its packed-key tie-breaking) unchanged.
+        second-collection nodes n1..n1+n2-1 — the numbering the batch pipeline
+        assigns the surviving entities in arrival order, and the one the
+        derived candidate set's canonical twin comes in.
         """
         sides = self._sides.view()
         canonical = np.full(sides.size, -1, dtype=np.int64)
@@ -364,32 +411,13 @@ class IndexState:
         )
         return canonical
 
-    def canonical_candidates(self, candidates: CandidateSet) -> CandidateSet:
-        """Renumber a live candidate set into the compact batch node space.
-
-        Every pair keeps its position; only the node ids change (and the
-        left/right orientation is restored to canonical ``left < right`` in
-        the batch numbering).  Probability arrays aligned with the input
-        remain aligned with the output, which is how the exact finalisation
-        applies batch pruning — budgets, per-node thresholds and packed-key
-        tie-breaking included — without re-scoring.
-        """
-        canonical = self.canonical_node_ids()
-        left = canonical[candidates.left]
-        right = canonical[candidates.right]
-        if left.size and (np.any(left < 0) or np.any(right < 0)):
-            raise ValueError("candidate set references removed entities")
-        return CandidateSet(
-            np.minimum(left, right), np.maximum(left, right), self.index_space()
-        )
-
     # -- read-side structures ----------------------------------------------------
     def csr(self) -> EntityBlockCSR:
         """The current entity x block incidence structure (zero-copy views).
 
-        Rows of removed entities are left behind (their node ids never recur
-        in a live candidate pair), so the structure is safe to intersect over
-        any live pair but not a faithful census of live memberships.
+        Rows of removed entities are left behind: the structure is safe to
+        intersect over any live pair, and a census of live memberships only
+        under ``sides() >= 0``.
         """
         return EntityBlockCSR(
             indptr=self._indptr.view(),
@@ -397,27 +425,14 @@ class IndexState:
             num_blocks=self.num_blocks,
         )
 
-    def live_pair_positions(self) -> np.ndarray:
-        """Registry positions of the live pairs, ascending."""
-        return np.flatnonzero(self._pair_alive.view())
-
-    def live_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(left, right)`` of the live pairs in registry order (copies)."""
-        alive = self._pair_alive.view()
-        return self._pair_left.view()[alive], self._pair_right.view()[alive]
-
-    def candidate_set(self) -> CandidateSet:
-        """All *live* distinct candidate pairs (copied arrays).
-
-        Pairs are in registry order with retracted positions filtered out;
-        node ids are raw streaming ids (see :meth:`canonical_node_ids` for
-        the batch renumbering).
-        """
-        return CandidateSet(*self.live_pairs(), self.index_space())
+    def candidate_set(self) -> LiveCandidates:
+        """All *live* distinct candidate pairs, derived from the CSR: raw node
+        ids, batch candidate order, the canonical renumbering alongside."""
+        return self.statistics().live_candidates()
 
     def statistics(self) -> IndexStatistics:
         """A fresh statistics view over the current state."""
-        return IndexStatistics((self,), self.live_pairs)
+        return IndexStatistics((self,))
 
     # -- shipping ----------------------------------------------------------------
     def _export_meta(self) -> Dict[str, Any]:
@@ -430,7 +445,7 @@ class IndexState:
     def export_state(self) -> Dict[str, Any]:
         """The full read-state ship: every array a pinned view needs.
 
-        Thirteen arrays plus the scalars of :meth:`_export_meta`; arrays
+        Ten arrays plus the scalars of :meth:`_export_meta`; arrays
         are zero-copy views into the state — consume (copy or ship) them
         before the next mutation.
         """
@@ -438,14 +453,20 @@ class IndexState:
         return {"arrays": arrays, "meta": dict(self._export_meta(), kind="full")}
 
     def _adopt_scalars(self, meta: Dict[str, Any]) -> None:
-        """Refuse a ship whose counts disagree with the arrays now held, else
-        adopt its scalars: a refused ship never advances the epoch handshake."""
+        """Refuse a ship whose counts or CSR disagree with the arrays now held,
+        else adopt its scalars: a refused ship never advances the epoch handshake."""
         for name, what in CHECKED_SCALARS:
             if getattr(self, name) != int(meta[name]):
                 raise IndexStateError(
                     f"shard state desynchronized: {getattr(self, name)} {what} "
                     f"held but the shipped state reports {meta[name]}"
                 )
+        indptr = self._indptr.view()
+        if indptr.size != self.num_slots + 1 or indptr[-1] != len(self._indices):
+            raise IndexStateError(
+                f"shard state desynchronized: {indptr.size - 1} CSR rows ending at {indptr[-1:]} "
+                f"held for {self.num_slots} node slots and {len(self._indices)} memberships"
+            )
         for name in ADOPTED_SCALARS:
             setattr(self, name, int(meta[name]))
         self._side_counts = list(meta["side_counts"])
@@ -457,13 +478,11 @@ class IndexState:
             cell = Growable(array.dtype, capacity=array.size)
             cell.extend(array)
             setattr(self, field, cell)
-        self._num_live_pairs = int(np.count_nonzero(self._pair_alive.view()))
         self._adopt_scalars(meta)
         self.bilateral = bool(meta["bilateral"])
 
     def apply_delta(self, arrays: Dict[str, np.ndarray], meta: Dict[str, Any]) -> None:
         """Advance the state in place by one shipped delta."""
-        held_pairs = len(self._pair_alive)
         for name, field, _, _ in APPENDED:
             tail = arrays[f"{name}_tail"]
             if tail.size:
@@ -487,14 +506,7 @@ class IndexState:
                 cell.extend(np.full(created, neutral, dtype=dtype))
             if dirty_blocks.size:
                 cell[dirty_blocks] = arrays[f"dirty_{name}"]
-        # tombstones: removed nodes, and retracted positions below the tail
         tombstoned = arrays["tombstoned_nodes"]
         if tombstoned.size:
             self._sides[tombstoned] = np.int8(-1)
-        dead = arrays["dead_pair_positions"]
-        if dead.size:
-            self._pair_alive[dead] = False
-        self._num_live_pairs += int(
-            np.count_nonzero(self._pair_alive.view()[held_pairs:])
-        ) - int(dead.size)
         self._adopt_scalars(meta)

@@ -3,9 +3,10 @@
 A ``match`` or ``top_k`` query pins a WAL offset, asks every shard worker
 for its read state *at exactly that offset*, and reads the K states as one
 index through a :class:`~repro.incremental.MergedIndexView`.  What a state
-is (thirteen arrays plus a handful of scalars), how a delta advances it and
-when a ship is refused live in :mod:`repro.incremental.state`; what makes K
-shards mergeable in :mod:`repro.incremental.sharded`; and the answer itself
+is (ten arrays plus a handful of scalars; no pair registry — the live pairs
+are derived from the CSR), how a delta advances it and when a ship is refused
+live in :mod:`repro.incremental.state`; what makes K shards mergeable in
+:mod:`repro.incremental.sharded`; and the answer itself
 is :func:`repro.incremental.session.exact_answer`, the very function
 :meth:`MatchingSession.retained` runs — so a pinned read computes
 **exactly** what an offline :class:`~repro.incremental.MatchingSession`
@@ -34,6 +35,8 @@ import threading
 import time
 from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.pruning import SupervisedPruningAlgorithm, strength_order
 from ..obs.trace import current_trace, hook_span
@@ -81,13 +84,6 @@ def build_pinned_view(
 
 # -- query evaluation over a pinned view -----------------------------------------
 
-def _oriented_pair(view, i: int, j: int) -> Tuple[str, str]:
-    """Order a retained pair (first side, second side) when bilateral."""
-    if view.bilateral and view.side_of(i) == 1:
-        i, j = j, i
-    return (view.entity_id(i), view.entity_id(j))
-
-
 def match_answer(
     view: MergedIndexView,
     model,
@@ -105,9 +101,9 @@ def match_answer(
         DeltaFeatureGenerator(view, model.feature_set), model, pruning
     )
     retained = sorted(
-        [*_oriented_pair(view, int(i), int(j)), float(probability)]
-        for i, j, probability in zip(
-            candidates.left[mask], candidates.right[mask], probabilities[mask]
+        [*ids, probability]
+        for ids, probability in zip(
+            candidates.id_pairs(mask, view.entity_id), probabilities[mask].tolist()
         )
     )
     return {"num_candidates": len(candidates), "retained": retained}
@@ -118,35 +114,29 @@ def top_k_answer(
 ) -> List[Dict[str, Any]]:
     """The ``k`` most likely matches of one entity at the pinned offset.
 
-    Scores only the pairs containing ``node`` (the delta feature path makes
-    point queries cheap); ties are broken deterministically by packed
-    candidate key.
+    The entity's counterparts are read off its CSR rows and only those pairs
+    are scored (the delta feature path makes point queries cheap); ties are
+    broken deterministically by packed candidate key of the raw node ids.
     """
     with hook_span("merge-pairs"):
-        candidates = view.candidate_set()
-    mask = (candidates.left == node) | (candidates.right == node)
-    left = candidates.left[mask]
-    right = candidates.right[mask]
-    if left.size == 0:
+        counterparts = view.statistics().counterparts(node)
+    if counterparts.size == 0:
         return []
+    left, right = np.minimum(counterparts, node), np.maximum(counterparts, node)
     subset = CandidateSet(left, right, view.index_space())
     with hook_span("features"):
         matrix = DeltaFeatureGenerator(view, model.feature_set).generate(subset)
     with hook_span("score"):
         probabilities = model.score(matrix.values)
-    keys = pack_pair_keys(left, right)
-    order = strength_order(probabilities, keys)[: max(0, int(k))]
-    matches = []
-    for position in order.tolist():
-        counterpart = int(right[position] if left[position] == node else left[position])
-        matches.append(
-            {
-                "entity_id": view.entity_id(counterpart),
-                "side": view.side_of(counterpart),
-                "probability": float(probabilities[position]),
-            }
+    order = strength_order(probabilities, pack_pair_keys(left, right))[: max(0, int(k))]
+    # counterparts share a side: the other one of a bilateral index
+    side = int(view.sides()[counterparts[0]])
+    return [
+        {"entity_id": view.entity_id(counterpart), "side": side, "probability": probability}
+        for counterpart, probability in zip(
+            counterparts[order].tolist(), probabilities[order].tolist()
         )
-    return matches
+    ]
 
 
 class ShardRouter:

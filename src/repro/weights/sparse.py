@@ -15,10 +15,11 @@ Python) by one of two passes that add a pair's terms in the same order:
   into comparisons once through the side-aware plan of :mod:`repro.pairs`,
   packs each as one int64 ``(left, right, block id)``, sorts, and reads the
   distinct pairs off the run boundaries and the aggregates off
-  ``np.bincount`` over the run index.  Block preparation runs it on the
-  filtered membership matrix — there the request *is* the distinct set — and
-  hands the result forward; :func:`compute_pair_cooccurrence` runs it on the
-  CSR restricted to the requested nodes and gathers the request out of it;
+  ``np.bincount`` over the run index.  Where the request *is* the distinct
+  set — block preparation's filtered matrix, a stream's live rows —
+  :func:`reduce_memberships` hands pairs and aggregates forward;
+  :func:`compute_pair_cooccurrence` runs it on the CSR restricted to the
+  requested nodes and gathers the request out of it;
 * the **pair-major pass** (:func:`pair_major_cooccurrence`) intersects the
   two sorted CSR rows of every pair — what one-insert deltas, self-pairs,
   same-side pairs of a bilateral request and key spaces past
@@ -204,13 +205,51 @@ def _transposed_plan(
     return active, nodes, block_of, pair_expansion_plan(block_of, sizes, first_sizes)
 
 
-def expansion_pairs(csr: EntityBlockCSR, sides: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct candidate pairs of the whole collection behind ``csr``."""
-    everyone = np.ones(csr.num_entities, dtype=bool)
-    active, nodes, _, plan = _transposed_plan(csr, everyone, np.asarray(sides) == 1, False)
-    stride = max(active.size, 1)
-    left, right = np.divmod(distinct_pair_keys(nodes, *plan, stride, DEFAULT_CHUNK_PAIRS), stride)
-    return active[left], active[right]
+def reduce_memberships(
+    nodes: np.ndarray,
+    block_of: np.ndarray,
+    plan: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    num_nodes: int,
+    weights: Tuple[np.ndarray, np.ndarray],
+    chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
+) -> Tuple[np.ndarray, np.ndarray, Optional[PairCooccurrence]]:
+    """Memberships grouped by block -> ``(left, right, aggregates)`` of the
+    distinct pairs, sorted and oriented as the ``plan`` emits them; ``weights``
+    are the per-block inverse cardinalities and sizes.  A refused ``(left,
+    right, block id)`` key yields the pairs alone (aggregates ``None``: whoever
+    needs them computes them).  Block preparation runs this on its filtered
+    matrix, a streaming index on its live rows (:func:`reduce_collection`).
+    """
+    bits = key_field_bits(num_nodes, num_nodes, weights[0].size)
+    if bits is None:
+        stride = max(num_nodes, 1)
+        return (*np.divmod(distinct_pair_keys(nodes, *plan, stride, chunk_pairs), stride), None)
+    left, aggregates = reduce_pair_cooccurrence(
+        nodes, block_of, *plan[:2], bits[0], bits[2], *weights, chunk_pairs
+    )
+    right = left & ((1 << bits[0]) - 1)
+    left >>= bits[0]
+    return left, right, aggregates
+
+
+def reduce_collection(
+    csr: EntityBlockCSR,
+    inverse_cardinalities: np.ndarray,
+    inverse_sizes: np.ndarray,
+    sides: np.ndarray,
+    two_sided_only: bool,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[PairCooccurrence]]:
+    """The distinct candidate pairs of the live collection behind ``csr``:
+    ``(active, left, right, aggregates)``.  Live is ``sides >= 0`` (a stream
+    leaves removed entities' rows behind), second side ``sides == 1``;
+    ``active`` ranks the live node ids first side first in ascending id — the
+    compact batch numbering — and :func:`reduce_memberships`' pairs are ranks
+    into it, i.e. the batch pipeline's candidates in its order.  ``two_sided_only``:
+    one-sided blocks emit nothing (a stream strands none), not intra pairs.
+    """
+    active, nodes, block_of, plan = _transposed_plan(csr, sides >= 0, sides == 1, two_sided_only)
+    weights = (inverse_cardinalities, inverse_sizes)
+    return (active, *reduce_memberships(nodes, block_of, plan, active.size, weights))
 
 
 #: Σ row lengths of the requested pairs below which the pair-major pass costs
@@ -483,10 +522,8 @@ def compute_pair_cooccurrence(
             return reduced
         where, found = np.arange(keys.size), slice(None)
     else:
-        # gather; ascending needles keep the binary searches cache-friendly
-        # (a live registry is sorted but for its tail: the adaptive stable
-        # sort), and requested pairs sharing no block are absent from the
-        # reduction
+        # gather; ascending needles keep the binary searches cache-friendly,
+        # and requested pairs sharing no block are absent from the reduction
         unsorted = np.any(requested[1:] < requested[:-1])
         order = np.argsort(requested, kind="stable") if unsorted else slice(None)
         requested = requested[order]

@@ -26,8 +26,8 @@ from .sparse import (
     PairCooccurrence,
     PairCooccurrenceCache,
     build_entity_block_csr,
-    expansion_pairs,
     inverse_block_weights,
+    reduce_collection,
 )
 
 
@@ -229,7 +229,12 @@ class BlockStatistics:
             if self._candidates is not None:
                 left, right = self._candidates.left, self._candidates.right
             else:
-                left, right = expansion_pairs(self._csr, self.sides)
+                # stranded blocks expand as intra blocks, as in extraction; batch
+                # node ids are first side first already: the ranks are the ids
+                _, left, right, _ = reduce_collection(
+                    self._csr, self.inverse_block_cardinalities, self.inverse_block_sizes,
+                    self.sides, two_sided_only=False,
+                )
             degrees = np.bincount(left, minlength=total_nodes)
             degrees += np.bincount(right, minlength=total_nodes)
             self._lcp_sparse = degrees.astype(np.float64)

@@ -187,7 +187,7 @@ def _assert_matches_batch_canonical(index, first, second):
     stats = BlockStatistics(prepared.blocks)
     canonical = index.canonical_node_ids()
 
-    candidates = index.canonical_candidates(index.candidate_set())
+    candidates = index.candidate_set().canonical
     streamed = set(zip(candidates.left.tolist(), candidates.right.tolist()))
     batch = set(
         zip(prepared.candidates.left.tolist(), prepared.candidates.right.tolist())

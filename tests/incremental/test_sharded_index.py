@@ -98,7 +98,7 @@ def assert_same_contract(single, sharded):
     assert sharded.num_slots == single.num_slots
     assert np.array_equal(sharded.canonical_node_ids(), single.canonical_node_ids())
     assert pair_set(sharded) == pair_set(single)
-    assert sharded.num_pairs == single.num_pairs
+    assert len(sharded.candidate_set()) == single.num_pairs
 
     stats_single, stats_sharded = single.statistics(), sharded.statistics()
     assert stats_sharded.num_blocks == stats_single.num_blocks
@@ -152,8 +152,8 @@ def test_sharded_matches_unsharded_under_churn(data, bilateral, num_shards):
     sharded.compact()
     assert sharded.num_slots == sharded.num_entities
     assert pairs_of(
-        sharded.canonical_candidates(sharded.candidate_set())
-    ) == pairs_of(single.canonical_candidates(single.candidate_set()))
+        sharded.candidate_set().canonical
+    ) == pairs_of(single.candidate_set().canonical)
 
 
 def test_bulk_tokenization_through_executor():
@@ -200,7 +200,7 @@ class TestCompactChurn:
         canonical = index.canonical_node_ids()
         live = canonical >= 0
         order = np.argsort(canonical[live])
-        before_pairs = pairs_of(index.canonical_candidates(index.candidate_set()))
+        before_pairs = pairs_of(index.candidate_set().canonical)
         stats = index.statistics()
         before = {
             "num_blocks": stats.num_blocks,
@@ -216,7 +216,7 @@ class TestCompactChurn:
 
         index.compact()
 
-        assert pairs_of(index.canonical_candidates(index.candidate_set())) == before_pairs
+        assert pairs_of(index.candidate_set().canonical) == before_pairs
         canonical2 = index.canonical_node_ids()
         live2 = canonical2 >= 0
         order2 = np.argsort(canonical2[live2])

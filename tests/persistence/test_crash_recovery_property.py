@@ -106,7 +106,7 @@ def pairs_of(candidates):
 
 def canonical_view(index):
     """Everything recovery promises to restore, in canonical coordinates."""
-    pairs = pairs_of(index.canonical_candidates(index.candidate_set()))
+    pairs = pairs_of(index.candidate_set().canonical)
     blocks = {
         (b.key, tuple(b.entities_first), tuple(b.entities_second))
         for b in index.snapshot_blocks()

@@ -19,16 +19,22 @@ replaced with a byte table, and the per-token ``dict.setdefault`` loop
 ``repro.blocking.arrayops.encode_signatures`` replaced with ``map``.  And the
 answer's row-major arithmetic: the gather / scatter masked ratio of JS / WJS /
 NRS, the two-branch sigmoid and the ``(x - offset) / scale`` expression the
-feature-major passes replaced bit for bit.
+feature-major passes replaced bit for bit.  One device rides along:
+:func:`forced_cooccurrence_pass`, which makes the co-occurrence kernel take the
+pass a test names so that its two passes can be held against each other.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
+from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
+from unittest import mock
 
 import numpy as np
+
+import repro.weights.sparse as sparse
 
 from repro.blocking import (
     BlockingMethod,
@@ -46,6 +52,20 @@ from repro.utils.timing import StageTimer
 from repro.weights import BlockStatistics
 
 _TOKEN_PATTERN = re.compile(r"[a-z0-9]+")
+
+
+@contextmanager
+def forced_cooccurrence_pass(path):
+    """Make ``compute_pair_cooccurrence``'s cost estimate always answer
+    ``path`` — ``"reduce"`` or ``"pair-major"`` — where it has a choice."""
+    if path == "reduce":
+        patch = mock.patch.multiple(
+            sparse, _MIN_BLOCK_MAJOR_ENTRIES=0, _BLOCK_MAJOR_UNIT_COST=0
+        )
+    else:
+        patch = mock.patch.object(sparse, "_MIN_BLOCK_MAJOR_ENTRIES", 1 << 62)
+    with patch:
+        yield
 
 
 def reference_tokens(

@@ -105,7 +105,7 @@ def _assert_totals_and_masks(index, snapshot=None):
             assert mask.size == 0
             continue
         reference = pruning.prune(
-            probabilities, index.canonical_candidates(candidates), snapshot
+            probabilities, candidates.canonical, snapshot
         )
         assert np.array_equal(mask, reference), f"{name} mask differs"
 

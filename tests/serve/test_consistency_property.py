@@ -23,9 +23,9 @@ from hypothesis import strategies as st
 from conftest import make_frozen_model, reference_retained
 from repro.datamodel import make_profile
 from repro.incremental import IndexState, MatchingSession, MergedIndexView
-from repro.incremental.state import FULL_ARRAYS, IndexStateError
+from repro.incremental.state import FULL_ARRAYS, Growable, IndexStateError
 from repro.persistence.recovery import recover_session
-from repro.serve.router import build_pinned_view, match_answer
+from repro.serve.router import build_pinned_view, match_answer, top_k_answer
 from repro.serve.workers import ShardReplica, WalFollowError
 
 _TOKENS = ("alpha", "beta", "gamma", "delta", "eps", "zeta")
@@ -113,7 +113,7 @@ def test_every_pinned_offset_equals_canonical(operations, num_shards):
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-#: the thirteen array fields, from the one schema table
+#: the ten array fields, from the one schema table
 _STUB_ARRAYS = tuple(field for _, field in FULL_ARRAYS)
 
 
@@ -147,7 +147,6 @@ def _assert_stub_identical(actual: IndexState, oracle: IndexState):
     assert actual.num_nonempty_blocks == oracle.num_nonempty_blocks
     assert actual.total_cardinality == oracle.total_cardinality
     assert actual.total_block_assignments == oracle.total_block_assignments
-    assert actual._num_live_pairs == oracle._num_live_pairs
     # every scalar of the schema; the epoch counts one replica's mutations
     # and is only comparable with the index the state was shipped from
     assert dict(actual._export_meta(), epoch=0) == dict(oracle._export_meta(), epoch=0)
@@ -250,9 +249,65 @@ def test_resident_delta_view_equals_rebuild(operations, num_shards, respawn_at):
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def test_stub_refuses_a_state_whose_live_pair_count_disagrees(tmp_path):
-    """``num_pairs`` rides in the shipped scalars to catch a pair registry
-    that drifted from the worker's — like ``num_blocks`` and ``num_slots``."""
+class _ReadGrowable(Growable):
+    """A state's array field that records being read: its contents through
+    ``view()`` (what ``[]`` goes through too), its extent through ``len()``."""
+
+    __slots__ = ("_name", "_log")
+
+    def __init__(self, cell, name, log):
+        super().__init__(cell.view().dtype, capacity=max(1, len(cell)))
+        self.extend(cell.view())
+        self._name, self._log = name, log
+
+    def __len__(self):
+        self._log.add(self._name)
+        return super().__len__()
+
+    def view(self):
+        self._log.add(self._name)
+        return super().view()
+
+
+def test_the_answers_read_every_array_a_full_ship_carries(tmp_path):
+    """The other half of "nothing is shipped that is not read": ``apply_full``
+    copying an array into a field is not a read.  Wrapping the *resulting
+    state's* fields, ``match`` + ``top_k`` between them must touch all ten —
+    three registry arrays that no answer consulted would have failed here."""
+    session = MatchingSession(MODEL, bilateral=True, wal_path=tmp_path)
+    replicas = [ShardReplica(tmp_path, shard, 2) for shard in range(2)]
+    try:
+        for i, text in enumerate(("alpha beta", "beta gamma", "alpha gamma zeta")):
+            session.insert(make_profile(f"a{i}", text=text), side=0)
+            session.insert(make_profile(f"b{i}", text=text), side=1)
+        session.remove("b1", side=1)
+        for replica in replicas:
+            replica.catch_up(session.wal.log_offset)
+        view = build_pinned_view(
+            [replica.read_state() for replica in replicas], session.index.entity_id
+        )
+        reads = [set() for _ in view.shards]
+        for shard, log in zip(view.shards, reads):
+            for name, field in FULL_ARRAYS:
+                setattr(shard, field, _ReadGrowable(getattr(shard, field), name, log))
+        answer = match_answer(view, MODEL, session.pruning)
+        assert answer["retained"] == reference_retained(session)
+        assert top_k_answer(view, MODEL, session.index.node_of("a0", side=0), 3)
+        shipped = {name for name, _ in FULL_ARRAYS}
+        assert reads[0] == shipped
+        # node ids, and so the side flags, are identical in every shard: the
+        # merged read takes them from shard 0 (each state still stands alone)
+        assert reads[1] == shipped - {"sides"}
+    finally:
+        for replica in replicas:
+            replica.close()
+        session.close()
+
+
+def test_stub_refuses_a_state_whose_csr_does_not_add_up(tmp_path):
+    """No scalar vouches for the CSR, so the receiver checks it against
+    itself: row pointers that end anywhere but at the last membership are a
+    drifted ship, refused like a wrong ``num_blocks`` or ``num_slots``."""
     session = MatchingSession(MODEL, bilateral=True, wal_path=tmp_path)
     replica = ShardReplica(tmp_path, 0, 1)
     try:
@@ -263,13 +318,17 @@ def test_stub_refuses_a_state_whose_live_pair_count_disagrees(tmp_path):
         state = replica.read_state()
         stub = IndexState()
         stub.apply_full(state["arrays"], state["meta"])
-        assert stub.num_pairs == session.index.num_pairs > 0
+        assert len(stub.candidate_set()) == session.index.num_pairs > 0
         epoch = stub.epoch
-        forged = dict(state["meta"], num_pairs=stub.num_pairs + 1, epoch=epoch + 7)
-        with pytest.raises(IndexStateError, match="live pairs"):
-            stub.apply_full(state["arrays"], forged)
-        # a refused ship never advances the handshake
-        assert stub.epoch == epoch
+        forged_meta = dict(state["meta"], epoch=epoch + 7)
+        for name, forged in (
+            ("indices", state["arrays"]["indices"][:-1]),
+            ("indptr", state["arrays"]["indptr"][:-1]),
+        ):
+            with pytest.raises(IndexStateError, match="CSR rows ending at"):
+                stub.apply_full(dict(state["arrays"], **{name: forged}), forged_meta)
+            # a refused ship never advances the handshake
+            assert stub.epoch == epoch
     finally:
         replica.close()
         session.close()

@@ -134,7 +134,7 @@ class TestExportDeltaContract:
         scalars = {
             "bilateral", "num_slots", "num_blocks", "num_nonempty_blocks",
             "total_cardinality", "total_block_assignments", "side_counts",
-            "num_pairs", "epoch", "kind",
+            "epoch", "kind",
         }
         assert set(full["meta"]) == scalars
         assert set(delta["meta"]) == scalars | {"base_epoch"}
@@ -143,8 +143,7 @@ class TestExportDeltaContract:
             "block_cardinality": "<i8", "inv_block_cardinality": "<f8",
             "inv_block_size": "<f8", "blocks_per_entity": "<f8",
             "entity_cardinality": "<f8", "entity_inv_cardinality": "<f8",
-            "entity_inv_size": "<f8", "pair_left": "<i8", "pair_right": "<i8",
-            "pair_alive": "|b1",
+            "entity_inv_size": "<f8",
         }
         assert {name: array.dtype.str for name, array in delta["arrays"].items()} == {
             "indptr_tail": "<i8", "indices_tail": "<i8", "sides_tail": "|i1",
@@ -153,8 +152,6 @@ class TestExportDeltaContract:
             "dirty_entity_inv_cardinality": "<f8", "dirty_entity_inv_size": "<f8",
             "dirty_blocks": "<i8", "dirty_block_cardinality": "<i8",
             "dirty_inv_block_cardinality": "<f8", "dirty_inv_block_size": "<f8",
-            "pair_left_tail": "<i8", "pair_right_tail": "<i8",
-            "pair_alive_tail": "|b1", "dead_pair_positions": "<i8",
         }
 
 
@@ -230,13 +227,14 @@ class TestRouterResidentViews:
                 state = materialize(payload)
                 if state["meta"]["shard"] == 1:
                     assert state["kind"] == "delta"
-                    state["meta"] = dict(
-                        state["meta"], num_pairs=state["meta"]["num_pairs"] + 1
-                    )
+                    # both tokens of the insert hash to shard 1: its new CSR
+                    # row arrives one membership short of its row pointer
+                    assert state["arrays"]["indices_tail"].size == 2
+                    state["arrays"]["indices_tail"] = state["arrays"]["indices_tail"][:-1]
                 return state
 
             monkeypatch.setattr(ShardWorkerHandle, "materialize", staticmethod(forged))
-            with pytest.raises(WorkerError, match="live pairs"):
+            with pytest.raises(WorkerError, match="CSR rows ending at"):
                 router.pinned_view(session.wal.log_offset)
             monkeypatch.undo()
 

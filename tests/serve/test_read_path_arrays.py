@@ -1,12 +1,14 @@
-"""The exact read path is array-only and its shard-pair union is exact.
+"""The exact read path is array-only and its derived pair set is exact.
 
 * No exact answer — ``MatchingSession.retained()``, the serving ``match``
   and ``top_k`` — constructs a :class:`repro.datamodel.Block`, for any
   pruning algorithm: the budgets of the cardinality-based ones come from the
   maintained block totals, not from a materialised collection.
-* ``ShardedMutableBlockIndex._merged_pairs`` returns exactly the sorted
-  plain-Python set union of the shards' live pairs, including a pair alive
-  in two shards at once and a shard with no live pair at all.
+* The candidate set a ``ShardedMutableBlockIndex`` derives from its merged
+  CSR is exactly the sorted plain-Python set union of the shards' live
+  registry pairs, including a pair alive in two shards at once and a shard
+  with no live pair at all (the Hypothesis form, after every prefix of a churn
+  script, is ``tests/incremental/test_derived_candidates.py``).
 * ``top_k`` scores a node's handful of pairs, ``match`` every live pair: with
   a *trained* logistic regression behind its scaler (not the rounding
   stand-in of ``conftest``) both report the same probability for the same
@@ -135,12 +137,13 @@ def _tokens_per_shard(num_shards, per_shard=2):
     return found
 
 
-def test_merged_pairs_equal_the_python_set_union():
+def test_derived_pairs_equal_the_python_set_union_of_the_registries():
     tokens = _tokens_per_shard(3)
     index = ShardedMutableBlockIndex(num_shards=3)
     # e0/e1 co-occur under a shard-0 token *and* a shard-1 token; e2 joins
     # them through shard 0 only; e3/e4 pair up in shard 1 and e4 then leaves
-    # (a tombstoned registry position); shard 2 never spawns a pair
+    # (a tombstoned registry position, a stale CSR row); shard 2 never spawns
+    # a pair
     index.add_entity(make_profile("e0", text=f"{tokens[0][0]} {tokens[1][0]}"))
     index.add_entity(make_profile("e1", text=f"{tokens[0][0]} {tokens[1][0]}"))
     index.add_entity(make_profile("e2", text=f"{tokens[0][0]} {tokens[2][0]}"))
@@ -148,21 +151,20 @@ def test_merged_pairs_equal_the_python_set_union():
     index.add_entity(make_profile("e4", text=f"{tokens[1][1]} {tokens[2][1]}"))
     index.remove_entity("e4")
 
-    per_shard = []
-    for shard in index.shards:
-        alive = shard._pair_alive.view()
-        per_shard.append(
-            set(
-                zip(
-                    shard._pair_left.view()[alive].tolist(),
-                    shard._pair_right.view()[alive].tolist(),
-                )
-            )
-        )
+    per_shard = [
+        set(zip(*(nodes.tolist() for nodes in shard.live_pairs())))
+        for shard in index.shards
+    ]
     assert per_shard[0] & per_shard[1], "no pair is alive in two shards"
     assert not per_shard[2], "every shard holds a live pair"
-    assert not index.shards[1]._pair_alive.view().all(), "no tombstoned position"
+    assert index.shards[1].num_registered_pairs > index.shards[1].num_pairs, (
+        "no tombstoned position"
+    )
 
-    left, right = index._merged_pairs()
-    assert list(zip(left.tolist(), right.tolist())) == sorted(set().union(*per_shard))
-    assert index.num_pairs == len(set().union(*per_shard))
+    derived = index.candidate_set()
+    assert list(zip(derived.left.tolist(), derived.right.tolist())) == sorted(
+        set().union(*per_shard)
+    )
+    # a pair under two shards' tokens is one pair with a term from each
+    shared = derived.position_index()[(0, 1)]
+    assert index.statistics().pair_cooccurrence(derived).common[shared] == 2.0

@@ -1,6 +1,6 @@
 """One index state, one read surface: the tower must not grow back.
 
-The read state of a streaming index — thirteen arrays and a few scalars — is
+The read state of a streaming index — ten arrays and a few scalars — is
 declared once, in :mod:`repro.incremental.state`, and read through one type.
 These are AST walks over ``src/repro`` (no imports executed, except for the
 importability check at the end) that fail if a layer above starts reaching
@@ -30,8 +30,8 @@ def _modules(*packages):
         yield from sorted((ROOT / package).rglob("*.py"))
 
 
-def test_the_schema_is_thirteen_arrays():
-    assert len(FULL_ARRAYS) == len(WIRE_NAMES) == len(FIELDS) == 13
+def test_the_schema_is_ten_arrays():
+    assert len(FULL_ARRAYS) == len(WIRE_NAMES) == len(FIELDS) == 10
     assert all(field.startswith("_") for field in FIELDS)
 
 

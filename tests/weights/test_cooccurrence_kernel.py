@@ -14,7 +14,6 @@ the kernel is not called again, and a key space past the bit budget of
 :mod:`repro.pairs` is refused loudly, not silently.
 """
 
-from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -36,18 +35,7 @@ from repro.weights.sparse import (
     plan_block_major,
 )
 
-
-@contextmanager
-def forced(path):
-    """Make the cost estimate always answer ``path`` (where it has a choice)."""
-    if path == "reduce":
-        patch = mock.patch.multiple(
-            sparse, _MIN_BLOCK_MAJOR_ENTRIES=0, _BLOCK_MAJOR_UNIT_COST=0
-        )
-    else:
-        patch = mock.patch.object(sparse, "_MIN_BLOCK_MAJOR_ENTRIES", 1 << 62)
-    with patch:
-        yield
+from reference import forced_cooccurrence_pass as forced
 
 
 def oracle(csr, inverse_cardinalities, inverse_sizes, left, right):
