@@ -11,7 +11,11 @@
 #                            guards against a second schema / private reach-ins, and
 #                            the derived answer: CSR-derived candidates vs the writer's
 #                            registry and the batch extraction, the refused-key
-#                            fallback, and the guards that keep reads off the registry)
+#                            fallback, and the guards that keep reads off the registry;
+#                            eager replication: served answers under a concurrent
+#                            writer vs the canonical session at their pinned offset,
+#                            the pin taken under the fleet's locks, a failed follow,
+#                            and the crash-atomic one-record update)
 #   make test-fast         - tier-1 suite without the perf smoke tests
 #   make bench-smoke       - quick feature-runtime bench
 #   make bench-stream      - incremental streaming vs batch recompute bench
@@ -32,6 +36,10 @@
 #                          - cProfile of one phase of one ledger workload, under the
 #                            ledger's child environment, after its un-profiled timing
 #                            (recover: recover_once() per stage, then prepare_recovery())
+#   make serve-budget [SEED=<n>]
+#                          - serve_mixed's budget table: set-up + 40 rounds against a
+#                            daemon with an event log, then n / min / median / mean ms
+#                            of every request span, per op and span path
 #   make test-chaos        - seeded chaos suite (kill-loop against the daemon)
 #   make bench             - the full pytest-benchmark harness
 #   make loc               - the tracked src/ line count (ROADMAP aim 2)
@@ -39,7 +47,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: loc test test-equivalence test-fast test-chaos bench-smoke bench-stream bench-churn bench-blocking bench-parallel bench-wal bench-serve bench-delta bench-faults bench-obs bench-ledger bench-ledger-quick bench-ab profile-answer bench
+.PHONY: loc test test-equivalence test-fast test-chaos bench-smoke bench-stream bench-churn bench-blocking bench-parallel bench-wal bench-serve bench-delta bench-faults bench-obs bench-ledger bench-ledger-quick bench-ab profile-answer serve-budget bench
 
 test:
 	$(PYTEST) -x -q
@@ -56,7 +64,8 @@ test-equivalence:
 		tests/datamodel/test_ground_truth.py \
 		tests/incremental/test_index_statistics.py tests/test_one_index_state.py \
 		tests/serve/test_consistency_property.py \
-		tests/incremental/test_derived_candidates.py tests/test_derived_answer_guards.py
+		tests/incremental/test_derived_candidates.py tests/test_derived_answer_guards.py \
+		tests/serve/test_follow_consistency.py tests/persistence/test_update_atomicity.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q
@@ -109,6 +118,9 @@ profile-answer:
 	$(if $(WORKLOAD),,$(error usage: make profile-answer WORKLOAD=<name> [PHASE=answer|ingest|recover] [SEED=<n>]))
 	$(PYTHON) benchmarks/profile_answer.py --workload $(WORKLOAD) \
 		$(if $(PHASE),--phase $(PHASE)) $(if $(SEED),--seed $(SEED))
+
+serve-budget:
+	$(PYTHON) benchmarks/serve_budget.py $(if $(SEED),--seed $(SEED))
 
 test-chaos:
 	$(PYTEST) -q -m chaos tests/faults/

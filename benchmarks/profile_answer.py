@@ -86,11 +86,11 @@ class PhaseProfiler(SpanRecorder):
             self.profiler.disable()
 
 
-def reexec_in_child_environment() -> None:
-    """Re-execute under the ledger's child environment (glibc reads its knobs at start-up)."""
+def reexec_in_child_environment(script: str = __file__) -> None:
+    """Re-execute ``script`` under the ledger's child environment (glibc reads its knobs at start-up)."""
     if all(os.environ.get(name) == value for name, value in spec.CHILD_ENV.items()):
         return
-    script = str(Path(__file__).resolve())
+    script = str(Path(script).resolve())
     os.execve(sys.executable, [sys.executable, script, *sys.argv[1:]], child_environment())
 
 
@@ -156,7 +156,8 @@ def main(argv: Sequence[str]) -> int:
         if not workload.in_process:
             parser.error(
                 f"{arguments.workload} does its work in the daemon's processes; "
-                "profile stream_churn (the same session code, in process) instead"
+                "profile stream_churn (the same session code, in process) instead, "
+                "or read its request spans with benchmarks/serve_budget.py"
             )
         workload.setup()
         expected = workload.run_round().digest

@@ -112,16 +112,6 @@ class DuplicateEntityError(ValueError):
         self.side = side
 
 
-def _pack_pair(left: int, right: int) -> int:
-    """A unique dict key for a canonical (left < right) node pair.
-
-    The scalar form of :func:`repro.pairs.pack_pair_keys`.
-    """
-    if left >= MAX_NODE_ID or right >= MAX_NODE_ID:
-        raise node_id_overflow(max(left, right))
-    return (left << 32) | right
-
-
 class _DeltaTracker:
     """Dirty sets accumulated between two :meth:`MutableBlockIndex.export_delta`
     calls.
@@ -369,6 +359,10 @@ class MutableBlockIndex(IndexState):
     def entity_id(self, node: int) -> str:
         """The identifier of the entity holding node id ``node``."""
         return self._entity_ids[node]
+
+    def entity_ids_of(self, nodes: np.ndarray) -> Tuple[str, ...]:
+        """The identifiers of the entities holding ``nodes``, in that order."""
+        return tuple(map(self._entity_ids.__getitem__, nodes.tolist()))
 
     def node_of(self, entity_id: str, side: int = 0) -> int:
         """The node id assigned to the live entity ``entity_id`` on ``side``.
@@ -869,12 +863,13 @@ class MutableBlockIndex(IndexState):
             counterparts = np.empty(0, dtype=np.int64)
 
         self._sync_pair_positions()
-        pair_positions = np.empty(counterparts.size, dtype=np.int64)
-        for offset, counterpart in enumerate(counterparts.tolist()):
-            left, right = (
-                (counterpart, node) if counterpart < node else (node, counterpart)
-            )
-            pair_positions[offset] = self._pair_position.pop(_pack_pair(left, right))
+        # refuses ids at MAX_NODE_ID like every other registry-key packing
+        keys = pack_pair_keys(
+            np.minimum(counterparts, node), np.maximum(counterparts, node)
+        )
+        pair_positions = np.fromiter(
+            map(self._pair_position.pop, keys.tolist()), np.int64, keys.size
+        )
         if pair_positions.size:
             self._pair_alive[pair_positions] = False
             self._degrees[counterparts] -= 1.0

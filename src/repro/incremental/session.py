@@ -499,9 +499,7 @@ class MatchingSession:
         )
         admitted = self.online.admit(probabilities, delta.pair_positions, keys=keys)
 
-        counterpart_ids = tuple(
-            self.index.entity_id(int(node)) for node in delta.counterparts
-        )
+        counterpart_ids = self.index.entity_ids_of(delta.counterparts)
         order = np.argsort(-probabilities[admitted], kind="stable")
         admitted_offsets = np.flatnonzero(admitted)[order]
         matches = tuple(
@@ -578,31 +576,43 @@ class MatchingSession:
             index nor the online aggregates are touched.
         """
         self._check_generation()
-        retraction = self.index.remove_entity(entity_id, side=side)
-        self._retract_from_online(retraction)
-        result = RemovalResult(
-            entity_id=retraction.entity_id,
-            node=retraction.node,
-            num_retracted_pairs=retraction.num_retracted_pairs,
-            counterpart_ids=tuple(
-                self.index.entity_id(int(node)) for node in retraction.counterparts
-            ),
-        )
+        result = self._retract(self.index.remove_entity(entity_id, side=side))
         self._count_op()
         return result
 
     def update(self, profile: EntityProfile, side: int = 0) -> UpdateResult:
-        """Correct a live entity in place: retract it, then re-insert the new
-        version (fresh node id, freshly scored pairs).
+        """Correct a live entity in place: retract it and re-insert the new
+        version (fresh node id, freshly scored pairs) as **one** mutation.
+
+        The index journals a single ``"update"`` record before it applies
+        either half, so the correction is atomic under a crash: recovery
+        yields the old version or the new one, never neither.  (Logs written
+        before this held a ``remove`` and an ``add`` record per update; they
+        replay unchanged.)
 
         Raises
         ------
         UnknownEntityError
-            When the entity is not currently live on ``side``.
+            When the entity is not currently live on ``side``; nothing is
+            journaled or touched.
         """
-        removed = self.remove(profile.entity_id, side=side)
-        inserted = self.insert(profile, side=side)
+        self._check_generation()
+        delta = self.index.update_entity(profile, side=side)
+        # the order WAL replay uses: evict the old pairs, then score the new
+        removed = self._retract(delta.retraction)
+        inserted = self._score_insert(delta.insert)
+        self._count_op()
         return UpdateResult(removed=removed, inserted=inserted)
+
+    def _retract(self, retraction: RetractionDelta) -> RemovalResult:
+        """Fold one retraction into the online state and report it."""
+        self._retract_from_online(retraction)
+        return RemovalResult(
+            entity_id=retraction.entity_id,
+            node=retraction.node,
+            num_retracted_pairs=retraction.num_retracted_pairs,
+            counterpart_ids=self.index.entity_ids_of(retraction.counterparts),
+        )
 
     def _retract_from_online(self, retraction: RetractionDelta) -> None:
         positions = retraction.pair_positions

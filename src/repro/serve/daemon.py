@@ -9,15 +9,19 @@ edition):
   a single dedicated mutation thread (the index is not thread-safe, and one
   writer keeps the WAL append order the commit order) while the asyncio
   loop keeps accepting connections;
-* **reads** (``match``/``top_k``/``stats``) pin the WAL offset at query
-  start and are served from K long-lived shard worker processes
-  (:mod:`repro.serve.workers`), each owning one signature shard replicated
-  by tailing the same WAL.  The router assembles the per-shard states at
-  the pinned offset into a merged read view (:mod:`repro.serve.router`), so
-  every response equals the canonical view as of its offset — writes
-  arriving *during* the query change nothing the query sees;
-* reads run on their own single dispatch thread, which makes the offsets
-  handed to the workers monotone (replicas never rewind).
+* **reads** (``match``/``top_k``/``stats``) are served from K long-lived
+  shard worker processes (:mod:`repro.serve.workers`), each owning one
+  signature shard replicated by tailing the same WAL — eagerly: the
+  mutation thread wakes the router's follower after every applied write, so
+  the workers replay it while they would otherwise idle.  A read pins the
+  WAL offset inside the router's fan-out, once every worker's lock is held
+  (:mod:`repro.serve.router`), and the router assembles the per-shard
+  states at that offset into a merged read view, so every response equals
+  the canonical view as of the offset it reports — writes arriving *during*
+  the query change nothing the query sees;
+* reads run on their own single dispatch thread; the offsets the workers
+  see are monotone because every one of them — a read's, a ``stats``', a
+  follow's — is taken under the workers' locks (replicas never rewind).
 
 Durability: mutations are journaled before they are applied (the session's
 WAL discipline), and a SIGTERM/SIGINT drains in-flight requests, writes a
@@ -214,9 +218,9 @@ class MatchingDaemon:
         self.max_pending_reads = max_pending_reads
         self.delta_shipping = delta_shipping
         self.metrics = MetricsRegistry()
-        # one serial per applied mutation; the router samples it at pin time
-        # (``serial_source``), which makes per-shard replica lag measurable
-        # in *records* rather than WAL bytes
+        # one serial per applied mutation; the router samples it whenever it
+        # pins an offset (``serial_source``) — for a read or for a follow —
+        # which makes per-shard replication lag measurable in *records*
         self._mutation_serial = 0
         # entity ids by node come from the authority index's append-only
         # registry: node slots are never reused, so the live resolver is
@@ -233,6 +237,7 @@ class MatchingDaemon:
             delta_shipping=delta_shipping,
         )
         self.router.serial_source = lambda: self._mutation_serial
+        self.router.offset_source = self._offset
         self._register_gauges()
         from ..parallel import ParallelExecutor, resolve_workers
 
@@ -271,7 +276,7 @@ class MatchingDaemon:
                     max(
                         0,
                         self._mutation_serial
-                        - self.router.shipped_serials.get(shard, 0),
+                        - self.router.followed_serials.get(shard, 0),
                     )
                 ),
             )
@@ -302,6 +307,7 @@ class MatchingDaemon:
             hang_timeout=self.hang_timeout,
             spawn_grace=self.spawn_grace,
         ).start()
+        self.router.kick_supervisor = self._supervisor.kick
         server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -337,6 +343,9 @@ class MatchingDaemon:
             await loop.run_in_executor(self._mutator, self._final_checkpoint)
             self._mutator.shutdown(wait=True)
             self._reader.shutdown(wait=True)
+            # no write is left to follow; join the follower while the
+            # supervisor can still unblock a follow stuck on a wedged worker
+            self.router.stop_following()
             if self._supervisor is not None:
                 self._supervisor.stop()
             self.router.stop()
@@ -685,6 +694,8 @@ class MatchingDaemon:
             ) from error
         if op != "checkpoint":
             self._mutation_serial += 1
+            # the workers replay it now, not inside the next read
+            self.router.notify_write()
         return result
 
     def _read_checked(
@@ -844,12 +855,13 @@ class MatchingDaemon:
 
     # -- read thread -------------------------------------------------------------
     def _read(self, op: str, args: Dict[str, Any]) -> Any:
-        # the offset is pinned here, on the single read-dispatch thread, so
-        # the sequence of offsets the workers see is monotone — a replica
-        # can always reach the pinned state by replaying forward
-        offset = self._offset()
+        # the router pins: it reads its ``offset_source`` (``_offset``, handed
+        # over at construction) inside its fan-out, once every worker's lock
+        # is held, and hands the pin back for the response.  An
+        # offset read out here could already be behind a worker by the time
+        # the locks are taken — the follower keeps moving them forward
         if op == "match":
-            view, _ = self.router.pinned_view(offset)
+            view, _, offset = self.router.pinned_view()
             with hook_span("score-and-prune"):
                 answer = match_answer(view, self.session.model, self.session.pruning)
             answer["offset"] = offset
@@ -857,7 +869,7 @@ class MatchingDaemon:
         if op == "top_k":
             entity_id = str(args["entity_id"])
             side = int(args.get("side", 0))
-            view, node = self.router.pinned_view(offset, lookup=(side, entity_id))
+            view, node, offset = self.router.pinned_view(lookup=(side, entity_id))
             if node < 0:
                 raise UnknownEntityError(entity_id, side)
             with hook_span("score-top-k"):
@@ -866,6 +878,7 @@ class MatchingDaemon:
                 )
             return {"offset": offset, "entity_id": entity_id, "matches": matches}
         if op == "stats":
+            offset, shards = self.router.shard_stats()
             return {
                 "daemon": {
                     "version": __version__,
@@ -896,7 +909,7 @@ class MatchingDaemon:
                     },
                     "wal_broken": bool(self.session.wal.broken),
                 },
-                "shards": self.router.shard_stats(offset),
+                "shards": shards,
                 "metrics": self.metrics.snapshot(),
             }
         raise ProtocolError(f"unroutable read {op!r}")  # pragma: no cover

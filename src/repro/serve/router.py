@@ -1,13 +1,16 @@
 """Pinned read views over the shard workers' states: the shipping handshake.
 
-A ``match`` or ``top_k`` query pins a WAL offset, asks every shard worker
-for its read state *at exactly that offset*, and reads the K states as one
-index through a :class:`~repro.incremental.MergedIndexView`.  What a state
-is (ten arrays plus a handful of scalars; no pair registry — the live pairs
-are derived from the CSR), how a delta advances it and when a ship is refused
-live in :mod:`repro.incremental.state`; what makes K shards mergeable in
-:mod:`repro.incremental.sharded`; and the answer itself
-is :func:`repro.incremental.session.exact_answer`, the very function
+A ``match`` or ``top_k`` query pins a WAL offset — read once every worker's
+handle lock is held, the moment the reader *starts reading* — asks every
+shard worker for its read state *at exactly that offset*, and reads the K
+states as one index through a :class:`~repro.incremental.MergedIndexView`.
+Between reads a follower thread keeps the workers at the head of the log
+(**follow eagerly, pin late**), so the pin usually finds them caught up.
+What a state is (ten arrays plus a handful of scalars; no pair registry —
+the live pairs are derived from the CSR), how a delta advances it and when a
+ship is refused live in :mod:`repro.incremental.state`; what makes K shards
+mergeable in :mod:`repro.incremental.sharded`; and the answer itself is
+:func:`repro.incremental.session.exact_answer`, the very function
 :meth:`MatchingSession.retained` runs — so a pinned read computes
 **exactly** what an offline :class:`~repro.incremental.MatchingSession`
 computes after replaying the same log prefix.  This module is what is left:
@@ -33,12 +36,23 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import nullcontext
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from contextlib import contextmanager, nullcontext
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from ..core.pruning import SupervisedPruningAlgorithm, strength_order
+from ..obs import events
 from ..obs.trace import current_trace, hook_span
 from ..datamodel import CandidateSet
 from ..incremental.delta import DeltaFeatureGenerator
@@ -155,6 +169,17 @@ class ShardRouter:
     resident entry; even if an in-flight read resurrects a stale entry the
     replacement worker's fresh lineage token forces the next read to ship
     full state, so the resident state can never silently diverge.
+
+    Replication is eager: a router that was handed an ``offset_source`` (the
+    daemon's WAL head) runs one **follower thread** between :meth:`start`
+    and :meth:`stop`.  :meth:`notify_write` wakes it after every applied
+    mutation and it fans ``("follow", offset)`` out to the fleet, so the
+    workers replay a write while they would otherwise idle, not inside the
+    next read.  Every command that carries an offset — ``read``, ``stats``,
+    ``follow`` — takes it from that one source through :meth:`_pin`, which
+    says why.  A router without an offset source (benches) pins nothing and
+    never follows; one that has it but is never notified of a write (bare
+    tests) pins its reads and its follower sleeps.
     """
 
     def __init__(
@@ -193,8 +218,19 @@ class ShardRouter:
         #: the daemon's mutation serial counter, for replica-lag gauges
         #: (assigned after construction; ``None`` disables lag tracking)
         self.serial_source: Optional[Callable[[], int]] = None
-        #: per-shard mutation serial at the last successful state ship
-        self.shipped_serials: Dict[int, int] = {}
+        #: the WAL head: what every ``read`` and ``stats`` is pinned at and
+        #: the follower thread keeps the fleet at (assigned after construction;
+        #: ``None`` refuses to pin and starts no thread)
+        self.offset_source: Optional[Callable[[], int]] = None
+        #: the supervisor's ``kick``, called when a follow fails (assigned
+        #: once a supervisor exists; the router never imports supervision)
+        self.kick_supervisor: Optional[Callable[[], None]] = None
+        #: per-shard mutation serial the worker is known to have replayed:
+        #: advanced by every follow ack and every shipped read
+        self.followed_serials: Dict[int, int] = {}
+        self._follower: Optional[threading.Thread] = None
+        self._follow_wake = threading.Event()
+        self._follow_stopping = False
         #: per-shard resident shared-memory bytes, as last reported by each
         #: worker's :class:`~repro.serve.workers.ExportSlots`
         self.worker_shm_bytes: Dict[int, int] = {}
@@ -212,12 +248,19 @@ class ShardRouter:
         )
 
     def start(self) -> "ShardRouter":
-        """Spawn one worker per shard (idempotent)."""
+        """Spawn one worker per shard and, given an ``offset_source``, the
+        follower thread (idempotent)."""
         with self._lock:
             if not self._handles:
                 self._handles = [
                     self._spawn(shard) for shard in range(self.num_shards)
                 ]
+            if self.offset_source is not None and self._follower is None:
+                self._follow_stopping = False
+                self._follower = threading.Thread(
+                    target=self._follow_loop, name="repro-serve-follow", daemon=True
+                )
+                self._follower.start()
         return self
 
     def handles(self) -> List[ShardWorkerHandle]:
@@ -256,8 +299,10 @@ class ShardRouter:
                 # the replacement holds no shipped base; drop the resident
                 # view so the next read full-ships from the new worker
                 self._resident[shard] = None
-                # the old worker's export slots die with it
+                # the old worker's export slots die with it, and whatever it
+                # had replayed: the replacement lags until it is followed
                 self.worker_shm_bytes.pop(shard, None)
+                self.followed_serials.pop(shard, None)
         if not swapped:
             fresh.kill()
             return None
@@ -270,12 +315,63 @@ class ShardRouter:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
+    @contextmanager
+    def _held_fleet(self) -> Iterator[List[ShardWorkerHandle]]:
+        """The current fleet with every handle's lock held (``busy_since``
+        set, so the supervisor's hang detection covers whatever runs inside)."""
+        with self._lock:
+            handles = list(self._handles)
+        for handle in handles:
+            handle.lock.acquire()
+        try:
+            now = time.monotonic()
+            for handle in handles:
+                handle.busy_since = now
+            yield handles
+        finally:
+            for handle in handles:
+                handle.busy_since = None
+                handle.lock.release()
+
+    def _pin(self) -> Tuple[int, Optional[int]]:
+        """The offset a worker command will carry — the head of
+        ``offset_source`` — and the mutation serial it covers.  Call it
+        under :meth:`_held_fleet`, and nowhere else.
+
+        A replica never rewinds, so an offset read *before* the locks could
+        reach a worker the follower has meanwhile taken past it.  Read under
+        them, and from the one source reads, ``stats`` and follows share,
+        every earlier command to these workers carried an offset ≤ this one
+        and every later one will carry one ≥ it.  The serial is read first:
+        each mutation it counts was journaled before it was counted.
+        """
+        if self.offset_source is None:
+            raise WorkerError("the shard router was given no offset source to pin")
+        serial = self.serial_source() if self.serial_source is not None else None
+        return int(self.offset_source()), serial
+
+    def _mark_followed(self, serial: Optional[int]) -> None:
+        """Every shard acknowledged a command pinned at ``serial``.
+
+        A gauge's bookkeeping, not a guard: a shard respawned while that
+        command was in flight is marked too, and reads caught up until the
+        next write's follow corrects it."""
+        if serial is None:
+            return
+        with self._lock:  # the read thread and the follower both report
+            for shard in range(self.num_shards):
+                if serial > self.followed_serials.get(shard, -1):
+                    self.followed_serials[shard] = serial
+
     def _fan_out(self, command) -> List[Any]:
         """Send a command to every worker first, then collect — workers
         compute concurrently.
 
-        ``command`` is one tuple broadcast to the whole fleet, or a list of
-        per-shard tuples (positional; must match the fleet size).
+        ``command`` is one tuple broadcast to the whole fleet, a list of
+        per-shard tuples (positional; must match the fleet size), or a
+        callable returning either — evaluated only once every handle's lock
+        is held, which is where a command that carries a WAL offset must
+        take it (:meth:`_pin`).
 
         Every handle's lock is held for the duration (``busy_since`` set for
         the supervisor's hang detection).  On a partial failure the workers
@@ -283,46 +379,117 @@ class ShardRouter:
         stay in sync — a drain blocked on a wedged worker resolves when the
         supervisor kills it (EOF → :class:`WorkerError`).
         """
-        per_handle = command if isinstance(command, list) else None
-        with self._lock:
-            handles = list(self._handles)
-        if per_handle is not None and len(per_handle) != len(handles):
-            raise WorkerError(
-                f"{len(per_handle)} per-shard commands for {len(handles)} workers"
-            )
-        for handle in handles:
-            handle.lock.acquire()
-        now = time.monotonic()
-        for handle in handles:
-            handle.busy_since = now
-        owed: List[ShardWorkerHandle] = []
-        try:
-            for position, handle in enumerate(handles):
-                handle.send(
-                    per_handle[position] if per_handle is not None else command
+        with self._held_fleet() as handles:
+            if callable(command):
+                command = command()
+            per_handle = command if isinstance(command, list) else None
+            if per_handle is not None and len(per_handle) != len(handles):
+                raise WorkerError(
+                    f"{len(per_handle)} per-shard commands for {len(handles)} workers"
                 )
-                owed.append(handle)
-            results = []
-            while owed:
-                handle = owed.pop(0)
-                results.append(handle.collect())
-            return results
-        except Exception:
-            for handle in owed:
-                try:
-                    handle.collect()
-                except Exception:  # noqa: BLE001 - resync is best-effort
-                    pass
-            raise
-        finally:
-            for handle in handles:
-                handle.busy_since = None
-                handle.lock.release()
+            owed: List[ShardWorkerHandle] = []
+            try:
+                for position, handle in enumerate(handles):
+                    handle.send(
+                        per_handle[position] if per_handle is not None else command
+                    )
+                    owed.append(handle)
+                results = []
+                while owed:
+                    handle = owed.pop(0)
+                    results.append(handle.collect())
+                return results
+            except Exception:
+                for handle in owed:
+                    try:
+                        handle.collect()
+                    except Exception:  # noqa: BLE001 - resync is best-effort
+                        pass
+                raise
+
+    # -- eager replication ----------------------------------------------------------
+    def notify_write(self) -> None:
+        """A mutation was applied: wake the follower.  Never blocks, sends
+        nothing; wake-ups that pile up coalesce into one follow."""
+        self._follow_wake.set()
+
+    def _follow_loop(self) -> None:
+        while True:
+            self._follow_wake.wait()
+            self._follow_wake.clear()
+            if self._follow_stopping:
+                return
+            try:
+                self._follow()
+            except Exception:  # noqa: BLE001 - reads still catch up at their pin
+                pass
+
+    def _follow(self) -> None:
+        """Bring the fleet to the head of the log: one ``follow`` fan-out.
+
+        The worker serves it with the very ``catch_up`` a read calls, so a
+        read that comes next finds nothing left to replay.  A follow that
+        fails may have left its worker half-way through a record; that
+        worker must never answer again, so it is killed here and the
+        supervisor kicked — which finds it dead and replaces it through the
+        one respawn path (counted, journaled); until then reads degrade, as
+        after any other worker failure.
+        """
+        offset = serial = None
+
+        def command() -> Tuple:
+            nonlocal offset, serial
+            offset, serial = self._pin()
+            return ("follow", offset)
+
+        started = time.perf_counter()
+        try:
+            self._fan_out(command)
+        except Exception as error:  # noqa: BLE001 - the follower must not die
+            failed = getattr(error, "handle", None)
+            events.emit(
+                "replica_follow_error",
+                shard=failed.shard if failed is not None else None,
+                offset=offset,
+                cause=f"{type(error).__name__}: {error}"[:200],
+            )
+            if failed is not None:
+                failed.kill()
+            if self.kick_supervisor is not None:
+                self.kick_supervisor()
+            ok = False
+        else:
+            ok = True
+        # counted before the lag gauge can read 0: whoever sees the fleet
+        # caught up also sees the follow that did it
+        if self.metrics is not None:
+            self.metrics.record("replica_follow", time.perf_counter() - started, ok)
+        if ok:
+            self._mark_followed(serial)
+
+    def stop_following(self) -> None:
+        """Stop and join the follower thread (idempotent).
+
+        Shutdown calls this while the supervisor still runs — a follow in
+        flight on a wedged worker ends when that worker is killed — and
+        before the fleet is torn down, so no follow ever meets a closed pipe.
+        """
+        self._follow_stopping = True
+        self._follow_wake.set()
+        with self._lock:
+            follower, self._follower = self._follower, None
+        if follower is not None:
+            follower.join()
 
     def pinned_view(
-        self, offset: int, lookup: Optional[Tuple[int, str]] = None
-    ) -> Tuple[MergedIndexView, int]:
-        """A read view pinned at ``offset`` plus the optional node lookup.
+        self, lookup: Optional[Tuple[int, str]] = None
+    ) -> Tuple[MergedIndexView, int, int]:
+        """A read view, the optional node lookup, and the offset it is pinned at.
+
+        The pin is the head of ``offset_source``, taken inside the fan-out
+        once every handle lock is held (:meth:`_pin`) — the caller learns it
+        from the return value and must report that one, not an offset of its
+        own.
 
         Ships deltas against the resident per-shard states when the workers
         still hold the lineage the router last received from them; any
@@ -332,34 +499,32 @@ class ShardRouter:
         with self._read_lock:
             trace = current_trace()
             traced = trace is not None and trace.enabled
-            serial = (
-                self.serial_source() if self.serial_source is not None else None
-            )
             with self._lock:
                 resident = list(self._resident)
-            commands = []
+            bases = []
             for shard in range(self.num_shards):
                 entry = resident[shard] if self.delta_shipping else None
-                base = (
+                bases.append(
                     {"lineage": entry.lineage, "epoch": entry.state.epoch}
                     if entry is not None
                     else None
                 )
-                commands.append(
-                    (
-                        "read",
-                        int(offset),
-                        lookup,
-                        base,
-                        trace.trace_id if traced else None,
-                    )
-                )
+            offset = serial = None
+
+            def commands() -> List[Tuple]:
+                nonlocal offset, serial
+                offset, serial = self._pin()
+                trace_id = trace.trace_id if traced else None
+                return [("read", offset, lookup, base, trace_id) for base in bases]
+
             with (
-                trace.span("fan-out", shards=self.num_shards, offset=int(offset))
+                trace.span("fan-out", shards=self.num_shards)
                 if traced
                 else nullcontext()
-            ):
+            ) as span:
                 payloads = self._fan_out(commands)
+                if span is not None:
+                    span.tags["offset"] = offset
                 states = [
                     ShardWorkerHandle.materialize(payload) for payload in payloads
                 ]
@@ -417,11 +582,9 @@ class ShardRouter:
                     raise
             with self._lock:
                 self._resident = resident
-            if serial is not None:
-                # every shard shipped state consistent with this pin, so the
-                # whole fleet is caught up to the serial captured at pin time
-                for shard in range(self.num_shards):
-                    self.shipped_serials[shard] = serial
+            # every shard shipped state consistent with this pin, so the
+            # whole fleet is caught up to the serial captured at pin time
+            self._mark_followed(serial)
             if traced:
                 trace.add_span(
                     "view-apply",
@@ -442,24 +605,31 @@ class ShardRouter:
             view = MergedIndexView(
                 [entry.state for entry in resident], self._resolve, "serve-pinned"
             )
-            return view, int(states[0]["meta"]["lookup_node"])
+            return view, int(states[0]["meta"]["lookup_node"]), offset
 
-    def shard_stats(self, offset: int) -> List[Dict[str, Any]]:
-        """Per-shard counters at ``offset`` (tolerant: a dead or rebuilding
-        worker reports an ``error`` entry instead of failing the call)."""
+    def shard_stats(self) -> Tuple[int, List[Dict[str, Any]]]:
+        """The offset pinned (under the handle locks, like a read's) and the
+        per-shard counters at it — tolerant: a dead or rebuilding worker
+        reports an ``error`` entry instead of failing the call."""
         stats: List[Dict[str, Any]] = []
-        for shard in range(self.num_shards):
-            try:
-                stats.append(self.handle(shard).request(("stats", int(offset))))
-            except Exception as error:  # noqa: BLE001 - per-shard tolerance
-                stats.append({"shard": shard, "error": str(error)})
-        return stats
+        with self._held_fleet() as handles:
+            offset, _ = self._pin()
+            for shard in range(self.num_shards):
+                try:
+                    if not handles:
+                        raise WorkerError("the shard router is not running")
+                    handles[shard].send(("stats", offset))
+                    stats.append(handles[shard].collect())
+                except Exception as error:  # noqa: BLE001 - per-shard tolerance
+                    stats.append({"shard": shard, "error": str(error)})
+        return offset, stats
 
     def ping(self) -> List[Dict[str, Any]]:
         return self._fan_out(("ping",))
 
     def stop(self) -> None:
-        """Stop every worker (idempotent)."""
+        """Stop the follower, then every worker (idempotent)."""
+        self.stop_following()
         with self._lock:
             handles, self._handles = self._handles, []
             self._resident = [None] * self.num_shards

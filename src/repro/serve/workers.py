@@ -7,8 +7,16 @@ restricted to the signatures that hash to its shard
 keeps it current by tailing the daemon's write-ahead log directly with a
 :class:`WalRecordFollower`.  The WAL **is** the replication transport: the
 daemon appends (and flushes) every mutation before publishing its offset,
-so a worker told to catch up to a pinned offset can always read exactly the
-bytes behind it — replay-to-offset is what makes reads snapshot-consistent.
+so a worker told to catch up to an offset can always read exactly the bytes
+behind it — replay-to-offset is what makes reads snapshot-consistent.
+
+*When* the log is read: on every write's heels — the router's follower
+thread sends ``("follow", offset)`` as soon as a mutation is applied, so the
+replay happens while the worker would otherwise sit idle in ``recv()`` — and
+again at each read's pin, for whatever is left (nothing, or the one record
+in flight).  Both are the same :meth:`ShardReplica.catch_up`; there is one
+replay path.  A replica never rewinds, so whoever sends an offset must have
+read it with the worker's handle lock held (:mod:`repro.serve.router`).
 
 Workers ship their shard's read-state arrays back through the same
 shared-memory discipline as :class:`repro.parallel.ParallelExecutor`
@@ -27,7 +35,7 @@ import traceback
 import uuid
 import zlib
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,7 +54,14 @@ class WalFollowError(RuntimeError):
 
 
 class WorkerError(RuntimeError):
-    """A shard worker failed while serving a command."""
+    """A shard worker failed while serving a command.
+
+    ``handle`` is the :class:`ShardWorkerHandle` that failed, when one did.
+    """
+
+    def __init__(self, message: str, handle: Optional["ShardWorkerHandle"] = None):
+        super().__init__(message)
+        self.handle = handle
 
 
 class WalRecordFollower:
@@ -96,10 +111,17 @@ class WalRecordFollower:
         self.bytes_skipped += offset - self.position
         self.position = offset
 
-    def advance_to(self, target: int) -> List[Dict[str, Any]]:
-        """Parse and return every record between the current position and
-        ``target`` (exclusive of nothing: the range must end exactly on a
-        record boundary)."""
+    def advance_to(self, target: int) -> Iterator[Dict[str, Any]]:
+        """Parse every record between the current position and ``target``
+        (exclusive of nothing: the range must end exactly on a record
+        boundary) and hand them out one at a time.
+
+        The whole range is read and validated here, before anything moves;
+        :attr:`position` then advances past a record only once the consumer
+        comes back for the next one — i.e. after it has *applied* it — so a
+        consumer that raises mid-range leaves the position at its last
+        applied record instead of stranding the records behind the target.
+        """
         self._ensure_open()
         if target < self.position:
             raise WalFollowError(
@@ -107,7 +129,7 @@ class WalRecordFollower:
                 f"{self.position}; replicas never rewind"
             )
         if target == self.position:
-            return []
+            return iter(())
         faults.on_follower_read()
         self._file.seek(self.position)
         data = self._file.read(target - self.position)
@@ -117,7 +139,7 @@ class WalRecordFollower:
                 f"{target} was pinned; the writer publishes offsets only "
                 "after flushing, so this log is not the pinning daemon's"
             )
-        records: List[Dict[str, Any]] = []
+        frames: List[Tuple[int, Dict[str, Any]]] = []
         cursor = 0
         header_size = _RECORD_HEADER.size
         while cursor < len(data):
@@ -132,11 +154,15 @@ class WalRecordFollower:
                 raise WalFollowError(
                     f"corrupt record at byte {self.position + cursor}"
                 )
-            records.append(json.loads(payload.decode("utf-8")))
+            frames.append((self.position + end, json.loads(payload.decode("utf-8"))))
             cursor = end
-        self.position = target
-        self.records_delivered += len(records)
-        return records
+        return self._deliver(frames)
+
+    def _deliver(self, frames) -> Iterator[Dict[str, Any]]:
+        for end, record in frames:
+            yield record
+            self.position = end
+            self.records_delivered += 1
 
     def close(self) -> None:
         if self._file is not None:
@@ -553,6 +579,9 @@ def shard_worker_main(
       meta carries per-phase ``spans`` so replay/export time is attributed
       to the originating request;
     * ``("stats", offset)`` — catch up and return small counters;
+    * ``("follow", offset)`` — catch up to *at least* ``offset`` and
+      acknowledge with the replica's position: the replay a read would
+      otherwise do, sent on every write's heels by the router's follower;
     * ``("stop",)`` — clean up and exit.
 
     Every reply is ``("ok", payload)`` or ``("error", type, message, trace)``;
@@ -642,6 +671,13 @@ def shard_worker_main(
                     _, offset = command
                     replica.catch_up(int(offset))
                     connection.send(("ok", replica.shard_stats()))
+                elif name == "follow":
+                    _, offset = command
+                    # "be at least there": a worker primed from a checkpoint
+                    # newer than a follow queued while it booted is past it
+                    if int(offset) > replica.offset:
+                        replica.catch_up(int(offset))
+                    connection.send(("ok", {"shard": shard, "offset": replica.offset}))
                 elif name == "stop":
                     connection.send(("ok", None))
                     break
@@ -736,7 +772,7 @@ class ShardWorkerHandle:
             self._connection.send(command)
         except (OSError, BrokenPipeError, ValueError) as error:
             raise WorkerError(
-                f"shard worker {self.shard} is unreachable: {error}"
+                f"shard worker {self.shard} is unreachable: {error}", self
             ) from None
 
     def collect(self) -> Any:
@@ -744,13 +780,13 @@ class ShardWorkerHandle:
             reply = self._connection.recv()
         except (EOFError, OSError) as error:
             raise WorkerError(
-                f"shard worker {self.shard} died mid-request: {error}"
+                f"shard worker {self.shard} died mid-request: {error}", self
             ) from None
         if reply[0] == "ok":
             return reply[1]
         _, error_type, message, trace = reply
         raise WorkerError(
-            f"shard worker {self.shard} failed: {error_type}: {message}\n{trace}"
+            f"shard worker {self.shard} failed: {error_type}: {message}\n{trace}", self
         )
 
     def request(self, command: Tuple) -> Any:

@@ -79,10 +79,14 @@ class TestKillChain:
         thread = _start(daemon)
         degraded_trace = None
         try:
-            victim_pid = daemon.router.handle(0).pid
             with ServeClient(*daemon.address) as client:
                 # walk shard 0's replica onto its kill ordinal: inserts
-                # journal records, reads force the replica to replay them
+                # journal records, and the router's follower — or a read
+                # that gets there first — makes the replica replay them.  A
+                # worker killed by a *follow* may be replaced before any
+                # read meets it; the replacement inherits the armed plan
+                # and is walked onto the ordinal in turn, until a read does
+                # land on a dead worker
                 deadline = time.monotonic() + 60
                 serial = 0
                 while degraded_trace is None:
@@ -103,10 +107,26 @@ class TestKillChain:
                 # worker stays alive
                 monkeypatch.delenv(FAULTS_ENV)
                 faults.clear()
+                # the victim is the worker whose kill degraded that read:
+                # the last one to die before it
                 deadline = time.monotonic() + 30
-                while time.monotonic() < deadline:
-                    if daemon.router.handle(0).pid not in (None, victim_pid):
+                while True:
+                    log = read_events(tmp_path / "events")
+                    (degraded,) = _events_of(
+                        log, "degraded_read", trace=degraded_trace
+                    )
+                    victim_pid = [
+                        event["pid"]
+                        for event in _events_of(
+                            log, "fault_injected", kind="kill_worker"
+                        )
+                        if log.index(event) < log.index(degraded)
+                    ][-1]
+                    if _events_of(
+                        log, "worker_respawn", shard=0, old_pid=victim_pid
+                    ):
                         break
+                    assert time.monotonic() < deadline, "victim never replaced"
                     time.sleep(0.05)
         finally:
             faults.clear()
@@ -115,11 +135,13 @@ class TestKillChain:
         log = read_events(tmp_path / "events")
 
         # 1. the injected fault announced itself before killing, from
-        #    inside the victim process
-        (fault,) = _events_of(log, "fault_injected", kind="kill_worker")
+        #    inside the victim process — shard 0's worker at the time
+        (fault,) = _events_of(
+            log, "fault_injected", kind="kill_worker", pid=victim_pid
+        )
         assert fault["shard"] == 0
-        assert fault["pid"] == victim_pid
         assert fault["role"] == "shard0"
+        assert _events_of(log, "worker_spawn", shard=0, pid=victim_pid)
 
         # 2. the supervisor noticed the loss of that exact pid...
         liveness = (

@@ -478,15 +478,6 @@ class TestPairKeyOverflow:
     candidate registry (the regression this class pins down).
     """
 
-    def test_scalar_pack_raises_at_the_bound(self):
-        from repro.incremental.index import _pack_pair
-
-        assert _pack_pair((1 << 32) - 1, 5) > 0
-        with pytest.raises(OverflowError, match="2\\^32"):
-            _pack_pair(1 << 32, 5)
-        with pytest.raises(OverflowError, match="compact"):
-            _pack_pair(5, 1 << 32)
-
     def test_vectorized_pack_raises_at_the_bound(self):
         from repro.incremental.index import pack_pair_keys
 
@@ -510,6 +501,17 @@ class TestPairKeyOverflow:
         )
         with pytest.raises(OverflowError, match="compact"):
             index.add_entity(make_profile("d2", text="alpha"))
+
+    def test_removal_path_raises_at_the_bound(self, monkeypatch):
+        """``remove_entity`` looks its retracted pairs up by the keys
+        ``pack_pair_keys`` packs, and inherits its refusal (the bound is
+        lowered here: an index of 2^32 slots does not fit a test)."""
+        index = MutableBlockIndex(bilateral=False)
+        for serial in range(3):
+            index.add_entity(make_profile(f"d{serial}", text="alpha"))
+        monkeypatch.setattr("repro.pairs.MAX_NODE_ID", 2)
+        with pytest.raises(OverflowError, match="compact"):
+            index.remove_entity("d0")
 
     def test_bulk_path_raises_when_the_batch_crosses_the_bound(self, monkeypatch):
         index = MutableBlockIndex(bilateral=False)

@@ -165,6 +165,7 @@ class TestRouterResidentViews:
         router = ShardRouter(
             tmp_path, 2, session.index.entity_id, metrics=metrics
         )
+        router.offset_source = lambda: session.wal.log_offset
         try:
             for serial, text in enumerate(
                 ("alpha beta", "beta gamma", "alpha gamma")
@@ -173,7 +174,7 @@ class TestRouterResidentViews:
                 session.insert(make_profile(f"b{serial}", text=text), side=1)
             router.start()
 
-            view, _ = router.pinned_view(session.wal.log_offset)
+            view, _, _ = router.pinned_view()
             counters = self._counters(metrics)
             assert counters["full_reads"] == 2
             assert counters.get("delta_reads", 0) == 0
@@ -181,7 +182,7 @@ class TestRouterResidentViews:
             assert match_answer(view, MODEL, session.pruning)["retained"] == reference
 
             session.insert(make_profile("a9", text="beta gamma"), side=0)
-            view, _ = router.pinned_view(session.wal.log_offset)
+            view, _, _ = router.pinned_view()
             counters = self._counters(metrics)
             assert counters["full_reads"] == 2
             assert counters["delta_reads"] == 2
@@ -195,7 +196,7 @@ class TestRouterResidentViews:
             # a respawned worker holds no shipped base: its shard must ship
             # full again while the untouched shard keeps shipping deltas
             assert router.respawn(0) is not None
-            view, _ = router.pinned_view(session.wal.log_offset)
+            view, _, _ = router.pinned_view()
             counters = self._counters(metrics)
             assert counters["full_reads"] == 3
             assert counters["delta_reads"] == 3
@@ -212,12 +213,13 @@ class TestRouterResidentViews:
         session = MatchingSession(MODEL, bilateral=True, wal_path=tmp_path)
         metrics = MetricsRegistry()
         router = ShardRouter(tmp_path, 2, session.index.entity_id, metrics=metrics)
+        router.offset_source = lambda: session.wal.log_offset
         try:
             for serial, text in enumerate(("alpha beta", "beta gamma", "alpha gamma")):
                 session.insert(make_profile(f"a{serial}", text=text), side=0)
                 session.insert(make_profile(f"b{serial}", text=text), side=1)
             router.start()
-            router.pinned_view(session.wal.log_offset)
+            router.pinned_view()
             assert self._counters(metrics)["full_reads"] == 2
 
             session.insert(make_profile("a9", text="beta gamma"), side=0)
@@ -235,13 +237,13 @@ class TestRouterResidentViews:
 
             monkeypatch.setattr(ShardWorkerHandle, "materialize", staticmethod(forged))
             with pytest.raises(WorkerError, match="CSR rows ending at"):
-                router.pinned_view(session.wal.log_offset)
+                router.pinned_view()
             monkeypatch.undo()
 
             # shard 0's delta applied and its worker rebased: an (empty) delta
             # again; shard 1 holds nothing any more: exactly one full ship
             before = self._counters(metrics)
-            view, _ = router.pinned_view(session.wal.log_offset)
+            view, _, _ = router.pinned_view()
             after = self._counters(metrics)
             assert after["full_reads"] - before["full_reads"] == 1
             assert after["delta_reads"] - before.get("delta_reads", 0) == 1
@@ -263,12 +265,13 @@ class TestRouterResidentViews:
             metrics=metrics,
             delta_shipping=False,
         )
+        router.offset_source = lambda: session.wal.log_offset
         try:
             session.insert(make_profile("a0", text="alpha beta"), side=0)
             session.insert(make_profile("b0", text="alpha beta"), side=1)
             router.start()
-            router.pinned_view(session.wal.log_offset)
-            router.pinned_view(session.wal.log_offset)
+            router.pinned_view()
+            router.pinned_view()
             counters = self._counters(metrics)
             assert counters["full_reads"] == 4
             assert counters.get("delta_reads", 0) == 0

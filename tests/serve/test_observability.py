@@ -16,10 +16,13 @@ directory, and a zero slow-request threshold, exercising:
 import socket
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
+from repro import faults
 from repro.datamodel import make_profile
+from repro.faults import FAULTS_ENV, FaultPlan
 from repro.obs import events as obs_events
 from repro.obs import read_events, render_stats
 from repro.serve import MatchingDaemon, ServeClient
@@ -42,8 +45,8 @@ def _find_spans(tree, name):
     return found
 
 
-@pytest.fixture()
-def obs_daemon(tmp_path, frozen_model):
+@contextmanager
+def _serving(tmp_path, frozen_model):
     daemon = MatchingDaemon(
         tmp_path / "wal",
         frozen_model,
@@ -62,6 +65,26 @@ def obs_daemon(tmp_path, frozen_model):
         thread.join(60)
         assert not thread.is_alive()
         obs_events.configure(None)
+
+
+@pytest.fixture()
+def obs_daemon(tmp_path, frozen_model):
+    with _serving(tmp_path, frozen_model) as daemon:
+        yield daemon
+
+
+def _await_followed(client):
+    """The ``metrics`` half of the first ``stats`` in which no shard lags."""
+    deadline = time.monotonic() + 30
+    while True:
+        stats = client.stats()["metrics"]
+        lags = [
+            stats["gauges"][f"shard{shard}_replica_lag_records"] for shard in (0, 1)
+        ]
+        if lags == [0.0, 0.0]:
+            return stats
+        assert time.monotonic() < deadline, f"never followed: lag {lags}"
+        time.sleep(0.02)
 
 
 def _raw_request(address, message):
@@ -130,18 +153,37 @@ class TestMetricsOp:
         ):
             assert family in text, f"missing family: {family}"
 
-    def test_replica_lag_gauge_counts_unshipped_mutations(self, obs_daemon):
+    def test_replica_lag_gauge_reads_replication_lag(self, obs_daemon):
         with ServeClient(*obs_daemon.address) as client:
             client.insert(make_profile("a1", text="alpha beta"), side=0)
             client.insert(make_profile("b1", text="alpha beta"), side=1)
-            # no read yet: nothing shipped, lag equals the mutation count
-            gauges = client.stats()["metrics"]["gauges"]
-            assert gauges["shard0_replica_lag_records"] == 2.0
+            # no read yet, and none is needed: the follower replays each
+            # write on the workers as it is acked, and its acks — not "writes
+            # since the last ship" — are what the gauge subtracts
+            stats = _await_followed(client)
+            assert stats["operations"].get("match") is None
+            # the follow fan-outs are an operation like any other: count, mean
+            follows = stats["operations"]["replica_follow"]
+            assert 1 <= follows["count"] <= 2 and follows["errors"] == 0
+            assert follows["mean_ms"] > 0
             client.match()  # ships both shards at the pinned serial
             gauges = client.stats()["metrics"]["gauges"]
             assert gauges["shard0_replica_lag_records"] == 0.0
             assert gauges["shard1_replica_lag_records"] == 0.0
             assert gauges["resident_shm_bytes"] > 0
+
+    def test_a_respawned_worker_lags_until_it_is_followed(self, obs_daemon):
+        with ServeClient(*obs_daemon.address) as client:
+            client.insert(make_profile("a1", text="alpha beta"), side=0)
+            _await_followed(client)  # no follow is left in flight to ack late
+            assert obs_daemon.router.respawn(0) is not None
+            gauges = client.stats()["metrics"]["gauges"]
+            # the replacement has acknowledged nothing yet; its peer has
+            assert gauges["shard0_replica_lag_records"] == 1.0
+            assert gauges["shard1_replica_lag_records"] == 0.0
+            client.match()
+            gauges = client.stats()["metrics"]["gauges"]
+            assert gauges["shard0_replica_lag_records"] == 0.0
 
 
 class TestRequestEvents:
@@ -185,6 +227,42 @@ class TestRequestEvents:
             "merge-pairs", "features", "score",
         ]
         assert requests[match_trace]["duration_ms"] > 0
+
+    def test_a_failed_follow_is_journaled_with_shard_offset_and_cause(
+        self, tmp_path, frozen_model, monkeypatch
+    ):
+        # shard 1's first worker dies applying its first record; no read is
+        # issued, so it is a follow that meets the kill.  The plan reaches
+        # the first workers only (they inherit the environment at spawn):
+        # the supervisor, live throughout, spawns a disarmed replacement
+        monkeypatch.setenv(FAULTS_ENV, FaultPlan(kill_worker={1: 1}).to_json())
+        faults.clear()
+        with _serving(tmp_path, frozen_model) as daemon:
+            monkeypatch.delenv(FAULTS_ENV)
+            faults.clear()
+            with ServeClient(*daemon.address) as client:
+                offset = client.insert(
+                    make_profile("a1", text="alpha beta"), side=0
+                )["offset"]
+                deadline = time.monotonic() + 30
+                while True:
+                    log = read_events(tmp_path / "events")
+                    errors = [
+                        event for event in log
+                        if event["type"] == "replica_follow_error"
+                    ]
+                    if errors and any(
+                        event["type"] == "worker_respawn" for event in log
+                    ):
+                        break
+                    assert time.monotonic() < deadline, (
+                        "the failed follow left no event, or its worker no heir"
+                    )
+                    time.sleep(0.02)
+        assert errors[0]["shard"] == 1
+        assert errors[0]["offset"] == offset
+        assert errors[0]["cause"].startswith("WorkerError: shard worker 1")
+        assert errors[0]["role"] == "daemon"
 
     def test_request_start_and_slow_request_events(self, obs_daemon, tmp_path):
         with ServeClient(*obs_daemon.address) as client:
