@@ -15,8 +15,13 @@
 #                            eager replication: served answers under a concurrent
 #                            writer vs the canonical session at their pinned offset,
 #                            the pin taken under the fleet's locks, a failed follow,
-#                            and the crash-atomic one-record update)
-#   make test-fast         - tier-1 suite without the perf smoke tests
+#                            and the crash-atomic one-record update; recovery to
+#                            serving: the import surface of `import repro` and of a
+#                            recovered daemon, every package's export table, and
+#                            run-wise bulk checkpoint adoption vs the per-slot loop)
+#   make test-fast         - tier-1 suite without the perf smoke tests, then tests/serve,
+#                            tests/faults and tests/persistence in one invocation (the
+#                            fixture model they pickle must not depend on collection order)
 #   make bench-smoke       - quick feature-runtime bench
 #   make bench-stream      - incremental streaming vs batch recompute bench
 #   make bench-churn       - dynamic churn bench (delete latency, bulk loads)
@@ -40,6 +45,11 @@
 #                          - serve_mixed's budget table: set-up + 40 rounds against a
 #                            daemon with an event log, then n / min / median / mean ms
 #                            of every request span, per op and span path
+#   make start-budget [SEED=<n>]
+#                          - serve_mixed's cold start: set-up + prepare_recovery(), ten
+#                            un-instrumented recoveries (stage min / median / ledger
+#                            floor), then one under -X importtime and an event log,
+#                            printed as a timeline from the spawn to the first match
 #   make test-chaos        - seeded chaos suite (kill-loop against the daemon)
 #   make bench             - the full pytest-benchmark harness
 #   make loc               - the tracked src/ line count (ROADMAP aim 2)
@@ -47,7 +57,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: loc test test-equivalence test-fast test-chaos bench-smoke bench-stream bench-churn bench-blocking bench-parallel bench-wal bench-serve bench-delta bench-faults bench-obs bench-ledger bench-ledger-quick bench-ab profile-answer serve-budget bench
+.PHONY: loc test test-equivalence test-fast test-chaos bench-smoke bench-stream bench-churn bench-blocking bench-parallel bench-wal bench-serve bench-delta bench-faults bench-obs bench-ledger bench-ledger-quick bench-ab profile-answer serve-budget start-budget bench
 
 test:
 	$(PYTEST) -x -q
@@ -65,10 +75,12 @@ test-equivalence:
 		tests/incremental/test_index_statistics.py tests/test_one_index_state.py \
 		tests/serve/test_consistency_property.py \
 		tests/incremental/test_derived_candidates.py tests/test_derived_answer_guards.py \
-		tests/serve/test_follow_consistency.py tests/persistence/test_update_atomicity.py
+		tests/serve/test_follow_consistency.py tests/persistence/test_update_atomicity.py \
+		tests/test_lazy_exports.py tests/incremental/test_bulk_adoption_property.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q
+	REPRO_SKIP_PERF=1 $(PYTEST) -x -q tests/serve tests/faults tests/persistence
 
 bench-smoke:
 	$(PYTEST) -q benchmarks/bench_fig7_fig9_feature_runtime.py
@@ -121,6 +133,9 @@ profile-answer:
 
 serve-budget:
 	$(PYTHON) benchmarks/serve_budget.py $(if $(SEED),--seed $(SEED))
+
+start-budget:
+	$(PYTHON) benchmarks/start_budget.py $(if $(SEED),--seed $(SEED))
 
 test-chaos:
 	$(PYTEST) -q -m chaos tests/faults/

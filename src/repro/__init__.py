@@ -32,125 +32,66 @@ Quickstart
 True
 """
 
-from .blocking import (
-    QGramsBlocking,
-    StandardBlocking,
-    SuffixArraysBlocking,
-    TokenBlocking,
-    extract_candidates,
-    filter_blocks,
-    prepare_blocks,
-    purge_oversized_blocks,
-)
-from .core import (
-    BinaryClassifierPruning,
-    FeatureVectorGenerator,
-    GeneralizedSupervisedMetaBlocking,
-    MetaBlockingResult,
-    SupervisedBLAST,
-    SupervisedCEP,
-    SupervisedCNP,
-    SupervisedRCNP,
-    SupervisedRWNP,
-    SupervisedWEP,
-    SupervisedWNP,
-    get_pruning_algorithm,
-)
-from .datamodel import (
-    Block,
-    BlockCollection,
-    CandidatePair,
-    CandidateSet,
-    EntityCollection,
-    EntityIndexSpace,
-    EntityProfile,
-    GroundTruth,
-)
-from .datasets import (
-    load_all_benchmarks,
-    load_all_dirty_datasets,
-    load_benchmark,
-    load_dirty_dataset,
-)
-from .evaluation import (
-    EffectivenessReport,
-    evaluate_blocks,
-    evaluate_candidates,
-    evaluate_result,
-    evaluate_retained_mask,
-)
-from .incremental import (
-    DeltaFeatureGenerator,
-    FrozenModel,
-    MatchingSession,
-    MutableBlockIndex,
-    ShardedMutableBlockIndex,
-)
-from .ml import GaussianNB, LinearSVC, LogisticRegression
-from .parallel import ParallelExecutor, ShardPlanner, WorkerCrashError
-from .weights import (
-    BLAST_FEATURE_SET,
-    BlockStatistics,
-    ORIGINAL_FEATURE_SET,
-    PAPER_FEATURES,
-    RCNP_FEATURE_SET,
-)
+from ._exports import lazy_exports
 
 __version__ = "1.10.0"
 
-__all__ = [
-    "BLAST_FEATURE_SET",
-    "BinaryClassifierPruning",
-    "Block",
-    "BlockCollection",
-    "BlockStatistics",
-    "CandidatePair",
-    "CandidateSet",
-    "DeltaFeatureGenerator",
-    "EffectivenessReport",
-    "EntityCollection",
-    "EntityIndexSpace",
-    "EntityProfile",
-    "FeatureVectorGenerator",
-    "FrozenModel",
-    "GaussianNB",
-    "GeneralizedSupervisedMetaBlocking",
-    "GroundTruth",
-    "LinearSVC",
-    "LogisticRegression",
-    "MatchingSession",
-    "MetaBlockingResult",
-    "MutableBlockIndex",
-    "ORIGINAL_FEATURE_SET",
-    "ParallelExecutor",
-    "PAPER_FEATURES",
-    "QGramsBlocking",
-    "RCNP_FEATURE_SET",
-    "ShardPlanner",
-    "ShardedMutableBlockIndex",
-    "StandardBlocking",
-    "SuffixArraysBlocking",
-    "SupervisedBLAST",
-    "SupervisedCEP",
-    "SupervisedCNP",
-    "SupervisedRCNP",
-    "SupervisedRWNP",
-    "SupervisedWEP",
-    "SupervisedWNP",
-    "TokenBlocking",
-    "WorkerCrashError",
-    "evaluate_blocks",
-    "evaluate_candidates",
-    "evaluate_result",
-    "evaluate_retained_mask",
-    "extract_candidates",
-    "filter_blocks",
-    "get_pruning_algorithm",
-    "load_all_benchmarks",
-    "load_all_dirty_datasets",
-    "load_benchmark",
-    "load_dirty_dataset",
-    "prepare_blocks",
-    "purge_oversized_blocks",
-    "__version__",
-]
+#: public name -> the submodule that defines it (see repro._exports)
+_EXPORTS = {
+    "BLAST_FEATURE_SET": "weights",
+    "BinaryClassifierPruning": "core",
+    "Block": "datamodel",
+    "BlockCollection": "datamodel",
+    "BlockStatistics": "weights",
+    "CandidatePair": "datamodel",
+    "CandidateSet": "datamodel",
+    "DeltaFeatureGenerator": "incremental",
+    "EffectivenessReport": "evaluation",
+    "EntityCollection": "datamodel",
+    "EntityIndexSpace": "datamodel",
+    "EntityProfile": "datamodel",
+    "FeatureVectorGenerator": "core",
+    "FrozenModel": "incremental",
+    "GaussianNB": "ml",
+    "GeneralizedSupervisedMetaBlocking": "core",
+    "GroundTruth": "datamodel",
+    "LinearSVC": "ml",
+    "LogisticRegression": "ml",
+    "MatchingSession": "incremental",
+    "MetaBlockingResult": "core",
+    "MutableBlockIndex": "incremental",
+    "ORIGINAL_FEATURE_SET": "weights",
+    "ParallelExecutor": "parallel",
+    "PAPER_FEATURES": "weights",
+    "QGramsBlocking": "blocking",
+    "RCNP_FEATURE_SET": "weights",
+    "ShardPlanner": "parallel",
+    "ShardedMutableBlockIndex": "incremental",
+    "StandardBlocking": "blocking",
+    "SuffixArraysBlocking": "blocking",
+    "SupervisedBLAST": "core",
+    "SupervisedCEP": "core",
+    "SupervisedCNP": "core",
+    "SupervisedRCNP": "core",
+    "SupervisedRWNP": "core",
+    "SupervisedWEP": "core",
+    "SupervisedWNP": "core",
+    "TokenBlocking": "blocking",
+    "WorkerCrashError": "parallel",
+    "evaluate_blocks": "evaluation",
+    "evaluate_candidates": "evaluation",
+    "evaluate_result": "evaluation",
+    "evaluate_retained_mask": "evaluation",
+    "extract_candidates": "blocking",
+    "filter_blocks": "blocking",
+    "get_pruning_algorithm": "core",
+    "load_all_benchmarks": "datasets",
+    "load_all_dirty_datasets": "datasets",
+    "load_benchmark": "datasets",
+    "load_dirty_dataset": "datasets",
+    "prepare_blocks": "blocking",
+    "purge_oversized_blocks": "blocking",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,32 +1,24 @@
 """Schema-agnostic blocking methods and block-cleaning steps."""
 
-from .arrayops import (
-    MembershipMatrix,
-    assemble_blocks,
-    prepare_blocks_array,
-)
-from .base import BlockingMethod
-from .candidate_extraction import PreparedBlocks, extract_candidates, prepare_blocks
-from .filtering import filter_blocks
-from .purging import purge_by_comparison_cardinality, purge_oversized_blocks
-from .qgrams import QGramsBlocking
-from .standard_blocking import StandardBlocking
-from .suffix_arrays import SuffixArraysBlocking
-from .token_blocking import TokenBlocking
+from .._exports import lazy_exports
 
-__all__ = [
-    "BlockingMethod",
-    "MembershipMatrix",
-    "PreparedBlocks",
-    "QGramsBlocking",
-    "StandardBlocking",
-    "SuffixArraysBlocking",
-    "TokenBlocking",
-    "assemble_blocks",
-    "extract_candidates",
-    "filter_blocks",
-    "prepare_blocks",
-    "prepare_blocks_array",
-    "purge_by_comparison_cardinality",
-    "purge_oversized_blocks",
-]
+#: public name -> the submodule that defines it (see repro._exports)
+_EXPORTS = {
+    "BlockingMethod": "base",
+    "MembershipMatrix": "arrayops",
+    "PreparedBlocks": "candidate_extraction",
+    "QGramsBlocking": "qgrams",
+    "StandardBlocking": "standard_blocking",
+    "SuffixArraysBlocking": "suffix_arrays",
+    "TokenBlocking": "token_blocking",
+    "assemble_blocks": "arrayops",
+    "extract_candidates": "candidate_extraction",
+    "filter_blocks": "filtering",
+    "prepare_blocks": "candidate_extraction",
+    "prepare_blocks_array": "arrayops",
+    "purge_by_comparison_cardinality": "purging",
+    "purge_oversized_blocks": "purging",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -49,13 +49,9 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..datamodel import (
-    Block,
-    BlockCollection,
-    CandidateSet,
-    EntityCollection,
-    EntityIndexSpace,
-)
+from ..datamodel.block import Block, BlockCollection
+from ..datamodel.candidates import CandidateSet
+from ..datamodel.entity import EntityCollection, EntityIndexSpace
 from ..utils.timing import StageTimer
 from ..pairs import key_field_bits, pair_expansion_plan, sorted_unique
 from ..weights.sparse import (
@@ -70,7 +66,7 @@ from .base import BlockingMethod
 from .token_blocking import TokenBlocking
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..weights import BlockStatistics
+    from ..weights.statistics import BlockStatistics
 
 #: Upper bound on the number of packed pair keys buffered before a dedup
 #: flush during candidate extraction (bounds peak memory).
@@ -482,7 +478,7 @@ class PreparedBlocks:
         aggregates cached.
         """
         if self._stats is None:
-            from ..weights import BlockStatistics
+            from ..weights.statistics import BlockStatistics
 
             self._stats = BlockStatistics(
                 self.blocks, csr=self.csr, candidates=self.candidates

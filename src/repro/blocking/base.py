@@ -19,14 +19,12 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Dict, Iterable, List, Optional, Set
 
-from ..datamodel import (
+from ..datamodel.block import (
     BlockCollection,
-    EntityCollection,
-    EntityIndexSpace,
-    EntityProfile,
     build_bilateral_blocks,
     build_unilateral_blocks,
 )
+from ..datamodel.entity import EntityCollection, EntityIndexSpace, EntityProfile
 
 
 class BlockingMethod(ABC):

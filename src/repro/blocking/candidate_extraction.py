@@ -32,7 +32,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..datamodel import BlockCollection, CandidateSet, EntityCollection
+from ..datamodel.block import BlockCollection
+from ..datamodel.candidates import CandidateSet
+from ..datamodel.entity import EntityCollection
 from ..utils.timing import StageTimer
 from .arrayops import PreparedBlocks, prepare_blocks_array
 from .base import BlockingMethod

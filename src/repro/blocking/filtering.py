@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Set, Tuple
 
-from ..datamodel import Block, BlockCollection
+from ..datamodel.block import Block, BlockCollection
 
 
 def filter_blocks(blocks: BlockCollection, ratio: float = 0.8) -> BlockCollection:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..datamodel import Block, BlockCollection
+from ..datamodel.block import Block, BlockCollection
 
 
 def purge_oversized_blocks(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Set
 
-from ..datamodel import EntityProfile
+from ..datamodel.entity import EntityProfile
 from ..utils.text import distinct_qgrams, qgrams
 from .base import BlockingMethod
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Set
 
-from ..datamodel import EntityProfile
+from ..datamodel.entity import EntityProfile
 from ..utils.text import distinct_tokens, normalize
 from .base import BlockingMethod
 

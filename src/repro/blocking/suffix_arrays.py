@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Set
 
-from ..datamodel import EntityProfile
+from ..datamodel.entity import EntityProfile
 from ..utils.text import distinct_suffixes, suffixes
 from .base import BlockingMethod
 
@@ -56,7 +56,7 @@ class SuffixArraysBlocking(BlockingMethod):
         blocks = super().build_blocks(first, second)
         if self.max_block_size is None:
             return blocks
-        from ..datamodel import BlockCollection
+        from ..datamodel.block import BlockCollection
 
         kept = [block for block in blocks if block.size() <= self.max_block_size]
         return BlockCollection(kept, blocks.index_space, name=blocks.name)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Set
 
-from ..datamodel import EntityProfile
+from ..datamodel.entity import EntityProfile
 from ..utils.text import distinct_tokens, tokens
 from .base import BlockingMethod
 

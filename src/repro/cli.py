@@ -25,12 +25,12 @@ from typing import Callable, Dict, List, Optional, Sequence
 from . import __version__
 from . import experiments as ex
 from .core.pruning import PRUNING_ALGORITHMS
-from .datasets import CLEAN_CLEAN_ORDER
+from .datasets.registry import CLEAN_CLEAN_ORDER, FAST_DATASET_SUBSET
 
 
 def _workers_argument(value: str):
     """Validate a ``--workers`` value: a positive integer or ``auto``."""
-    from .parallel import resolve_workers
+    from .parallel.executor import resolve_workers
 
     try:
         resolve_workers(value)
@@ -149,16 +149,13 @@ EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], str]] = {
 
 
 def _run_quickstart(args: argparse.Namespace) -> str:
-    from . import (
-        GeneralizedSupervisedMetaBlocking,
-        evaluate_candidates,
-        evaluate_result,
-        load_benchmark,
-        prepare_blocks,
-    )
+    from .blocking.candidate_extraction import prepare_blocks
+    from .core.pipeline import GeneralizedSupervisedMetaBlocking
+    from .datasets.benchmarks import load_benchmark
+    from .evaluation.metrics import evaluate_candidates, evaluate_result
     from .utils.timing import StageTimer
 
-    from .parallel import ParallelExecutor, resolve_workers
+    from .parallel.executor import ParallelExecutor, resolve_workers
 
     dataset = load_benchmark(args.datasets[0], seed=args.seed)
     prep_timer = StageTimer()
@@ -206,9 +203,10 @@ def _run_quickstart(args: argparse.Namespace) -> str:
 
 
 def _run_stream(args: argparse.Namespace, parser: argparse.ArgumentParser) -> str:
-    from .datasets import load_benchmark, load_clean_clean_directory
-    from .incremental import (
-        MatchingSession,
+    from .datasets.benchmarks import load_benchmark
+    from .datasets.loaders import load_clean_clean_directory
+    from .incremental.session import MatchingSession
+    from .incremental.stream import (
         StreamTrainingError,
         evaluate_retained_ids,
         ground_truth_id_pairs,
@@ -333,7 +331,7 @@ def _run_stream(args: argparse.Namespace, parser: argparse.ArgumentParser) -> st
 
 def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """Start the persistent matching daemon (``repro serve``)."""
-    from .serve import MatchingDaemon
+    from .serve.daemon import MatchingDaemon
 
     if args.snapshot_every is not None and args.snapshot_every < 1:
         parser.error("--snapshot-every must be at least 1")
@@ -341,8 +339,8 @@ def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error("--shards must be at least 1")
     model = None
     if not args.recover:
-        from .datasets import load_benchmark
-        from .incremental import StreamTrainingError, train_frozen_model
+        from .datasets.benchmarks import load_benchmark
+        from .incremental.stream import StreamTrainingError, train_frozen_model
 
         if not 0.0 < args.bootstrap <= 1.0:
             parser.error("--bootstrap must be a fraction in (0, 1]")
@@ -394,9 +392,10 @@ def _run_client(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     """One request against a running daemon (``repro client``)."""
     import json
 
-    from .datamodel import make_profile
+    from .datamodel.entity import make_profile
     from .obs.render import render_stats
-    from .serve import ProtocolError, ServeClient, ServeError
+    from .serve.client import ServeClient, ServeError
+    from .serve.protocol import ProtocolError
 
     try:
         client = ServeClient(
@@ -488,14 +487,8 @@ def _run_trace(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     """Inspect a structured event log (``repro trace``)."""
     import os
 
-    from .obs import (
-        EVENT_LOG_ENV,
-        read_events,
-        render_event,
-        render_event_summary,
-        render_span_tree,
-        summarize_events,
-    )
+    from .obs.events import EVENT_LOG_ENV, read_events, summarize_events
+    from .obs.render import render_event, render_event_summary, render_span_tree
 
     directory = args.log or os.environ.get(EVENT_LOG_ENV)
     if not directory:
@@ -550,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--datasets",
             nargs="+",
-            default=list(ex.FAST_DATASET_SUBSET),
+            default=list(FAST_DATASET_SUBSET),
             choices=CLEAN_CLEAN_ORDER,
             help="Clean-Clean benchmark profiles to use",
         )

@@ -1,66 +1,41 @@
 """Generalized Supervised Meta-blocking: features, training, pruning, pipeline."""
 
-from .active_learning import ActiveSample, BlossSampler
-from .feature_selection import (
-    FeatureSelectionStudy,
-    FeatureSetCandidate,
-    FeatureSetScore,
-    PreparedDataset,
-    enumerate_feature_sets,
-    evaluate_feature_set,
-)
-from .features import FeatureMatrix, FeatureVectorGenerator, generate_features
-from .pipeline import GeneralizedSupervisedMetaBlocking, MetaBlockingResult
-from .pruning import (
-    BinaryClassifierPruning,
-    CARDINALITY_BASED_ALGORITHMS,
-    PRUNING_ALGORITHMS,
-    SupervisedBLAST,
-    SupervisedCEP,
-    SupervisedCNP,
-    SupervisedPruningAlgorithm,
-    SupervisedRCNP,
-    SupervisedRWNP,
-    SupervisedWEP,
-    SupervisedWNP,
-    VALIDITY_THRESHOLD,
-    WEIGHT_BASED_ALGORITHMS,
-    cep_budget,
-    cnp_budget,
-    get_pruning_algorithm,
-)
-from .training import TrainingSet, build_training_set
+from .._exports import lazy_exports
 
-__all__ = [
-    "ActiveSample",
-    "BinaryClassifierPruning",
-    "BlossSampler",
-    "CARDINALITY_BASED_ALGORITHMS",
-    "FeatureMatrix",
-    "FeatureSelectionStudy",
-    "FeatureSetCandidate",
-    "FeatureSetScore",
-    "FeatureVectorGenerator",
-    "GeneralizedSupervisedMetaBlocking",
-    "MetaBlockingResult",
-    "PRUNING_ALGORITHMS",
-    "PreparedDataset",
-    "SupervisedBLAST",
-    "SupervisedCEP",
-    "SupervisedCNP",
-    "SupervisedPruningAlgorithm",
-    "SupervisedRCNP",
-    "SupervisedRWNP",
-    "SupervisedWEP",
-    "SupervisedWNP",
-    "TrainingSet",
-    "VALIDITY_THRESHOLD",
-    "WEIGHT_BASED_ALGORITHMS",
-    "build_training_set",
-    "cep_budget",
-    "cnp_budget",
-    "enumerate_feature_sets",
-    "evaluate_feature_set",
-    "generate_features",
-    "get_pruning_algorithm",
-]
+#: public name -> the submodule that defines it (see repro._exports)
+_EXPORTS = {
+    "ActiveSample": "active_learning",
+    "BinaryClassifierPruning": "pruning",
+    "BlossSampler": "active_learning",
+    "CARDINALITY_BASED_ALGORITHMS": "pruning",
+    "FeatureMatrix": "features",
+    "FeatureSelectionStudy": "feature_selection",
+    "FeatureSetCandidate": "feature_selection",
+    "FeatureSetScore": "feature_selection",
+    "FeatureVectorGenerator": "features",
+    "GeneralizedSupervisedMetaBlocking": "pipeline",
+    "MetaBlockingResult": "pipeline",
+    "PRUNING_ALGORITHMS": "pruning",
+    "PreparedDataset": "feature_selection",
+    "SupervisedBLAST": "pruning",
+    "SupervisedCEP": "pruning",
+    "SupervisedCNP": "pruning",
+    "SupervisedPruningAlgorithm": "pruning",
+    "SupervisedRCNP": "pruning",
+    "SupervisedRWNP": "pruning",
+    "SupervisedWEP": "pruning",
+    "SupervisedWNP": "pruning",
+    "TrainingSet": "training",
+    "VALIDITY_THRESHOLD": "pruning",
+    "WEIGHT_BASED_ALGORITHMS": "pruning",
+    "build_training_set": "training",
+    "cep_budget": "pruning",
+    "cnp_budget": "pruning",
+    "enumerate_feature_sets": "feature_selection",
+    "evaluate_feature_set": "feature_selection",
+    "generate_features": "features",
+    "get_pruning_algorithm": "pruning",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -27,9 +27,11 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..datamodel import CandidateSet, GroundTruth
+from ..datamodel.candidates import CandidateSet
+from ..datamodel.ground_truth import GroundTruth
 from ..utils.rng import SeedLike, make_rng
-from ..weights import BlockStatistics, get_scheme
+from ..weights.registry import get_scheme
+from ..weights.statistics import BlockStatistics
 from .features import FeatureMatrix
 
 

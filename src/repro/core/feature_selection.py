@@ -25,11 +25,14 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..datamodel import BlockCollection, CandidateSet, GroundTruth
+from ..datamodel.block import BlockCollection
+from ..datamodel.candidates import CandidateSet
+from ..datamodel.ground_truth import GroundTruth
 from ..evaluation.metrics import EffectivenessReport, average_reports, evaluate_retained_mask
 from ..utils.rng import SeedLike, spawn_seeds
 from ..utils.timing import StageTimer
-from ..weights import BlockStatistics, PAPER_FEATURES, all_feature_subsets
+from ..weights.registry import PAPER_FEATURES, all_feature_subsets
+from ..weights.statistics import BlockStatistics
 from ..weights.sparse import EntityBlockCSR
 from .pipeline import GeneralizedSupervisedMetaBlocking
 from .pruning import SupervisedPruningAlgorithm

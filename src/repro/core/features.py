@@ -18,10 +18,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..datamodel import BlockCollection, CandidateSet
+from ..datamodel.block import BlockCollection
+from ..datamodel.candidates import CandidateSet
 from ..utils.timing import StageTimer
-from ..weights import BlockStatistics, get_schemes
-from ..weights.registry import ORIGINAL_FEATURE_SET
+from ..weights.registry import ORIGINAL_FEATURE_SET, get_schemes
+from ..weights.statistics import BlockStatistics
 
 
 @dataclass

@@ -21,12 +21,18 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..blocking import PreparedBlocks, prepare_blocks
-from ..datamodel import BlockCollection, CandidateSet, EntityCollection, GroundTruth
-from ..ml import FrozenModel, LogisticRegression, ProbabilisticClassifier, StandardScaler
+from ..blocking.candidate_extraction import PreparedBlocks, prepare_blocks
+from ..datamodel.block import BlockCollection
+from ..datamodel.candidates import CandidateSet
+from ..datamodel.entity import EntityCollection
+from ..datamodel.ground_truth import GroundTruth
+from ..ml.base import FrozenModel, ProbabilisticClassifier
+from ..ml.logistic_regression import LogisticRegression
+from ..ml.scaling import StandardScaler
 from ..utils.rng import SeedLike, make_rng
 from ..utils.timing import StageTimer
-from ..weights import BLAST_FEATURE_SET, BlockStatistics
+from ..weights.registry import BLAST_FEATURE_SET
+from ..weights.statistics import BlockStatistics
 from .features import FeatureMatrix, FeatureVectorGenerator
 from .pruning import SupervisedPruningAlgorithm, get_pruning_algorithm
 from .training import TrainingSet, build_training_set

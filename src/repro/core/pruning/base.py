@@ -24,7 +24,8 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from ...datamodel import BlockCollection, CandidateSet
+from ...datamodel.block import BlockCollection
+from ...datamodel.candidates import CandidateSet
 
 #: Candidate pairs with a classification probability below this value are
 #: discarded before any pruning criterion is applied (paper Definition 2).

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from ...datamodel import CandidateSet
+from ...datamodel.candidates import CandidateSet
 from .base import BlockSource, BlockTotals, SupervisedPruningAlgorithm
 from .kernels import top_k, top_k_per_node
 

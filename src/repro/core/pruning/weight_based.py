@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from ...datamodel import CandidateSet
+from ...datamodel.candidates import CandidateSet
 from ...utils.validation import check_ratio
 from .base import BlockSource, SupervisedPruningAlgorithm
 from .kernels import node_averages, node_maxima

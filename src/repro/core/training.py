@@ -18,7 +18,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..datamodel import CandidateSet, GroundTruth
+from ..datamodel.candidates import CandidateSet
+from ..datamodel.ground_truth import GroundTruth
 from ..ml.sampling import TrainingSample, balanced_sample, proportional_positive_sample
 from ..utils.rng import SeedLike
 from .features import FeatureMatrix

@@ -1,27 +1,22 @@
 """Entity Resolution data model: entities, blocks, candidate pairs, ground truth."""
 
-from .block import Block, BlockCollection, build_bilateral_blocks, build_unilateral_blocks
-from .candidates import CandidatePair, CandidateSet
-from .entity import (
-    EntityCollection,
-    EntityIndexSpace,
-    EntityProfile,
-    collection_from_dicts,
-    make_profile,
-)
-from .ground_truth import GroundTruth
+from .._exports import lazy_exports
 
-__all__ = [
-    "Block",
-    "BlockCollection",
-    "CandidatePair",
-    "CandidateSet",
-    "EntityCollection",
-    "EntityIndexSpace",
-    "EntityProfile",
-    "GroundTruth",
-    "build_bilateral_blocks",
-    "build_unilateral_blocks",
-    "collection_from_dicts",
-    "make_profile",
-]
+#: public name -> the submodule that defines it (see repro._exports)
+_EXPORTS = {
+    "Block": "block",
+    "BlockCollection": "block",
+    "CandidatePair": "candidates",
+    "CandidateSet": "candidates",
+    "EntityCollection": "entity",
+    "EntityIndexSpace": "entity",
+    "EntityProfile": "entity",
+    "GroundTruth": "ground_truth",
+    "build_bilateral_blocks": "block",
+    "build_unilateral_blocks": "block",
+    "collection_from_dicts": "entity",
+    "make_profile": "entity",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,56 +1,36 @@
 """Dataset substrates: benchmark profiles, synthetic generators, CSV loaders."""
 
-from .benchmarks import (
-    CleanCleanDataset,
-    generate_clean_clean,
-    load_all_benchmarks,
-    load_benchmark,
-)
-from .corruption import CorruptionConfig, corrupt_attributes, corrupt_tokens, introduce_typo
-from .dirty import DirtyDataset, generate_dirty, load_all_dirty_datasets, load_dirty_dataset
-from .loaders import (
-    load_clean_clean_directory,
-    load_dirty_directory,
-    read_entity_csv,
-    read_ground_truth_csv,
-)
-from .registry import (
-    CLEAN_CLEAN_ORDER,
-    CLEAN_CLEAN_PROFILES,
-    DIRTY_ORDER,
-    DIRTY_PROFILES,
-    DatasetProfile,
-    DirtyDatasetProfile,
-    get_dirty_profile,
-    get_profile,
-)
-from .vocabulary import Vocabulary, get_vocabulary
+from .._exports import lazy_exports
 
-__all__ = [
-    "CLEAN_CLEAN_ORDER",
-    "CLEAN_CLEAN_PROFILES",
-    "CleanCleanDataset",
-    "CorruptionConfig",
-    "DIRTY_ORDER",
-    "DIRTY_PROFILES",
-    "DatasetProfile",
-    "DirtyDataset",
-    "DirtyDatasetProfile",
-    "Vocabulary",
-    "corrupt_attributes",
-    "corrupt_tokens",
-    "generate_clean_clean",
-    "generate_dirty",
-    "get_dirty_profile",
-    "get_profile",
-    "get_vocabulary",
-    "introduce_typo",
-    "load_all_benchmarks",
-    "load_all_dirty_datasets",
-    "load_benchmark",
-    "load_clean_clean_directory",
-    "load_dirty_dataset",
-    "load_dirty_directory",
-    "read_entity_csv",
-    "read_ground_truth_csv",
-]
+#: public name -> the submodule that defines it (see repro._exports)
+_EXPORTS = {
+    "CLEAN_CLEAN_ORDER": "registry",
+    "CLEAN_CLEAN_PROFILES": "registry",
+    "CleanCleanDataset": "benchmarks",
+    "CorruptionConfig": "corruption",
+    "DIRTY_ORDER": "registry",
+    "DIRTY_PROFILES": "registry",
+    "DatasetProfile": "registry",
+    "DirtyDataset": "dirty",
+    "DirtyDatasetProfile": "registry",
+    "Vocabulary": "vocabulary",
+    "corrupt_attributes": "corruption",
+    "corrupt_tokens": "corruption",
+    "generate_clean_clean": "benchmarks",
+    "generate_dirty": "dirty",
+    "get_dirty_profile": "registry",
+    "get_profile": "registry",
+    "get_vocabulary": "vocabulary",
+    "introduce_typo": "corruption",
+    "load_all_benchmarks": "benchmarks",
+    "load_all_dirty_datasets": "dirty",
+    "load_benchmark": "benchmarks",
+    "load_clean_clean_directory": "loaders",
+    "load_dirty_dataset": "dirty",
+    "load_dirty_directory": "loaders",
+    "read_entity_csv": "loaders",
+    "read_ground_truth_csv": "loaders",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

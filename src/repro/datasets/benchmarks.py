@@ -22,7 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..datamodel import EntityCollection, EntityProfile, GroundTruth
+from ..datamodel.entity import EntityCollection, EntityProfile
+from ..datamodel.ground_truth import GroundTruth
 from ..utils.rng import SeedLike, make_rng
 from .corruption import corrupt_attributes
 from .registry import CLEAN_CLEAN_ORDER, DatasetProfile, get_profile

@@ -14,7 +14,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..datamodel import EntityCollection, EntityProfile, GroundTruth
+from ..datamodel.entity import EntityCollection, EntityProfile
+from ..datamodel.ground_truth import GroundTruth
 from ..utils.rng import SeedLike, make_rng
 from .benchmarks import _base_profile
 from .corruption import corrupt_attributes

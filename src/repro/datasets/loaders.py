@@ -19,7 +19,8 @@ import csv
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..datamodel import EntityCollection, GroundTruth, collection_from_dicts
+from ..datamodel.entity import EntityCollection, collection_from_dicts
+from ..datamodel.ground_truth import GroundTruth
 from .benchmarks import CleanCleanDataset
 from .dirty import DirtyDataset
 from .registry import DatasetProfile, DirtyDatasetProfile, get_profile

@@ -241,6 +241,12 @@ CLEAN_CLEAN_ORDER: List[str] = [
 #: Paper ordering of the Dirty ER datasets (Figures 17 & 18).
 DIRTY_ORDER: List[str] = ["D10K", "D50K", "D100K", "D200K", "D300K"]
 
+#: Datasets used by default in the fast experiment configurations (and the
+#: CLI's ``--datasets`` default): a subset spanning easy (DblpAcm), hard
+#: (AbtBuy, AmazonGP) and large-ish (Movies) benchmarks, so smoke runs finish
+#: quickly.
+FAST_DATASET_SUBSET: Tuple[str, ...] = ("AbtBuy", "DblpAcm", "AmazonGP", "ImdbTmdb")
+
 
 def get_profile(name: str) -> DatasetProfile:
     """Return the Clean-Clean profile registered under ``name``."""

@@ -21,7 +21,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..datamodel import BlockCollection, CandidateSet, GroundTruth
+from ..datamodel.block import BlockCollection
+from ..datamodel.candidates import CandidateSet
+from ..datamodel.ground_truth import GroundTruth
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..evaluation import ExperimentRunner, average_over_datasets, format_measure_series, format_table
+from ..evaluation.reporting import format_measure_series, format_table
+from ..evaluation.runner import ExperimentRunner, RunOutcome, average_over_datasets
 from ..evaluation.metrics import EffectivenessReport
-from ..evaluation.runner import RunOutcome
 from .common import (
     ExperimentConfig,
     bcl_pipeline,

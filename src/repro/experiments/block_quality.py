@@ -10,9 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..blocking import prepare_blocks
-from ..datasets import CLEAN_CLEAN_ORDER, get_profile, load_benchmark
-from ..evaluation import evaluate_candidates, format_table
+from ..blocking.candidate_extraction import prepare_blocks
+from ..datasets.benchmarks import load_benchmark
+from ..datasets.registry import CLEAN_CLEAN_ORDER, get_profile
+from ..evaluation.metrics import evaluate_candidates
+from ..evaluation.reporting import format_table
 from ..utils.rng import SeedLike
 
 

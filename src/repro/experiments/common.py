@@ -12,23 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..blocking import prepare_blocks
+from ..blocking.candidate_extraction import prepare_blocks
 from ..core.feature_selection import PreparedDataset
 from ..core.pipeline import GeneralizedSupervisedMetaBlocking
-from ..datasets import (
-    CLEAN_CLEAN_ORDER,
-    DIRTY_ORDER,
-    load_benchmark,
-    load_dirty_dataset,
-)
-from ..ml import LinearSVC, LogisticRegression
+from ..datasets.benchmarks import load_benchmark
+from ..datasets.dirty import load_dirty_dataset
+from ..datasets.registry import CLEAN_CLEAN_ORDER, DIRTY_ORDER, FAST_DATASET_SUBSET
+from ..ml.logistic_regression import LogisticRegression
+from ..ml.svm import LinearSVC
 from ..utils.rng import SeedLike
-from ..weights import BLAST_FEATURE_SET, ORIGINAL_FEATURE_SET, RCNP_FEATURE_SET
-
-#: Datasets used by default in the fast experiment configurations: a subset
-#: spanning easy (DblpAcm), hard (AbtBuy, AmazonGP) and large-ish (Movies)
-#: benchmarks, so smoke runs finish quickly.
-FAST_DATASET_SUBSET: Tuple[str, ...] = ("AbtBuy", "DblpAcm", "AmazonGP", "ImdbTmdb")
+from ..weights.registry import BLAST_FEATURE_SET, ORIGINAL_FEATURE_SET, RCNP_FEATURE_SET
 
 
 @dataclass

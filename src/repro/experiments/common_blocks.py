@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..evaluation import format_table
-from ..weights import BlockStatistics
+from ..evaluation.reporting import format_table
+from ..weights.statistics import BlockStatistics
 from .common import ExperimentConfig, prepare_benchmark_dataset
 
 

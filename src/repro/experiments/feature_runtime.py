@@ -18,7 +18,7 @@ import numpy as np
 from ..core.features import FeatureVectorGenerator
 from ..core.pipeline import GeneralizedSupervisedMetaBlocking
 from ..core.feature_selection import PreparedDataset
-from ..evaluation import format_table
+from ..evaluation.reporting import format_table
 from .common import ExperimentConfig, prepare_benchmark_dataset
 
 #: The ten feature sets of Table 3 (BLAST), in the paper's order.

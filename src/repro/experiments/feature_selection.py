@@ -16,8 +16,8 @@ from ..core.feature_selection import (
     FeatureSetScore,
     enumerate_feature_sets,
 )
-from ..evaluation import format_table
-from ..weights import PAPER_FEATURES
+from ..evaluation.reporting import format_table
+from ..weights.registry import PAPER_FEATURES
 from .common import ExperimentConfig, prepare_benchmark_datasets
 
 

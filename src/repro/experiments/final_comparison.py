@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..evaluation import ExperimentRunner, format_table
-from ..evaluation.runner import RunOutcome
-from ..weights import BLAST_FEATURE_SET, ORIGINAL_FEATURE_SET, RCNP_FEATURE_SET
+from ..evaluation.reporting import format_table
+from ..evaluation.runner import ExperimentRunner, RunOutcome
+from ..weights.registry import BLAST_FEATURE_SET, ORIGINAL_FEATURE_SET, RCNP_FEATURE_SET
 from ..core.pipeline import GeneralizedSupervisedMetaBlocking
 from .common import ExperimentConfig, prepare_benchmark_datasets
 

@@ -22,8 +22,8 @@ import numpy as np
 from ..core.pipeline import GeneralizedSupervisedMetaBlocking
 from ..core.pruning import VALIDITY_THRESHOLD
 from ..core.pruning.kernels import node_averages
-from ..evaluation import format_table
-from ..weights import BLAST_FEATURE_SET
+from ..evaluation.reporting import format_table
+from ..weights.registry import BLAST_FEATURE_SET
 from .common import ExperimentConfig, prepare_benchmark_dataset
 
 

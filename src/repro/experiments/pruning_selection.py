@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..core.pruning import CARDINALITY_BASED_ALGORITHMS, WEIGHT_BASED_ALGORITHMS
-from ..evaluation import ExperimentRunner, average_over_datasets, format_measure_series
+from ..evaluation.reporting import format_measure_series
+from ..evaluation.runner import ExperimentRunner, RunOutcome, average_over_datasets
 from ..evaluation.metrics import EffectivenessReport
-from ..evaluation.runner import RunOutcome
-from ..weights import ORIGINAL_FEATURE_SET
+from ..weights.registry import ORIGINAL_FEATURE_SET
 from .common import ExperimentConfig, algorithm_pipeline, prepare_benchmark_datasets
 
 

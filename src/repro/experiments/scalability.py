@@ -18,12 +18,12 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..core.pipeline import GeneralizedSupervisedMetaBlocking
-from ..evaluation import ExperimentRunner, format_table
-from ..evaluation.runner import RunOutcome
-from ..ml import LogisticRegression
+from ..evaluation.reporting import format_table
+from ..evaluation.runner import ExperimentRunner, RunOutcome
+from ..ml.logistic_regression import LogisticRegression
 from ..utils.timing import speedup as speedup_measure
-from ..weights import BLAST_FEATURE_SET, ORIGINAL_FEATURE_SET, RCNP_FEATURE_SET
-from ..datasets import DIRTY_ORDER
+from ..weights.registry import BLAST_FEATURE_SET, ORIGINAL_FEATURE_SET, RCNP_FEATURE_SET
+from ..datasets.registry import DIRTY_ORDER
 from .common import ExperimentConfig, prepare_dirty_datasets
 
 

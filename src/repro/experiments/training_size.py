@@ -17,9 +17,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..evaluation import ExperimentRunner, average_over_datasets, format_table
+from ..evaluation.reporting import format_table
+from ..evaluation.runner import ExperimentRunner, average_over_datasets
 from ..evaluation.metrics import EffectivenessReport
-from ..weights import BLAST_FEATURE_SET, ORIGINAL_FEATURE_SET, RCNP_FEATURE_SET
+from ..weights.registry import BLAST_FEATURE_SET, ORIGINAL_FEATURE_SET, RCNP_FEATURE_SET
 from .common import ExperimentConfig, algorithm_pipeline, prepare_benchmark_datasets
 
 #: The training-set sizes swept by the paper.

@@ -25,75 +25,44 @@ batch-trained classifier serves online match decisions.
   included.
 """
 
-from .delta import DeltaFeatureGenerator
-from .index import (
-    BulkInsertDelta,
-    DuplicateEntityError,
-    InsertDelta,
-    MutableBlockIndex,
-    RetractionDelta,
-    UnknownEntityError,
-    UpdateDelta,
-)
-from .sharded import MergedIndexView, ShardedMutableBlockIndex
-from .state import IndexState, IndexStatistics, LiveCandidates
-from .session import (
-    BulkInsertResult,
-    FrozenModel,
-    InsertResult,
-    MatchingSession,
-    OnlinePruningPolicy,
-    OnlineTopK,
-    OnlineWEP,
-    RemovalResult,
-    SessionResult,
-    StaleSessionError,
-    UpdateResult,
-)
-from .stream import (
-    StreamReplay,
-    StreamTrainingError,
-    evaluate_retained_ids,
-    ground_truth_id_pairs,
-    interleave_profiles,
-    live_truth_id_pairs,
-    replay_stream,
-    split_bootstrap,
-    train_frozen_model,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "BulkInsertDelta",
-    "BulkInsertResult",
-    "DeltaFeatureGenerator",
-    "DuplicateEntityError",
-    "FrozenModel",
-    "IndexState",
-    "IndexStatistics",
-    "InsertDelta",
-    "InsertResult",
-    "LiveCandidates",
-    "MatchingSession",
-    "MergedIndexView",
-    "MutableBlockIndex",
-    "OnlinePruningPolicy",
-    "OnlineTopK",
-    "OnlineWEP",
-    "RemovalResult",
-    "RetractionDelta",
-    "SessionResult",
-    "ShardedMutableBlockIndex",
-    "StaleSessionError",
-    "UnknownEntityError",
-    "UpdateDelta",
-    "UpdateResult",
-    "StreamReplay",
-    "StreamTrainingError",
-    "evaluate_retained_ids",
-    "ground_truth_id_pairs",
-    "interleave_profiles",
-    "live_truth_id_pairs",
-    "replay_stream",
-    "split_bootstrap",
-    "train_frozen_model",
-]
+#: public name -> the submodule that defines it (see repro._exports)
+_EXPORTS = {
+    "BulkInsertDelta": "index",
+    "BulkInsertResult": "session",
+    "DeltaFeatureGenerator": "delta",
+    "DuplicateEntityError": "index",
+    "FrozenModel": "session",
+    "IndexState": "state",
+    "IndexStatistics": "state",
+    "InsertDelta": "index",
+    "InsertResult": "session",
+    "LiveCandidates": "state",
+    "MatchingSession": "session",
+    "MergedIndexView": "sharded",
+    "MutableBlockIndex": "index",
+    "OnlinePruningPolicy": "session",
+    "OnlineTopK": "session",
+    "OnlineWEP": "session",
+    "RemovalResult": "session",
+    "RetractionDelta": "index",
+    "SessionResult": "session",
+    "ShardedMutableBlockIndex": "sharded",
+    "StaleSessionError": "session",
+    "UnknownEntityError": "index",
+    "UpdateDelta": "index",
+    "UpdateResult": "session",
+    "StreamReplay": "stream",
+    "StreamTrainingError": "stream",
+    "evaluate_retained_ids": "stream",
+    "ground_truth_id_pairs": "stream",
+    "interleave_profiles": "stream",
+    "live_truth_id_pairs": "stream",
+    "replay_stream": "stream",
+    "split_bootstrap": "stream",
+    "train_frozen_model": "stream",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

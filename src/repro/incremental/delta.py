@@ -25,9 +25,9 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from ..core.features import FeatureMatrix, FeatureVectorGenerator
-from ..datamodel import CandidateSet
+from ..datamodel.candidates import CandidateSet
 from ..obs.trace import hook_span
-from ..weights import BLAST_FEATURE_SET
+from ..weights.registry import BLAST_FEATURE_SET
 from .index import InsertDelta, MutableBlockIndex
 from .state import LiveCandidates
 

@@ -69,7 +69,9 @@ import numpy as np
 
 from ..blocking.base import BlockingMethod
 from ..blocking.token_blocking import TokenBlocking
-from ..datamodel import Block, BlockCollection, CandidateSet, EntityProfile
+from ..datamodel.block import Block, BlockCollection
+from ..datamodel.candidates import CandidateSet
+from ..datamodel.entity import EntityProfile
 from ..pairs import MAX_NODE_ID, node_id_overflow, pack_pair_keys, sorted_unique
 from .state import (
     APPENDED,

@@ -45,8 +45,8 @@ import numpy as np
 
 from ..core.pruning import SupervisedPruningAlgorithm, get_pruning_algorithm
 from ..core.pruning.base import VALIDITY_THRESHOLD
-from ..datamodel import EntityProfile
-from ..ml import FrozenModel
+from ..datamodel.entity import EntityProfile
+from ..ml.base import FrozenModel
 from ..obs.trace import hook_span
 from ..pairs import pack_pair_keys
 from ..utils.pqueue import BoundedTopQueue

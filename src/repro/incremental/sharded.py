@@ -37,7 +37,8 @@ import numpy as np
 from ..blocking.base import BlockingMethod
 from ..blocking.token_blocking import TokenBlocking
 from ..core.pruning.base import BlockTotals
-from ..datamodel import BlockCollection, EntityIndexSpace, EntityProfile
+from ..datamodel.block import BlockCollection
+from ..datamodel.entity import EntityIndexSpace, EntityProfile
 from ..weights.sparse import EntityBlockCSR
 from .index import DuplicateEntityError, MutableBlockIndex, UnknownEntityError
 from .state import IndexState, IndexStatistics, LiveCandidates, merged_csr

@@ -49,7 +49,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.pruning.base import BlockTotals
-from ..datamodel import CandidateSet, EntityIndexSpace
+from ..datamodel.candidates import CandidateSet
+from ..datamodel.entity import EntityIndexSpace
 from ..weights.sparse import (
     EntityBlockCSR,
     PairCooccurrence,

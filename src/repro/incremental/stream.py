@@ -19,12 +19,13 @@ from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from ..blocking import prepare_blocks
+from ..blocking.candidate_extraction import prepare_blocks
 from ..core.pipeline import GeneralizedSupervisedMetaBlocking
-from ..datamodel import EntityCollection, EntityProfile, GroundTruth
+from ..datamodel.entity import EntityCollection, EntityProfile
+from ..datamodel.ground_truth import GroundTruth
 from ..datasets.benchmarks import CleanCleanDataset
 from ..utils.rng import SeedLike, make_rng
-from ..weights import BLAST_FEATURE_SET
+from ..weights.registry import BLAST_FEATURE_SET
 from .session import FrozenModel, MatchingSession, OnlinePruningPolicy, SessionResult
 
 

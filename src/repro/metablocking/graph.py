@@ -13,8 +13,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..datamodel import BlockCollection, CandidateSet
-from ..weights import BlockStatistics, WeightingScheme, get_scheme
+from ..datamodel.block import BlockCollection
+from ..datamodel.candidates import CandidateSet
+from ..weights.registry import get_scheme
+from ..weights.schemes import WeightingScheme
+from ..weights.statistics import BlockStatistics
 from ..weights.sparse import EntityBlockCSR
 
 

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..datamodel import BlockCollection
+from ..datamodel.block import BlockCollection
 from ..utils.validation import check_ratio
 from ..core.pruning.cardinality_based import cep_budget, cnp_budget, resolve_budget
 from ..core.pruning.kernels import (

@@ -1,45 +1,29 @@
 """From-scratch machine-learning substrate: classifiers, scaling, sampling, metrics."""
 
-from .base import FrozenModel, ProbabilisticClassifier
-from .calibration import PlattScaler
-from .logistic_regression import LogisticRegression
-from .metrics import (
-    ConfusionCounts,
-    accuracy_score,
-    confusion_counts,
-    f1_score,
-    precision_score,
-    recall_score,
-    roc_auc_score,
-)
-from .naive_bayes import GaussianNB
-from .sampling import (
-    TrainingSample,
-    balanced_sample,
-    proportional_positive_sample,
-    train_test_split_indices,
-)
-from .scaling import MinMaxScaler, StandardScaler
-from .svm import LinearSVC
+from .._exports import lazy_exports
 
-__all__ = [
-    "ConfusionCounts",
-    "FrozenModel",
-    "GaussianNB",
-    "LinearSVC",
-    "LogisticRegression",
-    "MinMaxScaler",
-    "PlattScaler",
-    "ProbabilisticClassifier",
-    "StandardScaler",
-    "TrainingSample",
-    "accuracy_score",
-    "balanced_sample",
-    "confusion_counts",
-    "f1_score",
-    "precision_score",
-    "proportional_positive_sample",
-    "recall_score",
-    "roc_auc_score",
-    "train_test_split_indices",
-]
+#: public name -> the submodule that defines it (see repro._exports)
+_EXPORTS = {
+    "ConfusionCounts": "metrics",
+    "FrozenModel": "base",
+    "GaussianNB": "naive_bayes",
+    "LinearSVC": "svm",
+    "LogisticRegression": "logistic_regression",
+    "MinMaxScaler": "scaling",
+    "PlattScaler": "calibration",
+    "ProbabilisticClassifier": "base",
+    "StandardScaler": "scaling",
+    "TrainingSample": "sampling",
+    "accuracy_score": "metrics",
+    "balanced_sample": "sampling",
+    "confusion_counts": "metrics",
+    "f1_score": "metrics",
+    "precision_score": "metrics",
+    "proportional_positive_sample": "sampling",
+    "recall_score": "metrics",
+    "roc_auc_score": "metrics",
+    "train_test_split_indices": "sampling",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

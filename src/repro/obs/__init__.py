@@ -15,60 +15,34 @@ trace id as the join key:
   gauges) with Prometheus text exposition for the ``metrics`` op.
 """
 
-from repro.obs.events import (
-    EVENT_LOG_ENV,
-    configure,
-    configured_dir,
-    emit,
-    get_logger,
-    read_events,
-    set_role,
-    summarize_events,
-)
-from repro.obs.registry import (
-    BUCKET_BOUNDS,
-    LatencyHistogram,
-    MetricsRegistry,
-    process_rss_bytes,
-    render_prometheus,
-)
-from repro.obs.render import (
-    render_event,
-    render_event_summary,
-    render_span_tree,
-    render_stats,
-)
-from repro.obs.trace import (
-    RequestTrace,
-    Span,
-    activate,
-    current_trace,
-    hook_span,
-    mint_trace_id,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "BUCKET_BOUNDS",
-    "EVENT_LOG_ENV",
-    "LatencyHistogram",
-    "MetricsRegistry",
-    "RequestTrace",
-    "Span",
-    "activate",
-    "configure",
-    "configured_dir",
-    "current_trace",
-    "emit",
-    "get_logger",
-    "hook_span",
-    "mint_trace_id",
-    "process_rss_bytes",
-    "read_events",
-    "render_event",
-    "render_event_summary",
-    "render_prometheus",
-    "render_span_tree",
-    "render_stats",
-    "set_role",
-    "summarize_events",
-]
+#: public name -> the submodule that defines it (see repro._exports)
+_EXPORTS = {
+    "BUCKET_BOUNDS": "registry",
+    "EVENT_LOG_ENV": "events",
+    "LatencyHistogram": "registry",
+    "MetricsRegistry": "registry",
+    "RequestTrace": "trace",
+    "Span": "trace",
+    "activate": "trace",
+    "configure": "events",
+    "configured_dir": "events",
+    "current_trace": "trace",
+    "emit": "events",
+    "get_logger": "events",
+    "hook_span": "trace",
+    "mint_trace_id": "trace",
+    "process_rss_bytes": "registry",
+    "read_events": "events",
+    "render_event": "render",
+    "render_event_summary": "render",
+    "render_prometheus": "registry",
+    "render_span_tree": "render",
+    "render_stats": "render",
+    "set_role": "events",
+    "summarize_events": "events",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

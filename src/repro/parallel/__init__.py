@@ -28,33 +28,27 @@ count (set unions, per-pair-local aggregation), and the equivalence suite in ``t
 for blocks, candidate sets and all feature schemes.
 """
 
-from .blocking import dictionary_encode_sharded, extract_candidate_keys_sharded
-from .executor import (
-    WORKERS_AUTO,
-    ParallelExecutor,
-    WorkerCrashError,
-    resolve_workers,
-    split_ranges,
-)
-from .features import parallel_pair_cooccurrence
-from .planner import EntityShard, ShardPlanner, shard_of_signature, stable_hash
-from .shm import SharedArray, SharedArrayHandle, attach_view, detach_view
+from .._exports import lazy_exports
 
-__all__ = [
-    "EntityShard",
-    "ParallelExecutor",
-    "ShardPlanner",
-    "SharedArray",
-    "SharedArrayHandle",
-    "WORKERS_AUTO",
-    "WorkerCrashError",
-    "attach_view",
-    "detach_view",
-    "dictionary_encode_sharded",
-    "extract_candidate_keys_sharded",
-    "parallel_pair_cooccurrence",
-    "resolve_workers",
-    "shard_of_signature",
-    "split_ranges",
-    "stable_hash",
-]
+#: public name -> the submodule that defines it (see repro._exports)
+_EXPORTS = {
+    "EntityShard": "planner",
+    "ParallelExecutor": "executor",
+    "ShardPlanner": "planner",
+    "SharedArray": "shm",
+    "SharedArrayHandle": "shm",
+    "WORKERS_AUTO": "executor",
+    "WorkerCrashError": "executor",
+    "attach_view": "shm",
+    "detach_view": "shm",
+    "dictionary_encode_sharded": "blocking",
+    "extract_candidate_keys_sharded": "blocking",
+    "parallel_pair_cooccurrence": "features",
+    "resolve_workers": "executor",
+    "shard_of_signature": "planner",
+    "split_ranges": "executor",
+    "stable_hash": "planner",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

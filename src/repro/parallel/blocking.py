@@ -36,7 +36,7 @@ import numpy as np
 
 from ..blocking.arrayops import DEFAULT_PAIR_CHUNK_KEYS, MembershipMatrix
 from ..blocking.base import BlockingMethod
-from ..datamodel import EntityCollection
+from ..datamodel.entity import EntityCollection
 from ..pairs import merge_sorted_unique, pair_expansion_plan
 from .executor import ParallelExecutor
 from .planner import ShardPlanner

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..datamodel import CandidateSet
+from ..datamodel.candidates import CandidateSet
 from ..weights.sparse import PairCooccurrence
 from ..weights.statistics import BlockStatistics
 from .executor import ParallelExecutor, split_ranges

@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..datamodel import EntityCollection, EntityProfile
+from ..datamodel.entity import EntityCollection, EntityProfile
 
 
 def stable_hash(text: str) -> int:

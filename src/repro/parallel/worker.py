@@ -23,7 +23,7 @@ import numpy as np
 
 from ..blocking.arrayops import encode_signatures
 from ..blocking.base import BlockingMethod
-from ..datamodel import EntityProfile
+from ..datamodel.entity import EntityProfile
 from ..pairs import distinct_pair_keys
 from ..weights.sparse import EntityBlockCSR, compute_pair_cooccurrence
 from .shm import SharedArrayHandle, attach_view

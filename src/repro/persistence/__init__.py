@@ -12,38 +12,27 @@ See :class:`WriteAheadLog` for the format, :func:`recover_index` /
 recovery" section for the guarantees.
 """
 
-from .log import (
-    LOG_MAGIC,
-    SNAPSHOT_MAGIC,
-    WalRecord,
-    WalScan,
-    WriteAheadLog,
-    encode_record,
-)
-from .recovery import apply_logged_record, recover_index, recover_session
-from .snapshot import (
-    build_index_from_state,
-    canonical_pair_keys,
-    construct_index,
-    dump_index_state,
-    session_snapshot_state,
-    write_index_snapshot,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "LOG_MAGIC",
-    "SNAPSHOT_MAGIC",
-    "WalRecord",
-    "WalScan",
-    "WriteAheadLog",
-    "encode_record",
-    "apply_logged_record",
-    "recover_index",
-    "recover_session",
-    "build_index_from_state",
-    "canonical_pair_keys",
-    "construct_index",
-    "dump_index_state",
-    "session_snapshot_state",
-    "write_index_snapshot",
-]
+#: public name -> the submodule that defines it (see repro._exports)
+_EXPORTS = {
+    "LOG_MAGIC": "log",
+    "SNAPSHOT_MAGIC": "log",
+    "WalRecord": "log",
+    "WalScan": "log",
+    "WriteAheadLog": "log",
+    "encode_record": "log",
+    "apply_logged_record": "recovery",
+    "recover_index": "recovery",
+    "recover_session": "recovery",
+    "StateFormatError": "snapshot",
+    "build_index_from_state": "snapshot",
+    "canonical_pair_keys": "snapshot",
+    "construct_index": "snapshot",
+    "dump_index_state": "snapshot",
+    "session_snapshot_state": "snapshot",
+    "write_index_snapshot": "snapshot",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

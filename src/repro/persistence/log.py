@@ -77,6 +77,36 @@ def encode_record(record: Dict[str, Any]) -> bytes:
     return _RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
+def _frame_end(data: bytes, position: int) -> Optional[int]:
+    """The offset just past the frame at ``position``; ``None`` unless the
+    frame is complete (header and payload) and its payload CRC-valid."""
+    header_end = position + _RECORD_HEADER.size
+    if header_end > len(data):
+        return None
+    length, crc = _RECORD_HEADER.unpack_from(data, position)
+    end = header_end + length
+    if length > MAX_RECORD_BYTES or end > len(data):
+        return None
+    return end if zlib.crc32(memoryview(data)[header_end:end]) == crc else None
+
+
+def _is_record_boundary(data: bytes, start: int) -> bool:
+    """Whether a frame of the log ``data`` begins (or the log ends) at ``start``.
+
+    The frames before ``start`` are walked by their length fields alone —
+    no CRC, no decode — and a walk that lands on ``start`` proves it.  One
+    that does not (``start`` inside a frame, or a damaged length field
+    before it) is settled by the frame at ``start`` itself, which must then
+    be complete and CRC-valid.
+    """
+    position = len(LOG_MAGIC)
+    while position < start and position + _RECORD_HEADER.size <= len(data):
+        position += _RECORD_HEADER.size + _RECORD_HEADER.unpack_from(data, position)[0]
+    return position == start or start == len(data) or (
+        start >= len(LOG_MAGIC) and _frame_end(data, start) is not None
+    )
+
+
 @dataclass(frozen=True)
 class WalRecord:
     """One complete log record plus its byte extent in the file."""
@@ -287,14 +317,25 @@ class WriteAheadLog:
         self.close()
 
     # -- reading -----------------------------------------------------------------
-    def scan(self) -> WalScan:
-        """Read every complete record, dropping a torn or corrupt tail.
+    def scan(self, start: Optional[int] = None) -> WalScan:
+        """Read every complete record from ``start`` on, dropping a torn or
+        corrupt tail.
 
         The scan stops at the first frame that is incomplete (header or
         payload cut short), fails its CRC, or does not decode as JSON — the
         replay-to-last-complete-record rule.  It never raises on torn data;
         a missing or empty file scans empty, and only a wrong magic is an
         error.
+
+        ``start`` is a record boundary something durable vouches for — a
+        snapshot's embedded ``log_offset`` — and the scan then decodes only
+        the tail behind it: ``records`` holds the records at or past
+        ``start`` and ``valid_length`` is what a whole-log scan of an intact
+        prefix reports, while damage *before* ``start`` no longer hides the
+        records behind it.  A ``start`` that is not a record boundary is
+        refused with :class:`ValueError`; one past the end of the file (a
+        snapshot that outlived an unsynced log tail under ``sync="batch"``)
+        scans the whole log.
         """
         try:
             self.sync()
@@ -310,20 +351,18 @@ class WriteAheadLog:
                 return WalScan(records=[], valid_length=0, file_length=0)
             raise ValueError(f"{self.log_path} is not a repro write-ahead log")
         position = len(LOG_MAGIC)
+        if start is not None and start <= len(data):
+            if not _is_record_boundary(data, start):
+                raise ValueError(
+                    f"offset {start} is not a record boundary of {self.log_path}"
+                )
+            position = start
         records: List[WalRecord] = []
-        header_size = _RECORD_HEADER.size
         while True:
-            if position + header_size > len(data):
+            end = _frame_end(data, position)
+            if end is None:
                 break
-            length, crc = _RECORD_HEADER.unpack_from(data, position)
-            if length > MAX_RECORD_BYTES:
-                break
-            end = position + header_size + length
-            if end > len(data):
-                break
-            payload = data[position + header_size : end]
-            if zlib.crc32(payload) != crc:
-                break
+            payload = data[position + _RECORD_HEADER.size : end]
             try:
                 decoded = json.loads(payload.decode("utf-8"))
             except (ValueError, UnicodeDecodeError):

@@ -9,9 +9,12 @@ torn tail records are detected by the length+CRC framing and dropped.
 
 The driver:
 
-1. scans the log to its last complete record (:meth:`WriteAheadLog.scan`);
-2. loads the newest decodable snapshot, if any, and rebuilds the index
-   from its stored live entities (the compaction path);
+1. loads the newest decodable snapshot, if any — refusing one written in
+   another state format (:func:`check_state_format`) — and rebuilds the
+   index from its stored live entities (the compaction path);
+2. scans the log from the snapshot's embedded offset to its last complete
+   record (:meth:`WriteAheadLog.scan`): the tail it replays, not the history
+   the snapshot vouches for;
 3. replays the log records behind the snapshot's embedded offset through
    the index's internal ``_apply_*`` entry points — signatures come from
    the records, nothing is re-tokenized;
@@ -32,7 +35,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 from ..obs import events
 from .log import WalScan, WriteAheadLog
-from .snapshot import build_index_from_state, construct_index
+from .snapshot import build_index_from_state, check_state_format, construct_index
 
 
 def apply_logged_record(index, record: Dict[str, Any]) -> None:
@@ -109,8 +112,12 @@ def recover_index(
     wal = WriteAheadLog(path, sync=sync)
     if not wal.log_path.exists():
         raise FileNotFoundError(f"no write-ahead log at {wal.log_path}")
-    scan = wal.scan()
     snapshot = wal.latest_snapshot()
+    vouched = None
+    if snapshot is not None:
+        check_state_format(snapshot)
+        vouched = int(snapshot["log_offset"])
+    scan = wal.scan(vouched)
     index, start = _base_state(scan, snapshot, blocking, executor)
     replayed = 0
     for entry in scan.records:
@@ -147,13 +154,15 @@ def recover_session(path: Union[str, Path], sync: str = "always"):
     wal = WriteAheadLog(path, sync=sync)
     if not wal.log_path.exists():
         raise FileNotFoundError(f"no write-ahead log at {wal.log_path}")
-    scan = wal.scan()
     snapshot = wal.latest_snapshot()
     if snapshot is None or snapshot.get("session") is None:
         raise ValueError(
             "no session snapshot in the WAL directory; this log was written "
             "by a bare index — use recover_index() instead"
         )
+    check_state_format(snapshot)
+    start = int(snapshot["log_offset"])
+    scan = wal.scan(start)
     stored = snapshot["session"]
     index = build_index_from_state(snapshot["index"])
     session = MatchingSession._from_parts(
@@ -172,7 +181,6 @@ def recover_session(path: Union[str, Path], sync: str = "always"):
         stored["policy_state"],
         lambda key: int(np.searchsorted(pair_keys, int(key))),
     )
-    start = int(snapshot["log_offset"])
     replayed = 0
     for entry in scan.records:
         if entry.start >= start:

@@ -32,6 +32,20 @@ from .log import WriteAheadLog
 STATE_FORMAT = 1
 
 
+class StateFormatError(ValueError):
+    """A snapshot was written in a state format this version does not read."""
+
+
+def check_state_format(state: Dict[str, Any]) -> None:
+    """Refuse a snapshot whose ``format`` is not :data:`STATE_FORMAT`."""
+    found = state.get("format")
+    if found != STATE_FORMAT:
+        raise StateFormatError(
+            f"the snapshot holds state format {found!r}; this version reads "
+            f"format {STATE_FORMAT} only"
+        )
+
+
 def dump_slot_layout(index) -> Optional[Dict[str, Any]]:
     """The raw node-slot layout of a :class:`MutableBlockIndex`.
 

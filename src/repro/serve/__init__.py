@@ -31,64 +31,39 @@ Latency histograms, gauges and the ``stats`` rendering are :mod:`repro.obs`'s
 exposition).
 """
 
-from .client import ServeClient, ServeError
-from .daemon import (
-    DeadlineExceededError,
-    MatchingDaemon,
-    OverloadedError,
-    UnavailableError,
-    WalFailedError,
-)
-from .protocol import (
-    ERROR_DEADLINE,
-    ERROR_OVERLOADED,
-    ERROR_UNAVAILABLE,
-    ERROR_WAL,
-    IDEMPOTENT_OPS,
-    OPERATIONS,
-    PROTOCOL_VERSION,
-    ProtocolError,
-    encode_message,
-    profile_from_wire,
-    profile_to_wire,
-)
-from .router import ShardRouter, build_pinned_view, match_answer, top_k_answer
-from .supervision import WorkerSupervisor
-from .workers import (
-    ShardReplica,
-    ShardWorkerHandle,
-    WalFollowError,
-    WalRecordFollower,
-    WorkerError,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "DeadlineExceededError",
-    "MatchingDaemon",
-    "OverloadedError",
-    "ServeClient",
-    "ServeError",
-    "ShardReplica",
-    "ShardRouter",
-    "ShardWorkerHandle",
-    "UnavailableError",
-    "WalFailedError",
-    "WalFollowError",
-    "WalRecordFollower",
-    "WorkerError",
-    "WorkerSupervisor",
-    "ERROR_DEADLINE",
-    "ERROR_OVERLOADED",
-    "ERROR_UNAVAILABLE",
-    "ERROR_WAL",
-    "IDEMPOTENT_OPS",
-    "OPERATIONS",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "encode_message",
-    "profile_from_wire",
-    "profile_to_wire",
-    "build_pinned_view",
-    "match_answer",
-    "top_k_answer",
-]
+#: public name -> the submodule that defines it (see repro._exports)
+_EXPORTS = {
+    "DeadlineExceededError": "daemon",
+    "MatchingDaemon": "daemon",
+    "OverloadedError": "daemon",
+    "ServeClient": "client",
+    "ServeError": "client",
+    "ShardReplica": "workers",
+    "ShardRouter": "router",
+    "ShardWorkerHandle": "workers",
+    "UnavailableError": "daemon",
+    "WalFailedError": "daemon",
+    "WalFollowError": "workers",
+    "WalRecordFollower": "workers",
+    "WorkerError": "workers",
+    "WorkerSupervisor": "supervision",
+    "ERROR_DEADLINE": "protocol",
+    "ERROR_OVERLOADED": "protocol",
+    "ERROR_UNAVAILABLE": "protocol",
+    "ERROR_WAL": "protocol",
+    "IDEMPOTENT_OPS": "protocol",
+    "OPERATIONS": "protocol",
+    "PROTOCOL_VERSION": "protocol",
+    "ProtocolError": "protocol",
+    "encode_message": "protocol",
+    "profile_from_wire": "protocol",
+    "profile_to_wire": "protocol",
+    "build_pinned_view": "router",
+    "match_answer": "router",
+    "top_k_answer": "router",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -32,7 +32,7 @@ import socket
 import time
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from ..datamodel import EntityProfile
+from ..datamodel.entity import EntityProfile
 from ..obs.trace import mint_trace_id
 from .protocol import (
     ERROR_OVERLOADED,

@@ -47,7 +47,8 @@ from ..incremental.session import MatchingSession
 from ..obs import events
 from ..obs.registry import MetricsRegistry, process_rss_bytes, render_prometheus
 from ..obs.trace import RequestTrace, activate, hook_span, mint_trace_id
-from ..persistence.log import WalBrokenError
+from ..parallel.executor import ParallelExecutor, resolve_workers, split_ranges
+from ..persistence.log import WalBrokenError, WriteAheadLog
 from .protocol import (
     ERROR_DEADLINE,
     ERROR_OVERLOADED,
@@ -95,8 +96,6 @@ def _newest_valid_snapshot(wal_path):
     that decodes and CRC-validates) but returns the *path*, which the shard
     workers need to bootstrap from the identical state.
     """
-    from ..persistence.log import WriteAheadLog
-
     wal = WriteAheadLog(wal_path)
     for path in reversed(wal.snapshot_paths()):
         if wal.load_snapshot(path) is not None:
@@ -161,8 +160,6 @@ class MatchingDaemon:
         slow_request_ms: Optional[float] = None,
         tracing: bool = True,
     ) -> None:
-        from ..persistence.log import WriteAheadLog
-
         # the event sink is configured before the session is built, so WAL
         # recovery/snapshot events land in this daemon's log; an explicit
         # ``None`` falls back to ``REPRO_EVENT_LOG``, and configuring also
@@ -239,10 +236,15 @@ class MatchingDaemon:
         self.router.serial_source = lambda: self._mutation_serial
         self.router.offset_source = self._offset
         self._register_gauges()
-        from ..parallel import ParallelExecutor, resolve_workers
-
         workers = resolve_workers(tokenize_workers)
-        self._executor = ParallelExecutor(workers) if workers > 1 else None
+        self._executor = None
+        if workers > 1:
+            # the pool's chunk task loads here, with the pool: a request
+            # (the first ``insert_bulk``) never imports anything
+            from ..parallel.worker import signature_lists_chunk
+
+            self._executor = ParallelExecutor(workers)
+            self._tokenize_chunk = signature_lists_chunk
         self.address: Optional[Tuple[str, int]] = None
         self.ready = threading.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -839,11 +841,8 @@ class MatchingDaemon:
             or len(profiles) <= 1
         ):
             return None
-        from ..parallel.executor import split_ranges
-        from ..parallel.worker import signature_lists_chunk
-
         chunks = self._executor.starmap(
-            signature_lists_chunk,
+            self._tokenize_chunk,
             [
                 (tuple(profiles[start:stop]), self.session.index.blocking)
                 for start, stop in split_ranges(

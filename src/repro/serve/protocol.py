@@ -26,7 +26,7 @@ import struct
 import zlib
 from typing import Any, Dict, Optional
 
-from ..datamodel import EntityProfile
+from ..datamodel.entity import EntityProfile
 
 #: message frame: payload length (uint32) + CRC32 of the payload (uint32) —
 #: the WAL's record header, reused verbatim

@@ -54,7 +54,7 @@ import numpy as np
 from ..core.pruning import SupervisedPruningAlgorithm, strength_order
 from ..obs import events
 from ..obs.trace import current_trace, hook_span
-from ..datamodel import CandidateSet
+from ..datamodel.candidates import CandidateSet
 from ..incremental.delta import DeltaFeatureGenerator
 from ..incremental.session import exact_answer
 from ..incremental.sharded import MergedIndexView

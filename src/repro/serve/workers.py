@@ -34,6 +34,7 @@ import time
 import traceback
 import uuid
 import zlib
+from itertools import groupby
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -44,7 +45,8 @@ from ..incremental.index import MutableBlockIndex, UnknownEntityError
 from ..obs import events
 from ..parallel.planner import shard_of_signature
 from ..parallel.shm import SharedArray, SharedArrayHandle, attach_view, detach_view
-from ..persistence.log import LOG_MAGIC, MAX_RECORD_BYTES, _RECORD_HEADER
+from ..persistence.log import LOG_MAGIC, MAX_RECORD_BYTES, _RECORD_HEADER, WriteAheadLog
+from ..persistence.snapshot import StateFormatError, check_state_format
 
 _logger = events.get_logger(__name__)
 
@@ -277,13 +279,12 @@ class ShardReplica:
 
         Eligible means: sequence at or past ``adopt_floor`` (same node
         space as the live authority), carries a slot layout, decodes and
-        CRC-validates, offset within ``target`` (when given) and not behind
-        the replica (replicas never rewind).  Returns whether a snapshot
-        was adopted; with ``require`` an empty result is an error rather
-        than an implicit from-zero replay.
+        CRC-validates, holds the state format this version reads, offset
+        within ``target`` (when given) and not behind the replica (replicas
+        never rewind).  Returns whether a snapshot was adopted; with
+        ``require`` an empty result is an error rather than an implicit
+        from-zero replay.
         """
-        from ..persistence.log import WriteAheadLog
-
         wal = WriteAheadLog(self.wal_dir)
         for path in reversed(wal.snapshot_paths()):
             sequence = wal._snapshot_sequence(path)
@@ -291,6 +292,11 @@ class ShardReplica:
                 break
             state = wal.load_snapshot(path)
             if state is None or state.get("slots") is None:
+                continue
+            try:
+                check_state_format(state)
+            except StateFormatError as error:
+                _logger.warning("shard %d skips %s: %s", self.shard, path.name, error)
                 continue
             offset = int(state["log_offset"])
             if target is not None and offset > target:
@@ -323,10 +329,12 @@ class ShardReplica:
         itself rebuilt from, putting both in canonical node order), an
         adopted checkpoint describes an authority that kept its original
         node space — tombstoned slots included.  The embedded slot layout
-        says which raw node id each live entity occupies; replaying slots
-        in id order through ``_apply_insert`` / ``_register_tombstone``
-        reproduces that node space exactly, so every later WAL record
-        resolves to the same node here as on the authority.
+        says which raw node id each live entity occupies; walking the slots
+        in id order — every maximal run of live slots of one side through
+        one ``_apply_bulk`` (signatures shard-filtered), every dead slot
+        through ``_register_tombstone`` — reproduces that node space
+        exactly, so every later WAL record resolves to the same node here
+        as on the authority.
         """
         index_state = state["index"]
         slots = state["slots"]
@@ -335,19 +343,23 @@ class ShardReplica:
             bilateral=self.bilateral,
             name=f"{index_state.get('name') or 'serve'}#shard{self.shard}",
         )
-        entry_of_node: Dict[int, Tuple[str, int, Sequence[str]]] = {}
+        #: per slot: ``(side, (entity_id, signatures))``, ``None`` when dead
+        layout: List[Optional[Tuple[int, Tuple[str, List[str]]]]] = [None] * int(
+            slots["num_slots"]
+        )
         for side in sorted(index_state["sides"]):
             nodes = slots["nodes"][side]
             entries = index_state["sides"][side]
             for node, (entity_id, signatures) in zip(nodes, entries):
-                entry_of_node[int(node)] = (entity_id, int(side), signatures)
-        for node in range(int(slots["num_slots"])):
-            entry = entry_of_node.get(node)
-            if entry is None:
-                index._register_tombstone()
+                layout[node] = (int(side), (entity_id, self._filter(signatures)))
+        for side, run in groupby(
+            layout, key=lambda slot: None if slot is None else slot[0]
+        ):
+            if side is None:
+                for _ in run:
+                    index._register_tombstone()
             else:
-                entity_id, side, signatures = entry
-                index._apply_insert(entity_id, side, self._filter(signatures))
+                index._apply_bulk([entry for _, entry in run], side)
         self.index = index
         self.follower.seek_to(int(state["log_offset"]))
 
@@ -362,8 +374,6 @@ class ShardReplica:
         order (and with it the node numbering) is snapshot order on both
         sides of the pipe.
         """
-        from ..persistence.log import WriteAheadLog
-
         state = WriteAheadLog(self.wal_dir).load_snapshot(self.bootstrap)
         if state is None:
             raise WalFollowError(

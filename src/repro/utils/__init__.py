@@ -1,35 +1,26 @@
 """Shared utilities: text signatures, RNG, priority queues, timing, validation."""
 
-from .pqueue import BoundedTopQueue
-from .rng import SeedLike, make_rng, sample_without_replacement, spawn_seeds
-from .text import (
-    STOP_WORDS,
-    distinct_qgrams,
-    distinct_suffixes,
-    distinct_tokens,
-    jaccard,
-    normalize,
-    qgrams,
-    suffixes,
-    tokens,
-)
-from .timing import StageTimer, speedup
+from .._exports import lazy_exports
 
-__all__ = [
-    "BoundedTopQueue",
-    "STOP_WORDS",
-    "SeedLike",
-    "StageTimer",
-    "distinct_qgrams",
-    "distinct_suffixes",
-    "distinct_tokens",
-    "jaccard",
-    "make_rng",
-    "normalize",
-    "qgrams",
-    "sample_without_replacement",
-    "spawn_seeds",
-    "speedup",
-    "suffixes",
-    "tokens",
-]
+#: public name -> the submodule that defines it (see repro._exports)
+_EXPORTS = {
+    "BoundedTopQueue": "pqueue",
+    "STOP_WORDS": "text",
+    "SeedLike": "rng",
+    "StageTimer": "timing",
+    "distinct_qgrams": "text",
+    "distinct_suffixes": "text",
+    "distinct_tokens": "text",
+    "jaccard": "text",
+    "make_rng": "rng",
+    "normalize": "text",
+    "qgrams": "text",
+    "sample_without_replacement": "rng",
+    "spawn_seeds": "rng",
+    "speedup": "timing",
+    "suffixes": "text",
+    "tokens": "text",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -14,60 +14,35 @@ mirrors the paper's formulas line by line.  Nothing selects it at run time;
 optimisation that shifts a score fails the suite.
 """
 
-from .registry import (
-    BLAST_FEATURE_SET,
-    ORIGINAL_FEATURE_SET,
-    PAPER_FEATURES,
-    RCNP_FEATURE_SET,
-    SCHEME_CLASSES,
-    all_feature_subsets,
-    feature_width,
-    get_scheme,
-    get_schemes,
-)
-from .schemes import (
-    CFIBFScheme,
-    CommonBlocksScheme,
-    EnhancedJaccardScheme,
-    JaccardScheme,
-    LocalCandidatesScheme,
-    NormalizedReciprocalSizesScheme,
-    RACCBScheme,
-    ReciprocalSizesScheme,
-    WeightedJaccardScheme,
-    WeightingScheme,
-)
-from .sparse import (
-    EntityBlockCSR,
-    PairCooccurrence,
-    build_entity_block_csr,
-    compute_pair_cooccurrence,
-)
-from .statistics import BlockStatistics
+from .._exports import lazy_exports
 
-__all__ = [
-    "BLAST_FEATURE_SET",
-    "BlockStatistics",
-    "CFIBFScheme",
-    "CommonBlocksScheme",
-    "EnhancedJaccardScheme",
-    "EntityBlockCSR",
-    "JaccardScheme",
-    "LocalCandidatesScheme",
-    "NormalizedReciprocalSizesScheme",
-    "ORIGINAL_FEATURE_SET",
-    "PAPER_FEATURES",
-    "PairCooccurrence",
-    "RACCBScheme",
-    "RCNP_FEATURE_SET",
-    "ReciprocalSizesScheme",
-    "SCHEME_CLASSES",
-    "WeightedJaccardScheme",
-    "WeightingScheme",
-    "all_feature_subsets",
-    "build_entity_block_csr",
-    "compute_pair_cooccurrence",
-    "feature_width",
-    "get_scheme",
-    "get_schemes",
-]
+#: public name -> the submodule that defines it (see repro._exports)
+_EXPORTS = {
+    "BLAST_FEATURE_SET": "registry",
+    "BlockStatistics": "statistics",
+    "CFIBFScheme": "schemes",
+    "CommonBlocksScheme": "schemes",
+    "EnhancedJaccardScheme": "schemes",
+    "EntityBlockCSR": "sparse",
+    "JaccardScheme": "schemes",
+    "LocalCandidatesScheme": "schemes",
+    "NormalizedReciprocalSizesScheme": "schemes",
+    "ORIGINAL_FEATURE_SET": "registry",
+    "PAPER_FEATURES": "registry",
+    "PairCooccurrence": "sparse",
+    "RACCBScheme": "schemes",
+    "RCNP_FEATURE_SET": "registry",
+    "ReciprocalSizesScheme": "schemes",
+    "SCHEME_CLASSES": "registry",
+    "WeightedJaccardScheme": "schemes",
+    "WeightingScheme": "schemes",
+    "all_feature_subsets": "registry",
+    "build_entity_block_csr": "sparse",
+    "compute_pair_cooccurrence": "sparse",
+    "feature_width": "registry",
+    "get_scheme": "registry",
+    "get_schemes": "registry",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -27,7 +27,7 @@ import math
 from abc import ABC, abstractmethod
 import numpy as np
 
-from ..datamodel import CandidateSet
+from ..datamodel.candidates import CandidateSet
 from .sparse import entity_log_ratios
 from .statistics import BlockStatistics
 

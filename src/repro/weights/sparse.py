@@ -43,7 +43,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..datamodel import BlockCollection
+from ..datamodel.block import BlockCollection
 from ..pairs import (
     distinct_pair_keys,
     expand_pair_chunks,

@@ -20,7 +20,8 @@ from typing import Dict, FrozenSet, Optional, Set
 
 import numpy as np
 
-from ..datamodel import BlockCollection, CandidateSet
+from ..datamodel.block import BlockCollection
+from ..datamodel.candidates import CandidateSet
 from .sparse import (
     EntityBlockCSR,
     PairCooccurrence,

@@ -1,31 +1,14 @@
 """Fixtures for the fault-injection suite.
 
-Reuses the serving tests' deterministic frozen model and reference helper
-(loaded by file path so the two ``conftest`` modules never collide in
-``sys.modules``), and guarantees every test in this directory starts and
-ends with fault injection disarmed.
+Reuses the serving tests' deterministic frozen model (``tests/reference.py``)
+and guarantees every test in this directory starts and ends with fault
+injection disarmed.
 """
-
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
 
+from reference import make_frozen_model
 from repro import faults
-
-_spec = importlib.util.spec_from_file_location(
-    "repro_tests_serve_conftest",
-    Path(__file__).resolve().parents[1] / "serve" / "conftest.py",
-)
-_serve_conftest = importlib.util.module_from_spec(_spec)
-# registered so the frozen model's classifier class stays picklable
-# (session checkpoints pickle it; forked workers inherit sys.modules)
-sys.modules["repro_tests_serve_conftest"] = _serve_conftest
-_spec.loader.exec_module(_serve_conftest)
-
-make_frozen_model = _serve_conftest.make_frozen_model
-reference_retained = _serve_conftest.reference_retained
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_frozen_model, reference_retained
+from reference import make_frozen_model, reference_retained
 from repro import faults
 from repro.datamodel import make_profile
 from repro.faults import FaultPlan, InjectedFaultError

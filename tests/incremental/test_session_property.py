@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import make_frozen_model
 from repro.blocking import prepare_blocks
 from repro.core import FeatureVectorGenerator, get_pruning_algorithm
 from repro.datamodel import EntityCollection, make_profile
@@ -37,27 +38,8 @@ FEATURE_SET = RCNP_FEATURE_SET
 PRUNING = ("BLAST", "WEP", "WNP", "RWNP", "CEP", "CNP", "RCNP")
 
 
-class _FixedLogistic:
-    """A deterministic frozen 'classifier': logistic over fixed weights.
-
-    Probabilities are rounded so the streaming and batch sides — whose
-    feature sums may differ in the last float ulp — score every pair with
-    bit-identical values.
-    """
-
-    def __init__(self, n_features: int) -> None:
-        self._weights = np.linspace(-1.0, 1.0, n_features)
-
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        z = np.clip(features @ self._weights, -30.0, 30.0)
-        return np.round(1.0 / (1.0 + np.exp(-z)), 9)
-
-
 def _frozen_model() -> FrozenModel:
-    width = FeatureVectorGenerator(FEATURE_SET).columns
-    return FrozenModel(
-        classifier=_FixedLogistic(len(width)), scaler=None, feature_set=FEATURE_SET
-    )
+    return make_frozen_model(FEATURE_SET)
 
 
 _TOKENS = ("alpha", "beta", "gamma", "delta", "eps", "zeta")

@@ -183,6 +183,15 @@ def run_crash_sweep(make_index, steps, snapshot_after):
             if snapshot_offset is not None and snapshot_offset <= cut:
                 for path in WriteAheadLog(live_dir).snapshot_paths():
                     shutil.copy(path, crash_dir / path.name)
+                # what recovery reads: the tail behind the snapshot decodes to
+                # exactly the whole-log scan's records from there on
+                crashed = WriteAheadLog(crash_dir)
+                whole, tail = crashed.scan(), crashed.scan(snapshot_offset)
+                assert tail.records == [
+                    entry for entry in whole.records if entry.start >= snapshot_offset
+                ]
+                assert tail.valid_length == whole.valid_length
+                assert tail.file_length == whole.file_length
 
             surviving = [
                 entry.record for entry in scan.records if entry.end <= cut

@@ -17,31 +17,17 @@ import pytest
 
 import repro.incremental.session
 import repro.ml
-from repro.core import FeatureVectorGenerator
+from reference import make_frozen_model
 from repro.datamodel import make_profile
 from repro.incremental import FrozenModel, MatchingSession
-from repro.persistence import canonical_pair_keys
+from repro.persistence import LOG_MAGIC, WriteAheadLog, canonical_pair_keys, recover_index
+from repro.persistence.snapshot import STATE_FORMAT, StateFormatError
 
 FEATURE_SET = ("CBS", "JS", "RS")
 
 
-class _FixedLogistic:
-    """Deterministic frozen 'classifier' (rounded so replayed scores are
-    bit-identical to the original run's)."""
-
-    def __init__(self, n_features: int) -> None:
-        self._weights = np.linspace(-1.0, 1.0, n_features)
-
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        z = np.clip(features @ self._weights, -30.0, 30.0)
-        return np.round(1.0 / (1.0 + np.exp(-z)), 9)
-
-
 def _frozen_model() -> FrozenModel:
-    width = FeatureVectorGenerator(FEATURE_SET).columns
-    return FrozenModel(
-        classifier=_FixedLogistic(len(width)), scaler=None, feature_set=FEATURE_SET
-    )
+    return make_frozen_model(FEATURE_SET)
 
 
 def _profiles(n, prefix):
@@ -209,3 +195,49 @@ def test_a_session_written_by_the_pr18_tree_recovers_to_its_answer(tmp_path):
     finally:
         again.close()
 
+
+
+@pytest.mark.parametrize("byte", [60, len(LOG_MAGIC)], ids=["payload", "length-field"])
+def test_damage_in_front_of_the_snapshot_loses_nothing_behind_it(tmp_path, byte):
+    """The snapshot vouches for the log up to its offset; recovery reads the
+    tail from there.  A flipped byte in a record *before* the snapshot used to
+    stop the whole-log scan in front of it: the five acked inserts behind the
+    checkpoint were dropped and the log truncated to the damaged record."""
+    session = MatchingSession(_frozen_model(), wal_path=tmp_path / "wal")
+    for profile in _profiles(20, "a"):
+        session.insert(profile)
+    session.checkpoint()
+    for profile in _profiles(5, "b"):
+        session.insert(profile)
+    expected = session.retained().retained_id_set()
+    session.close()
+
+    log = tmp_path / "wal" / "wal.log"
+    data = bytearray(log.read_bytes())
+    data[byte] ^= 0xFF
+    log.write_bytes(bytes(data))
+
+    recovered = MatchingSession.recover(tmp_path / "wal")
+    try:
+        assert recovered.index.num_entities == 25
+        assert recovered.retained().retained_id_set() == expected
+    finally:
+        recovered.close()
+    assert log.stat().st_size == len(data)  # nothing was truncated
+
+
+def test_a_snapshot_in_another_state_format_is_refused_by_name(tmp_path):
+    """``"format"`` is read: a newer writer's snapshot is not half-understood."""
+    session = MatchingSession(_frozen_model(), wal_path=tmp_path / "wal")
+    for profile in _profiles(4, "a"):
+        session.insert(profile)
+    newest = session.checkpoint()
+    session.close()
+    wal = WriteAheadLog(tmp_path / "wal")
+    wal.write_snapshot(dict(wal.load_snapshot(newest), format=STATE_FORMAT + 1))
+
+    message = f"state format {STATE_FORMAT + 1}; this version reads format {STATE_FORMAT} only"
+    with pytest.raises(StateFormatError, match=message):
+        MatchingSession.recover(tmp_path / "wal")
+    with pytest.raises(StateFormatError, match=message):
+        recover_index(tmp_path / "wal")

@@ -11,34 +11,15 @@ through the serving daemon's ``update`` op.
 import shutil
 import threading
 
-import numpy as np
-
-from repro.core import FeatureVectorGenerator
+from reference import make_frozen_model
 from repro.datamodel import make_profile
-from repro.incremental import FrozenModel, MatchingSession
+from repro.incremental import MatchingSession
 from repro.persistence import WriteAheadLog
 
 FEATURE_SET = ("CBS", "JS", "RS")
 
 
-class _FixedLogistic:
-    """Deterministic frozen 'classifier' (rounded so replayed scores are
-    bit-identical to the original run's); module-level, so snapshots can
-    pickle it."""
-
-    def __init__(self, n_features: int) -> None:
-        self._weights = np.linspace(-1.0, 1.0, n_features)
-
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        z = np.clip(features @ self._weights, -30.0, 30.0)
-        return np.round(1.0 / (1.0 + np.exp(-z)), 9)
-
-
-MODEL = FrozenModel(
-    classifier=_FixedLogistic(len(FeatureVectorGenerator(FEATURE_SET).columns)),
-    scaler=None,
-    feature_set=FEATURE_SET,
-)
+MODEL = make_frozen_model(FEATURE_SET)
 
 OLD = make_profile("b0", text="gamma eps zeta")
 NEW = make_profile("b0", text="delta omega")

@@ -113,6 +113,57 @@ class TestFraming:
         assert [entry.record for entry in scan.records] == records
 
 
+class TestTailScan:
+    """``scan(start)``: recovery decodes the tail behind a snapshot's offset."""
+
+    def _log(self, tmp_path, n=5):
+        _write_log(tmp_path / "w", _records(n))
+        path = tmp_path / "w" / "wal.log"
+        return path, WriteAheadLog(tmp_path / "w").scan()
+
+    def test_every_boundary_at_every_truncation_equals_the_whole_scan(self, tmp_path):
+        path, complete = self._log(tmp_path, n=4)
+        full = path.read_bytes()
+        starts = [len(LOG_MAGIC)] + [entry.end for entry in complete.records]
+        for cut in range(len(LOG_MAGIC), len(full) + 1):
+            path.write_bytes(full[:cut])
+            wal = WriteAheadLog(tmp_path / "w")
+            whole = wal.scan()
+            for start in (start for start in starts if start <= cut):
+                tail = wal.scan(start)
+                assert tail.records == [e for e in whole.records if e.start >= start]
+                assert tail.valid_length == whole.valid_length, (cut, start)
+                assert tail.file_length == cut
+
+    def test_a_start_inside_a_record_is_refused(self, tmp_path):
+        _, complete = self._log(tmp_path)
+        boundaries = {len(LOG_MAGIC)} | {entry.end for entry in complete.records}
+        wal = WriteAheadLog(tmp_path / "w")
+        for start in range(complete.file_length):
+            if start not in boundaries:
+                with pytest.raises(ValueError, match=f"offset {start} is not a record boundary"):
+                    wal.scan(start)
+
+    def test_a_start_past_the_end_scans_the_whole_log(self, tmp_path):
+        """``sync="batch"``: a snapshot can outlive the log tail it covers."""
+        _, complete = self._log(tmp_path)
+        assert WriteAheadLog(tmp_path / "w").scan(complete.file_length + 40) == complete
+
+    @pytest.mark.parametrize("field", ["payload", "length"])
+    def test_damage_before_the_start_does_not_hide_the_tail(self, tmp_path, field):
+        path, complete = self._log(tmp_path)
+        data = bytearray(path.read_bytes())
+        second = complete.records[1]
+        data[second.start + (12 if field == "payload" else 0)] ^= 0xFF
+        path.write_bytes(bytes(data))
+        wal = WriteAheadLog(tmp_path / "w")
+        assert len(wal.scan().records) == 1  # the whole-log scan stops at the damage
+        start = complete.records[2].end
+        tail = wal.scan(start)
+        assert tail.records == complete.records[3:]
+        assert tail.valid_length == complete.valid_length and not tail.truncated
+
+
 class TestSnapshots:
     def test_snapshot_round_trip_and_sequencing(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "w")

@@ -19,9 +19,15 @@ replaced with a byte table, and the per-token ``dict.setdefault`` loop
 ``repro.blocking.arrayops.encode_signatures`` replaced with ``map``.  And the
 answer's row-major arithmetic: the gather / scatter masked ratio of JS / WJS /
 NRS, the two-branch sigmoid and the ``(x - offset) / scale`` expression the
-feature-major passes replaced bit for bit.  One device rides along:
+feature-major passes replaced bit for bit.  And checkpoint adoption's: the
+slot-by-slot ``_apply_insert`` rebuild ``ShardReplica._adopt_state`` replaced
+with run-wise bulk loads.  Two devices ride along:
 :func:`forced_cooccurrence_pass`, which makes the co-occurrence kernel take the
-pass a test names so that its two passes can be held against each other.
+pass a test names so that its two passes can be held against each other, and
+the deterministic frozen model of the online suites (:class:`FixedLogistic`,
+:func:`make_frozen_model`, :func:`reference_retained`) — defined here, under
+one importable module path, because session snapshots pickle the classifier
+by that path.
 """
 
 from __future__ import annotations
@@ -46,10 +52,12 @@ from repro.blocking import (
 from repro.core.features import FeatureMatrix, FeatureVectorGenerator
 from repro.core.pruning import VALIDITY_THRESHOLD, BlockTotals, cep_budget, cnp_budget
 from repro.datamodel import CandidateSet, EntityCollection
+from repro.incremental import FrozenModel, MutableBlockIndex
+from repro.parallel import shard_of_signature
 from repro.utils.pqueue import BoundedTopQueue
 from repro.utils.text import STOP_WORDS
 from repro.utils.timing import StageTimer
-from repro.weights import BlockStatistics
+from repro.weights import RCNP_FEATURE_SET, BlockStatistics
 
 _TOKEN_PATTERN = re.compile(r"[a-z0-9]+")
 
@@ -296,3 +304,74 @@ def reference_prune(
         require_both=name == "RCNP",
         positions=np.flatnonzero(valid),
     )
+
+
+class FixedLogistic:
+    """A deterministic frozen 'classifier': logistic over fixed linspace weights.
+
+    Probabilities are rounded, so two engines whose feature sums differ in
+    the last float ulp — streaming and batch, a replayed session and the
+    original run, daemon, replicas and the offline reference — score every
+    pair with bit-identical values without training anything.
+    """
+
+    def __init__(self, n_features: int) -> None:
+        self._weights = np.linspace(-1.0, 1.0, n_features)
+
+    def predict_proba(self, features: np.ndarray) -> np.ndarray:
+        z = np.clip(features @ self._weights, -30.0, 30.0)
+        return np.round(1.0 / (1.0 + np.exp(-z)), 9)
+
+
+def make_frozen_model(feature_set: Sequence[str] = RCNP_FEATURE_SET) -> FrozenModel:
+    """A deterministic frozen model over ``feature_set`` (RCNP's by default)."""
+    width = FeatureVectorGenerator(feature_set).columns
+    return FrozenModel(
+        classifier=FixedLogistic(len(width)), scaler=None, feature_set=feature_set
+    )
+
+
+def reference_retained(session):
+    """A session's retained set in the serve ``match`` response shape:
+    ``[[id_a, id_b, probability], ...]`` sorted by id pair."""
+    result = session.retained()
+    probabilities = result.probabilities[result.retained_mask]
+    return sorted(
+        [id_a, id_b, float(probability)]
+        for (id_a, id_b), probability in zip(result.retained_ids, probabilities)
+    )
+
+
+def reference_adopted_index(state, shard: int, num_shards: int) -> MutableBlockIndex:
+    """Shard ``shard`` of a checkpoint ``state``, rebuilt slot by slot.
+
+    The body ``ShardReplica._adopt_state`` ran before it loaded maximal
+    same-side runs in bulk: every slot in id order, live ones through
+    ``_apply_insert`` with their signatures shard-filtered, dead ones through
+    ``_register_tombstone``.
+    """
+    index_state = state["index"]
+    slots = state["slots"]
+    index = MutableBlockIndex(bilateral=bool(index_state["bilateral"]))
+    entry_of_node = {}
+    for side in sorted(index_state["sides"]):
+        for node, (entity_id, signatures) in zip(
+            slots["nodes"][side], index_state["sides"][side]
+        ):
+            entry_of_node[int(node)] = (entity_id, int(side), signatures)
+    for node in range(int(slots["num_slots"])):
+        entry = entry_of_node.get(node)
+        if entry is None:
+            index._register_tombstone()
+            continue
+        entity_id, side, signatures = entry
+        index._apply_insert(
+            entity_id,
+            side,
+            [
+                signature
+                for signature in signatures
+                if shard_of_signature(signature, num_shards) == shard
+            ],
+        )
+    return index

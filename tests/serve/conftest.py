@@ -4,55 +4,16 @@ The serving layer's correctness contract is *exactness*: every response
 must equal the canonical (offline) answer at its pinned WAL offset.  The
 tests therefore use a deterministic frozen classifier — a fixed-weight
 logistic with rounded probabilities, the same device the streaming
-equivalence tests use — so daemon, replicas and offline reference score
-every pair bit-identically without training anything.
+equivalence tests use (``tests/reference.py``) — so daemon, replicas and
+offline reference score every pair bit-identically without training
+anything.
 """
 
-import numpy as np
 import pytest
 
-from repro.core import FeatureVectorGenerator
-from repro.incremental import FrozenModel
-from repro.weights import RCNP_FEATURE_SET
-
-
-class FixedLogistic:
-    """Deterministic 'classifier': logistic over fixed linspace weights."""
-
-    def __init__(self, n_features: int) -> None:
-        self._weights = np.linspace(-1.0, 1.0, n_features)
-
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        z = np.clip(features @ self._weights, -30.0, 30.0)
-        return np.round(1.0 / (1.0 + np.exp(-z)), 9)
-
-
-def make_frozen_model() -> FrozenModel:
-    """A deterministic frozen model over the RCNP feature set."""
-    width = FeatureVectorGenerator(RCNP_FEATURE_SET).columns
-    return FrozenModel(
-        classifier=FixedLogistic(len(width)),
-        scaler=None,
-        feature_set=RCNP_FEATURE_SET,
-    )
-
-
-def reference_retained(session):
-    """A session's retained set in the serve ``match`` response shape:
-    ``[[id_a, id_b, probability], ...]`` sorted by id pair."""
-    result = session.retained()
-    probabilities = result.probabilities[result.retained_mask]
-    return sorted(
-        [id_a, id_b, float(probability)]
-        for (id_a, id_b), probability in zip(result.retained_ids, probabilities)
-    )
+from reference import make_frozen_model
 
 
 @pytest.fixture(scope="session")
 def frozen_model():
     return make_frozen_model()
-
-
-@pytest.fixture()
-def ref_retained():
-    return reference_retained

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_frozen_model
+from reference import make_frozen_model
 from repro.core.pruning import BlockTotals, get_pruning_algorithm
 from repro.datamodel import make_profile
 from repro.incremental import (

@@ -27,10 +27,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_frozen_model, reference_retained
+from reference import make_frozen_model, reference_retained
 from repro.datamodel import make_profile
 from repro.incremental import MatchingSession
 from repro.persistence.log import LOG_MAGIC, WriteAheadLog
+from repro.persistence.snapshot import STATE_FORMAT
 from repro.serve.router import build_pinned_view, match_answer
 from repro.serve.workers import ShardReplica, WalFollowError
 
@@ -226,6 +227,21 @@ class TestAdoptionUnit:
             _assert_replicas_identical(replica, from_zero)
             replica.close()
             from_zero.close()
+        finally:
+            session.close()
+
+    def test_a_checkpoint_in_another_state_format_is_skipped(self, tmp_path):
+        """Like an undecodable one: the replica tries the next-older snapshot."""
+        session = self._session(tmp_path)
+        readable = session.checkpoint()
+        offset = session.wal.log_offset
+        state = session.wal.load_snapshot(readable)
+        session.wal.write_snapshot(dict(state, format=STATE_FORMAT + 1))
+        try:
+            replica = ShardReplica(tmp_path, 0, 1)
+            replica.catch_up(offset)
+            assert replica.adopted_sequence == WriteAheadLog._snapshot_sequence(readable)
+            replica.close()
         finally:
             session.close()
 

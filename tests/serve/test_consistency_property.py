@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_frozen_model, reference_retained
+from reference import make_frozen_model, reference_retained
 from repro.datamodel import make_profile
 from repro.incremental import IndexState, MatchingSession, MergedIndexView
 from repro.incremental.state import FULL_ARRAYS, Growable, IndexStateError

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import reference_retained
+from reference import reference_retained
 from repro.datamodel import make_profile
 from repro.incremental import MatchingSession
 from repro.persistence.recovery import recover_session

@@ -19,7 +19,7 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 
-from conftest import make_frozen_model, reference_retained
+from reference import make_frozen_model, reference_retained
 from repro.datamodel import make_profile
 from repro.incremental import MatchingSession
 from repro.incremental.index import MutableBlockIndex

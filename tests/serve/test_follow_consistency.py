@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from conftest import make_frozen_model, reference_retained
+from reference import make_frozen_model, reference_retained
 from repro import faults
 from repro.datamodel import make_profile
 from repro.faults import FAULTS_ENV, FaultPlan

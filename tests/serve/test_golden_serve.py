@@ -32,7 +32,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_frozen_model
+from reference import make_frozen_model
 from repro.serve import MatchingDaemon
 from repro.serve.protocol import read_message_from, write_message_to
 

@@ -18,7 +18,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_frozen_model
+from reference import make_frozen_model
 from repro.core.pruning import PRUNING_ALGORITHMS, get_pruning_algorithm
 from repro.datamodel import Block, make_profile
 from repro.datasets import load_benchmark

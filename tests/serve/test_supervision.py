@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from conftest import reference_retained
+from reference import reference_retained
 from repro import faults
 from repro.datamodel import make_profile
 from repro.faults import FAULTS_ENV, FaultPlan

@@ -41,10 +41,29 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _exported_names(path: Path, tree: ast.Module):
+    """``{name: module}`` of a package ``__init__``'s ``_EXPORTS`` table.
+
+    Package ``__init__``s hold no ``from .x import`` block: they resolve their
+    public names lazily from that table (:mod:`repro._exports`), which is
+    therefore where a guard finds what the package re-exports, and from where.
+    """
+    package = ".".join(("repro",) + path.relative_to(ROOT).parts[:-1])
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_EXPORTS":
+            return {
+                name: f"{package}.{submodule}"
+                for name, submodule in ast.literal_eval(node.value).items()
+            }
+    return {}
+
+
 def _imported_names(path: Path):
-    """``{name: module}`` over the import statements of ``path``."""
-    names = {}
-    for module, statement in _imports(path, _parse(path)):
+    """``{name: module}`` over the import statements — and, for a package
+    ``__init__``, the export table — of ``path``."""
+    tree = _parse(path)
+    names = _exported_names(path, tree) if path.name == "__init__.py" else {}
+    for module, statement in _imports(path, tree):
         if isinstance(statement, ast.ImportFrom):
             names.update({alias.name: module for alias in statement.names})
         else:
