@@ -18,7 +18,10 @@
 #                            and the crash-atomic one-record update; recovery to
 #                            serving: the import surface of `import repro` and of a
 #                            recovered daemon, every package's export table, and
-#                            run-wise bulk checkpoint adoption vs the per-slot loop)
+#                            run-wise bulk checkpoint adoption vs the per-slot loop;
+#                            no selector, worker-count knob or process pool on any
+#                            entry point or CLI flag, and the state format of the
+#                            snapshot and the log's meta record read on recovery)
 #   make test-fast         - tier-1 suite without the perf smoke tests, then tests/serve,
 #                            tests/faults and tests/persistence in one invocation (the
 #                            fixture model they pickle must not depend on collection order)
@@ -26,7 +29,6 @@
 #   make bench-stream      - incremental streaming vs batch recompute bench
 #   make bench-churn       - dynamic churn bench (delete latency, bulk loads)
 #   make bench-blocking    - block-preparation bench (per-stage seconds)
-#   make bench-parallel    - sharded-engine scaling bench (speedup vs workers)
 #   make bench-wal         - WAL durability bench (journal overhead, recovery)
 #   make bench-serve       - serving bench (ingest rate, match tails, recovery)
 #   make bench-delta       - delta-shipping bench (per-read bytes, snapshot vs delta)
@@ -57,7 +59,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: loc test test-equivalence test-fast test-chaos bench-smoke bench-stream bench-churn bench-blocking bench-parallel bench-wal bench-serve bench-delta bench-faults bench-obs bench-ledger bench-ledger-quick bench-ab profile-answer serve-budget start-budget bench
+.PHONY: loc test test-equivalence test-fast test-chaos bench-smoke bench-stream bench-churn bench-blocking bench-wal bench-serve bench-delta bench-faults bench-obs bench-ledger bench-ledger-quick bench-ab profile-answer serve-budget start-budget bench
 
 test:
 	$(PYTEST) -x -q
@@ -76,7 +78,8 @@ test-equivalence:
 		tests/serve/test_consistency_property.py \
 		tests/incremental/test_derived_candidates.py tests/test_derived_answer_guards.py \
 		tests/serve/test_follow_consistency.py tests/persistence/test_update_atomicity.py \
-		tests/test_lazy_exports.py tests/incremental/test_bulk_adoption_property.py
+		tests/test_lazy_exports.py tests/incremental/test_bulk_adoption_property.py \
+		tests/test_no_backend_selector.py tests/test_cli.py tests/persistence/test_session_wal.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q
@@ -93,9 +96,6 @@ bench-churn:
 
 bench-blocking:
 	$(PYTEST) -q benchmarks/bench_blocking_runtime.py
-
-bench-parallel:
-	$(PYTEST) -q benchmarks/bench_parallel_scaling.py
 
 bench-wal:
 	$(PYTEST) -q benchmarks/bench_wal_recovery.py

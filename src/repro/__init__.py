@@ -34,7 +34,7 @@ True
 
 from ._exports import lazy_exports
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 #: public name -> the submodule that defines it (see repro._exports)
 _EXPORTS = {
@@ -61,11 +61,9 @@ _EXPORTS = {
     "MetaBlockingResult": "core",
     "MutableBlockIndex": "incremental",
     "ORIGINAL_FEATURE_SET": "weights",
-    "ParallelExecutor": "parallel",
     "PAPER_FEATURES": "weights",
     "QGramsBlocking": "blocking",
     "RCNP_FEATURE_SET": "weights",
-    "ShardPlanner": "parallel",
     "ShardedMutableBlockIndex": "incremental",
     "StandardBlocking": "blocking",
     "SuffixArraysBlocking": "blocking",
@@ -77,7 +75,6 @@ _EXPORTS = {
     "SupervisedWEP": "core",
     "SupervisedWNP": "core",
     "TokenBlocking": "blocking",
-    "WorkerCrashError": "parallel",
     "evaluate_blocks": "evaluation",
     "evaluate_candidates": "evaluation",
     "evaluate_result": "evaluation",

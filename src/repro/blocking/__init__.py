@@ -15,7 +15,6 @@ _EXPORTS = {
     "extract_candidates": "candidate_extraction",
     "filter_blocks": "filtering",
     "prepare_blocks": "candidate_extraction",
-    "prepare_blocks_array": "arrayops",
     "purge_by_comparison_cardinality": "purging",
     "purge_oversized_blocks": "purging",
 }

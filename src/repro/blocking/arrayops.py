@@ -10,8 +10,7 @@ signature index, per-:class:`Block` loops or Python set of pair tuples:
 * **encode**: :func:`encode_signatures` turns the lists of any method into a
   token-id array at C speed — the flattened lists, their sorted set as the
   vocabulary, the ranks looked up with ``map`` (sorted-vocabulary ranks, so
-  block order matches the object chain's ``sorted(keys)``); the sharded
-  engine's workers call the same kernel on their shard;
+  block order matches the object chain's ``sorted(keys)``);
 * **assemble**: blocks are built directly as flat ``(block, entity)``
   membership arrays — a block x entity CSR — via packed-key sorted dedup,
   with no per-signature dict; a method's ``max_block_size`` cut-off is one
@@ -63,7 +62,6 @@ from ..weights.sparse import (
     reduce_memberships,
 )
 from .base import BlockingMethod
-from .token_blocking import TokenBlocking
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..weights.statistics import BlockStatistics
@@ -260,7 +258,6 @@ def assemble_blocks(
     method: BlockingMethod,
     first: EntityCollection,
     second: Optional[EntityCollection] = None,
-    executor=None,
 ) -> MembershipMatrix:
     """Token Blocking (or any blocking method) as one array pass.
 
@@ -269,10 +266,7 @@ def assemble_blocks(
     signature order, exactly like the loop path's
     ``build_unilateral_blocks``/``build_bilateral_blocks`` followed by
     ``without_empty_blocks``; blocks over the method's ``max_block_size``
-    (the Suffix-Arrays frequency cut-off) are then dropped.  A live executor
-    shards the tokenization
-    (:func:`repro.parallel.blocking.dictionary_encode_sharded`); the packed-key
-    sorted dedup below makes the result independent of the partitioning.
+    (the Suffix-Arrays frequency cut-off) are then dropped.
     """
     if second is None:
         index_space = EntityIndexSpace(len(first))
@@ -280,37 +274,7 @@ def assemble_blocks(
     else:
         index_space = EntityIndexSpace(len(first), len(second))
         name = f"{method.name}({first.name},{second.name})"
-    if executor is None:
-        codes, nodes, vocabulary = _dictionary_encode(method, first, second)
-    else:
-        from ..parallel.blocking import dictionary_encode_sharded
-
-        codes, nodes, vocabulary = dictionary_encode_sharded(method, first, second, executor)
-    matrix = assemble_from_codes(
-        codes, nodes, vocabulary, index_space, name, bilateral=second is not None
-    )
-    if method.max_block_size is not None:
-        matrix = _select_blocks(matrix, matrix.block_sizes() <= method.max_block_size, name)
-    return matrix
-
-
-def assemble_from_codes(
-    codes: np.ndarray,
-    nodes: np.ndarray,
-    vocabulary: List[str],
-    index_space: EntityIndexSpace,
-    name: str,
-    bilateral: bool,
-) -> MembershipMatrix:
-    """Assemble blocks from a dictionary-encoded signature stream.
-
-    ``codes`` index the lexicographically sorted ``vocabulary`` with one
-    entry per signature occurrence (duplicates allowed), ``nodes`` are the
-    matching global node ids.  This is the core of
-    :func:`assemble_blocks`; the parallel engine calls it directly after
-    merging per-shard token streams, so sharded and single-pass tokenization
-    produce bit-identical matrices.
-    """
+    codes, nodes, vocabulary = _dictionary_encode(method, first, second)
     num_codes = len(vocabulary)
     if codes.size:
         bits = key_field_bits(num_codes, index_space.total)
@@ -324,7 +288,7 @@ def assemble_from_codes(
         codes = packed >> node_bits
         nodes = packed & ((1 << node_bits) - 1)
 
-    if not bilateral:
+    if second is None:
         keep_code = np.bincount(codes, minlength=num_codes) >= 2
     else:
         size_first = index_space.size_first
@@ -337,7 +301,10 @@ def assemble_from_codes(
     block_of = new_block_id[codes[keep_membership]]
     kept_nodes = nodes[keep_membership]
     keys = [vocabulary[code] for code in np.flatnonzero(keep_code)]
-    return _matrix_from_sorted(keys, block_of, kept_nodes, index_space, name)
+    matrix = _matrix_from_sorted(keys, block_of, kept_nodes, index_space, name)
+    if method.max_block_size is not None:
+        matrix = _select_blocks(matrix, matrix.block_sizes() <= method.max_block_size, name)
+    return matrix
 
 
 def _select_blocks(
@@ -456,9 +423,9 @@ class PreparedBlocks:
     #: reused by feature generation / the blocking-graph builder (statistics
     #: build it themselves when a hand-assembled instance leaves it ``None``)
     csr: Optional[EntityBlockCSR] = field(default=None, compare=False)
-    #: co-occurrence aggregates of ``candidates``, reduced by the serial
-    #: preparation from the expansion that found them (``None``: computed by
-    #: the statistics on first use)
+    #: co-occurrence aggregates of ``candidates``, reduced by the preparation
+    #: from the expansion that found them (``None``: computed by the
+    #: statistics on first use)
     cooccurrence: Optional[PairCooccurrence] = field(default=None, compare=False)
     #: per-stage wall-clock of the preparation (blocking, purging,
     #: filtering, candidate-extraction)
@@ -487,60 +454,3 @@ class PreparedBlocks:
                 self._stats.seed_pair_cooccurrence(self.candidates, self.cooccurrence)
         return self._stats
 
-
-def prepare_blocks_array(
-    first: EntityCollection,
-    second: Optional[EntityCollection] = None,
-    blocking: Optional[BlockingMethod] = None,
-    purging_fraction: float = 0.5,
-    filtering_ratio: float = 0.8,
-    apply_purging: bool = True,
-    apply_filtering: bool = True,
-    timer: Optional[StageTimer] = None,
-    executor=None,
-) -> PreparedBlocks:
-    """Run the paper's block-preparation pipeline array-natively.
-
-    Produces bit-identical blocks and candidate pairs to the loop path (see
-    the module docstring), plus the final collection's CSR incidence
-    structure and the candidates' co-occurrence aggregates.  Per-stage
-    wall-clock is recorded on ``timer`` when given.
-
-    With a live :class:`repro.parallel.ParallelExecutor` the two stages that
-    dominate the profile — tokenization and candidate extraction — fan out
-    across its workers (:mod:`repro.parallel.blocking`), bit-identically;
-    Block Purging and Block Filtering stay the same single-pass array code,
-    and no aggregates are handed forward (the feature fan-out computes them).
-    """
-    timer = timer if timer is not None else StageTimer()
-    method = blocking if blocking is not None else TokenBlocking()
-    with timer.stage("blocking"):
-        raw_matrix = assemble_blocks(method, first, second, executor)
-    with timer.stage("purging"):
-        purged_matrix = (
-            purge_matrix(raw_matrix, purging_fraction) if apply_purging else raw_matrix
-        )
-    with timer.stage("filtering"):
-        filtered_matrix = (
-            filter_matrix(purged_matrix, filtering_ratio) if apply_filtering else purged_matrix
-        )
-    with timer.stage("candidate-extraction"):
-        csr = filtered_matrix.csr()
-        if executor is None:
-            candidates, cooccurrence = reduce_candidates(filtered_matrix, csr)
-        else:
-            from ..parallel.blocking import extract_candidate_keys_sharded
-
-            keys = extract_candidate_keys_sharded(filtered_matrix, executor)
-            candidates = CandidateSet.from_packed_keys(keys, filtered_matrix.index_space)
-            cooccurrence = None
-
-    return PreparedBlocks(
-        raw_blocks=LazyBlockCollection(raw_matrix),
-        purged_blocks=LazyBlockCollection(purged_matrix),
-        blocks=LazyBlockCollection(filtered_matrix),
-        candidates=candidates,
-        csr=csr,
-        cooccurrence=cooccurrence,
-        timer=timer,
-    )

@@ -43,8 +43,8 @@ class BlockingMethod(ABC):
     def signature_lists(self, profiles: Iterable[EntityProfile]) -> List[List[str]]:
         """Per-profile signature lists for batch (array-engine) assembly.
 
-        ``profiles`` is only iterated: a collection, a shard's tuple or a
-        plain list.  Duplicates are allowed — the array engine deduplicates
+        ``profiles`` is only iterated: a collection, a tuple or a plain
+        list.  Duplicates are allowed — the array engine deduplicates
         while assembling the blocks — so subclasses may override this to skip
         the per-profile set building of :meth:`signatures_of`.
         """

@@ -8,20 +8,18 @@ candidate extraction.
 
 The chain runs on the array-native engine of :mod:`repro.blocking.arrayops`
 (batched tokenization, CSR block assembly, array purging/filtering passes and
-one sort-and-reduce pass over the expanded comparisons), sharded across
-worker processes by :mod:`repro.parallel.blocking` when ``workers > 1``.
+one sort-and-reduce pass over the expanded comparisons).
 
 The hand-off contract: everything the answer phase would otherwise derive
 again from the blocks rides forward on :class:`PreparedBlocks` —
 the entity x block CSR incidence structure (:attr:`PreparedBlocks.csr`),
-the distinct candidate pairs (LCP is a node's degree in them) and, from the
-serial engine, the pairs' co-occurrence aggregates
-(:attr:`PreparedBlocks.cooccurrence`), reduced from the *same* expansion of
-the comparisons that found the pairs.  :meth:`PreparedBlocks.statistics`
-installs all three, so feature generation rebuilds no incidence structure
-and ``stats.pair_cooccurrence(candidates)`` is a cache hit.  The sharded
-engine, and a key space the reduce pass refuses
-(:func:`repro.pairs.key_field_bits`), hand no aggregates; the answer phase
+the distinct candidate pairs (LCP is a node's degree in them) and the pairs'
+co-occurrence aggregates (:attr:`PreparedBlocks.cooccurrence`), reduced from
+the *same* expansion of the comparisons that found the pairs.
+:meth:`PreparedBlocks.statistics` installs all three, so feature generation
+rebuilds no incidence structure and ``stats.pair_cooccurrence(candidates)``
+is a cache hit.  A key space the reduce pass refuses
+(:func:`repro.pairs.key_field_bits`) hands no aggregates; the answer phase
 then computes them with the same kernel.  The readable object chain
 (``BlockingMethod.build_blocks`` -> ``purge_oversized_blocks`` ->
 ``filter_blocks`` -> :func:`extract_candidates`) is the reference the
@@ -36,8 +34,16 @@ from ..datamodel.block import BlockCollection
 from ..datamodel.candidates import CandidateSet
 from ..datamodel.entity import EntityCollection
 from ..utils.timing import StageTimer
-from .arrayops import PreparedBlocks, prepare_blocks_array
+from .arrayops import (
+    LazyBlockCollection,
+    PreparedBlocks,
+    assemble_blocks,
+    filter_matrix,
+    purge_matrix,
+    reduce_candidates,
+)
 from .base import BlockingMethod
+from .token_blocking import TokenBlocking
 
 
 def extract_candidates(blocks: BlockCollection) -> CandidateSet:
@@ -54,10 +60,12 @@ def prepare_blocks(
     apply_purging: bool = True,
     apply_filtering: bool = True,
     timer: Optional[StageTimer] = None,
-    workers=1,
-    executor=None,
 ) -> PreparedBlocks:
     """Run the paper's block-preparation pipeline.
+
+    Produces bit-identical blocks and candidate pairs to the object chain
+    (see :mod:`repro.blocking.arrayops`), plus the final collection's CSR
+    incidence structure and the candidates' co-occurrence aggregates.
 
     Parameters
     ----------
@@ -75,39 +83,30 @@ def prepare_blocks(
         Optional :class:`StageTimer`; the preparation's total wall-clock is
         added to its ``"block-preparation"`` stage (the per-stage breakdown
         stays on :attr:`PreparedBlocks.timer`).
-    workers:
-        Worker-process count (or ``"auto"``) for the sharded engine of
-        :mod:`repro.parallel`.  The default ``1`` is the exact
-        single-process path and stays the oracle; any other value produces
-        bit-identical prepared blocks.
-    executor:
-        Optional live :class:`repro.parallel.ParallelExecutor` to reuse
-        (amortises pool startup and shared-memory publication across
-        stages); when omitted and ``workers > 1``, one is created and
-        closed around the preparation.
     """
-    from ..parallel.executor import resolve_workers
-
-    worker_count = executor.workers if executor is not None else resolve_workers(workers)
-    owned = None
-    if worker_count > 1 and executor is None:
-        from ..parallel.executor import ParallelExecutor
-
-        executor = owned = ParallelExecutor(workers)
-    try:
-        prepared = prepare_blocks_array(
-            first,
-            second,
-            blocking=blocking,
-            purging_fraction=purging_fraction,
-            filtering_ratio=filtering_ratio,
-            apply_purging=apply_purging,
-            apply_filtering=apply_filtering,
-            executor=executor if worker_count > 1 else None,
+    stages = StageTimer()
+    method = blocking if blocking is not None else TokenBlocking()
+    with stages.stage("blocking"):
+        raw_matrix = assemble_blocks(method, first, second)
+    with stages.stage("purging"):
+        purged_matrix = (
+            purge_matrix(raw_matrix, purging_fraction) if apply_purging else raw_matrix
         )
-    finally:
-        if owned is not None:
-            owned.close()
+    with stages.stage("filtering"):
+        filtered_matrix = (
+            filter_matrix(purged_matrix, filtering_ratio) if apply_filtering else purged_matrix
+        )
+    with stages.stage("candidate-extraction"):
+        csr = filtered_matrix.csr()
+        candidates, cooccurrence = reduce_candidates(filtered_matrix, csr)
     if timer is not None:
-        timer.add("block-preparation", prepared.timer.total)
-    return prepared
+        timer.add("block-preparation", stages.total)
+    return PreparedBlocks(
+        raw_blocks=LazyBlockCollection(raw_matrix),
+        purged_blocks=LazyBlockCollection(purged_matrix),
+        blocks=LazyBlockCollection(filtered_matrix),
+        candidates=candidates,
+        csr=csr,
+        cooccurrence=cooccurrence,
+        timer=stages,
+    )

@@ -28,24 +28,12 @@ from .core.pruning import PRUNING_ALGORITHMS
 from .datasets.registry import CLEAN_CLEAN_ORDER, FAST_DATASET_SUBSET
 
 
-def _workers_argument(value: str):
-    """Validate a ``--workers`` value: a positive integer or ``auto``."""
-    from .parallel.executor import resolve_workers
-
-    try:
-        resolve_workers(value)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-    return value if value == "auto" else int(value)
-
-
 def _config_from_args(args: argparse.Namespace) -> ex.ExperimentConfig:
     return ex.ExperimentConfig(
         dataset_names=tuple(args.datasets),
         repetitions=args.repetitions,
         training_size=args.training_size,
         seed=args.seed,
-        workers=args.workers,
     )
 
 
@@ -155,39 +143,19 @@ def _run_quickstart(args: argparse.Namespace) -> str:
     from .evaluation.metrics import evaluate_candidates, evaluate_result
     from .utils.timing import StageTimer
 
-    from .parallel.executor import ParallelExecutor, resolve_workers
-
     dataset = load_benchmark(args.datasets[0], seed=args.seed)
     prep_timer = StageTimer()
-    workers = resolve_workers(args.workers)
-    # one executor (pool + published shared-memory inputs) serves block
-    # preparation, feature generation and pruning alike
-    executor = ParallelExecutor(workers) if workers > 1 else None
-    try:
-        prepared = prepare_blocks(
-            dataset.first,
-            dataset.second,
-            timer=prep_timer,
-            workers=workers,
-            executor=executor,
-        )
-        before = evaluate_candidates(prepared.candidates, dataset.ground_truth)
-        pipeline = GeneralizedSupervisedMetaBlocking(
-            pruning="BLAST",
-            training_size=args.training_size,
-            seed=args.seed,
-            workers=workers,
-        )
-        result = pipeline.run(
-            prepared.blocks,
-            prepared.candidates,
-            dataset.ground_truth,
-            stats=prepared.statistics(),
-            executor=executor,
-        )
-    finally:
-        if executor is not None:
-            executor.close()
+    prepared = prepare_blocks(dataset.first, dataset.second, timer=prep_timer)
+    before = evaluate_candidates(prepared.candidates, dataset.ground_truth)
+    pipeline = GeneralizedSupervisedMetaBlocking(
+        pruning="BLAST", training_size=args.training_size, seed=args.seed
+    )
+    result = pipeline.run(
+        prepared.blocks,
+        prepared.candidates,
+        dataset.ground_truth,
+        stats=prepared.statistics(),
+    )
     after = evaluate_result(result, dataset.ground_truth)
     stages = prep_timer.merge(result.timer)
     stage_text = " ".join(
@@ -371,7 +339,6 @@ def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             snapshot_every=args.snapshot_every,
             wal_sync=args.wal_sync,
             recover=args.recover,
-            tokenize_workers=args.workers,
             announce=True,
             degraded_reads=(args.degraded_reads == "on"),
             delta_shipping=(args.delta_shipping == "on"),
@@ -551,15 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--training-size", type=int, default=500, dest="training_size")
         sub.add_argument("--seed", type=int, default=0)
         sub.add_argument("--max-set-size", type=int, default=3, dest="max_set_size")
-        sub.add_argument(
-            "--workers",
-            type=_workers_argument,
-            default=1,
-            help="worker processes for the sharded execution engine "
-            "(repro.parallel): a positive integer or 'auto' "
-            "(cpu_count - 1); 1 (the default) is the exact single-process "
-            "path, and every worker count produces identical results",
-        )
 
     run_parser = subparsers.add_parser("run", help="regenerate one table/figure")
     run_parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
@@ -701,10 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--wal-sync", default="always", choices=("always", "batch"),
         dest="wal_sync", help="fsync per record (default) or on checkpoint only",
-    )
-    serve_parser.add_argument(
-        "--workers", type=_workers_argument, default=1,
-        help="worker processes for bulk-insert tokenization (1 = inline)",
     )
     serve_parser.add_argument("--scale", type=float, default=None)
     serve_parser.add_argument("--training-size", type=int, default=50, dest="training_size")

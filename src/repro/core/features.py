@@ -77,25 +77,13 @@ class FeatureVectorGenerator:
     feature_set:
         Scheme names (see :mod:`repro.weights.registry`).  Defaults to the
         optimal set of Supervised Meta-blocking [21].
-    workers:
-        Worker-process count (or ``"auto"``) for the sharded co-occurrence
-        pass of :mod:`repro.parallel.features`.  The default ``1`` is the
-        exact single-process path, and every worker count produces
-        bit-identical matrices.
     """
 
-    def __init__(
-        self,
-        feature_set: Sequence[str] = ORIGINAL_FEATURE_SET,
-        workers=1,
-    ) -> None:
+    def __init__(self, feature_set: Sequence[str] = ORIGINAL_FEATURE_SET) -> None:
         names = tuple(feature_set)
         if not names:
             raise ValueError("feature_set must contain at least one scheme")
         self.feature_set = names
-        from ..parallel.executor import resolve_workers
-
-        self.workers = resolve_workers(workers)
         self._schemes = get_schemes(names)
 
     @property
@@ -119,7 +107,6 @@ class FeatureVectorGenerator:
         candidates: CandidateSet,
         stats: BlockStatistics,
         timer: Optional[StageTimer] = None,
-        executor=None,
     ) -> FeatureMatrix:
         """Compute the feature matrix for ``candidates``.
 
@@ -132,31 +119,9 @@ class FeatureVectorGenerator:
         timer:
             Optional :class:`StageTimer`; feature-generation time is added to
             its ``"features"`` stage.
-        executor:
-            Optional live :class:`repro.parallel.ParallelExecutor` to reuse
-            when ``workers > 1`` (one is created and closed around the
-            generation otherwise).
         """
         values = np.empty((len(candidates), len(self.columns)), dtype=np.float64, order="F")
         local_timer = StageTimer()
-        workers = executor.workers if executor is not None else self.workers
-        if workers > 1 and isinstance(stats, BlockStatistics):
-            # compute the co-occurrence pass across workers and seed the
-            # statistics cache; the schemes below then run unchanged on the
-            # cached aggregates
-            from ..parallel.executor import ParallelExecutor
-            from ..parallel.features import parallel_pair_cooccurrence
-
-            with local_timer.stage("parallel-precompute"):
-                owned = executor is None
-                live = executor if executor is not None else ParallelExecutor(workers)
-                try:
-                    stats.seed_pair_cooccurrence(
-                        candidates, parallel_pair_cooccurrence(stats, candidates, live)
-                    )
-                finally:
-                    if owned:
-                        live.close()
         stop = 0
         for scheme in self._schemes:
             start, stop = stop, stop + scheme.width
@@ -178,15 +143,7 @@ def generate_features(
     feature_set: Sequence[str] = ORIGINAL_FEATURE_SET,
     stats: Optional[BlockStatistics] = None,
     timer: Optional[StageTimer] = None,
-    workers=1,
-    executor=None,
 ) -> FeatureMatrix:
-    """Convenience wrapper: build statistics (if needed) and the feature matrix.
-
-    ``workers``/``executor`` enable the sharded co-occurrence pass of
-    :mod:`repro.parallel.features`; the matrix is
-    bit-identical for every worker count.
-    """
+    """Convenience wrapper: build statistics (if needed) and the feature matrix."""
     statistics = stats if stats is not None else BlockStatistics(blocks)
-    generator = FeatureVectorGenerator(feature_set, workers=workers)
-    return generator.generate(candidates, statistics, timer=timer, executor=executor)
+    return FeatureVectorGenerator(feature_set).generate(candidates, statistics, timer=timer)

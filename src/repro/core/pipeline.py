@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..blocking.candidate_extraction import PreparedBlocks, prepare_blocks
+from ..blocking.candidate_extraction import prepare_blocks
 from ..datamodel.block import BlockCollection
 from ..datamodel.candidates import CandidateSet
 from ..datamodel.entity import EntityCollection
@@ -102,13 +102,6 @@ class GeneralizedSupervisedMetaBlocking:
         Positive fraction for the proportional policy.
     seed:
         Master seed for training-set sampling.
-    workers:
-        Worker-process count (or ``"auto"``) for the sharded execution
-        engine of :mod:`repro.parallel`: feature generation's co-occurrence
-        pass runs across worker processes, bit-identically to the
-        ``workers=1`` single-process path (the oracle).  Training, scoring
-        and pruning always run in the parent — the single RNG entrypoint
-        never leaves it (see :mod:`repro.utils.rng`).
     """
 
     def __init__(
@@ -121,12 +114,8 @@ class GeneralizedSupervisedMetaBlocking:
         training_policy: str = "balanced",
         positive_fraction: float = 0.05,
         seed: SeedLike = 0,
-        workers=1,
     ) -> None:
-        from ..parallel.executor import resolve_workers
-
-        self.workers = resolve_workers(workers)
-        self.feature_generator = FeatureVectorGenerator(feature_set, workers=self.workers)
+        self.feature_generator = FeatureVectorGenerator(feature_set)
         self.pruning = (
             get_pruning_algorithm(pruning) if isinstance(pruning, str) else pruning
         )
@@ -152,7 +141,6 @@ class GeneralizedSupervisedMetaBlocking:
         feature_matrix: Optional[FeatureMatrix] = None,
         seed: SeedLike = None,
         keep_features: bool = False,
-        executor=None,
     ) -> MetaBlockingResult:
         """Run the pipeline on a prepared block collection.
 
@@ -170,51 +158,12 @@ class GeneralizedSupervisedMetaBlocking:
             Per-run sampling seed (falls back to the pipeline seed).
         keep_features:
             Attach the full feature matrix to the result.
-        executor:
-            Optional live :class:`repro.parallel.ParallelExecutor` shared
-            with block preparation; when omitted and ``workers > 1``, one
-            is created for the run and closed afterwards.
         """
         timer = StageTimer()
         statistics = stats if stats is not None else BlockStatistics(blocks)
-
-        workers = executor.workers if executor is not None else self.workers
-        owned_executor = None
-        if workers > 1 and executor is None:
-            from ..parallel.executor import ParallelExecutor
-
-            executor = owned_executor = ParallelExecutor(workers)
-        try:
-            return self._run_stages(
-                blocks,
-                candidates,
-                ground_truth,
-                statistics,
-                feature_matrix,
-                seed,
-                keep_features,
-                timer,
-                executor,
-            )
-        finally:
-            if owned_executor is not None:
-                owned_executor.close()
-
-    def _run_stages(
-        self,
-        blocks,
-        candidates,
-        ground_truth,
-        statistics,
-        feature_matrix,
-        seed,
-        keep_features,
-        timer,
-        executor,
-    ) -> MetaBlockingResult:
         if feature_matrix is None:
             feature_matrix = self.feature_generator.generate(
-                candidates, statistics, timer=timer, executor=executor
+                candidates, statistics, timer=timer
             )
         elif feature_matrix.n_pairs != len(candidates):
             raise ValueError("precomputed feature matrix does not match the candidates")
@@ -274,35 +223,14 @@ class GeneralizedSupervisedMetaBlocking:
         preparation's wall-clock is recorded as the ``"block-preparation"``
         stage of the result's timer — so RT no longer silently starts at
         feature generation.
-
-        With ``workers > 1`` a single :class:`~repro.parallel.ParallelExecutor`
-        is shared by block preparation and feature generation, so
-        the pool and the published shared-memory inputs are paid for once.
         """
-        from ..parallel.executor import ParallelExecutor, resolve_workers
-
-        # an explicit workers/executor kwarg for the preparation wins over
-        # the pipeline's own knob (e.g. workers=1 forces single-process
-        # preparation regardless of the pipeline's worker count)
-        prepare_workers = resolve_workers(prepare_kwargs.get("workers", self.workers))
-        owned_executor = None
-        if prepare_workers > 1 and "executor" not in prepare_kwargs:
-            prepare_kwargs.setdefault("workers", prepare_workers)
-            owned_executor = ParallelExecutor(prepare_workers)
-            prepare_kwargs["executor"] = owned_executor
-        try:
-            prepared: PreparedBlocks = prepare_blocks(first, second, **prepare_kwargs)
-            result = self.run(
-                prepared.blocks,
-                prepared.candidates,
-                ground_truth,
-                stats=prepared.statistics(),
-                seed=seed,
-                executor=prepare_kwargs.get("executor"),
-            )
-        finally:
-            if owned_executor is not None:
-                owned_executor.close()
-        if prepared.timer is not None:
-            result.timer.add("block-preparation", prepared.timer.total)
+        prepared = prepare_blocks(first, second, **prepare_kwargs)
+        result = self.run(
+            prepared.blocks,
+            prepared.candidates,
+            ground_truth,
+            stats=prepared.statistics(),
+            seed=seed,
+        )
+        result.timer.add("block-preparation", prepared.timer.total)
         return result

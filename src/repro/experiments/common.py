@@ -44,10 +44,6 @@ class ExperimentConfig:
     classifier:
         ``"logistic"`` (default) or ``"svm"`` — the paper reports both give
         nearly identical results.
-    workers:
-        Worker-process count (or ``"auto"``) for the sharded execution
-        engine of :mod:`repro.parallel`; ``1`` (the default) is the exact
-        single-process path and stays the oracle.
     """
 
     dataset_names: Sequence[str] = field(
@@ -58,7 +54,6 @@ class ExperimentConfig:
     seed: SeedLike = 0
     scale: Optional[float] = None
     classifier: str = "logistic"
-    workers: object = 1
 
     def classifier_factory(self) -> Callable:
         """Return the classifier factory matching the configuration."""
@@ -85,11 +80,10 @@ def prepare_benchmark_dataset(
     name: str,
     seed: SeedLike = 0,
     scale: Optional[float] = None,
-    workers=1,
 ) -> PreparedDataset:
     """Generate one Clean-Clean benchmark and run the blocking pipeline on it."""
     dataset = load_benchmark(name, seed=seed, scale=scale)
-    prepared = prepare_blocks(dataset.first, dataset.second, workers=workers)
+    prepared = prepare_blocks(dataset.first, dataset.second)
     return PreparedDataset(
         name=name,
         blocks=prepared.blocks,
@@ -102,12 +96,7 @@ def prepare_benchmark_dataset(
 def prepare_benchmark_datasets(config: ExperimentConfig) -> List[PreparedDataset]:
     """Prepare every benchmark named in the configuration."""
     return [
-        prepare_benchmark_dataset(
-            name,
-            seed=config.seed,
-            scale=config.scale,
-            workers=config.workers,
-        )
+        prepare_benchmark_dataset(name, seed=config.seed, scale=config.scale)
         for name in config.dataset_names
     ]
 
@@ -116,11 +105,10 @@ def prepare_dirty_dataset(
     name: str,
     seed: SeedLike = 0,
     scale: Optional[float] = None,
-    workers=1,
 ) -> PreparedDataset:
     """Generate one Dirty ER dataset and run Token Blocking + cleaning on it."""
     dataset = load_dirty_dataset(name, seed=seed, scale=scale)
-    prepared = prepare_blocks(dataset.collection, None, workers=workers)
+    prepared = prepare_blocks(dataset.collection, None)
     return PreparedDataset(
         name=name,
         blocks=prepared.blocks,
@@ -149,7 +137,6 @@ def blast_pipeline(config: ExperimentConfig, training_size: Optional[int] = None
         training_size=training_size or config.training_size,
         classifier_factory=config.classifier_factory(),
         seed=config.seed,
-        workers=config.workers,
     )
 
 
@@ -161,7 +148,6 @@ def rcnp_pipeline(config: ExperimentConfig, training_size: Optional[int] = None)
         training_size=training_size or config.training_size,
         classifier_factory=config.classifier_factory(),
         seed=config.seed,
-        workers=config.workers,
     )
 
 
@@ -179,7 +165,6 @@ def bcl_pipeline(
         training_policy=training_policy,
         classifier_factory=config.classifier_factory(),
         seed=config.seed,
-        workers=config.workers,
     )
 
 
@@ -197,7 +182,6 @@ def cnp_pipeline(
         training_policy=training_policy,
         classifier_factory=config.classifier_factory(),
         seed=config.seed,
-        workers=config.workers,
     )
 
 
@@ -214,5 +198,4 @@ def algorithm_pipeline(
         training_size=training_size or config.training_size,
         classifier_factory=config.classifier_factory(),
         seed=config.seed,
-        workers=config.workers,
     )

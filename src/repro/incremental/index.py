@@ -461,7 +461,6 @@ class MutableBlockIndex(IndexState):
         self,
         profiles: Sequence[EntityProfile],
         side: int = 0,
-        signature_lists: Optional[Sequence[Sequence[str]]] = None,
     ) -> BulkInsertDelta:
         """Insert a batch of same-side entities in one array pass.
 
@@ -480,11 +479,6 @@ class MutableBlockIndex(IndexState):
         by insert); every aggregate, the pair set, and the exact
         finalisation are unaffected.
 
-        ``signature_lists`` accepts pre-extracted per-profile signatures
-        (one list per profile, input order) so callers that tokenized the
-        batch elsewhere — the serving daemon's executor fan-out — skip the
-        in-process tokenization pass.
-
         Returns
         -------
         BulkInsertDelta
@@ -502,14 +496,7 @@ class MutableBlockIndex(IndexState):
 
         # batch tokenization happens before any state change, so a logged
         # bulk record always precedes its application (append-before-apply)
-        if signature_lists is None:
-            signature_lists = self.blocking.signature_lists(profiles)
-        else:
-            signature_lists = list(signature_lists)
-            if len(signature_lists) != len(profiles):
-                raise ValueError(
-                    "signature_lists must carry one signature list per profile"
-                )
+        signature_lists = self.blocking.signature_lists(profiles)
         entries = [
             (profile.entity_id, list(signatures))
             for profile, signatures in zip(profiles, signature_lists)

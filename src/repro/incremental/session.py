@@ -522,10 +522,7 @@ class MatchingSession:
         return [self.insert(profile, side=side) for profile in profiles]
 
     def insert_bulk(
-        self,
-        profiles: Sequence[EntityProfile],
-        side: int = 0,
-        signature_lists=None,
+        self, profiles: Sequence[EntityProfile], side: int = 0
     ) -> BulkInsertResult:
         """Load a batch of same-side entities through the index's bulk path.
 
@@ -536,16 +533,9 @@ class MatchingSession:
         together — OnlineWEP folds them all into its running average before
         thresholding any of them, where sequential inserts would threshold
         each pair against the average as of its own arrival.
-
-        ``signature_lists`` optionally carries pre-extracted per-profile
-        signatures (callers that fanned tokenization out over a
-        :class:`repro.parallel.ParallelExecutor`, as the serving daemon
-        does, skip the in-process pass).
         """
         self._check_generation()
-        delta = self.index.add_entities_bulk(
-            profiles, side=side, signature_lists=signature_lists
-        )
+        delta = self.index.add_entities_bulk(profiles, side=side)
         result = self._score_bulk(delta)
         self._count_op()
         return result

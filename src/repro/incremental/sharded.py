@@ -1,7 +1,7 @@
 """Signature-sharded streaming index, and the merged read over K shards.
 
 K signature shards are mergeable by construction.  Shard ``k`` owns every
-block whose key hashes to ``k`` (:func:`repro.parallel.shard_of_signature`),
+block whose key hashes to ``k`` (:func:`shard_of_signature`),
 and every mutation is routed to **all** shards with the entity's signatures
 filtered per shard (a shard whose filter yields no signature still registers
 the entity with an empty row).  :class:`MergedIndexView` is the read-only
@@ -21,15 +21,15 @@ live indexes, or the bare states a router was shipped — and guarantees, becaus
 
 :class:`ShardedMutableBlockIndex` is a merged view that also routes
 mutations: tokenization — the CPU-heavy Python part of ingest — is
-performed once per mutation by the router (never K times) and, for bulk
-loads, can be fanned out over a :class:`repro.parallel.ParallelExecutor`;
-the per-shard index updates are independent by construction.  The
+performed once per mutation by the router (never K times); the per-shard
+index updates are independent by construction.  The
 equivalence tests assert a sharded index fed any interleaving of
 add/remove/update/bulk matches the unsharded one, statistic by statistic.
 """
 
 from __future__ import annotations
 
+import zlib
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,6 +42,21 @@ from ..datamodel.entity import EntityIndexSpace, EntityProfile
 from ..weights.sparse import EntityBlockCSR
 from .index import DuplicateEntityError, MutableBlockIndex, UnknownEntityError
 from .state import IndexState, IndexStatistics, LiveCandidates, merged_csr
+
+
+def stable_hash(text: str) -> int:
+    """A process-stable 32-bit hash of a string (CRC-32 of UTF-8).
+
+    Python's builtin ``hash`` is salted per process, which would make shard
+    assignment — and with it every merged array — non-reproducible across
+    runs and processes.
+    """
+    return zlib.crc32(text.encode("utf-8"))
+
+
+def shard_of_signature(signature: str, num_shards: int) -> int:
+    """The shard owning a blocking signature (token)."""
+    return stable_hash(signature) % num_shards
 
 
 class MergedIndexView:
@@ -149,9 +164,6 @@ class ShardedMutableBlockIndex(MergedIndexView):
         Number of signature shards (usually the intended worker count).
     name:
         Label used in snapshots and reports.
-    executor:
-        Optional :class:`repro.parallel.ParallelExecutor`; bulk-load
-        tokenization is fanned out over it.
     """
 
     def __init__(
@@ -160,13 +172,11 @@ class ShardedMutableBlockIndex(MergedIndexView):
         bilateral: bool = False,
         num_shards: int = 2,
         name: str = "sharded-stream",
-        executor=None,
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
         self.blocking = blocking if blocking is not None else TokenBlocking()
         self.num_shards = num_shards
-        self.executor = executor
         shards = [
             MutableBlockIndex(
                 blocking=self.blocking, bilateral=bilateral, name=f"{name}#{shard}"
@@ -211,8 +221,6 @@ class ShardedMutableBlockIndex(MergedIndexView):
 
     # -- routing helpers ---------------------------------------------------------
     def _split_signatures(self, signatures) -> List[List[str]]:
-        from ..parallel.planner import shard_of_signature
-
         split: List[List[str]] = [[] for _ in range(self.num_shards)]
         for signature in signatures:
             split[shard_of_signature(signature, self.num_shards)].append(signature)
@@ -220,28 +228,9 @@ class ShardedMutableBlockIndex(MergedIndexView):
 
     def _shards_of(self, signatures) -> List[int]:
         """The shards an operation's signatures route to (log observability)."""
-        from ..parallel.planner import shard_of_signature
-
         return sorted(
             {shard_of_signature(signature, self.num_shards) for signature in signatures}
         )
-
-    def _tokenize_bulk(self, profiles: Sequence[EntityProfile]) -> List[List[str]]:
-        if self.executor is not None and self.executor.workers > 1 and len(profiles) > 1:
-            from ..parallel.executor import split_ranges
-            from ..parallel.worker import signature_lists_chunk
-
-            chunks = self.executor.starmap(
-                signature_lists_chunk,
-                [
-                    (tuple(profiles[start:stop]), self.blocking)
-                    for start, stop in split_ranges(
-                        len(profiles), self.executor.workers
-                    )
-                ],
-            )
-            return [lists for chunk in chunks for lists in chunk]
-        return self.blocking.signature_lists(profiles)
 
     # -- mutations ---------------------------------------------------------------
     def add_entity(self, profile: EntityProfile, side: int = 0):
@@ -276,8 +265,8 @@ class ShardedMutableBlockIndex(MergedIndexView):
         return [self.add_entity(profile, side=side) for profile in profiles]
 
     def add_entities_bulk(self, profiles: Sequence[EntityProfile], side: int = 0):
-        """One-pass bulk load: tokenize once (optionally across workers),
-        then one per-shard bulk insert each; returns the per-shard deltas."""
+        """One-pass bulk load: tokenize once, then one per-shard bulk insert
+        each; returns the per-shard deltas."""
         profiles = list(profiles)
         self.shards[0]._check_side(side)
         seen_batch = set()
@@ -287,7 +276,7 @@ class ShardedMutableBlockIndex(MergedIndexView):
             if profile.entity_id in seen_batch:
                 raise DuplicateEntityError(profile.entity_id, side)
             seen_batch.add(profile.entity_id)
-        signature_lists = self._tokenize_bulk(profiles)
+        signature_lists = self.blocking.signature_lists(profiles)
         entries = [
             (profile.entity_id, list(signatures))
             for profile, signatures in zip(profiles, signature_lists)

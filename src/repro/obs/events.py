@@ -2,9 +2,9 @@
 
 The sink is a *directory* (daemon flag ``--event-log DIR``, env
 ``REPRO_EVENT_LOG``); every participating process appends to its own
-``events-<role>-<pid>.jsonl`` file inside it, so the daemon, its shard
-workers (fork or spawn — the directory travels in the environment) and
-any executor pool worker write concurrently without coordination.  Each
+``events-<role>-<pid>.jsonl`` file inside it, so the daemon and its shard
+workers (fork or spawn — the directory travels in the environment) write
+concurrently without coordination.  Each
 line is one canonical-JSON object::
 
     {"ts": <epoch seconds>, "seq": <per-process ordinal>, "pid": ...,

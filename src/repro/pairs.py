@@ -16,8 +16,8 @@ comparisons.  This leaf module (NumPy only; nothing from ``repro`` above
   :func:`distinct_pair_keys`): ``np.repeat`` + offset arithmetic in bounded
   chunks, no per-block Python.
 
-``blocking``, ``weights``, ``incremental``, ``parallel``, ``persistence``
-and ``serve`` import *down* into it (``tests/test_import_layering.py``).
+``blocking``, ``weights``, ``incremental``, ``persistence`` and ``serve``
+import *down* into it (``tests/test_import_layering.py``).
 """
 
 from __future__ import annotations
@@ -194,20 +194,17 @@ def distinct_pair_keys(
     pair_offsets: np.ndarray,
     stride: int,
     chunk_keys: int,
-    start: int = 0,
-    stop: Optional[int] = None,
 ) -> np.ndarray:
     """Sorted distinct ``left * stride + right`` keys of a block-major plan.
 
-    Memberships ``[start, stop)`` are expanded in chunks of roughly
-    ``chunk_keys`` comparisons, each flushed through a sorted-unique pass
-    into a running union: peak memory is bounded by the chunk plus the
-    *distinct* pair set, never by the raw comparison count.  Serial and
-    sharded candidate extraction both run this over their membership range.
+    The memberships are expanded in chunks of roughly ``chunk_keys``
+    comparisons, each flushed through a sorted-unique pass into a running
+    union: peak memory is bounded by the chunk plus the *distinct* pair set,
+    never by the raw comparison count.
     """
     if key_field_bits(stride, stride) is None:
         raise OverflowError(f"pair keys over {stride} nodes do not fit an int64")
-    cuts = np.arange(start, (nodes.size if stop is None else stop) + 1, dtype=np.int64)
+    cuts = np.arange(nodes.size + 1, dtype=np.int64)
     seen: np.ndarray = np.empty(0, dtype=np.int64)
     for left, right in expand_pair_chunks(
         nodes, nodes, repeats, right_begin, pair_offsets, cuts, chunk_keys

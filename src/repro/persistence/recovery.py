@@ -11,7 +11,9 @@ The driver:
 
 1. loads the newest decodable snapshot, if any — refusing one written in
    another state format (:func:`check_state_format`) — and rebuilds the
-   index from its stored live entities (the compaction path);
+   index from its stored live entities (the compaction path); without one,
+   the log's ``meta`` record (format checked the same way) names the index
+   to replay into;
 2. scans the log from the snapshot's embedded offset to its last complete
    record (:meth:`WriteAheadLog.scan`): the tail it replays, not the history
    the snapshot vouches for;
@@ -64,20 +66,16 @@ def apply_logged_record(index, record: Dict[str, Any]) -> None:
 
 
 def _base_state(
-    scan: WalScan, snapshot: Optional[Dict[str, Any]], blocking, executor
+    scan: WalScan, snapshot: Optional[Dict[str, Any]], blocking
 ) -> Tuple[Any, int]:
     """The index to start replay from, and the log offset replay starts at."""
     if snapshot is not None:
-        index = build_index_from_state(
-            snapshot["index"], blocking=blocking, executor=executor
-        )
+        index = build_index_from_state(snapshot["index"], blocking=blocking)
         return index, int(snapshot["log_offset"])
     for entry in scan.records:
         if entry.record.get("op") == "meta":
-            index = construct_index(
-                entry.record, blocking=blocking, executor=executor
-            )
-            return index, entry.end
+            check_state_format(entry.record, source="log meta record")
+            return construct_index(entry.record, blocking=blocking), entry.end
     raise ValueError(
         "the WAL holds neither a snapshot nor a meta record; nothing to recover"
     )
@@ -86,7 +84,6 @@ def _base_state(
 def recover_index(
     path: Union[str, Path],
     blocking=None,
-    executor=None,
     resume: bool = False,
     sync: str = "always",
 ):
@@ -100,9 +97,6 @@ def recover_index(
         Optional blocking-method override for the rebuilt index (snapshots
         store the original; recovery from a log with no snapshot defaults
         to token blocking).
-    executor:
-        Optional :class:`repro.parallel.ParallelExecutor` for a sharded
-        rebuild.
     resume:
         When ``True``, truncate any torn tail and re-attach the log so the
         recovered index keeps journaling new mutations.
@@ -118,7 +112,7 @@ def recover_index(
         check_state_format(snapshot)
         vouched = int(snapshot["log_offset"])
     scan = wal.scan(vouched)
-    index, start = _base_state(scan, snapshot, blocking, executor)
+    index, start = _base_state(scan, snapshot, blocking)
     replayed = 0
     for entry in scan.records:
         if entry.start >= start:

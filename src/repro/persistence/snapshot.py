@@ -33,15 +33,17 @@ STATE_FORMAT = 1
 
 
 class StateFormatError(ValueError):
-    """A snapshot was written in a state format this version does not read."""
+    """A snapshot or log ``meta`` record was written in a state format this
+    version does not read."""
 
 
-def check_state_format(state: Dict[str, Any]) -> None:
-    """Refuse a snapshot whose ``format`` is not :data:`STATE_FORMAT`."""
+def check_state_format(state: Dict[str, Any], source: str = "snapshot") -> None:
+    """Refuse a snapshot or log ``meta`` record whose ``format`` is not
+    :data:`STATE_FORMAT`; ``source`` names which one it is in the error."""
     found = state.get("format")
     if found != STATE_FORMAT:
         raise StateFormatError(
-            f"the snapshot holds state format {found!r}; this version reads "
+            f"the {source} holds state format {found!r}; this version reads "
             f"format {STATE_FORMAT} only"
         )
 
@@ -86,9 +88,7 @@ def dump_index_state(index) -> Dict[str, Any]:
     }
 
 
-def construct_index(
-    state: Dict[str, Any], blocking=None, executor=None
-):
+def construct_index(state: Dict[str, Any], blocking=None):
     """An empty index matching a state/meta dict's topology.
 
     ``state`` may be a snapshot's ``"index"`` dict or a WAL meta record;
@@ -105,7 +105,6 @@ def construct_index(
             bilateral=state["bilateral"],
             num_shards=int(state["num_shards"]),
             name=name,
-            executor=executor,
         )
     if state["kind"] != "index":
         raise ValueError(f"unknown index kind {state['kind']!r} in WAL state")
@@ -114,9 +113,7 @@ def construct_index(
     )
 
 
-def build_index_from_state(
-    state: Dict[str, Any], blocking=None, executor=None
-):
+def build_index_from_state(state: Dict[str, Any], blocking=None):
     """Rebuild an index from a snapshot state dict.
 
     Live entities are bulk-loaded per side (side 0 first) from their stored
@@ -124,7 +121,7 @@ def build_index_from_state(
     view equals the dumped one, with raw node ids equal to canonical ids
     and the pair registry sorted by packed key.
     """
-    index = construct_index(state, blocking=blocking, executor=executor)
+    index = construct_index(state, blocking=blocking)
     for side in sorted(state["sides"]):
         entries = state["sides"][side]
         if entries:

@@ -47,7 +47,6 @@ from ..incremental.session import MatchingSession
 from ..obs import events
 from ..obs.registry import MetricsRegistry, process_rss_bytes, render_prometheus
 from ..obs.trace import RequestTrace, activate, hook_span, mint_trace_id
-from ..parallel.executor import ParallelExecutor, resolve_workers, split_ranges
 from ..persistence.log import WalBrokenError, WriteAheadLog
 from .protocol import (
     ERROR_DEADLINE,
@@ -89,20 +88,6 @@ class WalFailedError(RuntimeError):
     """The write-ahead log failed; the mutation was neither logged nor applied."""
 
 
-def _newest_valid_snapshot(wal_path):
-    """The snapshot path :func:`recover_session` will load, or ``None``.
-
-    Mirrors :meth:`WriteAheadLog.latest_snapshot`'s selection (newest file
-    that decodes and CRC-validates) but returns the *path*, which the shard
-    workers need to bootstrap from the identical state.
-    """
-    wal = WriteAheadLog(wal_path)
-    for path in reversed(wal.snapshot_paths()):
-        if wal.load_snapshot(path) is not None:
-            return path
-    return None
-
-
 class MatchingDaemon:
     """A persistent matching service over one WAL directory.
 
@@ -118,9 +103,6 @@ class MatchingDaemon:
         empty.
     num_shards:
         Shard worker count K.
-    tokenize_workers:
-        Worker count for the long-lived :class:`ParallelExecutor` that fans
-        out ``insert_bulk`` tokenization (1 = tokenize inline).
     drain_timeout:
         Seconds to wait for in-flight requests on shutdown before
         cancelling their connections.
@@ -144,7 +126,6 @@ class MatchingDaemon:
         snapshot_every: Optional[int] = None,
         wal_sync: str = "always",
         recover: bool = False,
-        tokenize_workers=1,
         start_method: Optional[str] = None,
         drain_timeout: float = 10.0,
         announce: bool = False,
@@ -236,15 +217,6 @@ class MatchingDaemon:
         self.router.serial_source = lambda: self._mutation_serial
         self.router.offset_source = self._offset
         self._register_gauges()
-        workers = resolve_workers(tokenize_workers)
-        self._executor = None
-        if workers > 1:
-            # the pool's chunk task loads here, with the pool: a request
-            # (the first ``insert_bulk``) never imports anything
-            from ..parallel.worker import signature_lists_chunk
-
-            self._executor = ParallelExecutor(workers)
-            self._tokenize_chunk = signature_lists_chunk
         self.address: Optional[Tuple[str, int]] = None
         self.ready = threading.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -351,8 +323,6 @@ class MatchingDaemon:
             if self._supervisor is not None:
                 self._supervisor.stop()
             self.router.stop()
-            if self._executor is not None:
-                self._executor.close()
             self._remove_signal_handlers(loop)
             events.emit("daemon_stopped")
 
@@ -796,9 +766,7 @@ class MatchingDaemon:
         if op == "insert_bulk":
             profiles = [profile_from_wire(entry) for entry in args["profiles"]]
             side = int(args.get("side", 0))
-            result = self.session.insert_bulk(
-                profiles, side=side, signature_lists=self._tokenize(profiles)
-            )
+            result = self.session.insert_bulk(profiles, side=side)
             return {
                 "entity_ids": list(result.entity_ids),
                 "num_new_pairs": int(result.num_new_pairs),
@@ -832,25 +800,6 @@ class MatchingDaemon:
             path = self.session.checkpoint()
             return {"snapshot": str(path), "offset": self._offset()}
         raise ProtocolError(f"unroutable mutation {op!r}")  # pragma: no cover
-
-    def _tokenize(self, profiles):
-        """Fan bulk tokenization out over the long-lived executor, if any."""
-        if (
-            self._executor is None
-            or self._executor.workers <= 1
-            or len(profiles) <= 1
-        ):
-            return None
-        chunks = self._executor.starmap(
-            self._tokenize_chunk,
-            [
-                (tuple(profiles[start:stop]), self.session.index.blocking)
-                for start, stop in split_ranges(
-                    len(profiles), self._executor.workers
-                )
-            ],
-        )
-        return [signatures for chunk in chunks for signatures in chunk]
 
     # -- read thread -------------------------------------------------------------
     def _read(self, op: str, args: Dict[str, Any]) -> Any:

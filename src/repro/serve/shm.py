@@ -1,19 +1,17 @@
-"""Shared-memory NumPy arrays for the parallel execution engine.
+"""Shared-memory NumPy arrays for the shard workers' read states.
 
-The sharded executor (:mod:`repro.parallel.executor`) moves every large
-array between the parent and its worker processes through
-``multiprocessing.shared_memory`` segments: the parent copies an array into
-a segment once, workers attach zero-copy read-only views by segment name,
-and worker *outputs* with a known layout (the per-pair co-occurrence
-aggregates) are written into pre-allocated shared segments at disjoint
-offsets — no array ever crosses a process boundary through pickle.
+A shard worker (:mod:`repro.serve.workers`) ships its read-state arrays to
+the daemon through ``multiprocessing.shared_memory`` segments: the worker
+writes each array into a segment it owns, only the segment's name, shape and
+dtype cross the pipe, and the daemon attaches a view by name and copies out
+— no array crosses a process boundary through pickle.
 
 Two pieces:
 
 * :class:`SharedArray` — owner side: allocate a segment, expose the NumPy
   view and the picklable :class:`SharedArrayHandle`, unlink on close.
-* :func:`attach_view` — worker side: attach a handle and return the view,
-  caching attachments per process so repeated tasks reuse the mapping.
+* :func:`attach_view` — reader side: attach a handle and return the view,
+  caching attachments per process so repeated reads reuse the mapping.
 
 Python < 3.13 registers *attached* segments with the resource tracker as if
 the attaching process owned them, which triggers spurious "leaked
@@ -94,25 +92,24 @@ class SharedArray:
             pass
 
 
-#: Segments *owned* by this process, keyed by name.  When a worker kernel
-#: runs inline in the owner (single-task dispatch, ``workers=1`` executors),
-#: ``attach_view`` serves the owner's live view directly instead of opening
-#: a second mapping — which would outlive ``close()``/unlink in the
-#: process-local attach cache and could alias a recycled segment name.
+#: Segments *owned* by this process, keyed by name.  When the owner reads
+#: its own handle (a replica run in-process), ``attach_view`` serves the
+#: owner's live view directly instead of opening a second mapping — which
+#: would outlive ``close()``/unlink in the process-local attach cache and
+#: could alias a recycled segment name.
 _OWNED: Dict[str, np.ndarray] = {}
 
-#: Process-local cache of attached segments, keyed by segment name.  Workers
-#: attach each published input once and reuse the mapping across tasks; the
-#: mappings live until the worker process exits (the pool is terminated when
-#: its executor closes, so the cache cannot outlive the published segments).
+#: Process-local cache of attached segments, keyed by segment name.  A reader
+#: attaches each segment once and reuses the mapping across reads; a segment
+#: its owner retires is dropped with :func:`detach_view`.
 _ATTACHED: Dict[str, shared_memory.SharedMemory] = {}
 
 
 def attach_view(handle: SharedArrayHandle) -> np.ndarray:
-    """Return the NumPy view of a shared array published by the parent.
+    """Return the NumPy view of a shared array owned by another process.
 
-    The segment is attached read-write (output buffers are written through
-    the same path); callers by convention never write to *input* handles.
+    The segment is attached read-write; callers by convention never write
+    through it.
     """
     owned = _OWNED.get(handle.name)
     if owned is not None:
@@ -120,11 +117,11 @@ def attach_view(handle: SharedArrayHandle) -> np.ndarray:
     segment = _ATTACHED.get(handle.name)
     if segment is None:
         # suppress the tracker registration the attach would perform: the
-        # parent owns the segment and is the only process that may unlink
-        # it.  (Unregistering *after* the attach is not equivalent: under
-        # ``fork`` the tracker process is shared with the parent and its
-        # name cache is a set, so a worker-side unregister would race the
-        # parent's own unlink-time unregister.)
+        # owner is the only process that may unlink the segment.
+        # (Unregistering *after* the attach is not equivalent: under
+        # ``fork`` the tracker process is shared between the processes and
+        # its name cache is a set, so a reader-side unregister would race
+        # the owner's own unlink-time unregister.)
         original_register = resource_tracker.register
         resource_tracker.register = lambda *args, **kwargs: None
         try:

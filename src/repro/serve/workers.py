@@ -3,7 +3,8 @@
 Each worker owns one *signature shard* of the daemon's index: a
 :class:`ShardReplica` holds a :class:`~repro.incremental.MutableBlockIndex`
 restricted to the signatures that hash to its shard
-(:func:`repro.parallel.shard_of_signature` — the PR 5 routing contract), and
+(:func:`repro.incremental.sharded.shard_of_signature`, the routing
+:class:`~repro.incremental.ShardedMutableBlockIndex` uses), and
 keeps it current by tailing the daemon's write-ahead log directly with a
 :class:`WalRecordFollower`.  The WAL **is** the replication transport: the
 daemon appends (and flushes) every mutation before publishing its offset,
@@ -18,9 +19,10 @@ in flight).  Both are the same :meth:`ShardReplica.catch_up`; there is one
 replay path.  A replica never rewinds, so whoever sends an offset must have
 read it with the worker's handle lock held (:mod:`repro.serve.router`).
 
-Workers ship their shard's read-state arrays back through the same
-shared-memory discipline as :class:`repro.parallel.ParallelExecutor`
-(:mod:`repro.parallel.shm`): each worker keeps a registry of named export
+Workers are ``multiprocessing`` processes (``fork`` where available) with
+their own supervisor (:mod:`repro.serve.supervision`), not a pool.  They ship
+their shard's read-state arrays back through shared memory
+(:mod:`repro.serve.shm`): each worker keeps a registry of named export
 slots (one reusable segment per state array, grown geometrically), writes
 the current arrays into them and sends only handles plus small metadata
 over its pipe.  The parent attaches, copies, and assembles the per-shard
@@ -30,6 +32,7 @@ states into a pinned read view (:mod:`repro.serve.router`).
 from __future__ import annotations
 
 import json
+import multiprocessing
 import time
 import traceback
 import uuid
@@ -42,11 +45,11 @@ import numpy as np
 
 from .. import faults
 from ..incremental.index import MutableBlockIndex, UnknownEntityError
+from ..incremental.sharded import shard_of_signature
 from ..obs import events
-from ..parallel.planner import shard_of_signature
-from ..parallel.shm import SharedArray, SharedArrayHandle, attach_view, detach_view
 from ..persistence.log import LOG_MAGIC, MAX_RECORD_BYTES, _RECORD_HEADER, WriteAheadLog
 from ..persistence.snapshot import StateFormatError, check_state_format
+from .shm import SharedArray, SharedArrayHandle, attach_view, detach_view
 
 _logger = events.get_logger(__name__)
 
@@ -398,6 +401,7 @@ class ShardReplica:
         """Apply one logical WAL record, shard-filtered."""
         op = record["op"]
         if op == "meta":
+            check_state_format(record, source="log meta record")
             self.bilateral = bool(record.get("bilateral", False))
             self.index = MutableBlockIndex(
                 bilateral=self.bilateral,
@@ -720,6 +724,13 @@ def shard_worker_main(
             pass
 
 
+def _preferred_start_method() -> str:
+    """``fork`` where available (zero-copy inherited state, fast startup);
+    ``spawn`` elsewhere."""
+    methods = multiprocessing.get_all_start_methods()
+    return "fork" if "fork" in methods else "spawn"
+
+
 class ShardWorkerHandle:
     """Parent-side handle on one long-lived shard worker process.
 
@@ -743,11 +754,8 @@ class ShardWorkerHandle:
         allow_from_zero: bool = True,
         adopt_min_gap: Optional[int] = None,
     ) -> None:
-        import multiprocessing
         import threading
         import time
-
-        from ..parallel.executor import _preferred_start_method
 
         self.shard = shard
         self.lock = threading.Lock()

@@ -6,21 +6,14 @@ generation, classifier initialisation) receives an explicit seed or a
 experiment runs are reproducible end to end, as the paper requires ("fixing
 the random state so as to reproduce the probabilities over several runs").
 
-**Worker determinism.** :func:`make_rng` is the library's *single RNG
-entrypoint*: no module draws randomness any other way, and — by design —
-no code path that runs inside a :mod:`repro.parallel` worker process calls
-it at all.  The sharded execution engine parallelises only deterministic
-kernels (tokenization, set unions, per-pair aggregation, total-order
-selection); every stochastic stage (``repro.ml`` sampling, training,
-classifier initialisation) stays in the parent process and consumes the
-caller's explicit seed exactly once, in the same order, for every
-``workers`` value.  Consequently training sets, fitted models and
-probabilities are bit-identical regardless of the worker count — the
-equivalence tests in ``tests/parallel/`` assert this.  Code added to the
-worker kernels must preserve the invariant: if a worker ever needs
-randomness, derive a per-task seed in the parent with :func:`spawn_seeds`
-and pass it through the task arguments instead of seeding inside the
-worker.
+**One entrypoint.** :func:`make_rng` is the library's *single RNG
+entrypoint*: no module draws randomness any other way.  The batch pipeline
+runs in one process and every stochastic stage (``repro.ml`` sampling,
+training, classifier initialisation) consumes the caller's explicit seed
+exactly once, in a fixed order, so training sets, fitted models and
+probabilities are bit-identical run to run.  The serving daemon's shard
+workers replay the write-ahead log and draw no randomness.  Code that needs
+independent streams derives them from one seed with :func:`spawn_seeds`.
 """
 
 from __future__ import annotations

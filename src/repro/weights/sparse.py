@@ -577,8 +577,7 @@ class PairCooccurrenceCache:
     def seed(self, candidates, result: PairCooccurrence) -> None:
         """Install precomputed aggregates for ``candidates``.
 
-        Block preparation reduces them from its one expansion and the
-        parallel feature engine computes them across worker processes; once
+        Block preparation reduces them from its one expansion; once
         seeded, every scheme of the next generation reads the cache — and
         only reads it: the arrays turn non-writeable, CBS / RACCB / RS are views.
         """

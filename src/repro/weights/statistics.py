@@ -130,16 +130,16 @@ class BlockStatistics:
             self.sides,
         )
 
-    # -- parallel-engine seeding -----------------------------------------------
+    # -- seeding ----------------------------------------------------------------
     def seed_pair_cooccurrence(
         self, candidates: CandidateSet, aggregates: PairCooccurrence
     ) -> None:
         """Install externally computed per-pair aggregates for ``candidates``.
 
         Used by :meth:`repro.blocking.PreparedBlocks.statistics` (the
-        aggregates block preparation reduced from its one expansion) and by
-        :mod:`repro.parallel.features` after its sharded pass; subsequent
-        scheme computations over the same candidate-set object read the cache.
+        aggregates block preparation reduced from its one expansion);
+        subsequent scheme computations over the same candidate-set object
+        read the cache.
         """
         self._pair_cache.seed(candidates, aggregates)
 

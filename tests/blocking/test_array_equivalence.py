@@ -24,7 +24,6 @@ from repro.blocking import (
 )
 from repro.blocking.arrayops import _dictionary_encode, encode_signatures
 from repro.datamodel import EntityCollection, make_profile
-from repro.parallel.worker import tokenize_shard
 from repro.weights.sparse import build_entity_block_csr
 
 from reference import reference_encode_signatures, reference_prepare_blocks
@@ -188,7 +187,8 @@ class TestEncodeKernel:
     def test_same_stream_as_the_loop(self, first, second, blocking):
         profiles = list(first) + list(second or ())
         expected = reference_encode_signatures(blocking.signature_lists(profiles))
-        for ours, theirs in zip(tokenize_shard(tuple(profiles), blocking), expected):
+        ours_all = encode_signatures(blocking.signature_lists(profiles))
+        for ours, theirs in zip(ours_all, expected):
             assert_same_array(ours, theirs)
         codes, nodes, vocabulary = _dictionary_encode(blocking, first, second)
         assert_same_array(codes, expected[0])
@@ -219,8 +219,7 @@ def assert_same_array(ours, theirs):
 
 
 class TestEdgeCases:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_suffix_arrays_cut_off_reaches_the_array_engine(self, workers):
+    def test_suffix_arrays_cut_off_reaches_the_array_engine(self):
         """``max_block_size`` was only applied by the object chain's override."""
         collection = make_collection(
             [[f"widget{position % 3}", "gadget"] for position in range(8)], "dirty"
@@ -230,8 +229,6 @@ class TestEdgeCases:
         )
         loop, _ = assert_equivalent(collection, None, **options)
         assert len(loop.blocks) == 5 and max(loop.blocks.block_sizes()) == 2
-        sharded = prepare_blocks(collection, None, workers=workers, **options)
-        assert_collections_identical(loop.blocks, sharded.blocks)
         uncut = prepare_blocks(
             collection, None, **{**options, "blocking": SuffixArraysBlocking(3, None)}
         )

@@ -2,7 +2,7 @@
 
 Tokenisation used to walk the tokens in Python twice — a regex ``findall``
 per profile, then ``dict.setdefault`` per occurrence, the latter in two
-copies (serial and sharded).  There is one encode kernel now
+copies.  There is one encode kernel now
 (:func:`repro.blocking.arrayops.encode_signatures`), the tokeniser is a byte
 table, every packed membership key asks :func:`repro.pairs.key_field_bits`,
 and nothing is remembered between two preparations of the same collections
@@ -39,11 +39,8 @@ def test_the_encode_is_spelled_once():
         if isinstance(node, ast.FunctionDef) and node.name == "encode_signatures"
     ]
     assert defined == ["blocking/arrayops.py"]
-    worker = ROOT / "parallel" / "worker.py"
-    assert _imported_names(worker).get("encode_signatures") == "repro.blocking.arrayops"
-    for path in (ROOT / "blocking" / "arrayops.py", worker):
-        spelled = _attribute_uses(path, "setdefault")
-        assert not spelled, f"{path.name} encodes by hand at lines {spelled}"
+    spelled = _attribute_uses(ROOT / "blocking" / "arrayops.py", "setdefault")
+    assert not spelled, f"arrayops.py encodes by hand at lines {spelled}"
 
 
 def test_the_tokeniser_compiles_no_regex():

@@ -119,7 +119,7 @@ def test_the_linear_score_contains_no_matrix_product(module, function):
 
 
 def test_the_pipeline_scales_and_scores_through_the_frozen_model():
-    stages = _function(ROOT / "core" / "pipeline.py", "_run_stages")
+    stages = _function(ROOT / "core" / "pipeline.py", "run")
     arguments = {
         node.func.attr: ast.unparse(node.args[0])
         for node in ast.walk(stages)

@@ -103,6 +103,19 @@ class TestPipelineBasics:
         report = evaluate_result(result, dblpacm_dataset.ground_truth)
         assert report.recall > 0.9
 
+    def test_pipeline_does_not_consume_the_global_numpy_stream(self, dblpacm_dataset):
+        """Every stochastic stage draws from the seeded RNG entrypoint
+        (:mod:`repro.utils.rng`), never from NumPy's global state."""
+        np.random.seed(1234)
+        state_before = np.random.get_state()[1].copy()
+        pipeline = GeneralizedSupervisedMetaBlocking(
+            pruning="BLAST", training_size=50, seed=3
+        )
+        pipeline.run_on_collections(
+            dblpacm_dataset.first, dblpacm_dataset.second, dblpacm_dataset.ground_truth
+        )
+        assert np.array_equal(state_before, np.random.get_state()[1])
+
     def test_timer_stages_present(self, prepared_dblpacm):
         pipeline = GeneralizedSupervisedMetaBlocking(training_size=50, seed=0)
         result = pipeline.run(

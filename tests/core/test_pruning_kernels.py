@@ -13,7 +13,7 @@ of budget.  The weight-based algorithms are held to the ``np.add.at`` /
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from reference import (
@@ -32,8 +32,9 @@ from repro.core.pruning import (
     get_pruning_algorithm,
     strength_order,
 )
+from repro.blocking import prepare_blocks
 from repro.core.pruning.kernels import node_averages, node_maxima, top_k_per_node
-from repro.datamodel import CandidateSet, EntityIndexSpace
+from repro.datamodel import CandidateSet, EntityCollection, EntityIndexSpace, make_profile
 from repro.metablocking import (
     BlockingGraph,
     UnsupervisedBLAST,
@@ -237,3 +238,67 @@ def test_degenerate_sets(case, bilateral):
     for algorithm in (UnsupervisedWEP, UnsupervisedWNP, UnsupervisedRWNP, UnsupervisedBLAST):
         mask = algorithm().prune(graph)
         assert mask.dtype == bool and mask.shape == weights.shape, algorithm.name
+
+
+#: a small vocabulary (stop-words included) so random texts collide heavily
+WORDS = (
+    "apple", "samsung", "phone", "smartphone", "mate", "fold", "x",
+    "s20", "20", "the", "and", "a", "pro", "mini",
+)
+
+
+@st.composite
+def collections(draw, name, min_entities=1, max_entities=10):
+    rows = [
+        draw(st.lists(st.sampled_from(WORDS), min_size=0, max_size=6))
+        for _ in range(draw(st.integers(min_entities, max_entities)))
+    ]
+    profiles = [
+        make_profile(f"{name}-{position}", text=" ".join(row))
+        for position, row in enumerate(rows)
+    ]
+    return EntityCollection(profiles, name=name)
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    first=collections("first", min_entities=3, max_entities=12),
+    second=st.one_of(st.none(), collections("second", max_entities=8)),
+    seed=st.integers(0, 2**16),
+)
+def test_all_pruning_algorithms_bit_identical(first, second, seed):
+    """Every algorithm's mask on prepared blocks equals its reference's.
+
+    The candidates come in canonical order and in a shuffled (registry-like)
+    one; a cardinality algorithm derives the same budget from the block
+    collection as from its two totals, and with neither refuses by name.
+    """
+    prepared = prepare_blocks(first, second)
+    if len(prepared.candidates) == 0:
+        return
+    shuffle = np.random.default_rng(seed).permutation(len(prepared.candidates))
+    for candidates in (prepared.candidates, prepared.candidates.subset(shuffle)):
+        probabilities = tie_heavy_probabilities(candidates)
+        for name in sorted(PRUNING_ALGORITHMS):
+            mask = get_pruning_algorithm(name).prune(
+                probabilities, candidates, prepared.blocks
+            )
+            assert np.array_equal(
+                mask, reference_prune(name, probabilities, candidates, prepared.blocks)
+            ), f"{name} mask differs"
+            if name not in CARDINALITY_BASED_ALGORITHMS:
+                continue
+            totals = BlockTotals.of(prepared.blocks)
+            assert np.array_equal(
+                get_pruning_algorithm(name).prune(probabilities, candidates, totals), mask
+            )
+            assert np.array_equal(
+                get_pruning_algorithm(name, budget=2).prune(probabilities, candidates),
+                reference_prune(name, probabilities, candidates, budget=2),
+            )
+            symbol = "K" if name == "CEP" else "k"
+            with pytest.raises(
+                ValueError,
+                match=f"^{name} needs the block collection to derive its budget {symbol}$",
+            ):
+                get_pruning_algorithm(name).prune(probabilities, candidates, None)

@@ -5,6 +5,7 @@ these tests check the structure of the outputs and the qualitative claims the
 paper makes (who wins, in which direction measures move), not absolute values.
 """
 
+import numpy as np
 import pytest
 
 import repro.experiments as ex
@@ -38,6 +39,30 @@ class TestBlockQuality:
         reference = ex.paper_table2_reference()
         assert len(reference) == 9
         assert reference["AbtBuy"]["recall"] == pytest.approx(0.948)
+
+
+class TestCommonHelpers:
+    def test_prepared_dataset_is_prepare_blocks_on_the_benchmark(self):
+        from repro.blocking import prepare_blocks
+        from repro.datasets import load_benchmark
+        from repro.experiments.common import prepare_benchmark_dataset
+
+        dataset = load_benchmark("DblpAcm", seed=11, scale=0.3)
+        direct = prepare_blocks(dataset.first, dataset.second)
+        prepared = prepare_benchmark_dataset("DblpAcm", seed=11, scale=0.3)
+        assert np.array_equal(direct.candidates.left, prepared.candidates.left)
+        assert np.array_equal(direct.candidates.right, prepared.candidates.right)
+        assert set(prepared.ground_truth) == set(dataset.ground_truth)
+
+    def test_config_threads_into_the_standard_pipelines(self):
+        from repro.experiments.common import blast_pipeline, rcnp_pipeline
+
+        config = ex.ExperimentConfig.fast(seed=5, training_size=70)
+        for factory, pruning in ((blast_pipeline, "BLAST"), (rcnp_pipeline, "RCNP")):
+            pipeline = factory(config)
+            assert pipeline.pruning.name == pruning
+            assert (pipeline.seed, pipeline.training_size) == (5, 70)
+            assert factory(config, training_size=30).training_size == 30
 
 
 class TestPruningSelection:

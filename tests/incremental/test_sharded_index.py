@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.datamodel import make_profile
 from repro.incremental import MutableBlockIndex, ShardedMutableBlockIndex
-from repro.parallel import ParallelExecutor
+from repro.incremental.sharded import shard_of_signature, stable_hash
 
 WORDS = (
     "apple", "samsung", "phone", "smartphone", "mate", "fold", "x",
@@ -156,19 +156,38 @@ def test_sharded_matches_unsharded_under_churn(data, bilateral, num_shards):
     ) == pairs_of(single.candidate_set().canonical)
 
 
-def test_bulk_tokenization_through_executor():
-    """Bulk-load tokenization fanned out over worker processes is identical."""
+def test_stable_hash_is_process_independent():
+    # frozen values: a salted hash would break cross-run reproducibility
+    assert stable_hash("apple") == 2838417488
+    assert shard_of_signature("apple", 4) == stable_hash("apple") % 4
+
+
+def test_shard_assignment_is_a_pure_function_of_the_signature():
+    for num_shards in (1, 2, 3, 7):
+        owners = [shard_of_signature(word, num_shards) for word in WORDS]
+        assert owners == [shard_of_signature(word, num_shards) for word in WORDS]
+        assert all(0 <= owner < num_shards for owner in owners)
+
+
+@pytest.mark.parametrize("num_shards", [0, -1])
+def test_num_shards_must_be_positive(num_shards):
+    with pytest.raises(ValueError, match="num_shards must be at least 1"):
+        ShardedMutableBlockIndex(num_shards=num_shards)
+
+
+def test_bulk_load_matches_per_entity_inserts():
+    """Bulk-load tokenization and routing is identical to one insert at a time."""
     profiles = [
         make_profile(f"e{i}", t=" ".join(WORDS[i % len(WORDS)] for _ in range(3)))
         for i in range(20)
     ]
-    plain = ShardedMutableBlockIndex(num_shards=2)
-    plain.add_entities_bulk(profiles)
-    with ParallelExecutor(2) as executor:
-        parallel = ShardedMutableBlockIndex(num_shards=2, executor=executor)
-        parallel.add_entities_bulk(profiles)
-    assert pair_set(plain) == pair_set(parallel)
-    assert plain.num_blocks == parallel.num_blocks
+    one_by_one = ShardedMutableBlockIndex(num_shards=2)
+    for profile in profiles:
+        one_by_one.add_entity(profile)
+    bulk = ShardedMutableBlockIndex(num_shards=2)
+    bulk.add_entities_bulk(profiles)
+    assert pair_set(one_by_one) == pair_set(bulk)
+    assert one_by_one.num_blocks == bulk.num_blocks
 
 
 class TestCompactChurn:

@@ -1,17 +1,16 @@
-"""Golden regression test for the sharded execution engine on DblpAcm.
+"""Golden regression test for the batch pipeline on DblpAcm.
 
-The exact outcome of a ``workers=2`` run on a deterministic generated
-DblpAcm benchmark (seed 3, scale 0.4) is frozen into
-``tests/data/golden_parallel.json``: block counts, a digest of all
-candidate pairs, a digest of the full 9-scheme feature matrix, and the
-retained-pair digests of a weight-based and a cardinality-based pipeline.
-The fixture is generated from the *single-process* path and checked against
-the parallel one, so a drift in either — even one affecting both
-identically, which the equivalence tests cannot see — fails here.
+The exact outcome of a run on a deterministic generated DblpAcm benchmark
+(seed 3, scale 0.4) is frozen into ``tests/data/golden_parallel.json``: block
+counts, a digest of all candidate pairs, a digest of the full 9-scheme
+feature matrix, and the retained-pair digests of a weight-based and a
+cardinality-based pipeline.  The fixture was written when a multiprocess
+engine still existed and was checked against it; the one remaining path —
+the single-process one that wrote it — is held to it here.
 
 To regenerate the fixture after an *intentional* semantic change::
 
-    PYTHONPATH=src python tests/parallel/test_golden_parallel.py --regenerate
+    PYTHONPATH=src python tests/integration/test_golden_parallel.py --regenerate
 """
 
 import hashlib
@@ -37,20 +36,19 @@ def _digest(array) -> str:
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
-def _snapshot(workers: int):
+def _snapshot():
     dataset = load_benchmark(DATASET, seed=SEED, scale=SCALE)
-    prepared = prepare_blocks(dataset.first, dataset.second, workers=workers)
+    prepared = prepare_blocks(dataset.first, dataset.second)
     matrix = generate_features(
         prepared.candidates,
         prepared.blocks,
         feature_set=ALL_SCHEMES,
         stats=prepared.statistics(),
-        workers=workers,
     )
     retained = {}
     for pruning in ("BLAST", "RCNP"):
         result = GeneralizedSupervisedMetaBlocking(
-            pruning=pruning, training_size=50, seed=0, workers=workers
+            pruning=pruning, training_size=50, seed=0
         ).run(
             prepared.blocks,
             prepared.candidates,
@@ -80,11 +78,10 @@ def golden():
         return json.load(handle)
 
 
-def test_parallel_run_matches_golden(golden):
-    assert _snapshot(workers=2) == golden["snapshot"], (
-        "the sharded engine (workers=2) deviates from the frozen "
-        "single-process DblpAcm fixture; regenerate only if the change is "
-        "intentional"
+def test_pipeline_matches_golden(golden):
+    assert _snapshot() == golden["snapshot"], (
+        "the batch pipeline deviates from the frozen DblpAcm fixture; "
+        "regenerate only if the change is intentional"
     )
 
 
@@ -98,12 +95,14 @@ def test_golden_fixture_is_nontrivial(golden):
 
 def _regenerate() -> None:
     payload = {
+        # the fixture's own wording, kept so that regenerating an unchanged
+        # outcome rewrites the file byte for byte
         "description": (
             f"Frozen single-process (workers=1) outcome on {DATASET} "
             f"(seed {SEED}, scale {SCALE}); the parallel engine is checked "
             "against it"
         ),
-        "snapshot": _snapshot(workers=1),
+        "snapshot": _snapshot(),
     }
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     with GOLDEN_PATH.open("w") as handle:

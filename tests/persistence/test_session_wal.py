@@ -7,6 +7,7 @@ identical online admission thresholds, then keep streaming in lock-step
 with the uninterrupted session.
 """
 
+import ast
 import hashlib
 import json
 import shutil
@@ -19,9 +20,21 @@ import repro.incremental.session
 import repro.ml
 from reference import make_frozen_model
 from repro.datamodel import make_profile
-from repro.incremental import FrozenModel, MatchingSession
-from repro.persistence import LOG_MAGIC, WriteAheadLog, canonical_pair_keys, recover_index
+from repro.incremental import (
+    FrozenModel,
+    MatchingSession,
+    MutableBlockIndex,
+    ShardedMutableBlockIndex,
+)
+from repro.persistence import (
+    LOG_MAGIC,
+    WriteAheadLog,
+    canonical_pair_keys,
+    encode_record,
+    recover_index,
+)
 from repro.persistence.snapshot import STATE_FORMAT, StateFormatError
+from repro.serve.workers import ShardReplica
 
 FEATURE_SET = ("CBS", "JS", "RS")
 
@@ -236,8 +249,94 @@ def test_a_snapshot_in_another_state_format_is_refused_by_name(tmp_path):
     wal = WriteAheadLog(tmp_path / "wal")
     wal.write_snapshot(dict(wal.load_snapshot(newest), format=STATE_FORMAT + 1))
 
-    message = f"state format {STATE_FORMAT + 1}; this version reads format {STATE_FORMAT} only"
+    message = (
+        f"the snapshot holds state format {STATE_FORMAT + 1}; "
+        f"this version reads format {STATE_FORMAT} only"
+    )
     with pytest.raises(StateFormatError, match=message):
         MatchingSession.recover(tmp_path / "wal")
     with pytest.raises(StateFormatError, match=message):
         recover_index(tmp_path / "wal")
+
+
+def _bump_meta_format(directory):
+    """Rewrite the log's leading ``meta`` record with the next state format
+    (same length: every later record keeps its offset)."""
+    wal = WriteAheadLog(directory)
+    meta = wal.scan(None).records[0]
+    assert meta.record["op"] == "meta" and meta.record["format"] == STATE_FORMAT
+    data = wal.log_path.read_bytes()
+    bumped = encode_record(dict(meta.record, format=STATE_FORMAT + 1))
+    assert len(bumped) == meta.end - meta.start
+    wal.log_path.write_bytes(data[: meta.start] + bumped + data[meta.end :])
+    return len(data)
+
+
+@pytest.mark.parametrize("sharded", [False, True], ids=["index", "sharded"])
+def test_a_log_meta_record_in_another_state_format_is_refused_by_name(tmp_path, sharded):
+    """With no snapshot, the log's ``meta`` record names the index to replay
+    into; its ``"format"`` is read as a snapshot's is."""
+    index = ShardedMutableBlockIndex(num_shards=2) if sharded else MutableBlockIndex()
+    wal = WriteAheadLog(tmp_path / "wal")
+    index.attach_wal(wal)
+    index.add_entities(_profiles(4, "a"))
+    wal.close()
+    assert recover_index(tmp_path / "wal").num_entities == 4
+    _bump_meta_format(tmp_path / "wal")
+
+    with pytest.raises(
+        StateFormatError,
+        match=f"the log meta record holds state format {STATE_FORMAT + 1}; "
+        f"this version reads format {STATE_FORMAT} only",
+    ):
+        recover_index(tmp_path / "wal")
+
+
+def test_a_shard_replica_refuses_a_log_meta_record_in_another_format(tmp_path):
+    """A replica with no snapshot to adopt replays the log from its ``meta``
+    record, and reads that record's format too."""
+    index = MutableBlockIndex()
+    wal = WriteAheadLog(tmp_path / "wal")
+    index.attach_wal(wal)
+    index.add_entities(_profiles(4, "a"))
+    wal.close()
+    end = _bump_meta_format(tmp_path / "wal")
+
+    replica = ShardReplica(tmp_path / "wal", shard=0, num_shards=2)
+    try:
+        with pytest.raises(StateFormatError, match="the log meta record holds state format"):
+            replica.catch_up(end)
+    finally:
+        replica.close()
+
+
+def _written_meta_formats(path):
+    """The ``"format"`` values of the ``{"op": "meta", ...}`` literals in ``path``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Dict):
+            fields = {
+                key.value: value
+                for key, value in zip(node.keys, node.values)
+                if isinstance(key, ast.Constant)
+            }
+            op = fields.get("op")
+            if isinstance(op, ast.Constant) and op.value == "meta":
+                found.append(ast.literal_eval(fields["format"]))
+    return found
+
+
+def test_the_meta_records_written_by_the_indexes_carry_the_state_format():
+    """``incremental`` writes the meta record's format as a literal: it cannot
+    import :data:`STATE_FORMAT`, because ``persistence`` imports it."""
+    root = Path(repro.incremental.session.__file__).parent
+    for name in ("index.py", "sharded.py"):
+        assert _written_meta_formats(root / name) == [STATE_FORMAT], name
+    for path in sorted(root.glob("*.py")):
+        module_level = [
+            statement
+            for statement in ast.parse(path.read_text()).body
+            if isinstance(statement, ast.ImportFrom)
+            and "persistence" in (statement.module or "")
+        ]
+        assert not module_level, f"{path.name} imports persistence at module level"

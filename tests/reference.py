@@ -53,7 +53,7 @@ from repro.core.features import FeatureMatrix, FeatureVectorGenerator
 from repro.core.pruning import VALIDITY_THRESHOLD, BlockTotals, cep_budget, cnp_budget
 from repro.datamodel import CandidateSet, EntityCollection
 from repro.incremental import FrozenModel, MutableBlockIndex
-from repro.parallel import shard_of_signature
+from repro.incremental.sharded import shard_of_signature
 from repro.utils.pqueue import BoundedTopQueue
 from repro.utils.text import STOP_WORDS
 from repro.utils.timing import StageTimer

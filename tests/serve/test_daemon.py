@@ -140,6 +140,23 @@ class TestBasicOperations:
         assert operations["match"]["count"] == 1
         assert stats["metrics"]["connections"]["open"] == 1
 
+    def test_bulk_insert_yields_the_canonical_state(self, daemon):
+        """Bulk ingest tokenizes inline and answers what recovery rebuilds."""
+        with ServeClient(*daemon.address) as client:
+            bulk = client.insert_bulk(
+                [make_profile(f"a{i}", text=text) for i, text in enumerate(TEXTS)],
+                side=0,
+            )
+            assert bulk["entity_ids"] == [f"a{i}" for i in range(len(TEXTS))]
+            for i, text in enumerate(TEXTS):
+                client.insert(make_profile(f"b{i}", text=text), side=1)
+            answer = client.match()
+        session = recover_session(daemon.wal_path)
+        try:
+            assert answer["retained"] == reference_retained(session)
+        finally:
+            session.close()
+
     def test_checkpoint_writes_snapshot(self, daemon):
         with ServeClient(*daemon.address) as client:
             client.insert(make_profile("a0", text=TEXTS[0]), side=0)
@@ -333,38 +350,5 @@ class TestGracefulShutdown:
                 assert session.index.has_entity(entity_id, side=side), (
                     f"acknowledged insert {entity_id!r} lost across SIGTERM"
                 )
-        finally:
-            session.close()
-
-
-class TestExecutorLifecycleSharing:
-    def test_daemon_uses_one_executor_lifecycle(self, tmp_path, frozen_model):
-        """A daemon with tokenize workers owns one long-lived executor and
-        closes it exactly once on shutdown (idempotent close path)."""
-        daemon = MatchingDaemon(
-            tmp_path / "wal",
-            frozen_model,
-            num_shards=2,
-            bilateral=True,
-            tokenize_workers=2,
-        )
-        assert daemon._executor is not None
-        thread = _start(daemon)
-        with ServeClient(*daemon.address) as client:
-            bulk = client.insert_bulk(
-                [make_profile(f"a{i}", text=text) for i, text in enumerate(TEXTS)],
-                side=0,
-            )
-            assert bulk["entity_ids"] == [f"a{i}" for i in range(len(TEXTS))]
-            for i, text in enumerate(TEXTS):
-                client.insert(make_profile(f"b{i}", text=text), side=1)
-            answer = client.match()
-        _stop(daemon, thread)
-        assert daemon._executor.closed
-        daemon._executor.close()  # double close must not raise
-        # the fanned-out tokenization produced the canonical state
-        session = recover_session(tmp_path / "wal")
-        try:
-            assert answer["retained"] == reference_retained(session)
         finally:
             session.close()

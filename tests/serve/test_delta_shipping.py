@@ -23,9 +23,9 @@ from reference import make_frozen_model, reference_retained
 from repro.datamodel import make_profile
 from repro.incremental import MatchingSession
 from repro.incremental.index import MutableBlockIndex
-from repro.parallel import shm
 from repro.obs.registry import MetricsRegistry
 from repro.obs.render import render_stats
+from repro.serve import shm
 from repro.serve.router import ShardRouter, match_answer
 from repro.serve.workers import ExportSlots, ShardWorkerHandle, WorkerError
 

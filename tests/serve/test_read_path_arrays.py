@@ -30,7 +30,7 @@ from repro.incremental import (
     train_frozen_model,
 )
 from repro.incremental.session import exact_answer
-from repro.parallel import shard_of_signature
+from repro.incremental.sharded import shard_of_signature
 from repro.serve.router import build_pinned_view, match_answer, top_k_answer
 from repro.serve.workers import ShardReplica
 

@@ -28,11 +28,15 @@ class TestParser:
             (["serve", "--wal", "unused"], "--backend"),
             (["run", "table2"], "--blocking-backend"),
             (["quickstart"], "--blocking-backend"),
+            (["run", "table2"], "--workers"),
+            (["quickstart"], "--workers"),
+            (["serve", "--wal", "unused"], "--workers"),
         ],
         ids=lambda value: value[0] if isinstance(value, list) else value,
     )
     def test_implementation_selectors_are_gone(self, capsys, command, flag):
-        """Every place the parent commit accepted a selector flag rejects it."""
+        """Every place an earlier version accepted a selector or worker-count
+        flag rejects it."""
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(command + [flag, "loop"])
         assert excinfo.value.code == 2
@@ -51,6 +55,27 @@ class TestParser:
     def test_every_registered_experiment_has_a_handler(self):
         for name, handler in EXPERIMENTS.items():
             assert callable(handler), name
+
+
+class TestServeOptions:
+    def test_shards_default_and_explicit(self):
+        parser = build_parser()
+        assert parser.parse_args(["serve", "--wal", "unused"]).shards == 2
+        assert parser.parse_args(["serve", "--wal", "unused", "--shards", "4"]).shards == 4
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--shards", "0"), ("--shards", "-3"), ("--shards", "many"), ("--snapshot-every", "0")],
+    )
+    def test_rejects_invalid(self, tmp_path, capsys, flag, value):
+        """A bad count is an argparse error before any model is trained."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--wal", str(tmp_path / "wal"), flag, value])
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err
+        assert flag in error
+        assert "Traceback" not in error
+        assert not (tmp_path / "wal").exists()
 
 
 class TestExecution:

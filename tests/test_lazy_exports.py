@@ -53,8 +53,6 @@ NOT_FOR_SERVING = (
     "repro.core.active_learning",
     "repro.core.training",
     "repro.incremental.stream",
-    "repro.parallel.blocking",
-    "repro.parallel.features",
     "repro.ml.svm",
     "repro.ml.naive_bayes",
     "repro.ml.calibration",
@@ -70,7 +68,7 @@ from repro.serve.daemon import MatchingDaemon
 def loaded():
     return sorted(name for name in sys.modules if name.split(".")[0] == "repro")
 
-daemon = MatchingDaemon(sys.argv[1], recover=True, num_shards=2, tokenize_workers=2)
+daemon = MatchingDaemon(sys.argv[1], recover=True, num_shards=2)
 thread = threading.Thread(target=daemon.serve)
 thread.start()
 assert daemon.ready.wait(60)
@@ -137,7 +135,7 @@ def test_a_recovered_daemon_loads_what_serving_needs_before_its_banner(tmp_path)
 
 def test_every_package_with_public_names_declares_them_in_one_table():
     """No ``from .x import`` block left in a re-exporting ``__init__``."""
-    assert len(PACKAGES) == 16 and "repro" in PACKAGES
+    assert len(PACKAGES) == 15 and "repro" in PACKAGES
     for package in PACKAGES:
         path = Path(importlib.import_module(package).__file__)
         relative = [

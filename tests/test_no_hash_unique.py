@@ -14,7 +14,7 @@ import pytest
 
 import repro
 
-GUARDED = ("pairs", "blocking", "weights", "incremental", "serve", "parallel")
+GUARDED = ("pairs", "blocking", "weights", "incremental", "serve", "persistence")
 
 
 @pytest.mark.parametrize("layer", GUARDED)

@@ -347,7 +347,8 @@ def test_cost_estimate_picks_the_expected_side(churned_index):
 
 
 def test_slices_of_a_candidate_set_equal_the_whole(dblpacm_dataset):
-    """What the parallel engine relies on: any pair range gives the same rows."""
+    """A pair's aggregates depend only on its own CSR rows: any pair range
+    gives the same rows as the whole set."""
     prepared = prepare_blocks(dblpacm_dataset.first, dblpacm_dataset.second)
     stats = prepared.statistics()
     left, right = prepared.candidates.left, prepared.candidates.right
