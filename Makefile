@@ -9,9 +9,10 @@
 #                            the one index state: IndexStatistics one-vs-many, the
 #                            delta-maintained state vs the worker's live index, the
 #                            guards against a second schema / private reach-ins, and
-#                            the derived answer: CSR-derived candidates vs the writer's
-#                            registry and the batch extraction, the refused-key
-#                            fallback, and the guards that keep reads off the registry;
+#                            the derived answer: CSR-derived candidates vs the pairs the
+#                            writer's member lists spawn and the batch extraction, the
+#                            refused-key fallback, and the guards that no module names
+#                            the pair registry and no index or replica holds one;
 #                            eager replication: served answers under a concurrent
 #                            writer vs the canonical session at their pinned offset,
 #                            the pin taken under the fleet's locks, a failed follow,
@@ -20,8 +21,10 @@
 #                            recovered daemon, every package's export table, and
 #                            run-wise bulk checkpoint adoption vs the per-slot loop;
 #                            no selector, worker-count knob or process pool on any
-#                            entry point or CLI flag, and the state format of the
-#                            snapshot and the log's meta record read on recovery)
+#                            entry point or CLI flag, the state format of the
+#                            snapshot and the log's meta record read on recovery, and
+#                            the session's key-addressed per-pair state across
+#                            compaction and recovery, a foreign top-K key refused)
 #   make test-fast         - tier-1 suite without the perf smoke tests, then tests/serve,
 #                            tests/faults and tests/persistence in one invocation (the
 #                            fixture model they pickle must not depend on collection order)
@@ -79,7 +82,8 @@ test-equivalence:
 		tests/incremental/test_derived_candidates.py tests/test_derived_answer_guards.py \
 		tests/serve/test_follow_consistency.py tests/persistence/test_update_atomicity.py \
 		tests/test_lazy_exports.py tests/incremental/test_bulk_adoption_property.py \
-		tests/test_no_backend_selector.py tests/test_cli.py tests/persistence/test_session_wal.py
+		tests/test_no_backend_selector.py tests/test_cli.py tests/persistence/test_session_wal.py \
+		tests/incremental/test_session_compaction.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q

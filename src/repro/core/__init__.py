@@ -4,9 +4,7 @@ from .._exports import lazy_exports
 
 #: public name -> the submodule that defines it (see repro._exports)
 _EXPORTS = {
-    "ActiveSample": "active_learning",
     "BinaryClassifierPruning": "pruning",
-    "BlossSampler": "active_learning",
     "CARDINALITY_BASED_ALGORITHMS": "pruning",
     "FeatureMatrix": "features",
     "FeatureSelectionStudy": "feature_selection",

@@ -21,10 +21,11 @@ maintains, beside the state's arrays:
   ``||e_i||``, ``Σ 1/||b||``, ``Σ 1/|b|``, LCP degrees), adjusted in place
   for every entity of a touched block — insertions add the contributions,
   removals reverse them exactly;
-* the distinct candidate-pair registry and the per-mutation *delta*: the new
-  pairs an insert introduced (:class:`InsertDelta`) or the dead pairs a
-  removal retracted (:class:`RetractionDelta`); the registry is writer-only
-  and never ships — every read derives the live pairs from the CSR;
+* the live candidate-pair count and the per-mutation *delta*: the new pairs
+  an insert introduced (:class:`InsertDelta`) or the dead pairs a removal
+  retracted (:class:`RetractionDelta`), each carrying the pairs' packed keys.
+  No pair is stored: every read derives the live pairs from the CSR, and the
+  per-pair state a session keeps is keyed by those packed keys;
 * optionally a write-ahead log (append-before-apply) and a
   :class:`_DeltaTracker`, which is why :meth:`~MutableBlockIndex.export_delta`
   lives here and not on the state.
@@ -149,8 +150,8 @@ class InsertDelta:
     block_ids: np.ndarray
     #: node ids the new entity now co-occurs with (each is one new pair)
     counterparts: np.ndarray
-    #: positions of the new pairs in the index's global pair registry
-    pair_positions: np.ndarray
+    #: packed keys of the new pairs (aligned with counterparts)
+    pair_keys: np.ndarray
 
     @property
     def num_new_pairs(self) -> int:
@@ -162,8 +163,8 @@ class InsertDelta:
 class RetractionDelta:
     """What one ``remove_entity`` reversed: the dead node and its dead pairs.
 
-    The ``pair_positions`` point into the index's global pair registry —
-    the same positions the pairs were assigned at insert time — so a
+    The ``pair_keys`` are the packed keys the pairs were reported under at
+    insert time (node ids are never reused), so a
     :class:`~repro.incremental.MatchingSession` can evict exactly those
     pairs from its online aggregates (WEP running average, top-K queue).
     """
@@ -178,8 +179,8 @@ class RetractionDelta:
     block_ids: np.ndarray
     #: node ids the entity co-occurred with (each is one retracted pair)
     counterparts: np.ndarray
-    #: registry positions of the retracted pairs (aligned with counterparts)
-    pair_positions: np.ndarray
+    #: packed keys of the retracted pairs (aligned with counterparts)
+    pair_keys: np.ndarray
 
     @property
     def num_retracted_pairs(self) -> int:
@@ -202,9 +203,9 @@ class BulkInsertDelta:
 
     Unlike a sequence of :class:`InsertDelta`, the new pairs are reported
     once for the whole batch, deduplicated and sorted by packed candidate
-    key — the registry order therefore differs from what one-at-a-time
-    inserts would produce, but the pair *set*, every aggregate, and the
-    exact finalisation are identical (the equivalence tests assert this).
+    key — the order therefore differs from what one-at-a-time inserts would
+    report, but the pair *set*, every aggregate, and the exact finalisation
+    are identical (the equivalence tests assert this).
     """
 
     #: node ids assigned to the batch, in input order
@@ -217,8 +218,8 @@ class BulkInsertDelta:
     pair_left: np.ndarray
     #: right node ids of the new pairs
     pair_right: np.ndarray
-    #: positions of the new pairs in the index's global pair registry
-    pair_positions: np.ndarray
+    #: packed keys of the new pairs, ascending
+    pair_keys: np.ndarray
 
     @property
     def num_new_pairs(self) -> int:
@@ -274,28 +275,15 @@ class MutableBlockIndex(IndexState):
         # commonly number their entities independently
         self._entity_ids: List[str] = []
         self._node_of_id: Dict[Tuple[int, str], int] = {}
-        # LCP, maintained as the candidate-pair degree per node
+        # LCP, maintained as the candidate-pair degree per node, and the
+        # number of live candidate pairs
         self._degrees = Growable(np.float64, capacity=256)
-
-        # the candidate-pair registry (canonical ``left < right``; positions are
-        # stable, retracted pairs are tombstoned through ``_pair_alive``), the
-        # packed key of every registry position, and packed (left, right) ->
-        # registry position of every *live* pair, synced lazily from
-        # _pair_keys (removals need it, inserts don't — keeping it off the
-        # insert path is what lets bulk loads stay array-only); _pair_synced
-        # counts the registry prefix already merged
-        self._pair_left = Growable(np.int64, capacity=1024)
-        self._pair_right = Growable(np.int64, capacity=1024)
-        self._pair_alive = Growable(np.bool_, capacity=1024)
         self._num_live_pairs: int = 0
-        self._pair_keys = Growable(np.int64, capacity=1024)
-        self._pair_position: Dict[int, int] = {}
-        self._pair_synced: int = 0
 
         # durability / lifecycle state: an optional write-ahead log every
         # mutation is journaled to (append-before-apply), and a generation
-        # counter bumped by compact() so sessions holding raw registry
-        # positions can detect an out-of-band compaction
+        # counter bumped by compact() so sessions holding raw packed pair
+        # keys can detect an out-of-band compaction
         self._wal = None
         self._wal_suspended = False
         self.generation: int = 0
@@ -337,23 +325,9 @@ class MutableBlockIndex(IndexState):
 
     # -- container protocol ----------------------------------------------------
     @property
-    def num_registered_pairs(self) -> int:
-        """Number of registry positions ever assigned (live + retracted)."""
-        return len(self._pair_left)
-
-    @property
     def num_pairs(self) -> int:
         """Number of *live* distinct candidate pairs."""
         return self._num_live_pairs
-
-    def live_pair_positions(self) -> np.ndarray:
-        """Registry positions of the live pairs, ascending."""
-        return np.flatnonzero(self._pair_alive.view())
-
-    def live_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(left, right)`` of the live pairs in registry order (copies)."""
-        alive = self._pair_alive.view()
-        return self._pair_left.view()[alive], self._pair_right.view()[alive]
 
     def __len__(self) -> int:
         return self.num_entities
@@ -439,16 +413,17 @@ class MutableBlockIndex(IndexState):
         else:
             counterparts = np.empty(0, dtype=np.int64)
 
-        pair_positions = self._register_pairs(
-            counterparts, np.full(counterparts.size, node, dtype=np.int64)
-        )
+        # the new node is the largest id, so every new pair is (counterpart, node)
+        self._degrees[counterparts] += 1.0
+        self._degrees[node] += counterparts.size
+        self._num_live_pairs += counterparts.size
 
         return InsertDelta(
             node=node,
             entity_id=entity_id,
             block_ids=sorted_block_ids,
             counterparts=counterparts,
-            pair_positions=pair_positions,
+            pair_keys=pack_pair_keys(counterparts, np.full_like(counterparts, node)),
         )
 
     def add_entities(
@@ -474,10 +449,9 @@ class MutableBlockIndex(IndexState):
         deduplicated globally with packed keys — no per-insert ``np.unique``.
 
         The resulting index state is identical to calling
-        :meth:`add_entity` once per profile, except for the *order* of the
-        new pairs in the registry (sorted by packed key rather than grouped
-        by insert); every aggregate, the pair set, and the exact
-        finalisation are unaffected.
+        :meth:`add_entity` once per profile; only the *order* the new pairs
+        are reported in differs (sorted by packed key rather than grouped by
+        insert), which no aggregate, pair set or exact finalisation sees.
 
         Returns
         -------
@@ -567,7 +541,12 @@ class MutableBlockIndex(IndexState):
         pair_left, pair_right = self._apply_bulk_memberships(
             block_of, relative_nodes + base, side
         )
-        pair_positions = self._register_pairs(pair_left, pair_right)
+        # np.add.at (not fancy-indexed +=) — left/right repeat nodes, and the
+        # cost must stay O(pairs), not O(num_slots)
+        degrees = self._degrees.view()
+        np.add.at(degrees, pair_left, 1.0)
+        np.add.at(degrees, pair_right, 1.0)
+        self._num_live_pairs += pair_left.size
 
         return BulkInsertDelta(
             nodes=np.arange(base, base + n_new, dtype=np.int64),
@@ -575,7 +554,7 @@ class MutableBlockIndex(IndexState):
             side=side,
             pair_left=pair_left,
             pair_right=pair_right,
-            pair_positions=pair_positions,
+            pair_keys=pack_pair_keys(pair_left, pair_right),
         )
 
     def _apply_bulk_memberships(
@@ -812,15 +791,15 @@ class MutableBlockIndex(IndexState):
         The entity leaves each of its blocks (adjusting ``|b|``, ``||b||``,
         the inverse weight vectors and the remaining members' per-entity
         aggregates in place, exactly undoing what its insertion added), its
-        candidate pairs are tombstoned in the registry, and its node slot is
-        marked dead.  Cost is proportional to the entity's candidate delta,
-        like the insert it reverses.
+        candidate pairs leave the live count and the LCP degrees, and its
+        node slot is marked dead.  Cost is proportional to the entity's
+        candidate delta, like the insert it reverses.
 
         Returns
         -------
         RetractionDelta
-            The dead node and the registry positions of its retracted pairs
-            (the session uses these to evict the pairs from its online
+            The dead node and the packed keys of its retracted pairs (the
+            session uses these to evict the pairs from its online
             aggregates).
 
         Raises
@@ -851,18 +830,12 @@ class MutableBlockIndex(IndexState):
         else:
             counterparts = np.empty(0, dtype=np.int64)
 
-        self._sync_pair_positions()
-        # refuses ids at MAX_NODE_ID like every other registry-key packing
+        # refuses ids at MAX_NODE_ID like every other pair-key packing
         keys = pack_pair_keys(
             np.minimum(counterparts, node), np.maximum(counterparts, node)
         )
-        pair_positions = np.fromiter(
-            map(self._pair_position.pop, keys.tolist()), np.int64, keys.size
-        )
-        if pair_positions.size:
-            self._pair_alive[pair_positions] = False
-            self._degrees[counterparts] -= 1.0
-        self._num_live_pairs -= int(pair_positions.size)
+        self._degrees[counterparts] -= 1.0
+        self._num_live_pairs -= counterparts.size
         if self._delta is not None:
             self._delta.entities.add(node)
 
@@ -887,7 +860,7 @@ class MutableBlockIndex(IndexState):
             side=side,
             block_ids=block_ids,
             counterparts=counterparts,
-            pair_positions=pair_positions,
+            pair_keys=keys,
         )
 
     def update_entity(self, profile: EntityProfile, side: int = 0) -> UpdateDelta:
@@ -991,41 +964,6 @@ class MutableBlockIndex(IndexState):
             array.append(0.0)
         self._indptr.append(len(self._indices))
         return node
-
-    def _register_pairs(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Append canonical new pairs to the registry; returns their positions."""
-        first_position = self.num_registered_pairs
-        count = int(left.size)
-        if count:
-            self._pair_left.extend(left)
-            self._pair_right.extend(right)
-            self._pair_alive.extend(np.ones(count, dtype=np.bool_))
-            self._pair_keys.extend(pack_pair_keys(left, right))
-            # np.add.at (not fancy-indexed +=) — left/right may repeat nodes,
-            # and the cost must stay O(count), not O(num_slots)
-            degrees = self._degrees.view()
-            np.add.at(degrees, left, 1.0)
-            np.add.at(degrees, right, 1.0)
-            self._num_live_pairs += count
-        return np.arange(first_position, first_position + count, dtype=np.int64)
-
-    def _sync_pair_positions(self) -> None:
-        """Merge registry entries appended since the last sync into the
-        packed-key -> position dict removals look pairs up in.
-
-        A pair retracted and later re-registered appears twice in the
-        registry; positions ascend within the unsynced tail, so the dict
-        lands on the newest (live) position.  Amortised O(1) per pair ever
-        registered.
-        """
-        total = self.num_registered_pairs
-        if self._pair_synced == total:
-            return
-        tail = slice(self._pair_synced, total)
-        self._pair_position.update(
-            zip(self._pair_keys.view()[tail].tolist(), range(self._pair_synced, total))
-        )
-        self._pair_synced = total
 
     def _create_block(self, signature: str) -> int:
         block_id = len(self._block_keys)
@@ -1194,29 +1132,28 @@ class MutableBlockIndex(IndexState):
 
     # -- compaction ------------------------------------------------------------
     def compact(self) -> None:
-        """Rebuild the index without tombstoned slots and retracted positions.
+        """Rebuild the index without tombstoned slots.
 
         Long-lived high-churn sessions grow monotonically: removed entities
         leave dead node slots (zeroed aggregate entries, orphaned CSR rows)
-        and retracted pairs keep their registry positions.  ``compact()``
-        rebuilds the index from its *live* entities — replaying their stored
-        signatures through :meth:`add_entities_bulk`, one bulk load per side
-        in arrival order — and adopts the rebuilt state in place:
+        behind.  ``compact()`` rebuilds the index from its *live* entities —
+        replaying their stored signatures through :meth:`add_entities_bulk`,
+        one bulk load per side in arrival order — and adopts the rebuilt
+        state in place:
 
         * every per-node array shrinks to the live entity count
-          (``num_slots == num_entities``);
-        * the pair registry holds exactly the live pairs
-          (``num_registered_pairs == num_pairs``);
+          (``num_slots == num_entities``), so raw node ids become the
+          canonical ids;
         * blocks whose members were all removed are dropped.
 
         The *canonical* view is unchanged: live entities keep their arrival
         order per side, so :meth:`canonical_node_ids`,
         :meth:`candidate_set` and :meth:`snapshot_blocks` — and with
         them the exact batch-equivalent finalisation — produce identical
-        results before and after.  Raw node ids and registry positions are
-        reassigned, which invalidates outstanding
+        results before and after.  Raw node ids, and with them the packed
+        pair keys, are reassigned, which invalidates outstanding
         :class:`InsertDelta`/:class:`RetractionDelta` references *and* any
-        per-position state held by a live :class:`MatchingSession` — the
+        per-pair state a live :class:`MatchingSession` keys by them — the
         session detects this via :attr:`generation` and refuses stale
         operations; call :meth:`MatchingSession.compact` instead, which
         remaps its state.  An attached write-ahead log is retained and no
@@ -1235,7 +1172,7 @@ class MutableBlockIndex(IndexState):
         self._wal = wal
         self._wal_suspended = False
         self.generation = generation
-        # raw node ids and registry positions were reassigned: any delta
+        # raw node ids were reassigned: any delta
         # tracker's dirty sets are meaningless, so force the next export
         # back to a full ship
         self.epoch = epoch

@@ -26,7 +26,7 @@ time, while later mutations keep shifting the block statistics.  The exact
 answer is always available through :meth:`MatchingSession.retained`, which
 derives every live pair — in the canonical batch numbering and order, with
 its co-occurrence aggregates — from the maintained CSR in one reduce pass (no
-re-blocking, no pair registry read), evaluates it against the final
+re-blocking, no stored pair list), evaluates it against the final
 statistics and applies the configured *batch* pruning algorithm, its budgets
 read off the index's maintained block totals.  Any interleaving of inserts,
 removals, updates and bulk loads ending in collection ``C`` therefore
@@ -39,7 +39,7 @@ The equivalence tests in ``tests/incremental/`` assert this exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,11 +48,10 @@ from ..core.pruning.base import VALIDITY_THRESHOLD
 from ..datamodel.entity import EntityProfile
 from ..ml.base import FrozenModel
 from ..obs.trace import hook_span
-from ..pairs import pack_pair_keys
 from ..utils.pqueue import BoundedTopQueue
 from .delta import DeltaFeatureGenerator
 from .index import MutableBlockIndex, RetractionDelta, UnknownEntityError
-from .state import Growable, LiveCandidates
+from .state import LiveCandidates
 
 
 def exact_answer(
@@ -65,7 +64,7 @@ def exact_answer(
     from the CSR (:meth:`DeltaFeatureGenerator.generate_all`), frozen-model
     scoring, and the batch pruning algorithm over the pairs' canonical twin,
     its budgets derived from the maintained :meth:`~MutableBlockIndex.block_totals`
-    — arrays only: no block collection is materialised, no pair registry read.
+    — arrays only: no block collection is materialised, no stored pair read.
     Returns the live candidates (raw node ids, batch candidate order), their
     probabilities and the retained mask.
     """
@@ -85,66 +84,137 @@ def exact_answer(
 class StaleSessionError(RuntimeError):
     """The session's index was compacted underneath it.
 
-    :meth:`MutableBlockIndex.compact` reassigns raw node ids and registry
-    positions; the per-position state a live session holds (insert-time
-    probabilities, online top-K queue items) becomes silently wrong.  The
-    session detects the generation bump and refuses further operations —
-    call :meth:`MatchingSession.compact`, which remaps its state, instead of
-    ``session.index.compact()``.
+    :meth:`MutableBlockIndex.compact` reassigns raw node ids, and with them
+    the packed pair keys the session's per-pair state (insert-time
+    probabilities, online top-K queue items) is keyed by, which becomes
+    silently wrong.  The session detects the generation bump and refuses
+    further operations — call :meth:`MatchingSession.compact`, which remaps
+    its state, instead of ``session.index.compact()``.
     """
 
     def __init__(self) -> None:
         super().__init__(
             "the session's index was compacted directly (index.compact()): "
-            "registry positions held by the online policy and the insert-time "
+            "pair keys held by the online policy and the insert-time "
             "probabilities are stale — compact through MatchingSession.compact(), "
-            "which remaps its per-position state"
+            "which remaps its per-pair state"
         )
 
 
+class PairProbabilities:
+    """The insert-time probability of every live pair, keyed by raw packed
+    pair key (:func:`repro.pairs.pack_pair_keys`).
+
+    Pairs loaded together — a bulk insert, a snapshot restore, a compaction
+    — live in a sorted key / value array pair with a tombstone mask; pairs
+    inserted one at a time live in a dict.  A lookup is one
+    ``np.searchsorted`` over the arrays plus a dict ``pop`` for the rest, so
+    loading in bulk never builds a per-pair Python object.
+    """
+
+    def __init__(
+        self,
+        keys: Optional[np.ndarray] = None,
+        values: Optional[np.ndarray] = None,
+    ) -> None:
+        self._keys = np.empty(0, dtype=np.int64) if keys is None else keys
+        self._values = np.empty(0) if values is None else values
+        self._alive = np.ones(self._keys.size, dtype=bool)
+        self._single: Dict[int, float] = {}
+
+    def add(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Store the probabilities of pairs inserted one entity at a time."""
+        self._single.update(zip(keys.tolist(), values.tolist()))
+
+    def add_sorted(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Store a bulk load's probabilities (``keys`` ascending): one merge
+        into the arrays, which drops the tombstones and absorbs the dict."""
+        if keys.size == 0:
+            return
+        live_keys, live_values = self.items()
+        merged = np.concatenate((live_keys, keys))
+        order = np.argsort(merged, kind="stable")
+        self._keys = merged[order]
+        self._values = np.concatenate((live_values, values))[order]
+        self._alive = np.ones(self._keys.size, dtype=bool)
+        self._single = {}
+
+    def _in_arrays(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Array position of each key and whether it holds the live pair."""
+        if self._keys.size == 0:
+            return np.zeros(keys.size, dtype=np.int64), np.zeros(keys.size, dtype=bool)
+        at = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
+        return at, (self._keys[at] == keys) & self._alive[at]
+
+    def pop(self, keys: np.ndarray) -> np.ndarray:
+        """Remove live pairs and return their probabilities (``KeyError``
+        for a key that is not live)."""
+        at, hit = self._in_arrays(keys)
+        values = np.empty(keys.size)
+        values[hit] = self._values[at[hit]]
+        self._alive[at[hit]] = False
+        if not hit.all():
+            missing = ~hit
+            values[missing] = list(map(self._single.pop, keys[missing].tolist()))
+        return values
+
+    def missing(self, keys: np.ndarray) -> np.ndarray:
+        """The keys that are not live pairs."""
+        _, hit = self._in_arrays(keys)
+        return np.array(
+            [key for key in keys[~hit].tolist() if key not in self._single],
+            dtype=np.int64,
+        )
+
+    def items(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(keys, probabilities)`` of the live pairs, ascending by key."""
+        count = len(self._single)
+        keys = np.concatenate(
+            (self._keys[self._alive], np.fromiter(self._single, np.int64, count))
+        )
+        values = np.concatenate(
+            (
+                self._values[self._alive],
+                np.fromiter(self._single.values(), np.float64, count),
+            )
+        )
+        order = np.argsort(keys, kind="stable")
+        return keys[order], values[order]
+
+
 class OnlinePruningPolicy:
-    """Decide, per mutation, which freshly scored pairs currently qualify."""
+    """Decide, per mutation, which freshly scored pairs currently qualify.
+
+    Pairs are identified by their raw packed pair keys, which also break
+    probability ties deterministically for policies that rank pairs.
+    """
 
     name: str = "online"
 
-    def admit(
-        self,
-        probabilities: np.ndarray,
-        positions: np.ndarray,
-        keys: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Update the online state with the new scores; return an admit mask.
-
-        ``keys`` are optional packed candidate keys used for deterministic
-        tie-breaking by policies that rank pairs.
-        """
+    def admit(self, probabilities: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Update the online state with the new scores; return an admit mask."""
         raise NotImplementedError
 
-    def retract(self, probabilities: np.ndarray, positions: np.ndarray) -> None:
+    def retract(self, probabilities: np.ndarray, keys: np.ndarray) -> None:
         """Evict retracted pairs (given their insert-time scores) from the
         online state.  The default is a no-op for stateless policies."""
 
     # -- durability / compaction hooks -----------------------------------------
-    def export_state(self, key_of_position) -> dict:
-        """Position-independent state for snapshots.
+    def export_state(self, canonical_keys: Callable[[np.ndarray], np.ndarray]) -> dict:
+        """Node-id-independent state for snapshots and compaction.
 
-        ``key_of_position`` maps a live registry position to its canonical
-        packed pair key — the identity that survives compaction and
-        recovery.  Stateless policies export nothing.
+        ``canonical_keys`` maps raw packed pair keys to the pairs' canonical
+        packed keys — the identity that survives compaction and recovery.
+        Stateless policies export nothing.
         """
         return {}
 
-    def restore_state(self, state: dict, position_of_key) -> None:
-        """Restore :meth:`export_state` output onto a rebuilt index, where
-        ``position_of_key`` maps a canonical packed key back to the rebuilt
-        registry position."""
-
-    def remap_positions(self, remap: dict) -> None:
-        """Rewrite held registry positions after a session-safe compaction.
-
-        ``remap`` maps each old live position to ``(new_position, key)``.
-        Policies that hold no positions ignore it.
-        """
+    def restore_state(
+        self, state: dict, require_live: Callable[[np.ndarray], None]
+    ) -> None:
+        """Restore :meth:`export_state` output onto a rebuilt index, whose raw
+        node ids are the canonical ids; ``require_live`` raises for keys that
+        are not live pairs of it."""
 
 
 class OnlineWEP(OnlinePruningPolicy):
@@ -170,18 +240,13 @@ class OnlineWEP(OnlinePruningPolicy):
             return VALIDITY_THRESHOLD
         return self._valid_sum / self._valid_count
 
-    def admit(
-        self,
-        probabilities: np.ndarray,
-        positions: np.ndarray,
-        keys: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def admit(self, probabilities: np.ndarray, keys: np.ndarray) -> np.ndarray:
         valid = probabilities >= VALIDITY_THRESHOLD
         self._valid_sum += float(probabilities[valid].sum())
         self._valid_count += int(valid.sum())
         return valid & (probabilities >= self.threshold)
 
-    def retract(self, probabilities: np.ndarray, positions: np.ndarray) -> None:
+    def retract(self, probabilities: np.ndarray, keys: np.ndarray) -> None:
         valid = probabilities >= VALIDITY_THRESHOLD
         self._valid_sum -= float(probabilities[valid].sum())
         self._valid_count -= int(valid.sum())
@@ -191,10 +256,10 @@ class OnlineWEP(OnlinePruningPolicy):
             self._valid_sum = 0.0
             self._valid_count = 0
 
-    def export_state(self, key_of_position) -> dict:
+    def export_state(self, canonical_keys) -> dict:
         return {"valid_sum": self._valid_sum, "valid_count": self._valid_count}
 
-    def restore_state(self, state: dict, position_of_key) -> None:
+    def restore_state(self, state: dict, require_live) -> None:
         self._valid_sum = float(state["valid_sum"])
         self._valid_count = int(state["valid_count"])
 
@@ -222,54 +287,41 @@ class OnlineTopK(OnlinePruningPolicy):
         """The current admission threshold (minimum retained weight)."""
         return max(self._queue.min_weight, VALIDITY_THRESHOLD)
 
-    def admit(
-        self,
-        probabilities: np.ndarray,
-        positions: np.ndarray,
-        keys: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def admit(self, probabilities: np.ndarray, keys: np.ndarray) -> np.ndarray:
         mask = np.zeros(probabilities.size, dtype=bool)
-        key_list = keys.tolist() if keys is not None else [None] * probabilities.size
-        for offset, (probability, position, key) in enumerate(
-            zip(probabilities.tolist(), positions.tolist(), key_list)
+        for offset, (probability, key) in enumerate(
+            zip(probabilities.tolist(), keys.tolist())
         ):
             if probability < VALIDITY_THRESHOLD:
                 continue
-            evicted = self._queue.push(
-                probability, int(position), key=None if key is None else int(key)
-            )
-            mask[offset] = evicted != int(position)
+            mask[offset] = self._queue.push(probability, key, key=key) != key
         return mask
 
-    def retract(self, probabilities: np.ndarray, positions: np.ndarray) -> None:
-        for position in positions.tolist():
-            self._queue.discard(int(position))
+    def retract(self, probabilities: np.ndarray, keys: np.ndarray) -> None:
+        for key in keys.tolist():
+            self._queue.discard(key)
 
-    def export_state(self, key_of_position) -> dict:
+    def export_state(self, canonical_keys) -> dict:
         """The retained (weight, canonical key) pairs, strongest first.
 
         The retained set of a :class:`BoundedTopQueue` is a pure function of
         the (weight, key) multiset, so serializing by canonical key makes
-        the state independent of insertion order and registry positions.
+        the state independent of insertion order and raw node ids.
         """
+        weighted = self._queue.weighted_items()
+        keys = canonical_keys(np.array([key for _, key in weighted], dtype=np.int64))
         return {
             "items": [
-                (float(weight), int(key_of_position(int(position))))
-                for weight, position in self._queue.weighted_items()
+                (float(weight), key) for (weight, _), key in zip(weighted, keys.tolist())
             ]
         }
 
-    def restore_state(self, state: dict, position_of_key) -> None:
+    def restore_state(self, state: dict, require_live) -> None:
+        items = [(float(weight), int(key)) for weight, key in state["items"]]
+        require_live(np.array([key for _, key in items], dtype=np.int64))
         queue: BoundedTopQueue[int] = BoundedTopQueue(self._queue.capacity)
-        for weight, key in state["items"]:
-            queue.push(float(weight), int(position_of_key(int(key))), key=int(key))
-        self._queue = queue
-
-    def remap_positions(self, remap: dict) -> None:
-        queue: BoundedTopQueue[int] = BoundedTopQueue(self._queue.capacity)
-        for weight, position in self._queue.weighted_items():
-            new_position, key = remap[int(position)]
-            queue.push(float(weight), int(new_position), key=int(key))
+        for weight, key in items:
+            queue.push(weight, key, key=key)
         self._queue = queue
 
 
@@ -338,7 +390,7 @@ class BulkInsertResult:
     nodes: np.ndarray
     #: number of candidate pairs the batch introduced
     num_new_pairs: int
-    #: match probability of every new pair (registry order)
+    #: match probability of every new pair (ascending packed key)
     probabilities: np.ndarray
     #: number of new pairs the online policy admitted
     num_admitted: int
@@ -428,9 +480,9 @@ class MatchingSession:
             get_pruning_algorithm(pruning) if isinstance(pruning, str) else pruning
         )
         self.online = _resolve_online_policy(online, top_k)
-        #: probability of every registry position at the time it was inserted
-        #: (provisional; retracted positions keep their last score)
-        self._insert_probabilities = Growable(np.float64, capacity=1024)
+        #: probability of every live pair at the time it was inserted
+        #: (provisional), keyed by raw packed pair key
+        self._probabilities = PairProbabilities()
         self._top_k = top_k
         self._generation = self.index.generation
         self._snapshot_every = snapshot_every
@@ -463,11 +515,12 @@ class MatchingSession:
         """Number of live distinct candidate pairs."""
         return self.index.num_pairs
 
-    def insert_time_probabilities(self) -> np.ndarray:
-        """The provisional score every registry position received at insert
-        time (including positions whose pairs were since retracted): *not*
-        aligned with ``retained().candidates``, which come in batch order."""
-        return self._insert_probabilities.view().copy()
+    def insert_time_probabilities(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(keys, probabilities)`` of the live pairs: raw packed pair keys
+        ascending, and the provisional score each pair received at insert
+        time — *not* aligned with ``retained().candidates``, which come in
+        batch order under final-statistics scores."""
+        return self._probabilities.items()
 
     # -- streaming -------------------------------------------------------------
     def _check_generation(self) -> None:
@@ -493,11 +546,8 @@ class MatchingSession:
         """Score one insert delta and fold it into the online state."""
         matrix = self.features.generate_delta(delta)
         probabilities = self.model.score(matrix.values)
-        self._insert_probabilities.extend(probabilities)
-        keys = pack_pair_keys(
-            delta.counterparts, np.full(delta.counterparts.size, delta.node)
-        )
-        admitted = self.online.admit(probabilities, delta.pair_positions, keys=keys)
+        self._probabilities.add(delta.pair_keys, probabilities)
+        admitted = self.online.admit(probabilities, delta.pair_keys)
 
         counterpart_ids = self.index.entity_ids_of(delta.counterparts)
         order = np.argsort(-probabilities[admitted], kind="stable")
@@ -545,9 +595,8 @@ class MatchingSession:
         candidates = self.index.bulk_candidate_set(delta)
         matrix = self.features.generate(candidates)
         probabilities = self.model.score(matrix.values)
-        self._insert_probabilities.extend(probabilities)
-        keys = pack_pair_keys(delta.pair_left, delta.pair_right)
-        admitted = self.online.admit(probabilities, delta.pair_positions, keys=keys)
+        self._probabilities.add_sorted(delta.pair_keys, probabilities)
+        admitted = self.online.admit(probabilities, delta.pair_keys)
         return BulkInsertResult(
             entity_ids=delta.entity_ids,
             nodes=delta.nodes,
@@ -605,11 +654,10 @@ class MatchingSession:
         )
 
     def _retract_from_online(self, retraction: RetractionDelta) -> None:
-        positions = retraction.pair_positions
-        if positions.size == 0:
+        keys = retraction.pair_keys
+        if keys.size == 0:
             return
-        scores = self._insert_probabilities.view()[positions].copy()
-        self.online.retract(scores, positions)
+        self.online.retract(self._probabilities.pop(keys), keys)
 
     # -- durability ------------------------------------------------------------
     def checkpoint(self):
@@ -658,6 +706,7 @@ class MatchingSession:
         online: OnlinePruningPolicy,
         top_k: int,
         snapshot_every: Optional[int],
+        probabilities: PairProbabilities,
     ) -> "MatchingSession":
         """Assemble a session around an already-built index (recovery path)."""
         session = cls.__new__(cls)
@@ -666,7 +715,7 @@ class MatchingSession:
         session.features = DeltaFeatureGenerator(index, model.feature_set)
         session.pruning = pruning
         session.online = online
-        session._insert_probabilities = Growable(np.float64, capacity=1024)
+        session._probabilities = probabilities
         session._top_k = top_k
         session._generation = index.generation
         session._snapshot_every = snapshot_every
@@ -710,42 +759,37 @@ class MatchingSession:
 
     # -- compaction ------------------------------------------------------------
     def compact(self) -> None:
-        """Compact the index *and* remap the session's per-position state.
+        """Compact the index *and* remap the session's per-pair state.
 
-        :meth:`MutableBlockIndex.compact` reassigns registry positions; this
-        wrapper snapshots the live positions' canonical pair keys first,
-        compacts, then rewrites the insert-time probabilities and the online
-        policy's held positions onto the rebuilt registry (sorted by packed
-        key — exactly the rebuilt order).  Thresholds are unchanged: the
-        online state is the same multiset of (weight, pair) under new
-        positions.
+        :meth:`MutableBlockIndex.compact` renumbers the live nodes to their
+        canonical ids, which changes every raw packed pair key.  This wrapper
+        exports the insert-time probabilities and the online policy's state
+        under canonical pair keys first — as a snapshot does — compacts, and
+        restores them, since raw keys now *are* the canonical keys.
+        Thresholds are unchanged: the online state is the same multiset of
+        (weight, pair) under new keys.
         """
         self._check_generation()
         from ..persistence.snapshot import canonical_pair_keys
 
         index = self.index
-        positions, keys = canonical_pair_keys(index)
-        probabilities = self._insert_probabilities.view()[positions].copy()
+        keys, probabilities = self._probabilities.items()
+        keys = canonical_pair_keys(index, keys)
         order = np.argsort(keys)
+        state = self.online.export_state(lambda raw: canonical_pair_keys(index, raw))
         index.compact()
-        sorted_keys = keys[order]
-        if index.num_registered_pairs != positions.size or not np.array_equal(
-            index._pair_keys.view(), sorted_keys
-        ):
-            raise RuntimeError(
-                "compaction did not rebuild the expected pair registry; the "
-                "session state cannot be remapped"
-            )
-        self._insert_probabilities = Growable(np.float64, capacity=1024)
-        self._insert_probabilities.extend(probabilities[order])
-        remap = {
-            int(old): (int(new), int(key))
-            for new, (old, key) in enumerate(
-                zip(positions[order].tolist(), sorted_keys.tolist())
-            )
-        }
-        self.online.remap_positions(remap)
+        self._probabilities = PairProbabilities(keys[order], probabilities[order])
+        self.online.restore_state(state, self._require_live)
         self._generation = index.generation
+
+    def _require_live(self, keys: np.ndarray) -> None:
+        """Refuse online-policy state held for a pair that is not live."""
+        missing = self._probabilities.missing(keys)
+        if missing.size:
+            raise ValueError(
+                f"the {self.online.name} policy state holds pair key "
+                f"{int(missing[0])}, which is not a live pair"
+            )
 
     # -- exact finalisation ----------------------------------------------------
     def retained(self) -> SessionResult:

@@ -16,8 +16,8 @@ live indexes, or the bare states a router was shipped — and guarantees, becaus
 * the entity x block CSR is the row-wise concatenation of the shard CSRs
   with **shard-major** block-id offsets, and the global candidate-pair set
   is *derived* from it by the reduce pass one state runs: a pair co-occurring
-  under tokens of two shards is one pair with terms from both — no per-shard
-  pair registry is read or merged.
+  under tokens of two shards is one pair with terms from both.  No shard
+  stores its pairs, so there is no per-shard pair list to read or merge.
 
 :class:`ShardedMutableBlockIndex` is a merged view that also routes
 mutations: tokenization — the CPU-heavy Python part of ingest — is

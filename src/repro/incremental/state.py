@@ -8,10 +8,9 @@ those statistics identically.  :class:`IndexState` is that hand-over as one
 type: ten arrays, a handful of scalars and the whole read surface over them —
 registry one-liners, canonical renumbering, the CSR, :class:`IndexStatistics`,
 block totals, and the live candidate set, which is *derived*
-(:meth:`IndexStatistics.live_candidates`): a state carries no pair registry,
-and the one a :class:`~repro.incremental.MutableBlockIndex` keeps — what its
-deltas, the online policies and a snapshot's per-pair session state are keyed
-by — is writer-only and never ships.
+(:meth:`IndexStatistics.live_candidates`): no index stores its pairs.  A
+mutation reports the pairs it created or retracted by packed pair key, and the
+session keys what per-pair state it keeps by them.
 
 Export layout (the read state a serving view is built from):
 :meth:`IndexState.export_state` ships the ten arrays of the schema below —
@@ -33,8 +32,7 @@ published.
 
 The index *is* a state: :class:`~repro.incremental.MutableBlockIndex`
 subclasses :class:`IndexState` and adds what only a writer needs (the token
-dictionary, member lists, maintained degrees, the pair registry, WAL hook,
-delta tracker), so its mutation code writes the very fields a reader reads,
+dictionary, member lists, maintained degrees, WAL hook, delta tracker), so its mutation code writes the very fields a reader reads,
 "the shipped state equals the worker's state" is a comparison of two objects
 of one type, and no delegation layer sits between them.  The router's
 resident per-shard copy is a bare :class:`IndexState` advanced by

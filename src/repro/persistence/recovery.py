@@ -138,12 +138,13 @@ def recover_session(path: Union[str, Path], sync: str = "always"):
     Loads the newest session snapshot (a session opened with ``wal_path=``
     writes one immediately, so there is always a frozen model to restore),
     rebuilds the index from it, restores the insert-time probabilities and
-    the online policy's position-independent state, replays the log tail
+    the online policy's canonical-key state — refusing a key that is not
+    one of the snapshot's live pairs — replays the log tail
     *through the session* (re-scoring each replayed mutation with the
     frozen model — deterministic), then truncates any torn tail and
     resumes journaling.
     """
-    from ..incremental.session import MatchingSession
+    from ..incremental.session import MatchingSession, PairProbabilities
 
     wal = WriteAheadLog(path, sync=sync)
     if not wal.log_path.exists():
@@ -159,6 +160,8 @@ def recover_session(path: Union[str, Path], sync: str = "always"):
     scan = wal.scan(start)
     stored = snapshot["session"]
     index = build_index_from_state(snapshot["index"])
+    # the rebuilt index numbers nodes canonically: the snapshot's sorted
+    # canonical keys and probabilities are the session's store as they stand
     session = MatchingSession._from_parts(
         model=stored["model"],
         index=index,
@@ -166,15 +169,9 @@ def recover_session(path: Union[str, Path], sync: str = "always"):
         online=stored["policy"],
         top_k=stored.get("top_k", 1000),
         snapshot_every=stored.get("snapshot_every"),
+        probabilities=PairProbabilities(stored["pair_keys"], stored["probabilities"]),
     )
-    session._insert_probabilities.extend(stored["probabilities"])
-    pair_keys = stored["pair_keys"]
-    import numpy as np
-
-    session.online.restore_state(
-        stored["policy_state"],
-        lambda key: int(np.searchsorted(pair_keys, int(key))),
-    )
+    session.online.restore_state(stored["policy_state"], session._require_live)
     replayed = 0
     for entry in scan.records:
         if entry.start >= start:

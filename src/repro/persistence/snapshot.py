@@ -10,22 +10,22 @@ equals the original's.
 
 The rebuild has one further property this module (and the session codec)
 leans on: a per-side bulk load assigns raw node ids equal to the canonical
-ids, and registers the candidate pairs sorted by packed pair key.  Stored
-per-pair state (insert-time probabilities, online top-K membership) is
-therefore serialized keyed by *canonical packed pair key* — position-
-independent — and lands back on the right registry positions by rank in
-the sorted key array.
+ids.  Stored per-pair state (insert-time probabilities, online top-K
+membership) is serialized keyed by *canonical packed pair key* — independent
+of raw node ids — so on the rebuilt index those keys are the raw keys the
+session keeps its per-pair state under, and the snapshot's sorted key /
+probability arrays are that state as they stand.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from ..incremental.index import MutableBlockIndex
 from ..incremental.sharded import ShardedMutableBlockIndex
-from ..pairs import pack_pair_keys
+from ..pairs import MAX_NODE_ID, pack_pair_keys
 from .log import WriteAheadLog
 
 #: snapshot/meta record state format version
@@ -118,8 +118,7 @@ def build_index_from_state(state: Dict[str, Any], blocking=None):
 
     Live entities are bulk-loaded per side (side 0 first) from their stored
     signatures — the compaction path — so the rebuilt index's canonical
-    view equals the dumped one, with raw node ids equal to canonical ids
-    and the pair registry sorted by packed key.
+    view equals the dumped one, with raw node ids equal to canonical ids.
     """
     index = construct_index(state, blocking=blocking)
     for side in sorted(state["sides"]):
@@ -150,33 +149,31 @@ def write_index_snapshot(index, wal: WriteAheadLog):
 
 # -- session state -----------------------------------------------------------------
 
-def canonical_pair_keys(index) -> Tuple[np.ndarray, np.ndarray]:
-    """Registry positions of the live pairs and their canonical packed keys.
+def canonical_pair_keys(index, keys: np.ndarray) -> np.ndarray:
+    """The canonical packed keys of pairs given by raw packed keys.
 
-    The keys are computed over canonical node ids, so they are invariant
-    under compaction and snapshot rebuilds — the stable identity per-pair
-    session state is serialized under.
+    The result is computed over canonical node ids, so it is invariant under
+    compaction and snapshot rebuilds — the stable identity per-pair session
+    state is serialized under.
     """
-    positions = index.live_pair_positions()
     canonical = index.canonical_node_ids()
-    left, right = (canonical[nodes] for nodes in index.live_pairs())
-    keys = pack_pair_keys(np.minimum(left, right), np.maximum(left, right))
-    return positions, keys
+    left = canonical[keys >> np.int64(32)]
+    right = canonical[keys & np.int64(MAX_NODE_ID - 1)]
+    return pack_pair_keys(np.minimum(left, right), np.maximum(left, right))
 
 
 def session_snapshot_state(session) -> Dict[str, Any]:
     """The full durable state of a :class:`MatchingSession`.
 
     Index state plus the frozen model, the batch pruning algorithm, the
-    online policy (object + position-independent state) and the insert-time
+    online policy (object + node-id-independent state) and the insert-time
     probabilities keyed by canonical pair key (stored sorted by key, which
-    is exactly the rebuilt registry order).
+    is exactly the store a rebuilt session starts from).
     """
     index = session.index
-    positions, keys = canonical_pair_keys(index)
+    raw, probabilities = session.insert_time_probabilities()
+    keys = canonical_pair_keys(index, raw)
     order = np.argsort(keys)
-    probabilities = session._insert_probabilities.view()[positions][order].copy()
-    key_of = dict(zip(positions.tolist(), keys.tolist()))
     return {
         "format": STATE_FORMAT,
         "log_offset": session.wal.log_offset,
@@ -187,10 +184,10 @@ def session_snapshot_state(session) -> Dict[str, Any]:
             "pruning": session.pruning,
             "policy": session.online,
             "policy_state": session.online.export_state(
-                lambda position: key_of[int(position)]
+                lambda raw_keys: canonical_pair_keys(index, raw_keys)
             ),
-            "probabilities": probabilities,
-            "pair_keys": keys[order].copy(),
+            "probabilities": probabilities[order],
+            "pair_keys": keys[order],
             "top_k": session._top_k,
             "snapshot_every": session._snapshot_every,
         },

@@ -6,7 +6,7 @@ shard worker for its read state *at exactly that offset*, and reads the K
 states as one index through a :class:`~repro.incremental.MergedIndexView`.
 Between reads a follower thread keeps the workers at the head of the log
 (**follow eagerly, pin late**), so the pin usually finds them caught up.
-What a state is (ten arrays plus a handful of scalars; no pair registry —
+What a state is (ten arrays plus a handful of scalars; no pair list —
 the live pairs are derived from the CSR), how a delta advances it and when a
 ship is refused live in :mod:`repro.incremental.state`; what makes K shards
 mergeable in :mod:`repro.incremental.sharded`; and the answer itself is

@@ -1,19 +1,20 @@
-"""The candidate pairs an answer derives from the CSR are the registry's.
+"""The candidate pairs an answer derives from the CSR are the member lists'.
 
-No read consults the pair registry any more: ``candidate_set()``, the exact
-answer and a bare state's LCP all come out of one reduce pass over the CSR
-rows of the live nodes (:meth:`IndexStatistics.live_candidates`).  The
-registry lives on as a writer-only structure of :class:`MutableBlockIndex` —
-which makes it the independent oracle here.  After every prefix of a random
+No index stores its pairs: ``candidate_set()``, the exact answer and a bare
+state's LCP all come out of one reduce pass over the CSR rows of the live
+nodes (:meth:`IndexStatistics.live_candidates`).  The per-block member lists
+are a writer-only structure of :class:`MutableBlockIndex` — which makes the
+pairs they spawn the independent oracle here.  After every prefix of a random
 add / bulk / remove / update script (with a compaction thrown in), for
 unilateral and bilateral indexes over one, two and three shards:
 
 (i)   the derived set equals, as a set of raw-id pairs, the plain-Python union
-      of the shards' ``live_pairs()``, and counts ``num_pairs`` pairs;
+      of the pairs the shards' member lists spawn, and counts ``num_pairs``
+      pairs;
 (ii)  its canonical twin equals the batch pipeline's candidates on the live
       entities in arrival order, array for array;
 (iii) the aggregates seeded alongside are ``array_equal`` — no tolerance — to
-      ``compute_pair_cooccurrence`` over the registry's pairs, through either
+      ``compute_pair_cooccurrence`` over the oracle's pairs, through either
       of its passes;
 (iv)  LCP counted off the derived set equals the degrees the index maintains.
 
@@ -45,16 +46,9 @@ from repro.serve.router import match_answer
 from repro.weights import sparse
 from repro.weights.sparse import PairCooccurrence, compute_pair_cooccurrence
 
-from reference import forced_cooccurrence_pass as forced
+from reference import forced_cooccurrence_pass as forced, member_pairs
 from test_session_property import _batch_retained_ids, _frozen_model
 from test_sharded_index import apply_script, churn_scripts, pairs_of
-
-
-def _registry_pairs(shards):
-    """Plain-Python union of the shards' live registry pairs."""
-    return set().union(
-        *(set(zip(*(nodes.tolist() for nodes in shard.live_pairs()))) for shard in shards)
-    )
 
 
 def _live_collections(steps, bilateral):
@@ -87,13 +81,13 @@ def _live_collections(steps, bilateral):
     return collection(0, is_clean=False), None
 
 
-def _assert_derived_equals_registry(index, shards, steps, bilateral, maintained):
+def _assert_derived_equals_member_pairs(index, shards, steps, bilateral, maintained):
     statistics = index.statistics()
     derived = statistics.live_candidates()
-    registry = _registry_pairs(shards)
+    oracle = member_pairs(shards)
 
     # (i) the same pairs, each once, in sorted canonical order
-    assert pairs_of(derived) == registry and len(derived) == len(registry)
+    assert pairs_of(derived) == oracle and len(derived) == len(oracle)
     canonical = index.canonical_node_ids()
     assert np.array_equal(
         np.sort(np.stack((canonical[derived.left], canonical[derived.right])), axis=0),
@@ -113,13 +107,13 @@ def _assert_derived_equals_registry(index, shards, steps, bilateral, maintained)
     else:
         assert len(derived) == 0
 
-    # (iii) the seeded aggregates, against the kernel over the registry's pairs
+    # (iii) the seeded aggregates, against the kernel over the oracle's pairs
     with mock.patch.object(
         sparse, "compute_pair_cooccurrence", side_effect=AssertionError("not seeded")
     ):
         seeded = statistics.pair_cooccurrence(derived)
-    if registry:
-        left, right = (np.array(nodes, dtype=np.int64) for nodes in zip(*sorted(registry)))
+    if oracle:
+        left, right = (np.array(nodes, dtype=np.int64) for nodes in zip(*sorted(oracle)))
         by_raw_key = np.argsort(pairs.pack_pair_keys(derived.left, derived.right))
         for path in ("reduce", "pair-major"):
             with forced(path):
@@ -146,7 +140,7 @@ def _assert_derived_equals_registry(index, shards, steps, bilateral, maintained)
     num_shards=st.sampled_from((1, 2, 3)),
     compact_after=st.integers(1, 12),
 )
-def test_derived_candidates_equal_the_registry_after_every_prefix(
+def test_derived_candidates_equal_the_member_pairs_after_every_prefix(
     data, bilateral, num_shards, compact_after
 ):
     steps = data.draw(churn_scripts(bilateral))
@@ -160,8 +154,8 @@ def test_derived_candidates_equal_the_registry_after_every_prefix(
         assert len(single.candidate_set()) == single.num_pairs
         # one node space: the unsharded index's maintained degrees serve both
         checks = (steps[:done], bilateral, single._degrees.view())
-        _assert_derived_equals_registry(single, [single], *checks)
-        _assert_derived_equals_registry(sharded, sharded.shards, *checks)
+        _assert_derived_equals_member_pairs(single, [single], *checks)
+        _assert_derived_equals_member_pairs(sharded, sharded.shards, *checks)
         ours, theirs = sharded.candidate_set(), single.candidate_set()
         assert np.array_equal(ours.left, theirs.left)
         assert np.array_equal(ours.right, theirs.right)
@@ -184,7 +178,7 @@ def test_the_edges_derive_nothing_and_recover(bilateral, num_shards):
     assert len(index.candidate_set()) == (0 if bilateral else 1)
 
     index.add_entity(make_profile("y0", t="alpha beta"), side=other)
-    assert pairs_of(index.candidate_set()) == _registry_pairs(index.shards)
+    assert pairs_of(index.candidate_set()) == member_pairs(index.shards)
     assert len(index.candidate_set()) == (2 if bilateral else 3)
 
     # a block emptied ...
@@ -195,7 +189,7 @@ def test_the_edges_derive_nothing_and_recover(bilateral, num_shards):
     index.add_entity(make_profile("y1", t="beta"), side=other)
     index.add_entity(make_profile("x2", t="beta"), side=0)
     derived = index.candidate_set()
-    assert pairs_of(derived) == _registry_pairs(index.shards) == {(3, 4)}
+    assert pairs_of(derived) == member_pairs(index.shards) == {(3, 4)}
     assert derived.id_pairs(np.ones(1, dtype=bool), index.entity_id) == [
         ("x2", "y1") if bilateral else ("y1", "x2")
     ]
@@ -240,7 +234,7 @@ def test_a_refused_key_falls_back_to_the_pairs_alone(pruning):
             index.add_entity(profile, side=0)
         for profile in second:
             index.add_entity(profile, side=1)
-        # a stale row and a dead block: liveness must not come from a registry
+        # a stale row and a dead block: liveness must not come from a stored pair list
         index.remove_entity("a5", side=0)
     live_first = EntityCollection(list(first)[:-1], name="a")
 

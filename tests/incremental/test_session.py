@@ -27,6 +27,7 @@ from repro.incremental import (
     split_bootstrap,
     train_frozen_model,
 )
+from repro.pairs import pack_pair_keys
 from repro.weights import BLAST_FEATURE_SET, BlockStatistics
 
 
@@ -239,8 +240,14 @@ class TestSessionBehaviour:
         session = MatchingSession(FrozenModel.from_batch(result), bilateral=True)
         for profile, side in interleave_profiles(dataset.first, dataset.second):
             session.insert(profile, side=side)
-        provisional = session.insert_time_probabilities()
-        assert provisional.shape == (session.num_pairs,)
+        keys, provisional = session.insert_time_probabilities()
+        assert provisional.shape == keys.shape == (session.num_pairs,)
+        assert np.all(np.diff(keys) > 0)
+        # the live pairs' keys, each pair (left < right) once
+        candidates = session.index.candidate_set()
+        assert np.array_equal(
+            keys, np.sort(pack_pair_keys(candidates.left, candidates.right))
+        )
 
     def test_topk_policy_bounds_reported_matches(self, streamed_fixture):
         dataset, _, result = streamed_fixture

@@ -1,10 +1,10 @@
 """Session-safe compaction: remapped online state, stale-session detection.
 
-``MutableBlockIndex.compact()`` reassigns raw node ids and registry
-positions.  A live :class:`MatchingSession` holds per-position state (the
-insert-time probability array, OnlineTopK's queue items), so compacting the
-index directly would silently corrupt it — the regression these tests pin
-down.  :meth:`MatchingSession.compact` remaps that state by canonical pair
+``MutableBlockIndex.compact()`` reassigns raw node ids, and with them the
+packed pair keys.  A live :class:`MatchingSession` keys per-pair state by
+them (the insert-time probabilities, OnlineTopK's queue items), so
+compacting the index directly would silently corrupt it — the regression
+these tests pin down.  :meth:`MatchingSession.compact` remaps that state by canonical pair
 key; direct ``index.compact()`` is detected via the index generation
 counter and every subsequent session operation raises
 :class:`StaleSessionError`.
@@ -44,25 +44,24 @@ class TestSessionCompact:
         session.compact()
 
         assert session.index.num_slots == session.index.num_entities
-        assert session.index.num_registered_pairs == session.index.num_pairs
         assert session.retained().retained_id_set() == expected
         assert session.online.threshold == pytest.approx(threshold, abs=1e-12)
 
-    def test_compact_keeps_probabilities_aligned_with_the_registry(self):
+    def test_compact_keeps_probabilities_aligned_with_the_pairs(self):
         session = _churned_session(online="wep")
         from repro.persistence import canonical_pair_keys
 
-        positions, keys = canonical_pair_keys(session.index)
+        raw, before = session.insert_time_probabilities()
+        keys = canonical_pair_keys(session.index, raw)
         order = np.argsort(keys)
-        before = session._insert_probabilities.view()[positions][order].copy()
 
         session.compact()
 
-        positions2, keys2 = canonical_pair_keys(session.index)
-        order2 = np.argsort(keys2)
-        assert np.array_equal(keys[order], keys2[order2])
-        after = session._insert_probabilities.view()[positions2][order2]
-        assert np.allclose(before, after)
+        # raw ids are the canonical ids now: the keys carry over unchanged
+        keys2, after = session.insert_time_probabilities()
+        assert np.array_equal(keys[order], keys2)
+        assert np.array_equal(canonical_pair_keys(session.index, keys2), keys2)
+        assert np.allclose(before[order], after)
 
     def test_streaming_continues_after_compact(self):
         session = _churned_session(online="topk")

@@ -208,11 +208,11 @@ class TestCompactChurn:
     def test_compact_bounds_memory(self):
         index = self._churned_index()
         assert index.num_slots > index.num_entities
-        assert index.num_registered_pairs > index.num_pairs
+        pairs = index.num_pairs
         index.compact()
-        # bounded: no tombstoned slots, no retracted registry positions
+        # bounded: no tombstoned slots, and the live pairs are unchanged
         assert index.num_slots == index.num_entities
-        assert index.num_registered_pairs == index.num_pairs
+        assert index.num_pairs == len(index.candidate_set()) == pairs
 
     def test_compact_preserves_the_canonical_view(self):
         index = self._churned_index()

@@ -52,9 +52,10 @@ def _profiles(n, prefix):
 
 def _live_probabilities(session):
     """Insert-time probabilities of the live pairs, sorted by canonical key."""
-    positions, keys = canonical_pair_keys(session.index)
+    raw, probabilities = session.insert_time_probabilities()
+    keys = canonical_pair_keys(session.index, raw)
     order = np.argsort(keys)
-    return keys[order], session._insert_probabilities.view()[positions][order]
+    return keys[order], probabilities[order]
 
 
 def _stream(session):
@@ -257,6 +258,29 @@ def test_a_snapshot_in_another_state_format_is_refused_by_name(tmp_path):
         MatchingSession.recover(tmp_path / "wal")
     with pytest.raises(StateFormatError, match=message):
         recover_index(tmp_path / "wal")
+
+
+def test_a_top_k_key_that_is_not_a_live_pair_is_refused_by_name(tmp_path):
+    """A restored top-K item is a pair key, checked against the snapshot's
+    live pairs — never ranked onto a neighbour's pair, whose later retraction
+    would then evict the wrong one."""
+    session = MatchingSession(_frozen_model(), online="topk", top_k=4, wal_path=tmp_path / "wal")
+    _stream(session)
+    newest = session.checkpoint()
+    session.close()
+    wal = WriteAheadLog(tmp_path / "wal")
+    state = wal.load_snapshot(newest)
+    stored = state["session"]
+    live = set(stored["pair_keys"].tolist())
+    # between two live keys: a rank lookup would land on a live neighbour
+    foreign = next(key + 1 for key in sorted(live) if key + 1 not in live)
+    assert foreign < max(live)
+    items = [*stored["policy_state"]["items"], (0.99, foreign)]
+    stored = dict(stored, policy_state={"items": items})
+    wal.write_snapshot(dict(state, session=stored))
+
+    with pytest.raises(ValueError, match=f"pair key {foreign}, which is not a live pair"):
+        MatchingSession.recover(tmp_path / "wal")
 
 
 def _bump_meta_format(directory):

@@ -21,7 +21,9 @@ answer's row-major arithmetic: the gather / scatter masked ratio of JS / WJS /
 NRS, the two-branch sigmoid and the ``(x - offset) / scale`` expression the
 feature-major passes replaced bit for bit.  And checkpoint adoption's: the
 slot-by-slot ``_apply_insert`` rebuild ``ShardReplica._adopt_state`` replaced
-with run-wise bulk loads.  Two devices ride along:
+with run-wise bulk loads.  And the pair set no index stores any more: the
+plain-Python pairs the writer's block member lists spawn
+(:func:`member_pairs`).  Two devices ride along:
 :func:`forced_cooccurrence_pass`, which makes the co-occurrence kernel take the
 pass a test names so that its two passes can be held against each other, and
 the deterministic frozen model of the online suites (:class:`FixedLogistic`,
@@ -35,6 +37,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from contextlib import contextmanager
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 from unittest import mock
 
@@ -375,3 +378,19 @@ def reference_adopted_index(state, shard: int, num_shards: int) -> MutableBlockI
             ],
         )
     return index
+
+
+def member_pairs(shards) -> set:
+    """Plain-Python union of the raw ``(left, right)`` pairs the block member
+    lists of ``shards`` spawn: first x second in a bilateral index, every two
+    members otherwise."""
+    pairs = set()
+    for shard in shards:
+        for first, second in zip(shard._members_first, shard._members_second):
+            spawned = (
+                ((a, b) for a in first for b in second)
+                if shard.bilateral
+                else combinations(first, 2)
+            )
+            pairs.update((min(a, b), max(a, b)) for a, b in spawned)
+    return pairs

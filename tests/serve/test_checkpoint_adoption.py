@@ -79,12 +79,10 @@ def _canonical_state(replica):
             "members_first": sorted(index._members_first[block_id]),
             "members_second": sorted(index._members_second[block_id]),
         }
-    alive = index._pair_alive.view()
-    pairs = set(
-        zip(
-            index._pair_left.view()[alive].tolist(),
-            index._pair_right.view()[alive].tolist(),
-        )
+    candidates = index.candidate_set()
+    pairs = (
+        index.num_pairs,
+        set(zip(candidates.left.tolist(), candidates.right.tolist())),
     )
     per_node = {
         name: getattr(index, f"_{name}").view()

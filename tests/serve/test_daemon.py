@@ -19,7 +19,6 @@ import socket
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import pytest
@@ -56,14 +55,20 @@ def _stop(daemon, thread):
 
 
 @pytest.fixture()
-def daemon(tmp_path, frozen_model):
+def served(tmp_path, frozen_model):
+    """A started daemon and the thread serving it."""
     daemon = MatchingDaemon(
         tmp_path / "wal", frozen_model, num_shards=2, bilateral=True
     )
     thread = _start(daemon)
-    yield daemon
+    yield daemon, thread
     if thread.is_alive():
         _stop(daemon, thread)
+
+
+@pytest.fixture()
+def daemon(served):
+    return served[0]
 
 
 def _canonical_at(wal_dir: Path, offset: int, scratch: Path):
@@ -200,10 +205,11 @@ class TestErrorPaths:
 
 
 class TestSnapshotConsistency:
-    def test_concurrent_reads_pin_exact_offsets(self, daemon, tmp_path):
+    def test_concurrent_reads_pin_exact_offsets(self, served, tmp_path):
         """Queries racing a writer must each equal the canonical state at
         their own pinned offset — verified post-hoc against sessions
         recovered from truncated copies of the daemon's WAL."""
+        daemon, _ = served
         responses = []
         errors = []
 
@@ -241,9 +247,7 @@ class TestSnapshotConsistency:
         assert offsets == sorted(offsets), "pinned offsets must be monotone"
 
         # stop the daemon so the WAL is final, then check every response
-        daemon.request_shutdown()
-        while daemon._loop is not None and daemon._loop.is_running():
-            time.sleep(0.05)
+        _stop(*served)
         wal_dir = Path(daemon.wal_path)
         for offset, retained in {o: r for o, r in responses}.items():
             assert retained == _canonical_at(wal_dir, offset, tmp_path), (

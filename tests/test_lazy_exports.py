@@ -50,7 +50,6 @@ NOT_FOR_SERVING = (
     "repro.datasets.vocabulary",
     "repro.core.pipeline",
     "repro.core.feature_selection",
-    "repro.core.active_learning",
     "repro.core.training",
     "repro.incremental.stream",
     "repro.ml.svm",
