@@ -83,7 +83,7 @@ test-equivalence:
 		tests/serve/test_follow_consistency.py tests/persistence/test_update_atomicity.py \
 		tests/test_lazy_exports.py tests/incremental/test_bulk_adoption_property.py \
 		tests/test_no_backend_selector.py tests/test_cli.py tests/persistence/test_session_wal.py \
-		tests/incremental/test_session_compaction.py
+		tests/incremental/test_session_compaction.py tests/incremental/test_pair_probabilities.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q
