@@ -24,7 +24,10 @@
 #                            entry point or CLI flag, the state format of the
 #                            snapshot and the log's meta record read on recovery, and
 #                            the session's key-addressed per-pair state across
-#                            compaction and recovery, a foreign top-K key refused)
+#                            compaction and recovery, a foreign top-K key refused;
+#                            the snapshot container: what it stores, torn / flipped /
+#                            hostile files decoding to nothing, a format-1 pickle
+#                            refused unread, and no pickle under persistence/ or serve/)
 #   make test-fast         - tier-1 suite without the perf smoke tests, then tests/serve,
 #                            tests/faults and tests/persistence in one invocation (the
 #                            fixture model they pickle must not depend on collection order)
@@ -83,7 +86,8 @@ test-equivalence:
 		tests/serve/test_follow_consistency.py tests/persistence/test_update_atomicity.py \
 		tests/test_lazy_exports.py tests/incremental/test_bulk_adoption_property.py \
 		tests/test_no_backend_selector.py tests/test_cli.py tests/persistence/test_session_wal.py \
-		tests/incremental/test_session_compaction.py tests/incremental/test_pair_probabilities.py
+		tests/incremental/test_session_compaction.py tests/incremental/test_pair_probabilities.py \
+		tests/persistence/test_snapshot_container.py tests/test_no_pickle.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q

@@ -21,7 +21,10 @@ the banner and the first ``match``.
 
 ``-X importtime`` writes a line per module and slows the imports it times
 (~10 %): read the instrumented run for *where*, the un-instrumented floor for
-*how much*.  For the "before" timeline copy this file and ``profile_answer.py``
+*how much*.  The import families count the daemon's own interpreter only:
+each shard worker starts a ``multiprocessing.resource_tracker`` interpreter
+on its first shared-memory export, with the daemon's flags and stderr, and
+those starts are printed on a line of their own.  For the "before" timeline copy this file and ``profile_answer.py``
 (it imports the re-exec helper from there) into a clone of the parent.
 """
 
@@ -54,21 +57,56 @@ INTERPRETER_STARTS = 5
 WORKLOAD = "serve_mixed"
 
 
-def import_families(importtime_log: str) -> Dict[str, Tuple[int, float]]:
-    """``family -> (modules, self milliseconds)`` of a ``-X importtime`` log.
+def interpreter_logs(importtime_log: str) -> List[List[str]]:
+    """The ``-X importtime`` lines of each interpreter that wrote to the log,
+    in the order they started.
+
+    Every interpreter prints the column header (``self [us]``) before its
+    first import, so a header starts the next one: the daemon's own lines
+    come first, then those of each ``multiprocessing.resource_tracker``
+    interpreter a shard worker started (workers are forked and import
+    nothing themselves).
+    """
+    interpreters: List[List[str]] = []
+    for line in importtime_log.splitlines():
+        if not line.startswith("import time:"):
+            continue
+        if "self [us]" in line:
+            interpreters.append([])
+        elif interpreters:
+            interpreters[-1].append(line)
+    return interpreters
+
+
+def _fields(line: str) -> Tuple[float, str, bool]:
+    """``(self milliseconds, module, imported at top level)`` of one line."""
+    own, _, module = line[len("import time:"):].split("|")
+    return int(own) / 1e3, module.strip(), not module.startswith("  ")
+
+
+def import_families(lines: Sequence[str]) -> Dict[str, Tuple[int, float]]:
+    """``family -> (modules, self milliseconds)`` over one interpreter's lines.
 
     Each line is ``import time: <self us> | <cumulative us> | <module>``; self
     times partition the import wall-clock, so a family's sum is what its
     modules cost.
     """
     families: Dict[str, List[float]] = {"numpy": [], "repro": [], "other": []}
-    for line in importtime_log.splitlines():
-        if not line.startswith("import time:") or "self [us]" in line:
-            continue
-        own, _, module = (field.strip() for field in line[len("import time:"):].split("|"))
+    for line in lines:
+        own, module, _ = _fields(line)
         root = module.split(".")[0]
-        families[root if root in families else "other"].append(int(own) / 1e3)
+        families[root if root in families else "other"].append(own)
     return {name: (len(costs), sum(costs)) for name, costs in families.items()}
+
+
+def tracker_starts(interpreters: Sequence[Sequence[str]]) -> Tuple[int, int, float]:
+    """``(tracker starts, modules, self milliseconds)`` of the interpreters
+    after the daemon's, counting a start per top-level
+    ``multiprocessing.resource_tracker`` import (trackers that start together
+    interleave their lines, so the lines are pooled)."""
+    later = [_fields(line) for lines in interpreters[1:] for line in lines]
+    starts = sum(top and module == "multiprocessing.resource_tracker" for _, module, top in later)
+    return starts, len(later), sum(own for own, _, _ in later)
 
 
 def interpreter_start_ms() -> float:
@@ -115,12 +153,19 @@ def instrumented_recovery(saved: Path, workdir: Path, shards: int) -> None:
             process.wait(timeout=60)
             process.stdout.close()
 
-    families = import_families(import_log.read_text(errors="replace"))
+    interpreters = interpreter_logs(import_log.read_text(errors="replace"))
+    families = import_families(interpreters[0] if interpreters else [])
     print(f"{'':>10} {'ms':>9}  before the program runs")
     print(f"{'':>10} {interpreter_start_ms():9.1f}  interpreter start (python -c pass, min of {INTERPRETER_STARTS})")
     for name, label in (("other", "stdlib and the rest"), ("numpy", "NumPy"), ("repro", "repro.*")):
         modules, cost = families[name]
         print(f"{'':>10} {cost:9.1f}  import {label} ({modules} modules)")
+    starts, modules, cost = tracker_starts(interpreters)
+    print(
+        f"{'':>10} {cost:9.1f}  import in {starts} resource-tracker interpreters "
+        f"({modules} modules; one per shard worker, started on its first "
+        f"shared-memory export, not counted above)"
+    )
     print(f"{'at ms':>10} {'ms':>9}  since the spawn")
 
     def row(at: float, text: str, took: Optional[float] = None) -> None:

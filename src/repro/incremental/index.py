@@ -227,6 +227,34 @@ class BulkInsertDelta:
         return int(self.pair_left.size)
 
 
+def compacted_rows(state: Dict[str, object]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of a compacted state's CSR
+    (:meth:`MutableBlockIndex.compacted_state`), checked: one row per entity,
+    every block id in the key table, ascending within its row.
+
+    Raises
+    ------
+    ValueError
+        When the CSR does not fit the state's rows and key table.
+    """
+    indptr = np.asarray(state["csr_indptr"], dtype=np.int64)
+    indices = np.asarray(state["csr_indices"], dtype=np.int64)
+    lengths = np.diff(indptr)
+    if (
+        indptr.shape != (len(state["entity_ids"]) + 1,)
+        or indptr[0] != 0
+        or (lengths < 0).any()
+        or indptr[-1] != indices.size
+        or (indices.size and (indices.min() < 0 or indices.max() >= len(state["block_keys"])))
+    ):
+        raise ValueError("a compacted state's CSR does not fit its rows and key table")
+    row_starts = np.zeros(indices.size, dtype=bool)
+    row_starts[indptr[:-1][lengths > 0]] = True
+    if ((np.diff(indices) <= 0) & ~row_starts[1:]).any():
+        raise ValueError("a compacted state's CSR row lists its blocks out of order")
+    return indptr, indices
+
+
 class MutableBlockIndex(IndexState):
     """A token/block inverted index supporting online insertion, removal,
     in-place update and bulk loading.
@@ -482,9 +510,8 @@ class MutableBlockIndex(IndexState):
     def _apply_bulk(
         self, entries: Sequence[Tuple[str, List[str]]], side: int
     ) -> BulkInsertDelta:
-        """Bulk-insert ``(entity_id, signatures)`` entries (the WAL replay,
-        snapshot rebuild and compaction entry point; entries must already be
-        validated)."""
+        """Bulk-insert ``(entity_id, signatures)`` entries (the WAL replay
+        and shard-rebuild entry point; entries must already be validated)."""
         self.epoch += 1
         base = self.num_slots
         n_new = len(entries)
@@ -1132,22 +1159,23 @@ class MutableBlockIndex(IndexState):
 
     # -- compaction ------------------------------------------------------------
     def compact(self) -> None:
-        """Rebuild the index without tombstoned slots.
+        """Squeeze tombstoned slots and dead blocks out of the index.
 
         Long-lived high-churn sessions grow monotonically: removed entities
         leave dead node slots (zeroed aggregate entries, orphaned CSR rows)
-        behind.  ``compact()`` rebuilds the index from its *live* entities —
-        replaying their stored signatures through :meth:`add_entities_bulk`,
-        one bulk load per side in arrival order — and adopts the rebuilt
-        state in place:
+        and emptied blocks behind.  ``compact()`` adopts its own
+        :meth:`compacted_state` — the very state a snapshot writes and
+        recovery adopts:
 
         * every per-node array shrinks to the live entity count
           (``num_slots == num_entities``), so raw node ids become the
           canonical ids;
-        * blocks whose members were all removed are dropped.
+        * blocks whose members were all removed are dropped, the others
+          renumbered in their old order.
 
         The *canonical* view is unchanged: live entities keep their arrival
-        order per side, so :meth:`canonical_node_ids`,
+        order per side and their rows their block order, and the float
+        aggregates are carried as held, so :meth:`canonical_node_ids`,
         :meth:`candidate_set` and :meth:`snapshot_blocks` — and with
         them the exact batch-equivalent finalisation — produce identical
         results before and after.  Raw node ids, and with them the packed
@@ -1159,49 +1187,143 @@ class MutableBlockIndex(IndexState):
         remaps its state.  An attached write-ahead log is retained and no
         record is written: compaction does not change the logical state.
         """
-        wal = self._wal
-        generation = self.generation + 1
-        epoch = self.epoch + 1
-        fresh = MutableBlockIndex(
-            blocking=self.blocking, bilateral=self.bilateral, name=self.name
-        )
-        for side, entries in self._dump_live_entities().items():
-            if entries:
-                fresh._apply_bulk(entries, side)
-        self.__dict__.update(fresh.__dict__)
-        self._wal = wal
-        self._wal_suspended = False
-        self.generation = generation
-        # raw node ids were reassigned: any delta
-        # tracker's dirty sets are meaningless, so force the next export
-        # back to a full ship
-        self.epoch = epoch
-        self._delta = None
+        self.adopt_compacted(self.compacted_state())
+        self.generation += 1
 
-    def _dump_live_entities(self) -> Dict[int, List[Tuple[str, List[str]]]]:
-        """Live entities per side, in arrival order, with stored signatures.
+    def compacted_state(self) -> Dict[str, object]:
+        """The index without its tombstones, as arrays — what :meth:`compact`
+        adopts, a snapshot stores and recovery adopts.
 
-        Exactly the state :meth:`compact` replays; snapshots persist it so
-        recovery rebuilds through the same bulk path.
+        * ``entity_ids`` / ``side_counts``: the live rows in canonical order
+          (side 0 in arrival order, then side 1), so a row number *is* the
+          canonical node id;
+        * ``block_keys``: the blocks with at least one live member, in their
+          old order — renumbered monotonically, so every row keeps its block
+          order;
+        * ``csr_indptr`` / ``csr_indices``: the live rows of the CSR over the
+          renumbered blocks;
+        * ``inv_cardinality_sums`` / ``inv_size_sums`` / ``degrees``: the
+          per-entity ``Σ 1/||b||``, ``Σ 1/|b|`` and LCP exactly as held —
+          float sums a recount would round differently.
+
+        Everything else is recounted exactly by :meth:`adopt_compacted`.
         """
         sides = self._sides.view()
-        indptr = self._indptr.view()
-        indices = self._indices.view()
-        block_keys = self._block_keys
-        dump: Dict[int, List[Tuple[str, List[str]]]] = {}
-        for side in (0, 1) if self.bilateral else (0,):
-            live = np.flatnonzero(sides == side)
-            dump[side] = [
-                (
-                    self._entity_ids[node],
-                    [
-                        block_keys[int(block)]
-                        for block in indices[indptr[node] : indptr[node + 1]]
-                    ],
-                )
-                for node in live.tolist()
-            ]
-        return dump
+        live = np.concatenate((np.flatnonzero(sides == 0), np.flatnonzero(sides == 1)))
+        old_indptr = self._indptr.view()
+        starts = old_indptr[live]
+        lengths = old_indptr[live + 1] - starts
+        indptr = np.zeros(live.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        gather = np.arange(indptr[-1], dtype=np.int64) + np.repeat(
+            starts - indptr[:-1], lengths
+        )
+        memberships = self._indices.view()[gather]
+        kept = np.zeros(self.num_blocks, dtype=bool)
+        kept[memberships] = True
+        renumbered = np.cumsum(kept, dtype=np.int64) - 1
+        return {
+            "entity_ids": list(map(self._entity_ids.__getitem__, live.tolist())),
+            "side_counts": [int(self._side_counts[0]), int(self._side_counts[1])],
+            "block_keys": list(
+                map(self._block_keys.__getitem__, np.flatnonzero(kept).tolist())
+            ),
+            "csr_indptr": indptr,
+            "csr_indices": renumbered[memberships],
+            "inv_cardinality_sums": self._entity_inv_cardinality.view()[live],
+            "inv_size_sums": self._entity_inv_size.view()[live],
+            "degrees": self._degrees.view()[live],
+        }
+
+    def adopt_compacted(self, state: Dict[str, object]) -> None:
+        """Become the compacted index ``state`` (:meth:`compacted_state`).
+
+        The arrays are adopted (copied); what they determine is recounted
+        exactly — block sizes and cardinalities from the CSR transposed by
+        side, which also yields the member lists (ascending node ids), the
+        inverse block weights as ``1 / max(·, 1)`` of those integers, the
+        integer-valued per-entity block counts and cardinality sums, and the
+        global totals — and the token and entity dictionaries are rebuilt.
+        Nothing is re-encoded and no pair is expanded.  The write-ahead log,
+        :attr:`generation` and the blocking method are kept; a delta tracker
+        is dropped, so the next export is a full ship.
+
+        Raises
+        ------
+        ValueError
+            When the arrays are not a consistent compacted state.
+        """
+        entity_ids = list(state["entity_ids"])
+        block_keys = list(state["block_keys"])
+        first, second = (int(count) for count in state["side_counts"])
+        indptr, indices = compacted_rows(state)
+        carried = [
+            np.asarray(state[name], dtype=np.float64)
+            for name in ("inv_cardinality_sums", "inv_size_sums", "degrees")
+        ]
+        num_nodes, num_blocks = first + second, len(block_keys)
+        if (
+            min(first, second) < 0
+            or (second and not self.bilateral)
+            or len(entity_ids) != num_nodes
+            or any(array.shape != (num_nodes,) for array in carried)
+        ):
+            raise ValueError("the arrays are not a consistent compacted index state")
+        row_of = np.repeat(np.arange(num_nodes, dtype=np.int64), np.diff(indptr))
+        sides = np.repeat(np.array([0, 1], dtype=np.int8), [first, second])
+        node_of_id = dict(zip(zip(sides.tolist(), entity_ids), range(num_nodes)))
+        if len(node_of_id) != num_nodes:
+            raise ValueError("a compacted index state lists an entity twice")
+
+        # the CSR transposed: memberships grouped by block, ascending node ids
+        # within a block — so a block's side-0 members precede its side-1 ones
+        members = row_of[np.argsort(indices, kind="stable")].tolist()
+        sizes = np.bincount(indices, minlength=num_blocks)
+        firsts = np.bincount(indices[row_of < first], minlength=num_blocks)
+        if self.bilateral:
+            cardinalities = firsts * (sizes - firsts)
+        else:
+            cardinalities = sizes * (sizes - 1) // 2
+        spawning = cardinalities > 0
+        ends = np.cumsum(sizes).tolist()
+        starts = [0] + ends[:-1]
+        splits = (np.asarray(starts, dtype=np.int64) + firsts).tolist()
+
+        self._entity_ids = entity_ids
+        self._node_of_id = node_of_id
+        self._side_counts = [first, second]
+        self._sides = Growable.of(sides)
+        self._indptr = Growable.of(indptr)
+        self._indices = Growable.of(indices)
+        self._block_keys = block_keys
+        self._block_ids = dict(zip(block_keys, range(num_blocks)))
+        self._members_first = [members[a:b] for a, b in zip(starts, splits)]
+        self._members_second = [members[a:b] for a, b in zip(splits, ends)]
+        self._block_sizes = Growable.of(sizes, np.int64)
+        self._block_cardinalities = Growable.of(cardinalities, np.int64)
+        self._inverse_block_cardinalities = Growable.of(1.0 / np.maximum(cardinalities, 1))
+        self._inverse_block_sizes = Growable.of(1.0 / np.maximum(sizes, 1))
+        # integer-valued float sums: exact in any order
+        self._blocks_per_entity = Growable.of(
+            np.bincount(row_of, weights=spawning[indices], minlength=num_nodes), np.float64
+        )
+        self._entity_cardinality = Growable.of(
+            np.bincount(row_of, weights=cardinalities[indices], minlength=num_nodes),
+            np.float64,
+        )
+        (
+            self._entity_inv_cardinality,
+            self._entity_inv_size,
+            self._degrees,
+        ) = map(Growable.of, carried)
+        self.total_cardinality = int(cardinalities.sum())
+        self.num_nonempty_blocks = int(spawning.sum())
+        self.total_block_assignments = int(sizes[spawning].sum())
+        self._num_live_pairs = int(self._degrees.view().sum()) // 2
+        # raw node ids were reassigned: a delta tracker's dirty sets are
+        # meaningless, so the next export falls back to a full ship
+        self.epoch += 1
+        self._delta = None
 
     # -- read-side structures --------------------------------------------------
     def delta_candidate_set(self, delta: InsertDelta) -> CandidateSet:

@@ -2,8 +2,7 @@
 
 A :class:`MatchingSession` wraps a *frozen* probabilistic classifier taken
 from a batch pipeline run (:class:`FrozenModel`: defined in
-:mod:`repro.ml.base`, exported from here because session snapshots pickle it
-under this module's name) and serves the full dynamic
+:mod:`repro.ml.base`, also exported from here) and serves the full dynamic
 workload: every ``insert`` registers the entity in a
 :class:`MutableBlockIndex`, computes the feature vectors of the candidate
 delta with a :class:`DeltaFeatureGenerator`, scores them with the frozen
@@ -212,9 +211,15 @@ class OnlinePruningPolicy:
     def restore_state(
         self, state: dict, require_live: Callable[[np.ndarray], None]
     ) -> None:
-        """Restore :meth:`export_state` output onto a rebuilt index, whose raw
-        node ids are the canonical ids; ``require_live`` raises for keys that
-        are not live pairs of it."""
+        """Restore :meth:`export_state` output onto a compacted index, whose
+        raw node ids are the canonical ids; ``require_live`` raises for keys
+        that are not live pairs of it."""
+
+    @classmethod
+    def for_state(cls, state: dict) -> "OnlinePruningPolicy":
+        """An empty policy of this class, configured like the one whose
+        :meth:`export_state` output ``state`` is (restore it next)."""
+        return cls()
 
 
 class OnlineWEP(OnlinePruningPolicy):
@@ -302,27 +307,38 @@ class OnlineTopK(OnlinePruningPolicy):
             self._queue.discard(key)
 
     def export_state(self, canonical_keys) -> dict:
-        """The retained (weight, canonical key) pairs, strongest first.
+        """The capacity and the retained weights with their canonical keys,
+        strongest first.
 
         The retained set of a :class:`BoundedTopQueue` is a pure function of
         the (weight, key) multiset, so serializing by canonical key makes
         the state independent of insertion order and raw node ids.
         """
         weighted = self._queue.weighted_items()
-        keys = canonical_keys(np.array([key for _, key in weighted], dtype=np.int64))
         return {
-            "items": [
-                (float(weight), key) for (weight, _), key in zip(weighted, keys.tolist())
-            ]
+            "capacity": self._queue.capacity,
+            "weights": np.array([weight for weight, _ in weighted], dtype=np.float64),
+            "keys": canonical_keys(np.array([key for _, key in weighted], dtype=np.int64)),
         }
 
     def restore_state(self, state: dict, require_live) -> None:
-        items = [(float(weight), int(key)) for weight, key in state["items"]]
-        require_live(np.array([key for _, key in items], dtype=np.int64))
+        weights = np.asarray(state["weights"], dtype=np.float64)
+        keys = np.asarray(state["keys"], dtype=np.int64)
+        if weights.shape != keys.shape or weights.ndim != 1:
+            raise ValueError("the top-K policy state holds unaligned weights and keys")
+        require_live(keys)
         queue: BoundedTopQueue[int] = BoundedTopQueue(self._queue.capacity)
-        for weight, key in items:
+        for weight, key in zip(weights.tolist(), keys.tolist()):
             queue.push(weight, key, key=key)
         self._queue = queue
+
+    @classmethod
+    def for_state(cls, state: dict) -> "OnlineTopK":
+        return cls(int(state["capacity"]))
+
+
+#: the online policies a snapshot names and restores, by :attr:`~OnlinePruningPolicy.name`
+ONLINE_POLICIES = {"wep": OnlineWEP, "topk": OnlineTopK}
 
 
 def _resolve_online_policy(
@@ -686,11 +702,12 @@ class MatchingSession:
     def recover(cls, path, sync: str = "always") -> "MatchingSession":
         """Resume a WAL-backed session after a crash.
 
-        Loads the newest session snapshot, rebuilds the index, restores the
-        online policy's thresholds and the insert-time probabilities, replays
-        the surviving log tail through the frozen model, truncates any torn
-        tail record and resumes journaling — the recovered session's exact
-        answer (:meth:`retained`) and admission thresholds equal the
+        Loads the newest session snapshot, adopts the compacted index arrays
+        it holds (no rebuild, no pair expansion), restores the frozen model,
+        the online policy's thresholds and the insert-time probabilities,
+        replays the surviving log tail through the frozen model, truncates
+        any torn tail record and resumes journaling — the recovered session's
+        exact answer (:meth:`retained`) and admission thresholds equal the
         uninterrupted run's at the last durable record.
         """
         from ..persistence.recovery import recover_session

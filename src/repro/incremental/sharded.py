@@ -294,6 +294,11 @@ class ShardedMutableBlockIndex(MergedIndexView):
             split = self._split_signatures(signatures)
             for position in range(self.num_shards):
                 per_shard[position].append((entity_id, split[position]))
+        return self._apply_bulk_split(per_shard, side)
+
+    def _apply_bulk_split(self, per_shard, side: int):
+        """Bulk-insert entries already split per shard: one list per shard,
+        every list naming the same entities in the same order."""
         return [
             shard._apply_bulk(per_shard[position], side)
             for position, shard in enumerate(self.shards)
@@ -337,38 +342,13 @@ class ShardedMutableBlockIndex(MergedIndexView):
     def compact(self) -> None:
         """Compact every shard (see :meth:`MutableBlockIndex.compact`).
 
-        Shards rebuild their live entities in the same arrival order, so
-        node ids stay aligned across shards and the canonical view is
-        unchanged.  The router's log (if any) is untouched — compaction does
-        not change the logical state.
+        Every shard renumbers the same live entities canonically, so node
+        ids stay aligned across shards and the canonical view is unchanged.
+        The router's log (if any) is untouched — compaction does not change
+        the logical state.
         """
         for shard in self.shards:
             shard.compact()
-
-    def _dump_live_entities(self):
-        """Live entities per side with their signatures merged across shards
-        (shard-major per entity) — the sharded snapshot state.
-
-        Every shard registers every entity in the same order, so per-side
-        dumps align positionally; re-splitting the merged signature list on
-        rebuild routes each signature back to its original shard in its
-        original order.
-        """
-        dumps = [shard._dump_live_entities() for shard in self.shards]
-        merged = {}
-        for side, entries in dumps[0].items():
-            merged[side] = [
-                (
-                    entity_id,
-                    [
-                        signature
-                        for dump in dumps
-                        for signature in dump[side][position][1]
-                    ],
-                )
-                for position, (entity_id, _) in enumerate(entries)
-            ]
-        return merged
 
     # -- registry lookups only a live index can answer -----------------------------
     def has_entity(self, entity_id: str, side: int = 0) -> bool:

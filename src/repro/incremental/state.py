@@ -76,6 +76,14 @@ class Growable:
         self._data = np.zeros(max(1, capacity), dtype=dtype)
         self._size = 0
 
+    @classmethod
+    def of(cls, values: np.ndarray, dtype=None) -> "Growable":
+        """A growable holding a copy of ``values`` (as ``dtype``, if given)."""
+        values = np.asarray(values, dtype=dtype)
+        cell = cls(values.dtype, capacity=values.size)
+        cell.extend(values)
+        return cell
+
     def __len__(self) -> int:
         return self._size
 
@@ -473,10 +481,7 @@ class IndexState:
     def apply_full(self, arrays: Dict[str, np.ndarray], meta: Dict[str, Any]) -> None:
         """(Re)build the state from a complete shipped state (arrays copied)."""
         for name, field in FULL_ARRAYS:
-            array = arrays[name]
-            cell = Growable(array.dtype, capacity=array.size)
-            cell.extend(array)
-            setattr(self, field, cell)
+            setattr(self, field, Growable.of(arrays[name]))
         self._adopt_scalars(meta)
         self.bilateral = bool(meta["bilateral"])
 

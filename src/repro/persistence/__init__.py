@@ -16,8 +16,12 @@ from .._exports import lazy_exports
 
 #: public name -> the submodule that defines it (see repro._exports)
 _EXPORTS = {
+    "CONTAINER_MAGIC": "container",
+    "META_FORMAT": "container",
+    "SNAPSHOT_FORMAT": "container",
+    "StateFormatError": "container",
+    "check_state_format": "container",
     "LOG_MAGIC": "log",
-    "SNAPSHOT_MAGIC": "log",
     "WalRecord": "log",
     "WalScan": "log",
     "WriteAheadLog": "log",
@@ -25,7 +29,6 @@ _EXPORTS = {
     "apply_logged_record": "recovery",
     "recover_index": "recovery",
     "recover_session": "recovery",
-    "StateFormatError": "snapshot",
     "build_index_from_state": "snapshot",
     "canonical_pair_keys": "snapshot",
     "construct_index": "snapshot",

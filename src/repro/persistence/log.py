@@ -23,16 +23,17 @@ deterministic function of the operation sequence, so replaying the logical
 log reproduces the uninterrupted run's canonical view exactly.
 
 Snapshots live next to the log as ``snapshot-NNNNNN.snap`` files, written
-atomically (temp file + fsync + rename + directory fsync) with their own
-magic + length + CRC framing.  Each snapshot embeds the log offset it
-covers, so recovery replays only the log tail behind the newest snapshot.
+atomically (temp file + fsync + rename + directory fsync) as array
+containers (:mod:`repro.persistence.container`: magic, CRC32, a JSON header
+and raw buffers — nothing in a WAL directory is unpickled).  Each snapshot
+embeds the log offset it covers, so recovery replays only the log tail behind
+the newest snapshot.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
 import struct
 import zlib
 from dataclasses import dataclass
@@ -42,16 +43,13 @@ from typing import Any, Dict, List, Optional, Union
 from .. import faults
 from ..obs import events
 from ..obs.trace import hook_span
+from .container import decode_container, encode_container
 
 #: first bytes of every log file; a file not starting with it is not a WAL
 LOG_MAGIC = b"RPROWAL1"
-#: first bytes of every snapshot file
-SNAPSHOT_MAGIC = b"RPROSNP1"
 
 #: log record frame: payload length (uint32) + CRC32 of the payload (uint32)
 _RECORD_HEADER = struct.Struct("<II")
-#: snapshot frame: payload length (uint64) + CRC32 of the payload (uint32)
-_SNAPSHOT_HEADER = struct.Struct("<QI")
 
 #: hard cap on one record's payload; a corrupted length field must not make
 #: the scanner attempt a multi-gigabyte read
@@ -198,6 +196,9 @@ class WriteAheadLog:
             handle.write(LOG_MAGIC)
             handle.flush()
             os.fsync(handle.fileno())
+            # the new file's directory entry must be durable too, or a crash
+            # can unlink a log whose records were already acknowledged
+            self._fsync_directory()
             size = len(LOG_MAGIC)
         self._file = handle
         self._offset = size
@@ -379,26 +380,23 @@ class WriteAheadLog:
     def write_snapshot(self, state: Dict[str, Any]) -> Path:
         """Write ``state`` as the next snapshot, atomically.
 
-        The payload is pickled and framed (magic + length + CRC32); the file
-        is fsynced, renamed into place, and the directory fsynced, so a
-        crash leaves either the complete snapshot or none — never a partial
-        file under the final name.
+        ``state`` is a tree of JSON values and NumPy arrays whose ``"format"``
+        is the container version (:func:`~repro.persistence.container.encode_container`);
+        the file is fsynced, renamed into place, and the directory fsynced,
+        so a crash leaves either the complete snapshot or none — never a
+        partial file under the final name.
         """
         existing = self.snapshot_paths()
         sequence = 1 + max(
             (self._snapshot_sequence(path) for path in existing), default=0
         )
-        payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        blob = (
-            SNAPSHOT_MAGIC
-            + _SNAPSHOT_HEADER.pack(len(payload), zlib.crc32(payload))
-            + payload
-        )
+        buffers = encode_container(state)
+        size = sum(memoryview(buffer).nbytes for buffer in buffers)
         final = self.path / f"snapshot-{sequence:06d}.snap"
         temporary = self.path / f"snapshot-{sequence:06d}.tmp"
-        with hook_span("wal-snapshot", sequence=sequence, bytes=len(blob)):
+        with hook_span("wal-snapshot", sequence=sequence, bytes=size):
             with open(temporary, "wb") as handle:
-                handle.write(blob)
+                handle.writelines(buffers)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(temporary, final)
@@ -406,7 +404,7 @@ class WriteAheadLog:
         events.emit(
             "wal_snapshot",
             sequence=sequence,
-            bytes=len(blob),
+            bytes=size,
             log_offset=int(state.get("log_offset", -1)),
         )
         return final
@@ -426,31 +424,23 @@ class WriteAheadLog:
             os.close(descriptor)
 
     def load_snapshot(self, path: Path) -> Optional[Dict[str, Any]]:
-        """Decode one snapshot file; ``None`` when incomplete or corrupt."""
+        """Decode one snapshot file; ``None`` when incomplete or corrupt.
+
+        Raises :class:`~repro.persistence.container.StateFormatError` for a
+        format-1 (pickled) snapshot, which is never unpickled.
+        """
         try:
             data = path.read_bytes()
         except OSError:
             return None
-        prefix = len(SNAPSHOT_MAGIC)
-        if data[:prefix] != SNAPSHOT_MAGIC:
-            return None
-        if len(data) < prefix + _SNAPSHOT_HEADER.size:
-            return None
-        length, crc = _SNAPSHOT_HEADER.unpack_from(data, prefix)
-        payload = data[prefix + _SNAPSHOT_HEADER.size :]
-        if len(payload) != length or zlib.crc32(payload) != crc:
-            return None
-        try:
-            return pickle.loads(payload)
-        except Exception:
-            return None
+        return decode_container(data)
 
     def latest_snapshot(self) -> Optional[Dict[str, Any]]:
         """The newest snapshot that decodes and CRC-validates, if any.
 
         A corrupt newest snapshot (crash while the previous process wrote
         it outside the atomic protocol, bit rot) falls back to the next
-        older one rather than failing recovery.
+        older one rather than failing recovery; a format-1 one is refused.
         """
         for path in reversed(self.snapshot_paths()):
             state = self.load_snapshot(path)

@@ -10,10 +10,12 @@ torn tail records are detected by the length+CRC framing and dropped.
 The driver:
 
 1. loads the newest decodable snapshot, if any — refusing one written in
-   another state format (:func:`check_state_format`) — and rebuilds the
-   index from its stored live entities (the compaction path); without one,
-   the log's ``meta`` record (format checked the same way) names the index
-   to replay into;
+   another state format (:func:`check_state_format`), a format-1 pickle
+   before any byte of it is unpickled — and *adopts* the compacted index
+   state it holds (:func:`build_index_from_state`: arrays in, exact recounts,
+   the dictionaries rebuilt; a sharded index rebuilds its shards from the key
+   table and CSR); without one, the log's ``meta`` record (format checked the
+   same way) names the index to replay into;
 2. scans the log from the snapshot's embedded offset to its last complete
    record (:meth:`WriteAheadLog.scan`): the tail it replays, not the history
    the snapshot vouches for;
@@ -35,9 +37,18 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
+import numpy as np
+
 from ..obs import events
+from .container import check_state_format
 from .log import WalScan, WriteAheadLog
-from .snapshot import build_index_from_state, check_state_format, construct_index
+from .snapshot import (
+    build_index_from_state,
+    construct_index,
+    joined_pair_keys,
+    online_policy_class,
+    restore_pruning,
+)
 
 
 def apply_logged_record(index, record: Dict[str, Any]) -> None:
@@ -137,39 +148,46 @@ def recover_session(path: Union[str, Path], sync: str = "always"):
 
     Loads the newest session snapshot (a session opened with ``wal_path=``
     writes one immediately, so there is always a frozen model to restore),
-    rebuilds the index from it, restores the insert-time probabilities and
-    the online policy's canonical-key state — refusing a key that is not
-    one of the snapshot's live pairs — replays the log tail
+    adopts the compacted index it holds, restores the frozen model, the
+    pruning algorithm, the insert-time probabilities and the online policy's
+    canonical-key state — refusing a key that is not one of the snapshot's
+    live pairs — replays the log tail
     *through the session* (re-scoring each replayed mutation with the
     frozen model — deterministic), then truncates any torn tail and
     resumes journaling.
     """
     from ..incremental.session import MatchingSession, PairProbabilities
+    from ..ml.state import restore_model
 
     wal = WriteAheadLog(path, sync=sync)
     if not wal.log_path.exists():
         raise FileNotFoundError(f"no write-ahead log at {wal.log_path}")
     snapshot = wal.latest_snapshot()
+    if snapshot is not None:
+        check_state_format(snapshot)
     if snapshot is None or snapshot.get("session") is None:
         raise ValueError(
             "no session snapshot in the WAL directory; this log was written "
             "by a bare index — use recover_index() instead"
         )
-    check_state_format(snapshot)
     start = int(snapshot["log_offset"])
     scan = wal.scan(start)
     stored = snapshot["session"]
     index = build_index_from_state(snapshot["index"])
-    # the rebuilt index numbers nodes canonically: the snapshot's sorted
+    # the adopted index numbers nodes canonically: the snapshot's sorted
     # canonical keys and probabilities are the session's store as they stand
+    keys = joined_pair_keys(stored["pair_keys"])
+    probabilities = np.asarray(stored["probabilities"], dtype=np.float64)
+    if probabilities.shape != keys.shape:
+        raise ValueError("the snapshot's pair probabilities do not fit its pair keys")
     session = MatchingSession._from_parts(
-        model=stored["model"],
+        model=restore_model(stored["model"]),
         index=index,
-        pruning=stored["pruning"],
-        online=stored["policy"],
-        top_k=stored.get("top_k", 1000),
-        snapshot_every=stored.get("snapshot_every"),
-        probabilities=PairProbabilities(stored["pair_keys"], stored["probabilities"]),
+        pruning=restore_pruning(stored["pruning"]),
+        online=online_policy_class(stored["policy"]).for_state(stored["policy_state"]),
+        top_k=stored["top_k"],
+        snapshot_every=stored["snapshot_every"],
+        probabilities=PairProbabilities(keys, probabilities),
     )
     session.online.restore_state(stored["policy_state"], session._require_live)
     replayed = 0

@@ -1,103 +1,219 @@
-"""Snapshot state codecs for the streaming index and matching session.
+"""Snapshot states for the streaming index and matching session.
 
-A snapshot is the compacted logical state of an index: its *live* entities
-per side, each with the stored signatures (block keys) of its CSR row —
-exactly what :meth:`MutableBlockIndex.compact` replays through the bulk
-loader.  Rebuilding from a snapshot therefore goes through the same
-``_apply_bulk`` path compaction uses, which guarantees the canonical view
-(canonical candidates, snapshot blocks, aggregates) of the rebuilt index
-equals the original's.
+A snapshot is the writer's own state, compacted
+(:meth:`MutableBlockIndex.compacted_state <repro.incremental.MutableBlockIndex.compacted_state>`):
+the live rows in canonical order, the blocks with a live member renumbered in
+their old order, the CSR over them and the float aggregates exactly as held —
+stored as arrays in a container (:mod:`repro.persistence.container`), never
+pickled.  Recovery *adopts* those arrays (:meth:`~repro.incremental.MutableBlockIndex.adopt_compacted`):
+it recounts what they determine exactly, rebuilds the two dictionaries, and
+neither re-encodes a signature nor expands a pair.  So the recovered index's
+canonical view — and its answer — equals the writer's, and its raw node ids
+are the canonical ids.
 
-The rebuild has one further property this module (and the session codec)
-leans on: a per-side bulk load assigns raw node ids equal to the canonical
-ids.  Stored per-pair state (insert-time probabilities, online top-K
-membership) is serialized keyed by *canonical packed pair key* — independent
-of raw node ids — so on the rebuilt index those keys are the raw keys the
-session keeps its per-pair state under, and the snapshot's sorted key /
-probability arrays are that state as they stand.
+A sharded index's aggregates are shard-local, so its snapshot keeps the key
+table and the CSR alone and recovery rebuilds the shards through their bulk
+path, hashing each block key once (:func:`key_shards`) — as shard replicas do
+with any snapshot.
+
+Per-pair session state (insert-time probabilities, online top-K membership)
+is stored keyed by *canonical packed pair key* — independent of raw node ids
+— so on the recovered index those keys are the raw keys the session keeps
+its per-pair state under.  The model, the pruning algorithm, the online
+policy and the blocking method are stored as parameters and arrays and
+restored through closed registries of names; an object outside them is not
+checkpointable, and saying so is an error.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from importlib import import_module
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..incremental.index import MutableBlockIndex
-from ..incremental.sharded import ShardedMutableBlockIndex
+from ..core.pruning import PRUNING_ALGORITHMS, get_pruning_algorithm
+from ..incremental.index import MutableBlockIndex, compacted_rows
+from ..incremental.session import ONLINE_POLICIES
+from ..incremental.sharded import ShardedMutableBlockIndex, shard_of_signature
+from ..ml.state import export_model
 from ..pairs import MAX_NODE_ID, pack_pair_keys
+from .container import SNAPSHOT_FORMAT, pack_strings, unpack_strings
 from .log import WriteAheadLog
 
-#: snapshot/meta record state format version
-STATE_FORMAT = 1
+#: the blocking methods a snapshot names, and the module defining each
+BLOCKING_METHODS = {
+    "TokenBlocking": "repro.blocking.token_blocking",
+    "QGramsBlocking": "repro.blocking.qgrams",
+    "StandardBlocking": "repro.blocking.standard_blocking",
+    "SuffixArraysBlocking": "repro.blocking.suffix_arrays",
+}
 
 
-class StateFormatError(ValueError):
-    """A snapshot or log ``meta`` record was written in a state format this
-    version does not read."""
+# -- registries ----------------------------------------------------------------------
 
-
-def check_state_format(state: Dict[str, Any], source: str = "snapshot") -> None:
-    """Refuse a snapshot or log ``meta`` record whose ``format`` is not
-    :data:`STATE_FORMAT`; ``source`` names which one it is in the error."""
-    found = state.get("format")
-    if found != STATE_FORMAT:
-        raise StateFormatError(
-            f"the {source} holds state format {found!r}; this version reads "
-            f"format {STATE_FORMAT} only"
+def export_blocking(blocking) -> Dict[str, Any]:
+    """A registered blocking method as its class name and parameters."""
+    name = type(blocking).__name__
+    if BLOCKING_METHODS.get(name) != type(blocking).__module__:
+        raise ValueError(
+            f"cannot checkpoint blocking method {type(blocking).__qualname__}: a "
+            f"snapshot restores {sorted(BLOCKING_METHODS)} only"
         )
+    return {"class": name, "parameters": dict(vars(blocking))}
 
 
-def dump_slot_layout(index) -> Optional[Dict[str, Any]]:
-    """The raw node-slot layout of a :class:`MutableBlockIndex`.
+def restore_blocking(state: Dict[str, Any]):
+    """The blocking method :func:`export_blocking` exported."""
+    name = state["class"]
+    if name not in BLOCKING_METHODS:
+        raise ValueError(
+            f"the snapshot names blocking method {name!r}, which this version "
+            f"does not restore; known: {sorted(BLOCKING_METHODS)}"
+        )
+    return getattr(import_module(BLOCKING_METHODS[name]), name)(**state["parameters"])
 
-    ``sides`` dumps only *live* entities in per-side arrival order; the slot
-    layout records which raw node id each of those entries occupies, plus
-    the total slot count — enough to rebuild an index in the **same node
-    space** as the dumping one (live slots re-inserted at their original
-    ids, dead slots re-registered as tombstones).  That is what lets a
-    shard replica adopt a mid-run checkpoint of a live authority, whose
-    tombstoned slots are never reused, without diverging from the node ids
-    the authority keeps assigning (see ``ShardReplica``).
 
+def export_pruning(pruning) -> Dict[str, Any]:
+    """A registered pruning algorithm as its paper name and parameters."""
+    if PRUNING_ALGORITHMS.get(getattr(pruning, "name", None)) is not type(pruning):
+        raise ValueError(
+            f"cannot checkpoint pruning algorithm {type(pruning).__qualname__}: a "
+            f"snapshot restores {sorted(PRUNING_ALGORITHMS)} by name only"
+        )
+    return {"name": pruning.name, "parameters": dict(vars(pruning))}
+
+
+def restore_pruning(state: Dict[str, Any]):
+    """The pruning algorithm :func:`export_pruning` exported."""
+    name = state["name"]
+    if name not in PRUNING_ALGORITHMS:
+        raise ValueError(
+            f"the snapshot names pruning algorithm {name!r}, which this version "
+            f"does not restore; known: {sorted(PRUNING_ALGORITHMS)}"
+        )
+    return get_pruning_algorithm(name, **state["parameters"])
+
+
+def online_policy_class(name: str):
+    """The online policy class a snapshot names."""
+    if name not in ONLINE_POLICIES:
+        raise ValueError(
+            f"the snapshot names online policy {name!r}, which this version "
+            f"does not restore; known: {sorted(ONLINE_POLICIES)}"
+        )
+    return ONLINE_POLICIES[name]
+
+
+# -- the index section ---------------------------------------------------------------
+
+def _merged_compacted(shards) -> Dict[str, Any]:
+    """The shards' compacted states as one key table and CSR (shard-major
+    block ids, so each row lists its blocks shard by shard)."""
+    parts = [shard.compacted_state() for shard in shards]
+    rows, blocks, keys = [], [], []
+    for part in parts:
+        counts = np.diff(part["csr_indptr"])
+        rows.append(np.repeat(np.arange(counts.size, dtype=np.int64), counts))
+        blocks.append(part["csr_indices"] + len(keys))
+        keys.extend(part["block_keys"])
+    rows, blocks = np.concatenate(rows), np.concatenate(blocks)
+    num_nodes = len(parts[0]["entity_ids"])
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
+    return {
+        "entity_ids": parts[0]["entity_ids"],
+        "side_counts": parts[0]["side_counts"],
+        "block_keys": keys,
+        "csr_indptr": indptr,
+        "csr_indices": blocks[np.argsort(rows, kind="stable")],
+    }
+
+
+def dump_index_state(index) -> Dict[str, Any]:
+    """The index section of a snapshot: topology plus the compacted state,
+    entity ids and block keys as string tables."""
+    sharded = isinstance(index, ShardedMutableBlockIndex)
+    state = _merged_compacted(index.shards) if sharded else index.compacted_state()
+    state.update(
+        kind="sharded" if sharded else "index",
+        bilateral=index.bilateral,
+        name=index.name,
+        num_shards=index.num_shards if sharded else None,
+        blocking=export_blocking(index.blocking),
+        entity_ids=pack_strings(state["entity_ids"]),
+        block_keys=pack_strings(state["block_keys"]),
+    )
+    return state
+
+
+def dump_slot_layout(index) -> Optional[np.ndarray]:
+    """The raw node-slot layout of a :class:`MutableBlockIndex`: the side of
+    every slot, -1 for a tombstone.
+
+    The index section holds the *live* rows in canonical order; the layout
+    says which raw node id each occupies (within a side, rows keep the
+    slots' order) — enough for a shard replica to rebuild the **same node
+    space** as the writer, tombstones included (see ``ShardReplica``).
     Sharded indexes have no single raw node space to dump; they return
     ``None`` (replicas never adopt from them).
     """
     if isinstance(index, ShardedMutableBlockIndex):
         return None
-    sides = index.sides()
-    return {
-        "num_slots": int(sides.size),
-        "nodes": {
-            side: np.flatnonzero(sides == side).tolist()
-            for side in ((0, 1) if index.bilateral else (0,))
-        },
-    }
+    return index.sides().copy()
 
 
-def dump_index_state(index) -> Dict[str, Any]:
-    """The logical state of an index: topology plus live entities per side."""
-    sharded = isinstance(index, ShardedMutableBlockIndex)
-    return {
-        "kind": "sharded" if sharded else "index",
-        "bilateral": index.bilateral,
-        "name": index.name,
-        "num_shards": index.num_shards if sharded else None,
-        "blocking": index.blocking,
-        "sides": index._dump_live_entities(),
-    }
+def compacted_from_state(state: Dict[str, Any]) -> Dict[str, Any]:
+    """An index section with its string tables unpacked: the compacted
+    state :meth:`MutableBlockIndex.adopt_compacted` takes."""
+    return dict(
+        state,
+        entity_ids=unpack_strings(state["entity_ids"]),
+        block_keys=unpack_strings(state["block_keys"]),
+    )
+
+
+def key_shards(block_keys: List[str], num_shards: int) -> np.ndarray:
+    """The signature shard of every block key — each key hashed once."""
+    return np.fromiter(
+        (shard_of_signature(key, num_shards) for key in block_keys),
+        dtype=np.int64,
+        count=len(block_keys),
+    )
+
+
+def row_signatures(state: Dict[str, Any], owned: Optional[np.ndarray] = None) -> List[List[str]]:
+    """Each row's signatures (block keys) in row order, restricted to the
+    keys ``owned`` marks when given.
+
+    Raises
+    ------
+    ValueError
+        When the CSR does not fit the rows and the key table.
+    """
+    keys = state["block_keys"]
+    indptr, indices = compacted_rows(state)
+    if owned is not None:
+        keep = owned[indices]
+        rows = np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
+        indptr = np.zeros_like(indptr)
+        np.cumsum(np.bincount(rows[keep], minlength=indptr.size - 1), out=indptr[1:])
+        indices = indices[keep]
+    flat = list(map(keys.__getitem__, indices.tolist()))
+    bounds = indptr.tolist()
+    return [flat[start:end] for start, end in zip(bounds[:-1], bounds[1:])]
 
 
 def construct_index(state: Dict[str, Any], blocking=None):
     """An empty index matching a state/meta dict's topology.
 
-    ``state`` may be a snapshot's ``"index"`` dict or a WAL meta record;
+    ``state`` may be a snapshot's ``"index"`` section or a WAL meta record;
     both carry ``kind``/``bilateral``/``num_shards``.  ``blocking``
-    overrides the stored extractor (meta records, being JSON, never store
-    one — the default token blocking is used).
+    overrides the stored method (meta records never store one — the default
+    token blocking is used).
     """
-    if blocking is None:
-        blocking = state.get("blocking")
+    if blocking is None and state.get("blocking") is not None:
+        blocking = restore_blocking(state["blocking"])
     name = state.get("name") or "stream"
     if state["kind"] == "sharded":
         return ShardedMutableBlockIndex(
@@ -114,18 +230,40 @@ def construct_index(state: Dict[str, Any], blocking=None):
 
 
 def build_index_from_state(state: Dict[str, Any], blocking=None):
-    """Rebuild an index from a snapshot state dict.
+    """The index a snapshot's index section holds.
 
-    Live entities are bulk-loaded per side (side 0 first) from their stored
-    signatures — the compaction path — so the rebuilt index's canonical
-    view equals the dumped one, with raw node ids equal to canonical ids.
+    A plain index adopts the compacted arrays; a sharded one rebuilds its
+    shards by bulk-loading each side's rows (side 0 first), every row's
+    signatures split by the key table's shards.  Either way raw node ids
+    equal the canonical ids.
     """
     index = construct_index(state, blocking=blocking)
-    for side in sorted(state["sides"]):
-        entries = state["sides"][side]
-        if entries:
-            index._apply_bulk(entries, int(side))
+    compacted = compacted_from_state(state)
+    if isinstance(index, MutableBlockIndex):
+        index.adopt_compacted(compacted)
+        return index
+    shards = key_shards(compacted["block_keys"], index.num_shards)
+    per_shard = [row_signatures(compacted, shards == shard) for shard in range(index.num_shards)]
+    entity_ids = compacted["entity_ids"]
+    first = int(compacted["side_counts"][0])
+    for side, rows in ((0, slice(0, first)), (1, slice(first, len(entity_ids)))):
+        if rows.stop > rows.start:
+            index._apply_bulk_split(
+                [list(zip(entity_ids[rows], signatures[rows])) for signatures in per_shard],
+                side,
+            )
     return index
+
+
+def snapshot_state(index, log_offset: int, session=None) -> Dict[str, Any]:
+    """A snapshot of ``index`` at ``log_offset``, with a session section."""
+    return {
+        "format": SNAPSHOT_FORMAT,
+        "log_offset": log_offset,
+        "index": dump_index_state(index),
+        "slots": dump_slot_layout(index),
+        "session": session,
+    }
 
 
 def write_index_snapshot(index, wal: WriteAheadLog):
@@ -136,15 +274,7 @@ def write_index_snapshot(index, wal: WriteAheadLog):
     the offset may run ahead of the fsynced log tail — recovery then
     prefers the (durable, consistent) snapshot.
     """
-    return wal.write_snapshot(
-        {
-            "format": STATE_FORMAT,
-            "log_offset": wal.log_offset,
-            "index": dump_index_state(index),
-            "slots": dump_slot_layout(index),
-            "session": None,
-        }
-    )
+    return wal.write_snapshot(snapshot_state(index, wal.log_offset))
 
 
 # -- session state -----------------------------------------------------------------
@@ -153,8 +283,8 @@ def canonical_pair_keys(index, keys: np.ndarray) -> np.ndarray:
     """The canonical packed keys of pairs given by raw packed keys.
 
     The result is computed over canonical node ids, so it is invariant under
-    compaction and snapshot rebuilds — the stable identity per-pair session
-    state is serialized under.
+    compaction and recovery — the stable identity per-pair session state is
+    serialized under.
     """
     canonical = index.canonical_node_ids()
     left = canonical[keys >> np.int64(32)]
@@ -162,33 +292,66 @@ def canonical_pair_keys(index, keys: np.ndarray) -> np.ndarray:
     return pack_pair_keys(np.minimum(left, right), np.maximum(left, right))
 
 
+def split_pair_keys(keys: np.ndarray, num_nodes: int) -> Dict[str, np.ndarray]:
+    """Ascending canonical pair keys as the pair count of every left node
+    plus the right node ids (node ids are below 2^32: ``uint32``)."""
+    return {
+        "left_counts": np.bincount(keys >> np.int64(32), minlength=num_nodes),
+        "right": (keys & np.int64(MAX_NODE_ID - 1)).astype(np.uint32),
+    }
+
+
+def joined_pair_keys(split: Dict[str, np.ndarray]) -> np.ndarray:
+    """The ascending pair keys :func:`split_pair_keys` split (``ValueError``
+    when they do not ascend)."""
+    counts = np.asarray(split["left_counts"], dtype=np.int64)
+    right = np.asarray(split["right"], dtype=np.int64)
+    if counts.ndim != 1 or (counts < 0).any() or counts.sum() != right.size:
+        raise ValueError("the snapshot's pair keys do not fit their counts")
+    left = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    keys = pack_pair_keys(left, right)
+    if (np.diff(keys) <= 0).any():
+        raise ValueError("the snapshot's pair keys do not ascend")
+    return keys
+
+
 def session_snapshot_state(session) -> Dict[str, Any]:
     """The full durable state of a :class:`MatchingSession`.
 
     Index state plus the frozen model, the batch pruning algorithm, the
-    online policy (object + node-id-independent state) and the insert-time
+    online policy (name + node-id-independent state) and the insert-time
     probabilities keyed by canonical pair key (stored sorted by key, which
-    is exactly the store a rebuilt session starts from).
+    is exactly the store a recovered session starts from).
+
+    Raises
+    ------
+    ValueError
+        When the model, pruning algorithm, online policy or blocking method
+        is an object a snapshot cannot restore by name.
     """
     index = session.index
+    online = session.online
+    if ONLINE_POLICIES.get(online.name) is not type(online):
+        raise ValueError(
+            f"cannot checkpoint online policy {type(online).__qualname__}: a "
+            f"snapshot restores {sorted(ONLINE_POLICIES)} by name only"
+        )
     raw, probabilities = session.insert_time_probabilities()
     keys = canonical_pair_keys(index, raw)
     order = np.argsort(keys)
-    return {
-        "format": STATE_FORMAT,
-        "log_offset": session.wal.log_offset,
-        "index": dump_index_state(index),
-        "slots": dump_slot_layout(index),
-        "session": {
-            "model": session.model,
-            "pruning": session.pruning,
-            "policy": session.online,
-            "policy_state": session.online.export_state(
+    return snapshot_state(
+        index,
+        session.wal.log_offset,
+        {
+            "model": export_model(session.model),
+            "pruning": export_pruning(session.pruning),
+            "policy": online.name,
+            "policy_state": online.export_state(
                 lambda raw_keys: canonical_pair_keys(index, raw_keys)
             ),
+            "pair_keys": split_pair_keys(keys[order], index.num_entities),
             "probabilities": probabilities[order],
-            "pair_keys": keys[order],
             "top_k": session._top_k,
             "snapshot_every": session._snapshot_every,
         },
-    }
+    )

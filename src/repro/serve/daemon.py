@@ -156,9 +156,9 @@ class MatchingDaemon:
         allow_from_zero = True
         if recover:
             self.session = MatchingSession.recover(wal_path, sync=wal_sync)
-            # recovery rebuilt the authority from a snapshot, compacting and
-            # renumbering node ids — the log's earlier records describe the
-            # *previous* node space and must never be replayed by a replica.
+            # recovery adopted the authority from a snapshot's compacted
+            # state, renumbering node ids — the log's earlier records describe
+            # the *previous* node space and must never be replayed by a replica.
             # Write a floor checkpoint of the recovered state (slot layout
             # included): workers adopt it (or anything newer) and replay
             # only the tail past it, in the authority's node space.

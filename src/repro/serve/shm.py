@@ -16,7 +16,9 @@ Two pieces:
 Python < 3.13 registers *attached* segments with the resource tracker as if
 the attaching process owned them, which triggers spurious "leaked
 shared_memory" warnings (and early unlinks) when workers exit; the attach
-path unregisters the segment again, the standard workaround.
+path suppresses that registration.  Only owners register, so only the shard
+workers run a resource tracker — one each, a separate interpreter started on
+the worker's first export (the daemon has none to share across ``fork``).
 """
 
 from __future__ import annotations
@@ -118,10 +120,11 @@ def attach_view(handle: SharedArrayHandle) -> np.ndarray:
     if segment is None:
         # suppress the tracker registration the attach would perform: the
         # owner is the only process that may unlink the segment.
-        # (Unregistering *after* the attach is not equivalent: under
-        # ``fork`` the tracker process is shared between the processes and
-        # its name cache is a set, so a reader-side unregister would race
-        # the owner's own unlink-time unregister.)
+        # (Unregistering *after* the attach is not equivalent: the
+        # registration alone starts a resource-tracker process here.  The
+        # daemon never starts one — it only attaches — so no tracker is
+        # inherited across ``fork``: each shard worker starts its own on its
+        # first export, and the segments it owns are its tracker's alone.)
         original_register = resource_tracker.register
         resource_tracker.register = lambda *args, **kwargs: None
         try:

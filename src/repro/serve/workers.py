@@ -47,8 +47,9 @@ from .. import faults
 from ..incremental.index import MutableBlockIndex, UnknownEntityError
 from ..incremental.sharded import shard_of_signature
 from ..obs import events
+from ..persistence.container import StateFormatError, check_state_format
 from ..persistence.log import LOG_MAGIC, MAX_RECORD_BYTES, _RECORD_HEADER, WriteAheadLog
-from ..persistence.snapshot import StateFormatError, check_state_format
+from ..persistence.snapshot import compacted_from_state, key_shards, row_signatures
 from .shm import SharedArray, SharedArrayHandle, attach_view, detach_view
 
 _logger = events.get_logger(__name__)
@@ -201,7 +202,7 @@ class ShardReplica:
         self.index: Optional[MutableBlockIndex] = None
         self.bilateral = False
         #: optional snapshot file to bootstrap from — REQUIRED when the
-        #: daemon recovered: recovery rebuilds the authority index from a
+        #: daemon recovered: recovery adopts the authority index from a
         #: snapshot (compacted, renumbered node ids), so a replica must
         #: start from the *same* snapshot to live in the same node space
         self.bootstrap = Path(bootstrap) if bootstrap is not None else None
@@ -236,6 +237,7 @@ class ShardReplica:
         return self.follower.position
 
     def _filter(self, signatures: Sequence[str]) -> List[str]:
+        """The signatures of one logged operation that route to this shard."""
         return [
             signature
             for signature in signatures
@@ -281,8 +283,9 @@ class ShardReplica:
         """Jump to the newest eligible checkpoint at or behind ``target``.
 
         Eligible means: sequence at or past ``adopt_floor`` (same node
-        space as the live authority), carries a slot layout, decodes and
-        CRC-validates, holds the state format this version reads, offset
+        space as the live authority), decodes and CRC-validates, holds the
+        state format this version reads (a newer container is skipped; a
+        format-1 pickle is refused by name), carries a slot layout, offset
         within ``target`` (when given) and not behind the replica (replicas
         never rewind).  Returns whether a snapshot was adopted; with
         ``require`` an empty result is an error rather than an implicit
@@ -294,12 +297,14 @@ class ShardReplica:
             if self.adopt_floor is not None and sequence < self.adopt_floor:
                 break
             state = wal.load_snapshot(path)
-            if state is None or state.get("slots") is None:
+            if state is None:
                 continue
             try:
                 check_state_format(state)
             except StateFormatError as error:
                 _logger.warning("shard %d skips %s: %s", self.shard, path.name, error)
+                continue
+            if state.get("slots") is None:
                 continue
             offset = int(state["log_offset"])
             if target is not None and offset > target:
@@ -332,69 +337,73 @@ class ShardReplica:
         itself rebuilt from, putting both in canonical node order), an
         adopted checkpoint describes an authority that kept its original
         node space — tombstoned slots included.  The embedded slot layout
-        says which raw node id each live entity occupies; walking the slots
-        in id order — every maximal run of live slots of one side through
-        one ``_apply_bulk`` (signatures shard-filtered), every dead slot
-        through ``_register_tombstone`` — reproduces that node space
-        exactly, so every later WAL record resolves to the same node here
-        as on the authority.
+        says which raw node id each live row occupies; :meth:`_rebuild`
+        walks it in id order, so every later WAL record resolves to the same
+        node here as on the authority.
         """
-        index_state = state["index"]
-        slots = state["slots"]
-        self.bilateral = bool(index_state["bilateral"])
-        index = MutableBlockIndex(
-            bilateral=self.bilateral,
-            name=f"{index_state.get('name') or 'serve'}#shard{self.shard}",
-        )
-        #: per slot: ``(side, (entity_id, signatures))``, ``None`` when dead
-        layout: List[Optional[Tuple[int, Tuple[str, List[str]]]]] = [None] * int(
-            slots["num_slots"]
-        )
-        for side in sorted(index_state["sides"]):
-            nodes = slots["nodes"][side]
-            entries = index_state["sides"][side]
-            for node, (entity_id, signatures) in zip(nodes, entries):
-                layout[node] = (int(side), (entity_id, self._filter(signatures)))
-        for side, run in groupby(
-            layout, key=lambda slot: None if slot is None else slot[0]
-        ):
-            if side is None:
-                for _ in run:
-                    index._register_tombstone()
-            else:
-                index._apply_bulk([entry for _, entry in run], side)
-        self.index = index
-        self.follower.seek_to(int(state["log_offset"]))
+        self._rebuild(state, np.asarray(state["slots"], dtype=np.int8))
 
     def _load_bootstrap(self) -> None:
-        """Rebuild the shard from a snapshot, exactly as recovery rebuilds
-        the authority: per-side bulk load of the live entities (signatures
-        shard-filtered), then tail the log from the snapshot's offset.
+        """Rebuild the shard from a snapshot, exactly as recovery lays out
+        the authority: the live rows in canonical order (side 0, then side
+        1), then tail the log from the snapshot's offset.
 
-        The rebuild assigns the same node ids the authority's
-        :func:`~repro.persistence.snapshot.build_index_from_state` call
-        assigned — every shard registers every entity, so registration
-        order (and with it the node numbering) is snapshot order on both
-        sides of the pipe.
+        Every shard registers every entity, so the node numbering is the
+        snapshot's row order on both sides of the pipe.
         """
         state = WriteAheadLog(self.wal_dir).load_snapshot(self.bootstrap)
         if state is None:
             raise WalFollowError(
                 f"bootstrap snapshot {self.bootstrap} is missing or corrupt"
             )
-        index_state = state["index"]
+        check_state_format(state)
+        self._rebuild(state, None)
+
+    def _rebuild(self, state: Dict[str, Any], slot_sides: Optional[np.ndarray]) -> None:
+        """Lay the snapshot's live rows out over ``slot_sides`` (one side per
+        raw node slot, -1 for a tombstone; within a side, rows fill the slots
+        in order; ``None`` for the rows' own canonical order): every maximal
+        run of one side's slots through one ``_apply_bulk`` — its rows'
+        signatures restricted to this shard's keys, each key hashed once —
+        every dead slot through ``_register_tombstone``.  Reads the index
+        section only.
+        """
+        index_state = compacted_from_state(state["index"])
         self.bilateral = bool(index_state["bilateral"])
-        self.index = MutableBlockIndex(
+        index = MutableBlockIndex(
             bilateral=self.bilateral,
             name=f"{index_state.get('name') or 'serve'}#shard{self.shard}",
         )
-        for side in sorted(index_state["sides"]):
-            entries = [
-                (entity_id, self._filter(signatures))
-                for entity_id, signatures in index_state["sides"][side]
-            ]
-            if entries:
-                self.index._apply_bulk(entries, int(side))
+        owned = key_shards(index_state["block_keys"], self.num_shards) == self.shard
+        rows = row_signatures(index_state, owned)
+        entity_ids = index_state["entity_ids"]
+        first = int(index_state["side_counts"][0])
+        if slot_sides is None and 0 <= first <= len(entity_ids):
+            slot_sides = np.repeat(
+                np.array([0, 1], dtype=np.int8), [first, len(entity_ids) - first]
+            )
+        if (
+            slot_sides is None
+            or ((slot_sides < -1) | (slot_sides > 1)).any()
+            or int(np.count_nonzero(slot_sides == 0)) != first
+            or int(np.count_nonzero(slot_sides >= 0)) != len(entity_ids)
+        ):
+            raise WalFollowError("the snapshot's slot layout does not fit its rows")
+        # the next row of each side
+        cursor = {0: 0, 1: first}
+        for side, run in groupby(slot_sides.tolist()):
+            width = len(list(run))
+            if side < 0:
+                for _ in range(width):
+                    index._register_tombstone()
+                continue
+            start = cursor[side]
+            cursor[side] = start + width
+            index._apply_bulk(
+                list(zip(entity_ids[start : start + width], rows[start : start + width])),
+                side,
+            )
+        self.index = index
         self.follower.seek_to(int(state["log_offset"]))
 
     def apply(self, record: Dict[str, Any]) -> None:

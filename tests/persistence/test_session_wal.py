@@ -8,8 +8,6 @@ with the uninterrupted session.
 """
 
 import ast
-import hashlib
-import json
 import shutil
 from pathlib import Path
 
@@ -17,7 +15,6 @@ import numpy as np
 import pytest
 
 import repro.incremental.session
-import repro.ml
 from reference import make_frozen_model
 from repro.datamodel import make_profile
 from repro.incremental import (
@@ -28,12 +25,15 @@ from repro.incremental import (
 )
 from repro.persistence import (
     LOG_MAGIC,
+    META_FORMAT,
+    SNAPSHOT_FORMAT,
+    StateFormatError,
     WriteAheadLog,
     canonical_pair_keys,
     encode_record,
     recover_index,
 )
-from repro.persistence.snapshot import STATE_FORMAT, StateFormatError
+from repro.persistence.snapshot import joined_pair_keys
 from repro.serve.workers import ShardReplica
 
 FEATURE_SET = ("CBS", "JS", "RS")
@@ -169,46 +169,28 @@ def test_bare_index_wal_rejects_session_recovery(tmp_path):
         MatchingSession.recover(tmp_path / "wal")
 
 
-def test_a_session_written_by_the_pr18_tree_recovers_to_its_answer(tmp_path):
-    """Cross-version recovery: the on-disk names are a format.
+def test_a_session_written_by_the_pr18_tree_is_refused_by_name(tmp_path):
+    """Cross-version recovery is a refusal: snapshot format 1 was a pickle.
 
-    ``tests/data/session_wal_pr18`` (recipe in its README) pickles the model
-    as ``repro.incremental.session.FrozenModel`` around a ``StandardScaler``
-    with ``mean_`` / ``scale_``; this tree defines both elsewhere and must
-    still load them, replay the tail through its own scoring, and retain
-    exactly what the writing tree retained.
+    ``tests/data/session_wal_pr18`` (recipe in its README) holds two format-1
+    snapshots written at commit 7d43aa0.  This tree never unpickles a file
+    from a WAL directory, so recovering it names the format it will not read
+    — the one-way migration: keep running it on a tree that reads format 1,
+    or rebuild the session from its source records.
     """
     fixture = Path(__file__).resolve().parent.parent / "data" / "session_wal_pr18"
-    wal = tmp_path / "wal"  # recovery truncates and re-attaches the log: work on a copy
+    wal = tmp_path / "wal"  # never touch the fixture itself
     shutil.copytree(fixture, wal)
     (wal / "README.md").unlink()
+    before = {path.name: path.read_bytes() for path in wal.iterdir()}
 
-    recovered = MatchingSession.recover(wal)
-    try:
-        model = recovered.model
-        assert type(model) is repro.ml.FrozenModel is repro.incremental.session.FrozenModel
-        assert type(model.scaler) is repro.ml.StandardScaler
-        assert sorted(vars(model.scaler)) == ["mean_", "scale_"]
-        assert model.scaler.mean_.shape == model.classifier.coef_.shape == (4,)
-        assert recovered.index.num_entities == 41 and recovered.num_pairs == 272
-
-        retained = sorted(recovered.retained().retained_id_set())
-        digest = hashlib.blake2b(json.dumps(retained).encode(), digest_size=16).hexdigest()
-        assert len(retained) == 19
-        assert digest == "6a473f04ea2e65075c31f7a095221ecb"
-        assert recovered.online.threshold == pytest.approx(0.9998424244702351, abs=1e-12)
-
-        # the recovered session journals on, and what it writes it can read
-        recovered.insert(make_profile("late", title="efficient query processing"), side=0)
-        expected = recovered.retained().retained_id_set()
-    finally:
-        recovered.close()
-    again = MatchingSession.recover(wal)
-    try:
-        assert again.retained().retained_id_set() == expected
-    finally:
-        again.close()
-
+    message = "the snapshot holds state format 1 .*this version reads format 2 only"
+    with pytest.raises(StateFormatError, match=message):
+        MatchingSession.recover(wal)
+    with pytest.raises(StateFormatError, match=message):
+        recover_index(wal)
+    # refused before anything was truncated or written
+    assert {path.name: path.read_bytes() for path in wal.iterdir()} == before
 
 
 @pytest.mark.parametrize("byte", [60, len(LOG_MAGIC)], ids=["payload", "length-field"])
@@ -248,11 +230,11 @@ def test_a_snapshot_in_another_state_format_is_refused_by_name(tmp_path):
     newest = session.checkpoint()
     session.close()
     wal = WriteAheadLog(tmp_path / "wal")
-    wal.write_snapshot(dict(wal.load_snapshot(newest), format=STATE_FORMAT + 1))
+    wal.write_snapshot(dict(wal.load_snapshot(newest), format=SNAPSHOT_FORMAT + 1))
 
     message = (
-        f"the snapshot holds state format {STATE_FORMAT + 1}; "
-        f"this version reads format {STATE_FORMAT} only"
+        f"the snapshot holds state format {SNAPSHOT_FORMAT + 1}; "
+        f"this version reads format {SNAPSHOT_FORMAT} only"
     )
     with pytest.raises(StateFormatError, match=message):
         MatchingSession.recover(tmp_path / "wal")
@@ -271,13 +253,17 @@ def test_a_top_k_key_that_is_not_a_live_pair_is_refused_by_name(tmp_path):
     wal = WriteAheadLog(tmp_path / "wal")
     state = wal.load_snapshot(newest)
     stored = state["session"]
-    live = set(stored["pair_keys"].tolist())
+    live = set(joined_pair_keys(stored["pair_keys"]).tolist())
     # between two live keys: a rank lookup would land on a live neighbour
     foreign = next(key + 1 for key in sorted(live) if key + 1 not in live)
     assert foreign < max(live)
-    items = [*stored["policy_state"]["items"], (0.99, foreign)]
-    stored = dict(stored, policy_state={"items": items})
-    wal.write_snapshot(dict(state, session=stored))
+    policy_state = stored["policy_state"]
+    policy_state = dict(
+        policy_state,
+        weights=np.append(policy_state["weights"], 0.99),
+        keys=np.append(policy_state["keys"], foreign),
+    )
+    wal.write_snapshot(dict(state, session=dict(stored, policy_state=policy_state)))
 
     with pytest.raises(ValueError, match=f"pair key {foreign}, which is not a live pair"):
         MatchingSession.recover(tmp_path / "wal")
@@ -288,9 +274,9 @@ def _bump_meta_format(directory):
     (same length: every later record keeps its offset)."""
     wal = WriteAheadLog(directory)
     meta = wal.scan(None).records[0]
-    assert meta.record["op"] == "meta" and meta.record["format"] == STATE_FORMAT
+    assert meta.record["op"] == "meta" and meta.record["format"] == META_FORMAT
     data = wal.log_path.read_bytes()
-    bumped = encode_record(dict(meta.record, format=STATE_FORMAT + 1))
+    bumped = encode_record(dict(meta.record, format=META_FORMAT + 1))
     assert len(bumped) == meta.end - meta.start
     wal.log_path.write_bytes(data[: meta.start] + bumped + data[meta.end :])
     return len(data)
@@ -310,8 +296,8 @@ def test_a_log_meta_record_in_another_state_format_is_refused_by_name(tmp_path, 
 
     with pytest.raises(
         StateFormatError,
-        match=f"the log meta record holds state format {STATE_FORMAT + 1}; "
-        f"this version reads format {STATE_FORMAT} only",
+        match=f"the log meta record holds state format {META_FORMAT + 1}; "
+        f"this version reads format {META_FORMAT} only",
     ):
         recover_index(tmp_path / "wal")
 
@@ -352,10 +338,10 @@ def _written_meta_formats(path):
 
 def test_the_meta_records_written_by_the_indexes_carry_the_state_format():
     """``incremental`` writes the meta record's format as a literal: it cannot
-    import :data:`STATE_FORMAT`, because ``persistence`` imports it."""
+    import :data:`META_FORMAT`, because ``persistence`` imports it."""
     root = Path(repro.incremental.session.__file__).parent
     for name in ("index.py", "sharded.py"):
-        assert _written_meta_formats(root / name) == [STATE_FORMAT], name
+        assert _written_meta_formats(root / name) == [META_FORMAT], name
     for path in sorted(root.glob("*.py")):
         module_level = [
             statement

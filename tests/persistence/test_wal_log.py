@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from repro.persistence import LOG_MAGIC, WriteAheadLog, encode_record
+from repro.persistence import LOG_MAGIC, SNAPSHOT_FORMAT, WriteAheadLog, encode_record
 
 
 def _records(n):
@@ -164,26 +164,31 @@ class TestTailScan:
         assert tail.valid_length == complete.valid_length and not tail.truncated
 
 
+def _state(value):
+    """A minimal snapshot state: the container version plus one value."""
+    return {"format": SNAPSHOT_FORMAT, "state": value}
+
+
 class TestSnapshots:
     def test_snapshot_round_trip_and_sequencing(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "w")
-        first = wal.write_snapshot({"state": 1})
-        second = wal.write_snapshot({"state": 2})
+        first = wal.write_snapshot(_state(1))
+        second = wal.write_snapshot(_state(2))
         assert [path.name for path in wal.snapshot_paths()] == [
             first.name,
             second.name,
         ]
-        assert wal.latest_snapshot() == {"state": 2}
+        assert wal.latest_snapshot() == _state(2)
         assert not list((tmp_path / "w").glob("*.tmp"))
 
     def test_corrupt_newest_snapshot_falls_back_to_older(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "w")
-        wal.write_snapshot({"state": 1})
-        newest = wal.write_snapshot({"state": 2})
+        wal.write_snapshot(_state(1))
+        newest = wal.write_snapshot(_state(2))
         data = newest.read_bytes()
         newest.write_bytes(data[: len(data) // 2])  # simulate a partial write
         assert wal.load_snapshot(newest) is None
-        assert wal.latest_snapshot() == {"state": 1}
+        assert wal.latest_snapshot() == _state(1)
 
     def test_is_empty_tracks_records_and_snapshots(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "w")
@@ -193,7 +198,7 @@ class TestSnapshots:
             wal.append_record({"op": "meta"})
             assert not wal.is_empty()
         other = WriteAheadLog(tmp_path / "x")
-        other.write_snapshot({"state": 1})
+        other.write_snapshot(_state(1))
         assert not other.is_empty()
 
     def test_fresh_flag(self, tmp_path):

@@ -28,8 +28,8 @@ plain-Python pairs the writer's block member lists spawn
 pass a test names so that its two passes can be held against each other, and
 the deterministic frozen model of the online suites (:class:`FixedLogistic`,
 :func:`make_frozen_model`, :func:`reference_retained`) — defined here, under
-one importable module path, because session snapshots pickle the classifier
-by that path.
+one importable module path, which is the row of the snapshot's model-class
+registry (``repro.ml.state.MODEL_CLASSES``) the test suite adds for it.
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ from repro.core.pruning import VALIDITY_THRESHOLD, BlockTotals, cep_budget, cnp_
 from repro.datamodel import CandidateSet, EntityCollection
 from repro.incremental import FrozenModel, MutableBlockIndex
 from repro.incremental.sharded import shard_of_signature
+from repro.ml.state import MODEL_CLASSES, RestorableClass
+from repro.persistence.snapshot import compacted_from_state, row_signatures
 from repro.utils.pqueue import BoundedTopQueue
 from repro.utils.text import STOP_WORDS
 from repro.utils.timing import StageTimer
@@ -319,11 +321,18 @@ class FixedLogistic:
     """
 
     def __init__(self, n_features: int) -> None:
+        self.n_features = n_features
         self._weights = np.linspace(-1.0, 1.0, n_features)
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         z = np.clip(features @ self._weights, -30.0, 30.0)
         return np.round(1.0 / (1.0 + np.exp(-z)), 9)
+
+
+# sessions of the online suites checkpoint and recover this model
+MODEL_CLASSES.setdefault(
+    "FixedLogistic", RestorableClass(__name__, ("n_features",), ("_weights",))
+)
 
 
 def make_frozen_model(feature_set: Sequence[str] = RCNP_FEATURE_SET) -> FrozenModel:
@@ -350,24 +359,21 @@ def reference_adopted_index(state, shard: int, num_shards: int) -> MutableBlockI
 
     The body ``ShardReplica._adopt_state`` ran before it loaded maximal
     same-side runs in bulk: every slot in id order, live ones through
-    ``_apply_insert`` with their signatures shard-filtered, dead ones through
-    ``_register_tombstone``.
+    ``_apply_insert`` with their signatures shard-filtered one by one, dead
+    ones through ``_register_tombstone``.
     """
-    index_state = state["index"]
-    slots = state["slots"]
+    index_state = compacted_from_state(state["index"])
+    rows = row_signatures(index_state)
     index = MutableBlockIndex(bilateral=bool(index_state["bilateral"]))
-    entry_of_node = {}
-    for side in sorted(index_state["sides"]):
-        for node, (entity_id, signatures) in zip(
-            slots["nodes"][side], index_state["sides"][side]
-        ):
-            entry_of_node[int(node)] = (entity_id, int(side), signatures)
-    for node in range(int(slots["num_slots"])):
-        entry = entry_of_node.get(node)
-        if entry is None:
+    # the live rows are the slots of each side in slot order
+    next_row = {0: 0, 1: int(index_state["side_counts"][0])}
+    for side in state["slots"].tolist():
+        if side < 0:
             index._register_tombstone()
             continue
-        entity_id, side, signatures = entry
+        row = next_row[side]
+        next_row[side] += 1
+        entity_id, signatures = index_state["entity_ids"][row], rows[row]
         index._apply_insert(
             entity_id,
             side,

@@ -31,7 +31,7 @@ from reference import make_frozen_model, reference_retained
 from repro.datamodel import make_profile
 from repro.incremental import MatchingSession
 from repro.persistence.log import LOG_MAGIC, WriteAheadLog
-from repro.persistence.snapshot import STATE_FORMAT
+from repro.persistence import SNAPSHOT_FORMAT
 from repro.serve.router import build_pinned_view, match_answer
 from repro.serve.workers import ShardReplica, WalFollowError
 
@@ -234,7 +234,7 @@ class TestAdoptionUnit:
         readable = session.checkpoint()
         offset = session.wal.log_offset
         state = session.wal.load_snapshot(readable)
-        session.wal.write_snapshot(dict(state, format=STATE_FORMAT + 1))
+        session.wal.write_snapshot(dict(state, format=SNAPSHOT_FORMAT + 1))
         try:
             replica = ShardReplica(tmp_path, 0, 1)
             replica.catch_up(offset)

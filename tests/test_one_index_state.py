@@ -20,9 +20,6 @@ from test_import_layering import ROOT, _imports, _parse
 WIRE_NAMES = {name for name, _ in FULL_ARRAYS}
 FIELDS = {field for _, field in FULL_ARRAYS}
 SCHEMA = "incremental/state.py"
-#: homonym: a snapshot's ``"sides"`` key holds the live entities per *side*
-#: (an on-disk format older than the wire schema), not the ``sides`` array
-SNAPSHOT_SIDES_KEY = {"persistence/snapshot.py", "serve/workers.py"}
 
 
 def _modules(*packages):
@@ -63,7 +60,6 @@ def test_each_wire_name_is_spelled_out_in_one_module():
         for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Constant) and node.value in spelled:
                 spelled[node.value].add(str(path.relative_to(ROOT)))
-    spelled["sides"] -= SNAPSHOT_SIDES_KEY
     assert spelled == {name: {SCHEMA} for name in WIRE_NAMES}
 
 
