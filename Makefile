@@ -6,6 +6,10 @@
 #                            encode oracles, batch features, the pruning kernels vs their
 #                            queue oracle, the online answer's budgets/read path, the
 #                            feature-major layout / row-wise score / label-search guards,
+#                            sharding: K shard replicas of an index's log, merged, vs
+#                            the index itself under churn and after adopting a
+#                            checkpoint of it compacted, and the guard that the
+#                            in-process sharded index and its snapshot branch stay gone;
 #                            the one index state: IndexStatistics one-vs-many, the
 #                            delta-maintained state vs the worker's live index, the
 #                            guards against a second schema / private reach-ins, and
@@ -87,7 +91,8 @@ test-equivalence:
 		tests/test_lazy_exports.py tests/incremental/test_bulk_adoption_property.py \
 		tests/test_no_backend_selector.py tests/test_cli.py tests/persistence/test_session_wal.py \
 		tests/incremental/test_session_compaction.py tests/incremental/test_pair_probabilities.py \
-		tests/persistence/test_snapshot_container.py tests/test_no_pickle.py
+		tests/persistence/test_snapshot_container.py tests/test_no_pickle.py \
+		tests/incremental/test_sharded_index.py tests/test_no_sharded_index.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q

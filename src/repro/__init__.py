@@ -34,7 +34,7 @@ True
 
 from ._exports import lazy_exports
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 #: public name -> the submodule that defines it (see repro._exports)
 _EXPORTS = {
@@ -64,7 +64,6 @@ _EXPORTS = {
     "PAPER_FEATURES": "weights",
     "QGramsBlocking": "blocking",
     "RCNP_FEATURE_SET": "weights",
-    "ShardedMutableBlockIndex": "incremental",
     "StandardBlocking": "blocking",
     "SuffixArraysBlocking": "blocking",
     "SupervisedBLAST": "core",

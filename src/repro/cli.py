@@ -303,8 +303,6 @@ def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
     if args.snapshot_every is not None and args.snapshot_every < 1:
         parser.error("--snapshot-every must be at least 1")
-    if args.shards < 1:
-        parser.error("--shards must be at least 1")
     model = None
     if not args.recover:
         from .datasets.benchmarks import load_benchmark
@@ -493,6 +491,14 @@ def _run_trace(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
+def positive_int(text: str) -> int:
+    """An argparse ``type``: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -628,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
         "on stdout as a JSON line)",
     )
     serve_parser.add_argument(
-        "--shards", type=int, default=2,
+        "--shards", type=positive_int, default=2,
         help="shard worker processes serving reads (signature-sharded "
         "replicas of the WAL)",
     )

@@ -14,8 +14,10 @@ batch-trained classifier serves online match decisions.
   per-entity inserts, removals (:meth:`MutableBlockIndex.remove_entity`),
   in-place updates and one-pass bulk loads
   (:meth:`MutableBlockIndex.add_entities_bulk`);
-* :class:`MergedIndexView` / :class:`ShardedMutableBlockIndex` — K
-  signature shards read as one index, and the same with mutation routing;
+* :class:`MergedIndexView` — K signature shards read as one index: the
+  states of the serving daemon's shard replicas, each following the
+  write-ahead log with its signatures filtered by
+  :func:`~repro.incremental.sharded.shard_of_signature`;
 * :class:`DeltaFeatureGenerator` — weighting-scheme feature vectors for the
   candidate delta of an insert, reusing the vectorized weighting kernels;
 * :class:`MatchingSession` — the online facade: frozen classifier, per-insert
@@ -48,7 +50,6 @@ _EXPORTS = {
     "RemovalResult": "session",
     "RetractionDelta": "index",
     "SessionResult": "session",
-    "ShardedMutableBlockIndex": "sharded",
     "StaleSessionError": "session",
     "UnknownEntityError": "index",
     "UpdateDelta": "index",

@@ -417,7 +417,7 @@ class MutableBlockIndex(IndexState):
         self, entity_id: str, side: int, signatures: Sequence[str]
     ) -> InsertDelta:
         """Insert with pre-extracted distinct signatures (the WAL replay and
-        sharded-routing entry point; arguments must already be validated)."""
+        shard-replica entry point; arguments must already be validated)."""
         self.epoch += 1
         node = self._register_entity(entity_id, side)
 

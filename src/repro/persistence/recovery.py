@@ -13,9 +13,8 @@ The driver:
    another state format (:func:`check_state_format`), a format-1 pickle
    before any byte of it is unpickled — and *adopts* the compacted index
    state it holds (:func:`build_index_from_state`: arrays in, exact recounts,
-   the dictionaries rebuilt; a sharded index rebuilds its shards from the key
-   table and CSR); without one, the log's ``meta`` record (format checked the
-   same way) names the index to replay into;
+   the dictionaries rebuilt); without one, the log's ``meta`` record (format
+   checked the same way) names the index to replay into;
 2. scans the log from the snapshot's embedded offset to its last complete
    record (:meth:`WriteAheadLog.scan`): the tail it replays, not the history
    the snapshot vouches for;
@@ -52,7 +51,7 @@ from .snapshot import (
 
 
 def apply_logged_record(index, record: Dict[str, Any]) -> None:
-    """Apply one logical WAL record to an index (plain or sharded).
+    """Apply one logical WAL record to a :class:`MutableBlockIndex`.
 
     Insert-type records carry the signatures extracted when the operation
     was first performed; replay feeds them to the index's ``_apply_*``
@@ -98,7 +97,7 @@ def recover_index(
     resume: bool = False,
     sync: str = "always",
 ):
-    """Recover a :class:`MutableBlockIndex`/:class:`ShardedMutableBlockIndex`.
+    """Recover a :class:`MutableBlockIndex`.
 
     Parameters
     ----------

@@ -11,11 +11,6 @@ neither re-encodes a signature nor expands a pair.  So the recovered index's
 canonical view — and its answer — equals the writer's, and its raw node ids
 are the canonical ids.
 
-A sharded index's aggregates are shard-local, so its snapshot keeps the key
-table and the CSR alone and recovery rebuilds the shards through their bulk
-path, hashing each block key once (:func:`key_shards`) — as shard replicas do
-with any snapshot.
-
 Per-pair session state (insert-time probabilities, online top-K membership)
 is stored keyed by *canonical packed pair key* — independent of raw node ids
 — so on the recovered index those keys are the raw keys the session keeps
@@ -35,7 +30,7 @@ import numpy as np
 from ..core.pruning import PRUNING_ALGORITHMS, get_pruning_algorithm
 from ..incremental.index import MutableBlockIndex, compacted_rows
 from ..incremental.session import ONLINE_POLICIES
-from ..incremental.sharded import ShardedMutableBlockIndex, shard_of_signature
+from ..incremental.sharded import shard_of_signature
 from ..ml.state import export_model
 from ..pairs import MAX_NODE_ID, pack_pair_keys
 from .container import SNAPSHOT_FORMAT, pack_strings, unpack_strings
@@ -107,39 +102,14 @@ def online_policy_class(name: str):
 
 # -- the index section ---------------------------------------------------------------
 
-def _merged_compacted(shards) -> Dict[str, Any]:
-    """The shards' compacted states as one key table and CSR (shard-major
-    block ids, so each row lists its blocks shard by shard)."""
-    parts = [shard.compacted_state() for shard in shards]
-    rows, blocks, keys = [], [], []
-    for part in parts:
-        counts = np.diff(part["csr_indptr"])
-        rows.append(np.repeat(np.arange(counts.size, dtype=np.int64), counts))
-        blocks.append(part["csr_indices"] + len(keys))
-        keys.extend(part["block_keys"])
-    rows, blocks = np.concatenate(rows), np.concatenate(blocks)
-    num_nodes = len(parts[0]["entity_ids"])
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
-    return {
-        "entity_ids": parts[0]["entity_ids"],
-        "side_counts": parts[0]["side_counts"],
-        "block_keys": keys,
-        "csr_indptr": indptr,
-        "csr_indices": blocks[np.argsort(rows, kind="stable")],
-    }
-
-
 def dump_index_state(index) -> Dict[str, Any]:
     """The index section of a snapshot: topology plus the compacted state,
     entity ids and block keys as string tables."""
-    sharded = isinstance(index, ShardedMutableBlockIndex)
-    state = _merged_compacted(index.shards) if sharded else index.compacted_state()
+    state = index.compacted_state()
     state.update(
-        kind="sharded" if sharded else "index",
+        kind="index",
         bilateral=index.bilateral,
         name=index.name,
-        num_shards=index.num_shards if sharded else None,
         blocking=export_blocking(index.blocking),
         entity_ids=pack_strings(state["entity_ids"]),
         block_keys=pack_strings(state["block_keys"]),
@@ -147,7 +117,7 @@ def dump_index_state(index) -> Dict[str, Any]:
     return state
 
 
-def dump_slot_layout(index) -> Optional[np.ndarray]:
+def dump_slot_layout(index) -> np.ndarray:
     """The raw node-slot layout of a :class:`MutableBlockIndex`: the side of
     every slot, -1 for a tombstone.
 
@@ -155,11 +125,7 @@ def dump_slot_layout(index) -> Optional[np.ndarray]:
     says which raw node id each occupies (within a side, rows keep the
     slots' order) — enough for a shard replica to rebuild the **same node
     space** as the writer, tombstones included (see ``ShardReplica``).
-    Sharded indexes have no single raw node space to dump; they return
-    ``None`` (replicas never adopt from them).
     """
-    if isinstance(index, ShardedMutableBlockIndex):
-        return None
     return index.sides().copy()
 
 
@@ -208,50 +174,25 @@ def construct_index(state: Dict[str, Any], blocking=None):
     """An empty index matching a state/meta dict's topology.
 
     ``state`` may be a snapshot's ``"index"`` section or a WAL meta record;
-    both carry ``kind``/``bilateral``/``num_shards``.  ``blocking``
-    overrides the stored method (meta records never store one — the default
-    token blocking is used).
+    both carry ``kind``/``bilateral``, and ``kind`` must be ``"index"``.
+    ``blocking`` overrides the stored method (meta records never store one —
+    the default token blocking is used).
     """
-    if blocking is None and state.get("blocking") is not None:
-        blocking = restore_blocking(state["blocking"])
-    name = state.get("name") or "stream"
-    if state["kind"] == "sharded":
-        return ShardedMutableBlockIndex(
-            blocking=blocking,
-            bilateral=state["bilateral"],
-            num_shards=int(state["num_shards"]),
-            name=name,
-        )
     if state["kind"] != "index":
         raise ValueError(f"unknown index kind {state['kind']!r} in WAL state")
+    if blocking is None and state.get("blocking") is not None:
+        blocking = restore_blocking(state["blocking"])
     return MutableBlockIndex(
-        blocking=blocking, bilateral=state["bilateral"], name=name
+        blocking=blocking, bilateral=state["bilateral"], name=state.get("name") or "stream"
     )
 
 
 def build_index_from_state(state: Dict[str, Any], blocking=None):
-    """The index a snapshot's index section holds.
-
-    A plain index adopts the compacted arrays; a sharded one rebuilds its
-    shards by bulk-loading each side's rows (side 0 first), every row's
-    signatures split by the key table's shards.  Either way raw node ids
-    equal the canonical ids.
-    """
+    """The index a snapshot's index section holds: a
+    :class:`MutableBlockIndex` that adopted the compacted arrays, so its raw
+    node ids equal the canonical ids."""
     index = construct_index(state, blocking=blocking)
-    compacted = compacted_from_state(state)
-    if isinstance(index, MutableBlockIndex):
-        index.adopt_compacted(compacted)
-        return index
-    shards = key_shards(compacted["block_keys"], index.num_shards)
-    per_shard = [row_signatures(compacted, shards == shard) for shard in range(index.num_shards)]
-    entity_ids = compacted["entity_ids"]
-    first = int(compacted["side_counts"][0])
-    for side, rows in ((0, slice(0, first)), (1, slice(first, len(entity_ids)))):
-        if rows.stop > rows.start:
-            index._apply_bulk_split(
-                [list(zip(entity_ids[rows], signatures[rows])) for signatures in per_shard],
-                side,
-            )
+    index.adopt_compacted(compacted_from_state(state))
     return index
 
 

@@ -141,6 +141,9 @@ class MatchingDaemon:
         slow_request_ms: Optional[float] = None,
         tracing: bool = True,
     ) -> None:
+        # refused before the session writes its log, snapshot or checkpoint
+        if num_shards < 1:
+            raise ValueError("num_shards must be at least 1")
         # the event sink is configured before the session is built, so WAL
         # recovery/snapshot events land in this daemon's log; an explicit
         # ``None`` falls back to ``REPRO_EVENT_LOG``, and configuring also

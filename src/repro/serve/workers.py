@@ -3,9 +3,8 @@
 Each worker owns one *signature shard* of the daemon's index: a
 :class:`ShardReplica` holds a :class:`~repro.incremental.MutableBlockIndex`
 restricted to the signatures that hash to its shard
-(:func:`repro.incremental.sharded.shard_of_signature`, the routing
-:class:`~repro.incremental.ShardedMutableBlockIndex` uses), and
-keeps it current by tailing the daemon's write-ahead log directly with a
+(:func:`repro.incremental.sharded.shard_of_signature`), and keeps it current
+by tailing the daemon's write-ahead log directly with a
 :class:`WalRecordFollower`.  The WAL **is** the replication transport: the
 daemon appends (and flushes) every mutation before publishing its offset,
 so a worker told to catch up to an offset can always read exactly the bytes

@@ -6,7 +6,8 @@ nodes (:meth:`IndexStatistics.live_candidates`).  The per-block member lists
 are a writer-only structure of :class:`MutableBlockIndex` — which makes the
 pairs they spawn the independent oracle here.  After every prefix of a random
 add / bulk / remove / update script (with a compaction thrown in), for
-unilateral and bilateral indexes over one, two and three shards:
+unilateral and bilateral indexes and for one, two and three shard replicas of
+their logs, merged:
 
 (i)   the derived set equals, as a set of raw-id pairs, the plain-Python union
       of the pairs the shards' member lists spawn, and counts ``num_pairs``
@@ -34,21 +35,15 @@ from repro import pairs
 from repro.blocking import prepare_blocks
 from repro.core.pruning import PRUNING_ALGORITHMS
 from repro.datamodel import EntityCollection, make_profile
-from repro.incremental import (
-    IndexState,
-    MatchingSession,
-    MergedIndexView,
-    MutableBlockIndex,
-    ShardedMutableBlockIndex,
-)
+from repro.incremental import IndexState, MatchingSession, MergedIndexView
 from repro.incremental.state import merged_csr
 from repro.serve.router import match_answer
 from repro.weights import sparse
 from repro.weights.sparse import PairCooccurrence, compute_pair_cooccurrence
 
-from reference import forced_cooccurrence_pass as forced, member_pairs
+from reference import forced_cooccurrence_pass as forced, member_pairs, merged_replicas
 from test_session_property import _batch_retained_ids, _frozen_model
-from test_sharded_index import apply_script, churn_scripts, pairs_of
+from test_sharded_index import JournaledIndex, apply_script, churn_scripts, pairs_of
 
 
 def _live_collections(steps, bilateral):
@@ -144,21 +139,21 @@ def test_derived_candidates_equal_the_member_pairs_after_every_prefix(
     data, bilateral, num_shards, compact_after
 ):
     steps = data.draw(churn_scripts(bilateral))
-    single = MutableBlockIndex(bilateral=bilateral)
-    sharded = ShardedMutableBlockIndex(bilateral=bilateral, num_shards=num_shards)
-    for done, step in enumerate(steps, start=1):
-        for index in (single, sharded):
-            apply_script(index, [step])
+    with JournaledIndex(bilateral) as journaled:
+        single = journaled.index
+        for done, step in enumerate(steps, start=1):
+            apply_script(single, [step])
             if done == compact_after:
-                index.compact()
-        assert len(single.candidate_set()) == single.num_pairs
-        # one node space: the unsharded index's maintained degrees serve both
-        checks = (steps[:done], bilateral, single._degrees.view())
-        _assert_derived_equals_member_pairs(single, [single], *checks)
-        _assert_derived_equals_member_pairs(sharded, sharded.shards, *checks)
-        ours, theirs = sharded.candidate_set(), single.candidate_set()
-        assert np.array_equal(ours.left, theirs.left)
-        assert np.array_equal(ours.right, theirs.right)
+                journaled.compact()
+            sharded = journaled.merged(num_shards)
+            assert len(single.candidate_set()) == single.num_pairs
+            # one node space: the unsharded index's maintained degrees serve both
+            checks = (steps[:done], bilateral, single._degrees.view())
+            _assert_derived_equals_member_pairs(single, [single], *checks)
+            _assert_derived_equals_member_pairs(sharded, sharded.shards, *checks)
+            ours, theirs = sharded.candidate_set(), single.candidate_set()
+            assert np.array_equal(ours.left, theirs.left)
+            assert np.array_equal(ours.right, theirs.right)
 
 
 def _empty(derived):
@@ -169,39 +164,45 @@ def _empty(derived):
 @pytest.mark.parametrize("num_shards", (1, 2))
 def test_the_edges_derive_nothing_and_recover(bilateral, num_shards):
     other = 1 if bilateral else 0
-    index = ShardedMutableBlockIndex(bilateral=bilateral, num_shards=num_shards)
-    assert _empty(index.candidate_set())  # empty index
+    with JournaledIndex(bilateral) as journaled:
+        writer = journaled.index
+        index = journaled.merged(num_shards)
+        assert _empty(index.candidate_set())  # empty index
 
-    # one side empty (bilateral): a block with a single side emits nothing
-    index.add_entity(make_profile("x0", t="alpha beta"), side=0)
-    index.add_entity(make_profile("x1", t="alpha"), side=0)
-    assert len(index.candidate_set()) == (0 if bilateral else 1)
+        # one side empty (bilateral): a block with a single side emits nothing
+        writer.add_entity(make_profile("x0", t="alpha beta"), side=0)
+        writer.add_entity(make_profile("x1", t="alpha"), side=0)
+        index = journaled.merged(num_shards)
+        assert len(index.candidate_set()) == (0 if bilateral else 1)
 
-    index.add_entity(make_profile("y0", t="alpha beta"), side=other)
-    assert pairs_of(index.candidate_set()) == member_pairs(index.shards)
-    assert len(index.candidate_set()) == (2 if bilateral else 3)
+        writer.add_entity(make_profile("y0", t="alpha beta"), side=other)
+        index = journaled.merged(num_shards)
+        assert pairs_of(index.candidate_set()) == member_pairs(index.shards)
+        assert len(index.candidate_set()) == (2 if bilateral else 3)
 
-    # a block emptied ...
-    for entity_id, side in (("x0", 0), ("y0", other)):
-        index.remove_entity(entity_id, side=side)
-    assert _empty(index.candidate_set())
-    # ... and re-joined: the stale rows of x0 / y0 still list it
-    index.add_entity(make_profile("y1", t="beta"), side=other)
-    index.add_entity(make_profile("x2", t="beta"), side=0)
-    derived = index.candidate_set()
-    assert pairs_of(derived) == member_pairs(index.shards) == {(3, 4)}
-    assert derived.id_pairs(np.ones(1, dtype=bool), index.entity_id) == [
-        ("x2", "y1") if bilateral else ("y1", "x2")
-    ]
+        # a block emptied ...
+        for entity_id, side in (("x0", 0), ("y0", other)):
+            writer.remove_entity(entity_id, side=side)
+        assert _empty(journaled.merged(num_shards).candidate_set())
+        # ... and re-joined: the stale rows of x0 / y0 still list it
+        writer.add_entity(make_profile("y1", t="beta"), side=other)
+        writer.add_entity(make_profile("x2", t="beta"), side=0)
+        index = journaled.merged(num_shards)
+        derived = index.candidate_set()
+        assert pairs_of(derived) == member_pairs(index.shards) == {(3, 4)}
+        assert derived.id_pairs(np.ones(1, dtype=bool), index.entity_id) == [
+            ("x2", "y1") if bilateral else ("y1", "x2")
+        ]
 
-    # every entity removed: rows and blocks stay behind, no pair does
-    for entity_id, side in (("x1", 0), ("y1", other), ("x2", 0)):
-        index.remove_entity(entity_id, side=side)
-    assert index.num_entities == 0 and index.num_slots == 5 and index.num_blocks == 2
-    assert _empty(index.candidate_set())
-    statistics = index.statistics()
-    assert np.array_equal(statistics.local_candidate_counts_sparse(), np.zeros(5))
-    assert statistics.counterparts(4).size == 0
+        # every entity removed: rows and blocks stay behind, no pair does
+        for entity_id, side in (("x1", 0), ("y1", other), ("x2", 0)):
+            writer.remove_entity(entity_id, side=side)
+        index = journaled.merged(num_shards)
+        assert index.num_entities == 0 and index.num_slots == 5 and index.num_blocks == 2
+        assert _empty(index.candidate_set())
+        statistics = index.statistics()
+        assert np.array_equal(statistics.local_candidate_counts_sparse(), np.zeros(5))
+        assert statistics.counterparts(4).size == 0
 
 
 def _shipped(index):
@@ -215,7 +216,7 @@ def _shipped(index):
 
 
 @pytest.mark.parametrize("pruning", sorted(PRUNING_ALGORITHMS))
-def test_a_refused_key_falls_back_to_the_pairs_alone(pruning):
+def test_a_refused_key_falls_back_to_the_pairs_alone(tmp_path, pruning):
     """One bit short of ``(rank, rank, block id)``: the derivation hands on the
     pairs without aggregates, the kernel computes them pair-major, and
     ``retained()`` / ``match`` still equal the batch oracle."""
@@ -227,15 +228,19 @@ def test_a_refused_key_falls_back_to_the_pairs_alone(pruning):
     second = EntityCollection(
         [make_profile(f"b{i}", text=text) for i, text in enumerate(reversed(texts))], name="b"
     )
-    session = MatchingSession(model, bilateral=True, pruning=pruning)
-    sharded = ShardedMutableBlockIndex(bilateral=True, num_shards=2)
-    for index in (session.index, sharded):
-        for profile in first:
-            index.add_entity(profile, side=0)
-        for profile in second:
-            index.add_entity(profile, side=1)
-        # a stale row and a dead block: liveness must not come from a stored pair list
-        index.remove_entity("a5", side=0)
+    session = MatchingSession(model, bilateral=True, pruning=pruning, wal_path=tmp_path)
+    index = session.index
+    for profile in first:
+        index.add_entity(profile, side=0)
+    for profile in second:
+        index.add_entity(profile, side=1)
+    # a stale row and a dead block: liveness must not come from a stored pair list
+    index.remove_entity("a5", side=0)
+    sharded, replicas = merged_replicas(session.wal, index, 2)
+    # caught up, the replicas' indexes need neither their log nor the writer's
+    for replica in replicas:
+        replica.close()
+    session.close()
     live_first = EntityCollection(list(first)[:-1], name="a")
 
     prepared = prepare_blocks(live_first, second, apply_purging=False, apply_filtering=False)

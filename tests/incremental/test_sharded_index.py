@@ -1,22 +1,30 @@
-"""Equivalence tests for :class:`ShardedMutableBlockIndex` and ``compact()``.
+"""Equivalence tests for signature sharding and ``compact()``.
 
-A signature-sharded index fed any interleaving of add/remove/update/bulk
-must expose the same aggregate contract as the unsharded
-:class:`MutableBlockIndex` on the same stream: identical node numbering,
-identical distinct-pair sets, matching per-entity/global aggregates and
-co-occurrence aggregates.  ``compact()`` must bound memory (no tombstoned
-slots, no retracted registry positions) while leaving the canonical view
-untouched.
+K shard replicas following the log of a :class:`MutableBlockIndex` fed any
+interleaving of add/remove/update/bulk — the construction the serving fleet
+runs — read through a :class:`~repro.incremental.MergedIndexView`, must
+expose the same aggregate contract as the index itself: identical node
+numbering, identical distinct-pair sets, matching per-entity/global
+aggregates and co-occurrence aggregates.  ``compact()`` must bound memory (no
+tombstoned slots, no retracted registry positions) while leaving the
+canonical view untouched, and replicas adopting a checkpoint of the compacted
+index keep its canonical pairs.
 """
+
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference import merged_replicas
 from repro.datamodel import make_profile
-from repro.incremental import MutableBlockIndex, ShardedMutableBlockIndex
+from repro.incremental import MutableBlockIndex
 from repro.incremental.sharded import shard_of_signature, stable_hash
+from repro.persistence import WriteAheadLog, write_index_snapshot
 
 WORDS = (
     "apple", "samsung", "phone", "smartphone", "mate", "fold", "x",
@@ -85,6 +93,40 @@ def apply_script(index, steps):
             index.update_entity(make_profile(entity_id, t=" ".join(tokens)), side=side)
 
 
+class JournaledIndex:
+    """A plain index journaling to a log in a fresh temporary directory, read
+    back through shard replicas of that log; the replicas, the log and the
+    directory go on exit."""
+
+    def __init__(self, bilateral=False):
+        self.directory = Path(tempfile.mkdtemp())
+        self.wal = WriteAheadLog(self.directory, sync="batch")
+        self.index = MutableBlockIndex(bilateral=bilateral)
+        self.index.attach_wal(self.wal)
+        self.replicas = []
+
+    def merged(self, num_shards):
+        """K fresh replicas caught up to the log's end, merged."""
+        view, replicas = merged_replicas(self.wal, self.index, num_shards)
+        self.replicas += replicas
+        return view
+
+    def compact(self):
+        """Compact the index and checkpoint it: a fresh replica adopts the
+        compacted node space rather than replay the log's older one."""
+        self.index.compact()
+        write_index_snapshot(self.index, self.wal)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        for replica in self.replicas:
+            replica.close()
+        self.wal.close()
+        shutil.rmtree(self.directory, ignore_errors=True)
+
+
 def pairs_of(candidates):
     return set(zip(candidates.left.tolist(), candidates.right.tolist()))
 
@@ -133,7 +175,8 @@ def assert_same_contract(single, sharded):
     }
     snap_sharded = {
         (b.key, tuple(b.entities_first), tuple(b.entities_second))
-        for b in sharded.snapshot_blocks()
+        for shard in sharded.shards
+        for b in shard.snapshot_blocks()
     }
     assert snap_single == snap_sharded
 
@@ -142,18 +185,20 @@ def assert_same_contract(single, sharded):
 @given(data=st.data(), bilateral=st.booleans(), num_shards=st.sampled_from((2, 3)))
 def test_sharded_matches_unsharded_under_churn(data, bilateral, num_shards):
     steps = data.draw(churn_scripts(bilateral))
-    single = MutableBlockIndex(bilateral=bilateral)
-    sharded = ShardedMutableBlockIndex(bilateral=bilateral, num_shards=num_shards)
-    apply_script(single, steps)
-    apply_script(sharded, steps)
-    assert_same_contract(single, sharded)
+    with JournaledIndex(bilateral) as journaled:
+        single = journaled.index
+        apply_script(single, steps)
+        assert_same_contract(single, journaled.merged(num_shards))
 
-    # compacting the shards must not change the canonical contract
-    sharded.compact()
-    assert sharded.num_slots == sharded.num_entities
-    assert pairs_of(
-        sharded.candidate_set().canonical
-    ) == pairs_of(single.candidate_set().canonical)
+        # replicas adopting a checkpoint of the compacted index keep its
+        # canonical pairs
+        canonical = pairs_of(single.candidate_set().canonical)
+        journaled.compact()
+        adopted = journaled.merged(num_shards)
+        replicas = journaled.replicas[-num_shards:]
+        assert all(replica.adopted_sequence is not None for replica in replicas)
+        assert adopted.num_slots == adopted.num_entities
+        assert pairs_of(adopted.candidate_set().canonical) == canonical
 
 
 def test_stable_hash_is_process_independent():
@@ -169,25 +214,19 @@ def test_shard_assignment_is_a_pure_function_of_the_signature():
         assert all(0 <= owner < num_shards for owner in owners)
 
 
-@pytest.mark.parametrize("num_shards", [0, -1])
-def test_num_shards_must_be_positive(num_shards):
-    with pytest.raises(ValueError, match="num_shards must be at least 1"):
-        ShardedMutableBlockIndex(num_shards=num_shards)
-
-
 def test_bulk_load_matches_per_entity_inserts():
-    """Bulk-load tokenization and routing is identical to one insert at a time."""
+    """A logged bulk load reaches the replicas as one insert at a time does."""
     profiles = [
         make_profile(f"e{i}", t=" ".join(WORDS[i % len(WORDS)] for _ in range(3)))
         for i in range(20)
     ]
-    one_by_one = ShardedMutableBlockIndex(num_shards=2)
-    for profile in profiles:
-        one_by_one.add_entity(profile)
-    bulk = ShardedMutableBlockIndex(num_shards=2)
-    bulk.add_entities_bulk(profiles)
-    assert pair_set(one_by_one) == pair_set(bulk)
-    assert one_by_one.num_blocks == bulk.num_blocks
+    with JournaledIndex() as one_by_one, JournaledIndex() as bulk:
+        for profile in profiles:
+            one_by_one.index.add_entity(profile)
+        bulk.index.add_entities_bulk(profiles)
+        merged_one_by_one, merged_bulk = one_by_one.merged(2), bulk.merged(2)
+        assert pair_set(merged_one_by_one) == pair_set(merged_bulk)
+        assert merged_one_by_one.num_blocks == merged_bulk.num_blocks
 
 
 class TestCompactChurn:

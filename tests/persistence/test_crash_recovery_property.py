@@ -1,10 +1,9 @@
 """Property test: crash recovery is exact at every possible crash point.
 
 Hypothesis generates random churn scripts (inserts, bulk loads, removals,
-in-place updates), runs them against a WAL-attached index — plain and
-sharded — and then simulates a crash at **every** log record boundary and
-at offsets tearing a record in half.  Recovery from each truncated copy
-must yield an index whose canonical view (canonical candidate pairs,
+in-place updates), runs them against a WAL-attached index and then simulates
+a crash at **every** log record boundary and at offsets tearing a record in
+half.  Recovery from each truncated copy must yield an index whose canonical view (canonical candidate pairs,
 snapshot blocks, per-entity aggregates) equals a fresh index that applied
 exactly the operations whose records fully survived — the
 replay-to-last-complete-record guarantee, with and without a mid-sequence
@@ -21,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.datamodel import make_profile
-from repro.incremental import MutableBlockIndex, ShardedMutableBlockIndex
+from repro.incremental import MutableBlockIndex
 from repro.persistence import (
     LOG_MAGIC,
     WriteAheadLog,
@@ -219,20 +218,6 @@ def test_plain_index_recovers_at_every_crash_point(data, bilateral, with_snapsho
     )
     run_crash_sweep(
         lambda: MutableBlockIndex(bilateral=bilateral), steps, snapshot_after
-    )
-
-
-@SLOW_SETTINGS
-@given(data=st.data(), bilateral=st.booleans(), with_snapshot=st.booleans())
-def test_sharded_index_recovers_at_every_crash_point(data, bilateral, with_snapshot):
-    steps = data.draw(churn_scripts(bilateral))
-    snapshot_after = (
-        data.draw(st.integers(0, len(steps) - 1)) if with_snapshot else None
-    )
-    run_crash_sweep(
-        lambda: ShardedMutableBlockIndex(bilateral=bilateral, num_shards=3),
-        steps,
-        snapshot_after,
     )
 
 

@@ -10,19 +10,16 @@ with the uninterrupted session.
 import ast
 import shutil
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import repro.incremental.session
+import repro.persistence.snapshot
 from reference import make_frozen_model
 from repro.datamodel import make_profile
-from repro.incremental import (
-    FrozenModel,
-    MatchingSession,
-    MutableBlockIndex,
-    ShardedMutableBlockIndex,
-)
+from repro.incremental import FrozenModel, MatchingSession, MutableBlockIndex
 from repro.persistence import (
     LOG_MAGIC,
     META_FORMAT,
@@ -33,7 +30,7 @@ from repro.persistence import (
     encode_record,
     recover_index,
 )
-from repro.persistence.snapshot import joined_pair_keys
+from repro.persistence.snapshot import joined_pair_keys, snapshot_state
 from repro.serve.workers import ShardReplica
 
 FEATURE_SET = ("CBS", "JS", "RS")
@@ -282,11 +279,10 @@ def _bump_meta_format(directory):
     return len(data)
 
 
-@pytest.mark.parametrize("sharded", [False, True], ids=["index", "sharded"])
-def test_a_log_meta_record_in_another_state_format_is_refused_by_name(tmp_path, sharded):
+def test_a_log_meta_record_in_another_state_format_is_refused_by_name(tmp_path):
     """With no snapshot, the log's ``meta`` record names the index to replay
     into; its ``"format"`` is read as a snapshot's is."""
-    index = ShardedMutableBlockIndex(num_shards=2) if sharded else MutableBlockIndex()
+    index = MutableBlockIndex()
     wal = WriteAheadLog(tmp_path / "wal")
     index.attach_wal(wal)
     index.add_entities(_profiles(4, "a"))
@@ -299,6 +295,44 @@ def test_a_log_meta_record_in_another_state_format_is_refused_by_name(tmp_path, 
         match=f"the log meta record holds state format {META_FORMAT + 1}; "
         f"this version reads format {META_FORMAT} only",
     ):
+        recover_index(tmp_path / "wal")
+
+
+@pytest.mark.parametrize("where", ["log meta record", "snapshot"])
+def test_a_sharded_topology_is_refused_by_name(tmp_path, where):
+    """A directory the removed signature-sharded index wrote — its ``meta``
+    record or its snapshot's index section says ``"kind": "sharded"`` — is
+    refused by that name before any index is built."""
+    wal = WriteAheadLog(tmp_path / "wal")
+    if where == "log meta record":
+        with wal:
+            wal.append_record(
+                {
+                    "op": "meta",
+                    "format": META_FORMAT,
+                    "kind": "sharded",
+                    "bilateral": False,
+                    "num_shards": 2,
+                    "name": "sharded-stream",
+                }
+            )
+            wal.append_record({"op": "add", "id": "a0", "side": 0, "sig": ["tok0"], "shards": [1]})
+    else:
+        index = MutableBlockIndex()
+        index.attach_wal(wal)
+        index.add_entities(_profiles(4, "a"))
+        state = snapshot_state(index, wal.log_offset)
+        state["index"].update(kind="sharded", num_shards=2)
+        state["slots"] = None
+        wal.write_snapshot(state)
+        wal.close()
+
+    refusing = mock.patch.object(
+        repro.persistence.snapshot,
+        "MutableBlockIndex",
+        side_effect=AssertionError("an index was built"),
+    )
+    with refusing, pytest.raises(ValueError, match="unknown index kind 'sharded'"):
         recover_index(tmp_path / "wal")
 
 
@@ -340,8 +374,8 @@ def test_the_meta_records_written_by_the_indexes_carry_the_state_format():
     """``incremental`` writes the meta record's format as a literal: it cannot
     import :data:`META_FORMAT`, because ``persistence`` imports it."""
     root = Path(repro.incremental.session.__file__).parent
-    for name in ("index.py", "sharded.py"):
-        assert _written_meta_formats(root / name) == [META_FORMAT], name
+    assert _written_meta_formats(root / "index.py") == [META_FORMAT]
+    assert _written_meta_formats(root / "sharded.py") == []
     for path in sorted(root.glob("*.py")):
         module_level = [
             statement

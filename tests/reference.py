@@ -23,7 +23,9 @@ feature-major passes replaced bit for bit.  And checkpoint adoption's: the
 slot-by-slot ``_apply_insert`` rebuild ``ShardReplica._adopt_state`` replaced
 with run-wise bulk loads.  And the pair set no index stores any more: the
 plain-Python pairs the writer's block member lists spawn
-(:func:`member_pairs`).  Two devices ride along:
+(:func:`member_pairs`).  And sharding's: K shard replicas following one
+index's log, merged (:func:`merged_replicas`) — the construction the serving
+fleet runs, held against the unsharded index.  Two devices ride along:
 :func:`forced_cooccurrence_pass`, which makes the co-occurrence kernel take the
 pass a test names so that its two passes can be held against each other, and
 the deterministic frozen model of the online suites (:class:`FixedLogistic`,
@@ -55,10 +57,11 @@ from repro.blocking import (
 from repro.core.features import FeatureMatrix, FeatureVectorGenerator
 from repro.core.pruning import VALIDITY_THRESHOLD, BlockTotals, cep_budget, cnp_budget
 from repro.datamodel import CandidateSet, EntityCollection
-from repro.incremental import FrozenModel, MutableBlockIndex
+from repro.incremental import FrozenModel, MergedIndexView, MutableBlockIndex
 from repro.incremental.sharded import shard_of_signature
 from repro.ml.state import MODEL_CLASSES, RestorableClass
 from repro.persistence.snapshot import compacted_from_state, row_signatures
+from repro.serve.workers import ShardReplica
 from repro.utils.pqueue import BoundedTopQueue
 from repro.utils.text import STOP_WORDS
 from repro.utils.timing import StageTimer
@@ -400,3 +403,18 @@ def member_pairs(shards) -> set:
             )
             pairs.update((min(a, b), max(a, b)) for a, b in spawned)
     return pairs
+
+
+def merged_replicas(wal, authority, num_shards: int) -> Tuple[MergedIndexView, List[ShardReplica]]:
+    """``num_shards`` shard replicas of the log ``wal`` — which ``authority``
+    journals to — caught up to its end, read as one index.
+
+    Fresh replicas adopt the newest checkpoint in the log's directory (or
+    replay from the ``meta`` record) and the tail behind it, as a serving
+    worker does.  Returns the merged view, entity ids resolved by the
+    authority, and the replicas, which the caller closes.
+    """
+    replicas = [ShardReplica(wal.path, shard, num_shards) for shard in range(num_shards)]
+    for replica in replicas:
+        replica.catch_up(wal.log_offset)
+    return MergedIndexView([replica.index for replica in replicas], authority.entity_id), replicas

@@ -3,9 +3,9 @@
 The exact online answer hands the pruning algorithm two maintained integers
 (:meth:`MutableBlockIndex.block_totals`) instead of a materialised block
 collection.  For random add / remove / update / bulk-load / ``compact()``
-sequences — unilateral and bilateral, unsharded and 1-3 shards — plus a
-WAL-recovered session and a checkpoint-adopting serving view, after every
-operation:
+sequences — unilateral and bilateral, the index itself and 1-3 shard
+replicas of its log, merged — plus a WAL-recovered session and a
+checkpoint-adopting serving view, after every operation:
 
 * the O(1) totals equal ``snapshot_blocks().total_block_assignments()`` and
   ``snapshot_blocks().index_space.total``;
@@ -15,21 +15,20 @@ operation:
   every exact read ran before the totals existed.
 """
 
+import tempfile
+from itertools import chain
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import make_frozen_model
+from reference import make_frozen_model, merged_replicas
 from repro.core.pruning import BlockTotals, get_pruning_algorithm
 from repro.datamodel import make_profile
-from repro.incremental import (
-    DeltaFeatureGenerator,
-    MatchingSession,
-    MutableBlockIndex,
-    ShardedMutableBlockIndex,
-)
+from repro.incremental import DeltaFeatureGenerator, MatchingSession, MutableBlockIndex
 from repro.incremental.session import exact_answer
+from repro.persistence import WriteAheadLog, write_index_snapshot
 from repro.serve.router import build_pinned_view
 from repro.serve.workers import ShardReplica
 
@@ -56,7 +55,8 @@ def _operations():
 
 
 def _apply(index, operations, bilateral):
-    """Apply a generated op sequence to a raw index; yield after each op."""
+    """Apply a generated op sequence to a raw index; yield each op's kind
+    after it."""
     live = ([], [])
     serial = 0
     for operation in operations:
@@ -85,7 +85,7 @@ def _apply(index, operations, bilateral):
         else:  # update
             entity_id = live[side][operation[2] % len(live[side])]
             index.update_entity(make_profile(entity_id, text=operation[3]), side=side)
-        yield
+        yield kind
 
 
 def _assert_totals_and_masks(index, snapshot=None):
@@ -119,13 +119,28 @@ def _assert_totals_and_masks(index, snapshot=None):
 def test_totals_and_masks_equal_the_materialised_snapshot(
     operations, bilateral, num_shards
 ):
+    index = MutableBlockIndex(bilateral=bilateral)
     if num_shards is None:
-        index = MutableBlockIndex(bilateral=bilateral)
-    else:
-        index = ShardedMutableBlockIndex(bilateral=bilateral, num_shards=num_shards)
-    _assert_totals_and_masks(index)
-    for _ in _apply(index, operations, bilateral):
         _assert_totals_and_masks(index)
+        for _ in _apply(index, operations, bilateral):
+            _assert_totals_and_masks(index)
+        return
+    with tempfile.TemporaryDirectory() as directory:
+        wal = WriteAheadLog(directory, sync="batch")
+        index.attach_wal(wal)
+        try:
+            for kind in chain([None], _apply(index, operations, bilateral)):
+                if kind == "compact":
+                    # fresh replicas adopt the compacted node space
+                    write_index_snapshot(index, wal)
+                view, replicas = merged_replicas(wal, index, num_shards)
+                for replica in replicas:
+                    replica.close()
+                # the view holds no member lists: the index's materialised
+                # collection is the reference
+                _assert_totals_and_masks(view, snapshot=index.snapshot_blocks())
+        finally:
+            wal.close()
 
 
 def _churned_session(path):

@@ -204,6 +204,14 @@ class TestErrorPaths:
             assert excinfo.value.error_type == "unknown_entity"
 
 
+@pytest.mark.parametrize("num_shards", [0, -1])
+def test_num_shards_must_be_positive(tmp_path, frozen_model, num_shards):
+    """A refused shard count leaves no log and no snapshot behind."""
+    with pytest.raises(ValueError, match="num_shards must be at least 1"):
+        MatchingDaemon(tmp_path / "wal", frozen_model, num_shards=num_shards)
+    assert not (tmp_path / "wal").exists()
+
+
 class TestSnapshotConsistency:
     def test_concurrent_reads_pin_exact_offsets(self, served, tmp_path):
         """Queries racing a writer must each equal the canonical state at

@@ -4,9 +4,9 @@
   and ``top_k`` — constructs a :class:`repro.datamodel.Block`, for any
   pruning algorithm: the budgets of the cardinality-based ones come from the
   maintained block totals, not from a materialised collection.
-* The candidate set a ``ShardedMutableBlockIndex`` derives from its merged
-  CSR is exactly the sorted plain-Python set union of the pairs the shards'
-  block member lists spawn, including a pair alive in two shards at once and a shard
+* The candidate set the merged shard replicas of an index's log derive from
+  their merged CSR is exactly the sorted plain-Python set union of the pairs
+  the replicas' block member lists spawn, including a pair alive in two shards at once and a shard
   with no live pair at all (the Hypothesis form, after every prefix of a churn
   script, is ``tests/incremental/test_derived_candidates.py``).
 * ``top_k`` scores a node's handful of pairs, ``match`` every live pair: with
@@ -18,19 +18,20 @@
 import numpy as np
 import pytest
 
-from reference import make_frozen_model, member_pairs
+from reference import make_frozen_model, member_pairs, merged_replicas
 from repro.core.pruning import PRUNING_ALGORITHMS, get_pruning_algorithm
 from repro.datamodel import Block, make_profile
 from repro.datasets import load_benchmark
 from repro.incremental import (
     DeltaFeatureGenerator,
     MatchingSession,
-    ShardedMutableBlockIndex,
+    MutableBlockIndex,
     interleave_profiles,
     train_frozen_model,
 )
 from repro.incremental.session import exact_answer
 from repro.incremental.sharded import shard_of_signature
+from repro.persistence import WriteAheadLog
 from repro.serve.router import build_pinned_view, match_answer, top_k_answer
 from repro.serve.workers import ShardReplica
 
@@ -137,19 +138,25 @@ def _tokens_per_shard(num_shards, per_shard=2):
     return found
 
 
-def test_derived_pairs_equal_the_python_set_union_of_the_member_pairs():
+def test_derived_pairs_equal_the_python_set_union_of_the_member_pairs(tmp_path):
     tokens = _tokens_per_shard(3)
-    index = ShardedMutableBlockIndex(num_shards=3)
+    writer = MutableBlockIndex()
+    wal = WriteAheadLog(tmp_path)
+    writer.attach_wal(wal)
     # e0/e1 co-occur under a shard-0 token *and* a shard-1 token; e2 joins
     # them through shard 0 only; e3/e4 pair up in shard 1 and e4 then leaves
     # (a tombstoned registry position, a stale CSR row); shard 2 never spawns
     # a pair
-    index.add_entity(make_profile("e0", text=f"{tokens[0][0]} {tokens[1][0]}"))
-    index.add_entity(make_profile("e1", text=f"{tokens[0][0]} {tokens[1][0]}"))
-    index.add_entity(make_profile("e2", text=f"{tokens[0][0]} {tokens[2][0]}"))
-    index.add_entity(make_profile("e3", text=tokens[1][1]))
-    index.add_entity(make_profile("e4", text=f"{tokens[1][1]} {tokens[2][1]}"))
-    index.remove_entity("e4")
+    writer.add_entity(make_profile("e0", text=f"{tokens[0][0]} {tokens[1][0]}"))
+    writer.add_entity(make_profile("e1", text=f"{tokens[0][0]} {tokens[1][0]}"))
+    writer.add_entity(make_profile("e2", text=f"{tokens[0][0]} {tokens[2][0]}"))
+    writer.add_entity(make_profile("e3", text=tokens[1][1]))
+    writer.add_entity(make_profile("e4", text=f"{tokens[1][1]} {tokens[2][1]}"))
+    writer.remove_entity("e4")
+    index, replicas = merged_replicas(wal, writer, 3)
+    for replica in replicas:
+        replica.close()
+    wal.close()
 
     per_shard = [member_pairs([shard]) for shard in index.shards]
     assert per_shard[0] & per_shard[1], "no pair is alive in two shards"

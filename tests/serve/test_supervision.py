@@ -208,13 +208,14 @@ class TestSupervisorRespawns:
 
 class TestDeadlinesAndBackpressure:
     def _occupy_mutator(self, daemon, monkeypatch, hold=1.2):
-        """First insert holds the mutation thread for ``hold`` seconds."""
+        """First insert holds the mutation thread for ``hold`` seconds; returns
+        once it does."""
         original = daemon.session.insert
-        held = []
+        holding = threading.Event()
 
         def slow_insert(profile, side=0):
-            if not held:
-                held.append(True)
+            if not holding.is_set():
+                holding.set()
                 time.sleep(hold)
             return original(profile, side=side)
 
@@ -226,7 +227,7 @@ class TestDeadlinesAndBackpressure:
 
         thread = threading.Thread(target=occupier)
         thread.start()
-        time.sleep(0.2)  # the slow insert is now holding the mutation thread
+        assert holding.wait(30), "the slow insert never reached the mutation thread"
         return thread
 
     def test_full_mutation_queue_sheds_with_typed_error(

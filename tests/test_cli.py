@@ -63,6 +63,13 @@ class TestServeOptions:
         assert parser.parse_args(["serve", "--wal", "unused"]).shards == 2
         assert parser.parse_args(["serve", "--wal", "unused", "--shards", "4"]).shards == 4
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_argparse_refuses_a_shard_count_below_one(self, capsys, value):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--wal", "unused", "--shards", value])
+        assert excinfo.value.code == 2
+        assert f"argument --shards: must be at least 1, got {value}" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flag,value",
         [("--shards", "0"), ("--shards", "-3"), ("--shards", "many"), ("--snapshot-every", "0")],

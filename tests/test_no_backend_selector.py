@@ -35,7 +35,6 @@ from repro.experiments.common import (
 from repro.experiments.feature_runtime import FeatureRuntimeRow
 from repro.incremental.index import MutableBlockIndex
 from repro.incremental.session import MatchingSession
-from repro.incremental.sharded import ShardedMutableBlockIndex
 from repro.incremental.stream import train_frozen_model
 from repro.metablocking import build_blocking_graph
 from repro.persistence.recovery import recover_index
@@ -77,7 +76,6 @@ def test_entry_point_takes_no_selector(entry_point):
         GeneralizedSupervisedMetaBlocking.run,
         GeneralizedSupervisedMetaBlocking.run_on_collections,
         MatchingDaemon,
-        ShardedMutableBlockIndex,
         construct_index,
         build_index_from_state,
         recover_index,
