@@ -31,11 +31,18 @@
 #                            compaction and recovery, a foreign top-K key refused;
 #                            the snapshot container: what it stores, torn / flipped /
 #                            hostile files decoding to nothing, a format-1 pickle
-#                            refused unread, and no pickle under persistence/ or serve/)
+#                            refused unread, and no pickle under persistence/ or serve/;
+#                            the paper's question online: Block Filtering free of block
+#                            numbering in all three implementations, and streamed /
+#                            merged / recovered / served answers under a model trained
+#                            on purged + filtered blocks vs prepare_blocks' defaults,
+#                            beside the raw-blocks parametrisation, both churn goldens)
 #   make test-fast         - tier-1 suite without the perf smoke tests, then tests/serve,
 #                            tests/faults and tests/persistence in one invocation (the
 #                            fixture model they pickle must not depend on collection order)
 #   make bench-smoke       - quick feature-runtime bench
+#   make bench-paper       - the paper-figure / table / ablation benches in their fast
+#                            configuration: the paper's findings as assertions
 #   make bench-stream      - incremental streaming vs batch recompute bench
 #   make bench-churn       - dynamic churn bench (delete latency, bulk loads)
 #   make bench-blocking    - block-preparation bench (per-stage seconds)
@@ -69,7 +76,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: loc test test-equivalence test-fast test-chaos bench-smoke bench-stream bench-churn bench-blocking bench-wal bench-serve bench-delta bench-faults bench-obs bench-ledger bench-ledger-quick bench-ab profile-answer serve-budget start-budget bench
+.PHONY: loc test test-equivalence test-fast test-chaos bench-smoke bench-paper bench-stream bench-churn bench-blocking bench-wal bench-serve bench-delta bench-faults bench-obs bench-ledger bench-ledger-quick bench-ab profile-answer serve-budget start-budget bench
 
 test:
 	$(PYTEST) -x -q
@@ -92,7 +99,10 @@ test-equivalence:
 		tests/test_no_backend_selector.py tests/test_cli.py tests/persistence/test_session_wal.py \
 		tests/incremental/test_session_compaction.py tests/incremental/test_pair_probabilities.py \
 		tests/persistence/test_snapshot_container.py tests/test_no_pickle.py \
-		tests/incremental/test_sharded_index.py tests/test_no_sharded_index.py
+		tests/incremental/test_sharded_index.py tests/test_no_sharded_index.py \
+		tests/blocking/test_filtering_numbering.py tests/incremental/test_cleaned_answer.py \
+		tests/incremental/test_session_property.py tests/incremental/test_churn_property.py \
+		tests/incremental/test_golden_churn.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q
@@ -100,6 +110,10 @@ test-fast:
 
 bench-smoke:
 	$(PYTEST) -q benchmarks/bench_fig7_fig9_feature_runtime.py
+
+bench-paper:
+	$(PYTEST) -q benchmarks/bench_fig*.py benchmarks/bench_table*.py \
+		benchmarks/bench_ablations.py --benchmark-disable
 
 bench-stream:
 	$(PYTEST) -q benchmarks/bench_incremental_vs_batch.py

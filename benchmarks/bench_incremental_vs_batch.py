@@ -40,7 +40,9 @@ PRUNING = "BLAST"
 
 
 def _batch_recompute_seconds(profiles_with_sides, model):
-    """Time one full batch pass (blocking -> features -> score -> prune)."""
+    """Time one full batch pass (blocking -> purging -> filtering -> features
+    -> score -> prune): ``prepare_blocks``' defaults, the paper's pipeline the
+    frozen model was trained on and the session's exact answer runs."""
     first = EntityCollection(
         [profile for profile, side in profiles_with_sides if side == 0], name="ck-1"
     )
@@ -48,7 +50,7 @@ def _batch_recompute_seconds(profiles_with_sides, model):
         [profile for profile, side in profiles_with_sides if side == 1], name="ck-2"
     )
     started = time.perf_counter()
-    prepared = prepare_blocks(first, second, apply_purging=False, apply_filtering=False)
+    prepared = prepare_blocks(first, second)
     stats = BlockStatistics(prepared.blocks)
     matrix = FeatureVectorGenerator(model.feature_set).generate(
         prepared.candidates, stats

@@ -34,7 +34,7 @@ True
 
 from ._exports import lazy_exports
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 #: public name -> the submodule that defines it (see repro._exports)
 _EXPORTS = {

@@ -4,8 +4,11 @@ from .._exports import lazy_exports
 
 #: public name -> the submodule that defines it (see repro._exports)
 _EXPORTS = {
+    "BlockCleaning": "cleaning",
     "BlockingMethod": "base",
     "MembershipMatrix": "arrayops",
+    "NO_CLEANING": "cleaning",
+    "PAPER_CLEANING": "cleaning",
     "PreparedBlocks": "candidate_extraction",
     "QGramsBlocking": "qgrams",
     "StandardBlocking": "standard_blocking",

@@ -15,12 +15,13 @@ signature index, per-:class:`Block` loops or Python set of pair tuples:
   membership arrays — a block x entity CSR — via packed-key sorted dedup,
   with no per-signature dict; a method's ``max_block_size`` cut-off is one
   mask over the block sizes;
-* Block Purging and Block Filtering are pure array passes over those
-  memberships (per-block sizes/cardinalities with ``np.bincount``).  Block
-  Filtering sorts once: the blocks are ranked by (cardinality, block id),
-  the memberships ordered per entity by one ``argsort`` of the packed
-  ``(node, block rank)`` key, and the keep decision scattered back onto the
-  memberships, which already are in (block, node) order;
+* Block Purging and Block Filtering are the membership-level kernel of
+  :mod:`repro.blocking.cleaning`, which the streamed answer runs too
+  (per-block sizes/cardinalities with ``np.bincount``).  Block Filtering
+  sorts once: the blocks are ranked by (cardinality, member-set key) —
+  never by block id — the memberships ordered per entity by one ``argsort``
+  of the packed ``(node, block rank)`` key, and the keep decision scattered
+  back onto the memberships, which already are in (block, node) order;
 * the comparisons are expanded **once** (:mod:`repro.pairs`) and reduced
   by one sort: the run boundaries are the distinct candidate pairs, the
   run sums their co-occurrence aggregates (:func:`reduce_candidates`) —
@@ -52,16 +53,21 @@ from ..datamodel.block import Block, BlockCollection
 from ..datamodel.candidates import CandidateSet
 from ..datamodel.entity import EntityCollection, EntityIndexSpace
 from ..utils.timing import StageTimer
-from ..pairs import key_field_bits, pair_expansion_plan, sorted_unique
+from ..pairs import key_field_bits, sorted_unique
 from ..weights.sparse import (
     EntityBlockCSR,
     PairCooccurrence,
     entity_block_csr_from_memberships,
     inverse_block_weights,
-    pair_major_cooccurrence,
-    reduce_memberships,
+    reduce_blocks,
 )
 from .base import BlockingMethod
+from .cleaning import (
+    block_cardinalities,
+    check_filtering_ratio,
+    filter_mask,
+    purge_mask,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..weights.statistics import BlockStatistics
@@ -117,12 +123,9 @@ class MembershipMatrix:
         pairs over the first side), mirroring ``Block.is_bilateral`` — Block
         Filtering can strand clean-clean blocks in that state.
         """
-        sizes = self.block_sizes()
-        if not self.index_space.is_clean_clean:
-            return sizes * (sizes - 1) // 2
-        first = self.first_side_sizes()
-        second = sizes - first
-        return np.where(second > 0, first * second, first * (first - 1) // 2)
+        return block_cardinalities(
+            self.block_sizes(), self.first_side_sizes(), self.index_space.is_clean_clean
+        )
 
     def build_block_objects(self) -> List[Block]:
         """Build the equivalent list of object-based :class:`Block` items."""
@@ -323,47 +326,29 @@ def purge_matrix(
     matrix: MembershipMatrix, max_entity_fraction: float = 0.5
 ) -> MembershipMatrix:
     """Block Purging as an array pass (see :func:`purge_oversized_blocks`)."""
-    if not 0.0 < max_entity_fraction <= 1.0:
-        raise ValueError("max_entity_fraction must be in (0, 1]")
-    limit = max_entity_fraction * matrix.index_space.total
-    keep_block = matrix.block_sizes() <= limit
+    keep_block = purge_mask(matrix.block_sizes(), matrix.index_space.total, max_entity_fraction)
     return _select_blocks(matrix, keep_block, f"{matrix.name}|purged")
 
 
 def filter_matrix(matrix: MembershipMatrix, ratio: float = 0.8) -> MembershipMatrix:
     """Block Filtering as an array pass (see :func:`filter_blocks`).
 
-    Every entity keeps its ``ceil(ratio * k)`` smallest blocks (ties broken
-    by block id); blocks left without a comparison are dropped.
+    Every entity keeps its ``ceil(ratio * k)`` smallest blocks, ranked by
+    (cardinality, member-set key) — :func:`repro.blocking.cleaning.filter_mask`,
+    the kernel the streamed answer runs; blocks left without a comparison
+    are dropped.
     """
-    if not 0.0 < ratio <= 1.0:
-        raise ValueError("ratio must be in (0, 1]")
+    check_filtering_ratio(ratio)
     if matrix.num_blocks == 0:
         return matrix
-
-    # blocks ranked by (cardinality, block id): one stable sort over the blocks
-    block_rank = np.empty(matrix.num_blocks, dtype=np.int64)
-    block_rank[np.argsort(matrix.block_cardinalities(), kind="stable")] = np.arange(
-        matrix.num_blocks, dtype=np.int64
+    keep = filter_mask(
+        matrix.nodes,
+        matrix.block_of,
+        matrix.block_sizes(),
+        matrix.block_cardinalities(),
+        matrix.index_space.total,
+        ratio,
     )
-    # memberships ordered per entity by block rank: one sort of the packed key
-    total = matrix.index_space.total
-    bits = key_field_bits(total, matrix.num_blocks)
-    if bits is None:
-        raise OverflowError(
-            f"(node, block rank) keys over {total} x {matrix.num_blocks} do not fit an int64"
-        )
-    order = np.argsort((matrix.nodes << bits[1]) | block_rank[matrix.block_of])
-    sorted_nodes = matrix.nodes[order]
-    counts = np.bincount(matrix.nodes, minlength=total)
-    starts = np.zeros(counts.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    rank = np.arange(sorted_nodes.size, dtype=np.int64) - starts[sorted_nodes]
-    keep_counts = np.maximum(1, np.ceil(ratio * counts)).astype(np.int64)
-    # scattered back: the survivors are read off in (block, node) order
-    keep = np.empty(sorted_nodes.size, dtype=bool)
-    keep[order] = rank < keep_counts[sorted_nodes]
-
     interim = _matrix_from_sorted(
         list(matrix.keys),
         matrix.block_of[keep],
@@ -379,14 +364,11 @@ def reduce_candidates(
 ) -> Tuple[CandidateSet, Optional[PairCooccurrence]]:
     """The distinct candidate pairs of ``matrix`` *and* their aggregates.
 
-    One expansion (:func:`repro.pairs.pair_expansion_plan`) serves both:
-    :func:`repro.weights.sparse.reduce_memberships` — the reduction the
-    streaming answer runs over its live rows — yields the distinct pairs,
-    sorted by (left, right), with their co-occurrence aggregates, or the
-    pairs alone when the key does not fit (the answer phase then computes the
-    aggregates).  Stranded blocks put same-side pairs among the candidates of
-    a clean-clean collection; those share cross blocks the expansion never
-    lists for them, so they are patched by row intersection.
+    One expansion serves both: :func:`repro.weights.sparse.reduce_blocks` —
+    the reduction the streamed answer runs over its cleaned live rows —
+    yields the distinct pairs, sorted by (left, right), with their
+    co-occurrence aggregates, or the pairs alone when the key does not fit
+    (the answer phase then computes the aggregates).
     """
     index_space = matrix.index_space
     sizes = matrix.block_sizes()
@@ -394,16 +376,17 @@ def reduce_candidates(
         inverse_block_weights(matrix.block_cardinalities()),
         inverse_block_weights(sizes),
     )
-    plan = pair_expansion_plan(matrix.block_of, sizes, matrix.first_side_sizes())
-    left, right, aggregates = reduce_memberships(
-        matrix.nodes, matrix.block_of, plan, index_space.total, weights, DEFAULT_PAIR_CHUNK_KEYS
+    left, right, aggregates = reduce_blocks(
+        matrix.nodes,
+        matrix.block_of,
+        sizes,
+        matrix.first_side_sizes(),
+        index_space.total,
+        index_space.size_first if index_space.is_clean_clean else None,
+        weights,
+        lambda: csr,
+        DEFAULT_PAIR_CHUNK_KEYS,
     )
-    if aggregates is not None and index_space.is_clean_clean:
-        same_side = right < index_space.size_first
-        if same_side.any():
-            patch = pair_major_cooccurrence(csr, *weights, left[same_side], right[same_side])
-            for out, values in zip(aggregates, patch):
-                out[same_side] = values
     return CandidateSet(left, right, index_space), aggregates
 
 

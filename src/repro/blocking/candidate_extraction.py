@@ -43,6 +43,7 @@ from .arrayops import (
     reduce_candidates,
 )
 from .base import BlockingMethod
+from .cleaning import PAPER_CLEANING
 from .token_blocking import TokenBlocking
 
 
@@ -55,8 +56,8 @@ def prepare_blocks(
     first: EntityCollection,
     second: Optional[EntityCollection] = None,
     blocking: Optional[BlockingMethod] = None,
-    purging_fraction: float = 0.5,
-    filtering_ratio: float = 0.8,
+    purging_fraction: float = PAPER_CLEANING.purging_fraction,
+    filtering_ratio: float = PAPER_CLEANING.filtering_ratio,
     apply_purging: bool = True,
     apply_filtering: bool = True,
     timer: Optional[StageTimer] = None,

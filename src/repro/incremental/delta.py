@@ -13,23 +13,25 @@ implementations are reused unchanged: ``index.statistics()`` is an
 
 A delta names its pairs and :func:`repro.weights.sparse.compute_pair_cooccurrence`
 intersects their rows — work proportional to the memberships of the entities
-involved, not to the collection; the exact answer is every live pair, so
-``generate_all`` derives pairs and aggregates together from the CSR in one
-reduce pass, as block preparation does.
+involved, not to the collection; the exact answer is every live pair of the
+collection read under the model's block cleaning, so ``generate_all``
+cleans the live CSR and derives pairs and aggregates together in one reduce
+pass, as block preparation does.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..blocking.cleaning import NO_CLEANING, BlockCleaning
 from ..core.features import FeatureMatrix, FeatureVectorGenerator
 from ..datamodel.candidates import CandidateSet
 from ..obs.trace import hook_span
 from ..weights.registry import BLAST_FEATURE_SET
 from .index import InsertDelta, MutableBlockIndex
-from .state import LiveCandidates
+from .state import IndexStatistics, LiveCandidates
 
 
 class DeltaFeatureGenerator:
@@ -62,13 +64,18 @@ class DeltaFeatureGenerator:
         """Column labels of the matrices this generator produces."""
         return self._generator.columns
 
-    def generate(self, candidates: CandidateSet) -> FeatureMatrix:
+    def generate(
+        self, candidates: CandidateSet, statistics: Optional[IndexStatistics] = None
+    ) -> FeatureMatrix:
         """Feature matrix of ``candidates`` at the index's current state.
 
-        A fresh statistics view is taken per call, so the matrix always
-        reflects the block collection as of the latest insert.
+        A fresh statistics view is taken per call unless one is handed in,
+        so the matrix always reflects the block collection as of the latest
+        insert.
         """
-        matrix = self._generator.generate(candidates, self.index.statistics())
+        if statistics is None:
+            statistics = self.index.statistics()
+        matrix = self._generator.generate(candidates, statistics)
         self._orient_entity_columns(matrix, candidates)
         return matrix
 
@@ -101,17 +108,20 @@ class DeltaFeatureGenerator:
         """Feature matrix of the pairs introduced by one insert."""
         return self.generate(self.index.delta_candidate_set(delta))
 
-    def generate_all(self) -> Tuple[LiveCandidates, FeatureMatrix]:
-        """Every *live* pair and its features (the exact finalisation).
+    def generate_all(
+        self, cleaning: BlockCleaning = NO_CLEANING
+    ) -> Tuple[LiveCandidates, FeatureMatrix, IndexStatistics]:
+        """Every *live* pair of the collection read under ``cleaning``, its
+        features and the statistics they were computed from (the exact
+        finalisation).
 
         Pairs and co-occurrence aggregates are derived together from the CSR
         rows of the live nodes (a removed entity's row is skipped by its side
-        flag), in the batch pipeline's candidate order.
+        flag), cleaned, in the batch pipeline's candidate order.
         """
         with hook_span("merge-pairs"):
-            statistics = self.index.statistics()
+            statistics = self.index.statistics(cleaning)
             candidates = statistics.live_candidates()
         with hook_span("features"):
-            matrix = self._generator.generate(candidates, statistics)
-            self._orient_entity_columns(matrix, candidates)
-        return candidates, matrix
+            matrix = self.generate(candidates, statistics)
+        return candidates, matrix, statistics

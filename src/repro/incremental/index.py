@@ -35,11 +35,15 @@ are excluded from ``|B|``, ``|B_i|`` and the inverse sums (they do not exist
 in a batch collection after ``without_empty_blocks``), so a
 :class:`MutableBlockIndex` fed any interleaving of inserts, removals,
 updates and bulk loads ending in collection ``C`` exposes exactly the
-statistics :class:`repro.weights.BlockStatistics` computes on the batch
-block collection built from ``C``.  Block Purging / Block Filtering are
-*batch-only* cleaning steps (their thresholds are global functions of the
-final collection) and are intentionally not replayed here; equivalence is
-against ``prepare_blocks(..., apply_purging=False, apply_filtering=False)``.
+statistics :class:`repro.weights.BlockStatistics` computes on the *raw*
+batch block collection built from ``C``
+(``prepare_blocks(..., apply_purging=False, apply_filtering=False)``) —
+what the insert path scores deltas against.  Block Purging and Block
+Filtering are global functions of the live collection, so the index does
+not maintain them: an exact answer under the paper's cleaning applies them
+at read time (:class:`~repro.incremental.IndexStatistics` with a
+:class:`~repro.blocking.cleaning.BlockCleaning`, the kernel batch
+preparation runs), and equals ``prepare_blocks`` with its defaults.
 
 Node ids are assigned in arrival order and never reused: a removed entity's
 slot is tombstoned (its aggregates zeroed, its side -1, its CSR row left
@@ -1342,9 +1346,10 @@ class MutableBlockIndex(IndexState):
         """Materialise the comparison-spawning blocks as a batch collection.
 
         Node ids are the canonical batch ids (:meth:`canonical_node_ids`),
-        so the snapshot matches what the batch pipeline (with
-        purging/filtering disabled) builds from the live entities in arrival
-        order — up to block order, which no downstream consumer depends on.
+        so the snapshot matches the *raw* blocks the batch pipeline builds
+        from the live entities in arrival order (before Block Purging and
+        Block Filtering, which an exact answer applies at read time) — up to
+        block order, which no downstream consumer depends on.
         """
         canonical = self.canonical_node_ids()
         blocks = []

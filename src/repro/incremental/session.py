@@ -20,19 +20,32 @@ The online policies:
   :class:`repro.utils.pqueue.BoundedTopQueue`; retractions lazily delete the
   dead pairs from the queue.
 
-Streaming answers are necessarily provisional: scores are taken at insert
-time, while later mutations keep shifting the block statistics.  The exact
-answer is always available through :meth:`MatchingSession.retained`, which
-derives every live pair — in the canonical batch numbering and order, with
-its co-occurrence aggregates — from the maintained CSR in one reduce pass (no
-re-blocking, no stored pair list), evaluates it against the final
-statistics and applies the configured *batch* pruning algorithm, its budgets
-read off the index's maintained block totals.  Any interleaving of inserts,
-removals, updates and bulk loads ending in collection ``C`` therefore
-reproduces the batch pipeline's retained pairs on ``C`` — for every pruning
-algorithm, including the cardinality-based CEP/CNP/RCNP, whose probability
-ties are broken deterministically by packed candidate key on both sides.
-The equivalence tests in ``tests/incremental/`` assert this exactly.
+Two contracts, one per surface:
+
+* **insert time is approximate by design.**  ``insert`` / ``insert_bulk`` /
+  ``update`` score the *raw* candidate delta — every pair the new entity
+  shares a token with, before Block Purging and Block Filtering — against
+  the statistics of that moment, and the online policies admit on those
+  scores.  The session keeps each live raw pair's insert-time score
+  (:class:`PairProbabilities`) for the policies' retractions; a pair that
+  Block Filtering later drops and re-admits keeps its insert-time score
+  throughout, and the exact answer never reads it;
+* **the exact answer is the batch pipeline's.**
+  :meth:`MatchingSession.retained` reads the live collection under the block
+  cleaning the frozen model was trained on (:attr:`FrozenModel.cleaning`:
+  the paper's Block Purging 0.5 + Block Filtering 0.8 for a model from
+  :func:`~repro.incremental.train_frozen_model`, none for a hand-built one),
+  derives every pair of the cleaned collection — in the canonical batch
+  numbering and order, with its co-occurrence aggregates — from the CSR in
+  one reduce pass (no re-blocking, no stored pair list), evaluates it
+  against the cleaned statistics and applies the configured *batch* pruning
+  algorithm, its budgets read off the cleaned block totals.  Any
+  interleaving of inserts, removals, updates and bulk loads ending in
+  collection ``C`` therefore reproduces what ``prepare_blocks`` with that
+  cleaning plus the batch pipeline retain on ``C`` — for every pruning
+  algorithm, including the cardinality-based CEP/CNP/RCNP, whose probability
+  ties are broken deterministically by packed candidate key on both sides.
+  The equivalence tests in ``tests/incremental/`` assert this exactly.
 """
 
 from __future__ import annotations
@@ -56,27 +69,27 @@ from .state import LiveCandidates
 def exact_answer(
     features: DeltaFeatureGenerator, model: FrozenModel, pruning
 ) -> Tuple[LiveCandidates, np.ndarray, np.ndarray]:
-    """Derive → score → prune over every live pair of ``features.index``.
+    """Clean → derive → score → prune over every live pair of ``features.index``.
 
     The one exact read path, shared by :meth:`MatchingSession.retained` and
-    the serving layer's ``match``: the live pairs and their features derived
-    from the CSR (:meth:`DeltaFeatureGenerator.generate_all`), frozen-model
-    scoring, and the batch pruning algorithm over the pairs' canonical twin,
-    its budgets derived from the maintained :meth:`~MutableBlockIndex.block_totals`
-    — arrays only: no block collection is materialised, no stored pair read.
-    Returns the live candidates (raw node ids, batch candidate order), their
-    probabilities and the retained mask.
+    the serving layer's ``match``: the live collection read under the block
+    cleaning the model was trained on (:attr:`FrozenModel.cleaning`), its
+    pairs and their features derived from the cleaned CSR
+    (:meth:`DeltaFeatureGenerator.generate_all`), frozen-model scoring, and
+    the batch pruning algorithm over the pairs' canonical twin, its budgets
+    read off the cleaned collection's block totals — arrays only: no block
+    collection is materialised, no stored pair read.  Returns the live
+    candidates (raw node ids, batch candidate order), their probabilities and
+    the retained mask.
     """
-    candidates, matrix = features.generate_all()
+    candidates, matrix, statistics = features.generate_all(model.cleaning)
     with hook_span("score"):
         probabilities = model.score(matrix.values)
     with hook_span("prune"):
         if len(candidates) == 0:
             mask = np.zeros(0, dtype=bool)
         else:
-            mask = pruning.prune(
-                probabilities, candidates.canonical, features.index.block_totals()
-            )
+            mask = pruning.prune(probabilities, candidates.canonical, statistics.block_totals())
     return candidates, probabilities, mask
 
 
@@ -416,7 +429,8 @@ class BulkInsertResult:
 class SessionResult:
     """The exact (batch-equivalent) answer over all live streamed entities."""
 
-    #: every live candidate pair (raw node ids, batch candidate order)
+    #: every live candidate pair of the collection read under the model's
+    #: block cleaning (raw node ids, batch candidate order)
     candidates: LiveCandidates
     #: match probability of every pair under the final statistics
     probabilities: np.ndarray
@@ -812,13 +826,14 @@ class MatchingSession:
     def retained(self) -> SessionResult:
         """The exact answer on the live streamed collection.
 
-        Derives every live pair with its co-occurrence aggregates from the
-        maintained CSR (one vectorized reduce pass, in the canonical batch
-        numbering and order), evaluates the schemes against the final
-        statistics, scores with the frozen model and applies the configured
-        batch pruning algorithm (:func:`exact_answer`) — what the batch
-        pipeline retains on the same final collection, for every pruning
-        algorithm including CEP/CNP/RCNP.
+        Cleans the live blocks as the model's training blocks were cleaned,
+        derives every pair of the cleaned collection with its co-occurrence
+        aggregates from the CSR (one vectorized reduce pass, in the canonical
+        batch numbering and order), evaluates the schemes against the
+        cleaned statistics, scores with the frozen model and applies the
+        configured batch pruning algorithm (:func:`exact_answer`) — what the
+        batch pipeline retains on the same final collection, for every
+        pruning algorithm including CEP/CNP/RCNP.
         """
         self._check_generation()
         candidates, probabilities, mask = exact_answer(

@@ -33,6 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..blocking.cleaning import NO_CLEANING, BlockCleaning
 from ..core.pruning.base import BlockTotals
 from ..datamodel.entity import EntityIndexSpace
 from ..weights.sparse import EntityBlockCSR
@@ -138,7 +139,8 @@ class MergedIndexView:
         """The merged entity x block incidence structure."""
         return merged_csr(self.shards)[0]
 
-    def statistics(self) -> IndexStatistics:
-        """A fresh merged statistics view over the shards' current state."""
-        return IndexStatistics(self.shards)
+    def statistics(self, cleaning: BlockCleaning = NO_CLEANING) -> IndexStatistics:
+        """A fresh merged statistics view over the shards' current state,
+        read under ``cleaning``."""
+        return IndexStatistics(self.shards, cleaning)
 

@@ -46,6 +46,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..blocking.cleaning import NO_CLEANING, BlockCleaning, CleanedBlocks, clean_memberships
 from ..core.pruning.base import BlockTotals
 from ..datamodel.candidates import CandidateSet
 from ..datamodel.entity import EntityIndexSpace
@@ -54,7 +55,9 @@ from ..weights.sparse import (
     PairCooccurrence,
     PairCooccurrenceCache,
     entity_block_csr_from_memberships,
-    reduce_collection,
+    inverse_block_weights,
+    reduce_blocks,
+    transposed_memberships,
 )
 
 
@@ -222,83 +225,184 @@ class LiveCandidates(CandidateSet):
 
 
 class IndexStatistics:
-    """Read-only statistics over one :class:`IndexState` or several shards.
+    """Read-only statistics over one :class:`IndexState` or several shards,
+    under a :class:`~repro.blocking.cleaning.BlockCleaning`.
 
     The subset of :class:`repro.weights.BlockStatistics` the vectorized
-    scheme implementations consume.  Over one state every per-entity array is
-    that state's zero-copy view and LCP is the degree array a mutable index
-    maintains (a streamed insert reads O(delta), never O(slots)); over
-    several the aggregates are accumulated in shard order, the CSR is
-    concatenated on first use and LCP is the degree of the derived candidate
-    set (per-shard degrees cannot be summed: a pair co-occurring under two
-    shards' tokens would count twice).  Which of the two happens is decided
-    by ``len(states)``; nothing pair- or slot-sized is computed at
-    construction.  Obtain a fresh view per feature computation
-    (``statistics()``): the arrays are views into growable buffers.  They
-    cover every node slot ever assigned; tombstoned slots hold zeros and are
-    in no live candidate pair.
+    scheme implementations consume.
+
+    Without cleaning (the insert path's view, and the exact answer of a model
+    trained on raw blocks) they are the maintained aggregates: over one state
+    every per-entity array is that state's zero-copy view and LCP is the
+    degree array a mutable index maintains (a streamed insert reads
+    O(delta), never O(slots)); over several the aggregates are accumulated in
+    shard order and LCP is the degree of the derived candidate set (per-shard
+    degrees cannot be summed: a pair co-occurring under two shards' tokens
+    would count twice).  Nothing pair- or slot-sized is computed at
+    construction.
+
+    Under cleaning (the exact answer of a model trained on the paper's
+    pipeline) they are the statistics of the *cleaned* live collection:
+    construction runs :func:`~repro.blocking.cleaning.clean_memberships` over
+    the live rows in the canonical batch numbering, and every aggregate,
+    ``|B|``, ``||B||``, :meth:`block_totals` and LCP is read off the blocks it
+    leaves — what ``prepare_blocks`` with that cleaning hands the batch
+    pipeline.  The cleaned blocks are numbered by (cardinality, member-set
+    key), so every sum over them is added in the same order whatever the
+    shard count.
+
+    Obtain a fresh view per feature computation (``statistics()``): the
+    arrays are views into growable buffers.  They cover every node slot ever
+    assigned; tombstoned slots hold zeros and are in no live candidate pair.
     """
 
-    def __init__(self, states: Sequence["IndexState"]) -> None:
+    def __init__(
+        self, states: Sequence["IndexState"], cleaning: BlockCleaning = NO_CLEANING
+    ) -> None:
         self._states = states
+        self.cleaning = cleaning
         self._pair_cache = PairCooccurrenceCache()
-        #: ``|B|`` — blocks spawning at least one comparison
-        self.num_blocks = sum(state.num_nonempty_blocks for state in states)
-        #: ``||B||`` — the total number of comparisons
-        self.total_cardinality = float(sum(s.total_cardinality for s in states))
-        # blocks_per_entity, entity_cardinality, entity_inv_cardinality and
-        # entity_inv_size: blocks are disjoint across shards, so contributions
-        # add — in shard order, and one state's view is handed on as it is
-        for name, field in ENTITY_AGGREGATES:
-            views = [getattr(state, field).view() for state in states]
-            setattr(self, name, sum(views[1:], views[0]))
         self._degrees: Optional[np.ndarray] = None
         self._live: Optional[LiveCandidates] = None
+        state = states[0]
+        if cleaning.is_identity:
+            #: ``|B|`` — blocks spawning at least one comparison
+            self.num_blocks = sum(s.num_nonempty_blocks for s in states)
+            #: ``||B||`` — the total number of comparisons
+            self.total_cardinality = float(sum(s.total_cardinality for s in states))
+            # blocks_per_entity, entity_cardinality, entity_inv_cardinality and
+            # entity_inv_size: blocks are disjoint across shards, so contributions
+            # add — in shard order, and one state's view is handed on as it is
+            for name, field in ENTITY_AGGREGATES:
+                views = [getattr(s, field).view() for s in states]
+                setattr(self, name, sum(views[1:], views[0]))
+            self._totals = BlockTotals(
+                sum(s.total_block_assignments for s in states), state.index_space().total
+            )
+            return
+        active, _, blocks = self._read
+        nodes, slots = active[blocks.nodes], state.num_slots
+        per_block = (blocks.cardinalities.astype(np.float64), *self._inverse_weights(blocks))
+        # each node's terms in ascending (cleaned) block id: memberships are
+        # grouped by block
+        self.entity_cardinality, self.entity_inv_cardinality, self.entity_inv_size = (
+            np.bincount(nodes, weights=values[blocks.block_of], minlength=slots)
+            for values in per_block
+        )
+        self.blocks_per_entity = np.bincount(nodes, minlength=slots).astype(np.float64)
+        self.num_blocks = blocks.num_blocks
+        self.total_cardinality = float(blocks.cardinalities.sum())
+        self._totals = BlockTotals(int(nodes.size), active.size)
+
+    @staticmethod
+    def _inverse_weights(blocks: CleanedBlocks) -> Tuple[np.ndarray, np.ndarray]:
+        return (
+            inverse_block_weights(blocks.cardinalities),
+            inverse_block_weights(blocks.sizes),
+        )
+
+    @cached_property
+    def _read(self) -> Tuple[np.ndarray, int, CleanedBlocks]:
+        """``(active, n_first, blocks)``: the live nodes (canonical order) and
+        the blocks read under this view's cleaning, nodes as canonical ids."""
+        state = self._states[0]
+        sides = state.sides()
+        csr = merged_csr(self._states)[0]
+        active, n_first, nodes, block_of = transposed_memberships(csr, sides >= 0, sides == 1)
+        blocks = clean_memberships(
+            nodes,
+            block_of,
+            csr.num_blocks,
+            active.size,
+            n_first if state.bilateral else None,
+            self.cleaning,
+        )
+        return active, n_first, blocks
 
     @cached_property
     def _merged(self) -> Tuple[EntityBlockCSR, np.ndarray, np.ndarray]:
-        return merged_csr(self._states)
+        """The CSR (raw node ids) and inverse block weights of the collection
+        this view reads: the merged live index, or its cleaned blocks."""
+        if self.cleaning.is_identity:
+            return merged_csr(self._states)
+        active, _, blocks = self._read
+        csr = entity_block_csr_from_memberships(
+            active[blocks.nodes],
+            blocks.block_of,
+            self._states[0].num_slots,
+            blocks.num_blocks,
+            assume_unique=True,
+        )
+        return (csr, *self._inverse_weights(blocks))
+
+    def block_totals(self) -> BlockTotals:
+        """``Σ|b|`` and ``|E1|+|E2|`` of the collection read — what
+        cardinality-based pruning derives its budgets from."""
+        return self._totals
 
     def live_candidates(self) -> LiveCandidates:
         """Every live distinct candidate pair, derived on first use.
 
-        One reduce pass over the CSR rows of the live nodes yields the pairs
-        in batch numbering and order *and* their co-occurrence aggregates,
+        One reduce pass (:func:`repro.weights.sparse.reduce_blocks`, the one
+        block preparation runs) over the blocks read yields the pairs in
+        batch numbering and order *and* their co-occurrence aggregates,
         seeded into this view's cache for the schemes to find; a refused key
         yields the pairs alone and :meth:`pair_cooccurrence` computes.
         """
         if self._live is None:
             state = self._states[0]
-            *pairs, aggregates = reduce_collection(*self._merged, state.sides(), state.bilateral)
-            self._live = LiveCandidates(*pairs, state.index_space())
+            active, n_first, blocks = self._read
+            left, right, aggregates = reduce_blocks(
+                blocks.nodes,
+                blocks.block_of,
+                blocks.sizes,
+                blocks.first_sizes,
+                active.size,
+                n_first if state.bilateral else None,
+                self._inverse_weights(blocks),
+                lambda: entity_block_csr_from_memberships(
+                    blocks.nodes, blocks.block_of, active.size, blocks.num_blocks,
+                    assume_unique=True,
+                ),
+            )
+            self._live = LiveCandidates(active, left, right, state.index_space())
             if aggregates is not None:
                 self._pair_cache.seed(self._live, aggregates)
         return self._live
 
     def counterparts(self, node: int) -> np.ndarray:
         """The live nodes ``node`` forms a candidate pair with, ascending:
-        whoever shares one of its blocks (on the other side of a bilateral
-        index), read off the CSR shard by shard; none for a removed node."""
+        whoever shares one of its blocks read (on the other side of a
+        bilateral index, unless Block Filtering stranded the block with one
+        side), read off the CSR; none for a removed node."""
         state = self._states[0]
         sides = state.sides()
         side = int(sides[node])
         if side < 0:
             return np.empty(0, dtype=np.int64)
+        csr = self._merged[0]
+        row = csr.indices[csr.indptr[node] : csr.indptr[node + 1]]
+        members = np.flatnonzero(np.isin(csr.indices, row))
+        member_nodes = np.searchsorted(csr.indptr, members, side="right") - 1
+        stranded_with = np.empty(0, dtype=np.int64)
+        if state.bilateral and not self.cleaning.is_identity:
+            blocks = self._read[2]
+            stranded = (blocks.first_sizes == blocks.sizes)[csr.indices[members]]
+            stranded_with, member_nodes = member_nodes[stranded], member_nodes[~stranded]
         shares = np.zeros(sides.size, dtype=bool)
-        for shard in self._states:
-            csr = shard.csr()
-            row = csr.indices[csr.indptr[node] : csr.indptr[node + 1]]
-            members = np.flatnonzero(np.isin(csr.indices, row))
-            shares[np.searchsorted(csr.indptr, members, side="right") - 1] = True
+        shares[member_nodes] = True
         shares &= sides == 1 - side if state.bilateral else sides >= 0
+        shares[stranded_with] = True
         shares[node] = False
         return np.flatnonzero(shares)
 
     def local_candidate_counts_sparse(self) -> np.ndarray:
-        """``LCP(e_i)`` — distinct live candidates per node slot."""
+        """``LCP(e_i)`` — distinct candidates read per node slot."""
         if self._degrees is None:
             states = self._states
-            maintained = getattr(states[0], "_degrees", None) if len(states) == 1 else None
+            maintained = None
+            if len(states) == 1 and self.cleaning.is_identity:
+                maintained = getattr(states[0], "_degrees", None)
             if maintained is not None:
                 self._degrees = maintained.view()
             else:
@@ -315,6 +419,9 @@ class IndexStatistics:
         one feature computation share a single intersection pass, exactly as
         :meth:`repro.weights.BlockStatistics.pair_cooccurrence` does.
         """
+        held = self._pair_cache.cached(candidates)
+        if held is not None:
+            return held
         return self._pair_cache.get(candidates, *self._merged, self._states[0].sides())
 
 
@@ -437,9 +544,9 @@ class IndexState:
         ids, batch candidate order, the canonical renumbering alongside."""
         return self.statistics().live_candidates()
 
-    def statistics(self) -> IndexStatistics:
-        """A fresh statistics view over the current state."""
-        return IndexStatistics((self,))
+    def statistics(self, cleaning: BlockCleaning = NO_CLEANING) -> IndexStatistics:
+        """A fresh statistics view over the current state, read under ``cleaning``."""
+        return IndexStatistics((self,), cleaning)
 
     # -- shipping ----------------------------------------------------------------
     def _export_meta(self) -> Dict[str, Any]:

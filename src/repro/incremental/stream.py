@@ -20,6 +20,7 @@ from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from ..blocking.candidate_extraction import prepare_blocks
+from ..blocking.cleaning import PAPER_CLEANING, BlockCleaning
 from ..core.pipeline import GeneralizedSupervisedMetaBlocking
 from ..datamodel.entity import EntityCollection, EntityProfile
 from ..datamodel.ground_truth import GroundTruth
@@ -94,18 +95,20 @@ def train_frozen_model(
     pruning: str = "BLAST",
     training_size: int = 50,
     seed: SeedLike = 0,
+    cleaning: BlockCleaning = PAPER_CLEANING,
 ) -> FrozenModel:
     """Train a frozen classifier on the dataset's bootstrap prefix.
 
-    The bootstrap runs through the batch pipeline with Block Purging and
-    Block Filtering *disabled*, matching the raw token blocks the streaming
-    index maintains, so the classifier sees the same feature distribution it
-    will score online.
+    The bootstrap runs through the batch pipeline with ``cleaning`` — by
+    default the paper's, ``prepare_blocks``' defaults: Block Purging 0.5,
+    Block Filtering 0.8 — and the model records that cleaning
+    (:attr:`FrozenModel.cleaning`), so every exact streamed or served answer
+    it scores reads the live collection cleaned the same way: the classifier
+    sees the feature distribution it was trained on.  Insert-time scores
+    stay on the raw deltas.
     """
     boot_first, boot_second, truth = split_bootstrap(dataset, bootstrap_fraction)
-    prepared = prepare_blocks(
-        boot_first, boot_second, apply_purging=False, apply_filtering=False
-    )
+    prepared = prepare_blocks(boot_first, boot_second, **cleaning.prepare_arguments())
     pipeline = GeneralizedSupervisedMetaBlocking(
         feature_set=feature_set,
         pruning=pruning,
@@ -121,7 +124,7 @@ def train_frozen_model(
             f"cannot train the frozen classifier on the {dataset.name} bootstrap: "
             f"{error}"
         ) from error
-    return FrozenModel.from_batch(result)
+    return FrozenModel.from_batch(result, cleaning)
 
 
 def interleave_profiles(

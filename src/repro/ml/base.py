@@ -19,6 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..blocking.cleaning import NO_CLEANING, BlockCleaning
 from ..utils.validation import check_binary_labels, check_consistent_length, check_matrix
 from .scaling import StandardScaler
 
@@ -90,11 +91,17 @@ class FrozenModel:
         ``None`` when features were not standardised.
     feature_set:
         The weighting-scheme names the classifier expects, in order.
+    cleaning:
+        The block cleaning (Block Purging / Block Filtering) the training
+        features were computed under.  Every exact streamed or served answer
+        scored by this model reads the live collection under it; the default,
+        no cleaning, is the raw blocks.
     """
 
     classifier: ProbabilisticClassifier
     scaler: Optional[StandardScaler]
     feature_set: Tuple[str, ...]
+    cleaning: BlockCleaning = NO_CLEANING
 
     def scaled(self, features: np.ndarray) -> np.ndarray:
         """``features`` as the classifier sees them, in training and in scoring."""
@@ -107,8 +114,9 @@ class FrozenModel:
         return self.classifier.predict_proba(self.scaled(features))
 
     @classmethod
-    def from_batch(cls, result) -> "FrozenModel":
-        """Freeze the classifier a batch pipeline run trained.
+    def from_batch(cls, result, cleaning: BlockCleaning = NO_CLEANING) -> "FrozenModel":
+        """Freeze the classifier a batch pipeline run trained on blocks
+        cleaned by ``cleaning``.
 
         ``result`` is a :class:`repro.core.pipeline.MetaBlockingResult`; the
         pipeline records its fitted classifier, scaler and feature set there.
@@ -118,4 +126,4 @@ class FrozenModel:
                 "the batch result carries no classifier; re-run the pipeline "
                 "(older results predate frozen-model support)"
             )
-        return cls(result.classifier, result.scaler, tuple(result.feature_set))
+        return cls(result.classifier, result.scaler, tuple(result.feature_set), cleaning)

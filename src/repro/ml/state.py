@@ -16,6 +16,7 @@ from typing import Any, Dict, NamedTuple, Tuple
 
 import numpy as np
 
+from ..blocking.cleaning import BlockCleaning
 from .base import FrozenModel
 
 
@@ -114,14 +115,17 @@ def export_model(model: FrozenModel) -> Dict[str, Any]:
         "classifier": export_object(model.classifier),
         "scaler": None if model.scaler is None else export_object(model.scaler),
         "feature_set": list(model.feature_set),
+        "cleaning": model.cleaning._asdict(),
     }
 
 
 def restore_model(state: Dict[str, Any]) -> FrozenModel:
-    """The :class:`FrozenModel` :func:`export_model` exported."""
+    """The :class:`FrozenModel` :func:`export_model` exported; a state
+    written before models recorded their block cleaning restores with none."""
     scaler = state["scaler"]
     return FrozenModel(
         restore_object(state["classifier"]),
         None if scaler is None else restore_object(scaler),
         tuple(state["feature_set"]),
+        BlockCleaning.restore(state.get("cleaning")),
     )

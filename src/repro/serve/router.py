@@ -128,27 +128,31 @@ def top_k_answer(
 ) -> List[Dict[str, Any]]:
     """The ``k`` most likely matches of one entity at the pinned offset.
 
-    The entity's counterparts are read off its CSR rows and only those pairs
-    are scored (the delta feature path makes point queries cheap); ties are
-    broken deterministically by packed candidate key of the raw node ids.
+    The entity's counterparts in the collection read under the model's block
+    cleaning are read off its cleaned CSR rows and only those pairs are
+    scored, under the statistics ``match`` scores with — so every
+    probability reported here is the one ``match`` gives that pair at the
+    same offset.  Ties are broken deterministically by packed candidate key
+    of the raw node ids.
     """
     with hook_span("merge-pairs"):
-        counterparts = view.statistics().counterparts(node)
+        statistics = view.statistics(model.cleaning)
+        counterparts = statistics.counterparts(node)
     if counterparts.size == 0:
         return []
     left, right = np.minimum(counterparts, node), np.maximum(counterparts, node)
     subset = CandidateSet(left, right, view.index_space())
     with hook_span("features"):
-        matrix = DeltaFeatureGenerator(view, model.feature_set).generate(subset)
+        matrix = DeltaFeatureGenerator(view, model.feature_set).generate(subset, statistics)
     with hook_span("score"):
         probabilities = model.score(matrix.values)
     order = strength_order(probabilities, pack_pair_keys(left, right))[: max(0, int(k))]
-    # counterparts share a side: the other one of a bilateral index
-    side = int(view.sides()[counterparts[0]])
+    # the other side of a bilateral index, unless filtering stranded a block
+    sides = view.sides()[counterparts[order]].tolist()
     return [
         {"entity_id": view.entity_id(counterpart), "side": side, "probability": probability}
-        for counterpart, probability in zip(
-            counterparts[order].tolist(), probabilities[order].tolist()
+        for counterpart, side, probability in zip(
+            counterparts[order].tolist(), sides, probabilities[order].tolist()
         )
     ]
 

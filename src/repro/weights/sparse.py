@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -172,37 +172,24 @@ def _gather_rows(csr: EntityBlockCSR, nodes: np.ndarray) -> Tuple[np.ndarray, np
     return rows, csr.indices[flat]
 
 
-def _transposed_plan(
-    csr: EntityBlockCSR, is_active: np.ndarray, second: np.ndarray, two_sided_only: bool
-):
-    """The rows of the active nodes, transposed and planned for expansion.
-
-    Returns ``(active, nodes, block_of, plan)``: the active node ids ranked
-    first side first, their memberships sorted by (block id, side, node) with
-    nodes as ranks into ``active``, and the
-    :func:`repro.pairs.pair_expansion_plan` of those memberships — optionally
-    of the two-sided blocks only (no other emits a cross-side pair).
-    """
+def transposed_memberships(
+    csr: EntityBlockCSR, is_active: np.ndarray, second: np.ndarray
+) -> Tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """The rows of the active nodes, transposed: ``(active, n_first, nodes,
+    block_of)`` — the active node ids ranked first side first (``n_first``
+    of them on the first side) and their memberships sorted by (block id,
+    rank), with nodes as ranks into ``active``."""
     active = np.flatnonzero(is_active)
     on_second = second[active]
     active = np.concatenate((active[~on_second], active[on_second]))
-    n_first = active.size - np.count_nonzero(on_second)
+    n_first = active.size - int(np.count_nonzero(on_second))
     ranks, block_ids = _gather_rows(csr, active)
-    sizes = np.bincount(block_ids, minlength=csr.num_blocks)
-    first_sizes = np.bincount(block_ids[ranks < n_first], minlength=csr.num_blocks)
-    if two_sided_only:
-        emits = (first_sizes > 0) & (sizes > first_sizes)
-        sizes, first_sizes = sizes * emits, first_sizes * emits
-        keep = emits[block_ids]
-        ranks, block_ids = ranks[keep], block_ids[keep]
     bits = key_field_bits(csr.num_blocks, active.size)
     if bits is None:
         raise OverflowError("(block, node) keys of the collection do not fit an int64")
     rank_bits = bits[1]
     packed = np.sort((block_ids << rank_bits) | ranks)
-    block_of = packed >> rank_bits
-    nodes = packed & ((1 << rank_bits) - 1)
-    return active, nodes, block_of, pair_expansion_plan(block_of, sizes, first_sizes)
+    return active, n_first, packed & ((1 << rank_bits) - 1), packed >> rank_bits
 
 
 def reduce_memberships(
@@ -218,7 +205,7 @@ def reduce_memberships(
     are the per-block inverse cardinalities and sizes.  A refused ``(left,
     right, block id)`` key yields the pairs alone (aggregates ``None``: whoever
     needs them computes them).  Block preparation runs this on its filtered
-    matrix, a streaming index on its live rows (:func:`reduce_collection`).
+    matrix and a streamed answer on its cleaned live rows (:func:`reduce_blocks`).
     """
     bits = key_field_bits(num_nodes, num_nodes, weights[0].size)
     if bits is None:
@@ -232,24 +219,40 @@ def reduce_memberships(
     return left, right, aggregates
 
 
-def reduce_collection(
-    csr: EntityBlockCSR,
-    inverse_cardinalities: np.ndarray,
-    inverse_sizes: np.ndarray,
-    sides: np.ndarray,
-    two_sided_only: bool,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[PairCooccurrence]]:
-    """The distinct candidate pairs of the live collection behind ``csr``:
-    ``(active, left, right, aggregates)``.  Live is ``sides >= 0`` (a stream
-    leaves removed entities' rows behind), second side ``sides == 1``;
-    ``active`` ranks the live node ids first side first in ascending id — the
-    compact batch numbering — and :func:`reduce_memberships`' pairs are ranks
-    into it, i.e. the batch pipeline's candidates in its order.  ``two_sided_only``:
-    one-sided blocks emit nothing (a stream strands none), not intra pairs.
+def reduce_blocks(
+    nodes: np.ndarray,
+    block_of: np.ndarray,
+    sizes: np.ndarray,
+    first_sizes: np.ndarray,
+    num_nodes: int,
+    size_first: Optional[int],
+    weights: Tuple[np.ndarray, np.ndarray],
+    csr: Callable[[], EntityBlockCSR],
+    chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
+) -> Tuple[np.ndarray, np.ndarray, Optional[PairCooccurrence]]:
+    """The distinct candidate pairs of a block collection and their aggregates.
+
+    The collection is memberships grouped by block, first side ahead of
+    second (node ids below ``size_first``; ``None``: Dirty ER), ``sizes`` /
+    ``first_sizes`` per block; pairs come sorted by (left, right).  Block
+    preparation runs this on its filtered matrix and the streamed answer on
+    its cleaned live rows.  A block Block Filtering stranded with first-side
+    members only expands as an intra block, so same-side pairs join the
+    candidates of a two-source collection; they share cross blocks the
+    expansion never lists for them, so their aggregates are patched by row
+    intersection over ``csr()`` (the collection's CSR in the same node ids).
     """
-    active, nodes, block_of, plan = _transposed_plan(csr, sides >= 0, sides == 1, two_sided_only)
-    weights = (inverse_cardinalities, inverse_sizes)
-    return (active, *reduce_memberships(nodes, block_of, plan, active.size, weights))
+    plan = pair_expansion_plan(block_of, sizes, first_sizes)
+    left, right, aggregates = reduce_memberships(
+        nodes, block_of, plan, num_nodes, weights, chunk_pairs
+    )
+    if aggregates is not None and size_first is not None:
+        same_side = right < size_first
+        if same_side.any():
+            patch = pair_major_cooccurrence(csr(), *weights, left[same_side], right[same_side])
+            for out, values in zip(aggregates, patch):
+                out[same_side] = values
+    return left, right, aggregates
 
 
 #: Σ row lengths of the requested pairs below which the pair-major pass costs
@@ -328,9 +331,18 @@ def plan_block_major(
     bits = key_field_bits(n_active, n_active, csr.num_blocks)
     if bits is None:
         return None
-    active, nodes, block_of, (repeats, right_begin, _) = _transposed_plan(
-        csr, is_active, second & is_cross, is_cross
+    active, n_first, nodes, block_of = transposed_memberships(
+        csr, is_active, second & is_cross
     )
+    sizes = np.bincount(block_of, minlength=csr.num_blocks)
+    first_sizes = np.bincount(block_of[nodes < n_first], minlength=csr.num_blocks)
+    if is_cross:
+        # only two-sided blocks emit a cross-side pair
+        emits = (first_sizes > 0) & (sizes > first_sizes)
+        sizes, first_sizes = sizes * emits, first_sizes * emits
+        keep = emits[block_of]
+        nodes, block_of = nodes[keep], block_of[keep]
+    repeats, right_begin, _ = pair_expansion_plan(block_of, sizes, first_sizes)
     rank_of = np.empty(csr.num_entities, dtype=np.int64)
     rank_of[active] = np.arange(active.size, dtype=np.int64)
     # the first-side endpoint of a cross pair is ranked lower: it is the left one
@@ -560,14 +572,21 @@ class PairCooccurrenceCache:
     def __init__(self) -> None:
         self._entry: Optional[Tuple[weakref.ref, PairCooccurrence]] = None
 
+    def cached(self, candidates) -> Optional[PairCooccurrence]:
+        """The aggregates held for ``candidates``, if any."""
+        if self._entry is not None:
+            ref, held = self._entry
+            if ref() is candidates:
+                return held
+        return None
+
     def get(
         self, candidates, csr, inverse_cardinalities, inverse_sizes, sides
     ) -> PairCooccurrence:
         """The cached aggregates of ``candidates``, else the kernel's over ``csr``."""
-        if self._entry is not None:
-            ref, cached = self._entry
-            if ref() is candidates:
-                return cached
+        held = self.cached(candidates)
+        if held is not None:
+            return held
         result = compute_pair_cooccurrence(
             csr, inverse_cardinalities, inverse_sizes, candidates.left, candidates.right, sides
         )

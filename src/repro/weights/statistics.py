@@ -22,13 +22,15 @@ import numpy as np
 
 from ..datamodel.block import BlockCollection
 from ..datamodel.candidates import CandidateSet
+from ..pairs import pair_expansion_plan
 from .sparse import (
     EntityBlockCSR,
     PairCooccurrence,
     PairCooccurrenceCache,
     build_entity_block_csr,
     inverse_block_weights,
-    reduce_collection,
+    reduce_memberships,
+    transposed_memberships,
 )
 
 
@@ -232,10 +234,17 @@ class BlockStatistics:
             else:
                 # stranded blocks expand as intra blocks, as in extraction; batch
                 # node ids are first side first already: the ranks are the ids
-                _, left, right, _ = reduce_collection(
-                    self._csr, self.inverse_block_cardinalities, self.inverse_block_sizes,
-                    self.sides, two_sided_only=False,
+                csr = self._csr
+                _, n_first, nodes, block_of = transposed_memberships(
+                    csr, self.sides >= 0, self.sides == 1
                 )
+                plan = pair_expansion_plan(
+                    block_of,
+                    np.bincount(block_of, minlength=csr.num_blocks),
+                    np.bincount(block_of[nodes < n_first], minlength=csr.num_blocks),
+                )
+                weights = (self.inverse_block_cardinalities, self.inverse_block_sizes)
+                left, right, _ = reduce_memberships(nodes, block_of, plan, csr.num_entities, weights)
             degrees = np.bincount(left, minlength=total_nodes)
             degrees += np.bincount(right, minlength=total_nodes)
             self._lcp_sparse = degrees.astype(np.float64)

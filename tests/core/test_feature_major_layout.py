@@ -60,13 +60,13 @@ def test_the_batch_generator_is_feature_major(clean, feature_set):
 def test_the_delta_generator_is_feature_major_after_orienting_lcp(clean, feature_set):
     index = MutableBlockIndex(bilateral=True)
     generator = DeltaFeatureGenerator(index, feature_set)
-    candidates, matrix = generator.generate_all()
+    candidates, matrix, _ = generator.generate_all()
     assert len(candidates) == 0 and _is_feature_major(matrix, 0, feature_set)
     for profile, side in interleave_profiles(clean.first, clean.second):
         delta = index.add_entity(profile, side=side)
     assert _is_feature_major(generator.generate_delta(delta), delta.num_new_pairs, feature_set)
 
-    candidates, matrix = generator.generate_all()
+    candidates, matrix, _ = generator.generate_all()
     assert _is_feature_major(matrix, len(candidates), feature_set)
     # interleaved arrival puts second-side entities on the left of some
     # pairs: the LCP columns of those rows were swapped in place

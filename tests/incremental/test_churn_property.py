@@ -9,12 +9,14 @@ for **every** pruning algorithm including the cardinality-based CEP/CNP/RCNP
 whose probability ties are broken deterministically by packed candidate key.
 
 A shadow model tracks the live entities per side; the batch side is built
-from it after the replay.  Both sides share the deterministic frozen
+from it after the replay, with the block cleaning the model records — the
+paper's pipeline or raw blocks, both parametrisations run.  Both sides share the deterministic frozen
 classifier of ``test_session_property`` (rounded probabilities, so streaming
 and batch score every pair bit-identically).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,11 +24,12 @@ from repro.blocking import prepare_blocks
 from repro.datamodel import EntityCollection, make_profile
 from repro.incremental import MatchingSession
 
+from reference import CLEANINGS, batch_retained_ids
 from test_session_property import (
     PRUNING,
-    _batch_retained_ids,
     _collection,
     _frozen_model,
+    _oracle,
     _profile_strategy,
 )
 
@@ -122,15 +125,13 @@ def _final_collections(shadow, bilateral):
     return first, second
 
 
-def _assert_converges(session, shadow, bilateral, pruning, model):
+def _assert_converges(session, shadow, bilateral, pruning, model, cleaning):
     streamed = {frozenset(pair) for pair in session.retained().retained_ids}
     first, second = _final_collections(shadow, bilateral)
     if len(first) == 0 and (second is None or len(second) == 0):
         assert streamed == set()
         return
-    prepared = prepare_blocks(
-        first, second, apply_purging=False, apply_filtering=False
-    )
+    prepared = prepare_blocks(first, second, **_oracle(cleaning))
     size_first = len(first)
 
     def id_of(node):
@@ -138,30 +139,32 @@ def _assert_converges(session, shadow, bilateral, pruning, model):
             return first[node].entity_id
         return second[node - size_first].entity_id
 
-    batch = _batch_retained_ids(
+    batch = batch_retained_ids(
         prepared.blocks, prepared.candidates, model, pruning, id_of
     )
     assert streamed == batch
 
 
+@pytest.mark.parametrize("cleaning", sorted(CLEANINGS))
 @settings(max_examples=60, deadline=None)
 @given(operations=_operations(bilateral=True), pruning=st.sampled_from(PRUNING))
-def test_bilateral_churn_converges_to_batch(operations, pruning):
-    model = _frozen_model()
+def test_bilateral_churn_converges_to_batch(cleaning, operations, pruning):
+    model = _frozen_model(cleaning)
     session = MatchingSession(model, bilateral=True, pruning=pruning)
     shadow = _Shadow()
     _replay(session, shadow, operations)
-    _assert_converges(session, shadow, bilateral=True, pruning=pruning, model=model)
+    _assert_converges(session, shadow, True, pruning, model, cleaning)
 
 
+@pytest.mark.parametrize("cleaning", sorted(CLEANINGS))
 @settings(max_examples=60, deadline=None)
 @given(operations=_operations(bilateral=False), pruning=st.sampled_from(PRUNING))
-def test_unilateral_churn_converges_to_batch(operations, pruning):
-    model = _frozen_model()
+def test_unilateral_churn_converges_to_batch(cleaning, operations, pruning):
+    model = _frozen_model(cleaning)
     session = MatchingSession(model, bilateral=False, pruning=pruning)
     shadow = _Shadow()
     _replay(session, shadow, operations)
-    _assert_converges(session, shadow, bilateral=False, pruning=pruning, model=model)
+    _assert_converges(session, shadow, False, pruning, model, cleaning)
 
 
 def test_remove_everything_leaves_an_empty_answer():

@@ -19,9 +19,23 @@ their logs, merged:
       of its passes;
 (iv)  LCP counted off the derived set equals the degrees the index maintains.
 
+Under the paper's block cleaning (``prepare_blocks``' defaults: Block
+Purging 0.5, Block Filtering 0.8) the derived set is the cleaned live
+collection's, and after every prefix, for one, two and three replicas:
+
+(v)   its canonical twin equals what ``prepare_blocks`` with its defaults
+      extracts from the live entities, array for array, and every statistic
+      the schemes read — per-entity aggregates, ``|B|``, ``||B||``, LCP, the
+      pruning budgets' block totals — equals the batch statistics';
+(vi)  the seeded aggregates are ``array_equal`` to the co-occurrence kernel
+      over the cleaned CSR, through either pass;
+(vii) the merged replicas read it bit for bit as the index itself does:
+      the cleaned blocks are numbered by (cardinality, member-set key), not
+      by shard-major or arrival-order ids.
+
 And when :func:`repro.pairs.key_field_bits` refuses the ``(rank, rank, block
 id)`` key, the pairs-only fallback still answers what the batch pipeline
-answers, for every pruning algorithm.
+answers, for every pruning algorithm and under both questions.
 """
 
 from unittest import mock
@@ -33,7 +47,8 @@ from hypothesis import strategies as st
 
 from repro import pairs
 from repro.blocking import prepare_blocks
-from repro.core.pruning import PRUNING_ALGORITHMS
+from repro.blocking.cleaning import PAPER_CLEANING
+from repro.core.pruning import PRUNING_ALGORITHMS, BlockTotals
 from repro.datamodel import EntityCollection, make_profile
 from repro.incremental import IndexState, MatchingSession, MergedIndexView
 from repro.incremental.state import merged_csr
@@ -41,8 +56,9 @@ from repro.serve.router import match_answer
 from repro.weights import sparse
 from repro.weights.sparse import PairCooccurrence, compute_pair_cooccurrence
 
-from reference import forced_cooccurrence_pass as forced, member_pairs, merged_replicas
-from test_session_property import _batch_retained_ids, _frozen_model
+from reference import CLEANINGS, batch_retained_ids, member_pairs, merged_replicas
+from reference import forced_cooccurrence_pass as forced
+from test_session_property import _frozen_model
 from test_sharded_index import JournaledIndex, apply_script, churn_scripts, pairs_of
 
 
@@ -156,6 +172,93 @@ def test_derived_candidates_equal_the_member_pairs_after_every_prefix(
             assert np.array_equal(ours.right, theirs.right)
 
 
+#: the statistics the schemes read, per node slot
+PER_ENTITY = ("blocks_per_entity", "entity_cardinality", "entity_inv_cardinality", "entity_inv_size")
+
+
+def _assert_cleaned_equals_the_paper_pipeline(index, steps, bilateral):
+    statistics = index.statistics(PAPER_CLEANING)
+    derived = statistics.live_candidates()
+    first, second = _live_collections(steps, bilateral)
+    if not len(first) + (len(second) if bilateral else 0):
+        assert len(derived) == 0 and statistics.num_blocks == 0
+        return statistics
+
+    # (v) the pairs and every statistic of the batch pipeline's defaults
+    prepared = prepare_blocks(first, second)
+    assert np.array_equal(derived.canonical.left, prepared.candidates.left)
+    assert np.array_equal(derived.canonical.right, prepared.candidates.right)
+    batch = prepared.statistics()
+    canonical = index.canonical_node_ids()
+    live = canonical >= 0
+    for name in PER_ENTITY:
+        ours = getattr(statistics, name)
+        assert not ours[~live].any()
+        np.testing.assert_allclose(ours[live], getattr(batch, name)[canonical[live]], rtol=1e-12)
+    np.testing.assert_array_equal(
+        statistics.local_candidate_counts_sparse()[live],
+        batch.local_candidate_counts_sparse()[canonical[live]],
+    )
+    assert statistics.num_blocks == batch.num_blocks == len(prepared.blocks)
+    assert statistics.total_cardinality == batch.total_cardinality
+    assert statistics.block_totals() == BlockTotals.of(prepared.blocks)
+
+    # (vi) the seeded aggregates, against the kernel over the cleaned CSR
+    with mock.patch.object(
+        sparse, "compute_pair_cooccurrence", side_effect=AssertionError("not seeded")
+    ):
+        seeded = statistics.pair_cooccurrence(derived)
+    for path in ("reduce", "pair-major"):
+        with forced(path):
+            computed = compute_pair_cooccurrence(
+                *statistics._merged, derived.left, derived.right, index.sides()
+            )
+        for name in PairCooccurrence._fields:
+            assert np.array_equal(getattr(seeded, name), getattr(computed, name)), (path, name)
+    return statistics
+
+
+def _assert_read_alike(ours, theirs):
+    """(vii) two statistics views that read the same collection, bit for bit."""
+    assert np.array_equal(ours.live_candidates().left, theirs.live_candidates().left)
+    assert np.array_equal(ours.live_candidates().right, theirs.live_candidates().right)
+    for name in PER_ENTITY:
+        assert np.array_equal(getattr(ours, name), getattr(theirs, name)), name
+    assert np.array_equal(
+        ours.local_candidate_counts_sparse(), theirs.local_candidate_counts_sparse()
+    )
+    assert (ours.num_blocks, ours.total_cardinality, ours.block_totals()) == (
+        theirs.num_blocks, theirs.total_cardinality, theirs.block_totals()
+    )
+    for mine, other in zip(
+        ours.pair_cooccurrence(ours.live_candidates()),
+        theirs.pair_cooccurrence(theirs.live_candidates()),
+    ):
+        assert np.array_equal(mine, other)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    data=st.data(),
+    bilateral=st.booleans(),
+    num_shards=st.sampled_from((1, 2, 3)),
+    compact_after=st.integers(1, 12),
+)
+def test_cleaned_candidates_equal_the_paper_pipeline_after_every_prefix(
+    data, bilateral, num_shards, compact_after
+):
+    steps = data.draw(churn_scripts(bilateral))
+    with JournaledIndex(bilateral) as journaled:
+        single = journaled.index
+        for done, step in enumerate(steps, start=1):
+            apply_script(single, [step])
+            if done == compact_after:
+                journaled.compact()
+            ours = _assert_cleaned_equals_the_paper_pipeline(single, steps[:done], bilateral)
+            sharded = journaled.merged(num_shards)
+            _assert_read_alike(sharded.statistics(PAPER_CLEANING), ours)
+
+
 def _empty(derived):
     return len(derived) == len(derived.canonical) == derived.first.size == 0
 
@@ -215,12 +318,13 @@ def _shipped(index):
     return MergedIndexView(states, index.entity_id)
 
 
+@pytest.mark.parametrize("cleaning", sorted(CLEANINGS))
 @pytest.mark.parametrize("pruning", sorted(PRUNING_ALGORITHMS))
-def test_a_refused_key_falls_back_to_the_pairs_alone(tmp_path, pruning):
+def test_a_refused_key_falls_back_to_the_pairs_alone(tmp_path, pruning, cleaning):
     """One bit short of ``(rank, rank, block id)``: the derivation hands on the
     pairs without aggregates, the kernel computes them pair-major, and
     ``retained()`` / ``match`` still equal the batch oracle."""
-    model = _frozen_model()
+    model = _frozen_model(cleaning)
     texts = ("alpha beta", "beta gamma", "alpha gamma delta", "gamma delta", "alpha eps", "zeta")
     first = EntityCollection(
         [make_profile(f"a{i}", text=text) for i, text in enumerate(texts)], name="a"
@@ -243,15 +347,16 @@ def test_a_refused_key_falls_back_to_the_pairs_alone(tmp_path, pruning):
     session.close()
     live_first = EntityCollection(list(first)[:-1], name="a")
 
-    prepared = prepare_blocks(live_first, second, apply_purging=False, apply_filtering=False)
+    prepared = prepare_blocks(live_first, second, **CLEANINGS[cleaning].prepare_arguments())
     ids = [profile.entity_id for profile in (*live_first, *second)]
-    oracle = _batch_retained_ids(
+    oracle = batch_retained_ids(
         prepared.blocks, prepared.candidates, model, pruning, ids.__getitem__
     )
     assert oracle
 
     live = session.index.num_entities
-    short = sum(pairs.key_field_bits(live, live, session.index.num_blocks)) - 1
+    read_blocks = session.index.statistics(model.cleaning).num_blocks
+    short = sum(pairs.key_field_bits(live, live, read_blocks)) - 1
     refusing = mock.patch.object(pairs, "KEY_BITS", short)
     no_reduce = mock.patch.object(
         sparse, "reduce_pair_cooccurrence", side_effect=AssertionError("key not refused")

@@ -2,16 +2,20 @@
 
 The exact outcome of a churned replay — bootstrap-trained frozen model,
 interleaved inserts with seeded random deletions (30% churn), CEP
-finalisation — is frozen into ``tests/data/golden_churn.json``: stream and
+finalisation — is frozen per block cleaning the model is trained under:
+``tests/data/golden_churn.json`` for raw blocks (purging and filtering off)
+and ``tests/data/golden_churn_cleaned.json`` for ``prepare_blocks``'
+defaults, the paper's pipeline, which ``train_frozen_model`` runs unless
+told otherwise.  Each holds stream and
 retraction counts, the live survivor totals, the retained pair set digest
 and a sample of retained pairs, plus recall/precision against the live
 ground truth.  A change that shifts the dynamic index's behaviour — even one
 the streaming-vs-batch equivalence tests cannot see because it affects both
 sides identically — fails here.
 
-To regenerate the fixture after an *intentional* semantic change::
+To regenerate a fixture after an *intentional* semantic change::
 
-    PYTHONPATH=src python tests/incremental/test_golden_churn.py --regenerate
+    PYTHONPATH=src python tests/incremental/test_golden_churn.py --regenerate {raw,cleaned}
 """
 
 import hashlib
@@ -20,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.blocking.cleaning import NO_CLEANING, PAPER_CLEANING
 from repro.datasets import load_benchmark
 from repro.incremental import (
     evaluate_retained_ids,
@@ -29,17 +34,22 @@ from repro.incremental import (
     train_frozen_model,
 )
 
-GOLDEN_PATH = Path(__file__).resolve().parent.parent / "data" / "golden_churn.json"
+DATA = Path(__file__).resolve().parent.parent / "data"
+#: name -> (fixture, the cleaning ``train_frozen_model`` trains under)
+GOLDENS = {
+    "raw": (DATA / "golden_churn.json", NO_CLEANING),
+    "cleaned": (DATA / "golden_churn_cleaned.json", PAPER_CLEANING),
+}
 
 DATASET, SEED, SCALE = "DblpAcm", 9, 0.12
 PRUNING = "CEP"
 DELETE_FRACTION, CHURN_SEED = 0.3, 21
 
 
-def _replay():
+def _replay(cleaning):
     dataset = load_benchmark(DATASET, seed=SEED, scale=SCALE)
     model = train_frozen_model(
-        dataset, bootstrap_fraction=0.5, pruning=PRUNING, seed=SEED
+        dataset, bootstrap_fraction=0.5, pruning=PRUNING, seed=SEED, cleaning=GOLDENS[cleaning][1]
     )
     replay = replay_stream(
         dataset,
@@ -83,23 +93,21 @@ def _snapshot(dataset, replay):
     }
 
 
-@pytest.fixture(scope="module")
-def golden():
-    with GOLDEN_PATH.open() as handle:
-        return json.load(handle)
-
-
-def test_delete_heavy_replay_matches_golden(golden):
-    dataset, replay = _replay()
+@pytest.mark.parametrize("cleaning", sorted(GOLDENS))
+def test_delete_heavy_replay_matches_golden(cleaning):
+    with GOLDENS[cleaning][0].open() as handle:
+        golden = json.load(handle)
+    dataset, replay = _replay(cleaning)
     snapshot = _snapshot(dataset, replay)
     assert snapshot == golden
 
 
-def _regenerate():
-    dataset, replay = _replay()
+def _regenerate(cleaning):
+    dataset, replay = _replay(cleaning)
     snapshot = _snapshot(dataset, replay)
-    GOLDEN_PATH.write_text(json.dumps(snapshot, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {GOLDEN_PATH}")
+    path = GOLDENS[cleaning][0]
+    path.write_text(json.dumps(snapshot, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
     for key in ("inserts", "deletes", "live_pairs", "retained_count", "recall"):
         print(f"  {key}: {snapshot[key]}")
 
@@ -108,6 +116,6 @@ if __name__ == "__main__":
     import sys
 
     if "--regenerate" in sys.argv:
-        _regenerate()
+        _regenerate(sys.argv[sys.argv.index("--regenerate") + 1])
     else:
         print(__doc__)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.datamodel import make_profile
 from repro.incremental import MatchingSession, StaleSessionError
 
+from reference import CLEANINGS
 from test_churn_property import _Shadow, _assert_converges, _operations, _replay
 from test_session_property import PRUNING, _frozen_model
 
@@ -92,6 +93,7 @@ class TestStaleSessionDetection:
         session.insert(make_profile("x", t="alpha"))  # no StaleSessionError
 
 
+@pytest.mark.parametrize("cleaning", sorted(CLEANINGS))
 @settings(
     max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -101,15 +103,16 @@ class TestStaleSessionDetection:
     compact_every=st.integers(1, 5),
 )
 def test_churn_with_interleaved_compaction_converges_to_batch(
-    operations, pruning, compact_every
+    cleaning, operations, pruning, compact_every
 ):
     """Any interleaving of mutations and session-safe compactions still
-    finalises to exactly the batch answer, for every pruning algorithm."""
-    model = _frozen_model()
+    finalises to exactly the batch answer, for every pruning algorithm and
+    under both questions (raw blocks, the paper's pipeline)."""
+    model = _frozen_model(cleaning)
     session = MatchingSession(model, bilateral=True, pruning=pruning)
     shadow = _Shadow()
     for start in range(0, len(operations), compact_every):
         _replay(session, shadow, operations[start : start + compact_every])
         session.compact()
         assert session.index.num_slots == session.index.num_entities
-    _assert_converges(session, shadow, True, pruning, model)
+    _assert_converges(session, shadow, True, pruning, model, cleaning)

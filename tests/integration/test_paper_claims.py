@@ -146,12 +146,13 @@ class TestClaimLcpIsExpensive:
 
         def measure(feature_set):
             stats = BlockStatistics(prepared_abtbuy.blocks)  # fresh, uncached LCP
-            start = time.perf_counter()
+            start = time.thread_time()
             reference_feature_matrix(feature_set, prepared_abtbuy.candidates, stats)
-            return time.perf_counter() - start
+            return time.thread_time() - start
 
-        # interleaved best-of-5: the reference's LCP adds ~2 % here, so the
-        # 10 % allowance has to cover timer noise alone
+        # interleaved min-of-5 of this thread's CPU time, which a busy box
+        # cannot inflate by descheduling it: the reference's LCP adds ~2 %
+        # here, so the 10 % allowance has to cover measurement noise alone
         without_lcp = with_lcp = float("inf")
         for _ in range(5):
             without_lcp = min(without_lcp, measure(base_features))

@@ -54,8 +54,15 @@ from repro.blocking import (
     filter_blocks,
     purge_oversized_blocks,
 )
+from repro.blocking.cleaning import NO_CLEANING, PAPER_CLEANING, BlockCleaning
 from repro.core.features import FeatureMatrix, FeatureVectorGenerator
-from repro.core.pruning import VALIDITY_THRESHOLD, BlockTotals, cep_budget, cnp_budget
+from repro.core.pruning import (
+    VALIDITY_THRESHOLD,
+    BlockTotals,
+    cep_budget,
+    cnp_budget,
+    get_pruning_algorithm,
+)
 from repro.datamodel import CandidateSet, EntityCollection
 from repro.incremental import FrozenModel, MergedIndexView, MutableBlockIndex
 from repro.incremental.sharded import shard_of_signature
@@ -338,12 +345,37 @@ MODEL_CLASSES.setdefault(
 )
 
 
-def make_frozen_model(feature_set: Sequence[str] = RCNP_FEATURE_SET) -> FrozenModel:
-    """A deterministic frozen model over ``feature_set`` (RCNP's by default)."""
+def make_frozen_model(
+    feature_set: Sequence[str] = RCNP_FEATURE_SET, cleaning: BlockCleaning = NO_CLEANING
+) -> FrozenModel:
+    """A deterministic frozen model over ``feature_set`` (RCNP's by default)
+    whose answers read the live blocks under ``cleaning`` (none by default)."""
     width = FeatureVectorGenerator(feature_set).columns
     return FrozenModel(
-        classifier=FixedLogistic(len(width)), scaler=None, feature_set=feature_set
+        classifier=FixedLogistic(len(width)),
+        scaler=None,
+        feature_set=feature_set,
+        cleaning=cleaning,
     )
+
+
+#: the two questions an exact answer is held to: raw blocks, and the
+#: paper's pipeline (``prepare_blocks``' defaults) — name -> the model's
+#: cleaning, whose ``prepare_arguments()`` the batch oracle runs
+CLEANINGS = {"raw": NO_CLEANING, "paper": PAPER_CLEANING}
+
+
+def batch_retained_ids(blocks, candidates, model, pruning, id_of) -> set:
+    """The pairs the batch pipeline retains — ``model`` scoring the features
+    of ``candidates`` over ``blocks``, ``pruning`` — as entity-id frozensets."""
+    stats = BlockStatistics(blocks)
+    matrix = FeatureVectorGenerator(model.feature_set).generate(candidates, stats)
+    probabilities = model.score(matrix.values)
+    mask = get_pruning_algorithm(pruning).prune(probabilities, candidates, blocks)
+    return {
+        frozenset((id_of(int(i)), id_of(int(j))))
+        for i, j in zip(candidates.left[mask], candidates.right[mask])
+    }
 
 
 def reference_retained(session):

@@ -8,7 +8,9 @@ at that moment.  Then shard replicas — created only after the full stream
 is on disk, so later records are always present behind each pinned offset —
 replay to each pin in turn, and the merged pinned view's ``match`` answer
 must equal the recorded canonical answer exactly: same pairs, same
-probabilities.  No torn reads, for every shard count.
+probabilities.  No torn reads, for every shard count — and, for a model
+trained on raw blocks or on the paper's pipeline alike, the canonical answer
+is the batch pipeline's on the live entities, cleaned as the model records.
 """
 
 import shutil
@@ -20,8 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import make_frozen_model, reference_retained
-from repro.datamodel import make_profile
+from reference import CLEANINGS, batch_retained_ids, make_frozen_model, reference_retained
+from repro.blocking import prepare_blocks
+from repro.datamodel import EntityCollection, make_profile
 from repro.incremental import IndexState, MatchingSession, MergedIndexView
 from repro.incremental.state import FULL_ARRAYS, Growable, IndexStateError
 from repro.persistence.recovery import recover_session
@@ -32,6 +35,8 @@ _TOKENS = ("alpha", "beta", "gamma", "delta", "eps", "zeta")
 _text = st.lists(st.sampled_from(_TOKENS), min_size=0, max_size=4).map(" ".join)
 
 MODEL = make_frozen_model()
+#: one deterministic model per question an answer is held to
+MODELS = {name: make_frozen_model(cleaning=cleaning) for name, cleaning in CLEANINGS.items()}
 
 
 def _operations():
@@ -50,9 +55,13 @@ def _operations():
     )
 
 
-def _stream(session, operations):
-    """Apply a generated op sequence; yield after every applied operation."""
+def _stream(session, operations, arrival=None):
+    """Apply a generated op sequence; yield after every applied operation.
+
+    ``arrival``, if given, is kept as the live ``(side, id) -> text`` in
+    arrival order (an update re-enters at the end)."""
     live = ([], [])
+    arrival = {} if arrival is None else arrival
     serial = 0
     for operation in operations:
         kind, side = operation[0], operation[1]
@@ -61,6 +70,7 @@ def _stream(session, operations):
             entity_id = f"{'ab'[side]}{serial}"
             session.insert(make_profile(entity_id, text=operation[2]), side=side)
             live[side].append(entity_id)
+            arrival[side, entity_id] = operation[2]
         elif kind == "bulk":
             profiles = []
             for text in operation[2]:
@@ -68,6 +78,7 @@ def _stream(session, operations):
                 entity_id = f"{'ab'[side]}{serial}"
                 profiles.append(make_profile(entity_id, text=text))
                 live[side].append(entity_id)
+                arrival[side, entity_id] = text
             session.insert_bulk(profiles, side=side)
         elif kind == "remove":
             if not live[side]:
@@ -75,23 +86,51 @@ def _stream(session, operations):
             entity_id = live[side][operation[2] % len(live[side])]
             session.remove(entity_id, side=side)
             live[side].remove(entity_id)
+            del arrival[side, entity_id]
         else:  # update
             if not live[side]:
                 continue
             entity_id = live[side][operation[2] % len(live[side])]
             session.update(make_profile(entity_id, text=operation[3]), side=side)
+            del arrival[side, entity_id]
+            arrival[side, entity_id] = operation[3]
         yield
 
 
+def _batch_pairs(arrival, cleaning, pruning):
+    """The id pairs the batch pipeline retains on the live entities."""
+    first, second = (
+        EntityCollection(
+            [make_profile(entity_id, text=text) for (of, entity_id), text in arrival.items() if of == side],
+            name=f"side{side}",
+        )
+        for side in (0, 1)
+    )
+    if not len(first) + len(second):
+        return set()
+    prepared = prepare_blocks(first, second, **CLEANINGS[cleaning].prepare_arguments())
+    ids = [profile.entity_id for profile in (*first, *second)]
+    return batch_retained_ids(
+        prepared.blocks, prepared.candidates, MODELS[cleaning], pruning, ids.__getitem__
+    )
+
+
+@pytest.mark.parametrize("cleaning", sorted(CLEANINGS))
 @settings(max_examples=20, deadline=None)
 @given(operations=_operations(), num_shards=st.sampled_from((1, 2, 3)))
-def test_every_pinned_offset_equals_canonical(operations, num_shards):
+def test_every_pinned_offset_equals_canonical(cleaning, operations, num_shards):
     tmp = Path(tempfile.mkdtemp())
-    session = MatchingSession(MODEL, bilateral=True, wal_path=tmp)
+    model = MODELS[cleaning]
+    session = MatchingSession(model, bilateral=True, wal_path=tmp)
     try:
         pinned = [(session.wal.log_offset, reference_retained(session))]
-        for _ in _stream(session, operations):
-            pinned.append((session.wal.log_offset, reference_retained(session)))
+        arrival = {}
+        for _ in _stream(session, operations, arrival):
+            reference = reference_retained(session)
+            assert {frozenset(row[:2]) for row in reference} == _batch_pairs(
+                arrival, cleaning, session.pruning.name
+            )
+            pinned.append((session.wal.log_offset, reference))
         replicas = [
             ShardReplica(tmp, shard, num_shards) for shard in range(num_shards)
         ]
@@ -103,7 +142,7 @@ def test_every_pinned_offset_equals_canonical(operations, num_shards):
                     [replica.read_state() for replica in replicas],
                     session.index.entity_id,
                 )
-                answer = match_answer(view, MODEL, session.pruning)
+                answer = match_answer(view, model, session.pruning)
                 assert answer["retained"] == reference
         finally:
             for replica in replicas:

@@ -132,7 +132,9 @@ class TestStream:
 
     def test_stream_handles_sources_sharing_id_values(self, tmp_path, capsys):
         """Both CSV sources numbering entities 0..N is a supported layout."""
-        rows = "".join(f"{n},item {n} common token\n" for n in range(6))
+        # tokens shared by two records per side: the purged and filtered
+        # bootstrap still pairs non-matches, so both classes are there to train
+        rows = "".join(f"{n},item {n} common token tag{n // 2}\n" for n in range(6))
         (tmp_path / "first.csv").write_text("id,name\n" + rows)
         (tmp_path / "second.csv").write_text("id,name\n" + rows)
         (tmp_path / "ground_truth.csv").write_text(
