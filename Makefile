@@ -36,7 +36,13 @@
 #                            numbering in all three implementations, and streamed /
 #                            merged / recovered / served answers under a model trained
 #                            on purged + filtered blocks vs prepare_blocks' defaults,
-#                            beside the raw-blocks parametrisation, both churn goldens)
+#                            beside the raw-blocks parametrisation, both churn goldens;
+#                            derived, not maintained: after every insert of any add /
+#                            remove / update / bulk / compact / recover interleaving the
+#                            insert-time statistics at the scored rows equal the exact
+#                            read bit for bit, a recovered session scores its next insert
+#                            as the uninterrupted one, spawning-only masking, and the
+#                            guard that no insert reads the whole collection)
 #   make test-fast         - tier-1 suite without the perf smoke tests, then tests/serve,
 #                            tests/faults and tests/persistence in one invocation (the
 #                            fixture model they pickle must not depend on collection order)
@@ -102,7 +108,7 @@ test-equivalence:
 		tests/incremental/test_sharded_index.py tests/test_no_sharded_index.py \
 		tests/blocking/test_filtering_numbering.py tests/incremental/test_cleaned_answer.py \
 		tests/incremental/test_session_property.py tests/incremental/test_churn_property.py \
-		tests/incremental/test_golden_churn.py
+		tests/incremental/test_golden_churn.py tests/incremental/test_insert_time_statistics.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q

@@ -7,16 +7,19 @@ one insert — against the *current* state of anything with the read surface
 of an :class:`~repro.incremental.IndexState`: a live
 :class:`MutableBlockIndex`, or a :class:`~repro.incremental.MergedIndexView`
 over shards or shipped states.  The vectorized (``sparse``) scheme
-implementations are reused unchanged: ``index.statistics()`` is an
-:class:`~repro.incremental.IndexStatistics`, the part of the
+implementations are reused unchanged: an
+:class:`~repro.incremental.IndexStatistics` is the part of the
 :class:`repro.weights.BlockStatistics` surface they consume.
 
-A delta names its pairs and :func:`repro.weights.sparse.compute_pair_cooccurrence`
-intersects their rows — work proportional to the memberships of the entities
-involved, not to the collection; the exact answer is every live pair of the
-collection read under the model's block cleaning, so ``generate_all``
-cleans the live CSR and derives pairs and aggregates together in one reduce
-pass, as block preparation does.
+A delta names its pairs: the writer's insert-time read
+(:meth:`MutableBlockIndex.insert_statistics`) sums the per-entity aggregates
+over their endpoints' rows and
+:func:`repro.weights.sparse.compute_pair_cooccurrence` intersects those rows
+— work proportional to the memberships of the entities involved, not to the
+collection.  The exact answer is every live pair of the collection read under
+the model's block cleaning, so ``generate_all`` cleans the live CSR and
+derives pairs and aggregates together in one reduce pass, as block
+preparation does.
 """
 
 from __future__ import annotations
@@ -69,12 +72,12 @@ class DeltaFeatureGenerator:
     ) -> FeatureMatrix:
         """Feature matrix of ``candidates`` at the index's current state.
 
-        A fresh statistics view is taken per call unless one is handed in,
-        so the matrix always reflects the block collection as of the latest
-        insert.
+        Unless a statistics view is handed in, the writer's insert-time read
+        of ``candidates`` is taken per call, so the matrix always reflects
+        the raw block collection as of the latest mutation.
         """
         if statistics is None:
-            statistics = self.index.statistics()
+            statistics = self.index.insert_statistics(candidates)
         matrix = self._generator.generate(candidates, statistics)
         self._orient_entity_columns(matrix, candidates)
         return matrix

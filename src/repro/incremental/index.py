@@ -13,15 +13,16 @@ mutates itself.  It is *fully dynamic*: entities can be inserted
 :meth:`~MutableBlockIndex.add_entities_bulk`), retracted
 (:meth:`~MutableBlockIndex.remove_entity`) and corrected
 (:meth:`~MutableBlockIndex.update_entity`).  Under every mutation it
-maintains, beside the state's arrays:
+maintains, beside the state's arrays, only what no read can derive in
+O(delta):
 
-* the token -> block inverted index (one block per distinct signature) and
-  the per-block member lists and sizes ``|b|``, which never leave the index;
-* the per-entity aggregates every weighting scheme needs (``|B_i|``,
-  ``||e_i||``, ``Σ 1/||b||``, ``Σ 1/|b|``, LCP degrees), adjusted in place
-  for every entity of a touched block — insertions add the contributions,
-  removals reverse them exactly;
-* the live candidate-pair count and the per-mutation *delta*: the new pairs
+* the token -> block inverted index (one block per distinct signature), the
+  per-block member lists, and the per-block vectors ``|b|``, ``||b||``,
+  ``1/||b||`` and ``1/|b|``, which never leave the index;
+* ``|B|`` and ``||B||`` (:attr:`num_nonempty_blocks`,
+  :attr:`total_cardinality`), the LCP degree of every node and the live
+  candidate-pair count — integers, exact under any order of updates;
+* the per-mutation *delta*: the new pairs
   an insert introduced (:class:`InsertDelta`) or the dead pairs a removal
   retracted (:class:`RetractionDelta`), each carrying the pairs' packed keys.
   No pair is stored: every read derives the live pairs from the CSR, and the
@@ -30,7 +31,11 @@ maintains, beside the state's arrays:
   :class:`_DeltaTracker`, which is why :meth:`~MutableBlockIndex.export_delta`
   lives here and not on the state.
 
-All aggregates follow the batch conventions: blocks spawning no comparison
+The per-entity aggregates every weighting scheme needs (``|B_i|``,
+``||e_i||``, ``Σ 1/||b||``, ``Σ 1/|b|``) are not maintained: an insert's
+scores read them off the CSR rows of the pairs it scores
+(:meth:`~MutableBlockIndex.insert_statistics`), an exact answer off the rows
+it reads.  Both follow the batch conventions: blocks spawning no comparison
 are excluded from ``|B|``, ``|B_i|`` and the inverse sums (they do not exist
 in a batch collection after ``without_empty_blocks``), so a
 :class:`MutableBlockIndex` fed any interleaving of inserts, removals,
@@ -38,7 +43,8 @@ updates and bulk loads ending in collection ``C`` exposes exactly the
 statistics :class:`repro.weights.BlockStatistics` computes on the *raw*
 batch block collection built from ``C``
 (``prepare_blocks(..., apply_purging=False, apply_filtering=False)``) —
-what the insert path scores deltas against.  Block Purging and Block
+what the insert path scores deltas against — whatever the mutation path.
+Block Purging and Block
 Filtering are global functions of the live collection, so the index does
 not maintain them: an exact answer under the paper's cleaning applies them
 at read time (:class:`~repro.incremental.IndexStatistics` with a
@@ -46,14 +52,14 @@ at read time (:class:`~repro.incremental.IndexStatistics` with a
 preparation runs), and equals ``prepare_blocks`` with its defaults.
 
 Node ids are assigned in arrival order and never reused: a removed entity's
-slot is tombstoned (its aggregates zeroed, its side -1, its CSR row left
+slot is tombstoned (its degree zeroed, its side -1, its CSR row left
 behind and skipped by every read) and an updated entity re-enters under a
 fresh node id; the derived candidate set numbers the *live* nodes in the
 compact batch numbering of ``canonical_node_ids``, which is what the session's
 exact finalisation uses to reproduce batch pruning bit-for-bit.  The
-finalisation is array-only: the cardinality budgets come from ``block_totals``
-(two maintained integers), and :meth:`~MutableBlockIndex.snapshot_blocks`
-stays as the materialisation the equivalence tests compare those against.
+finalisation is array-only: the cardinality budgets come from the statistics'
+``block_totals()``, and :meth:`~MutableBlockIndex.snapshot_blocks` stays as
+the materialisation the equivalence tests compare those against.
 
 Per-insert cost is ``O(Σ_{b ∈ tokens(e)} |b|)`` — the size of the touched
 blocks, i.e. the mutation's candidate delta — independent of the number of
@@ -78,13 +84,7 @@ from ..datamodel.block import Block, BlockCollection
 from ..datamodel.candidates import CandidateSet
 from ..datamodel.entity import EntityProfile
 from ..pairs import MAX_NODE_ID, node_id_overflow, pack_pair_keys, sorted_unique
-from .state import (
-    APPENDED,
-    BLOCK_AGGREGATES,
-    ENTITY_AGGREGATES,
-    Growable,
-    IndexState,
-)
+from .state import APPENDED, Growable, IndexState, IndexStatistics
 
 
 class UnknownEntityError(KeyError):
@@ -120,17 +120,14 @@ class DuplicateEntityError(ValueError):
 
 
 class _DeltaTracker:
-    """Dirty sets accumulated between two :meth:`MutableBlockIndex.export_delta`
-    calls.
+    """What happened between two :meth:`MutableBlockIndex.export_delta` calls.
 
-    Tracks *which* blocks and entities changed; the changed values
-    themselves are read off the index at export time.  Everything appended
-    past the recorded base watermarks (slots, CSR) is shipped as a tail, so
-    only in-place changes — and created blocks, which have no tail — need
-    explicit marking.
+    Everything appended past the recorded base watermarks (slots, CSR) is
+    shipped as a tail; the one in-place change a reader holds is a removed
+    node's side flag, so the removed nodes are the only thing recorded.
     """
 
-    __slots__ = ("base_epoch", "base_lengths", "blocks", "entities")
+    __slots__ = ("base_epoch", "base_lengths", "removed")
 
     def __init__(self, index: "MutableBlockIndex") -> None:
         self.base_epoch = index.epoch
@@ -138,8 +135,7 @@ class _DeltaTracker:
         self.base_lengths = {
             field: len(getattr(index, field)) for _, field, _, _ in APPENDED
         }
-        self.blocks: set = set()
-        self.entities: set = set()
+        self.removed: List[int] = []
 
 
 @dataclass(frozen=True)
@@ -298,10 +294,19 @@ class MutableBlockIndex(IndexState):
         # token -> block id
         self._block_ids: Dict[str, int] = {}
         self._block_keys: List[str] = []
-        # per-block membership (node ids, in arrival order) and sizes |b|
+        # per-block membership (node ids, in arrival order) and the per-block
+        # vectors |b|, ||b||, 1/||b|| and 1/|b| (a block spawning no
+        # comparison holds cardinality 0 and inverse weights 1)
         self._members_first: List[List[int]] = []
         self._members_second: List[List[int]] = []
         self._block_sizes = Growable(np.int64)
+        self._block_cardinalities = Growable(np.int64)
+        self._inverse_block_cardinalities = Growable(np.float64)
+        self._inverse_block_sizes = Growable(np.float64)
+        #: ``|B|`` — blocks spawning at least one comparison
+        self.num_nonempty_blocks: int = 0
+        #: ``||B||`` — the total number of comparisons
+        self.total_cardinality: int = 0
 
         # entity registry; ids are namespaced per side — Clean-Clean sources
         # commonly number their entities independently
@@ -321,10 +326,9 @@ class MutableBlockIndex(IndexState):
         self.generation: int = 0
 
         # delta shipping: when a reader has enabled tracking
-        # (enable_delta_tracking), the dirty sets record which blocks/entities
-        # changed since the tracker's base epoch so export_delta can ship
-        # O(changed) instead of O(state).  Single-consumer by design (the
-        # serve read path).
+        # (enable_delta_tracking), the tracker records what changed since its
+        # base epoch so export_delta can ship O(changed) instead of O(state).
+        # Single-consumer by design (the serve read path).
         self._delta: Optional[_DeltaTracker] = None
 
     # -- durability --------------------------------------------------------------
@@ -360,6 +364,11 @@ class MutableBlockIndex(IndexState):
     def num_pairs(self) -> int:
         """Number of *live* distinct candidate pairs."""
         return self._num_live_pairs
+
+    @property
+    def num_blocks(self) -> int:
+        """Number of blocks, including those spawning no comparison yet."""
+        return len(self._block_keys)
 
     def __len__(self) -> int:
         return self.num_entities
@@ -432,7 +441,7 @@ class MutableBlockIndex(IndexState):
             if block_id is None:
                 block_id = self._create_block(signature)
             block_ids.append(block_id)
-            counterparts = self._join_block(block_id, node, side)
+            counterparts = self._move_member(block_id, node, side, joining=True)
             if counterparts is not None:
                 counterpart_parts.append(counterparts)
 
@@ -549,8 +558,6 @@ class MutableBlockIndex(IndexState):
             self._block_cardinalities.extend(np.zeros(created, dtype=np.int64))
             self._inverse_block_cardinalities.extend(np.ones(created))
             self._inverse_block_sizes.extend(np.ones(created))
-            if self._delta is not None:
-                self._delta.blocks.update(range(blocks_before, len(block_keys)))
 
         num_blocks = np.int64(max(self.num_blocks, 1))
         relative_nodes = np.repeat(np.arange(n_new, dtype=np.int64), lengths)
@@ -594,12 +601,11 @@ class MutableBlockIndex(IndexState):
         """Apply a batch's (block, node) memberships to the block state.
 
         The per-block transitions (sizes, cardinalities, global counters)
-        and every per-entity aggregate adjustment — for old members and new
-        ones alike — are computed as single vectorized passes over the
-        *touched block groups*; the only per-block Python work left is
-        gathering the old member lists and emitting the cross-product
-        candidate pairs.  Returns the batch's distinct new pairs, canonical
-        and sorted by packed key.
+        are computed as single vectorized passes over the *touched block
+        groups*; the only per-block Python work left is gathering the
+        counterpart lists and emitting the cross-product candidate pairs.
+        Returns the batch's distinct new pairs, canonical and sorted by
+        packed key.
         """
         empty = np.empty(0, dtype=np.int64)
         if block_of.size == 0:
@@ -612,8 +618,6 @@ class MutableBlockIndex(IndexState):
         touched = grouped_blocks[starts]
         touched_list = touched.tolist()
         added = ends - starts
-        if self._delta is not None:
-            self._delta.blocks.update(touched_list)
 
         # old per-block state, gathered vectorized
         old_first = np.fromiter(
@@ -626,10 +630,9 @@ class MutableBlockIndex(IndexState):
             dtype=np.int64,
             count=touched.size,
         )
-        old_size = old_first + old_second
         old_cardinality = self._block_cardinalities.view()[touched]
 
-        new_size = old_size + added
+        new_size = old_first + old_second + added
         if self.bilateral:
             new_first = old_first + (added if side == 0 else 0)
             new_second = old_second + (added if side == 1 else 0)
@@ -638,14 +641,8 @@ class MutableBlockIndex(IndexState):
             new_cardinality = new_size * (new_size - 1) // 2
 
         # global aggregates: one transition per touched block
-        was_spawning = old_cardinality > 0
-        newly_spawning = ~was_spawning & (new_cardinality > 0)
-        spawning = new_cardinality > 0
         self.total_cardinality += int((new_cardinality - old_cardinality).sum())
-        self.num_nonempty_blocks += int(newly_spawning.sum())
-        self.total_block_assignments += int(
-            np.where(was_spawning, added, np.where(newly_spawning, new_size, 0)).sum()
-        )
+        self.num_nonempty_blocks += int(((old_cardinality == 0) & (new_cardinality > 0)).sum())
 
         # per-block state, stored vectorized
         self._block_sizes[touched] = new_size
@@ -655,14 +652,10 @@ class MutableBlockIndex(IndexState):
         )
         self._inverse_block_sizes[touched] = 1.0 / np.maximum(new_size, 1)
 
-        # gather old members (for aggregate scatter) and counterparts (for
-        # pair emission), extending the member lists as we go; the pair
-        # cross-products themselves are emitted in one grouped pass below
+        # gather counterparts (for pair emission), extending the member lists
+        # as we go; the pair cross-products themselves are emitted in one
+        # grouped pass below
         stride = np.int64(max(self.num_slots, 1))
-        needs_old = (was_spawning | newly_spawning).tolist()
-        old_parts: List[np.ndarray] = []
-        old_groups: List[int] = []
-        old_counts: List[int] = []
         cp_parts: List[np.ndarray] = []
         cp_groups: List[int] = []
         cp_counts: List[int] = []
@@ -689,13 +682,6 @@ class MutableBlockIndex(IndexState):
                 pair_parts.append(
                     new_members[upper_i] * stride + new_members[upper_j]
                 )
-            if needs_old[group] and (first or second):
-                members = first + second
-                old_parts.append(
-                    np.fromiter(members, dtype=np.int64, count=len(members))
-                )
-                old_groups.append(group)
-                old_counts.append(len(members))
             (second if join_second else first).extend(new_members.tolist())
 
         if cp_parts:
@@ -711,72 +697,6 @@ class MutableBlockIndex(IndexState):
             )
             new = grouped_nodes[np.repeat(starts[cp_group], per_cp) + within]
             pair_parts.append(np.minimum(old, new) * stride + np.maximum(old, new))
-
-        blocks_per_entity = self._blocks_per_entity.view()
-        entity_cardinality = self._entity_cardinality.view()
-        entity_inv_cardinality = self._entity_inv_cardinality.view()
-        entity_inv_size = self._entity_inv_size.view()
-        inv_new_cardinality = 1.0 / np.maximum(new_cardinality, 1)
-        inv_new_size = 1.0 / np.maximum(new_size, 1)
-
-        # old members: blocks already spawning move old state -> new state,
-        # newly spawning blocks contribute their full new state
-        if old_parts:
-            old_nodes = np.concatenate(old_parts)
-            if self._delta is not None:
-                self._delta.entities.update(old_nodes.tolist())
-            group_of = np.repeat(np.asarray(old_groups, dtype=np.int64), old_counts)
-            was = was_spawning[group_of]
-            inv_old_cardinality = 1.0 / np.maximum(old_cardinality, 1)
-            inv_old_size = 1.0 / np.maximum(old_size, 1)
-            np.add.at(
-                blocks_per_entity, old_nodes, np.where(was, 0.0, 1.0)
-            )
-            np.add.at(
-                entity_cardinality,
-                old_nodes,
-                np.where(
-                    was, (new_cardinality - old_cardinality)[group_of],
-                    new_cardinality[group_of].astype(np.float64),
-                ),
-            )
-            np.add.at(
-                entity_inv_cardinality,
-                old_nodes,
-                np.where(
-                    was,
-                    (inv_new_cardinality - inv_old_cardinality)[group_of],
-                    inv_new_cardinality[group_of],
-                ),
-            )
-            np.add.at(
-                entity_inv_size,
-                old_nodes,
-                np.where(
-                    was,
-                    (inv_new_size - inv_old_size)[group_of],
-                    inv_new_size[group_of],
-                ),
-            )
-
-        # new members of spawning blocks: their full per-block contribution
-        membership_group = np.repeat(
-            np.arange(touched.size, dtype=np.int64), added
-        )
-        in_spawning = spawning[membership_group]
-        if np.any(in_spawning):
-            target_nodes = grouped_nodes[in_spawning]
-            target_groups = membership_group[in_spawning]
-            np.add.at(blocks_per_entity, target_nodes, 1.0)
-            np.add.at(
-                entity_cardinality,
-                target_nodes,
-                new_cardinality[target_groups].astype(np.float64),
-            )
-            np.add.at(
-                entity_inv_cardinality, target_nodes, inv_new_cardinality[target_groups]
-            )
-            np.add.at(entity_inv_size, target_nodes, inv_new_size[target_groups])
 
         if not pair_parts:
             return empty, empty
@@ -803,28 +723,17 @@ class MutableBlockIndex(IndexState):
         )
         self._sides.extend(np.full(n_new, side, dtype=np.int8))
         self._side_counts[side] += n_new
-        if self._delta is not None:
-            self._delta.entities.update(range(base, base + n_new))
-        zeros = np.zeros(n_new)
-        for array in (
-            self._blocks_per_entity,
-            self._entity_cardinality,
-            self._entity_inv_cardinality,
-            self._entity_inv_size,
-            self._degrees,
-        ):
-            array.extend(zeros)
+        self._degrees.extend(np.zeros(n_new))
 
     # -- removal / update ------------------------------------------------------
     def remove_entity(self, entity_id: str, side: int = 0) -> RetractionDelta:
         """Retract one entity, reversing every aggregate it contributed to.
 
-        The entity leaves each of its blocks (adjusting ``|b|``, ``||b||``,
-        the inverse weight vectors and the remaining members' per-entity
-        aggregates in place, exactly undoing what its insertion added), its
-        candidate pairs leave the live count and the LCP degrees, and its
-        node slot is marked dead.  Cost is proportional to the entity's
-        candidate delta, like the insert it reverses.
+        The entity leaves each of its blocks (adjusting ``|b|``, ``||b||``
+        and the inverse weight vectors in place, exactly undoing what its
+        insertion added), its candidate pairs leave the live count and the
+        LCP degrees, and its node slot is marked dead.  Cost is proportional
+        to the entity's candidate delta, like the insert it reverses.
 
         Returns
         -------
@@ -852,7 +761,7 @@ class MutableBlockIndex(IndexState):
         )
         counterpart_parts: List[np.ndarray] = []
         for block_id in block_ids.tolist():
-            counterparts = self._leave_block(block_id, node, side)
+            counterparts = self._move_member(block_id, node, side, joining=False)
             if counterparts is not None:
                 counterpart_parts.append(counterparts)
 
@@ -866,20 +775,10 @@ class MutableBlockIndex(IndexState):
             np.minimum(counterparts, node), np.maximum(counterparts, node)
         )
         self._degrees[counterparts] -= 1.0
+        self._degrees[node] = 0.0
         self._num_live_pairs -= counterparts.size
         if self._delta is not None:
-            self._delta.entities.add(node)
-
-        # the departing node's aggregates must land at exactly zero; assign
-        # rather than subtract so float residue cannot accumulate in dead slots
-        for array in (
-            self._blocks_per_entity,
-            self._entity_cardinality,
-            self._entity_inv_cardinality,
-            self._entity_inv_size,
-            self._degrees,
-        ):
-            array[node] = 0.0
+            self._delta.removed.append(node)
 
         del self._node_of_id[(side, entity_id)]
         self._sides[node] = -1
@@ -957,16 +856,7 @@ class MutableBlockIndex(IndexState):
         self._node_of_id[(side, entity_id)] = node
         self._sides.append(side)
         self._side_counts[side] += 1
-        if self._delta is not None:
-            self._delta.entities.add(node)
-        for array in (
-            self._blocks_per_entity,
-            self._entity_cardinality,
-            self._entity_inv_cardinality,
-            self._entity_inv_size,
-            self._degrees,
-        ):
-            array.append(0.0)
+        self._degrees.append(0.0)
         return node
 
     def _register_tombstone(self) -> int:
@@ -985,14 +875,7 @@ class MutableBlockIndex(IndexState):
             raise node_id_overflow(node)
         self._entity_ids.append("")
         self._sides.append(-1)
-        for array in (
-            self._blocks_per_entity,
-            self._entity_cardinality,
-            self._entity_inv_cardinality,
-            self._entity_inv_size,
-            self._degrees,
-        ):
-            array.append(0.0)
+        self._degrees.append(0.0)
         self._indptr.append(len(self._indices))
         return node
 
@@ -1006,159 +889,38 @@ class MutableBlockIndex(IndexState):
         self._block_cardinalities.append(0)
         self._inverse_block_cardinalities.append(1.0)
         self._inverse_block_sizes.append(1.0)
-        if self._delta is not None:
-            self._delta.blocks.add(block_id)
         return block_id
 
-    def _store_block_state(self, block_id: int, size: int, cardinality: int) -> None:
+    def _move_member(
+        self, block_id: int, node: int, side: int, joining: bool
+    ) -> Optional[np.ndarray]:
+        """Add ``node`` to a block (or remove it: the exact inverse) and store
+        the block's new state; return the node ids it is (was) compared
+        against within the block — ``None`` when there are none."""
+        first = self._members_first[block_id]
+        second = self._members_second[block_id]
+        own, other = (second, first) if self.bilateral and side == 1 else (first, second)
+        if not joining:
+            own.remove(node)
+        # the node's counterparts: the other side, or every other member
+        counterpart_list = other if self.bilateral else own
+        counterparts = (
+            np.fromiter(counterpart_list, dtype=np.int64, count=len(counterpart_list))
+            if counterpart_list
+            else None
+        )
+        if joining:
+            own.append(node)
+        size = len(first) + len(second)
+        cardinality = len(first) * len(second) if self.bilateral else size * (size - 1) // 2
+        old_cardinality = int(self._block_cardinalities[block_id])
+        # a block starting or stopping to spawn comparisons enters or leaves |B|
+        self.num_nonempty_blocks += (cardinality > 0) - (old_cardinality > 0)
+        self.total_cardinality += cardinality - old_cardinality
         self._block_sizes[block_id] = size
         self._block_cardinalities[block_id] = cardinality
         self._inverse_block_cardinalities[block_id] = 1.0 / max(cardinality, 1)
         self._inverse_block_sizes[block_id] = 1.0 / max(size, 1)
-
-    def _join_block(self, block_id: int, node: int, side: int) -> Optional[np.ndarray]:
-        """Add ``node`` to a block, updating every affected aggregate.
-
-        Returns the node ids the new entity is compared against within this
-        block (``None`` when the block spawns no new comparison).
-        """
-        tracker = self._delta
-        if tracker is not None:
-            tracker.blocks.add(block_id)
-        first = self._members_first[block_id]
-        second = self._members_second[block_id]
-        old_size = len(first) + len(second)
-        old_cardinality = int(self._block_cardinalities[block_id])
-        if self.bilateral:
-            counterpart_list = second if side == 0 else first
-            new_cardinality = (
-                (len(first) + (side == 0)) * (len(second) + (side == 1))
-            )
-        else:
-            counterpart_list = first
-            members = old_size + 1
-            new_cardinality = members * (members - 1) // 2
-        new_size = old_size + 1
-        delta_cardinality = new_cardinality - old_cardinality
-        self.total_cardinality += delta_cardinality
-
-        # Adjust the aggregates of the block's existing members.  Both
-        # branches are O(|b|); the arrays below are views into the growable
-        # buffers, so the updates land in place.
-        blocks_per_entity = self._blocks_per_entity.view()
-        entity_cardinality = self._entity_cardinality.view()
-        entity_inv_cardinality = self._entity_inv_cardinality.view()
-        entity_inv_size = self._entity_inv_size.view()
-        if old_cardinality > 0:
-            existing = np.fromiter(
-                first + second, dtype=np.int64, count=old_size
-            )
-            if tracker is not None:
-                tracker.entities.update(existing.tolist())
-            entity_cardinality[existing] += delta_cardinality
-            entity_inv_cardinality[existing] += (
-                1.0 / new_cardinality - 1.0 / old_cardinality
-            )
-            entity_inv_size[existing] += 1.0 / new_size - 1.0 / old_size
-            self.total_block_assignments += 1
-        elif new_cardinality > 0:
-            # the block just started spawning comparisons: it now counts
-            # towards |B|, |B_i| and the inverse sums of all its members
-            existing = np.fromiter(first + second, dtype=np.int64, count=old_size)
-            if tracker is not None:
-                tracker.entities.update(existing.tolist())
-            blocks_per_entity[existing] += 1.0
-            entity_cardinality[existing] += new_cardinality
-            entity_inv_cardinality[existing] += 1.0 / new_cardinality
-            entity_inv_size[existing] += 1.0 / new_size
-            self.num_nonempty_blocks += 1
-            self.total_block_assignments += new_size
-
-        if new_cardinality > 0:
-            blocks_per_entity[node] += 1.0
-            entity_cardinality[node] += new_cardinality
-            entity_inv_cardinality[node] += 1.0 / new_cardinality
-            entity_inv_size[node] += 1.0 / new_size
-
-        counterparts = (
-            np.fromiter(counterpart_list, dtype=np.int64, count=len(counterpart_list))
-            if counterpart_list
-            else None
-        )
-
-        if self.bilateral and side == 1:
-            second.append(node)
-        else:
-            first.append(node)
-        self._store_block_state(block_id, new_size, new_cardinality)
-        return counterparts
-
-    def _leave_block(self, block_id: int, node: int, side: int) -> Optional[np.ndarray]:
-        """Remove ``node`` from a block, reversing every affected aggregate.
-
-        The exact inverse of :meth:`_join_block`: the remaining members'
-        per-entity aggregates move from the old block state to the new one,
-        and a block dropping to zero cardinality stops counting towards
-        ``|B|``, ``|B_i|``, the inverse sums and the assignment total.
-        Returns the node ids the departing entity was compared against
-        within this block (each is one retracted pair candidate).
-        """
-        tracker = self._delta
-        if tracker is not None:
-            tracker.blocks.add(block_id)
-        first = self._members_first[block_id]
-        second = self._members_second[block_id]
-        old_size = len(first) + len(second)
-        old_cardinality = int(self._block_cardinalities[block_id])
-
-        (second if (self.bilateral and side == 1) else first).remove(node)
-        new_size = old_size - 1
-        if self.bilateral:
-            counterpart_list = second if side == 0 else first
-            new_cardinality = len(first) * len(second)
-        else:
-            counterpart_list = first
-            new_cardinality = new_size * (new_size - 1) // 2
-        delta_cardinality = new_cardinality - old_cardinality
-        self.total_cardinality += delta_cardinality
-
-        blocks_per_entity = self._blocks_per_entity.view()
-        entity_cardinality = self._entity_cardinality.view()
-        entity_inv_cardinality = self._entity_inv_cardinality.view()
-        entity_inv_size = self._entity_inv_size.view()
-        if old_cardinality > 0:
-            remaining = np.fromiter(first + second, dtype=np.int64, count=new_size)
-            if tracker is not None:
-                tracker.entities.update(remaining.tolist())
-            if new_cardinality > 0:
-                entity_cardinality[remaining] += delta_cardinality
-                entity_inv_cardinality[remaining] += (
-                    1.0 / new_cardinality - 1.0 / old_cardinality
-                )
-                entity_inv_size[remaining] += 1.0 / new_size - 1.0 / old_size
-                self.total_block_assignments -= 1
-            else:
-                # the block stopped spawning comparisons: it no longer counts
-                # towards |B|, |B_i| or the inverse sums of its members
-                blocks_per_entity[remaining] -= 1.0
-                entity_cardinality[remaining] -= old_cardinality
-                entity_inv_cardinality[remaining] -= 1.0 / old_cardinality
-                entity_inv_size[remaining] -= 1.0 / old_size
-                self.num_nonempty_blocks -= 1
-                self.total_block_assignments -= old_size
-            # the departing node's own contribution (zeroed for good measure
-            # by the caller once every block is processed)
-            blocks_per_entity[node] -= 1.0
-            entity_cardinality[node] -= old_cardinality
-            entity_inv_cardinality[node] -= 1.0 / old_cardinality
-            entity_inv_size[node] -= 1.0 / old_size
-
-        counterparts = (
-            np.fromiter(counterpart_list, dtype=np.int64, count=len(counterpart_list))
-            if counterpart_list
-            else None
-        )
-        self._store_block_state(block_id, new_size, new_cardinality)
         return counterparts
 
     # -- compaction ------------------------------------------------------------
@@ -1166,7 +928,7 @@ class MutableBlockIndex(IndexState):
         """Squeeze tombstoned slots and dead blocks out of the index.
 
         Long-lived high-churn sessions grow monotonically: removed entities
-        leave dead node slots (zeroed aggregate entries, orphaned CSR rows)
+        leave dead node slots (zeroed degrees, orphaned CSR rows)
         and emptied blocks behind.  ``compact()`` adopts its own
         :meth:`compacted_state` — the very state a snapshot writes and
         recovery adopts:
@@ -1178,11 +940,10 @@ class MutableBlockIndex(IndexState):
           renumbered in their old order.
 
         The *canonical* view is unchanged: live entities keep their arrival
-        order per side and their rows their block order, and the float
-        aggregates are carried as held, so :meth:`canonical_node_ids`,
-        :meth:`candidate_set` and :meth:`snapshot_blocks` — and with
-        them the exact batch-equivalent finalisation — produce identical
-        results before and after.  Raw node ids, and with them the packed
+        order per side and their rows their block order, so
+        :meth:`canonical_node_ids`, :meth:`candidate_set` and
+        :meth:`snapshot_blocks` — and with them the exact batch-equivalent
+        finalisation — produce identical results before and after.  Raw node ids, and with them the packed
         pair keys, are reassigned, which invalidates outstanding
         :class:`InsertDelta`/:class:`RetractionDelta` references *and* any
         per-pair state a live :class:`MatchingSession` keys by them — the
@@ -1206,9 +967,8 @@ class MutableBlockIndex(IndexState):
           order;
         * ``csr_indptr`` / ``csr_indices``: the live rows of the CSR over the
           renumbered blocks;
-        * ``inv_cardinality_sums`` / ``inv_size_sums`` / ``degrees``: the
-          per-entity ``Σ 1/||b||``, ``Σ 1/|b|`` and LCP exactly as held —
-          float sums a recount would round differently.
+        * ``degrees``: the LCP of every row as held — integers, which a
+          recount would have to expand every pair for.
 
         Everything else is recounted exactly by :meth:`adopt_compacted`.
         """
@@ -1234,8 +994,6 @@ class MutableBlockIndex(IndexState):
             ),
             "csr_indptr": indptr,
             "csr_indices": renumbered[memberships],
-            "inv_cardinality_sums": self._entity_inv_cardinality.view()[live],
-            "inv_size_sums": self._entity_inv_size.view()[live],
             "degrees": self._degrees.view()[live],
         }
 
@@ -1245,9 +1003,10 @@ class MutableBlockIndex(IndexState):
         The arrays are adopted (copied); what they determine is recounted
         exactly — block sizes and cardinalities from the CSR transposed by
         side, which also yields the member lists (ascending node ids), the
-        inverse block weights as ``1 / max(·, 1)`` of those integers, the
-        integer-valued per-entity block counts and cardinality sums, and the
+        inverse block weights as ``1 / max(·, 1)`` of those integers and the
         global totals — and the token and entity dictionaries are rebuilt.
+        Other fields of ``state`` are ignored, so a snapshot that also stores
+        per-entity float sums still loads.
         Nothing is re-encoded and no pair is expanded.  The write-ahead log,
         :attr:`generation` and the blocking method are kept; a delta tracker
         is dropped, so the next export is a full ship.
@@ -1261,18 +1020,25 @@ class MutableBlockIndex(IndexState):
         block_keys = list(state["block_keys"])
         first, second = (int(count) for count in state["side_counts"])
         indptr, indices = compacted_rows(state)
-        carried = [
-            np.asarray(state[name], dtype=np.float64)
-            for name in ("inv_cardinality_sums", "inv_size_sums", "degrees")
-        ]
+        degrees = np.asarray(state["degrees"], dtype=np.float64)
         num_nodes, num_blocks = first + second, len(block_keys)
         if (
             min(first, second) < 0
             or (second and not self.bilateral)
             or len(entity_ids) != num_nodes
-            or any(array.shape != (num_nodes,) for array in carried)
+            or degrees.shape != (num_nodes,)
         ):
             raise ValueError("the arrays are not a consistent compacted index state")
+        # integers below the entity count (NaN and inf fail the comparisons),
+        # and every pair adds one to the degree of both its nodes
+        if not (
+            ((degrees >= 0) & (degrees < num_nodes) & (degrees == np.floor(degrees))).all()
+            and degrees.sum() % 2 == 0
+        ):
+            raise ValueError(
+                "a compacted index state's degrees are not the non-negative "
+                "integers of a pair set"
+            )
         row_of = np.repeat(np.arange(num_nodes, dtype=np.int64), np.diff(indptr))
         sides = np.repeat(np.array([0, 1], dtype=np.int8), [first, second])
         node_of_id = dict(zip(zip(sides.tolist(), entity_ids), range(num_nodes)))
@@ -1288,7 +1054,6 @@ class MutableBlockIndex(IndexState):
             cardinalities = firsts * (sizes - firsts)
         else:
             cardinalities = sizes * (sizes - 1) // 2
-        spawning = cardinalities > 0
         ends = np.cumsum(sizes).tolist()
         starts = [0] + ends[:-1]
         splits = (np.asarray(starts, dtype=np.int64) + firsts).tolist()
@@ -1307,29 +1072,24 @@ class MutableBlockIndex(IndexState):
         self._block_cardinalities = Growable.of(cardinalities, np.int64)
         self._inverse_block_cardinalities = Growable.of(1.0 / np.maximum(cardinalities, 1))
         self._inverse_block_sizes = Growable.of(1.0 / np.maximum(sizes, 1))
-        # integer-valued float sums: exact in any order
-        self._blocks_per_entity = Growable.of(
-            np.bincount(row_of, weights=spawning[indices], minlength=num_nodes), np.float64
-        )
-        self._entity_cardinality = Growable.of(
-            np.bincount(row_of, weights=cardinalities[indices], minlength=num_nodes),
-            np.float64,
-        )
-        (
-            self._entity_inv_cardinality,
-            self._entity_inv_size,
-            self._degrees,
-        ) = map(Growable.of, carried)
+        self._degrees = Growable.of(degrees)
         self.total_cardinality = int(cardinalities.sum())
-        self.num_nonempty_blocks = int(spawning.sum())
-        self.total_block_assignments = int(sizes[spawning].sum())
-        self._num_live_pairs = int(self._degrees.view().sum()) // 2
-        # raw node ids were reassigned: a delta tracker's dirty sets are
+        self.num_nonempty_blocks = int(np.count_nonzero(cardinalities))
+        self._num_live_pairs = int(degrees.sum()) // 2
+        # raw node ids were reassigned: a delta tracker's watermarks are
         # meaningless, so the next export falls back to a full ship
         self.epoch += 1
         self._delta = None
 
     # -- read-side structures --------------------------------------------------
+    def insert_statistics(self, candidates: CandidateSet) -> IndexStatistics:
+        """The insert-time read of ``candidates``: the raw-block statistics at
+        the rows of their endpoints, derived in O(Σ those rows) (see
+        :class:`~repro.incremental.IndexStatistics`)."""
+        return IndexStatistics(
+            (self,), rows=np.concatenate((candidates.left, candidates.right))
+        )
+
     def delta_candidate_set(self, delta: InsertDelta) -> CandidateSet:
         """The candidate pairs introduced by one insert, as a candidate set."""
         left = delta.counterparts.copy()
@@ -1391,40 +1151,19 @@ class MutableBlockIndex(IndexState):
         next mutation (arrays may be zero-copy views).
 
         The wire layout is derived from the schema table of
-        :mod:`repro.incremental.state`, like :meth:`export_state`: appended
-        slot/CSR tails, the changed per-entity and per-block aggregates as
-        sorted id + value arrays (``dirty_blocks`` includes every block
-        created since the base, so the receiver learns the new block count
-        from it), and the tombstoned nodes.
+        :mod:`repro.incremental.state`, like :meth:`export_state`: the
+        appended slot / CSR tails, and the nodes removed since the base whose
+        slot the reader already holds.
         """
         tracker = self._delta
         if tracker is None or int(since_epoch) != tracker.base_epoch:
             return None
-        sides = self._sides.view()
-        base_slots = tracker.base_lengths["_sides"]
-        dirty_entities = np.fromiter(
-            sorted(tracker.entities), dtype=np.int64, count=len(tracker.entities)
-        )
-        old = dirty_entities[dirty_entities < base_slots]
-        tombstoned = old[sides[old] < 0]
-        dirty_blocks = np.fromiter(
-            sorted(tracker.blocks), dtype=np.int64, count=len(tracker.blocks)
-        )
+        removed = np.sort(np.asarray(tracker.removed, dtype=np.int64))
         arrays = {
             f"{name}_tail": getattr(self, field).view()[tracker.base_lengths[field] :]
             for name, field, _, _ in APPENDED
         }
-        arrays.update(
-            tombstoned_nodes=tombstoned,
-            dirty_entities=dirty_entities,
-            dirty_blocks=dirty_blocks,
-        )
-        for name, field in ENTITY_AGGREGATES:
-            arrays[f"dirty_{name}"] = getattr(self, field).view()[dirty_entities]
-        for name, field, _, _ in BLOCK_AGGREGATES:
-            arrays[f"dirty_{name}"] = getattr(self, field).view()[dirty_blocks]
-        meta = self._export_meta()
-        meta["kind"] = "delta"
-        meta["base_epoch"] = tracker.base_epoch
+        arrays["tombstoned_nodes"] = removed[removed < tracker.base_lengths["_sides"]]
+        meta = dict(self._export_meta(), kind="delta", base_epoch=tracker.base_epoch)
         self._delta = _DeltaTracker(self)
         return {"arrays": arrays, "meta": meta}

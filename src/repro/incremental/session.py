@@ -759,8 +759,11 @@ class MatchingSession:
 
         Replay feeds the record's stored signatures to the index's
         ``_apply_*`` entry points (no re-tokenization) and re-scores the
-        resulting deltas with the frozen model — deterministic, so the
-        replayed online state matches the original run's.
+        resulting deltas with the frozen model.  An insert's statistics are
+        derived from the rows it scores, never carried from mutation to
+        mutation, so they do not depend on how the index got its rows —
+        replayed from the log's start or adopted from a snapshot — and the
+        replayed online state matches the original run's bit for bit.
         """
         op = record["op"]
         if op == "meta":

@@ -13,13 +13,13 @@ states a router was shipped — and guarantees, because:
 * every shard sees every entity in the same order, node ids — and the
   canonical batch numbering — are **identical across shards** (registry
   reads delegate to shard 0);
-* the shards' block sets are **disjoint**, so per-entity aggregates,
-  ``|B|``, ``||B||`` and ``Σ|b|`` are **sums** of per-shard contributions;
-* the entity x block CSR is the row-wise concatenation of the shard CSRs
-  with **shard-major** block-id offsets, and the global candidate-pair set
-  is *derived* from it by the reduce pass one state runs: a pair co-occurring
-  under tokens of two shards is one pair with terms from both.  No shard
-  stores its pairs, so there is no per-shard pair list to read or merge.
+* the shards' block sets are **disjoint**, so the entity x block CSR is the
+  row-wise concatenation of the shard CSRs with **shard-major** block-id
+  offsets, and every statistic — per-entity aggregates, ``|B|``, ``||B||``,
+  the block totals and the candidate-pair set — is *derived* from it by the
+  exact read one state runs: a pair co-occurring under tokens of two shards
+  is one pair with terms from both.  No shard stores its pairs or its
+  aggregates, so there is nothing per shard to sum or merge.
 
 The equivalence tests assert that K replicas fed the log of any interleaving
 of add/remove/update/bulk, merged, match the unsharded index statistic by
@@ -34,7 +34,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..blocking.cleaning import NO_CLEANING, BlockCleaning
-from ..core.pruning.base import BlockTotals
 from ..datamodel.entity import EntityIndexSpace
 from ..weights.sparse import EntityBlockCSR
 from .state import IndexState, IndexStatistics, LiveCandidates, merged_csr
@@ -122,14 +121,6 @@ class MergedIndexView:
         """Compact batch node id per slot."""
         return self.shards[0].canonical_node_ids()
 
-    def block_totals(self) -> BlockTotals:
-        """``Σ|b|`` summed over the shards and the live entity count, in
-        O(shards)."""
-        return BlockTotals(
-            sum(shard.total_block_assignments for shard in self.shards),
-            self.index_space().total,
-        )
-
     # -- merged read-side structures ---------------------------------------------
     def candidate_set(self) -> LiveCandidates:
         """All live distinct candidate pairs, derived from the merged CSR."""
@@ -137,7 +128,7 @@ class MergedIndexView:
 
     def csr(self) -> EntityBlockCSR:
         """The merged entity x block incidence structure."""
-        return merged_csr(self.shards)[0]
+        return merged_csr(self.shards)
 
     def statistics(self, cleaning: BlockCleaning = NO_CLEANING) -> IndexStatistics:
         """A fresh merged statistics view over the shards' current state,

@@ -5,25 +5,23 @@ co-occurrence statistics (``|B_i|``, ``||e_i||``, ``Σ 1/||b||``, ``Σ 1/|b|``,
 LCP, ``|B|``, ``||B||``), and a streamed, sharded, recovered or served answer
 equals the batch one only because every execution mode hands the schemes
 those statistics identically.  :class:`IndexState` is that hand-over as one
-type: ten arrays, a handful of scalars and the whole read surface over them —
-registry one-liners, canonical renumbering, the CSR, :class:`IndexStatistics`,
-block totals, and the live candidate set, which is *derived*
-(:meth:`IndexStatistics.live_candidates`): no index stores its pairs.  A
-mutation reports the pairs it created or retracted by packed pair key, and the
-session keys what per-pair state it keeps by them.
+type: three arrays — the entity x block CSR (``indptr``, ``indices``) and the
+side flags — a handful of scalars and the whole read surface over them:
+registry one-liners, canonical renumbering, the CSR and
+:class:`IndexStatistics`.  Every statistic is *derived* from the rows read,
+the live candidate set included (:meth:`IndexStatistics.live_candidates`): no
+index stores its pairs or its per-entity aggregates.  A mutation reports the
+pairs it created or retracted by packed pair key, and the session keys what
+per-pair state it keeps by them.
 
 Export layout (the read state a serving view is built from):
-:meth:`IndexState.export_state` ships the ten arrays of the schema below —
-the CSR (``indptr``, ``indices``), ``sides``, four per-entity aggregates and
-three per-block vectors (``block_cardinality`` and the two inverse weights) —
-plus the scalars of ``CHECKED_SCALARS`` / ``ADOPTED_SCALARS``, ``bilateral``
-and ``side_counts``;
+:meth:`IndexState.export_state` ships the three arrays of ``APPENDED`` plus
+the scalars ``num_slots``, ``num_blocks``, ``epoch``, ``bilateral`` and
+``side_counts``;
 :meth:`MutableBlockIndex.export_delta <repro.incremental.MutableBlockIndex.export_delta>`
-ships thirteen arrays derived from the same table: the appended
-``<name>_tail`` of the three append-only arrays, the ``dirty_entities`` /
-``dirty_blocks`` ids with one ``dirty_<name>`` value array per aggregate, and
-the ``tombstoned_nodes``.  Per-block member lists and block keys never leave
-the index.  :meth:`IndexState.apply_full` and
+ships the appended ``<name>_tail`` of each of them and the
+``tombstoned_nodes``.  Per-block vectors, member lists and block keys never
+leave the index.  :meth:`IndexState.apply_full` and
 :meth:`IndexState.apply_delta` are the receiving end; a ship whose counts
 disagree with the arrays it produced, or whose CSR is not self-consistent, is
 refused *before* any scalar — the epoch, i.e. the next read's base, among
@@ -32,7 +30,8 @@ published.
 
 The index *is* a state: :class:`~repro.incremental.MutableBlockIndex`
 subclasses :class:`IndexState` and adds what only a writer needs (the token
-dictionary, member lists, maintained degrees, WAL hook, delta tracker), so its mutation code writes the very fields a reader reads,
+dictionary, member lists, per-block vectors, maintained degrees, WAL hook,
+delta tracker), so its mutation code writes the very fields a reader reads,
 "the shipped state equals the worker's state" is a comparison of two objects
 of one type, and no delegation layer sits between them.  The router's
 resident per-shard copy is a bare :class:`IndexState` advanced by
@@ -50,11 +49,14 @@ from ..blocking.cleaning import NO_CLEANING, BlockCleaning, CleanedBlocks, clean
 from ..core.pruning.base import BlockTotals
 from ..datamodel.candidates import CandidateSet
 from ..datamodel.entity import EntityIndexSpace
+from ..pairs import sorted_unique
 from ..weights.sparse import (
     EntityBlockCSR,
     PairCooccurrence,
     PairCooccurrenceCache,
     entity_block_csr_from_memberships,
+    entity_sums,
+    gather_rows,
     inverse_block_weights,
     reduce_blocks,
     transposed_memberships,
@@ -121,65 +123,28 @@ class Growable:
         self.view()[key] = value
 
 
-# -- the schema: (wire name, field, ...) of the ten arrays ------------------------
-#: arrays that only grow at the end (dtype, initial capacity) and ship whole or
-#: as ``<name>_tail``: the entity x block CSR (rows in arrival order, sorted ids
-#: per row; the rows of removed entities are left behind) and the side flags
-#: (node ids are never reused: a removed slot keeps side -1, which is what
-#: keeps its row out of every read)
+# -- the schema: (wire name, field, dtype, initial capacity) of the three arrays --
+#: arrays that only grow at the end and ship whole or as ``<name>_tail``: the
+#: entity x block CSR (rows in arrival order, sorted ids per row; the rows of
+#: removed entities are left behind) and the side flags (node ids are never
+#: reused: a removed slot keeps side -1, which is what keeps its row out of
+#: every read)
 APPENDED = (
     ("indptr", "_indptr", np.int64, 256),
     ("indices", "_indices", np.int64, 1024),
     ("sides", "_sides", np.int8, 64),
 )
-#: per-entity aggregates over comparison-spawning blocks (float64; a new slot
-#: holds 0), shipped whole or as ``dirty_<name>`` at ``dirty_entities``
-ENTITY_AGGREGATES = (
-    ("blocks_per_entity", "_blocks_per_entity"),
-    ("entity_cardinality", "_entity_cardinality"),
-    ("entity_inv_cardinality", "_entity_inv_cardinality"),
-    ("entity_inv_size", "_entity_inv_size"),
-)
-#: per-block aggregates (dtype, the neutral value a created block holds),
-#: shipped whole or as ``dirty_<name>`` at ``dirty_blocks``
-BLOCK_AGGREGATES = (
-    ("block_cardinality", "_block_cardinalities", np.int64, 0),
-    ("inv_block_cardinality", "_inverse_block_cardinalities", np.float64, 1.0),
-    ("inv_block_size", "_inverse_block_sizes", np.float64, 1.0),
-)
-#: (wire name, field) of a full ship
-FULL_ARRAYS = tuple(row[:2] for row in APPENDED + ENTITY_AGGREGATES + BLOCK_AGGREGATES)
-#: scalars a receiver checks against the arrays it holds (name, what it counts)
-CHECKED_SCALARS = (
-    ("num_blocks", "blocks"),
-    ("num_slots", "node slots"),
-)
-#: scalars a receiver adopts once the checks passed
-ADOPTED_SCALARS = (
-    "num_nonempty_blocks",
-    "total_cardinality",
-    "total_block_assignments",
-    "epoch",
-)
 
 
-def merged_csr(
-    states: Sequence["IndexState"],
-) -> Tuple[EntityBlockCSR, np.ndarray, np.ndarray]:
-    """The entity x block CSR over ``states`` and the two per-block inverse
-    weight vectors aligned with its block ids.
+def merged_csr(states: Sequence["IndexState"]) -> EntityBlockCSR:
+    """The entity x block CSR over ``states``.
 
     One state: its own zero-copy views.  Several (signature shards: identical
     node ids, disjoint blocks): the row-wise concatenation of the shard CSRs
     with shard-major block-id offsets.
     """
     if len(states) == 1:
-        state = states[0]
-        return (
-            state.csr(),
-            state._inverse_block_cardinalities.view(),
-            state._inverse_block_sizes.view(),
-        )
+        return states[0].csr()
     node_parts, block_parts, offset = [], [], 0
     for state in states:
         csr = state.csr()
@@ -187,17 +152,12 @@ def merged_csr(
         node_parts.append(np.repeat(np.arange(counts.size, dtype=np.int64), counts))
         block_parts.append(csr.indices + offset)
         offset += csr.num_blocks
-    merged = entity_block_csr_from_memberships(
+    return entity_block_csr_from_memberships(
         np.concatenate(node_parts),
         np.concatenate(block_parts),
         states[0].num_slots,
         offset,
         assume_unique=True,
-    )
-    return (
-        merged,
-        np.concatenate([s._inverse_block_cardinalities.view() for s in states]),
-        np.concatenate([s._inverse_block_sizes.view() for s in states]),
     )
 
 
@@ -225,39 +185,43 @@ class LiveCandidates(CandidateSet):
 
 
 class IndexStatistics:
-    """Read-only statistics over one :class:`IndexState` or several shards,
-    under a :class:`~repro.blocking.cleaning.BlockCleaning`.
+    """Read-only statistics over one :class:`IndexState` or several shards.
 
     The subset of :class:`repro.weights.BlockStatistics` the vectorized
-    scheme implementations consume.
+    scheme implementations consume, in two regimes with one code path each.
 
-    Without cleaning (the insert path's view, and the exact answer of a model
-    trained on raw blocks) they are the maintained aggregates: over one state
-    every per-entity array is that state's zero-copy view and LCP is the
-    degree array a mutable index maintains (a streamed insert reads
-    O(delta), never O(slots)); over several the aggregates are accumulated in
-    shard order and LCP is the degree of the derived candidate set (per-shard
-    degrees cannot be summed: a pair co-occurring under two shards' tokens
-    would count twice).  Nothing pair- or slot-sized is computed at
-    construction.
-
-    Under cleaning (the exact answer of a model trained on the paper's
-    pipeline) they are the statistics of the *cleaned* live collection:
+    The *exact read* (the default) holds the statistics of the live
+    collection read under a :class:`~repro.blocking.cleaning.BlockCleaning`,
+    :data:`~repro.blocking.cleaning.NO_CLEANING` and K merged shards included:
     construction runs :func:`~repro.blocking.cleaning.clean_memberships` over
-    the live rows in the canonical batch numbering, and every aggregate,
-    ``|B|``, ``||B||``, :meth:`block_totals` and LCP is read off the blocks it
-    leaves — what ``prepare_blocks`` with that cleaning hands the batch
-    pipeline.  The cleaned blocks are numbered by (cardinality, member-set
-    key), so every sum over them is added in the same order whatever the
-    shard count.
+    the live rows in the canonical batch numbering, and every per-entity
+    aggregate, ``|B|``, ``||B||``, :meth:`block_totals` and LCP is read off
+    the blocks it leaves — what ``prepare_blocks`` with that cleaning hands
+    the batch pipeline.  Cleaned blocks are numbered by (cardinality,
+    member-set key) and raw ones keep their relative order, so no shard count
+    changes the order any sum is added in.
+
+    The *insert-time read* (``rows`` given: one
+    :class:`~repro.incremental.MutableBlockIndex`, raw blocks) is what a
+    streamed insert scores its delta against.  The per-entity aggregates are
+    the writer's per-block vectors summed over the CSR rows of ``rows`` only
+    — blocks spawning no comparison masked, as the exact read drops them — so
+    it costs O(Σ those rows) and never reads the whole collection; ``|B|`` and
+    ``||B||`` are the writer's two maintained integers and LCP its maintained
+    degrees.  At ``rows`` the values equal the exact read's without cleaning
+    bit for bit (each row's terms added in ascending block id, as there);
+    elsewhere the per-entity arrays hold zeros.
 
     Obtain a fresh view per feature computation (``statistics()``): the
-    arrays are views into growable buffers.  They cover every node slot ever
-    assigned; tombstoned slots hold zeros and are in no live candidate pair.
+    arrays cover every node slot ever assigned; tombstoned slots hold zeros
+    and are in no live candidate pair.
     """
 
     def __init__(
-        self, states: Sequence["IndexState"], cleaning: BlockCleaning = NO_CLEANING
+        self,
+        states: Sequence["IndexState"],
+        cleaning: BlockCleaning = NO_CLEANING,
+        rows: Optional[np.ndarray] = None,
     ) -> None:
         self._states = states
         self.cleaning = cleaning
@@ -265,34 +229,37 @@ class IndexStatistics:
         self._degrees: Optional[np.ndarray] = None
         self._live: Optional[LiveCandidates] = None
         state = states[0]
-        if cleaning.is_identity:
+        if rows is None:
+            active, _, blocks = self._read
+            nodes, block_of = active[blocks.nodes], blocks.block_of
+            per_block = (blocks.cardinalities, *self._inverse_weights(blocks))
             #: ``|B|`` — blocks spawning at least one comparison
-            self.num_blocks = sum(s.num_nonempty_blocks for s in states)
+            self.num_blocks = blocks.num_blocks
             #: ``||B||`` — the total number of comparisons
-            self.total_cardinality = float(sum(s.total_cardinality for s in states))
-            # blocks_per_entity, entity_cardinality, entity_inv_cardinality and
-            # entity_inv_size: blocks are disjoint across shards, so contributions
-            # add — in shard order, and one state's view is handed on as it is
-            for name, field in ENTITY_AGGREGATES:
-                views = [getattr(s, field).view() for s in states]
-                setattr(self, name, sum(views[1:], views[0]))
-            self._totals = BlockTotals(
-                sum(s.total_block_assignments for s in states), state.index_space().total
+            self.total_cardinality = float(blocks.cardinalities.sum())
+            self._totals = BlockTotals(int(nodes.size), active.size)
+        else:
+            rows = sorted_unique(rows)
+            csr = state.csr()
+            per_block = (
+                state._block_cardinalities.view(),
+                state._inverse_block_cardinalities.view(),
+                state._inverse_block_sizes.view(),
             )
-            return
-        active, _, blocks = self._read
-        nodes, slots = active[blocks.nodes], state.num_slots
-        per_block = (blocks.cardinalities.astype(np.float64), *self._inverse_weights(blocks))
-        # each node's terms in ascending (cleaned) block id: memberships are
-        # grouped by block
-        self.entity_cardinality, self.entity_inv_cardinality, self.entity_inv_size = (
-            np.bincount(nodes, weights=values[blocks.block_of], minlength=slots)
-            for values in per_block
-        )
-        self.blocks_per_entity = np.bincount(nodes, minlength=slots).astype(np.float64)
-        self.num_blocks = blocks.num_blocks
-        self.total_cardinality = float(blocks.cardinalities.sum())
-        self._totals = BlockTotals(int(nodes.size), active.size)
+            positions, block_of = gather_rows(csr, rows)
+            spawning = per_block[0][block_of] > 0
+            nodes, block_of = rows[positions[spawning]], block_of[spawning]
+            self.num_blocks = state.num_nonempty_blocks
+            self.total_cardinality = float(state.total_cardinality)
+            self._degrees = state._degrees.view()
+            # the collection read is the raw CSR: what _merged holds otherwise
+            self._merged = (csr, *per_block[1:])
+        (
+            self.blocks_per_entity,
+            self.entity_cardinality,
+            self.entity_inv_cardinality,
+            self.entity_inv_size,
+        ) = entity_sums(nodes, block_of, per_block, state.num_slots)
 
     @staticmethod
     def _inverse_weights(blocks: CleanedBlocks) -> Tuple[np.ndarray, np.ndarray]:
@@ -307,7 +274,7 @@ class IndexStatistics:
         the blocks read under this view's cleaning, nodes as canonical ids."""
         state = self._states[0]
         sides = state.sides()
-        csr = merged_csr(self._states)[0]
+        csr = merged_csr(self._states)
         active, n_first, nodes, block_of = transposed_memberships(csr, sides >= 0, sides == 1)
         blocks = clean_memberships(
             nodes,
@@ -321,10 +288,8 @@ class IndexStatistics:
 
     @cached_property
     def _merged(self) -> Tuple[EntityBlockCSR, np.ndarray, np.ndarray]:
-        """The CSR (raw node ids) and inverse block weights of the collection
-        this view reads: the merged live index, or its cleaned blocks."""
-        if self.cleaning.is_identity:
-            return merged_csr(self._states)
+        """The CSR (raw node ids) and inverse block weights of the blocks
+        this view reads."""
         active, _, blocks = self._read
         csr = entity_block_csr_from_memberships(
             active[blocks.nodes],
@@ -385,7 +350,7 @@ class IndexStatistics:
         members = np.flatnonzero(np.isin(csr.indices, row))
         member_nodes = np.searchsorted(csr.indptr, members, side="right") - 1
         stranded_with = np.empty(0, dtype=np.int64)
-        if state.bilateral and not self.cleaning.is_identity:
+        if state.bilateral:
             blocks = self._read[2]
             stranded = (blocks.first_sizes == blocks.sizes)[csr.indices[members]]
             stranded_with, member_nodes = member_nodes[stranded], member_nodes[~stranded]
@@ -399,17 +364,10 @@ class IndexStatistics:
     def local_candidate_counts_sparse(self) -> np.ndarray:
         """``LCP(e_i)`` — distinct candidates read per node slot."""
         if self._degrees is None:
-            states = self._states
-            maintained = None
-            if len(states) == 1 and self.cleaning.is_identity:
-                maintained = getattr(states[0], "_degrees", None)
-            if maintained is not None:
-                self._degrees = maintained.view()
-            else:
-                live = self.live_candidates()
-                self._degrees = np.bincount(
-                    np.concatenate((live.left, live.right)), minlength=states[0].num_slots
-                ).astype(np.float64)
+            live = self.live_candidates()
+            self._degrees = np.bincount(
+                np.concatenate((live.left, live.right)), minlength=self._states[0].num_slots
+            ).astype(np.float64)
         return self._degrees
 
     def pair_cooccurrence(self, candidates: CandidateSet) -> PairCooccurrence:
@@ -431,10 +389,9 @@ class IndexState:
 
     A bare state is a receiver: :meth:`apply_full` (re)builds it from a
     complete ship and :meth:`apply_delta` advances it in place — appended
-    slot / CSR tails, scattered per-entity and per-block aggregates,
-    tombstones — so a warm read costs O(changed), not O(state).
-    :class:`~repro.incremental.MutableBlockIndex` is the state that mutates
-    itself (and must never be handed to ``apply_*``).
+    slot / CSR tails and tombstones — so a warm read costs O(changed), not
+    O(state).  :class:`~repro.incremental.MutableBlockIndex` is the state
+    that mutates itself (and must never be handed to ``apply_*``).
     """
 
     def __init__(self, bilateral: bool = False) -> None:
@@ -442,16 +399,10 @@ class IndexState:
         for _, field, dtype, capacity in APPENDED:
             setattr(self, field, Growable(dtype, capacity))
         self._indptr.append(0)
-        for _, field in ENTITY_AGGREGATES:
-            setattr(self, field, Growable(np.float64, capacity=256))
-        for _, field, dtype, _ in BLOCK_AGGREGATES:
-            setattr(self, field, Growable(dtype))
         #: live entities per side (ids are namespaced per side)
         self._side_counts = [0, 0]
-        # global aggregates
-        self.total_cardinality: int = 0
-        self.num_nonempty_blocks: int = 0
-        self.total_block_assignments: int = 0
+        #: the block count a ship reports (a writer counts its own blocks)
+        self._num_blocks = 0
         #: bumped by every applied mutation: the base a delta is shipped against
         self.epoch: int = 0
 
@@ -469,7 +420,7 @@ class IndexState:
     @property
     def num_blocks(self) -> int:
         """Number of blocks, including those spawning no comparison yet."""
-        return len(self._block_cardinalities)
+        return self._num_blocks
 
     def side_of(self, node: int) -> int:
         """0 for first-collection nodes, 1 for second-collection nodes.
@@ -497,15 +448,6 @@ class IndexState:
         if self.bilateral:
             return EntityIndexSpace(self._side_counts[0], self._side_counts[1])
         return EntityIndexSpace(self._side_counts[0])
-
-    def block_totals(self) -> BlockTotals:
-        """``Σ|b|`` and ``|E1|+|E2|`` of the live collection, in O(1).
-
-        What cardinality-based pruning derives its budgets from — equal to
-        the totals of :meth:`MutableBlockIndex.snapshot_blocks` without
-        materialising it.
-        """
-        return BlockTotals(self.total_block_assignments, self.index_space().total)
 
     def canonical_node_ids(self) -> np.ndarray:
         """Map every node slot to its compact batch node id (-1 when dead).
@@ -550,46 +492,57 @@ class IndexState:
 
     # -- shipping ----------------------------------------------------------------
     def _export_meta(self) -> Dict[str, Any]:
-        meta = {name: getattr(self, name) for name, _ in CHECKED_SCALARS}
-        meta.update((name, getattr(self, name)) for name in ADOPTED_SCALARS)
-        meta["bilateral"] = self.bilateral
-        meta["side_counts"] = tuple(self._side_counts)
-        return meta
+        return {
+            "num_slots": self.num_slots,
+            "num_blocks": self.num_blocks,
+            "epoch": self.epoch,
+            "bilateral": self.bilateral,
+            "side_counts": tuple(self._side_counts),
+        }
 
     def export_state(self) -> Dict[str, Any]:
-        """The full read-state ship: every array a pinned view needs.
-
-        Ten arrays plus the scalars of :meth:`_export_meta`; arrays
-        are zero-copy views into the state — consume (copy or ship) them
-        before the next mutation.
-        """
-        arrays = {name: getattr(self, field).view() for name, field in FULL_ARRAYS}
+        """The full read-state ship: the three arrays plus the scalars of
+        :meth:`_export_meta`; arrays are zero-copy views into the state —
+        consume (copy or ship) them before the next mutation."""
+        arrays = {name: getattr(self, field).view() for name, field, _, _ in APPENDED}
         return {"arrays": arrays, "meta": dict(self._export_meta(), kind="full")}
 
-    def _adopt_scalars(self, meta: Dict[str, Any]) -> None:
+    def _adopt_scalars(self, meta: Dict[str, Any], arrived: np.ndarray) -> None:
         """Refuse a ship whose counts or CSR disagree with the arrays now held,
-        else adopt its scalars: a refused ship never advances the epoch handshake."""
-        for name, what in CHECKED_SCALARS:
-            if getattr(self, name) != int(meta[name]):
-                raise IndexStateError(
-                    f"shard state desynchronized: {getattr(self, name)} {what} "
-                    f"held but the shipped state reports {meta[name]}"
-                )
+        else adopt its scalars: a refused ship never advances the epoch handshake.
+
+        ``arrived`` are the block ids the ship brought.  The block count never
+        shrinks between a full ship and the deltas on it, so every id held is
+        below the shipped count once the arrived ones are.
+        """
+        if self.num_slots != int(meta["num_slots"]):
+            raise IndexStateError(
+                f"shard state desynchronized: {self.num_slots} node slots "
+                f"held but the shipped state reports {meta['num_slots']}"
+            )
+        num_blocks = int(meta["num_blocks"])
+        low, high = (int(arrived.min()), int(arrived.max())) if arrived.size else (0, -1)
+        if num_blocks < self._num_blocks or low < 0 or high >= num_blocks:
+            raise IndexStateError(
+                f"shard state desynchronized: the shipped state reports {num_blocks} "
+                f"blocks after {self._num_blocks} held, for block ids {low}..{high}"
+            )
         indptr = self._indptr.view()
         if indptr.size != self.num_slots + 1 or indptr[-1] != len(self._indices):
             raise IndexStateError(
                 f"shard state desynchronized: {indptr.size - 1} CSR rows ending at {indptr[-1:]} "
                 f"held for {self.num_slots} node slots and {len(self._indices)} memberships"
             )
-        for name in ADOPTED_SCALARS:
-            setattr(self, name, int(meta[name]))
+        self._num_blocks = num_blocks
+        self.epoch = int(meta["epoch"])
         self._side_counts = list(meta["side_counts"])
 
     def apply_full(self, arrays: Dict[str, np.ndarray], meta: Dict[str, Any]) -> None:
         """(Re)build the state from a complete shipped state (arrays copied)."""
-        for name, field in FULL_ARRAYS:
+        for name, field, _, _ in APPENDED:
             setattr(self, field, Growable.of(arrays[name]))
-        self._adopt_scalars(meta)
+        self._num_blocks = 0
+        self._adopt_scalars(meta, self._indices.view())
         self.bilateral = bool(meta["bilateral"])
 
     def apply_delta(self, arrays: Dict[str, np.ndarray], meta: Dict[str, Any]) -> None:
@@ -598,26 +551,7 @@ class IndexState:
             tail = arrays[f"{name}_tail"]
             if tail.size:
                 getattr(self, field).extend(tail)
-        # new node slots start from zeroed aggregates and created blocks (always
-        # dirty: ids at or past the held count) from neutral ones; the dirty
-        # scatters then fill in every changed value
-        new_slots = self.num_slots - len(self._blocks_per_entity)
-        dirty_entities = arrays["dirty_entities"]
-        for name, field in ENTITY_AGGREGATES:
-            cell = getattr(self, field)
-            if new_slots:
-                cell.extend(np.zeros(new_slots))
-            if dirty_entities.size:
-                cell[dirty_entities] = arrays[f"dirty_{name}"]
-        dirty_blocks = arrays["dirty_blocks"]
-        created = int(np.count_nonzero(dirty_blocks >= self.num_blocks))
-        for name, field, dtype, neutral in BLOCK_AGGREGATES:
-            cell = getattr(self, field)
-            if created:
-                cell.extend(np.full(created, neutral, dtype=dtype))
-            if dirty_blocks.size:
-                cell[dirty_blocks] = arrays[f"dirty_{name}"]
         tombstoned = arrays["tombstoned_nodes"]
         if tombstoned.size:
             self._sides[tombstoned] = np.int8(-1)
-        self._adopt_scalars(meta)
+        self._adopt_scalars(meta, arrays["indices_tail"])

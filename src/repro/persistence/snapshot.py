@@ -3,9 +3,10 @@
 A snapshot is the writer's own state, compacted
 (:meth:`MutableBlockIndex.compacted_state <repro.incremental.MutableBlockIndex.compacted_state>`):
 the live rows in canonical order, the blocks with a live member renumbered in
-their old order, the CSR over them and the float aggregates exactly as held —
-stored as arrays in a container (:mod:`repro.persistence.container`), never
-pickled.  Recovery *adopts* those arrays (:meth:`~repro.incremental.MutableBlockIndex.adopt_compacted`):
+their old order, the CSR over them and the LCP degrees as held — stored as
+arrays in a container (:mod:`repro.persistence.container`), never pickled.
+No float sum is stored: every per-entity aggregate is derived from the rows
+it is read off.  Recovery *adopts* those arrays (:meth:`~repro.incremental.MutableBlockIndex.adopt_compacted`):
 it recounts what they determine exactly, rebuilds the two dictionaries, and
 neither re-encodes a signature nor expands a pair.  So the recovered index's
 canonical view — and its answer — equals the writer's, and its raw node ids

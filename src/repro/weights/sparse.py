@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,6 +103,26 @@ def inverse_block_weights(values: np.ndarray) -> np.ndarray:
     return 1.0 / np.maximum(np.asarray(values, dtype=np.float64), 1.0)
 
 
+def entity_sums(
+    nodes: np.ndarray,
+    block_of: np.ndarray,
+    per_block: Sequence[np.ndarray],
+    num_nodes: int,
+) -> Tuple[np.ndarray, ...]:
+    """Per node, over its ``(node, block)`` memberships: their count, then the
+    sum of every per-block vector — ``(|B_i|, ||e_i||, Σ 1/||b||, Σ 1/|b|)``
+    for the vectors ``(||b||, 1/||b||, 1/|b|)``.
+
+    A node's terms are added in the order its memberships come, ascending
+    block id at every caller (batch statistics, a streamed exact read, an
+    insert-time read), which makes their sums the same bits.
+    """
+    counts = np.bincount(nodes, minlength=num_nodes).astype(np.float64)
+    return (counts, *(
+        np.bincount(nodes, weights=values[block_of], minlength=num_nodes) for values in per_block
+    ))
+
+
 def entity_block_csr_from_memberships(
     nodes: np.ndarray,
     block_ids: np.ndarray,
@@ -152,7 +172,7 @@ def build_entity_block_csr(blocks: BlockCollection) -> EntityBlockCSR:
     )
 
 
-def _gather_rows(csr: EntityBlockCSR, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def gather_rows(csr: EntityBlockCSR, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Concatenate the CSR rows of ``nodes``.
 
     Returns ``(row_positions, block_ids)``: for every membership of every
@@ -183,7 +203,7 @@ def transposed_memberships(
     on_second = second[active]
     active = np.concatenate((active[~on_second], active[on_second]))
     n_first = active.size - int(np.count_nonzero(on_second))
-    ranks, block_ids = _gather_rows(csr, active)
+    ranks, block_ids = gather_rows(csr, active)
     bits = key_field_bits(csr.num_blocks, active.size)
     if bits is None:
         raise OverflowError("(block, node) keys of the collection do not fit an int64")
@@ -459,8 +479,8 @@ def pair_major_cooccurrence(
     hit_blocks = []
     for start in range(0, n_pairs, chunk_pairs):
         stop = start + chunk_pairs
-        rows_left, blocks_left = _gather_rows(csr, left[start:stop])
-        rows_right, blocks_right = _gather_rows(csr, right[start:stop])
+        rows_left, blocks_left = gather_rows(csr, left[start:stop])
+        rows_right, blocks_right = gather_rows(csr, right[start:stop])
         shared = np.intersect1d(
             rows_left * num_blocks + blocks_left,
             rows_right * num_blocks + blocks_right,

@@ -28,6 +28,7 @@ from .sparse import (
     PairCooccurrence,
     PairCooccurrenceCache,
     build_entity_block_csr,
+    entity_sums,
     inverse_block_weights,
     reduce_memberships,
     transposed_memberships,
@@ -91,18 +92,23 @@ class BlockStatistics:
             np.arange(total_nodes) >= blocks.index_space.size_first
         ).astype(np.int8)
 
-        # per-entity aggregates straight from the CSR; np.bincount adds each
-        # row's terms in ascending block id, the order the pair kernel uses
-        row_lengths = np.diff(csr.indptr)
-        row_of = np.repeat(np.arange(total_nodes, dtype=np.int64), row_lengths)
-
-        def row_sums(per_block: np.ndarray) -> np.ndarray:
-            return np.bincount(row_of, weights=per_block[csr.indices], minlength=total_nodes)
-
-        self.blocks_per_entity = row_lengths.astype(np.float64)
-        self.entity_cardinality = row_sums(self.block_cardinalities)
-        self.entity_inv_cardinality = row_sums(self.inverse_block_cardinalities)
-        self.entity_inv_size = row_sums(self.inverse_block_sizes)
+        # per-entity aggregates straight from the CSR rows, each row's terms
+        # added in ascending block id, the order the pair kernel uses
+        (
+            self.blocks_per_entity,
+            self.entity_cardinality,
+            self.entity_inv_cardinality,
+            self.entity_inv_size,
+        ) = entity_sums(
+            np.repeat(np.arange(total_nodes, dtype=np.int64), np.diff(csr.indptr)),
+            csr.indices,
+            (
+                self.block_cardinalities,
+                self.inverse_block_cardinalities,
+                self.inverse_block_sizes,
+            ),
+            total_nodes,
+        )
 
         self._csr = csr
         self._candidates = candidates

@@ -10,11 +10,12 @@ that adopts it against the deleted loop (``reference.reference_adopted_index``):
 the full state it ships is array-for-array the oracle's, and so is the state
 after both replayed the rest of the script from the WAL.
 
-Integer arrays, integer-valued aggregates and scalars are compared exactly;
-the inverse sums with a tolerance fixed from the dtype, because one pass per
-run and one pass per slot add the same float64 terms in a different order.
-``epoch`` counts one replica's mutations (one per run, not one per slot) and is
-the one scalar left out, as in ``tests/serve/test_consistency_property.py``.
+The shipped arrays and scalars, and the writer-only block vectors, totals and
+degrees the insert path reads, are compared exactly: none of them is a float
+sum carried across mutations, so one pass per run and one pass per slot must
+produce the same bits.  ``epoch`` counts one replica's mutations (one per
+run, not one per slot) and is the one scalar left out, as in
+``tests/serve/test_consistency_property.py``.
 """
 
 import shutil
@@ -27,30 +28,31 @@ from hypothesis import strategies as st
 
 from reference import reference_adopted_index
 from repro.incremental import MutableBlockIndex
-from repro.incremental.state import ADOPTED_SCALARS, FULL_ARRAYS
+from repro.incremental.state import APPENDED
 from repro.persistence import WriteAheadLog, write_index_snapshot
 from repro.serve import ShardReplica
 from test_sharded_index import apply_script, churn_scripts
 
-#: sums of at most a few dozen float64 terms of magnitude <= 1
-INVERSE_SUM_TOLERANCE = 64 * np.finfo(np.float64).eps
-INVERSE_SUMS = {"entity_inv_cardinality", "entity_inv_size"}
+#: what only a writer holds, and the insert-time read sums over
+WRITER_FIELDS = (
+    "_block_sizes", "_block_cardinalities", "_inverse_block_cardinalities",
+    "_inverse_block_sizes", "_degrees",
+)
 
 
 def assert_same_full_state(replica, oracle):
     shipped, expected = replica.index.export_state(), oracle.index.export_state()
-    for name, _ in FULL_ARRAYS:
+    for name, _, _, _ in APPENDED:
         ours, theirs = shipped["arrays"][name], expected["arrays"][name]
         assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, name
-        if name in INVERSE_SUMS:
-            np.testing.assert_allclose(
-                ours, theirs, rtol=0, atol=INVERSE_SUM_TOLERANCE, err_msg=name
-            )
-        else:
-            np.testing.assert_array_equal(ours, theirs, err_msg=name)
-    for name in set(ADOPTED_SCALARS) - {"epoch"}:
-        assert shipped["meta"][name] == expected["meta"][name], name
-    assert shipped["meta"]["side_counts"] == expected["meta"]["side_counts"]
+        np.testing.assert_array_equal(ours, theirs, err_msg=name)
+    assert dict(shipped["meta"], epoch=None) == dict(expected["meta"], epoch=None)
+    for field in WRITER_FIELDS:
+        np.testing.assert_array_equal(
+            getattr(replica.index, field).view(), getattr(oracle.index, field).view(), field
+        )
+    for name in ("num_nonempty_blocks", "total_cardinality", "num_pairs"):
+        assert getattr(replica.index, name) == getattr(oracle.index, name), name
     assert replica.index.entity_ids_of(
         np.arange(replica.index.num_slots)
     ) == oracle.index.entity_ids_of(np.arange(oracle.index.num_slots))

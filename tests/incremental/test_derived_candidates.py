@@ -15,8 +15,8 @@ their logs, merged:
 (ii)  its canonical twin equals the batch pipeline's candidates on the live
       entities in arrival order, array for array;
 (iii) the aggregates seeded alongside are ``array_equal`` — no tolerance — to
-      ``compute_pair_cooccurrence`` over the oracle's pairs, through either
-      of its passes;
+      ``compute_pair_cooccurrence`` over the oracle's pairs and the blocks
+      the view reads, through either of its passes;
 (iv)  LCP counted off the derived set equals the degrees the index maintains.
 
 Under the paper's block cleaning (``prepare_blocks``' defaults: Block
@@ -51,7 +51,6 @@ from repro.blocking.cleaning import PAPER_CLEANING
 from repro.core.pruning import PRUNING_ALGORITHMS, BlockTotals
 from repro.datamodel import EntityCollection, make_profile
 from repro.incremental import IndexState, MatchingSession, MergedIndexView
-from repro.incremental.state import merged_csr
 from repro.serve.router import match_answer
 from repro.weights import sparse
 from repro.weights.sparse import PairCooccurrence, compute_pair_cooccurrence
@@ -129,7 +128,7 @@ def _assert_derived_equals_member_pairs(index, shards, steps, bilateral, maintai
         for path in ("reduce", "pair-major"):
             with forced(path):
                 computed = compute_pair_cooccurrence(
-                    *merged_csr(shards), left, right, index.sides()
+                    *statistics._merged, left, right, index.sides()
                 )
             for name in PairCooccurrence._fields:
                 assert np.array_equal(

@@ -1,12 +1,12 @@
 """:class:`IndexStatistics` is one implementation reading one state or many.
 
-The weighting schemes see a streaming index only through ``statistics()``.
-These properties hold the one class to what its two predecessors did
-separately: K shard replicas of an index's log, merged, hand the schemes the
-index's own statistics, a shipped copy of an index (LCP *counted* off its pairs) hands
-them the live index's (LCP *maintained*), and over a single state nothing is
-copied — a summed copy would pass every equality test and cost O(slots) per
-streamed insert.
+The weighting schemes see a streaming index only through its statistics.
+These properties hold the one class to what it promises: K shard replicas of
+an index's log, merged, hand the schemes the index's own statistics; a
+shipped copy of an index hands them the live index's, its LCP counted off
+the derived pairs equal to the degrees the writer maintains; and the
+writer's insert-time read reads the writer's own arrays — its CSR and its
+degrees — rather than a copy.
 """
 
 import numpy as np
@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 from repro.datamodel import make_profile
 from repro.incremental import IndexState, IndexStatistics, MutableBlockIndex
-from repro.incremental.state import ENTITY_AGGREGATES
 
 from test_sharded_index import SLOW_SETTINGS, JournaledIndex, apply_script, churn_scripts
 
+#: the per-entity aggregates the schemes read
+AGGREGATES = ("blocks_per_entity", "entity_cardinality", "entity_inv_cardinality", "entity_inv_size")
 #: sums of integers: exact in any order of addition (the two sums of
 #: reciprocals, ``entity_inv_cardinality`` and ``entity_inv_size``, are not)
 COUNTED = ("blocks_per_entity", "entity_cardinality")
@@ -33,7 +34,8 @@ def _shipped_copy(index) -> IndexState:
 def _assert_members_equal(actual: IndexStatistics, expected: IndexStatistics, live):
     assert actual.num_blocks == expected.num_blocks
     assert actual.total_cardinality == expected.total_cardinality
-    for name, _ in ENTITY_AGGREGATES:
+    assert actual.block_totals() == expected.block_totals()
+    for name in AGGREGATES:
         assert np.array_equal(
             getattr(actual, name)[live], getattr(expected, name)[live]
         ), name
@@ -55,22 +57,19 @@ def test_sharded_statistics_equal_the_unsharded_ones(data, bilateral, num_shards
         expected, merged = single.statistics(), sharded.statistics()
         assert merged.num_blocks == expected.num_blocks
         assert merged.total_cardinality == expected.total_cardinality
+        assert merged.block_totals() == expected.block_totals()
         assert np.array_equal(
             merged.local_candidate_counts_sparse()[live],
             expected.local_candidate_counts_sparse()[live],
         )
-        for name, field in ENTITY_AGGREGATES:
-            # accumulated in shard order from a zero start, bit for bit
-            in_shard_order = np.zeros(sharded.num_slots)
-            for shard in sharded.shards:
-                in_shard_order += getattr(shard, field).view()
-            assert np.array_equal(getattr(merged, name), in_shard_order), name
+        for name in AGGREGATES:
             ours, theirs = getattr(merged, name)[live], getattr(expected, name)[live]
             if name in COUNTED or num_shards == 1:
                 assert np.array_equal(ours, theirs), name
             else:
-                # K partial sums of reciprocals round differently from one running
-                # sum (a last-ulp difference Hypothesis finds within ~100 examples)
+                # shard-major block ids add the reciprocals in another order
+                # than arrival-order ids (a last-ulp difference Hypothesis
+                # finds within ~100 examples)
                 np.testing.assert_allclose(ours, theirs, rtol=1e-12, atol=1e-12)
         candidates = single.candidate_set()
         if len(candidates):
@@ -83,13 +82,15 @@ def test_sharded_statistics_equal_the_unsharded_ones(data, bilateral, num_shards
 @SLOW_SETTINGS
 @given(data=st.data(), bilateral=st.booleans())
 def test_a_shipped_copy_reads_like_the_live_index(data, bilateral):
-    """LCP counted off the pairs == LCP maintained; every array the very bits."""
+    """Every statistic the very bits, and LCP counted off the derived pairs
+    equals the degrees the writer maintains."""
     index = MutableBlockIndex(bilateral=bilateral)
     apply_script(index, data.draw(churn_scripts(bilateral)))
     copy = _shipped_copy(index)
     assert not hasattr(copy, "_degrees")
     everywhere = np.arange(index.num_slots)
     _assert_members_equal(copy.statistics(), index.statistics(), everywhere)
+    assert np.array_equal(copy.statistics().local_candidate_counts_sparse(), index._degrees.view())
     candidates = index.candidate_set()
     if len(candidates):
         for ours, theirs in zip(
@@ -99,27 +100,27 @@ def test_a_shipped_copy_reads_like_the_live_index(data, bilateral):
             assert np.array_equal(ours, theirs)
 
 
-def test_over_one_state_every_array_is_that_states_memory():
-    """The O(delta) guard: a streamed insert's feature pass must not sum,
-    copy or count anything slot-sized."""
+def test_the_insert_time_read_reads_the_writers_own_arrays():
+    """A streamed insert's feature pass reads the writer's CSR, inverse block
+    weights and degrees in place: nothing slot- or collection-sized is copied
+    or counted for it."""
     index = MutableBlockIndex(bilateral=True)
     for serial, text in enumerate(("alpha beta", "beta gamma", "alpha gamma")):
         index.add_entity(make_profile(f"a{serial}", t=text), side=0)
-        index.add_entity(make_profile(f"b{serial}", t=text), side=1)
-    statistics, shipped = index.statistics(), index.export_state()["arrays"]
-    for name, _ in ENTITY_AGGREGATES:
-        assert np.shares_memory(getattr(statistics, name), shipped[name]), name
-    assert np.shares_memory(
-        statistics.local_candidate_counts_sparse(), index._degrees.view()
+        delta = index.add_entity(make_profile(f"b{serial}", t=text), side=1)
+    statistics = index.insert_statistics(index.delta_candidate_set(delta))
+    assert np.shares_memory(statistics.local_candidate_counts_sparse(), index._degrees.view())
+    csr, inverse_cardinalities, inverse_sizes = statistics._merged
+    assert np.shares_memory(csr.indices, index.export_state()["arrays"]["indices"])
+    assert np.shares_memory(inverse_cardinalities, index._inverse_block_cardinalities.view())
+    assert np.shares_memory(inverse_sizes, index._inverse_block_sizes.view())
+    assert (statistics.num_blocks, statistics.total_cardinality) == (
+        index.num_nonempty_blocks,
+        index.total_cardinality,
     )
-    # one shard is one state: the merged view takes the same path
-    with JournaledIndex(bilateral=True) as journaled:
-        journaled.index.add_entity(make_profile("a0", t="alpha"), side=0)
-        sharded = journaled.merged(1)
-        assert np.shares_memory(
-            sharded.statistics().entity_cardinality,
-            sharded.shards[0].export_state()["arrays"]["entity_cardinality"],
-        )
+    # rows outside the delta's endpoints (another side-1 entity) are not summed
+    other = index.node_of("b0", side=1)
+    assert statistics.blocks_per_entity[other] == 0 < index.statistics().blocks_per_entity[other]
 
 
 def test_an_empty_index_and_one_emptied_by_removals():
@@ -143,6 +144,6 @@ def test_an_empty_index_and_one_emptied_by_removals():
             _shipped_copy(single).statistics(),
         ):
             assert statistics.num_blocks == 0 and statistics.total_cardinality == 0.0
-            for name, _ in ENTITY_AGGREGATES:
+            for name in AGGREGATES:
                 assert np.array_equal(getattr(statistics, name), np.zeros(2)), name
             assert np.array_equal(statistics.local_candidate_counts_sparse(), np.zeros(2))

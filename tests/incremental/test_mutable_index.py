@@ -70,7 +70,10 @@ def _assert_matches_batch(index, first, second):
     # global aggregates
     assert index.num_nonempty_blocks == len(prepared.blocks)
     assert index.total_cardinality == prepared.blocks.total_comparisons()
-    assert index.total_block_assignments == prepared.blocks.total_block_assignments()
+    assert (
+        index.statistics().block_totals().assignments
+        == prepared.blocks.total_block_assignments()
+    )
 
     # per-entity aggregates
     view = index.statistics()
@@ -196,7 +199,10 @@ def _assert_matches_batch_canonical(index, first, second):
 
     assert index.num_nonempty_blocks == len(prepared.blocks)
     assert index.total_cardinality == prepared.blocks.total_comparisons()
-    assert index.total_block_assignments == prepared.blocks.total_block_assignments()
+    assert (
+        index.statistics().block_totals().assignments
+        == prepared.blocks.total_block_assignments()
+    )
 
     live = np.flatnonzero(canonical >= 0)
     order = live[np.argsort(canonical[live])]
@@ -336,26 +342,25 @@ class TestDynamicIndex:
         assert bulk.num_pairs == sequential.num_pairs
         assert bulk.total_cardinality == sequential.total_cardinality
         assert bulk.num_nonempty_blocks == sequential.num_nonempty_blocks
-        assert bulk.total_block_assignments == sequential.total_block_assignments
+        assert bulk.statistics().block_totals() == sequential.statistics().block_totals()
         bulk_pairs = bulk.candidate_set()
         seq_pairs = sequential.candidate_set()
         assert set(zip(bulk_pairs.left.tolist(), bulk_pairs.right.tolist())) == set(
             zip(seq_pairs.left.tolist(), seq_pairs.right.tolist())
         )
+        # derived from identical rows: the same bits
         for name in (
-            "_blocks_per_entity",
-            "_entity_cardinality",
-            "_entity_inv_cardinality",
-            "_entity_inv_size",
-            "_degrees",
+            "blocks_per_entity",
+            "entity_cardinality",
+            "entity_inv_cardinality",
+            "entity_inv_size",
         ):
-            np.testing.assert_allclose(
-                getattr(bulk, name).view(),
-                getattr(sequential, name).view(),
-                rtol=1e-12,
-                atol=1e-12,
+            np.testing.assert_array_equal(
+                getattr(bulk.statistics(), name),
+                getattr(sequential.statistics(), name),
                 err_msg=name,
             )
+        np.testing.assert_array_equal(bulk._degrees.view(), sequential._degrees.view())
         # CSR rows identical (same per-row sorted block ids)
         np.testing.assert_array_equal(
             bulk.csr().indptr, sequential.csr().indptr

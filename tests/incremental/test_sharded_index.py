@@ -145,18 +145,19 @@ def assert_same_contract(single, sharded):
     stats_single, stats_sharded = single.statistics(), sharded.statistics()
     assert stats_sharded.num_blocks == stats_single.num_blocks
     assert stats_sharded.total_cardinality == stats_single.total_cardinality
-    for attribute in (
-        "blocks_per_entity",
-        "entity_cardinality",
-        "entity_inv_cardinality",
-        "entity_inv_size",
-    ):
+    assert stats_sharded.block_totals() == stats_single.block_totals()
+    # both derived from the same rows: the counts exactly, the reciprocal sums
+    # up to the order shard-major block ids add them in
+    for attribute in ("blocks_per_entity", "entity_cardinality"):
+        assert np.array_equal(
+            getattr(stats_sharded, attribute), getattr(stats_single, attribute)
+        ), attribute
+    for attribute in ("entity_inv_cardinality", "entity_inv_size"):
         assert np.allclose(
             getattr(stats_sharded, attribute), getattr(stats_single, attribute)
         ), attribute
-    assert np.allclose(
-        stats_sharded.local_candidate_counts_sparse(),
-        stats_single.local_candidate_counts_sparse(),
+    assert np.array_equal(
+        stats_sharded.local_candidate_counts_sparse(), single._degrees.view()
     )
 
     candidates = sharded.candidate_set()

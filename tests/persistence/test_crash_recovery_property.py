@@ -131,7 +131,10 @@ def assert_same_view(recovered, reference):
     assert n1 == n2
     assert pairs1 == pairs2
     assert blocks1 == blocks2
-    assert np.allclose(agg1, agg2)
+    # derived from the same rows: the counts exactly; the reciprocal sums up to
+    # the order a recovered index (blocks renumbered by compaction) adds them in
+    assert np.array_equal(agg1[:2], agg2[:2])
+    assert np.allclose(agg1[2:], agg2[2:])
 
 
 def reference_for_prefix(records):

@@ -150,13 +150,15 @@ class TestLayout:
         )
         assert index_arrays == [
             "block_keys/ends", "block_keys/text", "csr_indices", "csr_indptr", "degrees",
-            "entity_ids/ends", "entity_ids/text", "inv_cardinality_sums", "inv_size_sums",
+            "entity_ids/ends", "entity_ids/text",
         ]
         assert header["state"]["index"]["side_counts"] == [11, 0]
 
     def test_the_recovered_index_is_the_writers_compacted_state(self, tmp_path):
-        """Adoption carries the float sums as held: the recovered index's
-        arrays are the writer's live rows bit for bit, not a recount."""
+        """No float sum is stored, yet the recovered index reads like the
+        writer bit for bit: its rows are the writer's live rows, its blocks
+        keep their relative order, so every statistic derived from them is
+        added in the same order."""
         index = MutableBlockIndex(bilateral=True)
         wal = WriteAheadLog(tmp_path / "wal")
         index.attach_wal(wal)
@@ -171,13 +173,17 @@ class TestLayout:
         wal.close()
         recovered = recover_index(tmp_path / "wal")
         live = np.argsort(index.canonical_node_ids())[-index.num_entities :]
-        ours, theirs = recovered.export_state()["arrays"], index.export_state()["arrays"]
+        ours, theirs = recovered.statistics(), index.statistics()
         for name in ("blocks_per_entity", "entity_cardinality", "entity_inv_cardinality",
                      "entity_inv_size"):
-            assert np.array_equal(ours[name], theirs[name][live]), name
+            assert np.array_equal(getattr(ours, name), getattr(theirs, name)[live]), name
+        assert np.array_equal(recovered._degrees.view(), index._degrees.view()[live])
         assert recovered.num_slots == recovered.num_entities == index.num_entities
         assert recovered.num_pairs == index.num_pairs
-        assert recovered.block_totals() == index.block_totals()
+        assert ours.block_totals() == theirs.block_totals()
+        assert (recovered.num_nonempty_blocks, recovered.total_cardinality) == (
+            index.num_nonempty_blocks, index.total_cardinality
+        )
 
 
 class TestDamage:
@@ -369,9 +375,9 @@ class TestRegistries:
 
 
 def test_a_recovered_session_scores_every_pair_as_the_writer_does(tmp_path):
-    """The float sums a removal leaves residue in are carried, not recounted:
-    the recovered answer's probabilities equal the writer's bit for bit under
-    an unrounded classifier."""
+    """No float sum is carried: the recovered answer's probabilities, derived
+    from the rows, equal the writer's bit for bit under an unrounded
+    classifier."""
     width = len(FeatureVectorGenerator(FEATURE_SET).columns)
     rng = np.random.default_rng(3)
     features = rng.random((60, width))
@@ -399,3 +405,106 @@ def test_a_recovered_session_scores_every_pair_as_the_writer_does(tmp_path):
         assert answer.retained_id_set() == expected.retained_id_set()
     finally:
         recovered.close()
+
+
+def _rewritten(path, edit):
+    """Re-encode the snapshot at ``path`` after ``edit`` changed its index
+    section in place."""
+    state = decode_container(path.read_bytes())
+    edit(state["index"])
+    path.write_bytes(b"".join(bytes(memoryview(buffer)) for buffer in encode_container(state)))
+
+
+def test_a_snapshot_that_still_stores_the_float_sums_recovers(tmp_path):
+    """Snapshots of this container format written before the per-entity sums
+    were derived store ``inv_cardinality_sums`` / ``inv_size_sums`` beside
+    ``degrees``.  Adoption reads its fields by name, so those two are ignored:
+    the session recovers to the uninterrupted one's answer and scores its next
+    insert bit for bit as the uninterrupted one does."""
+    width = len(FeatureVectorGenerator(FEATURE_SET).columns)
+    features = np.random.default_rng(5).random((60, width))
+    classifier = LogisticRegression().fit(features, (features.sum(axis=1) > width / 2).astype(int))
+    session = MatchingSession(
+        FrozenModel(classifier, None, FEATURE_SET), bilateral=True, wal_path=tmp_path / "wal"
+    )
+    try:
+        for serial in range(30):
+            session.insert(
+                make_profile(f"e{serial}", t=f"w{serial % 5} x{serial % 4} common"),
+                side=serial % 2,
+            )
+        for serial in range(0, 30, 4):
+            session.remove(f"e{serial}", side=serial % 2)
+        snapshot = session.checkpoint()
+        legacy = _copy(tmp_path / "wal", tmp_path / "legacy")
+        live = session.index.num_entities
+        rng = np.random.default_rng(0)
+        _rewritten(
+            legacy / snapshot.name,
+            lambda index: index.update(
+                inv_cardinality_sums=rng.random(live), inv_size_sums=rng.random(live)
+            ),
+        )
+        assert "inv_size_sums" in WriteAheadLog(legacy).latest_snapshot()["index"]
+        expected = session.retained()
+        recovered = MatchingSession.recover(legacy)
+        try:
+            answer = recovered.retained()
+            assert np.array_equal(answer.probabilities, expected.probabilities)
+            assert answer.retained_id_set() == expected.retained_id_set()
+            late = make_profile("late", t="w1 x2 common")
+            ours, theirs = recovered.insert(late, side=1), session.insert(late, side=1)
+            assert ours.counterpart_ids == theirs.counterpart_ids
+            assert np.array_equal(ours.probabilities, theirs.probabilities)
+        finally:
+            recovered.close()
+    finally:
+        session.close()
+
+
+def _plus(positions):
+    """Add ``positions``' values to the degrees at those indices."""
+
+    def forge(degrees):
+        degrees = degrees.copy()
+        for index, value in positions.items():
+            degrees[index] += value
+        return degrees
+
+    return forge
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        # each breaks one property of a pair set's degrees and keeps the others
+        pytest.param(lambda degrees: np.where(np.arange(degrees.size) == 0, -degrees, degrees),
+                     id="negative"),
+        pytest.param(_plus({0: 0.5, 1: 1.5}), id="fractional"),
+        pytest.param(_plus({0: 1.0}), id="odd-total"),
+        pytest.param(_plus({0: 20.0}), id="more-than-the-other-entities"),
+        pytest.param(_plus({0: np.inf}), id="infinite"),
+        pytest.param(_plus({0: np.nan}), id="nan"),
+    ],
+)
+def test_a_snapshot_whose_degrees_are_no_pair_set_is_refused(tmp_path, forge):
+    """``degrees`` is the one per-entity array a snapshot stores: LCP and the
+    live pair count are read off it.  Values no pair set has are refused by
+    name, like every other inconsistent compacted state."""
+    index = MutableBlockIndex()
+    wal = WriteAheadLog(tmp_path / "wal")
+    index.attach_wal(wal)
+    for serial in range(10):
+        index.add_entity(make_profile(f"e{serial}", t=f"w{serial % 3}"))
+    snapshot = write_index_snapshot(index, wal)
+    wal.close()
+    held = index._degrees.view()
+    assert held.min() > 0 and held.max() < 10 - 1.5 and held.sum() % 2 == 0
+    assert recover_index(tmp_path / "wal").num_pairs == index.num_pairs
+
+    def edit(section):
+        section["degrees"] = forge(np.asarray(section["degrees"]))
+
+    _rewritten(snapshot, edit)
+    with pytest.raises(ValueError, match="degrees"):
+        recover_index(tmp_path / "wal")

@@ -1,13 +1,13 @@
-"""Property test: pruning budgets from maintained totals equal the snapshot's.
+"""Property test: pruning budgets from derived totals equal the snapshot's.
 
-The exact online answer hands the pruning algorithm two maintained integers
-(:meth:`MutableBlockIndex.block_totals`) instead of a materialised block
-collection.  For random add / remove / update / bulk-load / ``compact()``
+The exact online answer hands the pruning algorithm two integers read off the
+rows it reads (``statistics().block_totals()``) instead of a materialised
+block collection.  For random add / remove / update / bulk-load / ``compact()``
 sequences — unilateral and bilateral, the index itself and 1-3 shard
 replicas of its log, merged — plus a WAL-recovered session and a
 checkpoint-adopting serving view, after every operation:
 
-* the O(1) totals equal ``snapshot_blocks().total_block_assignments()`` and
+* the totals equal ``snapshot_blocks().total_block_assignments()`` and
   ``snapshot_blocks().index_space.total``;
 * for WEP, BLAST, CEP, CNP and RCNP the mask of the shared read helper
   (:func:`repro.incremental.session.exact_answer`) equals the mask obtained
@@ -93,7 +93,7 @@ def _assert_totals_and_masks(index, snapshot=None):
     (default: its own materialised blocks)."""
     if snapshot is None:
         snapshot = index.snapshot_blocks()
-    totals = index.block_totals()
+    totals = index.statistics().block_totals()
     assert totals.assignments == snapshot.total_block_assignments()
     assert totals.entities == snapshot.index_space.total
     assert BlockTotals.of(snapshot) == totals
@@ -163,11 +163,11 @@ def _churned_session(path):
 
 def test_recovered_session_answers_from_its_totals(tmp_path):
     session = _churned_session(tmp_path)
-    expected = session.index.block_totals()
+    expected = session.index.statistics().block_totals()
     session.close()
     recovered = MatchingSession.recover(tmp_path)
     try:
-        assert recovered.index.block_totals() == expected
+        assert recovered.index.statistics().block_totals() == expected
         _assert_totals_and_masks(recovered.index)
     finally:
         recovered.close()
@@ -192,7 +192,7 @@ def test_checkpoint_adopting_view_answers_from_shipped_totals(tmp_path, num_shar
                 session.index.entity_id,
             )
             # the view ships no member lists: the authority's materialised
-            # collection is the reference for the shipped scalars
+            # collection is the reference for the totals read off the rows
             _assert_totals_and_masks(view, snapshot=session.index.snapshot_blocks())
         finally:
             for replica in replicas:

@@ -84,8 +84,9 @@ def _canonical_state(replica):
         index.num_pairs,
         set(zip(candidates.left.tolist(), candidates.right.tolist())),
     )
+    statistics = index.statistics()
     per_node = {
-        name: getattr(index, f"_{name}").view()
+        name: getattr(statistics, name)
         for name in (
             "blocks_per_entity",
             "entity_cardinality",
@@ -93,6 +94,7 @@ def _canonical_state(replica):
             "entity_inv_size",
         )
     }
+    per_node["degrees"] = index._degrees.view()
     return {
         "sides": sides.tolist(),
         "rows": rows,
@@ -105,9 +107,9 @@ def _canonical_state(replica):
 def _assert_replicas_identical(adopted, from_zero):
     """The two replicas' live projections are identical.
 
-    Topology, ids, and counts are compared exactly; float aggregates with
-    ``atol=1e-12`` because the adopted rebuild can reorder summations by
-    one ULP.
+    Topology, ids, and counts are compared exactly; the derived float
+    aggregates with ``atol=1e-12`` because the adopted rebuild numbers the
+    blocks differently, which can reorder summations by one ULP.
     """
     left, right = _canonical_state(adopted), _canonical_state(from_zero)
     assert left["sides"] == right["sides"], "node numbering and liveness"
@@ -131,9 +133,10 @@ def _assert_replicas_identical(adopted, from_zero):
         )
     left_meta = adopted.read_state()["meta"]
     right_meta = from_zero.read_state()["meta"]
-    for key in ("shard", "offset", "bilateral", "num_nonempty_blocks",
-                "total_cardinality", "side_counts"):
+    for key in ("shard", "offset", "bilateral", "side_counts"):
         assert left_meta[key] == right_meta[key], f"meta {key!r}"
+    for name in ("num_nonempty_blocks", "total_cardinality"):
+        assert getattr(adopted.index, name) == getattr(from_zero.index, name), name
 
 
 class TestAdoptionUnit:

@@ -25,8 +25,8 @@ from hypothesis import strategies as st
 from reference import CLEANINGS, batch_retained_ids, make_frozen_model, reference_retained
 from repro.blocking import prepare_blocks
 from repro.datamodel import EntityCollection, make_profile
-from repro.incremental import IndexState, MatchingSession, MergedIndexView
-from repro.incremental.state import FULL_ARRAYS, Growable, IndexStateError
+from repro.incremental import IndexState, MatchingSession, MergedIndexView, MutableBlockIndex
+from repro.incremental.state import APPENDED, Growable, IndexStateError
 from repro.persistence.recovery import recover_session
 from repro.serve.router import build_pinned_view, match_answer, top_k_answer
 from repro.serve.workers import ShardReplica, WalFollowError
@@ -152,8 +152,8 @@ def test_every_pinned_offset_equals_canonical(cleaning, operations, num_shards):
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-#: the ten array fields, from the one schema table
-_STUB_ARRAYS = tuple(field for _, field in FULL_ARRAYS)
+#: the three array fields, from the one schema table
+_STUB_ARRAYS = tuple(field for _, field, _, _ in APPENDED)
 
 
 class _ReadRecorder(dict):
@@ -183,9 +183,6 @@ def _assert_stub_identical(actual: IndexState, oracle: IndexState):
         ), attribute
     assert actual._side_counts == oracle._side_counts
     assert actual.num_blocks == oracle.num_blocks
-    assert actual.num_nonempty_blocks == oracle.num_nonempty_blocks
-    assert actual.total_cardinality == oracle.total_cardinality
-    assert actual.total_block_assignments == oracle.total_block_assignments
     # every scalar of the schema; the epoch counts one replica's mutations
     # and is only comparable with the index the state was shipped from
     assert dict(actual._export_meta(), epoch=0) == dict(oracle._export_meta(), epoch=0)
@@ -311,8 +308,8 @@ class _ReadGrowable(Growable):
 def test_the_answers_read_every_array_a_full_ship_carries(tmp_path):
     """The other half of "nothing is shipped that is not read": ``apply_full``
     copying an array into a field is not a read.  Wrapping the *resulting
-    state's* fields, ``match`` + ``top_k`` between them must touch all ten —
-    three registry arrays that no answer consulted would have failed here."""
+    state's* fields, ``match`` + ``top_k`` between them must touch all three
+    — an array that no answer consulted would have failed here."""
     session = MatchingSession(MODEL, bilateral=True, wal_path=tmp_path)
     replicas = [ShardReplica(tmp_path, shard, 2) for shard in range(2)]
     try:
@@ -327,12 +324,12 @@ def test_the_answers_read_every_array_a_full_ship_carries(tmp_path):
         )
         reads = [set() for _ in view.shards]
         for shard, log in zip(view.shards, reads):
-            for name, field in FULL_ARRAYS:
+            for name, field, _, _ in APPENDED:
                 setattr(shard, field, _ReadGrowable(getattr(shard, field), name, log))
         answer = match_answer(view, MODEL, session.pruning)
         assert answer["retained"] == reference_retained(session)
         assert top_k_answer(view, MODEL, session.index.node_of("a0", side=0), 3)
-        shipped = {name for name, _ in FULL_ARRAYS}
+        shipped = {name for name, _, _, _ in APPENDED}
         assert reads[0] == shipped
         # node ids, and so the side flags, are identical in every shard: the
         # merged read takes them from shard 0 (each state still stands alone)
@@ -371,6 +368,51 @@ def test_stub_refuses_a_state_whose_csr_does_not_add_up(tmp_path):
     finally:
         replica.close()
         session.close()
+
+
+def test_stub_refuses_a_ship_whose_block_count_does_not_cover_its_ids():
+    """A receiver holds no per-block array to count its blocks by, so the
+    shipped ``num_blocks`` is checked against the block ids: every id that
+    arrives lies in ``[0, num_blocks)`` and the count never shrinks under a
+    delta.  Each refusal comes before the epoch moves."""
+    index = MutableBlockIndex(bilateral=True)
+    index._apply_insert("a0", 0, ["alpha", "beta"])
+    index._apply_insert("b0", 1, ["alpha"])
+    full = index.export_state()
+    base = index.enable_delta_tracking()
+    index._apply_insert("a1", 0, ["beta", "gamma"])
+    delta = index.export_delta(base)
+    arrays, meta = delta["arrays"], delta["meta"]
+    assert arrays["indices_tail"].max() == meta["num_blocks"] - 1 == 2
+
+    def fresh():
+        stub = IndexState()
+        stub.apply_full({name: array.copy() for name, array in full["arrays"].items()}, full["meta"])
+        return stub
+
+    for forged_arrays, forged_meta in (
+        # the full ship's ids reach past the count it reports
+        (full["arrays"], dict(full["meta"], num_blocks=1)),
+        # a negative block id
+        (dict(full["arrays"], indices=full["arrays"]["indices"] - 1), full["meta"]),
+    ):
+        with pytest.raises(IndexStateError, match="blocks after"):
+            IndexState().apply_full(forged_arrays, dict(forged_meta, epoch=99))
+    for forged_arrays, forged_meta in (
+        # the tail's new block is not counted
+        (arrays, dict(meta, num_blocks=2)),
+        # the count shrinks below the one held
+        (dict(arrays, indices_tail=arrays["indices_tail"][:0], indptr_tail=arrays["indptr_tail"] - 2),
+         dict(meta, num_blocks=1)),
+    ):
+        stub = fresh()
+        held = stub.epoch
+        with pytest.raises(IndexStateError, match="blocks after"):
+            stub.apply_delta(forged_arrays, dict(forged_meta, epoch=held + 5))
+        assert stub.epoch == held
+    stub = fresh()
+    stub.apply_delta(arrays, meta)
+    assert (stub.num_blocks, stub.epoch) == (3, index.epoch)
 
 
 class TestFollowerContract:

@@ -131,28 +131,27 @@ class TestExportDeltaContract:
         index.enable_delta_tracking()
         index._apply_insert("a1", 0, ["beta"])
         full, delta = index.export_state(), index.export_delta(index.epoch - 1)
-        scalars = {
-            "bilateral", "num_slots", "num_blocks", "num_nonempty_blocks",
-            "total_cardinality", "total_block_assignments", "side_counts",
-            "epoch", "kind",
-        }
+        scalars = {"bilateral", "num_slots", "num_blocks", "side_counts", "epoch", "kind"}
         assert set(full["meta"]) == scalars
         assert set(delta["meta"]) == scalars | {"base_epoch"}
         assert {name: array.dtype.str for name, array in full["arrays"].items()} == {
             "indptr": "<i8", "indices": "<i8", "sides": "|i1",
-            "block_cardinality": "<i8", "inv_block_cardinality": "<f8",
-            "inv_block_size": "<f8", "blocks_per_entity": "<f8",
-            "entity_cardinality": "<f8", "entity_inv_cardinality": "<f8",
-            "entity_inv_size": "<f8",
         }
         assert {name: array.dtype.str for name, array in delta["arrays"].items()} == {
             "indptr_tail": "<i8", "indices_tail": "<i8", "sides_tail": "|i1",
-            "tombstoned_nodes": "<i8", "dirty_entities": "<i8",
-            "dirty_blocks_per_entity": "<f8", "dirty_entity_cardinality": "<f8",
-            "dirty_entity_inv_cardinality": "<f8", "dirty_entity_inv_size": "<f8",
-            "dirty_blocks": "<i8", "dirty_block_cardinality": "<i8",
-            "dirty_inv_block_cardinality": "<f8", "dirty_inv_block_size": "<f8",
+            "tombstoned_nodes": "<i8",
         }
+
+    def test_a_delta_tombstones_only_the_slots_its_base_held(self):
+        index = self._index()
+        epoch = index.enable_delta_tracking()
+        index._apply_insert("a1", 0, ["beta"])
+        index.remove_entity("a1", side=0)
+        index.remove_entity("a0", side=0)
+        delta = index.export_delta(epoch)
+        # a1 was born after the base: its -1 side flag rides in the tail
+        assert delta["arrays"]["tombstoned_nodes"].tolist() == [0]  # a0
+        assert delta["arrays"]["sides_tail"].tolist() == [-1]
 
 
 class TestRouterResidentViews:

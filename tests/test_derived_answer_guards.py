@@ -14,7 +14,7 @@ import ast
 
 from repro.datamodel import make_profile
 from repro.incremental import MutableBlockIndex
-from repro.incremental.state import FULL_ARRAYS
+from repro.incremental.state import APPENDED
 from repro.persistence import WriteAheadLog
 from repro.serve.workers import ShardReplica
 
@@ -89,8 +89,8 @@ def test_the_merged_pair_union_is_gone_from_the_tree():
 
 
 def test_no_registry_array_is_shipped():
-    names = [name for name, _ in FULL_ARRAYS]
-    assert len(names) == 10
+    names = [name for name, _, _, _ in APPENDED]
+    assert names == ["indptr", "indices", "sides"]
     assert not [name for name in names if name.startswith("pair_")]
 
 

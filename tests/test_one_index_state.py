@@ -1,6 +1,6 @@
 """One index state, one read surface: the tower must not grow back.
 
-The read state of a streaming index — ten arrays and a few scalars — is
+The read state of a streaming index — three arrays and a few scalars — is
 declared once, in :mod:`repro.incremental.state`, and read through one type.
 These are AST walks over ``src/repro`` (no imports executed, except for the
 importability check at the end) that fail if a layer above starts reaching
@@ -13,12 +13,21 @@ import importlib
 
 import pytest
 
-from repro.incremental.state import FULL_ARRAYS
+from repro.incremental import IndexState, MutableBlockIndex
+from repro.incremental.state import APPENDED
 
 from test_import_layering import ROOT, _imports, _parse
 
-WIRE_NAMES = {name for name, _ in FULL_ARRAYS}
-FIELDS = {field for _, field in FULL_ARRAYS}
+WIRE_NAMES = {name for name, _, _, _ in APPENDED}
+FIELDS = {field for _, field, _, _ in APPENDED}
+#: the arrays only a writer holds (the insert-time read sums over them)
+WRITER_FIELDS = {
+    "_block_sizes",
+    "_block_cardinalities",
+    "_inverse_block_cardinalities",
+    "_inverse_block_sizes",
+    "_degrees",
+}
 SCHEMA = "incremental/state.py"
 
 
@@ -27,9 +36,36 @@ def _modules(*packages):
         yield from sorted((ROOT / package).rglob("*.py"))
 
 
-def test_the_schema_is_ten_arrays():
-    assert len(FULL_ARRAYS) == len(WIRE_NAMES) == len(FIELDS) == 10
+def test_the_schema_is_three_arrays():
+    assert len(APPENDED) == len(WIRE_NAMES) == len(FIELDS) == 3
     assert all(field.startswith("_") for field in FIELDS)
+    assert set(MutableBlockIndex().export_state()["arrays"]) == WIRE_NAMES
+
+
+#: the per-entity aggregates and the assignment total that used to be
+#: maintained under every mutation, shipped and snapshotted
+DERIVED = (
+    "_blocks_per_entity",
+    "_entity_cardinality",
+    "_entity_inv_cardinality",
+    "_entity_inv_size",
+    "total_block_assignments",
+)
+
+
+def test_derived_statistics_are_not_maintained_anywhere():
+    """Nothing a reader can derive from the rows it reads is kept: no module
+    of the streaming package names the old fields, and neither a writer nor a
+    receiver holds them or a ``block_totals`` of its own."""
+    offenders = [
+        f"{path.relative_to(ROOT)}: {name}"
+        for path in _modules("incremental")
+        for name in DERIVED
+        if name in path.read_text()
+    ]
+    assert not offenders, offenders
+    for state in (MutableBlockIndex(bilateral=True), IndexState(bilateral=True)):
+        assert not [name for name in DERIVED + ("block_totals",) if hasattr(state, name)]
 
 
 def test_layers_above_import_no_private_name_from_incremental():
@@ -49,7 +85,7 @@ def test_layers_above_read_no_array_field_off_an_index():
         f"{path.relative_to(ROOT)}:{node.lineno}: .{node.attr}"
         for path in _modules("serve", "persistence")
         for node in ast.walk(_parse(path))
-        if isinstance(node, ast.Attribute) and node.attr in FIELDS
+        if isinstance(node, ast.Attribute) and node.attr in FIELDS | WRITER_FIELDS
     ]
     assert not offenders, f"go through the IndexState read surface: {offenders}"
 
@@ -103,6 +139,10 @@ def test_no_constructor_bypass_outside_session_recovery():
         ("repro.incremental.index", "IncrementalStatistics"),
         ("repro.incremental.index", "_Growable"),
         ("repro.incremental.sharded", "ShardedStatistics"),
+        ("repro.incremental.state", "FULL_ARRAYS"),
+        ("repro.incremental.state", "ENTITY_AGGREGATES"),
+        ("repro.incremental.state", "BLOCK_AGGREGATES"),
+        ("repro.incremental.state", "ADOPTED_SCALARS"),
         ("repro.incremental", "IncrementalStatistics"),
         ("repro.incremental", "ShardedStatistics"),
     ],
