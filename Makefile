@@ -42,7 +42,12 @@
 #                            insert-time statistics at the scored rows equal the exact
 #                            read bit for bit, a recovered session scores its next insert
 #                            as the uninterrupted one, spawning-only masking, and the
-#                            guard that no insert reads the whole collection)
+#                            guard that no insert reads the whole collection; ships as
+#                            checked containers: a flipped / torn / schema-less ship
+#                            refused by name before any resident state moves, one
+#                            shard's refusal costing only that shard a full ship, the
+#                            guard that nothing imports shared memory or its resource
+#                            tracker, and a served daemon's process tree of 1 + K)
 #   make test-fast         - tier-1 suite without the perf smoke tests, then tests/serve,
 #                            tests/faults and tests/persistence in one invocation (the
 #                            fixture model they pickle must not depend on collection order)
@@ -108,7 +113,9 @@ test-equivalence:
 		tests/incremental/test_sharded_index.py tests/test_no_sharded_index.py \
 		tests/blocking/test_filtering_numbering.py tests/incremental/test_cleaned_answer.py \
 		tests/incremental/test_session_property.py tests/incremental/test_churn_property.py \
-		tests/incremental/test_golden_churn.py tests/incremental/test_insert_time_statistics.py
+		tests/incremental/test_golden_churn.py tests/incremental/test_insert_time_statistics.py \
+		tests/serve/test_ship_container.py tests/test_no_shared_memory.py \
+		tests/serve/test_process_tree.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q

@@ -21,10 +21,13 @@ the banner and the first ``match``.
 
 ``-X importtime`` writes a line per module and slows the imports it times
 (~10 %): read the instrumented run for *where*, the un-instrumented floor for
-*how much*.  The import families count the daemon's own interpreter only:
-each shard worker starts a ``multiprocessing.resource_tracker`` interpreter
-on its first shared-memory export, with the daemon's flags and stderr, and
-those starts are printed on a line of their own.  For the "before" timeline copy this file and ``profile_answer.py``
+*how much*.  The import families count the daemon's own interpreter only;
+any other interpreter that writes to the same stderr is counted on a line of
+its own, as ``multiprocessing.resource_tracker`` starts.  That line must read
+0: shard workers ship their read states over their pipes as array
+containers and use no shared memory, so nothing starts a tracker (the
+shared-memory transport before that started one per worker, on its first
+export; a parent tree prints 2 at ``--shards 2``).  For the "before" timeline copy this file and ``profile_answer.py``
 (it imports the re-exec helper from there) into a clone of the parent.
 """
 
@@ -63,9 +66,9 @@ def interpreter_logs(importtime_log: str) -> List[List[str]]:
 
     Every interpreter prints the column header (``self [us]``) before its
     first import, so a header starts the next one: the daemon's own lines
-    come first, then those of each ``multiprocessing.resource_tracker``
-    interpreter a shard worker started (workers are forked and import
-    nothing themselves).
+    come first, then those of any interpreter a child started — a
+    ``multiprocessing.resource_tracker``, which no worker of this tree starts
+    (workers are forked and import nothing themselves).
     """
     interpreters: List[List[str]] = []
     for line in importtime_log.splitlines():
@@ -163,8 +166,8 @@ def instrumented_recovery(saved: Path, workdir: Path, shards: int) -> None:
     starts, modules, cost = tracker_starts(interpreters)
     print(
         f"{'':>10} {cost:9.1f}  import in {starts} resource-tracker interpreters "
-        f"({modules} modules; one per shard worker, started on its first "
-        f"shared-memory export, not counted above)"
+        f"({modules} modules, not counted above; 0 unless something uses "
+        f"shared memory)"
     )
     print(f"{'at ms':>10} {'ms':>9}  since the spawn")
 

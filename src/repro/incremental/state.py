@@ -134,6 +134,12 @@ APPENDED = (
     ("indices", "_indices", np.int64, 1024),
     ("sides", "_sides", np.int8, 64),
 )
+#: the arrays a ship of each kind holds: :meth:`IndexState.export_state`'s
+#: and :meth:`~repro.incremental.MutableBlockIndex.export_delta`'s
+SHIPS = {
+    "full": frozenset(name for name, _, _, _ in APPENDED),
+    "delta": frozenset([*(f"{name}_tail" for name, _, _, _ in APPENDED), "tombstoned_nodes"]),
+}
 
 
 def merged_csr(states: Sequence["IndexState"]) -> EntityBlockCSR:

@@ -127,7 +127,7 @@ class MetricsRegistry:
     read thread concurrently; everything is guarded by one lock.  Sampled
     gauges (:meth:`register_gauge`) are callables invoked *outside* the
     lock at snapshot time — they read cheap process state (``/proc``,
-    file sizes, shm accounting) and must never block on the lock holder.
+    file sizes, replica lag) and must never block on the lock holder.
     """
 
     def __init__(self) -> None:

@@ -15,7 +15,9 @@ Modules
 ``daemon``
     :class:`MatchingDaemon` — the asyncio front end and its dispatch threads.
 ``workers``
-    :class:`ShardReplica` + the worker process body and parent-side handle.
+    :class:`ShardReplica` + the worker process body and parent-side handle;
+    a read state rides the worker's pipe reply as one array container
+    (:mod:`repro.persistence.container`), decoded with every check on.
 ``router``
     Pinned read views assembled from per-shard states; ``match``/``top_k``
     answer kernels.

@@ -242,10 +242,6 @@ class MatchingDaemon:
             "wal_size_bytes", lambda: float(self.session.wal.log_offset)
         )
         self.metrics.register_gauge("snapshot_age_seconds", self._snapshot_age)
-        self.metrics.register_gauge(
-            "resident_shm_bytes",
-            lambda: float(sum(self.router.worker_shm_bytes.values())),
-        )
         for shard in range(self.num_shards):
             self.metrics.register_gauge(
                 f"shard{shard}_replica_lag_records",

@@ -6,7 +6,7 @@ shard worker for its read state *at exactly that offset*, and reads the K
 states as one index through a :class:`~repro.incremental.MergedIndexView`.
 Between reads a follower thread keeps the workers at the head of the log
 (**follow eagerly, pin late**), so the pin usually finds them caught up.
-What a state is (ten arrays plus a handful of scalars; no pair list —
+What a state is (three arrays plus a handful of scalars; no pair list —
 the live pairs are derived from the CSR), how a delta advances it and when a
 ship is refused live in :mod:`repro.incremental.state`; what makes K shards
 mergeable in :mod:`repro.incremental.sharded`; and the answer itself is
@@ -22,9 +22,13 @@ Shipping is incremental: the router keeps one **resident**
 (the epoch is the state's own: it is adopted only by a ship that applied
 cleanly); the worker replies with a delta (applied to the resident state in
 place) or a full state (first contact, respawned worker, checkpoint adoption
-or compaction — anything that breaks the lineage).  A shard whose ship
-fails to apply loses its resident state, so its next read full-ships.  Only
-the cheap merged view is rebuilt per query.
+or compaction — anything that breaks the lineage).  Either rides the
+worker's pipe reply as one array container, decoded with every container
+check on (:meth:`~repro.serve.workers.ShardWorkerHandle.materialize`).  Every
+shard's ship is applied; a shard whose ship is torn or fails to apply loses
+its resident state, so its next read full-ships, while the shards whose
+ships applied keep theirs and go on shipping deltas.  Only the cheap merged
+view is rebuilt per query.
 
 Entity-id resolution is delegated to a caller-provided function: node ids
 are append-only in the authority index (slots are tombstoned, never
@@ -235,9 +239,6 @@ class ShardRouter:
         self._follower: Optional[threading.Thread] = None
         self._follow_wake = threading.Event()
         self._follow_stopping = False
-        #: per-shard resident shared-memory bytes, as last reported by each
-        #: worker's :class:`~repro.serve.workers.ExportSlots`
-        self.worker_shm_bytes: Dict[int, int] = {}
 
     def _spawn(self, shard: int) -> ShardWorkerHandle:
         return ShardWorkerHandle(
@@ -303,9 +304,8 @@ class ShardRouter:
                 # the replacement holds no shipped base; drop the resident
                 # view so the next read full-ships from the new worker
                 self._resident[shard] = None
-                # the old worker's export slots die with it, and whatever it
-                # had replayed: the replacement lags until it is followed
-                self.worker_shm_bytes.pop(shard, None)
+                # whatever the old worker had replayed dies with it: the
+                # replacement lags until it is followed
                 self.followed_serials.pop(shard, None)
         if not swapped:
             fresh.kill()
@@ -529,33 +529,23 @@ class ShardRouter:
                 payloads = self._fan_out(commands)
                 if span is not None:
                     span.tags["offset"] = offset
-                states = [
-                    ShardWorkerHandle.materialize(payload) for payload in payloads
-                ]
-                if traced:
-                    # the workers measured their replay/export phases locally;
-                    # graft the shipped span lists under this fan-out span
-                    for state in states:
-                        worker_spans = state["meta"].get("spans")
-                        if worker_spans:
-                            trace.graft(
-                                f"shard{state['meta'].get('shard')}", worker_spans
-                            )
-            offsets = {int(state["meta"]["offset"]) for state in states}
-            if len(offsets) != 1:
-                raise WorkerError(
-                    f"shard states pin different offsets: {sorted(offsets)}"
-                )
+                    # the workers measured their replay/export phases
+                    # locally; graft them under this fan-out span
+                    for shard, payload in enumerate(payloads):
+                        if payload.get("spans"):
+                            trace.graft(f"shard{shard}", payload["spans"])
             started = time.perf_counter()
             full_reads = delta_reads = 0
             bytes_full = bytes_delta = 0
-            for shard, state in enumerate(states):
-                meta = state["meta"]
-                shm_bytes = meta.get("export_slot_bytes")
-                if shm_bytes is not None:
-                    self.worker_shm_bytes[shard] = int(shm_bytes)
-                nbytes = sum(int(a.nbytes) for a in state["arrays"].values())
+            failed: List[Tuple[int, Exception]] = []
+            for shard, payload in enumerate(payloads):
                 try:
+                    state = ShardWorkerHandle.materialize(payload, shard)
+                    meta = state["meta"]
+                    if int(meta["offset"]) != offset:
+                        raise IndexStateError(
+                            f"shipped at offset {meta['offset']} for a read pinned at {offset}"
+                        )
                     if state["kind"] == "delta":
                         entry = resident[shard]
                         if (
@@ -563,29 +553,33 @@ class ShardRouter:
                             or entry.lineage != meta["lineage"]
                             or entry.state.epoch != int(meta["base_epoch"])
                         ):
-                            raise WorkerError(
-                                f"shard {shard} shipped a delta against a base "
-                                "the router does not hold"
+                            raise IndexStateError(
+                                "shipped a delta against a base the router does not hold"
                             )
                         entry.state.apply_delta(state["arrays"], meta)
                         delta_reads += 1
-                        bytes_delta += nbytes
+                        bytes_delta += len(payload["ship"])
                     else:
                         shipped = IndexState()
                         shipped.apply_full(state["arrays"], meta)
                         resident[shard] = _ResidentShard(shipped, str(meta["lineage"]))
                         full_reads += 1
-                        bytes_full += nbytes
-                except Exception as error:
-                    # a ship that did not apply leaves nothing to build on: drop
-                    # the shard's resident state so its next read ships full
-                    with self._lock:
-                        self._resident[shard] = None
-                    if isinstance(error, IndexStateError):
-                        raise WorkerError(f"shard {shard}: {error}") from error
-                    raise
+                        bytes_full += len(payload["ship"])
+                    # every shard holds the whole registry: any one resolves
+                    lookup_node = int(meta["lookup_node"])
+                except Exception as error:  # noqa: BLE001 - raised below
+                    # a ship that did not apply leaves nothing to build on: the
+                    # shard's next read ships full.  The other shards applied
+                    # theirs, and their workers rebased on it: they stay
+                    failed.append((shard, error))
+                    resident[shard] = None
             with self._lock:
                 self._resident = resident
+            if failed:
+                shard, error = failed[0]
+                if isinstance(error, WorkerError):
+                    raise error
+                raise WorkerError(f"shard {shard}: {type(error).__name__}: {error}") from error
             # every shard shipped state consistent with this pin, so the
             # whole fleet is caught up to the serial captured at pin time
             self._mark_followed(serial)
@@ -609,7 +603,7 @@ class ShardRouter:
             view = MergedIndexView(
                 [entry.state for entry in resident], self._resolve, "serve-pinned"
             )
-            return view, int(states[0]["meta"]["lookup_node"]), offset
+            return view, lookup_node, offset
 
     def shard_stats(self) -> Tuple[int, List[Dict[str, Any]]]:
         """The offset pinned (under the handle locks, like a read's) and the

@@ -19,13 +19,14 @@ replay path.  A replica never rewinds, so whoever sends an offset must have
 read it with the worker's handle lock held (:mod:`repro.serve.router`).
 
 Workers are ``multiprocessing`` processes (``fork`` where available) with
-their own supervisor (:mod:`repro.serve.supervision`), not a pool.  They ship
-their shard's read-state arrays back through shared memory
-(:mod:`repro.serve.shm`): each worker keeps a registry of named export
-slots (one reusable segment per state array, grown geometrically), writes
-the current arrays into them and sends only handles plus small metadata
-over its pipe.  The parent attaches, copies, and assembles the per-shard
-states into a pinned read view (:mod:`repro.serve.router`).
+their own supervisor (:mod:`repro.serve.supervision`), not a pool.  Every
+``read`` reply carries the shard's read state — full or delta, a few hundred
+bytes to tens of kilobytes — as one array container
+(:mod:`repro.persistence.container`, the encoding snapshots use) inside the
+worker's pipe reply.  The parent decodes it with every container check on
+(:meth:`ShardWorkerHandle.materialize`) and assembles the per-shard states
+into a pinned read view (:mod:`repro.serve.router`).  A worker is one
+process: nothing it does starts a helper interpreter.
 """
 
 from __future__ import annotations
@@ -45,11 +46,17 @@ import numpy as np
 from .. import faults
 from ..incremental.index import MutableBlockIndex, UnknownEntityError
 from ..incremental.sharded import shard_of_signature
+from ..incremental.state import SHIPS
 from ..obs import events
-from ..persistence.container import StateFormatError, check_state_format
+from ..persistence.container import (
+    SNAPSHOT_FORMAT,
+    StateFormatError,
+    check_state_format,
+    decode_container,
+    encode_container,
+)
 from ..persistence.log import LOG_MAGIC, MAX_RECORD_BYTES, _RECORD_HEADER, WriteAheadLog
 from ..persistence.snapshot import compacted_from_state, key_shards, row_signatures
-from .shm import SharedArray, SharedArrayHandle, attach_view, detach_view
 
 _logger = events.get_logger(__name__)
 
@@ -522,63 +529,6 @@ class ShardReplica:
         self.follower.close()
 
 
-class ExportSlots:
-    """A worker's persistent registry of named shared-memory export slots.
-
-    One reusable segment per state array: grown geometrically when an
-    export outgrows its capacity (the old segment is unlinked *eagerly* and
-    its name recorded so the parent can drop its cached attachment too),
-    written in place otherwise.  Only handles sized to the *actual* array
-    length cross the pipe — the parent never sees the slack capacity.
-    """
-
-    def __init__(self) -> None:
-        self._slots: Dict[str, SharedArray] = {}
-        self._retired: List[str] = []
-
-    def export(self, name: str, array: np.ndarray) -> SharedArrayHandle:
-        array = np.ascontiguousarray(array)
-        slot = self._slots.get(name)
-        if (
-            slot is None
-            or slot.array.dtype != array.dtype
-            or slot.array.size < array.size
-        ):
-            if slot is not None:
-                # free the superseded segment now, not at worker exit; the
-                # parent learns the name via drain_retired and detaches
-                self._retired.append(slot.handle.name)
-                slot.close()
-            capacity = max(1, 2 * array.size)
-            slot = SharedArray(shape=(capacity,), dtype=array.dtype)
-            self._slots[name] = slot
-        slot.array[: array.size] = array
-        return SharedArrayHandle(
-            name=slot.handle.name, shape=(array.size,), dtype=array.dtype.str
-        )
-
-    def drain_retired(self) -> List[str]:
-        """Names of segments unlinked since the last drain (ship with the
-        reply so the parent can evict stale attachments)."""
-        retired, self._retired = self._retired, []
-        return retired
-
-    @property
-    def total_bytes(self) -> int:
-        """Resident shared-memory bytes held across all export slots.
-
-        Counts the full *capacity* of each segment (what the OS holds),
-        not just the live prefixes — shipped per read so the daemon's
-        ``resident_shm_bytes`` gauge reflects the fleet's true footprint.
-        """
-        return sum(int(slot.array.nbytes) for slot in self._slots.values())
-
-    def close(self) -> None:
-        for slot in self._slots.values():
-            slot.close()
-        self._slots.clear()
-
-
 def shard_worker_main(
     connection,
     wal_dir: str,
@@ -595,11 +545,11 @@ def shard_worker_main(
 
     * ``("ping",)`` — liveness check;
     * ``("read", offset, lookup, base[, trace_id])`` — catch up to the
-      pinned offset and ship the shard's read state (arrays as
-      shared-memory handles): a delta against ``base`` when the handshake
-      matches, full otherwise.  When a trace id rides along, the reply's
-      meta carries per-phase ``spans`` so replay/export time is attributed
-      to the originating request;
+      pinned offset and ship the shard's read state as one container
+      (:func:`encode_ship`): a delta against ``base`` when the handshake
+      matches, full otherwise.  When a trace id rides along, the reply
+      carries per-phase ``spans`` beside the container, so replay/export
+      time is attributed to the originating request;
     * ``("stats", offset)`` — catch up and return small counters;
     * ``("follow", offset)`` — catch up to *at least* ``offset`` and
       acknowledge with the replica's position: the replay a read would
@@ -631,7 +581,6 @@ def shard_worker_main(
             shard,
             exc_info=True,
         )
-    exports = ExportSlots()
     try:
         while True:
             try:
@@ -663,11 +612,9 @@ def shard_worker_main(
                             }
                         )
                         started = time.perf_counter()
+                    # the "export" span times the extraction and the encode
                     state = replica.read_state(lookup, base=base)
-                    handles = {
-                        key: exports.export(key, array)
-                        for key, array in state["arrays"].items()
-                    }
+                    ship = encode_ship(state)
                     if spans is not None:
                         spans.append(
                             {
@@ -676,19 +623,7 @@ def shard_worker_main(
                                 "kind": state["kind"],
                             }
                         )
-                        state["meta"]["spans"] = spans
-                    state["meta"]["export_slot_bytes"] = exports.total_bytes
-                    connection.send(
-                        (
-                            "ok",
-                            {
-                                "kind": state["kind"],
-                                "handles": handles,
-                                "meta": state["meta"],
-                                "retired": exports.drain_retired(),
-                            },
-                        )
-                    )
+                    connection.send(("ok", {"ship": ship, "spans": spans}))
                 elif name == "stats":
                     _, offset = command
                     replica.catch_up(int(offset))
@@ -724,12 +659,18 @@ def shard_worker_main(
                     )
                 )
     finally:
-        exports.close()
         replica.close()
         try:
             connection.close()
         except OSError:
             pass
+
+
+def encode_ship(state: Dict[str, Any]) -> bytes:
+    """A :meth:`ShardReplica.read_state` as one container buffer: the
+    snapshot encoding (:mod:`repro.persistence.container`), so no array
+    crosses the pipe as anything but its raw bytes."""
+    return b"".join(encode_container({"format": SNAPSHOT_FORMAT, **state}))
 
 
 def _preferred_start_method() -> str:
@@ -859,31 +800,32 @@ class ShardWorkerHandle:
         return self._process.pid
 
     @staticmethod
-    def materialize(payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Copy a ``read`` reply's shared-memory arrays into local memory.
+    def materialize(payload: Dict[str, Any], shard: int) -> Dict[str, Any]:
+        """Decode a ``read`` reply into ``{"kind", "arrays", "meta"}``.
 
-        The copy is required: the worker reuses its export slots on the
-        next request, so the attached views are only valid until then.
-        After copying, this process's cached attachments are dropped —
-        both the slots just read and any segment the worker retired when a
-        slot outgrew its capacity — so the attach cache cannot accumulate
-        mappings of unlinked segments across reads (the leak regression
-        test in ``tests/serve/test_delta_shipping.py`` pins this down).
+        :func:`~repro.persistence.container.decode_container` checks the CRC
+        and every array extent before the first view exists, and the arrays
+        must be exactly those a ship of its ``kind`` holds
+        (:data:`~repro.incremental.state.SHIPS`).  A torn or malformed ship
+        is a :class:`WorkerError` naming ``shard``, raised before any
+        resident state sees it.  The arrays are read-only views into the
+        reply's buffer; applying a ship copies them.
         """
-        arrays = {}
         try:
-            for key, handle in payload["handles"].items():
-                arrays[key] = np.array(attach_view(handle), copy=True)
-        finally:
-            for handle in payload["handles"].values():
-                detach_view(handle.name)
-            for name in payload.get("retired", ()):
-                detach_view(name)
-        return {
-            "kind": payload.get("kind", "full"),
-            "arrays": arrays,
-            "meta": payload["meta"],
-        }
+            state = decode_container(payload["ship"])
+        except (KeyError, TypeError, StateFormatError):
+            state = None
+        if state is not None:
+            kind, arrays, meta = state.get("kind"), state.get("arrays"), state.get("meta")
+            if (
+                isinstance(kind, str)
+                and kind in SHIPS
+                and isinstance(arrays, dict)
+                and set(arrays) == SHIPS[kind]
+                and isinstance(meta, dict)
+            ):
+                return {"kind": kind, "arrays": arrays, "meta": meta}
+        raise WorkerError(f"shard worker {shard} shipped a torn or malformed read state")
 
     def read_state(
         self,
@@ -893,7 +835,7 @@ class ShardWorkerHandle:
         trace_id: Optional[str] = None,
     ) -> Dict[str, Any]:
         return self.materialize(
-            self.request(("read", int(offset), lookup, base, trace_id))
+            self.request(("read", int(offset), lookup, base, trace_id)), self.shard
         )
 
     def stop(self, timeout: float = 5.0) -> None:

@@ -1,11 +1,10 @@
-"""Delta-shipped reads: protocol units, the leak regression and the router.
+"""Delta-shipped reads: protocol units, ships across growth and the router.
 
 Covers the three layers of the delta read path separately from the
 consistency property suite:
 
-* :class:`ExportSlots` frees superseded shared-memory segments eagerly and
-  reports their names, and the parent's attach cache never accumulates
-  mappings across repeated reads (the ExportSlots leak regression);
+* every ship a worker sends — full, then deltas across inserts that grow
+  every array many times over — rebuilds exactly the worker's own state;
 * :meth:`MutableBlockIndex.export_delta` is all-or-nothing: stale or
   consumed epochs, compaction and untracked indexes all refuse to ship a
   delta (forcing a full ship) instead of shipping a wrong one;
@@ -13,8 +12,6 @@ consistency property suite:
   reads, full states on first contact and after a respawn, and records the
   byte/read counters the stats panel renders.
 """
-
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -25,65 +22,47 @@ from repro.incremental import MatchingSession
 from repro.incremental.index import MutableBlockIndex
 from repro.obs.registry import MetricsRegistry
 from repro.obs.render import render_stats
-from repro.serve import shm
+from repro.incremental.state import IndexState
 from repro.serve.router import ShardRouter, match_answer
-from repro.serve.workers import ExportSlots, ShardWorkerHandle, WorkerError
+from repro.serve.workers import ShardReplica, ShardWorkerHandle, WorkerError
 
 MODEL = make_frozen_model()
 
 
-class TestExportSlots:
-    def test_grown_slot_retires_and_unlinks_the_old_segment(self):
-        slots = ExportSlots()
-        try:
-            first = slots.export("x", np.arange(4, dtype=np.int64))
-            # fits in the slack capacity: same segment, nothing retired
-            same = slots.export("x", np.arange(8, dtype=np.int64))
-            assert same.name == first.name
-            assert slots.drain_retired() == []
-            grown = slots.export("x", np.arange(64, dtype=np.int64))
-            assert grown.name != first.name
-            assert slots.drain_retired() == [first.name]
-            assert slots.drain_retired() == []
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=first.name)
-        finally:
-            slots.close()
-
-    def test_dtype_change_also_retires(self):
-        slots = ExportSlots()
-        try:
-            first = slots.export("x", np.arange(4, dtype=np.int64))
-            slots.export("x", np.arange(4, dtype=np.float64))
-            assert slots.drain_retired() == [first.name]
-        finally:
-            slots.close()
-
-
-class TestAttachCacheLeak:
-    def test_parent_attach_cache_is_empty_after_reads(self, tmp_path):
-        """Repeated reads — including ones that grow the export slots — must
-        leave no cached attachments behind in the parent process."""
+class TestShipsAcrossGrowth:
+    def test_every_read_equals_the_worker_side_state(self, tmp_path):
+        """A full ship, then a delta per insert across 40 inserts that grow
+        every array far past its first size: after each one the resident
+        state equals ``export_state()`` of the same shard replayed here."""
         session = MatchingSession(MODEL, bilateral=True, wal_path=tmp_path)
         handle = None
-        before = set(shm._ATTACHED)
+        replica = ShardReplica(tmp_path, 0, 1)
+        resident = IndexState()
         try:
             session.insert(make_profile("a0", text="alpha beta"), side=0)
             session.insert(make_profile("b0", text="alpha beta"), side=1)
             handle = ShardWorkerHandle(tmp_path, 0, 1)
-            handle.read_state(session.wal.log_offset)
-            # grow every array far past the first export's capacity so the
-            # worker retires segments mid-stream
-            for serial in range(1, 40):
+            base = None
+            for serial in range(1, 41):
+                ship = handle.read_state(session.wal.log_offset, base=base)
+                assert ship["kind"] == ("full" if base is None else "delta")
+                if base is None:
+                    resident.apply_full(ship["arrays"], ship["meta"])
+                else:
+                    resident.apply_delta(ship["arrays"], ship["meta"])
+                base = {"lineage": ship["meta"]["lineage"], "epoch": resident.epoch}
+                replica.catch_up(session.wal.log_offset)
+                expected, held = replica.index.export_state(), resident.export_state()
+                assert held["meta"] == expected["meta"]
+                for name, array in expected["arrays"].items():
+                    assert np.array_equal(held["arrays"][name], array), name
                 session.insert(
                     make_profile(f"a{serial}", text=f"alpha tok{serial}"), side=0
                 )
-            handle.read_state(session.wal.log_offset)
-            handle.read_state(session.wal.log_offset)
-            assert set(shm._ATTACHED) == before
         finally:
             if handle is not None:
                 handle.stop()
+            replica.close()
             session.close()
 
 
@@ -224,9 +203,9 @@ class TestRouterResidentViews:
             session.insert(make_profile("a9", text="beta gamma"), side=0)
             materialize = ShardWorkerHandle.materialize
 
-            def forged(payload):
-                state = materialize(payload)
-                if state["meta"]["shard"] == 1:
+            def forged(payload, shard):
+                state = materialize(payload, shard)
+                if shard == 1:
                     assert state["kind"] == "delta"
                     # both tokens of the insert hash to shard 1: its new CSR
                     # row arrives one membership short of its row pointer

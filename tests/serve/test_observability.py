@@ -146,7 +146,6 @@ class TestMetricsOp:
             "repro_connections_open 1",
             "# TYPE repro_process_rss_bytes gauge",
             "# TYPE repro_wal_size_bytes gauge",
-            "# TYPE repro_resident_shm_bytes gauge",
             "# TYPE repro_shard0_replica_lag_records gauge",
             "# TYPE repro_shard1_replica_lag_records gauge",
             "# TYPE repro_snapshot_age_seconds gauge",
@@ -170,7 +169,6 @@ class TestMetricsOp:
             gauges = client.stats()["metrics"]["gauges"]
             assert gauges["shard0_replica_lag_records"] == 0.0
             assert gauges["shard1_replica_lag_records"] == 0.0
-            assert gauges["resident_shm_bytes"] > 0
 
     def test_a_respawned_worker_lags_until_it_is_followed(self, obs_daemon):
         with ServeClient(*obs_daemon.address) as client:
