@@ -47,7 +47,11 @@
 #                            refused by name before any resident state moves, one
 #                            shard's refusal costing only that shard a full ship, the
 #                            guard that nothing imports shared memory or its resource
-#                            tracker, and a served daemon's process tree of 1 + K)
+#                            tracker, and a served daemon's process tree of 1 + K;
+#                            the generators' token draw: one Zipf CDF per vocabulary
+#                            vs the per-call Generator.choice oracle (same tokens, same
+#                            generator state), and the parent-recorded generation golden
+#                            over the registry's datasets)
 #   make test-fast         - tier-1 suite without the perf smoke tests, then tests/serve,
 #                            tests/faults and tests/persistence in one invocation (the
 #                            fixture model they pickle must not depend on collection order)
@@ -67,10 +71,11 @@
 #   make bench-ab REF=<sha> PR=<n> [WORKLOADS="..."] [SEEDS="..."]
 #                          - same-box A/B of the ledger, parent REF vs the staged
 #                            tree, ten alternated seed pairs -> BENCH_<PR>.json
-#   make profile-answer WORKLOAD=<name> [PHASE=answer|ingest|recover] [SEED=<n>]
+#   make profile-answer WORKLOAD=<name> [PHASE=answer|ingest|recover|setup] [SEED=<n>]
 #                          - cProfile of one phase of one ledger workload, under the
 #                            ledger's child environment, after its un-profiled timing
-#                            (recover: recover_once() per stage, then prepare_recovery())
+#                            (recover: recover_once() per stage, then prepare_recovery();
+#                            setup: one setup(), then a fresh workload's setup() profiled)
 #   make serve-budget [SEED=<n>]
 #                          - serve_mixed's budget table: set-up + 40 rounds against a
 #                            daemon with an event log, then n / min / median / mean ms
@@ -115,7 +120,8 @@ test-equivalence:
 		tests/incremental/test_session_property.py tests/incremental/test_churn_property.py \
 		tests/incremental/test_golden_churn.py tests/incremental/test_insert_time_statistics.py \
 		tests/serve/test_ship_container.py tests/test_no_shared_memory.py \
-		tests/serve/test_process_tree.py
+		tests/serve/test_process_tree.py \
+		tests/datasets/test_sampler_oracle.py tests/datasets/test_golden_generation.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q
@@ -167,7 +173,7 @@ bench-ab:
 		$(if $(WORKLOADS),--workloads $(WORKLOADS)) $(if $(SEEDS),--seeds $(SEEDS))
 
 profile-answer:
-	$(if $(WORKLOAD),,$(error usage: make profile-answer WORKLOAD=<name> [PHASE=answer|ingest|recover] [SEED=<n>]))
+	$(if $(WORKLOAD),,$(error usage: make profile-answer WORKLOAD=<name> [PHASE=answer|ingest|recover|setup] [SEED=<n>]))
 	$(PYTHON) benchmarks/profile_answer.py --workload $(WORKLOAD) \
 		$(if $(PHASE),--phase $(PHASE)) $(if $(SEED),--seed $(SEED))
 

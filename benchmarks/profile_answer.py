@@ -1,7 +1,7 @@
 """Look before claiming: profile one phase of one ledger workload.
 
     python3 benchmarks/profile_answer.py --workload batch_dirty_blast
-                                         [--phase answer|ingest|recover] [--seed 1]
+                                         [--phase answer|ingest|recover|setup] [--seed 1]
 
 The ledger's spans stop at layer boundaries; this is the instrument below
 them.  It sits beside the ledger and only imports it (``ledger_spec``,
@@ -27,6 +27,11 @@ what it checkpoints — under its own profiler: the snapshot write and the tail
 rounds), then ``RECOVER_PLAIN`` un-profiled ``recover_once()`` whose per-stage
 min / median / ledger floor (the sum of the stages' floors, as ``recover_ms``)
 are printed first, then ``RECOVER_PROFILED`` profiled ones, and the two tables.
+
+``--phase setup`` follows the ledger's set-up instead (the span ``setup_s``
+has no per-layer split for): one un-profiled ``Workload.setup()`` — cold, so
+its first imports are in it, as in the ledger's child — then ``cProfile`` over
+the ``setup()`` of a second, fresh workload in its own directory.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ PROFILED_ROUNDS = 30
 RECOVER_PLAIN = 30
 RECOVER_PROFILED = 10
 TOP = 40
-PHASES = ("answer", "ingest", "recover")
+PHASES = ("answer", "ingest", "recover", "setup")
 
 
 class PhaseProfiler(SpanRecorder):
@@ -136,6 +141,26 @@ def profile_recovery(workload, label: str) -> None:
     print_profile(set_up, 1, top=15)
 
 
+def profile_setup(workload, fresh, label: str) -> None:
+    """``Workload.setup()``: one un-profiled call, then a profile of a fresh workload's."""
+    start = time.perf_counter()
+    workload.setup()
+    seconds = time.perf_counter() - start
+    print(f"{label}: setup() un-profiled {seconds * 1e3:.1f} ms (cold imports)")
+    second = fresh()
+    try:
+        profiler = cProfile.Profile(time.perf_counter)
+        start = time.perf_counter()
+        profiler.runcall(second.setup)
+        print(
+            f"cProfile of setup() on a fresh workload (warm imports): "
+            f"{(time.perf_counter() - start) * 1e3:.1f} ms profiled"
+        )
+        print_profile(profiler, 1)
+    finally:
+        second.close()
+
+
 def main(argv: Sequence[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(spec.WORKLOAD_BY_NAME))
@@ -159,6 +184,16 @@ def main(argv: Sequence[str]) -> int:
                 "profile stream_churn (the same session code, in process) instead, "
                 "or read its request spans with benchmarks/serve_budget.py"
             )
+        if arguments.phase == "setup":
+            profile_setup(
+                workload,
+                lambda: make_workload(
+                    spec.WORKLOAD_BY_NAME[arguments.workload], arguments.seed,
+                    workdir / "fresh", tracer,
+                ),
+                f"{arguments.workload} seed {arguments.seed}",
+            )
+            return 0
         workload.setup()
         expected = workload.run_round().digest
         for _ in range(WARMUP_ROUNDS - 1):

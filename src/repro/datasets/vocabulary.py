@@ -10,7 +10,7 @@ produces the small, distinctive blocks the weighting schemes rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -46,7 +46,14 @@ _SURNAME_STEMS = (
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """A domain vocabulary with Zipf-distributed token frequencies."""
+    """A domain vocabulary with Zipf-distributed token frequencies.
+
+    The cumulative distribution is built once, with the vocabulary: a draw is
+    then one ``searchsorted`` of uniform numbers, exactly the arithmetic
+    ``Generator.choice(size, count, p=weights)`` performs after validating
+    ``weights``, so it consumes the same random numbers and picks the same
+    tokens.
+    """
 
     #: domain label ("products", "movies", "bibliographic", "people")
     domain: str
@@ -54,6 +61,19 @@ class Vocabulary:
     tokens: Tuple[str, ...]
     #: Zipf exponent controlling how skewed the token frequencies are
     zipf_exponent: float = 1.2
+    #: cumulative Zipf distribution over ``tokens``, ending at exactly 1.0
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.tokens:
+            raise ValueError("a vocabulary needs at least one token")
+        ranks = np.arange(1, len(self.tokens) + 1, dtype=np.float64)
+        weights = 1.0 / np.power(ranks, self.zipf_exponent)
+        weights /= weights.sum()
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        cdf.flags.writeable = False
+        object.__setattr__(self, "cdf", cdf)
 
     def sample_tokens(
         self, rng: np.random.Generator, count: int, with_common: bool = True
@@ -61,12 +81,8 @@ class Vocabulary:
         """Sample ``count`` tokens following the Zipf-like frequency profile."""
         if count <= 0:
             return []
-        size = len(self.tokens)
-        ranks = np.arange(1, size + 1, dtype=np.float64)
-        weights = 1.0 / np.power(ranks, self.zipf_exponent)
-        weights /= weights.sum()
-        indices = rng.choice(size, size=count, p=weights)
-        sampled = [self.tokens[index] for index in indices]
+        indices = self.cdf.searchsorted(rng.random(count), side="right")
+        sampled = [self.tokens[index] for index in indices.tolist()]
         if with_common and count >= 2 and rng.random() < 0.5:
             sampled[rng.integers(0, count)] = COMMON_WORDS[
                 rng.integers(0, len(COMMON_WORDS))

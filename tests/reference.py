@@ -17,6 +17,9 @@ library replaced with the array kernels of ``repro.core.pruning.kernels``.
 So do tokenisation's: the regular expression ``repro.utils.text.tokens``
 replaced with a byte table, and the per-token ``dict.setdefault`` loop
 ``repro.blocking.arrayops.encode_signatures`` replaced with ``map``.  And the
+generators' token draw: Zipf weights rebuilt per call and handed to
+``Generator.choice``, which ``Vocabulary.sample_tokens`` replaced with one
+cumulative distribution per vocabulary (:func:`reference_sample_tokens`).  And the
 answer's row-major arithmetic: the gather / scatter masked ratio of JS / WJS /
 NRS, the two-branch sigmoid and the ``(x - offset) / scale`` expression the
 feature-major passes replaced bit for bit.  And checkpoint adoption's: the
@@ -64,6 +67,7 @@ from repro.core.pruning import (
     get_pruning_algorithm,
 )
 from repro.datamodel import CandidateSet, EntityCollection
+from repro.datasets.vocabulary import COMMON_WORDS, Vocabulary
 from repro.incremental import FrozenModel, MergedIndexView, MutableBlockIndex
 from repro.incremental.sharded import shard_of_signature
 from repro.ml.state import MODEL_CLASSES, RestorableClass
@@ -122,6 +126,24 @@ def reference_encode_signatures(
         np.array([len(signatures) for signatures in signature_lists], dtype=np.int64),
         vocabulary,
     )
+
+
+def reference_sample_tokens(
+    vocabulary: Vocabulary, rng: np.random.Generator, count: int, with_common: bool = True
+) -> List[str]:
+    """``Vocabulary.sample_tokens`` as it drew per call: the Zipf weights rebuilt
+    and handed to ``Generator.choice``, then the common-word swap."""
+    if count <= 0:
+        return []
+    size = len(vocabulary.tokens)
+    ranks = np.arange(1, size + 1, dtype=np.float64)
+    weights = 1.0 / np.power(ranks, vocabulary.zipf_exponent)
+    weights /= weights.sum()
+    indices = rng.choice(size, size=count, p=weights)
+    sampled = [vocabulary.tokens[index] for index in indices]
+    if with_common and count >= 2 and rng.random() < 0.5:
+        sampled[rng.integers(0, count)] = COMMON_WORDS[rng.integers(0, len(COMMON_WORDS))]
+    return sampled
 
 
 def reference_feature_matrix(
