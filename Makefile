@@ -28,7 +28,7 @@
 #                            entry point or CLI flag, the state format of the
 #                            snapshot and the log's meta record read on recovery, and
 #                            the session's key-addressed per-pair state across
-#                            compaction and recovery, a foreign top-K key refused;
+#                            compaction and recovery;
 #                            the snapshot container: what it stores, torn / flipped /
 #                            hostile files decoding to nothing, a format-1 pickle
 #                            refused unread, and no pickle under persistence/ or serve/;
@@ -51,7 +51,12 @@
 #                            the generators' token draw: one Zipf CDF per vocabulary
 #                            vs the per-call Generator.choice oracle (same tokens, same
 #                            generator state), and the parent-recorded generation golden
-#                            over the registry's datasets)
+#                            over the registry's datasets; one online policy: nothing
+#                            names the top-K policy, its registry or the queue's lazy
+#                            deletion, no session / replay / daemon signature or CLI
+#                            flag chooses a policy, and two WAL directories recorded
+#                            by the tree that had two: a WEP session recovering bit for
+#                            bit, a top-K one refused by name before any index is built)
 #   make test-fast         - tier-1 suite without the perf smoke tests, then tests/serve,
 #                            tests/faults and tests/persistence in one invocation (the
 #                            fixture model they pickle must not depend on collection order)
@@ -60,9 +65,7 @@
 #                            configuration: the paper's findings as assertions
 #   make bench-stream      - incremental streaming vs batch recompute bench
 #   make bench-churn       - dynamic churn bench (delete latency, bulk loads)
-#   make bench-blocking    - block-preparation bench (per-stage seconds)
 #   make bench-wal         - WAL durability bench (journal overhead, recovery)
-#   make bench-serve       - serving bench (ingest rate, match tails, recovery)
 #   make bench-delta       - delta-shipping bench (per-read bytes, snapshot vs delta)
 #   make bench-faults      - fault-recovery bench (worker MTTR, availability)
 #   make bench-obs         - observability overhead bench (tracing+events on vs off)
@@ -92,7 +95,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: loc test test-equivalence test-fast test-chaos bench-smoke bench-paper bench-stream bench-churn bench-blocking bench-wal bench-serve bench-delta bench-faults bench-obs bench-ledger bench-ledger-quick bench-ab profile-answer serve-budget start-budget bench
+.PHONY: loc test test-equivalence test-fast test-chaos bench-smoke bench-paper bench-stream bench-churn bench-wal bench-delta bench-faults bench-obs bench-ledger bench-ledger-quick bench-ab profile-answer serve-budget start-budget bench
 
 test:
 	$(PYTEST) -x -q
@@ -121,7 +124,8 @@ test-equivalence:
 		tests/incremental/test_golden_churn.py tests/incremental/test_insert_time_statistics.py \
 		tests/serve/test_ship_container.py tests/test_no_shared_memory.py \
 		tests/serve/test_process_tree.py \
-		tests/datasets/test_sampler_oracle.py tests/datasets/test_golden_generation.py
+		tests/datasets/test_sampler_oracle.py tests/datasets/test_golden_generation.py \
+		tests/test_one_online_policy.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q
@@ -140,14 +144,8 @@ bench-stream:
 bench-churn:
 	$(PYTEST) -q benchmarks/bench_dynamic_churn.py
 
-bench-blocking:
-	$(PYTEST) -q benchmarks/bench_blocking_runtime.py
-
 bench-wal:
 	$(PYTEST) -q benchmarks/bench_wal_recovery.py
-
-bench-serve:
-	$(PYTEST) -q benchmarks/bench_serve.py
 
 bench-delta:
 	$(PYTEST) -q benchmarks/bench_delta_shipping.py

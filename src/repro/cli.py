@@ -185,8 +185,6 @@ def _run_stream(args: argparse.Namespace, parser: argparse.ArgumentParser) -> st
 
     if not 0.0 < args.bootstrap <= 1.0:
         parser.error("--bootstrap must be a fraction in (0, 1]")
-    if args.top_k < 1:
-        parser.error("--top-k must be at least 1")
     if not 0.0 <= args.deletes < 1.0:
         parser.error("--deletes must be a fraction in [0, 1)")
     if args.snapshot_every is not None and args.snapshot_every < 1:
@@ -200,17 +198,12 @@ def _run_stream(args: argparse.Namespace, parser: argparse.ArgumentParser) -> st
             parser.error(f"cannot recover from {args.wal}: {error}")
         final = session.retained()
         session.close()
-        online_text = ""
-        if session.online is not None:
-            online_text = (
-                f"  online policy {session.online.name}, threshold "
-                f"{session.online.threshold:.3f}\n"
-            )
         return (
             f"recovered session from {args.wal}\n"
             f"  {session.index.num_entities} live entities, "
             f"{session.num_pairs} candidate pairs\n"
-            f"{online_text}"
+            f"  online policy {session.online.name}, threshold "
+            f"{session.online.threshold:.3f}\n"
             f"  final {session.pruning.name} answer: "
             f"{final.retained_count} pairs retained"
         )
@@ -244,8 +237,6 @@ def _run_stream(args: argparse.Namespace, parser: argparse.ArgumentParser) -> st
             dataset,
             model,
             pruning=args.pruning,
-            online=args.online,
-            top_k=args.top_k,
             limit=args.limit,
             delete_fraction=args.deletes,
             churn_seed=args.seed,
@@ -332,8 +323,6 @@ def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             num_shards=args.shards,
             bilateral=True,
             pruning=args.pruning,
-            online=args.online,
-            top_k=args.top_k,
             snapshot_every=args.snapshot_every,
             wal_sync=args.wal_sync,
             recover=args.recover,
@@ -499,6 +488,22 @@ def positive_int(text: str) -> int:
     return value
 
 
+def positive_float(text: str) -> float:
+    """An argparse ``type``: a number above 0."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be above 0, got {value}")
+    return value
+
+
+def non_negative_float(text: str) -> float:
+    """An argparse ``type``: a number of at least 0."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -560,16 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="BLAST",
         choices=sorted(PRUNING_ALGORITHMS),
         help="batch pruning algorithm applied by the exact finalisation",
-    )
-    stream_parser.add_argument(
-        "--online",
-        default="wep",
-        choices=("wep", "topk"),
-        help="per-insert online policy: running WEP average or top-K queue",
-    )
-    stream_parser.add_argument(
-        "--top-k", type=int, default=1000, dest="top_k",
-        help="retention budget for the 'topk' online policy",
     )
     stream_parser.add_argument(
         "--limit", type=int, default=None, help="cap the number of streamed inserts"
@@ -654,11 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="batch pruning algorithm behind the 'match' endpoint",
     )
     serve_parser.add_argument(
-        "--online", default="wep", choices=("wep", "topk"),
-        help="per-insert online policy",
-    )
-    serve_parser.add_argument("--top-k", type=int, default=1000, dest="top_k")
-    serve_parser.add_argument(
         "--snapshot-every", type=int, default=None, dest="snapshot_every",
         metavar="N", help="automatic checkpoint every N mutations",
     )
@@ -682,18 +672,18 @@ def build_parser() -> argparse.ArgumentParser:
         "the full shard state on every read (off)",
     )
     serve_parser.add_argument(
-        "--heartbeat-interval", type=float, default=1.0,
+        "--heartbeat-interval", type=positive_float, default=1.0,
         dest="heartbeat_interval", metavar="SECONDS",
         help="supervisor heartbeat period for the shard workers",
     )
     serve_parser.add_argument(
-        "--hang-timeout", type=float, default=5.0, dest="hang_timeout",
+        "--hang-timeout", type=positive_float, default=5.0, dest="hang_timeout",
         metavar="SECONDS",
         help="missed-heartbeat / stuck-request window before a worker is "
         "declared wedged and respawned",
     )
     serve_parser.add_argument(
-        "--max-pending", type=int, default=256, dest="max_pending",
+        "--max-pending", type=positive_int, default=256, dest="max_pending",
         metavar="N",
         help="bound on each dispatch queue; excess requests are shed with "
         "a typed 'overloaded' error",
@@ -710,7 +700,8 @@ def build_parser() -> argparse.ArgumentParser:
         "threads, WAL, shard fan-out) and attach them to request events",
     )
     serve_parser.add_argument(
-        "--slow-ms", type=float, default=None, dest="slow_ms", metavar="MS",
+        "--slow-ms", type=non_negative_float, default=None, dest="slow_ms",
+        metavar="MS",
         help="also journal a slow_request event for any request at or "
         "above this many milliseconds",
     )

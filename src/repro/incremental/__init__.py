@@ -21,7 +21,7 @@ batch-trained classifier serves online match decisions.
 * :class:`DeltaFeatureGenerator` — weighting-scheme feature vectors for the
   candidate delta of an insert, reusing the vectorized weighting kernels;
 * :class:`MatchingSession` — the online facade: frozen classifier, per-insert
-  scored matches under running WEP/top-K thresholds (both retraction-aware),
+  scored matches under a running, retraction-aware WEP threshold,
   and an exact batch-equivalent :meth:`MatchingSession.retained`
   finalisation covering *every* pruning algorithm, cardinality-based ones
   included.
@@ -44,8 +44,6 @@ _EXPORTS = {
     "MatchingSession": "session",
     "MergedIndexView": "sharded",
     "MutableBlockIndex": "index",
-    "OnlinePruningPolicy": "session",
-    "OnlineTopK": "session",
     "OnlineWEP": "session",
     "RemovalResult": "session",
     "RetractionDelta": "index",

@@ -166,7 +166,7 @@ class RetractionDelta:
     The ``pair_keys`` are the packed keys the pairs were reported under at
     insert time (node ids are never reused), so a
     :class:`~repro.incremental.MatchingSession` can evict exactly those
-    pairs from its online aggregates (WEP running average, top-K queue).
+    pairs from its online WEP running average.
     """
 
     #: node id the removed entity held (never reused)

@@ -6,28 +6,21 @@ from a batch pipeline run (:class:`FrozenModel`: defined in
 workload: every ``insert`` registers the entity in a
 :class:`MutableBlockIndex`, computes the feature vectors of the candidate
 delta with a :class:`DeltaFeatureGenerator`, scores them with the frozen
-model, and returns the entity's current matches under an *online* pruning
-policy; ``remove`` retracts an entity and evicts its dead pairs from the
-online aggregates; ``update`` corrects an entity in place; ``insert_bulk``
-loads a batch through the index's one-pass bulk path.
-
-The online policies:
-
-* :class:`OnlineWEP` — the WEP average-probability threshold maintained as a
-  running sum/count of valid scores; retractions subtract the dead pairs'
-  insert-time scores from the running aggregate;
-* :class:`OnlineTopK` — a CEP-style global top-K admission maintained with a
-  :class:`repro.utils.pqueue.BoundedTopQueue`; retractions lazily delete the
-  dead pairs from the queue.
+model, and returns the entity's current matches under the *online* WEP
+threshold (:class:`OnlineWEP`: the average probability of the valid scores
+seen so far, kept as a running sum/count); ``remove`` retracts an entity and
+subtracts its dead pairs' insert-time scores from that aggregate; ``update``
+corrects an entity in place; ``insert_bulk`` loads a batch through the
+index's one-pass bulk path.
 
 Two contracts, one per surface:
 
 * **insert time is approximate by design.**  ``insert`` / ``insert_bulk`` /
   ``update`` score the *raw* candidate delta — every pair the new entity
   shares a token with, before Block Purging and Block Filtering — against
-  the statistics of that moment, and the online policies admit on those
+  the statistics of that moment, and the online threshold admits on those
   scores.  The session keeps each live raw pair's insert-time score
-  (:class:`PairProbabilities`) for the policies' retractions; a pair that
+  (:class:`PairProbabilities`) for the threshold's retractions; a pair that
   Block Filtering later drops and re-admits keeps its insert-time score
   throughout, and the exact answer never reads it;
 * **the exact answer is the batch pipeline's.**
@@ -51,7 +44,7 @@ Two contracts, one per surface:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,7 +53,6 @@ from ..core.pruning.base import VALIDITY_THRESHOLD
 from ..datamodel.entity import EntityProfile
 from ..ml.base import FrozenModel
 from ..obs.trace import hook_span
-from ..utils.pqueue import BoundedTopQueue
 from .delta import DeltaFeatureGenerator
 from .index import MutableBlockIndex, RetractionDelta, UnknownEntityError
 from .state import LiveCandidates
@@ -97,19 +89,17 @@ class StaleSessionError(RuntimeError):
     """The session's index was compacted underneath it.
 
     :meth:`MutableBlockIndex.compact` reassigns raw node ids, and with them
-    the packed pair keys the session's per-pair state (insert-time
-    probabilities, online top-K queue items) is keyed by, which becomes
-    silently wrong.  The session detects the generation bump and refuses
-    further operations — call :meth:`MatchingSession.compact`, which remaps
-    its state, instead of ``session.index.compact()``.
+    the packed pair keys the session's insert-time probabilities are keyed
+    by, which become silently wrong.  The session detects the generation
+    bump and refuses further operations — call :meth:`MatchingSession.compact`,
+    which remaps its state, instead of ``session.index.compact()``.
     """
 
     def __init__(self) -> None:
         super().__init__(
             "the session's index was compacted directly (index.compact()): "
-            "pair keys held by the online policy and the insert-time "
-            "probabilities are stale — compact through MatchingSession.compact(), "
-            "which remaps its per-pair state"
+            "the pair keys of the insert-time probabilities are stale — compact "
+            "through MatchingSession.compact(), which remaps its per-pair state"
         )
 
 
@@ -170,14 +160,6 @@ class PairProbabilities:
             values[missing] = list(map(self._single.pop, keys[missing].tolist()))
         return values
 
-    def missing(self, keys: np.ndarray) -> np.ndarray:
-        """The keys that are not live pairs."""
-        _, hit = self._in_arrays(keys)
-        return np.array(
-            [key for key in keys[~hit].tolist() if key not in self._single],
-            dtype=np.int64,
-        )
-
     def items(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(keys, probabilities)`` of the live pairs, ascending by key."""
         count = len(self._single)
@@ -194,55 +176,16 @@ class PairProbabilities:
         return keys[order], values[order]
 
 
-class OnlinePruningPolicy:
-    """Decide, per mutation, which freshly scored pairs currently qualify.
-
-    Pairs are identified by their raw packed pair keys, which also break
-    probability ties deterministically for policies that rank pairs.
-    """
-
-    name: str = "online"
-
-    def admit(self, probabilities: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """Update the online state with the new scores; return an admit mask."""
-        raise NotImplementedError
-
-    def retract(self, probabilities: np.ndarray, keys: np.ndarray) -> None:
-        """Evict retracted pairs (given their insert-time scores) from the
-        online state.  The default is a no-op for stateless policies."""
-
-    # -- durability / compaction hooks -----------------------------------------
-    def export_state(self, canonical_keys: Callable[[np.ndarray], np.ndarray]) -> dict:
-        """Node-id-independent state for snapshots and compaction.
-
-        ``canonical_keys`` maps raw packed pair keys to the pairs' canonical
-        packed keys — the identity that survives compaction and recovery.
-        Stateless policies export nothing.
-        """
-        return {}
-
-    def restore_state(
-        self, state: dict, require_live: Callable[[np.ndarray], None]
-    ) -> None:
-        """Restore :meth:`export_state` output onto a compacted index, whose
-        raw node ids are the canonical ids; ``require_live`` raises for keys
-        that are not live pairs of it."""
-
-    @classmethod
-    def for_state(cls, state: dict) -> "OnlinePruningPolicy":
-        """An empty policy of this class, configured like the one whose
-        :meth:`export_state` output ``state`` is (restore it next)."""
-        return cls()
-
-
-class OnlineWEP(OnlinePruningPolicy):
+class OnlineWEP:
     """WEP's average-probability threshold as a running aggregate.
 
     Keeps the sum and count of all *valid* scores (probability >= 0.5) seen
     so far; a new pair is admitted when its score is valid and reaches the
     current running average — the streaming analogue of Algorithm 1.
     Retracting a pair removes its insert-time score from the running
-    aggregate, so deleted entities stop weighing on the threshold.
+    aggregate, so deleted entities stop weighing on the threshold.  No node
+    id enters that state, so compaction leaves it alone and a snapshot
+    stores it as it stands (:meth:`export_state` / :meth:`for_state`).
     """
 
     name = "wep"
@@ -258,13 +201,15 @@ class OnlineWEP(OnlinePruningPolicy):
             return VALIDITY_THRESHOLD
         return self._valid_sum / self._valid_count
 
-    def admit(self, probabilities: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    def admit(self, probabilities: np.ndarray) -> np.ndarray:
+        """Fold fresh scores into the aggregate; return their admit mask."""
         valid = probabilities >= VALIDITY_THRESHOLD
         self._valid_sum += float(probabilities[valid].sum())
         self._valid_count += int(valid.sum())
         return valid & (probabilities >= self.threshold)
 
-    def retract(self, probabilities: np.ndarray, keys: np.ndarray) -> None:
+    def retract(self, probabilities: np.ndarray) -> None:
+        """Remove retracted pairs' insert-time scores from the aggregate."""
         valid = probabilities >= VALIDITY_THRESHOLD
         self._valid_sum -= float(probabilities[valid].sum())
         self._valid_count -= int(valid.sum())
@@ -274,96 +219,17 @@ class OnlineWEP(OnlinePruningPolicy):
             self._valid_sum = 0.0
             self._valid_count = 0
 
-    def export_state(self, canonical_keys) -> dict:
+    def export_state(self) -> dict:
+        """The running aggregate, for snapshots."""
         return {"valid_sum": self._valid_sum, "valid_count": self._valid_count}
 
-    def restore_state(self, state: dict, require_live) -> None:
-        self._valid_sum = float(state["valid_sum"])
-        self._valid_count = int(state["valid_count"])
-
-
-class OnlineTopK(OnlinePruningPolicy):
-    """CEP-style global top-K admission over a bounded priority queue.
-
-    Parameters
-    ----------
-    capacity:
-        The retention budget K.  The queue's minimum retained weight is the
-        admission threshold, exactly as in Algorithm 4; evicted pairs simply
-        stop being reported (earlier answers are provisional by design).
-        Retracted pairs are lazily deleted from the queue, freeing their
-        budget slots immediately.
-    """
-
-    name = "topk"
-
-    def __init__(self, capacity: int) -> None:
-        self._queue: BoundedTopQueue[int] = BoundedTopQueue(capacity)
-
-    @property
-    def threshold(self) -> float:
-        """The current admission threshold (minimum retained weight)."""
-        return max(self._queue.min_weight, VALIDITY_THRESHOLD)
-
-    def admit(self, probabilities: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        mask = np.zeros(probabilities.size, dtype=bool)
-        for offset, (probability, key) in enumerate(
-            zip(probabilities.tolist(), keys.tolist())
-        ):
-            if probability < VALIDITY_THRESHOLD:
-                continue
-            mask[offset] = self._queue.push(probability, key, key=key) != key
-        return mask
-
-    def retract(self, probabilities: np.ndarray, keys: np.ndarray) -> None:
-        for key in keys.tolist():
-            self._queue.discard(key)
-
-    def export_state(self, canonical_keys) -> dict:
-        """The capacity and the retained weights with their canonical keys,
-        strongest first.
-
-        The retained set of a :class:`BoundedTopQueue` is a pure function of
-        the (weight, key) multiset, so serializing by canonical key makes
-        the state independent of insertion order and raw node ids.
-        """
-        weighted = self._queue.weighted_items()
-        return {
-            "capacity": self._queue.capacity,
-            "weights": np.array([weight for weight, _ in weighted], dtype=np.float64),
-            "keys": canonical_keys(np.array([key for _, key in weighted], dtype=np.int64)),
-        }
-
-    def restore_state(self, state: dict, require_live) -> None:
-        weights = np.asarray(state["weights"], dtype=np.float64)
-        keys = np.asarray(state["keys"], dtype=np.int64)
-        if weights.shape != keys.shape or weights.ndim != 1:
-            raise ValueError("the top-K policy state holds unaligned weights and keys")
-        require_live(keys)
-        queue: BoundedTopQueue[int] = BoundedTopQueue(self._queue.capacity)
-        for weight, key in zip(weights.tolist(), keys.tolist()):
-            queue.push(weight, key, key=key)
-        self._queue = queue
-
     @classmethod
-    def for_state(cls, state: dict) -> "OnlineTopK":
-        return cls(int(state["capacity"]))
-
-
-#: the online policies a snapshot names and restores, by :attr:`~OnlinePruningPolicy.name`
-ONLINE_POLICIES = {"wep": OnlineWEP, "topk": OnlineTopK}
-
-
-def _resolve_online_policy(
-    online: Union[str, OnlinePruningPolicy, None], top_k: int
-) -> OnlinePruningPolicy:
-    if isinstance(online, OnlinePruningPolicy):
-        return online
-    if online is None or online == "wep":
-        return OnlineWEP()
-    if online == "topk":
-        return OnlineTopK(top_k)
-    raise ValueError(f"unknown online policy {online!r}; expected 'wep' or 'topk'")
+    def for_state(cls, state: dict) -> "OnlineWEP":
+        """The policy whose :meth:`export_state` output ``state`` is."""
+        policy = cls()
+        policy._valid_sum = float(state["valid_sum"])
+        policy._valid_count = int(state["valid_count"])
+        return policy
 
 
 @dataclass(frozen=True)
@@ -380,7 +246,7 @@ class InsertResult:
     probabilities: np.ndarray
     #: entity ids of the new candidate counterparts
     counterpart_ids: Tuple[str, ...]
-    #: (counterpart id, probability) of the pairs the online policy admitted,
+    #: (counterpart id, probability) of the pairs the online threshold admitted,
     #: ordered by decreasing probability
     matches: Tuple[Tuple[str, float], ...]
 
@@ -421,7 +287,7 @@ class BulkInsertResult:
     num_new_pairs: int
     #: match probability of every new pair (ascending packed key)
     probabilities: np.ndarray
-    #: number of new pairs the online policy admitted
+    #: number of new pairs the online threshold admitted
     num_admitted: int
 
 
@@ -470,15 +336,10 @@ class MatchingSession:
         :meth:`retained` (default BLAST, the paper's best weight-based
         algorithm).  All algorithms — weight- and cardinality-based — are
         exactly batch-equivalent.
-    online:
-        The per-insert online policy: ``"wep"`` (default), ``"topk"``, or an
-        :class:`OnlinePruningPolicy` instance.
-    top_k:
-        Budget for the ``"topk"`` policy.
     wal_path:
         Optional directory for a write-ahead log.  Every mutation is
         journaled before it is applied and a full session snapshot (frozen
-        model, online-policy state, insert-time probabilities) is written on
+        model, online threshold, insert-time probabilities) is written on
         construction and every ``snapshot_every`` mutations, so a crashed
         session resumes with :meth:`MatchingSession.recover` at identical
         thresholds.  The directory must be empty — recovering into an
@@ -497,8 +358,6 @@ class MatchingSession:
         bilateral: bool = False,
         blocking=None,
         pruning: Union[str, SupervisedPruningAlgorithm] = "BLAST",
-        online: Union[str, OnlinePruningPolicy, None] = "wep",
-        top_k: int = 1000,
         wal_path=None,
         snapshot_every: Optional[int] = None,
         wal_sync: str = "always",
@@ -509,11 +368,10 @@ class MatchingSession:
         self.pruning = (
             get_pruning_algorithm(pruning) if isinstance(pruning, str) else pruning
         )
-        self.online = _resolve_online_policy(online, top_k)
+        self.online = OnlineWEP()
         #: probability of every live pair at the time it was inserted
         #: (provisional), keyed by raw packed pair key
         self._probabilities = PairProbabilities()
-        self._top_k = top_k
         self._generation = self.index.generation
         self._snapshot_every = snapshot_every
         self._ops_since_snapshot = 0
@@ -577,7 +435,7 @@ class MatchingSession:
         matrix = self.features.generate_delta(delta)
         probabilities = self.model.score(matrix.values)
         self._probabilities.add(delta.pair_keys, probabilities)
-        admitted = self.online.admit(probabilities, delta.pair_keys)
+        admitted = self.online.admit(probabilities)
 
         counterpart_ids = self.index.entity_ids_of(delta.counterparts)
         order = np.argsort(-probabilities[admitted], kind="stable")
@@ -609,7 +467,7 @@ class MatchingSession:
         The whole batch is tokenized, merged into the live CSR and scored in
         one pass.  The *index state* (and therefore :meth:`retained`) ends
         up identical to one-at-a-time inserts; the *provisional* online
-        admissions may differ, because the policy sees the batch's scores
+        admissions may differ, because the threshold sees the batch's scores
         together — OnlineWEP folds them all into its running average before
         thresholding any of them, where sequential inserts would threshold
         each pair against the average as of its own arrival.
@@ -626,7 +484,7 @@ class MatchingSession:
         matrix = self.features.generate(candidates)
         probabilities = self.model.score(matrix.values)
         self._probabilities.add_sorted(delta.pair_keys, probabilities)
-        admitted = self.online.admit(probabilities, delta.pair_keys)
+        admitted = self.online.admit(probabilities)
         return BulkInsertResult(
             entity_ids=delta.entity_ids,
             nodes=delta.nodes,
@@ -687,7 +545,7 @@ class MatchingSession:
         keys = retraction.pair_keys
         if keys.size == 0:
             return
-        self.online.retract(self._probabilities.pop(keys), keys)
+        self.online.retract(self._probabilities.pop(keys))
 
     # -- durability ------------------------------------------------------------
     def checkpoint(self):
@@ -718,7 +576,7 @@ class MatchingSession:
 
         Loads the newest session snapshot, adopts the compacted index arrays
         it holds (no rebuild, no pair expansion), restores the frozen model,
-        the online policy's thresholds and the insert-time probabilities,
+        the online threshold's aggregate and the insert-time probabilities,
         replays the surviving log tail through the frozen model, truncates
         any torn tail record and resumes journaling — the recovered session's
         exact answer (:meth:`retained`) and admission thresholds equal the
@@ -734,20 +592,20 @@ class MatchingSession:
         model: FrozenModel,
         index: MutableBlockIndex,
         pruning,
-        online: OnlinePruningPolicy,
-        top_k: int,
+        online_state: dict,
         snapshot_every: Optional[int],
         probabilities: PairProbabilities,
     ) -> "MatchingSession":
-        """Assemble a session around an already-built index (recovery path)."""
+        """Assemble a session around an already-built index (recovery path),
+        its online threshold restored from :meth:`OnlineWEP.export_state`
+        output."""
         session = cls.__new__(cls)
         session.model = model
         session.index = index
         session.features = DeltaFeatureGenerator(index, model.feature_set)
         session.pruning = pruning
-        session.online = online
+        session.online = OnlineWEP.for_state(online_state)
         session._probabilities = probabilities
-        session._top_k = top_k
         session._generation = index.generation
         session._snapshot_every = snapshot_every
         session._ops_since_snapshot = 0
@@ -797,33 +655,20 @@ class MatchingSession:
 
         :meth:`MutableBlockIndex.compact` renumbers the live nodes to their
         canonical ids, which changes every raw packed pair key.  This wrapper
-        exports the insert-time probabilities and the online policy's state
-        under canonical pair keys first — as a snapshot does — compacts, and
-        restores them, since raw keys now *are* the canonical keys.
-        Thresholds are unchanged: the online state is the same multiset of
-        (weight, pair) under new keys.
+        exports the insert-time probabilities under canonical pair keys
+        first — as a snapshot does — compacts, and restores them, since raw
+        keys now *are* the canonical keys.  The online threshold holds no
+        pair key and is unchanged.
         """
         self._check_generation()
         from ..persistence.snapshot import canonical_pair_keys
 
-        index = self.index
         keys, probabilities = self._probabilities.items()
-        keys = canonical_pair_keys(index, keys)
+        keys = canonical_pair_keys(self.index, keys)
         order = np.argsort(keys)
-        state = self.online.export_state(lambda raw: canonical_pair_keys(index, raw))
-        index.compact()
+        self.index.compact()
         self._probabilities = PairProbabilities(keys[order], probabilities[order])
-        self.online.restore_state(state, self._require_live)
-        self._generation = index.generation
-
-    def _require_live(self, keys: np.ndarray) -> None:
-        """Refuse online-policy state held for a pair that is not live."""
-        missing = self._probabilities.missing(keys)
-        if missing.size:
-            raise ValueError(
-                f"the {self.online.name} policy state holds pair key "
-                f"{int(missing[0])}, which is not a live pair"
-            )
+        self._generation = self.index.generation
 
     # -- exact finalisation ----------------------------------------------------
     def retained(self) -> SessionResult:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from ..datamodel.ground_truth import GroundTruth
 from ..datasets.benchmarks import CleanCleanDataset
 from ..utils.rng import SeedLike, make_rng
 from ..weights.registry import BLAST_FEATURE_SET
-from .session import FrozenModel, MatchingSession, OnlinePruningPolicy, SessionResult
+from .session import FrozenModel, MatchingSession, SessionResult
 
 
 class StreamTrainingError(ValueError):
@@ -213,8 +213,6 @@ def replay_stream(
     dataset: CleanCleanDataset,
     model: FrozenModel,
     pruning: str = "BLAST",
-    online: Union[str, OnlinePruningPolicy, None] = "wep",
-    top_k: int = 1000,
     limit: Optional[int] = None,
     delete_fraction: float = 0.0,
     churn_seed: SeedLike = 0,
@@ -249,8 +247,6 @@ def replay_stream(
         model,
         bilateral=True,
         pruning=pruning,
-        online=online,
-        top_k=top_k,
         wal_path=wal_path,
         snapshot_every=snapshot_every,
         wal_sync=wal_sync,

@@ -4,14 +4,13 @@
 telemetry into one thread-safe object: the per-operation latency
 histograms and error counts,
 the queue-depth gauges, the delta-shipping / supervision / fault
-counters, accumulated :class:`~repro.utils.timing.StageTimer` stages,
-and **sampled process gauges** (RSS, resident shared-memory bytes, WAL
-size, snapshot age, per-shard replica lag) registered as callbacks and
-read at snapshot/exposition time rather than pushed on the hot path.
+counters, and **sampled process gauges** (RSS, WAL size, snapshot age,
+per-shard replica lag) registered as callbacks and read at
+snapshot/exposition time rather than pushed on the hot path.
 
 Two serialisations: :meth:`MetricsRegistry.snapshot` keeps the JSON
 shape the ``stats`` op has always returned (``operations`` / ``queues``
-/ ``counters`` / ``connections``, now plus ``gauges`` and ``stages``),
+/ ``counters`` / ``connections``, now plus ``gauges``),
 and :func:`render_prometheus` emits the Prometheus text exposition
 format served by the new ``metrics`` protocol op.
 
@@ -141,10 +140,6 @@ class MetricsRegistry:
         #: fault-tolerance event counters (worker_restarts, degraded_reads,
         #: shed_mutations, shed_reads, deadline_exceeded, wal_failures, ...)
         self._counters: Dict[str, int] = {}
-        #: accumulated StageTimer seconds by stage name
-        self._stages: Dict[str, float] = {}
-        #: directly-set process gauges (name -> last value)
-        self._named_gauges: Dict[str, float] = {}
         #: sampled gauges: name -> zero-arg callable returning a number
         self._gauge_callbacks: Dict[str, Callable[[], Optional[float]]] = {}
         self.connections_total = 0
@@ -172,11 +167,6 @@ class MetricsRegistry:
         with self._lock:
             self._gauges[name] = self._gauges.get(name, 0) + delta
 
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set a named process gauge to its latest value."""
-        with self._lock:
-            self._named_gauges[name] = float(value)
-
     def register_gauge(
         self, name: str, sample: Callable[[], Optional[float]]
     ) -> None:
@@ -187,19 +177,6 @@ class MetricsRegistry:
         """
         with self._lock:
             self._gauge_callbacks[name] = sample
-
-    def observe_stage(self, name: str, seconds: float) -> None:
-        """Accumulate externally-timed stage seconds (StageTimer unification)."""
-        with self._lock:
-            self._stages[name] = self._stages.get(name, 0.0) + float(seconds)
-
-    def absorb_stage_timer(self, timer: Any, prefix: str = "") -> None:
-        """Fold a :class:`~repro.utils.timing.StageTimer` into the registry."""
-        stages = timer.as_dict() if hasattr(timer, "as_dict") else dict(timer)
-        with self._lock:
-            for name, seconds in stages.items():
-                key = f"{prefix}{name}"
-                self._stages[key] = self._stages.get(key, 0.0) + float(seconds)
 
     def connection_opened(self) -> None:
         with self._lock:
@@ -213,10 +190,10 @@ class MetricsRegistry:
     # -- serialisation -------------------------------------------------------------
 
     def _sample_gauges(self) -> Dict[str, float]:
-        """Current values of set + sampled gauges (callbacks run unlocked)."""
+        """Current values of the sampled gauges (callbacks run unlocked)."""
         with self._lock:
-            gauges = dict(self._named_gauges)
             callbacks = list(self._gauge_callbacks.items())
+        gauges: Dict[str, float] = {}
         for name, sample in callbacks:
             try:
                 value = sample()
@@ -244,10 +221,6 @@ class MetricsRegistry:
                     "open": self.connections_open,
                 },
                 "gauges": dict(sorted(sampled.items())),
-                "stages": {
-                    name: round(seconds, 6)
-                    for name, seconds in sorted(self._stages.items())
-                },
             }
 
 
@@ -277,7 +250,7 @@ def render_prometheus(registry: MetricsRegistry) -> str:
 
     Served by the daemon's ``metrics`` protocol op and printed by
     ``repro client metrics`` — one histogram family for request
-    latencies, counters for errors/events/stage seconds, gauges for
+    latencies, counters for errors and events, gauges for
     queue depths, connections and the sampled process gauges.
     """
     sampled = registry._sample_gauges()
@@ -289,7 +262,6 @@ def render_prometheus(registry: MetricsRegistry) -> str:
         errors = dict(sorted(registry._errors.items()))
         queues = dict(sorted(registry._gauges.items()))
         counters = dict(sorted(registry._counters.items()))
-        stages = dict(sorted(registry._stages.items()))
         connections_total = registry.connections_total
         connections_open = registry.connections_open
 
@@ -334,13 +306,6 @@ def render_prometheus(registry: MetricsRegistry) -> str:
     for name, depth in queues.items():
         lines.append(
             f'repro_queue_depth{{queue="{_escape_label(name)}"}} {depth}'
-        )
-
-    lines.append("# HELP repro_stage_seconds_total Accumulated pipeline stage seconds.")
-    lines.append("# TYPE repro_stage_seconds_total counter")
-    for name, seconds in stages.items():
-        lines.append(
-            f'repro_stage_seconds_total{{stage="{_escape_label(name)}"}} {repr(float(seconds))}'
         )
 
     lines.append("# HELP repro_connections_total Client connections accepted.")

@@ -45,7 +45,6 @@ from .snapshot import (
     build_index_from_state,
     construct_index,
     joined_pair_keys,
-    online_policy_class,
     restore_pruning,
 )
 
@@ -143,19 +142,21 @@ def recover_index(
 
 
 def recover_session(path: Union[str, Path], sync: str = "always"):
-    """Recover a :class:`MatchingSession` with identical online thresholds.
+    """Recover a :class:`MatchingSession` with an identical online threshold.
 
     Loads the newest session snapshot (a session opened with ``wal_path=``
     writes one immediately, so there is always a frozen model to restore),
     adopts the compacted index it holds, restores the frozen model, the
-    pruning algorithm, the insert-time probabilities and the online policy's
-    canonical-key state — refusing a key that is not one of the snapshot's
-    live pairs — replays the log tail
-    *through the session* (re-scoring each replayed mutation with the
-    frozen model — deterministic), then truncates any torn tail and
-    resumes journaling.
+    pruning algorithm, the insert-time probabilities and the online WEP
+    aggregate, replays the log tail *through the session* (re-scoring each
+    replayed mutation with the frozen model — deterministic), then truncates
+    any torn tail and resumes journaling.
+
+    A snapshot written by an older tree may also name its online ``policy``
+    and a ``top_k`` budget: ``top_k`` is ignored, and a ``policy`` other than
+    ``"wep"`` is refused by name before any state is built.
     """
-    from ..incremental.session import MatchingSession, PairProbabilities
+    from ..incremental.session import MatchingSession, OnlineWEP, PairProbabilities
     from ..ml.state import restore_model
 
     wal = WriteAheadLog(path, sync=sync)
@@ -169,9 +170,15 @@ def recover_session(path: Union[str, Path], sync: str = "always"):
             "no session snapshot in the WAL directory; this log was written "
             "by a bare index — use recover_index() instead"
         )
+    stored = snapshot["session"]
+    policy = stored.get("policy", OnlineWEP.name)
+    if policy != OnlineWEP.name:
+        raise ValueError(
+            f"the snapshot's session runs online policy {policy!r}, which this "
+            f"version does not restore; only {OnlineWEP.name!r} is"
+        )
     start = int(snapshot["log_offset"])
     scan = wal.scan(start)
-    stored = snapshot["session"]
     index = build_index_from_state(snapshot["index"])
     # the adopted index numbers nodes canonically: the snapshot's sorted
     # canonical keys and probabilities are the session's store as they stand
@@ -183,12 +190,10 @@ def recover_session(path: Union[str, Path], sync: str = "always"):
         model=restore_model(stored["model"]),
         index=index,
         pruning=restore_pruning(stored["pruning"]),
-        online=online_policy_class(stored["policy"]).for_state(stored["policy_state"]),
-        top_k=stored["top_k"],
+        online_state=stored["policy_state"],
         snapshot_every=stored["snapshot_every"],
         probabilities=PairProbabilities(keys, probabilities),
     )
-    session.online.restore_state(stored["policy_state"], session._require_live)
     replayed = 0
     for entry in scan.records:
         if entry.start >= start:

@@ -12,13 +12,13 @@ neither re-encodes a signature nor expands a pair.  So the recovered index's
 canonical view — and its answer — equals the writer's, and its raw node ids
 are the canonical ids.
 
-Per-pair session state (insert-time probabilities, online top-K membership)
-is stored keyed by *canonical packed pair key* — independent of raw node ids
-— so on the recovered index those keys are the raw keys the session keeps
-its per-pair state under.  The model, the pruning algorithm, the online
-policy and the blocking method are stored as parameters and arrays and
-restored through closed registries of names; an object outside them is not
-checkpointable, and saying so is an error.
+Per-pair session state (the insert-time probabilities) is stored keyed by
+*canonical packed pair key* — independent of raw node ids — so on the
+recovered index those keys are the raw keys the session keeps its per-pair
+state under.  The online WEP threshold is stored as its running sum and
+count.  The model, the pruning algorithm and the blocking method are stored
+as parameters and arrays and restored through closed registries of names; an
+object outside them is not checkpointable, and saying so is an error.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import numpy as np
 
 from ..core.pruning import PRUNING_ALGORITHMS, get_pruning_algorithm
 from ..incremental.index import MutableBlockIndex, compacted_rows
-from ..incremental.session import ONLINE_POLICIES
 from ..incremental.sharded import shard_of_signature
 from ..ml.state import export_model
 from ..pairs import MAX_NODE_ID, pack_pair_keys
@@ -89,16 +88,6 @@ def restore_pruning(state: Dict[str, Any]):
             f"does not restore; known: {sorted(PRUNING_ALGORITHMS)}"
         )
     return get_pruning_algorithm(name, **state["parameters"])
-
-
-def online_policy_class(name: str):
-    """The online policy class a snapshot names."""
-    if name not in ONLINE_POLICIES:
-        raise ValueError(
-            f"the snapshot names online policy {name!r}, which this version "
-            f"does not restore; known: {sorted(ONLINE_POLICIES)}"
-        )
-    return ONLINE_POLICIES[name]
 
 
 # -- the index section ---------------------------------------------------------------
@@ -261,23 +250,17 @@ def session_snapshot_state(session) -> Dict[str, Any]:
     """The full durable state of a :class:`MatchingSession`.
 
     Index state plus the frozen model, the batch pruning algorithm, the
-    online policy (name + node-id-independent state) and the insert-time
-    probabilities keyed by canonical pair key (stored sorted by key, which
-    is exactly the store a recovered session starts from).
+    online threshold's running aggregate and the insert-time probabilities
+    keyed by canonical pair key (stored sorted by key, which is exactly the
+    store a recovered session starts from).
 
     Raises
     ------
     ValueError
-        When the model, pruning algorithm, online policy or blocking method
-        is an object a snapshot cannot restore by name.
+        When the model, pruning algorithm or blocking method is an object a
+        snapshot cannot restore by name.
     """
     index = session.index
-    online = session.online
-    if ONLINE_POLICIES.get(online.name) is not type(online):
-        raise ValueError(
-            f"cannot checkpoint online policy {type(online).__qualname__}: a "
-            f"snapshot restores {sorted(ONLINE_POLICIES)} by name only"
-        )
     raw, probabilities = session.insert_time_probabilities()
     keys = canonical_pair_keys(index, raw)
     order = np.argsort(keys)
@@ -287,13 +270,9 @@ def session_snapshot_state(session) -> Dict[str, Any]:
         {
             "model": export_model(session.model),
             "pruning": export_pruning(session.pruning),
-            "policy": online.name,
-            "policy_state": online.export_state(
-                lambda raw_keys: canonical_pair_keys(index, raw_keys)
-            ),
+            "policy_state": session.online.export_state(),
             "pair_keys": split_pair_keys(keys[order], index.num_entities),
             "probabilities": probabilities[order],
-            "top_k": session._top_k,
             "snapshot_every": session._snapshot_every,
         },
     )

@@ -63,7 +63,7 @@ from .protocol import (
     write_message,
 )
 from .router import ShardRouter, match_answer, top_k_answer
-from .supervision import WorkerSupervisor
+from .supervision import WorkerSupervisor, check_timing
 from .workers import WalFollowError, WorkerError
 
 #: operations serialized on the mutation thread
@@ -121,8 +121,6 @@ class MatchingDaemon:
         num_shards: int = 2,
         bilateral: bool = True,
         pruning: str = "BLAST",
-        online: str = "wep",
-        top_k: int = 1000,
         snapshot_every: Optional[int] = None,
         wal_sync: str = "always",
         recover: bool = False,
@@ -144,6 +142,13 @@ class MatchingDaemon:
         # refused before the session writes its log, snapshot or checkpoint
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
+        check_timing(heartbeat_interval, hang_timeout)
+        if min(max_pending_mutations, max_pending_reads) < 1:
+            raise ValueError(
+                "max_pending_mutations and max_pending_reads must be at least 1"
+            )
+        if slow_request_ms is not None and not slow_request_ms >= 0:
+            raise ValueError(f"slow_request_ms must be at least 0, got {slow_request_ms}")
         # the event sink is configured before the session is built, so WAL
         # recovery/snapshot events land in this daemon's log; an explicit
         # ``None`` falls back to ``REPRO_EVENT_LOG``, and configuring also
@@ -175,8 +180,6 @@ class MatchingDaemon:
                 model,
                 bilateral=bilateral,
                 pruning=pruning,
-                online=online,
-                top_k=top_k,
                 wal_path=wal_path,
                 snapshot_every=snapshot_every,
                 wal_sync=wal_sync,

@@ -38,6 +38,18 @@ from .router import ShardRouter
 from .workers import ShardWorkerHandle
 
 
+def check_timing(heartbeat_interval: float, hang_timeout: float) -> None:
+    """Refuse supervision periods that are not above zero: a zero heartbeat
+    makes the supervision loop spin, and a zero hang timeout declares every
+    worker wedged once its spawn grace ends."""
+    for name, seconds in (
+        ("heartbeat_interval", heartbeat_interval),
+        ("hang_timeout", hang_timeout),
+    ):
+        if not seconds > 0:
+            raise ValueError(f"{name} must be above 0 seconds, got {seconds}")
+
+
 def _pid_alive(pid: Optional[int]) -> bool:
     if pid is None:
         return False
@@ -63,6 +75,7 @@ class WorkerSupervisor:
         spawn_grace: float = 10.0,
         on_restart: Optional[Callable[[int, str], None]] = None,
     ) -> None:
+        check_timing(heartbeat_interval, hang_timeout)
         self.router = router
         self.metrics = metrics
         self.heartbeat_interval = heartbeat_interval

@@ -1,10 +1,9 @@
-"""Shared utilities: text signatures, RNG, priority queues, timing, validation."""
+"""Shared utilities: text signatures, RNG, timing, validation."""
 
 from .._exports import lazy_exports
 
 #: public name -> the submodule that defines it (see repro._exports)
 _EXPORTS = {
-    "BoundedTopQueue": "pqueue",
     "STOP_WORDS": "text",
     "SeedLike": "rng",
     "StageTimer": "timing",

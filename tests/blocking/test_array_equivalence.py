@@ -24,6 +24,7 @@ from repro.blocking import (
 )
 from repro.blocking.arrayops import _dictionary_encode, encode_signatures
 from repro.datamodel import EntityCollection, make_profile
+from repro.datasets import load_dirty_dataset
 from repro.weights.sparse import build_entity_block_csr
 
 from reference import reference_encode_signatures, reference_prepare_blocks
@@ -262,6 +263,14 @@ class TestEdgeCases:
 
     def test_dblpacm_identical(self, dblpacm_dataset):
         loop, array = assert_equivalent(dblpacm_dataset.first, dblpacm_dataset.second)
+        assert len(array.candidates) > 0
+
+    def test_d10k_identical(self):
+        """The Dirty ER scalability series' smallest dataset, as the
+        block-preparation runtime bench gated it: every stage and every
+        candidate pair equal to the object chain's."""
+        dataset = load_dirty_dataset("D10K", seed=0, scale=0.01)
+        loop, array = assert_equivalent(dataset.collection, None)
         assert len(array.candidates) > 0
 
     def test_degenerate_single_side_blocks_after_filtering(self):

@@ -3,9 +3,10 @@
 CEP / CNP / RCNP used to push every valid pair through a
 :class:`~repro.utils.pqueue.BoundedTopQueue` (one per node for the node-centric
 ones).  They are array passes now (``repro.core.pruning.kernels``), the queue
-has one user left (the streaming session's online top-K policy, which needs
-``discard``), and the strict (weight, key, position) order every selection
-runs under is spelled once.
+has no user left under ``src/`` (its last one, the streaming session's online
+top-K policy, is gone: it stays as the queue under ``tests/reference.py``'s
+oracle), and the strict (weight, key, position) order every selection runs
+under is spelled once.
 """
 
 import ast
@@ -82,7 +83,7 @@ def test_unsupervised_pruning_builds_no_queue(dataset, monkeypatch, algorithm):
     assert mask.dtype == bool and 0 < np.count_nonzero(mask) <= graph.edge_count
 
 
-def test_the_queue_has_one_user_left():
+def test_the_queue_has_no_src_user():
     importers = sorted(
         str(path.relative_to(ROOT))
         for path in ROOT.rglob("*.py")
@@ -91,7 +92,7 @@ def test_the_queue_has_one_user_left():
             for name, module in _imported_names(path).items()
         )
     )
-    assert importers == ["incremental/session.py", "utils/__init__.py"]
+    assert importers == []
 
 
 def test_the_strength_order_is_spelled_once():

@@ -35,9 +35,6 @@ def test_pop_reads_both_halves_and_tombstones_the_arrays():
 
     np.testing.assert_array_equal(values, [0.2, 0.7, 0.5])
     _assert_items(store, {3: 0.3, 11: 0.11})
-    np.testing.assert_array_equal(
-        store.missing(np.array([3, 5, 7, 11, 20, 99], dtype=np.int64)), [5, 7, 20, 99]
-    )
     with pytest.raises(KeyError):
         store.pop(np.array([7], dtype=np.int64))
 
@@ -90,7 +87,4 @@ def test_store_matches_a_dict_model(initial, ops):
         (store.add if op == "add" else store.add_sorted)(keys, values)
         model.update(fresh)
         _assert_items(store, model)
-    probe = np.arange(0, 41, dtype=np.int64)
-    np.testing.assert_array_equal(
-        store.missing(probe), [key for key in probe.tolist() if key not in model]
-    )
+    _assert_items(store, model)

@@ -18,7 +18,6 @@ from repro.datasets import load_benchmark
 from repro.incremental import (
     FrozenModel,
     MatchingSession,
-    OnlineTopK,
     OnlineWEP,
     StreamTrainingError,
     UnknownEntityError,
@@ -191,26 +190,12 @@ class TestDynamicEquivalence:
             session.remove("a1", side=1)  # wrong side is unknown too
         assert session.num_entities == 1
 
-    def test_topk_policy_evicts_retracted_pairs(self, streamed_fixture):
-        _, _, result = streamed_fixture
-        session = MatchingSession(
-            FrozenModel.from_batch(result), bilateral=True, online="topk", top_k=3
-        )
-        session.insert(make_profile("a1", text="alpha beta gamma"), side=0)
-        session.insert(make_profile("b1", text="alpha beta gamma"), side=1)
-        session.insert(make_profile("b2", text="alpha beta"), side=1)
-        queue = session.online._queue
-        occupied = len(queue)
-        session.remove("a1", side=0)
-        assert len(queue) < occupied or occupied == 0
-        assert session.num_pairs == 0
-
     def test_online_wep_retraction_restores_threshold(self):
         policy = OnlineWEP()
-        policy.admit(np.array([0.9, 0.2, 0.7]), np.arange(3))
-        policy.retract(np.array([0.9]), np.array([0]))
+        policy.admit(np.array([0.9, 0.2, 0.7]))
+        policy.retract(np.array([0.9]))
         assert policy.threshold == pytest.approx(0.7)
-        policy.retract(np.array([0.7, 0.2]), np.array([2, 1]))
+        policy.retract(np.array([0.7, 0.2]))
         # empty aggregate resets exactly to the validity threshold
         assert policy.threshold == 0.5
 
@@ -249,23 +234,6 @@ class TestSessionBehaviour:
             keys, np.sort(pack_pair_keys(candidates.left, candidates.right))
         )
 
-    def test_topk_policy_bounds_reported_matches(self, streamed_fixture):
-        dataset, _, result = streamed_fixture
-        replay = replay_stream(
-            dataset, FrozenModel.from_batch(result), online="topk", top_k=5
-        )
-        # the queue never admits more than its capacity per insert, and the
-        # total number of simultaneously retained pairs is bounded by K
-        assert replay.online_matches.max() <= 5
-        assert isinstance(replay.session.online, OnlineTopK)
-
-    def test_unknown_online_policy_rejected(self, streamed_fixture):
-        _, _, result = streamed_fixture
-        with pytest.raises(ValueError, match="unknown online policy"):
-            MatchingSession(
-                FrozenModel.from_batch(result), bilateral=True, online="bogus"
-            )
-
     def test_frozen_model_requires_classifier(self, streamed_fixture):
         _, _, result = streamed_fixture
         stripped = type(result)(
@@ -284,10 +252,10 @@ class TestOnlineWEP:
     def test_running_threshold_tracks_valid_scores(self):
         policy = OnlineWEP()
         assert policy.threshold == 0.5
-        admitted = policy.admit(np.array([0.9, 0.2, 0.7]), np.arange(3))
+        admitted = policy.admit(np.array([0.9, 0.2, 0.7]))
         assert policy.threshold == pytest.approx(0.8)
         assert admitted.tolist() == [True, False, False]
-        admitted = policy.admit(np.array([0.85, 0.4]), np.arange(3, 5))
+        admitted = policy.admit(np.array([0.85, 0.4]))
         # running average over {0.9, 0.7, 0.85}
         assert policy.threshold == pytest.approx((0.9 + 0.7 + 0.85) / 3)
         assert admitted.tolist() == [True, False]

@@ -1,9 +1,8 @@
-"""Session-safe compaction: remapped online state, stale-session detection.
+"""Session-safe compaction: remapped per-pair state, stale-session detection.
 
 ``MutableBlockIndex.compact()`` reassigns raw node ids, and with them the
 packed pair keys.  A live :class:`MatchingSession` keys per-pair state by
-them (the insert-time probabilities, OnlineTopK's queue items), so
-compacting the index directly would silently corrupt it — the regression
+them (the insert-time probabilities), so compacting the index directly would silently corrupt it — the regression
 these tests pin down.  :meth:`MatchingSession.compact` remaps that state by canonical pair
 key; direct ``index.compact()`` is detected via the index generation
 counter and every subsequent session operation raises
@@ -23,8 +22,8 @@ from test_churn_property import _Shadow, _assert_converges, _operations, _replay
 from test_session_property import PRUNING, _frozen_model
 
 
-def _churned_session(online="topk", top_k=8):
-    session = MatchingSession(_frozen_model(), online=online, top_k=top_k)
+def _churned_session():
+    session = MatchingSession(_frozen_model())
     for i in range(30):
         session.insert(
             make_profile(f"e{i}", t=f"alpha tok{i % 4} tok{i % 7} beta")
@@ -35,9 +34,8 @@ def _churned_session(online="topk", top_k=8):
 
 
 class TestSessionCompact:
-    @pytest.mark.parametrize("online", ["wep", "topk"])
-    def test_compact_preserves_answer_and_thresholds(self, online):
-        session = _churned_session(online=online)
+    def test_compact_preserves_answer_and_thresholds(self):
+        session = _churned_session()
         expected = session.retained().retained_id_set()
         threshold = session.online.threshold
         assert session.index.num_slots > session.index.num_entities
@@ -49,7 +47,7 @@ class TestSessionCompact:
         assert session.online.threshold == pytest.approx(threshold, abs=1e-12)
 
     def test_compact_keeps_probabilities_aligned_with_the_pairs(self):
-        session = _churned_session(online="wep")
+        session = _churned_session()
         from repro.persistence import canonical_pair_keys
 
         raw, before = session.insert_time_probabilities()
@@ -65,7 +63,7 @@ class TestSessionCompact:
         assert np.allclose(before[order], after)
 
     def test_streaming_continues_after_compact(self):
-        session = _churned_session(online="topk")
+        session = _churned_session()
         session.compact()
         session.insert(make_profile("fresh", t="alpha beta tok1"))
         session.remove("fresh")

@@ -100,7 +100,6 @@ class TestConcurrentSnapshot:
                 registry.increment("degraded_reads")
                 registry.adjust_gauge("read_queue_depth", 1)
                 registry.adjust_gauge("read_queue_depth", -1)
-                registry.observe_stage("blocking", 0.001)
                 registry.connection_opened()
                 registry.connection_closed()
 
@@ -134,7 +133,6 @@ class TestConcurrentSnapshot:
         assert final["queues"]["read_queue_depth"] == 0
         assert final["connections"]["total"] == total
         assert final["connections"]["open"] == 0
-        assert final["stages"]["blocking"] == pytest.approx(total * 0.001)
         # counts only ever grow: snapshots taken while hammering are a
         # monotone prefix of the final state
         observed = [
@@ -148,7 +146,7 @@ class TestConcurrentSnapshot:
         registry.record("match", 0.001, True)
         snapshot = registry.snapshot()
         assert set(snapshot) == {
-            "operations", "queues", "counters", "connections", "gauges", "stages",
+            "operations", "queues", "counters", "connections", "gauges",
         }
         assert set(snapshot["operations"]["match"]) == {
             "count", "mean_ms", "p50_ms", "p99_ms", "max_ms", "errors",
@@ -171,24 +169,13 @@ class TestGauges:
             raise OSError("gone")
 
         registry.register_gauge("broken", broken)
-        registry.set_gauge("direct", 3.5)
+        registry.register_gauge("present", lambda: 3.5)
         gauges = registry.snapshot()["gauges"]
-        assert gauges == {"direct": 3.5}
+        assert gauges == {"present": 3.5}
 
     def test_process_rss_bytes_is_positive_here(self):
         rss = process_rss_bytes()
         assert rss is not None and rss > 0
-
-    def test_stage_timer_absorption(self):
-        from repro.utils.timing import StageTimer
-
-        timer = StageTimer()
-        timer.add("blocking", 0.25)
-        timer.add("features", 0.5)
-        registry = MetricsRegistry()
-        registry.absorb_stage_timer(timer, prefix="prep_")
-        stages = registry.snapshot()["stages"]
-        assert stages == {"prep_blocking": 0.25, "prep_features": 0.5}
 
 
 class TestPrometheusExposition:
@@ -198,9 +185,8 @@ class TestPrometheusExposition:
         registry.record("match", 0.1, False)
         registry.increment("degraded_reads", 2)
         registry.adjust_gauge("mutation_queue_depth", 1)
-        registry.observe_stage("blocking", 0.5)
         registry.connection_opened()
-        registry.set_gauge("wal_size_bytes", 4096.0)
+        registry.register_gauge("wal_size_bytes", lambda: 4096.0)
         return registry
 
     def test_golden_families(self):
@@ -219,8 +205,6 @@ class TestPrometheusExposition:
             "# TYPE repro_queue_depth gauge",
             'repro_queue_depth{queue="mutation_queue_depth"} 1',
             'repro_queue_depth{queue="read_queue_depth"} 0',
-            "# TYPE repro_stage_seconds_total counter",
-            'repro_stage_seconds_total{stage="blocking"} 0.5',
             "repro_connections_total 1",
             "repro_connections_open 1",
             "# TYPE repro_wal_size_bytes gauge",

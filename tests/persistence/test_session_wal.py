@@ -1,13 +1,14 @@
 """Deterministic tests for WAL-backed :class:`MatchingSession` recovery.
 
 A session opened with ``wal_path=`` journals every mutation and snapshots
-its full state (frozen model, online-policy aggregates, insert-time
+its full state (frozen model, online WEP aggregate, insert-time
 probabilities).  Recovery must resume with the identical exact answer and
 identical online admission thresholds, then keep streaming in lock-step
 with the uninterrupted session.
 """
 
 import ast
+import json
 import shutil
 from pathlib import Path
 from unittest import mock
@@ -30,7 +31,7 @@ from repro.persistence import (
     encode_record,
     recover_index,
 )
-from repro.persistence.snapshot import joined_pair_keys, snapshot_state
+from repro.persistence.snapshot import snapshot_state
 from repro.serve.workers import ShardReplica
 
 FEATURE_SET = ("CBS", "JS", "RS")
@@ -66,15 +67,8 @@ def _stream(session):
     session.insert(profiles[13])
 
 
-@pytest.mark.parametrize("policy", ["wep", "topk"])
-def test_recovered_session_resumes_identically(tmp_path, policy):
-    session = MatchingSession(
-        _frozen_model(),
-        online=policy,
-        top_k=10,
-        wal_path=tmp_path / "wal",
-        snapshot_every=6,
-    )
+def test_recovered_session_resumes_identically(tmp_path):
+    session = MatchingSession(_frozen_model(), wal_path=tmp_path / "wal", snapshot_every=6)
     _stream(session)
     expected = session.retained().retained_id_set()
     threshold = session.online.threshold
@@ -106,9 +100,7 @@ def test_recovered_session_resumes_identically(tmp_path, policy):
 
 
 def test_recovery_survives_a_torn_tail(tmp_path):
-    session = MatchingSession(
-        _frozen_model(), online="wep", wal_path=tmp_path / "wal"
-    )
+    session = MatchingSession(_frozen_model(), wal_path=tmp_path / "wal")
     for profile in _profiles(8, "a"):
         session.insert(profile)
     before_last = session.retained().retained_id_set()
@@ -190,6 +182,57 @@ def test_a_session_written_by_the_pr18_tree_is_refused_by_name(tmp_path):
     assert {path.name: path.read_bytes() for path in wal.iterdir()} == before
 
 
+#: two sessions written at commit 51607e8 (recipe in the README beside them)
+RECORDED = Path(__file__).resolve().parent.parent / "data" / "session_wal_51607e8"
+
+
+def _copy_recorded(name, directory):
+    """A copy of one of the two parent-written WAL directories (recovery
+    truncates and re-attaches the log: never recover the fixture itself)."""
+    shutil.copytree(RECORDED / name, directory)
+    return directory
+
+
+def test_a_wep_session_written_by_the_parent_tree_recovers_bit_for_bit(tmp_path):
+    """The parent tree's snapshot still names its ``policy`` and a ``top_k``
+    budget; recovery ignores the budget and restores the WEP aggregate: the
+    retained pairs, their probabilities and the threshold that tree recovered
+    (``wep_recovered.json``), bit for bit."""
+    expected = json.loads((RECORDED / "wep_recovered.json").read_text())
+    session = MatchingSession.recover(_copy_recorded("wep", tmp_path / "wal"))
+    try:
+        stored = WriteAheadLog(tmp_path / "wal").latest_snapshot()["session"]
+        assert stored["policy"] == "wep" and stored["top_k"] == 1000
+        answer = session.retained()
+        retained = sorted(
+            (first, second, float(probability).hex())
+            for (first, second), probability in zip(
+                answer.retained_ids, answer.probabilities[answer.retained_mask]
+            )
+        )
+        assert retained == [tuple(row) for row in expected["retained"]]
+        assert session.online.threshold.hex() == expected["threshold"]
+        assert session.num_entities == expected["num_entities"]
+        assert session.num_pairs == expected["num_pairs"]
+    finally:
+        session.close()
+
+
+def test_a_top_k_session_written_by_the_parent_tree_is_refused_by_name(tmp_path):
+    """The top-K online policy is gone: a snapshot that names it is refused,
+    naming it, before any index is built and before the log is touched."""
+    wal = _copy_recorded("topk", tmp_path / "wal")
+    before = {path.name: path.read_bytes() for path in wal.iterdir()}
+    refusing = mock.patch.object(
+        repro.persistence.snapshot,
+        "MutableBlockIndex",
+        side_effect=AssertionError("an index was built"),
+    )
+    with refusing, pytest.raises(ValueError, match="online policy 'topk'"):
+        MatchingSession.recover(wal)
+    assert {path.name: path.read_bytes() for path in wal.iterdir()} == before
+
+
 @pytest.mark.parametrize("byte", [60, len(LOG_MAGIC)], ids=["payload", "length-field"])
 def test_damage_in_front_of_the_snapshot_loses_nothing_behind_it(tmp_path, byte):
     """The snapshot vouches for the log up to its offset; recovery reads the
@@ -237,33 +280,6 @@ def test_a_snapshot_in_another_state_format_is_refused_by_name(tmp_path):
         MatchingSession.recover(tmp_path / "wal")
     with pytest.raises(StateFormatError, match=message):
         recover_index(tmp_path / "wal")
-
-
-def test_a_top_k_key_that_is_not_a_live_pair_is_refused_by_name(tmp_path):
-    """A restored top-K item is a pair key, checked against the snapshot's
-    live pairs — never ranked onto a neighbour's pair, whose later retraction
-    would then evict the wrong one."""
-    session = MatchingSession(_frozen_model(), online="topk", top_k=4, wal_path=tmp_path / "wal")
-    _stream(session)
-    newest = session.checkpoint()
-    session.close()
-    wal = WriteAheadLog(tmp_path / "wal")
-    state = wal.load_snapshot(newest)
-    stored = state["session"]
-    live = set(joined_pair_keys(stored["pair_keys"]).tolist())
-    # between two live keys: a rank lookup would land on a live neighbour
-    foreign = next(key + 1 for key in sorted(live) if key + 1 not in live)
-    assert foreign < max(live)
-    policy_state = stored["policy_state"]
-    policy_state = dict(
-        policy_state,
-        weights=np.append(policy_state["weights"], 0.99),
-        keys=np.append(policy_state["keys"], foreign),
-    )
-    wal.write_snapshot(dict(state, session=dict(stored, policy_state=policy_state)))
-
-    with pytest.raises(ValueError, match=f"pair key {foreign}, which is not a live pair"):
-        MatchingSession.recover(tmp_path / "wal")
 
 
 def _bump_meta_format(directory):

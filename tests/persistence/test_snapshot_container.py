@@ -27,7 +27,6 @@ from repro.core.features import FeatureVectorGenerator
 from repro.core.pruning import SupervisedBLAST
 from repro.datamodel import make_profile
 from repro.incremental import MatchingSession, MutableBlockIndex
-from repro.incremental.session import OnlineWEP
 from repro.ml import GaussianNB, LinearSVC, LogisticRegression, MinMaxScaler, StandardScaler
 from repro.ml.base import FrozenModel
 from repro.ml.state import export_model, restore_model, restore_object
@@ -44,11 +43,7 @@ from repro.persistence.container import (
     decode_container,
     encode_container,
 )
-from repro.persistence.snapshot import (
-    online_policy_class,
-    restore_blocking,
-    restore_pruning,
-)
+from repro.persistence.snapshot import restore_blocking, restore_pruning
 from repro.serve.workers import ShardReplica
 
 FEATURE_SET = ("CBS", "JS", "RS")
@@ -67,8 +62,7 @@ def _session_with_two_snapshots(directory, bilateral=False):
     """A journaled session with churn, an older and a newest snapshot, and a
     tail behind both; returns the session (closed) and the two paths."""
     session = MatchingSession(
-        make_frozen_model(FEATURE_SET), bilateral=bilateral, online="topk", top_k=6,
-        wal_path=directory,
+        make_frozen_model(FEATURE_SET), bilateral=bilateral, wal_path=directory
     )
     session.insert_bulk(_profiles(8, "a"))
     session.remove("a2")
@@ -336,8 +330,6 @@ class TestRegistries:
             )
         with pytest.raises(ValueError, match="pruning algorithm 'Evil'"):
             restore_pruning({"name": "Evil", "parameters": {}})
-        with pytest.raises(ValueError, match="online policy 'evil'"):
-            online_policy_class("evil")
         with pytest.raises(ValueError, match="blocking method 'Evil'"):
             restore_blocking({"class": "Evil", "parameters": {}})
 
@@ -345,16 +337,9 @@ class TestRegistries:
         class TunedBLAST(SupervisedBLAST):
             pass
 
-        class QuietWEP(OnlineWEP):
-            pass
-
         with pytest.raises(ValueError, match="TunedBLAST"):
             MatchingSession(
                 make_frozen_model(FEATURE_SET), pruning=TunedBLAST(), wal_path=tmp_path / "a"
-            )
-        with pytest.raises(ValueError, match="QuietWEP"):
-            MatchingSession(
-                make_frozen_model(FEATURE_SET), online=QuietWEP(), wal_path=tmp_path / "b"
             )
 
     def test_a_trained_model_round_trips_bit_for_bit(self):

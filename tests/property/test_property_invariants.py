@@ -19,7 +19,8 @@ from repro.core import (
 )
 from repro.datamodel import Block, BlockCollection, CandidateSet, EntityIndexSpace
 from repro.ml import LogisticRegression, PlattScaler, StandardScaler, balanced_sample
-from repro.utils import BoundedTopQueue, jaccard, qgrams, suffixes, tokens
+from repro.utils import jaccard, qgrams, suffixes, tokens
+from repro.utils.pqueue import BoundedTopQueue
 from repro.weights import BlockStatistics, JaccardScheme, RACCBScheme, WeightedJaccardScheme
 
 

@@ -212,6 +212,26 @@ def test_num_shards_must_be_positive(tmp_path, frozen_model, num_shards):
     assert not (tmp_path / "wal").exists()
 
 
+@pytest.mark.parametrize(
+    "option,value,message",
+    [
+        ("heartbeat_interval", 0.0, "heartbeat_interval must be above 0"),
+        ("heartbeat_interval", -1.0, "heartbeat_interval must be above 0"),
+        ("hang_timeout", 0.0, "hang_timeout must be above 0"),
+        ("max_pending_mutations", 0, "max_pending_mutations and max_pending_reads"),
+        ("max_pending_reads", 0, "max_pending_mutations and max_pending_reads"),
+        ("slow_request_ms", -1.0, "slow_request_ms must be at least 0"),
+    ],
+)
+def test_timing_and_queue_values_that_break_the_daemon_are_refused(
+    tmp_path, frozen_model, option, value, message
+):
+    """Refused before the session writes its log, like a bad shard count."""
+    with pytest.raises(ValueError, match=message):
+        MatchingDaemon(tmp_path / "wal", frozen_model, **{option: value})
+    assert not (tmp_path / "wal").exists()
+
+
 class TestSnapshotConsistency:
     def test_concurrent_reads_pin_exact_offsets(self, served, tmp_path):
         """Queries racing a writer must each equal the canonical state at

@@ -28,6 +28,7 @@ from repro import faults
 from repro.datamodel import make_profile
 from repro.faults import FAULTS_ENV, FaultPlan
 from repro.serve import MatchingDaemon, ServeClient, ServeError
+from repro.serve.supervision import WorkerSupervisor
 
 TEXTS = (
     "alpha beta gamma",
@@ -37,6 +38,15 @@ TEXTS = (
     "beta eps zeta",
     "alpha beta zeta",
 )
+
+
+@pytest.mark.parametrize("option", ["heartbeat_interval", "hang_timeout"])
+@pytest.mark.parametrize("seconds", [0.0, -1.0])
+def test_the_supervisor_refuses_a_period_that_is_not_above_zero(option, seconds):
+    """``_wake.wait(0)`` returns at once (the loop would spin), and a zero
+    hang timeout fails every heartbeat."""
+    with pytest.raises(ValueError, match=f"{option} must be above 0 seconds"):
+        WorkerSupervisor(None, **{option: seconds})
 
 
 def _start(daemon):

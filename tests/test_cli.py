@@ -84,6 +84,37 @@ class TestServeOptions:
         assert "Traceback" not in error
         assert not (tmp_path / "wal").exists()
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--heartbeat-interval", "0", "must be above 0"),
+            ("--heartbeat-interval", "-0.5", "must be above 0"),
+            ("--hang-timeout", "0", "must be above 0"),
+            ("--max-pending", "0", "must be at least 1"),
+            ("--slow-ms", "-1", "must be at least 0"),
+        ],
+    )
+    def test_refuses_timing_and_queue_values_that_break_the_daemon(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        """A zero heartbeat spins the supervisor, a zero hang timeout respawns
+        every worker, a zero queue bound sheds every request and a negative
+        slow threshold marks every request slow: each is an argparse error
+        before any model is trained."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--wal", str(tmp_path / "wal"), flag, value])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "wal").exists()
+
+    def test_the_smallest_legal_timing_and_queue_values_parse(self):
+        args = build_parser().parse_args(
+            ["serve", "--wal", "unused", "--max-pending", "1", "--slow-ms", "0",
+             "--heartbeat-interval", "0.01", "--hang-timeout", "0.01"]
+        )
+        assert (args.max_pending, args.slow_ms) == (1, 0.0)
+        assert (args.heartbeat_interval, args.hang_timeout) == (0.01, 0.01)
+
 
 class TestExecution:
     def test_run_table2(self, capsys):
@@ -161,7 +192,6 @@ class TestStream:
     def test_stream_invalid_options_give_argparse_errors(self, capsys):
         for argv in (
             ["stream", "--bootstrap", "1.5"],
-            ["stream", "--online", "topk", "--top-k", "0"],
             ["stream", "--deletes", "1.5"],
         ):
             with pytest.raises(SystemExit) as excinfo:

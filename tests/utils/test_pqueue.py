@@ -1,8 +1,9 @@
-"""Tests for the bounded top-weight priority queue."""
+"""Tests for the bounded top-weight priority queue (the reference queue under
+``tests/reference.py``'s CEP / CNP / RCNP oracle)."""
 
 import pytest
 
-from repro.utils import BoundedTopQueue
+from repro.utils.pqueue import BoundedTopQueue
 
 
 class TestBoundedTopQueue:
@@ -43,22 +44,9 @@ class TestBoundedTopQueue:
         assert evicted == "second"
         assert queue.items() == ["first"]
 
-    def test_contains(self):
-        queue = BoundedTopQueue(2)
-        queue.push(0.5, "x")
-        assert "x" in queue
-        assert "y" not in queue
-
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             BoundedTopQueue(0)
-
-    def test_len_and_iter(self):
-        queue = BoundedTopQueue(5)
-        for index in range(3):
-            queue.push(index / 10, index)
-        assert len(queue) == 3
-        assert list(queue) == [2, 1, 0]
 
 
 class TestDeterministicTieKeys:
@@ -83,43 +71,3 @@ class TestDeterministicTieKeys:
         assert queue.push(0.9, "high", key=99) == "low"
         assert queue.items() == ["high"]
 
-
-class TestLazyDeletion:
-    def test_discard_frees_a_slot(self):
-        queue = BoundedTopQueue(2)
-        queue.push(0.9, "a")
-        queue.push(0.8, "b")
-        assert queue.min_weight == pytest.approx(0.8)
-        assert queue.discard("b") is True
-        assert len(queue) == 1
-        assert "b" not in queue
-        assert queue.min_weight == 0.0  # not full any more
-        assert queue.push(0.1, "c") is None  # freed slot admits a weak item
-        assert queue.items() == ["a", "c"]
-
-    def test_discard_unknown_item_is_a_safe_no_op(self):
-        queue = BoundedTopQueue(2)
-        queue.push(0.9, "a")
-        assert queue.discard("ghost") is False
-        assert queue.discard("a") is True
-        assert queue.discard("a") is False  # already gone
-        assert len(queue) == 0
-
-    def test_dead_entries_are_skimmed_from_the_threshold(self):
-        queue = BoundedTopQueue(3)
-        queue.push(0.2, "low")
-        queue.push(0.5, "mid")
-        queue.push(0.9, "high")
-        queue.discard("low")
-        queue.push(0.3, "fill")
-        # the tombstoned 0.2 entry must not masquerade as the minimum
-        assert queue.min_weight == pytest.approx(0.3)
-        assert queue.items() == ["high", "mid", "fill"]
-
-    def test_discarded_then_repushed_item(self):
-        queue = BoundedTopQueue(2)
-        queue.push(0.6, "x")
-        queue.discard("x")
-        queue.push(0.7, "x")
-        assert "x" in queue
-        assert queue.weighted_items() == [(0.7, "x")]

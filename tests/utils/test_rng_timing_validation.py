@@ -10,9 +10,6 @@ from repro.utils.validation import (
     check_binary_labels,
     check_consistent_length,
     check_matrix,
-    check_positive,
-    check_positive_int,
-    check_probability,
     check_ratio,
 )
 
@@ -85,23 +82,6 @@ class TestStageTimer:
 
 
 class TestValidation:
-    def test_check_probability(self):
-        assert check_probability(0.5) == 0.5
-        with pytest.raises(ValueError):
-            check_probability(1.5)
-
-    def test_check_positive(self):
-        assert check_positive(2.0) == 2.0
-        with pytest.raises(ValueError):
-            check_positive(0.0)
-
-    def test_check_positive_int(self):
-        assert check_positive_int(3) == 3
-        with pytest.raises(ValueError):
-            check_positive_int(0)
-        with pytest.raises(ValueError):
-            check_positive_int(2.5)
-
     def test_check_ratio(self):
         assert check_ratio(1.0) == 1.0
         with pytest.raises(ValueError):
