@@ -56,7 +56,13 @@
 #                            deletion, no session / replay / daemon signature or CLI
 #                            flag chooses a policy, and two WAL directories recorded
 #                            by the tree that had two: a WEP session recovering bit for
-#                            bit, a top-K one refused by name before any index is built)
+#                            bit, a top-K one refused by name before any index is built;
+#                            one exact read per pinned state: top_k selected from the
+#                            shared read vs the subset path it replaced for every live
+#                            node under churn with 1-3 shards, and against a live daemon
+#                            under writes and a worker respawn, every match / top_k equal
+#                            to the canonical session at its offset and no read shared
+#                            across a state change)
 #   make test-fast         - tier-1 suite without the perf smoke tests, then tests/serve,
 #                            tests/faults and tests/persistence in one invocation (the
 #                            fixture model they pickle must not depend on collection order)
@@ -125,7 +131,7 @@ test-equivalence:
 		tests/serve/test_ship_container.py tests/test_no_shared_memory.py \
 		tests/serve/test_process_tree.py \
 		tests/datasets/test_sampler_oracle.py tests/datasets/test_golden_generation.py \
-		tests/test_one_online_policy.py
+		tests/test_one_online_policy.py tests/serve/test_shared_read_property.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q

@@ -55,7 +55,19 @@ from ..ml.base import FrozenModel
 from ..obs.trace import hook_span
 from .delta import DeltaFeatureGenerator
 from .index import MutableBlockIndex, RetractionDelta, UnknownEntityError
-from .state import LiveCandidates
+from .state import IndexStatistics, LiveCandidates
+
+
+def scored_read(
+    features: DeltaFeatureGenerator, model: FrozenModel
+) -> Tuple[LiveCandidates, np.ndarray, IndexStatistics]:
+    """Clean → derive → score over every live pair of ``features.index``:
+    :func:`exact_answer` short of its pruning, and the statistics it prunes by.
+    """
+    candidates, matrix, statistics = features.generate_all(model.cleaning)
+    with hook_span("score"):
+        probabilities = model.score(matrix.values)
+    return candidates, probabilities, statistics
 
 
 def exact_answer(
@@ -64,19 +76,17 @@ def exact_answer(
     """Clean → derive → score → prune over every live pair of ``features.index``.
 
     The one exact read path, shared by :meth:`MatchingSession.retained` and
-    the serving layer's ``match``: the live collection read under the block
-    cleaning the model was trained on (:attr:`FrozenModel.cleaning`), its
-    pairs and their features derived from the cleaned CSR
-    (:meth:`DeltaFeatureGenerator.generate_all`), frozen-model scoring, and
-    the batch pruning algorithm over the pairs' canonical twin, its budgets
-    read off the cleaned collection's block totals — arrays only: no block
-    collection is materialised, no stored pair read.  Returns the live
-    candidates (raw node ids, batch candidate order), their probabilities and
-    the retained mask.
+    the serving layer's ``match`` / ``top_k``: the live collection read under
+    the block cleaning the model was trained on (:attr:`FrozenModel.cleaning`),
+    its pairs and their features derived from the cleaned CSR
+    (:meth:`DeltaFeatureGenerator.generate_all`), frozen-model scoring
+    (:func:`scored_read`), and the batch pruning algorithm over the pairs'
+    canonical twin, its budgets read off the cleaned collection's block
+    totals — arrays only: no block collection is materialised, no stored pair
+    read.  Returns the live candidates (raw node ids, batch candidate order),
+    their probabilities and the retained mask.
     """
-    candidates, matrix, statistics = features.generate_all(model.cleaning)
-    with hook_span("score"):
-        probabilities = model.score(matrix.values)
+    candidates, probabilities, statistics = scored_read(features, model)
     with hook_span("prune"):
         if len(candidates) == 0:
             mask = np.zeros(0, dtype=bool)

@@ -341,32 +341,6 @@ class IndexStatistics:
                 self._pair_cache.seed(self._live, aggregates)
         return self._live
 
-    def counterparts(self, node: int) -> np.ndarray:
-        """The live nodes ``node`` forms a candidate pair with, ascending:
-        whoever shares one of its blocks read (on the other side of a
-        bilateral index, unless Block Filtering stranded the block with one
-        side), read off the CSR; none for a removed node."""
-        state = self._states[0]
-        sides = state.sides()
-        side = int(sides[node])
-        if side < 0:
-            return np.empty(0, dtype=np.int64)
-        csr = self._merged[0]
-        row = csr.indices[csr.indptr[node] : csr.indptr[node + 1]]
-        members = np.flatnonzero(np.isin(csr.indices, row))
-        member_nodes = np.searchsorted(csr.indptr, members, side="right") - 1
-        stranded_with = np.empty(0, dtype=np.int64)
-        if state.bilateral:
-            blocks = self._read[2]
-            stranded = (blocks.first_sizes == blocks.sizes)[csr.indices[members]]
-            stranded_with, member_nodes = member_nodes[stranded], member_nodes[~stranded]
-        shares = np.zeros(sides.size, dtype=bool)
-        shares[member_nodes] = True
-        shares &= sides == 1 - side if state.bilateral else sides >= 0
-        shares[stranded_with] = True
-        shares[node] = False
-        return np.flatnonzero(shares)
-
     def local_candidate_counts_sparse(self) -> np.ndarray:
         """``LCP(e_i)`` — distinct candidates read per node slot."""
         if self._degrees is None:

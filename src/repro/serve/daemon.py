@@ -22,6 +22,9 @@ edition):
 * reads run on their own single dispatch thread; the offsets the workers
   see are monotone because every one of them — a read's, a ``stats``', a
   follow's — is taken under the workers' locks (replicas never rewind).
+  That thread keeps the last exact read (:class:`~repro.serve.router.SharedRead`):
+  a ``match`` or ``top_k`` whose pinned view has the same shard states — no
+  write in between — formats or selects from it instead of reading again.
 
 Durability: mutations are journaled before they are applied (the session's
 WAL discipline), and a SIGTERM/SIGINT drains in-flight requests, writes a
@@ -33,13 +36,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
-from typing import Any, Dict, Optional, Tuple
+from contextlib import contextmanager, nullcontext
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from .. import __version__
 from ..incremental.index import DuplicateEntityError, UnknownEntityError
@@ -62,7 +66,7 @@ from .protocol import (
     read_message,
     write_message,
 )
-from .router import ShardRouter, match_answer, top_k_answer
+from .router import ExactRead, SharedRead, ShardRouter, match_answer, top_k_answer
 from .supervision import WorkerSupervisor, check_timing
 from .workers import WalFollowError, WorkerError
 
@@ -86,6 +90,15 @@ class UnavailableError(RuntimeError):
 
 class WalFailedError(RuntimeError):
     """The write-ahead log failed; the mutation was neither logged nor applied."""
+
+
+def _top_k_arguments(args: Dict[str, Any]) -> Tuple[str, int, int]:
+    """``top_k``'s ``(entity_id, side, k)``; ``k`` must be a non-negative
+    integer as sent — no bool, float or string is coerced into one."""
+    k = args.get("k", 10)
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+        raise ValueError(f"'k' must be a non-negative integer, got {k!r}")
+    return str(args["entity_id"]), int(args.get("side", 0)), k
 
 
 class MatchingDaemon:
@@ -236,6 +249,8 @@ class MatchingDaemon:
         # are race-free there, and they bound what run_in_executor enqueues
         self._pending_mutations = 0
         self._pending_reads = 0
+        # the read thread's last exact read, reused while no write moves it
+        self._shared_read = SharedRead()
 
     # -- observability -----------------------------------------------------------
     def _register_gauges(self) -> None:
@@ -453,11 +468,17 @@ class MatchingDaemon:
         deadline_ms = message.get("deadline_ms")
         deadline: Optional[float] = None
         if deadline_ms is not None:
-            if not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0:
+            # the decoder parses NaN / Infinity, and a bool is an int
+            if (
+                isinstance(deadline_ms, bool)
+                or not isinstance(deadline_ms, (int, float))
+                or not math.isfinite(deadline_ms)
+                or deadline_ms <= 0
+            ):
                 return error_response(
                     request_id,
                     "bad_request",
-                    "'deadline_ms' must be a positive number",
+                    "'deadline_ms' must be a finite positive number",
                     trace=trace_id,
                 )
             deadline = time.monotonic() + float(deadline_ms) / 1e3
@@ -735,16 +756,13 @@ class MatchingDaemon:
                 answer["offset"] = offset
                 answer["degraded"] = True
                 return answer
-            entity_id = str(args["entity_id"])
-            side = int(args.get("side", 0))
+            entity_id, side, k = _top_k_arguments(args)
             node = index.node_of(entity_id, side=side)
             return {
                 "offset": offset,
                 "entity_id": entity_id,
                 "degraded": True,
-                "matches": top_k_answer(
-                    index, self.session.model, node, int(args.get("k", 10))
-                ),
+                "matches": top_k_answer(index, self.session.model, node, k),
             }
 
     # -- mutation thread ---------------------------------------------------------
@@ -804,6 +822,18 @@ class MatchingDaemon:
         raise ProtocolError(f"unroutable mutation {op!r}")  # pragma: no cover
 
     # -- read thread -------------------------------------------------------------
+    @contextmanager
+    def _exact_read(self, view, span: str) -> Iterator[ExactRead]:
+        """The exact read at ``view``, inside the answer's ``span``: the
+        last one when ``view`` reads the same shard states (``shared``)."""
+        read = self._shared_read.held(view)
+        with hook_span(span, shared=read is not None):
+            if read is None:
+                read = self._shared_read.compute(
+                    view, self.session.model, self.session.pruning
+                )
+            yield read
+
     def _read(self, op: str, args: Dict[str, Any]) -> Any:
         # the router pins: it reads its ``offset_source`` (``_offset``, handed
         # over at construction) inside its fan-out, once every worker's lock
@@ -812,20 +842,17 @@ class MatchingDaemon:
         # the locks are taken — the follower keeps moving them forward
         if op == "match":
             view, _, offset = self.router.pinned_view()
-            with hook_span("score-and-prune"):
-                answer = match_answer(view, self.session.model, self.session.pruning)
+            with self._exact_read(view, "score-and-prune") as read:
+                answer = match_answer(view, self.session.model, self.session.pruning, read)
             answer["offset"] = offset
             return answer
         if op == "top_k":
-            entity_id = str(args["entity_id"])
-            side = int(args.get("side", 0))
+            entity_id, side, k = _top_k_arguments(args)
             view, node, offset = self.router.pinned_view(lookup=(side, entity_id))
             if node < 0:
                 raise UnknownEntityError(entity_id, side)
-            with hook_span("score-top-k"):
-                matches = top_k_answer(
-                    view, self.session.model, node, int(args.get("k", 10))
-                )
+            with self._exact_read(view, "score-top-k") as read:
+                matches = top_k_answer(view, self.session.model, node, k, read)
             return {"offset": offset, "entity_id": entity_id, "matches": matches}
         if op == "stats":
             offset, shards = self.router.shard_stats()

@@ -13,8 +13,10 @@ mergeable in :mod:`repro.incremental.sharded`; and the answer itself is
 :func:`repro.incremental.session.exact_answer`, the very function
 :meth:`MatchingSession.retained` runs — so a pinned read computes
 **exactly** what an offline :class:`~repro.incremental.MatchingSession`
-computes after replaying the same log prefix.  This module is what is left:
-who ships what to whom, and when.
+computes after replaying the same log prefix.  A ``top_k`` is a selection
+over that read, and reads at the same shard states share one
+(:class:`SharedRead`).  This module is what is left: who ships what to
+whom, and when.
 
 Shipping is incremental: the router keeps one **resident**
 :class:`~repro.incremental.IndexState` per shard and hands each worker a
@@ -58,11 +60,10 @@ import numpy as np
 from ..core.pruning import SupervisedPruningAlgorithm, strength_order
 from ..obs import events
 from ..obs.trace import current_trace, hook_span
-from ..datamodel.candidates import CandidateSet
 from ..incremental.delta import DeltaFeatureGenerator
-from ..incremental.session import exact_answer
+from ..incremental.session import exact_answer, scored_read
 from ..incremental.sharded import MergedIndexView
-from ..incremental.state import IndexState, IndexStateError
+from ..incremental.state import IndexState, IndexStateError, LiveCandidates
 from ..pairs import pack_pair_keys
 from .workers import ShardWorkerHandle, WorkerError
 
@@ -102,22 +103,30 @@ def build_pinned_view(
 
 # -- query evaluation over a pinned view -----------------------------------------
 
+#: one exact read: the live candidates (raw node ids, batch candidate
+#: order), their probabilities and the retained mask — what
+#: :func:`~repro.incremental.session.exact_answer` returns
+ExactRead = Tuple[LiveCandidates, np.ndarray, np.ndarray]
+
+
 def match_answer(
     view: MergedIndexView,
     model,
     pruning: SupervisedPruningAlgorithm,
+    read: Optional[ExactRead] = None,
 ) -> Dict[str, Any]:
     """The exact retained set at the view's pinned offset.
 
-    Runs :func:`~repro.incremental.session.exact_answer` — the function
-    behind :meth:`MatchingSession.retained` — against the pinned view
-    instead of the live index.  The retained list is sorted by entity-id
-    pair, so the response is byte-identical however the pairs were
-    distributed over shards.
+    Formats ``read``, the view's exact read, or — when none is given — runs
+    :func:`~repro.incremental.session.exact_answer` (the function behind
+    :meth:`MatchingSession.retained`) against the pinned view instead of the
+    live index.  The retained list is sorted by entity-id pair, so the
+    response is byte-identical however the pairs were distributed over
+    shards.
     """
-    candidates, probabilities, mask = exact_answer(
-        DeltaFeatureGenerator(view, model.feature_set), model, pruning
-    )
+    if read is None:
+        read = exact_answer(DeltaFeatureGenerator(view, model.feature_set), model, pruning)
+    candidates, probabilities, mask = read
     retained = sorted(
         [*ids, probability]
         for ids, probability in zip(
@@ -128,37 +137,71 @@ def match_answer(
 
 
 def top_k_answer(
-    view: MergedIndexView, model, node: int, k: int
+    view: MergedIndexView, model, node: int, k: int, read: Optional[ExactRead] = None
 ) -> List[Dict[str, Any]]:
-    """The ``k`` most likely matches of one entity at the pinned offset.
+    """The ``k`` (≥ 0) most likely matches of one entity at the pinned offset.
 
-    The entity's counterparts in the collection read under the model's block
-    cleaning are read off its cleaned CSR rows and only those pairs are
-    scored, under the statistics ``match`` scores with — so every
+    A selection over ``read``, the view's exact read — or, when none is
+    given, its scored pairs (:func:`~repro.incremental.session.scored_read`):
+    the node's pairs, ordered by probability descending and packed candidate
+    key of the raw node ids ascending, the first ``k`` — so every
     probability reported here is the one ``match`` gives that pair at the
-    same offset.  Ties are broken deterministically by packed candidate key
-    of the raw node ids.
+    same offset.
     """
-    with hook_span("merge-pairs"):
-        statistics = view.statistics(model.cleaning)
-        counterparts = statistics.counterparts(node)
-    if counterparts.size == 0:
-        return []
-    left, right = np.minimum(counterparts, node), np.maximum(counterparts, node)
-    subset = CandidateSet(left, right, view.index_space())
-    with hook_span("features"):
-        matrix = DeltaFeatureGenerator(view, model.feature_set).generate(subset, statistics)
-    with hook_span("score"):
-        probabilities = model.score(matrix.values)
-    order = strength_order(probabilities, pack_pair_keys(left, right))[: max(0, int(k))]
-    # the other side of a bilateral index, unless filtering stranded a block
-    sides = view.sides()[counterparts[order]].tolist()
-    return [
-        {"entity_id": view.entity_id(counterpart), "side": side, "probability": probability}
-        for counterpart, side, probability in zip(
-            counterparts[order].tolist(), sides, probabilities[order].tolist()
-        )
-    ]
+    if read is None:
+        read = scored_read(DeltaFeatureGenerator(view, model.feature_set), model)
+    candidates, probabilities, _ = read
+    with hook_span("select"):
+        mine = np.flatnonzero((candidates.left == node) | (candidates.right == node))
+        left, right = candidates.left[mine], candidates.right[mine]
+        order = strength_order(probabilities[mine], pack_pair_keys(left, right))[:k]
+        counterparts = np.where(left == node, right, left)[order]
+        # the other side of a bilateral index, unless filtering stranded a block
+        sides = view.sides()[counterparts].tolist()
+        return [
+            {"entity_id": view.entity_id(counterpart), "side": side, "probability": probability}
+            for counterpart, side, probability in zip(
+                counterparts.tolist(), sides, probabilities[mine][order].tolist()
+            )
+        ]
+
+
+class SharedRead:
+    """The last exact read, and the shard states it was computed at.
+
+    A pinned view over the very state objects of the last read, each at the
+    same ``epoch``, reads the same index: every logged mutation bumps every
+    shard's epoch, a delta — an empty one included — sets it, and a full
+    ship or a respawn builds a new state.  The states themselves are held,
+    so no ``id`` is reused while the read is.  Nothing is reused once a state
+    has moved: a read at any other states releases the held one *before*
+    computing its own, so at most one read is held.
+
+    One reader at a time: the daemon's read thread.  A degraded read runs
+    over the authority index and never touches it.
+    """
+
+    def __init__(self) -> None:
+        self._states: Tuple[Tuple[IndexState, int], ...] = ()
+        self._read: Optional[ExactRead] = None
+
+    def held(self, view: MergedIndexView) -> Optional[ExactRead]:
+        """The held read if ``view`` reads the states it was computed at;
+        otherwise ``None``, and the held read is released."""
+        if len(self._states) == len(view.shards) and all(
+            held is state and epoch == state.epoch
+            for (held, epoch), state in zip(self._states, view.shards)
+        ):
+            return self._read
+        self._states, self._read = (), None
+        return None
+
+    def compute(self, view: MergedIndexView, model, pruning) -> ExactRead:
+        """The exact read at ``view``, held for the reads that follow it."""
+        read = exact_answer(DeltaFeatureGenerator(view, model.feature_set), model, pruning)
+        self._states = tuple((state, state.epoch) for state in view.shards)
+        self._read = read
+        return read
 
 
 class ShardRouter:

@@ -55,7 +55,13 @@ from repro.serve.router import match_answer
 from repro.weights import sparse
 from repro.weights.sparse import PairCooccurrence, compute_pair_cooccurrence
 
-from reference import CLEANINGS, batch_retained_ids, member_pairs, merged_replicas
+from reference import (
+    CLEANINGS,
+    batch_retained_ids,
+    member_pairs,
+    merged_replicas,
+    reference_counterparts,
+)
 from reference import forced_cooccurrence_pass as forced
 from test_session_property import _frozen_model
 from test_sharded_index import JournaledIndex, apply_script, churn_scripts, pairs_of
@@ -304,7 +310,7 @@ def test_the_edges_derive_nothing_and_recover(bilateral, num_shards):
         assert _empty(index.candidate_set())
         statistics = index.statistics()
         assert np.array_equal(statistics.local_candidate_counts_sparse(), np.zeros(5))
-        assert statistics.counterparts(4).size == 0
+        assert reference_counterparts(statistics, 4).size == 0
 
 
 def _shipped(index):

@@ -28,7 +28,10 @@ with run-wise bulk loads.  And the pair set no index stores any more: the
 plain-Python pairs the writer's block member lists spawn
 (:func:`member_pairs`).  And sharding's: K shard replicas following one
 index's log, merged (:func:`merged_replicas`) — the construction the serving
-fleet runs, held against the unsharded index.  Two devices ride along:
+fleet runs, held against the unsharded index.  And ``top_k``'s subset path,
+which selecting from the offset's exact read replaced: a node's
+counterparts read off the cleaned CSR (:func:`reference_counterparts`) and
+only those pairs scored (:func:`reference_top_k`).  Two devices ride along:
 :func:`forced_cooccurrence_pass`, which makes the co-occurrence kernel take the
 pass a test names so that its two passes can be held against each other, and
 the deterministic frozen model of the online suites (:class:`FixedLogistic`,
@@ -65,12 +68,19 @@ from repro.core.pruning import (
     cep_budget,
     cnp_budget,
     get_pruning_algorithm,
+    strength_order,
 )
 from repro.datamodel import CandidateSet, EntityCollection
 from repro.datasets.vocabulary import COMMON_WORDS, Vocabulary
-from repro.incremental import FrozenModel, MergedIndexView, MutableBlockIndex
+from repro.incremental import (
+    DeltaFeatureGenerator,
+    FrozenModel,
+    MergedIndexView,
+    MutableBlockIndex,
+)
 from repro.incremental.sharded import shard_of_signature
 from repro.ml.state import MODEL_CLASSES, RestorableClass
+from repro.pairs import pack_pair_keys
 from repro.persistence.snapshot import compacted_from_state, row_signatures
 from repro.serve.workers import ShardReplica
 from repro.utils.pqueue import BoundedTopQueue
@@ -472,3 +482,57 @@ def merged_replicas(wal, authority, num_shards: int) -> Tuple[MergedIndexView, L
     for replica in replicas:
         replica.catch_up(wal.log_offset)
     return MergedIndexView([replica.index for replica in replicas], authority.entity_id), replicas
+
+
+def reference_counterparts(statistics, node: int) -> np.ndarray:
+    """The live nodes ``node`` forms a candidate pair with in the collection
+    ``statistics`` reads, ascending: whoever shares one of its blocks read (on
+    the other side of a bilateral index, unless Block Filtering stranded the
+    block with one side), read off the cleaned CSR; none for a removed node.
+
+    The body ``IndexStatistics.counterparts`` ran when ``top_k`` scored its
+    own subset of pairs."""
+    state = statistics._states[0]
+    sides = state.sides()
+    side = int(sides[node])
+    if side < 0:
+        return np.empty(0, dtype=np.int64)
+    csr = statistics._merged[0]
+    row = csr.indices[csr.indptr[node] : csr.indptr[node + 1]]
+    members = np.flatnonzero(np.isin(csr.indices, row))
+    member_nodes = np.searchsorted(csr.indptr, members, side="right") - 1
+    stranded_with = np.empty(0, dtype=np.int64)
+    if state.bilateral:
+        blocks = statistics._read[2]
+        stranded = (blocks.first_sizes == blocks.sizes)[csr.indices[members]]
+        stranded_with, member_nodes = member_nodes[stranded], member_nodes[~stranded]
+    shares = np.zeros(sides.size, dtype=bool)
+    shares[member_nodes] = True
+    shares &= sides == 1 - side if state.bilateral else sides >= 0
+    shares[stranded_with] = True
+    shares[node] = False
+    return np.flatnonzero(shares)
+
+
+def reference_top_k(view, model, node: int, k: int) -> List[Dict]:
+    """``top_k``'s answer the way it was computed before it selected from the
+    offset's exact read: the node's :func:`reference_counterparts` in the
+    collection read under the model's cleaning, only those pairs' features
+    against the cleaned statistics, scored, ordered by probability desc and
+    packed key asc."""
+    statistics = view.statistics(model.cleaning)
+    counterparts = reference_counterparts(statistics, node)
+    if counterparts.size == 0:
+        return []
+    left, right = np.minimum(counterparts, node), np.maximum(counterparts, node)
+    subset = CandidateSet(left, right, view.index_space())
+    matrix = DeltaFeatureGenerator(view, model.feature_set).generate(subset, statistics)
+    probabilities = model.score(matrix.values)
+    order = strength_order(probabilities, pack_pair_keys(left, right))[:k]
+    sides = view.sides()[counterparts[order]].tolist()
+    return [
+        {"entity_id": view.entity_id(counterpart), "side": side, "probability": probability}
+        for counterpart, side, probability in zip(
+            counterparts[order].tolist(), sides, probabilities[order].tolist()
+        )
+    ]

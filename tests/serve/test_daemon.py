@@ -19,6 +19,7 @@ import socket
 import subprocess
 import sys
 import threading
+import zlib
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from repro.datamodel import make_profile
 from repro.incremental import MatchingSession
 from repro.persistence.recovery import recover_session
 from repro.serve import MatchingDaemon, ProtocolError, ServeClient, ServeError
+from repro.serve.protocol import FRAME_HEADER, read_message_from
 
 TEXTS = (
     "alpha beta gamma",
@@ -202,6 +204,32 @@ class TestErrorPaths:
             with pytest.raises(ServeError) as excinfo:
                 client.top_k("ghost", side=0)
             assert excinfo.value.error_type == "unknown_entity"
+
+    @pytest.mark.parametrize("deadline", ["NaN", "Infinity", "-Infinity", "true", "0"])
+    def test_a_deadline_that_is_not_a_finite_positive_number_is_refused(
+        self, daemon, deadline
+    ):
+        """Raw frames: the decoder parses ``NaN`` / ``Infinity``, which no
+        ``<= 0`` check catches, and ``true`` is an int to ``isinstance``."""
+        payload = f'{{"args":{{}},"deadline_ms":{deadline},"id":1,"op":"ping"}}'.encode()
+        with socket.create_connection(daemon.address) as connection:
+            connection.sendall(FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload)
+            response = read_message_from(connection.makefile("rb"))
+        assert response["ok"] is False
+        assert response["error"]["type"] == "bad_request"
+        assert "deadline_ms" in response["error"]["message"]
+
+    @pytest.mark.parametrize("k", [True, 2.9, "5", -3, None])
+    def test_top_k_refuses_a_k_that_is_not_a_non_negative_integer(self, daemon, k):
+        with ServeClient(*daemon.address) as client:
+            client.insert(make_profile("a0", text=TEXTS[0]), side=0)
+            client.insert(make_profile("b0", text=TEXTS[0]), side=1)
+            with pytest.raises(ServeError) as excinfo:
+                client.top_k("a0", side=0, k=k)
+            assert excinfo.value.error_type == "bad_request"
+            assert "'k'" in str(excinfo.value)
+            assert client.top_k("a0", side=0, k=0)["matches"] == []
+            assert len(client.top_k("a0", side=0, k=1)["matches"]) == 1
 
 
 @pytest.mark.parametrize("num_shards", [0, -1])

@@ -195,7 +195,12 @@ class TestRequestEvents:
             client.match()
             match_trace = client.last_trace_id
             client.top_k("a1", side=0)
+            shared_top_k_trace = client.last_trace_id
+            client.insert(make_profile("b2", text="alpha"), side=1)
+            client.top_k("a1", side=0)
             top_k_trace = client.last_trace_id
+            client.match()
+            shared_match_trace = client.last_trace_id
         log = read_events(tmp_path / "events")
         requests = {
             event["trace"]: event
@@ -213,17 +218,18 @@ class TestRequestEvents:
             "match", "fan-out", "shard0", "shard1",
             "catch-up", "export", "view-apply", "score-and-prune",
         } <= match_spans
-        # the answer itself is split into its stages, once each per request
-        (answer_span,) = _find_spans(
-            requests[match_trace]["spans"], "score-and-prune"
-        )
-        assert [child["name"] for child in answer_span["children"]] == [
-            "merge-pairs", "features", "score", "prune",
-        ]
-        (top_k_span,) = _find_spans(requests[top_k_trace]["spans"], "score-top-k")
-        assert [child["name"] for child in top_k_span["children"]] == [
-            "merge-pairs", "features", "score",
-        ]
+        # the answer is split into its stages, once each per request: the
+        # first read at a state computes the exact read, and a read at the
+        # same state after it (no write in between) reuses it
+        def answer_span(trace, name):
+            (span,) = _find_spans(requests[trace]["spans"], name)
+            return span["tags"]["shared"], [child["name"] for child in span.get("children", ())]
+
+        computed = ["merge-pairs", "features", "score", "prune"]
+        assert answer_span(match_trace, "score-and-prune") == (False, computed)
+        assert answer_span(shared_top_k_trace, "score-top-k") == (True, ["select"])
+        assert answer_span(top_k_trace, "score-top-k") == (False, [*computed, "select"])
+        assert answer_span(shared_match_trace, "score-and-prune") == (True, [])
         assert requests[match_trace]["duration_ms"] > 0
 
     def test_a_failed_follow_is_journaled_with_shard_offset_and_cause(
