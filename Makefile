@@ -62,7 +62,11 @@
 #                            node under churn with 1-3 shards, and against a live daemon
 #                            under writes and a worker respawn, every match / top_k equal
 #                            to the canonical session at its offset and no read shared
-#                            across a state change)
+#                            across a state change; one serving configuration: nothing
+#                            names a shipping / degrading / tracing switch or a test-only
+#                            daemon knob, the three flags are unrecognized, the stats
+#                            reply names none, and spans are recorded exactly when an
+#                            event log is configured)
 #   make test-fast         - tier-1 suite without the perf smoke tests, then tests/serve,
 #                            tests/faults and tests/persistence in one invocation (the
 #                            fixture model they pickle must not depend on collection order)
@@ -72,9 +76,8 @@
 #   make bench-stream      - incremental streaming vs batch recompute bench
 #   make bench-churn       - dynamic churn bench (delete latency, bulk loads)
 #   make bench-wal         - WAL durability bench (journal overhead, recovery)
-#   make bench-delta       - delta-shipping bench (per-read bytes, snapshot vs delta)
 #   make bench-faults      - fault-recovery bench (worker MTTR, availability)
-#   make bench-obs         - observability overhead bench (tracing+events on vs off)
+#   make bench-obs         - observability overhead bench (event log, hence spans, on vs off)
 #   make bench-ledger      - the perf ledger, all four workloads (~100 s)
 #   make bench-ledger-quick - ledger smoke mode + its self-test (< 40 s)
 #   make bench-ab REF=<sha> PR=<n> [WORKLOADS="..."] [SEEDS="..."]
@@ -101,7 +104,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: loc test test-equivalence test-fast test-chaos bench-smoke bench-paper bench-stream bench-churn bench-wal bench-delta bench-faults bench-obs bench-ledger bench-ledger-quick bench-ab profile-answer serve-budget start-budget bench
+.PHONY: loc test test-equivalence test-fast test-chaos bench-smoke bench-paper bench-stream bench-churn bench-wal bench-faults bench-obs bench-ledger bench-ledger-quick bench-ab profile-answer serve-budget start-budget bench
 
 test:
 	$(PYTEST) -x -q
@@ -131,7 +134,8 @@ test-equivalence:
 		tests/serve/test_ship_container.py tests/test_no_shared_memory.py \
 		tests/serve/test_process_tree.py \
 		tests/datasets/test_sampler_oracle.py tests/datasets/test_golden_generation.py \
-		tests/test_one_online_policy.py tests/serve/test_shared_read_property.py
+		tests/test_one_online_policy.py tests/serve/test_shared_read_property.py \
+		tests/test_one_serving_configuration.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q
@@ -152,9 +156,6 @@ bench-churn:
 
 bench-wal:
 	$(PYTEST) -q benchmarks/bench_wal_recovery.py
-
-bench-delta:
-	$(PYTEST) -q benchmarks/bench_delta_shipping.py
 
 bench-faults:
 	$(PYTEST) -q benchmarks/bench_fault_recovery.py

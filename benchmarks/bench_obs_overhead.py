@@ -1,12 +1,13 @@
-"""Bench S8 — observability overhead: tracing + event log, on vs off.
+"""Bench S8 — observability overhead: the event log and its span trees, on vs off.
 
-Runs the real daemon twice over the same workload — once with tracing
-disabled and no event log (the bare serving path) and once with tracing
-on and a JSON-lines event log attached — and measures ingest throughput
-(profiles/s over the full bulk stream) and warm match latency tails in
-both modes.  The observability subsystem is built to be cheap enough to
-leave on in production: with perf assertions armed, tracing + event
-logging must cost under 10% of both ingest throughput and match p99.
+Runs the real daemon twice over the same workload — once with no event
+log (the bare serving path: no request records a span) and once with a
+JSON-lines event log attached (every request records and journals its span
+tree) — and measures ingest throughput (profiles/s over the full bulk
+stream) and warm match latency tails in both modes.  The observability
+subsystem is built to be cheap enough to leave on in production: with perf
+assertions armed, the event log and its span trees must cost under 10% of
+both ingest throughput and match p99.
 
 The instrumented run is also checked structurally: its event log must
 actually contain a request event for every timed request, so the bench
@@ -57,17 +58,12 @@ def _stop(daemon, thread):
 def _run_mode(wal, model, first, second, matches, event_dir):
     """One daemon run: bulk ingest, one warm-up match, timed match cycles.
 
-    ``event_dir`` selects the mode: ``None`` runs bare (tracing off, no
-    event log), a path runs fully instrumented (tracing on, event log
-    attached, every span tree journaled).
+    ``event_dir`` selects the mode: ``None`` runs bare (no event log, so
+    no spans), a path runs fully instrumented (event log attached, every
+    span tree journaled).
     """
     daemon = MatchingDaemon(
-        wal,
-        model,
-        num_shards=2,
-        bilateral=True,
-        tracing=event_dir is not None,
-        event_log=event_dir,
+        wal, model, num_shards=2, bilateral=True, event_log=event_dir
     )
     thread = _start(daemon)
     try:
@@ -167,10 +163,10 @@ def test_observability_overhead(full_mode, tmp_path, report_sink, monkeypatch):
     # p99 versus the bare serving path.
     if not os.environ.get("REPRO_SKIP_PERF"):
         assert ingest_overhead < 0.10, (
-            f"tracing + event log cost {ingest_overhead:.1%} of ingest "
+            f"the event log and its spans cost {ingest_overhead:.1%} of ingest "
             "throughput; expected under 10%"
         )
         assert p99_overhead < 0.10, (
-            f"tracing + event log cost {p99_overhead:.1%} of match p99; "
+            f"the event log and its spans cost {p99_overhead:.1%} of match p99; "
             "expected under 10%"
         )

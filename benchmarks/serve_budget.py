@@ -14,9 +14,10 @@ daemon itself measured it (queue-wait, fan-out, each shard's catch-up and
 export, view-apply, the four score-and-prune stages), ROADMAP item 5(b)'s
 budget table in its smallest form.
 
-The tracing that produces the spans is on in the ledger's untraced pass too
-(``repro serve`` defaults); only the event log is extra.  Judge a change by
-the medians: the first ``match`` ships every shard in full and is in ``n``.
+A daemon records spans exactly when it has an event log, so the ledger's
+untraced pass (no ``--event-log``) records none: the budget is the traced
+pass's.  Judge a change by the medians: the first ``match`` ships every
+shard in full and is in ``n``.
 """
 
 from __future__ import annotations

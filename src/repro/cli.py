@@ -327,17 +327,13 @@ def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             wal_sync=args.wal_sync,
             recover=args.recover,
             announce=True,
-            degraded_reads=(args.degraded_reads == "on"),
-            delta_shipping=(args.delta_shipping == "on"),
             heartbeat_interval=args.heartbeat_interval,
             hang_timeout=args.hang_timeout,
-            max_pending_mutations=args.max_pending,
-            max_pending_reads=args.max_pending,
+            max_pending=args.max_pending,
             event_log=args.event_log,
             slow_request_ms=args.slow_ms,
-            tracing=(args.tracing == "on"),
         )
-    except (FileNotFoundError, ValueError) as error:
+    except (OSError, ValueError) as error:
         parser.error(f"cannot start the daemon: {error}")
     return daemon.serve()
 
@@ -496,6 +492,22 @@ def positive_float(text: str) -> float:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """An argparse ``type``: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def port_number(text: str) -> int:
+    """An argparse ``type``: a TCP port, 0-65535 (0 = any free port)."""
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be a port in 0-65535, got {value}")
+    return value
+
+
 def non_negative_float(text: str) -> float:
     """An argparse ``type``: a number of at least 0."""
     value = float(text)
@@ -567,7 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="batch pruning algorithm applied by the exact finalisation",
     )
     stream_parser.add_argument(
-        "--limit", type=int, default=None, help="cap the number of streamed inserts"
+        "--limit", type=non_negative_int, default=None,
+        help="cap the number of streamed inserts",
     )
     stream_parser.add_argument(
         "--deletes",
@@ -577,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
         "one random live entity (exercises the dynamic index)",
     )
     stream_parser.add_argument(
-        "--scale", type=float, default=None,
+        "--scale", type=positive_float, default=None,
         help="scale factor for the generated benchmark (smaller = faster)",
     )
     stream_parser.add_argument(
@@ -624,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument(
-        "--port", type=int, default=0,
+        "--port", type=port_number, default=0,
         help="TCP port (0 = pick a free port; the bound port is announced "
         "on stdout as a JSON line)",
     )
@@ -656,21 +669,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--wal-sync", default="always", choices=("always", "batch"),
         dest="wal_sync", help="fsync per record (default) or on checkpoint only",
     )
-    serve_parser.add_argument("--scale", type=float, default=None)
+    serve_parser.add_argument("--scale", type=positive_float, default=None)
     serve_parser.add_argument("--training-size", type=int, default=50, dest="training_size")
     serve_parser.add_argument("--seed", type=int, default=0)
-    serve_parser.add_argument(
-        "--degraded-reads", default="on", choices=("on", "off"),
-        dest="degraded_reads",
-        help="while a shard worker rebuilds: serve reads from the authority "
-        "with degraded:true (on, default) or fail fast with 'unavailable' (off)",
-    )
-    serve_parser.add_argument(
-        "--delta-shipping", default="on", choices=("on", "off"),
-        dest="delta_shipping",
-        help="ship only changed state on warm reads (on, default) or ship "
-        "the full shard state on every read (off)",
-    )
     serve_parser.add_argument(
         "--heartbeat-interval", type=positive_float, default=1.0,
         dest="heartbeat_interval", metavar="SECONDS",
@@ -690,14 +691,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--event-log", default=None, dest="event_log", metavar="DIR",
-        help="write the structured JSON-lines event log (requests, WAL, "
-        "supervision, faults) to DIR; defaults to $REPRO_EVENT_LOG; shard "
-        "workers inherit the sink",
-    )
-    serve_parser.add_argument(
-        "--tracing", default="on", choices=("on", "off"),
-        help="record per-request span trees (asyncio loop, dispatch "
-        "threads, WAL, shard fan-out) and attach them to request events",
+        help="write the structured JSON-lines event log (requests with "
+        "their span trees, WAL, supervision, faults) to DIR; defaults to "
+        "$REPRO_EVENT_LOG; shard workers inherit the sink",
     )
     serve_parser.add_argument(
         "--slow-ms", type=non_negative_float, default=None, dest="slow_ms",
@@ -718,9 +714,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     client_parser.add_argument("--host", default="127.0.0.1")
-    client_parser.add_argument("--port", type=int, required=True)
+    client_parser.add_argument("--port", type=port_number, required=True)
     client_parser.add_argument(
-        "--timeout", type=float, default=60.0,
+        "--timeout", type=positive_float, default=60.0,
         help="per-request socket timeout in seconds",
     )
     client_parser.add_argument(

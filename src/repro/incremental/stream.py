@@ -194,9 +194,9 @@ class StreamReplay:
 
     @property
     def throughput(self) -> float:
-        """Inserts per second."""
+        """Inserts per second (0 when nothing was streamed)."""
         total = self.total_seconds
-        return self.num_inserts / total if total > 0 else float("inf")
+        return self.num_inserts / total if total > 0 else 0.0
 
     def latency_percentiles(self) -> Tuple[float, float, float]:
         """(mean, median, p95) insert latency in seconds."""

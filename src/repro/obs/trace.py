@@ -82,8 +82,8 @@ class RequestTrace:
     """The span tree of one request.
 
     ``enabled=False`` keeps the trace id (the envelope still echoes it)
-    but makes every recording call a no-op — the measured configuration
-    for the overhead bench's "tracing off" arm.
+    but makes every recording call a no-op — what a daemon without an
+    event log builds, since nothing would journal the tree.
     """
 
     __slots__ = ("trace_id", "op", "enabled", "root", "_stack")

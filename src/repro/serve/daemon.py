@@ -39,6 +39,7 @@ import json
 import math
 import os
 import signal
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -85,11 +86,37 @@ class DeadlineExceededError(RuntimeError):
 
 
 class UnavailableError(RuntimeError):
-    """A shard worker is down/rebuilding and degraded reads are disabled."""
+    """A ``stats`` could not reach the shard workers (it has no degraded form)."""
 
 
 class WalFailedError(RuntimeError):
     """The write-ahead log failed; the mutation was neither logged nor applied."""
+
+
+def _open_session(
+    wal_path, model, recover: bool, wal_sync: str, **fresh_arguments
+) -> Tuple[MatchingSession, int, bool]:
+    """The authority session, the oldest snapshot a replica may adopt, and
+    whether a replica may replay the log from byte zero instead."""
+    if recover:
+        session = MatchingSession.recover(wal_path, sync=wal_sync)
+        # recovery adopted the authority from a snapshot's compacted
+        # state, renumbering node ids — the log's earlier records describe
+        # the *previous* node space and must never be replayed by a replica.
+        # Write a floor checkpoint of the recovered state (slot layout
+        # included): workers adopt it (or anything newer) and replay
+        # only the tail past it, in the authority's node space.
+        floor_path = session.checkpoint()
+        return session, WriteAheadLog._snapshot_sequence(floor_path), False
+    if model is None:
+        raise ValueError("a fresh daemon needs a frozen model")
+    # a fresh session requires an empty WAL directory and writes snapshot 1
+    # immediately, so every snapshot is adoptable and a from-zero replay is
+    # equally valid
+    session = MatchingSession(
+        model, wal_path=wal_path, wal_sync=wal_sync, **fresh_arguments
+    )
+    return session, 1, True
 
 
 def _top_k_arguments(args: Dict[str, Any]) -> Tuple[str, int, int]:
@@ -121,7 +148,17 @@ class MatchingDaemon:
         cancelling their connections.
     announce:
         Print a one-line JSON ``{"event": "serving", ...}`` banner once the
-        socket is bound (the CLI and the end-to-end tests parse it).
+        daemon serves (the CLI and the end-to-end tests parse it).
+    max_pending:
+        Bound on each dispatch queue (mutations, reads); a request past it
+        is shed with ``overloaded``.
+    event_log:
+        Directory of the structured event log (``None``: the
+        ``REPRO_EVENT_LOG`` variable, if set).  Requests record their span
+        trees exactly when there is a log to journal them.
+
+    The socket is bound before the session writes or recovers anything, so
+    a daemon that cannot listen leaves ``wal_path`` as it found it.
     """
 
     def __init__(
@@ -137,29 +174,21 @@ class MatchingDaemon:
         snapshot_every: Optional[int] = None,
         wal_sync: str = "always",
         recover: bool = False,
-        start_method: Optional[str] = None,
         drain_timeout: float = 10.0,
         announce: bool = False,
-        degraded_reads: bool = True,
         heartbeat_interval: float = 1.0,
         hang_timeout: float = 5.0,
         spawn_grace: float = 10.0,
-        max_pending_mutations: int = 256,
-        max_pending_reads: int = 256,
-        adopt_min_gap: Optional[int] = None,
-        delta_shipping: bool = True,
+        max_pending: int = 256,
         event_log=None,
         slow_request_ms: Optional[float] = None,
-        tracing: bool = True,
     ) -> None:
         # refused before the session writes its log, snapshot or checkpoint
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
         check_timing(heartbeat_interval, hang_timeout)
-        if min(max_pending_mutations, max_pending_reads) < 1:
-            raise ValueError(
-                "max_pending_mutations and max_pending_reads must be at least 1"
-            )
+        if max_pending < 1:
+            raise ValueError(f"max_pending must be at least 1, got {max_pending}")
         if slow_request_ms is not None and not slow_request_ms >= 0:
             raise ValueError(f"slow_request_ms must be at least 0, got {slow_request_ms}")
         # the event sink is configured before the session is built, so WAL
@@ -172,48 +201,31 @@ class MatchingDaemon:
         events.configure(event_log, role="daemon")
         self.event_log = event_log
         self.slow_request_ms = slow_request_ms
-        self.tracing = bool(tracing)
         self._logger = events.get_logger(__name__)
-        allow_from_zero = True
-        if recover:
-            self.session = MatchingSession.recover(wal_path, sync=wal_sync)
-            # recovery adopted the authority from a snapshot's compacted
-            # state, renumbering node ids — the log's earlier records describe
-            # the *previous* node space and must never be replayed by a replica.
-            # Write a floor checkpoint of the recovered state (slot layout
-            # included): workers adopt it (or anything newer) and replay
-            # only the tail past it, in the authority's node space.
-            floor_path = self.session.checkpoint()
-            adopt_floor = WriteAheadLog._snapshot_sequence(floor_path)
-            allow_from_zero = False
-        else:
-            if model is None:
-                raise ValueError("a fresh daemon needs a frozen model")
-            self.session = MatchingSession(
+        # bound before the session writes or recovers anything
+        family = socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)[0][0]
+        self._listener = socket.create_server((host, port), family=family)
+        try:
+            self.session, adopt_floor, allow_from_zero = _open_session(
+                wal_path,
                 model,
+                recover,
+                wal_sync,
                 bilateral=bilateral,
                 pruning=pruning,
-                wal_path=wal_path,
                 snapshot_every=snapshot_every,
-                wal_sync=wal_sync,
             )
-            # a fresh session requires an empty WAL directory and writes
-            # snapshot 1 immediately, so every snapshot is adoptable and a
-            # from-zero replay is equally valid
-            adopt_floor = 1
+        except BaseException:
+            self._listener.close()
+            raise
         self.wal_path = wal_path
-        self.host = host
-        self.port = port
         self.num_shards = num_shards
         self.drain_timeout = drain_timeout
         self.announce = announce
-        self.degraded_reads = degraded_reads
         self.heartbeat_interval = heartbeat_interval
         self.hang_timeout = hang_timeout
         self.spawn_grace = spawn_grace
-        self.max_pending_mutations = max_pending_mutations
-        self.max_pending_reads = max_pending_reads
-        self.delta_shipping = delta_shipping
+        self.max_pending = max_pending
         self.metrics = MetricsRegistry()
         # one serial per applied mutation; the router samples it whenever it
         # pins an offset (``serial_source``) — for a read or for a follow —
@@ -226,12 +238,9 @@ class MatchingDaemon:
             wal_path,
             num_shards,
             self.session.index.entity_id,
-            start_method=start_method,
             adopt_floor=adopt_floor,
             allow_from_zero=allow_from_zero,
-            adopt_min_gap=adopt_min_gap,
             metrics=self.metrics,
-            delta_shipping=delta_shipping,
         )
         self.router.serial_source = lambda: self._mutation_serial
         self.router.offset_source = self._offset
@@ -300,7 +309,7 @@ class MatchingDaemon:
         ).start()
         self.router.kick_supervisor = self._supervisor.kick
         server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, sock=self._listener
         )
         self.address = server.sockets[0].getsockname()[:2]
         self._install_signal_handlers(loop)
@@ -482,7 +491,10 @@ class MatchingDaemon:
                     trace=trace_id,
                 )
             deadline = time.monotonic() + float(deadline_ms) / 1e3
-        trace = RequestTrace(trace_id, str(op), enabled=self.tracing)
+        # spans are recorded exactly when there is a log to journal them
+        trace = RequestTrace(
+            trace_id, str(op), enabled=events.configured_dir() is not None
+        )
         events.emit("request_start", trace=trace_id, op=str(op))
         start = time.perf_counter()
         ok = True
@@ -610,9 +622,9 @@ class MatchingDaemon:
         deadline: Optional[float] = None,
         trace: Optional[RequestTrace] = None,
     ) -> Any:
-        if self._pending_mutations >= self.max_pending_mutations:
+        if self._pending_mutations >= self.max_pending:
             raise OverloadedError(
-                f"mutation queue is full ({self.max_pending_mutations} pending); "
+                f"mutation queue is full ({self.max_pending} pending); "
                 "retry after backoff"
             )
         self._pending_mutations += 1
@@ -634,9 +646,9 @@ class MatchingDaemon:
         deadline: Optional[float] = None,
         trace: Optional[RequestTrace] = None,
     ) -> Any:
-        if self._pending_reads >= self.max_pending_reads:
+        if self._pending_reads >= self.max_pending:
             raise OverloadedError(
-                f"read queue is full ({self.max_pending_reads} pending); "
+                f"read queue is full ({self.max_pending} pending); "
                 "retry after backoff"
             )
         self._pending_reads += 1
@@ -712,20 +724,18 @@ class MatchingDaemon:
         except (WorkerError, WalFollowError) as error:
             if self._supervisor is not None:
                 self._supervisor.kick()
-            if self.degraded_reads and op in ("match", "top_k"):
-                self.metrics.increment("degraded_reads")
-                events.emit(
-                    "degraded_read",
-                    trace=trace.trace_id if trace is not None else None,
-                    op=op,
-                    cause=f"{type(error).__name__}: {error}"[:200],
-                )
-                return self._mutator.submit(
-                    self._degraded_read, op, args, deadline, trace
-                ).result()
-            raise UnavailableError(
-                f"shard workers unavailable ({error}); degraded reads are off"
-            ) from None
+            if op == "stats":
+                raise UnavailableError(f"shard workers unavailable: {error}") from None
+            self.metrics.increment("degraded_reads")
+            events.emit(
+                "degraded_read",
+                trace=trace.trace_id if trace is not None else None,
+                op=op,
+                cause=f"{type(error).__name__}: {error}"[:200],
+            )
+            return self._mutator.submit(
+                self._degraded_read, op, args, deadline, trace
+            ).result()
 
     def _degraded_read(
         self,
@@ -874,13 +884,10 @@ class MatchingDaemon:
                         "worker_restarts": (
                             self._supervisor.restarts if self._supervisor else 0
                         ),
-                        "degraded_reads": "on" if self.degraded_reads else "off",
                         "heartbeat_interval": self.heartbeat_interval,
                         "hang_timeout": self.hang_timeout,
                     },
-                    "delta_shipping": "on" if self.delta_shipping else "off",
                     "observability": {
-                        "tracing": "on" if self.tracing else "off",
                         "event_log": str(self.event_log) if self.event_log else None,
                         "slow_request_ms": self.slow_request_ms,
                     },

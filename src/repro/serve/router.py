@@ -238,28 +238,22 @@ class ShardRouter:
         wal_dir,
         num_shards: int,
         resolve_entity_id: Callable[[int], str],
-        start_method: Optional[str] = None,
         bootstrap=None,
         adopt_floor: Optional[int] = None,
         allow_from_zero: bool = True,
-        adopt_min_gap: Optional[int] = None,
         metrics=None,
-        delta_shipping: bool = True,
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
         self.wal_dir = wal_dir
         self.num_shards = num_shards
         self._resolve = resolve_entity_id
-        self._start_method = start_method
         #: the snapshot the authority was rebuilt from, if it recovered —
         #: replicas bootstrap from the same file to share its node space
         self._bootstrap = bootstrap
         self._adopt_floor = adopt_floor
         self._allow_from_zero = allow_from_zero
-        self._adopt_min_gap = adopt_min_gap
         self.metrics = metrics
-        self.delta_shipping = bool(delta_shipping)
         self._lock = threading.Lock()
         self._handles: List[ShardWorkerHandle] = []
         #: reads are serialized (the daemon already runs them on a single
@@ -288,11 +282,9 @@ class ShardRouter:
             self.wal_dir,
             shard,
             self.num_shards,
-            self._start_method,
             bootstrap=self._bootstrap,
             adopt_floor=self._adopt_floor,
             allow_from_zero=self._allow_from_zero,
-            adopt_min_gap=self._adopt_min_gap,
         )
 
     def start(self) -> "ShardRouter":
@@ -540,22 +532,20 @@ class ShardRouter:
 
         Ships deltas against the resident per-shard states when the workers
         still hold the lineage the router last received from them; any
-        mismatch (first contact, respawn, checkpoint adoption, compaction,
-        ``delta_shipping`` off) degrades to a full ship for that shard.
+        mismatch (first contact, respawn, checkpoint adoption, compaction, a
+        ship that failed to apply) degrades to a full ship for that shard.
         """
         with self._read_lock:
             trace = current_trace()
             traced = trace is not None and trace.enabled
             with self._lock:
                 resident = list(self._resident)
-            bases = []
-            for shard in range(self.num_shards):
-                entry = resident[shard] if self.delta_shipping else None
-                bases.append(
-                    {"lineage": entry.lineage, "epoch": entry.state.epoch}
-                    if entry is not None
-                    else None
-                )
+            bases = [
+                {"lineage": entry.lineage, "epoch": entry.state.epoch}
+                if entry is not None
+                else None
+                for entry in resident
+            ]
             offset = serial = None
 
             def commands() -> List[Tuple]:

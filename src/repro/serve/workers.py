@@ -199,7 +199,6 @@ class ShardReplica:
         bootstrap=None,
         adopt_floor: Optional[int] = None,
         allow_from_zero: bool = True,
-        adopt_min_gap: Optional[int] = None,
     ) -> None:
         self.wal_dir = Path(wal_dir)
         self.shard = shard
@@ -220,10 +219,6 @@ class ShardReplica:
         #: adoptable (False for recovered daemons: the log's early records
         #: predate the compaction the authority was rebuilt from)
         self.allow_from_zero = allow_from_zero
-        #: re-adopt mid-run when a catch-up would replay more than this many
-        #: bytes (``None`` disables; respawned workers rely on the initial
-        #: adoption in :meth:`catch_up` instead)
-        self.adopt_min_gap = adopt_min_gap
         #: sequence number of the snapshot this replica adopted, if any
         self.adopted_sequence: Optional[int] = None
         #: delta-shipping lineage token: a delta is only valid against a
@@ -256,20 +251,14 @@ class ShardReplica:
         A cold replica first bootstraps: from its pinned ``bootstrap``
         snapshot when the daemon recovered, else by *adopting* the newest
         eligible checkpoint at or behind ``offset`` and replaying only the
-        tail — the O(tail) bootstrap.  A warm replica re-adopts when the
-        gap to ``offset`` exceeds ``adopt_min_gap`` (a worker that fell far
-        behind jumps forward instead of replaying history).
+        tail — the O(tail) bootstrap.  A warm replica only replays: the
+        follower keeps it at the head of the log.
         """
         if self.index is None:
             if self.bootstrap is not None:
                 self._load_bootstrap()
             else:
                 self._adopt(target=offset, require=not self.allow_from_zero)
-        elif (
-            self.adopt_min_gap is not None
-            and offset - self.follower.position > self.adopt_min_gap
-        ):
-            self._adopt(target=offset)
         for record in self.follower.advance_to(offset):
             self.apply(record)
 
@@ -286,7 +275,8 @@ class ShardReplica:
             self._adopt(target=None)
 
     def _adopt(self, target: Optional[int], require: bool = False) -> bool:
-        """Jump to the newest eligible checkpoint at or behind ``target``.
+        """Start a cold replica from the newest eligible checkpoint at or
+        behind ``target``.
 
         Eligible means: sequence at or past ``adopt_floor`` (same node
         space as the live authority), decodes and CRC-validates, holds the
@@ -315,9 +305,7 @@ class ShardReplica:
             offset = int(state["log_offset"])
             if target is not None and offset > target:
                 continue
-            if offset < self.follower.position or (
-                self.index is not None and offset <= self.follower.position
-            ):
+            if offset < self.follower.position:
                 break
             self._adopt_state(state)
             self.adopted_sequence = sequence
@@ -537,7 +525,6 @@ def shard_worker_main(
     bootstrap=None,
     adopt_floor: Optional[int] = None,
     allow_from_zero: bool = True,
-    adopt_min_gap: Optional[int] = None,
 ) -> None:
     """A shard worker's process body: serve commands until told to stop.
 
@@ -568,7 +555,6 @@ def shard_worker_main(
         bootstrap=bootstrap,
         adopt_floor=adopt_floor,
         allow_from_zero=allow_from_zero,
-        adopt_min_gap=adopt_min_gap,
     )
     events.emit("worker_spawn", shard=shard, lineage=replica.lineage)
     try:
@@ -697,11 +683,9 @@ class ShardWorkerHandle:
         wal_dir,
         shard: int,
         num_shards: int,
-        start_method: Optional[str] = None,
         bootstrap=None,
         adopt_floor: Optional[int] = None,
         allow_from_zero: bool = True,
-        adopt_min_gap: Optional[int] = None,
     ) -> None:
         import threading
         import time
@@ -711,9 +695,7 @@ class ShardWorkerHandle:
         #: monotonic time the in-flight request started, ``None`` when idle
         self.busy_since: Optional[float] = None
         self.spawned_at = time.monotonic()
-        context = multiprocessing.get_context(
-            start_method or _preferred_start_method()
-        )
+        context = multiprocessing.get_context(_preferred_start_method())
         self._connection, child = context.Pipe(duplex=True)
         self._process = context.Process(
             target=shard_worker_main,
@@ -725,7 +707,6 @@ class ShardWorkerHandle:
                 str(bootstrap) if bootstrap is not None else None,
                 adopt_floor,
                 allow_from_zero,
-                adopt_min_gap,
             ),
             name=f"repro-serve-shard-{shard}",
             daemon=True,

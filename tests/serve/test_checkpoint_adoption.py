@@ -204,33 +204,6 @@ class TestAdoptionUnit:
         finally:
             session.close()
 
-    def test_warm_replica_readopts_past_a_large_gap(self, tmp_path):
-        session = self._session(tmp_path, count=2)
-        early = session.wal.log_offset
-        try:
-            replica = ShardReplica(tmp_path, 0, 1, adopt_min_gap=64)
-            replica.catch_up(early)
-            replayed_cold = replica.follower.records_delivered
-            for i in range(6):
-                session.insert(make_profile(f"c{i}", text="alpha beta"), side=0)
-            snapshot_path = session.checkpoint()
-            session.insert(make_profile("c9", text="beta gamma"), side=0)
-            offset = session.wal.log_offset
-            replica.catch_up(offset)
-            # the catch-up jumped to the mid-run checkpoint instead of
-            # replaying the whole intervening history
-            assert replica.adopted_sequence == WriteAheadLog._snapshot_sequence(
-                snapshot_path
-            )
-            assert replica.follower.records_delivered - replayed_cold < 6
-            from_zero = ShardReplica(tmp_path, 0, 1, adopt_floor=NEVER_ADOPT)
-            from_zero.catch_up(offset)
-            _assert_replicas_identical(replica, from_zero)
-            replica.close()
-            from_zero.close()
-        finally:
-            session.close()
-
     def test_a_checkpoint_in_another_state_format_is_skipped(self, tmp_path):
         """Like an undecodable one: the replica tries the next-older snapshot."""
         session = self._session(tmp_path)

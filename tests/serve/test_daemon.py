@@ -246,8 +246,7 @@ def test_num_shards_must_be_positive(tmp_path, frozen_model, num_shards):
         ("heartbeat_interval", 0.0, "heartbeat_interval must be above 0"),
         ("heartbeat_interval", -1.0, "heartbeat_interval must be above 0"),
         ("hang_timeout", 0.0, "hang_timeout must be above 0"),
-        ("max_pending_mutations", 0, "max_pending_mutations and max_pending_reads"),
-        ("max_pending_reads", 0, "max_pending_mutations and max_pending_reads"),
+        ("max_pending", 0, "max_pending must be at least 1"),
         ("slow_request_ms", -1.0, "slow_request_ms must be at least 0"),
     ],
 )

@@ -9,8 +9,9 @@ consistency property suite:
   consumed epochs, compaction and untracked indexes all refuse to ship a
   delta (forcing a full ship) instead of shipping a wrong one;
 * :class:`ShardRouter` keeps resident per-shard views, ships deltas on warm
-  reads, full states on first contact and after a respawn, and records the
-  byte/read counters the stats panel renders.
+  reads — under a quarter of a full ship's bytes at a few hundred
+  entities — full states on first contact and after a respawn, and records
+  the byte/read counters the stats panel renders.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 
 from reference import make_frozen_model, reference_retained
 from repro.datamodel import make_profile
+from repro.datasets import load_benchmark
 from repro.incremental import MatchingSession
 from repro.incremental.index import MutableBlockIndex
 from repro.obs.registry import MetricsRegistry
@@ -233,26 +235,39 @@ class TestRouterResidentViews:
             router.stop()
             session.close()
 
-    def test_delta_shipping_off_ships_full_every_read(self, tmp_path):
+    def test_a_warm_delta_read_ships_under_a_quarter_of_a_full_ship(self, tmp_path):
+        """Delta bytes stay O(changed) while a full ship grows with the
+        state: one insert into a few hundred entities, read warm, ships
+        under a quarter of what both shards' full ships of that same state
+        weigh (forced by respawning both workers)."""
+        dataset = load_benchmark("DblpAcm", seed=0, scale=0.05)
+        first, second = list(dataset.first), list(dataset.second)
         session = MatchingSession(MODEL, bilateral=True, wal_path=tmp_path)
         metrics = MetricsRegistry()
-        router = ShardRouter(
-            tmp_path,
-            2,
-            session.index.entity_id,
-            metrics=metrics,
-            delta_shipping=False,
-        )
+        router = ShardRouter(tmp_path, 2, session.index.entity_id, metrics=metrics)
         router.offset_source = lambda: session.wal.log_offset
         try:
-            session.insert(make_profile("a0", text="alpha beta"), side=0)
-            session.insert(make_profile("b0", text="alpha beta"), side=1)
+            session.insert_bulk(first[:-1], side=0)
+            session.insert_bulk(second, side=1)
             router.start()
             router.pinned_view()
+            session.insert(first[-1], side=0)
+            before = self._counters(metrics)
             router.pinned_view()
-            counters = self._counters(metrics)
-            assert counters["full_reads"] == 4
-            assert counters.get("delta_reads", 0) == 0
+            warm = self._counters(metrics)
+            assert warm["delta_reads"] - before.get("delta_reads", 0) == 2
+            delta_bytes = warm["read_bytes_delta"] - before.get("read_bytes_delta", 0)
+            for shard in range(2):
+                assert router.respawn(shard) is not None
+            view, _, _ = router.pinned_view()
+            after = self._counters(metrics)
+            assert after["full_reads"] - warm["full_reads"] == 2
+            full_bytes = after["read_bytes_full"] - warm["read_bytes_full"]
+            assert delta_bytes < full_bytes / 4, (delta_bytes, full_bytes)
+            assert (
+                match_answer(view, MODEL, session.pruning)["retained"]
+                == reference_retained(session)
+            )
         finally:
             router.stop()
             session.close()

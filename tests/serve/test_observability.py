@@ -1,7 +1,8 @@
 """Integration tests for observability on the live serving path.
 
-One in-process daemon per test class, with tracing on, an event-log
-directory, and a zero slow-request threshold, exercising:
+One in-process daemon per test class, with an event-log directory (which
+is what turns span recording on) and a zero slow-request threshold,
+exercising:
 
 * trace ids — client-supplied ids echoed back, server-minted ids for
   old (v1-style) envelopes that carry none;
@@ -27,6 +28,7 @@ from repro.obs import events as obs_events
 from repro.obs import read_events, render_stats
 from repro.serve import MatchingDaemon, ServeClient
 from repro.serve.protocol import read_message_from, write_message_to
+from repro.serve.workers import ShardWorkerHandle
 
 
 def _span_names(tree):
@@ -310,36 +312,39 @@ class TestRequestEvents:
         assert all(event["lineage"] in lineages for event in adoptions)
         assert all(event["role"].startswith("shard") for event in spawns)
 
-    def test_tracing_off_keeps_the_envelope_but_drops_spans(
-        self, tmp_path, frozen_model
+    def test_without_an_event_log_the_envelope_keeps_its_trace_and_no_worker_gets_one(
+        self, tmp_path, frozen_model, monkeypatch
     ):
-        daemon = MatchingDaemon(
-            tmp_path / "wal",
-            frozen_model,
-            num_shards=1,
-            event_log=tmp_path / "events",
-            tracing=False,
-        )
+        monkeypatch.delenv(obs_events.EVENT_LOG_ENV, raising=False)
+        sent = []
+        send = ShardWorkerHandle.send
+
+        def recording_send(handle, command):
+            sent.append(command)
+            send(handle, command)
+
+        monkeypatch.setattr(ShardWorkerHandle, "send", recording_send)
+        daemon = MatchingDaemon(tmp_path / "wal", frozen_model, num_shards=1)
         thread = threading.Thread(target=daemon.serve, daemon=True)
         thread.start()
         assert daemon.ready.wait(60)
         try:
             with ServeClient(*daemon.address) as client:
                 client.insert(make_profile("a1", text="alpha beta"), side=0)
-                client.match()
-                trace = client.last_trace_id
+                client.insert(make_profile("b1", text="alpha beta"), side=1)
+            response = _raw_request(
+                daemon.address,
+                {"op": "match", "id": 1, "args": {}, "trace": "cafe0123beef4567"},
+            )
         finally:
             daemon.request_shutdown()
             thread.join(60)
             obs_events.configure(None)
-        log = read_events(tmp_path / "events")
-        (request,) = [
-            event
-            for event in log
-            if event["type"] == "request" and event["trace"] == trace
-        ]
-        assert request["ok"] is True
-        assert "spans" not in request
+        assert response["ok"] is True
+        assert response["trace"] == "cafe0123beef4567"
+        reads = [command for command in sent if command[0] == "read"]
+        assert reads, "the match never reached the worker"
+        assert all(command[4] is None for command in reads)
 
 
 class TestStatsRendering:
@@ -349,7 +354,6 @@ class TestStatsRendering:
             client.match()
             stats = client.stats()
         observability = stats["daemon"]["observability"]
-        assert observability["tracing"] == "on"
         assert observability["event_log"].endswith("events")
         assert observability["slow_request_ms"] == 0.0
         assert "gauges" in stats["metrics"]

@@ -5,9 +5,10 @@ real processes killed with SIGKILL (or wedged via injected heartbeat
 drops), and every availability claim is checked end-to-end through a
 real client:
 
-* while a shard worker is down, ``match`` degrades to the authority
-  (``degraded: true``) and still answers the canonical retained set —
-  or fails fast with ``unavailable`` when ``degraded_reads`` is off;
+* while a shard worker is down, ``match`` / ``top_k`` degrade to the
+  authority (``degraded: true``) and still answer the canonical retained
+  set; ``stats``, which has no degraded form, answers ``unavailable`` only
+  when its fan-out fails outright;
 * the supervisor respawns the worker, and the replacement adopts the
   newest checkpoint: its ``records_replayed`` accounting proves it
   parsed only the post-snapshot WAL tail;
@@ -29,6 +30,7 @@ from repro.datamodel import make_profile
 from repro.faults import FAULTS_ENV, FaultPlan
 from repro.serve import MatchingDaemon, ServeClient, ServeError
 from repro.serve.supervision import WorkerSupervisor
+from repro.serve.workers import WorkerError
 
 TEXTS = (
     "alpha beta gamma",
@@ -118,21 +120,33 @@ class TestDegradedReads:
         finally:
             _stop(daemon, thread)
 
-    def test_unavailable_when_degraded_reads_are_off(self, tmp_path, frozen_model):
-        daemon, thread = _daemon(tmp_path, frozen_model, degraded_reads=False)
+    def test_only_stats_answers_unavailable(self, tmp_path, frozen_model, monkeypatch):
+        daemon, thread = _daemon(tmp_path, frozen_model)
         try:
             daemon._supervisor.stop()
             with ServeClient(*daemon.address, retries=0) as client:
                 _seed(client, count=2)
                 _kill_worker(daemon, 1)
-                with pytest.raises(ServeError) as excinfo:
-                    client.match()
-                assert excinfo.value.error_type == "unavailable"
+                assert client.match()["degraded"] is True
+                assert client.top_k("a0", side=0)["degraded"] is True
                 # stats stays answerable (per-shard tolerance): the dead
                 # shard reports an error entry instead of failing the call
                 shards = client.stats()["shards"]
                 assert "error" in shards[1]
                 assert "error" not in shards[0]
+
+                # a stats fan-out that fails outright has nothing to degrade to
+                def failing_stats():
+                    raise WorkerError("shard worker 1 is unreachable")
+
+                monkeypatch.setattr(daemon.router, "shard_stats", failing_stats)
+                with pytest.raises(ServeError) as excinfo:
+                    client.stats()
+                assert excinfo.value.error_type == "unavailable"
+                assert excinfo.value.server_message == (
+                    "shard workers unavailable: shard worker 1 is unreachable"
+                )
+                monkeypatch.undo()
                 # mutations are unaffected by a dead reader fleet
                 client.insert(make_profile("c0", text=TEXTS[0]), side=0)
             daemon._supervisor.start()
@@ -244,7 +258,7 @@ class TestDeadlinesAndBackpressure:
         self, tmp_path, frozen_model, monkeypatch
     ):
         daemon, thread = _daemon(
-            tmp_path, frozen_model, max_pending_mutations=1
+            tmp_path, frozen_model, max_pending=1
         )
         try:
             occupier = self._occupy_mutator(daemon, monkeypatch)

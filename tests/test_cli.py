@@ -1,5 +1,13 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import signal
+import socket
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import __version__
@@ -114,6 +122,131 @@ class TestServeOptions:
         )
         assert (args.max_pending, args.slow_ms) == (1, 0.0)
         assert (args.heartbeat_interval, args.hang_timeout) == (0.01, 0.01)
+
+
+class TestOutOfRangeValues:
+    @pytest.mark.parametrize(
+        "argv,flag,message",
+        [
+            (["serve", "--scale", "0"], "--scale", "must be above 0"),
+            (["serve", "--scale", "-0.5"], "--scale", "must be above 0"),
+            (["serve", "--port", "70000"], "--port", "must be a port in 0-65535"),
+            (["serve", "--port", "-1"], "--port", "must be a port in 0-65535"),
+            (["stream", "--scale", "0"], "--scale", "must be above 0"),
+            (["stream", "--limit", "-1"], "--limit", "must be at least 0"),
+            (["client", "stats", "--port", "70000"], "--port", "must be a port in 0-65535"),
+            (["client", "stats", "--port", "1", "--timeout", "-1"], "--timeout", "must be above 0"),
+            (["client", "stats", "--port", "1", "--timeout", "0"], "--timeout", "must be above 0"),
+        ],
+    )
+    def test_refuses_values_that_end_in_a_traceback_or_do_nothing(
+        self, tmp_path, capsys, argv, flag, message
+    ):
+        """Each is an argparse error naming its flag, before any model is
+        trained, any log is written or any connection is tried."""
+        if argv[0] == "serve":
+            argv = ["serve", "--wal", str(tmp_path / "wal"), *argv[1:]]
+        elif argv[0] == "stream":
+            argv = [*argv, "--wal", str(tmp_path / "wal")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err
+        assert f"argument {flag}: {message}" in error
+        assert "Traceback" not in error
+        assert not (tmp_path / "wal").exists()
+
+    def test_the_range_ends_parse(self):
+        parser = build_parser()
+        assert parser.parse_args(["serve", "--wal", "unused", "--port", "0"]).port == 0
+        assert parser.parse_args(["serve", "--wal", "unused", "--port", "65535"]).port == 65535
+        assert parser.parse_args(["stream", "--limit", "0"]).limit == 0
+        assert parser.parse_args(["stream", "--scale", "0.01"]).scale == 0.01
+        client = parser.parse_args(["client", "ping", "--port", "65535", "--timeout", "0.5"])
+        assert (client.port, client.timeout) == (65535, 0.5)
+
+
+def _files(directory: Path):
+    """Every file under ``directory`` with its bytes; ``None`` when absent."""
+    if not directory.exists():
+        return None
+    return {
+        path.relative_to(directory): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
+def _serve_until_announced(argv):
+    """``repro serve`` in a child process: its banner once it serves, and its
+    exit code after a SIGTERM (graceful: drain, checkpoint, exit 0)."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("REPRO_EVENT_LOG", None)
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+    try:
+        banner = process.stdout.readline()
+    finally:
+        if process.poll() is None:
+            process.send_signal(signal.SIGTERM)
+        returncode = process.wait(120)
+        stderr = process.stderr.read()
+        process.stdout.close()
+        process.stderr.close()
+    assert banner, f"repro serve exited {returncode} before serving: {stderr[-2000:]}"
+    return json.loads(banner), returncode
+
+
+class TestServeStart:
+    """A ``repro serve`` that cannot listen changes nothing in its --wal."""
+
+    @pytest.fixture()
+    def held_port(self):
+        with socket.create_server(("127.0.0.1", 0)) as held:
+            yield str(held.getsockname()[1])
+
+    def _refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", *argv])
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err
+        assert "repro: error: cannot start the daemon: " in error
+        assert "Traceback" not in error
+
+    def test_a_fresh_start_on_a_held_port_writes_nothing(self, tmp_path, capsys, held_port):
+        wal = tmp_path / "wal"
+        model = ["--scale", "0.03", "--training-size", "20"]
+        self._refused(capsys, ["--wal", str(wal), "--port", held_port, *model])
+        assert _files(wal) is None
+        banner, returncode = _serve_until_announced(["--wal", str(wal), "--port", "0", *model])
+        assert banner["event"] == "serving" and banner["port"] > 0
+        assert returncode == 0
+
+    def test_a_recovery_on_a_held_port_leaves_the_directory_byte_identical(
+        self, tmp_path, capsys, held_port
+    ):
+        wal = tmp_path / "wal"
+        _serve_until_announced(
+            ["--wal", str(wal), "--port", "0", "--scale", "0.03", "--training-size", "20"]
+        )
+        # a torn tail: recovery would truncate it and write a floor checkpoint
+        with (wal / "wal.log").open("ab") as log:
+            log.write(b"\x00\x01torn")
+        before = _files(wal)
+        self._refused(capsys, ["--wal", str(wal), "--recover", "--port", held_port])
+        assert _files(wal) == before
+        banner, returncode = _serve_until_announced(
+            ["--wal", str(wal), "--recover", "--port", "0"]
+        )
+        assert banner["event"] == "serving" and banner["port"] > 0
+        assert returncode == 0
 
 
 class TestExecution:
