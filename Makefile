@@ -7,8 +7,8 @@
 #                            queue oracle, the online answer's budgets/read path, the
 #                            feature-major layout / row-wise score / label-search guards,
 #                            sharding: K shard replicas of an index's log, merged, vs
-#                            the index itself under churn and after adopting a
-#                            checkpoint of it compacted, and the guard that the
+#                            the index itself under churn and after adopting the floor
+#                            checkpoint of its recovered session, and the guard that the
 #                            in-process sharded index and its snapshot branch stay gone;
 #                            the one index state: IndexStatistics one-vs-many, the
 #                            delta-maintained state vs the worker's live index, the
@@ -28,7 +28,7 @@
 #                            entry point or CLI flag, the state format of the
 #                            snapshot and the log's meta record read on recovery, and
 #                            the session's key-addressed per-pair state across
-#                            compaction and recovery;
+#                            recovery;
 #                            the snapshot container: what it stores, torn / flipped /
 #                            hostile files decoding to nothing, a format-1 pickle
 #                            refused unread, and no pickle under persistence/ or serve/;
@@ -38,7 +38,7 @@
 #                            on purged + filtered blocks vs prepare_blocks' defaults,
 #                            beside the raw-blocks parametrisation, both churn goldens;
 #                            derived, not maintained: after every insert of any add /
-#                            remove / update / bulk / compact / recover interleaving the
+#                            remove / update / bulk / recover interleaving the
 #                            insert-time statistics at the scored rows equal the exact
 #                            read bit for bit, a recovered session scores its next insert
 #                            as the uninterrupted one, spawning-only masking, and the
@@ -66,7 +66,12 @@
 #                            names a shipping / degrading / tracing switch or a test-only
 #                            daemon knob, the three flags are unrecognized, the stats
 #                            reply names none, and spans are recorded exactly when an
-#                            event log is configured)
+#                            event log is configured; one storage lifecycle: nothing
+#                            names in-place compaction, bare-index recovery, a replica's
+#                            pinned bootstrap, drain_timeout or the unavailable error,
+#                            and a session recovered from its log cut at every record
+#                            boundary and mid-record tear equals the from-meta replay
+#                            of the surviving records, view and retained set)
 #   make test-fast         - tier-1 suite without the perf smoke tests, then tests/serve,
 #                            tests/faults and tests/persistence in one invocation (the
 #                            fixture model they pickle must not depend on collection order)
@@ -75,7 +80,6 @@
 #                            configuration: the paper's findings as assertions
 #   make bench-stream      - incremental streaming vs batch recompute bench
 #   make bench-churn       - dynamic churn bench (delete latency, bulk loads)
-#   make bench-wal         - WAL durability bench (journal overhead, recovery)
 #   make bench-faults      - fault-recovery bench (worker MTTR, availability)
 #   make bench-obs         - observability overhead bench (event log, hence spans, on vs off)
 #   make bench-ledger      - the perf ledger, all four workloads (~100 s)
@@ -104,7 +108,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: loc test test-equivalence test-fast test-chaos bench-smoke bench-paper bench-stream bench-churn bench-wal bench-faults bench-obs bench-ledger bench-ledger-quick bench-ab profile-answer serve-budget start-budget bench
+.PHONY: loc test test-equivalence test-fast test-chaos bench-smoke bench-paper bench-stream bench-churn bench-faults bench-obs bench-ledger bench-ledger-quick bench-ab profile-answer serve-budget start-budget bench
 
 test:
 	$(PYTEST) -x -q
@@ -125,7 +129,7 @@ test-equivalence:
 		tests/serve/test_follow_consistency.py tests/persistence/test_update_atomicity.py \
 		tests/test_lazy_exports.py tests/incremental/test_bulk_adoption_property.py \
 		tests/test_no_backend_selector.py tests/test_cli.py tests/persistence/test_session_wal.py \
-		tests/incremental/test_session_compaction.py tests/incremental/test_pair_probabilities.py \
+		tests/incremental/test_pair_probabilities.py \
 		tests/persistence/test_snapshot_container.py tests/test_no_pickle.py \
 		tests/incremental/test_sharded_index.py tests/test_no_sharded_index.py \
 		tests/blocking/test_filtering_numbering.py tests/incremental/test_cleaned_answer.py \
@@ -135,7 +139,8 @@ test-equivalence:
 		tests/serve/test_process_tree.py \
 		tests/datasets/test_sampler_oracle.py tests/datasets/test_golden_generation.py \
 		tests/test_one_online_policy.py tests/serve/test_shared_read_property.py \
-		tests/test_one_serving_configuration.py
+		tests/test_one_serving_configuration.py \
+		tests/test_one_storage_lifecycle.py tests/persistence/test_crash_recovery_property.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q
@@ -153,9 +158,6 @@ bench-stream:
 
 bench-churn:
 	$(PYTEST) -q benchmarks/bench_dynamic_churn.py
-
-bench-wal:
-	$(PYTEST) -q benchmarks/bench_wal_recovery.py
 
 bench-faults:
 	$(PYTEST) -q benchmarks/bench_fault_recovery.py

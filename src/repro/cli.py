@@ -485,10 +485,10 @@ def positive_int(text: str) -> int:
 
 
 def positive_float(text: str) -> float:
-    """An argparse ``type``: a number above 0."""
+    """An argparse ``type``: a finite number above 0."""
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be above 0, got {value}")
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be above 0 and finite, got {value}")
     return value
 
 
@@ -720,18 +720,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-request socket timeout in seconds",
     )
     client_parser.add_argument(
-        "--connect-timeout", type=float, default=5.0, dest="connect_timeout",
-        metavar="SECONDS",
+        "--connect-timeout", type=non_negative_float, default=5.0,
+        dest="connect_timeout", metavar="SECONDS",
         help="total budget for connecting (retries while the daemon's "
-        "listener is still binding)",
+        "listener is still binding; 0 = one attempt)",
     )
     client_parser.add_argument(
-        "--retries", type=int, default=2,
+        "--retries", type=non_negative_int, default=2,
         help="re-send budget for retryable failures (idempotent ops, "
         "'overloaded' sheds, unsent requests)",
     )
     client_parser.add_argument(
-        "--deadline-ms", type=float, default=None, dest="deadline_ms",
+        "--deadline-ms", type=positive_float, default=None, dest="deadline_ms",
         metavar="MS", help="server-enforced per-request deadline",
     )
     client_parser.add_argument("--id", default=None, help="entity id")
@@ -743,10 +743,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="collection side of the entity",
     )
     client_parser.add_argument(
-        "-k", type=int, default=10, help="result count for 'top-k'"
+        "-k", type=non_negative_int, default=10, help="result count for 'top-k'"
     )
     client_parser.add_argument(
-        "--limit", type=int, default=20,
+        "--limit", type=non_negative_int, default=20,
         help="retained pairs printed by 'match'",
     )
 

@@ -48,7 +48,6 @@ _EXPORTS = {
     "RemovalResult": "session",
     "RetractionDelta": "index",
     "SessionResult": "session",
-    "StaleSessionError": "session",
     "UnknownEntityError": "index",
     "UpdateDelta": "index",
     "UpdateResult": "session",

@@ -317,13 +317,10 @@ class MutableBlockIndex(IndexState):
         self._degrees = Growable(np.float64, capacity=256)
         self._num_live_pairs: int = 0
 
-        # durability / lifecycle state: an optional write-ahead log every
-        # mutation is journaled to (append-before-apply), and a generation
-        # counter bumped by compact() so sessions holding raw packed pair
-        # keys can detect an out-of-band compaction
+        # durability: an optional write-ahead log every mutation is
+        # journaled to (append-before-apply)
         self._wal = None
         self._wal_suspended = False
-        self.generation: int = 0
 
         # delta shipping: when a reader has enabled tracking
         # (enable_delta_tracking), the tracker records what changed since its
@@ -336,10 +333,10 @@ class MutableBlockIndex(IndexState):
         """Journal every following mutation to ``wal``.
 
         A fresh log receives a meta record describing the index topology,
-        so recovery can reconstruct the right index kind even before the
-        first snapshot is written.  Attaching an already-written log (the
-        resume path of :func:`repro.persistence.recover_index`) appends
-        behind the existing records.
+        which a shard replica replaying the log from its start builds its
+        index from.  Attaching an already-written log (the resume path of
+        :func:`repro.persistence.recover_session`) appends behind the
+        existing records.
         """
         wal.open()
         if wal.is_fresh:
@@ -923,41 +920,10 @@ class MutableBlockIndex(IndexState):
         self._inverse_block_sizes[block_id] = 1.0 / max(size, 1)
         return counterparts
 
-    # -- compaction ------------------------------------------------------------
-    def compact(self) -> None:
-        """Squeeze tombstoned slots and dead blocks out of the index.
-
-        Long-lived high-churn sessions grow monotonically: removed entities
-        leave dead node slots (zeroed degrees, orphaned CSR rows)
-        and emptied blocks behind.  ``compact()`` adopts its own
-        :meth:`compacted_state` — the very state a snapshot writes and
-        recovery adopts:
-
-        * every per-node array shrinks to the live entity count
-          (``num_slots == num_entities``), so raw node ids become the
-          canonical ids;
-        * blocks whose members were all removed are dropped, the others
-          renumbered in their old order.
-
-        The *canonical* view is unchanged: live entities keep their arrival
-        order per side and their rows their block order, so
-        :meth:`canonical_node_ids`, :meth:`candidate_set` and
-        :meth:`snapshot_blocks` — and with them the exact batch-equivalent
-        finalisation — produce identical results before and after.  Raw node ids, and with them the packed
-        pair keys, are reassigned, which invalidates outstanding
-        :class:`InsertDelta`/:class:`RetractionDelta` references *and* any
-        per-pair state a live :class:`MatchingSession` keys by them — the
-        session detects this via :attr:`generation` and refuses stale
-        operations; call :meth:`MatchingSession.compact` instead, which
-        remaps its state.  An attached write-ahead log is retained and no
-        record is written: compaction does not change the logical state.
-        """
-        self.adopt_compacted(self.compacted_state())
-        self.generation += 1
-
+    # -- the compacted state ---------------------------------------------------
     def compacted_state(self) -> Dict[str, object]:
-        """The index without its tombstones, as arrays — what :meth:`compact`
-        adopts, a snapshot stores and recovery adopts.
+        """The index without its tombstones, as arrays — what a snapshot
+        stores and recovery adopts.
 
         * ``entity_ids`` / ``side_counts``: the live rows in canonical order
           (side 0 in arrival order, then side 1), so a row number *is* the
@@ -1007,15 +973,18 @@ class MutableBlockIndex(IndexState):
         global totals — and the token and entity dictionaries are rebuilt.
         Other fields of ``state`` are ignored, so a snapshot that also stores
         per-entity float sums still loads.
-        Nothing is re-encoded and no pair is expanded.  The write-ahead log,
-        :attr:`generation` and the blocking method are kept; a delta tracker
-        is dropped, so the next export is a full ship.
+        Nothing is re-encoded and no pair is expanded.  Recovery adopts into
+        a freshly built index (:func:`~repro.persistence.snapshot.build_index_from_state`),
+        the only index this may be called on.
 
         Raises
         ------
         ValueError
-            When the arrays are not a consistent compacted state.
+            When the index already holds a node, or the arrays are not a
+            consistent compacted state.
         """
+        if self.num_slots:
+            raise ValueError("a compacted state is adopted by a freshly built index only")
         entity_ids = list(state["entity_ids"])
         block_keys = list(state["block_keys"])
         first, second = (int(count) for count in state["side_counts"])
@@ -1076,10 +1045,6 @@ class MutableBlockIndex(IndexState):
         self.total_cardinality = int(cardinalities.sum())
         self.num_nonempty_blocks = int(np.count_nonzero(cardinalities))
         self._num_live_pairs = int(degrees.sum()) // 2
-        # raw node ids were reassigned: a delta tracker's watermarks are
-        # meaningless, so the next export falls back to a full ship
-        self.epoch += 1
-        self._delta = None
 
     # -- read-side structures --------------------------------------------------
     def insert_statistics(self, candidates: CandidateSet) -> IndexStatistics:
@@ -1144,8 +1109,8 @@ class MutableBlockIndex(IndexState):
         """Everything that changed since ``since_epoch``, or ``None``.
 
         Returns ``None`` when no tracker is armed or its base does not
-        match ``since_epoch`` (stale reader, compaction, index replaced by
-        checkpoint adoption) — the caller must fall back to
+        match ``since_epoch`` (stale reader, index replaced by checkpoint
+        adoption) — the caller must fall back to
         :meth:`export_state`.  On success the tracker is rebased to the
         current epoch, so the returned delta must be consumed before the
         next mutation (arrays may be zero-copy views).

@@ -95,31 +95,13 @@ def exact_answer(
     return candidates, probabilities, mask
 
 
-class StaleSessionError(RuntimeError):
-    """The session's index was compacted underneath it.
-
-    :meth:`MutableBlockIndex.compact` reassigns raw node ids, and with them
-    the packed pair keys the session's insert-time probabilities are keyed
-    by, which become silently wrong.  The session detects the generation
-    bump and refuses further operations — call :meth:`MatchingSession.compact`,
-    which remaps its state, instead of ``session.index.compact()``.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(
-            "the session's index was compacted directly (index.compact()): "
-            "the pair keys of the insert-time probabilities are stale — compact "
-            "through MatchingSession.compact(), which remaps its per-pair state"
-        )
-
-
 class PairProbabilities:
     """The insert-time probability of every live pair, keyed by raw packed
     pair key (:func:`repro.pairs.pack_pair_keys`).
 
-    Pairs loaded together — a bulk insert, a snapshot restore, a compaction
-    — live in a sorted key / value array pair with a tombstone mask; pairs
-    inserted one at a time live in a dict.  A lookup is one
+    Pairs loaded together — a bulk insert, a snapshot restore — live in a
+    sorted key / value array pair with a tombstone mask; pairs inserted one
+    at a time live in a dict.  A lookup is one
     ``np.searchsorted`` over the arrays plus a dict ``pop`` for the rest, so
     loading in bulk never builds a per-pair Python object.
     """
@@ -194,8 +176,8 @@ class OnlineWEP:
     current running average — the streaming analogue of Algorithm 1.
     Retracting a pair removes its insert-time score from the running
     aggregate, so deleted entities stop weighing on the threshold.  No node
-    id enters that state, so compaction leaves it alone and a snapshot
-    stores it as it stands (:meth:`export_state` / :meth:`for_state`).
+    id enters that state, so a snapshot stores it as it stands and recovery
+    restores it unchanged (:meth:`export_state` / :meth:`for_state`).
     """
 
     name = "wep"
@@ -382,7 +364,6 @@ class MatchingSession:
         #: probability of every live pair at the time it was inserted
         #: (provisional), keyed by raw packed pair key
         self._probabilities = PairProbabilities()
-        self._generation = self.index.generation
         self._snapshot_every = snapshot_every
         self._ops_since_snapshot = 0
         self.wal = None
@@ -421,10 +402,6 @@ class MatchingSession:
         return self._probabilities.items()
 
     # -- streaming -------------------------------------------------------------
-    def _check_generation(self) -> None:
-        if self._generation != self.index.generation:
-            raise StaleSessionError()
-
     def _count_op(self) -> None:
         if self.wal is None or self._snapshot_every is None:
             return
@@ -434,7 +411,6 @@ class MatchingSession:
 
     def insert(self, profile: EntityProfile, side: int = 0) -> InsertResult:
         """Insert one entity; return its scored + online-pruned matches."""
-        self._check_generation()
         delta = self.index.add_entity(profile, side=side)
         result = self._score_insert(delta)
         self._count_op()
@@ -482,7 +458,6 @@ class MatchingSession:
         thresholding any of them, where sequential inserts would threshold
         each pair against the average as of its own arrival.
         """
-        self._check_generation()
         delta = self.index.add_entities_bulk(profiles, side=side)
         result = self._score_bulk(delta)
         self._count_op()
@@ -512,7 +487,6 @@ class MatchingSession:
             When the entity is not currently live on ``side``; neither the
             index nor the online aggregates are touched.
         """
-        self._check_generation()
         result = self._retract(self.index.remove_entity(entity_id, side=side))
         self._count_op()
         return result
@@ -533,7 +507,6 @@ class MatchingSession:
             When the entity is not currently live on ``side``; nothing is
             journaled or touched.
         """
-        self._check_generation()
         delta = self.index.update_entity(profile, side=side)
         # the order WAL replay uses: evict the old pairs, then score the new
         removed = self._retract(delta.retraction)
@@ -568,7 +541,6 @@ class MatchingSession:
             raise RuntimeError(
                 "the session has no write-ahead log; construct it with wal_path="
             )
-        self._check_generation()
         from ..persistence.snapshot import session_snapshot_state
 
         path = self.wal.write_snapshot(session_snapshot_state(self))
@@ -616,7 +588,6 @@ class MatchingSession:
         session.pruning = pruning
         session.online = OnlineWEP.for_state(online_state)
         session._probabilities = probabilities
-        session._generation = index.generation
         session._snapshot_every = snapshot_every
         session._ops_since_snapshot = 0
         session.wal = None
@@ -659,27 +630,6 @@ class MatchingSession:
         else:
             raise ValueError(f"unknown WAL record op {op!r}")
 
-    # -- compaction ------------------------------------------------------------
-    def compact(self) -> None:
-        """Compact the index *and* remap the session's per-pair state.
-
-        :meth:`MutableBlockIndex.compact` renumbers the live nodes to their
-        canonical ids, which changes every raw packed pair key.  This wrapper
-        exports the insert-time probabilities under canonical pair keys
-        first — as a snapshot does — compacts, and restores them, since raw
-        keys now *are* the canonical keys.  The online threshold holds no
-        pair key and is unchanged.
-        """
-        self._check_generation()
-        from ..persistence.snapshot import canonical_pair_keys
-
-        keys, probabilities = self._probabilities.items()
-        keys = canonical_pair_keys(self.index, keys)
-        order = np.argsort(keys)
-        self.index.compact()
-        self._probabilities = PairProbabilities(keys[order], probabilities[order])
-        self._generation = self.index.generation
-
     # -- exact finalisation ----------------------------------------------------
     def retained(self) -> SessionResult:
         """The exact answer on the live streamed collection.
@@ -693,7 +643,6 @@ class MatchingSession:
         batch pipeline retains on the same final collection, for every
         pruning algorithm including CEP/CNP/RCNP.
         """
-        self._check_generation()
         candidates, probabilities, mask = exact_answer(
             self.features, self.model, self.pruning
         )

@@ -50,8 +50,9 @@ def node_id_overflow(node: int) -> OverflowError:
     """The error every registry-key packing raises at :data:`MAX_NODE_ID`."""
     return OverflowError(
         f"node id {node} reaches 2^32: packed pair keys would collide and "
-        "silently corrupt the candidate registry; compact() the index to "
-        "renumber live entities into fresh slots"
+        "silently corrupt the candidate registry; checkpoint the session and "
+        "recover it (MatchingSession.recover / repro serve --recover), which "
+        "renumbers the live entities into fresh slots"
     )
 
 

@@ -1,15 +1,15 @@
 """WAL-backed durability for the streaming index (paper Section 6 outlook).
 
-``repro.persistence`` journals every :class:`~repro.incremental.MutableBlockIndex`
-mutation to a write-ahead log (length+CRC32 framed logical records,
-append-before-apply, fsync-on-commit), snapshots the compacted live state
-periodically, and recovers by loading the newest complete snapshot and
-replaying the log tail to the last complete record — so a crash at any
-byte offset loses at most the torn tail record and never the prefix.
+``repro.persistence`` journals every mutation of a
+:class:`~repro.incremental.MatchingSession`'s index to a write-ahead log
+(length+CRC32 framed logical records, append-before-apply, fsync-on-commit),
+snapshots the session — its index compacted — periodically, and recovers by
+loading the newest complete session snapshot and replaying the log tail to
+the last complete record — so a crash at any byte offset behind the first
+snapshot loses at most the torn tail record and never the prefix.
 
-See :class:`WriteAheadLog` for the format, :func:`recover_index` /
-:func:`recover_session` for the drivers, and the README's "Durability &
-recovery" section for the guarantees.
+See :class:`WriteAheadLog` for the format, :func:`recover_session` for the
+driver, and the README's "Durability & recovery" section for the guarantees.
 """
 
 from .._exports import lazy_exports
@@ -26,8 +26,6 @@ _EXPORTS = {
     "WalScan": "log",
     "WriteAheadLog": "log",
     "encode_record": "log",
-    "apply_logged_record": "recovery",
-    "recover_index": "recovery",
     "recover_session": "recovery",
     "build_index_from_state": "snapshot",
     "canonical_pair_keys": "snapshot",

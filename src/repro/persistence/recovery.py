@@ -1,28 +1,33 @@
-"""Crash recovery: latest complete snapshot + logical log tail replay.
+"""Crash recovery: latest complete session snapshot + logical log tail replay.
 
-``recover_index(path)`` / ``recover_session(path)`` restore the durable
-state a WAL directory holds, with the hard guarantee that recovery from a
-log truncated at **any** byte offset yields an index whose canonical view
-(canonical candidates, snapshot blocks, aggregates) equals the
-uninterrupted run's state after the operations whose records survived —
+``recover_session(path)`` restores the durable state a WAL directory holds,
+with the hard guarantee that recovery from a log truncated at **any** byte
+offset behind the session's first snapshot yields a session whose canonical
+view (canonical candidates, snapshot blocks, aggregates) and exact answer
+equal the uninterrupted run's after the operations whose records survived —
 torn tail records are detected by the length+CRC framing and dropped.
 
 The driver:
 
-1. loads the newest decodable snapshot, if any — refusing one written in
-   another state format (:func:`check_state_format`), a format-1 pickle
-   before any byte of it is unpickled — and *adopts* the compacted index
-   state it holds (:func:`build_index_from_state`: arrays in, exact recounts,
-   the dictionaries rebuilt); without one, the log's ``meta`` record (format
-   checked the same way) names the index to replay into;
+1. loads the newest decodable snapshot — refusing one written in another
+   state format (:func:`check_state_format`), a format-1 pickle before any
+   byte of it is unpickled, and a directory without a session snapshot —
+   and *adopts* the compacted index state it holds
+   (:func:`build_index_from_state`: arrays in, exact recounts, the
+   dictionaries rebuilt);
 2. scans the log from the snapshot's embedded offset to its last complete
    record (:meth:`WriteAheadLog.scan`): the tail it replays, not the history
-   the snapshot vouches for;
+   the snapshot vouches for (the log's leading ``meta`` record among it);
 3. replays the log records behind the snapshot's embedded offset through
-   the index's internal ``_apply_*`` entry points — signatures come from
-   the records, nothing is re-tokenized;
-4. when resuming, physically truncates the torn tail and re-attaches the
-   log so new mutations append behind the recovered state.
+   the session — signatures come from the records, nothing is
+   re-tokenized — re-scoring each with the frozen model;
+4. physically truncates the torn tail and re-attaches the log so new
+   mutations append behind the recovered state.
+
+This is the one place an index is compacted in a running program: a
+session snapshot stores the index without its tombstones
+(:meth:`~repro.incremental.MutableBlockIndex.compacted_state`) and recovery
+adopts it, so a recovered session's raw node ids are the canonical ids.
 
 If a snapshot covers more of the log than survived (possible under
 ``sync="batch"``, where snapshots fsync but the log tail may not have),
@@ -34,111 +39,14 @@ offset.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Union
 
 import numpy as np
 
 from ..obs import events
 from .container import check_state_format
-from .log import WalScan, WriteAheadLog
-from .snapshot import (
-    build_index_from_state,
-    construct_index,
-    joined_pair_keys,
-    restore_pruning,
-)
-
-
-def apply_logged_record(index, record: Dict[str, Any]) -> None:
-    """Apply one logical WAL record to a :class:`MutableBlockIndex`.
-
-    Insert-type records carry the signatures extracted when the operation
-    was first performed; replay feeds them to the index's ``_apply_*``
-    entry points directly, so no blocking method runs during recovery.
-    """
-    op = record["op"]
-    if op == "meta":
-        return
-    if op == "add":
-        index._apply_insert(record["id"], record["side"], record["sig"])
-    elif op == "bulk":
-        index._apply_bulk(
-            [(entity_id, signatures) for entity_id, signatures in record["entities"]],
-            record["side"],
-        )
-    elif op == "remove":
-        index.remove_entity(record["id"], side=record["side"])
-    elif op == "update":
-        index._apply_update(record["id"], record["side"], record["sig"])
-    else:
-        raise ValueError(f"unknown WAL record op {op!r}")
-
-
-def _base_state(
-    scan: WalScan, snapshot: Optional[Dict[str, Any]], blocking
-) -> Tuple[Any, int]:
-    """The index to start replay from, and the log offset replay starts at."""
-    if snapshot is not None:
-        index = build_index_from_state(snapshot["index"], blocking=blocking)
-        return index, int(snapshot["log_offset"])
-    for entry in scan.records:
-        if entry.record.get("op") == "meta":
-            check_state_format(entry.record, source="log meta record")
-            return construct_index(entry.record, blocking=blocking), entry.end
-    raise ValueError(
-        "the WAL holds neither a snapshot nor a meta record; nothing to recover"
-    )
-
-
-def recover_index(
-    path: Union[str, Path],
-    blocking=None,
-    resume: bool = False,
-    sync: str = "always",
-):
-    """Recover a :class:`MutableBlockIndex`.
-
-    Parameters
-    ----------
-    path:
-        The WAL directory (``wal.log`` + ``snapshot-*.snap``).
-    blocking:
-        Optional blocking-method override for the rebuilt index (snapshots
-        store the original; recovery from a log with no snapshot defaults
-        to token blocking).
-    resume:
-        When ``True``, truncate any torn tail and re-attach the log so the
-        recovered index keeps journaling new mutations.
-    sync:
-        Sync mode for the re-attached log (``resume=True`` only).
-    """
-    wal = WriteAheadLog(path, sync=sync)
-    if not wal.log_path.exists():
-        raise FileNotFoundError(f"no write-ahead log at {wal.log_path}")
-    snapshot = wal.latest_snapshot()
-    vouched = None
-    if snapshot is not None:
-        check_state_format(snapshot)
-        vouched = int(snapshot["log_offset"])
-    scan = wal.scan(vouched)
-    index, start = _base_state(scan, snapshot, blocking)
-    replayed = 0
-    for entry in scan.records:
-        if entry.start >= start:
-            apply_logged_record(index, entry.record)
-            replayed += 1
-    events.emit(
-        "wal_recovery",
-        kind="index",
-        snapshot="present" if snapshot is not None else "absent",
-        replayed_records=replayed,
-        truncated_tail=bool(scan.truncated),
-        offset=int(scan.valid_length),
-    )
-    if resume:
-        wal.open(truncate_at=scan.valid_length)
-        index.attach_wal(wal)
-    return index
+from .log import WriteAheadLog
+from .snapshot import build_index_from_state, joined_pair_keys, restore_pruning
 
 
 def recover_session(path: Union[str, Path], sync: str = "always"):
@@ -167,8 +75,8 @@ def recover_session(path: Union[str, Path], sync: str = "always"):
         check_state_format(snapshot)
     if snapshot is None or snapshot.get("session") is None:
         raise ValueError(
-            "no session snapshot in the WAL directory; this log was written "
-            "by a bare index — use recover_index() instead"
+            "no session snapshot in the WAL directory: only a log written by a "
+            "MatchingSession (wal_path=) can be recovered"
         )
     stored = snapshot["session"]
     policy = stored.get("policy", OnlineWEP.name)
@@ -210,6 +118,5 @@ def recover_session(path: Union[str, Path], sync: str = "always"):
     wal.open(truncate_at=scan.valid_length)
     index.attach_wal(wal)
     session.wal = wal
-    session._generation = index.generation
     session._ops_since_snapshot = 0
     return session

@@ -160,28 +160,24 @@ def row_signatures(state: Dict[str, Any], owned: Optional[np.ndarray] = None) ->
     return [flat[start:end] for start, end in zip(bounds[:-1], bounds[1:])]
 
 
-def construct_index(state: Dict[str, Any], blocking=None):
-    """An empty index matching a state/meta dict's topology.
-
-    ``state`` may be a snapshot's ``"index"`` section or a WAL meta record;
-    both carry ``kind``/``bilateral``, and ``kind`` must be ``"index"``.
-    ``blocking`` overrides the stored method (meta records never store one —
-    the default token blocking is used).
-    """
+def construct_index(state: Dict[str, Any]):
+    """An empty index matching the topology of a snapshot's ``"index"``
+    section: its ``kind`` (which must be ``"index"``), ``bilateral``, name
+    and blocking method."""
     if state["kind"] != "index":
         raise ValueError(f"unknown index kind {state['kind']!r} in WAL state")
-    if blocking is None and state.get("blocking") is not None:
-        blocking = restore_blocking(state["blocking"])
     return MutableBlockIndex(
-        blocking=blocking, bilateral=state["bilateral"], name=state.get("name") or "stream"
+        blocking=restore_blocking(state["blocking"]),
+        bilateral=state["bilateral"],
+        name=state.get("name") or "stream",
     )
 
 
-def build_index_from_state(state: Dict[str, Any], blocking=None):
+def build_index_from_state(state: Dict[str, Any]):
     """The index a snapshot's index section holds: a
     :class:`MutableBlockIndex` that adopted the compacted arrays, so its raw
     node ids equal the canonical ids."""
-    index = construct_index(state, blocking=blocking)
+    index = construct_index(state)
     index.adopt_compacted(compacted_from_state(state))
     return index
 

@@ -45,7 +45,6 @@ _EXPORTS = {
     "ShardReplica": "workers",
     "ShardRouter": "router",
     "ShardWorkerHandle": "workers",
-    "UnavailableError": "daemon",
     "WalFailedError": "daemon",
     "WalFollowError": "workers",
     "WalRecordFollower": "workers",
@@ -53,7 +52,6 @@ _EXPORTS = {
     "WorkerSupervisor": "supervision",
     "ERROR_DEADLINE": "protocol",
     "ERROR_OVERLOADED": "protocol",
-    "ERROR_UNAVAILABLE": "protocol",
     "ERROR_WAL": "protocol",
     "IDEMPOTENT_OPS": "protocol",
     "OPERATIONS": "protocol",

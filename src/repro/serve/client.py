@@ -27,6 +27,7 @@ Fault tolerance (all bounded, all with exponential backoff + jitter):
 
 from __future__ import annotations
 
+import math
 import random
 import socket
 import time
@@ -71,7 +72,7 @@ class ServeClient:
     connect_timeout:
         Total budget for establishing the initial (and any re-established)
         connection, retried with backoff while the daemon's listener may
-        still be binding.
+        still be binding (0 = one attempt).
     retries:
         Retryable-failure re-send budget per :meth:`call` (0 disables).
     backoff / max_backoff:
@@ -81,6 +82,13 @@ class ServeClient:
         When set, every request carries this server-enforced deadline.
     retry_rng:
         Jitter source (tests pass a seeded ``random.Random``).
+
+    Raises
+    ------
+    ValueError
+        For a negative ``retries`` or ``connect_timeout``, or a
+        ``deadline_ms`` that is not a finite number above 0 — before any
+        connection is tried.
     """
 
     def __init__(
@@ -95,11 +103,19 @@ class ServeClient:
         deadline_ms: Optional[float] = None,
         retry_rng: Optional[random.Random] = None,
     ) -> None:
+        if retries < 0:
+            raise ValueError(f"retries must be at least 0, got {retries}")
+        if not connect_timeout >= 0:
+            raise ValueError(f"connect_timeout must be at least 0, got {connect_timeout}")
+        if deadline_ms is not None and not 0 < deadline_ms < math.inf:
+            raise ValueError(
+                f"deadline_ms must be a finite number above 0, got {deadline_ms}"
+            )
         self.host = host
         self.port = port
         self.timeout = timeout
         self.connect_timeout = connect_timeout
-        self.retries = max(0, int(retries))
+        self.retries = int(retries)
         self.backoff = backoff
         self.max_backoff = max_backoff
         self.deadline_ms = deadline_ms

@@ -56,7 +56,6 @@ from ..persistence.log import WalBrokenError, WriteAheadLog
 from .protocol import (
     ERROR_DEADLINE,
     ERROR_OVERLOADED,
-    ERROR_UNAVAILABLE,
     ERROR_WAL,
     OPERATIONS,
     PROTOCOL_VERSION,
@@ -75,6 +74,9 @@ from .workers import WalFollowError, WorkerError
 MUTATION_OPS = frozenset({"insert", "insert_bulk", "remove", "update", "checkpoint"})
 #: operations served from the pinned shard-worker views
 READ_OPS = frozenset({"match", "top_k", "stats"})
+#: seconds shutdown waits for in-flight requests before cancelling their
+#: connections
+DRAIN_TIMEOUT = 10.0
 
 
 class OverloadedError(RuntimeError):
@@ -83,10 +85,6 @@ class OverloadedError(RuntimeError):
 
 class DeadlineExceededError(RuntimeError):
     """The request's deadline passed before the operation was applied."""
-
-
-class UnavailableError(RuntimeError):
-    """A ``stats`` could not reach the shard workers (it has no degraded form)."""
 
 
 class WalFailedError(RuntimeError):
@@ -143,9 +141,6 @@ class MatchingDaemon:
         empty.
     num_shards:
         Shard worker count K.
-    drain_timeout:
-        Seconds to wait for in-flight requests on shutdown before
-        cancelling their connections.
     announce:
         Print a one-line JSON ``{"event": "serving", ...}`` banner once the
         daemon serves (the CLI and the end-to-end tests parse it).
@@ -174,7 +169,6 @@ class MatchingDaemon:
         snapshot_every: Optional[int] = None,
         wal_sync: str = "always",
         recover: bool = False,
-        drain_timeout: float = 10.0,
         announce: bool = False,
         heartbeat_interval: float = 1.0,
         hang_timeout: float = 5.0,
@@ -220,7 +214,6 @@ class MatchingDaemon:
             raise
         self.wal_path = wal_path
         self.num_shards = num_shards
-        self.drain_timeout = drain_timeout
         self.announce = announce
         self.heartbeat_interval = heartbeat_interval
         self.hang_timeout = hang_timeout
@@ -387,7 +380,7 @@ class MatchingDaemon:
         tasks = [task for task in self._connections if not task.done()]
         if not tasks:
             return
-        done, pending = await asyncio.wait(tasks, timeout=self.drain_timeout)
+        done, pending = await asyncio.wait(tasks, timeout=DRAIN_TIMEOUT)
         for task in pending:
             task.cancel()
         if pending:
@@ -530,11 +523,6 @@ class MatchingDaemon:
             ok, error_type = False, ERROR_DEADLINE
             self.metrics.increment("deadline_exceeded")
             return error_response(request_id, ERROR_DEADLINE, str(error), trace=trace_id)
-        except UnavailableError as error:
-            ok, error_type = False, ERROR_UNAVAILABLE
-            return error_response(
-                request_id, ERROR_UNAVAILABLE, str(error), trace=trace_id
-            )
         except WalFailedError as error:
             ok, error_type = False, ERROR_WAL
             self.metrics.increment("wal_failures")
@@ -724,8 +712,11 @@ class MatchingDaemon:
         except (WorkerError, WalFollowError) as error:
             if self._supervisor is not None:
                 self._supervisor.kick()
+            # ``stats`` tolerates a failed shard inside its fan-out (an
+            # ``error`` entry); only ``match`` / ``top_k`` reach the fleet
+            # unguarded, and they degrade to the authority
             if op == "stats":
-                raise UnavailableError(f"shard workers unavailable: {error}") from None
+                raise
             self.metrics.increment("degraded_reads")
             events.emit(
                 "degraded_read",

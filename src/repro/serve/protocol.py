@@ -68,8 +68,6 @@ ERROR_OVERLOADED = "overloaded"
 #: — the request's deadline passed before (for mutations: strictly before)
 #:   the operation was applied
 ERROR_DEADLINE = "deadline"
-#: — a shard worker is rebuilding and degraded reads are disabled
-ERROR_UNAVAILABLE = "unavailable"
 #: — the write-ahead log failed; the daemon refuses further mutations
 ERROR_WAL = "wal_failed"
 

@@ -23,9 +23,9 @@ Shipping is incremental: the router keeps one **resident**
 ``{"lineage", "epoch"}`` handshake describing the state it already holds
 (the epoch is the state's own: it is adopted only by a ship that applied
 cleanly); the worker replies with a delta (applied to the resident state in
-place) or a full state (first contact, respawned worker, checkpoint adoption
-or compaction — anything that breaks the lineage).  Either rides the
-worker's pipe reply as one array container, decoded with every container
+place) or a full state (first contact, respawned worker, checkpoint
+adoption — anything that breaks the lineage).  Either rides the worker's
+pipe reply as one array container, decoded with every container
 check on (:meth:`~repro.serve.workers.ShardWorkerHandle.materialize`).  Every
 shard's ship is applied; a shard whose ship is torn or fails to apply loses
 its resident state, so its next read full-ships, while the shards whose
@@ -238,7 +238,6 @@ class ShardRouter:
         wal_dir,
         num_shards: int,
         resolve_entity_id: Callable[[int], str],
-        bootstrap=None,
         adopt_floor: Optional[int] = None,
         allow_from_zero: bool = True,
         metrics=None,
@@ -248,9 +247,6 @@ class ShardRouter:
         self.wal_dir = wal_dir
         self.num_shards = num_shards
         self._resolve = resolve_entity_id
-        #: the snapshot the authority was rebuilt from, if it recovered —
-        #: replicas bootstrap from the same file to share its node space
-        self._bootstrap = bootstrap
         self._adopt_floor = adopt_floor
         self._allow_from_zero = allow_from_zero
         self.metrics = metrics
@@ -282,7 +278,6 @@ class ShardRouter:
             self.wal_dir,
             shard,
             self.num_shards,
-            bootstrap=self._bootstrap,
             adopt_floor=self._adopt_floor,
             allow_from_zero=self._allow_from_zero,
         )
@@ -532,8 +527,8 @@ class ShardRouter:
 
         Ships deltas against the resident per-shard states when the workers
         still hold the lineage the router last received from them; any
-        mismatch (first contact, respawn, checkpoint adoption, compaction, a
-        ship that failed to apply) degrades to a full ship for that shard.
+        mismatch (first contact, respawn, checkpoint adoption, a ship that
+        failed to apply) degrades to a full ship for that shard.
         """
         with self._read_lock:
             trace = current_trace()

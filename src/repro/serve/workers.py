@@ -196,7 +196,6 @@ class ShardReplica:
         wal_dir,
         shard: int,
         num_shards: int,
-        bootstrap=None,
         adopt_floor: Optional[int] = None,
         allow_from_zero: bool = True,
     ) -> None:
@@ -206,11 +205,6 @@ class ShardReplica:
         self.follower = WalRecordFollower(self.wal_dir / "wal.log")
         self.index: Optional[MutableBlockIndex] = None
         self.bilateral = False
-        #: optional snapshot file to bootstrap from — REQUIRED when the
-        #: daemon recovered: recovery adopts the authority index from a
-        #: snapshot (compacted, renumbered node ids), so a replica must
-        #: start from the *same* snapshot to live in the same node space
-        self.bootstrap = Path(bootstrap) if bootstrap is not None else None
         #: oldest snapshot sequence whose node space matches the live
         #: authority's — snapshots written by *earlier* daemon incarnations
         #: (pre-compaction node spaces) must never be adopted
@@ -248,17 +242,13 @@ class ShardReplica:
     def catch_up(self, offset: int) -> None:
         """Replay the log through this shard up to exactly ``offset``.
 
-        A cold replica first bootstraps: from its pinned ``bootstrap``
-        snapshot when the daemon recovered, else by *adopting* the newest
-        eligible checkpoint at or behind ``offset`` and replaying only the
-        tail — the O(tail) bootstrap.  A warm replica only replays: the
-        follower keeps it at the head of the log.
+        A cold replica first bootstraps by *adopting* the newest eligible
+        checkpoint at or behind ``offset`` and replaying only the tail — the
+        O(tail) bootstrap.  A warm replica only replays: the follower keeps
+        it at the head of the log.
         """
         if self.index is None:
-            if self.bootstrap is not None:
-                self._load_bootstrap()
-            else:
-                self._adopt(target=offset, require=not self.allow_from_zero)
+            self._adopt(target=offset, require=not self.allow_from_zero)
         for record in self.follower.advance_to(offset):
             self.apply(record)
 
@@ -271,7 +261,7 @@ class ShardReplica:
         router swaps workers in only after spawn), so any snapshot existing
         now is at or behind every offset this worker will be asked for.
         """
-        if self.index is None and self.bootstrap is None:
+        if self.index is None:
             self._adopt(target=None)
 
     def _adopt(self, target: Optional[int], require: bool = False) -> bool:
@@ -325,43 +315,19 @@ class ShardReplica:
         return False
 
     def _adopt_state(self, state: Dict[str, Any]) -> None:
-        """Rebuild the shard from a checkpoint of the *live* authority.
+        """Rebuild the shard from a checkpoint of the live authority.
 
-        Unlike :meth:`_load_bootstrap` (whose snapshot the authority was
-        itself rebuilt from, putting both in canonical node order), an
-        adopted checkpoint describes an authority that kept its original
-        node space — tombstoned slots included.  The embedded slot layout
-        says which raw node id each live row occupies; :meth:`_rebuild`
-        walks it in id order, so every later WAL record resolves to the same
-        node here as on the authority.
+        A checkpoint describes an authority that kept its original node
+        space — tombstoned slots included.  The embedded slot layout (one
+        side per raw node slot, -1 for a tombstone; within a side, rows fill
+        the slots in order) says which raw node id each live row occupies;
+        it is walked in id order, so every later WAL record resolves to the
+        same node here as on the authority: every maximal run of one side's
+        slots through one ``_apply_bulk`` — its rows' signatures restricted
+        to this shard's keys, each key hashed once — every dead slot through
+        ``_register_tombstone``.  Reads the index section only.
         """
-        self._rebuild(state, np.asarray(state["slots"], dtype=np.int8))
-
-    def _load_bootstrap(self) -> None:
-        """Rebuild the shard from a snapshot, exactly as recovery lays out
-        the authority: the live rows in canonical order (side 0, then side
-        1), then tail the log from the snapshot's offset.
-
-        Every shard registers every entity, so the node numbering is the
-        snapshot's row order on both sides of the pipe.
-        """
-        state = WriteAheadLog(self.wal_dir).load_snapshot(self.bootstrap)
-        if state is None:
-            raise WalFollowError(
-                f"bootstrap snapshot {self.bootstrap} is missing or corrupt"
-            )
-        check_state_format(state)
-        self._rebuild(state, None)
-
-    def _rebuild(self, state: Dict[str, Any], slot_sides: Optional[np.ndarray]) -> None:
-        """Lay the snapshot's live rows out over ``slot_sides`` (one side per
-        raw node slot, -1 for a tombstone; within a side, rows fill the slots
-        in order; ``None`` for the rows' own canonical order): every maximal
-        run of one side's slots through one ``_apply_bulk`` — its rows'
-        signatures restricted to this shard's keys, each key hashed once —
-        every dead slot through ``_register_tombstone``.  Reads the index
-        section only.
-        """
+        slot_sides = np.asarray(state["slots"], dtype=np.int8)
         index_state = compacted_from_state(state["index"])
         self.bilateral = bool(index_state["bilateral"])
         index = MutableBlockIndex(
@@ -372,13 +338,8 @@ class ShardReplica:
         rows = row_signatures(index_state, owned)
         entity_ids = index_state["entity_ids"]
         first = int(index_state["side_counts"][0])
-        if slot_sides is None and 0 <= first <= len(entity_ids):
-            slot_sides = np.repeat(
-                np.array([0, 1], dtype=np.int8), [first, len(entity_ids) - first]
-            )
         if (
-            slot_sides is None
-            or ((slot_sides < -1) | (slot_sides > 1)).any()
+            ((slot_sides < -1) | (slot_sides > 1)).any()
             or int(np.count_nonzero(slot_sides == 0)) != first
             or int(np.count_nonzero(slot_sides >= 0)) != len(entity_ids)
         ):
@@ -448,7 +409,7 @@ class ShardReplica:
         this replica and the delta tracker's base matches the epoch, only
         what changed since is shipped (``kind == "delta"``); otherwise —
         first contact, respawned worker, index replaced by checkpoint
-        adoption or compaction — the complete state is shipped
+        adoption — the complete state is shipped
         (``kind == "full"``) and delta tracking is (re-)armed.
 
         ``lookup`` optionally resolves ``(side, entity_id)`` to its node id
@@ -522,7 +483,6 @@ def shard_worker_main(
     wal_dir: str,
     shard: int,
     num_shards: int,
-    bootstrap=None,
     adopt_floor: Optional[int] = None,
     allow_from_zero: bool = True,
 ) -> None:
@@ -552,7 +512,6 @@ def shard_worker_main(
         wal_dir,
         shard,
         num_shards,
-        bootstrap=bootstrap,
         adopt_floor=adopt_floor,
         allow_from_zero=allow_from_zero,
     )
@@ -683,7 +642,6 @@ class ShardWorkerHandle:
         wal_dir,
         shard: int,
         num_shards: int,
-        bootstrap=None,
         adopt_floor: Optional[int] = None,
         allow_from_zero: bool = True,
     ) -> None:
@@ -704,7 +662,6 @@ class ShardWorkerHandle:
                 str(wal_dir),
                 shard,
                 num_shards,
-                str(bootstrap) if bootstrap is not None else None,
                 adopt_floor,
                 allow_from_zero,
             ),

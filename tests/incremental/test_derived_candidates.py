@@ -5,7 +5,8 @@ state's LCP all come out of one reduce pass over the CSR rows of the live
 nodes (:meth:`IndexStatistics.live_candidates`).  The per-block member lists
 are a writer-only structure of :class:`MutableBlockIndex` — which makes the
 pairs they spawn the independent oracle here.  After every prefix of a random
-add / bulk / remove / update script (with a compaction thrown in), for
+add / bulk / remove / update script (with a checkpoint-and-recover thrown
+in, which compacts the index), for
 unilateral and bilateral indexes and for one, two and three shard replicas of
 their logs, merged:
 
@@ -154,18 +155,18 @@ def _assert_derived_equals_member_pairs(index, shards, steps, bilateral, maintai
     data=st.data(),
     bilateral=st.booleans(),
     num_shards=st.sampled_from((1, 2, 3)),
-    compact_after=st.integers(1, 12),
+    recover_after=st.integers(1, 12),
 )
 def test_derived_candidates_equal_the_member_pairs_after_every_prefix(
-    data, bilateral, num_shards, compact_after
+    data, bilateral, num_shards, recover_after
 ):
     steps = data.draw(churn_scripts(bilateral))
     with JournaledIndex(bilateral) as journaled:
-        single = journaled.index
         for done, step in enumerate(steps, start=1):
-            apply_script(single, [step])
-            if done == compact_after:
-                journaled.compact()
+            apply_script(journaled.index, [step])
+            if done == recover_after:
+                journaled.checkpoint_and_recover()
+            single = journaled.index
             sharded = journaled.merged(num_shards)
             assert len(single.candidate_set()) == single.num_pairs
             # one node space: the unsharded index's maintained degrees serve both
@@ -247,18 +248,18 @@ def _assert_read_alike(ours, theirs):
     data=st.data(),
     bilateral=st.booleans(),
     num_shards=st.sampled_from((1, 2, 3)),
-    compact_after=st.integers(1, 12),
+    recover_after=st.integers(1, 12),
 )
 def test_cleaned_candidates_equal_the_paper_pipeline_after_every_prefix(
-    data, bilateral, num_shards, compact_after
+    data, bilateral, num_shards, recover_after
 ):
     steps = data.draw(churn_scripts(bilateral))
     with JournaledIndex(bilateral) as journaled:
-        single = journaled.index
         for done, step in enumerate(steps, start=1):
-            apply_script(single, [step])
-            if done == compact_after:
-                journaled.compact()
+            apply_script(journaled.index, [step])
+            if done == recover_after:
+                journaled.checkpoint_and_recover()
+            single = journaled.index
             ours = _assert_cleaned_equals_the_paper_pipeline(single, steps[:done], bilateral)
             sharded = journaled.merged(num_shards)
             _assert_read_alike(sharded.statistics(PAPER_CLEANING), ours)

@@ -7,10 +7,11 @@ the writer's per-block vectors.  Nothing is carried from one mutation to the
 next, so:
 
 * after every insert, bulk load and update of any interleaving of those with
-  removals, ``compact()`` and snapshot recovery, the insert-time ``|B_i|``,
-  ``||e_i||``, ``Σ 1/||b||``, ``Σ 1/|b|`` — and ``|B|``, ``||B||``, LCP and
-  the pairs' co-occurrence — at the scored rows are *equal*, bit for bit, to
-  the exact read without cleaning (``statistics(NO_CLEANING)``) at those rows;
+  removals and checkpoint-and-recover (which compacts the index), the
+  insert-time ``|B_i|``, ``||e_i||``, ``Σ 1/||b||``, ``Σ 1/|b|`` — and
+  ``|B|``, ``||B||``, LCP and the pairs' co-occurrence — at the scored rows
+  are *equal*, bit for bit, to the exact read without cleaning
+  (``statistics(NO_CLEANING)``) at those rows;
 * a session recovered from a snapshot scores its next insert bit-identically
   to the uninterrupted session, under an unrounded classifier;
 * blocks that spawn no comparison (one member, or one side of a bilateral
@@ -105,10 +106,10 @@ def _apply(session, step):
 
 @st.composite
 def _scripts(draw, bilateral):
-    """A churn script with ``compact`` and ``recover`` steps thrown in."""
+    """A churn script with ``recover`` steps thrown in."""
     steps = list(draw(churn_scripts(bilateral)))
-    for kind in draw(st.lists(st.sampled_from(("compact", "recover")), max_size=3)):
-        steps.insert(draw(st.integers(0, len(steps))), (kind,))
+    for _ in range(draw(st.integers(0, 3))):
+        steps.insert(draw(st.integers(0, len(steps))), ("recover",))
     return steps
 
 
@@ -119,20 +120,18 @@ def test_insert_time_statistics_do_not_depend_on_the_mutation_path(data, bilater
     probe_tokens = data.draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=5))
     tmp = Path(tempfile.mkdtemp())
     session = MatchingSession(MODEL, bilateral=bilateral, wal_path=tmp / "wal0")
-    generation = 0
+    recoveries = 0
     try:
         _check_insert_time_reads(session)
         for step in steps:
-            if step[0] == "compact":
-                session.compact()
-            elif step[0] == "recover":
+            if step[0] == "recover":
                 session.checkpoint()
-                generation += 1
-                copy = tmp / f"wal{generation}"
+                recoveries += 1
+                copy = tmp / f"wal{recoveries}"
                 shutil.copytree(session.wal.path, copy)
                 recovered = MatchingSession.recover(copy)
                 # the same next insert, scored by both: the same bits
-                probe = make_profile(f"probe{generation}", t=" ".join(probe_tokens))
+                probe = make_profile(f"probe{recoveries}", t=" ".join(probe_tokens))
                 ours = recovered.insert(probe, side=int(bilateral))
                 theirs = session.insert(probe, side=int(bilateral))
                 assert ours.counterpart_ids == theirs.counterpart_ids

@@ -504,7 +504,7 @@ class TestPairKeyOverflow:
             "num_slots",
             property(lambda self: 1 << 32),
         )
-        with pytest.raises(OverflowError, match="compact"):
+        with pytest.raises(OverflowError, match="MatchingSession.recover"):
             index.add_entity(make_profile("d2", text="alpha"))
 
     def test_removal_path_raises_at_the_bound(self, monkeypatch):
@@ -515,7 +515,7 @@ class TestPairKeyOverflow:
         for serial in range(3):
             index.add_entity(make_profile(f"d{serial}", text="alpha"))
         monkeypatch.setattr("repro.pairs.MAX_NODE_ID", 2)
-        with pytest.raises(OverflowError, match="compact"):
+        with pytest.raises(OverflowError, match="MatchingSession.recover"):
             index.remove_entity("d0")
 
     def test_bulk_path_raises_when_the_batch_crosses_the_bound(self, monkeypatch):

@@ -1,14 +1,14 @@
-"""Equivalence tests for signature sharding and ``compact()``.
+"""Equivalence tests for signature sharding.
 
 K shard replicas following the log of a :class:`MutableBlockIndex` fed any
-interleaving of add/remove/update/bulk — the construction the serving fleet
-runs — read through a :class:`~repro.incremental.MergedIndexView`, must
+interleaving of add/remove/update/bulk — the construction the serving
+fleet runs — read through a :class:`~repro.incremental.MergedIndexView`, must
 expose the same aggregate contract as the index itself: identical node
 numbering, identical distinct-pair sets, matching per-entity/global
-aggregates and co-occurrence aggregates.  ``compact()`` must bound memory (no
-tombstoned slots, no retracted registry positions) while leaving the
-canonical view untouched, and replicas adopting a checkpoint of the compacted
-index keep its canonical pairs.
+aggregates and co-occurrence aggregates.  After the session is checkpointed
+and recovered — the one way an index is compacted — replicas adopting the
+recovered session's floor checkpoint hold no tombstoned slot, keep the
+canonical pairs and expose the recovered index's contract.
 """
 
 import shutil
@@ -16,15 +16,14 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference import merged_replicas
+from reference import make_frozen_model, merged_replicas
 from repro.datamodel import make_profile
-from repro.incremental import MutableBlockIndex
+from repro.incremental import MatchingSession
 from repro.incremental.sharded import shard_of_signature, stable_hash
-from repro.persistence import WriteAheadLog, write_index_snapshot
+from repro.persistence import WriteAheadLog
 
 WORDS = (
     "apple", "samsung", "phone", "smartphone", "mate", "fold", "x",
@@ -94,28 +93,48 @@ def apply_script(index, steps):
 
 
 class JournaledIndex:
-    """A plain index journaling to a log in a fresh temporary directory, read
-    back through shard replicas of that log; the replicas, the log and the
-    directory go on exit."""
+    """An index journaling to a log in a fresh temporary directory, read back
+    through shard replicas of that log; the replicas, the log and the
+    directory go on exit.
+
+    The index is a :class:`MatchingSession`'s — the session is what can be
+    checkpointed and recovered — but the tests mutate :attr:`index`
+    directly: nothing is scored, and the session's per-pair store stays
+    empty.
+    """
 
     def __init__(self, bilateral=False):
         self.directory = Path(tempfile.mkdtemp())
-        self.wal = WriteAheadLog(self.directory, sync="batch")
-        self.index = MutableBlockIndex(bilateral=bilateral)
-        self.index.attach_wal(self.wal)
+        self.session = MatchingSession(
+            make_frozen_model(), bilateral=bilateral, wal_path=self.directory, wal_sync="batch"
+        )
+        #: the oldest snapshot a replica may adopt (``None``: any, or a
+        #: replay from the log's start)
+        self.floor = None
         self.replicas = []
+
+    @property
+    def index(self):
+        return self.session.index
 
     def merged(self, num_shards):
         """K fresh replicas caught up to the log's end, merged."""
-        view, replicas = merged_replicas(self.wal, self.index, num_shards)
+        view, replicas = merged_replicas(
+            self.session.wal, self.index, num_shards, adopt_floor=self.floor
+        )
         self.replicas += replicas
         return view
 
-    def compact(self):
-        """Compact the index and checkpoint it: a fresh replica adopts the
-        compacted node space rather than replay the log's older one."""
-        self.index.compact()
-        write_index_snapshot(self.index, self.wal)
+    def checkpoint_and_recover(self):
+        """Compact the index the one way there is: checkpoint, close and
+        recover the session, whose new :attr:`index` adopted the checkpoint's
+        compacted state — then write the floor checkpoint a recovered daemon
+        writes, so fresh replicas adopt it (or anything newer) instead of
+        the log's older node space."""
+        self.session.checkpoint()
+        self.session.close()
+        self.session = MatchingSession.recover(self.directory, sync="batch")
+        self.floor = WriteAheadLog._snapshot_sequence(self.session.checkpoint())
 
     def __enter__(self):
         return self
@@ -123,7 +142,7 @@ class JournaledIndex:
     def __exit__(self, *exc_info):
         for replica in self.replicas:
             replica.close()
-        self.wal.close()
+        self.session.close()
         shutil.rmtree(self.directory, ignore_errors=True)
 
 
@@ -187,19 +206,19 @@ def assert_same_contract(single, sharded):
 def test_sharded_matches_unsharded_under_churn(data, bilateral, num_shards):
     steps = data.draw(churn_scripts(bilateral))
     with JournaledIndex(bilateral) as journaled:
-        single = journaled.index
-        apply_script(single, steps)
-        assert_same_contract(single, journaled.merged(num_shards))
+        apply_script(journaled.index, steps)
+        assert_same_contract(journaled.index, journaled.merged(num_shards))
 
-        # replicas adopting a checkpoint of the compacted index keep its
-        # canonical pairs
-        canonical = pairs_of(single.candidate_set().canonical)
-        journaled.compact()
+        # replicas adopting the recovered session's floor checkpoint hold
+        # its compacted node space and keep the canonical pairs
+        canonical = pairs_of(journaled.index.candidate_set().canonical)
+        journaled.checkpoint_and_recover()
         adopted = journaled.merged(num_shards)
         replicas = journaled.replicas[-num_shards:]
-        assert all(replica.adopted_sequence is not None for replica in replicas)
+        assert all(replica.adopted_sequence == journaled.floor for replica in replicas)
         assert adopted.num_slots == adopted.num_entities
         assert pairs_of(adopted.candidate_set().canonical) == canonical
+        assert_same_contract(journaled.index, adopted)
 
 
 def test_stable_hash_is_process_independent():
@@ -228,83 +247,3 @@ def test_bulk_load_matches_per_entity_inserts():
         merged_one_by_one, merged_bulk = one_by_one.merged(2), bulk.merged(2)
         assert pair_set(merged_one_by_one) == pair_set(merged_bulk)
         assert merged_one_by_one.num_blocks == merged_bulk.num_blocks
-
-
-class TestCompactChurn:
-    """Satellite: ``compact()`` bounds long-lived high-churn sessions."""
-
-    def _churned_index(self):
-        rng = np.random.default_rng(5)
-        index = MutableBlockIndex(bilateral=True)
-        for i in range(120):
-            tokens = rng.choice(WORDS, size=int(rng.integers(1, 5)))
-            index.add_entity(
-                make_profile(f"e{i}", t=" ".join(tokens)), side=int(i % 2)
-            )
-        for i in range(0, 120, 2):  # heavy churn: retract half of everything
-            index.remove_entity(f"e{i}", side=int(i % 2))
-        return index
-
-    def test_compact_bounds_memory(self):
-        index = self._churned_index()
-        assert index.num_slots > index.num_entities
-        pairs = index.num_pairs
-        index.compact()
-        # bounded: no tombstoned slots, and the live pairs are unchanged
-        assert index.num_slots == index.num_entities
-        assert index.num_pairs == len(index.candidate_set()) == pairs
-
-    def test_compact_preserves_the_canonical_view(self):
-        index = self._churned_index()
-        canonical = index.canonical_node_ids()
-        live = canonical >= 0
-        order = np.argsort(canonical[live])
-        before_pairs = pairs_of(index.candidate_set().canonical)
-        stats = index.statistics()
-        before = {
-            "num_blocks": stats.num_blocks,
-            "total_cardinality": stats.total_cardinality,
-            "blocks_per_entity": stats.blocks_per_entity[live][order].copy(),
-            "entity_inv_cardinality": stats.entity_inv_cardinality[live][order].copy(),
-            "degrees": stats.local_candidate_counts_sparse()[live][order].copy(),
-        }
-        snapshot_before = {
-            (b.key, tuple(b.entities_first), tuple(b.entities_second))
-            for b in index.snapshot_blocks()
-        }
-
-        index.compact()
-
-        assert pairs_of(index.candidate_set().canonical) == before_pairs
-        canonical2 = index.canonical_node_ids()
-        live2 = canonical2 >= 0
-        order2 = np.argsort(canonical2[live2])
-        stats2 = index.statistics()
-        assert stats2.num_blocks == before["num_blocks"]
-        assert stats2.total_cardinality == before["total_cardinality"]
-        assert np.allclose(
-            stats2.blocks_per_entity[live2][order2], before["blocks_per_entity"]
-        )
-        assert np.allclose(
-            stats2.entity_inv_cardinality[live2][order2],
-            before["entity_inv_cardinality"],
-        )
-        assert np.allclose(
-            stats2.local_candidate_counts_sparse()[live2][order2], before["degrees"]
-        )
-        snapshot_after = {
-            (b.key, tuple(b.entities_first), tuple(b.entities_second))
-            for b in index.snapshot_blocks()
-        }
-        assert snapshot_before == snapshot_after
-
-    def test_compact_then_mutate(self):
-        index = self._churned_index()
-        index.compact()
-        delta = index.add_entity(make_profile("fresh", t="apple phone"), side=0)
-        assert delta.node == index.num_slots - 1
-        index.remove_entity("fresh", side=0)
-        index.compact()
-        assert index.num_slots == index.num_entities
-        with pytest.raises(KeyError):
-            index.node_of("fresh", side=0)

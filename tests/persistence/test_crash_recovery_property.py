@@ -1,13 +1,16 @@
-"""Property test: crash recovery is exact at every possible crash point.
+"""Property test: session crash recovery is exact at every possible crash point.
 
 Hypothesis generates random churn scripts (inserts, bulk loads, removals,
-in-place updates), runs them against a WAL-attached index and then simulates
-a crash at **every** log record boundary and at offsets tearing a record in
-half.  Recovery from each truncated copy must yield an index whose canonical view (canonical candidate pairs,
-snapshot blocks, per-entity aggregates) equals a fresh index that applied
-exactly the operations whose records fully survived — the
-replay-to-last-complete-record guarantee, with and without a mid-sequence
-snapshot.
+in-place updates), runs them through a WAL-backed :class:`MatchingSession` and
+then simulates a crash at **every** log record boundary and at offsets tearing
+a record in half.  Recovery from each truncated copy must yield a session
+whose index's canonical view (canonical candidate pairs, snapshot blocks,
+per-entity aggregates) equals a fresh index that applied exactly the records
+that fully survived (:func:`reference.reference_replay`), and whose exact
+answer retains that index's pairs — the replay-to-last-complete-record
+guarantee, with and without a mid-sequence checkpoint.  A crash that falls
+before the session's first snapshot leaves no frozen model to restore, and
+recovery must say so.
 """
 
 import shutil
@@ -19,21 +22,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference import make_frozen_model, reference_replay
+from repro.core.pruning import get_pruning_algorithm
 from repro.datamodel import make_profile
-from repro.incremental import MutableBlockIndex
-from repro.persistence import (
-    LOG_MAGIC,
-    WriteAheadLog,
-    apply_logged_record,
-    construct_index,
-    recover_index,
-    write_index_snapshot,
-)
+from repro.incremental import DeltaFeatureGenerator, MatchingSession
+from repro.incremental.session import exact_answer
+from repro.persistence import LOG_MAGIC, WriteAheadLog, canonical_pair_keys, recover_session
 
 WORDS = (
     "apple", "samsung", "phone", "smartphone", "mate", "fold", "x",
     "s20", "20", "the", "and", "a", "pro", "mini",
 )
+
+MODEL = make_frozen_model()
 
 SLOW_SETTINGS = settings(
     max_examples=8,
@@ -78,25 +79,25 @@ def churn_scripts(draw, bilateral):
     return steps
 
 
-def apply_script(index, steps, snapshot_after=None, wal=None):
+def apply_script(session, steps, checkpoint_after=None):
     for position, step in enumerate(steps):
         if step[0] == "add":
             _, entity_id, side, tokens = step
-            index.add_entity(make_profile(entity_id, t=" ".join(tokens)), side=side)
+            session.insert(make_profile(entity_id, t=" ".join(tokens)), side=side)
         elif step[0] == "bulk":
             _, batch, side = step
-            index.add_entities_bulk(
+            session.insert_bulk(
                 [make_profile(eid, t=" ".join(tokens)) for eid, tokens in batch],
                 side=side,
             )
         elif step[0] == "remove":
             _, entity_id, side = step
-            index.remove_entity(entity_id, side=side)
+            session.remove(entity_id, side=side)
         else:
             _, entity_id, side, tokens = step
-            index.update_entity(make_profile(entity_id, t=" ".join(tokens)), side=side)
-        if snapshot_after is not None and position == snapshot_after:
-            write_index_snapshot(index, wal)
+            session.update(make_profile(entity_id, t=" ".join(tokens)), side=side)
+        if position == checkpoint_after:
+            session.checkpoint()
 
 
 def pairs_of(candidates):
@@ -137,15 +138,27 @@ def assert_same_view(recovered, reference):
     assert np.allclose(agg1[2:], agg2[2:])
 
 
-def reference_for_prefix(records):
-    """A fresh index holding exactly the logged prefix — no snapshots, no
-    recovery machinery, just the logical record semantics."""
-    meta = records[0]
-    assert meta["op"] == "meta"
-    index = construct_index(meta)
-    for record in records[1:]:
-        apply_logged_record(index, record)
-    return index
+def retained_ids(index, pruning):
+    """The exact answer over ``index``: the pairs ``MODEL`` and ``pruning``
+    retain, as entity-id tuples."""
+    features = DeltaFeatureGenerator(index, MODEL.feature_set)
+    candidates, _, mask = exact_answer(features, MODEL, get_pruning_algorithm(pruning))
+    return set(candidates.id_pairs(mask, index.entity_id))
+
+
+def assert_recovers_the_oracle(recovered, records, pruning):
+    oracle = reference_replay(records)
+    assert_same_view(recovered.index, oracle)
+    assert recovered.retained().retained_id_set() == retained_ids(oracle, pruning)
+
+
+def canonical_probabilities(session):
+    """The insert-time score of every live pair, by ascending canonical key
+    (a recovered index renumbers the nodes the snapshot holds)."""
+    raw, probabilities = session.insert_time_probabilities()
+    keys = canonical_pair_keys(session.index, raw)
+    order = np.argsort(keys)
+    return keys[order], probabilities[order]
 
 
 def crash_points(scan, tail_bytes):
@@ -161,19 +174,22 @@ def crash_points(scan, tail_bytes):
     return sorted(point for point in points if len(LOG_MAGIC) <= point <= tail_bytes)
 
 
-def run_crash_sweep(make_index, steps, snapshot_after):
+def run_crash_sweep(bilateral, pruning, steps, checkpoint_after):
     with tempfile.TemporaryDirectory() as root:
         live_dir = Path(root) / "live"
-        index = make_index()
-        wal = WriteAheadLog(live_dir, sync="batch")
-        index.attach_wal(wal)
-        apply_script(index, steps, snapshot_after=snapshot_after, wal=wal)
-        wal.close()
+        session = MatchingSession(
+            MODEL, bilateral=bilateral, pruning=pruning, wal_path=live_dir, wal_sync="batch"
+        )
+        apply_script(session, steps, checkpoint_after)
+        session.close()
 
-        scan = WriteAheadLog(live_dir).scan()
-        full = (live_dir / "wal.log").read_bytes()
-        snapshot = WriteAheadLog(live_dir).latest_snapshot()
-        snapshot_offset = None if snapshot is None else int(snapshot["log_offset"])
+        wal = WriteAheadLog(live_dir)
+        scan = wal.scan()
+        full = wal.log_path.read_bytes()
+        snapshots = [
+            (int(wal.load_snapshot(path)["log_offset"]), path) for path in wal.snapshot_paths()
+        ]
+        assert len(snapshots) == 1 + (checkpoint_after is not None)
 
         for cut in crash_points(scan, len(full)):
             crash_dir = Path(root) / "crash"
@@ -182,75 +198,83 @@ def run_crash_sweep(make_index, steps, snapshot_after):
             (crash_dir / "wal.log").write_bytes(full[:cut])
             # a snapshot fsynced at offset o can only exist in a crash image
             # whose durable log already reached o (sync="always" semantics)
-            if snapshot_offset is not None and snapshot_offset <= cut:
-                for path in WriteAheadLog(live_dir).snapshot_paths():
-                    shutil.copy(path, crash_dir / path.name)
-                # what recovery reads: the tail behind the snapshot decodes to
-                # exactly the whole-log scan's records from there on
-                crashed = WriteAheadLog(crash_dir)
-                whole, tail = crashed.scan(), crashed.scan(snapshot_offset)
-                assert tail.records == [
-                    entry for entry in whole.records if entry.start >= snapshot_offset
-                ]
-                assert tail.valid_length == whole.valid_length
-                assert tail.file_length == whole.file_length
-
-            surviving = [
-                entry.record for entry in scan.records if entry.end <= cut
-            ]
-            if not surviving and (snapshot_offset is None or snapshot_offset > cut):
-                # the crash predates even the meta record: the log is torn
-                # down to nothing recoverable, and recovery must say so
-                # rather than hand back a guessed-topology index
-                with pytest.raises(ValueError):
-                    recover_index(crash_dir)
+            durable = [(offset, path) for offset, path in snapshots if offset <= cut]
+            if not durable:
+                # the crash predates the session's first snapshot (the meta
+                # record at most survived): no frozen model to restore, and
+                # recovery must say so rather than hand back a model-less index
+                with pytest.raises(ValueError, match="no session snapshot"):
+                    recover_session(crash_dir)
                 continue
-            recovered = recover_index(crash_dir)
-            assert_same_view(recovered, reference_for_prefix(surviving))
+            for _, path in durable:
+                shutil.copy(path, crash_dir / path.name)
+            # what recovery reads: the tail behind the newest snapshot decodes
+            # to exactly the whole-log scan's records from there on
+            newest = max(offset for offset, _ in durable)
+            crashed = WriteAheadLog(crash_dir)
+            whole, tail = crashed.scan(), crashed.scan(newest)
+            assert tail.records == [entry for entry in whole.records if entry.start >= newest]
+            assert tail.valid_length == whole.valid_length
+            assert tail.file_length == whole.file_length
 
-        # the complete log recovers the full run
-        assert_same_view(recover_index(live_dir), index)
+            surviving = [entry.record for entry in scan.records if entry.end <= cut]
+            recovered = recover_session(crash_dir)
+            try:
+                assert_recovers_the_oracle(recovered, surviving, pruning)
+            finally:
+                recovered.close()
+
+        # the complete log recovers the full run: its answer, its online
+        # threshold and every live pair's insert-time score
+        recovered = recover_session(live_dir)
+        try:
+            assert_recovers_the_oracle(recovered, [entry.record for entry in scan.records], pruning)
+            assert recovered.retained().retained_id_set() == session.retained().retained_id_set()
+            assert recovered.online.threshold == pytest.approx(session.online.threshold, abs=1e-12)
+            keys, probabilities = canonical_probabilities(session)
+            recovered_keys, recovered_probabilities = canonical_probabilities(recovered)
+            assert np.array_equal(recovered_keys, keys)
+            assert np.allclose(recovered_probabilities, probabilities)
+        finally:
+            recovered.close()
 
 
 @SLOW_SETTINGS
-@given(data=st.data(), bilateral=st.booleans(), with_snapshot=st.booleans())
-def test_plain_index_recovers_at_every_crash_point(data, bilateral, with_snapshot):
+@given(
+    data=st.data(),
+    bilateral=st.booleans(),
+    with_checkpoint=st.booleans(),
+    pruning=st.sampled_from(("BLAST", "CNP", "WEP")),
+)
+def test_a_session_recovers_at_every_crash_point(data, bilateral, with_checkpoint, pruning):
     steps = data.draw(churn_scripts(bilateral))
-    snapshot_after = (
-        data.draw(st.integers(0, len(steps) - 1)) if with_snapshot else None
+    checkpoint_after = (
+        data.draw(st.integers(0, len(steps) - 1)) if with_checkpoint else None
     )
-    run_crash_sweep(
-        lambda: MutableBlockIndex(bilateral=bilateral), steps, snapshot_after
-    )
+    run_crash_sweep(bilateral, pruning, steps, checkpoint_after)
 
 
-def test_resume_appends_behind_a_torn_tail(tmp_path):
-    """recover(resume=True) truncates the tear and keeps journaling."""
+def test_recovery_resumes_behind_a_torn_tail(tmp_path):
+    """Recovery truncates the tear and keeps journaling behind it."""
     live_dir = tmp_path / "w"
-    index = MutableBlockIndex()
-    wal = WriteAheadLog(live_dir)
-    index.attach_wal(wal)
+    session = MatchingSession(MODEL, wal_path=live_dir)
     for i in range(6):
-        index.add_entity(make_profile(f"e{i}", t=f"apple phone tok{i % 2}"))
-    index.remove_entity("e1")
-    wal.close()
+        session.insert(make_profile(f"e{i}", t=f"apple phone tok{i % 2}"))
+    session.remove("e1")
+    session.close()
 
     log = live_dir / "wal.log"
     log.write_bytes(log.read_bytes()[:-7])  # tear the final record
 
-    recovered = recover_index(live_dir, resume=True)
-    assert recovered.has_entity("e1")  # the torn removal never happened
-    recovered.add_entity(make_profile("late", t="apple mini"))
-    recovered._wal.close()
+    recovered = MatchingSession.recover(live_dir)
+    assert recovered.index.has_entity("e1")  # the torn removal never happened
+    recovered.insert(make_profile("late", t="apple mini"))
+    recovered.close()
 
-    again = recover_index(live_dir)
-    assert again.has_entity("late")
-    assert_same_view(again, recovered)
-
-
-def test_recovery_without_meta_or_snapshot_raises(tmp_path):
-    wal = WriteAheadLog(tmp_path / "w")
-    with wal:
-        wal.append_record({"op": "add", "id": "e0", "side": 0, "sig": ["a"]})
-    with pytest.raises(ValueError, match="neither a snapshot nor a meta record"):
-        recover_index(tmp_path / "w")
+    again = MatchingSession.recover(live_dir)
+    try:
+        assert again.index.has_entity("late")
+        assert_same_view(again.index, recovered.index)
+        assert again.retained().retained_id_set() == recovered.retained().retained_id_set()
+    finally:
+        again.close()

@@ -29,9 +29,7 @@ from repro.persistence import (
     WriteAheadLog,
     canonical_pair_keys,
     encode_record,
-    recover_index,
 )
-from repro.persistence.snapshot import snapshot_state
 from repro.serve.workers import ShardReplica
 
 FEATURE_SET = ("CBS", "JS", "RS")
@@ -154,7 +152,7 @@ def test_bare_index_wal_rejects_session_recovery(tmp_path):
     index.attach_wal(wal)
     index.add_entity(make_profile("e0", t="apple phone"))
     wal.close()
-    with pytest.raises(ValueError, match="recover_index"):
+    with pytest.raises(ValueError, match="no session snapshot"):
         MatchingSession.recover(tmp_path / "wal")
 
 
@@ -176,8 +174,6 @@ def test_a_session_written_by_the_pr18_tree_is_refused_by_name(tmp_path):
     message = "the snapshot holds state format 1 .*this version reads format 2 only"
     with pytest.raises(StateFormatError, match=message):
         MatchingSession.recover(wal)
-    with pytest.raises(StateFormatError, match=message):
-        recover_index(wal)
     # refused before anything was truncated or written
     assert {path.name: path.read_bytes() for path in wal.iterdir()} == before
 
@@ -278,8 +274,6 @@ def test_a_snapshot_in_another_state_format_is_refused_by_name(tmp_path):
     )
     with pytest.raises(StateFormatError, match=message):
         MatchingSession.recover(tmp_path / "wal")
-    with pytest.raises(StateFormatError, match=message):
-        recover_index(tmp_path / "wal")
 
 
 def _bump_meta_format(directory):
@@ -295,53 +289,19 @@ def _bump_meta_format(directory):
     return len(data)
 
 
-def test_a_log_meta_record_in_another_state_format_is_refused_by_name(tmp_path):
-    """With no snapshot, the log's ``meta`` record names the index to replay
-    into; its ``"format"`` is read as a snapshot's is."""
-    index = MutableBlockIndex()
+def test_a_sharded_topology_is_refused_by_name(tmp_path):
+    """A session snapshot whose index section says ``"kind": "sharded"`` —
+    what the removed signature-sharded index wrote — is refused by that name
+    before any index is built."""
+    session = MatchingSession(_frozen_model(), wal_path=tmp_path / "wal")
+    for profile in _profiles(4, "a"):
+        session.insert(profile)
+    newest = session.checkpoint()
+    session.close()
     wal = WriteAheadLog(tmp_path / "wal")
-    index.attach_wal(wal)
-    index.add_entities(_profiles(4, "a"))
-    wal.close()
-    assert recover_index(tmp_path / "wal").num_entities == 4
-    _bump_meta_format(tmp_path / "wal")
-
-    with pytest.raises(
-        StateFormatError,
-        match=f"the log meta record holds state format {META_FORMAT + 1}; "
-        f"this version reads format {META_FORMAT} only",
-    ):
-        recover_index(tmp_path / "wal")
-
-
-@pytest.mark.parametrize("where", ["log meta record", "snapshot"])
-def test_a_sharded_topology_is_refused_by_name(tmp_path, where):
-    """A directory the removed signature-sharded index wrote — its ``meta``
-    record or its snapshot's index section says ``"kind": "sharded"`` — is
-    refused by that name before any index is built."""
-    wal = WriteAheadLog(tmp_path / "wal")
-    if where == "log meta record":
-        with wal:
-            wal.append_record(
-                {
-                    "op": "meta",
-                    "format": META_FORMAT,
-                    "kind": "sharded",
-                    "bilateral": False,
-                    "num_shards": 2,
-                    "name": "sharded-stream",
-                }
-            )
-            wal.append_record({"op": "add", "id": "a0", "side": 0, "sig": ["tok0"], "shards": [1]})
-    else:
-        index = MutableBlockIndex()
-        index.attach_wal(wal)
-        index.add_entities(_profiles(4, "a"))
-        state = snapshot_state(index, wal.log_offset)
-        state["index"].update(kind="sharded", num_shards=2)
-        state["slots"] = None
-        wal.write_snapshot(state)
-        wal.close()
+    state = wal.load_snapshot(newest)
+    state["index"] = dict(state["index"], kind="sharded", num_shards=2)
+    wal.write_snapshot(dict(state, slots=None))
 
     refusing = mock.patch.object(
         repro.persistence.snapshot,
@@ -349,7 +309,7 @@ def test_a_sharded_topology_is_refused_by_name(tmp_path, where):
         side_effect=AssertionError("an index was built"),
     )
     with refusing, pytest.raises(ValueError, match="unknown index kind 'sharded'"):
-        recover_index(tmp_path / "wal")
+        MatchingSession.recover(tmp_path / "wal")
 
 
 def test_a_shard_replica_refuses_a_log_meta_record_in_another_format(tmp_path):

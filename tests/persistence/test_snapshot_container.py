@@ -30,12 +30,7 @@ from repro.incremental import MatchingSession, MutableBlockIndex
 from repro.ml import GaussianNB, LinearSVC, LogisticRegression, MinMaxScaler, StandardScaler
 from repro.ml.base import FrozenModel
 from repro.ml.state import export_model, restore_model, restore_object
-from repro.persistence import (
-    StateFormatError,
-    WriteAheadLog,
-    recover_index,
-    write_index_snapshot,
-)
+from repro.persistence import StateFormatError, WriteAheadLog
 from repro.persistence.container import (
     CONTAINER_MAGIC,
     LEGACY_SNAPSHOT_MAGIC,
@@ -153,19 +148,21 @@ class TestLayout:
         writer bit for bit: its rows are the writer's live rows, its blocks
         keep their relative order, so every statistic derived from them is
         added in the same order."""
-        index = MutableBlockIndex(bilateral=True)
-        wal = WriteAheadLog(tmp_path / "wal")
-        index.attach_wal(wal)
+        session = MatchingSession(
+            make_frozen_model(FEATURE_SET), bilateral=True, wal_path=tmp_path / "wal"
+        )
         for serial in range(30):
-            index.add_entity(
+            session.insert(
                 make_profile(f"e{serial}", t=f"w{serial % 4} x{serial % 7} common"),
                 side=serial % 2,
             )
         for serial in range(0, 30, 4):
-            index.remove_entity(f"e{serial}", side=serial % 2)
-        write_index_snapshot(index, wal)
-        wal.close()
-        recovered = recover_index(tmp_path / "wal")
+            session.remove(f"e{serial}", side=serial % 2)
+        session.checkpoint()
+        session.close()
+        resumed = MatchingSession.recover(tmp_path / "wal")
+        resumed.close()
+        index, recovered = session.index, resumed.index
         live = np.argsort(index.canonical_node_ids())[-index.num_entities :]
         ours, theirs = recovered.statistics(), index.statistics()
         for name in ("blocks_per_entity", "entity_cardinality", "entity_inv_cardinality",
@@ -265,9 +262,9 @@ class _Sentinel:
 
 
 def test_a_format_1_snapshot_is_refused_before_it_is_unpickled(tmp_path):
-    """A pickled snapshot is code: loading it must not run it.  Every loader
-    — session and index recovery, replica adoption and bootstrap — refuses
-    it by name, and the payload's side effect never happens."""
+    """A pickled snapshot is code: loading it must not run it.  Both loaders
+    — session recovery and replica adoption — refuse it by name, and the
+    payload's side effect never happens."""
     directory = tmp_path / "wal"
     session = MatchingSession(make_frozen_model(FEATURE_SET), wal_path=directory)
     for profile in _profiles(6, "a"):
@@ -284,15 +281,12 @@ def test_a_format_1_snapshot_is_refused_before_it_is_unpickled(tmp_path):
     refusal = "the snapshot holds state format 1"
     with pytest.raises(StateFormatError, match=refusal):
         MatchingSession.recover(directory)
-    with pytest.raises(StateFormatError, match=refusal):
-        recover_index(directory)
-    for bootstrap in (None, legacy):
-        replica = ShardReplica(directory, shard=0, num_shards=2, bootstrap=bootstrap)
-        try:
-            with pytest.raises(StateFormatError, match=refusal):
-                replica.catch_up(end)
-        finally:
-            replica.close()
+    replica = ShardReplica(directory, shard=0, num_shards=2)
+    try:
+        with pytest.raises(StateFormatError, match=refusal):
+            replica.catch_up(end)
+    finally:
+        replica.close()
     assert not sentinel.exists()
 
 
@@ -476,20 +470,21 @@ def test_a_snapshot_whose_degrees_are_no_pair_set_is_refused(tmp_path, forge):
     """``degrees`` is the one per-entity array a snapshot stores: LCP and the
     live pair count are read off it.  Values no pair set has are refused by
     name, like every other inconsistent compacted state."""
-    index = MutableBlockIndex()
-    wal = WriteAheadLog(tmp_path / "wal")
-    index.attach_wal(wal)
+    session = MatchingSession(make_frozen_model(FEATURE_SET), wal_path=tmp_path / "wal")
     for serial in range(10):
-        index.add_entity(make_profile(f"e{serial}", t=f"w{serial % 3}"))
-    snapshot = write_index_snapshot(index, wal)
-    wal.close()
-    held = index._degrees.view()
+        session.insert(make_profile(f"e{serial}", t=f"w{serial % 3}"))
+    snapshot = session.checkpoint()
+    session.close()
+    held = session.index._degrees.view()
     assert held.min() > 0 and held.max() < 10 - 1.5 and held.sum() % 2 == 0
-    assert recover_index(tmp_path / "wal").num_pairs == index.num_pairs
+    forged = _copy(tmp_path / "wal", tmp_path / "forged")
+    recovered = MatchingSession.recover(tmp_path / "wal")
+    recovered.close()
+    assert recovered.num_pairs == session.num_pairs
 
     def edit(section):
         section["degrees"] = forge(np.asarray(section["degrees"]))
 
-    _rewritten(snapshot, edit)
+    _rewritten(forged / snapshot.name, edit)
     with pytest.raises(ValueError, match="degrees"):
-        recover_index(tmp_path / "wal")
+        MatchingSession.recover(forged)

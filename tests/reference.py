@@ -24,7 +24,9 @@ answer's row-major arithmetic: the gather / scatter masked ratio of JS / WJS /
 NRS, the two-branch sigmoid and the ``(x - offset) / scale`` expression the
 feature-major passes replaced bit for bit.  And checkpoint adoption's: the
 slot-by-slot ``_apply_insert`` rebuild ``ShardReplica._adopt_state`` replaced
-with run-wise bulk loads.  And the pair set no index stores any more: the
+with run-wise bulk loads.  And bare-index recovery's replay of a log from its
+``meta`` record, now the oracle a recovered session is held to
+(:func:`reference_replay`).  And the pair set no index stores any more: the
 plain-Python pairs the writer's block member lists spawn
 (:func:`member_pairs`).  And sharding's: K shard replicas following one
 index's log, merged (:func:`merged_replicas`) — the construction the serving
@@ -453,6 +455,33 @@ def reference_adopted_index(state, shard: int, num_shards: int) -> MutableBlockI
     return index
 
 
+def reference_replay(records: Sequence[Dict]) -> MutableBlockIndex:
+    """A fresh index holding exactly the logged ``records``: the leading
+    ``meta`` record names the topology, and every later record is applied
+    through the index's ``_apply_*`` entry points with the signatures it
+    carries — the logical record semantics alone, no snapshot, no session.
+
+    The from-``meta`` replay bare-index recovery ran (``construct_index`` of
+    the meta record, then ``apply_logged_record`` per record) before
+    recovery went through session snapshots only."""
+    meta, *rest = records
+    assert meta["op"] == "meta"
+    index = MutableBlockIndex(bilateral=meta["bilateral"], name=meta["name"])
+    for record in rest:
+        op = record["op"]
+        if op == "add":
+            index._apply_insert(record["id"], record["side"], record["sig"])
+        elif op == "bulk":
+            index._apply_bulk([tuple(entry) for entry in record["entities"]], record["side"])
+        elif op == "remove":
+            index.remove_entity(record["id"], side=record["side"])
+        elif op == "update":
+            index._apply_update(record["id"], record["side"], record["sig"])
+        else:
+            raise ValueError(f"unknown WAL record op {op!r}")
+    return index
+
+
 def member_pairs(shards) -> set:
     """Plain-Python union of the raw ``(left, right)`` pairs the block member
     lists of ``shards`` spawn: first x second in a bilateral index, every two
@@ -469,16 +498,30 @@ def member_pairs(shards) -> set:
     return pairs
 
 
-def merged_replicas(wal, authority, num_shards: int) -> Tuple[MergedIndexView, List[ShardReplica]]:
+def merged_replicas(
+    wal, authority, num_shards: int, adopt_floor: Optional[int] = None
+) -> Tuple[MergedIndexView, List[ShardReplica]]:
     """``num_shards`` shard replicas of the log ``wal`` — which ``authority``
     journals to — caught up to its end, read as one index.
 
     Fresh replicas adopt the newest checkpoint in the log's directory (or
     replay from the ``meta`` record) and the tail behind it, as a serving
-    worker does.  Returns the merged view, entity ids resolved by the
-    authority, and the replicas, which the caller closes.
+    worker does; given an ``adopt_floor`` — the floor checkpoint of a
+    recovered authority — they adopt that checkpoint or a newer one and
+    never replay from the log's start, as a recovered daemon's workers do.
+    Returns the merged view, entity ids resolved by the authority, and the
+    replicas, which the caller closes.
     """
-    replicas = [ShardReplica(wal.path, shard, num_shards) for shard in range(num_shards)]
+    replicas = [
+        ShardReplica(
+            wal.path,
+            shard,
+            num_shards,
+            adopt_floor=adopt_floor,
+            allow_from_zero=adopt_floor is None,
+        )
+        for shard in range(num_shards)
+    ]
     for replica in replicas:
         replica.catch_up(wal.log_offset)
     return MergedIndexView([replica.index for replica in replicas], authority.entity_id), replicas

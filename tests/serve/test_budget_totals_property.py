@@ -2,10 +2,11 @@
 
 The exact online answer hands the pruning algorithm two integers read off the
 rows it reads (``statistics().block_totals()``) instead of a materialised
-block collection.  For random add / remove / update / bulk-load / ``compact()``
-sequences — unilateral and bilateral, the index itself and 1-3 shard
-replicas of its log, merged — plus a WAL-recovered session and a
-checkpoint-adopting serving view, after every operation:
+block collection.  For random add / remove / update / bulk-load / checkpoint
+sequences — unilateral and bilateral, the index itself and 1-3 fresh shard
+replicas of its log (adopting its newest checkpoint), merged — plus a
+WAL-recovered session and a checkpoint-adopting serving view, after every
+operation:
 
 * the totals equal ``snapshot_blocks().total_block_assignments()`` and
   ``snapshot_blocks().index_space.total``;
@@ -47,7 +48,7 @@ def _operations():
             st.tuples(st.just("bulk"), sides, st.lists(_text, min_size=1, max_size=3)),
             st.tuples(st.just("remove"), sides, st.integers(0, 32)),
             st.tuples(st.just("update"), sides, st.integers(0, 32), _text),
-            st.tuples(st.just("compact"), sides),
+            st.tuples(st.just("checkpoint"), sides),
         ),
         min_size=1,
         max_size=12,
@@ -56,7 +57,7 @@ def _operations():
 
 def _apply(index, operations, bilateral):
     """Apply a generated op sequence to a raw index; yield each op's kind
-    after it."""
+    after it (a checkpoint is the caller's to write)."""
     live = ([], [])
     serial = 0
     for operation in operations:
@@ -74,8 +75,8 @@ def _apply(index, operations, bilateral):
                 profiles.append(make_profile(f"{'ab'[side]}{serial}", text=text))
             index.add_entities_bulk(profiles, side=side)
             live[side].extend(profile.entity_id for profile in profiles)
-        elif kind == "compact":
-            index.compact()
+        elif kind == "checkpoint":
+            pass
         elif not live[side]:
             continue
         elif kind == "remove":
@@ -130,8 +131,8 @@ def test_totals_and_masks_equal_the_materialised_snapshot(
         index.attach_wal(wal)
         try:
             for kind in chain([None], _apply(index, operations, bilateral)):
-                if kind == "compact":
-                    # fresh replicas adopt the compacted node space
+                if kind == "checkpoint":
+                    # fresh replicas adopt it and replay only the tail
                     write_index_snapshot(index, wal)
                 view, replicas = merged_replicas(wal, index, num_shards)
                 for replica in replicas:

@@ -27,6 +27,7 @@ from repro.blocking import prepare_blocks
 from repro.datamodel import EntityCollection, make_profile
 from repro.incremental import IndexState, MatchingSession, MergedIndexView, MutableBlockIndex
 from repro.incremental.state import APPENDED, Growable, IndexStateError
+from repro.persistence import WriteAheadLog
 from repro.persistence.recovery import recover_session
 from repro.serve.router import build_pinned_view, match_answer, top_k_answer
 from repro.serve.workers import ShardReplica, WalFollowError
@@ -465,9 +466,10 @@ class TestFollowerContract:
 
 class TestSnapshotBootstrap:
     def test_recovered_node_space_requires_snapshot_bootstrap(self, tmp_path):
-        """After recovery (which compacts node ids), replicas bootstrapped
-        from the recovery snapshot live in the authority's node space and
-        reproduce its canonical answer exactly."""
+        """After recovery (which compacts node ids), replicas started as a
+        recovered daemon starts them — adopting its floor checkpoint or
+        anything newer, never replaying the log from byte zero — live in the
+        authority's node space and reproduce its canonical answer exactly."""
         session = MatchingSession(MODEL, bilateral=True, wal_path=tmp_path)
         for i, text in enumerate(
             ("alpha beta", "beta gamma", "alpha gamma", "gamma delta")
@@ -475,21 +477,23 @@ class TestSnapshotBootstrap:
             session.insert(make_profile(f"a{i}", text=text), side=0)
             session.insert(make_profile(f"b{i}", text=text), side=1)
         session.remove("a1", side=0)
-        snapshot_path = session.checkpoint()
+        session.checkpoint()
         session.insert(make_profile("a9", text="delta beta"), side=0)
         session.close()
 
         recovered = recover_session(tmp_path)
         try:
+            floor = WriteAheadLog._snapshot_sequence(recovered.checkpoint())
             recovered.insert(make_profile("b9", text="alpha delta"), side=1)
             offset = recovered.wal.log_offset
             replicas = [
-                ShardReplica(tmp_path, shard, 2, bootstrap=snapshot_path)
+                ShardReplica(tmp_path, shard, 2, adopt_floor=floor, allow_from_zero=False)
                 for shard in range(2)
             ]
             try:
                 for replica in replicas:
                     replica.catch_up(offset)
+                assert [replica.adopted_sequence for replica in replicas] == [floor] * 2
                 view = build_pinned_view(
                     [replica.read_state() for replica in replicas],
                     recovered.index.entity_id,
@@ -501,19 +505,3 @@ class TestSnapshotBootstrap:
                     replica.close()
         finally:
             recovered.close()
-
-    def test_missing_bootstrap_snapshot_is_an_error(self, tmp_path):
-        session = self._tiny(tmp_path)
-        session.close()
-        replica = ShardReplica(
-            tmp_path, 0, 1, bootstrap=tmp_path / "snapshot-999999.snap"
-        )
-        with pytest.raises(WalFollowError, match="missing or corrupt"):
-            replica.catch_up(16)
-        replica.close()
-
-    @staticmethod
-    def _tiny(tmp_path):
-        session = MatchingSession(MODEL, bilateral=True, wal_path=tmp_path)
-        session.insert(make_profile("a0", text="alpha"), side=0)
-        return session

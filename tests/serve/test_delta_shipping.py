@@ -6,8 +6,8 @@ consistency property suite:
 * every ship a worker sends — full, then deltas across inserts that grow
   every array many times over — rebuilds exactly the worker's own state;
 * :meth:`MutableBlockIndex.export_delta` is all-or-nothing: stale or
-  consumed epochs, compaction and untracked indexes all refuse to ship a
-  delta (forcing a full ship) instead of shipping a wrong one;
+  consumed epochs and untracked indexes all refuse to ship a delta (forcing
+  a full ship) instead of shipping a wrong one;
 * :class:`ShardRouter` keeps resident per-shard views, ships deltas on warm
   reads — under a quarter of a full ship's bytes at a few hundred
   entities — full states on first contact and after a respawn, and records
@@ -96,15 +96,6 @@ class TestExportDeltaContract:
         assert index.export_delta(epoch) is None
         assert index.export_delta(delta["meta"]["epoch"]) is not None
 
-    def test_compaction_clears_the_tracker(self):
-        index = self._index()
-        index.enable_delta_tracking()
-        index._apply_insert("a1", 0, ["beta"])
-        index.remove_entity("a0", side=0)
-        index.compact()
-        # compaction renumbered nodes: any delta against the old base would
-        # be wrong, so the tracker is gone and a full ship is forced
-        assert index.export_delta(index.epoch) is None
     def test_the_wire_format_is_spelled_out_here_once_more(self):
         """The schema table derives these; a worker and a router of different
         trees interoperate only while they stay exactly this."""

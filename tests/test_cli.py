@@ -137,6 +137,18 @@ class TestOutOfRangeValues:
             (["client", "stats", "--port", "70000"], "--port", "must be a port in 0-65535"),
             (["client", "stats", "--port", "1", "--timeout", "-1"], "--timeout", "must be above 0"),
             (["client", "stats", "--port", "1", "--timeout", "0"], "--timeout", "must be above 0"),
+            (["client", "stats", "--port", "1", "--retries", "-1"], "--retries", "must be at least 0"),
+            (
+                ["client", "stats", "--port", "1", "--connect-timeout", "-1"],
+                "--connect-timeout",
+                "must be at least 0",
+            ),
+            (["client", "stats", "--port", "1", "--deadline-ms", "-1"], "--deadline-ms", "must be above 0"),
+            (["client", "stats", "--port", "1", "--deadline-ms", "0"], "--deadline-ms", "must be above 0"),
+            (["client", "stats", "--port", "1", "--deadline-ms", "inf"], "--deadline-ms", "must be above 0 and finite"),
+            (["client", "stats", "--port", "1", "--timeout", "inf"], "--timeout", "must be above 0 and finite"),
+            (["client", "top-k", "--port", "1", "--id", "a", "-k", "-3"], "-k", "must be at least 0"),
+            (["client", "match", "--port", "1", "--limit", "-1"], "--limit", "must be at least 0"),
         ],
     )
     def test_refuses_values_that_end_in_a_traceback_or_do_nothing(
@@ -164,6 +176,34 @@ class TestOutOfRangeValues:
         assert parser.parse_args(["stream", "--scale", "0.01"]).scale == 0.01
         client = parser.parse_args(["client", "ping", "--port", "65535", "--timeout", "0.5"])
         assert (client.port, client.timeout) == (65535, 0.5)
+        client = parser.parse_args(
+            ["client", "match", "--port", "1", "--connect-timeout", "0", "--retries", "0",
+             "-k", "0", "--limit", "0", "--deadline-ms", "0.5"]
+        )
+        assert (client.connect_timeout, client.retries, client.k, client.limit) == (0, 0, 0, 0)
+        assert client.deadline_ms == 0.5
+
+    @pytest.mark.parametrize(
+        "argument,value",
+        [
+            ("retries", -1),
+            ("connect_timeout", -0.5),
+            ("connect_timeout", float("nan")),
+            ("deadline_ms", 0),
+            ("deadline_ms", -1),
+            ("deadline_ms", float("inf")),
+            ("deadline_ms", float("nan")),
+        ],
+    )
+    def test_the_client_refuses_them_before_connecting(self, monkeypatch, argument, value):
+        from repro.serve.client import ServeClient
+
+        def connect(*args, **kwargs):
+            raise AssertionError("a connection was tried")
+
+        monkeypatch.setattr(socket, "create_connection", connect)
+        with pytest.raises(ValueError, match=argument):
+            ServeClient(port=1, **{argument: value})
 
 
 def _files(directory: Path):

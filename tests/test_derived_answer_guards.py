@@ -156,8 +156,6 @@ def test_an_index_after_churn_holds_no_registry():
     _churn(index)
     assert index.num_pairs == len(index.candidate_set()) > 0
     assert not _registry_attributes(index)
-    index.compact()
-    assert not _registry_attributes(index)
 
 
 def test_a_replica_that_followed_a_log_holds_no_registry(tmp_path):

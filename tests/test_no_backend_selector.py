@@ -37,7 +37,7 @@ from repro.incremental.index import MutableBlockIndex
 from repro.incremental.session import MatchingSession
 from repro.incremental.stream import train_frozen_model
 from repro.metablocking import build_blocking_graph
-from repro.persistence.recovery import recover_index
+from repro.persistence.recovery import recover_session
 from repro.persistence.snapshot import build_index_from_state, construct_index
 from repro.serve.daemon import MatchingDaemon
 from repro.weights import WeightingScheme
@@ -78,7 +78,7 @@ def test_entry_point_takes_no_selector(entry_point):
         MatchingDaemon,
         construct_index,
         build_index_from_state,
-        recover_index,
+        recover_session,
         MatchingSession.insert_bulk,
         MutableBlockIndex.add_entities_bulk,
     ],
