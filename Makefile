@@ -71,7 +71,12 @@
 #                            pinned bootstrap, drain_timeout or the unavailable error,
 #                            and a session recovered from its log cut at every record
 #                            boundary and mid-record tear equals the from-meta replay
-#                            of the surviving records, view and retained set)
+#                            of the surviving records, view and retained set; no
+#                            test-only surface: nothing under src/ defines the queue,
+#                            member-list blocks, ROC AUC or kill-loop the tests keep as
+#                            oracles, or the helpers only tests called, the two
+#                            modules that held them do not import and no export table
+#                            names them)
 #   make test-fast         - tier-1 suite without the perf smoke tests, then tests/serve,
 #                            tests/faults and tests/persistence in one invocation (the
 #                            fixture model they pickle must not depend on collection order)
@@ -140,7 +145,8 @@ test-equivalence:
 		tests/datasets/test_sampler_oracle.py tests/datasets/test_golden_generation.py \
 		tests/test_one_online_policy.py tests/serve/test_shared_read_property.py \
 		tests/test_one_serving_configuration.py \
-		tests/test_one_storage_lifecycle.py tests/persistence/test_crash_recovery_property.py
+		tests/test_one_storage_lifecycle.py tests/persistence/test_crash_recovery_property.py \
+		tests/test_no_test_only_surface.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q

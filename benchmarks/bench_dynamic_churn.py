@@ -66,8 +66,9 @@ def _retraction_buckets(retraction_sizes, delete_seconds, n_buckets=4):
 def _time_sequential_load(dataset):
     index = MutableBlockIndex(bilateral=True)
     started = time.perf_counter()
-    index.add_entities(dataset.first, side=0)
-    index.add_entities(dataset.second, side=1)
+    for side, collection in enumerate((dataset.first, dataset.second)):
+        for profile in collection:
+            index.add_entity(profile, side=side)
     return time.perf_counter() - started, index
 
 

@@ -74,15 +74,12 @@ _EXPORTS = {
     "SupervisedWEP": "core",
     "SupervisedWNP": "core",
     "TokenBlocking": "blocking",
-    "evaluate_blocks": "evaluation",
     "evaluate_candidates": "evaluation",
     "evaluate_result": "evaluation",
     "evaluate_retained_mask": "evaluation",
     "extract_candidates": "blocking",
     "filter_blocks": "blocking",
     "get_pruning_algorithm": "core",
-    "load_all_benchmarks": "datasets",
-    "load_all_dirty_datasets": "datasets",
     "load_benchmark": "datasets",
     "load_dirty_dataset": "datasets",
     "prepare_blocks": "blocking",

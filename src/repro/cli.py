@@ -187,8 +187,6 @@ def _run_stream(args: argparse.Namespace, parser: argparse.ArgumentParser) -> st
         parser.error("--bootstrap must be a fraction in (0, 1]")
     if not 0.0 <= args.deletes < 1.0:
         parser.error("--deletes must be a fraction in [0, 1)")
-    if args.snapshot_every is not None and args.snapshot_every < 1:
-        parser.error("--snapshot-every must be at least 1")
     if args.recover:
         if args.wal is None:
             parser.error("--recover requires --wal DIR")
@@ -292,8 +290,6 @@ def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     """Start the persistent matching daemon (``repro serve``)."""
     from .serve.daemon import MatchingDaemon
 
-    if args.snapshot_every is not None and args.snapshot_every < 1:
-        parser.error("--snapshot-every must be at least 1")
     model = None
     if not args.recover:
         from .datasets.benchmarks import load_benchmark
@@ -609,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream_parser.add_argument(
         "--snapshot-every",
-        type=int,
+        type=positive_int,
         default=None,
         dest="snapshot_every",
         metavar="N",
@@ -662,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="batch pruning algorithm behind the 'match' endpoint",
     )
     serve_parser.add_argument(
-        "--snapshot-every", type=int, default=None, dest="snapshot_every",
+        "--snapshot-every", type=positive_int, default=None, dest="snapshot_every",
         metavar="N", help="automatic checkpoint every N mutations",
     )
     serve_parser.add_argument(

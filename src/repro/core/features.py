@@ -48,22 +48,6 @@ class FeatureMatrix:
         """Number of feature columns."""
         return int(self.values.shape[1])
 
-    def column_index(self, label: str) -> int:
-        """Position of a column label.
-
-        Raises
-        ------
-        KeyError
-            Naming the available columns when ``label`` is not one of them.
-        """
-        try:
-            return self.columns.index(label)
-        except ValueError:
-            available = ", ".join(repr(column) for column in self.columns)
-            raise KeyError(
-                f"unknown feature column {label!r}; available columns: {available}"
-            ) from None
-
     def select(self, rows: np.ndarray) -> np.ndarray:
         """Return the feature values of the selected rows."""
         return self.values[rows]

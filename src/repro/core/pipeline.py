@@ -21,10 +21,8 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..blocking.candidate_extraction import prepare_blocks
 from ..datamodel.block import BlockCollection
 from ..datamodel.candidates import CandidateSet
-from ..datamodel.entity import EntityCollection
 from ..datamodel.ground_truth import GroundTruth
 from ..ml.base import FrozenModel, ProbabilisticClassifier
 from ..ml.logistic_regression import LogisticRegression
@@ -206,31 +204,3 @@ class GeneralizedSupervisedMetaBlocking:
             scaler=scaler,
             feature_set=tuple(self.feature_set),
         )
-
-    def run_on_collections(
-        self,
-        first: EntityCollection,
-        second: Optional[EntityCollection],
-        ground_truth: GroundTruth,
-        seed: SeedLike = None,
-        **prepare_kwargs,
-    ) -> MetaBlockingResult:
-        """Convenience wrapper: block preparation + pipeline in one call.
-
-        Extra keyword arguments are forwarded to
-        :func:`repro.blocking.prepare_blocks`.  The prepared CSR incidence
-        structure is handed to feature generation (no rebuild), and the
-        preparation's wall-clock is recorded as the ``"block-preparation"``
-        stage of the result's timer — so RT no longer silently starts at
-        feature generation.
-        """
-        prepared = prepare_blocks(first, second, **prepare_kwargs)
-        result = self.run(
-            prepared.blocks,
-            prepared.candidates,
-            ground_truth,
-            stats=prepared.statistics(),
-            seed=seed,
-        )
-        result.timer.add("block-preparation", prepared.timer.total)
-        return result

@@ -160,13 +160,6 @@ class BlockCollection:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         return np.concatenate(block_parts), np.concatenate(node_parts)
 
-    def average_blocks_per_entity(self) -> float:
-        """Average number of block memberships per entity that appears in B."""
-        index = self.entity_block_index()
-        if not index:
-            return 0.0
-        return sum(len(blocks) for blocks in index.values()) / len(index)
-
     def without_empty_blocks(self) -> "BlockCollection":
         """Return a copy that drops blocks spawning no comparison."""
         kept = [block for block in self._blocks if block.cardinality() > 0]

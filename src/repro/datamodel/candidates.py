@@ -87,20 +87,6 @@ class CandidateSet:
         return cls(left, right, index_space)
 
     @classmethod
-    def from_packed_keys(
-        cls, keys: np.ndarray, index_space: EntityIndexSpace
-    ) -> "CandidateSet":
-        """Build from sorted distinct packed keys ``left * total + right``.
-
-        ``total`` is ``max(index_space.total, 1)`` — the stride the array
-        engine packs candidate pairs with.  No tuples or Python
-        sets are materialized.
-        """
-        total = np.int64(max(index_space.total, 1))
-        keys = np.asarray(keys, dtype=np.int64)
-        return cls(keys // total, keys % total, index_space)
-
-    @classmethod
     def from_blocks(cls, blocks: BlockCollection) -> "CandidateSet":
         """Extract the distinct candidate pairs of a block collection.
 
@@ -150,8 +136,8 @@ class CandidateSet:
     def packed_keys(self) -> np.ndarray:
         """``left * total + right`` per pair — a unique int64 key per pair.
 
-        ``total`` is ``max(index_space.total, 1)``, the same stride
-        :meth:`from_packed_keys` unpacks with.  The cardinality-based pruning
+        ``total`` is ``max(index_space.total, 1)``, the stride the array
+        engine packs candidate pairs with.  The cardinality-based pruning
         algorithms use these keys to break probability ties deterministically:
         the retained set becomes a pure function of the ``(weight, pair)``
         multiset, independent of candidate storage order.

@@ -130,13 +130,6 @@ class EntityCollection:
         """Return all entity identifiers in collection order."""
         return [profile.entity_id for profile in self._profiles]
 
-    def attribute_names(self) -> List[str]:
-        """Return the sorted union of attribute names across all profiles."""
-        names = set()
-        for profile in self._profiles:
-            names.update(profile.attributes.keys())
-        return sorted(names)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "clean" if self.is_clean else "dirty"
         return f"EntityCollection(name={self.name!r}, size={len(self)}, {kind})"

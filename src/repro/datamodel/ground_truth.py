@@ -147,10 +147,5 @@ class GroundTruth:
         index = candidates.position_index()
         return sum(1 for pair in self._pairs if pair in index)
 
-    def missed_by(self, candidates: CandidateSet) -> Set[Tuple[int, int]]:
-        """Duplicate pairs absent from the candidate set (blocking misses)."""
-        index = candidates.position_index()
-        return {pair for pair in self._pairs if pair not in index}
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GroundTruth(duplicates={len(self)})"

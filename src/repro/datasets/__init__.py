@@ -22,8 +22,6 @@ _EXPORTS = {
     "get_profile": "registry",
     "get_vocabulary": "vocabulary",
     "introduce_typo": "corruption",
-    "load_all_benchmarks": "benchmarks",
-    "load_all_dirty_datasets": "dirty",
     "load_benchmark": "benchmarks",
     "load_clean_clean_directory": "loaders",
     "load_dirty_dataset": "dirty",

@@ -26,7 +26,7 @@ from ..datamodel.entity import EntityCollection, EntityProfile
 from ..datamodel.ground_truth import GroundTruth
 from ..utils.rng import SeedLike, make_rng
 from .corruption import corrupt_attributes
-from .registry import CLEAN_CLEAN_ORDER, DatasetProfile, get_profile
+from .registry import DatasetProfile, get_profile
 from .vocabulary import Vocabulary, get_vocabulary
 
 #: Attribute layout per vocabulary domain: (attribute name, token count range).
@@ -222,13 +222,3 @@ def load_benchmark(
 ) -> CleanCleanDataset:
     """Generate the benchmark registered under ``name`` (e.g. ``"AbtBuy"``)."""
     return generate_clean_clean(get_profile(name), seed=seed, scale=scale)
-
-
-def load_all_benchmarks(
-    seed: SeedLike = 0,
-    scale: Optional[float] = None,
-    names: Optional[Sequence[str]] = None,
-) -> List[CleanCleanDataset]:
-    """Generate every benchmark (or the named subset) in the paper's order."""
-    selected = list(names) if names is not None else list(CLEAN_CLEAN_ORDER)
-    return [load_benchmark(name, seed=seed, scale=scale) for name in selected]

@@ -19,7 +19,7 @@ from ..datamodel.ground_truth import GroundTruth
 from ..utils.rng import SeedLike, make_rng
 from .benchmarks import _base_profile
 from .corruption import corrupt_attributes
-from .registry import DIRTY_ORDER, DatasetProfile, DirtyDatasetProfile, get_dirty_profile
+from .registry import DatasetProfile, DirtyDatasetProfile, get_dirty_profile
 from .vocabulary import get_vocabulary
 
 
@@ -103,10 +103,3 @@ def load_dirty_dataset(
 ) -> DirtyDataset:
     """Generate the Dirty ER dataset registered under ``name`` (e.g. ``"D100K"``)."""
     return generate_dirty(get_dirty_profile(name), seed=seed, scale=scale)
-
-
-def load_all_dirty_datasets(
-    seed: SeedLike = 0, scale: Optional[float] = None
-) -> List[DirtyDataset]:
-    """Generate the full D10K–D300K series in order of increasing size."""
-    return [load_dirty_dataset(name, seed=seed, scale=scale) for name in DIRTY_ORDER]

@@ -9,14 +9,12 @@ _EXPORTS = {
     "RunOutcome": "runner",
     "average_over_datasets": "runner",
     "average_reports": "metrics",
-    "evaluate_blocks": "metrics",
     "evaluate_candidates": "metrics",
     "evaluate_result": "metrics",
     "evaluate_retained_mask": "metrics",
     "format_measure_series": "reporting",
     "format_table": "reporting",
     "format_value": "reporting",
-    "paper_vs_measured": "reporting",
 }
 
 __all__ = list(_EXPORTS)

@@ -21,7 +21,6 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..datamodel.block import BlockCollection
 from ..datamodel.candidates import CandidateSet
 from ..datamodel.ground_truth import GroundTruth
 
@@ -73,17 +72,6 @@ def evaluate_candidates(
     """Evaluate a candidate set (e.g. the output of blocking) against the truth."""
     true_positives = ground_truth.covered_by(candidates)
     return _report(true_positives, len(candidates), len(ground_truth))
-
-
-def evaluate_blocks(
-    blocks: BlockCollection, ground_truth: GroundTruth
-) -> EffectivenessReport:
-    """Evaluate a block collection through its distinct candidate pairs.
-
-    This reproduces Table 2: the recall/precision/F1 of the input block
-    collections that supervised meta-blocking refines.
-    """
-    return evaluate_candidates(CandidateSet.from_blocks(blocks), ground_truth)
 
 
 def evaluate_retained_mask(

@@ -72,22 +72,3 @@ def format_measure_series(
         for label, values in series.items()
     ]
     return format_table(rows, columns=["label", *measures], precision=precision, title=title)
-
-
-def paper_vs_measured(
-    paper: Mapping[str, Number],
-    measured: Mapping[str, Number],
-    precision: int = 4,
-    title: Optional[str] = None,
-) -> str:
-    """Render a side-by-side comparison of paper-reported vs measured values."""
-    rows = []
-    for key in paper:
-        rows.append(
-            {
-                "measure": key,
-                "paper": paper[key],
-                "measured": measured.get(key, float("nan")),
-            }
-        )
-    return format_table(rows, columns=["measure", "paper", "measured"], precision=precision, title=title)

@@ -73,17 +73,13 @@ _EXPORTS = {
     "run_figure10": "algorithm_comparison",
     "run_figure11": "training_size",
     "run_figure13": "training_size",
-    "run_figure14": "training_size",
     "run_figure5": "pruning_selection",
     "run_figure6": "pruning_selection",
-    "run_figure7": "feature_runtime",
     "run_figure8": "algorithm_comparison",
-    "run_figure9": "feature_runtime",
     "run_probability_density": "probability_density",
     "run_pruning_selection": "pruning_selection",
     "run_scalability": "scalability",
     "run_table3": "feature_selection",
-    "run_table4": "feature_selection",
     "run_table5": "final_comparison",
     "run_table6": "scalability",
     "run_table7": "final_comparison",

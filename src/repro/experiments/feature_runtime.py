@@ -126,16 +126,6 @@ def run_feature_runtime(
     return rows
 
 
-def run_figure7(config: Optional[ExperimentConfig] = None, **kwargs) -> List[FeatureRuntimeRow]:
-    """Figure 7: run-times of BLAST's top-10 feature sets."""
-    return run_feature_runtime(BLAST_TOP10, config, **kwargs)
-
-
-def run_figure9(config: Optional[ExperimentConfig] = None, **kwargs) -> List[FeatureRuntimeRow]:
-    """Figure 9: run-times of RCNP's top-10 feature sets."""
-    return run_feature_runtime(RCNP_TOP10, config, **kwargs)
-
-
 def format_feature_runtime(rows: Sequence[FeatureRuntimeRow], title: str) -> str:
     """Render the measured run-times (the data behind Figures 7/9)."""
     return format_table(

@@ -79,11 +79,6 @@ def run_table3(config: Optional[ExperimentConfig] = None, **kwargs) -> FeatureSe
     return run_feature_selection("BLAST", config, **kwargs)
 
 
-def run_table4(config: Optional[ExperimentConfig] = None, **kwargs) -> FeatureSelectionResult:
-    """Table 4: top-10 feature sets for RCNP."""
-    return run_feature_selection("RCNP", config, **kwargs)
-
-
 def format_feature_selection(result: FeatureSelectionResult) -> str:
     """Render the top feature sets in the layout of Tables 3/4."""
     return format_table(

@@ -92,11 +92,6 @@ def run_figure11(config: Optional[ExperimentConfig] = None, sizes: Sequence[int]
     return run_training_size_sweep("BLAST", config, sizes)
 
 
-def run_figure14(config: Optional[ExperimentConfig] = None, sizes: Sequence[int] = FAST_TRAINING_SIZES) -> List[TrainingSizePoint]:
-    """Figure 14: training-size sweep for RCNP."""
-    return run_training_size_sweep("RCNP", config, sizes)
-
-
 def run_figure13(
     config: Optional[ExperimentConfig] = None, sizes: Sequence[int] = FAST_TRAINING_SIZES
 ) -> Dict[str, List[TrainingSizePoint]]:

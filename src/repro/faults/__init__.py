@@ -16,8 +16,7 @@ worker's schedule.
 
 Determinism: every trigger is counter-based (the Nth append, the Nth
 applied record), never time- or randomness-based, so a plan replays the
-identical failure sequence on every run.  The only randomness is in
-*generating* plans (:meth:`FaultPlan.kill_loop`), which is seeded.
+identical failure sequence on every run.
 """
 
 from __future__ import annotations
@@ -66,6 +65,11 @@ class InjectedFaultError(OSError):
 
 
 _lock = threading.Lock()
+# held across a fork, as ``repro.obs.events`` holds its own: a worker must
+# not start with a lock another thread of its parent was holding
+os.register_at_fork(
+    before=_lock.acquire, after_in_parent=_lock.release, after_in_child=_lock.release
+)
 _plan: Optional[FaultPlan] = None
 #: whether ``_plan`` is authoritative (set) or the env still needs parsing
 _resolved = False

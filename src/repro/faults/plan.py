@@ -112,45 +112,6 @@ class FaultPlan:
             slow_io_every=int(data.get("slow_io_every", 0)),
         )
 
-    @classmethod
-    def kill_loop(
-        cls, seed: int, num_shards: int, low: int = 2, high: int = 8
-    ) -> "FaultPlan":
-        """A seeded schedule killing every shard worker once mid-replay.
-
-        Each shard's worker dies while applying a record drawn uniformly
-        from ``[low, high]`` — the chaos suite's and the fault-recovery
-        benchmark's canonical kill-loop.
-        """
-        import random
-
-        rng = random.Random(seed)
-        return cls(
-            seed=int(seed),
-            kill_worker={
-                shard: rng.randint(low, high) for shard in range(num_shards)
-            },
-        )
-
-    def describe(self) -> str:
-        """One human-readable line (logged so failures are reproducible)."""
-        parts = [f"seed={self.seed}"]
-        if self.kill_worker:
-            parts.append(f"kill_worker={dict(sorted(self.kill_worker.items()))}")
-        if self.drop_heartbeats:
-            parts.append(
-                f"drop_heartbeats={dict(sorted(self.drop_heartbeats.items()))}"
-            )
-        for name in ("torn_append", "corrupt_append", "fsync_error"):
-            value = getattr(self, name)
-            if value:
-                parts.append(f"{name}={sorted(value)}")
-        if self.slow_io_every and self.slow_io_ms:
-            parts.append(
-                f"slow_io={self.slow_io_ms}ms/every {self.slow_io_every}"
-            )
-        return "FaultPlan(" + ", ".join(parts) + ")"
-
 
 def plan_from_env(environ: Optional[Dict[str, Any]] = None) -> Optional[FaultPlan]:
     """The plan carried by ``REPRO_FAULTS``, or ``None`` when unset/empty."""

@@ -58,8 +58,7 @@ fresh node id; the derived candidate set numbers the *live* nodes in the
 compact batch numbering of ``canonical_node_ids``, which is what the session's
 exact finalisation uses to reproduce batch pruning bit-for-bit.  The
 finalisation is array-only: the cardinality budgets come from the statistics'
-``block_totals()``, and :meth:`~MutableBlockIndex.snapshot_blocks` stays as
-the materialisation the equivalence tests compare those against.
+``block_totals()``.
 
 Per-insert cost is ``O(Σ_{b ∈ tokens(e)} |b|)`` — the size of the touched
 blocks, i.e. the mutation's candidate delta — independent of the number of
@@ -74,13 +73,12 @@ packed keys instead of per-insert ``np.unique`` calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..blocking.base import BlockingMethod
 from ..blocking.token_blocking import TokenBlocking
-from ..datamodel.block import Block, BlockCollection
 from ..datamodel.candidates import CandidateSet
 from ..datamodel.entity import EntityProfile
 from ..pairs import MAX_NODE_ID, node_id_overflow, pack_pair_keys, sorted_unique
@@ -463,12 +461,6 @@ class MutableBlockIndex(IndexState):
             counterparts=counterparts,
             pair_keys=pack_pair_keys(counterparts, np.full_like(counterparts, node)),
         )
-
-    def add_entities(
-        self, profiles: Iterable[EntityProfile], side: int = 0
-    ) -> List[InsertDelta]:
-        """Insert several entities from the same side, one at a time."""
-        return [self.add_entity(profile, side=side) for profile in profiles]
 
     def add_entities_bulk(
         self,
@@ -1066,33 +1058,6 @@ class MutableBlockIndex(IndexState):
         return CandidateSet(
             delta.pair_left.copy(), delta.pair_right.copy(), self.index_space()
         )
-
-    def snapshot_blocks(self) -> BlockCollection:
-        """Materialise the comparison-spawning blocks as a batch collection.
-
-        Node ids are the canonical batch ids (:meth:`canonical_node_ids`),
-        so the snapshot matches the *raw* blocks the batch pipeline builds
-        from the live entities in arrival order (before Block Purging and
-        Block Filtering, which an exact answer applies at read time) — up to
-        block order, which no downstream consumer depends on.
-        """
-        canonical = self.canonical_node_ids()
-        blocks = []
-        for block_id, key in enumerate(self._block_keys):
-            if self._block_cardinalities[block_id] <= 0:
-                continue
-            blocks.append(
-                Block(
-                    key=key,
-                    entities_first=sorted(
-                        int(canonical[node]) for node in self._members_first[block_id]
-                    ),
-                    entities_second=sorted(
-                        int(canonical[node]) for node in self._members_second[block_id]
-                    ),
-                )
-            )
-        return BlockCollection(blocks, self.index_space(), name=self.name)
 
     # -- delta shipping ---------------------------------------------------------
     def enable_delta_tracking(self) -> int:

@@ -44,7 +44,7 @@ Two contracts, one per surface:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -337,8 +337,8 @@ class MatchingSession:
         thresholds.  The directory must be empty — recovering into an
         existing log goes through :meth:`recover`.
     snapshot_every:
-        Mutations between automatic checkpoints (``None`` = only explicit
-        :meth:`checkpoint` calls).
+        Mutations between automatic checkpoints, at least 1 (``None`` = only
+        explicit :meth:`checkpoint` calls).
     wal_sync:
         ``"always"`` (fsync per record, the durability default) or
         ``"batch"`` (fsync on checkpoint/close only).
@@ -354,6 +354,8 @@ class MatchingSession:
         snapshot_every: Optional[int] = None,
         wal_sync: str = "always",
     ) -> None:
+        if snapshot_every is not None and snapshot_every < 1:
+            raise ValueError(f"snapshot_every must be at least 1, got {snapshot_every}")
         self.model = model
         self.index = MutableBlockIndex(blocking=blocking, bilateral=bilateral)
         self.features = DeltaFeatureGenerator(self.index, model.feature_set)
@@ -438,12 +440,6 @@ class MatchingSession:
             counterpart_ids=counterpart_ids,
             matches=matches,
         )
-
-    def insert_many(
-        self, profiles: Iterable[EntityProfile], side: int = 0
-    ) -> List[InsertResult]:
-        """Insert several entities from the same side, one at a time."""
-        return [self.insert(profile, side=side) for profile in profiles]
 
     def insert_bulk(
         self, profiles: Sequence[EntityProfile], side: int = 0

@@ -14,7 +14,6 @@ matched by an equal number of negatives), used by the BCl2/CNP2 baselines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -120,19 +119,3 @@ def proportional_positive_sample(
     order = rng.permutation(indices.size)
     indices = indices[order]
     return TrainingSample(indices=indices, labels=labels[indices])
-
-
-def train_test_split_indices(
-    n_samples: int,
-    test_fraction: float = 0.25,
-    seed: SeedLike = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Split ``range(n_samples)`` into train/test index arrays."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples to split")
-    rng = make_rng(seed)
-    permutation = rng.permutation(n_samples)
-    test_size = max(1, int(round(test_fraction * n_samples)))
-    return permutation[test_size:], permutation[:test_size]

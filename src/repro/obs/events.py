@@ -54,6 +54,12 @@ __all__ = [
 EVENT_LOG_ENV = "REPRO_EVENT_LOG"
 
 _lock = threading.Lock()
+# a shard worker forked while another daemon thread holds the lock would
+# inherit it held, and block on its first event for good: fork only between
+# critical sections, as the stdlib's ``logging`` does for its own locks
+os.register_at_fork(
+    before=_lock.acquire, after_in_parent=_lock.release, after_in_child=_lock.release
+)
 #: the configured directory (None = disabled); resolved from the
 #: environment on first use when never configured explicitly
 _dir: Optional[Path] = None

@@ -32,7 +32,6 @@ _EXPORTS = {
     "construct_index": "snapshot",
     "dump_index_state": "snapshot",
     "session_snapshot_state": "snapshot",
-    "write_index_snapshot": "snapshot",
 }
 
 __all__ = list(_EXPORTS)

@@ -38,7 +38,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .. import faults
 from ..obs import events
@@ -88,6 +88,18 @@ def _frame_end(data: bytes, position: int) -> Optional[int]:
     return end if zlib.crc32(memoryview(data)[header_end:end]) == crc else None
 
 
+def _decoded_frame(data: bytes, position: int) -> Optional[Tuple[int, Dict[str, Any]]]:
+    """``(end, record)`` of the frame at ``position``; ``None`` unless the
+    frame is complete, CRC-valid and its payload decodes as JSON."""
+    end = _frame_end(data, position)
+    if end is None:
+        return None
+    try:
+        return end, json.loads(data[position + _RECORD_HEADER.size : end].decode("utf-8"))
+    except (ValueError, UnicodeDecodeError):
+        return None
+
+
 def _is_record_boundary(data: bytes, start: int) -> bool:
     """Whether a frame of the log ``data`` begins (or the log ends) at ``start``.
 
@@ -127,6 +139,9 @@ class WalScan:
     valid_length: int
     #: total file size; larger than ``valid_length`` when the tail is torn
     file_length: int
+    #: the log's first record (its ``meta`` record), wherever the scan
+    #: started; ``None`` when the log holds no complete first record
+    first: Optional[Dict[str, Any]] = None
 
     @property
     def truncated(self) -> bool:
@@ -359,18 +374,19 @@ class WriteAheadLog:
                 )
             position = start
         records: List[WalRecord] = []
-        while True:
-            end = _frame_end(data, position)
-            if end is None:
-                break
-            payload = data[position + _RECORD_HEADER.size : end]
-            try:
-                decoded = json.loads(payload.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                break
+        frame = _decoded_frame(data, position)
+        while frame is not None:
+            end, decoded = frame
             records.append(WalRecord(start=position, end=end, record=decoded))
             position = end
-        return WalScan(records=records, valid_length=position, file_length=len(data))
+            frame = _decoded_frame(data, position)
+        head = _decoded_frame(data, len(LOG_MAGIC))
+        return WalScan(
+            records=records,
+            valid_length=position,
+            file_length=len(data),
+            first=None if head is None else head[1],
+        )
 
     # -- snapshots ---------------------------------------------------------------
     def snapshot_paths(self) -> List[Path]:

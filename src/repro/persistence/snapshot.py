@@ -34,7 +34,6 @@ from ..incremental.sharded import shard_of_signature
 from ..ml.state import export_model
 from ..pairs import MAX_NODE_ID, pack_pair_keys
 from .container import SNAPSHOT_FORMAT, pack_strings, unpack_strings
-from .log import WriteAheadLog
 
 #: the blocking methods a snapshot names, and the module defining each
 BLOCKING_METHODS = {
@@ -191,17 +190,6 @@ def snapshot_state(index, log_offset: int, session=None) -> Dict[str, Any]:
         "slots": dump_slot_layout(index),
         "session": session,
     }
-
-
-def write_index_snapshot(index, wal: WriteAheadLog):
-    """Snapshot an index's live state into the WAL directory.
-
-    Embeds the current log offset, so recovery replays only records behind
-    it.  Call between mutations (never mid-operation); with ``sync="batch"``
-    the offset may run ahead of the fsynced log tail — recovery then
-    prefers the (durable, consistent) snapshot.
-    """
-    return wal.write_snapshot(snapshot_state(index, wal.log_offset))
 
 
 # -- session state -----------------------------------------------------------------

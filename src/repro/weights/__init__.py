@@ -39,7 +39,6 @@ _EXPORTS = {
     "all_feature_subsets": "registry",
     "build_entity_block_csr": "sparse",
     "compute_pair_cooccurrence": "sparse",
-    "feature_width": "registry",
     "get_scheme": "registry",
     "get_schemes": "registry",
 }

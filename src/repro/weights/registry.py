@@ -86,11 +86,6 @@ def get_schemes(names: Sequence[str]) -> List[WeightingScheme]:
     return [get_scheme(name) for name in names]
 
 
-def feature_width(names: Sequence[str]) -> int:
-    """Number of feature columns produced by the named schemes."""
-    return sum(SCHEME_CLASSES[name].width for name in names)
-
-
 def all_feature_subsets(
     features: Sequence[str] = PAPER_FEATURES, min_size: int = 1
 ) -> List[Tuple[str, ...]]:

@@ -16,6 +16,7 @@ import repro.weights.statistics as statistics_module
 from repro.blocking import prepare_blocks
 from repro.core.pipeline import GeneralizedSupervisedMetaBlocking
 from repro.metablocking import build_blocking_graph
+from repro.utils.timing import StageTimer
 from repro.weights import BlockStatistics, build_entity_block_csr
 
 
@@ -73,20 +74,28 @@ class TestHandoff:
 
 
 class TestBlockPreparationStage:
-    def test_run_on_collections_records_the_stage(self, dblpacm_dataset):
-        pipeline = GeneralizedSupervisedMetaBlocking(training_size=50, seed=0)
-        result = pipeline.run_on_collections(
-            dblpacm_dataset.first, dblpacm_dataset.second, dblpacm_dataset.ground_truth
+    def test_prepare_and_run_record_the_stage(self, dblpacm_dataset):
+        """``repro quickstart``'s accounting: the preparation's timer merged
+        with the run's."""
+        timer = StageTimer()
+        prepared = prepare_blocks(
+            dblpacm_dataset.first, dblpacm_dataset.second, timer=timer
         )
-        assert result.timer.get("block-preparation") > 0.0
+        pipeline = GeneralizedSupervisedMetaBlocking(training_size=50, seed=0)
+        result = pipeline.run(
+            prepared.blocks,
+            prepared.candidates,
+            dblpacm_dataset.ground_truth,
+            stats=prepared.statistics(),
+        )
+        stages = timer.merge(result.timer)
+        assert stages.get("block-preparation") > 0.0
         # RT still covers the paper's stages on top of the new one
         for stage in ("features", "training", "scoring", "pruning"):
-            assert result.timer.get(stage) > 0.0
-        assert result.runtime_seconds >= result.timer.get("block-preparation")
+            assert stages.get(stage) > 0.0
+        assert stages.total >= stages.get("block-preparation")
 
     def test_prepare_blocks_feeds_an_external_timer(self, dblpacm_dataset):
-        from repro.utils.timing import StageTimer
-
         timer = StageTimer()
         prepared = prepare_blocks(
             dblpacm_dataset.first,

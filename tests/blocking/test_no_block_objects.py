@@ -4,8 +4,9 @@
 :class:`~repro.blocking.arrayops.LazyBlockCollection`, which answers what the
 pipeline reads — length, totals, per-block sizes and cardinalities — from its
 membership matrix, and ``BlockStatistics`` reads those instead of walking
-``Block`` objects.  So ``run_on_collections`` constructs none, for any
-pruning algorithm, dirty or clean-clean; the objects appear only when
+``Block`` objects.  So ``prepare_blocks`` followed by the pipeline's
+``run`` — the batch path the CLI and the perf ledger take — constructs none,
+for any pruning algorithm, dirty or clean-clean; the objects appear only when
 something iterates the collection, and are then the reference chain's.
 """
 
@@ -37,11 +38,14 @@ def dataset(request):
 
 
 @pytest.mark.parametrize("pruning", sorted(PRUNING_ALGORITHMS))
-def test_run_on_collections_constructs_no_block(dataset, monkeypatch, pruning):
+def test_prepare_and_run_construct_no_block(dataset, monkeypatch, pruning):
     first, second, truth = dataset
     pipeline = GeneralizedSupervisedMetaBlocking(pruning=pruning, seed=3)
     _forbid_blocks(monkeypatch)
-    result = pipeline.run_on_collections(first, second, truth)
+    prepared = prepare_blocks(first, second)
+    result = pipeline.run(
+        prepared.blocks, prepared.candidates, truth, stats=prepared.statistics()
+    )
     assert 0 < result.retained_count <= len(result.candidates)
 
 

@@ -73,7 +73,7 @@ def test_the_delta_generator_is_feature_major_after_orienting_lcp(clean, feature
     swapped = index.sides()[candidates.left] == 1
     assert swapped.any() and not swapped.all()
     if "LCP" in feature_set:
-        column = matrix.column_index("LCP(e_i)")
+        column = matrix.columns.index("LCP(e_i)")
         degrees = index.statistics().local_candidate_counts_sparse()
         first_side = np.where(swapped, candidates.right, candidates.left)
         assert np.array_equal(matrix.values[:, column], degrees[first_side])

@@ -35,20 +35,10 @@ class TestFeatureVectorGenerator:
         assert set(matrix.scheme_seconds) == {"JS", "LCP"}
         assert timer.get("features") > 0.0
 
-    def test_column_index_and_select(self, small_candidates, small_stats):
+    def test_select_returns_the_selected_rows(self, small_candidates, small_stats):
         matrix = FeatureVectorGenerator(("JS", "RS")).generate(small_candidates, small_stats)
-        assert matrix.column_index("RS") == 1
         selected = matrix.select(np.array([0, 1]))
         assert selected.shape == (2, 2)
-
-    def test_column_index_unknown_label_raises_key_error(self, small_candidates, small_stats):
-        matrix = FeatureVectorGenerator(("JS", "LCP")).generate(small_candidates, small_stats)
-        with pytest.raises(KeyError) as excinfo:
-            matrix.column_index("CF-IBF")
-        message = str(excinfo.value)
-        assert "CF-IBF" in message
-        for column in ("'JS'", "'LCP(e_i)'", "'LCP(e_j)'"):
-            assert column in message
 
     def test_matrix_matches_reference(self, small_candidates, small_stats):
         loop = reference_feature_matrix(("JS", "LCP"), small_candidates, small_stats)

@@ -1,15 +1,22 @@
 """No pruning algorithm walks the pairs in Python: no queue is ever built.
 
-CEP / CNP / RCNP used to push every valid pair through a
-:class:`~repro.utils.pqueue.BoundedTopQueue` (one per node for the node-centric
-ones).  They are array passes now (``repro.core.pruning.kernels``), the queue
-has no user left under ``src/`` (its last one, the streaming session's online
-top-K policy, is gone: it stays as the queue under ``tests/reference.py``'s
-oracle), and the strict (weight, key, position) order every selection runs
-under is spelled once.
+CEP / CNP / RCNP used to push every valid pair through a bounded priority
+queue (one per node for the node-centric ones).  They are array passes now
+(``repro.core.pruning.kernels``), the queue lives only in
+``tests/reference.py`` as its oracle's structure — the AST guard below fails
+if a ``src/`` module imports one again — and the strict (weight, key,
+position) order every selection runs under is spelled once.
+
+At run time the same claim is held by counting the Python lines any
+``repro`` module executes while an algorithm prunes: a loop over the pairs
+runs at least one line per pair, so every supervised and unsupervised
+algorithm, dirty and clean-clean, must finish in fewer lines than it has
+pairs to decide on (a few dozen against thousands).
 """
 
 import ast
+import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -17,7 +24,7 @@ import pytest
 from test_import_layering import ROOT, _imported_names, _parse
 from repro.blocking import prepare_blocks
 from repro.core.pipeline import GeneralizedSupervisedMetaBlocking
-from repro.core.pruning import PRUNING_ALGORITHMS
+from repro.core.pruning import PRUNING_ALGORITHMS, VALIDITY_THRESHOLD
 from repro.datasets import load_benchmark, load_dirty_dataset
 from repro.metablocking import (
     UnsupervisedBLAST,
@@ -29,14 +36,32 @@ from repro.metablocking import (
     UnsupervisedWNP,
     build_blocking_graph,
 )
-from repro.utils.pqueue import BoundedTopQueue
+
+#: fewer pairs than this and "fewer lines than pairs" would say little
+MIN_PAIRS = 100
 
 
-def _forbid_queues(monkeypatch):
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a BoundedTopQueue was built while pruning")
+@contextmanager
+def _repro_lines_run():
+    """Count the lines executed in ``repro`` modules inside the block
+    (this thread; frames of numpy and the standard library are not traced)."""
+    executed = [0]
+    source = str(ROOT)
 
-    monkeypatch.setattr(BoundedTopQueue, "__init__", refuse)
+    def count(frame, event, arg):
+        if event == "line":
+            executed[0] += 1
+        return count
+
+    def enter(frame, event, arg):
+        return count if frame.f_code.co_filename.startswith(source) else None
+
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        yield executed
+    finally:
+        sys.settrace(previous)
 
 
 @pytest.fixture(scope="module", params=["clean-clean", "dirty"])
@@ -49,16 +74,31 @@ def dataset(request):
 
 
 @pytest.mark.parametrize("pruning", sorted(PRUNING_ALGORITHMS))
-def test_run_on_collections_builds_no_queue(dataset, monkeypatch, pruning):
+def test_prepare_and_run_prune_without_a_per_pair_loop(dataset, monkeypatch, pruning):
     first, second, truth = dataset
     # a tight explicit budget, so that CEP cannot return early with everything
     kwargs = {"budget": 3} if pruning == "CEP" else {}
-    pipeline = GeneralizedSupervisedMetaBlocking(
-        pruning=PRUNING_ALGORITHMS[pruning](**kwargs), seed=3
+    algorithm = PRUNING_ALGORITHMS[pruning](**kwargs)
+    pipeline = GeneralizedSupervisedMetaBlocking(pruning=algorithm, seed=3)
+    calls = []
+    prune = algorithm.prune
+
+    def counted(probabilities, candidates, blocks=None):
+        with _repro_lines_run() as executed:
+            mask = prune(probabilities, candidates, blocks)
+        valid = int(np.count_nonzero(np.asarray(probabilities) >= VALIDITY_THRESHOLD))
+        calls.append((executed[0], valid))
+        return mask
+
+    monkeypatch.setattr(algorithm, "prune", counted)
+    prepared = prepare_blocks(first, second)
+    result = pipeline.run(
+        prepared.blocks, prepared.candidates, truth, stats=prepared.statistics()
     )
-    _forbid_queues(monkeypatch)
-    result = pipeline.run_on_collections(first, second, truth)
     assert 0 < result.retained_count <= len(result.candidates)
+    [(lines, valid)] = calls
+    assert valid >= MIN_PAIRS
+    assert lines < valid, f"{pruning} ran {lines} lines to prune {valid} valid pairs"
 
 
 @pytest.mark.parametrize(
@@ -74,13 +114,17 @@ def test_run_on_collections_builds_no_queue(dataset, monkeypatch, pruning):
     ],
     ids=lambda algorithm: algorithm.name,
 )
-def test_unsupervised_pruning_builds_no_queue(dataset, monkeypatch, algorithm):
+def test_unsupervised_pruning_runs_without_a_per_pair_loop(dataset, algorithm):
     first, second, _ = dataset
     prepared = prepare_blocks(first, second)
     graph = build_blocking_graph(prepared.blocks, candidates=prepared.candidates, csr=prepared.csr)
-    _forbid_queues(monkeypatch)
-    mask = algorithm.prune(graph, prepared.blocks)
+    with _repro_lines_run() as executed:
+        mask = algorithm.prune(graph, prepared.blocks)
     assert mask.dtype == bool and 0 < np.count_nonzero(mask) <= graph.edge_count
+    assert graph.edge_count >= MIN_PAIRS
+    assert executed[0] < graph.edge_count, (
+        f"{algorithm.name} ran {executed[0]} lines to prune {graph.edge_count} edges"
+    )
 
 
 def test_the_queue_has_no_src_user():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.blocking import prepare_blocks
 from repro.core import GeneralizedSupervisedMetaBlocking
 from repro.evaluation import evaluate_candidates, evaluate_result
 from repro.ml import GaussianNB, LinearSVC, LogisticRegression
@@ -95,14 +96,6 @@ class TestPipelineBasics:
         assert by_name.pruning.name == "BLAST"
         assert by_instance.pruning.ratio == 0.4
 
-    def test_run_on_collections_wrapper(self, dblpacm_dataset):
-        pipeline = GeneralizedSupervisedMetaBlocking(training_size=50, seed=0)
-        result = pipeline.run_on_collections(
-            dblpacm_dataset.first, dblpacm_dataset.second, dblpacm_dataset.ground_truth
-        )
-        report = evaluate_result(result, dblpacm_dataset.ground_truth)
-        assert report.recall > 0.9
-
     def test_pipeline_does_not_consume_the_global_numpy_stream(self, dblpacm_dataset):
         """Every stochastic stage draws from the seeded RNG entrypoint
         (:mod:`repro.utils.rng`), never from NumPy's global state."""
@@ -111,8 +104,12 @@ class TestPipelineBasics:
         pipeline = GeneralizedSupervisedMetaBlocking(
             pruning="BLAST", training_size=50, seed=3
         )
-        pipeline.run_on_collections(
-            dblpacm_dataset.first, dblpacm_dataset.second, dblpacm_dataset.ground_truth
+        prepared = prepare_blocks(dblpacm_dataset.first, dblpacm_dataset.second)
+        pipeline.run(
+            prepared.blocks,
+            prepared.candidates,
+            dblpacm_dataset.ground_truth,
+            stats=prepared.statistics(),
         )
         assert np.array_equal(state_before, np.random.get_state()[1])
 

@@ -1,7 +1,5 @@
 """Tests for blocks and block collections."""
 
-import pytest
-
 from repro.datamodel import (
     Block,
     BlockCollection,
@@ -51,12 +49,6 @@ class TestBlockCollection:
         index = small_blocks.entity_block_index()
         assert index[0] == [0, 1]  # entity 0 is in blocks alpha and beta
         assert index[5] == [2, 3]
-
-    def test_average_blocks_per_entity(self, small_blocks):
-        average = small_blocks.average_blocks_per_entity()
-        assert average == pytest.approx(
-            small_blocks.total_block_assignments() / 6
-        )
 
     def test_without_empty_blocks(self):
         space = EntityIndexSpace(3)

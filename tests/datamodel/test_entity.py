@@ -50,12 +50,6 @@ class TestEntityCollection:
         with pytest.raises(ValueError, match="duplicate entity_id"):
             EntityCollection([make_profile("a"), make_profile("a")])
 
-    def test_attribute_names_union(self):
-        collection = EntityCollection(
-            [make_profile("a", x="1"), make_profile("b", y="2")]
-        )
-        assert collection.attribute_names() == ["x", "y"]
-
     def test_ids_in_order(self):
         collection = EntityCollection([make_profile("b"), make_profile("a")])
         assert collection.ids() == ["b", "a"]

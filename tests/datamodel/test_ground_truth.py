@@ -52,12 +52,11 @@ class TestGroundTruth:
         labels = truth.labels_for(candidates)
         assert labels.tolist() == [True, False]
 
-    def test_covered_and_missed(self, two_collections):
+    def test_covered_by(self, two_collections):
         first, second = two_collections
         truth = GroundTruth.from_id_pairs([("a1", "b1"), ("a2", "b2")], first, second)
         candidates = CandidateSet.from_pairs([(0, 2)], truth.index_space)
         assert truth.covered_by(candidates) == 1
-        assert truth.missed_by(candidates) == {(1, 3)}
 
     def test_iteration_and_pairs_copy(self, two_collections):
         first, second = two_collections

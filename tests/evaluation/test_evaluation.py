@@ -10,13 +10,11 @@ from repro.evaluation import (
     ExperimentRunner,
     average_over_datasets,
     average_reports,
-    evaluate_blocks,
     evaluate_candidates,
     evaluate_retained_mask,
     format_measure_series,
     format_table,
     format_value,
-    paper_vs_measured,
 )
 
 
@@ -38,12 +36,6 @@ class TestMetrics:
         assert report.recall == pytest.approx(2 / 3)
         assert report.precision == pytest.approx(0.5)
         assert report.f1 == pytest.approx(2 * (2 / 3) * 0.5 / (2 / 3 + 0.5))
-
-    def test_evaluate_blocks_matches_candidates(self, small_blocks):
-        truth = GroundTruth([(0, 3)], small_blocks.index_space)
-        by_blocks = evaluate_blocks(small_blocks, truth)
-        by_candidates = evaluate_candidates(CandidateSet.from_blocks(small_blocks), truth)
-        assert by_blocks == by_candidates
 
     def test_evaluate_retained_mask_counts_blocking_misses(self):
         labels = np.array([True, False, True])
@@ -136,7 +128,3 @@ class TestReporting:
         series = {"BLAST": {"recall": 0.9, "precision": 0.2, "f1": 0.33}}
         text = format_measure_series(series)
         assert "BLAST" in text and "0.9000" in text
-
-    def test_paper_vs_measured(self):
-        text = paper_vs_measured({"recall": 0.9}, {"recall": 0.85})
-        assert "paper" in text and "measured" in text and "0.85" in text

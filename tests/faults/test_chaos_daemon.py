@@ -21,7 +21,7 @@ import pytest
 from reference import reference_retained
 from repro import faults
 from repro.datamodel import make_profile
-from repro.faults import FAULTS_ENV, FaultPlan
+from repro.faults import FAULTS_ENV
 from repro.persistence.recovery import recover_session
 from repro.serve import MatchingDaemon, ServeClient
 
@@ -47,10 +47,10 @@ def _start(daemon):
 @pytest.mark.chaos
 class TestSeededKillLoop:
     def test_kill_loop_loses_no_acked_write(
-        self, tmp_path, frozen_model, monkeypatch
+        self, tmp_path, frozen_model, monkeypatch, kill_loop
     ):
-        plan = FaultPlan.kill_loop(SEED, num_shards=2, low=2, high=6)
-        print(f"chaos plan (REPRO_CHAOS_SEED={SEED}): {plan.describe()}")
+        plan = kill_loop(SEED, num_shards=2, low=2, high=6)
+        print(f"chaos plan (REPRO_CHAOS_SEED={SEED}): {plan!r}")
         monkeypatch.setenv(FAULTS_ENV, plan.to_json())
         faults.clear()  # workers inherit the armed env at spawn
         daemon = MatchingDaemon(
@@ -83,7 +83,7 @@ class TestSeededKillLoop:
                 serial = 0
                 while not every_worker_replaced():
                     assert time.monotonic() < deadline, (
-                        f"kill loop never fired both kills: {plan.describe()}"
+                        f"kill loop never fired both kills: {plan!r}"
                     )
                     side = serial % 2
                     entity_id = f"{'ab'[side]}{serial}"
@@ -121,7 +121,7 @@ class TestSeededKillLoop:
             for entity_id, side in acked:
                 assert recovered.index.has_entity(entity_id, side=side), (
                     f"acked insert {entity_id!r} lost across the kill loop "
-                    f"({plan.describe()})"
+                    f"({plan!r})"
                 )
             assert reference_retained(recovered) == final["retained"], (
                 "the healed fleet's answer is not the canonical state"

@@ -1,5 +1,9 @@
 """Unit tests for :mod:`repro.faults`: plan codec, determinism, hooks."""
 
+import multiprocessing
+import threading
+import time
+
 import pytest
 
 from repro import faults
@@ -39,26 +43,16 @@ class TestPlanCodec:
         assert plan_from_env({}) is None
         assert plan_from_env({FAULTS_ENV: ""}) is None
 
-    def test_kill_loop_is_seed_deterministic(self):
-        first = FaultPlan.kill_loop(42, num_shards=4)
-        second = FaultPlan.kill_loop(42, num_shards=4)
-        other = FaultPlan.kill_loop(43, num_shards=4)
+    def test_kill_loop_is_seed_deterministic(self, kill_loop):
+        """The chaos suite's plans replay from ``REPRO_CHAOS_SEED`` alone."""
+        first = kill_loop(42, num_shards=4)
+        second = kill_loop(42, num_shards=4)
+        other = kill_loop(43, num_shards=4)
         assert first == second
         assert first.seed == 42
         assert set(first.kill_worker) == {0, 1, 2, 3}
         assert all(2 <= nth <= 8 for nth in first.kill_worker.values())
         assert other.kill_worker != first.kill_worker
-
-    def test_describe_names_every_armed_fault(self):
-        plan = FaultPlan(
-            seed=9, kill_worker={1: 3}, torn_append=(2,), slow_io_ms=1.0,
-            slow_io_every=2,
-        )
-        text = plan.describe()
-        assert "seed=9" in text
-        assert "kill_worker" in text
-        assert "torn_append" in text
-        assert "slow_io" in text
 
 
 class TestHooks:
@@ -101,3 +95,31 @@ class TestHooks:
         assert faults.active_plan() == plan  # cached until cleared
         faults.clear()
         assert faults.active_plan() == FaultPlan(seed=6)
+
+    def test_a_worker_forked_while_another_thread_counts_can_count(self):
+        """A shard worker forked while a daemon thread holds the hooks' lock
+        must not inherit it held: its first counted hook would block."""
+        faults.install(FaultPlan(torn_append=(1,)))
+        held = threading.Event()
+
+        def counter():
+            with faults._lock:
+                held.set()
+                time.sleep(0.2)
+
+        def worker():
+            assert faults.on_wal_append() is None  # this process's 2nd append
+
+        faults.on_wal_append()
+        thread = threading.Thread(target=counter)
+        thread.start()
+        held.wait(5)
+        child = multiprocessing.get_context("fork").Process(target=worker)
+        child.start()
+        child.join(10)
+        thread.join(5)
+        if child.is_alive():
+            child.kill()
+            child.join(5)
+            pytest.fail("the forked worker blocked on the fault hooks' lock")
+        assert child.exitcode == 0

@@ -183,7 +183,7 @@ class TestAckedWritesSurviveRecovery:
                 for entity_id, side, _ in acked:
                     assert recovered.index.has_entity(entity_id, side=side), (
                         f"acked insert {entity_id!r} lost across recovery "
-                        f"under {plan.describe()}"
+                        f"under {plan!r}"
                     )
                 for entity_id, side, text in acked:
                     oracle.insert(make_profile(entity_id, text=text), side=side)

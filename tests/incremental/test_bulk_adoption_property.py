@@ -29,7 +29,8 @@ from hypothesis import strategies as st
 from reference import reference_adopted_index
 from repro.incremental import MutableBlockIndex
 from repro.incremental.state import APPENDED
-from repro.persistence import WriteAheadLog, write_index_snapshot
+from repro.persistence import WriteAheadLog
+from repro.persistence.snapshot import snapshot_state
 from repro.serve import ShardReplica
 from test_sharded_index import apply_script, churn_scripts
 
@@ -69,7 +70,7 @@ def test_bulk_adoption_equals_the_per_slot_loop(data, bilateral, num_shards):
         wal = WriteAheadLog(tmp)
         index.attach_wal(wal)
         apply_script(index, steps[:cut])
-        snapshot = write_index_snapshot(index, wal)
+        snapshot = wal.write_snapshot(snapshot_state(index, wal.log_offset))
         checkpoint = wal.log_offset
         apply_script(index, steps[cut:])
         final = wal.log_offset

@@ -9,6 +9,7 @@ purging/filtering steps disabled).
 import numpy as np
 import pytest
 
+from reference import reference_blocks
 from repro.blocking import prepare_blocks
 from repro.core import FeatureVectorGenerator
 from repro.datamodel import EntityCollection, make_profile
@@ -106,7 +107,31 @@ def _assert_matches_batch(index, first, second):
         )
 
 
+def _block_rows(blocks):
+    return {
+        (block.key, tuple(block.entities_first), tuple(block.entities_second))
+        for block in blocks
+    }
+
+
+def _assert_reference_blocks_match_batch(index, first, second):
+    """``tests/reference.py::reference_blocks`` — the member-list oracle the
+    budget and crash properties check the CSR against — equals the batch
+    pipeline's raw blocks on the live data."""
+    prepared = prepare_blocks(first, second, apply_purging=False, apply_filtering=False)
+    assert _block_rows(reference_blocks(index)) == _block_rows(prepared.blocks)
+
+
 class TestBilateralIndex:
+    def test_reference_blocks_match_batch_collection(self, small_stream):
+        first_profiles, second_profiles = small_stream
+        first = EntityCollection(first_profiles, name="s1")
+        second = EntityCollection(second_profiles, name="s2")
+        index = MutableBlockIndex(bilateral=True)
+        for profile, side in interleave_profiles(first, second):
+            index.add_entity(profile, side=side)
+        _assert_reference_blocks_match_batch(index, first, second)
+
     def test_matches_batch_on_interleaved_stream(self, small_stream):
         first_profiles, second_profiles = small_stream
         first = EntityCollection(first_profiles, name="s1")
@@ -227,7 +252,7 @@ def _assert_matches_batch_canonical(index, first, second):
 
     snapshot = {
         (block.key, tuple(block.entities_first), tuple(block.entities_second))
-        for block in index.snapshot_blocks()
+        for block in reference_blocks(index)
     }
     batch_blocks = {
         (block.key, tuple(block.entities_first), tuple(block.entities_second))
@@ -262,6 +287,24 @@ class TestDynamicIndex:
         first = EntityCollection(survivors, name="s1")
         second = EntityCollection([], name="s2")
         _assert_matches_batch_canonical(churned, first, second)
+
+    def test_reference_blocks_follow_removals_and_updates(self, small_stream):
+        first_profiles, second_profiles = small_stream
+        index = MutableBlockIndex(bilateral=True)
+        for profile in first_profiles:
+            index.add_entity(profile, side=0)
+        for profile in second_profiles:
+            index.add_entity(profile, side=1)
+        index.remove_entity(first_profiles[1].entity_id, side=0)
+        updated = make_profile(second_profiles[0].entity_id, text="phone unique1")
+        index.update_entity(updated, side=1)
+        first = EntityCollection(
+            [p for p in first_profiles if p.entity_id != first_profiles[1].entity_id],
+            name="s1",
+        )
+        # an update re-enters the arrival order at the end
+        second = EntityCollection(second_profiles[1:] + [updated], name="s2")
+        _assert_reference_blocks_match_batch(index, first, second)
 
     def test_update_changes_the_entity_signature(self):
         index = MutableBlockIndex(bilateral=True)
@@ -327,8 +370,9 @@ class TestDynamicIndex:
     def test_bulk_load_equals_sequential_inserts(self, small_stream):
         first_profiles, second_profiles = small_stream
         sequential = MutableBlockIndex(bilateral=True)
-        sequential.add_entities(first_profiles, side=0)
-        sequential.add_entities(second_profiles, side=1)
+        for side, profiles in enumerate((first_profiles, second_profiles)):
+            for profile in profiles:
+                sequential.add_entity(profile, side=side)
 
         bulk = MutableBlockIndex(bilateral=True)
         delta_first = bulk.add_entities_bulk(first_profiles, side=0)
@@ -431,7 +475,7 @@ class TestUnilateralIndex:
         )
         collection = EntityCollection(profiles, name="dirty", is_clean=False)
         index = MutableBlockIndex(bilateral=False)
-        deltas = index.add_entities(collection)
+        deltas = [index.add_entity(profile) for profile in collection]
         assert len(deltas) == len(profiles)
         _assert_matches_batch(index, collection, None)
 
@@ -446,24 +490,13 @@ class TestUnilateralIndex:
         np.testing.assert_allclose(view.blocks_per_entity[:2], [1.0, 1.0])
         np.testing.assert_allclose(view.entity_inv_cardinality[:2], [1.0, 1.0])
 
-    def test_snapshot_blocks_match_batch_collection(self):
+    def test_reference_blocks_match_batch_collection(self):
         profiles = _profiles([("d1", "a b"), ("d2", "b c"), ("d3", "c a")])
         collection = EntityCollection(profiles, name="dirty", is_clean=False)
         index = MutableBlockIndex(bilateral=False)
-        index.add_entities(collection)
-        snapshot = index.snapshot_blocks()
-        prepared = prepare_blocks(
-            collection, None, apply_purging=False, apply_filtering=False
-        )
-        streamed = {
-            (block.key, tuple(block.entities_first), tuple(block.entities_second))
-            for block in snapshot
-        }
-        batch = {
-            (block.key, tuple(block.entities_first), tuple(block.entities_second))
-            for block in prepared.blocks
-        }
-        assert streamed == batch
+        for profile in collection:
+            index.add_entity(profile)
+        _assert_reference_blocks_match_batch(index, collection, None)
 
     def test_csr_rows_are_sorted(self):
         index = MutableBlockIndex(bilateral=False)

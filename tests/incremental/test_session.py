@@ -154,8 +154,9 @@ class TestDynamicEquivalence:
         dataset, _, result = streamed_fixture
         model = FrozenModel.from_batch(result)
         one_at_a_time = MatchingSession(model, bilateral=True)
-        one_at_a_time.insert_many(dataset.first, side=0)
-        one_at_a_time.insert_many(dataset.second, side=1)
+        for side, collection in enumerate((dataset.first, dataset.second)):
+            for profile in collection:
+                one_at_a_time.insert(profile, side=side)
         bulk = MatchingSession(model, bilateral=True)
         outcome_first = bulk.insert_bulk(list(dataset.first), side=0)
         outcome_second = bulk.insert_bulk(list(dataset.second), side=1)

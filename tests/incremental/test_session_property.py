@@ -109,7 +109,8 @@ def test_unilateral_stream_matches_batch(cleaning, texts, pruning):
     model = _frozen_model(cleaning)
 
     session = MatchingSession(model, bilateral=False, pruning=pruning)
-    session.insert_many(collection)
+    for profile in collection:
+        session.insert(profile)
     streamed = {frozenset(pair) for pair in session.retained().retained_ids}
 
     prepared = prepare_blocks(collection, None, **_oracle(cleaning))

@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference import make_frozen_model, merged_replicas
+from reference import make_frozen_model, merged_replicas, reference_blocks
 from repro.datamodel import make_profile
 from repro.incremental import MatchingSession
 from repro.incremental.sharded import shard_of_signature, stable_hash
@@ -191,12 +191,12 @@ def assert_same_contract(single, sharded):
 
     snap_single = {
         (b.key, tuple(b.entities_first), tuple(b.entities_second))
-        for b in single.snapshot_blocks()
+        for b in reference_blocks(single)
     }
     snap_sharded = {
         (b.key, tuple(b.entities_first), tuple(b.entities_second))
         for shard in sharded.shards
-        for b in shard.snapshot_blocks()
+        for b in reference_blocks(shard)
     }
     assert snap_single == snap_sharded
 

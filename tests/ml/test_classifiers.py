@@ -7,8 +7,36 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from reference import reference_sigmoid
-from repro.ml import GaussianNB, LinearSVC, LogisticRegression, roc_auc_score
+from repro.ml import GaussianNB, LinearSVC, LogisticRegression
 from repro.ml.logistic_regression import _sigmoid
+
+
+def roc_auc_score(labels: np.ndarray, scores: np.ndarray) -> float:
+    """Area under the ROC curve via the Mann-Whitney U statistic: the quality
+    bar that the from-scratch classifiers rank matching pairs above
+    non-matching ones."""
+    labels = np.asarray(labels).astype(bool)
+    scores = np.asarray(scores, dtype=np.float64)
+    if labels.shape != scores.shape:
+        raise ValueError("labels and scores must have the same shape")
+    n_positive = int(labels.sum())
+    n_negative = int((~labels).sum())
+    if n_positive == 0 or n_negative == 0:
+        raise ValueError("ROC AUC requires both classes to be present")
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty_like(order, dtype=np.float64)
+    ranks[order] = np.arange(1, len(scores) + 1)
+    # average ranks for ties
+    sorted_scores = scores[order]
+    start = 0
+    for end in range(1, len(sorted_scores) + 1):
+        if end == len(sorted_scores) or sorted_scores[end] != sorted_scores[start]:
+            average = (start + end + 1) / 2.0
+            ranks[order[start:end]] = average
+            start = end
+    positive_rank_sum = ranks[labels].sum()
+    u_statistic = positive_rank_sum - n_positive * (n_positive + 1) / 2.0
+    return float(u_statistic / (n_positive * n_negative))
 
 
 def make_separable(rng, n=200, gap=3.0):
@@ -183,3 +211,21 @@ class TestGaussianNBSpecifics:
     def test_invalid_smoothing(self):
         with pytest.raises(ValueError):
             GaussianNB(var_smoothing=-1.0)
+
+
+class TestRocAuc:
+    def test_perfect_ranking(self):
+        labels = np.array([0, 0, 1, 1], dtype=bool)
+        assert roc_auc_score(labels, np.array([0.1, 0.2, 0.8, 0.9])) == 1.0
+
+    def test_random_ranking(self):
+        labels = np.array([0, 1, 0, 1], dtype=bool)
+        assert roc_auc_score(labels, np.array([0.5, 0.5, 0.5, 0.5])) == pytest.approx(0.5)
+
+    def test_requires_both_classes(self):
+        with pytest.raises(ValueError):
+            roc_auc_score(np.ones(3, dtype=bool), np.ones(3))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="same shape"):
+            roc_auc_score(np.array([0, 1, 1], dtype=bool), np.ones(4))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml import balanced_sample, proportional_positive_sample, train_test_split_indices
+from repro.ml import balanced_sample, proportional_positive_sample
 
 
 @pytest.fixture
@@ -72,17 +72,3 @@ class TestProportionalSample:
     def test_requires_both_classes(self):
         with pytest.raises(ValueError):
             proportional_positive_sample(np.ones(10, dtype=bool))
-
-
-class TestTrainTestSplit:
-    def test_partition(self):
-        train, test = train_test_split_indices(100, test_fraction=0.25, seed=0)
-        assert len(train) + len(test) == 100
-        assert set(train.tolist()).isdisjoint(test.tolist())
-        assert len(test) == 25
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            train_test_split_indices(1, test_fraction=0.5)
-        with pytest.raises(ValueError):
-            train_test_split_indices(10, test_fraction=1.5)

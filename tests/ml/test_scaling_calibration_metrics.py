@@ -1,20 +1,9 @@
-"""Tests for feature scaling, Platt calibration and classification metrics."""
+"""Tests for feature scaling and Platt calibration."""
 
 import numpy as np
 import pytest
 
-from repro.ml import (
-    ConfusionCounts,
-    MinMaxScaler,
-    PlattScaler,
-    StandardScaler,
-    accuracy_score,
-    confusion_counts,
-    f1_score,
-    precision_score,
-    recall_score,
-    roc_auc_score,
-)
+from repro.ml import MinMaxScaler, PlattScaler, StandardScaler
 
 
 class TestStandardScaler:
@@ -111,44 +100,3 @@ class TestPlattScaler:
     def test_transform_before_fit_raises(self):
         with pytest.raises(RuntimeError):
             PlattScaler().transform(np.zeros(3))
-
-
-class TestMetrics:
-    def test_confusion_counts(self):
-        labels = np.array([1, 1, 0, 0, 1], dtype=bool)
-        predictions = np.array([1, 0, 0, 1, 1], dtype=bool)
-        counts = confusion_counts(labels, predictions)
-        assert counts == ConfusionCounts(2, 1, 1, 1)
-        assert counts.total == 5
-        assert counts.as_dict() == {"TP": 2, "FP": 1, "TN": 1, "FN": 1}
-
-    def test_precision_recall_f1(self):
-        labels = np.array([1, 1, 0, 0, 1], dtype=bool)
-        predictions = np.array([1, 0, 0, 1, 1], dtype=bool)
-        assert precision_score(labels, predictions) == pytest.approx(2 / 3)
-        assert recall_score(labels, predictions) == pytest.approx(2 / 3)
-        assert f1_score(labels, predictions) == pytest.approx(2 / 3)
-        assert accuracy_score(labels, predictions) == pytest.approx(3 / 5)
-
-    def test_degenerate_cases(self):
-        labels = np.array([0, 0], dtype=bool)
-        predictions = np.array([0, 0], dtype=bool)
-        assert precision_score(labels, predictions) == 0.0
-        assert recall_score(labels, predictions) == 0.0
-        assert f1_score(labels, predictions) == 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            precision_score(np.zeros(3, dtype=bool), np.zeros(4, dtype=bool))
-
-    def test_roc_auc_perfect_ranking(self):
-        labels = np.array([0, 0, 1, 1], dtype=bool)
-        assert roc_auc_score(labels, np.array([0.1, 0.2, 0.8, 0.9])) == 1.0
-
-    def test_roc_auc_random_ranking(self):
-        labels = np.array([0, 1, 0, 1], dtype=bool)
-        assert roc_auc_score(labels, np.array([0.5, 0.5, 0.5, 0.5])) == pytest.approx(0.5)
-
-    def test_roc_auc_requires_both_classes(self):
-        with pytest.raises(ValueError):
-            roc_auc_score(np.ones(3, dtype=bool), np.ones(3))

@@ -1,7 +1,10 @@
 """Unit tests for the structured event log (``repro.obs.events``)."""
 
 import json
+import multiprocessing
 import os
+import threading
+import time
 
 import pytest
 
@@ -94,6 +97,38 @@ class TestSink:
         events.emit("weird", path=tmp_path)  # Path is not JSON-native
         (event,) = events.read_events(tmp_path)
         assert event["path"] == str(tmp_path)
+
+    def test_a_worker_forked_while_another_thread_emits_can_emit(self, tmp_path):
+        """A shard worker is forked from a daemon whose other threads emit:
+        the fork must not hand the child the sink's lock held by a thread
+        that does not exist there, or its first event blocks for good."""
+        events.configure(tmp_path, role="daemon")
+        held = threading.Event()
+
+        def emitter():
+            with events._lock:
+                held.set()
+                time.sleep(0.2)
+
+        def worker():
+            events.set_role("shard0")
+            events.emit("worker_spawn")
+
+        thread = threading.Thread(target=emitter)
+        thread.start()
+        held.wait(5)
+        child = multiprocessing.get_context("fork").Process(target=worker)
+        child.start()
+        child.join(10)
+        thread.join(5)
+        if child.is_alive():
+            child.kill()
+            child.join(5)
+            pytest.fail("the forked worker blocked on the event sink's lock")
+        assert child.exitcode == 0
+        assert [(e["role"], e["type"]) for e in events.read_events(tmp_path)] == [
+            ("shard0", "worker_spawn")
+        ]
 
 
 class TestSummary:

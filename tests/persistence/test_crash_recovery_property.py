@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference import make_frozen_model, reference_replay
+from reference import make_frozen_model, reference_blocks, reference_replay
 from repro.core.pruning import get_pruning_algorithm
 from repro.datamodel import make_profile
 from repro.incremental import DeltaFeatureGenerator, MatchingSession
@@ -109,7 +109,7 @@ def canonical_view(index):
     pairs = pairs_of(index.candidate_set().canonical)
     blocks = {
         (b.key, tuple(b.entities_first), tuple(b.entities_second))
-        for b in index.snapshot_blocks()
+        for b in reference_blocks(index)
     }
     canonical = index.canonical_node_ids()
     live = canonical >= 0

@@ -129,6 +129,14 @@ def test_explicit_and_automatic_checkpoints(tmp_path):
     assert recovered.retained().retained_id_set() == session.retained().retained_id_set()
 
 
+@pytest.mark.parametrize("every", [0, -3])
+def test_a_snapshot_interval_below_one_is_refused(tmp_path, every):
+    """``snapshot_every=0`` would checkpoint after every mutation."""
+    with pytest.raises(ValueError, match=f"snapshot_every must be at least 1, got {every}"):
+        MatchingSession(_frozen_model(), wal_path=tmp_path / "wal", snapshot_every=every)
+    assert not (tmp_path / "wal").exists()
+
+
 def test_fresh_session_refuses_a_used_wal_directory(tmp_path):
     session = MatchingSession(_frozen_model(), wal_path=tmp_path / "wal")
     session.insert(make_profile("a0", t="tok common"))
@@ -276,16 +284,16 @@ def test_a_snapshot_in_another_state_format_is_refused_by_name(tmp_path):
         MatchingSession.recover(tmp_path / "wal")
 
 
-def _bump_meta_format(directory):
-    """Rewrite the log's leading ``meta`` record with the next state format
+def _rewrite_meta(directory, **fields):
+    """Rewrite the log's leading ``meta`` record with ``fields`` changed
     (same length: every later record keeps its offset)."""
     wal = WriteAheadLog(directory)
     meta = wal.scan(None).records[0]
     assert meta.record["op"] == "meta" and meta.record["format"] == META_FORMAT
     data = wal.log_path.read_bytes()
-    bumped = encode_record(dict(meta.record, format=META_FORMAT + 1))
-    assert len(bumped) == meta.end - meta.start
-    wal.log_path.write_bytes(data[: meta.start] + bumped + data[meta.end :])
+    rewritten = encode_record(dict(meta.record, **fields))
+    assert len(rewritten) == meta.end - meta.start
+    wal.log_path.write_bytes(data[: meta.start] + rewritten + data[meta.end :])
     return len(data)
 
 
@@ -318,9 +326,10 @@ def test_a_shard_replica_refuses_a_log_meta_record_in_another_format(tmp_path):
     index = MutableBlockIndex()
     wal = WriteAheadLog(tmp_path / "wal")
     index.attach_wal(wal)
-    index.add_entities(_profiles(4, "a"))
+    for profile in _profiles(4, "a"):
+        index.add_entity(profile)
     wal.close()
-    end = _bump_meta_format(tmp_path / "wal")
+    end = _rewrite_meta(tmp_path / "wal", format=META_FORMAT + 1)
 
     replica = ShardReplica(tmp_path / "wal", shard=0, num_shards=2)
     try:
@@ -328,6 +337,69 @@ def test_a_shard_replica_refuses_a_log_meta_record_in_another_format(tmp_path):
             replica.catch_up(end)
     finally:
         replica.close()
+
+
+def _refused_before_any_index_is_built(wal, error, message):
+    """Recovering ``wal`` raises ``error`` matching ``message`` without
+    building an index and without touching a byte of the directory."""
+    before = {path.name: path.read_bytes() for path in wal.iterdir()}
+    refusing = mock.patch.object(
+        repro.persistence.snapshot,
+        "MutableBlockIndex",
+        side_effect=AssertionError("an index was built"),
+    )
+    with refusing, pytest.raises(error, match=message):
+        MatchingSession.recover(wal)
+    assert {path.name: path.read_bytes() for path in wal.iterdir()} == before
+
+
+def _one_insert_session_log(wal):
+    session = MatchingSession(_frozen_model(), wal_path=wal)
+    session.insert(_profiles(1, "a")[0])
+    session.close()
+    return wal
+
+
+def test_a_session_log_meta_record_in_another_format_is_refused_by_name(tmp_path):
+    """Session recovery reads the log's ``meta`` record, not only the
+    snapshot: a log opened by a writer of another format is not replayed."""
+    wal = _one_insert_session_log(tmp_path / "wal")
+    _rewrite_meta(wal, format=META_FORMAT + 1)
+    message = (
+        f"the log meta record holds state format {META_FORMAT + 1}; "
+        f"this version reads format {META_FORMAT} only"
+    )
+    _refused_before_any_index_is_built(wal, StateFormatError, message)
+
+
+def test_a_session_log_that_does_not_open_with_its_meta_record_is_refused(tmp_path):
+    wal = _one_insert_session_log(tmp_path / "wal")
+    _rewrite_meta(wal, op="mxta")
+    _refused_before_any_index_is_built(
+        wal, ValueError, "the log opens with a 'mxta' record, not its 'meta' record"
+    )
+
+
+@pytest.mark.parametrize("torn", ["header", "payload"])
+def test_a_session_log_torn_inside_its_meta_record_recovers_as_before(tmp_path, torn):
+    """No complete first record (the tail a ``sync="batch"`` crash loses)
+    is no foreign format: recovery restores the snapshot and journals on."""
+    session = MatchingSession(_frozen_model(), wal_path=tmp_path / "wal")
+    session.close()
+    log = tmp_path / "wal" / "wal.log"
+    meta = WriteAheadLog(tmp_path / "wal").scan(None).records[0]
+    log.write_bytes(log.read_bytes()[: meta.start + 3 if torn == "header" else meta.end - 1])
+
+    recovered = MatchingSession.recover(tmp_path / "wal")
+    assert recovered.index.num_entities == 0
+    for profile in _profiles(4, "a"):
+        recovered.insert(profile)
+    retained = recovered.retained().retained_id_set()
+    recovered.close()
+    again = MatchingSession.recover(tmp_path / "wal")
+    assert again.index.num_entities == 4
+    assert again.retained().retained_id_set() == retained
+    again.close()
 
 
 def _written_meta_formats(path):

@@ -135,6 +135,19 @@ class TestTailScan:
                 assert tail.valid_length == whole.valid_length, (cut, start)
                 assert tail.file_length == cut
 
+    def test_the_first_record_is_reported_wherever_the_scan_starts(self, tmp_path):
+        """Session recovery checks the log's ``meta`` record from a scan
+        that starts past it; a log torn inside that record reports none."""
+        path, complete = self._log(tmp_path, n=3)
+        full = path.read_bytes()
+        head = complete.records[0]
+        wal = WriteAheadLog(tmp_path / "w")
+        for start in [len(LOG_MAGIC)] + [entry.end for entry in complete.records]:
+            assert wal.scan(start).first == head.record
+        for cut in range(len(LOG_MAGIC), head.end):
+            path.write_bytes(full[:cut])
+            assert WriteAheadLog(tmp_path / "w").scan(len(LOG_MAGIC)).first is None
+
     def test_a_start_inside_a_record_is_refused(self, tmp_path):
         _, complete = self._log(tmp_path)
         boundaries = {len(LOG_MAGIC)} | {entry.end for entry in complete.records}

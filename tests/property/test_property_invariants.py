@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from reference import BoundedTopQueue
 from repro.core import (
     BinaryClassifierPruning,
     SupervisedBLAST,
@@ -20,7 +21,6 @@ from repro.core import (
 from repro.datamodel import Block, BlockCollection, CandidateSet, EntityIndexSpace
 from repro.ml import LogisticRegression, PlattScaler, StandardScaler, balanced_sample
 from repro.utils import jaccard, qgrams, suffixes, tokens
-from repro.utils.pqueue import BoundedTopQueue
 from repro.weights import BlockStatistics, JaccardScheme, RACCBScheme, WeightedJaccardScheme
 
 

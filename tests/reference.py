@@ -10,10 +10,11 @@ library selects them.  The two helpers below assemble those public calls
 into the shapes ``FeatureVectorGenerator.generate`` and ``prepare_blocks``
 return, so an equivalence, golden or perf-smoke test compares like with like.
 
-Pruning's references live here outright: the bounded-priority-queue bodies
-of CEP / CNP / RCNP (Algorithms 4-5 as the paper writes them, one push per
-pair) and the ``np.add.at`` / ``np.maximum.at`` per-node passes, which the
-library replaced with the array kernels of ``repro.core.pruning.kernels``.
+Pruning's references live here outright: the bounded priority queue
+(:class:`BoundedTopQueue`) and the bodies of CEP / CNP / RCNP on it
+(Algorithms 4-5 as the paper writes them, one push per pair) and the
+``np.add.at`` / ``np.maximum.at`` per-node passes, which the library
+replaced with the array kernels of ``repro.core.pruning.kernels``.
 So do tokenisation's: the regular expression ``repro.utils.text.tokens``
 replaced with a byte table, and the per-token ``dict.setdefault`` loop
 ``repro.blocking.arrayops.encode_signatures`` replaced with ``map``.  And the
@@ -28,9 +29,11 @@ with run-wise bulk loads.  And bare-index recovery's replay of a log from its
 ``meta`` record, now the oracle a recovered session is held to
 (:func:`reference_replay`).  And the pair set no index stores any more: the
 plain-Python pairs the writer's block member lists spawn
-(:func:`member_pairs`).  And sharding's: K shard replicas following one
-index's log, merged (:func:`merged_replicas`) — the construction the serving
-fleet runs, held against the unsharded index.  And ``top_k``'s subset path,
+(:func:`member_pairs`), and the raw block collection those lists hold
+(:func:`reference_blocks`), which budgets and totals are checked against.
+And sharding's: K shard replicas following one index's log, merged
+(:func:`merged_replicas`) — the construction the serving fleet runs, held
+against the unsharded index.  And ``top_k``'s subset path,
 which selecting from the offset's exact read replaced: a node's
 counterparts read off the cleaned CSR (:func:`reference_counterparts`) and
 only those pairs scored (:func:`reference_top_k`).  Two devices ride along:
@@ -44,11 +47,13 @@ registry (``repro.ml.state.MODEL_CLASSES``) the test suite adds for it.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import re
 import unicodedata
 from contextlib import contextmanager
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Generic, List, Optional, Sequence, Tuple, TypeVar
 from unittest import mock
 
 import numpy as np
@@ -72,7 +77,7 @@ from repro.core.pruning import (
     get_pruning_algorithm,
     strength_order,
 )
-from repro.datamodel import CandidateSet, EntityCollection
+from repro.datamodel import Block, BlockCollection, CandidateSet, EntityCollection
 from repro.datasets.vocabulary import COMMON_WORDS, Vocabulary
 from repro.incremental import (
     DeltaFeatureGenerator,
@@ -85,7 +90,6 @@ from repro.ml.state import MODEL_CLASSES, RestorableClass
 from repro.pairs import pack_pair_keys
 from repro.persistence.snapshot import compacted_from_state, row_signatures
 from repro.serve.workers import ShardReplica
-from repro.utils.pqueue import BoundedTopQueue
 from repro.utils.text import STOP_WORDS
 from repro.utils.timing import StageTimer
 from repro.weights import RCNP_FEATURE_SET, BlockStatistics
@@ -233,6 +237,81 @@ def tie_heavy_probabilities(candidates: CandidateSet) -> np.ndarray:
     keys = candidates.packed_keys()
     raw = (keys * np.int64(2654435761)) % np.int64(1000)
     return np.round(raw / 999.0, 1)
+
+
+T = TypeVar("T")
+
+
+class BoundedTopQueue(Generic[T]):
+    """Keep the ``capacity`` items with the highest weights: the min-heap of
+    bounded size Algorithms 4 and 5 of the paper run CEP and CNP / RCNP on.
+
+    Pushing beyond capacity evicts the lowest-weighted element and exposes
+    the new minimum as the admission threshold.  Ties are broken by the
+    ``key`` given to :meth:`push` (smaller keys win); without explicit keys,
+    by insertion order (earlier insertions win).  Either way the pruning is
+    deterministic for equal weights.  Given the packed candidate key
+    ``left * total + right``, the retained set is a pure function of the
+    ``(weight, pair)`` multiset — independent of insertion order, and the set
+    the batch kernels' (weight desc, key asc) sort selects.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError("capacity must be at least 1")
+        self.capacity = capacity
+        #: heap entries are ``(weight, -key, -seq, item)`` — the min-heap
+        #: root is the worst retained entry: lowest weight, then largest
+        #: tie key, then latest insertion
+        self._heap: List[Tuple[float, int, int, T]] = []
+        self._counter = itertools.count()
+
+    @property
+    def min_weight(self) -> float:
+        """The lowest weight currently retained (0.0 when not yet full).
+
+        This is the ``minp`` admission threshold of Algorithms 4/5: a new item
+        is worth pushing only if its weight exceeds it once the queue is full.
+        """
+        if len(self._heap) < self.capacity:
+            return 0.0
+        return self._heap[0][0]
+
+    def push(self, weight: float, item: T, key: Optional[int] = None) -> Optional[T]:
+        """Insert ``item``; return the evicted item when capacity is exceeded.
+
+        Parameters
+        ----------
+        weight:
+            The item's weight; higher weights are retained preferentially.
+        item:
+            The payload (any value).
+        key:
+            Deterministic tie key: among equal weights, the entry with the
+            *largest* key is evicted first, so smaller keys survive
+            regardless of insertion order.  Defaults to the insertion
+            counter, under which earlier insertions survive.
+        """
+        sequence = next(self._counter)
+        entry = (weight, -(sequence if key is None else key), -sequence, item)
+        if len(self._heap) < self.capacity:
+            heapq.heappush(self._heap, entry)
+            return None
+        if entry <= self._heap[0]:
+            return item
+        return heapq.heappushpop(self._heap, entry)[3]
+
+    def _ordered_entries(self) -> List[Tuple[float, int, int, T]]:
+        """Retained entries strongest first: weight desc, then tie key asc."""
+        return sorted(self._heap, key=lambda entry: (-entry[0], -entry[1], -entry[2]))
+
+    def items(self) -> List[T]:
+        """Return retained items ordered by decreasing weight."""
+        return [entry[3] for entry in self._ordered_entries()]
+
+    def weighted_items(self) -> List[Tuple[float, T]]:
+        """Return (weight, item) tuples ordered by decreasing weight."""
+        return [(entry[0], entry[3]) for entry in self._ordered_entries()]
 
 
 def reference_cardinality_prune(
@@ -496,6 +575,34 @@ def member_pairs(shards) -> set:
             )
             pairs.update((min(a, b), max(a, b)) for a, b in spawned)
     return pairs
+
+
+def reference_blocks(index) -> BlockCollection:
+    """The comparison-spawning blocks of ``index`` as a batch collection, read
+    off the writer's block member lists — not the CSR every read derives from.
+
+    Node ids are the canonical batch ids (``canonical_node_ids``), so the
+    collection matches the *raw* blocks the batch pipeline builds from the
+    live entities in arrival order (before Block Purging and Block Filtering,
+    which an exact answer applies at read time) — up to block order, which no
+    downstream consumer depends on."""
+    canonical = index.canonical_node_ids()
+    blocks = []
+    for block_id, key in enumerate(index._block_keys):
+        if index._block_cardinalities[block_id] <= 0:
+            continue
+        blocks.append(
+            Block(
+                key=key,
+                entities_first=sorted(
+                    int(canonical[node]) for node in index._members_first[block_id]
+                ),
+                entities_second=sorted(
+                    int(canonical[node]) for node in index._members_second[block_id]
+                ),
+            )
+        )
+    return BlockCollection(blocks, index.index_space(), name=index.name)
 
 
 def merged_replicas(

@@ -8,11 +8,13 @@ replicas of its log (adopting its newest checkpoint), merged — plus a
 WAL-recovered session and a checkpoint-adopting serving view, after every
 operation:
 
-* the totals equal ``snapshot_blocks().total_block_assignments()`` and
-  ``snapshot_blocks().index_space.total``;
+* the totals equal ``reference_blocks(index).total_block_assignments()``
+  and ``reference_blocks(index).index_space.total`` — the raw collection
+  read off the writer's block member lists (``tests/reference.py``), not
+  the CSR the totals derive from;
 * for WEP, BLAST, CEP, CNP and RCNP the mask of the shared read helper
   (:func:`repro.incremental.session.exact_answer`) equals the mask obtained
-  by handing ``snapshot_blocks()`` to ``prune`` explicitly — the reference
+  by handing ``reference_blocks(index)`` to ``prune`` explicitly — the reference
   every exact read ran before the totals existed.
 """
 
@@ -24,12 +26,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import make_frozen_model, merged_replicas
+from reference import make_frozen_model, merged_replicas, reference_blocks
 from repro.core.pruning import BlockTotals, get_pruning_algorithm
 from repro.datamodel import make_profile
 from repro.incremental import DeltaFeatureGenerator, MatchingSession, MutableBlockIndex
 from repro.incremental.session import exact_answer
-from repro.persistence import WriteAheadLog, write_index_snapshot
+from repro.persistence import WriteAheadLog
+from repro.persistence.snapshot import snapshot_state
 from repro.serve.router import build_pinned_view
 from repro.serve.workers import ShardReplica
 
@@ -93,7 +96,7 @@ def _assert_totals_and_masks(index, snapshot=None):
     """``index`` answers from its totals exactly as from ``snapshot``
     (default: its own materialised blocks)."""
     if snapshot is None:
-        snapshot = index.snapshot_blocks()
+        snapshot = reference_blocks(index)
     totals = index.statistics().block_totals()
     assert totals.assignments == snapshot.total_block_assignments()
     assert totals.entities == snapshot.index_space.total
@@ -133,13 +136,13 @@ def test_totals_and_masks_equal_the_materialised_snapshot(
             for kind in chain([None], _apply(index, operations, bilateral)):
                 if kind == "checkpoint":
                     # fresh replicas adopt it and replay only the tail
-                    write_index_snapshot(index, wal)
+                    wal.write_snapshot(snapshot_state(index, wal.log_offset))
                 view, replicas = merged_replicas(wal, index, num_shards)
                 for replica in replicas:
                     replica.close()
                 # the view holds no member lists: the index's materialised
                 # collection is the reference
-                _assert_totals_and_masks(view, snapshot=index.snapshot_blocks())
+                _assert_totals_and_masks(view, snapshot=reference_blocks(index))
         finally:
             wal.close()
 
@@ -194,7 +197,7 @@ def test_checkpoint_adopting_view_answers_from_shipped_totals(tmp_path, num_shar
             )
             # the view ships no member lists: the authority's materialised
             # collection is the reference for the totals read off the rows
-            _assert_totals_and_masks(view, snapshot=session.index.snapshot_blocks())
+            _assert_totals_and_masks(view, snapshot=reference_blocks(session.index))
         finally:
             for replica in replicas:
                 replica.close()

@@ -149,6 +149,10 @@ class TestOutOfRangeValues:
             (["client", "stats", "--port", "1", "--timeout", "inf"], "--timeout", "must be above 0 and finite"),
             (["client", "top-k", "--port", "1", "--id", "a", "-k", "-3"], "-k", "must be at least 0"),
             (["client", "match", "--port", "1", "--limit", "-1"], "--limit", "must be at least 0"),
+            (["serve", "--snapshot-every", "0"], "--snapshot-every", "must be at least 1"),
+            (["serve", "--snapshot-every", "-3"], "--snapshot-every", "must be at least 1"),
+            (["stream", "--snapshot-every", "0"], "--snapshot-every", "must be at least 1"),
+            (["stream", "--snapshot-every", "-3"], "--snapshot-every", "must be at least 1"),
         ],
     )
     def test_refuses_values_that_end_in_a_traceback_or_do_nothing(
@@ -174,6 +178,8 @@ class TestOutOfRangeValues:
         assert parser.parse_args(["serve", "--wal", "unused", "--port", "65535"]).port == 65535
         assert parser.parse_args(["stream", "--limit", "0"]).limit == 0
         assert parser.parse_args(["stream", "--scale", "0.01"]).scale == 0.01
+        assert parser.parse_args(["stream", "--snapshot-every", "1"]).snapshot_every == 1
+        assert parser.parse_args(["serve", "--wal", "unused", "--snapshot-every", "1"]).snapshot_every == 1
         client = parser.parse_args(["client", "ping", "--port", "65535", "--timeout", "0.5"])
         assert (client.port, client.timeout) == (65535, 0.5)
         client = parser.parse_args(

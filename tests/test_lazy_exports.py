@@ -55,7 +55,6 @@ NOT_FOR_SERVING = (
     "repro.ml.svm",
     "repro.ml.naive_bayes",
     "repro.ml.calibration",
-    "repro.ml.metrics",
     "repro.ml.sampling",
 )
 

@@ -74,7 +74,6 @@ def test_entry_point_takes_no_selector(entry_point):
     + [
         FeatureVectorGenerator.generate,
         GeneralizedSupervisedMetaBlocking.run,
-        GeneralizedSupervisedMetaBlocking.run_on_collections,
         MatchingDaemon,
         construct_index,
         build_index_from_state,

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.utils.pqueue import BoundedTopQueue
+from reference import BoundedTopQueue
 
 
 class TestBoundedTopQueue:

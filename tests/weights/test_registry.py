@@ -9,7 +9,6 @@ from repro.weights import (
     RCNP_FEATURE_SET,
     SCHEME_CLASSES,
     all_feature_subsets,
-    feature_width,
     get_scheme,
     get_schemes,
 )
@@ -32,11 +31,6 @@ class TestRegistry:
     def test_get_schemes_rejects_duplicates(self):
         with pytest.raises(ValueError):
             get_schemes(["JS", "JS"])
-
-    def test_feature_width_counts_lcp_twice(self):
-        assert feature_width(["JS"]) == 1
-        assert feature_width(["JS", "LCP"]) == 3
-        assert feature_width(ORIGINAL_FEATURE_SET) == 5
 
     def test_paper_feature_sets_are_registered(self):
         for feature_set in (ORIGINAL_FEATURE_SET, BLAST_FEATURE_SET, RCNP_FEATURE_SET):
