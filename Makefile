@@ -76,7 +76,13 @@
 #                            member-list blocks, ROC AUC or kill-loop the tests keep as
 #                            oracles, or the helpers only tests called, the two
 #                            modules that held them do not import and no export table
-#                            names them)
+#                            names them; no module imports a name it does not use;
+#                            one declared schema for the log and the wire: valid
+#                            instances drawn from its tables accepted and one-field
+#                            mutations refused by name — by recovery before any index
+#                            is built, by a shard replica, and by a live daemon with
+#                            its WAL offset unchanged — and the guard that the hand
+#                            checks, coercions and frame loops it replaced stay gone)
 #   make test-fast         - tier-1 suite without the perf smoke tests, then tests/serve,
 #                            tests/faults and tests/persistence in one invocation (the
 #                            fixture model they pickle must not depend on collection order)
@@ -146,7 +152,8 @@ test-equivalence:
 		tests/test_one_online_policy.py tests/serve/test_shared_read_property.py \
 		tests/test_one_serving_configuration.py \
 		tests/test_one_storage_lifecycle.py tests/persistence/test_crash_recovery_property.py \
-		tests/test_no_test_only_surface.py
+		tests/test_no_test_only_surface.py tests/test_no_unused_imports.py \
+		tests/test_one_boundary_schema.py tests/persistence/test_schema_property.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q

@@ -17,9 +17,9 @@ Two variants are provided:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from ..datamodel.block import Block, BlockCollection
+from ..datamodel.block import BlockCollection
 
 
 def purge_oversized_blocks(

@@ -9,7 +9,7 @@ customer-database deduplication) where a trustworthy blocking key exists.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Set
+from typing import Sequence, Set
 
 from ..datamodel.entity import EntityProfile
 from ..utils.text import distinct_tokens, normalize

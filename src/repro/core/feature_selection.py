@@ -20,7 +20,7 @@ themselves are directly comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -30,7 +30,6 @@ from ..datamodel.candidates import CandidateSet
 from ..datamodel.ground_truth import GroundTruth
 from ..evaluation.metrics import EffectivenessReport, average_reports, evaluate_retained_mask
 from ..utils.rng import SeedLike, spawn_seeds
-from ..utils.timing import StageTimer
 from ..weights.registry import PAPER_FEATURES, all_feature_subsets
 from ..weights.statistics import BlockStatistics
 from ..weights.sparse import EntityBlockCSR

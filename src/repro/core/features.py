@@ -48,10 +48,6 @@ class FeatureMatrix:
         """Number of feature columns."""
         return int(self.values.shape[1])
 
-    def select(self, rows: np.ndarray) -> np.ndarray:
-        """Return the feature values of the selected rows."""
-        return self.values[rows]
-
 
 class FeatureVectorGenerator:
     """Generate feature matrices for a configurable set of weighting schemes.

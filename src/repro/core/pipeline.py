@@ -16,7 +16,7 @@ the paper's RT measure (feature generation + training + scoring + pruning).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -27,7 +27,7 @@ from ..datamodel.ground_truth import GroundTruth
 from ..ml.base import FrozenModel, ProbabilisticClassifier
 from ..ml.logistic_regression import LogisticRegression
 from ..ml.scaling import StandardScaler
-from ..utils.rng import SeedLike, make_rng
+from ..utils.rng import SeedLike
 from ..utils.timing import StageTimer
 from ..weights.registry import BLAST_FEATURE_SET
 from ..weights.statistics import BlockStatistics

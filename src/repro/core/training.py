@@ -14,7 +14,7 @@ pairs.  Two sampling policies mirror the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

@@ -16,7 +16,7 @@ is kept and every intra-block pair is a candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 

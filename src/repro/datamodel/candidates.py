@@ -10,7 +10,7 @@ and pruning vectorised.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
 
 import numpy as np
 
@@ -109,10 +109,6 @@ class CandidateSet:
     def pair_at(self, position: int) -> CandidatePair:
         """Return the ``position``-th pair."""
         return CandidatePair(int(self.left[position]), int(self.right[position]))
-
-    def as_tuples(self) -> List[Tuple[int, int]]:
-        """Return all pairs as a list of tuples (left < right)."""
-        return list(zip(self.left.tolist(), self.right.tolist()))
 
     def position_index(self) -> Dict[Tuple[int, int], int]:
         """Map every canonical pair tuple to its array position (cached)."""

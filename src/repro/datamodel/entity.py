@@ -122,10 +122,6 @@ class EntityCollection:
         """
         return self._id_to_index[entity_id]
 
-    def by_id(self, entity_id: str) -> EntityProfile:
-        """Return the profile with the given identifier."""
-        return self._profiles[self._id_to_index[entity_id]]
-
     def ids(self) -> List[str]:
         """Return all entity identifiers in collection order."""
         return [profile.entity_id for profile in self._profiles]

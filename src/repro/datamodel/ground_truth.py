@@ -7,7 +7,7 @@ sets, and to drive the undersampling procedure of the paper.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, Optional, Set, Tuple
 
 import numpy as np
 

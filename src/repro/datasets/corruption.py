@@ -15,8 +15,6 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..utils.rng import make_rng
-
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 

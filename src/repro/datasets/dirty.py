@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..datamodel.entity import EntityCollection, EntityProfile
 from ..datamodel.ground_truth import GroundTruth
 from ..utils.rng import SeedLike, make_rng

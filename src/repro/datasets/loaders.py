@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..datamodel.entity import EntityCollection, collection_from_dicts
 from ..datamodel.ground_truth import GroundTruth

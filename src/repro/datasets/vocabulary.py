@@ -15,8 +15,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..utils.rng import SeedLike, make_rng
-
 #: Frequent, low-information words injected into many profiles; these are the
 #: signatures Block Purging is expected to eliminate.
 COMMON_WORDS: Tuple[str, ...] = (

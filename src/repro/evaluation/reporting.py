@@ -8,7 +8,7 @@ to diff across runs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import List, Mapping, Optional, Sequence, Union
 
 Number = Union[int, float]
 Cell = Union[str, Number]

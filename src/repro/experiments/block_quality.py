@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..blocking.candidate_extraction import prepare_blocks
 from ..datasets.benchmarks import load_benchmark
-from ..datasets.registry import CLEAN_CLEAN_ORDER, get_profile
+from ..datasets.registry import CLEAN_CLEAN_ORDER
 from ..evaluation.metrics import evaluate_candidates
 from ..evaluation.reporting import format_table
 from ..utils.rng import SeedLike

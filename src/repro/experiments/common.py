@@ -10,7 +10,7 @@ feature set), and multi-run averaging.  This module centralises those pieces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from ..blocking.candidate_extraction import prepare_blocks
 from ..core.feature_selection import PreparedDataset

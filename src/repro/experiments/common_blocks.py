@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from ..evaluation.reporting import format_table
 from ..weights.statistics import BlockStatistics
 from .common import ExperimentConfig, prepare_benchmark_dataset

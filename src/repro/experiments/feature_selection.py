@@ -12,7 +12,6 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.feature_selection import (
     FeatureSelectionStudy,
-    FeatureSetCandidate,
     FeatureSetScore,
     enumerate_feature_sets,
 )

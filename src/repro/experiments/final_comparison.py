@@ -15,7 +15,7 @@ Table 7 is the cardinality-based counterpart with RCNP, CNP1 and CNP2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..evaluation.reporting import format_table
 from ..evaluation.runner import ExperimentRunner, RunOutcome

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..evaluation.reporting import format_table
 from ..evaluation.runner import ExperimentRunner, average_over_datasets
 from ..evaluation.metrics import EffectivenessReport

@@ -82,6 +82,7 @@ from ..blocking.token_blocking import TokenBlocking
 from ..datamodel.candidates import CandidateSet
 from ..datamodel.entity import EntityProfile
 from ..pairs import MAX_NODE_ID, node_id_overflow, pack_pair_keys, sorted_unique
+from ..schema import META_FORMAT
 from .state import APPENDED, Growable, IndexState, IndexStatistics
 
 
@@ -338,15 +339,8 @@ class MutableBlockIndex(IndexState):
         """
         wal.open()
         if wal.is_fresh:
-            wal.append_record(
-                {
-                    "op": "meta",
-                    "format": 1,
-                    "kind": "index",
-                    "bilateral": self.bilateral,
-                    "name": self.name,
-                }
-            )
+            meta = {"op": "meta", "format": META_FORMAT, "kind": "index"}
+            wal.append_record(dict(meta, bilateral=self.bilateral, name=self.name))
         self._wal = wal
 
     def _log_record(self, record: dict) -> None:

@@ -54,7 +54,7 @@ from ..datamodel.entity import EntityProfile
 from ..ml.base import FrozenModel
 from ..obs.trace import hook_span
 from .delta import DeltaFeatureGenerator
-from .index import MutableBlockIndex, RetractionDelta, UnknownEntityError
+from .index import MutableBlockIndex, RetractionDelta
 from .state import IndexStatistics, LiveCandidates
 
 
@@ -608,12 +608,7 @@ class MatchingSession:
                 self.index._apply_insert(record["id"], record["side"], record["sig"])
             )
         elif op == "bulk":
-            self._score_bulk(
-                self.index._apply_bulk(
-                    [(entity_id, signatures) for entity_id, signatures in record["entities"]],
-                    record["side"],
-                )
-            )
+            self._score_bulk(self.index._apply_bulk(record["entities"], record["side"]))
         elif op == "remove":
             retraction = self.index.remove_entity(record["id"], side=record["side"])
             self._retract_from_online(retraction)
@@ -623,8 +618,6 @@ class MatchingSession:
             self._score_insert(
                 self.index._apply_insert(record["id"], record["side"], record["sig"])
             )
-        else:
-            raise ValueError(f"unknown WAL record op {op!r}")
 
     # -- exact finalisation ----------------------------------------------------
     def retained(self) -> SessionResult:

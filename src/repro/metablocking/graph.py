@@ -9,7 +9,7 @@ consistent with the supervised pipeline and cheap to prune.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 

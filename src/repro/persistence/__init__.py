@@ -17,7 +17,6 @@ from .._exports import lazy_exports
 #: public name -> the submodule that defines it (see repro._exports)
 _EXPORTS = {
     "CONTAINER_MAGIC": "container",
-    "META_FORMAT": "container",
     "SNAPSHOT_FORMAT": "container",
     "StateFormatError": "container",
     "check_state_format": "container",

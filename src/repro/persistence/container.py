@@ -40,8 +40,6 @@ CONTAINER_MAGIC = b"RPROARRS"
 LEGACY_SNAPSHOT_MAGIC = b"RPROSNP1"
 #: the version a snapshot container is written in, and the only one read
 SNAPSHOT_FORMAT = 2
-#: the ``format`` of the log's JSON ``meta`` record
-META_FORMAT = 1
 
 #: magic, CRC32 of the rest, version, JSON header size
 _FIXED = struct.Struct("<8sIIQ")
@@ -54,24 +52,19 @@ DTYPES = {
 #: separates the keys of an array's path through the state tree
 _SEPARATOR = "/"
 
-_FORMATS = {"snapshot": SNAPSHOT_FORMAT, "log meta record": META_FORMAT}
-
 
 class StateFormatError(ValueError):
-    """A snapshot or log ``meta`` record was written in a state format this
-    version does not read."""
+    """A snapshot in a state format this version does not read, or a log
+    record its table (:mod:`repro.schema`) refuses."""
 
 
-def check_state_format(state: Dict[str, Any], source: str = "snapshot") -> None:
-    """Refuse a snapshot (``source="snapshot"``) or log ``meta`` record
-    (``source="log meta record"``) whose ``format`` this version does not
-    read: :data:`SNAPSHOT_FORMAT` and :data:`META_FORMAT` respectively."""
-    expected = _FORMATS[source]
+def check_state_format(state: Dict[str, Any]) -> None:
+    """Refuse a snapshot whose ``format`` is not :data:`SNAPSHOT_FORMAT`."""
     found = state.get("format")
-    if found != expected:
+    if found != SNAPSHOT_FORMAT:
         raise StateFormatError(
-            f"the {source} holds state format {found!r}; this version reads "
-            f"format {expected} only"
+            f"the snapshot holds state format {found!r}; this version reads "
+            f"format {SNAPSHOT_FORMAT} only"
         )
 
 

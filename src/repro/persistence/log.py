@@ -20,7 +20,8 @@ The log follows the three WAL rules of embedded write-ahead-logging engines
 Records are logical operations (entity id, side, signature lists) encoded
 as canonical JSON, not physical page images: every index mutation is a
 deterministic function of the operation sequence, so replaying the logical
-log reproduces the uninterrupted run's canonical view exactly.
+log reproduces the uninterrupted run's canonical view exactly.  Each op's
+fields are declared in :mod:`repro.schema` and checked on every write and read.
 
 Snapshots live next to the log as ``snapshot-NNNNNN.snap`` files, written
 atomically (temp file + fsync + rename + directory fsync) as array
@@ -43,7 +44,8 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from .. import faults
 from ..obs import events
 from ..obs.trace import hook_span
-from .container import decode_container, encode_container
+from ..schema import SchemaError, check_record
+from .container import StateFormatError, decode_container, encode_container
 
 #: first bytes of every log file; a file not starting with it is not a WAL
 LOG_MAGIC = b"RPROWAL1"
@@ -88,16 +90,39 @@ def _frame_end(data: bytes, position: int) -> Optional[int]:
     return end if zlib.crc32(memoryview(data)[header_end:end]) == crc else None
 
 
-def _decoded_frame(data: bytes, position: int) -> Optional[Tuple[int, Dict[str, Any]]]:
-    """``(end, record)`` of the frame at ``position``; ``None`` unless the
-    frame is complete, CRC-valid and its payload decodes as JSON."""
+def _decoded_frame(
+    data: bytes, position: int, origin: int = 0
+) -> Optional[Tuple[int, Dict[str, Any]]]:
+    """``(end, record)`` of the frame at ``position`` of ``data`` (byte
+    ``origin`` of the log), the one place log bytes become a record; ``None``
+    (a torn tail) unless the frame is complete, CRC-valid and JSON.  A record
+    its table refuses is no torn tail: :class:`StateFormatError` names its
+    offset, op and field."""
     end = _frame_end(data, position)
     if end is None:
         return None
     try:
-        return end, json.loads(data[position + _RECORD_HEADER.size : end].decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
+        record = json.loads(data[position + _RECORD_HEADER.size : end].decode("utf-8"))
+    except ValueError:
         return None
+    try:
+        return end, check_record(record)
+    except SchemaError as error:
+        raise StateFormatError(
+            f"the log record at offset {origin + position} is refused: {error}"
+        ) from None
+
+
+def _decoded_frames(data: bytes, position: int, origin: int = 0) -> Tuple[List["WalRecord"], int]:
+    """The records of ``data`` from ``position`` up to the first torn or
+    damaged frame, and the position just past the last of them."""
+    records = []
+    frame = _decoded_frame(data, position, origin)
+    while frame is not None:
+        records.append(WalRecord(origin + position, origin + frame[0], frame[1]))
+        position = frame[0]
+        frame = _decoded_frame(data, position, origin)
+    return records, position
 
 
 def _is_record_boundary(data: bytes, start: int) -> bool:
@@ -249,13 +274,15 @@ class WriteAheadLog:
         committed offset before re-raising, so the append either happened
         entirely or not at all; when even the truncate fails the log is
         marked broken and every further append raises
-        :class:`WalBrokenError`.
+        :class:`WalBrokenError`.  A record its table refuses raises
+        :class:`~repro.schema.SchemaError` before any byte is written.
         """
         if self._broken:
             raise WalBrokenError(
                 f"{self.log_path} writer failed mid-append and was not "
                 "repaired; recover the directory to continue"
             )
+        check_record(record)  # what the reader would refuse is never written
         if self._file is None:
             self.open()
         blob = encode_record(record)
@@ -340,8 +367,8 @@ class WriteAheadLog:
         The scan stops at the first frame that is incomplete (header or
         payload cut short), fails its CRC, or does not decode as JSON — the
         replay-to-last-complete-record rule.  It never raises on torn data;
-        a missing or empty file scans empty, and only a wrong magic is an
-        error.
+        a missing or empty file scans empty.  A wrong magic is an error, and a
+        complete record its table refuses a ``StateFormatError``.
 
         ``start`` is a record boundary something durable vouches for — a
         snapshot's embedded ``log_offset`` — and the scan then decodes only
@@ -373,13 +400,7 @@ class WriteAheadLog:
                     f"offset {start} is not a record boundary of {self.log_path}"
                 )
             position = start
-        records: List[WalRecord] = []
-        frame = _decoded_frame(data, position)
-        while frame is not None:
-            end, decoded = frame
-            records.append(WalRecord(start=position, end=end, record=decoded))
-            position = end
-            frame = _decoded_frame(data, position)
+        records, position = _decoded_frames(data, position)
         head = _decoded_frame(data, len(LOG_MAGIC))
         return WalScan(
             records=records,

@@ -18,8 +18,9 @@ The driver:
 2. scans the log from the snapshot's embedded offset to its last complete
    record (:meth:`WriteAheadLog.scan`): the tail it replays, not the history
    the snapshot vouches for — and, from the same bytes, the log's first
-   record, which must be its ``meta`` record in a format this version reads
-   (refused by name otherwise; a log torn inside it recovers as before);
+   record, which must be its ``meta`` record (refused by name otherwise; a
+   log torn inside it recovers as before).  A record its table refuses
+   stops recovery with ``StateFormatError`` before any index is built;
 3. replays the log records behind the snapshot's embedded offset through
    the session — signatures come from the records, nothing is
    re-tokenized — re-scoring each with the frozen model;
@@ -89,13 +90,10 @@ def recover_session(path: Union[str, Path], sync: str = "always"):
         )
     start = int(snapshot["log_offset"])
     scan = wal.scan(start)
-    if scan.first is not None:
-        if scan.first.get("op") != "meta":
-            raise ValueError(
-                f"the log opens with a {scan.first.get('op')!r} record, not its "
-                "'meta' record"
-            )
-        check_state_format(scan.first, source="log meta record")
+    if scan.first is not None and scan.first["op"] != "meta":
+        raise ValueError(
+            f"the log opens with a {scan.first['op']!r} record, not its 'meta' record"
+        )
     index = build_index_from_state(snapshot["index"])
     # the adopted index numbers nodes canonically: the snapshot's sorted
     # canonical keys and probabilities are the session's store as they stand

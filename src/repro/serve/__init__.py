@@ -58,7 +58,6 @@ _EXPORTS = {
     "PROTOCOL_VERSION": "protocol",
     "ProtocolError": "protocol",
     "encode_message": "protocol",
-    "profile_from_wire": "protocol",
     "profile_to_wire": "protocol",
     "build_pinned_view": "router",
     "match_answer": "router",

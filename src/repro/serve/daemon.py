@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import os
 import signal
 import socket
@@ -47,22 +46,22 @@ from contextlib import contextmanager, nullcontext
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 from .. import __version__
+from ..datamodel.entity import EntityProfile
 from ..incremental.index import DuplicateEntityError, UnknownEntityError
 from ..incremental.session import MatchingSession
 from ..obs import events
 from ..obs.registry import MetricsRegistry, process_rss_bytes, render_prometheus
 from ..obs.trace import RequestTrace, activate, hook_span, mint_trace_id
 from ..persistence.log import WalBrokenError, WriteAheadLog
+from ..schema import SchemaError, check
 from .protocol import (
     ERROR_DEADLINE,
     ERROR_OVERLOADED,
     ERROR_WAL,
-    OPERATIONS,
     PROTOCOL_VERSION,
     ProtocolError,
     error_response,
     ok_response,
-    profile_from_wire,
     read_message,
     write_message,
 )
@@ -72,8 +71,6 @@ from .workers import WalFollowError, WorkerError
 
 #: operations serialized on the mutation thread
 MUTATION_OPS = frozenset({"insert", "insert_bulk", "remove", "update", "checkpoint"})
-#: operations served from the pinned shard-worker views
-READ_OPS = frozenset({"match", "top_k", "stats"})
 #: seconds shutdown waits for in-flight requests before cancelling their
 #: connections
 DRAIN_TIMEOUT = 10.0
@@ -89,6 +86,17 @@ class DeadlineExceededError(RuntimeError):
 
 class WalFailedError(RuntimeError):
     """The write-ahead log failed; the mutation was neither logged nor applied."""
+
+
+#: the error type each refusal a request may raise answers with (the metric
+#: it counts is bumped where it is raised)
+_REFUSALS = {
+    OverloadedError: ERROR_OVERLOADED,
+    DeadlineExceededError: ERROR_DEADLINE,
+    WalFailedError: ERROR_WAL,
+    UnknownEntityError: "unknown_entity",
+    DuplicateEntityError: "duplicate_entity",
+}
 
 
 def _open_session(
@@ -115,15 +123,6 @@ def _open_session(
         model, wal_path=wal_path, wal_sync=wal_sync, **fresh_arguments
     )
     return session, 1, True
-
-
-def _top_k_arguments(args: Dict[str, Any]) -> Tuple[str, int, int]:
-    """``top_k``'s ``(entity_id, side, k)``; ``k`` must be a non-negative
-    integer as sent — no bool, float or string is coerced into one."""
-    k = args.get("k", 10)
-    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-        raise ValueError(f"'k' must be a non-negative integer, got {k!r}")
-    return str(args["entity_id"]), int(args.get("side", 0)), k
 
 
 class MatchingDaemon:
@@ -249,8 +248,7 @@ class MatchingDaemon:
         self._supervisor: Optional[WorkerSupervisor] = None
         # queue depths live on the asyncio loop thread only — plain ints
         # are race-free there, and they bound what run_in_executor enqueues
-        self._pending_mutations = 0
-        self._pending_reads = 0
+        self._pending = {"mutation": 0, "read": 0}
         # the read thread's last exact read, reused while no write moves it
         self._shared_read = SharedRead()
 
@@ -449,50 +447,36 @@ class MatchingDaemon:
 
     # -- dispatch ----------------------------------------------------------------
     async def _dispatch(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        request_id = message.get("id")
-        op = message.get("op")
-        args = message.get("args") or {}
+        try:
+            request = check("request", message)
+        except SchemaError as error:
+            # an unknown op is a protocol error, any other refusal of the
+            # envelope a bad request; its trace is checked first, so it is
+            # echoed unless it is what was refused
+            supplied = message.get("trace") if error.field != "trace" else None
+            return error_response(
+                message.get("id"),
+                "protocol" if error.field == "op" else "bad_request",
+                str(error),
+                trace=supplied or mint_trace_id(),
+            )
+        request_id, op = request["id"], request["op"]
         # the trace id is the request's identity across threads, worker
         # processes and the event log: a client-supplied one is honoured
         # (v2 envelopes), otherwise the daemon mints one (v1 clients)
-        supplied = message.get("trace")
-        trace_id = (
-            supplied if isinstance(supplied, str) and supplied else mint_trace_id()
-        )
-        if op not in OPERATIONS:
-            return error_response(
-                request_id, "protocol", f"unknown op {op!r}", trace=trace_id
-            )
-        if not isinstance(args, dict):
-            return error_response(
-                request_id, "protocol", "'args' must be an object", trace=trace_id
-            )
-        deadline_ms = message.get("deadline_ms")
+        trace_id = request["trace"] or mint_trace_id()
         deadline: Optional[float] = None
-        if deadline_ms is not None:
-            # the decoder parses NaN / Infinity, and a bool is an int
-            if (
-                isinstance(deadline_ms, bool)
-                or not isinstance(deadline_ms, (int, float))
-                or not math.isfinite(deadline_ms)
-                or deadline_ms <= 0
-            ):
-                return error_response(
-                    request_id,
-                    "bad_request",
-                    "'deadline_ms' must be a finite positive number",
-                    trace=trace_id,
-                )
-            deadline = time.monotonic() + float(deadline_ms) / 1e3
+        if request["deadline_ms"] is not None:
+            deadline = time.monotonic() + request["deadline_ms"] / 1e3
         # spans are recorded exactly when there is a log to journal them
-        trace = RequestTrace(
-            trace_id, str(op), enabled=events.configured_dir() is not None
-        )
-        events.emit("request_start", trace=trace_id, op=str(op))
+        trace = RequestTrace(trace_id, op, enabled=events.configured_dir() is not None)
+        events.emit("request_start", trace=trace_id, op=op)
         start = time.perf_counter()
         ok = True
         error_type: Optional[str] = None
         try:
+            # the args, against their op's table: a refusal is a bad_request
+            args = check(op, request["args"])
             if op == "ping":
                 result = {
                     "version": __version__,
@@ -508,62 +492,32 @@ class MatchingDaemon:
             elif op == "shutdown":
                 self._shutdown.set()
                 result = {"stopping": True}
-            elif op in MUTATION_OPS:
-                result = await self._run_mutation(op, args, deadline, trace)
             else:
-                result = await self._run_read(op, args, deadline, trace)
+                queue = "mutation" if op in MUTATION_OPS else "read"
+                result = await self._run(queue, op, args, deadline, trace)
             return ok_response(request_id, result, trace=trace_id)
-        except OverloadedError as error:
-            ok, error_type = False, ERROR_OVERLOADED
-            self.metrics.increment(
-                "shed_mutations" if op in MUTATION_OPS else "shed_reads"
-            )
-            return error_response(request_id, ERROR_OVERLOADED, str(error), trace=trace_id)
-        except DeadlineExceededError as error:
-            ok, error_type = False, ERROR_DEADLINE
-            self.metrics.increment("deadline_exceeded")
-            return error_response(request_id, ERROR_DEADLINE, str(error), trace=trace_id)
-        except WalFailedError as error:
-            ok, error_type = False, ERROR_WAL
-            self.metrics.increment("wal_failures")
-            return error_response(request_id, ERROR_WAL, str(error), trace=trace_id)
-        except UnknownEntityError as error:
-            ok, error_type = False, "unknown_entity"
-            return error_response(
-                request_id, "unknown_entity", str(error), trace=trace_id
-            )
-        except DuplicateEntityError as error:
-            ok, error_type = False, "duplicate_entity"
-            return error_response(
-                request_id, "duplicate_entity", str(error), trace=trace_id
-            )
-        except (ProtocolError, KeyError, TypeError, ValueError) as error:
-            ok, error_type = False, "bad_request"
-            return error_response(
-                request_id,
-                "bad_request",
-                f"{type(error).__name__}: {error}",
-                trace=trace_id,
-            )
+        except tuple(_REFUSALS) as error:
+            ok = False
+            error_type = next(_REFUSALS[kind] for kind in _REFUSALS if isinstance(error, kind))
+            return error_response(request_id, error_type, str(error), trace=trace_id)
         except Exception as error:  # noqa: BLE001 - the daemon must not die
-            ok, error_type = False, "internal"
-            self._logger.error(
-                "unhandled error serving %s: %s",
-                op,
-                error,
-                exc_info=True,
-                extra={"trace_id": trace_id},
-            )
+            ok = False
+            error_type = "bad_request" if isinstance(error, ValueError) else "internal"
+            if error_type == "internal":
+                self._logger.error(
+                    "unhandled error serving %s: %s",
+                    op,
+                    error,
+                    exc_info=True,
+                    extra={"trace_id": trace_id},
+                )
             return error_response(
-                request_id,
-                "internal",
-                f"{type(error).__name__}: {error}",
-                trace=trace_id,
+                request_id, error_type, f"{type(error).__name__}: {error}", trace=trace_id
             )
         finally:
             elapsed = time.perf_counter() - start
-            self.metrics.record(str(op), elapsed, ok)
-            self._finish_request(trace, str(op), ok, error_type, elapsed, deadline)
+            self.metrics.record(op, elapsed, ok)
+            self._finish_request(trace, op, ok, error_type, elapsed, deadline)
 
     def _finish_request(
         self,
@@ -603,57 +557,42 @@ class MatchingDaemon:
                 threshold_ms=float(self.slow_request_ms),
             )
 
-    async def _run_mutation(
+    async def _run(
         self,
+        queue: str,
         op: str,
         args: Dict[str, Any],
         deadline: Optional[float] = None,
         trace: Optional[RequestTrace] = None,
     ) -> Any:
-        if self._pending_mutations >= self.max_pending:
+        """Run ``op`` on the thread of ``queue`` (``"mutation"`` or
+        ``"read"``), or shed it when that queue holds ``max_pending``."""
+        if self._pending[queue] >= self.max_pending:
+            self.metrics.increment("shed_mutations" if queue == "mutation" else "shed_reads")
             raise OverloadedError(
-                f"mutation queue is full ({self.max_pending} pending); "
+                f"{queue} queue is full ({self.max_pending} pending); "
                 "retry after backoff"
             )
-        self._pending_mutations += 1
-        self.metrics.adjust_gauge("mutation_queue_depth", 1)
+        self._pending[queue] += 1
+        self.metrics.adjust_gauge(f"{queue}_queue_depth", 1)
         enqueued = time.perf_counter()
-        try:
-            return await self._loop.run_in_executor(
-                self._mutator,
-                lambda: self._mutate_checked(op, args, deadline, trace, enqueued),
-            )
-        finally:
-            self._pending_mutations -= 1
-            self.metrics.adjust_gauge("mutation_queue_depth", -1)
+        executor = self._mutator if queue == "mutation" else self._reader
+        run = self._mutate_checked if queue == "mutation" else self._read_checked
 
-    async def _run_read(
-        self,
-        op: str,
-        args: Dict[str, Any],
-        deadline: Optional[float] = None,
-        trace: Optional[RequestTrace] = None,
-    ) -> Any:
-        if self._pending_reads >= self.max_pending:
-            raise OverloadedError(
-                f"read queue is full ({self.max_pending} pending); "
-                "retry after backoff"
-            )
-        self._pending_reads += 1
-        self.metrics.adjust_gauge("read_queue_depth", 1)
-        enqueued = time.perf_counter()
-        try:
-            return await self._loop.run_in_executor(
-                self._reader,
-                lambda: self._read_checked(op, args, deadline, trace, enqueued),
-            )
-        finally:
-            self._pending_reads -= 1
-            self.metrics.adjust_gauge("read_queue_depth", -1)
+        def queued() -> Any:
+            if trace is not None:
+                trace.add_span("queue-wait", (time.perf_counter() - enqueued) * 1e3, queue=queue)
+            return run(op, args, deadline, trace)
 
-    @staticmethod
-    def _check_deadline(deadline: Optional[float]) -> None:
+        try:
+            return await self._loop.run_in_executor(executor, queued)
+        finally:
+            self._pending[queue] -= 1
+            self.metrics.adjust_gauge(f"{queue}_queue_depth", -1)
+
+    def _check_deadline(self, deadline: Optional[float]) -> None:
         if deadline is not None and time.monotonic() > deadline:
+            self.metrics.increment("deadline_exceeded")
             raise DeadlineExceededError("deadline exceeded before the operation ran")
 
     def _mutate_checked(
@@ -662,14 +601,7 @@ class MatchingDaemon:
         args: Dict[str, Any],
         deadline: Optional[float],
         trace: Optional[RequestTrace] = None,
-        enqueued: Optional[float] = None,
     ) -> Any:
-        if trace is not None and enqueued is not None:
-            trace.add_span(
-                "queue-wait",
-                (time.perf_counter() - enqueued) * 1e3,
-                queue="mutation",
-            )
         # the deadline is re-checked HERE, on the mutation thread, before
         # anything is journaled or applied: a mutation that fails with
         # `deadline` was unambiguously NOT applied (clients must never
@@ -682,8 +614,10 @@ class MatchingDaemon:
                 with trace.span("mutate") if trace is not None else nullcontext():
                     result = self._mutate(op, args)
         except WalBrokenError as error:
+            self.metrics.increment("wal_failures")
             raise WalFailedError(str(error)) from error
         except OSError as error:
+            self.metrics.increment("wal_failures")
             raise WalFailedError(
                 f"write-ahead log failure; the operation was not applied: {error}"
             ) from error
@@ -699,12 +633,7 @@ class MatchingDaemon:
         args: Dict[str, Any],
         deadline: Optional[float],
         trace: Optional[RequestTrace] = None,
-        enqueued: Optional[float] = None,
     ) -> Any:
-        if trace is not None and enqueued is not None:
-            trace.add_span(
-                "queue-wait", (time.perf_counter() - enqueued) * 1e3, queue="read"
-            )
         self._check_deadline(deadline)
         try:
             with activate(trace):
@@ -751,20 +680,23 @@ class MatchingDaemon:
         )
         with activate(trace), span:
             index = self.session.index
-            offset = self._offset()
-            if op == "match":
-                answer = match_answer(index, self.session.model, self.session.pruning)
-                answer["offset"] = offset
-                answer["degraded"] = True
-                return answer
-            entity_id, side, k = _top_k_arguments(args)
-            node = index.node_of(entity_id, side=side)
-            return {
-                "offset": offset,
-                "entity_id": entity_id,
-                "degraded": True,
-                "matches": top_k_answer(index, self.session.model, node, k),
-            }
+            node = index.node_of(args["entity_id"], args["side"]) if op == "top_k" else -1
+            answer = self._answer(op, args, index, node, self._offset())
+            answer["degraded"] = True
+            return answer
+
+    def _answer(
+        self, op: str, args: Dict[str, Any], index, node: int, offset: int, read=None
+    ) -> Dict[str, Any]:
+        """``match``'s or ``top_k``'s answer over ``index`` (a pinned view,
+        or the authority index for a degraded read) at ``offset``."""
+        if op == "match":
+            answer = match_answer(index, self.session.model, self.session.pruning, read)
+        else:
+            matches = top_k_answer(index, self.session.model, node, args["k"], read)
+            answer = {"entity_id": args["entity_id"], "matches": matches}
+        answer["offset"] = offset
+        return answer
 
     # -- mutation thread ---------------------------------------------------------
     def _offset(self) -> int:
@@ -772,22 +704,17 @@ class MatchingDaemon:
 
     def _mutate(self, op: str, args: Dict[str, Any]) -> Any:
         if op == "insert":
-            result = self.session.insert(
-                profile_from_wire(args["profile"]), side=int(args.get("side", 0))
-            )
+            result = self.session.insert(EntityProfile(**args["profile"]), side=args["side"])
             return {
                 "entity_id": result.entity_id,
                 "node": int(result.node),
                 "num_new_pairs": int(result.num_new_pairs),
-                "matches": [
-                    [entity_id, probability] for entity_id, probability in result.matches
-                ],
+                "matches": [list(match) for match in result.matches],
                 "offset": self._offset(),
             }
         if op == "insert_bulk":
-            profiles = [profile_from_wire(entry) for entry in args["profiles"]]
-            side = int(args.get("side", 0))
-            result = self.session.insert_bulk(profiles, side=side)
+            profiles = [EntityProfile(**entry) for entry in args["profiles"]]
+            result = self.session.insert_bulk(profiles, side=args["side"])
             return {
                 "entity_ids": list(result.entity_ids),
                 "num_new_pairs": int(result.num_new_pairs),
@@ -795,32 +722,24 @@ class MatchingDaemon:
                 "offset": self._offset(),
             }
         if op == "remove":
-            result = self.session.remove(
-                str(args["entity_id"]), side=int(args.get("side", 0))
-            )
+            result = self.session.remove(args["entity_id"], side=args["side"])
             return {
                 "entity_id": result.entity_id,
                 "num_retracted_pairs": int(result.num_retracted_pairs),
                 "offset": self._offset(),
             }
         if op == "update":
-            result = self.session.update(
-                profile_from_wire(args["profile"]), side=int(args.get("side", 0))
-            )
+            result = self.session.update(EntityProfile(**args["profile"]), side=args["side"])
             return {
                 "entity_id": result.inserted.entity_id,
                 "num_retracted_pairs": int(result.removed.num_retracted_pairs),
                 "num_new_pairs": int(result.inserted.num_new_pairs),
-                "matches": [
-                    [entity_id, probability]
-                    for entity_id, probability in result.inserted.matches
-                ],
+                "matches": [list(match) for match in result.inserted.matches],
                 "offset": self._offset(),
             }
-        if op == "checkpoint":
-            path = self.session.checkpoint()
-            return {"snapshot": str(path), "offset": self._offset()}
-        raise ProtocolError(f"unroutable mutation {op!r}")  # pragma: no cover
+        # checkpoint: ``op`` was checked against the request table
+        path = self.session.checkpoint()
+        return {"snapshot": str(path), "offset": self._offset()}
 
     # -- read thread -------------------------------------------------------------
     @contextmanager
@@ -841,50 +760,42 @@ class MatchingDaemon:
         # is held, and hands the pin back for the response.  An
         # offset read out here could already be behind a worker by the time
         # the locks are taken — the follower keeps moving them forward
-        if op == "match":
-            view, _, offset = self.router.pinned_view()
-            with self._exact_read(view, "score-and-prune") as read:
-                answer = match_answer(view, self.session.model, self.session.pruning, read)
-            answer["offset"] = offset
-            return answer
-        if op == "top_k":
-            entity_id, side, k = _top_k_arguments(args)
-            view, node, offset = self.router.pinned_view(lookup=(side, entity_id))
-            if node < 0:
-                raise UnknownEntityError(entity_id, side)
-            with self._exact_read(view, "score-top-k") as read:
-                matches = top_k_answer(view, self.session.model, node, k, read)
-            return {"offset": offset, "entity_id": entity_id, "matches": matches}
-        if op == "stats":
-            offset, shards = self.router.shard_stats()
-            return {
-                "daemon": {
-                    "version": __version__,
-                    "entities": int(self.session.num_entities),
-                    "pairs": int(self.session.num_pairs),
-                    "wal_offset": offset,
-                    "snapshots": len(self.session.wal.snapshot_paths()),
-                    "bilateral": self.session.index.bilateral,
-                    "pruning": self.session.pruning.name,
-                    "num_shards": self.num_shards,
-                    "online_policy": {
-                        "name": self.session.online.name,
-                        "threshold": float(self.session.online.threshold),
-                    },
-                    "supervision": {
-                        "worker_restarts": (
-                            self._supervisor.restarts if self._supervisor else 0
-                        ),
-                        "heartbeat_interval": self.heartbeat_interval,
-                        "hang_timeout": self.hang_timeout,
-                    },
-                    "observability": {
-                        "event_log": str(self.event_log) if self.event_log else None,
-                        "slow_request_ms": self.slow_request_ms,
-                    },
-                    "wal_broken": bool(self.session.wal.broken),
+        if op in ("match", "top_k"):
+            lookup = (args["side"], args["entity_id"]) if op == "top_k" else None
+            view, node, offset = self.router.pinned_view(lookup=lookup)
+            if lookup is not None and node < 0:
+                raise UnknownEntityError(args["entity_id"], args["side"])
+            with self._exact_read(view, "score-top-k" if lookup else "score-and-prune") as read:
+                return self._answer(op, args, view, node, offset, read)
+        # stats: ``op`` was checked against the request table
+        offset, shards = self.router.shard_stats()
+        return {
+            "daemon": {
+                "version": __version__,
+                "entities": int(self.session.num_entities),
+                "pairs": int(self.session.num_pairs),
+                "wal_offset": offset,
+                "snapshots": len(self.session.wal.snapshot_paths()),
+                "bilateral": self.session.index.bilateral,
+                "pruning": self.session.pruning.name,
+                "num_shards": self.num_shards,
+                "online_policy": {
+                    "name": self.session.online.name,
+                    "threshold": float(self.session.online.threshold),
                 },
-                "shards": shards,
-                "metrics": self.metrics.snapshot(),
-            }
-        raise ProtocolError(f"unroutable read {op!r}")  # pragma: no cover
+                "supervision": {
+                    "worker_restarts": (
+                        self._supervisor.restarts if self._supervisor else 0
+                    ),
+                    "heartbeat_interval": self.heartbeat_interval,
+                    "hang_timeout": self.hang_timeout,
+                },
+                "observability": {
+                    "event_log": str(self.event_log) if self.event_log else None,
+                    "slow_request_ms": self.slow_request_ms,
+                },
+                "wal_broken": bool(self.session.wal.broken),
+            },
+            "shards": shards,
+            "metrics": self.metrics.snapshot(),
+        }

@@ -12,11 +12,11 @@ CRC turns a desynchronised or corrupted stream into an immediate
 :class:`ProtocolError` instead of a silently misparsed request.
 
 Requests are objects ``{"op": <name>, "id": <n>, "args": {...}}`` plus an
-optional ``"trace": <hex id>`` naming the request in the observability
-layer (a client that omits it gets one minted server-side); responses
+optional ``"trace": <hex id>`` (minted server-side when omitted) and
+``"deadline_ms"``, typed by :mod:`repro.schema` and never coerced; responses
 echo the id and the trace id: ``{"id": <n>, "ok": true, "trace": ...,
-"result": ...}`` or ``{"id": <n>, "ok": false, "trace": ...,
-"error": {"type": ..., "message": ...}}``.
+"result": ...}`` or ``{"id": <n>, "ok": false, "trace": ..., "error":
+{"type": ..., "message": ...}}``.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import zlib
 from typing import Any, Dict, Optional
 
 from ..datamodel.entity import EntityProfile
+from ..schema import TABLES
 
 #: message frame: payload length (uint32) + CRC32 of the payload (uint32) —
 #: the WAL's record header, reused verbatim
@@ -37,24 +38,13 @@ FRAME_HEADER = struct.Struct("<II")
 MAX_MESSAGE_BYTES = 64 << 20
 
 #: protocol revision announced by ``ping`` — 2 added the optional ``trace``
-#: envelope field and the ``metrics`` op; version-1 clients (no trace field)
-#: remain fully accepted and get server-minted trace ids
+#: envelope field and the ``metrics`` op (a request without one gets a
+#: server-minted trace id).  Since the declared schema, 2 also means typed
+#: fields: a request a v2 daemon once coerced into shape is refused by name
 PROTOCOL_VERSION = 2
 
-#: every operation the daemon serves
-OPERATIONS = (
-    "ping",
-    "insert",
-    "insert_bulk",
-    "remove",
-    "update",
-    "match",
-    "top_k",
-    "checkpoint",
-    "stats",
-    "metrics",
-    "shutdown",
-)
+#: every operation the daemon serves: the ``op`` choices of the request table
+OPERATIONS = TABLES["request"]["op"].choices
 
 #: operations a client may safely re-send after an ambiguous failure (a
 #: send that may or may not have been processed) — reads plus checkpoint,
@@ -179,19 +169,6 @@ def profile_to_wire(profile: EntityProfile) -> Dict[str, Any]:
         "entity_id": profile.entity_id,
         "attributes": dict(profile.attributes),
     }
-
-
-def profile_from_wire(data: Dict[str, Any]) -> EntityProfile:
-    """Rebuild an :class:`EntityProfile` from its wire form."""
-    if not isinstance(data, dict) or "entity_id" not in data:
-        raise ProtocolError("profile objects need an 'entity_id' field")
-    attributes = data.get("attributes") or {}
-    if not isinstance(attributes, dict):
-        raise ProtocolError("profile 'attributes' must be an object")
-    return EntityProfile(
-        entity_id=str(data["entity_id"]),
-        attributes={str(key): str(value) for key, value in attributes.items()},
-    )
 
 
 def error_response(

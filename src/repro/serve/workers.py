@@ -31,12 +31,10 @@ process: nothing it does starts a helper interpreter.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import time
 import traceback
 import uuid
-import zlib
 from itertools import groupby
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -55,7 +53,7 @@ from ..persistence.container import (
     decode_container,
     encode_container,
 )
-from ..persistence.log import LOG_MAGIC, MAX_RECORD_BYTES, _RECORD_HEADER, WriteAheadLog
+from ..persistence.log import LOG_MAGIC, WalRecord, WriteAheadLog, _decoded_frames
 from ..persistence.snapshot import compacted_from_state, key_shards, row_signatures
 
 _logger = events.get_logger(__name__)
@@ -151,29 +149,18 @@ class WalRecordFollower:
                 f"{target} was pinned; the writer publishes offsets only "
                 "after flushing, so this log is not the pinning daemon's"
             )
-        frames: List[Tuple[int, Dict[str, Any]]] = []
-        cursor = 0
-        header_size = _RECORD_HEADER.size
-        while cursor < len(data):
-            if cursor + header_size > len(data):
-                raise WalFollowError(f"offset {target} is not a record boundary")
-            length, crc = _RECORD_HEADER.unpack_from(data, cursor)
-            end = cursor + header_size + length
-            if length > MAX_RECORD_BYTES or end > len(data):
-                raise WalFollowError(f"offset {target} is not a record boundary")
-            payload = data[cursor + header_size : end]
-            if zlib.crc32(payload) != crc:
-                raise WalFollowError(
-                    f"corrupt record at byte {self.position + cursor}"
-                )
-            frames.append((self.position + end, json.loads(payload.decode("utf-8"))))
-            cursor = end
-        return self._deliver(frames)
+        records, end = _decoded_frames(data, 0, origin=self.position)
+        if end != len(data):
+            raise WalFollowError(
+                f"no complete record at byte {self.position + end}: offset "
+                f"{target} is not a record boundary or the record is damaged"
+            )
+        return self._deliver(records)
 
-    def _deliver(self, frames) -> Iterator[Dict[str, Any]]:
-        for end, record in frames:
-            yield record
-            self.position = end
+    def _deliver(self, records: List[WalRecord]) -> Iterator[Dict[str, Any]]:
+        for entry in records:
+            yield entry.record
+            self.position = entry.end
             self.records_delivered += 1
 
     def close(self) -> None:
@@ -362,14 +349,13 @@ class ShardReplica:
         self.follower.seek_to(int(state["log_offset"]))
 
     def apply(self, record: Dict[str, Any]) -> None:
-        """Apply one logical WAL record, shard-filtered."""
+        """Apply one logical WAL record, shard-filtered (checked against its
+        table by the log's decoder)."""
         op = record["op"]
         if op == "meta":
-            check_state_format(record, source="log meta record")
-            self.bilateral = bool(record.get("bilateral", False))
+            self.bilateral = record["bilateral"]
             self.index = MutableBlockIndex(
-                bilateral=self.bilateral,
-                name=f"{record.get('name', 'serve')}#shard{self.shard}",
+                bilateral=self.bilateral, name=f"{record['name']}#shard{self.shard}"
             )
             return
         if self.index is None:
@@ -392,8 +378,6 @@ class ShardReplica:
             self.index._apply_update(
                 record["id"], record["side"], self._filter(record["sig"])
             )
-        else:
-            raise WalFollowError(f"unknown WAL record op {op!r}")
         faults.on_record_applied()
 
     # -- read-state extraction ---------------------------------------------------

@@ -18,7 +18,7 @@ independent streams derives them from one seed with :func:`spawn_seeds`.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 

@@ -13,7 +13,7 @@ registry also exposes the three feature sets the paper singles out:
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Iterable, List, Sequence, Tuple, Type
+from typing import Dict, List, Sequence, Tuple, Type
 
 from .schemes import (
     CFIBFScheme,

@@ -255,17 +255,3 @@ class BlockStatistics:
             degrees += np.bincount(right, minlength=total_nodes)
             self._lcp_sparse = degrees.astype(np.float64)
         return self._lcp_sparse
-
-    # -- summaries ----------------------------------------------------------------
-    def describe(self) -> Dict[str, float]:
-        """Summary statistics used in reports and tests."""
-        return {
-            "blocks": float(self.num_blocks),
-            "total_cardinality": self.total_cardinality,
-            "avg_blocks_per_entity": float(
-                self.blocks_per_entity[self.blocks_per_entity > 0].mean()
-            )
-            if np.any(self.blocks_per_entity > 0)
-            else 0.0,
-            "max_block_size": float(self.block_sizes.max()) if self.num_blocks else 0.0,
-        }

@@ -27,7 +27,7 @@ from repro.datamodel import EntityCollection, make_profile
 from repro.datasets import load_dirty_dataset
 from repro.weights.sparse import build_entity_block_csr
 
-from reference import reference_encode_signatures, reference_prepare_blocks
+from reference import pair_tuples, reference_encode_signatures, reference_prepare_blocks
 
 #: a small vocabulary (stop-words included) so random texts collide heavily
 WORDS = (
@@ -117,7 +117,7 @@ def assert_equivalent(first, second, blocking=None, **options):
     assert_collections_identical(loop.raw_blocks, array.raw_blocks)
     assert_collections_identical(loop.purged_blocks, array.purged_blocks)
     assert_collections_identical(loop.blocks, array.blocks)
-    assert loop.candidates.as_tuples() == array.candidates.as_tuples()
+    assert pair_tuples(loop.candidates) == pair_tuples(array.candidates)
     assert loop.candidates.index_space == array.candidates.index_space
     reference_csr = build_entity_block_csr(loop.blocks)
     assert array.csr is not None
@@ -289,7 +289,7 @@ class TestEdgeCases:
         stranded = [block for block in loop.blocks if not block.is_bilateral]
         assert stranded, "the construction must strand a single-side block"
         # the stranded block spawns an intra-source pair both implementations keep
-        assert (2, 3) in loop.candidates.as_tuples()
+        assert (2, 3) in pair_tuples(loop.candidates)
 
 
 class TestBackendSwitch:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from reference import pair_tuples
 from repro.blocking import (
     TokenBlocking,
     extract_candidates,
@@ -91,8 +92,8 @@ class TestBlockFiltering:
 class TestCandidateExtraction:
     def test_extract_candidates_matches_from_blocks(self, skewed_blocks):
         assert (
-            extract_candidates(skewed_blocks).as_tuples()
-            == CandidateSet.from_blocks(skewed_blocks).as_tuples()
+            pair_tuples(extract_candidates(skewed_blocks))
+            == pair_tuples(CandidateSet.from_blocks(skewed_blocks))
         )
 
     def test_prepare_blocks_pipeline(self, dblpacm_dataset):

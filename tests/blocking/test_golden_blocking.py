@@ -23,7 +23,7 @@ import pytest
 from repro.blocking import prepare_blocks
 from repro.datasets import load_benchmark
 
-from reference import reference_prepare_blocks
+from reference import pair_tuples, reference_prepare_blocks
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "data" / "golden_blocking.json"
 
@@ -39,7 +39,7 @@ def _prepare(implementation):
 
 
 def _snapshot(prepared):
-    pairs = prepared.candidates.as_tuples()
+    pairs = pair_tuples(prepared.candidates)
     digest = hashlib.sha256(
         ",".join(f"{i}-{j}" for i, j in pairs).encode("ascii")
     ).hexdigest()

@@ -35,11 +35,6 @@ class TestFeatureVectorGenerator:
         assert set(matrix.scheme_seconds) == {"JS", "LCP"}
         assert timer.get("features") > 0.0
 
-    def test_select_returns_the_selected_rows(self, small_candidates, small_stats):
-        matrix = FeatureVectorGenerator(("JS", "RS")).generate(small_candidates, small_stats)
-        selected = matrix.select(np.array([0, 1]))
-        assert selected.shape == (2, 2)
-
     def test_matrix_matches_reference(self, small_candidates, small_stats):
         loop = reference_feature_matrix(("JS", "LCP"), small_candidates, small_stats)
         sparse = FeatureVectorGenerator(("JS", "LCP")).generate(small_candidates, small_stats)

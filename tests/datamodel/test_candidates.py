@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference import pair_tuples
 from repro.datamodel import CandidatePair, CandidateSet, EntityIndexSpace
 
 
@@ -20,7 +21,7 @@ class TestCandidateSet:
         space = EntityIndexSpace(3, 3)
         candidates = CandidateSet.from_pairs([(3, 0), (0, 3), (1, 4)], space)
         assert len(candidates) == 2
-        assert candidates.as_tuples() == [(0, 3), (1, 4)]
+        assert pair_tuples(candidates) == [(0, 3), (1, 4)]
 
     def test_from_pairs_rejects_self_pair(self):
         space = EntityIndexSpace(3)
@@ -29,7 +30,7 @@ class TestCandidateSet:
 
     def test_from_blocks_removes_redundant_comparisons(self, small_blocks):
         candidates = CandidateSet.from_blocks(small_blocks)
-        tuples = candidates.as_tuples()
+        tuples = pair_tuples(candidates)
         assert len(tuples) == len(set(tuples))
         # pair (0, 3) appears in blocks alpha and beta but must be counted once
         assert tuples.count((0, 3)) == 1

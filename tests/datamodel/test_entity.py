@@ -42,7 +42,7 @@ class TestEntityCollection:
         )
         assert len(collection) == 2
         assert collection.index_of("b") == 1
-        assert collection.by_id("a").attribute("x") == "1"
+        assert collection[collection.index_of("a")].attribute("x") == "1"
         assert collection[0].entity_id == "a"
         assert "a" in collection and "zzz" not in collection
 
@@ -59,7 +59,7 @@ class TestEntityCollection:
             [{"id": "r1", "name": "x"}, {"id": "r2", "name": "y"}], id_field="id"
         )
         assert collection.ids() == ["r1", "r2"]
-        assert "id" not in collection.by_id("r1").attributes
+        assert "id" not in collection[collection.index_of("r1")].attributes
 
     def test_collection_from_dicts_sequential_ids(self):
         collection = collection_from_dicts([{"name": "x"}, {"name": "y"}])

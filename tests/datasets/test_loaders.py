@@ -35,8 +35,8 @@ class TestEntityCsv:
     def test_read_entities(self, csv_dataset_dir):
         collection = read_entity_csv(csv_dataset_dir / "first.csv")
         assert len(collection) == 2
-        assert collection.by_id("a1").attribute("name") == "apple iphone x"
-        assert "id" not in collection.by_id("a1").attributes
+        assert collection[collection.index_of("a1")].attribute("name") == "apple iphone x"
+        assert "id" not in collection[collection.index_of("a1")].attributes
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

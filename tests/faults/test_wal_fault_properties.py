@@ -39,7 +39,8 @@ _text = st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=3).map(" ".join)
 
 
 def _record(n):
-    return {"op": "noop", "n": n}
+    """A record the log's table accepts (the log refuses any other)."""
+    return {"op": "remove", "id": f"e{n}", "side": 0}
 
 
 class TestFsyncFaults:

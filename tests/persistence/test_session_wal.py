@@ -9,6 +9,7 @@ with the uninterrupted session.
 
 import ast
 import json
+import re
 import shutil
 from pathlib import Path
 from unittest import mock
@@ -23,13 +24,13 @@ from repro.datamodel import make_profile
 from repro.incremental import FrozenModel, MatchingSession, MutableBlockIndex
 from repro.persistence import (
     LOG_MAGIC,
-    META_FORMAT,
     SNAPSHOT_FORMAT,
     StateFormatError,
     WriteAheadLog,
     canonical_pair_keys,
     encode_record,
 )
+from repro.schema import META_FORMAT, SchemaError
 from repro.serve.workers import ShardReplica
 
 FEATURE_SET = ("CBS", "JS", "RS")
@@ -284,17 +285,24 @@ def test_a_snapshot_in_another_state_format_is_refused_by_name(tmp_path):
         MatchingSession.recover(tmp_path / "wal")
 
 
-def _rewrite_meta(directory, **fields):
-    """Rewrite the log's leading ``meta`` record with ``fields`` changed
-    (same length: every later record keeps its offset)."""
+def _rewrite_meta(directory, record=None, **fields):
+    """Rewrite the log's leading ``meta`` record as ``record``, or with
+    ``fields`` changed (same length: every later record keeps its offset)."""
     wal = WriteAheadLog(directory)
     meta = wal.scan(None).records[0]
     assert meta.record["op"] == "meta" and meta.record["format"] == META_FORMAT
     data = wal.log_path.read_bytes()
-    rewritten = encode_record(dict(meta.record, **fields))
+    rewritten = encode_record(record or dict(meta.record, **fields))
     assert len(rewritten) == meta.end - meta.start
     wal.log_path.write_bytes(data[: meta.start] + rewritten + data[meta.end :])
     return len(data)
+
+
+#: what the table says of a ``meta`` record of the next format, at offset 8
+_FOREIGN_META = re.escape(
+    "the log record at offset 8 is refused: meta record field 'format': "
+    f"expected int in [{META_FORMAT}], got {META_FORMAT + 1}"
+)
 
 
 def test_a_sharded_topology_is_refused_by_name(tmp_path):
@@ -333,7 +341,7 @@ def test_a_shard_replica_refuses_a_log_meta_record_in_another_format(tmp_path):
 
     replica = ShardReplica(tmp_path / "wal", shard=0, num_shards=2)
     try:
-        with pytest.raises(StateFormatError, match="the log meta record holds state format"):
+        with pytest.raises(StateFormatError, match=_FOREIGN_META):
             replica.catch_up(end)
     finally:
         replica.close()
@@ -360,23 +368,63 @@ def _one_insert_session_log(wal):
     return wal
 
 
+_UNJOURNALED = [
+    (lambda session: session.insert(make_profile(7, t="tok0 common")), "id"),
+    (lambda session: session.insert(make_profile("c", t="tok0 common"), side=True), "side"),
+    (lambda session: session.insert_bulk([make_profile(7, t="tok0")]), "entities[0][0]"),
+    (lambda session: session.remove("b0", side=True), "side"),
+    (lambda session: session.update(make_profile("b0", t="tok1"), side=True), "side"),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    _UNJOURNALED,
+    ids=["insert-number-id", "insert-bool-side", "bulk-number-id", "remove-bool-side", "update-bool-side"],
+)
+def test_a_mutation_its_record_table_refuses_is_never_journaled(tmp_path, mutate, field):
+    """The writer checks a record against the table the reader checks it
+    against: a call the log would refuse on recovery (a number id, a bool
+    side) raises by name before a byte is written, and the directory still
+    recovers to the state before it."""
+    session = MatchingSession(_frozen_model(), wal_path=tmp_path / "wal", bilateral=True)
+    session.insert(_profiles(1, "a")[0])
+    session.insert(_profiles(1, "b")[0], side=1)
+    offset = session.wal.log_offset
+    with pytest.raises(SchemaError, match=re.escape(f"field {field!r}")):
+        mutate(session)
+    assert session.wal.log_offset == offset
+    assert session.num_entities == 2
+    session.close()
+    recovered = MatchingSession.recover(tmp_path / "wal")
+    assert recovered.num_entities == 2
+    recovered.close()
+
+
 def test_a_session_log_meta_record_in_another_format_is_refused_by_name(tmp_path):
     """Session recovery reads the log's ``meta`` record, not only the
     snapshot: a log opened by a writer of another format is not replayed."""
     wal = _one_insert_session_log(tmp_path / "wal")
     _rewrite_meta(wal, format=META_FORMAT + 1)
-    message = (
-        f"the log meta record holds state format {META_FORMAT + 1}; "
-        f"this version reads format {META_FORMAT} only"
-    )
-    _refused_before_any_index_is_built(wal, StateFormatError, message)
+    _refused_before_any_index_is_built(wal, StateFormatError, _FOREIGN_META)
 
 
 def test_a_session_log_that_does_not_open_with_its_meta_record_is_refused(tmp_path):
+    """The positional rule: a first record its table accepts, of another op."""
+    wal = _one_insert_session_log(tmp_path / "wal")
+    meta = WriteAheadLog(wal).scan(None).records[0]
+    padding = meta.end - meta.start - len(encode_record({"id": "", "op": "remove", "side": 0}))
+    _rewrite_meta(wal, {"id": "x" * padding, "op": "remove", "side": 0})
+    _refused_before_any_index_is_built(
+        wal, ValueError, "the log opens with a 'remove' record, not its 'meta' record"
+    )
+
+
+def test_a_session_log_opening_with_an_unknown_op_is_refused_by_its_table(tmp_path):
     wal = _one_insert_session_log(tmp_path / "wal")
     _rewrite_meta(wal, op="mxta")
     _refused_before_any_index_is_built(
-        wal, ValueError, "the log opens with a 'mxta' record, not its 'meta' record"
+        wal, StateFormatError, "the log record at offset 8 is refused: log record field 'op'"
     )
 
 
@@ -403,7 +451,8 @@ def test_a_session_log_torn_inside_its_meta_record_recovers_as_before(tmp_path, 
 
 
 def _written_meta_formats(path):
-    """The ``"format"`` values of the ``{"op": "meta", ...}`` literals in ``path``."""
+    """The ``"format"`` values of the ``{"op": "meta", ...}`` literals in
+    ``path``, as source text."""
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Dict):
@@ -414,15 +463,21 @@ def _written_meta_formats(path):
             }
             op = fields.get("op")
             if isinstance(op, ast.Constant) and op.value == "meta":
-                found.append(ast.literal_eval(fields["format"]))
+                found.append(ast.unparse(fields["format"]))
     return found
 
 
 def test_the_meta_records_written_by_the_indexes_carry_the_state_format():
-    """``incremental`` writes the meta record's format as a literal: it cannot
-    import :data:`META_FORMAT`, because ``persistence`` imports it."""
+    """The writer names :data:`META_FORMAT`, the constant the log's table
+    reads, so the two cannot drift."""
     root = Path(repro.incremental.session.__file__).parent
-    assert _written_meta_formats(root / "index.py") == [META_FORMAT]
+    assert _written_meta_formats(root / "index.py") == ["META_FORMAT"]
+    imports = [
+        statement
+        for statement in ast.parse((root / "index.py").read_text()).body
+        if isinstance(statement, ast.ImportFrom) and statement.module == "schema"
+    ]
+    assert [alias.name for alias in imports[0].names] == ["META_FORMAT"]
     assert _written_meta_formats(root / "sharded.py") == []
     for path in sorted(root.glob("*.py")):
         module_level = [

@@ -208,7 +208,7 @@ class TestSnapshots:
         assert wal.is_empty()
         with wal:
             assert wal.is_empty()  # magic only
-            wal.append_record({"op": "meta"})
+            wal.append_record(_records(1)[0])
             assert not wal.is_empty()
         other = WriteAheadLog(tmp_path / "x")
         other.write_snapshot(_state(1))
@@ -218,6 +218,6 @@ class TestSnapshots:
         wal = WriteAheadLog(tmp_path / "w")
         with wal:
             assert wal.is_fresh
-            wal.append_record({"op": "meta"})
+            wal.append_record(_records(1)[0])
             assert not wal.is_fresh
         assert not WriteAheadLog(tmp_path / "w").is_fresh

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reference import BoundedTopQueue
+from reference import BoundedTopQueue, pair_tuples
 from repro.core import (
     BinaryClassifierPruning,
     SupervisedBLAST,
@@ -201,7 +201,7 @@ class TestCandidateSetProperties:
     @given(bilateral_blocks())
     def test_candidate_pairs_are_unique_and_canonical(self, blocks):
         candidate_set = CandidateSet.from_blocks(blocks)
-        tuples = candidate_set.as_tuples()
+        tuples = pair_tuples(candidate_set)
         assert len(tuples) == len(set(tuples))
         assert all(left < right for left, right in tuples)
 

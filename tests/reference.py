@@ -227,6 +227,11 @@ def reference_prepare_blocks(
     )
 
 
+def pair_tuples(candidates: CandidateSet) -> List[Tuple[int, int]]:
+    """Every candidate pair as a ``(left, right)`` tuple, in storage order."""
+    return list(zip(candidates.left.tolist(), candidates.right.tolist()))
+
+
 def tie_heavy_probabilities(candidates: CandidateSet) -> np.ndarray:
     """Deterministic pseudo-probabilities quantised into heavy ties.
 

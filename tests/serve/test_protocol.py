@@ -6,7 +6,7 @@ import zlib
 
 import pytest
 
-from repro.datamodel import make_profile
+from repro.datamodel import EntityProfile, make_profile
 from repro.serve.protocol import (
     FRAME_HEADER,
     MAX_MESSAGE_BYTES,
@@ -16,11 +16,11 @@ from repro.serve.protocol import (
     encode_message,
     error_response,
     ok_response,
-    profile_from_wire,
     profile_to_wire,
     read_message_from,
     write_message_to,
 )
+from repro.schema import SchemaError, check
 
 
 class TestFraming:
@@ -88,24 +88,31 @@ class TestProfiles:
     def test_roundtrip(self):
         profile = make_profile("p1", title="alpha beta", venue="x")
         wire = profile_to_wire(profile)
-        back = profile_from_wire(wire)
+        back = EntityProfile(**check("profile", wire))
         assert back.entity_id == profile.entity_id
         assert dict(back.attributes) == dict(profile.attributes)
 
     def test_missing_entity_id_rejected(self):
-        with pytest.raises(ProtocolError, match="entity_id"):
-            profile_from_wire({"attributes": {}})
+        with pytest.raises(SchemaError, match="profile field 'entity_id': missing"):
+            check("profile", {"attributes": {}})
 
     def test_non_object_attributes_rejected(self):
-        with pytest.raises(ProtocolError, match="attributes"):
-            profile_from_wire({"entity_id": "x", "attributes": [1]})
+        with pytest.raises(SchemaError, match="profile field 'attributes': expected object"):
+            check("profile", {"entity_id": "x", "attributes": [1]})
 
-    def test_values_coerced_to_strings(self):
-        profile = profile_from_wire(
-            {"entity_id": 17, "attributes": {"year": 2004}}
-        )
-        assert profile.entity_id == "17"
-        assert profile.attributes["year"] == "2004"
+    @pytest.mark.parametrize(
+        "wire, field",
+        [
+            ({"entity_id": 17, "attributes": {}}, "entity_id"),
+            ({"entity_id": "17", "attributes": {"year": 2004}}, "attributes.year"),
+            ({"entity_id": "17", "attributes": {"year": None}}, "attributes.year"),
+        ],
+    )
+    def test_values_are_refused_not_coerced_to_strings(self, wire, field):
+        """A number or null where a string belongs is refused by name; it was
+        once coerced with ``str()``."""
+        with pytest.raises(SchemaError, match=f"profile field '{field}': expected string"):
+            check("profile", wire)
 
 
 class TestEnvelopes:

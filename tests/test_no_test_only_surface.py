@@ -55,6 +55,10 @@ GONE = {
     "BlockCollection.average_blocks_per_entity",
     "EntityCollection.attribute_names",
     "GroundTruth.missed_by",
+    "FeatureMatrix.select",
+    "BlockStatistics.describe",
+    "EntityCollection.by_id",
+    "CandidateSet.as_tuples",
 }
 
 #: the modules that held nothing but test-only surface
@@ -89,7 +93,7 @@ def test_the_guard_sees_code():
 class FaultPlan:
     def describe(self): ...
     def to_json(self): ...
-class BlockStatistics:
+class IndexStatistics:
     def describe(self): ...
 def evaluate_blocks(blocks, truth): ...
 feature_width = len

@@ -23,7 +23,7 @@ from repro.core import FeatureVectorGenerator, generate_features
 from repro.datamodel import Block, BlockCollection, CandidateSet, EntityIndexSpace
 from repro.weights import PAPER_FEATURES, SCHEME_CLASSES, BlockStatistics, schemes, sparse
 
-from reference import reference_feature_matrix, reference_masked_ratio
+from reference import pair_tuples, reference_feature_matrix, reference_masked_ratio
 
 ALL_SCHEMES = tuple(SCHEME_CLASSES)
 
@@ -90,7 +90,7 @@ def bilateral_collections(draw):
 
 def _draw_candidates(draw, collection: BlockCollection) -> CandidateSet:
     """The collection's distinct pairs plus random extra (non-co-occurring) pairs."""
-    pairs = set(CandidateSet.from_blocks(collection).as_tuples())
+    pairs = set(pair_tuples(CandidateSet.from_blocks(collection)))
     total = collection.index_space.total
     if total >= 2:
         extra = draw(

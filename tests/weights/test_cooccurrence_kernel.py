@@ -35,7 +35,7 @@ from repro.weights.sparse import (
     plan_block_major,
 )
 
-from reference import forced_cooccurrence_pass as forced
+from reference import forced_cooccurrence_pass as forced, pair_tuples
 
 
 def oracle(csr, inverse_cardinalities, inverse_sizes, left, right):
@@ -404,7 +404,7 @@ def test_stranded_blocks_put_same_side_pairs_among_the_candidates():
     second = collection("b", ["r v p s w"])
     prepared = prepare_blocks(first, second, filtering_ratio=0.8, apply_purging=False)
     candidates = prepared.candidates
-    assert (0, 1) in candidates.as_tuples()
+    assert (0, 1) in pair_tuples(candidates)
     stats = BlockStatistics(prepared.blocks)
     kinds = {prepared.blocks[b].is_bilateral for b in stats.common_blocks(0, 1)}
     assert kinds == {True, False}

@@ -23,7 +23,7 @@ from repro.core import FeatureVectorGenerator
 from repro.datamodel import Block, BlockCollection, CandidateSet, EntityIndexSpace
 from repro.weights import PAPER_FEATURES, BlockStatistics
 
-from reference import reference_feature_matrix
+from reference import pair_tuples, reference_feature_matrix
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "data" / "golden_features.json"
 
@@ -94,7 +94,7 @@ def golden():
 def test_feature_matrix_matches_golden(golden, case, implementation):
     blocks, candidates = build_golden_cases()[case]
     frozen = golden[case]
-    assert candidates.as_tuples() == [tuple(pair) for pair in frozen["pairs"]], (
+    assert pair_tuples(candidates) == [tuple(pair) for pair in frozen["pairs"]], (
         "the deterministic golden construction changed; regenerate the fixture "
         "only if the change is intentional"
     )
@@ -126,7 +126,7 @@ def _regenerate() -> None:
         matrix = IMPLEMENTATIONS["loop"](blocks, candidates)
         payload[case] = {
             "columns": list(matrix.columns),
-            "pairs": [list(pair) for pair in candidates.as_tuples()],
+            "pairs": [list(pair) for pair in pair_tuples(candidates)],
             "values": matrix.values.tolist(),
         }
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)

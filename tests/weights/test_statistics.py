@@ -63,13 +63,6 @@ class TestBlockStatistics:
         second = stats.local_candidate_counts()
         assert first is second
 
-    def test_describe(self, small_stats):
-        summary = small_stats.describe()
-        assert summary["blocks"] == 4
-        assert summary["total_cardinality"] == 9.0
-        assert summary["max_block_size"] == 4.0
-        assert summary["avg_blocks_per_entity"] == pytest.approx(2.0)
-
     def test_dirty_blocks_lcp(self):
         from repro.datamodel import Block, BlockCollection, EntityIndexSpace
 
