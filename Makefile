@@ -82,13 +82,18 @@
 #                            mutations refused by name — by recovery before any index
 #                            is built, by a shard replica, and by a live daemon with
 #                            its WAL offset unchanged — and the guard that the hand
-#                            checks, coercions and frame loops it replaced stay gone)
+#                            checks, coercions and frame loops it replaced stay gone;
+#                            one registry of the paper's experiments: `repro run`'s ids
+#                            and the paper bench's findings are the registry's ids, no
+#                            per-figure wrapper, reference function or CLI adapter is
+#                            defined, and `import repro.cli` loads no experiment module)
 #   make test-fast         - tier-1 suite without the perf smoke tests, then tests/serve,
 #                            tests/faults and tests/persistence in one invocation (the
 #                            fixture model they pickle must not depend on collection order)
-#   make bench-smoke       - quick feature-runtime bench
-#   make bench-paper       - the paper-figure / table / ablation benches in their fast
-#                            configuration: the paper's findings as assertions
+#   make bench-smoke       - quick feature-runtime bench (the fig7-9 case of bench_paper.py)
+#   make bench-paper       - one case per entry of the experiment registry, plus the
+#                            ablation benches, in their fast configuration: the paper's
+#                            findings as assertions
 #   make bench-stream      - incremental streaming vs batch recompute bench
 #   make bench-churn       - dynamic churn bench (delete latency, bulk loads)
 #   make bench-faults      - fault-recovery bench (worker MTTR, availability)
@@ -153,18 +158,18 @@ test-equivalence:
 		tests/test_one_serving_configuration.py \
 		tests/test_one_storage_lifecycle.py tests/persistence/test_crash_recovery_property.py \
 		tests/test_no_test_only_surface.py tests/test_no_unused_imports.py \
-		tests/test_one_boundary_schema.py tests/persistence/test_schema_property.py
+		tests/test_one_boundary_schema.py tests/persistence/test_schema_property.py \
+		tests/test_one_experiment_registry.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q tests/serve tests/faults tests/persistence
 
 bench-smoke:
-	$(PYTEST) -q benchmarks/bench_fig7_fig9_feature_runtime.py
+	$(PYTEST) -q benchmarks/bench_paper.py -k fig7-9
 
 bench-paper:
-	$(PYTEST) -q benchmarks/bench_fig*.py benchmarks/bench_table*.py \
-		benchmarks/bench_ablations.py --benchmark-disable
+	$(PYTEST) -q benchmarks/bench_paper.py benchmarks/bench_ablations.py --benchmark-disable
 
 bench-stream:
 	$(PYTEST) -q benchmarks/bench_incremental_vs_batch.py

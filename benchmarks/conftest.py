@@ -1,17 +1,20 @@
 """Shared infrastructure for the benchmark harness.
 
-Every bench regenerates one table or figure of the paper: it runs the
-corresponding experiment module on (scaled) generated benchmarks, prints the
-same rows/series the paper reports, saves them under ``benchmarks/results/``
-and times the core computation with pytest-benchmark.
+``bench_paper.py`` regenerates the paper's tables and figures, one case per
+entry of the experiment registry (:data:`repro.experiments.EXPERIMENTS`): it
+runs the entry on (scaled) generated benchmarks, prints the rows/series the
+paper reports, saves them under ``benchmarks/results/`` and times the run
+with pytest-benchmark.  The other benches measure the streaming, serving and
+ablation paths the same way.
 
 Run with::
 
     pytest benchmarks/ --benchmark-only
 
 The benches use fast experiment configurations (a representative subset of
-datasets, 1-2 repetitions) so the whole harness completes in a few minutes;
-pass ``--full-benchmarks`` to use all 9 datasets and more repetitions.
+datasets, one repetition) so the whole harness completes in a few minutes;
+pass ``--full-benchmarks`` for the paper-scale cases (all 9 datasets, more
+repetitions, the whole sweeps).
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.experiments import ExperimentConfig  # noqa: E402
 from repro.experiments.common import prepare_benchmark_dataset  # noqa: E402
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
@@ -47,32 +49,6 @@ def full_mode(request) -> bool:
 
 
 @pytest.fixture(scope="session")
-def bench_config(full_mode) -> ExperimentConfig:
-    """The experiment configuration shared by the benches."""
-    if full_mode:
-        return ExperimentConfig(repetitions=3, training_size=500, seed=0)
-    return ExperimentConfig.fast(
-        dataset_names=("AbtBuy", "DblpAcm", "AmazonGP", "ImdbTmdb"),
-        repetitions=1,
-        training_size=500,
-    )
-
-
-@pytest.fixture(scope="session")
-def small_config() -> ExperimentConfig:
-    """An even smaller configuration for the expensive sweeps."""
-    return ExperimentConfig.fast(dataset_names=("AbtBuy", "DblpAcm"), repetitions=1)
-
-
-@pytest.fixture(scope="session")
-def largest_datasets(full_mode):
-    """The dataset names standing in for Movies / WalmartAmazon in run-time benches."""
-    if full_mode:
-        return ("Movies", "WalmartAmazon")
-    return ("Movies", "WalmartAmazon")
-
-
-@pytest.fixture(scope="session")
 def report_sink():
     """Write a named report both to stdout and to benchmarks/results/<name>.txt."""
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -86,6 +62,6 @@ def report_sink():
 
 
 @pytest.fixture(scope="session")
-def abtbuy_prepared(bench_config):
+def abtbuy_prepared():
     """AbtBuy prepared once for the single-dataset benches."""
-    return prepare_benchmark_dataset("AbtBuy", seed=bench_config.seed)
+    return prepare_benchmark_dataset("AbtBuy", seed=0)

@@ -1,40 +1,29 @@
 """Scalability study — a scaled-down version of the paper's Section 5.5.
 
-Runs the four final configurations (BCl, CNP with the [21] settings; BLAST,
-RCNP with the new feature sets and 50 labelled pairs) over the synthetic
-Dirty ER series D10K–D300K (generated at a laptop-friendly scale) and prints
-the Figure 17 effectiveness rows, the Figure 18 speedups and the Table 6
-logistic-regression models.
+Runs the ``fig17-18`` and ``table6`` entries of the experiment registry (the
+same cases ``repro run`` and ``benchmarks/bench_paper.py`` run): the four
+final configurations (BCl, CNP with the [21] settings; BLAST, RCNP with the
+new feature sets and 50 labelled pairs) over the synthetic Dirty ER series
+D10K–D100K at a laptop-friendly scale, printing the Figure 17 effectiveness
+rows and the Figure 18 speedups, then the Table 6 logistic-regression models
+BLAST fits on D100K.
 
 Run with::
 
     python examples/scalability_study.py
 """
 
-from repro.experiments import (
-    ExperimentConfig,
-    format_scalability,
-    format_speedups,
-    format_table6,
-    run_scalability,
-    run_table6,
-)
+from repro.experiments import EXPERIMENTS
 
 
 def main() -> None:
-    config = ExperimentConfig(repetitions=1, seed=0)
-
-    print("Running the scalability matrix (4 algorithms x 3 dataset sizes)...\n")
-    result = run_scalability(config, dataset_names=("D10K", "D50K", "D100K"), scale=0.02)
-    print(format_scalability(result))
-    print()
-    print(format_speedups(result))
-
-    print("\nFitting BLAST's logistic-regression models on D100K (Table 6)...\n")
-    snapshots = run_table6("D100K", iterations=3, config=config, scale=0.01)
-    print(format_table6(snapshots))
+    for experiment_id in ("fig17-18", "table6"):
+        entry = EXPERIMENTS[experiment_id]
+        print(f"Running {experiment_id}: {entry.title}...\n")
+        print(entry.report(entry.run(entry.config, False)))
+        print()
     print(
-        "\nNote how the coefficients vary across iterations: each iteration draws a"
+        "Note how the coefficients vary across iterations: each iteration draws a"
         "\ndifferent 25+25 labelled sample, which is the variance source the paper"
         "\ndiscusses in Section 5.5."
     )

@@ -11,129 +11,55 @@ Usage::
     python -m repro client stats --port 9876   # query a running daemon
     python -m repro trace --log /tmp/events    # inspect an event log
 
-Every ``run`` command prints the same rows/series the paper reports for that
-experiment (the benches in ``benchmarks/`` are the pytest-integrated variant
-of the same calls).
+Every ``run`` command prints the rows/series the paper reports for that
+experiment, beside the paper's own values where it gives them.  Each id is
+an entry of :data:`repro.experiments.EXPERIMENTS`, which
+``benchmarks/bench_paper.py`` runs too: ``repro run <id>`` runs the entry's
+fast case, and each flag given overrides that field of its configuration.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, Optional, Sequence
+from dataclasses import replace
+from typing import Iterator, Optional, Sequence
 
 from . import __version__
-from . import experiments as ex
 from .core.pruning import PRUNING_ALGORITHMS
 from .datasets.registry import CLEAN_CLEAN_ORDER, FAST_DATASET_SUBSET
 
 
-def _config_from_args(args: argparse.Namespace) -> ex.ExperimentConfig:
-    return ex.ExperimentConfig(
-        dataset_names=tuple(args.datasets),
-        repetitions=args.repetitions,
-        training_size=args.training_size,
-        seed=args.seed,
-    )
+def _experiments():
+    """The experiment registry, imported only by ``list`` and ``run``."""
+    from .experiments.registry import EXPERIMENTS
+
+    return EXPERIMENTS
 
 
-def _run_table2(args: argparse.Namespace) -> str:
-    rows = ex.run_block_quality(tuple(args.datasets), seed=args.seed)
-    return ex.format_block_quality(rows)
+class _ExperimentIds:
+    """``repro run``'s choices: the registry's ids, read only when ``run``
+    parses or prints its help (its ``metavar`` keeps argparse from listing
+    them while the parser is built), so no other command loads them."""
+
+    def __contains__(self, name: object) -> bool:
+        return name in _experiments()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(sorted(_experiments()))
 
 
-def _run_fig5(args: argparse.Namespace) -> str:
-    return ex.format_pruning_selection(
-        ex.run_figure5(_config_from_args(args)), "Figure 5 — weight-based pruning algorithms"
-    )
+#: the ``ExperimentConfig`` fields a ``repro run`` flag of the same name overrides
+_CONFIG_FIELDS = ("dataset_names", "repetitions", "training_size", "seed", "max_set_size")
 
 
-def _run_fig6(args: argparse.Namespace) -> str:
-    return ex.format_pruning_selection(
-        ex.run_figure6(_config_from_args(args)), "Figure 6 — cardinality-based pruning algorithms"
-    )
-
-
-def _run_tables34(args: argparse.Namespace) -> str:
-    parts = []
-    for algorithm in ("BLAST", "RCNP"):
-        result = ex.run_feature_selection(
-            algorithm, _config_from_args(args), max_set_size=args.max_set_size
-        )
-        parts.append(ex.format_feature_selection(result))
-    return "\n\n".join(parts)
-
-
-def _run_fig8(args: argparse.Namespace) -> str:
-    return ex.format_figure8(ex.run_figure8(_config_from_args(args)))
-
-
-def _run_fig10(args: argparse.Namespace) -> str:
-    return ex.format_figure10(
-        ex.run_figure10(_config_from_args(args), dataset_names=tuple(args.datasets[:2]))
-    )
-
-
-def _run_training_size(args: argparse.Namespace) -> str:
-    parts = []
-    for algorithm, figure in (("BLAST", "11"), ("RCNP", "14")):
-        points = ex.run_training_size_sweep(
-            algorithm, _config_from_args(args), sizes=ex.FAST_TRAINING_SIZES
-        )
-        parts.append(
-            ex.format_training_size(points, f"Figure {figure} — training-set size for {algorithm}")
-        )
-    return "\n\n".join(parts)
-
-
-def _run_fig12(args: argparse.Namespace) -> str:
-    snapshots = ex.run_probability_density(
-        args.datasets[0], training_sizes=(50, 200, 500), config=_config_from_args(args)
-    )
-    return ex.format_probability_density(snapshots)
-
-
-def _run_table5(args: argparse.Namespace) -> str:
-    return ex.format_final_comparison(ex.run_table5(_config_from_args(args)))
-
-
-def _run_table7(args: argparse.Namespace) -> str:
-    return ex.format_final_comparison(ex.run_table7(_config_from_args(args)))
-
-
-def _run_fig1516(args: argparse.Namespace) -> str:
-    distributions = ex.run_common_block_distribution(
-        tuple(args.datasets), _config_from_args(args)
-    )
-    return ex.format_common_blocks(
-        distributions, "Figures 15/16 — duplicates per number of common blocks"
-    )
-
-
-def _run_scalability(args: argparse.Namespace) -> str:
-    config = ex.ExperimentConfig(repetitions=args.repetitions, seed=args.seed)
-    result = ex.run_scalability(config, dataset_names=("D10K", "D50K", "D100K"), scale=0.02)
-    table6 = ex.run_table6("D100K", iterations=3, config=config, scale=0.01)
-    return "\n\n".join(
-        [ex.format_scalability(result), ex.format_speedups(result), ex.format_table6(table6)]
-    )
-
-
-#: Experiment ids accepted by ``python -m repro run <id>``.
-EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], str]] = {
-    "table2": _run_table2,
-    "fig5": _run_fig5,
-    "fig6": _run_fig6,
-    "tables3-4": _run_tables34,
-    "fig8": _run_fig8,
-    "fig10": _run_fig10,
-    "fig11-14": _run_training_size,
-    "fig12": _run_fig12,
-    "table5": _run_table5,
-    "table7": _run_table7,
-    "fig15-16": _run_fig1516,
-    "fig17-18": _run_scalability,
-}
+def _run_experiment(args: argparse.Namespace) -> str:
+    """``repro run <id>``: the entry's fast case, each flag given overriding
+    its field of the entry's configuration."""
+    entry = _experiments()[args.experiment]
+    given = {field: getattr(args, field) for field in _CONFIG_FIELDS}
+    overrides = {field: value for field, value in given.items() if value is not None}
+    return entry.report(entry.run(replace(entry.config, **overrides), False))
 
 
 def _run_quickstart(args: argparse.Namespace) -> str:
@@ -143,7 +69,7 @@ def _run_quickstart(args: argparse.Namespace) -> str:
     from .evaluation.metrics import evaluate_candidates, evaluate_result
     from .utils.timing import StageTimer
 
-    dataset = load_benchmark(args.datasets[0], seed=args.seed)
+    dataset = load_benchmark(args.dataset_names[0], seed=args.seed)
     prep_timer = StageTimer()
     prepared = prepare_blocks(dataset.first, dataset.second, timer=prep_timer)
     before = evaluate_candidates(prepared.candidates, dataset.ground_truth)
@@ -183,10 +109,6 @@ def _run_stream(args: argparse.Namespace, parser: argparse.ArgumentParser) -> st
         train_frozen_model,
     )
 
-    if not 0.0 < args.bootstrap <= 1.0:
-        parser.error("--bootstrap must be a fraction in (0, 1]")
-    if not 0.0 <= args.deletes < 1.0:
-        parser.error("--deletes must be a fraction in [0, 1)")
     if args.recover:
         if args.wal is None:
             parser.error("--recover requires --wal DIR")
@@ -295,8 +217,6 @@ def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         from .datasets.benchmarks import load_benchmark
         from .incremental.stream import StreamTrainingError, train_frozen_model
 
-        if not 0.0 < args.bootstrap <= 1.0:
-            parser.error("--bootstrap must be a fraction in (0, 1]")
         # the benchmark is only used to train the frozen classifier the
         # daemon scores with; the served index starts empty
         dataset = load_benchmark(args.dataset, seed=args.seed, scale=args.scale)
@@ -512,6 +432,30 @@ def non_negative_float(text: str) -> float:
     return value
 
 
+def training_set_size(text: str) -> int:
+    """An argparse ``type``: labelled pairs to train on, at least 2 (one per class)."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
+    return value
+
+
+def fraction_above_zero(text: str) -> float:
+    """An argparse ``type``: a fraction in (0, 1]."""
+    value = float(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must be a fraction in (0, 1], got {value}")
+    return value
+
+
+def fraction_below_one(text: str) -> float:
+    """An argparse ``type``: a fraction in [0, 1)."""
+    value = float(text)
+    if not 0 <= value < 1:
+        raise argparse.ArgumentTypeError(f"must be a fraction in [0, 1), got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -530,17 +474,25 @@ def build_parser() -> argparse.ArgumentParser:
             "--datasets",
             nargs="+",
             default=list(FAST_DATASET_SUBSET),
+            dest="dataset_names",
             choices=CLEAN_CLEAN_ORDER,
             help="Clean-Clean benchmark profiles to use",
         )
-        sub.add_argument("--repetitions", type=int, default=1)
-        sub.add_argument("--training-size", type=int, default=500, dest="training_size")
+        sub.add_argument("--repetitions", type=positive_int, default=1)
+        sub.add_argument(
+            "--training-size", type=training_set_size, default=500, dest="training_size"
+        )
         sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--max-set-size", type=int, default=3, dest="max_set_size")
+        sub.add_argument("--max-set-size", type=positive_int, default=3, dest="max_set_size")
 
     run_parser = subparsers.add_parser("run", help="regenerate one table/figure")
-    run_parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
+    run_parser.add_argument(
+        "experiment", metavar="EXPERIMENT", choices=_ExperimentIds(),
+        help="one of %(choices)s ('repro list' names what each regenerates)",
+    )
     add_common(run_parser)
+    # no default: a flag given overrides the entry's configuration, and only then
+    run_parser.set_defaults(**dict.fromkeys(_CONFIG_FIELDS))
 
     quickstart_parser = subparsers.add_parser("quickstart", help="run the quickstart pipeline")
     add_common(quickstart_parser)
@@ -564,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream_parser.add_argument(
         "--bootstrap",
-        type=float,
+        type=fraction_above_zero,
         default=0.5,
         help="fraction of each collection used to train the frozen classifier",
     )
@@ -580,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream_parser.add_argument(
         "--deletes",
-        type=float,
+        type=fraction_below_one,
         default=0.0,
         help="churn fraction: probability, after each insert, of retracting "
         "one random live entity (exercises the dynamic index)",
@@ -612,7 +564,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="write an automatic compacted checkpoint every N mutations "
         "while journaling (default: only the bootstrap snapshot)",
     )
-    stream_parser.add_argument("--training-size", type=int, default=50, dest="training_size")
+    stream_parser.add_argument(
+        "--training-size", type=training_set_size, default=50, dest="training_size"
+    )
     stream_parser.add_argument("--seed", type=int, default=0)
 
     serve_parser = subparsers.add_parser(
@@ -650,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
         "daemon (ignored with --recover)",
     )
     serve_parser.add_argument(
-        "--bootstrap", type=float, default=0.5,
+        "--bootstrap", type=fraction_above_zero, default=0.5,
         help="fraction of the dataset used to train the frozen classifier",
     )
     serve_parser.add_argument(
@@ -666,7 +620,9 @@ def build_parser() -> argparse.ArgumentParser:
         dest="wal_sync", help="fsync per record (default) or on checkpoint only",
     )
     serve_parser.add_argument("--scale", type=positive_float, default=None)
-    serve_parser.add_argument("--training-size", type=int, default=50, dest="training_size")
+    serve_parser.add_argument(
+        "--training-size", type=training_set_size, default=50, dest="training_size"
+    )
     serve_parser.add_argument("--seed", type=int, default=0)
     serve_parser.add_argument(
         "--heartbeat-interval", type=positive_float, default=1.0,
@@ -779,8 +735,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "list":
         print("Available experiments:")
-        for name in sorted(EXPERIMENTS):
-            print(f"  {name}")
+        for name, entry in _experiments().items():
+            print(f"  {name:<10} {entry.title}")
         return 0
     if args.command == "quickstart":
         print(_run_quickstart(args))
@@ -795,7 +751,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "trace":
         return _run_trace(args, parser)
     if args.command == "run":
-        print(EXPERIMENTS[args.experiment](args))
+        print(_run_experiment(args))
         return 0
     parser.error(f"unknown command {args.command!r}")  # pragma: no cover
     return 2  # pragma: no cover

@@ -31,9 +31,6 @@ class CandidatePair:
             return self
         return CandidatePair(self.right, self.left)
 
-    def as_tuple(self) -> Tuple[int, int]:
-        return (self.left, self.right)
-
 
 class CandidateSet:
     """The distinct candidate pairs of a block collection.

@@ -78,18 +78,3 @@ def format_block_quality(rows: Sequence[BlockQualityRow]) -> str:
         columns=["dataset", "|E1|", "|E2|", "|D|", "|C|", "recall", "precision", "f1"],
         title="Tables 1 & 2 — input block collections (generated benchmarks)",
     )
-
-
-def paper_table2_reference() -> Dict[str, Dict[str, float]]:
-    """The paper's Table 2 values, for paper-vs-measured reports."""
-    return {
-        "AbtBuy": {"recall": 0.948, "precision": 2.78e-2, "f1": 5.40e-2},
-        "DblpAcm": {"recall": 0.999, "precision": 4.81e-2, "f1": 9.18e-2},
-        "ScholarDblp": {"recall": 0.998, "precision": 2.80e-3, "f1": 5.58e-3},
-        "AmazonGP": {"recall": 0.840, "precision": 1.29e-2, "f1": 2.54e-2},
-        "ImdbTmdb": {"recall": 0.988, "precision": 1.78e-2, "f1": 3.50e-2},
-        "ImdbTvdb": {"recall": 0.985, "precision": 8.90e-3, "f1": 1.76e-2},
-        "TmdbTvdb": {"recall": 0.989, "precision": 5.50e-3, "f1": 1.09e-2},
-        "Movies": {"recall": 0.976, "precision": 8.59e-4, "f1": 1.72e-3},
-        "WalmartAmazon": {"recall": 1.000, "precision": 4.22e-5, "f1": 8.44e-5},
-    }

@@ -44,6 +44,9 @@ class ExperimentConfig:
     classifier:
         ``"logistic"`` (default) or ``"svm"`` — the paper reports both give
         nearly identical results.
+    max_set_size:
+        Optional cap on the size of the feature sets the Tables 3/4 search
+        scores; ``None`` scores all 255 sets, as the paper does.
     """
 
     dataset_names: Sequence[str] = field(
@@ -54,6 +57,7 @@ class ExperimentConfig:
     seed: SeedLike = 0
     scale: Optional[float] = None
     classifier: str = "logistic"
+    max_set_size: Optional[int] = None
 
     def classifier_factory(self) -> Callable:
         """Return the classifier factory matching the configuration."""
@@ -129,60 +133,10 @@ def prepare_dirty_datasets(
 
 # -- standard algorithm configurations -----------------------------------------------
 
-def blast_pipeline(config: ExperimentConfig, training_size: Optional[int] = None) -> GeneralizedSupervisedMetaBlocking:
-    """BLAST with the Formula 1 feature set {CF-IBF, RACCB, RS, NRS}."""
-    return GeneralizedSupervisedMetaBlocking(
-        feature_set=BLAST_FEATURE_SET,
-        pruning="BLAST",
-        training_size=training_size or config.training_size,
-        classifier_factory=config.classifier_factory(),
-        seed=config.seed,
-    )
-
-
-def rcnp_pipeline(config: ExperimentConfig, training_size: Optional[int] = None) -> GeneralizedSupervisedMetaBlocking:
-    """RCNP with the Formula 2 feature set {CF-IBF, RACCB, JS, LCP, WJS}."""
-    return GeneralizedSupervisedMetaBlocking(
-        feature_set=RCNP_FEATURE_SET,
-        pruning="RCNP",
-        training_size=training_size or config.training_size,
-        classifier_factory=config.classifier_factory(),
-        seed=config.seed,
-    )
-
-
-def bcl_pipeline(
-    config: ExperimentConfig,
-    feature_set: Sequence[str] = ORIGINAL_FEATURE_SET,
-    training_size: Optional[int] = None,
-    training_policy: str = "balanced",
-) -> GeneralizedSupervisedMetaBlocking:
-    """BCl — the Supervised Meta-blocking [21] baseline (binary classifier)."""
-    return GeneralizedSupervisedMetaBlocking(
-        feature_set=feature_set,
-        pruning="BCl",
-        training_size=training_size or config.training_size,
-        training_policy=training_policy,
-        classifier_factory=config.classifier_factory(),
-        seed=config.seed,
-    )
-
-
-def cnp_pipeline(
-    config: ExperimentConfig,
-    feature_set: Sequence[str] = ORIGINAL_FEATURE_SET,
-    training_size: Optional[int] = None,
-    training_policy: str = "balanced",
-) -> GeneralizedSupervisedMetaBlocking:
-    """CNP with the original [21] feature set — the cardinality baseline."""
-    return GeneralizedSupervisedMetaBlocking(
-        feature_set=feature_set,
-        pruning="CNP",
-        training_size=training_size or config.training_size,
-        training_policy=training_policy,
-        classifier_factory=config.classifier_factory(),
-        seed=config.seed,
-    )
+#: each algorithm's standard feature set: Formula 1 {CF-IBF, RACCB, RS, NRS} for
+#: BLAST, Formula 2 {CF-IBF, RACCB, JS, LCP, WJS} for RCNP, and the original
+#: [21] set for the rest (BCl and CNP are the Supervised Meta-blocking baselines)
+STANDARD_FEATURES = {"BLAST": BLAST_FEATURE_SET, "RCNP": RCNP_FEATURE_SET}
 
 
 def algorithm_pipeline(
@@ -190,12 +144,16 @@ def algorithm_pipeline(
     config: ExperimentConfig,
     feature_set: Optional[Sequence[str]] = None,
     training_size: Optional[int] = None,
+    training_policy: str = "balanced",
 ) -> GeneralizedSupervisedMetaBlocking:
-    """Build a pipeline for any pruning algorithm with a given feature set."""
+    """A pipeline for any pruning algorithm: its standard feature set unless
+    ``feature_set`` names another, with the configuration's training size,
+    classifier and seed."""
     return GeneralizedSupervisedMetaBlocking(
-        feature_set=feature_set or ORIGINAL_FEATURE_SET,
+        feature_set=feature_set or STANDARD_FEATURES.get(name, ORIGINAL_FEATURE_SET),
         pruning=name,
         training_size=training_size or config.training_size,
+        training_policy=training_policy,
         classifier_factory=config.classifier_factory(),
         seed=config.seed,
     )

@@ -16,10 +16,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.features import FeatureVectorGenerator
-from ..core.pipeline import GeneralizedSupervisedMetaBlocking
 from ..core.feature_selection import PreparedDataset
 from ..evaluation.reporting import format_table
-from .common import ExperimentConfig, prepare_benchmark_dataset
+from .common import ExperimentConfig, algorithm_pipeline, prepare_benchmark_dataset
 
 #: The ten feature sets of Table 3 (BLAST), in the paper's order.
 BLAST_TOP10: Tuple[Tuple[str, ...], ...] = (
@@ -88,14 +87,7 @@ def measure_feature_set_runtime(
     matrix = generator.generate(dataset.candidates, stats)
     feature_seconds = time.perf_counter() - start
 
-    pipeline = GeneralizedSupervisedMetaBlocking(
-        feature_set=feature_set,
-        pruning="BCl",
-        training_size=config.training_size,
-        classifier_factory=config.classifier_factory(),
-        seed=config.seed,
-    )
-    result = pipeline.run(
+    result = algorithm_pipeline("BCl", config, feature_set).run(
         dataset.blocks,
         dataset.candidates,
         dataset.ground_truth,

@@ -73,11 +73,6 @@ def run_feature_selection(
     return FeatureSelectionResult(algorithm=algorithm, top_sets=top_sets)
 
 
-def run_table3(config: Optional[ExperimentConfig] = None, **kwargs) -> FeatureSelectionResult:
-    """Table 3: top-10 feature sets for BLAST."""
-    return run_feature_selection("BLAST", config, **kwargs)
-
-
 def format_feature_selection(result: FeatureSelectionResult) -> str:
     """Render the top feature sets in the layout of Tables 3/4."""
     return format_table(
@@ -85,13 +80,3 @@ def format_feature_selection(result: FeatureSelectionResult) -> str:
         columns=["id", "feature_set", "recall", "precision", "f1", "runtime_seconds"],
         title=f"Top feature sets for {result.algorithm} (Tables 3/4 layout)",
     )
-
-
-def paper_table3_reference() -> Dict[str, float]:
-    """The paper's Table 3 headline: BLAST's top-10 sets all score alike."""
-    return {"recall": 0.8816, "precision": 0.1932, "f1": 0.2892}
-
-
-def paper_table4_reference() -> Dict[str, float]:
-    """The paper's Table 4 headline: RCNP's top-10 sets all score alike."""
-    return {"recall": 0.850, "precision": 0.248, "f1": 0.353}

@@ -19,12 +19,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.pipeline import GeneralizedSupervisedMetaBlocking
 from ..core.pruning import VALIDITY_THRESHOLD
 from ..core.pruning.kernels import node_averages
 from ..evaluation.reporting import format_table
-from ..weights.registry import BLAST_FEATURE_SET
-from .common import ExperimentConfig, prepare_benchmark_dataset
+from .common import ExperimentConfig, algorithm_pipeline, prepare_benchmark_dataset
 
 
 @dataclass
@@ -83,14 +81,7 @@ def run_probability_density(
 
     snapshots: List[ProbabilityDensitySnapshot] = []
     for size in training_sizes:
-        pipeline = GeneralizedSupervisedMetaBlocking(
-            feature_set=BLAST_FEATURE_SET,
-            pruning="BLAST",
-            training_size=size,
-            classifier_factory=config.classifier_factory(),
-            seed=config.seed,
-        )
-        result = pipeline.run(
+        result = algorithm_pipeline("BLAST", config, training_size=size).run(
             dataset.blocks, dataset.candidates, dataset.ground_truth, stats=stats
         )
         probabilities = result.probabilities

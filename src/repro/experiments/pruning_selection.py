@@ -41,12 +41,15 @@ class PruningSelectionResult:
 def run_pruning_selection(
     config: Optional[ExperimentConfig] = None,
     algorithms: Optional[Sequence[str]] = None,
+    feature_set: Optional[Sequence[str]] = ORIGINAL_FEATURE_SET,
 ) -> PruningSelectionResult:
     """Run the Figure 5/6 comparison for the given algorithms.
 
     By default all weight- and cardinality-based algorithms are compared; pass
     ``WEIGHT_BASED_ALGORITHMS`` or ``CARDINALITY_BASED_ALGORITHMS`` to
-    reproduce one figure at a time.
+    reproduce one figure at a time.  Every algorithm runs ``feature_set``;
+    ``None`` gives each its standard set, which is Figure 8's comparison of
+    BLAST / RCNP (Formulas 1 / 2) with BCl / CNP (the [21] set).
     """
     config = config or ExperimentConfig()
     names = list(algorithms) if algorithms is not None else (
@@ -54,7 +57,7 @@ def run_pruning_selection(
     )
     datasets = prepare_benchmark_datasets(config)
     pipelines = {
-        name: algorithm_pipeline(name, config, feature_set=ORIGINAL_FEATURE_SET)
+        name: algorithm_pipeline(name, config, feature_set=feature_set)
         for name in names
     }
     runner = ExperimentRunner(repetitions=config.repetitions, seed=config.seed)
@@ -64,36 +67,6 @@ def run_pruning_selection(
     )
 
 
-def run_figure5(config: Optional[ExperimentConfig] = None) -> PruningSelectionResult:
-    """Figure 5: the weight-based algorithms (plus the BCl baseline)."""
-    return run_pruning_selection(config, WEIGHT_BASED_ALGORITHMS)
-
-
-def run_figure6(config: Optional[ExperimentConfig] = None) -> PruningSelectionResult:
-    """Figure 6: the cardinality-based algorithms."""
-    return run_pruning_selection(config, CARDINALITY_BASED_ALGORITHMS)
-
-
 def format_pruning_selection(result: PruningSelectionResult, title: str) -> str:
-    """Render the averaged series in the layout underlying Figures 5/6."""
+    """Render the averaged series in the layout underlying Figures 5, 6 and 8."""
     return format_measure_series(result.series(), title=title)
-
-
-def paper_figure5_reference() -> Dict[str, Dict[str, float]]:
-    """Approximate averages read off Figure 5 (weight-based algorithms)."""
-    return {
-        "BCl": {"recall": 0.87, "precision": 0.155, "f1": 0.255},
-        "WEP": {"recall": 0.82, "precision": 0.25, "f1": 0.366},
-        "WNP": {"recall": 0.87, "precision": 0.20, "f1": 0.305},
-        "RWNP": {"recall": 0.81, "precision": 0.26, "f1": 0.374},
-        "BLAST": {"recall": 0.88, "precision": 0.19, "f1": 0.285},
-    }
-
-
-def paper_figure6_reference() -> Dict[str, Dict[str, float]]:
-    """Approximate averages read off Figure 6 (cardinality-based algorithms)."""
-    return {
-        "CEP": {"recall": 0.86, "precision": 0.17, "f1": 0.26},
-        "CNP": {"recall": 0.88, "precision": 0.18, "f1": 0.27},
-        "RCNP": {"recall": 0.85, "precision": 0.245, "f1": 0.35},
-    }

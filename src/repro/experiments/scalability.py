@@ -12,7 +12,7 @@ the classifier, reporting:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -22,42 +22,21 @@ from ..evaluation.reporting import format_table
 from ..evaluation.runner import ExperimentRunner, RunOutcome
 from ..ml.logistic_regression import LogisticRegression
 from ..utils.timing import speedup as speedup_measure
-from ..weights.registry import BLAST_FEATURE_SET, ORIGINAL_FEATURE_SET, RCNP_FEATURE_SET
+from ..weights.registry import BLAST_FEATURE_SET
 from ..datasets.registry import DIRTY_ORDER
-from .common import ExperimentConfig, prepare_dirty_datasets
+from .common import ExperimentConfig, algorithm_pipeline, prepare_dirty_datasets
 
 
 def scalability_pipelines(config: ExperimentConfig) -> Dict[str, GeneralizedSupervisedMetaBlocking]:
-    """The four configurations of the scalability study (all logistic regression)."""
+    """The four configurations of the scalability study (all logistic
+    regression): BLAST and RCNP with 50 labels, BCl and CNP with the [21]
+    settings."""
+    config = replace(config, classifier="logistic")
     return {
-        "BLAST": GeneralizedSupervisedMetaBlocking(
-            feature_set=BLAST_FEATURE_SET,
-            pruning="BLAST",
-            training_size=50,
-            classifier_factory=LogisticRegression,
-            seed=config.seed,
-        ),
-        "BCl": GeneralizedSupervisedMetaBlocking(
-            feature_set=ORIGINAL_FEATURE_SET,
-            pruning="BCl",
-            training_policy="proportional",
-            classifier_factory=LogisticRegression,
-            seed=config.seed,
-        ),
-        "RCNP": GeneralizedSupervisedMetaBlocking(
-            feature_set=RCNP_FEATURE_SET,
-            pruning="RCNP",
-            training_size=50,
-            classifier_factory=LogisticRegression,
-            seed=config.seed,
-        ),
-        "CNP": GeneralizedSupervisedMetaBlocking(
-            feature_set=ORIGINAL_FEATURE_SET,
-            pruning="CNP",
-            training_policy="proportional",
-            classifier_factory=LogisticRegression,
-            seed=config.seed,
-        ),
+        "BLAST": algorithm_pipeline("BLAST", config, training_size=50),
+        "BCl": algorithm_pipeline("BCl", config, training_policy="proportional"),
+        "RCNP": algorithm_pipeline("RCNP", config, training_size=50),
+        "CNP": algorithm_pipeline("CNP", config, training_policy="proportional"),
     }
 
 

@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..evaluation.reporting import format_table
 from ..evaluation.runner import ExperimentRunner, average_over_datasets
 from ..evaluation.metrics import EffectivenessReport
-from ..weights.registry import BLAST_FEATURE_SET, ORIGINAL_FEATURE_SET, RCNP_FEATURE_SET
 from .common import ExperimentConfig, algorithm_pipeline, prepare_benchmark_datasets
 
 #: The training-set sizes swept by the paper.
@@ -26,15 +25,6 @@ PAPER_TRAINING_SIZES: Tuple[int, ...] = (20, 50, 100, 150, 200, 250, 300, 350, 4
 
 #: A shorter sweep for smoke runs and benches.
 FAST_TRAINING_SIZES: Tuple[int, ...] = (20, 50, 200, 500)
-
-#: The feature set each algorithm uses in this experiment.
-_ALGORITHM_FEATURES = {
-    "BLAST": BLAST_FEATURE_SET,
-    "RCNP": RCNP_FEATURE_SET,
-    "BCl": BLAST_FEATURE_SET,  # Figure 13 compares BCl1 (new features) with BLAST
-    "BCl-original": ORIGINAL_FEATURE_SET,
-}
-
 
 @dataclass
 class TrainingSizePoint:
@@ -59,20 +49,16 @@ def run_training_size_sweep(
     algorithm: str,
     config: Optional[ExperimentConfig] = None,
     sizes: Sequence[int] = FAST_TRAINING_SIZES,
+    feature_set: Optional[Sequence[str]] = None,
 ) -> List[TrainingSizePoint]:
-    """Sweep the training-set size for one algorithm."""
+    """Sweep the training-set size for one algorithm, with ``feature_set`` or
+    its standard one (Figure 13 runs BCl with BLAST's features: BCl1)."""
     config = config or ExperimentConfig()
-    feature_set = _ALGORITHM_FEATURES.get(algorithm, ORIGINAL_FEATURE_SET)
     datasets = prepare_benchmark_datasets(config)
     runner = ExperimentRunner(repetitions=config.repetitions, seed=config.seed)
     points: List[TrainingSizePoint] = []
     for size in sizes:
-        pipeline = algorithm_pipeline(
-            algorithm.replace("-original", ""),
-            config,
-            feature_set=feature_set,
-            training_size=size,
-        )
+        pipeline = algorithm_pipeline(algorithm, config, feature_set, training_size=size)
         outcomes = [runner.run_pipeline(pipeline, dataset) for dataset in datasets]
         averaged = average_over_datasets(outcomes)
         points.append(
@@ -83,21 +69,6 @@ def run_training_size_sweep(
             )
         )
     return points
-
-
-def run_figure11(config: Optional[ExperimentConfig] = None, sizes: Sequence[int] = FAST_TRAINING_SIZES) -> List[TrainingSizePoint]:
-    """Figure 11: training-size sweep for BLAST."""
-    return run_training_size_sweep("BLAST", config, sizes)
-
-
-def run_figure13(
-    config: Optional[ExperimentConfig] = None, sizes: Sequence[int] = FAST_TRAINING_SIZES
-) -> Dict[str, List[TrainingSizePoint]]:
-    """Figure 13: recall/precision of BCl and BLAST as the training set grows."""
-    return {
-        "BCl": run_training_size_sweep("BCl", config, sizes),
-        "BLAST": run_training_size_sweep("BLAST", config, sizes),
-    }
 
 
 def format_training_size(points: Sequence[TrainingSizePoint], title: str) -> str:

@@ -82,7 +82,7 @@ from ..blocking.token_blocking import TokenBlocking
 from ..datamodel.candidates import CandidateSet
 from ..datamodel.entity import EntityProfile
 from ..pairs import MAX_NODE_ID, node_id_overflow, pack_pair_keys, sorted_unique
-from ..schema import META_FORMAT
+from ..schema import META_FORMAT, check_record
 from .state import APPENDED, Growable, IndexState, IndexStatistics
 
 
@@ -402,17 +402,20 @@ class MutableBlockIndex(IndexState):
 
         Raises
         ------
+        SchemaError
+            When the ``add`` record's table refuses the call (see
+            :meth:`_validated`); the index is left untouched.
         DuplicateEntityError
             When an entity with the same id is currently live on ``side``
             (remove or :meth:`update_entity` it instead).
         """
-        self._check_side(side)
-        if (side, profile.entity_id) in self._node_of_id:
-            raise DuplicateEntityError(profile.entity_id, side)
         signatures = sorted(self.blocking.signatures_of(profile))
-        self._log_record(
+        record = self._validated(
             {"op": "add", "id": profile.entity_id, "side": side, "sig": signatures}
         )
+        if (side, profile.entity_id) in self._node_of_id:
+            raise DuplicateEntityError(profile.entity_id, side)
+        self._log_record(record)
         return self._apply_insert(profile.entity_id, side, signatures)
 
     def _apply_insert(
@@ -483,15 +486,6 @@ class MutableBlockIndex(IndexState):
             The assigned node ids and the batch's new pairs.
         """
         profiles = list(profiles)
-        self._check_side(side)
-        seen_batch = set()
-        for profile in profiles:
-            if (side, profile.entity_id) in self._node_of_id:
-                raise DuplicateEntityError(profile.entity_id, side)
-            if profile.entity_id in seen_batch:
-                raise DuplicateEntityError(profile.entity_id, side)
-            seen_batch.add(profile.entity_id)
-
         # batch tokenization happens before any state change, so a logged
         # bulk record always precedes its application (append-before-apply)
         signature_lists = self.blocking.signature_lists(profiles)
@@ -499,8 +493,15 @@ class MutableBlockIndex(IndexState):
             (profile.entity_id, list(signatures))
             for profile, signatures in zip(profiles, signature_lists)
         ]
-        if self._wal is not None and not self._wal_suspended:
-            self._log_record({"op": "bulk", "side": side, "entities": entries})
+        record = self._validated({"op": "bulk", "side": side, "entities": entries})
+        seen_batch = set()
+        for profile in profiles:
+            if (side, profile.entity_id) in self._node_of_id:
+                raise DuplicateEntityError(profile.entity_id, side)
+            if profile.entity_id in seen_batch:
+                raise DuplicateEntityError(profile.entity_id, side)
+            seen_batch.add(profile.entity_id)
+        self._log_record(record)
         return self._apply_bulk(entries, side)
 
     def _apply_bulk(
@@ -731,12 +732,11 @@ class MutableBlockIndex(IndexState):
             When no live entity with that id exists on that side; the index
             is left untouched.
         """
-        if side not in (0, 1):
-            raise ValueError("side must be 0 or 1")
+        record = self._validated({"op": "remove", "id": entity_id, "side": side})
         node = self._node_of_id.get((side, entity_id))
         if node is None:
             raise UnknownEntityError(entity_id, side)
-        self._log_record({"op": "remove", "id": entity_id, "side": side})
+        self._log_record(record)
         self.epoch += 1
 
         block_ids = np.array(
@@ -786,29 +786,23 @@ class MutableBlockIndex(IndexState):
 
         Raises
         ------
+        SchemaError
+            When the ``update`` record's table refuses the call (see
+            :meth:`_validated`); the index is left untouched.
         UnknownEntityError
             When the entity is not currently live on ``side``.
         """
-        if self._wal is not None and not self._wal_suspended:
-            # one logical "update" record covers the inner remove + insert;
-            # validate and tokenize first so the log never holds a failing op
-            if side not in (0, 1):
-                raise ValueError("side must be 0 or 1")
-            if (side, profile.entity_id) not in self._node_of_id:
-                raise UnknownEntityError(profile.entity_id, side)
-            signatures = sorted(self.blocking.signatures_of(profile))
-            self._log_record(
-                {
-                    "op": "update",
-                    "id": profile.entity_id,
-                    "side": side,
-                    "sig": signatures,
-                }
-            )
-            return self._apply_update(profile.entity_id, side, signatures)
-        retraction = self.remove_entity(profile.entity_id, side=side)
-        insert = self.add_entity(profile, side=side)
-        return UpdateDelta(retraction=retraction, insert=insert)
+        # validate and tokenize first, so neither the index nor the log ever
+        # holds a failing op; one logical "update" record covers the inner
+        # remove + insert
+        signatures = sorted(self.blocking.signatures_of(profile))
+        record = self._validated(
+            {"op": "update", "id": profile.entity_id, "side": side, "sig": signatures}
+        )
+        if (side, profile.entity_id) not in self._node_of_id:
+            raise UnknownEntityError(profile.entity_id, side)
+        self._log_record(record)
+        return self._apply_update(profile.entity_id, side, signatures)
 
     def _apply_update(
         self, entity_id: str, side: int, signatures: Sequence[str]
@@ -825,11 +819,19 @@ class MutableBlockIndex(IndexState):
         return UpdateDelta(retraction=retraction, insert=insert)
 
     # -- shared mutation helpers -----------------------------------------------
-    def _check_side(self, side: int) -> None:
-        if side not in (0, 1):
-            raise ValueError("side must be 0 or 1")
-        if side == 1 and not self.bilateral:
+    def _validated(self, record: dict) -> dict:
+        """``record``, once its log table (:mod:`repro.schema`) and the
+        bilateral rule accept it.
+
+        The index refuses exactly what its log refuses, attached or not: a
+        :class:`~repro.schema.SchemaError` naming the field (an id that is
+        not a string, a side that is not the int 0 or 1), before any state
+        changes.
+        """
+        check_record(record)
+        if record["side"] == 1 and not self.bilateral:
             raise ValueError("side=1 requires a bilateral index")
+        return record
 
     def _register_entity(self, entity_id: str, side: int) -> int:
         node = self.num_slots

@@ -81,7 +81,10 @@ class TestCNP:
         # entity 0 keeps (0,2); entity 1 keeps (1,4); entities 2,3,4 keep their best:
         # node 2 best = (0,2); node 3 best = (0,3); node 4 best = (0,4)
         expected = {(0, 2), (0, 3), (0, 4), (1, 4)}
-        retained = {dense_candidates.pair_at(k).as_tuple() for k in np.flatnonzero(mask)}
+        retained = {
+            (pair.left, pair.right)
+            for pair in map(dense_candidates.pair_at, np.flatnonzero(mask))
+        }
         assert retained == expected
 
     def test_rcnp_and_semantics_prunes_deeper(self, dense_candidates):
@@ -89,7 +92,10 @@ class TestCNP:
         cnp = SupervisedCNP(budget=1).prune(probabilities, dense_candidates)
         rcnp = SupervisedRCNP(budget=1).prune(probabilities, dense_candidates)
         assert np.all(~rcnp | cnp)  # RCNP retains a subset of CNP
-        retained = {dense_candidates.pair_at(k).as_tuple() for k in np.flatnonzero(rcnp)}
+        retained = {
+            (pair.left, pair.right)
+            for pair in map(dense_candidates.pair_at, np.flatnonzero(rcnp))
+        }
         # only (0,2) is the top pair of both of its entities
         assert retained == {(0, 2)}
 

@@ -12,9 +12,6 @@ class TestCandidatePair:
         assert CandidatePair(5, 2).canonical() == CandidatePair(2, 5)
         assert CandidatePair(2, 5).canonical() == CandidatePair(2, 5)
 
-    def test_as_tuple(self):
-        assert CandidatePair(1, 2).as_tuple() == (1, 2)
-
 
 class TestCandidateSet:
     def test_from_pairs_deduplicates_and_canonicalises(self):

@@ -3,12 +3,17 @@
 Each experiment module is exercised end-to-end on small generated datasets;
 these tests check the structure of the outputs and the qualitative claims the
 paper makes (who wins, in which direction measures move), not absolute values.
+A figure / table is run through its entry of the experiment registry, as
+``repro run`` and the paper benches run it, on a smaller configuration.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import repro.experiments as ex
+from repro.experiments import EXPERIMENTS
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +41,7 @@ class TestBlockQuality:
         assert "AbtBuy" in text and "|C|" in text
 
     def test_paper_reference_has_all_datasets(self):
-        reference = ex.paper_table2_reference()
+        reference = EXPERIMENTS["table2"].reference
         assert len(reference) == 9
         assert reference["AbtBuy"]["recall"] == pytest.approx(0.948)
 
@@ -55,30 +60,34 @@ class TestCommonHelpers:
         assert set(prepared.ground_truth) == set(dataset.ground_truth)
 
     def test_config_threads_into_the_standard_pipelines(self):
-        from repro.experiments.common import blast_pipeline, rcnp_pipeline
+        from repro.experiments.common import STANDARD_FEATURES
+        from repro.weights.registry import ORIGINAL_FEATURE_SET
 
         config = ex.ExperimentConfig.fast(seed=5, training_size=70)
-        for factory, pruning in ((blast_pipeline, "BLAST"), (rcnp_pipeline, "RCNP")):
-            pipeline = factory(config)
+        for pruning in ("BLAST", "RCNP", "BCl", "CNP"):
+            pipeline = ex.algorithm_pipeline(pruning, config)
             assert pipeline.pruning.name == pruning
             assert (pipeline.seed, pipeline.training_size) == (5, 70)
-            assert factory(config, training_size=30).training_size == 30
+            standard = STANDARD_FEATURES.get(pruning, ORIGINAL_FEATURE_SET)
+            assert tuple(pipeline.feature_set) == tuple(standard)
+            assert ex.algorithm_pipeline(pruning, config, training_size=30).training_size == 30
 
 
 class TestPruningSelection:
     def test_figure5_weight_based(self, fast_config):
-        result = ex.run_figure5(fast_config)
+        entry = EXPERIMENTS["fig5"]
+        result = entry.run(fast_config, False)
         series = result.series()
         assert set(series) == {"BCl", "WEP", "WNP", "RWNP", "BLAST"}
         # the paper's qualitative claim: the new weight-based algorithms trade a
         # little recall for clearly higher precision than the BCl baseline
         assert series["RWNP"]["precision"] >= series["BCl"]["precision"]
         assert series["WEP"]["precision"] >= series["BCl"]["precision"]
-        text = ex.format_pruning_selection(result, "Figure 5")
-        assert "BLAST" in text
+        text = entry.report(result)
+        assert "BLAST" in text and "paper-reported averages" in text
 
     def test_figure6_cardinality_based(self, fast_config):
-        result = ex.run_figure6(fast_config)
+        result = EXPERIMENTS["fig6"].run(fast_config, False)
         series = result.series()
         assert set(series) == {"CEP", "CNP", "RCNP"}
         # RCNP is the paper's winner on precision among cardinality algorithms
@@ -87,17 +96,21 @@ class TestPruningSelection:
 
 class TestFeatureSelection:
     def test_table3_structure(self, tiny_config):
-        result = ex.run_table3(tiny_config, max_set_size=1, top_k=3)
+        results = EXPERIMENTS["tables3-4"].run(replace(tiny_config, max_set_size=1), False)
+        assert list(results) == ["BLAST", "RCNP"]
+        result = results["BLAST"]
         assert result.algorithm == "BLAST"
-        assert 1 <= len(result.top_sets) <= 3
+        # the eight single-feature sets, the top ten of them reported
+        assert len(result.top_sets) == 8
         rows = result.rows()
         assert all("feature_set" in row for row in rows)
         text = ex.format_feature_selection(result)
         assert "BLAST" in text
 
     def test_references(self):
-        assert ex.paper_table3_reference()["f1"] == pytest.approx(0.2892)
-        assert ex.paper_table4_reference()["f1"] == pytest.approx(0.353)
+        reference = EXPERIMENTS["tables3-4"].reference
+        assert reference["BLAST"]["f1"] == pytest.approx(0.2892)
+        assert reference["RCNP"]["f1"] == pytest.approx(0.353)
 
 
 class TestFeatureRuntime:
@@ -122,10 +135,11 @@ class TestFeatureRuntime:
 
 class TestAlgorithmComparison:
     def test_figure8(self, fast_config):
-        result = ex.run_figure8(fast_config)
+        entry = EXPERIMENTS["fig8"]
+        result = entry.run(fast_config, False)
         series = result.series()
         assert set(series) == {"BCl", "BLAST", "CNP", "RCNP"}
-        assert ex.format_figure8(result)
+        assert "Figure 8" in entry.report(result)
 
     def test_figure10(self, tiny_config):
         rows = ex.run_figure10(tiny_config, dataset_names=("AbtBuy",))
@@ -135,18 +149,18 @@ class TestAlgorithmComparison:
 
 class TestTrainingSize:
     def test_sweep_structure(self, tiny_config):
-        points = ex.run_figure11(tiny_config, sizes=(20, 50))
-        assert [point.training_size for point in points] == [20, 50]
+        points = EXPERIMENTS["fig11-14"].run(tiny_config, False)["BLAST"]
+        assert [point.training_size for point in points] == list(ex.FAST_TRAINING_SIZES)
         assert all(point.algorithm == "BLAST" for point in points)
         assert ex.format_training_size(points, "Figure 11")
         assert ex.small_training_set_suffices(points, small=50, tolerance=0.5)
 
     def test_figure13_two_series(self, tiny_config):
-        series = ex.run_figure13(tiny_config, sizes=(50,))
+        series = EXPERIMENTS["fig13"].run(tiny_config, False)
         assert set(series) == {"BCl", "BLAST"}
 
     def test_small_training_set_check_requires_size(self, tiny_config):
-        points = ex.run_figure11(tiny_config, sizes=(20,))
+        points = ex.run_training_size_sweep("BLAST", tiny_config, sizes=(20,))
         with pytest.raises(ValueError):
             ex.small_training_set_suffices(points, small=50)
 
@@ -166,21 +180,21 @@ class TestProbabilityDensity:
 
 class TestFinalComparison:
     def test_table5(self, tiny_config):
-        result = ex.run_table5(tiny_config)
+        result = EXPERIMENTS["table5"].run(tiny_config, False)
         algorithms = {outcome.algorithm for outcome in result.outcomes}
         assert algorithms == {"BLAST", "BCl1", "BCl2"}
         assert ex.format_final_comparison(result)
 
     def test_table7(self, tiny_config):
-        result = ex.run_table7(tiny_config)
+        result = EXPERIMENTS["table7"].run(tiny_config, False)
         algorithms = {outcome.algorithm for outcome in result.outcomes}
         assert algorithms == {"RCNP", "CNP1", "CNP2"}
         grouped = result.by_algorithm()
         assert set(grouped) == algorithms
 
     def test_paper_references_complete(self):
-        table5 = ex.paper_table5_reference()
-        table7 = ex.paper_table7_reference()
+        table5 = EXPERIMENTS["table5"].reference
+        table7 = EXPERIMENTS["table7"].reference
         assert set(table5) == {"BLAST", "BCl1", "BCl2"}
         assert set(table7) == {"RCNP", "CNP1", "CNP2"}
         for per_dataset in list(table5.values()) + list(table7.values()):

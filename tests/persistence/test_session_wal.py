@@ -377,28 +377,35 @@ _UNJOURNALED = [
 ]
 
 
+@pytest.mark.parametrize("journaled", [True, False], ids=["with-wal", "without-wal"])
 @pytest.mark.parametrize(
     "mutate, field",
     _UNJOURNALED,
     ids=["insert-number-id", "insert-bool-side", "bulk-number-id", "remove-bool-side", "update-bool-side"],
 )
-def test_a_mutation_its_record_table_refuses_is_never_journaled(tmp_path, mutate, field):
-    """The writer checks a record against the table the reader checks it
-    against: a call the log would refuse on recovery (a number id, a bool
-    side) raises by name before a byte is written, and the directory still
+def test_a_mutation_its_record_table_refuses_is_never_journaled(
+    tmp_path, journaled, mutate, field
+):
+    """The index checks a mutation against the table the log's reader
+    checks its record against, with a log attached or without: a call the
+    log would refuse on recovery (a number id, a bool side) raises by name
+    before the index changes or a byte is written, and the directory still
     recovers to the state before it."""
-    session = MatchingSession(_frozen_model(), wal_path=tmp_path / "wal", bilateral=True)
+    wal = tmp_path / "wal" if journaled else None
+    session = MatchingSession(_frozen_model(), wal_path=wal, bilateral=True)
     session.insert(_profiles(1, "a")[0])
     session.insert(_profiles(1, "b")[0], side=1)
-    offset = session.wal.log_offset
+    state = (session.num_entities, session.num_pairs, session.index.epoch)
+    offset = session.wal.log_offset if journaled else None
     with pytest.raises(SchemaError, match=re.escape(f"field {field!r}")):
         mutate(session)
-    assert session.wal.log_offset == offset
-    assert session.num_entities == 2
+    assert (session.num_entities, session.num_pairs, session.index.epoch) == state
     session.close()
-    recovered = MatchingSession.recover(tmp_path / "wal")
-    assert recovered.num_entities == 2
-    recovered.close()
+    if journaled:
+        assert session.wal.log_offset == offset
+        recovered = MatchingSession.recover(wal)
+        assert recovered.num_entities == 2
+        recovered.close()
 
 
 def test_a_session_log_meta_record_in_another_format_is_refused_by_name(tmp_path):
@@ -477,7 +484,7 @@ def test_the_meta_records_written_by_the_indexes_carry_the_state_format():
         for statement in ast.parse((root / "index.py").read_text()).body
         if isinstance(statement, ast.ImportFrom) and statement.module == "schema"
     ]
-    assert [alias.name for alias in imports[0].names] == ["META_FORMAT"]
+    assert "META_FORMAT" in [alias.name for alias in imports[0].names]
     assert _written_meta_formats(root / "sharded.py") == []
     for path in sorted(root.glob("*.py")):
         module_level = [

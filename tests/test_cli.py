@@ -6,12 +6,14 @@ import signal
 import socket
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro import __version__
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import build_parser, main
+from repro.experiments.registry import EXPERIMENTS
 
 
 class TestParser:
@@ -59,10 +61,6 @@ class TestParser:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["run", "table2", "--datasets", "NotADataset"])
-
-    def test_every_registered_experiment_has_a_handler(self):
-        for name, handler in EXPERIMENTS.items():
-            assert callable(handler), name
 
 
 class TestServeOptions:
@@ -153,6 +151,18 @@ class TestOutOfRangeValues:
             (["serve", "--snapshot-every", "-3"], "--snapshot-every", "must be at least 1"),
             (["stream", "--snapshot-every", "0"], "--snapshot-every", "must be at least 1"),
             (["stream", "--snapshot-every", "-3"], "--snapshot-every", "must be at least 1"),
+            (["run", "fig5", "--repetitions", "0"], "--repetitions", "must be at least 1"),
+            (["run", "fig5", "--training-size", "-5"], "--training-size", "must be at least 2"),
+            (["run", "fig5", "--training-size", "1"], "--training-size", "must be at least 2"),
+            (["run", "tables3-4", "--max-set-size", "0"], "--max-set-size", "must be at least 1"),
+            (["quickstart", "--training-size", "1"], "--training-size", "must be at least 2"),
+            (["stream", "--training-size", "1"], "--training-size", "must be at least 2"),
+            (["serve", "--training-size", "1"], "--training-size", "must be at least 2"),
+            (["stream", "--bootstrap", "1.5"], "--bootstrap", "must be a fraction in (0, 1]"),
+            (["stream", "--bootstrap", "0"], "--bootstrap", "must be a fraction in (0, 1]"),
+            (["serve", "--bootstrap", "0"], "--bootstrap", "must be a fraction in (0, 1]"),
+            (["stream", "--deletes", "1"], "--deletes", "must be a fraction in [0, 1)"),
+            (["stream", "--deletes", "-0.1"], "--deletes", "must be a fraction in [0, 1)"),
         ],
     )
     def test_refuses_values_that_end_in_a_traceback_or_do_nothing(
@@ -180,6 +190,12 @@ class TestOutOfRangeValues:
         assert parser.parse_args(["stream", "--scale", "0.01"]).scale == 0.01
         assert parser.parse_args(["stream", "--snapshot-every", "1"]).snapshot_every == 1
         assert parser.parse_args(["serve", "--wal", "unused", "--snapshot-every", "1"]).snapshot_every == 1
+        run = parser.parse_args(
+            ["run", "tables3-4", "--repetitions", "1", "--training-size", "2", "--max-set-size", "1"]
+        )
+        assert (run.repetitions, run.training_size, run.max_set_size) == (1, 2, 1)
+        stream = parser.parse_args(["stream", "--bootstrap", "1", "--deletes", "0"])
+        assert (stream.bootstrap, stream.deletes) == (1.0, 0.0)
         client = parser.parse_args(["client", "ping", "--port", "65535", "--timeout", "0.5"])
         assert (client.port, client.timeout) == (65535, 0.5)
         client = parser.parse_args(
@@ -319,6 +335,26 @@ class TestExecution:
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "RCNP" in output and "CEP" in output
+
+    @pytest.mark.parametrize("experiment_id", list(EXPERIMENTS))
+    def test_every_experiment_runs_and_reports(self, capsys, experiment_id):
+        """Each registry entry runs through ``repro run`` on a small case."""
+        argv = ["run", experiment_id, "--datasets", "AbtBuy", "--max-set-size", "1"]
+        assert main(argv) == 0
+        output = capsys.readouterr().out
+        assert output.strip() and "(no rows)" not in output
+
+    def test_a_flag_given_overrides_the_entrys_configuration(self, capsys, monkeypatch):
+        """``repro run`` runs the entry's configuration, with each flag the
+        user gave replacing its field and no other."""
+        entry = EXPERIMENTS["fig12"]
+        seen = []
+        recording = replace(
+            entry, run=lambda config, full: seen.append((config, full)), report=str
+        )
+        monkeypatch.setitem(EXPERIMENTS, "fig12", recording)
+        assert main(["run", "fig12", "--seed", "3", "--datasets", "Movies"]) == 0
+        assert seen == [(replace(entry.config, seed=3, dataset_names=["Movies"]), False)]
 
     def test_quickstart(self, capsys):
         exit_code = main(

@@ -59,6 +59,7 @@ GONE = {
     "BlockStatistics.describe",
     "EntityCollection.by_id",
     "CandidateSet.as_tuples",
+    "CandidatePair.as_tuple",
 }
 
 #: the modules that held nothing but test-only surface
