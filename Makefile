@@ -86,7 +86,12 @@
 #                            one registry of the paper's experiments: `repro run`'s ids
 #                            and the paper bench's findings are the registry's ids, no
 #                            per-figure wrapper, reference function or CLI adapter is
-#                            defined, and `import repro.cli` loads no experiment module)
+#                            defined, and `import repro.cli` loads no experiment module;
+#                            one experiment loop: nothing names the second Tables 3/4
+#                            loop or the one-value knobs, no experiment builds its own
+#                            BlockStatistics, and LCP-bearing runs on a prepared dataset
+#                            recompute neither the co-occurrence aggregates nor the
+#                            candidate pairs block preparation handed over)
 #   make test-fast         - tier-1 suite without the perf smoke tests, then tests/serve,
 #                            tests/faults and tests/persistence in one invocation (the
 #                            fixture model they pickle must not depend on collection order)
@@ -159,7 +164,7 @@ test-equivalence:
 		tests/test_one_storage_lifecycle.py tests/persistence/test_crash_recovery_property.py \
 		tests/test_no_test_only_surface.py tests/test_no_unused_imports.py \
 		tests/test_one_boundary_schema.py tests/persistence/test_schema_property.py \
-		tests/test_one_experiment_registry.py
+		tests/test_one_experiment_registry.py tests/test_one_experiment_loop.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q

@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices called out in DESIGN.md.
+"""Ablation benches for the design choices the paper fixes or claims robust.
 
 * classifier family (logistic regression vs linear SVM vs Gaussian NB) — the
   paper claims robustness to the classification algorithm;
@@ -11,7 +11,6 @@ import numpy as np
 
 from repro.blocking import prepare_blocks
 from repro.core import GeneralizedSupervisedMetaBlocking, SupervisedBLAST
-from repro.core.feature_selection import PreparedDataset
 from repro.datasets import load_benchmark
 from repro.evaluation import ExperimentRunner, evaluate_candidates, format_table
 from repro.ml import GaussianNB, LinearSVC, LogisticRegression

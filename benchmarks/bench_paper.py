@@ -51,10 +51,10 @@ def tables3_4(results):
         top = result.top_sets
         assert len(top) >= 3
         # the paper's robustness finding: the top sets score nearly identically
-        f1_values = [score.f1 for score in top[:5]]
+        f1_values = [score["f1"] for score in top[:5]]
         assert max(f1_values) - min(f1_values) < 0.12
         # CF-IBF appears in every top set of both algorithms in the paper
-        cf_ibf_share = np.mean(["CF-IBF" in score.candidate.features for score in top])
+        cf_ibf_share = np.mean(["CF-IBF" in score["feature_set"] for score in top])
         assert cf_ibf_share >= 0.2
 
 
@@ -86,8 +86,9 @@ def fig10(rows):
     for row in rows:
         by_algorithm.setdefault(row["algorithm"], []).append(row["runtime_seconds"])
     # every configuration completes and reports a positive run-time; the
-    # paper's LCP-driven ordering is not reproduced because this
-    # implementation amortises LCP per entity (see EXPERIMENTS.md)
+    # paper's LCP-driven ordering is not reproduced: here LCP is each node's
+    # degree in the candidate pairs block preparation hands over, so an
+    # LCP-bearing feature set costs no extra pass over the blocks
     assert set(by_algorithm) == {"BCl", "BLAST", "CNP", "RCNP"}
     assert all(min(times) > 0 for times in by_algorithm.values())
 
@@ -130,9 +131,10 @@ def table5(result):
     mean_f1 = _means(result, "f1")
     mean_recall = _means(result, "recall")
     # who wins (Section 5.4.1): BLAST's recall is the highest of the three and
-    # it beats BCl1 (same 50 labelled instances) on F1; the paper's F1 edge
-    # over BCl2 depends on the original corpora's response to large training
-    # sets and is discussed in EXPERIMENTS.md.
+    # it beats BCl1 (same 50 labelled instances) on F1.  The paper's F1 edge
+    # over BCl2 is not asserted: on some generated datasets (DblpAcm and
+    # ImdbTmdb in the fast case) BCl2, the [21] configuration, reaches the
+    # higher F1 — the per-dataset rows are in the table5 report.
     assert mean_recall["BLAST"] >= mean_recall["BCl2"] - 0.02
     assert mean_recall["BLAST"] >= mean_recall["BCl1"] - 0.02
     assert mean_f1["BLAST"] >= mean_f1["BCl1"] - 0.02

@@ -28,7 +28,7 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.experiments.common import prepare_benchmark_dataset  # noqa: E402
+from repro.experiments.common import prepare_dataset  # noqa: E402
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
@@ -64,4 +64,4 @@ def report_sink():
 @pytest.fixture(scope="session")
 def abtbuy_prepared():
     """AbtBuy prepared once for the single-dataset benches."""
-    return prepare_benchmark_dataset("AbtBuy", seed=0)
+    return prepare_dataset("AbtBuy", seed=0)

@@ -51,7 +51,12 @@ def main() -> None:
         training_size=50,
         seed=1,
     )
-    result = pipeline.run(prepared.blocks, prepared.candidates, dataset.ground_truth)
+    result = pipeline.run(
+        prepared.blocks,
+        prepared.candidates,
+        dataset.ground_truth,
+        stats=prepared.statistics(),
+    )
     after = evaluate_result(result, dataset.ground_truth)
 
     print(f"Review list: {result.retained_count} pairs "

@@ -3,47 +3,32 @@
 Scores feature-set combinations (capped at 4 features so the example finishes
 in about a minute) for BLAST and RCNP on two benchmark profiles and prints
 the Table 3/4-style top-10 ranking, highlighting the sets the paper selects
-(Formula 1 for BLAST, Formula 2 for RCNP).
+(Formula 1 for BLAST, Formula 2 for RCNP).  Each combination runs through the
+experiment runner on every dataset, as ``repro run tables3-4`` runs it.
 
 Run with::
 
     python examples/feature_selection_study.py
 """
 
-from repro.core import FeatureSelectionStudy, enumerate_feature_sets
 from repro.evaluation import format_table
-from repro.experiments import ExperimentConfig, prepare_benchmark_dataset
+from repro.experiments import ExperimentConfig, run_feature_selection
 from repro.weights import BLAST_FEATURE_SET, RCNP_FEATURE_SET
 
 
 def main() -> None:
-    config = ExperimentConfig.fast(dataset_names=("AbtBuy", "DblpAcm"), repetitions=1)
-    datasets = [
-        prepare_benchmark_dataset(name, seed=config.seed) for name in config.dataset_names
-    ]
-    print(f"Datasets: {[dataset.name for dataset in datasets]}")
-
-    candidates = [
-        candidate
-        for candidate in enumerate_feature_sets()
-        if len(candidate.features) <= 4
-    ]
-    print(f"Scoring {len(candidates)} feature combinations (size <= 4) per algorithm...\n")
+    config = ExperimentConfig.fast(
+        dataset_names=("AbtBuy", "DblpAcm"), repetitions=1, max_set_size=4
+    )
+    print(f"Datasets: {list(config.dataset_names)}")
+    print("Scoring the feature combinations of size <= 4 per algorithm...\n")
 
     for algorithm, paper_choice in (("BLAST", BLAST_FEATURE_SET), ("RCNP", RCNP_FEATURE_SET)):
-        study = FeatureSelectionStudy(
-            datasets=datasets,
-            pruning=algorithm,
-            training_size=config.training_size,
-            repetitions=1,
-            seed=0,
-        )
-        top = study.run(candidates, top_k=10)
+        result = run_feature_selection(algorithm, config, top_k=10)
         rows = []
-        for score in top:
-            row = score.as_row()
-            row["paper_choice"] = "<-- paper" if set(score.candidate.features) == set(paper_choice) else ""
-            rows.append(row)
+        for row in result.top_sets:
+            features = set(row["feature_set"].strip("{}").split(", "))
+            rows.append(dict(row, paper_choice="<-- paper" if features == set(paper_choice) else ""))
         print(
             format_table(
                 rows,

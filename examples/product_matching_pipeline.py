@@ -78,7 +78,12 @@ def main() -> None:
         pipeline = GeneralizedSupervisedMetaBlocking(
             training_size=50, seed=5, **keyword_arguments
         )
-        result = pipeline.run(prepared.blocks, prepared.candidates, dataset.ground_truth)
+        result = pipeline.run(
+            prepared.blocks,
+            prepared.candidates,
+            dataset.ground_truth,
+            stats=prepared.statistics(),
+        )
         report = evaluate_result(result, dataset.ground_truth)
         rows.append(
             {

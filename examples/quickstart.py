@@ -41,7 +41,13 @@ def main() -> None:
         training_size=50,       # 25 matching + 25 non-matching labelled pairs
         seed=0,
     )
-    result = pipeline.run(prepared.blocks, prepared.candidates, dataset.ground_truth)
+    #    The statistics reuse what block preparation already computed.
+    result = pipeline.run(
+        prepared.blocks,
+        prepared.candidates,
+        dataset.ground_truth,
+        stats=prepared.statistics(),
+    )
     after = evaluate_result(result, dataset.ground_truth)
 
     # 4. Report the improvement.

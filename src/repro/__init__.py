@@ -26,7 +26,10 @@ Quickstart
 >>> dataset = load_benchmark("DblpAcm", seed=7)
 >>> prepared = prepare_blocks(dataset.first, dataset.second)
 >>> pipeline = GeneralizedSupervisedMetaBlocking(pruning="BLAST", training_size=50)
->>> result = pipeline.run(prepared.blocks, prepared.candidates, dataset.ground_truth)
+>>> result = pipeline.run(
+...     prepared.blocks, prepared.candidates, dataset.ground_truth,
+...     stats=prepared.statistics(),
+... )
 >>> report = evaluate_result(result, dataset.ground_truth)
 >>> 0.0 <= report.f1 <= 1.0
 True

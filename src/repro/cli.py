@@ -27,7 +27,7 @@ from typing import Iterator, Optional, Sequence
 
 from . import __version__
 from .core.pruning import PRUNING_ALGORITHMS
-from .datasets.registry import CLEAN_CLEAN_ORDER, FAST_DATASET_SUBSET
+from .datasets.registry import CLEAN_CLEAN_ORDER
 
 
 def _experiments():
@@ -49,16 +49,19 @@ class _ExperimentIds:
         return iter(sorted(_experiments()))
 
 
-#: the ``ExperimentConfig`` fields a ``repro run`` flag of the same name overrides
-_CONFIG_FIELDS = ("dataset_names", "repetitions", "training_size", "seed", "max_set_size")
-
-
-def _run_experiment(args: argparse.Namespace) -> str:
+def _run_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -> str:
     """``repro run <id>``: the entry's fast case, each flag given overriding
-    its field of the entry's configuration."""
+    its field of the entry's configuration; a flag setting a field the entry
+    does not read (:attr:`~repro.experiments.Experiment.reads`) is refused."""
     entry = _experiments()[args.experiment]
-    given = {field: getattr(args, field) for field in _CONFIG_FIELDS}
-    overrides = {field: value for field, value in given.items() if value is not None}
+    overrides = {}
+    for flag, options in _RUN_FLAGS.items():
+        value = getattr(args, options["dest"])
+        if value is None:
+            continue
+        if options["dest"] not in entry.reads:
+            parser.error(f"argument {flag}: experiment {args.experiment!r} does not read it")
+        overrides[options["dest"]] = value
     return entry.report(entry.run(replace(entry.config, **overrides), False))
 
 
@@ -69,7 +72,7 @@ def _run_quickstart(args: argparse.Namespace) -> str:
     from .evaluation.metrics import evaluate_candidates, evaluate_result
     from .utils.timing import StageTimer
 
-    dataset = load_benchmark(args.dataset_names[0], seed=args.seed)
+    dataset = load_benchmark(args.dataset, seed=args.seed)
     prep_timer = StageTimer()
     prepared = prepare_blocks(dataset.first, dataset.second, timer=prep_timer)
     before = evaluate_candidates(prepared.candidates, dataset.ground_truth)
@@ -456,6 +459,20 @@ def fraction_below_one(text: str) -> float:
     return value
 
 
+#: ``repro run``'s flags, each overriding the ``ExperimentConfig`` field its
+#: ``dest`` names (no default: only a flag given overrides the entry's value)
+_RUN_FLAGS = {
+    "--datasets": dict(
+        dest="dataset_names", nargs="+", choices=CLEAN_CLEAN_ORDER,
+        help="Clean-Clean benchmark profiles to use",
+    ),
+    "--repetitions": dict(dest="repetitions", type=positive_int),
+    "--training-size": dict(dest="training_size", type=training_set_size),
+    "--seed": dict(dest="seed", type=int),
+    "--max-set-size": dict(dest="max_set_size", type=positive_int),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -469,33 +486,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser("list", help="list the available experiment ids")
 
-    def add_common(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--datasets",
-            nargs="+",
-            default=list(FAST_DATASET_SUBSET),
-            dest="dataset_names",
-            choices=CLEAN_CLEAN_ORDER,
-            help="Clean-Clean benchmark profiles to use",
-        )
-        sub.add_argument("--repetitions", type=positive_int, default=1)
-        sub.add_argument(
-            "--training-size", type=training_set_size, default=500, dest="training_size"
-        )
-        sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--max-set-size", type=positive_int, default=3, dest="max_set_size")
-
     run_parser = subparsers.add_parser("run", help="regenerate one table/figure")
     run_parser.add_argument(
         "experiment", metavar="EXPERIMENT", choices=_ExperimentIds(),
         help="one of %(choices)s ('repro list' names what each regenerates)",
     )
-    add_common(run_parser)
-    # no default: a flag given overrides the entry's configuration, and only then
-    run_parser.set_defaults(**dict.fromkeys(_CONFIG_FIELDS))
+    for flag, options in _RUN_FLAGS.items():
+        run_parser.add_argument(flag, **options)
 
     quickstart_parser = subparsers.add_parser("quickstart", help="run the quickstart pipeline")
-    add_common(quickstart_parser)
+    quickstart_parser.add_argument(
+        "--dataset",
+        default="DblpAcm",
+        choices=CLEAN_CLEAN_ORDER,
+        help="generated Clean-Clean benchmark to run the pipeline on",
+    )
+    quickstart_parser.add_argument(
+        "--training-size", type=training_set_size, default=500, dest="training_size"
+    )
+    quickstart_parser.add_argument("--seed", type=int, default=0)
 
     stream_parser = subparsers.add_parser(
         "stream",
@@ -751,7 +760,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "trace":
         return _run_trace(args, parser)
     if args.command == "run":
-        print(_run_experiment(args))
+        print(_run_experiment(args, parser))
         return 0
     parser.error(f"unknown command {args.command!r}")  # pragma: no cover
     return 2  # pragma: no cover

@@ -7,14 +7,11 @@ _EXPORTS = {
     "BinaryClassifierPruning": "pruning",
     "CARDINALITY_BASED_ALGORITHMS": "pruning",
     "FeatureMatrix": "features",
-    "FeatureSelectionStudy": "feature_selection",
     "FeatureSetCandidate": "feature_selection",
-    "FeatureSetScore": "feature_selection",
     "FeatureVectorGenerator": "features",
     "GeneralizedSupervisedMetaBlocking": "pipeline",
     "MetaBlockingResult": "pipeline",
     "PRUNING_ALGORITHMS": "pruning",
-    "PreparedDataset": "feature_selection",
     "SupervisedBLAST": "pruning",
     "SupervisedCEP": "pruning",
     "SupervisedCNP": "pruning",
@@ -30,7 +27,6 @@ _EXPORTS = {
     "cep_budget": "pruning",
     "cnp_budget": "pruning",
     "enumerate_feature_sets": "feature_selection",
-    "evaluate_feature_set": "feature_selection",
     "generate_features": "features",
     "get_pruning_algorithm": "pruning",
 }

@@ -60,7 +60,7 @@ class MetaBlockingResult:
     candidates: Optional[CandidateSet] = None
     #: the fitted classifier (frozen-model source for streaming sessions)
     classifier: Optional[ProbabilisticClassifier] = None
-    #: the scaler the classifier was trained behind (None when unscaled)
+    #: the scaler the classifier was trained behind
     scaler: Optional[StandardScaler] = None
     #: the weighting-scheme names the classifier was trained on
     feature_set: Tuple[str, ...] = ()
@@ -88,16 +88,14 @@ class GeneralizedSupervisedMetaBlocking:
         A pruning-algorithm name (``"BLAST"``, ``"RCNP"``, ...) or instance.
     classifier_factory:
         Zero-argument callable returning a fresh probabilistic classifier for
-        every run (default: :class:`LogisticRegression`).
-    scale_features:
-        Standardise features before training/scoring (recommended — the
-        schemes have wildly different ranges).
+        every run (default: :class:`LogisticRegression`).  Features are
+        standardised before training and scoring: the schemes have wildly
+        different ranges.
     training_size:
         Number of labelled instances for the balanced sampling policy.
     training_policy:
-        ``"balanced"`` (paper default) or ``"proportional"`` ([21] baseline).
-    positive_fraction:
-        Positive fraction for the proportional policy.
+        ``"balanced"`` (paper default) or ``"proportional"`` ([21] baseline:
+        5 % of the positive pairs plus as many negatives).
     seed:
         Master seed for training-set sampling.
     """
@@ -107,10 +105,8 @@ class GeneralizedSupervisedMetaBlocking:
         feature_set: Sequence[str] = BLAST_FEATURE_SET,
         pruning: Union[str, SupervisedPruningAlgorithm] = "BLAST",
         classifier_factory: Optional[ClassifierFactory] = None,
-        scale_features: bool = True,
         training_size: int = 50,
         training_policy: str = "balanced",
-        positive_fraction: float = 0.05,
         seed: SeedLike = 0,
     ) -> None:
         self.feature_generator = FeatureVectorGenerator(feature_set)
@@ -118,10 +114,8 @@ class GeneralizedSupervisedMetaBlocking:
             get_pruning_algorithm(pruning) if isinstance(pruning, str) else pruning
         )
         self.classifier_factory = classifier_factory or LogisticRegression
-        self.scale_features = scale_features
         self.training_size = training_size
         self.training_policy = training_policy
-        self.positive_fraction = positive_fraction
         self.seed = seed
 
     @property
@@ -175,12 +169,11 @@ class GeneralizedSupervisedMetaBlocking:
                 ground_truth,
                 size=self.training_size,
                 policy=self.training_policy,
-                positive_fraction=self.positive_fraction,
                 seed=self.seed if seed is None else seed,
                 labels=labels,
             )
             classifier = self.classifier_factory()
-            scaler = StandardScaler().fit(training_set.features) if self.scale_features else None
+            scaler = StandardScaler().fit(training_set.features)
             model = FrozenModel(classifier, scaler, tuple(self.feature_set))
             classifier.fit(model.scaled(training_set.features), training_set.labels)
 

@@ -54,7 +54,6 @@ def build_training_set(
     ground_truth: GroundTruth,
     size: int = 50,
     policy: str = "balanced",
-    positive_fraction: float = 0.05,
     seed: SeedLike = None,
     labels: Optional[np.ndarray] = None,
 ) -> TrainingSet:
@@ -71,9 +70,8 @@ def build_training_set(
     size:
         Total number of labelled instances for the ``"balanced"`` policy.
     policy:
-        ``"balanced"`` (paper default) or ``"proportional"`` ([21] baseline).
-    positive_fraction:
-        Positive-class fraction for the ``"proportional"`` policy.
+        ``"balanced"`` (paper default) or ``"proportional"`` ([21] baseline:
+        5 % of the positive pairs plus as many negatives).
     seed:
         Sampling seed (one per repetition in the experiment runner).
     labels:
@@ -91,9 +89,7 @@ def build_training_set(
     if policy == "balanced":
         sample: TrainingSample = balanced_sample(all_labels, size=size, seed=seed)
     elif policy == "proportional":
-        sample = proportional_positive_sample(
-            all_labels, positive_fraction=positive_fraction, seed=seed
-        )
+        sample = proportional_positive_sample(all_labels, seed=seed)
     else:
         raise ValueError(f"unknown sampling policy {policy!r}")
 

@@ -6,6 +6,7 @@ from .._exports import lazy_exports
 _EXPORTS = {
     "EffectivenessReport": "metrics",
     "ExperimentRunner": "runner",
+    "PreparedDataset": "runner",
     "RunOutcome": "runner",
     "average_over_datasets": "runner",
     "average_reports": "metrics",

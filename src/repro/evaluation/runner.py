@@ -2,25 +2,38 @@
 
 The paper averages every measurement over several repetitions (10 for the
 main study, 3 for the scalability analysis), each drawing a different random
-training sample.  :class:`ExperimentRunner` wraps that loop: it prepares each
-dataset once (blocking, purging, filtering, statistics, feature matrices can
-all be cached by the caller) and runs a configured pipeline ``repetitions``
-times with seeds derived from a master seed.
+training sample.  :class:`ExperimentRunner` is that loop, the one every
+experiment sweep runs through: it runs a configured pipeline ``repetitions``
+times with seeds derived from a master seed, over a :class:`PreparedDataset`
+— the :class:`~repro.blocking.PreparedBlocks` that ``prepare_blocks``
+returned, with its ground truth.  Every run reads its statistics from
+:meth:`PreparedBlocks.statistics`, so the CSR, the candidate pairs (hence
+LCP) and their co-occurrence aggregates computed by the preparation are
+handed over, and no run recomputes them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..blocking.arrayops import PreparedBlocks
+from ..core.pipeline import GeneralizedSupervisedMetaBlocking
+from ..datamodel.ground_truth import GroundTruth
 from ..utils.rng import SeedLike, spawn_seeds
 from .metrics import EffectivenessReport, average_reports, evaluate_retained_mask
 
-if TYPE_CHECKING:  # imported lazily to avoid a circular import with repro.core
-    from ..core.feature_selection import PreparedDataset
-    from ..core.pipeline import GeneralizedSupervisedMetaBlocking, MetaBlockingResult
+
+@dataclass
+class PreparedDataset:
+    """A dataset prepared once for repeated pipeline runs."""
+
+    name: str
+    #: what ``prepare_blocks`` returned: blocks, candidates and their statistics
+    prepared: PreparedBlocks
+    ground_truth: GroundTruth
 
 
 @dataclass
@@ -65,20 +78,21 @@ class ExperimentRunner:
 
     def run_pipeline(
         self,
-        pipeline: "GeneralizedSupervisedMetaBlocking",
-        dataset: "PreparedDataset",
+        pipeline: GeneralizedSupervisedMetaBlocking,
+        dataset: PreparedDataset,
         label: Optional[str] = None,
     ) -> RunOutcome:
         """Run ``pipeline`` on one prepared dataset and average the outcomes."""
+        prepared = dataset.prepared
         seeds = spawn_seeds(self.seed, self.repetitions)
         reports: List[EffectivenessReport] = []
         runtimes: List[float] = []
         for run_seed in seeds:
             result = pipeline.run(
-                dataset.blocks,
-                dataset.candidates,
+                prepared.blocks,
+                prepared.candidates,
                 dataset.ground_truth,
-                stats=dataset.statistics(),
+                stats=prepared.statistics(),
                 seed=run_seed,
             )
             reports.append(
@@ -98,8 +112,8 @@ class ExperimentRunner:
 
     def run_matrix(
         self,
-        pipelines: Dict[str, "GeneralizedSupervisedMetaBlocking"],
-        datasets: Sequence["PreparedDataset"],
+        pipelines: Dict[str, GeneralizedSupervisedMetaBlocking],
+        datasets: Sequence[PreparedDataset],
     ) -> List[RunOutcome]:
         """Run every (pipeline, dataset) combination and collect the outcomes."""
         outcomes: List[RunOutcome] = []

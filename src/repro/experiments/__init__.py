@@ -37,10 +37,7 @@ _EXPORTS = {
     "lcp_free_sets_are_faster": "feature_runtime",
     "low_redundancy_explains_low_recall": "common_blocks",
     "PAPER_TRAINING_SIZES": "training_size",
-    "prepare_benchmark_dataset": "common",
-    "prepare_benchmark_datasets": "common",
-    "prepare_dirty_dataset": "common",
-    "prepare_dirty_datasets": "common",
+    "prepare_dataset": "common",
     "probabilities_shift_upwards": "probability_density",
     "ProbabilityDensitySnapshot": "probability_density",
     "PruningSelectionResult": "pruning_selection",

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..evaluation.reporting import format_table
 from ..evaluation.runner import ExperimentRunner
-from .common import ExperimentConfig, algorithm_pipeline, prepare_benchmark_dataset
+from .common import ExperimentConfig, algorithm_pipeline, prepare_dataset
 
 
 #: the four algorithms Figures 8 and 10 compare, each with its standard feature set
@@ -36,7 +36,7 @@ def run_figure10(
     runner = ExperimentRunner(repetitions=max(1, config.repetitions // 2), seed=config.seed)
     rows: List[Dict[str, object]] = []
     for name in dataset_names:
-        dataset = prepare_benchmark_dataset(name, seed=config.seed, scale=config.scale)
+        dataset = prepare_dataset(name, seed=config.seed)
         for label, pipeline in comparison_pipelines(config).items():
             outcome = runner.run_pipeline(pipeline, dataset, label=label)
             rows.append(

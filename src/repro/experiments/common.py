@@ -10,16 +10,14 @@ feature set), and multi-run averaging.  This module centralises those pieces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..blocking.candidate_extraction import prepare_blocks
-from ..core.feature_selection import PreparedDataset
 from ..core.pipeline import GeneralizedSupervisedMetaBlocking
 from ..datasets.benchmarks import load_benchmark
 from ..datasets.dirty import load_dirty_dataset
 from ..datasets.registry import CLEAN_CLEAN_ORDER, DIRTY_ORDER, FAST_DATASET_SUBSET
-from ..ml.logistic_regression import LogisticRegression
-from ..ml.svm import LinearSVC
+from ..evaluation.runner import PreparedDataset
 from ..utils.rng import SeedLike
 from ..weights.registry import BLAST_FEATURE_SET, ORIGINAL_FEATURE_SET, RCNP_FEATURE_SET
 
@@ -27,6 +25,10 @@ from ..weights.registry import BLAST_FEATURE_SET, ORIGINAL_FEATURE_SET, RCNP_FEA
 @dataclass
 class ExperimentConfig:
     """Configuration shared by the experiment modules.
+
+    Every run trains logistic regression (the paper reports that a linear
+    SVM gives nearly identical results; ``classifier_factory=`` on the
+    pipeline selects another classifier).
 
     Parameters
     ----------
@@ -39,11 +41,6 @@ class ExperimentConfig:
         Labelled instances for the balanced policy.
     seed:
         Master seed for dataset generation and sampling.
-    scale:
-        Optional override of the dataset generation scale.
-    classifier:
-        ``"logistic"`` (default) or ``"svm"`` — the paper reports both give
-        nearly identical results.
     max_set_size:
         Optional cap on the size of the feature sets the Tables 3/4 search
         scores; ``None`` scores all 255 sets, as the paper does.
@@ -55,17 +52,7 @@ class ExperimentConfig:
     repetitions: int = 3
     training_size: int = 500
     seed: SeedLike = 0
-    scale: Optional[float] = None
-    classifier: str = "logistic"
     max_set_size: Optional[int] = None
-
-    def classifier_factory(self) -> Callable:
-        """Return the classifier factory matching the configuration."""
-        if self.classifier == "logistic":
-            return LogisticRegression
-        if self.classifier == "svm":
-            return lambda: LinearSVC(random_state=0)
-        raise ValueError(f"unknown classifier {self.classifier!r}")
 
     @classmethod
     def fast(cls, **overrides) -> "ExperimentConfig":
@@ -80,55 +67,20 @@ class ExperimentConfig:
         return cls(**defaults)
 
 
-def prepare_benchmark_dataset(
+def prepare_dataset(
     name: str,
     seed: SeedLike = 0,
     scale: Optional[float] = None,
 ) -> PreparedDataset:
-    """Generate one Clean-Clean benchmark and run the blocking pipeline on it."""
+    """Generate one dataset — a Dirty ER one (D10K–D300K) or a Clean-Clean
+    benchmark, by its name — and run the paper's block preparation on it."""
+    if name in DIRTY_ORDER:
+        dirty = load_dirty_dataset(name, seed=seed, scale=scale)
+        return PreparedDataset(name, prepare_blocks(dirty.collection), dirty.ground_truth)
     dataset = load_benchmark(name, seed=seed, scale=scale)
-    prepared = prepare_blocks(dataset.first, dataset.second)
     return PreparedDataset(
-        name=name,
-        blocks=prepared.blocks,
-        candidates=prepared.candidates,
-        ground_truth=dataset.ground_truth,
-        csr=prepared.csr,
+        name, prepare_blocks(dataset.first, dataset.second), dataset.ground_truth
     )
-
-
-def prepare_benchmark_datasets(config: ExperimentConfig) -> List[PreparedDataset]:
-    """Prepare every benchmark named in the configuration."""
-    return [
-        prepare_benchmark_dataset(name, seed=config.seed, scale=config.scale)
-        for name in config.dataset_names
-    ]
-
-
-def prepare_dirty_dataset(
-    name: str,
-    seed: SeedLike = 0,
-    scale: Optional[float] = None,
-) -> PreparedDataset:
-    """Generate one Dirty ER dataset and run Token Blocking + cleaning on it."""
-    dataset = load_dirty_dataset(name, seed=seed, scale=scale)
-    prepared = prepare_blocks(dataset.collection, None)
-    return PreparedDataset(
-        name=name,
-        blocks=prepared.blocks,
-        candidates=prepared.candidates,
-        ground_truth=dataset.ground_truth,
-        csr=prepared.csr,
-    )
-
-
-def prepare_dirty_datasets(
-    names: Sequence[str] = DIRTY_ORDER,
-    seed: SeedLike = 0,
-    scale: Optional[float] = None,
-) -> List[PreparedDataset]:
-    """Prepare the D10K–D300K series (scaled) for the scalability experiments."""
-    return [prepare_dirty_dataset(name, seed=seed, scale=scale) for name in names]
 
 
 # -- standard algorithm configurations -----------------------------------------------
@@ -147,13 +99,16 @@ def algorithm_pipeline(
     training_policy: str = "balanced",
 ) -> GeneralizedSupervisedMetaBlocking:
     """A pipeline for any pruning algorithm: its standard feature set unless
-    ``feature_set`` names another, with the configuration's training size,
-    classifier and seed."""
+    ``feature_set`` names another, with the configuration's training size and
+    seed."""
+    # the [21] baseline's proportional sample has no size: it reads none
+    size = {} if training_policy == "proportional" else {
+        "training_size": training_size or config.training_size
+    }
     return GeneralizedSupervisedMetaBlocking(
         feature_set=feature_set or STANDARD_FEATURES.get(name, ORIGINAL_FEATURE_SET),
         pruning=name,
-        training_size=training_size or config.training_size,
         training_policy=training_policy,
-        classifier_factory=config.classifier_factory(),
         seed=config.seed,
+        **size,
     )

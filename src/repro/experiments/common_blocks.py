@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..evaluation.reporting import format_table
-from ..weights.statistics import BlockStatistics
-from .common import ExperimentConfig, prepare_benchmark_dataset
+from .common import ExperimentConfig, prepare_dataset
 
 
 @dataclass
@@ -56,8 +55,8 @@ def run_common_block_distribution(
     config = config or ExperimentConfig()
     distributions: List[CommonBlockDistribution] = []
     for name in dataset_names:
-        dataset = prepare_benchmark_dataset(name, seed=config.seed, scale=config.scale)
-        stats = BlockStatistics(dataset.blocks)
+        dataset = prepare_dataset(name, seed=config.seed)
+        stats = dataset.prepared.statistics()
         counts: Dict[int, int] = {}
         total = len(dataset.ground_truth)
         for i, j in dataset.ground_truth:

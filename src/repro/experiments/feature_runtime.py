@@ -16,9 +16,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.features import FeatureVectorGenerator
-from ..core.feature_selection import PreparedDataset
 from ..evaluation.reporting import format_table
-from .common import ExperimentConfig, algorithm_pipeline, prepare_benchmark_dataset
+from ..evaluation.runner import PreparedDataset
+from .common import ExperimentConfig, algorithm_pipeline, prepare_dataset
 
 #: The ten feature sets of Table 3 (BLAST), in the paper's order.
 BLAST_TOP10: Tuple[Tuple[str, ...], ...] = (
@@ -80,16 +80,17 @@ def measure_feature_set_runtime(
     config: ExperimentConfig,
 ) -> FeatureRuntimeRow:
     """Time feature generation + probability scoring for one feature set."""
-    stats = dataset.statistics()
+    prepared = dataset.prepared
+    stats = prepared.statistics()
     generator = FeatureVectorGenerator(feature_set)
 
     start = time.perf_counter()
-    matrix = generator.generate(dataset.candidates, stats)
+    matrix = generator.generate(prepared.candidates, stats)
     feature_seconds = time.perf_counter() - start
 
     result = algorithm_pipeline("BCl", config, feature_set).run(
-        dataset.blocks,
-        dataset.candidates,
+        prepared.blocks,
+        prepared.candidates,
         dataset.ground_truth,
         stats=stats,
         feature_matrix=matrix,
@@ -112,7 +113,7 @@ def run_feature_runtime(
     config = config or ExperimentConfig()
     rows: List[FeatureRuntimeRow] = []
     for name in dataset_names:
-        dataset = prepare_benchmark_dataset(name, seed=config.seed, scale=config.scale)
+        dataset = prepare_dataset(name, seed=config.seed)
         for feature_set in feature_sets:
             rows.append(measure_feature_set_runtime(feature_set, dataset, config))
     return rows

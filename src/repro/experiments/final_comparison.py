@@ -24,7 +24,7 @@ from .common import (
     STANDARD_FEATURES,
     ExperimentConfig,
     algorithm_pipeline,
-    prepare_benchmark_datasets,
+    prepare_dataset,
 )
 
 
@@ -70,7 +70,7 @@ def run_final_comparison(
 ) -> FinalComparisonResult:
     """Table 5 (BLAST vs BCl1 vs BCl2) or Table 7 (RCNP vs CNP1 vs CNP2), per dataset."""
     config = config or ExperimentConfig()
-    datasets = prepare_benchmark_datasets(config)
+    datasets = [prepare_dataset(name, seed=config.seed) for name in config.dataset_names]
     runner = ExperimentRunner(repetitions=config.repetitions, seed=config.seed)
     outcomes = runner.run_matrix(final_pipelines(config, *FINAL_COMPARISONS[table]), datasets)
     return FinalComparisonResult(table=table, outcomes=outcomes)

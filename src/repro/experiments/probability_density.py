@@ -22,7 +22,7 @@ import numpy as np
 from ..core.pruning import VALIDITY_THRESHOLD
 from ..core.pruning.kernels import node_averages
 from ..evaluation.reporting import format_table
-from .common import ExperimentConfig, algorithm_pipeline, prepare_benchmark_dataset
+from .common import ExperimentConfig, algorithm_pipeline, prepare_dataset
 
 
 @dataclass
@@ -75,14 +75,15 @@ def run_probability_density(
 ) -> List[ProbabilityDensitySnapshot]:
     """Compute the Figure 12 data for one dataset across training sizes."""
     config = config or ExperimentConfig()
-    dataset = prepare_benchmark_dataset(dataset_name, seed=config.seed, scale=config.scale)
-    stats = dataset.statistics()
+    dataset = prepare_dataset(dataset_name, seed=config.seed)
+    prepared = dataset.prepared
+    stats = prepared.statistics()
     bin_edges = np.linspace(0.0, 1.0, bins + 1)
 
     snapshots: List[ProbabilityDensitySnapshot] = []
     for size in training_sizes:
         result = algorithm_pipeline("BLAST", config, training_size=size).run(
-            dataset.blocks, dataset.candidates, dataset.ground_truth, stats=stats
+            prepared.blocks, prepared.candidates, dataset.ground_truth, stats=stats
         )
         probabilities = result.probabilities
         labels = result.labels.astype(bool)
@@ -91,7 +92,7 @@ def run_probability_density(
         non_matching = probabilities[~labels]
         matching_hist, _ = np.histogram(matching, bins=bin_edges, density=True)
         non_matching_hist, _ = np.histogram(non_matching, bins=bin_edges, density=True)
-        thresholds = _per_entity_average_thresholds(probabilities, dataset.candidates)
+        thresholds = _per_entity_average_thresholds(probabilities, prepared.candidates)
 
         def _quartiles(values: np.ndarray) -> Tuple[float, float, float]:
             if values.size == 0:

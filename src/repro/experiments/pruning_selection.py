@@ -16,7 +16,7 @@ from ..evaluation.reporting import format_measure_series
 from ..evaluation.runner import ExperimentRunner, RunOutcome, average_over_datasets
 from ..evaluation.metrics import EffectivenessReport
 from ..weights.registry import ORIGINAL_FEATURE_SET
-from .common import ExperimentConfig, algorithm_pipeline, prepare_benchmark_datasets
+from .common import ExperimentConfig, algorithm_pipeline, prepare_dataset
 
 
 @dataclass
@@ -55,7 +55,7 @@ def run_pruning_selection(
     names = list(algorithms) if algorithms is not None else (
         WEIGHT_BASED_ALGORITHMS + CARDINALITY_BASED_ALGORITHMS
     )
-    datasets = prepare_benchmark_datasets(config)
+    datasets = [prepare_dataset(name, seed=config.seed) for name in config.dataset_names]
     pipelines = {
         name: algorithm_pipeline(name, config, feature_set=feature_set)
         for name in names

@@ -16,7 +16,7 @@ benches; the entry holds what is measured and what the paper reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..core.pruning import CARDINALITY_BASED_ALGORITHMS, WEIGHT_BASED_ALGORITHMS
 from ..datasets.registry import DIRTY_ORDER
@@ -48,6 +48,9 @@ class Experiment:
     run: Callable[[ExperimentConfig, bool], Any]
     #: ``report(result)`` -> the text ``repro run`` prints and the bench saves
     report: Callable[[Any], str]
+    #: the ``ExperimentConfig`` fields ``run`` reads; ``repro run`` refuses a
+    #: flag that sets any other, since the run would ignore it
+    reads: Tuple[str, ...]
     #: the paper's values, as data (empty where the paper gives none to compare)
     reference: Mapping[str, Any] = field(default_factory=dict)
     #: the paper-scale configuration, where it differs from ``config``
@@ -66,6 +69,10 @@ _FULL = ExperimentConfig(repetitions=3, training_size=500, seed=0)
 _SMALL = ExperimentConfig.fast(dataset_names=("AbtBuy", "DblpAcm"), repetitions=1)
 #: the run-time figures, on the two largest datasets
 _LARGEST = replace(_SMALL, dataset_names=("Movies", "WalmartAmazon"))
+#: what a sweep reads of its configuration: the datasets, the repetitions of
+#: each run and the seed; ``_TRAINED`` runs also take their training size from it
+_SWEEP = ("dataset_names", "repetitions", "seed")
+_TRAINED = _SWEEP + ("training_size",)
 
 
 # -- the paper's values ---------------------------------------------------------------
@@ -219,6 +226,7 @@ def _averages(figure: str, title: str, algorithms, feature_set, reference) -> Ex
         report=lambda result: format_pruning_selection(result, title)
         + "\n\n"
         + format_measure_series(reference, title=paper_title),
+        reads=_TRAINED,
         reference=reference,
     )
 
@@ -244,6 +252,8 @@ def _final_comparison(table: str, reference, measures: Sequence[str]) -> Experim
         full_config=_FULL,
         run=lambda config, full: run_final_comparison(table, config),
         report=report,
+        # 50 labels, or the [21] baseline's proportional sample: no training size
+        reads=_SWEEP,
         reference=reference,
     )
 
@@ -288,6 +298,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
         full_config=_FULL,
         run=lambda config, full: run_block_quality(config.dataset_names, seed=config.seed),
         report=_report_table2,
+        reads=("dataset_names", "seed"),
         reference=TABLE2,
     ),
     "fig5": _averages(
@@ -302,10 +313,11 @@ EXPERIMENTS: Dict[str, Experiment] = {
         config=replace(_SMALL, max_set_size=3),
         full_config=_SMALL,
         run=lambda config, full: {
-            algorithm: run_feature_selection(algorithm, config, max_set_size=config.max_set_size)
+            algorithm: run_feature_selection(algorithm, config)
             for algorithm in ("BLAST", "RCNP")
         },
         report=lambda results: "\n\n".join(map(_report_feature_selection, results.values())),
+        reads=_TRAINED + ("max_set_size",),
         reference=TABLES3_4,
     ),
     "fig7-9": Experiment(
@@ -320,6 +332,8 @@ EXPERIMENTS: Dict[str, Experiment] = {
                 "lcp": "Figures 7 vs 9 — LCP-free vs LCP-bearing feature sets",
             },
         ),
+        # one timed run per feature set and dataset
+        reads=("dataset_names", "training_size", "seed"),
     ),
     # each algorithm with its standard feature set (Formulas 1 / 2, the [21] set)
     "fig8": _averages(
@@ -331,6 +345,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
         config=_LARGEST,
         run=lambda config, full: run_figure10(config, dataset_names=config.dataset_names),
         report=format_figure10,
+        reads=_TRAINED,
     ),
     "fig11-14": Experiment(
         title="Figures 11 & 14 — training-set size sweeps of BLAST and RCNP",
@@ -348,6 +363,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
                 "RCNP": "Figure 14 — training-set size sweep for RCNP",
             },
         ),
+        reads=_SWEEP,
     ),
     "fig12": Experiment(
         title="Figure 12 — matching-probability distributions vs training size",
@@ -358,6 +374,8 @@ EXPERIMENTS: Dict[str, Experiment] = {
             config,
         ),
         report=format_probability_density,
+        # one run per training size, on the first dataset
+        reads=("dataset_names", "seed"),
     ),
     # BCl1: BCl with BLAST's features
     "fig13": Experiment(
@@ -372,6 +390,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
         report=_parts(
             format_training_size, {"BCl": "Figure 13 — BCl", "BLAST": "Figure 13 — BLAST"}
         ),
+        reads=_SWEEP,
     ),
     "table5": _final_comparison("Table 5", TABLE5, ("recall", "f1")),
     "table6": Experiment(
@@ -381,6 +400,8 @@ EXPERIMENTS: Dict[str, Experiment] = {
             "D100K", iterations=3, config=config, scale=None if full else 0.01
         ),
         report=format_table6,
+        # three 50-label fits on D100K
+        reads=("seed",),
     ),
     "table7": _final_comparison("Table 7", TABLE7, ("precision", "f1")),
     "fig15-16": Experiment(
@@ -393,6 +414,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
         report=lambda distributions: format_common_blocks(
             distributions, "Figures 15/16 — duplicates per number of common blocks"
         ),
+        reads=("dataset_names", "seed"),
     ),
     "fig17-18": Experiment(
         title="Figures 17 & 18 — scalability over the Dirty ER datasets",
@@ -404,5 +426,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
             scale=None if full else 0.02,
         ),
         report=lambda result: format_scalability(result) + "\n\n" + format_speedups(result),
+        # the Dirty ER series, with 50 labels or the [21] baseline's sample
+        reads=("repetitions", "seed"),
     ),
 }

@@ -12,7 +12,7 @@ the classifier, reporting:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -24,14 +24,12 @@ from ..ml.logistic_regression import LogisticRegression
 from ..utils.timing import speedup as speedup_measure
 from ..weights.registry import BLAST_FEATURE_SET
 from ..datasets.registry import DIRTY_ORDER
-from .common import ExperimentConfig, algorithm_pipeline, prepare_dirty_datasets
+from .common import ExperimentConfig, algorithm_pipeline, prepare_dataset
 
 
 def scalability_pipelines(config: ExperimentConfig) -> Dict[str, GeneralizedSupervisedMetaBlocking]:
-    """The four configurations of the scalability study (all logistic
-    regression): BLAST and RCNP with 50 labels, BCl and CNP with the [21]
-    settings."""
-    config = replace(config, classifier="logistic")
+    """The four configurations of the scalability study: BLAST and RCNP with
+    50 labels, BCl and CNP with the [21] settings."""
     return {
         "BLAST": algorithm_pipeline("BLAST", config, training_size=50),
         "BCl": algorithm_pipeline("BCl", config, training_policy="proportional"),
@@ -89,10 +87,10 @@ def run_scalability(
 ) -> ScalabilityResult:
     """Run the Figure 17/18 scalability study over the Dirty ER datasets."""
     config = config or ExperimentConfig(repetitions=3)
-    datasets = prepare_dirty_datasets(dataset_names, seed=config.seed, scale=scale)
+    datasets = [prepare_dataset(name, seed=config.seed, scale=scale) for name in dataset_names]
     runner = ExperimentRunner(repetitions=config.repetitions, seed=config.seed)
     outcomes = runner.run_matrix(scalability_pipelines(config), datasets)
-    candidate_counts = {dataset.name: len(dataset.candidates) for dataset in datasets}
+    candidate_counts = {dataset.name: len(dataset.prepared.candidates) for dataset in datasets}
     return ScalabilityResult(outcomes=outcomes, candidate_counts=candidate_counts)
 
 
@@ -129,8 +127,9 @@ def run_table6(
     of the scalability measurements.
     """
     config = config or ExperimentConfig()
-    dataset = prepare_dirty_datasets([dataset_name], seed=config.seed, scale=scale)[0]
-    stats = dataset.statistics()
+    dataset = prepare_dataset(dataset_name, seed=config.seed, scale=scale)
+    prepared = dataset.prepared
+    stats = prepared.statistics()
 
     snapshots: List[FittedModelSnapshot] = []
     for iteration in range(iterations):
@@ -149,8 +148,8 @@ def run_table6(
             seed=config.seed,
         )
         result = pipeline.run(
-            dataset.blocks,
-            dataset.candidates,
+            prepared.blocks,
+            prepared.candidates,
             dataset.ground_truth,
             stats=stats,
             seed=config.seed + iteration if isinstance(config.seed, int) else iteration,

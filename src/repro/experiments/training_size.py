@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..evaluation.reporting import format_table
 from ..evaluation.runner import ExperimentRunner, average_over_datasets
 from ..evaluation.metrics import EffectivenessReport
-from .common import ExperimentConfig, algorithm_pipeline, prepare_benchmark_datasets
+from .common import ExperimentConfig, algorithm_pipeline, prepare_dataset
 
 #: The training-set sizes swept by the paper.
 PAPER_TRAINING_SIZES: Tuple[int, ...] = (20, 50, 100, 150, 200, 250, 300, 350, 400, 450, 500)
@@ -54,7 +54,7 @@ def run_training_size_sweep(
     """Sweep the training-set size for one algorithm, with ``feature_set`` or
     its standard one (Figure 13 runs BCl with BLAST's features: BCl1)."""
     config = config or ExperimentConfig()
-    datasets = prepare_benchmark_datasets(config)
+    datasets = [prepare_dataset(name, seed=config.seed) for name in config.dataset_names]
     runner = ExperimentRunner(repetitions=config.repetitions, seed=config.seed)
     points: List[TrainingSizePoint] = []
     for size in sizes:

@@ -123,6 +123,6 @@ class TestCandidateExtraction:
         assert len(prepared.candidates) > 0
 
     def test_prepare_blocks_dirty(self, prepared_dirty):
-        assert len(prepared_dirty.candidates) > 0
-        report = evaluate_candidates(prepared_dirty.candidates, prepared_dirty.ground_truth)
+        assert len(prepared_dirty.prepared.candidates) > 0
+        report = evaluate_candidates(prepared_dirty.prepared.candidates, prepared_dirty.ground_truth)
         assert report.recall > 0.8

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.blocking import prepare_blocks
-from repro.core.feature_selection import PreparedDataset
 from repro.datamodel import (
     Block,
     BlockCollection,
@@ -22,6 +21,7 @@ from repro.datamodel import (
     make_profile,
 )
 from repro.datasets import load_benchmark, load_dirty_dataset
+from repro.evaluation import PreparedDataset
 from repro.weights import BlockStatistics
 
 
@@ -116,37 +116,21 @@ def dblpacm_dataset():
 def prepared_dblpacm(dblpacm_dataset):
     """DblpAcm pushed through Token Blocking + Purging + Filtering."""
     prepared = prepare_blocks(dblpacm_dataset.first, dblpacm_dataset.second)
-    return PreparedDataset(
-        name="DblpAcm",
-        blocks=prepared.blocks,
-        candidates=prepared.candidates,
-        ground_truth=dblpacm_dataset.ground_truth,
-    )
+    return PreparedDataset("DblpAcm", prepared, dblpacm_dataset.ground_truth)
 
 
 @pytest.fixture(scope="session")
 def prepared_abtbuy(abtbuy_dataset):
     """AbtBuy pushed through Token Blocking + Purging + Filtering."""
     prepared = prepare_blocks(abtbuy_dataset.first, abtbuy_dataset.second)
-    return PreparedDataset(
-        name="AbtBuy",
-        blocks=prepared.blocks,
-        candidates=prepared.candidates,
-        ground_truth=abtbuy_dataset.ground_truth,
-    )
+    return PreparedDataset("AbtBuy", prepared, abtbuy_dataset.ground_truth)
 
 
 @pytest.fixture(scope="session")
 def prepared_dirty():
     """A small Dirty ER dataset pushed through the blocking pipeline."""
     dataset = load_dirty_dataset("D10K", seed=5, scale=0.03)
-    prepared = prepare_blocks(dataset.collection, None)
-    return PreparedDataset(
-        name="D10K",
-        blocks=prepared.blocks,
-        candidates=prepared.candidates,
-        ground_truth=dataset.ground_truth,
-    )
+    return PreparedDataset("D10K", prepare_blocks(dataset.collection), dataset.ground_truth)
 
 
 @pytest.fixture

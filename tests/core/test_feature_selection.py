@@ -1,14 +1,10 @@
-"""Tests for the exhaustive feature-set selection machinery."""
+"""Tests for the feature-set combinations of the exhaustive selection.
 
-import pytest
+The sweep over them runs through the experiment runner: its ranking is
+tested with the Tables 3/4 entry in ``tests/experiments``.
+"""
 
-from repro.core import (
-    FeatureSelectionStudy,
-    FeatureSetCandidate,
-    PreparedDataset,
-    enumerate_feature_sets,
-    evaluate_feature_set,
-)
+from repro.core import FeatureSetCandidate, enumerate_feature_sets
 
 
 class TestEnumeration:
@@ -32,64 +28,3 @@ class TestEnumeration:
     def test_custom_pool(self):
         sets = enumerate_feature_sets(("JS", "RS"))
         assert len(sets) == 3
-
-
-class TestEvaluation:
-    def test_evaluate_feature_set_returns_report_and_runtime(self, prepared_dblpacm):
-        report, runtime = evaluate_feature_set(
-            ("CF-IBF", "JS"),
-            prepared_dblpacm,
-            pruning="BLAST",
-            training_size=50,
-            repetitions=1,
-            seed=0,
-        )
-        assert 0.0 <= report.recall <= 1.0
-        assert 0.0 <= report.precision <= 1.0
-        assert runtime > 0.0
-
-    def test_invalid_repetitions(self, prepared_dblpacm):
-        with pytest.raises(ValueError):
-            evaluate_feature_set(
-                ("JS",), prepared_dblpacm, pruning="BLAST", repetitions=0
-            )
-
-
-class TestStudy:
-    def test_study_ranks_by_f1_then_runtime(self, prepared_dblpacm, prepared_abtbuy):
-        study = FeatureSelectionStudy(
-            datasets=[prepared_dblpacm, prepared_abtbuy],
-            pruning="BLAST",
-            training_size=50,
-            repetitions=1,
-            seed=0,
-        )
-        candidates = [
-            FeatureSetCandidate(1, ("CF-IBF", "RACCB", "RS", "NRS")),
-            FeatureSetCandidate(2, ("JS",)),
-            FeatureSetCandidate(3, ("CF-IBF", "RACCB", "JS", "LCP")),
-        ]
-        top = study.run(candidates, top_k=2)
-        assert len(top) == 2
-        assert top[0].f1 >= top[1].f1
-        # every score carries its candidate metadata
-        assert all(score.candidate.set_id in {1, 2, 3} for score in top)
-
-    def test_study_requires_datasets(self):
-        with pytest.raises(ValueError):
-            FeatureSelectionStudy(datasets=[], pruning="BLAST")
-
-    def test_prepared_dataset_caches_statistics(self, prepared_dblpacm):
-        first = prepared_dblpacm.statistics()
-        second = prepared_dblpacm.statistics()
-        assert first is second
-
-    def test_score_row_format(self, prepared_dblpacm):
-        study = FeatureSelectionStudy(
-            datasets=[prepared_dblpacm], pruning="RCNP", training_size=50, repetitions=1
-        )
-        score = study.score_feature_set(FeatureSetCandidate(9, ("CF-IBF", "JS", "LCP")))
-        row = score.as_row()
-        assert row["id"] == 9
-        assert "CF-IBF" in row["feature_set"]
-        assert set(row) == {"id", "feature_set", "recall", "precision", "f1", "runtime_seconds"}

@@ -52,18 +52,18 @@ class TestFeatureVectorGenerator:
     def test_values_are_finite(self, prepared_dblpacm):
         matrix = FeatureVectorGenerator(
             ("CF-IBF", "RACCB", "JS", "LCP", "EJS", "WJS", "RS", "NRS")
-        ).generate(prepared_dblpacm.candidates, prepared_dblpacm.statistics())
+        ).generate(prepared_dblpacm.prepared.candidates, prepared_dblpacm.prepared.statistics())
         assert np.all(np.isfinite(matrix.values))
 
 
 class TestTrainingSet:
     def test_balanced_policy(self, prepared_dblpacm):
         matrix = FeatureVectorGenerator(BLAST_FEATURE_SET).generate(
-            prepared_dblpacm.candidates, prepared_dblpacm.statistics()
+            prepared_dblpacm.prepared.candidates, prepared_dblpacm.prepared.statistics()
         )
         training = build_training_set(
             matrix,
-            prepared_dblpacm.candidates,
+            prepared_dblpacm.prepared.candidates,
             prepared_dblpacm.ground_truth,
             size=50,
             seed=0,
@@ -76,37 +76,38 @@ class TestTrainingSet:
 
     def test_proportional_policy(self, prepared_dblpacm):
         matrix = FeatureVectorGenerator(BLAST_FEATURE_SET).generate(
-            prepared_dblpacm.candidates, prepared_dblpacm.statistics()
+            prepared_dblpacm.prepared.candidates, prepared_dblpacm.prepared.statistics()
         )
         training = build_training_set(
             matrix,
-            prepared_dblpacm.candidates,
+            prepared_dblpacm.prepared.candidates,
             prepared_dblpacm.ground_truth,
             policy="proportional",
-            positive_fraction=0.05,
             seed=0,
         )
+        # the [21] baseline's rule: 5 % of the positive pairs (at least 5), as many negatives
+        labels = prepared_dblpacm.ground_truth.labels_for(prepared_dblpacm.prepared.candidates)
+        assert training.positives == max(5, round(0.05 * int(labels.sum())))
         assert training.positives == training.negatives
-        assert training.positives >= 5
 
     def test_labels_match_ground_truth(self, prepared_dblpacm):
         matrix = FeatureVectorGenerator(("JS",)).generate(
-            prepared_dblpacm.candidates, prepared_dblpacm.statistics()
+            prepared_dblpacm.prepared.candidates, prepared_dblpacm.prepared.statistics()
         )
         training = build_training_set(
-            matrix, prepared_dblpacm.candidates, prepared_dblpacm.ground_truth, size=20, seed=3
+            matrix, prepared_dblpacm.prepared.candidates, prepared_dblpacm.ground_truth, size=20, seed=3
         )
-        all_labels = prepared_dblpacm.ground_truth.labels_for(prepared_dblpacm.candidates)
+        all_labels = prepared_dblpacm.ground_truth.labels_for(prepared_dblpacm.prepared.candidates)
         assert np.array_equal(training.labels.astype(bool), all_labels[training.candidate_indices])
 
     def test_unknown_policy_rejected(self, prepared_dblpacm):
         matrix = FeatureVectorGenerator(("JS",)).generate(
-            prepared_dblpacm.candidates, prepared_dblpacm.statistics()
+            prepared_dblpacm.prepared.candidates, prepared_dblpacm.prepared.statistics()
         )
         with pytest.raises(ValueError):
             build_training_set(
                 matrix,
-                prepared_dblpacm.candidates,
+                prepared_dblpacm.prepared.candidates,
                 prepared_dblpacm.ground_truth,
                 policy="bogus",
             )
@@ -115,5 +116,5 @@ class TestTrainingSet:
         matrix = FeatureVectorGenerator(("JS",)).generate(small_candidates, small_stats)
         with pytest.raises(ValueError):
             build_training_set(
-                matrix, prepared_dblpacm.candidates, prepared_dblpacm.ground_truth
+                matrix, prepared_dblpacm.prepared.candidates, prepared_dblpacm.ground_truth
             )

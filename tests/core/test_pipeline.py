@@ -14,11 +14,11 @@ class TestPipelineBasics:
     def test_result_structure(self, prepared_dblpacm):
         pipeline = GeneralizedSupervisedMetaBlocking(training_size=50, seed=0)
         result = pipeline.run(
-            prepared_dblpacm.blocks,
-            prepared_dblpacm.candidates,
+            prepared_dblpacm.prepared.blocks,
+            prepared_dblpacm.prepared.candidates,
             prepared_dblpacm.ground_truth,
         )
-        n = len(prepared_dblpacm.candidates)
+        n = len(prepared_dblpacm.prepared.candidates)
         assert result.retained_mask.shape == (n,)
         assert result.probabilities.shape == (n,)
         assert result.labels.shape == (n,)
@@ -30,25 +30,25 @@ class TestPipelineBasics:
     def test_keep_features_flag(self, prepared_dblpacm):
         pipeline = GeneralizedSupervisedMetaBlocking(training_size=50, seed=0)
         result = pipeline.run(
-            prepared_dblpacm.blocks,
-            prepared_dblpacm.candidates,
+            prepared_dblpacm.prepared.blocks,
+            prepared_dblpacm.prepared.candidates,
             prepared_dblpacm.ground_truth,
             keep_features=True,
         )
         assert result.feature_matrix is not None
-        assert result.feature_matrix.n_pairs == len(prepared_dblpacm.candidates)
+        assert result.feature_matrix.n_pairs == len(prepared_dblpacm.prepared.candidates)
 
     def test_same_seed_reproducible(self, prepared_dblpacm):
         pipeline = GeneralizedSupervisedMetaBlocking(training_size=50, seed=0)
         first = pipeline.run(
-            prepared_dblpacm.blocks,
-            prepared_dblpacm.candidates,
+            prepared_dblpacm.prepared.blocks,
+            prepared_dblpacm.prepared.candidates,
             prepared_dblpacm.ground_truth,
             seed=7,
         )
         second = pipeline.run(
-            prepared_dblpacm.blocks,
-            prepared_dblpacm.candidates,
+            prepared_dblpacm.prepared.blocks,
+            prepared_dblpacm.prepared.candidates,
             prepared_dblpacm.ground_truth,
             seed=7,
         )
@@ -58,14 +58,14 @@ class TestPipelineBasics:
     def test_different_seeds_change_training_sample(self, prepared_dblpacm):
         pipeline = GeneralizedSupervisedMetaBlocking(training_size=50, seed=0)
         first = pipeline.run(
-            prepared_dblpacm.blocks,
-            prepared_dblpacm.candidates,
+            prepared_dblpacm.prepared.blocks,
+            prepared_dblpacm.prepared.candidates,
             prepared_dblpacm.ground_truth,
             seed=1,
         )
         second = pipeline.run(
-            prepared_dblpacm.blocks,
-            prepared_dblpacm.candidates,
+            prepared_dblpacm.prepared.blocks,
+            prepared_dblpacm.prepared.candidates,
             prepared_dblpacm.ground_truth,
             seed=2,
         )
@@ -82,8 +82,8 @@ class TestPipelineBasics:
         pipeline = GeneralizedSupervisedMetaBlocking(training_size=50)
         with pytest.raises(ValueError):
             pipeline.run(
-                prepared_dblpacm.blocks,
-                prepared_dblpacm.candidates,
+                prepared_dblpacm.prepared.blocks,
+                prepared_dblpacm.prepared.candidates,
                 prepared_dblpacm.ground_truth,
                 feature_matrix=wrong_matrix,
             )
@@ -116,8 +116,8 @@ class TestPipelineBasics:
     def test_timer_stages_present(self, prepared_dblpacm):
         pipeline = GeneralizedSupervisedMetaBlocking(training_size=50, seed=0)
         result = pipeline.run(
-            prepared_dblpacm.blocks,
-            prepared_dblpacm.candidates,
+            prepared_dblpacm.prepared.blocks,
+            prepared_dblpacm.prepared.candidates,
             prepared_dblpacm.ground_truth,
         )
         for stage in ("features", "training", "scoring", "pruning"):
@@ -128,12 +128,12 @@ class TestPipelineEffectiveness:
     def test_precision_improves_over_input_blocks(self, prepared_dblpacm):
         """The core promise of Meta-blocking: Pr(B') >> Pr(B) with Re(B') ~ Re(B)."""
         input_report = evaluate_candidates(
-            prepared_dblpacm.candidates, prepared_dblpacm.ground_truth
+            prepared_dblpacm.prepared.candidates, prepared_dblpacm.ground_truth
         )
         pipeline = GeneralizedSupervisedMetaBlocking(training_size=50, seed=0)
         result = pipeline.run(
-            prepared_dblpacm.blocks,
-            prepared_dblpacm.candidates,
+            prepared_dblpacm.prepared.blocks,
+            prepared_dblpacm.prepared.candidates,
             prepared_dblpacm.ground_truth,
         )
         output_report = evaluate_result(result, prepared_dblpacm.ground_truth)
@@ -147,8 +147,8 @@ class TestPipelineEffectiveness:
             training_size=50, seed=0, classifier_factory=factory
         )
         result = pipeline.run(
-            prepared_dblpacm.blocks,
-            prepared_dblpacm.candidates,
+            prepared_dblpacm.prepared.blocks,
+            prepared_dblpacm.prepared.candidates,
             prepared_dblpacm.ground_truth,
         )
         report = evaluate_result(result, prepared_dblpacm.ground_truth)
@@ -160,8 +160,8 @@ class TestPipelineEffectiveness:
             feature_set=ORIGINAL_FEATURE_SET, pruning="WNP", training_size=50, seed=0
         )
         result = pipeline.run(
-            prepared_abtbuy.blocks,
-            prepared_abtbuy.candidates,
+            prepared_abtbuy.prepared.blocks,
+            prepared_abtbuy.prepared.candidates,
             prepared_abtbuy.ground_truth,
         )
         report = evaluate_result(result, prepared_abtbuy.ground_truth)
@@ -171,7 +171,7 @@ class TestPipelineEffectiveness:
     def test_dirty_er_pipeline(self, prepared_dirty):
         pipeline = GeneralizedSupervisedMetaBlocking(training_size=50, seed=0)
         result = pipeline.run(
-            prepared_dirty.blocks, prepared_dirty.candidates, prepared_dirty.ground_truth
+            prepared_dirty.prepared.blocks, prepared_dirty.prepared.candidates, prepared_dirty.ground_truth
         )
         report = evaluate_result(result, prepared_dirty.ground_truth)
         assert report.recall > 0.7

@@ -132,10 +132,10 @@ class TestRelativeBehaviourOnRealisticData:
                 feature_set=RCNP_FEATURE_SET, pruning=pruning, training_size=50, seed=3
             )
             result = pipeline.run(
-                prepared_abtbuy.blocks,
-                prepared_abtbuy.candidates,
+                prepared_abtbuy.prepared.blocks,
+                prepared_abtbuy.prepared.candidates,
                 prepared_abtbuy.ground_truth,
-                stats=prepared_abtbuy.statistics(),
+                stats=prepared_abtbuy.prepared.statistics(),
             )
             reports[pruning] = evaluate_result(result, prepared_abtbuy.ground_truth)
         assert reports["RCNP"].precision >= reports["CNP"].precision

@@ -89,9 +89,9 @@ class TestRWNP:
 
     def test_subset_of_wnp(self, prepared_abtbuy):
         rng = np.random.default_rng(0)
-        probabilities = rng.uniform(0, 1, len(prepared_abtbuy.candidates))
-        wnp = SupervisedWNP().prune(probabilities, prepared_abtbuy.candidates)
-        rwnp = SupervisedRWNP().prune(probabilities, prepared_abtbuy.candidates)
+        probabilities = rng.uniform(0, 1, len(prepared_abtbuy.prepared.candidates))
+        wnp = SupervisedWNP().prune(probabilities, prepared_abtbuy.prepared.candidates)
+        rwnp = SupervisedRWNP().prune(probabilities, prepared_abtbuy.prepared.candidates)
         assert np.all(~rwnp | wnp)  # rwnp implies wnp
         assert rwnp.sum() <= wnp.sum()
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro.experiments as ex
+from repro.evaluation import ExperimentRunner
 from repro.experiments import EXPERIMENTS
 
 
@@ -50,13 +51,25 @@ class TestCommonHelpers:
     def test_prepared_dataset_is_prepare_blocks_on_the_benchmark(self):
         from repro.blocking import prepare_blocks
         from repro.datasets import load_benchmark
-        from repro.experiments.common import prepare_benchmark_dataset
 
         dataset = load_benchmark("DblpAcm", seed=11, scale=0.3)
         direct = prepare_blocks(dataset.first, dataset.second)
-        prepared = prepare_benchmark_dataset("DblpAcm", seed=11, scale=0.3)
-        assert np.array_equal(direct.candidates.left, prepared.candidates.left)
-        assert np.array_equal(direct.candidates.right, prepared.candidates.right)
+        prepared = ex.prepare_dataset("DblpAcm", seed=11, scale=0.3)
+        assert prepared.name == "DblpAcm"
+        assert np.array_equal(direct.candidates.left, prepared.prepared.candidates.left)
+        assert np.array_equal(direct.candidates.right, prepared.prepared.candidates.right)
+        assert set(prepared.ground_truth) == set(dataset.ground_truth)
+
+    def test_a_dirty_name_prepares_the_dirty_dataset(self):
+        from repro.blocking import prepare_blocks
+        from repro.datasets import load_dirty_dataset
+
+        dataset = load_dirty_dataset("D10K", seed=5, scale=0.02)
+        direct = prepare_blocks(dataset.collection)
+        prepared = ex.prepare_dataset("D10K", seed=5, scale=0.02)
+        assert not prepared.prepared.candidates.index_space.is_clean_clean
+        assert np.array_equal(direct.candidates.left, prepared.prepared.candidates.left)
+        assert np.array_equal(direct.candidates.right, prepared.prepared.candidates.right)
         assert set(prepared.ground_truth) == set(dataset.ground_truth)
 
     def test_config_threads_into_the_standard_pipelines(self):
@@ -102,10 +115,27 @@ class TestFeatureSelection:
         assert result.algorithm == "BLAST"
         # the eight single-feature sets, the top ten of them reported
         assert len(result.top_sets) == 8
-        rows = result.rows()
-        assert all("feature_set" in row for row in rows)
+        assert all(
+            set(row) == {"id", "feature_set", "recall", "precision", "f1", "runtime_seconds"}
+            for row in result.top_sets
+        )
         text = ex.format_feature_selection(result)
         assert "BLAST" in text
+
+    def test_ranked_by_f1_then_runtime_then_id(self, tiny_config):
+        """Each set runs through the runner on every dataset; the rows are its
+        averages, best F1 first, ties broken by lower run-time, then by id."""
+        config = replace(tiny_config, dataset_names=("AbtBuy", "DblpAcm"), max_set_size=2)
+        result = ex.run_feature_selection("RCNP", config, top_k=5)
+        keys = [(-row["f1"], row["runtime_seconds"], row["id"]) for row in result.top_sets]
+        assert len(keys) == 5 and keys == sorted(keys)
+        best = result.top_sets[0]
+        features = tuple(best["feature_set"].strip("{}").split(", "))
+        datasets = [ex.prepare_dataset(name, seed=config.seed) for name in config.dataset_names]
+        runner = ExperimentRunner(repetitions=config.repetitions, seed=config.seed)
+        pipeline = ex.algorithm_pipeline("RCNP", config, features)
+        outcomes = [runner.run_pipeline(pipeline, dataset) for dataset in datasets]
+        assert best["f1"] == pytest.approx(np.mean([outcome.report.f1 for outcome in outcomes]))
 
     def test_references(self):
         reference = EXPERIMENTS["tables3-4"].reference

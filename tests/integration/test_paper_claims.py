@@ -76,10 +76,10 @@ class TestClaimDeeperPruningOrdering:
                 feature_set=ORIGINAL_FEATURE_SET, pruning=pruning, training_size=50, seed=1
             )
             result = pipeline.run(
-                prepared_abtbuy.blocks,
-                prepared_abtbuy.candidates,
+                prepared_abtbuy.prepared.blocks,
+                prepared_abtbuy.prepared.candidates,
                 prepared_abtbuy.ground_truth,
-                stats=prepared_abtbuy.statistics(),
+                stats=prepared_abtbuy.prepared.statistics(),
             )
             reports[pruning] = evaluate_result(result, prepared_abtbuy.ground_truth)
             retained[pruning] = result.retained_count
@@ -113,10 +113,10 @@ class TestClaimSmallTrainingSetSuffices:
             feature_set=BLAST_FEATURE_SET, pruning="BLAST", training_size=50, seed=0
         )
         result = pipeline.run(
-            prepared_dblpacm.blocks,
-            prepared_dblpacm.candidates,
+            prepared_dblpacm.prepared.blocks,
+            prepared_dblpacm.prepared.candidates,
             prepared_dblpacm.ground_truth,
-            stats=prepared_dblpacm.statistics(),
+            stats=prepared_dblpacm.prepared.statistics(),
         )
         report = evaluate_result(result, prepared_dblpacm.ground_truth)
         assert report.recall > 0.9
@@ -151,7 +151,7 @@ class TestClaimLcpIsExpensive:
         enumerate_blocks = BlockCollection.__iter__
 
         def block_visits(feature_set):
-            stats = BlockStatistics(prepared_abtbuy.blocks)  # fresh, uncached LCP
+            stats = BlockStatistics(prepared_abtbuy.prepared.blocks)  # fresh, uncached LCP
             visits = 0
 
             def counted(collection):
@@ -162,13 +162,13 @@ class TestClaimLcpIsExpensive:
 
             with monkeypatch.context() as patch:
                 patch.setattr(BlockCollection, "__iter__", counted)
-                reference_feature_matrix(feature_set, prepared_abtbuy.candidates, stats)
+                reference_feature_matrix(feature_set, prepared_abtbuy.prepared.candidates, stats)
             return visits
 
         without_lcp = block_visits(base_features)
         with_lcp = block_visits(base_features + ("LCP",))
         assert without_lcp == 0
-        assert with_lcp == prepared_abtbuy.blocks.total_block_assignments() > 0
+        assert with_lcp == prepared_abtbuy.prepared.blocks.total_block_assignments() > 0
 
 
 class TestClaimMetaBlockingImprovesBlocks:
@@ -179,12 +179,13 @@ class TestClaimMetaBlockingImprovesBlocks:
         from repro.evaluation import evaluate_candidates
 
         dataset = request.getfixturevalue(fixture_name)
-        input_report = evaluate_candidates(dataset.candidates, dataset.ground_truth)
+        prepared = dataset.prepared
+        input_report = evaluate_candidates(prepared.candidates, dataset.ground_truth)
         pipeline = GeneralizedSupervisedMetaBlocking(
             feature_set=BLAST_FEATURE_SET, pruning="BLAST", training_size=50, seed=0
         )
         result = pipeline.run(
-            dataset.blocks, dataset.candidates, dataset.ground_truth, stats=dataset.statistics()
+            prepared.blocks, prepared.candidates, dataset.ground_truth, stats=prepared.statistics()
         )
         output_report = evaluate_result(result, dataset.ground_truth)
         assert output_report.precision > 3 * input_report.precision

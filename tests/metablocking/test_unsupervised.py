@@ -47,7 +47,7 @@ class TestBlockingGraph:
         self, small_blocks, prepared_dblpacm, scheme
     ):
         """The builder's edge weights reproduce the scheme's per-pair reference."""
-        for blocks in (small_blocks, prepared_dblpacm.blocks):
+        for blocks in (small_blocks, prepared_dblpacm.prepared.blocks):
             graph = build_blocking_graph(blocks, scheme=scheme)
             assert graph.scheme_name == scheme
             loop_weights = get_scheme(scheme).compute(
@@ -110,13 +110,13 @@ class TestUnsupervisedPruning:
     def test_unsupervised_metablocking_improves_precision(self, prepared_abtbuy):
         """Sanity: even unsupervised pruning should raise precision over raw blocks."""
         graph = build_blocking_graph(
-            prepared_abtbuy.blocks, scheme="RACCB", candidates=prepared_abtbuy.candidates
+            prepared_abtbuy.prepared.blocks, scheme="RACCB", candidates=prepared_abtbuy.prepared.candidates
         )
-        labels = prepared_abtbuy.ground_truth.labels_for(prepared_abtbuy.candidates)
+        labels = prepared_abtbuy.ground_truth.labels_for(prepared_abtbuy.prepared.candidates)
         input_report = evaluate_candidates(
-            prepared_abtbuy.candidates, prepared_abtbuy.ground_truth
+            prepared_abtbuy.prepared.candidates, prepared_abtbuy.ground_truth
         )
-        mask = UnsupervisedWNP().prune(graph, prepared_abtbuy.blocks)
+        mask = UnsupervisedWNP().prune(graph, prepared_abtbuy.prepared.blocks)
         output_report = evaluate_retained_mask(
             mask, labels, len(prepared_abtbuy.ground_truth)
         )

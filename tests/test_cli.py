@@ -6,14 +6,30 @@ import signal
 import socket
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import pytest
 
 from repro import __version__
 from repro.cli import build_parser, main
+from repro.experiments import ExperimentConfig
 from repro.experiments.registry import EXPERIMENTS
+
+CONFIG_FIELDS = {field.name for field in fields(ExperimentConfig)}
+
+
+@dataclass
+class _RecordingConfig(ExperimentConfig):
+    """An experiment configuration that records which of its fields are read."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "fields_read", set())
+
+    def __getattribute__(self, name):
+        if name in CONFIG_FIELDS:
+            object.__getattribute__(self, "fields_read").add(name)
+        return object.__getattribute__(self, name)
 
 
 class TestParser:
@@ -337,12 +353,66 @@ class TestExecution:
         assert "RCNP" in output and "CEP" in output
 
     @pytest.mark.parametrize("experiment_id", list(EXPERIMENTS))
-    def test_every_experiment_runs_and_reports(self, capsys, experiment_id):
-        """Each registry entry runs through ``repro run`` on a small case."""
-        argv = ["run", experiment_id, "--datasets", "AbtBuy", "--max-set-size", "1"]
+    def test_every_experiment_runs_and_reports(self, capsys, monkeypatch, experiment_id):
+        """Each registry entry runs through ``repro run`` on a small case, and
+        its run reads exactly the configuration fields the entry declares."""
+        entry = EXPERIMENTS[experiment_id]
+        configs = []
+
+        def run(config, full):
+            configs.append(config)
+            return entry.run(config, full)
+
+        recording = _RecordingConfig(
+            **{name: getattr(entry.config, name) for name in CONFIG_FIELDS}
+        )
+        monkeypatch.setitem(
+            EXPERIMENTS, experiment_id, replace(entry, config=recording, run=run)
+        )
+        argv = ["run", experiment_id]
+        if "dataset_names" in entry.reads:
+            argv += ["--datasets", "AbtBuy"]
+        if "max_set_size" in entry.reads:
+            argv += ["--max-set-size", "1"]
         assert main(argv) == 0
         output = capsys.readouterr().out
         assert output.strip() and "(no rows)" not in output
+        assert configs[0].fields_read == set(entry.reads)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(
+                ["run", experiment_id, "--training-size", "7"]
+                for experiment_id in (
+                    "fig12", "fig11-14", "fig13", "table5", "table7", "fig17-18", "table6",
+                )
+            ),
+            ["run", "fig17-18", "--datasets", "AbtBuy"],
+            ["run", "table6", "--datasets", "AbtBuy"],
+            ["run", "fig5", "--max-set-size", "2"],
+            ["run", "fig10", "--max-set-size", "2"],
+            ["run", "table2", "--repetitions", "2"],
+            ["run", "fig7-9", "--repetitions", "2"],
+        ],
+        ids=lambda argv: " ".join(argv[1:3]),
+    )
+    def test_a_flag_the_entry_does_not_read_is_refused(self, capsys, monkeypatch, argv):
+        """The run would ignore it and print what it prints without it: an
+        argparse error naming the flag and the experiment, before any run."""
+        experiment_id, flag = argv[1], argv[2]
+        monkeypatch.setitem(
+            EXPERIMENTS, experiment_id, replace(EXPERIMENTS[experiment_id], run=None)
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err
+        assert f"argument {flag}: experiment {experiment_id!r} does not read it" in error
+
+    def test_a_flag_the_entry_reads_is_accepted(self, capsys):
+        assert main(["run", "fig5", "--training-size", "7"]) == 0
+        assert "BLAST" in capsys.readouterr().out
 
     def test_a_flag_given_overrides_the_entrys_configuration(self, capsys, monkeypatch):
         """``repro run`` runs the entry's configuration, with each flag the
@@ -358,12 +428,22 @@ class TestExecution:
 
     def test_quickstart(self, capsys):
         exit_code = main(
-            ["quickstart", "--datasets", "DblpAcm", "--training-size", "50", "--seed", "1"]
+            ["quickstart", "--dataset", "DblpAcm", "--training-size", "50", "--seed", "1"]
         )
         assert exit_code == 0
         output = capsys.readouterr().out
+        assert output.startswith("DblpAcm: ")
         assert "before meta-blocking" in output
         assert "after  meta-blocking" in output
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--datasets", "DblpAcm"), ("--repetitions", "2"), ("--max-set-size", "2")]
+    )
+    def test_quickstart_takes_no_flag_it_would_ignore(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["quickstart", flag, value])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 class TestStream:

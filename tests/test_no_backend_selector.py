@@ -27,11 +27,7 @@ from repro.core import FeatureVectorGenerator, generate_features
 from repro.core.features import FeatureMatrix
 from repro.core.pipeline import GeneralizedSupervisedMetaBlocking
 from repro.experiments import ExperimentConfig, run_block_quality
-from repro.experiments.common import (
-    prepare_benchmark_dataset,
-    prepare_dirty_dataset,
-    prepare_dirty_datasets,
-)
+from repro.experiments.common import prepare_dataset
 from repro.experiments.feature_runtime import FeatureRuntimeRow
 from repro.incremental.index import MutableBlockIndex
 from repro.incremental.session import MatchingSession
@@ -54,9 +50,7 @@ BATCH_ENTRY_POINTS = [
     prepare_blocks,
     train_frozen_model,
     ExperimentConfig,
-    prepare_benchmark_dataset,
-    prepare_dirty_dataset,
-    prepare_dirty_datasets,
+    prepare_dataset,
     run_block_quality,
 ]
 
