@@ -164,7 +164,8 @@ test-equivalence:
 		tests/test_one_storage_lifecycle.py tests/persistence/test_crash_recovery_property.py \
 		tests/test_no_test_only_surface.py tests/test_no_unused_imports.py \
 		tests/test_one_boundary_schema.py tests/persistence/test_schema_property.py \
-		tests/test_one_experiment_registry.py tests/test_one_experiment_loop.py
+		tests/test_one_experiment_registry.py tests/test_one_experiment_loop.py \
+		tests/test_one_pruning_implementation.py tests/core/test_retain.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q

@@ -23,8 +23,10 @@ def main() -> None:
     print(f"Datasets: {list(config.dataset_names)}")
     print("Scoring the feature combinations of size <= 4 per algorithm...\n")
 
-    for algorithm, paper_choice in (("BLAST", BLAST_FEATURE_SET), ("RCNP", RCNP_FEATURE_SET)):
-        result = run_feature_selection(algorithm, config, top_k=10)
+    paper_choices = {"BLAST": BLAST_FEATURE_SET, "RCNP": RCNP_FEATURE_SET}
+    results = run_feature_selection(tuple(paper_choices), config, top_k=10)
+    for algorithm, result in results.items():
+        paper_choice = paper_choices[algorithm]
         rows = []
         for row in result.top_sets:
             features = set(row["feature_set"].strip("{}").split(", "))

@@ -5,7 +5,9 @@ catalogue and compares the main configurations of the paper on the same
 blocks:
 
 * the Supervised Meta-blocking baseline (BCl with the original feature set);
-* unsupervised WNP on RACCB weights (no labels at all);
+* unsupervised WNP on RACCB weights (no labels at all): the same WNP
+  criterion, applied with ``retain`` to every pair's scheme weight instead of
+  to the valid pairs' probabilities;
 * Generalized Supervised Meta-blocking with BLAST (recall-oriented) and
   RCNP (precision-oriented).
 
@@ -19,12 +21,17 @@ from repro import (
     evaluate_candidates,
     evaluate_result,
     evaluate_retained_mask,
+    get_pruning_algorithm,
     load_benchmark,
     prepare_blocks,
 )
 from repro.evaluation import format_table
-from repro.metablocking import UnsupervisedWNP, build_blocking_graph
-from repro.weights import BLAST_FEATURE_SET, ORIGINAL_FEATURE_SET, RCNP_FEATURE_SET
+from repro.weights import (
+    BLAST_FEATURE_SET,
+    ORIGINAL_FEATURE_SET,
+    RCNP_FEATURE_SET,
+    get_scheme,
+)
 
 
 def main() -> None:
@@ -45,11 +52,9 @@ def main() -> None:
         }
     ]
 
-    # Unsupervised meta-blocking: RACCB-weighted blocking graph + WNP.
-    graph = build_blocking_graph(
-        prepared.blocks, scheme="RACCB", candidates=prepared.candidates
-    )
-    mask = UnsupervisedWNP().prune(graph, prepared.blocks)
+    # Unsupervised meta-blocking: WNP's criterion on every pair's RACCB weight.
+    weights = get_scheme("RACCB").compute_sparse(prepared.candidates, prepared.statistics())[:, 0]
+    mask = get_pruning_algorithm("WNP").retain(weights, prepared.candidates, prepared.blocks)
     labels = dataset.ground_truth.labels_for(prepared.candidates)
     unsupervised = evaluate_retained_mask(mask, labels, len(dataset.ground_truth))
     rows.append(

@@ -9,9 +9,10 @@ PVLDB 2022) from the ground up:
 * the block co-occurrence weighting schemes used as features
   (:mod:`repro.weights`);
 * from-scratch probabilistic classifiers (:mod:`repro.ml`);
-* the supervised pruning algorithms and the end-to-end pipeline — the paper's
-  contribution (:mod:`repro.core`);
-* unsupervised meta-blocking baselines (:mod:`repro.metablocking`);
+* the pruning algorithms and the end-to-end pipeline — the paper's
+  contribution (:mod:`repro.core`); each algorithm's ``retain`` applies its
+  criterion to a weighting scheme's values on every pair, which is the
+  unsupervised meta-blocking baseline;
 * an incremental streaming execution mode — online entity insertion against
   a frozen batch-trained classifier (:mod:`repro.incremental`);
 * dataset substrates mirroring the paper's benchmarks (:mod:`repro.datasets`);

@@ -27,7 +27,6 @@ _EXPORTS = {
     "cep_budget": "pruning",
     "cnp_budget": "pruning",
     "enumerate_feature_sets": "feature_selection",
-    "generate_features": "features",
     "get_pruning_algorithm": "pruning",
 }
 

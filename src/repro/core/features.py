@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..datamodel.block import BlockCollection
 from ..datamodel.candidates import CandidateSet
 from ..utils.timing import StageTimer
 from ..weights.registry import ORIGINAL_FEATURE_SET, get_schemes
@@ -116,14 +115,3 @@ class FeatureVectorGenerator:
             scheme_seconds={scheme.name: local_timer.get(scheme.name) for scheme in self._schemes},
         )
 
-
-def generate_features(
-    candidates: CandidateSet,
-    blocks: BlockCollection,
-    feature_set: Sequence[str] = ORIGINAL_FEATURE_SET,
-    stats: Optional[BlockStatistics] = None,
-    timer: Optional[StageTimer] = None,
-) -> FeatureMatrix:
-    """Convenience wrapper: build statistics (if needed) and the feature matrix."""
-    statistics = stats if stats is not None else BlockStatistics(blocks)
-    return FeatureVectorGenerator(feature_set).generate(candidates, statistics, timer=timer)

@@ -5,7 +5,11 @@ every candidate pair (produced by the trained probabilistic classifier) and
 decides which pairs to retain.  Pairs with probability below
 :data:`VALIDITY_THRESHOLD` (0.5) are never retained — they are not *valid*
 in the paper's terminology — and the remaining pairs are filtered with either
-a weight-based or a cardinality-based criterion.
+a weight-based or a cardinality-based criterion.  The criterion alone, on
+every pair and with no threshold, is :meth:`SupervisedPruningAlgorithm.retain`:
+given a weighting scheme's values instead of probabilities it is classic
+(unsupervised) Meta-blocking, since a pruning algorithm only needs one score
+per pair.
 
 The ``blocks`` parameter of :meth:`SupervisedPruningAlgorithm.prune` is read
 by the cardinality-based algorithms only, and only for the two integers of
@@ -88,27 +92,50 @@ class SupervisedPruningAlgorithm(ABC):
         mask[positions[retained]] = True
         return mask
 
+    def retain(
+        self,
+        weights: np.ndarray,
+        candidates: CandidateSet,
+        blocks: Optional[BlockSource] = None,
+    ) -> np.ndarray:
+        """The algorithm's criterion applied to *every* pair, with no validity
+        threshold: a boolean mask over ``candidates``.
+
+        This is unsupervised Meta-blocking when ``weights`` are a weighting
+        scheme's values (one per pair, e.g. ``get_scheme("RACCB")
+        .compute_sparse(candidates, stats)[:, 0]``): they need not lie in
+        [0, 1], so only their shape is checked.  ``blocks`` is read as by
+        :meth:`prune`.
+        """
+        weights = self._aligned(weights, candidates, "weights")
+        return self._retain(weights, candidates, blocks)
+
     @abstractmethod
     def _retain(
         self, probabilities: np.ndarray, valid: CandidateSet, blocks: Optional[BlockSource]
     ) -> np.ndarray:
-        """The algorithm's criterion: a boolean mask over the *valid* pairs.
+        """The algorithm's criterion: a boolean mask over the pairs handed in.
 
         ``prune`` hands in only the pairs that reached the validity
         threshold (possibly none) with their probabilities, so no algorithm
-        reads — or allocates for — the pairs it could never retain.
+        reads — or allocates for — the pairs it could never retain;
+        :meth:`retain` hands in every pair with its weight.
         """
 
     @staticmethod
-    def _validate(probabilities: np.ndarray, candidates: CandidateSet) -> np.ndarray:
-        """Validate and return the probabilities as a float array."""
-        array = np.asarray(probabilities, dtype=np.float64)
+    def _aligned(values: np.ndarray, candidates: CandidateSet, what: str) -> np.ndarray:
+        """``values`` as a float array, refused unless 1-D and one per pair."""
+        array = np.asarray(values, dtype=np.float64)
         if array.ndim != 1:
-            raise ValueError("probabilities must be a 1-D array")
+            raise ValueError(f"{what} must be a 1-D array")
         if array.size != len(candidates):
-            raise ValueError(
-                f"expected {len(candidates)} probabilities, got {array.size}"
-            )
+            raise ValueError(f"expected {len(candidates)} {what}, got {array.size}")
+        return array
+
+    @classmethod
+    def _validate(cls, probabilities: np.ndarray, candidates: CandidateSet) -> np.ndarray:
+        """Validate and return the probabilities as a float array."""
+        array = cls._aligned(probabilities, candidates, "probabilities")
         # written so that NaN (for which every comparison is False) is refused
         if array.size and not (0.0 <= array.min() and array.max() <= 1.0):
             raise ValueError("probabilities must lie in [0, 1]")

@@ -55,7 +55,8 @@ def resolve_budget(
     """The algorithm's explicit ``budget``, else ``derive(blocks)``.
 
     The one place the "explicit budget, else derive it, else refuse" rule
-    lives — supervised and unsupervised pruning both resolve here.
+    lives — ``prune`` (valid pairs) and ``retain`` (every pair) both resolve
+    here.
     """
     if algorithm.budget is not None:
         return algorithm.budget

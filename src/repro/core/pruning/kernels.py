@@ -1,9 +1,9 @@
 """Array kernels behind every pruning algorithm (NumPy only).
 
-The supervised algorithms call these on the *valid* pairs, the unsupervised
-ones on every edge, and the serving daemon's ``top-k`` on one entity's pairs:
-inputs are parallel arrays — endpoints, weights, packed candidate keys — and
-outputs are boolean masks (or an order) over those same positions.
+The pruning algorithms call these on the *valid* pairs (``prune``) or on
+every pair (``retain``), and the serving daemon's ``top-k`` on one entity's
+pairs: inputs are parallel arrays — endpoints, weights, packed candidate
+keys — and outputs are boolean masks (or an order) over those same positions.
 
 Cardinality pruning is selection under one strict total order, *strength*:
 weight descending, then packed key ascending, then position ascending.  A

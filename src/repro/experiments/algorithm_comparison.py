@@ -33,7 +33,7 @@ def run_figure10(
 ) -> List[Dict[str, object]]:
     """Figure 10: run-times of the four algorithms on the largest datasets."""
     config = config or ExperimentConfig()
-    runner = ExperimentRunner(repetitions=max(1, config.repetitions // 2), seed=config.seed)
+    runner = ExperimentRunner(repetitions=config.repetitions, seed=config.seed)
     rows: List[Dict[str, object]] = []
     for name in dataset_names:
         dataset = prepare_dataset(name, seed=config.seed)

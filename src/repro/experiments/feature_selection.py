@@ -31,22 +31,24 @@ class FeatureSelectionResult:
 
 
 def run_feature_selection(
-    algorithm: str,
+    algorithms: Sequence[str],
     config: Optional[ExperimentConfig] = None,
     features: Sequence[str] = PAPER_FEATURES,
     top_k: int = 10,
-) -> FeatureSelectionResult:
-    """Run the exhaustive feature-set search for ``algorithm`` ("BLAST"/"RCNP").
+) -> Dict[str, FeatureSelectionResult]:
+    """Run the exhaustive feature-set search for each of ``algorithms``
+    (Tables 3/4: "BLAST" and "RCNP"), keyed by algorithm.
 
-    Each combination runs through the :class:`ExperimentRunner` on every
-    dataset; the combinations are ranked by average F1, ties broken by lower
-    run-time and then by id, reproducing the paper's two-step selection
-    (effectiveness first, efficiency second).
+    The datasets are prepared once, for every algorithm.  Each combination
+    runs through the :class:`ExperimentRunner` on every dataset; the
+    combinations are ranked by average F1, ties broken by lower run-time and
+    then by id, reproducing the paper's two-step selection (effectiveness
+    first, efficiency second).
 
     Parameters
     ----------
-    algorithm:
-        The pruning algorithm under study.
+    algorithms:
+        The pruning algorithms under study.
     config:
         Experiment configuration (datasets, repetitions, training size, and
         ``max_set_size``: the cap on combination size; ``None`` evaluates all
@@ -60,27 +62,33 @@ def run_feature_selection(
     config = config or ExperimentConfig()
     datasets = [prepare_dataset(name, seed=config.seed) for name in config.dataset_names]
     runner = ExperimentRunner(repetitions=config.repetitions, seed=config.seed)
-    rows = []
-    for candidate in enumerate_feature_sets(features):
-        if config.max_set_size is not None and len(candidate.features) > config.max_set_size:
-            continue
-        pipeline = algorithm_pipeline(algorithm, config, candidate.features)
-        outcomes = [runner.run_pipeline(pipeline, dataset) for dataset in datasets]
-        report = average_reports([outcome.report for outcome in outcomes])
-        rows.append(
-            {
-                "id": candidate.set_id,
-                "feature_set": candidate.label(),
-                "recall": report.recall,
-                "precision": report.precision,
-                "f1": report.f1,
-                "runtime_seconds": float(
-                    np.mean([outcome.runtime_seconds for outcome in outcomes])
-                ),
-            }
-        )
-    rows.sort(key=lambda row: (-row["f1"], row["runtime_seconds"], row["id"]))
-    return FeatureSelectionResult(algorithm=algorithm, top_sets=rows[:top_k])
+    candidates = [
+        candidate
+        for candidate in enumerate_feature_sets(features)
+        if config.max_set_size is None or len(candidate.features) <= config.max_set_size
+    ]
+    results = {}
+    for algorithm in algorithms:
+        rows = []
+        for candidate in candidates:
+            pipeline = algorithm_pipeline(algorithm, config, candidate.features)
+            outcomes = [runner.run_pipeline(pipeline, dataset) for dataset in datasets]
+            report = average_reports([outcome.report for outcome in outcomes])
+            rows.append(
+                {
+                    "id": candidate.set_id,
+                    "feature_set": candidate.label(),
+                    "recall": report.recall,
+                    "precision": report.precision,
+                    "f1": report.f1,
+                    "runtime_seconds": float(
+                        np.mean([outcome.runtime_seconds for outcome in outcomes])
+                    ),
+                }
+            )
+        rows.sort(key=lambda row: (-row["f1"], row["runtime_seconds"], row["id"]))
+        results[algorithm] = FeatureSelectionResult(algorithm=algorithm, top_sets=rows[:top_k])
+    return results
 
 
 def format_feature_selection(result: FeatureSelectionResult) -> str:

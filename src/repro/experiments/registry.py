@@ -280,13 +280,22 @@ def _report_feature_selection(result) -> str:
 
 def _run_feature_runtime(config: ExperimentConfig, full: bool):
     """Figures 7 and 9 on the configured datasets (four sets each unless
-    ``full``), then two sets of each on the first dataset: LCP's cost."""
-    names = tuple(config.dataset_names)
+    ``full``), then two sets of each on the first dataset: LCP's cost.
+
+    The union of the sets is measured once per dataset; the LCP comparison
+    reads its rows from what the two figures measured."""
+    blast = BLAST_TOP10 if full else BLAST_TOP10[:4]
+    rcnp = RCNP_TOP10 if full else RCNP_TOP10[:4]
+    rows = run_feature_runtime(blast + rcnp, config, config.dataset_names)
+
+    def measured(feature_sets, datasets=config.dataset_names):
+        return [row for row in rows if row.feature_set in feature_sets and row.dataset in datasets]
+
+    first = config.dataset_names[:1]
     return {
-        "fig7": run_feature_runtime(BLAST_TOP10 if full else BLAST_TOP10[:4], config, names),
-        "fig9": run_feature_runtime(RCNP_TOP10 if full else RCNP_TOP10[:4], config, names),
-        "lcp": run_feature_runtime(BLAST_TOP10[:2], config, names[:1])
-        + run_feature_runtime(RCNP_TOP10[:2], config, names[:1]),
+        "fig7": measured(blast),
+        "fig9": measured(rcnp),
+        "lcp": measured(BLAST_TOP10[:2], first) + measured(RCNP_TOP10[:2], first),
     }
 
 
@@ -312,10 +321,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
         title="Tables 3 & 4 — feature-set selection for BLAST and RCNP",
         config=replace(_SMALL, max_set_size=3),
         full_config=_SMALL,
-        run=lambda config, full: {
-            algorithm: run_feature_selection(algorithm, config)
-            for algorithm in ("BLAST", "RCNP")
-        },
+        run=lambda config, full: run_feature_selection(("BLAST", "RCNP"), config),
         report=lambda results: "\n\n".join(map(_report_feature_selection, results.values())),
         reads=_TRAINED + ("max_set_size",),
         reference=TABLES3_4,
@@ -350,12 +356,9 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "fig11-14": Experiment(
         title="Figures 11 & 14 — training-set size sweeps of BLAST and RCNP",
         config=_SMALL,
-        run=lambda config, full: {
-            algorithm: run_training_size_sweep(
-                algorithm, config, PAPER_TRAINING_SIZES if full else FAST_TRAINING_SIZES
-            )
-            for algorithm in ("BLAST", "RCNP")
-        },
+        run=lambda config, full: run_training_size_sweep(
+            ("BLAST", "RCNP"), config, PAPER_TRAINING_SIZES if full else FAST_TRAINING_SIZES
+        ),
         report=_parts(
             format_training_size,
             {
@@ -381,12 +384,9 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "fig13": Experiment(
         title="Figure 13 — BCl vs BLAST as the training set grows",
         config=_SMALL,
-        run=lambda config, full: {
-            algorithm: run_training_size_sweep(
-                algorithm, config, (50, 200, 500), feature_set=BLAST_FEATURE_SET
-            )
-            for algorithm in ("BCl", "BLAST")
-        },
+        run=lambda config, full: run_training_size_sweep(
+            ("BCl", "BLAST"), config, (50, 200, 500), feature_set=BLAST_FEATURE_SET
+        ),
         report=_parts(
             format_training_size, {"BCl": "Figure 13 — BCl", "BLAST": "Figure 13 — BLAST"}
         ),

@@ -46,28 +46,31 @@ class TrainingSizePoint:
 
 
 def run_training_size_sweep(
-    algorithm: str,
+    algorithms: Sequence[str],
     config: Optional[ExperimentConfig] = None,
     sizes: Sequence[int] = FAST_TRAINING_SIZES,
     feature_set: Optional[Sequence[str]] = None,
-) -> List[TrainingSizePoint]:
-    """Sweep the training-set size for one algorithm, with ``feature_set`` or
-    its standard one (Figure 13 runs BCl with BLAST's features: BCl1)."""
+) -> Dict[str, List[TrainingSizePoint]]:
+    """Sweep the training-set size for each of ``algorithms``, keyed by
+    algorithm, with ``feature_set`` or each one's standard set (Figure 13
+    runs BCl with BLAST's features: BCl1).  The datasets are prepared once."""
     config = config or ExperimentConfig()
     datasets = [prepare_dataset(name, seed=config.seed) for name in config.dataset_names]
     runner = ExperimentRunner(repetitions=config.repetitions, seed=config.seed)
-    points: List[TrainingSizePoint] = []
-    for size in sizes:
-        pipeline = algorithm_pipeline(algorithm, config, feature_set, training_size=size)
-        outcomes = [runner.run_pipeline(pipeline, dataset) for dataset in datasets]
-        averaged = average_over_datasets(outcomes)
-        points.append(
-            TrainingSizePoint(
-                algorithm=algorithm,
-                training_size=size,
-                report=next(iter(averaged.values())),
+    points: Dict[str, List[TrainingSizePoint]] = {}
+    for algorithm in algorithms:
+        points[algorithm] = []
+        for size in sizes:
+            pipeline = algorithm_pipeline(algorithm, config, feature_set, training_size=size)
+            outcomes = [runner.run_pipeline(pipeline, dataset) for dataset in datasets]
+            averaged = average_over_datasets(outcomes)
+            points[algorithm].append(
+                TrainingSizePoint(
+                    algorithm=algorithm,
+                    training_size=size,
+                    report=next(iter(averaged.values())),
+                )
             )
-        )
     return points
 
 

@@ -74,8 +74,8 @@ class CommonBlocksScheme(WeightingScheme):
     """CBS — the raw number of blocks shared by the pair, ``|B_i ∩ B_j|``.
 
     Not part of the paper's candidate feature sets but the simplest
-    co-occurrence weight and the classic unsupervised baseline, so it is
-    exposed for the unsupervised meta-blocking module and ablations.
+    co-occurrence weight and the classic unsupervised baseline (Example 2:
+    a pruning algorithm's ``retain`` on its values), and used by ablations.
     """
 
     name = "CBS"

@@ -3,9 +3,9 @@
 Block preparation builds the entity x block CSR incidence structure
 while preparing blocks and hands it forward on :attr:`PreparedBlocks.csr`.
 Statistics created through :meth:`PreparedBlocks.statistics` (and therefore
-feature generation and ``build_blocking_graph``) must reuse it —
-these tests fail if any consumer re-derives the incidence structure inside a
-pipeline run.
+feature generation and the scheme weights unsupervised pruning reads) must
+reuse it — these tests fail if any consumer re-derives the incidence
+structure inside a pipeline run.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ import repro.weights.sparse as sparse_module
 import repro.weights.statistics as statistics_module
 from repro.blocking import prepare_blocks
 from repro.core.pipeline import GeneralizedSupervisedMetaBlocking
-from repro.metablocking import build_blocking_graph
 from repro.utils.timing import StageTimer
 from repro.weights import BlockStatistics, build_entity_block_csr
 
@@ -56,16 +55,6 @@ class TestHandoff:
             stats=prepared.statistics(),
         )
         assert result.retained_count > 0
-
-    def test_blocking_graph_reuses_the_prepared_csr(self, dblpacm_dataset, forbid_csr_rebuild):
-        prepared = prepare_blocks(dblpacm_dataset.first, dblpacm_dataset.second)
-        graph = build_blocking_graph(
-            prepared.blocks,
-            scheme="CBS",
-            candidates=prepared.candidates,
-            csr=prepared.csr,
-        )
-        assert graph.edge_count == len(prepared.candidates)
 
     def test_mismatched_csr_rejected(self, dblpacm_dataset):
         prepared = prepare_blocks(dblpacm_dataset.first, dblpacm_dataset.second)

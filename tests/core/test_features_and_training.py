@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import FeatureVectorGenerator, build_training_set, generate_features
+from repro.core import FeatureVectorGenerator, build_training_set
 from repro.utils.timing import StageTimer
 from repro.weights import BLAST_FEATURE_SET, ORIGINAL_FEATURE_SET, RCNP_FEATURE_SET
 
@@ -44,10 +44,6 @@ class TestFeatureVectorGenerator:
     def test_empty_feature_set_rejected(self):
         with pytest.raises(ValueError):
             FeatureVectorGenerator(())
-
-    def test_generate_features_convenience(self, small_blocks, small_candidates):
-        matrix = generate_features(small_candidates, small_blocks, feature_set=("JS",))
-        assert matrix.values.shape == (len(small_candidates), 1)
 
     def test_values_are_finite(self, prepared_dblpacm):
         matrix = FeatureVectorGenerator(

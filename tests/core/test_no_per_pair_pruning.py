@@ -9,9 +9,10 @@ position) order every selection runs under is spelled once.
 
 At run time the same claim is held by counting the Python lines any
 ``repro`` module executes while an algorithm prunes: a loop over the pairs
-runs at least one line per pair, so every supervised and unsupervised
-algorithm, dirty and clean-clean, must finish in fewer lines than it has
-pairs to decide on (a few dozen against thousands).
+runs at least one line per pair, so every algorithm's ``prune`` (on
+probabilities) and ``retain`` (on every pair's scheme weight), dirty and
+clean-clean, must finish in fewer lines than it has pairs to decide on (a few
+dozen against thousands).
 """
 
 import ast
@@ -26,16 +27,7 @@ from repro.blocking import prepare_blocks
 from repro.core.pipeline import GeneralizedSupervisedMetaBlocking
 from repro.core.pruning import PRUNING_ALGORITHMS, VALIDITY_THRESHOLD
 from repro.datasets import load_benchmark, load_dirty_dataset
-from repro.metablocking import (
-    UnsupervisedBLAST,
-    UnsupervisedCEP,
-    UnsupervisedCNP,
-    UnsupervisedRCNP,
-    UnsupervisedRWNP,
-    UnsupervisedWEP,
-    UnsupervisedWNP,
-    build_blocking_graph,
-)
+from repro.weights import get_scheme
 
 #: fewer pairs than this and "fewer lines than pairs" would say little
 MIN_PAIRS = 100
@@ -101,29 +93,20 @@ def test_prepare_and_run_prune_without_a_per_pair_loop(dataset, monkeypatch, pru
     assert lines < valid, f"{pruning} ran {lines} lines to prune {valid} valid pairs"
 
 
-@pytest.mark.parametrize(
-    "algorithm",
-    [
-        UnsupervisedWEP(),
-        UnsupervisedWNP(),
-        UnsupervisedRWNP(),
-        UnsupervisedBLAST(),
-        UnsupervisedCEP(budget=3),
-        UnsupervisedCNP(),
-        UnsupervisedRCNP(),
-    ],
-    ids=lambda algorithm: algorithm.name,
-)
-def test_unsupervised_pruning_runs_without_a_per_pair_loop(dataset, algorithm):
+@pytest.mark.parametrize("pruning", sorted(PRUNING_ALGORITHMS))
+def test_retain_on_every_pair_runs_without_a_per_pair_loop(dataset, pruning):
     first, second, _ = dataset
+    kwargs = {"budget": 3} if pruning == "CEP" else {}
+    algorithm = PRUNING_ALGORITHMS[pruning](**kwargs)
     prepared = prepare_blocks(first, second)
-    graph = build_blocking_graph(prepared.blocks, candidates=prepared.candidates, csr=prepared.csr)
+    candidates = prepared.candidates
+    weights = get_scheme("CBS").compute_sparse(candidates, prepared.statistics())[:, 0]
     with _repro_lines_run() as executed:
-        mask = algorithm.prune(graph, prepared.blocks)
-    assert mask.dtype == bool and 0 < np.count_nonzero(mask) <= graph.edge_count
-    assert graph.edge_count >= MIN_PAIRS
-    assert executed[0] < graph.edge_count, (
-        f"{algorithm.name} ran {executed[0]} lines to prune {graph.edge_count} edges"
+        mask = algorithm.retain(weights, candidates, prepared.blocks)
+    assert mask.dtype == bool and 0 < np.count_nonzero(mask) <= len(candidates)
+    assert len(candidates) >= MIN_PAIRS
+    assert executed[0] < len(candidates), (
+        f"{pruning} ran {executed[0]} lines to retain among {len(candidates)} pairs"
     )
 
 

@@ -4,8 +4,8 @@ Cardinality pruning used to push every pair through bounded priority queues
 (Algorithms 4-5 as the paper writes them); it is now a sort and a rank cut
 (``repro.core.pruning.kernels``).  The queue bodies live on in
 ``tests/reference.py`` and every mask must equal theirs bit for bit — for
-the three supervised and the three unsupervised algorithms, on unilateral
-(dirty) and bilateral (clean-clean) node spaces, with heavy weight ties,
+the three algorithms' ``prune`` (valid pairs) and ``retain`` (every pair),
+on unilateral (dirty) and bilateral (clean-clean) node spaces, with heavy weight ties,
 pairs stored in arbitrary (registry) order, duplicate pairs, and every kind
 of budget.  The weight-based algorithms are held to the ``np.add.at`` /
 ``np.maximum.at`` passes the same way.
@@ -27,6 +27,7 @@ from repro.core.pruning import (
     CARDINALITY_BASED_ALGORITHMS,
     PRUNING_ALGORITHMS,
     BlockTotals,
+    VALIDITY_THRESHOLD,
     cep_budget,
     cnp_budget,
     get_pruning_algorithm,
@@ -35,16 +36,6 @@ from repro.core.pruning import (
 from repro.blocking import prepare_blocks
 from repro.core.pruning.kernels import node_averages, node_maxima, top_k_per_node
 from repro.datamodel import CandidateSet, EntityCollection, EntityIndexSpace, make_profile
-from repro.metablocking import (
-    BlockingGraph,
-    UnsupervisedBLAST,
-    UnsupervisedCEP,
-    UnsupervisedCNP,
-    UnsupervisedRCNP,
-    UnsupervisedRWNP,
-    UnsupervisedWEP,
-    UnsupervisedWNP,
-)
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -110,24 +101,32 @@ def test_supervised_cardinality_pruners_equal_the_queue_oracle(scored, totals):
 
 @SETTINGS
 @given(scored=scored_candidates(), totals=block_totals)
-def test_unsupervised_cardinality_pruners_equal_the_queue_oracle(scored, totals):
+def test_cardinality_criteria_on_every_pair_equal_the_queue_oracle(scored, totals):
     candidates, weights = scored
-    graph = BlockingGraph(candidates, weights, "CBS")
-    for algorithm, derive in (
-        (UnsupervisedCEP, cep_budget),
-        (UnsupervisedCNP, cnp_budget),
-        (UnsupervisedRCNP, cnp_budget),
-    ):
+    for name, derive in (("CEP", cep_budget), ("CNP", cnp_budget), ("RCNP", cnp_budget)):
         for budget in budgets(candidates) + (None,):
-            ours = algorithm(budget=budget).prune(graph, totals)
+            ours = get_pruning_algorithm(name, budget=budget).retain(weights, candidates, totals)
             theirs = reference_cardinality_prune(
                 weights,
                 candidates,
                 derive(totals) if budget is None else budget,
-                per_node=algorithm is not UnsupervisedCEP,
-                require_both=algorithm is UnsupervisedRCNP,
+                per_node=name != "CEP",
+                require_both=name == "RCNP",
             )
-            assert np.array_equal(ours, theirs), f"{algorithm.name} k={budget}"
+            assert np.array_equal(ours, theirs), f"{name} k={budget}"
+
+
+@SETTINGS
+@given(scored=scored_candidates(), totals=block_totals)
+def test_prune_is_the_validity_threshold_then_retain(scored, totals):
+    """``prune`` equals ``retain`` run on the valid pairs alone, scattered back."""
+    candidates, probabilities = scored
+    valid = np.flatnonzero(probabilities >= VALIDITY_THRESHOLD)
+    for name in sorted(PRUNING_ALGORITHMS):
+        algorithm = get_pruning_algorithm(name)
+        expected = np.zeros(len(candidates), dtype=bool)
+        expected[valid[algorithm.retain(probabilities[valid], candidates.subset(valid), totals)]] = True
+        assert np.array_equal(algorithm.prune(probabilities, candidates, totals), expected), name
 
 
 def test_cnp_ranks_a_dirty_node_by_strength_not_by_side():
@@ -185,14 +184,15 @@ def test_per_node_passes_equal_the_scatter_references(candidates, data):
     maxima = reference_node_maxima(left, right, weights, total)
     assert np.array_equal(node_maxima(left, right, weights, total), maxima)
 
-    graph = BlockingGraph(candidates, weights, "CBS")
     averages = reference_node_averages(left, right, weights, total)
     reaches_left, reaches_right = weights >= averages[left], weights >= averages[right]
-    assert np.array_equal(UnsupervisedWNP().prune(graph), reaches_left | reaches_right)
-    assert np.array_equal(UnsupervisedRWNP().prune(graph), reaches_left & reaches_right)
-    assert np.array_equal(
-        UnsupervisedBLAST().prune(graph), weights >= 0.35 * (maxima[left] + maxima[right])
-    )
+    retain = {
+        name: get_pruning_algorithm(name).retain(weights, candidates)
+        for name in ("WNP", "RWNP", "BLAST")
+    }
+    assert np.array_equal(retain["WNP"], reaches_left | reaches_right)
+    assert np.array_equal(retain["RWNP"], reaches_left & reaches_right)
+    assert np.array_equal(retain["BLAST"], weights >= 0.35 * (maxima[left] + maxima[right]))
     for name in ("BCl", "WEP", "WNP", "RWNP", "BLAST"):
         assert np.array_equal(
             get_pruning_algorithm(name).prune(weights, candidates),
@@ -224,20 +224,15 @@ def test_degenerate_sets(case, bilateral):
         assert mask.dtype == bool and mask.shape == weights.shape
         assert np.array_equal(mask, reference_prune(name, weights, candidates, totals)), name
         assert mask.sum() == (1 if case == "one-valid" else 0), name
-    graph = BlockingGraph(candidates, weights, "CBS")
-    for algorithm in (UnsupervisedCEP, UnsupervisedCNP, UnsupervisedRCNP):
-        mask = algorithm(budget=1).prune(graph)
+    for name in CARDINALITY_BASED_ALGORITHMS:
+        mask = get_pruning_algorithm(name, budget=1).retain(weights, candidates)
         theirs = reference_cardinality_prune(
-            weights,
-            candidates,
-            1,
-            per_node=algorithm is not UnsupervisedCEP,
-            require_both=algorithm is UnsupervisedRCNP,
+            weights, candidates, 1, per_node=name != "CEP", require_both=name == "RCNP"
         )
-        assert mask.dtype == bool and np.array_equal(mask, theirs), algorithm.name
-    for algorithm in (UnsupervisedWEP, UnsupervisedWNP, UnsupervisedRWNP, UnsupervisedBLAST):
-        mask = algorithm().prune(graph)
-        assert mask.dtype == bool and mask.shape == weights.shape, algorithm.name
+        assert mask.dtype == bool and np.array_equal(mask, theirs), name
+    for name in ("BCl", "WEP", "WNP", "RWNP", "BLAST"):
+        mask = get_pruning_algorithm(name).retain(weights, candidates)
+        assert mask.dtype == bool and mask.shape == weights.shape, name
 
 
 #: a small vocabulary (stop-words included) so random texts collide heavily

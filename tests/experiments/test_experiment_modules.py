@@ -7,12 +7,14 @@ A figure / table is run through its entry of the experiment registry, as
 ``repro run`` and the paper benches run it, on a smaller configuration.
 """
 
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import repro.experiments as ex
+from repro.core.pipeline import GeneralizedSupervisedMetaBlocking
 from repro.evaluation import ExperimentRunner
 from repro.experiments import EXPERIMENTS
 
@@ -126,7 +128,7 @@ class TestFeatureSelection:
         """Each set runs through the runner on every dataset; the rows are its
         averages, best F1 first, ties broken by lower run-time, then by id."""
         config = replace(tiny_config, dataset_names=("AbtBuy", "DblpAcm"), max_set_size=2)
-        result = ex.run_feature_selection("RCNP", config, top_k=5)
+        result = ex.run_feature_selection(("RCNP",), config, top_k=5)["RCNP"]
         keys = [(-row["f1"], row["runtime_seconds"], row["id"]) for row in result.top_sets]
         assert len(keys) == 5 and keys == sorted(keys)
         best = result.top_sets[0]
@@ -176,6 +178,23 @@ class TestAlgorithmComparison:
         assert {row["algorithm"] for row in rows} == {"BCl", "BLAST", "CNP", "RCNP"}
         assert ex.format_figure10(rows)
 
+    def test_figure10_runs_every_repetition(self, tiny_config, monkeypatch):
+        """Each of the four configurations runs ``repetitions`` times."""
+        runs = []
+        run = GeneralizedSupervisedMetaBlocking.run
+
+        def counted(self, *args, **kwargs):
+            runs.append(self.pruning.name)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(GeneralizedSupervisedMetaBlocking, "run", counted)
+        counts = []
+        for repetitions in (1, 2, 3):
+            runs.clear()
+            EXPERIMENTS["fig10"].run(replace(tiny_config, repetitions=repetitions), False)
+            counts.append(len(runs))
+        assert counts == [4, 8, 12]
+
 
 class TestTrainingSize:
     def test_sweep_structure(self, tiny_config):
@@ -190,7 +209,7 @@ class TestTrainingSize:
         assert set(series) == {"BCl", "BLAST"}
 
     def test_small_training_set_check_requires_size(self, tiny_config):
-        points = ex.run_training_size_sweep("BLAST", tiny_config, sizes=(20,))
+        points = ex.run_training_size_sweep(("BLAST",), tiny_config, sizes=(20,))["BLAST"]
         with pytest.raises(ValueError):
             ex.small_training_set_suffices(points, small=50)
 
@@ -270,3 +289,29 @@ class TestScalability:
             assert set(snapshot.coefficients) == {"CF-IBF", "RACCB", "RS", "NRS"}
             assert snapshot.retained_pairs >= snapshot.detected_duplicates >= 0
         assert ex.format_table6(snapshots)
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_each_dataset_is_prepared_once_per_entry_run(monkeypatch, experiment):
+    """An entry with several parts (Tables 3 and 4, Figures 7 and 9 and their
+    LCP comparison, two sweeps) prepares each of its datasets once.  (Table 2
+    reads the collections' sizes too, so it prepares its own, one per name.)"""
+    prepared = []
+    real = ex.prepare_dataset
+
+    def counted(name, *args, **kwargs):
+        prepared.append(name)
+        return real(name, *args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("repro.experiments.") and hasattr(module, "prepare_dataset"):
+            monkeypatch.setattr(module, "prepare_dataset", counted)
+    entry = EXPERIMENTS[experiment]
+    names = ("AbtBuy", "DblpAcm")
+    config = replace(entry.config, repetitions=1, max_set_size=1)
+    if "dataset_names" in entry.reads:
+        config = replace(config, dataset_names=names)
+    entry.run(config, False)
+    assert sorted(prepared) == sorted(set(prepared)), prepared
+    if "dataset_names" in entry.reads:
+        assert set(prepared) <= set(names)

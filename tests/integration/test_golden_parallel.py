@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.blocking import prepare_blocks
-from repro.core.features import generate_features
+from repro.core.features import FeatureVectorGenerator
 from repro.core.pipeline import GeneralizedSupervisedMetaBlocking
 from repro.datasets import load_benchmark
 from repro.weights import PAPER_FEATURES
@@ -39,11 +39,8 @@ def _digest(array) -> str:
 def _snapshot():
     dataset = load_benchmark(DATASET, seed=SEED, scale=SCALE)
     prepared = prepare_blocks(dataset.first, dataset.second)
-    matrix = generate_features(
-        prepared.candidates,
-        prepared.blocks,
-        feature_set=ALL_SCHEMES,
-        stats=prepared.statistics(),
+    matrix = FeatureVectorGenerator(ALL_SCHEMES).generate(
+        prepared.candidates, prepared.statistics()
     )
     retained = {}
     for pruning in ("BLAST", "RCNP"):

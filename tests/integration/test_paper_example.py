@@ -14,7 +14,7 @@ from repro.blocking import TokenBlocking, extract_candidates
 from repro.core import GeneralizedSupervisedMetaBlocking
 from repro.datamodel import CandidateSet
 from repro.evaluation import evaluate_candidates, evaluate_retained_mask
-from repro.metablocking import UnsupervisedWNP, build_blocking_graph
+from repro.core.pruning import get_pruning_algorithm
 from repro.weights import BlockStatistics, CommonBlocksScheme
 
 
@@ -59,13 +59,17 @@ class TestPaperExample:
     def test_unsupervised_meta_blocking_keeps_matches(
         self, example_blocks, paper_example_profiles
     ):
+        """Example 2: WNP on the CBS-weighted blocking graph of Figure 2a."""
         _, _, truth = paper_example_profiles
-        graph = build_blocking_graph(example_blocks, scheme="CBS")
-        mask = UnsupervisedWNP().prune(graph, example_blocks)
-        labels = truth.labels_for(graph.candidates)
+        candidates = extract_candidates(example_blocks)
+        weights = CommonBlocksScheme().compute_sparse(
+            candidates, BlockStatistics(example_blocks)
+        )[:, 0]
+        mask = get_pruning_algorithm("WNP").retain(weights, candidates, example_blocks)
+        labels = truth.labels_for(candidates)
         report = evaluate_retained_mask(mask, labels, len(truth))
         assert report.recall == 1.0
-        assert mask.sum() < graph.edge_count  # some superfluous pairs pruned
+        assert mask.sum() < len(candidates)  # some superfluous pairs pruned
 
     def test_supervised_pipeline_on_tiny_example(self, example_blocks, paper_example_profiles):
         """The supervised pipeline degrades gracefully on a 3-duplicate toy input."""

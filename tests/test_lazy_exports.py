@@ -43,7 +43,6 @@ PACKAGES = sorted(
 NOT_FOR_SERVING = (
     "repro.experiments",
     "repro.evaluation",
-    "repro.metablocking",
     "repro.datasets.benchmarks",
     "repro.datasets.dirty",
     "repro.datasets.loaders",
@@ -133,7 +132,7 @@ def test_a_recovered_daemon_loads_what_serving_needs_before_its_banner(tmp_path)
 
 def test_every_package_with_public_names_declares_them_in_one_table():
     """No ``from .x import`` block left in a re-exporting ``__init__``."""
-    assert len(PACKAGES) == 15 and "repro" in PACKAGES
+    assert len(PACKAGES) == 14 and "repro" in PACKAGES
     for package in PACKAGES:
         path = Path(importlib.import_module(package).__file__)
         relative = [

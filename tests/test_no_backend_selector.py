@@ -23,7 +23,7 @@ import pytest
 import repro.blocking
 import repro.weights
 from repro.blocking import PreparedBlocks, prepare_blocks
-from repro.core import FeatureVectorGenerator, generate_features
+from repro.core import FeatureVectorGenerator
 from repro.core.features import FeatureMatrix
 from repro.core.pipeline import GeneralizedSupervisedMetaBlocking
 from repro.experiments import ExperimentConfig, run_block_quality
@@ -32,7 +32,6 @@ from repro.experiments.feature_runtime import FeatureRuntimeRow
 from repro.incremental.index import MutableBlockIndex
 from repro.incremental.session import MatchingSession
 from repro.incremental.stream import train_frozen_model
-from repro.metablocking import build_blocking_graph
 from repro.persistence.recovery import recover_session
 from repro.persistence.snapshot import build_index_from_state, construct_index
 from repro.serve.daemon import MatchingDaemon
@@ -44,9 +43,7 @@ POOL_KNOBS = {"workers", "executor", "tokenize_workers", "signature_lists"}
 
 BATCH_ENTRY_POINTS = [
     FeatureVectorGenerator,
-    generate_features,
     GeneralizedSupervisedMetaBlocking,
-    build_blocking_graph,
     prepare_blocks,
     train_frozen_model,
     ExperimentConfig,

@@ -60,6 +60,7 @@ GONE = {
     "EntityCollection.by_id",
     "CandidateSet.as_tuples",
     "CandidatePair.as_tuple",
+    "generate_features",
 }
 
 #: the modules that held nothing but test-only surface

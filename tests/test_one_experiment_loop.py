@@ -138,7 +138,7 @@ def test_lcp_bearing_runs_reuse_the_handed_over_statistics(monkeypatch, name, sc
 def test_the_table3_4_sweep_and_the_runtime_figures_reuse_them(monkeypatch):
     _refuse_recomputation(monkeypatch)
     config = ExperimentConfig.fast(dataset_names=("AbtBuy",), repetitions=1, max_set_size=1)
-    result = ex.run_feature_selection("RCNP", config, top_k=8)
+    result = ex.run_feature_selection(("RCNP",), config, top_k=8)["RCNP"]
     assert "{LCP}" in [row["feature_set"] for row in result.top_sets]
     rows = ex.run_feature_runtime([("CF-IBF", "LCP")], config, ("AbtBuy",))
     assert rows[0].total_seconds > 0

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from hypothesis.extra import numpy as hnp
 
-from repro.core import FeatureVectorGenerator, generate_features
+from repro.core import FeatureVectorGenerator
 from repro.datamodel import Block, BlockCollection, CandidateSet, EntityIndexSpace
 from repro.weights import PAPER_FEATURES, SCHEME_CLASSES, BlockStatistics, schemes, sparse
 
@@ -151,11 +151,11 @@ def test_full_feature_matrix_equivalence(data):
 
 @given(data=unilateral_collections())
 @settings(max_examples=25, deadline=None)
-def test_generate_features_backend_equivalence(data):
-    """The convenience wrapper (builds its own statistics) matches the reference."""
+def test_dirty_feature_matrix_equivalence(data):
+    """On a dirty collection too, statistics built from the blocks alone."""
     blocks, candidates = data
     loop = reference_feature_matrix(PAPER_FEATURES, candidates, BlockStatistics(blocks))
-    sparse = generate_features(candidates, blocks, feature_set=PAPER_FEATURES)
+    sparse = FeatureVectorGenerator(PAPER_FEATURES).generate(candidates, BlockStatistics(blocks))
     np.testing.assert_allclose(sparse.values, loop.values, **TOLERANCES)
 
 
