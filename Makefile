@@ -91,7 +91,11 @@
 #                            loop or the one-value knobs, no experiment builds its own
 #                            BlockStatistics, and LCP-bearing runs on a prepared dataset
 #                            recompute neither the co-occurrence aggregates nor the
-#                            candidate pairs block preparation handed over)
+#                            candidate pairs block preparation handed over; one
+#                            implementation per weighting scheme: `compute` is the
+#                            only abstract method and nothing names its former
+#                            vectorized twin, the reference being the paper's set
+#                            formulas over each Block's member lists)
 #   make test-fast         - tier-1 suite without the perf smoke tests, then tests/serve,
 #                            tests/faults and tests/persistence in one invocation (the
 #                            fixture model they pickle must not depend on collection order)
@@ -165,7 +169,8 @@ test-equivalence:
 		tests/test_no_test_only_surface.py tests/test_no_unused_imports.py \
 		tests/test_one_boundary_schema.py tests/persistence/test_schema_property.py \
 		tests/test_one_experiment_registry.py tests/test_one_experiment_loop.py \
-		tests/test_one_pruning_implementation.py tests/core/test_retain.py
+		tests/test_one_pruning_implementation.py tests/core/test_retain.py \
+		tests/test_one_weighting_implementation.py
 
 test-fast:
 	REPRO_SKIP_PERF=1 $(PYTEST) -x -q

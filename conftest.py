@@ -17,7 +17,7 @@ if str(_SRC) not in sys.path:
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "perf: performance smoke tests timing compute_sparse against the reference "
+        "perf: performance smoke tests timing the weighting schemes against the reference "
         "(deselect with '-m \"not perf\"' or set REPRO_SKIP_PERF=1 in "
         "constrained CI)",
     )

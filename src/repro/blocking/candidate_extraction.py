@@ -60,7 +60,6 @@ def prepare_blocks(
     filtering_ratio: float = PAPER_CLEANING.filtering_ratio,
     apply_purging: bool = True,
     apply_filtering: bool = True,
-    timer: Optional[StageTimer] = None,
 ) -> PreparedBlocks:
     """Run the paper's block-preparation pipeline.
 
@@ -80,10 +79,6 @@ def prepare_blocks(
         Block Filtering retention ratio (0.8 = drop each entity's largest 20 %).
     apply_purging, apply_filtering:
         Toggle the cleaning steps (the scalability experiments skip filtering).
-    timer:
-        Optional :class:`StageTimer`; the preparation's total wall-clock is
-        added to its ``"block-preparation"`` stage (the per-stage breakdown
-        stays on :attr:`PreparedBlocks.timer`).
     """
     stages = StageTimer()
     method = blocking if blocking is not None else TokenBlocking()
@@ -100,8 +95,6 @@ def prepare_blocks(
     with stages.stage("candidate-extraction"):
         csr = filtered_matrix.csr()
         candidates, cooccurrence = reduce_candidates(filtered_matrix, csr)
-    if timer is not None:
-        timer.add("block-preparation", stages.total)
     return PreparedBlocks(
         raw_blocks=LazyBlockCollection(raw_matrix),
         purged_blocks=LazyBlockCollection(purged_matrix),

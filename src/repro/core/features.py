@@ -3,8 +3,7 @@
 Supervised Meta-blocking represents every candidate pair as a feature vector
 whose components are weighting-scheme scores (paper Section 2.1).  The
 generator assembles the requested schemes into an ``(n_pairs, n_features)``
-matrix, recording the time spent per scheme so the run-time experiments can
-attribute cost to individual features (LCP being the expensive one).
+matrix.
 
 The matrix is *feature-major* (Fortran order): the schemes that fill it,
 scaling and the column-ordered score all work a column at a time, and a
@@ -13,13 +12,12 @@ row-major matrix of width 4-6 turns each of those passes into a strided crawl.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..datamodel.candidates import CandidateSet
-from ..utils.timing import StageTimer
 from ..weights.registry import ORIGINAL_FEATURE_SET, get_schemes
 from ..weights.statistics import BlockStatistics
 
@@ -34,8 +32,6 @@ class FeatureMatrix:
     columns: Tuple[str, ...]
     #: the scheme names the matrix was generated from
     feature_set: Tuple[str, ...]
-    #: seconds spent computing each scheme
-    scheme_seconds: Dict[str, float] = field(default_factory=dict)
 
     @property
     def n_pairs(self) -> int:
@@ -81,12 +77,7 @@ class FeatureVectorGenerator:
                 labels.extend(f"{scheme.name}(e_{side})" for side in ("i", "j"))
         return tuple(labels)
 
-    def generate(
-        self,
-        candidates: CandidateSet,
-        stats: BlockStatistics,
-        timer: Optional[StageTimer] = None,
-    ) -> FeatureMatrix:
+    def generate(self, candidates: CandidateSet, stats: BlockStatistics) -> FeatureMatrix:
         """Compute the feature matrix for ``candidates``.
 
         Parameters
@@ -95,23 +86,11 @@ class FeatureVectorGenerator:
             The distinct candidate pairs.
         stats:
             Precomputed block statistics of the underlying block collection.
-        timer:
-            Optional :class:`StageTimer`; feature-generation time is added to
-            its ``"features"`` stage.
         """
         values = np.empty((len(candidates), len(self.columns)), dtype=np.float64, order="F")
-        local_timer = StageTimer()
         stop = 0
         for scheme in self._schemes:
             start, stop = stop, stop + scheme.width
-            with local_timer.stage(scheme.name):
-                values[:, start:stop] = scheme.compute_sparse(candidates, stats)
-        if timer is not None:
-            timer.add("features", local_timer.total)
-        return FeatureMatrix(
-            values=values,
-            columns=self.columns,
-            feature_set=self.feature_set,
-            scheme_seconds={scheme.name: local_timer.get(scheme.name) for scheme in self._schemes},
-        )
+            values[:, start:stop] = scheme.compute(candidates, stats)
+        return FeatureMatrix(values=values, columns=self.columns, feature_set=self.feature_set)
 

@@ -154,9 +154,8 @@ class GeneralizedSupervisedMetaBlocking:
         timer = StageTimer()
         statistics = stats if stats is not None else BlockStatistics(blocks)
         if feature_matrix is None:
-            feature_matrix = self.feature_generator.generate(
-                candidates, statistics, timer=timer
-            )
+            with timer.stage("features"):
+                feature_matrix = self.feature_generator.generate(candidates, statistics)
         elif feature_matrix.n_pairs != len(candidates):
             raise ValueError("precomputed feature matrix does not match the candidates")
 

@@ -103,7 +103,7 @@ class SupervisedPruningAlgorithm(ABC):
 
         This is unsupervised Meta-blocking when ``weights`` are a weighting
         scheme's values (one per pair, e.g. ``get_scheme("RACCB")
-        .compute_sparse(candidates, stats)[:, 0]``): they need not lie in
+        .compute(candidates, stats)[:, 0]``): they need not lie in
         [0, 1], so only their shape is checked.  ``blocks`` is read as by
         :meth:`prune`.
         """

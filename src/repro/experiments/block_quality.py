@@ -10,12 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..blocking.candidate_extraction import prepare_blocks
-from ..datasets.benchmarks import load_benchmark
 from ..datasets.registry import CLEAN_CLEAN_ORDER
 from ..evaluation.metrics import evaluate_candidates
 from ..evaluation.reporting import format_table
 from ..utils.rng import SeedLike
+from .common import prepare_dataset
 
 
 @dataclass
@@ -53,14 +52,14 @@ def run_block_quality(
     """Compute Table 1 + Table 2 rows for the given benchmarks."""
     rows: List[BlockQualityRow] = []
     for name in dataset_names:
-        dataset = load_benchmark(name, seed=seed, scale=scale)
-        prepared = prepare_blocks(dataset.first, dataset.second)
+        dataset = prepare_dataset(name, seed=seed, scale=scale)
+        prepared = dataset.prepared
         report = evaluate_candidates(prepared.candidates, dataset.ground_truth)
         rows.append(
             BlockQualityRow(
                 dataset=name,
-                entities_first=len(dataset.first),
-                entities_second=len(dataset.second),
+                entities_first=prepared.blocks.index_space.size_first,
+                entities_second=prepared.blocks.index_space.size_second,
                 duplicates=len(dataset.ground_truth),
                 candidates=len(prepared.candidates),
                 recall=report.recall,

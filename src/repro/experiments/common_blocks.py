@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from ..evaluation.reporting import format_table
+from ..weights.sparse import compute_pair_cooccurrence
 from .common import ExperimentConfig, prepare_dataset
 
 
@@ -57,12 +60,21 @@ def run_common_block_distribution(
     for name in dataset_names:
         dataset = prepare_dataset(name, seed=config.seed)
         stats = dataset.prepared.statistics()
-        counts: Dict[int, int] = {}
-        total = len(dataset.ground_truth)
-        for i, j in dataset.ground_truth:
-            shared = stats.common_block_count(i, j)
-            counts[shared] = counts.get(shared, 0) + 1
-        portions = {key: value / total for key, value in counts.items()} if total else {}
+        duplicates = np.array(list(dataset.ground_truth), dtype=np.int64).reshape(-1, 2)
+        shared = compute_pair_cooccurrence(
+            stats.csr(),
+            stats.inverse_block_cardinalities,
+            stats.inverse_block_sizes,
+            duplicates[:, 0],
+            duplicates[:, 1],
+            stats.sides,
+        ).common
+        total = len(duplicates)
+        portions = {
+            blocks: int(count) / total
+            for blocks, count in enumerate(np.bincount(shared.astype(np.int64)))
+            if count
+        }
         distributions.append(CommonBlockDistribution(dataset=name, portions=portions))
     return distributions
 

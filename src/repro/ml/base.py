@@ -67,7 +67,7 @@ class ProbabilisticClassifier(ABC):
         check_consistent_length(matrix, targets)
         if matrix.shape[0] == 0:
             raise ValueError("cannot fit on an empty training set")
-        if np.unique(targets).size < 2:
+        if targets.min() == targets.max():
             raise ValueError("training set must contain both classes")
         return matrix, targets
 

@@ -30,12 +30,6 @@ class StageTimer:
             elapsed = time.perf_counter() - start
             self.stages[name] = self.stages.get(name, 0.0) + elapsed
 
-    def add(self, name: str, seconds: float) -> None:
-        """Add ``seconds`` to stage ``name`` (for externally-measured time)."""
-        if seconds < 0:
-            raise ValueError("seconds must be non-negative")
-        self.stages[name] = self.stages.get(name, 0.0) + seconds
-
     @property
     def total(self) -> float:
         """Total accumulated seconds across all stages."""
@@ -44,13 +38,6 @@ class StageTimer:
     def get(self, name: str) -> float:
         """Seconds accumulated for ``name`` (0.0 when never timed)."""
         return self.stages.get(name, 0.0)
-
-    def merge(self, other: "StageTimer") -> "StageTimer":
-        """Return a new timer with the stage-wise sum of both timers."""
-        merged = StageTimer(dict(self.stages))
-        for name, seconds in other.stages.items():
-            merged.add(name, seconds)
-        return merged
 
     def as_dict(self) -> Dict[str, float]:
         """Return a copy of the per-stage accumulation."""

@@ -31,9 +31,11 @@ def check_binary_labels(labels: Any, name: str = "y") -> np.ndarray:
     if array.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional, got shape {array.shape}")
     as_float = array.astype(np.float64)
-    unique = np.unique(as_float)
-    if not np.all(np.isin(unique, (0.0, 1.0))):
-        raise ValueError(f"{name} must contain only 0/1 labels, got values {unique}")
+    # np.unique only for the message: its first call imports numpy.ma
+    if not np.all((as_float == 0.0) | (as_float == 1.0)):
+        raise ValueError(
+            f"{name} must contain only 0/1 labels, got values {np.unique(as_float)}"
+        )
     return as_float
 
 

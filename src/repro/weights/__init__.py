@@ -1,17 +1,16 @@
 """Weighting schemes and block co-occurrence statistics.
 
-Every weighting scheme has one formula (paper Section 4) and two
-implementations of it.  ``WeightingScheme.compute_sparse`` is the one the
-library runs (:mod:`repro.weights.sparse`): the block collection is flattened
-once into an entity x block CSR incidence structure and the per-pair
-co-occurrence aggregates of *all* candidate pairs are computed in batched
-NumPy operations.  ``WeightingScheme.compute`` is the per-pair reference: a
-readable Python loop intersecting per-entity frozensets of block ids that
-mirrors the paper's formulas line by line.  Nothing selects it at run time;
+Every weighting scheme has one formula (paper Section 4) and one
+implementation of it, ``WeightingScheme.compute`` (:mod:`repro.weights.sparse`):
+the block collection is flattened once into an entity x block CSR incidence
+structure and the per-pair co-occurrence aggregates of *all* candidate pairs
+are computed in batched NumPy operations.  The per-pair reference lives in
+``tests/reference.py``: the paper's set formulas over each ``Block``'s member
+lists, line by line, with no CSR and no :class:`BlockStatistics` array.
 ``tests/weights/test_backend_equivalence.py`` and
-``tests/weights/test_golden_features.py`` call it directly and guard
-``np.allclose``-identical feature matrices for every registered scheme, so an
-optimisation that shifts a score fails the suite.
+``tests/weights/test_golden_features.py`` guard ``np.allclose``-identical
+feature matrices for every registered scheme, so an optimisation that shifts a
+score fails the suite.
 """
 
 from .._exports import lazy_exports

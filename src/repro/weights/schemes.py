@@ -9,21 +9,16 @@ adds EJS, WJS, RS and NRS as new features.
 All schemes implement :class:`WeightingScheme`; pair-level schemes produce a
 single feature column, entity-level schemes (LCP) produce two.
 
-Every scheme carries two implementations of the same formula:
-
-* :meth:`WeightingScheme.compute_sparse` — what the library runs, combining
-  the batched co-occurrence aggregates of
-  :meth:`repro.weights.statistics.BlockStatistics.pair_cooccurrence` with
-  per-entity arrays in plain NumPy arithmetic (entity-level log factors
-  once per entity; CBS / RACCB / RS are read-only views of the cache);
-* :meth:`WeightingScheme.compute` — the readable per-pair reference.  Nothing
-  in the library calls it; the equivalence tests do, and assert both produce
-  ``np.allclose``-identical matrices.
+Each scheme has one implementation, :meth:`WeightingScheme.compute`: the
+batched co-occurrence aggregates of
+:meth:`repro.weights.statistics.BlockStatistics.pair_cooccurrence` combined
+with per-entity arrays in plain NumPy arithmetic (entity-level log factors
+once per entity; CBS / RACCB / RS are read-only views of the cache).  The
+per-pair set formulas they are checked against live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 import numpy as np
 
@@ -44,22 +39,8 @@ class WeightingScheme(ABC):
     def compute(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
         """Return an ``(n_pairs, width)`` array of feature values."""
 
-    @abstractmethod
-    def compute_sparse(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
-        """Vectorized counterpart of :meth:`compute` (same shape and values)."""
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return self.name
-
-
-def _safe_log_ratio(total: float, value: float) -> float:
-    """``log(total / value)`` guarded against zero/degenerate denominators."""
-    if value <= 0.0 or total <= 0.0:
-        return 0.0
-    ratio = total / value
-    if ratio <= 1.0:
-        return 0.0
-    return math.log(ratio)
 
 
 def _jaccard_column(shared, per_entity, candidates: CandidateSet, common) -> np.ndarray:
@@ -81,12 +62,6 @@ class CommonBlocksScheme(WeightingScheme):
     name = "CBS"
 
     def compute(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
-        values = np.zeros((len(candidates), 1), dtype=np.float64)
-        for position, (i, j) in enumerate(zip(candidates.left, candidates.right)):
-            values[position, 0] = stats.common_block_count(int(i), int(j))
-        return values
-
-    def compute_sparse(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
         return stats.pair_cooccurrence(candidates).common.reshape(-1, 1)
 
 
@@ -100,19 +75,6 @@ class CFIBFScheme(WeightingScheme):
     name = "CF-IBF"
 
     def compute(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
-        values = np.zeros((len(candidates), 1), dtype=np.float64)
-        total_blocks = float(stats.num_blocks)
-        for position, (i, j) in enumerate(zip(candidates.left, candidates.right)):
-            i, j = int(i), int(j)
-            common = stats.common_block_count(i, j)
-            if common == 0:
-                continue
-            ibf_i = _safe_log_ratio(total_blocks, stats.blocks_per_entity[i])
-            ibf_j = _safe_log_ratio(total_blocks, stats.blocks_per_entity[j])
-            values[position, 0] = common * ibf_i * ibf_j
-        return values
-
-    def compute_sparse(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
         common = stats.pair_cooccurrence(candidates).common
         ibf_left, ibf_right = entity_log_ratios(
             float(stats.num_blocks), stats.blocks_per_entity, candidates.left, candidates.right
@@ -131,13 +93,6 @@ class RACCBScheme(WeightingScheme):
     name = "RACCB"
 
     def compute(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
-        values = np.zeros((len(candidates), 1), dtype=np.float64)
-        for position, (i, j) in enumerate(zip(candidates.left, candidates.right)):
-            common = stats.common_blocks(int(i), int(j))
-            values[position, 0] = stats.sum_inverse_cardinality(common)
-        return values
-
-    def compute_sparse(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
         aggregates = stats.pair_cooccurrence(candidates)
         return aggregates.sum_inverse_cardinality.reshape(-1, 1)
 
@@ -151,18 +106,6 @@ class JaccardScheme(WeightingScheme):
     name = "JS"
 
     def compute(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
-        values = np.zeros((len(candidates), 1), dtype=np.float64)
-        for position, (i, j) in enumerate(zip(candidates.left, candidates.right)):
-            i, j = int(i), int(j)
-            common = stats.common_block_count(i, j)
-            if common == 0:
-                continue
-            union = stats.blocks_per_entity[i] + stats.blocks_per_entity[j] - common
-            if union > 0:
-                values[position, 0] = common / union
-        return values
-
-    def compute_sparse(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
         common = stats.pair_cooccurrence(candidates).common
         return _jaccard_column(common, stats.blocks_per_entity, candidates, common)
 
@@ -178,19 +121,6 @@ class EnhancedJaccardScheme(WeightingScheme):
 
     def compute(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
         jaccard = JaccardScheme().compute(candidates, stats)[:, 0]
-        values = np.zeros((len(candidates), 1), dtype=np.float64)
-        total = stats.total_cardinality
-        for position, (i, j) in enumerate(zip(candidates.left, candidates.right)):
-            if jaccard[position] == 0.0:
-                continue
-            i, j = int(i), int(j)
-            factor_i = _safe_log_ratio(total, stats.entity_cardinality[i])
-            factor_j = _safe_log_ratio(total, stats.entity_cardinality[j])
-            values[position, 0] = jaccard[position] * factor_i * factor_j
-        return values
-
-    def compute_sparse(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
-        jaccard = JaccardScheme().compute_sparse(candidates, stats)[:, 0]
         factor_left, factor_right = entity_log_ratios(
             stats.total_cardinality, stats.entity_cardinality, candidates.left, candidates.right
         )
@@ -207,23 +137,6 @@ class WeightedJaccardScheme(WeightingScheme):
     name = "WJS"
 
     def compute(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
-        values = np.zeros((len(candidates), 1), dtype=np.float64)
-        for position, (i, j) in enumerate(zip(candidates.left, candidates.right)):
-            i, j = int(i), int(j)
-            common = stats.common_blocks(i, j)
-            if not common:
-                continue
-            shared = stats.sum_inverse_cardinality(common)
-            denominator = (
-                stats.entity_inv_cardinality[i]
-                + stats.entity_inv_cardinality[j]
-                - shared
-            )
-            if denominator > 0:
-                values[position, 0] = shared / denominator
-        return values
-
-    def compute_sparse(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
         aggregates = stats.pair_cooccurrence(candidates)
         shared = aggregates.sum_inverse_cardinality
         return _jaccard_column(shared, stats.entity_inv_cardinality, candidates, aggregates.common)
@@ -238,13 +151,6 @@ class ReciprocalSizesScheme(WeightingScheme):
     name = "RS"
 
     def compute(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
-        values = np.zeros((len(candidates), 1), dtype=np.float64)
-        for position, (i, j) in enumerate(zip(candidates.left, candidates.right)):
-            common = stats.common_blocks(int(i), int(j))
-            values[position, 0] = stats.sum_inverse_size(common)
-        return values
-
-    def compute_sparse(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
         return stats.pair_cooccurrence(candidates).sum_inverse_size.reshape(-1, 1)
 
 
@@ -257,21 +163,6 @@ class NormalizedReciprocalSizesScheme(WeightingScheme):
     name = "NRS"
 
     def compute(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
-        values = np.zeros((len(candidates), 1), dtype=np.float64)
-        for position, (i, j) in enumerate(zip(candidates.left, candidates.right)):
-            i, j = int(i), int(j)
-            common = stats.common_blocks(i, j)
-            if not common:
-                continue
-            shared = stats.sum_inverse_size(common)
-            denominator = (
-                stats.entity_inv_size[i] + stats.entity_inv_size[j] - shared
-            )
-            if denominator > 0:
-                values[position, 0] = shared / denominator
-        return values
-
-    def compute_sparse(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
         aggregates = stats.pair_cooccurrence(candidates)
         shared = aggregates.sum_inverse_size
         return _jaccard_column(shared, stats.entity_inv_size, candidates, aggregates.common)
@@ -282,22 +173,16 @@ class LocalCandidatesScheme(WeightingScheme):
 
     Entity-level feature: contributes two columns, ``LCP(e_i)`` and
     ``LCP(e_j)``.  The fewer candidates an entity has, the more likely it is
-    to match one of them.  Its computation iterates over every block of every
-    entity, which is why feature sets avoiding it (BLAST's Formula 1) are
-    substantially faster.
+    to match one of them.  The paper computes it by iterating over every block
+    of every entity, which is why feature sets avoiding it (BLAST's Formula 1)
+    are substantially faster there; here it is each entity's degree in the
+    candidate-pair set (:meth:`BlockStatistics.local_candidate_counts_sparse`).
     """
 
     name = "LCP"
     width = 2
 
     def compute(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
-        counts = stats.local_candidate_counts()
-        values = np.zeros((len(candidates), 2), dtype=np.float64)
-        values[:, 0] = counts[candidates.left]
-        values[:, 1] = counts[candidates.right]
-        return values
-
-    def compute_sparse(self, candidates: CandidateSet, stats: BlockStatistics) -> np.ndarray:
         counts = stats.local_candidate_counts_sparse()
         values = np.empty((len(candidates), 2), dtype=np.float64, order="F")
         values[:, 0] = counts[candidates.left]

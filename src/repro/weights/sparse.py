@@ -29,7 +29,8 @@ Python) by one of two passes that add a pair's terms in the same order:
 Cached aggregates are read-only (:class:`PairCooccurrenceCache`); entity-level
 log factors (CF-IBF, EJS) are taken per entity (:func:`entity_log_ratios`).
 
-The per-pair ``WeightingScheme.compute`` bodies are the reference these
+The paper's per-pair set formulas over each ``Block``'s member lists
+(``tests/reference.py::reference_feature_matrix``) are the reference these
 kernels are checked against: ``tests/weights/test_backend_equivalence.py``
 and ``tests/weights/test_golden_features.py`` assert ``np.allclose``-identical
 feature matrices on randomized and golden inputs.
@@ -626,9 +627,7 @@ class PairCooccurrenceCache:
 
 
 def safe_log_ratio_array(total: float, values: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`repro.weights.schemes._safe_log_ratio`.
-
-    ``log(total / values)`` element-wise, 0 where the denominator is
+    """``log(total / values)`` element-wise, 0 where the denominator is
     non-positive, the total is non-positive, or the ratio does not exceed 1.
     """
     values = np.asarray(values, dtype=np.float64)

@@ -9,14 +9,17 @@ co-occurrence patterns of a candidate pair:
 * ``||B||`` — the total number of comparisons in the collection;
 * ``||e_i||`` — the summed cardinality of the blocks of ``e_i``.
 
-:class:`BlockStatistics` precomputes these quantities once per block
-collection so that feature generation touches only per-pair set
-intersections, the irreducible part of the cost.
+:class:`BlockStatistics` precomputes the per-block and per-entity quantities
+once per block collection, from its entity x block CSR, and answers the
+per-pair ones for all candidate pairs in one batched co-occurrence pass
+(:meth:`BlockStatistics.pair_cooccurrence`).  It is the only implementation:
+the per-pair set formulas the tests hold it against read each ``Block``'s
+member lists in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Set
+from typing import Optional
 
 import numpy as np
 
@@ -82,8 +85,8 @@ class BlockStatistics:
         self.block_sizes = np.asarray(blocks.block_sizes(), dtype=np.float64)
         self.block_cardinalities = np.asarray(blocks.block_cardinalities(), dtype=np.float64)
         self.total_cardinality = float(self.block_cardinalities.sum())
-        # per-block inverse weights shared by both scheme implementations (the
-        # max(..., 1) guard mirrors sum_inverse_cardinality/sum_inverse_size)
+        # per-block inverse weights, 1/max(value, 1): what a shared block adds
+        # to the RACCB / WJS / RS / NRS sums
         self.inverse_block_cardinalities = inverse_block_weights(self.block_cardinalities)
         self.inverse_block_sizes = inverse_block_weights(self.block_sizes)
         #: source side per node id (1: second collection) — what makes the
@@ -112,8 +115,6 @@ class BlockStatistics:
 
         self._csr = csr
         self._candidates = candidates
-        self._entity_blocks: Optional[Dict[int, FrozenSet[int]]] = None
-        self._lcp: Optional[np.ndarray] = None
         self._lcp_sparse: Optional[np.ndarray] = None
         self._pair_cache = PairCooccurrenceCache()
 
@@ -151,87 +152,15 @@ class BlockStatistics:
         """
         self._pair_cache.seed(candidates, aggregates)
 
-    # -- memberships -----------------------------------------------------------
-    def blocks_of(self, node: int) -> FrozenSet[int]:
-        """The block ids containing ``node`` (empty when the node has none).
-
-        Only the loop oracle intersects these sets, so the map is built from
-        the CSR on the first call rather than at construction.
-        """
-        if self._entity_blocks is None:
-            indptr, indices = self._csr.indptr.tolist(), self._csr.indices.tolist()
-            self._entity_blocks = {
-                node: frozenset(indices[begin:end])
-                for node, (begin, end) in enumerate(zip(indptr, indptr[1:]))
-                if end > begin
-            }
-        return self._entity_blocks.get(node, frozenset())
-
-    def common_blocks(self, i: int, j: int) -> FrozenSet[int]:
-        """The blocks shared by nodes ``i`` and ``j`` (``B_i ∩ B_j``)."""
-        blocks_i = self.blocks_of(i)
-        blocks_j = self.blocks_of(j)
-        if len(blocks_i) > len(blocks_j):
-            blocks_i, blocks_j = blocks_j, blocks_i
-        return blocks_i & blocks_j
-
-    # -- aggregates over common blocks -----------------------------------------
-    def common_block_count(self, i: int, j: int) -> int:
-        """``|B_i ∩ B_j|`` — the raw number of shared blocks."""
-        return len(self.common_blocks(i, j))
-
-    def sum_inverse_cardinality(self, block_ids: FrozenSet[int]) -> float:
-        """``Σ 1/||b||`` over the given blocks (RACCB/WJS numerator)."""
-        if not block_ids:
-            return 0.0
-        ids = list(block_ids)
-        return float(np.sum(1.0 / np.maximum(self.block_cardinalities[ids], 1.0)))
-
-    def sum_inverse_size(self, block_ids: FrozenSet[int]) -> float:
-        """``Σ 1/|b|`` over the given blocks (RS/NRS numerator)."""
-        if not block_ids:
-            return 0.0
-        ids = list(block_ids)
-        return float(np.sum(1.0 / np.maximum(self.block_sizes[ids], 1.0)))
-
     # -- LCP ---------------------------------------------------------------------
-    def local_candidate_counts(self) -> np.ndarray:
-        """``LCP(e_i)`` — the number of distinct candidates of every entity.
-
-        Computed, as in the reference implementation, by iterating over the
-        blocks of every entity and collecting its distinct co-occurring
-        entities.  This is deliberately the expensive formulation the paper's
-        run-time analysis relies on; the result is cached after the first call.
-        """
-        if self._lcp is None:
-            total_nodes = self.blocks.index_space.total
-            counts = np.zeros(total_nodes, dtype=np.float64)
-            neighbours: Dict[int, Set[int]] = {}
-            for block in self.blocks:
-                if block.is_bilateral:
-                    for node in block.entities_first:
-                        neighbours.setdefault(node, set()).update(block.entities_second)
-                    for node in block.entities_second:
-                        neighbours.setdefault(node, set()).update(block.entities_first)
-                else:
-                    members = block.entities_first
-                    member_set = set(members)
-                    for node in members:
-                        others = member_set - {node}
-                        neighbours.setdefault(node, set()).update(others)
-            for node, candidate_set in neighbours.items():
-                counts[node] = len(candidate_set)
-            self._lcp = counts
-        return self._lcp
-
     def local_candidate_counts_sparse(self) -> np.ndarray:
         """LCP as the degree of every node in the distinct candidate-pair set.
 
         The pairs are the ones handed over at construction or, for a bare
         ``BlockStatistics(blocks)``, derived with the side-aware expansion
-        candidate extraction uses.  Independent of the loop formulation
-        above (own cache), so the equivalence tests genuinely compare the
-        two.
+        candidate extraction uses.  The tests hold it against
+        ``tests/reference.py::reference_lcp``, which walks every block of
+        every entity as the paper counts it.
         """
         if self._lcp_sparse is None:
             total_nodes = self.blocks.index_space.total

@@ -142,7 +142,7 @@ def test_the_cooccurrence_cache_and_its_column_views_are_read_only(clean):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = -1.0
     for name in ("CBS", "RACCB", "RS"):
-        column = SCHEME_CLASSES[name]().compute_sparse(candidates, stats)
+        column = SCHEME_CLASSES[name]().compute(candidates, stats)
         assert column.shape == (len(candidates), 1)
         with pytest.raises(ValueError, match="read-only"):
             column[0, 0] = -1.0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import FeatureVectorGenerator, build_training_set
-from repro.utils.timing import StageTimer
 from repro.weights import BLAST_FEATURE_SET, ORIGINAL_FEATURE_SET, RCNP_FEATURE_SET
 
 from reference import reference_feature_matrix
@@ -26,14 +25,6 @@ class TestFeatureVectorGenerator:
     def test_rcnp_feature_set_width(self, small_candidates, small_stats):
         matrix = FeatureVectorGenerator(RCNP_FEATURE_SET).generate(small_candidates, small_stats)
         assert matrix.n_features == 6  # LCP contributes two columns
-
-    def test_scheme_timing_recorded(self, small_candidates, small_stats):
-        timer = StageTimer()
-        matrix = FeatureVectorGenerator(("JS", "LCP")).generate(
-            small_candidates, small_stats, timer=timer
-        )
-        assert set(matrix.scheme_seconds) == {"JS", "LCP"}
-        assert timer.get("features") > 0.0
 
     def test_matrix_matches_reference(self, small_candidates, small_stats):
         loop = reference_feature_matrix(("JS", "LCP"), small_candidates, small_stats)

@@ -100,7 +100,7 @@ def test_retain_on_every_pair_runs_without_a_per_pair_loop(dataset, pruning):
     algorithm = PRUNING_ALGORITHMS[pruning](**kwargs)
     prepared = prepare_blocks(first, second)
     candidates = prepared.candidates
-    weights = get_scheme("CBS").compute_sparse(candidates, prepared.statistics())[:, 0]
+    weights = get_scheme("CBS").compute(candidates, prepared.statistics())[:, 0]
     with _repro_lines_run() as executed:
         mask = algorithm.retain(weights, candidates, prepared.blocks)
     assert mask.dtype == bool and 0 < np.count_nonzero(mask) <= len(candidates)

@@ -28,7 +28,7 @@ ALGORITHMS = [
 
 
 def _weights(scheme, candidates, stats):
-    return get_scheme(scheme).compute_sparse(candidates, stats)[:, 0]
+    return get_scheme(scheme).compute(candidates, stats)[:, 0]
 
 
 def test_every_algorithm_is_covered():
@@ -44,9 +44,11 @@ def test_masks_align_with_the_pairs(small_blocks, small_candidates, small_stats,
 
 
 def test_cbs_weights_are_the_common_block_counts(small_candidates, small_stats):
+    # alpha = {0, 1} x {3}, beta = {0} x {3, 4}, gamma = {1, 2} x {4, 5}, delta = {2} x {5}
+    shared = {(0, 3): 2, (0, 4): 1, (1, 3): 1, (1, 4): 1, (1, 5): 1, (2, 4): 1, (2, 5): 2}
     weights = _weights("CBS", small_candidates, small_stats)
-    for position, pair in enumerate(small_candidates):
-        assert weights[position] == small_stats.common_block_count(pair.left, pair.right)
+    pairs = zip(small_candidates.left.tolist(), small_candidates.right.tolist())
+    assert dict(zip(pairs, weights.tolist())) == shared
 
 
 def test_wep_keeps_the_pairs_at_or_above_the_average(small_candidates, small_stats):

@@ -9,7 +9,7 @@ purging/filtering steps disabled).
 import numpy as np
 import pytest
 
-from reference import reference_blocks
+from reference import reference_blocks, reference_lcp
 from repro.blocking import prepare_blocks
 from repro.core import FeatureVectorGenerator
 from repro.datamodel import EntityCollection, make_profile
@@ -86,7 +86,7 @@ def _assert_matches_batch(index, first, second):
     )
     np.testing.assert_allclose(view.entity_inv_size, stats.entity_inv_size[node_map])
     np.testing.assert_allclose(
-        view.local_candidate_counts_sparse(), stats.local_candidate_counts()[node_map]
+        view.local_candidate_counts_sparse(), reference_lcp(prepared.blocks)[node_map]
     )
 
     # full feature matrices
@@ -246,7 +246,7 @@ def _assert_matches_batch_canonical(index, first, second):
     )
     np.testing.assert_allclose(
         view.local_candidate_counts_sparse()[order],
-        stats.local_candidate_counts(),
+        reference_lcp(prepared.blocks),
         atol=1e-9,
     )
 

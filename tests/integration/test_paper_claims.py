@@ -132,26 +132,27 @@ class TestClaimLcpIsExpensive:
 
     That claim is about the per-entity LCP enumeration, which the library no
     longer performs (LCP is read off the candidate pairs as a node degree), so
-    it is checked on the per-pair reference (``reference_feature_matrix``), whose
-    ``BlockStatistics.local_candidate_counts`` still enumerates every block.
+    it is checked on the per-pair reference (``reference_feature_matrix``),
+    whose ``reference_lcp`` still walks every block of every entity.
 
     The work is counted, not timed: the reference's LCP adds ~2 % of CPU time
     here, which no timing statistic on a shared box separates from its noise
     reliably.  A block visit is one member of one block the feature
-    computation enumerates; the base set enumerates none, and LCP adds exactly
-    one pass over every block of every entity, ``sum |B_i|`` visits.
+    computation enumerates; every feature set reads each block's member list
+    once to form ``B_i``, and LCP adds exactly one more pass over every block
+    of every entity, ``sum |B_i|`` visits.
     """
 
     def test_adding_lcp_adds_feature_work(self, prepared_abtbuy, monkeypatch):
         from reference import reference_feature_matrix
         from repro.datamodel import BlockCollection
-        from repro.weights import BlockStatistics
 
         base_features = ("CF-IBF", "RACCB", "JS")
         enumerate_blocks = BlockCollection.__iter__
+        prepared = prepared_abtbuy.prepared
+        stats = prepared.statistics()
 
         def block_visits(feature_set):
-            stats = BlockStatistics(prepared_abtbuy.prepared.blocks)  # fresh, uncached LCP
             visits = 0
 
             def counted(collection):
@@ -162,13 +163,13 @@ class TestClaimLcpIsExpensive:
 
             with monkeypatch.context() as patch:
                 patch.setattr(BlockCollection, "__iter__", counted)
-                reference_feature_matrix(feature_set, prepared_abtbuy.prepared.candidates, stats)
+                reference_feature_matrix(feature_set, prepared.candidates, stats)
             return visits
 
         without_lcp = block_visits(base_features)
         with_lcp = block_visits(base_features + ("LCP",))
-        assert without_lcp == 0
-        assert with_lcp == prepared_abtbuy.prepared.blocks.total_block_assignments() > 0
+        assert without_lcp == prepared.blocks.total_block_assignments() > 0
+        assert with_lcp - without_lcp == prepared.blocks.total_block_assignments()
 
 
 class TestClaimMetaBlockingImprovesBlocks:

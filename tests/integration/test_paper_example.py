@@ -27,9 +27,9 @@ def example_blocks(paper_example_profiles):
 class TestPaperExample:
     def test_duplicates_share_blocks(self, example_blocks, paper_example_profiles):
         _, _, truth = paper_example_profiles
-        stats = BlockStatistics(example_blocks)
-        for left, right in truth:
-            assert stats.common_block_count(left, right) >= 1
+        duplicates = CandidateSet.from_pairs(truth.pairs(), example_blocks.index_space)
+        shared = BlockStatistics(example_blocks).pair_cooccurrence(duplicates).common
+        assert len(shared) == 3 and shared.min() >= 1
 
     def test_blocking_achieves_perfect_recall(self, example_blocks, paper_example_profiles):
         _, _, truth = paper_example_profiles
@@ -62,7 +62,7 @@ class TestPaperExample:
         """Example 2: WNP on the CBS-weighted blocking graph of Figure 2a."""
         _, _, truth = paper_example_profiles
         candidates = extract_candidates(example_blocks)
-        weights = CommonBlocksScheme().compute_sparse(
+        weights = CommonBlocksScheme().compute(
             candidates, BlockStatistics(example_blocks)
         )[:, 0]
         mask = get_pruning_algorithm("WNP").retain(weights, candidates, example_blocks)

@@ -1,5 +1,10 @@
 """Tests for the from-scratch probabilistic classifiers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,6 +165,25 @@ class TestLogisticRegressionSpecifics:
             model.decision_function(features[:, :4])
         with pytest.raises(ValueError):
             model.decision_function(features[0])
+
+    def test_fit_leaves_numpy_ma_unimported(self):
+        """The first fit of a process costs no ``numpy.ma`` import (10-30 ms,
+        paid by the first ``np.unique`` call): label checks are comparisons."""
+        code = (
+            "import sys, numpy as np\n"
+            "from repro.ml import LogisticRegression\n"
+            "LogisticRegression().fit(np.array([[0.0], [1.0], [2.0], [3.0]]), [0, 0, 1, 1])\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split() == ["False"]
 
 
 class TestSigmoid:

@@ -1,16 +1,21 @@
 """The reference implementations, reached by direct calls.
 
-The library runs one implementation of each layer: ``compute_sparse`` for
-the weighting schemes and the array engine for block preparation.  The
-readable implementations they are checked against stay in ``src/`` under
-their public names — the per-pair ``WeightingScheme.compute`` bodies and the
-object chain ``BlockingMethod.build_blocks`` -> ``purge_oversized_blocks``
--> ``filter_blocks`` -> ``CandidateSet.from_blocks`` — but nothing in the
-library selects them.  The two helpers below assemble those public calls
-into the shapes ``FeatureVectorGenerator.generate`` and ``prepare_blocks``
-return, so an equivalence, golden or perf-smoke test compares like with like.
+The library runs one implementation of each layer: ``WeightingScheme.compute``
+for the weighting schemes and the array engine for block preparation.  The
+weighting schemes' reference lives here outright: the paper's set formulas
+(Section 4) evaluated pair by pair over each ``Block``'s member lists
+(:func:`reference_block_sets`, :func:`reference_feature_matrix`) and LCP as
+the walk over every block of every entity (:func:`reference_lcp`) — neither
+reads the CSR or an array of ``BlockStatistics``, so a fault in building them
+cannot hide in an equivalence test.  Block preparation's readable
+implementation stays in ``src/`` under its public names — the object chain
+``BlockingMethod.build_blocks`` -> ``purge_oversized_blocks`` ->
+``filter_blocks`` -> ``CandidateSet.from_blocks`` — but nothing in the library
+selects it; :func:`reference_prepare_blocks` assembles those calls into the
+shape ``prepare_blocks`` returns, so an equivalence, golden or perf-smoke
+test compares like with like.
 
-Pruning's references live here outright: the bounded priority queue
+Pruning's references live here too: the bounded priority queue
 (:class:`BoundedTopQueue`) and the bodies of CEP / CNP / RCNP on it
 (Algorithms 4-5 as the paper writes them, one push per pair) and the
 ``np.add.at`` / ``np.maximum.at`` per-node passes, which the library
@@ -49,11 +54,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import re
 import unicodedata
 from contextlib import contextmanager
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Generic, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, FrozenSet, Generic, List, Optional, Sequence, Tuple, TypeVar
 from unittest import mock
 
 import numpy as np
@@ -162,13 +169,119 @@ def reference_sample_tokens(
     return sampled
 
 
+@dataclass
+class BlockSets:
+    """The paper's notation read off each ``Block``'s member lists, block ids
+    being positions: ``B_i`` per node, ``|b|`` and ``||b||`` per block."""
+
+    #: ``B_i`` — the ids of the blocks whose member lists name node ``i``
+    of_node: List[FrozenSet[int]]
+    #: ``|b|`` — ``Block.size()``
+    size: List[int]
+    #: ``||b||`` — ``Block.cardinality()``
+    cardinality: List[int]
+
+    def entity_cardinality(self, ids) -> int:
+        """``||e_i|| = Σ_{b ∈ ids} ||b||``."""
+        return sum(self.cardinality[block] for block in ids)
+
+    def inverse_cardinality(self, ids) -> float:
+        """``Σ_{b ∈ ids} 1/||b||`` (a block spawning no comparison counts 1)."""
+        return sum(1.0 / max(self.cardinality[block], 1) for block in ids)
+
+    def inverse_size(self, ids) -> float:
+        """``Σ_{b ∈ ids} 1/|b|``."""
+        return sum(1.0 / max(self.size[block], 1) for block in ids)
+
+
+def reference_block_sets(blocks: BlockCollection) -> BlockSets:
+    """One pass over the blocks' member lists: no CSR, no statistics array."""
+    of_node = [set() for _ in range(blocks.index_space.total)]
+    size, cardinality = [], []
+    for block_id, block in enumerate(blocks):
+        for node in block.all_entities():
+            of_node[node].add(block_id)
+        size.append(block.size())
+        cardinality.append(block.cardinality())
+    return BlockSets([frozenset(ids) for ids in of_node], size, cardinality)
+
+
+def reference_lcp(blocks: BlockCollection) -> np.ndarray:
+    """``LCP(e_i)``, as the paper counts it: walk every block of every entity
+    and collect the distinct entities it is compared with there — the other
+    side of a bilateral block, the other members of a unilateral one."""
+    neighbours = [set() for _ in range(blocks.index_space.total)]
+    for block in blocks:
+        if block.is_bilateral:
+            for node in block.entities_first:
+                neighbours[node].update(block.entities_second)
+            for node in block.entities_second:
+                neighbours[node].update(block.entities_first)
+        else:
+            for node in block.entities_first:
+                neighbours[node].update(block.entities_first)
+                neighbours[node].discard(node)
+    return np.array([len(others) for others in neighbours], dtype=np.float64)
+
+
+def _log_ratio(total: float, value: float) -> float:
+    """``log(total / value)``, 0 unless the ratio is defined and exceeds 1."""
+    ratio = total / value if value > 0 else 0.0
+    return math.log(ratio) if ratio > 1.0 else 0.0
+
+
+def _ratio(numerator: float, denominator: float) -> float:
+    return numerator / denominator if denominator > 0 else 0.0
+
+
 def reference_feature_matrix(
     feature_set: Sequence[str], candidates: CandidateSet, stats: BlockStatistics
 ) -> FeatureMatrix:
-    """The feature matrix of ``candidates`` from the per-pair ``compute`` bodies."""
+    """The feature matrix of ``candidates`` from the paper's set formulas
+    (Section 4), pair by pair, over the member lists of ``stats.blocks``.
+
+    Only ``stats.blocks`` is read: the CSR and the arrays of
+    :class:`BlockStatistics` are what the library computes from, so a fault
+    in building them shows up here as a difference.
+    """
     generator = FeatureVectorGenerator(feature_set)
+    sets = reference_block_sets(stats.blocks)
+    num_blocks = len(sets.size)
+    total_cardinality = sum(sets.cardinality)
+
+    def jaccard(b_i, b_j):
+        shared = len(b_i & b_j)
+        return _ratio(shared, len(b_i) + len(b_j) - shared)
+
+    def weighted_jaccard(inverse, b_i, b_j):
+        shared = inverse(b_i & b_j)
+        return _ratio(shared, inverse(b_i) + inverse(b_j) - shared)
+
+    formulas = {
+        "CBS": lambda b_i, b_j: len(b_i & b_j),
+        "CF-IBF": lambda b_i, b_j: len(b_i & b_j)
+        * _log_ratio(num_blocks, len(b_i))
+        * _log_ratio(num_blocks, len(b_j)),
+        "RACCB": lambda b_i, b_j: sets.inverse_cardinality(b_i & b_j),
+        "JS": jaccard,
+        "EJS": lambda b_i, b_j: jaccard(b_i, b_j)
+        * _log_ratio(total_cardinality, sets.entity_cardinality(b_i))
+        * _log_ratio(total_cardinality, sets.entity_cardinality(b_j)),
+        "WJS": lambda b_i, b_j: weighted_jaccard(sets.inverse_cardinality, b_i, b_j),
+        "RS": lambda b_i, b_j: sets.inverse_size(b_i & b_j),
+        "NRS": lambda b_i, b_j: weighted_jaccard(sets.inverse_size, b_i, b_j),
+    }
+    pairs = pair_tuples(candidates)
+    columns = []
+    for scheme in generator.schemes:
+        if scheme.name == "LCP":
+            lcp = reference_lcp(stats.blocks)
+            columns += [[lcp[i] for i, _ in pairs], [lcp[j] for _, j in pairs]]
+        else:
+            formula = formulas[scheme.name]
+            columns.append([formula(sets.of_node[i], sets.of_node[j]) for i, j in pairs])
     return FeatureMatrix(
-        values=np.hstack([scheme.compute(candidates, stats) for scheme in generator.schemes]),
+        values=np.array(columns, dtype=np.float64).reshape(len(columns), len(pairs)).T,
         columns=generator.columns,
         feature_set=generator.feature_set,
     )

@@ -3,12 +3,14 @@
 ``src/`` holds the program that computes the retained set — blocking, the
 weighting schemes, a probabilistic classifier and pruning — and its serving
 and storage.  Beside it stood definitions nothing but the tests called.  The
-four that serve as oracles live under ``tests/`` now: the bounded priority
+ones that serve as oracles live under ``tests/`` now: the bounded priority
 queue and the writer's member-list block collection
 (``tests/reference.py``: ``BoundedTopQueue``, ``reference_blocks``), the ROC
-AUC quality bar of the classifiers (``tests/ml/test_classifiers.py``) and the
-chaos suite's seeded kill-loop plan (``tests/faults/conftest.py``).  The rest
-are deleted.  An AST walk over ``src/repro``, the shape of the other deletion
+AUC quality bar of the classifiers (``tests/ml/test_classifiers.py``), the
+chaos suite's seeded kill-loop plan (``tests/faults/conftest.py``), and the
+per-pair co-occurrence helpers of ``BlockStatistics`` with the scalar log
+ratio, which only the per-pair scheme bodies read (rewritten over each
+``Block``'s member lists in ``tests/reference.py``).  The rest are deleted.  An AST walk over ``src/repro``, the shape of the other deletion
 guards, keeps each one undefined, under its class where it was a method;
 the two modules that held nothing else do not import, and no package's
 export table names any of them.
@@ -28,6 +30,13 @@ GONE = {
     "MutableBlockIndex.snapshot_blocks",
     "roc_auc_score",
     "FaultPlan.kill_loop",
+    "BlockStatistics.blocks_of",
+    "BlockStatistics.common_blocks",
+    "BlockStatistics.common_block_count",
+    "BlockStatistics.sum_inverse_cardinality",
+    "BlockStatistics.sum_inverse_size",
+    "BlockStatistics.local_candidate_counts",
+    "_safe_log_ratio",
     # deleted
     "ConfusionCounts",
     "confusion_counts",

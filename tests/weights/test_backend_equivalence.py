@@ -1,13 +1,14 @@
-"""Reference-equivalence property tests (per-pair ``compute`` vs ``compute_sparse``).
+"""Reference-equivalence property tests (the paper's set formulas vs ``compute``).
 
-The per-pair ``compute`` bodies of the weighting schemes are the reference;
-the vectorized ``compute_sparse`` the library runs must reproduce them
-bit-for-bit up to float summation order.  Hypothesis generates randomized
-unilateral and bilateral block collections — including empty blocks,
-singleton entities, and entities absent from every block — and every
-registered scheme is asserted ``np.allclose``-identical, both per scheme and
-through the full :class:`FeatureVectorGenerator` stack against
-``reference_feature_matrix``.
+The reference is ``tests/reference.py``: the set formulas of every weighting
+scheme evaluated pair by pair over each ``Block``'s member lists
+(``reference_feature_matrix``, ``reference_lcp``).  The vectorized
+``WeightingScheme.compute`` the library runs must reproduce them bit-for-bit
+up to float summation order.  Hypothesis generates randomized unilateral and
+bilateral block collections — including empty blocks, singleton entities, and
+entities absent from every block — and every registered scheme is asserted
+``np.allclose``-identical, both per scheme and through the full
+:class:`FeatureVectorGenerator` stack.
 """
 
 from types import SimpleNamespace
@@ -23,7 +24,13 @@ from repro.core import FeatureVectorGenerator
 from repro.datamodel import Block, BlockCollection, CandidateSet, EntityIndexSpace
 from repro.weights import PAPER_FEATURES, SCHEME_CLASSES, BlockStatistics, schemes, sparse
 
-from reference import pair_tuples, reference_feature_matrix, reference_masked_ratio
+from reference import (
+    pair_tuples,
+    reference_block_sets,
+    reference_feature_matrix,
+    reference_lcp,
+    reference_masked_ratio,
+)
 
 ALL_SCHEMES = tuple(SCHEME_CLASSES)
 
@@ -108,30 +115,27 @@ def _draw_candidates(draw, collection: BlockCollection) -> CandidateSet:
 
 # -- per-scheme equivalence -----------------------------------------------------------
 
+def _assert_scheme_matches_reference(scheme_name, blocks, candidates):
+    stats = BlockStatistics(blocks)
+    scheme = SCHEME_CLASSES[scheme_name]()
+    loop = reference_feature_matrix((scheme_name,), candidates, stats).values
+    sparse = scheme.compute(candidates, stats)
+    assert loop.shape == sparse.shape == (len(candidates), scheme.width)
+    np.testing.assert_allclose(sparse, loop, **TOLERANCES)
+
+
 @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
 @given(data=unilateral_collections())
 @settings(max_examples=40, deadline=None)
 def test_unilateral_equivalence(scheme_name, data):
-    blocks, candidates = data
-    stats = BlockStatistics(blocks)
-    scheme = SCHEME_CLASSES[scheme_name]()
-    loop = scheme.compute(candidates, stats)
-    sparse = scheme.compute_sparse(candidates, stats)
-    assert loop.shape == sparse.shape == (len(candidates), scheme.width)
-    np.testing.assert_allclose(sparse, loop, **TOLERANCES)
+    _assert_scheme_matches_reference(scheme_name, *data)
 
 
 @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
 @given(data=bilateral_collections())
 @settings(max_examples=40, deadline=None)
 def test_bilateral_equivalence(scheme_name, data):
-    blocks, candidates = data
-    stats = BlockStatistics(blocks)
-    scheme = SCHEME_CLASSES[scheme_name]()
-    loop = scheme.compute(candidates, stats)
-    sparse = scheme.compute_sparse(candidates, stats)
-    assert loop.shape == sparse.shape == (len(candidates), scheme.width)
-    np.testing.assert_allclose(sparse, loop, **TOLERANCES)
+    _assert_scheme_matches_reference(scheme_name, *data)
 
 
 # -- full-stack equivalence -----------------------------------------------------------
@@ -162,64 +166,54 @@ def test_dirty_feature_matrix_equivalence(data):
 @given(data=st.one_of(unilateral_collections(), bilateral_collections()))
 @settings(max_examples=60, deadline=None)
 def test_entity_aggregates_and_lcp_match_the_loop_oracle(data):
-    """The array-native statistics equal the per-entity loop formulations.
+    """The array-native statistics equal the per-entity sums over the blocks'
+    member lists, and LCP the walk over every block of every entity.
 
     The two inverse sums add the same terms in ascending block id instead of
     set order, so they may differ in the last digits; the rest is exact.
     """
     blocks, _ = data
     stats = BlockStatistics(blocks)
-    memberships = [stats.blocks_of(node) for node in range(blocks.index_space.total)]
-    assert stats.blocks_per_entity.tolist() == [len(ids) for ids in memberships]
+    sets = reference_block_sets(blocks)
+    assert stats.blocks_per_entity.tolist() == [len(ids) for ids in sets.of_node]
     assert stats.entity_cardinality.tolist() == [
-        float(stats.block_cardinalities[list(ids)].sum()) for ids in memberships
+        sets.entity_cardinality(ids) for ids in sets.of_node
     ]
     np.testing.assert_allclose(
         stats.entity_inv_cardinality,
-        [stats.sum_inverse_cardinality(ids) for ids in memberships],
+        [sets.inverse_cardinality(ids) for ids in sets.of_node],
         rtol=1e-12,
         atol=0,
     )
     np.testing.assert_allclose(
         stats.entity_inv_size,
-        [stats.sum_inverse_size(ids) for ids in memberships],
+        [sets.inverse_size(ids) for ids in sets.of_node],
         rtol=1e-12,
         atol=0,
     )
-    assert np.array_equal(
-        stats.local_candidate_counts_sparse(), stats.local_candidate_counts()
-    )
+    assert np.array_equal(stats.local_candidate_counts_sparse(), reference_lcp(blocks))
 
 
 # -- deterministic edge cases ---------------------------------------------------------
 
 @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
 def test_empty_collection_equivalence(scheme_name):
-    """No blocks, no candidates: both implementations return empty matrices."""
+    """No blocks, no candidates: the kernel and the reference return empty matrices."""
     blocks = BlockCollection([], EntityIndexSpace(4, 0))
-    candidates = CandidateSet.from_pairs([], blocks.index_space)
-    stats = BlockStatistics(blocks)
-    scheme = SCHEME_CLASSES[scheme_name]()
-    loop = scheme.compute(candidates, stats)
-    sparse = scheme.compute_sparse(candidates, stats)
-    assert loop.shape == sparse.shape == (0, scheme.width)
+    _assert_scheme_matches_reference(
+        scheme_name, blocks, CandidateSet.from_pairs([], blocks.index_space)
+    )
 
 
 @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
 def test_absent_entities_equivalence(scheme_name):
-    """Pairs whose entities appear in no block score zero on both implementations."""
+    """Pairs whose entities appear in no block score zero on both sides."""
     space = EntityIndexSpace(8, 0)
     blocks = BlockCollection(
         [Block("a", [0, 1, 2]), Block("empty", []), Block("singleton", [5])], space
     )
     candidates = CandidateSet.from_pairs([(0, 1), (3, 4), (5, 6), (6, 7)], space)
-    stats = BlockStatistics(blocks)
-    scheme = SCHEME_CLASSES[scheme_name]()
-    np.testing.assert_allclose(
-        scheme.compute_sparse(candidates, stats),
-        scheme.compute(candidates, stats),
-        **TOLERANCES,
-    )
+    _assert_scheme_matches_reference(scheme_name, blocks, candidates)
 
 
 def test_generator_rejects_unknown_backend():

@@ -1,9 +1,10 @@
-"""Perf smoke test: ``compute_sparse`` must not be slower than the reference.
+"""Perf smoke test: ``WeightingScheme.compute`` must not be slower than the reference.
 
 A single coarse guard — not a benchmark (those live in ``benchmarks/``) —
 that fails loudly if a regression makes the vectorized kernels degenerate
 back into per-pair work.  On the ~5k-pair synthetic workload below they are
-typically >10x faster than the per-pair ``compute`` bodies, so the 1.0x
+typically >10x faster than the per-pair set formulas of
+``tests/reference.py``, so the 1.0x
 assertion threshold leaves ample headroom against timer noise.
 
 Deselect with ``-m "not perf"`` or skip by exporting ``REPRO_SKIP_PERF=1``

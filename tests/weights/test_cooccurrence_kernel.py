@@ -35,7 +35,7 @@ from repro.weights.sparse import (
     plan_block_major,
 )
 
-from reference import forced_cooccurrence_pass as forced, pair_tuples
+from reference import forced_cooccurrence_pass as forced, pair_tuples, reference_block_sets
 
 
 def oracle(csr, inverse_cardinalities, inverse_sizes, left, right):
@@ -406,7 +406,8 @@ def test_stranded_blocks_put_same_side_pairs_among_the_candidates():
     candidates = prepared.candidates
     assert (0, 1) in pair_tuples(candidates)
     stats = BlockStatistics(prepared.blocks)
-    kinds = {prepared.blocks[b].is_bilateral for b in stats.common_blocks(0, 1)}
+    shared = reference_block_sets(prepared.blocks).of_node
+    kinds = {prepared.blocks[b].is_bilateral for b in shared[0] & shared[1]}
     assert kinds == {True, False}
     assert_paths_agree(
         stats.csr(),

@@ -11,7 +11,10 @@ The expected values are hand-computed on the ``small_blocks`` fixture:
 import numpy as np
 import pytest
 
+from repro.datamodel import CandidateSet
 from repro.weights import BlockStatistics
+
+from reference import reference_block_sets, reference_lcp
 
 
 class TestBlockStatistics:
@@ -22,20 +25,25 @@ class TestBlockStatistics:
         assert small_stats.block_cardinalities.tolist() == [2.0, 2.0, 4.0, 1.0]
 
     def test_entity_memberships(self, small_stats):
-        assert small_stats.blocks_of(0) == frozenset({0, 1})
-        assert small_stats.blocks_of(5) == frozenset({2, 3})
-        assert small_stats.blocks_of(99) == frozenset()
+        csr = small_stats.csr()
+        rows = [csr.indices[begin:end].tolist() for begin, end in zip(csr.indptr, csr.indptr[1:])]
+        assert rows == [[0, 1], [0, 2], [2, 3], [0, 1], [1, 2], [2, 3]]
 
     def test_blocks_per_entity(self, small_stats):
         assert small_stats.blocks_per_entity[0] == 2
         assert small_stats.blocks_per_entity[2] == 2
         assert small_stats.blocks_per_entity.sum() == 12
 
-    def test_common_blocks(self, small_stats):
-        assert small_stats.common_blocks(0, 3) == frozenset({0, 1})
-        assert small_stats.common_blocks(1, 4) == frozenset({2})
-        assert small_stats.common_blocks(0, 5) == frozenset()
-        assert small_stats.common_block_count(0, 3) == 2
+    def test_common_blocks(self, small_blocks, small_stats):
+        # (0, 3) shares alpha and beta, (0, 5) nothing, (1, 4) gamma, and
+        # (2, 5) gamma and delta
+        pairs = [(0, 3), (0, 5), (1, 4), (2, 5)]
+        candidates = CandidateSet.from_pairs(pairs, small_blocks.index_space)
+        shared = small_stats.pair_cooccurrence(candidates)
+        assert list(zip(candidates.left.tolist(), candidates.right.tolist())) == pairs
+        assert shared.common.tolist() == [2.0, 0.0, 1.0, 2.0]
+        np.testing.assert_allclose(shared.sum_inverse_cardinality, [1.0, 0.0, 0.25, 1.25])
+        np.testing.assert_allclose(shared.sum_inverse_size, [2 / 3, 0.0, 0.25, 0.75])
 
     def test_entity_cardinality(self, small_stats):
         # ||e_0|| = ||alpha|| + ||beta|| = 2 + 2
@@ -46,12 +54,12 @@ class TestBlockStatistics:
     def test_inverse_sums(self, small_stats):
         assert small_stats.entity_inv_cardinality[0] == pytest.approx(1.0)  # 1/2 + 1/2
         assert small_stats.entity_inv_size[0] == pytest.approx(2.0 / 3.0)  # 1/3 + 1/3
-        assert small_stats.sum_inverse_cardinality(frozenset({0, 1})) == pytest.approx(1.0)
-        assert small_stats.sum_inverse_size(frozenset({2, 3})) == pytest.approx(0.75)
-        assert small_stats.sum_inverse_cardinality(frozenset()) == 0.0
+        # ||e_5||^-1 = 1/||gamma|| + 1/||delta||, |e_5|^-1 = 1/|gamma| + 1/|delta|
+        assert small_stats.entity_inv_cardinality[5] == pytest.approx(1.25)
+        assert small_stats.entity_inv_size[5] == pytest.approx(0.75)
 
     def test_local_candidate_counts(self, small_stats):
-        lcp = small_stats.local_candidate_counts()
+        lcp = small_stats.local_candidate_counts_sparse()
         assert lcp[0] == 2  # candidates of entity 0: {3, 4}
         assert lcp[1] == 3  # candidates of entity 1: {3, 4, 5}
         assert lcp[4] == 3  # candidates of entity 4: {0, 1, 2}
@@ -59,8 +67,8 @@ class TestBlockStatistics:
 
     def test_lcp_is_cached(self, small_blocks):
         stats = BlockStatistics(small_blocks)
-        first = stats.local_candidate_counts()
-        second = stats.local_candidate_counts()
+        first = stats.local_candidate_counts_sparse()
+        second = stats.local_candidate_counts_sparse()
         assert first is second
 
     def test_dirty_blocks_lcp(self):
@@ -69,26 +77,24 @@ class TestBlockStatistics:
         space = EntityIndexSpace(4)
         blocks = BlockCollection([Block("k", [0, 1, 2]), Block("m", [2, 3])], space)
         stats = BlockStatistics(blocks)
-        lcp = stats.local_candidate_counts()
+        lcp = stats.local_candidate_counts_sparse()
         assert lcp.tolist() == [2.0, 2.0, 3.0, 1.0]
 
 
-def loop_entity_aggregates(stats):
-    """The per-entity aggregates as the loop oracle sums them (set order)."""
-    nodes = range(stats.blocks.index_space.total)
-    memberships = [stats.blocks_of(node) for node in nodes]
+def loop_entity_aggregates(blocks):
+    """The per-entity aggregates summed over the blocks' member lists (set order)."""
+    sets = reference_block_sets(blocks)
     return {
-        "blocks_per_entity": [len(ids) for ids in memberships],
-        "entity_cardinality": [
-            float(stats.block_cardinalities[list(ids)].sum()) for ids in memberships
-        ],
-        "entity_inv_cardinality": [stats.sum_inverse_cardinality(ids) for ids in memberships],
-        "entity_inv_size": [stats.sum_inverse_size(ids) for ids in memberships],
+        "blocks_per_entity": [len(ids) for ids in sets.of_node],
+        "entity_cardinality": [sets.entity_cardinality(ids) for ids in sets.of_node],
+        "entity_inv_cardinality": [sets.inverse_cardinality(ids) for ids in sets.of_node],
+        "entity_inv_size": [sets.inverse_size(ids) for ids in sets.of_node],
     }
 
 
 class TestArrayNativeConstruction:
-    """``__init__`` reads the CSR; the loop formulations stay the oracle."""
+    """``__init__`` reads the CSR; the sums over the blocks' member lists
+    (``tests/reference.py``) stay the oracle."""
 
     @pytest.mark.parametrize("handoff", [True, False], ids=["prepared", "bare"])
     def test_entity_aggregates_match_the_loop_oracle(self, dblpacm_dataset, handoff):
@@ -96,7 +102,7 @@ class TestArrayNativeConstruction:
 
         prepared = prepare_blocks(dblpacm_dataset.first, dblpacm_dataset.second)
         stats = prepared.statistics() if handoff else BlockStatistics(prepared.blocks)
-        for name, expected in loop_entity_aggregates(stats).items():
+        for name, expected in loop_entity_aggregates(prepared.blocks).items():
             np.testing.assert_allclose(
                 getattr(stats, name), expected, rtol=1e-12, atol=0, err_msg=name
             )
@@ -111,7 +117,7 @@ class TestArrayNativeConstruction:
         prepared = prepare_blocks(dataset.first, dataset.second)
         handed_over = prepared.statistics()
         bare = BlockStatistics(prepared.blocks)
-        oracle = bare.local_candidate_counts()
+        oracle = reference_lcp(prepared.blocks)
         assert oracle.sum() == 2 * len(prepared.candidates)
         assert np.array_equal(handed_over.local_candidate_counts_sparse(), oracle)
         assert np.array_equal(bare.local_candidate_counts_sparse(), oracle)
@@ -129,11 +135,10 @@ class TestArrayNativeConstruction:
             ],
             EntityIndexSpace(3, 2),
         )
-        stats = BlockStatistics(blocks)
-        assert stats.local_candidate_counts().tolist() == [4.0, 4.0, 2.0, 2.0, 2.0]
-        assert np.array_equal(
-            stats.local_candidate_counts_sparse(), stats.local_candidate_counts()
-        )
+        assert reference_lcp(blocks).tolist() == [4.0, 4.0, 2.0, 2.0, 2.0]
+        assert BlockStatistics(blocks).local_candidate_counts_sparse().tolist() == [
+            4.0, 4.0, 2.0, 2.0, 2.0
+        ]
 
     def test_mismatched_handoffs_rejected(self, small_blocks, small_candidates):
         from repro.datamodel import CandidateSet, EntityIndexSpace
