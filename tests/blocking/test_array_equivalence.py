@@ -29,6 +29,8 @@ from repro.weights.sparse import build_entity_block_csr
 
 from reference import pair_tuples, reference_encode_signatures, reference_prepare_blocks
 
+pytestmark = pytest.mark.equivalence
+
 #: a small vocabulary (stop-words included) so random texts collide heavily
 WORDS = (
     "apple", "samsung", "phone", "smartphone", "mate", "fold", "x",

@@ -20,6 +20,7 @@ member set of its input block: the multiset of ``(member set, node)``.
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,8 @@ from repro.datasets import load_benchmark
 
 from reference import reference_prepare_blocks
 from test_array_equivalence import collections
+
+pytestmark = pytest.mark.equivalence
 
 
 def _relabelled(matrix, order):

@@ -25,6 +25,8 @@ from repro.datasets import load_benchmark
 
 from reference import pair_tuples, reference_prepare_blocks
 
+pytestmark = pytest.mark.equivalence
+
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "data" / "golden_blocking.json"
 
 DATASET, SEED, SCALE = "DblpAcm", 3, 0.4

@@ -20,6 +20,8 @@ from repro.core.pruning import PRUNING_ALGORITHMS
 from repro.datamodel import Block
 from repro.datasets import load_benchmark, load_dirty_dataset
 
+pytestmark = pytest.mark.equivalence
+
 
 def _forbid_blocks(monkeypatch):
     def refuse(self, *args, **kwargs):

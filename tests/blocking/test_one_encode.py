@@ -3,13 +3,13 @@
 Tokenisation used to walk the tokens in Python twice — a regex ``findall``
 per profile, then ``dict.setdefault`` per occurrence, the latter in two
 copies.  There is one encode kernel now
-(:func:`repro.blocking.arrayops.encode_signatures`), the tokeniser is a byte
-table, every packed membership key asks :func:`repro.pairs.key_field_bits`,
-and nothing is remembered between two preparations of the same collections
-(the perf ledger calls ``prepare_blocks`` on the same objects every round).
+(:func:`repro.blocking.arrayops.encode_signatures`) and the tokeniser is a
+byte table (both rows of ``tests/test_guards.py``); every packed membership
+key asks :func:`repro.pairs.key_field_bits`, and nothing is remembered
+between two preparations of the same collections (the perf ledger calls
+``prepare_blocks`` on the same objects every round).
 """
 
-import ast
 from unittest import mock
 
 import numpy as np
@@ -20,33 +20,8 @@ from repro import pairs
 from repro.blocking import TokenBlocking, prepare_blocks
 from repro.blocking.arrayops import _dictionary_encode, assemble_blocks, filter_matrix
 from repro.datasets import load_benchmark
-from test_import_layering import ROOT, _imported_names, _parse
 
-
-def _attribute_uses(path, name):
-    return [
-        node.lineno
-        for node in ast.walk(_parse(path))
-        if isinstance(node, ast.Attribute) and node.attr == name
-    ]
-
-
-def test_the_encode_is_spelled_once():
-    defined = [
-        str(path.relative_to(ROOT))
-        for path in sorted(ROOT.rglob("*.py"))
-        for node in ast.walk(_parse(path))
-        if isinstance(node, ast.FunctionDef) and node.name == "encode_signatures"
-    ]
-    assert defined == ["blocking/arrayops.py"]
-    spelled = _attribute_uses(ROOT / "blocking" / "arrayops.py", "setdefault")
-    assert not spelled, f"arrayops.py encodes by hand at lines {spelled}"
-
-
-def test_the_tokeniser_compiles_no_regex():
-    text = ROOT / "utils" / "text.py"
-    assert "re" not in _imported_names(text)
-    assert not _attribute_uses(text, "compile")
+pytestmark = pytest.mark.equivalence
 
 
 @pytest.fixture(scope="module")

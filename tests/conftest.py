@@ -37,6 +37,11 @@ def pytest_configure(config):
         "chaos: seeded fault-injection test (kill-loops, torn WAL tails); "
         "seed overridable via REPRO_CHAOS_SEED",
     )
+    config.addinivalue_line(
+        "markers",
+        "equivalence: reference-equivalence, golden-regression or guard test "
+        "(the set `make test-equivalence` runs)",
+    )
 
 
 # -- tiny hand-built fixture (the paper's running example, Figure 1) -----------------

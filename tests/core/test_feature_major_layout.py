@@ -6,9 +6,11 @@ layers off their row-major passes:
 * every producer hands out an F-contiguous ``FeatureMatrix.values`` — the
   batch generator, the delta generator (also after it swapped the LCP
   columns of a bilateral index) and ``generate_all`` — at widths 1, 4 and 6
-  and for zero pairs; ``core/features.py`` never stacks columns;
+  and for zero pairs; ``core/features.py`` never stacks columns (a row of
+  ``tests/test_guards.py``);
 * ``repro.ml.base.linear_scores``, behind both linear classifiers'
-  ``decision_function``, contains no matrix product, and
+  ``decision_function``, contains no matrix product (its product calls are
+  rows of the guard table; the ``@`` operator is checked here), and
   the batch pipeline scales its training rows and scores through the one
   ``FrozenModel`` — it calls no ``transform`` or ``predict_proba`` itself;
 * the cached co-occurrence aggregates, and the CBS / RACCB / RS columns that
@@ -20,13 +22,15 @@ import ast
 import numpy as np
 import pytest
 
-from test_import_layering import ROOT, _parse
 from repro.blocking import prepare_blocks
 from repro.core import FeatureVectorGenerator
 from repro.datamodel import CandidateSet
 from repro.datasets import load_benchmark, load_dirty_dataset
 from repro.incremental import DeltaFeatureGenerator, MutableBlockIndex, interleave_profiles
 from repro.weights import BLAST_FEATURE_SET, RCNP_FEATURE_SET, SCHEME_CLASSES
+from source_tree import ROOT, parse
+
+pytestmark = pytest.mark.equivalence
 
 #: widths 1, 4 and 6
 FEATURE_SETS = (("JS",), BLAST_FEATURE_SET, RCNP_FEATURE_SET)
@@ -81,25 +85,12 @@ def test_the_delta_generator_is_feature_major_after_orienting_lcp(clean, feature
     assert _is_feature_major(generator.generate(some), 35, feature_set)
 
 
-def _calls(tree):
-    """Dotted-name tails of every call under ``tree`` (``np.hstack`` -> ``hstack``)."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            function = node.func
-            yield function.attr if isinstance(function, ast.Attribute) else getattr(function, "id", "")
-
-
 def _function(path, name):
     return next(
         node
-        for node in ast.walk(_parse(path))
+        for node in ast.walk(parse(path))
         if isinstance(node, ast.FunctionDef) and node.name == name
     )
-
-
-def test_features_module_never_stacks_columns():
-    called = set(_calls(_parse(ROOT / "core" / "features.py")))
-    assert not called & {"hstack", "column_stack", "concatenate", "stack", "vstack"}
 
 
 @pytest.mark.parametrize(
@@ -113,9 +104,6 @@ def test_features_module_never_stacks_columns():
 def test_the_linear_score_contains_no_matrix_product(module, function):
     tree = _function(ROOT / "ml" / module, function)
     assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree))
-    assert not set(_calls(tree)) & {"dot", "matmul", "einsum", "inner", "tensordot"}
-    # both classifiers score through the one column-ordered sum
-    assert function == "linear_scores" or "linear_scores" in set(_calls(tree))
 
 
 def test_the_pipeline_scales_and_scores_through_the_frozen_model():

@@ -3,9 +3,10 @@
 CEP / CNP / RCNP used to push every valid pair through a bounded priority
 queue (one per node for the node-centric ones).  They are array passes now
 (``repro.core.pruning.kernels``), the queue lives only in
-``tests/reference.py`` as its oracle's structure — the AST guard below fails
-if a ``src/`` module imports one again — and the strict (weight, key,
-position) order every selection runs under is spelled once.
+``tests/reference.py`` as its oracle's structure — a row of
+``tests/test_guards.py`` fails if a ``src/`` module imports one again, and
+another keeps the strict (weight, key, position) order every selection runs
+under spelled once.
 
 At run time the same claim is held by counting the Python lines any
 ``repro`` module executes while an algorithm prunes: a loop over the pairs
@@ -15,19 +16,20 @@ clean-clean, must finish in fewer lines than it has pairs to decide on (a few
 dozen against thousands).
 """
 
-import ast
 import sys
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from test_import_layering import ROOT, _imported_names, _parse
 from repro.blocking import prepare_blocks
 from repro.core.pipeline import GeneralizedSupervisedMetaBlocking
 from repro.core.pruning import PRUNING_ALGORITHMS, VALIDITY_THRESHOLD
 from repro.datasets import load_benchmark, load_dirty_dataset
 from repro.weights import get_scheme
+from source_tree import ROOT
+
+pytestmark = pytest.mark.equivalence
 
 #: fewer pairs than this and "fewer lines than pairs" would say little
 MIN_PAIRS = 100
@@ -108,33 +110,3 @@ def test_retain_on_every_pair_runs_without_a_per_pair_loop(dataset, pruning):
     assert executed[0] < len(candidates), (
         f"{pruning} ran {executed[0]} lines to retain among {len(candidates)} pairs"
     )
-
-
-def test_the_queue_has_no_src_user():
-    importers = sorted(
-        str(path.relative_to(ROOT))
-        for path in ROOT.rglob("*.py")
-        if any(
-            name == "BoundedTopQueue" or "pqueue" in module
-            for name, module in _imported_names(path).items()
-        )
-    )
-    assert importers == []
-
-
-def test_the_strength_order_is_spelled_once():
-    defined = [
-        str(path.relative_to(ROOT))
-        for path in sorted(ROOT.rglob("*.py"))
-        for node in ast.walk(_parse(path))
-        if isinstance(node, ast.FunctionDef) and node.name == "strength_order"
-    ]
-    assert defined == ["core/pruning/kernels.py"]
-    router = ROOT / "serve" / "router.py"
-    assert _imported_names(router).get("strength_order") == "repro.core.pruning"
-    spelled = [
-        node.lineno
-        for node in ast.walk(_parse(router))
-        if isinstance(node, ast.Attribute) and node.attr == "lexsort"
-    ]
-    assert not spelled, f"serve/router.py sorts by hand at lines {spelled}"

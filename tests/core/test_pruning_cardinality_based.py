@@ -35,9 +35,22 @@ class TestBudgets:
         # block sizes 4 + 2 + 4 = 10 -> K = 5
         assert cep_budget(dense_blocks) == 5
 
-    def test_cnp_budget_average_blocks_per_entity(self, dense_blocks):
-        # 10 assignments over 5 entities -> k = 2
-        assert cnp_budget(dense_blocks) == 2
+    @pytest.mark.parametrize(
+        "sides, members, expected",
+        [
+            # 10 assignments over 5 entities -> k = 2
+            ((2, 3), [([0, 1], [2, 3]), ([0], [4]), ([1], [2, 3, 4])], 2),
+            # 7 assignments over 4 entities -> k = round(1.75) = 2; flooring gives 1
+            ((2, 2), [([0, 1], [2, 3]), ([0], [2, 3])], 2),
+        ],
+        ids=["exact", "fractional"],
+    )
+    def test_cnp_budget_average_blocks_per_entity(self, sides, members, expected):
+        blocks = BlockCollection(
+            [Block(str(key), first, second) for key, (first, second) in enumerate(members)],
+            EntityIndexSpace(*sides),
+        )
+        assert cnp_budget(blocks) == expected
 
     def test_budgets_at_least_one(self):
         space = EntityIndexSpace(2)

@@ -14,6 +14,8 @@ from repro.core.pruning import PRUNING_ALGORITHMS, get_pruning_algorithm
 from repro.evaluation import evaluate_candidates, evaluate_retained_mask
 from repro.weights import get_scheme
 
+pytestmark = pytest.mark.equivalence
+
 #: every algorithm, with an explicit budget where one applies
 ALGORITHMS = [
     ("BCl", {}),

@@ -13,6 +13,8 @@ from repro.datamodel import (
     make_profile,
 )
 
+pytestmark = pytest.mark.equivalence
+
 
 @pytest.fixture
 def two_collections():

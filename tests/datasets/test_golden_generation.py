@@ -32,6 +32,8 @@ from repro.datasets import (
     load_dirty_dataset,
 )
 
+pytestmark = pytest.mark.equivalence
+
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "data" / "golden_generation.json"
 
 CLEAN_SEEDS, CLEAN_SCALE = (0, 7), 0.05

@@ -18,6 +18,8 @@ from repro.datasets.vocabulary import VOCABULARIES
 
 from reference import reference_sample_tokens
 
+pytestmark = pytest.mark.equivalence
+
 #: the sizes the registry's profiles and the factories' defaults use, plus tiny ones
 SIZES = sorted(
     {1, 2, 50}

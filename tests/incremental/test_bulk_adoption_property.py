@@ -23,6 +23,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +34,8 @@ from repro.persistence import WriteAheadLog
 from repro.persistence.snapshot import snapshot_state
 from repro.serve import ShardReplica
 from test_sharded_index import apply_script, churn_scripts
+
+pytestmark = pytest.mark.equivalence
 
 #: what only a writer holds, and the insert-time read sums over
 WRITER_FIELDS = (

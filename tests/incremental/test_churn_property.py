@@ -33,6 +33,8 @@ from test_session_property import (
     _profile_strategy,
 )
 
+pytestmark = pytest.mark.equivalence
+
 
 def _operations(bilateral):
     sides = st.sampled_from((0, 1)) if bilateral else st.just(0)

@@ -37,6 +37,8 @@ from repro.persistence import WriteAheadLog
 from repro.serve.router import build_pinned_view, match_answer, top_k_answer
 from repro.serve.workers import ShardReplica
 
+pytestmark = pytest.mark.equivalence
+
 PAPER = make_frozen_model(cleaning=PAPER_CLEANING)
 
 

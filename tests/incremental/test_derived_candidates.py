@@ -67,6 +67,8 @@ from reference import forced_cooccurrence_pass as forced
 from test_session_property import _frozen_model
 from test_sharded_index import JournaledIndex, apply_script, churn_scripts, pairs_of
 
+pytestmark = pytest.mark.equivalence
+
 
 def _live_collections(steps, bilateral):
     """The live entities a script prefix ends in, per side, in arrival order

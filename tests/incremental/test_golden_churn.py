@@ -34,6 +34,8 @@ from repro.incremental import (
     train_frozen_model,
 )
 
+pytestmark = pytest.mark.equivalence
+
 DATA = Path(__file__).resolve().parent.parent / "data"
 #: name -> (fixture, the cleaning ``train_frozen_model`` trains under)
 GOLDENS = {

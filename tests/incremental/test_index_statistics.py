@@ -10,6 +10,7 @@ degrees — rather than a copy.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,6 +18,8 @@ from repro.datamodel import make_profile
 from repro.incremental import IndexState, IndexStatistics, MutableBlockIndex
 
 from test_sharded_index import SLOW_SETTINGS, JournaledIndex, apply_script, churn_scripts
+
+pytestmark = pytest.mark.equivalence
 
 #: the per-entity aggregates the schemes read
 AGGREGATES = ("blocks_per_entity", "entity_cardinality", "entity_inv_cardinality", "entity_inv_size")

@@ -38,6 +38,8 @@ from repro.ml.base import FrozenModel
 
 from test_sharded_index import WORDS, churn_scripts
 
+pytestmark = pytest.mark.equivalence
+
 #: every scheme family, so all four per-entity aggregates and LCP are read
 FEATURE_SET = ("CF-IBF", "RACCB", "JS", "LCP", "EJS", "WJS", "RS", "NRS")
 AGGREGATES = ("blocks_per_entity", "entity_cardinality", "entity_inv_cardinality", "entity_inv_size")

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from repro.incremental.session import PairProbabilities
 
+pytestmark = pytest.mark.equivalence
+
 
 def _arrays(mapping):
     keys = np.array(sorted(mapping), dtype=np.int64)

@@ -28,6 +28,8 @@ from repro.datamodel import EntityCollection, make_profile
 from repro.incremental import FrozenModel, MatchingSession, interleave_profiles
 from repro.weights import RCNP_FEATURE_SET
 
+pytestmark = pytest.mark.equivalence
+
 #: RCNP's Formula 2 set covers every aggregate kind, including the per-side
 #: LCP columns whose orientation the streaming generator must preserve.
 FEATURE_SET = RCNP_FEATURE_SET

@@ -16,6 +16,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,8 @@ from repro.datamodel import make_profile
 from repro.incremental import MatchingSession
 from repro.incremental.sharded import shard_of_signature, stable_hash
 from repro.persistence import WriteAheadLog
+
+pytestmark = pytest.mark.equivalence
 
 WORDS = (
     "apple", "samsung", "phone", "smartphone", "mate", "fold", "x",

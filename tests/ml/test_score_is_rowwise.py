@@ -24,6 +24,8 @@ from repro.datasets import load_benchmark
 from repro.ml import FrozenModel, LinearSVC, LogisticRegression, MinMaxScaler, StandardScaler
 from repro.weights import RCNP_FEATURE_SET
 
+pytestmark = pytest.mark.equivalence
+
 _FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64)
 
 

@@ -29,6 +29,8 @@ from repro.incremental import DeltaFeatureGenerator, MatchingSession
 from repro.incremental.session import exact_answer
 from repro.persistence import LOG_MAGIC, WriteAheadLog, canonical_pair_keys, recover_session
 
+pytestmark = pytest.mark.equivalence
+
 WORDS = (
     "apple", "samsung", "phone", "smartphone", "mate", "fold", "x",
     "s20", "20", "the", "and", "a", "pro", "mini",
@@ -278,3 +280,36 @@ def test_recovery_resumes_behind_a_torn_tail(tmp_path):
         assert again.retained().retained_id_set() == recovered.retained().retained_id_set()
     finally:
         again.close()
+
+
+def test_a_session_recovered_from_a_torn_log_answers_the_oracle(tmp_path):
+    """Cut mid-record behind the last checkpoint, the log recovers to the
+    records that survived whole — the answer of a fresh index replaying
+    exactly those."""
+    session = MatchingSession(make_frozen_model(), bilateral=True, wal_path=tmp_path / "wal")
+    texts = ("alpha beta", "beta gamma", "alpha gamma", "gamma delta", "delta beta")
+    for serial, text in enumerate(texts):
+        session.insert(make_profile(f"a{serial}", text=text), side=0)
+        session.insert(make_profile(f"b{serial}", text=text), side=1)
+    session.remove("a1", side=0)
+    session.checkpoint()
+    session.update(make_profile("b2", text="alpha delta"), side=1)
+    session.insert(make_profile("a9", text="beta delta"), side=0)
+    session.close()
+
+    scan = session.wal.scan()
+    last = scan.records[-1]
+    log = session.wal.log_path
+    log.write_bytes(log.read_bytes()[: last.start + (last.end - last.start) // 2])
+    surviving = [entry.record for entry in scan.records[:-1]]
+
+    recovered = MatchingSession.recover(tmp_path / "wal")
+    try:
+        assert not recovered.index.has_entity("a9", side=0)
+        oracle = reference_replay(surviving)
+        features = DeltaFeatureGenerator(oracle, recovered.model.feature_set)
+        candidates, _, mask = exact_answer(features, recovered.model, recovered.pruning)
+        expected = set(candidates.id_pairs(mask, oracle.entity_id))
+        assert recovered.retained().retained_id_set() == expected
+    finally:
+        recovered.close()

@@ -43,6 +43,8 @@ from repro.serve.protocol import read_message_from, write_message_to
 from repro.serve.workers import ShardReplica
 from test_session_wal import _one_insert_session_log, _refused_before_any_index_is_built
 
+pytestmark = pytest.mark.equivalence
+
 _SETTINGS = settings(
     max_examples=80,
     deadline=None,

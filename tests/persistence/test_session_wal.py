@@ -17,7 +17,6 @@ from unittest import mock
 import numpy as np
 import pytest
 
-import repro.incremental.session
 import repro.persistence.snapshot
 from reference import make_frozen_model
 from repro.datamodel import make_profile
@@ -32,6 +31,9 @@ from repro.persistence import (
 )
 from repro.schema import META_FORMAT, SchemaError
 from repro.serve.workers import ShardReplica
+from source_tree import ROOT, parse
+
+pytestmark = pytest.mark.equivalence
 
 FEATURE_SET = ("CBS", "JS", "RS")
 
@@ -236,6 +238,19 @@ def test_a_top_k_session_written_by_the_parent_tree_is_refused_by_name(tmp_path)
     with refusing, pytest.raises(ValueError, match="online policy 'topk'"):
         MatchingSession.recover(wal)
     assert {path.name: path.read_bytes() for path in wal.iterdir()} == before
+
+
+def test_a_session_snapshot_stores_the_wep_aggregate_and_no_policy_choice(tmp_path):
+    session = MatchingSession(make_frozen_model(("CBS", "JS", "RS")), wal_path=tmp_path / "wal")
+    for serial in range(6):
+        session.insert(make_profile(f"e{serial}", t=f"common tok{serial % 2}"))
+    session.remove("e1")
+    path = session.checkpoint()
+    session.close()
+    stored = WriteAheadLog(tmp_path / "wal").load_snapshot(path)["session"]
+    assert "policy" not in stored and "top_k" not in stored
+    assert stored["policy_state"] == session.online.export_state()
+    assert set(stored["policy_state"]) == {"valid_sum", "valid_count"}
 
 
 @pytest.mark.parametrize("byte", [60, len(LOG_MAGIC)], ids=["payload", "length-field"])
@@ -461,7 +476,7 @@ def _written_meta_formats(path):
     """The ``"format"`` values of the ``{"op": "meta", ...}`` literals in
     ``path``, as source text."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(parse(path)):
         if isinstance(node, ast.Dict):
             fields = {
                 key.value: value
@@ -477,11 +492,11 @@ def _written_meta_formats(path):
 def test_the_meta_records_written_by_the_indexes_carry_the_state_format():
     """The writer names :data:`META_FORMAT`, the constant the log's table
     reads, so the two cannot drift."""
-    root = Path(repro.incremental.session.__file__).parent
+    root = ROOT / "incremental"
     assert _written_meta_formats(root / "index.py") == ["META_FORMAT"]
     imports = [
         statement
-        for statement in ast.parse((root / "index.py").read_text()).body
+        for statement in parse(root / "index.py").body
         if isinstance(statement, ast.ImportFrom) and statement.module == "schema"
     ]
     assert "META_FORMAT" in [alias.name for alias in imports[0].names]
@@ -489,7 +504,7 @@ def test_the_meta_records_written_by_the_indexes_carry_the_state_format():
     for path in sorted(root.glob("*.py")):
         module_level = [
             statement
-            for statement in ast.parse(path.read_text()).body
+            for statement in parse(path).body
             if isinstance(statement, ast.ImportFrom)
             and "persistence" in (statement.module or "")
         ]

@@ -41,6 +41,8 @@ from repro.persistence.container import (
 from repro.persistence.snapshot import restore_blocking, restore_pruning
 from repro.serve.workers import ShardReplica
 
+pytestmark = pytest.mark.equivalence
+
 FEATURE_SET = ("CBS", "JS", "RS")
 #: magic, CRC32, version, JSON header size
 FIXED = struct.Struct("<8sIIQ")

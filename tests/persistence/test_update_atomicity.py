@@ -11,10 +11,14 @@ through the serving daemon's ``update`` op.
 import shutil
 import threading
 
+import pytest
+
 from reference import make_frozen_model
 from repro.datamodel import make_profile
 from repro.incremental import MatchingSession
 from repro.persistence import WriteAheadLog
+
+pytestmark = pytest.mark.equivalence
 
 FEATURE_SET = ("CBS", "JS", "RS")
 

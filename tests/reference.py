@@ -76,14 +76,7 @@ from repro.blocking import (
 )
 from repro.blocking.cleaning import NO_CLEANING, PAPER_CLEANING, BlockCleaning
 from repro.core.features import FeatureMatrix, FeatureVectorGenerator
-from repro.core.pruning import (
-    VALIDITY_THRESHOLD,
-    BlockTotals,
-    cep_budget,
-    cnp_budget,
-    get_pruning_algorithm,
-    strength_order,
-)
+from repro.core.pruning import VALIDITY_THRESHOLD, get_pruning_algorithm, strength_order
 from repro.datamodel import Block, BlockCollection, CandidateSet, EntityCollection
 from repro.datasets.vocabulary import COMMON_WORDS, Vocabulary
 from repro.incremental import (
@@ -506,6 +499,35 @@ def reference_node_maxima(
     return maxima
 
 
+def reference_budget(name: str, blocks) -> int:
+    """CEP's K, or CNP's / RCNP's k, derived here rather than by the library.
+
+    K = max(1, Σ|b| // 2) and k = max(1, round(Σ|b| / (|E1| + |E2|))), the
+    budgets of the paper's Algorithms 4-5.  ``blocks`` is either the two
+    integers of a ``BlockTotals``, used as they are, or a block collection:
+    Σ|b| is then summed over each ``Block``'s member lists, counting only the
+    blocks that spawn a comparison (both sides populated in Clean-Clean ER,
+    two members in Dirty ER), and |E1| + |E2| is its index space.
+    """
+    if isinstance(blocks, BlockCollection):
+        clean_clean = blocks.index_space.is_clean_clean
+        assignments = sum(
+            len(block.entities_first) + len(block.entities_second)
+            for block in blocks
+            if (
+                block.entities_first and block.entities_second
+                if clean_clean
+                else len(block.entities_first) >= 2
+            )
+        )
+        entities = blocks.index_space.total
+    else:
+        assignments, entities = blocks
+    if name == "CEP":
+        return max(1, assignments // 2)
+    return max(1, round(assignments / entities)) if entities else 1
+
+
 def reference_prune(
     name: str,
     probabilities: np.ndarray,
@@ -541,7 +563,7 @@ def reference_prune(
         )
         return valid & (probabilities >= 0.35 * (maxima[left] + maxima[right]))
     if budget is None:
-        budget = (cep_budget if name == "CEP" else cnp_budget)(BlockTotals.of(blocks))
+        budget = reference_budget(name, blocks)
     return reference_cardinality_prune(
         probabilities,
         candidates,

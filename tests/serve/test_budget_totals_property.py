@@ -36,6 +36,8 @@ from repro.persistence.snapshot import snapshot_state
 from repro.serve.router import build_pinned_view
 from repro.serve.workers import ShardReplica
 
+pytestmark = pytest.mark.equivalence
+
 MODEL = make_frozen_model()
 ALGORITHMS = ("WEP", "BLAST", "CEP", "CNP", "RCNP")
 

@@ -32,6 +32,8 @@ from repro.persistence.recovery import recover_session
 from repro.serve.router import build_pinned_view, match_answer, top_k_answer
 from repro.serve.workers import ShardReplica, WalFollowError
 
+pytestmark = pytest.mark.equivalence
+
 _TOKENS = ("alpha", "beta", "gamma", "delta", "eps", "zeta")
 _text = st.lists(st.sampled_from(_TOKENS), min_size=0, max_size=4).map(" ".join)
 

@@ -33,6 +33,8 @@ from repro.serve import MatchingDaemon, ServeClient
 from repro.serve.router import ShardRouter
 from repro.serve.workers import ShardReplica, WalRecordFollower, WorkerError
 
+pytestmark = pytest.mark.equivalence
+
 MODEL = make_frozen_model()
 TOKENS = ("alpha", "beta", "gamma", "delta", "eps", "zeta")
 WRITES = 400

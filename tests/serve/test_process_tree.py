@@ -21,9 +21,12 @@ import pytest
 from repro.datamodel import make_profile
 from repro.serve import ServeClient
 
-pytestmark = pytest.mark.skipif(
-    not Path("/proc/self/task").is_dir(), reason="walks the Linux /proc process tree"
-)
+pytestmark = [
+    pytest.mark.equivalence,
+    pytest.mark.skipif(
+        not Path("/proc/self/task").is_dir(), reason="walks the Linux /proc process tree"
+    ),
+]
 
 TEXTS = ("alpha beta gamma", "beta gamma delta", "alpha delta eps", "gamma eps zeta")
 

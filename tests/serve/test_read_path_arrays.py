@@ -35,6 +35,8 @@ from repro.persistence import WriteAheadLog
 from repro.serve.router import build_pinned_view, match_answer, top_k_answer
 from repro.serve.workers import ShardReplica
 
+pytestmark = pytest.mark.equivalence
+
 MODEL = make_frozen_model()
 
 _TEXTS = ("alpha beta", "beta gamma", "alpha gamma delta", "gamma delta", "alpha eps")

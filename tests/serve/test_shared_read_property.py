@@ -41,6 +41,8 @@ from repro.serve.workers import ShardReplica, WalRecordFollower
 
 from test_consistency_property import _operations, _stream
 
+pytestmark = pytest.mark.equivalence
+
 MODEL = make_frozen_model()
 MODELS = {name: make_frozen_model(cleaning=cleaning) for name, cleaning in CLEANINGS.items()}
 _TOKENS = ("alpha", "beta", "gamma", "delta", "eps", "zeta")

@@ -30,6 +30,8 @@ from repro.serve import MatchingDaemon, ServeClient
 from repro.serve.router import ShardRouter, match_answer
 from repro.serve.workers import ShardWorkerHandle, WorkerError, encode_ship
 
+pytestmark = pytest.mark.equivalence
+
 MODEL = make_frozen_model()
 TEXTS = ("alpha beta", "beta gamma", "alpha gamma")
 

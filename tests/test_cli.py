@@ -16,6 +16,8 @@ from repro.cli import build_parser, main
 from repro.experiments import ExperimentConfig
 from repro.experiments.registry import EXPERIMENTS
 
+pytestmark = pytest.mark.equivalence
+
 CONFIG_FIELDS = {field.name for field in fields(ExperimentConfig)}
 
 

@@ -30,13 +30,15 @@ import repro
 from repro.datamodel import make_profile
 from repro.datasets import load_benchmark
 from repro.incremental import MatchingSession, train_frozen_model
-from test_import_layering import ROOT, _exported_names, _parse
+from source_tree import ROOT, exported_names, parse
+
+pytestmark = pytest.mark.equivalence
 
 SRC = ROOT.parent
 PACKAGES = sorted(
     ".".join(("repro",) + path.parent.relative_to(ROOT).parts)
     for path in ROOT.rglob("__init__.py")
-    if _exported_names(path, _parse(path))
+    if exported_names(path, parse(path))
 )
 
 #: loaded by no process that recovers and serves
@@ -137,7 +139,7 @@ def test_every_package_with_public_names_declares_them_in_one_table():
         path = Path(importlib.import_module(package).__file__)
         relative = [
             node
-            for node in _parse(path).body
+            for node in parse(path).body
             if isinstance(node, ast.ImportFrom) and node.module != "_exports"
         ]
         assert not relative, f"{package}/__init__.py imports eagerly"
@@ -147,7 +149,7 @@ def test_every_package_with_public_names_declares_them_in_one_table():
 def test_public_names_resolve_to_the_submodules_objects(package):
     module = importlib.import_module(package)
     path = Path(module.__file__)
-    table = _exported_names(path, _parse(path))
+    table = exported_names(path, parse(path))
     public = [name for name in module.__all__ if name != "__version__"]
     assert sorted(public) == sorted(table) and len(set(public)) == len(public)
     starred = {}

@@ -15,16 +15,14 @@ used when
 import ast
 from pathlib import Path
 
-from test_import_layering import ROOT, _parse, _resolve
+import pytest
 
-REPO = ROOT.parent.parent
+from source_tree import REPO, ROOT, module_name, parse, python_files, resolve
+
+pytestmark = pytest.mark.equivalence
+
 #: the trees whose ``from repro.x import name`` statements re-export ``name``
 IMPORTERS = ("src", "tests", "benchmarks", "examples")
-
-
-def _module_name(path: Path) -> str:
-    parts = ("repro",) + path.relative_to(ROOT).with_suffix("").parts
-    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
 def _docstrings(tree: ast.Module):
@@ -84,13 +82,12 @@ def _imported_from_elsewhere():
     """``(module, name)`` of every ``from module import name`` in the repo."""
     found = set()
     for tree_root in IMPORTERS:
-        for path in sorted((REPO / tree_root).rglob("*.py")):
-            tree = _parse(path)
-            for node in ast.walk(tree):
+        for path in python_files(REPO / tree_root):
+            for node in ast.walk(parse(path)):
                 if not isinstance(node, ast.ImportFrom):
                     continue
                 if node.level and path.is_relative_to(ROOT):
-                    module = _resolve(path, node)
+                    module = resolve(path, node)
                 else:
                     module = node.module or ""
                 found |= {(module, alias.name) for alias in node.names}
@@ -99,7 +96,7 @@ def _imported_from_elsewhere():
 
 def _unused(path: Path, tree: ast.Module, imported_elsewhere):
     used = _loaded(tree) | _exported(tree)
-    module = _module_name(path) if path.is_relative_to(ROOT) else ""
+    module = module_name(path)
     for statement in tree.body:
         if not isinstance(statement, (ast.Import, ast.ImportFrom)):
             continue
@@ -137,7 +134,7 @@ def test_no_module_imports_a_name_it_does_not_use():
     imported_elsewhere = _imported_from_elsewhere()
     offenders = [
         f"{path.relative_to(ROOT)}:{line} {name}"
-        for path in sorted(ROOT.rglob("*.py"))
-        for line, name in _unused(path, _parse(path), imported_elsewhere)
+        for path in python_files(ROOT)
+        for line, name in _unused(path, parse(path), imported_elsewhere)
     ]
     assert not offenders, f"unused imports: {offenders}"

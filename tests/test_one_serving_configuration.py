@@ -4,81 +4,23 @@ read is no longer a switch.
 Reads always ship deltas when the router holds a base; ``match`` /
 ``top_k`` always fall back to the authority when the fleet fails; a request
 records its span tree exactly when the daemon journals events.  The
-``--delta-shipping`` / ``--degraded-reads`` / ``--tracing`` flags, their
-keyword arguments, the knobs only tests set (``start_method``,
-``adopt_min_gap``) and the two queue bounds the CLI always set alike are
-gone.  An AST walk over ``src/repro``, the shape of the other deletion
-guards, keeps them gone; a live daemon shows the rest.
+switches, their flags and the knobs only tests set stay gone by the rows of
+``tests/test_guards.py``; a live daemon shows the rest.
 """
 
-import ast
 import threading
 from contextlib import contextmanager
 
 import pytest
 
 from reference import make_frozen_model
-from repro.cli import build_parser
 from repro.datamodel import make_profile
 from repro.obs import events as obs_events
 from repro.obs import read_events
 from repro.serve import MatchingDaemon, ServeClient
 from repro.serve import daemon as daemon_module
-from test_import_layering import ROOT, _parse
 
-#: the switches and knobs no parameter, keyword or attribute may name
-GONE = {
-    "delta_shipping",
-    "degraded_reads",
-    "tracing",
-    "start_method",
-    "adopt_min_gap",
-    "max_pending_mutations",
-    "max_pending_reads",
-}
-
-
-def _offenders(tree: ast.AST):
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.arg, ast.keyword)) and node.arg in GONE:
-            yield node.lineno, node.arg
-        elif isinstance(node, ast.Attribute) and node.attr in GONE:
-            yield node.lineno, node.attr
-
-
-def test_the_guard_sees_code_and_not_prose():
-    code = '''
-"""delta_shipping and tracing were switches."""
-def serve(wal, *, tracing=True, **kwargs): ...
-serve(wal, start_method="fork")
-router.delta_shipping = False
-metrics.increment("degraded_reads")
-'''
-    assert sorted(_offenders(ast.parse(code))) == [
-        (3, "tracing"),
-        (4, "start_method"),
-        (5, "delta_shipping"),
-    ]
-
-
-def test_no_module_names_a_serving_switch():
-    offenders = [
-        f"{path.relative_to(ROOT)}:{line}: {name}"
-        for path in sorted(ROOT.rglob("*.py"))
-        for line, name in _offenders(_parse(path))
-    ]
-    assert not offenders, offenders
-
-
-@pytest.mark.parametrize(
-    "flag,value",
-    [("--delta-shipping", "on"), ("--degraded-reads", "off"), ("--tracing", "off")],
-)
-def test_the_switch_flags_are_gone(capsys, flag, value):
-    with pytest.raises(SystemExit) as excinfo:
-        build_parser().parse_args(["serve", "--wal", "unused", flag, value])
-    assert excinfo.value.code == 2
-    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+pytestmark = pytest.mark.equivalence
 
 
 class _RecordedTrace(daemon_module.RequestTrace):

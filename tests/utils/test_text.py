@@ -16,6 +16,8 @@ from repro.utils import (
     tokens,
 )
 
+pytestmark = pytest.mark.equivalence
+
 
 class TestNormalize:
     def test_lowercase_and_punctuation(self):

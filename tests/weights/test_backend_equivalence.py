@@ -32,6 +32,8 @@ from reference import (
     reference_masked_ratio,
 )
 
+pytestmark = pytest.mark.equivalence
+
 ALL_SCHEMES = tuple(SCHEME_CLASSES)
 
 #: absolute/relative tolerances: the two implementations sum the same terms in a

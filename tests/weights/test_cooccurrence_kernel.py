@@ -37,6 +37,8 @@ from repro.weights.sparse import (
 
 from reference import forced_cooccurrence_pass as forced, pair_tuples, reference_block_sets
 
+pytestmark = pytest.mark.equivalence
+
 
 def oracle(csr, inverse_cardinalities, inverse_sizes, left, right):
     """Per-pair Python loop over the CSR rows."""

@@ -25,6 +25,8 @@ from repro.weights import PAPER_FEATURES, BlockStatistics
 
 from reference import pair_tuples, reference_feature_matrix
 
+pytestmark = pytest.mark.equivalence
+
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "data" / "golden_features.json"
 
 #: every scheme, CBS included (LCP expands to two columns -> 10 columns)
