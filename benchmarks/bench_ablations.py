@@ -9,7 +9,7 @@
 
 import numpy as np
 
-from repro.blocking import prepare_blocks
+from repro.blocking import BlockCleaning, prepare_blocks
 from repro.core import GeneralizedSupervisedMetaBlocking, SupervisedBLAST
 from repro.datasets import load_benchmark
 from repro.evaluation import ExperimentRunner, evaluate_candidates, format_table
@@ -141,7 +141,8 @@ def test_ablation_block_filtering_ratio(benchmark, report_sink):
     def run_sweep():
         rows = []
         for ratio in ratios:
-            prepared = prepare_blocks(dataset.first, dataset.second, filtering_ratio=ratio)
+            cleaning = BlockCleaning(0.5, ratio)
+            prepared = prepare_blocks(dataset.first, dataset.second, cleaning=cleaning)
             report = evaluate_candidates(prepared.candidates, dataset.ground_truth)
             rows.append(
                 {

@@ -81,13 +81,10 @@ _EXPORTS = {
     "evaluate_candidates": "evaluation",
     "evaluate_result": "evaluation",
     "evaluate_retained_mask": "evaluation",
-    "extract_candidates": "blocking",
-    "filter_blocks": "blocking",
     "get_pruning_algorithm": "core",
     "load_benchmark": "datasets",
     "load_dirty_dataset": "datasets",
     "prepare_blocks": "blocking",
-    "purge_oversized_blocks": "blocking",
 }
 
 __all__ = [*_EXPORTS, "__version__"]

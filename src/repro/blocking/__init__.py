@@ -15,11 +15,7 @@ _EXPORTS = {
     "SuffixArraysBlocking": "suffix_arrays",
     "TokenBlocking": "token_blocking",
     "assemble_blocks": "arrayops",
-    "extract_candidates": "candidate_extraction",
-    "filter_blocks": "filtering",
     "prepare_blocks": "candidate_extraction",
-    "purge_by_comparison_cardinality": "purging",
-    "purge_oversized_blocks": "purging",
 }
 
 __all__ = list(_EXPORTS)

@@ -10,7 +10,7 @@ signature index, per-:class:`Block` loops or Python set of pair tuples:
 * **encode**: :func:`encode_signatures` turns the lists of any method into a
   token-id array at C speed — the flattened lists, their sorted set as the
   vocabulary, the ranks looked up with ``map`` (sorted-vocabulary ranks, so
-  block order matches the object chain's ``sorted(keys)``);
+  blocks come in sorted signature order);
 * **assemble**: blocks are built directly as flat ``(block, entity)``
   membership arrays — a block x entity CSR — via packed-key sorted dedup,
   with no per-signature dict; a method's ``max_block_size`` cut-off is one
@@ -35,10 +35,12 @@ Every packed key asks :func:`repro.pairs.key_field_bits` for its field
 widths; a refusal raises :class:`OverflowError` (or, for the reduce pass,
 takes the path that needs no such key).
 
-The object chain (``BlockingMethod.build_blocks``, ``purge_oversized_blocks``,
-``filter_blocks``, ``CandidateSet.from_blocks``) stays as the reference: the
-equivalence tests in ``tests/blocking/test_array_equivalence.py`` call it
-directly and assert block-for-block and pair-for-pair identical results.
+This is the one implementation of block preparation.  Its oracle is built
+from the paper's definitions in ``tests/reference.py``
+(``reference_prepare_blocks``): a dict per signature, purging and filtering
+over each ``Block``'s member lists, the Python set of every block's
+comparisons; ``tests/blocking/test_array_equivalence.py`` asserts
+block-for-block and pair-for-pair identical results.
 """
 
 from __future__ import annotations
@@ -84,9 +86,8 @@ class MembershipMatrix:
     Memberships are sorted by (block id, node id); ``block_ptr`` is the CSR
     row-pointer over blocks, so block ``b`` spans
     ``nodes[block_ptr[b]:block_ptr[b+1]]`` (sorted node ids).  Block ids
-    follow the lexicographic signature order for raw collections and the
-    surviving loop-path order after purging/filtering, which keeps every
-    materialized collection block-for-block identical to the object pipeline.
+    follow the lexicographic signature order for raw collections, and
+    purging / filtering keep the survivors in that relative order.
     """
 
     #: block signature per block id
@@ -225,8 +226,7 @@ def encode_signatures(
 
     ``codes`` holds one entry per signature occurrence (duplicates included,
     input order) and indexes the lexicographically sorted ``vocabulary``, so
-    sorting by code reproduces the object chain's ``sorted(keys)`` block
-    order; ``lengths`` is the number of signatures per profile.  It only
+    sorting by code yields the blocks in sorted signature order; ``lengths`` is the number of signatures per profile.  It only
     sees the lists, so it serves every :class:`BlockingMethod`; the ranks
     are looked up by ``map`` over the flattened lists — no per-token Python.
     """
@@ -266,10 +266,9 @@ def assemble_blocks(
 
     Valid signatures — at least two distinct entities for Dirty ER, at least
     one entity per source for Clean-Clean ER — become blocks in sorted
-    signature order, exactly like the loop path's
-    ``build_unilateral_blocks``/``build_bilateral_blocks`` followed by
-    ``without_empty_blocks``; blocks over the method's ``max_block_size``
-    (the Suffix-Arrays frequency cut-off) are then dropped.
+    signature order (a signature that spawns no comparison makes no block);
+    blocks over the method's ``max_block_size`` (the Suffix-Arrays frequency
+    cut-off) are then dropped.
     """
     if second is None:
         index_space = EntityIndexSpace(len(first))
@@ -325,13 +324,14 @@ def _select_blocks(
 def purge_matrix(
     matrix: MembershipMatrix, max_entity_fraction: float = 0.5
 ) -> MembershipMatrix:
-    """Block Purging as an array pass (see :func:`purge_oversized_blocks`)."""
+    """Block Purging as an array pass: the blocks of at most
+    ``max_entity_fraction`` of all entities (:func:`~repro.blocking.cleaning.purge_mask`)."""
     keep_block = purge_mask(matrix.block_sizes(), matrix.index_space.total, max_entity_fraction)
     return _select_blocks(matrix, keep_block, f"{matrix.name}|purged")
 
 
 def filter_matrix(matrix: MembershipMatrix, ratio: float = 0.8) -> MembershipMatrix:
-    """Block Filtering as an array pass (see :func:`filter_blocks`).
+    """Block Filtering as an array pass.
 
     Every entity keeps its ``ceil(ratio * k)`` smallest blocks, ranked by
     (cardinality, member-set key) — :func:`repro.blocking.cleaning.filter_mask`,

@@ -10,21 +10,17 @@ input shapes:
   *unilateral* and every intra-block pair is compared.
 
 Concrete subclasses only have to implement :meth:`signatures_of`, the mapping
-from one profile to its set of signatures; the rest of the machinery (index
-building, block assembly) is shared.
+from one profile to its set of signatures (and may override
+:meth:`signature_lists`, the batch form); the blocks themselves are assembled
+by :func:`repro.blocking.prepare_blocks`, one array pass for every method.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Iterable, List, Optional, Set
 
-from ..datamodel.block import (
-    BlockCollection,
-    build_bilateral_blocks,
-    build_unilateral_blocks,
-)
-from ..datamodel.entity import EntityCollection, EntityIndexSpace, EntityProfile
+from ..datamodel.entity import EntityProfile
 
 
 class BlockingMethod(ABC):
@@ -49,52 +45,3 @@ class BlockingMethod(ABC):
         the per-profile set building of :meth:`signatures_of`.
         """
         return [list(self.signatures_of(profile)) for profile in profiles]
-
-    # -- shared machinery -------------------------------------------------------
-    def _signature_index(
-        self, collection: EntityCollection, node_offset: int
-    ) -> Dict[str, List[int]]:
-        """Map every signature to the node ids of entities exhibiting it."""
-        index: Dict[str, List[int]] = {}
-        for position, profile in enumerate(collection):
-            for signature in self.signatures_of(profile):
-                index.setdefault(signature, []).append(node_offset + position)
-        return index
-
-    def build_blocks(
-        self,
-        first: EntityCollection,
-        second: Optional[EntityCollection] = None,
-    ) -> BlockCollection:
-        """Build the block collection for one (dirty) or two (clean) collections.
-
-        Parameters
-        ----------
-        first:
-            The first (or only) entity collection.
-        second:
-            The second collection for Clean-Clean ER, or ``None`` for Dirty ER.
-        """
-        if second is None:
-            index_space = EntityIndexSpace(len(first))
-            signatures = self._signature_index(first, node_offset=0)
-            return build_unilateral_blocks(
-                signatures, index_space, name=f"{self.name}({first.name})"
-            )
-        index_space = EntityIndexSpace(len(first), len(second))
-        signatures_first = self._signature_index(first, node_offset=0)
-        signatures_second = self._signature_index(second, node_offset=len(first))
-        return build_bilateral_blocks(
-            signatures_first,
-            signatures_second,
-            index_space,
-            name=f"{self.name}({first.name},{second.name})",
-        )
-
-    def __call__(
-        self,
-        first: EntityCollection,
-        second: Optional[EntityCollection] = None,
-    ) -> BlockCollection:
-        """Alias for :meth:`build_blocks` so methods can be used as callables."""
-        return self.build_blocks(first, second)

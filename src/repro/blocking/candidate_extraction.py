@@ -20,18 +20,15 @@ the *same* expansion of the comparisons that found the pairs.
 rebuilds no incidence structure and ``stats.pair_cooccurrence(candidates)``
 is a cache hit.  A key space the reduce pass refuses
 (:func:`repro.pairs.key_field_bits`) hands no aggregates; the answer phase
-then computes them with the same kernel.  The readable object chain
-(``BlockingMethod.build_blocks`` -> ``purge_oversized_blocks`` ->
-``filter_blocks`` -> :func:`extract_candidates`) is the reference the
-equivalence tests compare against; nothing here selects it.
+then computes them with the same kernel.  This is the library's one
+implementation of block preparation; the equivalence tests hold it to an
+oracle built from the paper's definitions (``tests/reference.py``).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..datamodel.block import BlockCollection
-from ..datamodel.candidates import CandidateSet
 from ..datamodel.entity import EntityCollection
 from ..utils.timing import StageTimer
 from .arrayops import (
@@ -43,28 +40,20 @@ from .arrayops import (
     reduce_candidates,
 )
 from .base import BlockingMethod
-from .cleaning import PAPER_CLEANING
+from .cleaning import PAPER_CLEANING, BlockCleaning
 from .token_blocking import TokenBlocking
-
-
-def extract_candidates(blocks: BlockCollection) -> CandidateSet:
-    """Return the distinct candidate pairs (comparisons) of ``blocks``."""
-    return CandidateSet.from_blocks(blocks)
 
 
 def prepare_blocks(
     first: EntityCollection,
     second: Optional[EntityCollection] = None,
     blocking: Optional[BlockingMethod] = None,
-    purging_fraction: float = PAPER_CLEANING.purging_fraction,
-    filtering_ratio: float = PAPER_CLEANING.filtering_ratio,
-    apply_purging: bool = True,
-    apply_filtering: bool = True,
+    cleaning: BlockCleaning = PAPER_CLEANING,
 ) -> PreparedBlocks:
     """Run the paper's block-preparation pipeline.
 
-    Produces bit-identical blocks and candidate pairs to the object chain
-    (see :mod:`repro.blocking.arrayops`), plus the final collection's CSR
+    Produces every stage's blocks and the distinct candidate pairs (see
+    :mod:`repro.blocking.arrayops`), plus the final collection's CSR
     incidence structure and the candidates' co-occurrence aggregates.
 
     Parameters
@@ -73,12 +62,16 @@ def prepare_blocks(
         The input entity collection(s); ``second`` is ``None`` for Dirty ER.
     blocking:
         The blocking method (default :class:`TokenBlocking`, as in the paper).
-    purging_fraction:
-        Block Purging size threshold as a fraction of all entities.
-    filtering_ratio:
-        Block Filtering retention ratio (0.8 = drop each entity's largest 20 %).
-    apply_purging, apply_filtering:
-        Toggle the cleaning steps (the scalability experiments skip filtering).
+    cleaning:
+        Block Purging's size threshold as a fraction of all entities and
+        Block Filtering's retention ratio (0.8 = drop each entity's largest
+        20 %); a ``None`` field turns that step off (:data:`NO_CLEANING`:
+        the raw blocks).  The default is the paper's, :data:`PAPER_CLEANING`.
+
+    Raises
+    ------
+    ValueError
+        When a cleaning parameter lies outside ``(0, 1]``.
     """
     stages = StageTimer()
     method = blocking if blocking is not None else TokenBlocking()
@@ -86,11 +79,15 @@ def prepare_blocks(
         raw_matrix = assemble_blocks(method, first, second)
     with stages.stage("purging"):
         purged_matrix = (
-            purge_matrix(raw_matrix, purging_fraction) if apply_purging else raw_matrix
+            raw_matrix
+            if cleaning.purging_fraction is None
+            else purge_matrix(raw_matrix, cleaning.purging_fraction)
         )
     with stages.stage("filtering"):
         filtered_matrix = (
-            filter_matrix(purged_matrix, filtering_ratio) if apply_filtering else purged_matrix
+            purged_matrix
+            if cleaning.filtering_ratio is None
+            else filter_matrix(purged_matrix, cleaning.filtering_ratio)
         )
     with stages.stage("candidate-extraction"):
         csr = filtered_matrix.csr()

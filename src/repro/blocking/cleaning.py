@@ -40,9 +40,10 @@ from ..pairs import key_field_bits
 class BlockCleaning(NamedTuple):
     """Which block cleaning a collection is read under (``None``: step off).
 
-    A frozen model records the cleaning its features were computed under
-    (:attr:`repro.ml.FrozenModel.cleaning`), and every exact answer scored by
-    that model reads the live collection under it.
+    :func:`repro.blocking.prepare_blocks` cleans the blocks it assembles
+    under one; a frozen model records the cleaning its features were computed
+    under (:attr:`repro.ml.FrozenModel.cleaning`), and every exact answer
+    scored by that model reads the live collection under it.
     """
 
     #: Block Purging's size limit as a fraction of the live entities
@@ -54,18 +55,6 @@ class BlockCleaning(NamedTuple):
     def is_identity(self) -> bool:
         """Whether both steps are off: the raw (valid) blocks are read."""
         return self.purging_fraction is None and self.filtering_ratio is None
-
-    def prepare_arguments(self) -> Dict[str, Any]:
-        """The :func:`repro.blocking.prepare_blocks` arguments of this cleaning."""
-        arguments: Dict[str, Any] = {
-            "apply_purging": self.purging_fraction is not None,
-            "apply_filtering": self.filtering_ratio is not None,
-        }
-        if self.purging_fraction is not None:
-            arguments["purging_fraction"] = self.purging_fraction
-        if self.filtering_ratio is not None:
-            arguments["filtering_ratio"] = self.filtering_ratio
-        return arguments
 
     @classmethod
     def restore(cls, state: Optional[Dict[str, Any]]) -> "BlockCleaning":
@@ -102,13 +91,13 @@ class BlockCleaning(NamedTuple):
 
 #: the raw collection: no purging, no filtering
 NO_CLEANING = BlockCleaning()
-#: the paper's pipeline: ``prepare_blocks``' defaults
+#: the paper's pipeline: ``prepare_blocks``' default
 PAPER_CLEANING = BlockCleaning(purging_fraction=0.5, filtering_ratio=0.8)
 
 
 def check_filtering_ratio(ratio: float) -> None:
     if not 0.0 < ratio <= 1.0:
-        raise ValueError("ratio must be in (0, 1]")
+        raise ValueError("filtering_ratio must be in (0, 1]")
 
 
 def splitmix64(values: np.ndarray) -> np.ndarray:
@@ -158,7 +147,7 @@ def block_cardinalities(
 def purge_mask(sizes: np.ndarray, num_entities: int, fraction: float) -> np.ndarray:
     """Block Purging: the blocks of at most ``fraction x num_entities`` entities."""
     if not 0.0 < fraction <= 1.0:
-        raise ValueError("max_entity_fraction must be in (0, 1]")
+        raise ValueError("purging_fraction must be in (0, 1]")
     return sizes <= fraction * num_entities
 
 

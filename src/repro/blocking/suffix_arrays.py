@@ -46,17 +46,3 @@ class SuffixArraysBlocking(BlockingMethod):
             suffixes(profile.text(), min_suffix_length=self.min_suffix_length)
             for profile in profiles
         ]
-
-    def build_blocks(self, first, second=None):  # type: ignore[override]
-        """Build blocks, then drop blocks larger than ``max_block_size``.
-
-        The object chain's statement of the cut-off; the array engine reads
-        the same attribute in :func:`repro.blocking.arrayops.assemble_blocks`.
-        """
-        blocks = super().build_blocks(first, second)
-        if self.max_block_size is None:
-            return blocks
-        from ..datamodel.block import BlockCollection
-
-        kept = [block for block in blocks if block.size() <= self.max_block_size]
-        return BlockCollection(kept, blocks.index_space, name=blocks.name)

@@ -47,10 +47,13 @@ class BlockTotals(NamedTuple):
 
     @classmethod
     def of(cls, blocks: "BlockSource") -> "BlockTotals":
-        """``blocks`` itself when already totals, else read off the collection."""
+        """``blocks`` itself when already totals, else read off the collection:
+        ``Σ|b|`` over the blocks whose cardinality is positive."""
         if isinstance(blocks, cls):
             return blocks
-        return cls(blocks.total_block_assignments(), blocks.index_space.total)
+        spawning = np.asarray(blocks.block_cardinalities()) > 0
+        sizes = np.asarray(blocks.block_sizes(), dtype=np.int64)
+        return cls(int(sizes[spawning].sum()), blocks.index_space.total)
 
 
 #: what ``prune`` accepts as ``blocks``

@@ -12,8 +12,6 @@ _EXPORTS = {
     "EntityIndexSpace": "entity",
     "EntityProfile": "entity",
     "GroundTruth": "ground_truth",
-    "build_bilateral_blocks": "block",
-    "build_unilateral_blocks": "block",
     "collection_from_dicts": "entity",
     "make_profile": "entity",
 }

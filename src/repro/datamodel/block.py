@@ -16,7 +16,7 @@ is kept and every intra-block pair is a candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -65,26 +65,6 @@ class Block:
         """All node ids contained in the block."""
         return list(self.entities_first) + list(self.entities_second)
 
-    def pairs(self) -> Iterator[Tuple[int, int]]:
-        """Yield every comparison (pair of node ids) the block spawns.
-
-        Pairs are emitted with the smaller node id first for unilateral
-        blocks, and as (first-side node, second-side node) for bilateral
-        blocks; both conventions yield a canonical orientation because in the
-        bilateral case first-side node ids are always smaller than
-        second-side ones.
-        """
-        if self.is_bilateral:
-            for i in self.entities_first:
-                for j in self.entities_second:
-                    yield (i, j)
-        else:
-            inner = self.entities_first
-            for a in range(len(inner)):
-                for b in range(a + 1, len(inner)):
-                    i, j = inner[a], inner[b]
-                    yield (i, j) if i < j else (j, i)
-
     def __len__(self) -> int:
         return self.size()
 
@@ -131,23 +111,12 @@ class BlockCollection:
         """Sum of block sizes, i.e. number of (entity, block) memberships."""
         return sum(block.size() for block in self._blocks)
 
-    def entity_block_index(self) -> Dict[int, List[int]]:
-        """Map every node id to the sorted list of block ids containing it.
-
-        This is the ``B_i`` structure the weighting schemes are defined on.
-        """
-        index: Dict[int, List[int]] = {}
-        for block_id, block in enumerate(self._blocks):
-            for node in block.all_entities():
-                index.setdefault(node, []).append(block_id)
-        return index
-
     def membership_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Flatten into parallel ``(block_ids, node_ids)`` membership arrays.
 
-        One entry per (entity, block) assignment, in block order.  This is the
-        array-native form of :meth:`entity_block_index` consumed by the CSR
-        builders in :mod:`repro.weights.sparse`.
+        One entry per (entity, block) assignment, in block order: the ``B_i``
+        structure the weighting schemes are defined on, in the form the CSR
+        builders of :mod:`repro.weights.sparse` consume.
         """
         block_parts: List[np.ndarray] = []
         node_parts: List[np.ndarray] = []
@@ -159,11 +128,6 @@ class BlockCollection:
         if not block_parts:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         return np.concatenate(block_parts), np.concatenate(node_parts)
-
-    def without_empty_blocks(self) -> "BlockCollection":
-        """Return a copy that drops blocks spawning no comparison."""
-        kept = [block for block in self._blocks if block.cardinality() > 0]
-        return BlockCollection(kept, self.index_space, name=self.name)
 
     def block_sizes(self) -> List[int]:
         """Return the size (|b|) of every block."""
@@ -179,45 +143,3 @@ class BlockCollection:
             f"comparisons={self.total_comparisons()})"
         )
 
-
-def build_bilateral_blocks(
-    signatures_first: Dict[str, List[int]],
-    signatures_second: Dict[str, List[int]],
-    index_space: EntityIndexSpace,
-    name: str = "blocks",
-) -> BlockCollection:
-    """Assemble Clean-Clean ER blocks from per-source signature indexes.
-
-    Only signatures appearing in *both* sources yield a block, because a
-    block with entities from a single source spawns no cross-source
-    comparison.
-    """
-    blocks = []
-    for key in sorted(set(signatures_first) & set(signatures_second)):
-        blocks.append(
-            Block(
-                key=key,
-                entities_first=sorted(signatures_first[key]),
-                entities_second=sorted(signatures_second[key]),
-            )
-        )
-    return BlockCollection(blocks, index_space, name=name)
-
-
-def build_unilateral_blocks(
-    signatures: Dict[str, List[int]],
-    index_space: EntityIndexSpace,
-    name: str = "blocks",
-    min_block_size: int = 2,
-) -> BlockCollection:
-    """Assemble Dirty ER blocks from a signature index.
-
-    Blocks with fewer than ``min_block_size`` entities spawn no comparison
-    and are dropped.
-    """
-    blocks = []
-    for key in sorted(signatures):
-        members = sorted(set(signatures[key]))
-        if len(members) >= min_block_size:
-            blocks.append(Block(key=key, entities_first=members))
-    return BlockCollection(blocks, index_space, name=name)

@@ -14,7 +14,6 @@ from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
 
 import numpy as np
 
-from .block import BlockCollection
 from .entity import EntityIndexSpace
 
 
@@ -82,18 +81,6 @@ class CandidateSet:
             left = np.empty(0, dtype=np.int64)
             right = np.empty(0, dtype=np.int64)
         return cls(left, right, index_space)
-
-    @classmethod
-    def from_blocks(cls, blocks: BlockCollection) -> "CandidateSet":
-        """Extract the distinct candidate pairs of a block collection.
-
-        This is the redundancy-removal step: pairs repeated across blocks are
-        kept once.
-        """
-        seen: Set[Tuple[int, int]] = set()
-        for block in blocks:
-            seen.update(block.pairs())
-        return cls.from_pairs(seen, blocks.index_space)
 
     # -- container protocol ----------------------------------------------------
     def __len__(self) -> int:

@@ -81,8 +81,7 @@ class GroundTruth:
 
         The stride is ``max(index_space.total, largest pair id + 1, 1)`` so
         packing is collision-free even for pairs constructed outside the
-        declared index space; the packed form powers the vectorized
-        :meth:`labels_for` lookup.
+        declared index space.
         """
         if self._packed is None:
             stride = max(self.index_space.total, 1)
@@ -101,26 +100,34 @@ class GroundTruth:
             self._packed_stride = stride
         return self._packed
 
+    def _packed_with(self, candidates: CandidateSet) -> Tuple[np.ndarray, np.ndarray]:
+        """The truth's sorted keys and the (non-empty) candidates' keys under
+        one stride: the truth's, widened past the largest candidate id when one
+        reaches beyond it (re-packing keeps the truth keys sorted: ``j`` stays
+        below either stride)."""
+        truth = self.packed_pairs()
+        stride = self._packed_stride
+        reach = int(candidates.right.max()) + 1
+        if reach > stride:
+            truth = truth // stride * np.int64(reach) + truth % stride
+            stride = reach
+        return truth, candidates.left * np.int64(stride) + candidates.right
+
     def labels_for(self, candidates: CandidateSet) -> np.ndarray:
         """Return a boolean label per candidate pair (True = matching).
 
         The array is aligned with the candidate set's storage order, so it can
         be used directly as classification target or evaluation reference.
         Labels are computed by a packed-key ``np.searchsorted`` lookup — no
-        per-pair tuple allocations; :meth:`labels_for_pairs` remains the
-        dict-style reference (and the fallback when the candidate node ids
-        exceed the packing stride).  Candidates stored strictly ascending by
-        key (every batch set) are searched *by* the few truth keys.
+        per-pair tuple allocations — whatever the candidates' node ids.
+        Candidates stored strictly ascending by key (every batch set) are
+        searched *by* the few truth keys.
         """
         if len(candidates) == 0:
             return np.zeros(0, dtype=bool)
-        packed = self.packed_pairs()
+        packed, keys = self._packed_with(candidates)
         if packed.size == 0:
             return np.zeros(len(candidates), dtype=bool)
-        stride = self._packed_stride
-        if int(candidates.right.max()) >= stride:
-            return self.labels_for_pairs(candidates)
-        keys = candidates.left * np.int64(stride) + candidates.right
         if np.all(keys[1:] > keys[:-1]):
             positions = np.minimum(np.searchsorted(keys, packed), keys.size - 1)
             labels = np.zeros(keys.size, dtype=bool)
@@ -129,23 +136,14 @@ class GroundTruth:
         positions = np.minimum(np.searchsorted(packed, keys), packed.size - 1)
         return packed[positions] == keys
 
-    def labels_for_pairs(self, candidates: CandidateSet) -> np.ndarray:
-        """Reference per-pair labelling over the canonical tuple set.
-
-        Kept for API compatibility (and as the oracle the vectorized
-        :meth:`labels_for` is tested against).
-        """
-        labels = np.zeros(len(candidates), dtype=bool)
-        pair_set = self._pairs
-        for position, (i, j) in enumerate(zip(candidates.left, candidates.right)):
-            if (int(i), int(j)) in pair_set:
-                labels[position] = True
-        return labels
-
     def covered_by(self, candidates: CandidateSet) -> int:
         """Number of duplicate pairs present in the candidate set."""
-        index = candidates.position_index()
-        return sum(1 for pair in self._pairs if pair in index)
+        if len(candidates) == 0:
+            return 0
+        packed, keys = self._packed_with(candidates)
+        keys = np.sort(keys)
+        positions = np.minimum(np.searchsorted(keys, packed), keys.size - 1)
+        return int(np.count_nonzero(keys[positions] == packed))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GroundTruth(duplicates={len(self)})"

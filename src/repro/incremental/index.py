@@ -36,13 +36,13 @@ The per-entity aggregates every weighting scheme needs (``|B_i|``,
 scores read them off the CSR rows of the pairs it scores
 (:meth:`~MutableBlockIndex.insert_statistics`), an exact answer off the rows
 it reads.  Both follow the batch conventions: blocks spawning no comparison
-are excluded from ``|B|``, ``|B_i|`` and the inverse sums (they do not exist
-in a batch collection after ``without_empty_blocks``), so a
+are excluded from ``|B|``, ``|B_i|`` and the inverse sums (a batch
+collection never assembles them), so a
 :class:`MutableBlockIndex` fed any interleaving of inserts, removals,
 updates and bulk loads ending in collection ``C`` exposes exactly the
 statistics :class:`repro.weights.BlockStatistics` computes on the *raw*
 batch block collection built from ``C``
-(``prepare_blocks(..., apply_purging=False, apply_filtering=False)``) —
+(``prepare_blocks(..., cleaning=NO_CLEANING)``) —
 what the insert path scores deltas against — whatever the mutation path.
 Block Purging and Block
 Filtering are global functions of the live collection, so the index does

@@ -108,7 +108,7 @@ def train_frozen_model(
     stay on the raw deltas.
     """
     boot_first, boot_second, truth = split_bootstrap(dataset, bootstrap_fraction)
-    prepared = prepare_blocks(boot_first, boot_second, **cleaning.prepare_arguments())
+    prepared = prepare_blocks(boot_first, boot_second, cleaning=cleaning)
     pipeline = GeneralizedSupervisedMetaBlocking(
         feature_set=feature_set,
         pruning=pruning,

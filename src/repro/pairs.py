@@ -17,7 +17,8 @@ comparisons.  This leaf module (NumPy only; nothing from ``repro`` above
   chunks, no per-block Python.
 
 ``blocking``, ``weights``, ``incremental``, ``persistence`` and ``serve``
-import *down* into it (``tests/test_import_layering.py``).
+import *down* into it (the ``pairs-is-a-leaf`` and
+``weights-imports-no-blocking-or-incremental`` rows of ``tests/test_guards.py``).
 """
 
 from __future__ import annotations

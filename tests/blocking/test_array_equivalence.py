@@ -1,8 +1,10 @@
-"""Equivalence tests: ``prepare_blocks`` vs the object-chain reference.
+"""Equivalence tests: ``prepare_blocks`` vs the reference built from the paper's
+definitions.
 
 The array engine (:mod:`repro.blocking.arrayops`) must be block-for-block and
-pair-for-pair identical to the object-based reference chain
-(``reference_prepare_blocks``) — raw, purged
+pair-for-pair identical to ``reference_prepare_blocks`` — a dict per
+signature, purging and filtering over ``Block`` member lists, the Python set
+of every block's comparisons — raw, purged
 and filtered collections, candidate pairs, and the handed-over CSR incidence
 structure — across unilateral and bilateral inputs, with and without
 purging/filtering, and under stop-word and minimum-token-length variants,
@@ -16,6 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blocking import (
+    NO_CLEANING,
+    PAPER_CLEANING,
+    BlockCleaning,
     QGramsBlocking,
     StandardBlocking,
     SuffixArraysBlocking,
@@ -86,14 +91,12 @@ blocking_methods = st.one_of(
 )
 
 
-@st.composite
-def preparation_options(draw):
-    return dict(
-        purging_fraction=draw(st.sampled_from((0.3, 0.5, 1.0))),
-        filtering_ratio=draw(st.sampled_from((0.3, 0.5, 0.8, 1.0))),
-        apply_purging=draw(st.booleans()),
-        apply_filtering=draw(st.booleans()),
-    )
+#: a cleaning with each step off (``None``) or on at one of a few parameters
+cleanings = st.builds(
+    BlockCleaning,
+    st.one_of(st.none(), st.sampled_from((0.3, 0.5, 1.0))),
+    st.one_of(st.none(), st.sampled_from((0.3, 0.5, 0.8, 1.0))),
+)
 
 
 @st.composite
@@ -113,9 +116,9 @@ def assert_collections_identical(loop_blocks, array_blocks):
         assert array_block.entities_second == loop_block.entities_second
 
 
-def assert_equivalent(first, second, blocking=None, **options):
-    loop = reference_prepare_blocks(first, second, blocking=blocking, **options)
-    array = prepare_blocks(first, second, blocking=blocking, **options)
+def assert_equivalent(first, second, blocking=None, cleaning=PAPER_CLEANING):
+    loop = reference_prepare_blocks(first, second, blocking, cleaning)
+    array = prepare_blocks(first, second, blocking, cleaning)
     assert_collections_identical(loop.raw_blocks, array.raw_blocks)
     assert_collections_identical(loop.purged_blocks, array.purged_blocks)
     assert_collections_identical(loop.blocks, array.blocks)
@@ -134,20 +137,20 @@ class TestPropertyEquivalence:
     @given(
         first=collections(name="shop-1"),
         second=collections(name="shop-2"),
-        options=preparation_options(),
+        cleaning=cleanings,
         blocking=token_blocking_variants(),
     )
-    def test_bilateral(self, first, second, options, blocking):
-        assert_equivalent(first, second, blocking=blocking, **options)
+    def test_bilateral(self, first, second, cleaning, blocking):
+        assert_equivalent(first, second, blocking, cleaning)
 
     @settings(max_examples=60, deadline=None)
     @given(
         collection=collections(name="dirty", max_entities=10),
-        options=preparation_options(),
+        cleaning=cleanings,
         blocking=token_blocking_variants(),
     )
-    def test_unilateral(self, collection, options, blocking):
-        assert_equivalent(collection, None, blocking=blocking, **options)
+    def test_unilateral(self, collection, cleaning, blocking):
+        assert_equivalent(collection, None, blocking, cleaning)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -162,20 +165,20 @@ class TestPropertyEquivalence:
     @given(
         first=collections(name="shop-1"),
         second=collections(name="shop-2"),
-        options=preparation_options(),
+        cleaning=cleanings,
         blocking=blocking_methods,
     )
-    def test_bilateral_every_method(self, first, second, options, blocking):
-        assert_equivalent(first, second, blocking=blocking, **options)
+    def test_bilateral_every_method(self, first, second, cleaning, blocking):
+        assert_equivalent(first, second, blocking, cleaning)
 
     @settings(max_examples=60, deadline=None)
     @given(
         collection=collections(name="dirty", max_entities=10),
-        options=preparation_options(),
+        cleaning=cleanings,
         blocking=blocking_methods,
     )
-    def test_unilateral_every_method(self, collection, options, blocking):
-        assert_equivalent(collection, None, blocking=blocking, **options)
+    def test_unilateral_every_method(self, collection, cleaning, blocking):
+        assert_equivalent(collection, None, blocking, cleaning)
 
 
 class TestEncodeKernel:
@@ -223,18 +226,13 @@ def assert_same_array(ours, theirs):
 
 class TestEdgeCases:
     def test_suffix_arrays_cut_off_reaches_the_array_engine(self):
-        """``max_block_size`` was only applied by the object chain's override."""
+        """The array engine applies the method's ``max_block_size``."""
         collection = make_collection(
             [[f"widget{position % 3}", "gadget"] for position in range(8)], "dirty"
         )
-        options = dict(
-            blocking=SuffixArraysBlocking(3, 2), apply_purging=False, apply_filtering=False
-        )
-        loop, _ = assert_equivalent(collection, None, **options)
+        loop, _ = assert_equivalent(collection, None, SuffixArraysBlocking(3, 2), NO_CLEANING)
         assert len(loop.blocks) == 5 and max(loop.blocks.block_sizes()) == 2
-        uncut = prepare_blocks(
-            collection, None, **{**options, "blocking": SuffixArraysBlocking(3, None)}
-        )
+        uncut = prepare_blocks(collection, None, SuffixArraysBlocking(3, None), NO_CLEANING)
         assert len(uncut.blocks) == 19 and max(uncut.blocks.block_sizes()) == 8
 
     def test_empty_collections(self):
@@ -256,7 +254,7 @@ class TestEdgeCases:
         rows = [["apple", "phone"]] * 5
         assert_equivalent(make_collection(rows, "dirty"), None)
         assert_equivalent(
-            make_collection(rows, "dirty"), None, purging_fraction=1.0
+            make_collection(rows, "dirty"), None, cleaning=BlockCleaning(1.0, 0.8)
         )
 
     def test_paper_example(self, paper_example_profiles):
@@ -270,7 +268,7 @@ class TestEdgeCases:
     def test_d10k_identical(self):
         """The Dirty ER scalability series' smallest dataset, as the
         block-preparation runtime bench gated it: every stage and every
-        candidate pair equal to the object chain's."""
+        candidate pair equal to the reference's."""
         dataset = load_dirty_dataset("D10K", seed=0, scale=0.01)
         loop, array = assert_equivalent(dataset.collection, None)
         assert len(array.candidates) > 0
@@ -278,15 +276,15 @@ class TestEdgeCases:
     def test_degenerate_single_side_blocks_after_filtering(self):
         """Filtering can strand clean-clean blocks with one populated side.
 
-        ``Block.is_bilateral`` then flips and the block spawns intra-source
-        pairs; the array path must reproduce that loop behaviour exactly.
+        Such a block then spawns intra-source pairs (``Block.is_bilateral``
+        flips); the array path must count them as the reference does.
         """
         first = make_collection(
             [["apple", "x"], ["apple", "x"], ["apple"], ["apple"]], "shop-1"
         )
         second = make_collection([["apple", "x", "s20", "pro"]], "shop-2")
         loop, array = assert_equivalent(
-            first, second, filtering_ratio=0.3, apply_purging=False
+            first, second, cleaning=BlockCleaning(filtering_ratio=0.3)
         )
         stranded = [block for block in loop.blocks if not block.is_bilateral]
         assert stranded, "the construction must strand a single-side block"
@@ -302,15 +300,10 @@ class TestBackendSwitch:
         with pytest.raises(TypeError, match="backend"):
             prepare_blocks(collection, None, backend="bogus")
 
-    @pytest.mark.parametrize(
-        "prepare",
-        [prepare_blocks, reference_prepare_blocks],
-        ids=["array", "loop"],
-    )
-    def test_backend_recorded(self, prepare):
-        """Both implementations time the same four stages and feed statistics."""
+    def test_backend_recorded(self):
+        """The preparation times its four stages and feeds statistics."""
         collection = make_collection([["apple", "x"], ["apple"]], "dirty")
-        prepared = prepare(collection, None)
+        prepared = prepare_blocks(collection, None)
         assert prepared.timer is not None
         assert set(prepared.timer.stages) == {
             "blocking", "purging", "filtering", "candidate-extraction",

@@ -3,12 +3,19 @@
 import pytest
 
 from repro.blocking import (
+    NO_CLEANING,
     QGramsBlocking,
     StandardBlocking,
     SuffixArraysBlocking,
     TokenBlocking,
+    prepare_blocks,
 )
 from repro.datamodel import EntityCollection, make_profile
+
+
+def raw_blocks(method, first, second=None):
+    """The blocks ``method`` assembles, uncleaned."""
+    return prepare_blocks(first, second, method, NO_CLEANING).blocks
 
 
 @pytest.fixture
@@ -33,22 +40,19 @@ def product_collections():
 class TestTokenBlocking:
     def test_paper_example_block_keys(self, paper_example_profiles):
         first, second, _ = paper_example_profiles
-        blocks = TokenBlocking().build_blocks(first, second)
+        blocks = raw_blocks(TokenBlocking(), first, second)
         keys = {block.key for block in blocks}
         # the redundancy-positive blocks of Figure 1b
         assert {"apple", "iphone", "samsung", "20", "smartphone", "mate", "phone"} <= keys
 
     def test_paper_example_duplicates_covered(self, paper_example_profiles):
         first, second, truth = paper_example_profiles
-        blocks = TokenBlocking().build_blocks(first, second)
-        from repro.datamodel import CandidateSet
-
-        candidates = CandidateSet.from_blocks(blocks)
+        candidates = prepare_blocks(first, second, cleaning=NO_CLEANING).candidates
         assert truth.covered_by(candidates) == len(truth)
 
     def test_bilateral_blocks_only_shared_tokens(self, product_collections):
         first, second = product_collections
-        blocks = TokenBlocking().build_blocks(first, second)
+        blocks = raw_blocks(TokenBlocking(), first, second)
         keys = {block.key for block in blocks}
         assert "apple" in keys and "iphone" in keys
         assert "s20" not in keys  # appears only in the first collection
@@ -56,24 +60,19 @@ class TestTokenBlocking:
 
     def test_dirty_blocks(self, product_collections):
         first, _ = product_collections
-        blocks = TokenBlocking().build_blocks(first)
+        blocks = raw_blocks(TokenBlocking(), first)
         keys = {block.key for block in blocks}
         assert "smartphone" in keys  # shared by both dirty entities
         assert all(not block.is_bilateral for block in blocks)
 
     def test_min_token_length(self, product_collections):
         first, second = product_collections
-        blocks = TokenBlocking(min_token_length=3).build_blocks(first, second)
+        blocks = raw_blocks(TokenBlocking(min_token_length=3), first, second)
         assert all(len(block.key) >= 3 for block in blocks)
 
     def test_invalid_min_length(self):
         with pytest.raises(ValueError):
             TokenBlocking(min_token_length=0)
-
-    def test_callable_interface(self, product_collections):
-        first, second = product_collections
-        method = TokenBlocking()
-        assert len(method(first, second)) == len(method.build_blocks(first, second))
 
 
 class TestQGramsBlocking:
@@ -84,8 +83,8 @@ class TestQGramsBlocking:
 
     def test_more_blocks_than_token_blocking(self, product_collections):
         first, second = product_collections
-        token_blocks = TokenBlocking().build_blocks(first, second)
-        qgram_blocks = QGramsBlocking(q=3).build_blocks(first, second)
+        token_blocks = raw_blocks(TokenBlocking(), first, second)
+        qgram_blocks = raw_blocks(QGramsBlocking(q=3), first, second)
         assert len(qgram_blocks) >= len(token_blocks)
 
     def test_invalid_q(self):
@@ -101,9 +100,7 @@ class TestSuffixArraysBlocking:
 
     def test_oversized_suffix_blocks_dropped(self, product_collections):
         first, second = product_collections
-        blocks = SuffixArraysBlocking(min_suffix_length=3, max_block_size=2).build_blocks(
-            first, second
-        )
+        blocks = raw_blocks(SuffixArraysBlocking(min_suffix_length=3, max_block_size=2), first, second)
         assert all(block.size() <= 2 for block in blocks)
 
     def test_invalid_parameters(self):

@@ -2,99 +2,94 @@
 
 import pytest
 
-from reference import pair_tuples
-from repro.blocking import (
-    TokenBlocking,
-    extract_candidates,
-    filter_blocks,
-    prepare_blocks,
-    purge_by_comparison_cardinality,
-    purge_oversized_blocks,
-)
-from repro.datamodel import Block, BlockCollection, CandidateSet, EntityIndexSpace
+from reference import pair_tuples, reference_candidates
+from repro.blocking import NO_CLEANING, BlockCleaning, TokenBlocking, prepare_blocks
+from repro.datamodel import EntityCollection, make_profile
 from repro.evaluation import evaluate_candidates
 
 
 @pytest.fixture
-def skewed_blocks():
-    """A collection with one huge (stop-word-like) block and small blocks."""
-    space = EntityIndexSpace(6, 6)
-    return BlockCollection(
-        [
-            Block("stopword", [0, 1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 11]),
-            Block("rare-1", [0], [6]),
-            Block("rare-2", [1], [7]),
-            Block("mid", [2, 3], [8, 9]),
-        ],
-        space,
+def skewed_collections():
+    """Six profiles a side whose Token Blocking holds one huge (stop-word-like)
+    block and small ones: ``stopword`` (all 12 entities), ``rareone`` (0 and
+    6), ``raretwo`` (1 and 7) and ``mid`` (2, 3, 8 and 9)."""
+    texts = ["rareone", "raretwo", "mid", "mid", "", ""]
+
+    def side(name):
+        return EntityCollection(
+            [make_profile(f"{name}{k}", text=f"stopword {text}") for k, text in enumerate(texts)],
+            name=name,
+        )
+
+    return side("a"), side("b")
+
+
+def _prepare(collections, purging_fraction=None, filtering_ratio=None):
+    return prepare_blocks(
+        *collections, cleaning=BlockCleaning(purging_fraction, filtering_ratio)
     )
 
 
+def _keys(blocks):
+    return [block.key for block in blocks]
+
+
 class TestBlockPurging:
-    def test_oversized_block_removed(self, skewed_blocks):
-        purged = purge_oversized_blocks(skewed_blocks, max_entity_fraction=0.5)
-        assert all(block.key != "stopword" for block in purged)
-        assert len(purged) == 3
+    def test_oversized_block_removed(self, skewed_collections):
+        prepared = _prepare(skewed_collections, purging_fraction=0.5)
+        assert _keys(prepared.raw_blocks) == ["mid", "rareone", "raretwo", "stopword"]
+        assert _keys(prepared.purged_blocks) == ["mid", "rareone", "raretwo"]
+        assert _keys(prepared.blocks) == _keys(prepared.purged_blocks)
 
-    def test_threshold_one_keeps_everything(self, skewed_blocks):
-        purged = purge_oversized_blocks(skewed_blocks, max_entity_fraction=1.0)
-        assert len(purged) == len(skewed_blocks)
+    def test_threshold_one_keeps_everything(self, skewed_collections):
+        prepared = _prepare(skewed_collections, purging_fraction=1.0)
+        assert _keys(prepared.purged_blocks) == _keys(prepared.raw_blocks)
 
-    def test_invalid_fraction(self, skewed_blocks):
-        with pytest.raises(ValueError):
-            purge_oversized_blocks(skewed_blocks, max_entity_fraction=0.0)
-
-    def test_cardinality_purging_drops_largest(self, skewed_blocks):
-        purged = purge_by_comparison_cardinality(skewed_blocks)
-        assert len(purged) < len(skewed_blocks)
-        assert all(block.key != "stopword" for block in purged)
-
-    def test_cardinality_purging_empty_collection(self):
-        space = EntityIndexSpace(2)
-        blocks = BlockCollection([], space)
-        assert len(purge_by_comparison_cardinality(blocks)) == 0
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5])
+    def test_invalid_fraction(self, skewed_collections, fraction):
+        with pytest.raises(ValueError, match="purging_fraction"):
+            _prepare(skewed_collections, purging_fraction=fraction)
 
 
 class TestBlockFiltering:
-    def test_entities_keep_smallest_blocks(self, skewed_blocks):
-        filtered = filter_blocks(skewed_blocks, ratio=0.5)
-        keys = {block.key for block in filtered}
+    def test_entities_keep_smallest_blocks(self, skewed_collections):
+        prepared = _prepare(skewed_collections, filtering_ratio=0.5)
+        blocks = {block.key: block for block in prepared.blocks}
         # the small distinctive blocks survive; the huge block loses members
-        assert "rare-1" in keys and "rare-2" in keys
-        stopword_blocks = [block for block in filtered if block.key == "stopword"]
-        if stopword_blocks:
-            assert stopword_blocks[0].size() < 12
+        assert "rareone" in blocks and "raretwo" in blocks
+        assert "stopword" not in blocks or blocks["stopword"].size() < 12
 
-    def test_ratio_one_is_identity_on_memberships(self, skewed_blocks):
-        filtered = filter_blocks(skewed_blocks, ratio=1.0)
-        assert sum(block.size() for block in filtered) == sum(
-            block.size() for block in skewed_blocks
+    def test_ratio_one_is_identity_on_memberships(self, skewed_collections):
+        prepared = _prepare(skewed_collections, filtering_ratio=1.0)
+        assert prepared.blocks.total_block_assignments() == (
+            prepared.purged_blocks.total_block_assignments()
         )
+        assert _keys(prepared.blocks) == _keys(prepared.purged_blocks)
 
-    def test_every_entity_keeps_at_least_one_block(self, skewed_blocks):
-        filtered = filter_blocks(skewed_blocks, ratio=0.2)
-        index = filtered.entity_block_index()
-        original_index = skewed_blocks.entity_block_index()
-        # entities that had any block before must still have one (unless their
-        # only surviving block lost its counterpart side entirely)
-        assert set(original_index) >= set(index)
-        assert len(index) >= len(original_index) - 2
+    def test_every_entity_keeps_at_least_one_block(self, skewed_collections):
+        prepared = _prepare(skewed_collections, filtering_ratio=0.2)
+        kept = {node for block in prepared.blocks for node in block.all_entities()}
+        # every entity of the twelve was in a block, and keeps one: the four
+        # holding ``stopword`` alone keep it, with one another
+        assert kept == set(range(12))
 
-    def test_invalid_ratio(self, skewed_blocks):
-        with pytest.raises(ValueError):
-            filter_blocks(skewed_blocks, ratio=0.0)
+    @pytest.mark.parametrize("ratio", [0.0, -0.2, 1.2])
+    def test_invalid_ratio(self, skewed_collections, ratio):
+        with pytest.raises(ValueError, match="filtering_ratio"):
+            _prepare(skewed_collections, filtering_ratio=ratio)
 
-    def test_reduces_comparisons(self, skewed_blocks):
-        filtered = filter_blocks(skewed_blocks, ratio=0.5)
-        assert filtered.total_comparisons() <= skewed_blocks.total_comparisons()
+    def test_reduces_comparisons(self, skewed_collections):
+        prepared = _prepare(skewed_collections, filtering_ratio=0.5)
+        assert prepared.blocks.total_comparisons() < prepared.raw_blocks.total_comparisons()
 
 
 class TestCandidateExtraction:
-    def test_extract_candidates_matches_from_blocks(self, skewed_blocks):
-        assert (
-            pair_tuples(extract_candidates(skewed_blocks))
-            == pair_tuples(CandidateSet.from_blocks(skewed_blocks))
-        )
+    def test_candidates_are_the_blocks_comparisons(self, skewed_collections):
+        for cleaning in (NO_CLEANING, BlockCleaning(0.5, 0.5)):
+            prepared = prepare_blocks(*skewed_collections, cleaning=cleaning)
+            assert pair_tuples(prepared.candidates) == pair_tuples(
+                reference_candidates(prepared.blocks)
+            )
 
     def test_prepare_blocks_pipeline(self, dblpacm_dataset):
         prepared = prepare_blocks(dblpacm_dataset.first, dblpacm_dataset.second)
@@ -104,12 +99,9 @@ class TestCandidateExtraction:
         report = evaluate_candidates(prepared.candidates, dblpacm_dataset.ground_truth)
         assert report.recall > 0.95
 
-    def test_prepare_blocks_toggles(self, dblpacm_dataset):
+    def test_prepare_blocks_cleaning(self, dblpacm_dataset):
         without_cleaning = prepare_blocks(
-            dblpacm_dataset.first,
-            dblpacm_dataset.second,
-            apply_purging=False,
-            apply_filtering=False,
+            dblpacm_dataset.first, dblpacm_dataset.second, cleaning=NO_CLEANING
         )
         with_cleaning = prepare_blocks(dblpacm_dataset.first, dblpacm_dataset.second)
         assert len(with_cleaning.candidates) <= len(without_cleaning.candidates)

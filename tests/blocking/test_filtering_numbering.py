@@ -3,10 +3,10 @@
 Batch block ids are sorted-signature ranks, a streaming index numbers its
 blocks in arrival order and a merged view shard-major, and the streamed
 answer runs the very filtering kernel batch preparation runs
-(:mod:`repro.blocking.cleaning`).  So the three implementations —
-``filter_matrix`` (the array kernel), ``filter_blocks`` (the object oracle)
-and ``reference_prepare_blocks`` (the object chain end to end) — rank blocks
-by (cardinality, member-set key), and this property holds them to it: over
+(:mod:`repro.blocking.cleaning`).  So the array kernel ``filter_matrix``
+and the oracle — ``reference_filter`` over ``Block`` member lists, and
+``reference_prepare_blocks`` end to end — rank blocks by (cardinality,
+member-set key), and this property holds them to it: over
 random collections and ratios they agree, and their filtered memberships, as
 ``(signature, node)`` pairs, are unchanged when the block ids are relabelled
 by reversed or shuffled signature order.  A cardinality tie broken by block
@@ -24,12 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blocking import TokenBlocking, filter_blocks, prepare_blocks
+from repro.blocking import BlockCleaning, TokenBlocking, prepare_blocks
 from repro.blocking.arrayops import _matrix_from_sorted, assemble_blocks, filter_matrix
 from repro.datamodel import BlockCollection
 from repro.datasets import load_benchmark
 
-from reference import reference_prepare_blocks
+from reference import reference_filter, reference_prepare_blocks
 from test_array_equivalence import collections
 
 pytestmark = pytest.mark.equivalence
@@ -85,7 +85,7 @@ def _assert_numbering_free(matrix, ratio, seed):
     members = _members_of(matrix)
     filtered = filter_matrix(matrix, ratio)
     objects = BlockCollection(matrix.build_block_objects(), matrix.index_space)
-    assert _object_memberships(filter_blocks(objects, ratio)) == _memberships(filtered)
+    assert _object_memberships(reference_filter(objects, ratio)) == _memberships(filtered)
     filtered = _memberships(filtered, members)
     for order in _orders(matrix.num_blocks, seed):
         relabelled = _relabelled(matrix, order)
@@ -93,7 +93,7 @@ def _assert_numbering_free(matrix, ratio, seed):
         blocks = BlockCollection(
             [objects[int(position)] for position in order], matrix.index_space
         )
-        assert _object_memberships(filter_blocks(blocks, ratio), members) == filtered
+        assert _object_memberships(reference_filter(blocks, ratio), members) == filtered
 
 
 @settings(max_examples=120, deadline=None)
@@ -106,10 +106,12 @@ def _assert_numbering_free(matrix, ratio, seed):
 )
 def test_filtering_is_independent_of_block_numbering(first, second, ratio, purge, seed):
     raw = assemble_blocks(TokenBlocking(), first, second)
-    prepared = prepare_blocks(first, second, filtering_ratio=ratio, apply_purging=purge)
-    chain = reference_prepare_blocks(first, second, filtering_ratio=ratio, apply_purging=purge)
+    fraction = 0.5 if purge else None
+    cleaning = BlockCleaning(fraction, ratio)
+    prepared = prepare_blocks(first, second, cleaning=cleaning)
+    chain = reference_prepare_blocks(first, second, cleaning=cleaning)
     assert _object_memberships(chain.blocks) == _object_memberships(prepared.blocks)
-    purged = prepare_blocks(first, second, apply_purging=purge, apply_filtering=False)
+    purged = prepare_blocks(first, second, cleaning=BlockCleaning(fraction))
     assert _object_memberships(purged.blocks) == _memberships(purged.blocks._matrix)
     _assert_numbering_free(purged.blocks._matrix, ratio, seed)
     if raw.num_blocks:
@@ -120,5 +122,5 @@ def test_a_real_collection_is_numbering_free():
     """AbtBuy (seed 7): reversing the block ids under an id tie-break moves
     filtered memberships; under the member-set key it moves none."""
     dataset = load_benchmark("AbtBuy", seed=7, scale=0.2)
-    purged = prepare_blocks(dataset.first, dataset.second, apply_filtering=False)
+    purged = prepare_blocks(dataset.first, dataset.second, cleaning=BlockCleaning(0.5))
     _assert_numbering_free(purged.blocks._matrix, 0.8, 7)

@@ -4,10 +4,11 @@ The exact outcome of ``prepare_blocks`` on a deterministic generated DblpAcm
 benchmark (seed 3, scale 0.4) is frozen into
 ``tests/data/golden_blocking.json``: block counts per stage, per-stage
 comparison totals, the first/last block keys, a digest of all candidate
-pairs and a pair sample.  Both ``prepare_blocks`` and the object-chain
-reference (``reference_prepare_blocks``) are checked against the frozen
-values, so a change that shifts blocking output — even one affecting both
-identically, which the equivalence tests cannot see — fails here.
+pairs and a pair sample.  Both ``prepare_blocks`` and the reference built
+from the paper's definitions (``reference_prepare_blocks``) are checked
+against the frozen values, so a change that shifts blocking output — even
+one affecting both identically, which the equivalence tests cannot see —
+fails here.
 
 To regenerate the fixture after an *intentional* semantic change::
 

@@ -7,7 +7,7 @@ membership matrix, and ``BlockStatistics`` reads those instead of walking
 ``Block`` objects.  So ``prepare_blocks`` followed by the pipeline's
 ``run`` — the batch path the CLI and the perf ledger take — constructs none,
 for any pruning algorithm, dirty or clean-clean; the objects appear only when
-something iterates the collection, and are then the reference chain's.
+something iterates the collection, and are then the reference's.
 """
 
 import numpy as np
@@ -71,7 +71,7 @@ def test_aggregates_come_from_the_matrix_and_blocks_materialise_on_demand(
             assert np.array_equal(ours.block_cardinalities(), theirs.block_cardinalities())
         stats = prepared.statistics()
         assert stats.num_blocks == len(reference.blocks)
-    # iterating afterwards still yields the object chain's blocks
+    # iterating afterwards still yields the reference's blocks
     materialised = list(prepared.blocks)
     assert materialised == list(reference.blocks)
     assert prepared.blocks[0] == reference.blocks[0]

@@ -10,11 +10,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from reference import reference_candidates
 from repro.blocking import prepare_blocks
 from repro.datamodel import (
     Block,
     BlockCollection,
-    CandidateSet,
     EntityCollection,
     EntityIndexSpace,
     GroundTruth,
@@ -94,7 +94,7 @@ def small_blocks():
 @pytest.fixture(scope="session")
 def small_candidates(small_blocks):
     """Distinct candidate pairs of the small block collection."""
-    return CandidateSet.from_blocks(small_blocks)
+    return reference_candidates(small_blocks)
 
 
 @pytest.fixture(scope="session")

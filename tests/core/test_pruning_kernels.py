@@ -33,8 +33,16 @@ from repro.core.pruning import (
     strength_order,
 )
 from repro.blocking import prepare_blocks
+from repro.core.pruning.cardinality_based import cep_budget, cnp_budget
 from repro.core.pruning.kernels import node_averages, node_maxima, top_k_per_node
-from repro.datamodel import CandidateSet, EntityCollection, EntityIndexSpace, make_profile
+from repro.datamodel import (
+    Block,
+    BlockCollection,
+    CandidateSet,
+    EntityCollection,
+    EntityIndexSpace,
+    make_profile,
+)
 
 pytestmark = pytest.mark.equivalence
 
@@ -234,6 +242,18 @@ def test_degenerate_sets(case, bilateral):
     for name in ("BCl", "WEP", "WNP", "RWNP", "BLAST"):
         mask = get_pruning_algorithm(name).retain(weights, candidates)
         assert mask.dtype == bool and mask.shape == weights.shape, name
+
+
+def test_totals_count_only_the_blocks_that_spawn_a_comparison():
+    """Σ|b| skips the blocks of no comparison, as the budgets' oracle does:
+    three one-member blocks beside one 2 x 2 block add nothing."""
+    blocks = BlockCollection(
+        [Block("a", [0, 1], [2, 3]), Block("b", [0]), Block("c", [1]), Block("d", [], [3])],
+        EntityIndexSpace(2, 2),
+    )
+    assert BlockTotals.of(blocks) == BlockTotals(4, 4)
+    assert cep_budget(blocks) == reference_budget("CEP", blocks) == 2
+    assert cnp_budget(blocks) == reference_budget("CNP", blocks) == 1
 
 
 #: a small vocabulary (stop-words included) so random texts collide heavily

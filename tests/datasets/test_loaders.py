@@ -95,9 +95,11 @@ class TestDirectoryLoaders:
 
     def test_end_to_end_on_csv_data(self, csv_dataset_dir):
         """The whole pipeline must run on loaded CSV data, not just generated data."""
-        from repro.blocking import prepare_blocks
+        from repro.blocking import BlockCleaning, prepare_blocks
         from repro.datamodel import CandidateSet
 
         dataset = load_clean_clean_directory(csv_dataset_dir, name="tiny")
-        prepared = prepare_blocks(dataset.first, dataset.second, apply_filtering=False)
+        prepared = prepare_blocks(
+            dataset.first, dataset.second, cleaning=BlockCleaning(purging_fraction=0.5)
+        )
         assert dataset.ground_truth.covered_by(prepared.candidates) == 1

@@ -29,7 +29,6 @@ from test_session_property import (
     PRUNING,
     _collection,
     _frozen_model,
-    _oracle,
     _profile_strategy,
 )
 
@@ -133,7 +132,7 @@ def _assert_converges(session, shadow, bilateral, pruning, model, cleaning):
     if len(first) == 0 and (second is None or len(second) == 0):
         assert streamed == set()
         return
-    prepared = prepare_blocks(first, second, **_oracle(cleaning))
+    prepared = prepare_blocks(first, second, cleaning=CLEANINGS[cleaning])
     size_first = len(first)
 
     def id_of(node):

@@ -48,7 +48,7 @@ from hypothesis import strategies as st
 
 from repro import pairs
 from repro.blocking import prepare_blocks
-from repro.blocking.cleaning import PAPER_CLEANING
+from repro.blocking.cleaning import NO_CLEANING, PAPER_CLEANING
 from repro.core.pruning import PRUNING_ALGORITHMS, BlockTotals
 from repro.datamodel import EntityCollection, make_profile
 from repro.incremental import IndexState, MatchingSession, MergedIndexView
@@ -118,9 +118,7 @@ def _assert_derived_equals_member_pairs(index, shards, steps, bilateral, maintai
     # (ii) array for array what block preparation extracts
     first, second = _live_collections(steps, bilateral)
     if len(first) + (len(second) if bilateral else 0):
-        batch = prepare_blocks(
-            first, second, apply_purging=False, apply_filtering=False
-        ).candidates
+        batch = prepare_blocks(first, second, cleaning=NO_CLEANING).candidates
         assert np.array_equal(derived.canonical.left, batch.left)
         assert np.array_equal(derived.canonical.right, batch.right)
     else:
@@ -355,7 +353,7 @@ def test_a_refused_key_falls_back_to_the_pairs_alone(tmp_path, pruning, cleaning
     session.close()
     live_first = EntityCollection(list(first)[:-1], name="a")
 
-    prepared = prepare_blocks(live_first, second, **CLEANINGS[cleaning].prepare_arguments())
+    prepared = prepare_blocks(live_first, second, cleaning=CLEANINGS[cleaning])
     ids = [profile.entity_id for profile in (*live_first, *second)]
     oracle = batch_retained_ids(
         prepared.blocks, prepared.candidates, model, pruning, ids.__getitem__

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from reference import reference_blocks, reference_lcp
-from repro.blocking import prepare_blocks
+from repro.blocking import NO_CLEANING, prepare_blocks
 from repro.core import FeatureVectorGenerator
 from repro.datamodel import EntityCollection, make_profile
 from repro.incremental import (
@@ -53,9 +53,7 @@ def _batch_node_mapper(index, first, second):
 
 def _assert_matches_batch(index, first, second):
     """Compare the index against the batch pipeline on the final data."""
-    prepared = prepare_blocks(
-        first, second, apply_purging=False, apply_filtering=False
-    )
+    prepared = prepare_blocks(first, second, cleaning=NO_CLEANING)
     stats = BlockStatistics(prepared.blocks)
     to_batch = _batch_node_mapper(index, first, second) if second is not None else int
 
@@ -118,7 +116,7 @@ def _assert_reference_blocks_match_batch(index, first, second):
     """``tests/reference.py::reference_blocks`` — the member-list oracle the
     budget and crash properties check the CSR against — equals the batch
     pipeline's raw blocks on the live data."""
-    prepared = prepare_blocks(first, second, apply_purging=False, apply_filtering=False)
+    prepared = prepare_blocks(first, second, cleaning=NO_CLEANING)
     assert _block_rows(reference_blocks(index)) == _block_rows(prepared.blocks)
 
 
@@ -209,9 +207,7 @@ def _assert_matches_batch_canonical(index, first, second):
     numbering of the live survivors — so the comparison works after
     removals, updates and bulk loads.
     """
-    prepared = prepare_blocks(
-        first, second, apply_purging=False, apply_filtering=False
-    )
+    prepared = prepare_blocks(first, second, cleaning=NO_CLEANING)
     stats = BlockStatistics(prepared.blocks)
     canonical = index.canonical_node_ids()
 

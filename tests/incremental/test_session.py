@@ -10,7 +10,7 @@ generated fixture datasets (DblpAcm and AbtBuy) and two pruning algorithms.
 import numpy as np
 import pytest
 
-from repro.blocking import prepare_blocks
+from repro.blocking import NO_CLEANING, prepare_blocks
 from repro.core import FeatureVectorGenerator, GeneralizedSupervisedMetaBlocking
 from repro.core.pruning import get_pruning_algorithm
 from repro.datamodel import EntityCollection, make_profile
@@ -45,9 +45,7 @@ def _batch_retained_ids(dataset, result):
 def streamed_fixture(request):
     """One benchmark, its batch pipeline run, and the frozen model."""
     dataset = load_benchmark(request.param, seed=11, scale=0.15)
-    prepared = prepare_blocks(
-        dataset.first, dataset.second, apply_purging=False, apply_filtering=False
-    )
+    prepared = prepare_blocks(dataset.first, dataset.second, cleaning=NO_CLEANING)
     pipeline = GeneralizedSupervisedMetaBlocking(
         feature_set=BLAST_FEATURE_SET, pruning="BLAST", training_size=50, seed=3
     )
@@ -85,9 +83,7 @@ class TestBatchEquivalence:
 
 def _batch_retained_on_live(model, first, second, pruning):
     """Apply the frozen model + batch pruning to a live collection pair."""
-    prepared = prepare_blocks(
-        first, second, apply_purging=False, apply_filtering=False
-    )
+    prepared = prepare_blocks(first, second, cleaning=NO_CLEANING)
     stats = BlockStatistics(prepared.blocks)
     matrix = FeatureVectorGenerator(model.feature_set).generate(
         prepared.candidates, stats

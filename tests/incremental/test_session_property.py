@@ -46,11 +46,6 @@ def _frozen_model(cleaning: str = "raw") -> FrozenModel:
     return make_frozen_model(FEATURE_SET, CLEANINGS[cleaning])
 
 
-def _oracle(cleaning: str) -> dict:
-    """The ``prepare_blocks`` arguments of the batch side of ``cleaning``."""
-    return CLEANINGS[cleaning].prepare_arguments()
-
-
 _TOKENS = ("alpha", "beta", "gamma", "delta", "eps", "zeta")
 
 
@@ -86,7 +81,7 @@ def test_bilateral_stream_matches_batch(cleaning, first_texts, second_texts, pru
         session.insert(profile, side=side)
     streamed = {frozenset(pair) for pair in session.retained().retained_ids}
 
-    prepared = prepare_blocks(first, second, **_oracle(cleaning))
+    prepared = prepare_blocks(first, second, cleaning=CLEANINGS[cleaning])
     size_first = len(first)
 
     def id_of(node):
@@ -115,7 +110,7 @@ def test_unilateral_stream_matches_batch(cleaning, texts, pruning):
         session.insert(profile)
     streamed = {frozenset(pair) for pair in session.retained().retained_ids}
 
-    prepared = prepare_blocks(collection, None, **_oracle(cleaning))
+    prepared = prepare_blocks(collection, None, cleaning=CLEANINGS[cleaning])
     batch = batch_retained_ids(
         prepared.blocks,
         prepared.candidates,

@@ -7,10 +7,9 @@ at least one block, and meta-blocking removes superfluous comparisons without
 losing the matches.
 """
 
-import numpy as np
 import pytest
 
-from repro.blocking import TokenBlocking, extract_candidates
+from repro.blocking import NO_CLEANING, prepare_blocks
 from repro.core import GeneralizedSupervisedMetaBlocking
 from repro.datamodel import CandidateSet
 from repro.evaluation import evaluate_candidates, evaluate_retained_mask
@@ -19,9 +18,20 @@ from repro.weights import BlockStatistics, CommonBlocksScheme
 
 
 @pytest.fixture(scope="module")
-def example_blocks(paper_example_profiles):
+def example(paper_example_profiles):
+    """Figure 1b: the raw Token Blocking blocks, and their distinct comparisons."""
     first, second, _ = paper_example_profiles
-    return TokenBlocking().build_blocks(first, second)
+    return prepare_blocks(first, second, cleaning=NO_CLEANING)
+
+
+@pytest.fixture(scope="module")
+def example_blocks(example):
+    return example.blocks
+
+
+@pytest.fixture(scope="module")
+def candidates(example):
+    return example.candidates
 
 
 class TestPaperExample:
@@ -31,24 +41,20 @@ class TestPaperExample:
         shared = BlockStatistics(example_blocks).pair_cooccurrence(duplicates).common
         assert len(shared) == 3 and shared.min() >= 1
 
-    def test_blocking_achieves_perfect_recall(self, example_blocks, paper_example_profiles):
+    def test_blocking_achieves_perfect_recall(self, candidates, paper_example_profiles):
         _, _, truth = paper_example_profiles
-        candidates = extract_candidates(example_blocks)
         report = evaluate_candidates(candidates, truth)
         assert report.recall == 1.0
         assert report.precision < 1.0  # superfluous comparisons exist
 
-    def test_redundant_comparisons_removed(self, example_blocks):
-        total_with_redundancy = example_blocks.total_comparisons()
-        distinct = len(extract_candidates(example_blocks))
-        assert distinct < total_with_redundancy
+    def test_redundant_comparisons_removed(self, example_blocks, candidates):
+        assert len(candidates) < example_blocks.total_comparisons()
 
     def test_common_blocks_weighting_matches_figure2(
-        self, example_blocks, paper_example_profiles
+        self, example_blocks, candidates, paper_example_profiles
     ):
         """In Figure 2a the edge e1-e3 has weight 3 (apple, iphone, smartphone)."""
         first, second, _ = paper_example_profiles
-        candidates = extract_candidates(example_blocks)
         stats = BlockStatistics(example_blocks)
         weights = CommonBlocksScheme().compute(candidates, stats)[:, 0]
         position = candidates.position_index()[
@@ -57,11 +63,10 @@ class TestPaperExample:
         assert weights[position] == 3.0
 
     def test_unsupervised_meta_blocking_keeps_matches(
-        self, example_blocks, paper_example_profiles
+        self, example_blocks, candidates, paper_example_profiles
     ):
         """Example 2: WNP on the CBS-weighted blocking graph of Figure 2a."""
         _, _, truth = paper_example_profiles
-        candidates = extract_candidates(example_blocks)
         weights = CommonBlocksScheme().compute(
             candidates, BlockStatistics(example_blocks)
         )[:, 0]
@@ -71,10 +76,11 @@ class TestPaperExample:
         assert report.recall == 1.0
         assert mask.sum() < len(candidates)  # some superfluous pairs pruned
 
-    def test_supervised_pipeline_on_tiny_example(self, example_blocks, paper_example_profiles):
+    def test_supervised_pipeline_on_tiny_example(
+        self, example_blocks, candidates, paper_example_profiles
+    ):
         """The supervised pipeline degrades gracefully on a 3-duplicate toy input."""
         _, _, truth = paper_example_profiles
-        candidates = extract_candidates(example_blocks)
         pipeline = GeneralizedSupervisedMetaBlocking(
             feature_set=("CF-IBF", "RACCB", "JS"),
             pruning="BLAST",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reference import BoundedTopQueue, pair_tuples
+from reference import BoundedTopQueue, pair_tuples, reference_candidates
 from repro.core import (
     BinaryClassifierPruning,
     SupervisedBLAST,
@@ -18,7 +18,7 @@ from repro.core import (
     SupervisedWEP,
     SupervisedWNP,
 )
-from repro.datamodel import Block, BlockCollection, CandidateSet, EntityIndexSpace
+from repro.datamodel import Block, BlockCollection, EntityIndexSpace
 from repro.ml import LogisticRegression, PlattScaler, StandardScaler, balanced_sample
 from repro.utils import jaccard, qgrams, suffixes, tokens
 from repro.weights import BlockStatistics, JaccardScheme, RACCBScheme, WeightedJaccardScheme
@@ -54,7 +54,7 @@ def bilateral_blocks(draw):
 def candidates_with_probabilities(draw):
     """A random candidate set plus aligned probabilities."""
     blocks = draw(bilateral_blocks())
-    candidate_set = CandidateSet.from_blocks(blocks)
+    candidate_set = reference_candidates(blocks)
     assume(len(candidate_set) > 0)
     probabilities = draw(
         st.lists(
@@ -122,7 +122,7 @@ class TestSchemeProperties:
     @settings(max_examples=30, deadline=None)
     @given(bilateral_blocks())
     def test_jaccard_scheme_bounded_and_symmetric_in_structure(self, blocks):
-        candidate_set = CandidateSet.from_blocks(blocks)
+        candidate_set = reference_candidates(blocks)
         assume(len(candidate_set) > 0)
         stats = BlockStatistics(blocks)
         values = JaccardScheme().compute(candidate_set, stats)[:, 0]
@@ -133,7 +133,7 @@ class TestSchemeProperties:
     @settings(max_examples=30, deadline=None)
     @given(bilateral_blocks())
     def test_wjs_normalises_raccb(self, blocks):
-        candidate_set = CandidateSet.from_blocks(blocks)
+        candidate_set = reference_candidates(blocks)
         assume(len(candidate_set) > 0)
         stats = BlockStatistics(blocks)
         raccb = RACCBScheme().compute(candidate_set, stats)[:, 0]
@@ -200,7 +200,7 @@ class TestCandidateSetProperties:
     @settings(max_examples=30, deadline=None)
     @given(bilateral_blocks())
     def test_candidate_pairs_are_unique_and_canonical(self, blocks):
-        candidate_set = CandidateSet.from_blocks(blocks)
+        candidate_set = reference_candidates(blocks)
         tuples = pair_tuples(candidate_set)
         assert len(tuples) == len(set(tuples))
         assert all(left < right for left, right in tuples)
@@ -208,7 +208,7 @@ class TestCandidateSetProperties:
     @settings(max_examples=30, deadline=None)
     @given(bilateral_blocks())
     def test_candidate_count_never_exceeds_block_cardinality(self, blocks):
-        candidate_set = CandidateSet.from_blocks(blocks)
+        candidate_set = reference_candidates(blocks)
         assert len(candidate_set) <= blocks.total_comparisons()
 
 

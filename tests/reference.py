@@ -7,13 +7,18 @@ weighting schemes' reference lives here outright: the paper's set formulas
 (:func:`reference_block_sets`, :func:`reference_feature_matrix`) and LCP as
 the walk over every block of every entity (:func:`reference_lcp`) — neither
 reads the CSR or an array of ``BlockStatistics``, so a fault in building them
-cannot hide in an equivalence test.  Block preparation's readable
-implementation stays in ``src/`` under its public names — the object chain
-``BlockingMethod.build_blocks`` -> ``purge_oversized_blocks`` ->
-``filter_blocks`` -> ``CandidateSet.from_blocks`` — but nothing in the library
-selects it; :func:`reference_prepare_blocks` assembles those calls into the
-shape ``prepare_blocks`` returns, so an equivalence, golden or perf-smoke
-test compares like with like.
+cannot hide in an equivalence test.  Block preparation's reference is built
+here from the paper's definitions too, over ``Block`` objects and Python
+sets: a dict from every signature ``signatures_of`` yields to the entities
+exhibiting it (:func:`reference_raw_blocks`), Block Purging and Block
+Filtering over each block's member lists (:func:`reference_purge`,
+:func:`reference_filter`, with the member-set key in Python integers) and the
+set of every block's comparisons (:func:`reference_candidates`);
+:func:`reference_prepare_blocks` chains them into the shape
+``prepare_blocks`` returns, so an equivalence, golden or perf-smoke test
+compares like with like.  So does labelling's: the truth's tuple set looked
+up pair by pair (:func:`labels_for_pairs`), which ``GroundTruth.labels_for``
+replaced with packed keys.
 
 Pruning's references live here too: the bounded priority queue
 (:class:`BoundedTopQueue`) and the bodies of CEP / CNP / RCNP on it
@@ -67,17 +72,18 @@ import numpy as np
 
 import repro.weights.sparse as sparse
 
-from repro.blocking import (
-    BlockingMethod,
-    PreparedBlocks,
-    TokenBlocking,
-    filter_blocks,
-    purge_oversized_blocks,
-)
+from repro.blocking import BlockingMethod, PreparedBlocks, TokenBlocking
 from repro.blocking.cleaning import NO_CLEANING, PAPER_CLEANING, BlockCleaning
 from repro.core.features import FeatureMatrix, FeatureVectorGenerator
 from repro.core.pruning import VALIDITY_THRESHOLD, get_pruning_algorithm, strength_order
-from repro.datamodel import Block, BlockCollection, CandidateSet, EntityCollection
+from repro.datamodel import (
+    Block,
+    BlockCollection,
+    CandidateSet,
+    EntityCollection,
+    EntityIndexSpace,
+    GroundTruth,
+)
 from repro.datasets.vocabulary import COMMON_WORDS, Vocabulary
 from repro.incremental import (
     DeltaFeatureGenerator,
@@ -91,7 +97,6 @@ from repro.pairs import pack_pair_keys
 from repro.persistence.snapshot import compacted_from_state, row_signatures
 from repro.serve.workers import ShardReplica
 from repro.utils.text import STOP_WORDS
-from repro.utils.timing import StageTimer
 from repro.weights import RCNP_FEATURE_SET, BlockStatistics
 
 _TOKEN_PATTERN = re.compile(r"[a-z0-9]+")
@@ -300,37 +305,139 @@ def reference_sigmoid(values: np.ndarray) -> np.ndarray:
     return out
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(value: int) -> int:
+    z = (value + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def member_set_key(block: Block) -> int:
+    """The 64-bit wrapping sum of the splitmix64 images of a block's members:
+    a key of its member set, whatever the member order or block numbering."""
+    return sum(map(_splitmix64, block.all_entities())) & _MASK64
+
+
+def block_comparisons(block: Block) -> set:
+    """The comparisons ``block`` spawns, smaller id first: first x second when
+    its second side is populated, every two members otherwise — so a block
+    Block Filtering stranded with first-side members only counts as intra."""
+    if block.entities_second:
+        spawned = itertools.product(block.entities_first, block.entities_second)
+    else:
+        spawned = combinations(block.entities_first, 2)
+    return {(min(a, b), max(a, b)) for a, b in spawned}
+
+
+def reference_raw_blocks(
+    method: BlockingMethod, first: EntityCollection, second: Optional[EntityCollection] = None
+) -> BlockCollection:
+    """The blocks of ``method``: a dict from every signature ``signatures_of``
+    yields to the node ids exhibiting it, one block per key in sorted order —
+    in Clean-Clean ER for the keys both sides share, in Dirty ER for the keys
+    of two or more entities — minus the blocks over ``max_block_size``."""
+
+    def exhibiting(collection: EntityCollection, offset: int) -> Dict[str, set]:
+        index: Dict[str, set] = {}
+        for position, profile in enumerate(collection):
+            for signature in method.signatures_of(profile):
+                index.setdefault(signature, set()).add(offset + position)
+        return index
+
+    ones = exhibiting(first, 0)
+    if second is None:
+        space, name = EntityIndexSpace(len(first)), f"{method.name}({first.name})"
+        blocks = [Block(key, sorted(ones[key])) for key in sorted(ones) if len(ones[key]) >= 2]
+    else:
+        space = EntityIndexSpace(len(first), len(second))
+        name = f"{method.name}({first.name},{second.name})"
+        twos = exhibiting(second, len(first))
+        blocks = [
+            Block(key, sorted(ones[key]), sorted(twos[key]))
+            for key in sorted(ones.keys() & twos.keys())
+        ]
+    if method.max_block_size is not None:
+        blocks = [block for block in blocks if block.size() <= method.max_block_size]
+    return BlockCollection(blocks, space, name=name)
+
+
+def reference_purge(blocks: BlockCollection, fraction: float) -> BlockCollection:
+    """Block Purging: keep a block when ``|b| <= fraction * |E|``."""
+    limit = fraction * blocks.index_space.total
+    kept = [block for block in blocks if block.size() <= limit]
+    return BlockCollection(kept, blocks.index_space, name=f"{blocks.name}|purged")
+
+
+def reference_filter(blocks: BlockCollection, ratio: float) -> BlockCollection:
+    """Block Filtering: every entity keeps its ``ceil(ratio * |B_i|)``
+    smallest blocks, ordered by (``||b||``, member-set key, block id); the
+    blocks left spawning no comparison go.  An empty collection is returned
+    as it is."""
+    if len(blocks) == 0:
+        return blocks
+    order = [
+        (block.cardinality(), member_set_key(block), block_id)
+        for block_id, block in enumerate(blocks)
+    ]
+    kept = set()
+    for node, block_ids in enumerate(reference_block_sets(blocks).of_node):
+        smallest = sorted(block_ids, key=order.__getitem__)
+        kept.update((node, block_id) for block_id in smallest[: math.ceil(ratio * len(smallest))])
+    filtered = []
+    for block_id, block in enumerate(blocks):
+        first = [node for node in block.entities_first if (node, block_id) in kept]
+        second = [node for node in block.entities_second if (node, block_id) in kept]
+        candidate = Block(block.key, first, second)
+        if block_comparisons(candidate):
+            filtered.append(candidate)
+    return BlockCollection(filtered, blocks.index_space, name=f"{blocks.name}|filtered")
+
+
+def reference_candidates(blocks: BlockCollection) -> CandidateSet:
+    """The distinct comparisons of ``blocks``: the Python set of every
+    block's comparisons, sorted."""
+    pairs = sorted(set().union(*map(block_comparisons, blocks)))
+    return CandidateSet(
+        np.array([left for left, _ in pairs], dtype=np.int64),
+        np.array([right for _, right in pairs], dtype=np.int64),
+        blocks.index_space,
+    )
+
+
 def reference_prepare_blocks(
     first: EntityCollection,
     second: Optional[EntityCollection] = None,
     blocking: Optional[BlockingMethod] = None,
-    purging_fraction: float = 0.5,
-    filtering_ratio: float = 0.8,
-    apply_purging: bool = True,
-    apply_filtering: bool = True,
+    cleaning: BlockCleaning = PAPER_CLEANING,
 ) -> PreparedBlocks:
-    """``prepare_blocks`` on the object chain (same toggles, same stage names).
+    """``prepare_blocks`` from the definitions: the raw blocks, Block Purging,
+    Block Filtering (a ``None`` field of ``cleaning``: that step is off), the
+    distinct comparisons.
 
-    No CSR is handed over: statistics built from the result derive it from
-    the block objects.
+    No CSR and no timer are handed over: statistics built from the result
+    derive the CSR from the block objects.
     """
     method = blocking if blocking is not None else TokenBlocking()
-    timer = StageTimer()
-    with timer.stage("blocking"):
-        raw = method.build_blocks(first, second).without_empty_blocks()
-    with timer.stage("purging"):
-        purged = purge_oversized_blocks(raw, purging_fraction) if apply_purging else raw
-    with timer.stage("filtering"):
-        filtered = filter_blocks(purged, filtering_ratio) if apply_filtering else purged
-    with timer.stage("candidate-extraction"):
-        candidates = CandidateSet.from_blocks(filtered)
+    raw = reference_raw_blocks(method, first, second)
+    fraction, ratio = cleaning
+    purged = raw if fraction is None else reference_purge(raw, fraction)
+    filtered = purged if ratio is None else reference_filter(purged, ratio)
     return PreparedBlocks(
         raw_blocks=raw,
         purged_blocks=purged,
         blocks=filtered,
-        candidates=candidates,
-        timer=timer,
+        candidates=reference_candidates(filtered),
     )
+
+
+def labels_for_pairs(truth: GroundTruth, candidates: CandidateSet) -> np.ndarray:
+    """``truth.labels_for`` pair by pair: each candidate looked up in the
+    truth's canonical tuple set."""
+    duplicates = truth.pairs()
+    return np.array([pair in duplicates for pair in pair_tuples(candidates)], dtype=bool)
 
 
 def pair_tuples(candidates: CandidateSet) -> List[Tuple[int, int]]:
@@ -506,19 +613,15 @@ def reference_budget(name: str, blocks) -> int:
     budgets of the paper's Algorithms 4-5.  ``blocks`` is either the two
     integers of a ``BlockTotals``, used as they are, or a block collection:
     Σ|b| is then summed over each ``Block``'s member lists, counting only the
-    blocks that spawn a comparison (both sides populated in Clean-Clean ER,
-    two members in Dirty ER), and |E1| + |E2| is its index space.
+    blocks that spawn a comparison (:func:`block_comparisons`: a stranded
+    first-side-only block of two members spawns one), and |E1| + |E2| is its
+    index space.
     """
     if isinstance(blocks, BlockCollection):
-        clean_clean = blocks.index_space.is_clean_clean
         assignments = sum(
             len(block.entities_first) + len(block.entities_second)
             for block in blocks
-            if (
-                block.entities_first and block.entities_second
-                if clean_clean
-                else len(block.entities_first) >= 2
-            )
+            if block_comparisons(block)
         )
         entities = blocks.index_space.total
     else:
@@ -613,8 +716,8 @@ def make_frozen_model(
 
 
 #: the two questions an exact answer is held to: raw blocks, and the
-#: paper's pipeline (``prepare_blocks``' defaults) — name -> the model's
-#: cleaning, whose ``prepare_arguments()`` the batch oracle runs
+#: paper's pipeline (``prepare_blocks``' default) — name -> the model's
+#: cleaning, which the batch oracle hands ``prepare_blocks``
 CLEANINGS = {"raw": NO_CLEANING, "paper": PAPER_CLEANING}
 
 

@@ -111,7 +111,7 @@ def _batch_pairs(arrival, cleaning, pruning):
     )
     if not len(first) + len(second):
         return set()
-    prepared = prepare_blocks(first, second, **CLEANINGS[cleaning].prepare_arguments())
+    prepared = prepare_blocks(first, second, cleaning=CLEANINGS[cleaning])
     ids = [profile.entity_id for profile in (*first, *second)]
     return batch_retained_ids(
         prepared.blocks, prepared.candidates, MODELS[cleaning], pruning, ids.__getitem__

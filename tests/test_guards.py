@@ -124,6 +124,18 @@ BATCH_ENTRY_POINTS = (
     "repro.experiments.run_block_quality",
 )
 
+#: the definitions that left ``src/`` with block preparation's object chain,
+#: the second implementation only the equivalence tests called
+OBJECT_CHAIN = (
+    "purge_oversized_blocks", "purge_by_comparison_cardinality", "filter_blocks",
+    "BlockingMethod._signature_index", "BlockingMethod.build_blocks", "BlockingMethod.__call__",
+    "SuffixArraysBlocking.build_blocks", "extract_candidates", "CandidateSet.from_blocks",
+    "Block.pairs", "BlockCollection.entity_block_index", "BlockCollection.without_empty_blocks",
+    "build_bilateral_blocks", "build_unilateral_blocks",
+)
+#: the commit after deb1a3f, the one that removed the object chain
+ONE_PREPARATION = "deb1a3f+1"
+
 PRUNING = "src/repro/core/pruning"
 LOG = "src/repro/persistence/log.py"
 
@@ -627,17 +639,55 @@ GUARDS = (
         "each scheme has one method, compute; the per-pair reference is the set formulas "
         "in tests/reference.py",
     ),
+    # -- one implementation of block preparation ------------------------------------
+    *(
+        Guard(
+            f"object-chain-gone:{name}", "definition", (name,), SRC, ONE_PREPARATION,
+            "block preparation has one implementation, prepare_blocks' array engine; its "
+            "oracle is built from the paper's definitions in tests/reference.py",
+        )
+        for name in OBJECT_CHAIN
+    ),
+    Guard(
+        "object-chain-modules-gone", "module",
+        ("repro.blocking.purging", "repro.blocking.filtering"), (), ONE_PREPARATION,
+        "Block Purging and Block Filtering are the kernel of repro.blocking.cleaning",
+    ),
+    Guard(
+        "object-chain-not-exported", "export",
+        tuple(name for name in OBJECT_CHAIN if "." not in name)
+        + ("repro.blocking.purging", "repro.blocking.filtering"),
+        SRC, ONE_PREPARATION, "no export table names what left src/",
+    ),
+    Guard(
+        "prepare-blocks-takes-one-cleaning", "parameter",
+        ("apply_purging", "apply_filtering", "purging_fraction", "filtering_ratio"),
+        ("repro.blocking.prepare_blocks",), ONE_PREPARATION,
+        "prepare_blocks takes the BlockCleaning sessions and frozen models carry; a None "
+        "field turns its step off",
+    ),
+    Guard(
+        "cleaning-toggles-gone", "spelled",
+        ("apply_purging", "apply_filtering", "prepare_arguments"),
+        ("src", "tests", "examples", "benchmarks"), ONE_PREPARATION,
+        "a BlockCleaning is handed over as it is, never spread into keyword toggles",
+    ),
+    Guard(
+        "one-labelling-path", "definition", ("GroundTruth.labels_for_pairs",), SRC,
+        ONE_PREPARATION,
+        "labels_for packs the truth past the largest candidate id, so it needs no per-pair "
+        "fallback; the tuple-set lookup is the oracle in tests/reference.py",
+    ),
     # -- the oracle stays independent of what it checks ----------------------------
     Guard(
         "reference-imports-pinned", "import", (r"repro(\..*)?",), ("tests/reference.py",), None,
-        "the oracle imports the data model it reads and the chains it assembles, never a "
-        "derivation it should check (the pruning budgets are its own); a new import is a "
-        "reviewed edit of this row",
+        "the oracle imports the data model it reads and builds, and the layers it drives, "
+        "never a derivation it should check (the pruning budgets, the blocks, their "
+        "cleaning and comparisons are its own); a new import is a reviewed edit of this row",
         only=(
             "repro.weights.sparse",
             "repro.blocking.BlockingMethod", "repro.blocking.PreparedBlocks",
-            "repro.blocking.TokenBlocking", "repro.blocking.filter_blocks",
-            "repro.blocking.purge_oversized_blocks",
+            "repro.blocking.TokenBlocking",
             "repro.blocking.cleaning.NO_CLEANING", "repro.blocking.cleaning.PAPER_CLEANING",
             "repro.blocking.cleaning.BlockCleaning",
             "repro.core.features.FeatureMatrix", "repro.core.features.FeatureVectorGenerator",
@@ -645,6 +695,7 @@ GUARDS = (
             "repro.core.pruning.strength_order",
             "repro.datamodel.Block", "repro.datamodel.BlockCollection",
             "repro.datamodel.CandidateSet", "repro.datamodel.EntityCollection",
+            "repro.datamodel.EntityIndexSpace", "repro.datamodel.GroundTruth",
             "repro.datasets.vocabulary.COMMON_WORDS", "repro.datasets.vocabulary.Vocabulary",
             "repro.incremental.DeltaFeatureGenerator", "repro.incremental.FrozenModel",
             "repro.incremental.MergedIndexView", "repro.incremental.MutableBlockIndex",
@@ -655,7 +706,6 @@ GUARDS = (
             "repro.persistence.snapshot.row_signatures",
             "repro.serve.workers.ShardReplica",
             "repro.utils.text.STOP_WORDS",
-            "repro.utils.timing.StageTimer",
             "repro.weights.RCNP_FEATURE_SET", "repro.weights.BlockStatistics",
         ),
     ),

@@ -27,6 +27,7 @@ from repro.weights import PAPER_FEATURES, SCHEME_CLASSES, BlockStatistics, schem
 from reference import (
     pair_tuples,
     reference_block_sets,
+    reference_candidates,
     reference_feature_matrix,
     reference_lcp,
     reference_masked_ratio,
@@ -99,7 +100,7 @@ def bilateral_collections(draw):
 
 def _draw_candidates(draw, collection: BlockCollection) -> CandidateSet:
     """The collection's distinct pairs plus random extra (non-co-occurring) pairs."""
-    pairs = set(pair_tuples(CandidateSet.from_blocks(collection)))
+    pairs = set(pair_tuples(reference_candidates(collection)))
     total = collection.index_space.total
     if total >= 2:
         extra = draw(

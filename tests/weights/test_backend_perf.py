@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 from repro.core import FeatureVectorGenerator
-from repro.datamodel import Block, BlockCollection, CandidateSet, EntityIndexSpace
+from repro.datamodel import Block, BlockCollection, EntityIndexSpace
 from repro.weights import BLAST_FEATURE_SET, PAPER_FEATURES, BlockStatistics
 
-from reference import reference_feature_matrix
+from reference import reference_candidates, reference_feature_matrix
 
 pytestmark = [
     pytest.mark.perf,
@@ -44,7 +44,7 @@ def synthetic_workload():
         members = sorted(int(node) for node in rng.choice(total, size=size, replace=False))
         blocks.append(Block(f"s{index}", members))
     collection = BlockCollection(blocks, space)
-    candidates = CandidateSet.from_blocks(collection)
+    candidates = reference_candidates(collection)
     assert 4_000 <= len(candidates) <= 12_000, len(candidates)
     return collection, candidates
 

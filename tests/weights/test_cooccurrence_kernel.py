@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import repro.pairs as pairs
 import repro.weights.sparse as sparse
-from repro.blocking import prepare_blocks
+from repro.blocking import BlockCleaning, prepare_blocks
 from repro.datamodel import Block, BlockCollection, EntityIndexSpace
 from repro.datasets import load_benchmark, load_dirty_dataset
 from repro.datasets.registry import DIRTY_ORDER
@@ -404,7 +404,7 @@ def test_stranded_blocks_put_same_side_pairs_among_the_candidates():
     # the cross block "s" with each other (and with b0)
     first = collection("a", ["v s w", "v p s", "r"])
     second = collection("b", ["r v p s w"])
-    prepared = prepare_blocks(first, second, filtering_ratio=0.8, apply_purging=False)
+    prepared = prepare_blocks(first, second, cleaning=BlockCleaning(filtering_ratio=0.8))
     candidates = prepared.candidates
     assert (0, 1) in pair_tuples(candidates)
     stats = BlockStatistics(prepared.blocks)

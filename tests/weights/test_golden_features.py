@@ -20,10 +20,10 @@ import numpy as np
 import pytest
 
 from repro.core import FeatureVectorGenerator
-from repro.datamodel import Block, BlockCollection, CandidateSet, EntityIndexSpace
+from repro.datamodel import Block, BlockCollection, EntityIndexSpace
 from repro.weights import PAPER_FEATURES, BlockStatistics
 
-from reference import pair_tuples, reference_feature_matrix
+from reference import pair_tuples, reference_candidates, reference_feature_matrix
 
 pytestmark = pytest.mark.equivalence
 
@@ -69,8 +69,8 @@ def build_golden_cases():
     )
 
     return {
-        "bilateral": (bilateral_blocks, CandidateSet.from_blocks(bilateral_blocks)),
-        "unilateral": (unilateral_blocks, CandidateSet.from_blocks(unilateral_blocks)),
+        "bilateral": (bilateral_blocks, reference_candidates(bilateral_blocks)),
+        "unilateral": (unilateral_blocks, reference_candidates(unilateral_blocks)),
     }
 
 
