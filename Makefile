@@ -9,7 +9,6 @@
 #   make bench-paper       - one case per entry of the experiment registry, plus the
 #                            ablation benches, in their fast configuration: the paper's
 #                            findings as assertions
-#   make bench-stream      - incremental streaming vs batch recompute bench
 #   make bench-churn       - dynamic churn bench (delete latency, bulk loads)
 #   make bench-faults      - fault-recovery bench (worker MTTR, availability)
 #   make bench-obs         - observability overhead bench (event log, hence spans, on vs off)
@@ -39,7 +38,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: loc test test-equivalence test-fast test-chaos bench-smoke bench-paper bench-stream bench-churn bench-faults bench-obs bench-ledger bench-ledger-quick bench-ab profile-answer serve-budget start-budget bench
+.PHONY: loc test test-equivalence test-fast test-chaos bench-smoke bench-paper bench-churn bench-faults bench-obs bench-ledger bench-ledger-quick bench-ab profile-answer serve-budget start-budget bench
 
 test:
 	$(PYTEST) -x -q
@@ -56,9 +55,6 @@ bench-smoke:
 
 bench-paper:
 	$(PYTEST) -q benchmarks/bench_paper.py benchmarks/bench_ablations.py --benchmark-disable
-
-bench-stream:
-	$(PYTEST) -q benchmarks/bench_incremental_vs_batch.py
 
 bench-churn:
 	$(PYTEST) -q benchmarks/bench_dynamic_churn.py

@@ -188,6 +188,9 @@ class LazyBlockCollection(BlockCollection):
     def total_block_assignments(self) -> int:
         return int(self._matrix.nodes.size)
 
+    def membership_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self._matrix.block_of, self._matrix.nodes
+
     def total_comparisons(self) -> int:
         return int(self._matrix.block_cardinalities().sum())
 
@@ -403,8 +406,8 @@ class PreparedBlocks:
     #: the distinct candidate pairs of ``blocks``
     candidates: CandidateSet
     #: entity x block CSR of ``blocks``, prebuilt by the preparation and
-    #: reused by feature generation / the blocking-graph builder (statistics
-    #: build it themselves when a hand-assembled instance leaves it ``None``)
+    #: reused by feature generation (statistics build it themselves when a
+    #: hand-assembled instance leaves it ``None``)
     csr: Optional[EntityBlockCSR] = field(default=None, compare=False)
     #: co-occurrence aggregates of ``candidates``, reduced by the preparation
     #: from the expansion that found them (``None``: computed by the
@@ -420,9 +423,10 @@ class PreparedBlocks:
     def statistics(self) -> "BlockStatistics":
         """Block statistics of ``blocks``, reusing what was prepared (cached).
 
-        This is the handoff contract: statistics created here inherit
-        :attr:`csr`, :attr:`candidates` and :attr:`cooccurrence`, so a
-        pipeline run over this preparation never rebuilds the incidence
+        This is the handoff contract: statistics created here read the
+        filtered collection's memberships as the preparation holds them and
+        inherit :attr:`csr`, :attr:`candidates` and :attr:`cooccurrence`, so
+        a pipeline run over this preparation never rebuilds the incidence
         structure, reads LCP as the degree of each node in the candidate
         pairs already extracted and finds the pairs' co-occurrence
         aggregates cached.
@@ -430,10 +434,17 @@ class PreparedBlocks:
         if self._stats is None:
             from ..weights.statistics import BlockStatistics
 
+            blocks = self.blocks
+            block_of, nodes = blocks.membership_arrays()
+            space = blocks.index_space
             self._stats = BlockStatistics(
-                self.blocks, csr=self.csr, candidates=self.candidates
+                nodes,
+                block_of,
+                blocks.block_sizes(),
+                blocks.block_cardinalities(),
+                (np.arange(space.total) >= space.size_first).astype(np.int8),
+                self.candidates,
+                self.cooccurrence,
+                self.csr,
             )
-            if self.cooccurrence is not None:
-                self._stats.seed_pair_cooccurrence(self.candidates, self.cooccurrence)
         return self._stats
-

@@ -8,9 +8,11 @@ more than half of the entities, Block Filtering keeps each entity in the
 * batch preparation (:func:`repro.blocking.arrayops.purge_matrix` /
   :func:`~repro.blocking.arrayops.filter_matrix`) calls the two steps on its
   membership matrix, one stage each;
-* the streamed answer (:meth:`repro.incremental.IndexStatistics.live_candidates`)
-  runs the whole chain, :func:`clean_memberships`, on the live rows of the
-  index (or of K merged shards) in the canonical batch numbering.
+* the streamed exact read (:class:`repro.incremental.IndexStatistics`) runs
+  the whole chain, :func:`clean_memberships`, on the live rows of the index
+  (or of K merged shards) in the canonical batch numbering, and hands the
+  blocks it leaves to :class:`repro.weights.BlockStatistics`, as batch
+  preparation hands its filtered matrix.
 
 Filtering ranks blocks by ``(cardinality, member-set key)``, never by block
 id: batch block ids are sorted-signature ranks, an index's are arrival order

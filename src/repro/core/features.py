@@ -85,7 +85,9 @@ class FeatureVectorGenerator:
         candidates:
             The distinct candidate pairs.
         stats:
-            Precomputed block statistics of the underlying block collection.
+            The block statistics of the underlying collection: batch
+            preparation's (``prepared.statistics()``) or a stream's
+            (:class:`repro.incremental.IndexStatistics`, the same class).
         """
         values = np.empty((len(candidates), len(self.columns)), dtype=np.float64, order="F")
         stop = 0

@@ -129,7 +129,7 @@ class GeneralizedSupervisedMetaBlocking:
         blocks: BlockCollection,
         candidates: CandidateSet,
         ground_truth: GroundTruth,
-        stats: Optional[BlockStatistics] = None,
+        stats: BlockStatistics,
         feature_matrix: Optional[FeatureMatrix] = None,
         seed: SeedLike = None,
         keep_features: bool = False,
@@ -143,19 +143,21 @@ class GeneralizedSupervisedMetaBlocking:
         ground_truth:
             Known duplicates, used only to label the training sample and to
             report per-pair labels for evaluation.
-        stats, feature_matrix:
-            Optional precomputed statistics/features; passing them lets
-            experiment sweeps amortise the feature-generation cost.
+        stats:
+            The block statistics the features are computed from
+            (``prepared.statistics()``).
+        feature_matrix:
+            Optional precomputed features; passing them lets experiment
+            sweeps amortise the feature-generation cost.
         seed:
             Per-run sampling seed (falls back to the pipeline seed).
         keep_features:
             Attach the full feature matrix to the result.
         """
         timer = StageTimer()
-        statistics = stats if stats is not None else BlockStatistics(blocks)
         if feature_matrix is None:
             with timer.stage("features"):
-                feature_matrix = self.feature_generator.generate(candidates, statistics)
+                feature_matrix = self.feature_generator.generate(candidates, stats)
         elif feature_matrix.n_pairs != len(candidates):
             raise ValueError("precomputed feature matrix does not match the candidates")
 

@@ -41,7 +41,9 @@ def cnp_budget(blocks: BlockSource) -> int:
     """The CNP per-entity budget: the average number of blocks per entity.
 
     ``k = max(1, Σ_{b∈B} |b| / (|E1| + |E2|))``, rounded to the nearest
-    integer as in the reference implementation.
+    integer with Python's ``round``: an exact half rounds to the even
+    neighbour (10 assignments over 4 entities give 2, not 3).  Whether the
+    paper's own implementation rounds a half this way is unverified.
     """
     assignments, entities = BlockTotals.of(blocks)
     if entities == 0:

@@ -10,7 +10,7 @@ and pruning vectorised.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
+from typing import Iterator
 
 import numpy as np
 
@@ -58,29 +58,6 @@ class CandidateSet:
         self.left = left
         self.right = right
         self.index_space = index_space
-        self._position: Optional[Dict[Tuple[int, int], int]] = None
-
-    # -- constructors ----------------------------------------------------------
-    @classmethod
-    def from_pairs(
-        cls,
-        pairs: Iterable[Tuple[int, int]],
-        index_space: EntityIndexSpace,
-    ) -> "CandidateSet":
-        """Build a candidate set from (possibly repeated) pair tuples."""
-        unique: Set[Tuple[int, int]] = set()
-        for i, j in pairs:
-            if i == j:
-                raise ValueError("a candidate pair cannot relate an entity to itself")
-            unique.add((i, j) if i < j else (j, i))
-        ordered = sorted(unique)
-        if ordered:
-            left = np.fromiter((p[0] for p in ordered), dtype=np.int64, count=len(ordered))
-            right = np.fromiter((p[1] for p in ordered), dtype=np.int64, count=len(ordered))
-        else:
-            left = np.empty(0, dtype=np.int64)
-            right = np.empty(0, dtype=np.int64)
-        return cls(left, right, index_space)
 
     # -- container protocol ----------------------------------------------------
     def __len__(self) -> int:
@@ -93,20 +70,6 @@ class CandidateSet:
     def pair_at(self, position: int) -> CandidatePair:
         """Return the ``position``-th pair."""
         return CandidatePair(int(self.left[position]), int(self.right[position]))
-
-    def position_index(self) -> Dict[Tuple[int, int], int]:
-        """Map every canonical pair tuple to its array position (cached)."""
-        if self._position is None:
-            self._position = {
-                (int(i), int(j)): k
-                for k, (i, j) in enumerate(zip(self.left, self.right))
-            }
-        return self._position
-
-    def contains(self, i: int, j: int) -> bool:
-        """True when the (canonical form of the) pair is in the set."""
-        key = (i, j) if i < j else (j, i)
-        return key in self.position_index()
 
     def subset(self, mask: np.ndarray) -> "CandidateSet":
         """Return the pairs selected by a boolean mask or index array."""
@@ -124,13 +87,6 @@ class CandidateSet:
         """
         total = np.int64(max(self.index_space.total, 1))
         return self.left * total + self.right
-
-    def node_degrees(self) -> np.ndarray:
-        """Number of candidate pairs per node id (the LCP feature's basis)."""
-        degrees = np.zeros(self.index_space.total, dtype=np.int64)
-        np.add.at(degrees, self.left, 1)
-        np.add.at(degrees, self.right, 1)
-        return degrees
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CandidateSet(pairs={len(self)})"

@@ -7,8 +7,10 @@ each insert costs work proportional to its candidate delta, and a frozen
 batch-trained classifier serves online match decisions.
 
 * :class:`IndexState` — the read state of a streaming index (ten arrays, a
-  few scalars) and every read over it, :class:`IndexStatistics` and the derived
-  :class:`LiveCandidates` included; what a worker ships and a router holds;
+  few scalars) and every read over it, :class:`IndexStatistics` (the
+  :class:`repro.weights.BlockStatistics` of the live collection) and the
+  derived :class:`LiveCandidates` included; what a worker ships and a router
+  holds;
 * :class:`MutableBlockIndex` — the state that mutates itself: the
   incrementally maintained token/block inverted index, fully dynamic:
   per-entity inserts, removals (:meth:`MutableBlockIndex.remove_entity`),

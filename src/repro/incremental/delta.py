@@ -6,10 +6,10 @@ an arbitrary subset of candidate pairs — typically the delta introduced by
 one insert — against the *current* state of anything with the read surface
 of an :class:`~repro.incremental.IndexState`: a live
 :class:`MutableBlockIndex`, or a :class:`~repro.incremental.MergedIndexView`
-over shards or shipped states.  The vectorized (``sparse``) scheme
-implementations are reused unchanged: an
-:class:`~repro.incremental.IndexStatistics` is the part of the
-:class:`repro.weights.BlockStatistics` surface they consume.
+over shards or shipped states.  The scheme implementations are reused
+unchanged: an :class:`~repro.incremental.IndexStatistics` *is* a
+:class:`repro.weights.BlockStatistics`, the exact read building it from its
+cleaned live rows as batch preparation does from its filtered matrix.
 
 A delta names its pairs: the writer's insert-time read
 (:meth:`MutableBlockIndex.insert_statistics`) sums the per-entity aggregates

@@ -49,7 +49,9 @@ Filtering are global functions of the live collection, so the index does
 not maintain them: an exact answer under the paper's cleaning applies them
 at read time (:class:`~repro.incremental.IndexStatistics` with a
 :class:`~repro.blocking.cleaning.BlockCleaning`, the kernel batch
-preparation runs), and equals ``prepare_blocks`` with its defaults.
+preparation runs, handing the blocks it leaves to the one
+:class:`repro.weights.BlockStatistics`), and equals ``prepare_blocks`` with
+its defaults.
 
 Node ids are assigned in arrival order and never reused: a removed entity's
 slot is tombstoned (its degree zeroed, its side -1, its CSR row left

@@ -8,9 +8,11 @@ those statistics identically.  :class:`IndexState` is that hand-over as one
 type: three arrays — the entity x block CSR (``indptr``, ``indices``) and the
 side flags — a handful of scalars and the whole read surface over them:
 registry one-liners, canonical renumbering, the CSR and
-:class:`IndexStatistics`.  Every statistic is *derived* from the rows read,
-the live candidate set included (:meth:`IndexStatistics.live_candidates`): no
-index stores its pairs or its per-entity aggregates.  A mutation reports the
+:class:`IndexStatistics` — the one :class:`repro.weights.BlockStatistics`
+implementation batch preparation builds too, here built from the cleaned
+live rows.  Every statistic is *derived* from the rows read, the live
+candidate set included (:meth:`IndexStatistics.live_candidates`): no index
+stores its pairs or its per-entity aggregates.  A mutation reports the
 pairs it created or retracted by packed pair key, and the session keys what
 per-pair state it keeps by them.
 
@@ -40,19 +42,17 @@ resident per-shard copy is a bare :class:`IndexState` advanced by
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..blocking.cleaning import NO_CLEANING, BlockCleaning, CleanedBlocks, clean_memberships
+from ..blocking.cleaning import NO_CLEANING, BlockCleaning, clean_memberships
 from ..core.pruning.base import BlockTotals
 from ..datamodel.candidates import CandidateSet
 from ..datamodel.entity import EntityIndexSpace
 from ..pairs import sorted_unique
 from ..weights.sparse import (
     EntityBlockCSR,
-    PairCooccurrence,
     PairCooccurrenceCache,
     entity_block_csr_from_memberships,
     entity_sums,
@@ -61,6 +61,7 @@ from ..weights.sparse import (
     reduce_blocks,
     transposed_memberships,
 )
+from ..weights.statistics import BlockStatistics
 
 
 class IndexStateError(RuntimeError):
@@ -190,19 +191,20 @@ class LiveCandidates(CandidateSet):
         ]
 
 
-class IndexStatistics:
-    """Read-only statistics over one :class:`IndexState` or several shards.
+class IndexStatistics(BlockStatistics):
+    """The :class:`repro.weights.BlockStatistics` of one :class:`IndexState`
+    or several shards, in two regimes.
 
-    The subset of :class:`repro.weights.BlockStatistics` the vectorized
-    scheme implementations consume, in two regimes with one code path each.
-
-    The *exact read* (the default) holds the statistics of the live
-    collection read under a :class:`~repro.blocking.cleaning.BlockCleaning`,
-    :data:`~repro.blocking.cleaning.NO_CLEANING` and K merged shards included:
-    construction runs :func:`~repro.blocking.cleaning.clean_memberships` over
-    the live rows in the canonical batch numbering, and every per-entity
-    aggregate, ``|B|``, ``||B||``, :meth:`block_totals` and LCP is read off
-    the blocks it leaves — what ``prepare_blocks`` with that cleaning hands
+    The *exact read* (the default) is the statistics of the live collection
+    read under a :class:`~repro.blocking.cleaning.BlockCleaning`,
+    :data:`~repro.blocking.cleaning.NO_CLEANING` and K merged shards
+    included: construction runs :func:`~repro.blocking.cleaning.clean_memberships`
+    over the live rows in the canonical batch numbering, derives the live
+    candidates and their aggregates in one reduce pass
+    (:func:`repro.weights.sparse.reduce_blocks`, the one block preparation
+    runs), and hands the cleaned memberships — mapped back to raw node ids —
+    to :class:`~repro.weights.BlockStatistics`, which batch preparation builds
+    from its filtered matrix: what ``prepare_blocks`` with that cleaning hands
     the batch pipeline.  Cleaned blocks are numbered by (cardinality,
     member-set key) and raw ones keep their relative order, so no shard count
     changes the order any sum is added in.
@@ -213,10 +215,11 @@ class IndexStatistics:
     the writer's per-block vectors summed over the CSR rows of ``rows`` only
     — blocks spawning no comparison masked, as the exact read drops them — so
     it costs O(Σ those rows) and never reads the whole collection; ``|B|`` and
-    ``||B||`` are the writer's two maintained integers and LCP its maintained
-    degrees.  At ``rows`` the values equal the exact read's without cleaning
-    bit for bit (each row's terms added in ascending block id, as there);
-    elsewhere the per-entity arrays hold zeros.
+    ``||B||`` are the writer's two maintained integers, LCP its maintained
+    degrees and the CSR its own.  At ``rows`` the values equal the exact
+    read's without cleaning bit for bit (each row's terms added in ascending
+    block id, as there); elsewhere the per-entity arrays hold zeros.  It has
+    no :meth:`live_candidates` and no :meth:`block_totals`.
 
     Obtain a fresh view per feature computation (``statistics()``): the
     arrays cover every node slot ever assigned; tombstoned slots hold zeros
@@ -229,82 +232,62 @@ class IndexStatistics:
         cleaning: BlockCleaning = NO_CLEANING,
         rows: Optional[np.ndarray] = None,
     ) -> None:
-        self._states = states
-        self.cleaning = cleaning
-        self._pair_cache = PairCooccurrenceCache()
-        self._degrees: Optional[np.ndarray] = None
-        self._live: Optional[LiveCandidates] = None
         state = states[0]
-        if rows is None:
-            active, _, blocks = self._read
-            nodes, block_of = active[blocks.nodes], blocks.block_of
-            per_block = (blocks.cardinalities, *self._inverse_weights(blocks))
-            #: ``|B|`` — blocks spawning at least one comparison
-            self.num_blocks = blocks.num_blocks
-            #: ``||B||`` — the total number of comparisons
-            self.total_cardinality = float(blocks.cardinalities.sum())
-            self._totals = BlockTotals(int(nodes.size), active.size)
-        else:
-            rows = sorted_unique(rows)
-            csr = state.csr()
-            per_block = (
-                state._block_cardinalities.view(),
-                state._inverse_block_cardinalities.view(),
-                state._inverse_block_sizes.view(),
-            )
-            positions, block_of = gather_rows(csr, rows)
-            spawning = per_block[0][block_of] > 0
-            nodes, block_of = rows[positions[spawning]], block_of[spawning]
-            self.num_blocks = state.num_nonempty_blocks
-            self.total_cardinality = float(state.total_cardinality)
-            self._degrees = state._degrees.view()
-            # the collection read is the raw CSR: what _merged holds otherwise
-            self._merged = (csr, *per_block[1:])
+        if rows is not None:
+            self._read_rows(state, sorted_unique(rows))
+            return
+        sides = state.sides()
+        csr = merged_csr(states)
+        active, n_first, nodes, block_of = transposed_memberships(csr, sides >= 0, sides == 1)
+        size_first = n_first if state.bilateral else None
+        blocks = clean_memberships(
+            nodes, block_of, csr.num_blocks, active.size, size_first, cleaning
+        )
+        left, right, aggregates = reduce_blocks(
+            blocks.nodes,
+            blocks.block_of,
+            blocks.sizes,
+            blocks.first_sizes,
+            active.size,
+            size_first,
+            (inverse_block_weights(blocks.cardinalities), inverse_block_weights(blocks.sizes)),
+            lambda: entity_block_csr_from_memberships(
+                blocks.nodes, blocks.block_of, active.size, blocks.num_blocks, assume_unique=True
+            ),
+        )
+        super().__init__(
+            active[blocks.nodes],
+            blocks.block_of,
+            blocks.sizes,
+            blocks.cardinalities,
+            sides,
+            LiveCandidates(active, left, right, state.index_space()),
+            aggregates,
+        )
+        self._totals = BlockTotals(int(blocks.nodes.size), active.size)
+
+    def _read_rows(self, state: "IndexState", rows: np.ndarray) -> None:
+        """The insert-time read at ``rows`` (sorted, distinct node slots)."""
+        csr = state.csr()
+        per_block = (
+            state._block_cardinalities.view(),
+            state._inverse_block_cardinalities.view(),
+            state._inverse_block_sizes.view(),
+        )
+        positions, block_of = gather_rows(csr, rows)
+        spawning = per_block[0][block_of] > 0
         (
             self.blocks_per_entity,
             self.entity_cardinality,
             self.entity_inv_cardinality,
             self.entity_inv_size,
-        ) = entity_sums(nodes, block_of, per_block, state.num_slots)
-
-    @staticmethod
-    def _inverse_weights(blocks: CleanedBlocks) -> Tuple[np.ndarray, np.ndarray]:
-        return (
-            inverse_block_weights(blocks.cardinalities),
-            inverse_block_weights(blocks.sizes),
-        )
-
-    @cached_property
-    def _read(self) -> Tuple[np.ndarray, int, CleanedBlocks]:
-        """``(active, n_first, blocks)``: the live nodes (canonical order) and
-        the blocks read under this view's cleaning, nodes as canonical ids."""
-        state = self._states[0]
-        sides = state.sides()
-        csr = merged_csr(self._states)
-        active, n_first, nodes, block_of = transposed_memberships(csr, sides >= 0, sides == 1)
-        blocks = clean_memberships(
-            nodes,
-            block_of,
-            csr.num_blocks,
-            active.size,
-            n_first if state.bilateral else None,
-            self.cleaning,
-        )
-        return active, n_first, blocks
-
-    @cached_property
-    def _merged(self) -> Tuple[EntityBlockCSR, np.ndarray, np.ndarray]:
-        """The CSR (raw node ids) and inverse block weights of the blocks
-        this view reads."""
-        active, _, blocks = self._read
-        csr = entity_block_csr_from_memberships(
-            active[blocks.nodes],
-            blocks.block_of,
-            self._states[0].num_slots,
-            blocks.num_blocks,
-            assume_unique=True,
-        )
-        return (csr, *self._inverse_weights(blocks))
+        ) = entity_sums(rows[positions[spawning]], block_of[spawning], per_block, state.num_slots)
+        self.num_blocks = state.num_nonempty_blocks
+        self.total_cardinality = float(state.total_cardinality)
+        self.inverse_block_cardinalities, self.inverse_block_sizes = per_block[1:]
+        self.sides = state.sides()
+        self._csr, self._lcp = csr, state._degrees.view()
+        self._pair_cache = PairCooccurrenceCache()
 
     def block_totals(self) -> BlockTotals:
         """``Σ|b|`` and ``|E1|+|E2|`` of the collection read — what
@@ -312,55 +295,10 @@ class IndexStatistics:
         return self._totals
 
     def live_candidates(self) -> LiveCandidates:
-        """Every live distinct candidate pair, derived on first use.
-
-        One reduce pass (:func:`repro.weights.sparse.reduce_blocks`, the one
-        block preparation runs) over the blocks read yields the pairs in
-        batch numbering and order *and* their co-occurrence aggregates,
-        seeded into this view's cache for the schemes to find; a refused key
-        yields the pairs alone and :meth:`pair_cooccurrence` computes.
-        """
-        if self._live is None:
-            state = self._states[0]
-            active, n_first, blocks = self._read
-            left, right, aggregates = reduce_blocks(
-                blocks.nodes,
-                blocks.block_of,
-                blocks.sizes,
-                blocks.first_sizes,
-                active.size,
-                n_first if state.bilateral else None,
-                self._inverse_weights(blocks),
-                lambda: entity_block_csr_from_memberships(
-                    blocks.nodes, blocks.block_of, active.size, blocks.num_blocks,
-                    assume_unique=True,
-                ),
-            )
-            self._live = LiveCandidates(active, left, right, state.index_space())
-            if aggregates is not None:
-                self._pair_cache.seed(self._live, aggregates)
-        return self._live
-
-    def local_candidate_counts_sparse(self) -> np.ndarray:
-        """``LCP(e_i)`` — distinct candidates read per node slot."""
-        if self._degrees is None:
-            live = self.live_candidates()
-            self._degrees = np.bincount(
-                np.concatenate((live.left, live.right)), minlength=self._states[0].num_slots
-            ).astype(np.float64)
-        return self._degrees
-
-    def pair_cooccurrence(self, candidates: CandidateSet) -> PairCooccurrence:
-        """Batched co-occurrence aggregates via the sparse intersection kernel.
-
-        Cached per candidate-set object (weakly referenced) so the schemes of
-        one feature computation share a single intersection pass, exactly as
-        :meth:`repro.weights.BlockStatistics.pair_cooccurrence` does.
-        """
-        held = self._pair_cache.cached(candidates)
-        if held is not None:
-            return held
-        return self._pair_cache.get(candidates, *self._merged, self._states[0].sides())
+        """Every live distinct candidate pair of the collection read, in batch
+        numbering and order, their aggregates seeded for the schemes to find
+        (a refused reduce key seeds none: :meth:`pair_cooccurrence` computes)."""
+        return self._candidates
 
 
 class IndexState:

@@ -36,7 +36,6 @@ _EXPORTS = {
     "WeightedJaccardScheme": "schemes",
     "WeightingScheme": "schemes",
     "all_feature_subsets": "registry",
-    "build_entity_block_csr": "sparse",
     "compute_pair_cooccurrence": "sparse",
     "get_scheme": "registry",
     "get_schemes": "registry",

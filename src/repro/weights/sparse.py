@@ -44,7 +44,6 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..datamodel.block import BlockCollection
 from ..pairs import (
     distinct_pair_keys,
     expand_pair_chunks,
@@ -159,18 +158,6 @@ def entity_block_csr_from_memberships(
     indptr = np.zeros(total_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return EntityBlockCSR(indptr=indptr, indices=block_ids, num_blocks=num_blocks)
-
-
-def build_entity_block_csr(blocks: BlockCollection) -> EntityBlockCSR:
-    """Flatten a block collection into the CSR incidence structure.
-
-    Membership duplicates (an entity listed twice in one block) are collapsed,
-    matching the set semantics of the per-pair reference.
-    """
-    block_ids, nodes = blocks.membership_arrays()
-    return entity_block_csr_from_memberships(
-        nodes, block_ids, blocks.index_space.total, len(blocks)
-    )
 
 
 def gather_rows(csr: EntityBlockCSR, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -584,10 +571,9 @@ class PairCooccurrenceCache:
     """Single-entry cache of :class:`PairCooccurrence` per candidate set.
 
     All schemes of one feature-matrix generation — and repeated generations
-    over the same candidate-set object — share a single intersection pass.
-    The candidate set is held weakly, so the cache never prolongs its life.
-    Both the batch :class:`repro.weights.BlockStatistics` and the streaming
-    :class:`repro.incremental.IndexStatistics` delegate here.
+    over the same candidate-set object — share a single intersection pass
+    (:meth:`repro.weights.BlockStatistics.pair_cooccurrence`).  The candidate
+    set is held weakly, so the cache never prolongs its life.
     """
 
     def __init__(self) -> None:
@@ -601,25 +587,12 @@ class PairCooccurrenceCache:
                 return held
         return None
 
-    def get(
-        self, candidates, csr, inverse_cardinalities, inverse_sizes, sides
-    ) -> PairCooccurrence:
-        """The cached aggregates of ``candidates``, else the kernel's over ``csr``."""
-        held = self.cached(candidates)
-        if held is not None:
-            return held
-        result = compute_pair_cooccurrence(
-            csr, inverse_cardinalities, inverse_sizes, candidates.left, candidates.right, sides
-        )
-        self.seed(candidates, result)
-        return result
-
     def seed(self, candidates, result: PairCooccurrence) -> None:
-        """Install precomputed aggregates for ``candidates``.
+        """Hold ``result`` as the aggregates of ``candidates``.
 
-        Block preparation reduces them from its one expansion; once
-        seeded, every scheme of the next generation reads the cache — and
-        only reads it: the arrays turn non-writeable, CBS / RACCB / RS are views.
+        Whatever is held — computed, or reduced by block preparation or a
+        stream's exact read from the expansion that found the pairs — is only
+        read: the arrays turn non-writeable, CBS / RACCB / RS are views.
         """
         for array in result:
             array.flags.writeable = False

@@ -9,12 +9,15 @@ co-occurrence patterns of a candidate pair:
 * ``||B||`` — the total number of comparisons in the collection;
 * ``||e_i||`` — the summed cardinality of the blocks of ``e_i``.
 
-:class:`BlockStatistics` precomputes the per-block and per-entity quantities
-once per block collection, from its entity x block CSR, and answers the
+:class:`BlockStatistics` derives the per-block and per-entity quantities once
+per cleaned collection, given as memberships grouped by block, and answers the
 per-pair ones for all candidate pairs in one batched co-occurrence pass
 (:meth:`BlockStatistics.pair_cooccurrence`).  It is the only implementation:
-the per-pair set formulas the tests hold it against read each ``Block``'s
-member lists in ``tests/reference.py``.
+batch preparation builds it from its filtered matrix
+(:meth:`repro.blocking.PreparedBlocks.statistics`) and a stream's exact read
+from its cleaned live rows (:class:`repro.incremental.IndexStatistics`).  The
+per-pair set formulas the tests hold it against read each ``Block``'s member
+lists in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -23,104 +26,97 @@ from typing import Optional
 
 import numpy as np
 
-from ..datamodel.block import BlockCollection
 from ..datamodel.candidates import CandidateSet
-from ..pairs import pair_expansion_plan
 from .sparse import (
     EntityBlockCSR,
     PairCooccurrence,
     PairCooccurrenceCache,
-    build_entity_block_csr,
+    compute_pair_cooccurrence,
+    entity_block_csr_from_memberships,
     entity_sums,
     inverse_block_weights,
-    reduce_memberships,
-    transposed_memberships,
 )
 
 
 class BlockStatistics:
-    """Precomputed per-entity and per-block statistics of a block collection.
+    """Per-entity and per-block statistics of one cleaned block collection.
 
     Parameters
     ----------
-    blocks:
-        The (purged/filtered) block collection the candidate pairs come from.
-    csr:
-        Optional prebuilt entity x block CSR incidence structure of
-        ``blocks`` (block preparation hands it over through
-        :meth:`repro.blocking.PreparedBlocks.statistics`), so it is never
-        rebuilt.  Built from the block objects when omitted.
+    nodes, block_of:
+        The collection's distinct ``(node, block)`` memberships grouped by
+        block in ascending block id, node ids in the id space the schemes
+        read (one per entry of ``sides``).
+    sizes, cardinalities:
+        ``|b|`` and ``||b||`` per block.
+    sides:
+        Source side per node id (1: second collection; 0 first, -1 a removed
+        stream slot) — what makes the co-occurrence kernel's expansion
+        first x second.
     candidates:
-        Optional distinct candidate pairs of ``blocks`` (same hand-off):
-        LCP is the degree of a node in that pair set, so holding it makes
-        :meth:`local_candidate_counts_sparse` two ``np.bincount`` calls.
-        Derived from the blocks on first use when omitted.
+        The distinct candidate pairs of the collection: LCP is the degree of
+        a node in them.
+    cooccurrence:
+        Optional aggregates of ``candidates``, reduced from the expansion that
+        found them; seeded into the cache, so the schemes read them.
+    csr:
+        Optional prebuilt entity x block CSR of the memberships; built from
+        them on first use otherwise.
     """
 
     def __init__(
         self,
-        blocks: BlockCollection,
+        nodes: np.ndarray,
+        block_of: np.ndarray,
+        sizes: np.ndarray,
+        cardinalities: np.ndarray,
+        sides: np.ndarray,
+        candidates: CandidateSet,
+        cooccurrence: Optional[PairCooccurrence] = None,
         csr: Optional[EntityBlockCSR] = None,
-        candidates: Optional[CandidateSet] = None,
     ) -> None:
-        self.blocks = blocks
-        self.num_blocks = len(blocks)
-        total_nodes = blocks.index_space.total
-        if csr is None:
-            csr = build_entity_block_csr(blocks)
-        elif csr.num_blocks != len(blocks) or csr.num_entities != total_nodes:
+        cardinalities = np.asarray(cardinalities, dtype=np.float64)
+        #: ``|B|`` — blocks in the collection (each spawns a comparison)
+        self.num_blocks = int(cardinalities.size)
+        if csr is not None and (csr.num_blocks, csr.num_entities) != (self.num_blocks, sides.size):
             raise ValueError(
                 "precomputed CSR does not match the block collection "
-                f"({csr.num_entities} x {csr.num_blocks} vs "
-                f"{total_nodes} x {len(blocks)})"
+                f"({csr.num_entities} x {csr.num_blocks} vs {sides.size} x {self.num_blocks})"
             )
-        if candidates is not None and candidates.index_space.total != total_nodes:
-            raise ValueError(
-                "candidate set does not match the block collection "
-                f"({candidates.index_space.total} vs {total_nodes} nodes)"
-            )
-
-        # per-block quantities (array-native: a prepared collection answers
-        # these from its membership matrix, no Block object is built)
-        self.block_sizes = np.asarray(blocks.block_sizes(), dtype=np.float64)
-        self.block_cardinalities = np.asarray(blocks.block_cardinalities(), dtype=np.float64)
-        self.total_cardinality = float(self.block_cardinalities.sum())
+        #: ``||B||`` — the total number of comparisons
+        self.total_cardinality = float(cardinalities.sum())
         # per-block inverse weights, 1/max(value, 1): what a shared block adds
         # to the RACCB / WJS / RS / NRS sums
-        self.inverse_block_cardinalities = inverse_block_weights(self.block_cardinalities)
-        self.inverse_block_sizes = inverse_block_weights(self.block_sizes)
-        #: source side per node id (1: second collection) — what makes the
-        #: co-occurrence kernel's expansion first x second
-        self.sides = (
-            np.arange(total_nodes) >= blocks.index_space.size_first
-        ).astype(np.int8)
-
-        # per-entity aggregates straight from the CSR rows, each row's terms
-        # added in ascending block id, the order the pair kernel uses
+        self.inverse_block_cardinalities = inverse_block_weights(cardinalities)
+        self.inverse_block_sizes = inverse_block_weights(sizes)
+        self.sides = sides
+        # per node, its terms added in ascending block id (np.bincount adds in
+        # array order), the order the pair kernel uses
         (
             self.blocks_per_entity,
             self.entity_cardinality,
             self.entity_inv_cardinality,
             self.entity_inv_size,
         ) = entity_sums(
-            np.repeat(np.arange(total_nodes, dtype=np.int64), np.diff(csr.indptr)),
-            csr.indices,
-            (
-                self.block_cardinalities,
-                self.inverse_block_cardinalities,
-                self.inverse_block_sizes,
-            ),
-            total_nodes,
+            nodes,
+            block_of,
+            (cardinalities, self.inverse_block_cardinalities, self.inverse_block_sizes),
+            sides.size,
         )
-
+        self._memberships = (nodes, block_of)
         self._csr = csr
         self._candidates = candidates
-        self._lcp_sparse: Optional[np.ndarray] = None
+        self._lcp: Optional[np.ndarray] = None
         self._pair_cache = PairCooccurrenceCache()
+        if cooccurrence is not None:
+            self._pair_cache.seed(candidates, cooccurrence)
 
-    # -- vectorized kernels ----------------------------------------------------
     def csr(self) -> EntityBlockCSR:
         """The entity x block incidence structure."""
+        if self._csr is None:
+            self._csr = entity_block_csr_from_memberships(
+                *self._memberships, self.sides.size, self.num_blocks, assume_unique=True
+            )
         return self._csr
 
     def pair_cooccurrence(self, candidates: CandidateSet) -> PairCooccurrence:
@@ -131,56 +127,28 @@ class BlockStatistics:
         over the same candidates, as in the feature-selection sweeps — share
         a single intersection pass.
         """
-        return self._pair_cache.get(
-            candidates,
-            self._csr,
-            self.inverse_block_cardinalities,
-            self.inverse_block_sizes,
-            self.sides,
-        )
+        held = self._pair_cache.cached(candidates)
+        if held is None:
+            held = compute_pair_cooccurrence(
+                self.csr(),
+                self.inverse_block_cardinalities,
+                self.inverse_block_sizes,
+                candidates.left,
+                candidates.right,
+                self.sides,
+            )
+            self._pair_cache.seed(candidates, held)
+        return held
 
-    # -- seeding ----------------------------------------------------------------
-    def seed_pair_cooccurrence(
-        self, candidates: CandidateSet, aggregates: PairCooccurrence
-    ) -> None:
-        """Install externally computed per-pair aggregates for ``candidates``.
-
-        Used by :meth:`repro.blocking.PreparedBlocks.statistics` (the
-        aggregates block preparation reduced from its one expansion);
-        subsequent scheme computations over the same candidate-set object
-        read the cache.
-        """
-        self._pair_cache.seed(candidates, aggregates)
-
-    # -- LCP ---------------------------------------------------------------------
     def local_candidate_counts_sparse(self) -> np.ndarray:
         """LCP as the degree of every node in the distinct candidate-pair set.
 
-        The pairs are the ones handed over at construction or, for a bare
-        ``BlockStatistics(blocks)``, derived with the side-aware expansion
-        candidate extraction uses.  The tests hold it against
-        ``tests/reference.py::reference_lcp``, which walks every block of
-        every entity as the paper counts it.
+        The tests hold it against ``tests/reference.py::reference_lcp``, which
+        walks every block of every entity as the paper counts it.
         """
-        if self._lcp_sparse is None:
-            total_nodes = self.blocks.index_space.total
-            if self._candidates is not None:
-                left, right = self._candidates.left, self._candidates.right
-            else:
-                # stranded blocks expand as intra blocks, as in extraction; batch
-                # node ids are first side first already: the ranks are the ids
-                csr = self._csr
-                _, n_first, nodes, block_of = transposed_memberships(
-                    csr, self.sides >= 0, self.sides == 1
-                )
-                plan = pair_expansion_plan(
-                    block_of,
-                    np.bincount(block_of, minlength=csr.num_blocks),
-                    np.bincount(block_of[nodes < n_first], minlength=csr.num_blocks),
-                )
-                weights = (self.inverse_block_cardinalities, self.inverse_block_sizes)
-                left, right, _ = reduce_memberships(nodes, block_of, plan, csr.num_entities, weights)
-            degrees = np.bincount(left, minlength=total_nodes)
-            degrees += np.bincount(right, minlength=total_nodes)
-            self._lcp_sparse = degrees.astype(np.float64)
-        return self._lcp_sparse
+        if self._lcp is None:
+            candidates, num_nodes = self._candidates, self.sides.size
+            degrees = np.bincount(candidates.left, minlength=num_nodes)
+            degrees += np.bincount(candidates.right, minlength=num_nodes)
+            self._lcp = degrees.astype(np.float64)
+        return self._lcp

@@ -30,7 +30,6 @@ from repro.blocking import (
 from repro.blocking.arrayops import _dictionary_encode, encode_signatures
 from repro.datamodel import EntityCollection, make_profile
 from repro.datasets import load_dirty_dataset
-from repro.weights.sparse import build_entity_block_csr
 
 from reference import pair_tuples, reference_encode_signatures, reference_prepare_blocks
 
@@ -124,7 +123,7 @@ def assert_equivalent(first, second, blocking=None, cleaning=PAPER_CLEANING):
     assert_collections_identical(loop.blocks, array.blocks)
     assert pair_tuples(loop.candidates) == pair_tuples(array.candidates)
     assert loop.candidates.index_space == array.candidates.index_space
-    reference_csr = build_entity_block_csr(loop.blocks)
+    reference_csr = loop.statistics().csr()
     assert array.csr is not None
     assert np.array_equal(array.csr.indptr, reference_csr.indptr)
     assert np.array_equal(array.csr.indices, reference_csr.indices)

@@ -11,30 +11,29 @@ structure inside a pipeline run.
 import numpy as np
 import pytest
 
-import repro.weights.sparse as sparse_module
 import repro.weights.statistics as statistics_module
-from repro.blocking import prepare_blocks
+from repro.blocking import PreparedBlocks, prepare_blocks
 from repro.core.pipeline import GeneralizedSupervisedMetaBlocking
-from repro.weights import BlockStatistics, build_entity_block_csr
+from repro.datamodel import BlockCollection
+
+from reference import block_statistics
 
 
 @pytest.fixture()
 def forbid_csr_rebuild(monkeypatch):
-    """Make any CSR rebuild (from Block objects) fail loudly."""
+    """Make any CSR rebuild by the statistics fail loudly."""
 
-    def _forbidden(blocks):  # pragma: no cover - failure path
-        raise AssertionError(
-            "build_entity_block_csr was called — the prepared CSR was not reused"
-        )
+    def _forbidden(*args, **kwargs):  # pragma: no cover - failure path
+        raise AssertionError("the statistics built a CSR — the prepared CSR was not reused")
 
-    monkeypatch.setattr(sparse_module, "build_entity_block_csr", _forbidden)
-    monkeypatch.setattr(statistics_module, "build_entity_block_csr", _forbidden)
+    monkeypatch.setattr(statistics_module, "entity_block_csr_from_memberships", _forbidden)
 
 
 class TestHandoff:
     def test_prepared_csr_matches_a_fresh_build(self, dblpacm_dataset):
         prepared = prepare_blocks(dblpacm_dataset.first, dblpacm_dataset.second)
-        reference = build_entity_block_csr(prepared.blocks)
+        objects = BlockCollection(list(prepared.blocks), prepared.blocks.index_space)
+        reference = block_statistics(objects, prepared.candidates).csr()
         assert np.array_equal(prepared.csr.indptr, reference.indptr)
         assert np.array_equal(prepared.csr.indices, reference.indices)
 
@@ -57,8 +56,10 @@ class TestHandoff:
 
     def test_mismatched_csr_rejected(self, dblpacm_dataset):
         prepared = prepare_blocks(dblpacm_dataset.first, dblpacm_dataset.second)
+        raw = prepared.raw_blocks
+        mismatched = PreparedBlocks(raw, raw, raw, prepared.candidates, csr=prepared.csr)
         with pytest.raises(ValueError, match="does not match"):
-            BlockStatistics(prepared.raw_blocks, csr=prepared.csr)
+            mismatched.statistics()
 
 
 class TestBlockPreparationStage:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from reference import reference_candidates
+from reference import block_statistics, reference_candidates
 from repro.blocking import prepare_blocks
 from repro.datamodel import (
     Block,
@@ -22,7 +22,6 @@ from repro.datamodel import (
 )
 from repro.datasets import load_benchmark, load_dirty_dataset
 from repro.evaluation import PreparedDataset
-from repro.weights import BlockStatistics
 
 
 def pytest_configure(config):
@@ -100,7 +99,7 @@ def small_candidates(small_blocks):
 @pytest.fixture(scope="session")
 def small_stats(small_blocks):
     """Block statistics of the small block collection."""
-    return BlockStatistics(small_blocks)
+    return block_statistics(small_blocks)
 
 
 # -- generated benchmark fixtures -----------------------------------------------------

@@ -26,8 +26,8 @@ class TestFeatureVectorGenerator:
         matrix = FeatureVectorGenerator(RCNP_FEATURE_SET).generate(small_candidates, small_stats)
         assert matrix.n_features == 6  # LCP contributes two columns
 
-    def test_matrix_matches_reference(self, small_candidates, small_stats):
-        loop = reference_feature_matrix(("JS", "LCP"), small_candidates, small_stats)
+    def test_matrix_matches_reference(self, small_blocks, small_candidates, small_stats):
+        loop = reference_feature_matrix(("JS", "LCP"), small_candidates, small_blocks)
         sparse = FeatureVectorGenerator(("JS", "LCP")).generate(small_candidates, small_stats)
         assert (loop.columns, loop.feature_set) == (sparse.columns, sparse.feature_set)
         np.testing.assert_allclose(sparse.values, loop.values)

@@ -17,6 +17,7 @@ class TestPipelineBasics:
             prepared_dblpacm.prepared.blocks,
             prepared_dblpacm.prepared.candidates,
             prepared_dblpacm.ground_truth,
+            stats=prepared_dblpacm.prepared.statistics(),
         )
         n = len(prepared_dblpacm.prepared.candidates)
         assert result.retained_mask.shape == (n,)
@@ -33,6 +34,7 @@ class TestPipelineBasics:
             prepared_dblpacm.prepared.blocks,
             prepared_dblpacm.prepared.candidates,
             prepared_dblpacm.ground_truth,
+            stats=prepared_dblpacm.prepared.statistics(),
             keep_features=True,
         )
         assert result.feature_matrix is not None
@@ -44,12 +46,14 @@ class TestPipelineBasics:
             prepared_dblpacm.prepared.blocks,
             prepared_dblpacm.prepared.candidates,
             prepared_dblpacm.ground_truth,
+            stats=prepared_dblpacm.prepared.statistics(),
             seed=7,
         )
         second = pipeline.run(
             prepared_dblpacm.prepared.blocks,
             prepared_dblpacm.prepared.candidates,
             prepared_dblpacm.ground_truth,
+            stats=prepared_dblpacm.prepared.statistics(),
             seed=7,
         )
         assert np.array_equal(first.retained_mask, second.retained_mask)
@@ -61,12 +65,14 @@ class TestPipelineBasics:
             prepared_dblpacm.prepared.blocks,
             prepared_dblpacm.prepared.candidates,
             prepared_dblpacm.ground_truth,
+            stats=prepared_dblpacm.prepared.statistics(),
             seed=1,
         )
         second = pipeline.run(
             prepared_dblpacm.prepared.blocks,
             prepared_dblpacm.prepared.candidates,
             prepared_dblpacm.ground_truth,
+            stats=prepared_dblpacm.prepared.statistics(),
             seed=2,
         )
         assert not np.array_equal(
@@ -85,6 +91,7 @@ class TestPipelineBasics:
                 prepared_dblpacm.prepared.blocks,
                 prepared_dblpacm.prepared.candidates,
                 prepared_dblpacm.ground_truth,
+                stats=prepared_dblpacm.prepared.statistics(),
                 feature_matrix=wrong_matrix,
             )
 
@@ -119,6 +126,7 @@ class TestPipelineBasics:
             prepared_dblpacm.prepared.blocks,
             prepared_dblpacm.prepared.candidates,
             prepared_dblpacm.ground_truth,
+            stats=prepared_dblpacm.prepared.statistics(),
         )
         for stage in ("features", "training", "scoring", "pruning"):
             assert stage in result.timer.stages
@@ -135,6 +143,7 @@ class TestPipelineEffectiveness:
             prepared_dblpacm.prepared.blocks,
             prepared_dblpacm.prepared.candidates,
             prepared_dblpacm.ground_truth,
+            stats=prepared_dblpacm.prepared.statistics(),
         )
         output_report = evaluate_result(result, prepared_dblpacm.ground_truth)
         assert output_report.precision > 10 * input_report.precision
@@ -150,6 +159,7 @@ class TestPipelineEffectiveness:
             prepared_dblpacm.prepared.blocks,
             prepared_dblpacm.prepared.candidates,
             prepared_dblpacm.ground_truth,
+            stats=prepared_dblpacm.prepared.statistics(),
         )
         report = evaluate_result(result, prepared_dblpacm.ground_truth)
         assert report.recall > 0.8
@@ -163,6 +173,7 @@ class TestPipelineEffectiveness:
             prepared_abtbuy.prepared.blocks,
             prepared_abtbuy.prepared.candidates,
             prepared_abtbuy.ground_truth,
+            stats=prepared_abtbuy.prepared.statistics(),
         )
         report = evaluate_result(result, prepared_abtbuy.ground_truth)
         assert report.recall > 0.6
@@ -171,7 +182,7 @@ class TestPipelineEffectiveness:
     def test_dirty_er_pipeline(self, prepared_dirty):
         pipeline = GeneralizedSupervisedMetaBlocking(training_size=50, seed=0)
         result = pipeline.run(
-            prepared_dirty.prepared.blocks, prepared_dirty.prepared.candidates, prepared_dirty.ground_truth
+            prepared_dirty.prepared.blocks, prepared_dirty.prepared.candidates, prepared_dirty.ground_truth, stats=prepared_dirty.prepared.statistics()
         )
         report = evaluate_result(result, prepared_dirty.ground_truth)
         assert report.recall > 0.7

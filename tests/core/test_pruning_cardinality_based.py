@@ -12,13 +12,15 @@ from repro.core import (
 )
 from repro.datamodel import Block, BlockCollection, CandidateSet, EntityIndexSpace
 
+from reference import candidate_set
+
 
 @pytest.fixture
 def dense_candidates():
     """All 6 cross pairs of a 2x3 Clean-Clean space."""
     space = EntityIndexSpace(2, 3)
     pairs = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]
-    return CandidateSet.from_pairs(pairs, space)
+    return candidate_set(pairs, space)
 
 
 @pytest.fixture
@@ -42,8 +44,11 @@ class TestBudgets:
             ((2, 3), [([0, 1], [2, 3]), ([0], [4]), ([1], [2, 3, 4])], 2),
             # 7 assignments over 4 entities -> k = round(1.75) = 2; flooring gives 1
             ((2, 2), [([0, 1], [2, 3]), ([0], [2, 3])], 2),
+            # 10 assignments over 4 entities -> k = round(2.5) = 2: an exact half
+            # rounds to even; rounding half up would give 3
+            ((2, 2), [([0, 1], [2, 3]), ([0], [2, 3]), ([1], [2, 3])], 2),
         ],
-        ids=["exact", "fractional"],
+        ids=["exact", "fractional", "exact-half"],
     )
     def test_cnp_budget_average_blocks_per_entity(self, sides, members, expected):
         blocks = BlockCollection(
@@ -189,7 +194,7 @@ class TestDeterministicTieBreaking:
 
     def test_cep_ties_prefer_smaller_packed_keys(self):
         space, pairs, probabilities = self._tied()
-        candidates = CandidateSet.from_pairs(pairs, space)
+        candidates = candidate_set(pairs, space)
         mask = SupervisedCEP(budget=3).prune(probabilities, candidates)
         retained = set(zip(candidates.left[mask].tolist(), candidates.right[mask].tolist()))
         # (1, 4) wins outright at 0.9; the two remaining slots go to the

@@ -19,14 +19,16 @@ from repro.core import (
     get_pruning_algorithm,
 )
 from repro.core.pruning import CARDINALITY_BASED_ALGORITHMS, PRUNING_ALGORITHMS
-from repro.datamodel import CandidateSet, EntityIndexSpace
+from repro.datamodel import EntityIndexSpace
+
+from reference import candidate_set
 
 
 @pytest.fixture
 def star_candidates():
     """Pairs (0,3), (0,4), (1,3), (2,4) over a 3+2 Clean-Clean space."""
     space = EntityIndexSpace(3, 2)
-    return CandidateSet.from_pairs([(0, 3), (0, 4), (1, 3), (2, 4)], space)
+    return candidate_set([(0, 3), (0, 4), (1, 3), (2, 4)], space)
 
 
 @pytest.fixture

@@ -14,16 +14,10 @@ class TestCandidatePair:
 
 
 class TestCandidateSet:
-    def test_from_pairs_deduplicates_and_canonicalises(self):
-        space = EntityIndexSpace(3, 3)
-        candidates = CandidateSet.from_pairs([(3, 0), (0, 3), (1, 4)], space)
-        assert len(candidates) == 2
-        assert pair_tuples(candidates) == [(0, 3), (1, 4)]
-
-    def test_from_pairs_rejects_self_pair(self):
+    def test_self_pair_rejected(self):
         space = EntityIndexSpace(3)
         with pytest.raises(ValueError):
-            CandidateSet.from_pairs([(1, 1)], space)
+            CandidateSet(np.array([1]), np.array([1]), space)
 
     def test_blocks_comparisons_counted_once(self, small_blocks):
         candidates = reference_candidates(small_blocks)
@@ -32,22 +26,12 @@ class TestCandidateSet:
         # pair (0, 3) appears in blocks alpha and beta but must be counted once
         assert tuples.count((0, 3)) == 1
 
-    def test_contains_and_position_index(self, small_candidates):
-        first_pair = small_candidates.pair_at(0)
-        assert small_candidates.contains(first_pair.left, first_pair.right)
-        assert small_candidates.contains(first_pair.right, first_pair.left)
-        assert not small_candidates.contains(0, 2)  # same-side pair never generated
-
     def test_subset_by_mask(self, small_candidates):
         mask = np.zeros(len(small_candidates), dtype=bool)
         mask[0] = True
         subset = small_candidates.subset(mask)
         assert len(subset) == 1
         assert subset.pair_at(0) == small_candidates.pair_at(0)
-
-    def test_node_degrees_sum_to_twice_pairs(self, small_candidates):
-        degrees = small_candidates.node_degrees()
-        assert degrees.sum() == 2 * len(small_candidates)
 
     def test_non_canonical_arrays_rejected(self):
         space = EntityIndexSpace(4)
@@ -61,10 +45,9 @@ class TestCandidateSet:
 
     def test_empty_set(self):
         space = EntityIndexSpace(4)
-        candidates = CandidateSet.from_pairs([], space)
+        candidates = CandidateSet(np.empty(0), np.empty(0), space)
         assert len(candidates) == 0
         assert list(candidates) == []
-        assert candidates.node_degrees().sum() == 0
 
     def test_iteration_yields_pairs(self, small_candidates):
         pairs = list(small_candidates)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import labels_for_pairs, pair_tuples
+from reference import candidate_set, labels_for_pairs, pair_tuples
 from repro.datamodel import (
     CandidateSet,
     EntityCollection,
@@ -51,14 +51,14 @@ class TestGroundTruth:
         first, second = two_collections
         truth = GroundTruth.from_id_pairs([("a1", "b1")], first, second)
         space = truth.index_space
-        candidates = CandidateSet.from_pairs([(0, 2), (1, 3)], space)
+        candidates = candidate_set([(0, 2), (1, 3)], space)
         labels = truth.labels_for(candidates)
         assert labels.tolist() == [True, False]
 
     def test_covered_by(self, two_collections):
         first, second = two_collections
         truth = GroundTruth.from_id_pairs([("a1", "b1"), ("a2", "b2")], first, second)
-        candidates = CandidateSet.from_pairs([(0, 2)], truth.index_space)
+        candidates = candidate_set([(0, 2)], truth.index_space)
         assert truth.covered_by(candidates) == 1
 
     def test_iteration_and_pairs_copy(self, two_collections):
@@ -87,7 +87,7 @@ class TestVectorizedLabels:
             i = int(rng.integers(0, 54))
             j = int(rng.integers(i + 1, 55))
             pairs.add((i, j))
-        candidates = CandidateSet.from_pairs(pairs, space)
+        candidates = candidate_set(pairs, space)
         vectorized = truth.labels_for(candidates)
         reference = labels_for_pairs(truth, candidates)
         assert vectorized.dtype == bool
@@ -97,15 +97,15 @@ class TestVectorizedLabels:
     def test_empty_candidates_and_empty_truth(self):
         space = EntityIndexSpace(4, 4)
         truth = GroundTruth([], space)
-        empty = CandidateSet.from_pairs([], space)
+        empty = candidate_set([], space)
         assert truth.labels_for(empty).shape == (0,)
-        candidates = CandidateSet.from_pairs([(0, 5), (1, 6)], space)
+        candidates = candidate_set([(0, 5), (1, 6)], space)
         assert truth.labels_for(candidates).tolist() == [False, False]
 
     def test_candidate_ids_past_the_space_widen_the_stride(self):
         # packed with the truth's stride 3, (0, 7) would alias (2, 1)
         truth = GroundTruth([(0, 2), (1, 2)], EntityIndexSpace(3))
-        larger = CandidateSet.from_pairs([(0, 2), (0, 7), (2, 5)], EntityIndexSpace(8))
+        larger = candidate_set([(0, 2), (0, 7), (2, 5)], EntityIndexSpace(8))
         labels = truth.labels_for(larger)
         assert np.array_equal(labels, labels_for_pairs(truth, larger))
         assert labels.tolist() == [True, False, False]
@@ -114,7 +114,7 @@ class TestVectorizedLabels:
     def test_out_of_space_truth_pairs_do_not_alias(self):
         # (0, 12) packed with the space's stride 10 would alias (1, 2)
         truth = GroundTruth([(0, 12)], EntityIndexSpace(5, 5))
-        candidates = CandidateSet.from_pairs([(1, 2)], EntityIndexSpace(5, 5))
+        candidates = candidate_set([(1, 2)], EntityIndexSpace(5, 5))
         labels = truth.labels_for(candidates)
         assert np.array_equal(labels, labels_for_pairs(truth, candidates))
         assert labels.tolist() == [False]
@@ -197,8 +197,8 @@ class TestLabelsAgainstTheOracle:
     def test_fewer_candidates_than_truth_pairs(self):
         space = EntityIndexSpace(6)
         truth = GroundTruth([(0, 1), (0, 2), (1, 2), (3, 4), (4, 5)], space)
-        assert truth.labels_for(CandidateSet.from_pairs([(1, 2)], space)).tolist() == [True]
-        assert truth.labels_for(CandidateSet.from_pairs([(1, 3)], space)).tolist() == [False]
+        assert truth.labels_for(candidate_set([(1, 2)], space)).tolist() == [True]
+        assert truth.labels_for(candidate_set([(1, 3)], space)).tolist() == [False]
 
     def test_candidate_ids_past_the_stride_in_either_order(self):
         truth = GroundTruth([(0, 2)], EntityIndexSpace(3))

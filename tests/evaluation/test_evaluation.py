@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import GeneralizedSupervisedMetaBlocking
-from repro.datamodel import CandidateSet, EntityIndexSpace, GroundTruth
+from repro.datamodel import EntityIndexSpace, GroundTruth
 from repro.evaluation import (
     EffectivenessReport,
     ExperimentRunner,
@@ -17,12 +17,14 @@ from repro.evaluation import (
     format_value,
 )
 
+from reference import candidate_set
+
 
 @pytest.fixture
 def simple_truth_and_candidates():
     space = EntityIndexSpace(3, 3)
     truth = GroundTruth([(0, 3), (1, 4), (2, 5)], space)
-    candidates = CandidateSet.from_pairs([(0, 3), (1, 4), (0, 4), (2, 4)], space)
+    candidates = candidate_set([(0, 3), (1, 4), (0, 4), (2, 4)], space)
     return truth, candidates
 
 

@@ -54,6 +54,7 @@ from repro.datamodel import EntityCollection, make_profile
 from repro.incremental import IndexState, MatchingSession, MergedIndexView
 from repro.serve.router import match_answer
 from repro.weights import sparse
+from repro.weights import statistics as statistics_module
 from repro.weights.sparse import PairCooccurrence, compute_pair_cooccurrence
 
 from reference import (
@@ -68,6 +69,11 @@ from test_session_property import _frozen_model
 from test_sharded_index import JournaledIndex, apply_script, churn_scripts, pairs_of
 
 pytestmark = pytest.mark.equivalence
+
+
+def _kernel_inputs(statistics):
+    """The CSR and inverse block weights the statistics' co-occurrence reads."""
+    return statistics.csr(), statistics.inverse_block_cardinalities, statistics.inverse_block_sizes
 
 
 def _live_collections(steps, bilateral):
@@ -126,7 +132,7 @@ def _assert_derived_equals_member_pairs(index, shards, steps, bilateral, maintai
 
     # (iii) the seeded aggregates, against the kernel over the oracle's pairs
     with mock.patch.object(
-        sparse, "compute_pair_cooccurrence", side_effect=AssertionError("not seeded")
+        statistics_module, "compute_pair_cooccurrence", side_effect=AssertionError("not seeded")
     ):
         seeded = statistics.pair_cooccurrence(derived)
     if oracle:
@@ -134,9 +140,7 @@ def _assert_derived_equals_member_pairs(index, shards, steps, bilateral, maintai
         by_raw_key = np.argsort(pairs.pack_pair_keys(derived.left, derived.right))
         for path in ("reduce", "pair-major"):
             with forced(path):
-                computed = compute_pair_cooccurrence(
-                    *statistics._merged, left, right, index.sides()
-                )
+                computed = compute_pair_cooccurrence(*_kernel_inputs(statistics), left, right, index.sides())
             for name in PairCooccurrence._fields:
                 assert np.array_equal(
                     getattr(seeded, name)[by_raw_key], getattr(computed, name)
@@ -211,13 +215,13 @@ def _assert_cleaned_equals_the_paper_pipeline(index, steps, bilateral):
 
     # (vi) the seeded aggregates, against the kernel over the cleaned CSR
     with mock.patch.object(
-        sparse, "compute_pair_cooccurrence", side_effect=AssertionError("not seeded")
+        statistics_module, "compute_pair_cooccurrence", side_effect=AssertionError("not seeded")
     ):
         seeded = statistics.pair_cooccurrence(derived)
     for path in ("reduce", "pair-major"):
         with forced(path):
             computed = compute_pair_cooccurrence(
-                *statistics._merged, derived.left, derived.right, index.sides()
+                *_kernel_inputs(statistics), derived.left, derived.right, index.sides()
             )
         for name in PairCooccurrence._fields:
             assert np.array_equal(getattr(seeded, name), getattr(computed, name)), (path, name)
@@ -311,7 +315,7 @@ def test_the_edges_derive_nothing_and_recover(bilateral, num_shards):
         assert _empty(index.candidate_set())
         statistics = index.statistics()
         assert np.array_equal(statistics.local_candidate_counts_sparse(), np.zeros(5))
-        assert reference_counterparts(statistics, 4).size == 0
+        assert reference_counterparts(index, statistics, 4).size == 0
 
 
 def _shipped(index):

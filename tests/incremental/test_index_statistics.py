@@ -113,10 +113,11 @@ def test_the_insert_time_read_reads_the_writers_own_arrays():
         delta = index.add_entity(make_profile(f"b{serial}", t=text), side=1)
     statistics = index.insert_statistics(index.delta_candidate_set(delta))
     assert np.shares_memory(statistics.local_candidate_counts_sparse(), index._degrees.view())
-    csr, inverse_cardinalities, inverse_sizes = statistics._merged
-    assert np.shares_memory(csr.indices, index.export_state()["arrays"]["indices"])
-    assert np.shares_memory(inverse_cardinalities, index._inverse_block_cardinalities.view())
-    assert np.shares_memory(inverse_sizes, index._inverse_block_sizes.view())
+    assert np.shares_memory(statistics.csr().indices, index.export_state()["arrays"]["indices"])
+    assert np.shares_memory(
+        statistics.inverse_block_cardinalities, index._inverse_block_cardinalities.view()
+    )
+    assert np.shares_memory(statistics.inverse_block_sizes, index._inverse_block_sizes.view())
     assert (statistics.num_blocks, statistics.total_cardinality) == (
         index.num_nonempty_blocks,
         index.total_cardinality,

@@ -9,7 +9,7 @@ purging/filtering steps disabled).
 import numpy as np
 import pytest
 
-from reference import reference_blocks, reference_lcp
+from reference import block_statistics, pair_positions, reference_blocks, reference_lcp
 from repro.blocking import NO_CLEANING, prepare_blocks
 from repro.core import FeatureVectorGenerator
 from repro.datamodel import EntityCollection, make_profile
@@ -20,7 +20,7 @@ from repro.incremental import (
     UnknownEntityError,
     interleave_profiles,
 )
-from repro.weights import BlockStatistics, PAPER_FEATURES
+from repro.weights import PAPER_FEATURES
 
 
 def _profiles(rows):
@@ -54,7 +54,7 @@ def _batch_node_mapper(index, first, second):
 def _assert_matches_batch(index, first, second):
     """Compare the index against the batch pipeline on the final data."""
     prepared = prepare_blocks(first, second, cleaning=NO_CLEANING)
-    stats = BlockStatistics(prepared.blocks)
+    stats = block_statistics(prepared.blocks, prepared.candidates)
     to_batch = _batch_node_mapper(index, first, second) if second is not None else int
 
     # candidate pairs
@@ -93,7 +93,7 @@ def _assert_matches_batch(index, first, second):
         batch_matrix = FeatureVectorGenerator(PAPER_FEATURES).generate(
             prepared.candidates, stats
         )
-        position = prepared.candidates.position_index()
+        position = pair_positions(prepared.candidates)
         rows = np.array(
             [
                 position[tuple(sorted((to_batch(int(i)), to_batch(int(j)))))]
@@ -208,7 +208,7 @@ def _assert_matches_batch_canonical(index, first, second):
     removals, updates and bulk loads.
     """
     prepared = prepare_blocks(first, second, cleaning=NO_CLEANING)
-    stats = BlockStatistics(prepared.blocks)
+    stats = block_statistics(prepared.blocks, prepared.candidates)
     canonical = index.canonical_node_ids()
 
     candidates = index.candidate_set().canonical

@@ -27,7 +27,9 @@ from repro.incremental import (
     train_frozen_model,
 )
 from repro.pairs import pack_pair_keys
-from repro.weights import BLAST_FEATURE_SET, BlockStatistics
+from repro.weights import BLAST_FEATURE_SET
+
+from reference import block_statistics
 
 
 def _batch_retained_ids(dataset, result):
@@ -49,7 +51,9 @@ def streamed_fixture(request):
     pipeline = GeneralizedSupervisedMetaBlocking(
         feature_set=BLAST_FEATURE_SET, pruning="BLAST", training_size=50, seed=3
     )
-    result = pipeline.run(prepared.blocks, prepared.candidates, dataset.ground_truth)
+    result = pipeline.run(
+        prepared.blocks, prepared.candidates, dataset.ground_truth, prepared.statistics()
+    )
     return dataset, prepared, result
 
 
@@ -69,7 +73,7 @@ class TestBatchEquivalence:
             feature_set=BLAST_FEATURE_SET, pruning="WEP", training_size=50, seed=3
         )
         wep_result = pipeline.run(
-            prepared.blocks, prepared.candidates, dataset.ground_truth
+            prepared.blocks, prepared.candidates, dataset.ground_truth, prepared.statistics()
         )
         session = MatchingSession(
             FrozenModel.from_batch(wep_result), bilateral=True, pruning="WEP"
@@ -84,7 +88,7 @@ class TestBatchEquivalence:
 def _batch_retained_on_live(model, first, second, pruning):
     """Apply the frozen model + batch pruning to a live collection pair."""
     prepared = prepare_blocks(first, second, cleaning=NO_CLEANING)
-    stats = BlockStatistics(prepared.blocks)
+    stats = block_statistics(prepared.blocks, prepared.candidates)
     matrix = FeatureVectorGenerator(model.feature_set).generate(
         prepared.candidates, stats
     )
@@ -135,7 +139,7 @@ class TestDynamicEquivalence:
             feature_set=BLAST_FEATURE_SET, pruning="CEP", training_size=50, seed=3
         )
         cep_result = pipeline.run(
-            prepared.blocks, prepared.candidates, dataset.ground_truth
+            prepared.blocks, prepared.candidates, dataset.ground_truth, prepared.statistics()
         )
         session = MatchingSession(
             FrozenModel.from_batch(cep_result), bilateral=True, pruning="CEP"

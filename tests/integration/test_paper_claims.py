@@ -150,7 +150,6 @@ class TestClaimLcpIsExpensive:
         base_features = ("CF-IBF", "RACCB", "JS")
         enumerate_blocks = BlockCollection.__iter__
         prepared = prepared_abtbuy.prepared
-        stats = prepared.statistics()
 
         def block_visits(feature_set):
             visits = 0
@@ -163,7 +162,7 @@ class TestClaimLcpIsExpensive:
 
             with monkeypatch.context() as patch:
                 patch.setattr(BlockCollection, "__iter__", counted)
-                reference_feature_matrix(feature_set, prepared.candidates, stats)
+                reference_feature_matrix(feature_set, prepared.candidates, prepared.blocks)
             return visits
 
         without_lcp = block_visits(base_features)

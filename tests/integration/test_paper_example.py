@@ -11,10 +11,11 @@ import pytest
 
 from repro.blocking import NO_CLEANING, prepare_blocks
 from repro.core import GeneralizedSupervisedMetaBlocking
-from repro.datamodel import CandidateSet
 from repro.evaluation import evaluate_candidates, evaluate_retained_mask
 from repro.core.pruning import get_pruning_algorithm
-from repro.weights import BlockStatistics, CommonBlocksScheme
+from repro.weights import CommonBlocksScheme
+
+from reference import candidate_set, pair_positions
 
 
 @pytest.fixture(scope="module")
@@ -35,10 +36,10 @@ def candidates(example):
 
 
 class TestPaperExample:
-    def test_duplicates_share_blocks(self, example_blocks, paper_example_profiles):
+    def test_duplicates_share_blocks(self, example, paper_example_profiles):
         _, _, truth = paper_example_profiles
-        duplicates = CandidateSet.from_pairs(truth.pairs(), example_blocks.index_space)
-        shared = BlockStatistics(example_blocks).pair_cooccurrence(duplicates).common
+        duplicates = candidate_set(truth.pairs(), example.blocks.index_space)
+        shared = example.statistics().pair_cooccurrence(duplicates).common
         assert len(shared) == 3 and shared.min() >= 1
 
     def test_blocking_achieves_perfect_recall(self, candidates, paper_example_profiles):
@@ -51,25 +52,22 @@ class TestPaperExample:
         assert len(candidates) < example_blocks.total_comparisons()
 
     def test_common_blocks_weighting_matches_figure2(
-        self, example_blocks, candidates, paper_example_profiles
+        self, example, candidates, paper_example_profiles
     ):
         """In Figure 2a the edge e1-e3 has weight 3 (apple, iphone, smartphone)."""
         first, second, _ = paper_example_profiles
-        stats = BlockStatistics(example_blocks)
-        weights = CommonBlocksScheme().compute(candidates, stats)[:, 0]
-        position = candidates.position_index()[
+        weights = CommonBlocksScheme().compute(candidates, example.statistics())[:, 0]
+        position = pair_positions(candidates)[
             (first.index_of("e1"), len(first) + second.index_of("e3"))
         ]
         assert weights[position] == 3.0
 
     def test_unsupervised_meta_blocking_keeps_matches(
-        self, example_blocks, candidates, paper_example_profiles
+        self, example, example_blocks, candidates, paper_example_profiles
     ):
         """Example 2: WNP on the CBS-weighted blocking graph of Figure 2a."""
         _, _, truth = paper_example_profiles
-        weights = CommonBlocksScheme().compute(
-            candidates, BlockStatistics(example_blocks)
-        )[:, 0]
+        weights = CommonBlocksScheme().compute(candidates, example.statistics())[:, 0]
         mask = get_pruning_algorithm("WNP").retain(weights, candidates, example_blocks)
         labels = truth.labels_for(candidates)
         report = evaluate_retained_mask(mask, labels, len(truth))
@@ -77,7 +75,7 @@ class TestPaperExample:
         assert mask.sum() < len(candidates)  # some superfluous pairs pruned
 
     def test_supervised_pipeline_on_tiny_example(
-        self, example_blocks, candidates, paper_example_profiles
+        self, example, example_blocks, candidates, paper_example_profiles
     ):
         """The supervised pipeline degrades gracefully on a 3-duplicate toy input."""
         _, _, truth = paper_example_profiles
@@ -87,6 +85,6 @@ class TestPaperExample:
             training_size=6,
             seed=0,
         )
-        result = pipeline.run(example_blocks, candidates, truth)
+        result = pipeline.run(example_blocks, candidates, truth, example.statistics())
         report = evaluate_retained_mask(result.retained_mask, result.labels, len(truth))
         assert report.recall >= 2 / 3

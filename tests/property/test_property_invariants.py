@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reference import BoundedTopQueue, pair_tuples, reference_candidates
+from reference import BoundedTopQueue, block_statistics, pair_tuples, reference_candidates
 from repro.core import (
     BinaryClassifierPruning,
     SupervisedBLAST,
@@ -21,7 +21,7 @@ from repro.core import (
 from repro.datamodel import Block, BlockCollection, EntityIndexSpace
 from repro.ml import LogisticRegression, PlattScaler, StandardScaler, balanced_sample
 from repro.utils import jaccard, qgrams, suffixes, tokens
-from repro.weights import BlockStatistics, JaccardScheme, RACCBScheme, WeightedJaccardScheme
+from repro.weights import JaccardScheme, RACCBScheme, WeightedJaccardScheme
 
 
 # -- strategies -----------------------------------------------------------------------
@@ -124,7 +124,7 @@ class TestSchemeProperties:
     def test_jaccard_scheme_bounded_and_symmetric_in_structure(self, blocks):
         candidate_set = reference_candidates(blocks)
         assume(len(candidate_set) > 0)
-        stats = BlockStatistics(blocks)
+        stats = block_statistics(blocks, candidate_set)
         values = JaccardScheme().compute(candidate_set, stats)[:, 0]
         assert np.all(values >= 0.0) and np.all(values <= 1.0 + 1e-12)
         # every candidate pair shares at least one block, so JS > 0
@@ -135,7 +135,7 @@ class TestSchemeProperties:
     def test_wjs_normalises_raccb(self, blocks):
         candidate_set = reference_candidates(blocks)
         assume(len(candidate_set) > 0)
-        stats = BlockStatistics(blocks)
+        stats = block_statistics(blocks, candidate_set)
         raccb = RACCBScheme().compute(candidate_set, stats)[:, 0]
         wjs = WeightedJaccardScheme().compute(candidate_set, stats)[:, 0]
         assert np.all(wjs <= 1.0 + 1e-12)

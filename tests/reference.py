@@ -46,7 +46,11 @@ And sharding's: K shard replicas following one index's log, merged
 against the unsharded index.  And ``top_k``'s subset path,
 which selecting from the offset's exact read replaced: a node's
 counterparts read off the cleaned CSR (:func:`reference_counterparts`) and
-only those pairs scored (:func:`reference_top_k`).  Two devices ride along:
+only those pairs scored (:func:`reference_top_k`).  And the constructors only
+tests call, which left ``CandidateSet`` and ``BlockStatistics``: a candidate
+set from pair tuples (:func:`candidate_set`), the position of every pair
+(:func:`pair_positions`) and the statistics of a hand-built collection
+(:func:`block_statistics`).  Two devices ride along:
 :func:`forced_cooccurrence_pass`, which makes the co-occurrence kernel take the
 pass a test names so that its two passes can be held against each other, and
 the deterministic frozen model of the online suites (:class:`FixedLogistic`,
@@ -233,17 +237,17 @@ def _ratio(numerator: float, denominator: float) -> float:
 
 
 def reference_feature_matrix(
-    feature_set: Sequence[str], candidates: CandidateSet, stats: BlockStatistics
+    feature_set: Sequence[str], candidates: CandidateSet, blocks: BlockCollection
 ) -> FeatureMatrix:
     """The feature matrix of ``candidates`` from the paper's set formulas
-    (Section 4), pair by pair, over the member lists of ``stats.blocks``.
+    (Section 4), pair by pair, over the member lists of ``blocks``.
 
-    Only ``stats.blocks`` is read: the CSR and the arrays of
-    :class:`BlockStatistics` are what the library computes from, so a fault
-    in building them shows up here as a difference.
+    No CSR and no array of :class:`BlockStatistics` is read: they are what
+    the library computes from, so a fault in building them shows up here as
+    a difference.
     """
     generator = FeatureVectorGenerator(feature_set)
-    sets = reference_block_sets(stats.blocks)
+    sets = reference_block_sets(blocks)
     num_blocks = len(sets.size)
     total_cardinality = sum(sets.cardinality)
 
@@ -273,7 +277,7 @@ def reference_feature_matrix(
     columns = []
     for scheme in generator.schemes:
         if scheme.name == "LCP":
-            lcp = reference_lcp(stats.blocks)
+            lcp = reference_lcp(blocks)
             columns += [[lcp[i] for i, _ in pairs], [lcp[j] for _, j in pairs]]
         else:
             formula = formulas[scheme.name]
@@ -396,15 +400,39 @@ def reference_filter(blocks: BlockCollection, ratio: float) -> BlockCollection:
     return BlockCollection(filtered, blocks.index_space, name=f"{blocks.name}|filtered")
 
 
+def candidate_set(pairs, index_space: EntityIndexSpace) -> CandidateSet:
+    """The distinct pairs of ``pairs`` (tuples, either orientation, repeats
+    allowed) as a candidate set, sorted; a self-pair is refused."""
+    ordered = sorted({(min(i, j), max(i, j)) for i, j in pairs})
+    return CandidateSet(
+        np.array([left for left, _ in ordered], dtype=np.int64),
+        np.array([right for _, right in ordered], dtype=np.int64),
+        index_space,
+    )
+
+
+def pair_positions(candidates: CandidateSet) -> Dict[Tuple[int, int], int]:
+    """Every ``(left, right)`` pair of ``candidates`` -> its position."""
+    return {pair: position for position, pair in enumerate(pair_tuples(candidates))}
+
+
 def reference_candidates(blocks: BlockCollection) -> CandidateSet:
     """The distinct comparisons of ``blocks``: the Python set of every
     block's comparisons, sorted."""
-    pairs = sorted(set().union(*map(block_comparisons, blocks)))
-    return CandidateSet(
-        np.array([left for left, _ in pairs], dtype=np.int64),
-        np.array([right for _, right in pairs], dtype=np.int64),
-        blocks.index_space,
-    )
+    return candidate_set(set().union(*map(block_comparisons, blocks)), blocks.index_space)
+
+
+def block_statistics(
+    blocks: BlockCollection, candidates: Optional[CandidateSet] = None
+) -> BlockStatistics:
+    """The library's statistics of a hand-built collection, as
+    ``PreparedBlocks.statistics()`` builds them from its memberships
+    (``BlockCollection.membership_arrays``): LCP the degrees in
+    ``candidates`` — by default the collection's comparisons
+    (:func:`reference_candidates`) — and no CSR or aggregates handed over."""
+    if candidates is None:
+        candidates = reference_candidates(blocks)
+    return PreparedBlocks(blocks, blocks, blocks, candidates).statistics()
 
 
 def reference_prepare_blocks(
@@ -610,7 +638,9 @@ def reference_budget(name: str, blocks) -> int:
     """CEP's K, or CNP's / RCNP's k, derived here rather than by the library.
 
     K = max(1, Σ|b| // 2) and k = max(1, round(Σ|b| / (|E1| + |E2|))), the
-    budgets of the paper's Algorithms 4-5.  ``blocks`` is either the two
+    budgets of the paper's Algorithms 4-5; ``round`` takes an exact half to
+    the even neighbour (Σ|b| / (|E1| + |E2|) = 2.5 gives k = 2), the rule the
+    library follows.  ``blocks`` is either the two
     integers of a ``BlockTotals``, used as they are, or a block collection:
     Σ|b| is then summed over each ``Block``'s member lists, counting only the
     blocks that spawn a comparison (:func:`block_comparisons`: a stranded
@@ -724,7 +754,7 @@ CLEANINGS = {"raw": NO_CLEANING, "paper": PAPER_CLEANING}
 def batch_retained_ids(blocks, candidates, model, pruning, id_of) -> set:
     """The pairs the batch pipeline retains — ``model`` scoring the features
     of ``candidates`` over ``blocks``, ``pruning`` — as entity-id frozensets."""
-    stats = BlockStatistics(blocks)
+    stats = block_statistics(blocks, candidates)
     matrix = FeatureVectorGenerator(model.feature_set).generate(candidates, stats)
     probabilities = model.score(matrix.values)
     mask = get_pruning_algorithm(pruning).prune(probabilities, candidates, blocks)
@@ -877,31 +907,33 @@ def merged_replicas(
     return MergedIndexView([replica.index for replica in replicas], authority.entity_id), replicas
 
 
-def reference_counterparts(statistics, node: int) -> np.ndarray:
+def reference_counterparts(view, statistics, node: int) -> np.ndarray:
     """The live nodes ``node`` forms a candidate pair with in the collection
-    ``statistics`` reads, ascending: whoever shares one of its blocks read (on
-    the other side of a bilateral index, unless Block Filtering stranded the
-    block with one side), read off the cleaned CSR; none for a removed node.
+    ``statistics`` reads of ``view``, ascending: whoever shares one of its
+    blocks read (on the other side of a bilateral index, unless Block
+    Filtering stranded the block with first-side members only), read off the
+    cleaned CSR; none for a removed node.
 
     The body ``IndexStatistics.counterparts`` ran when ``top_k`` scored its
     own subset of pairs."""
-    state = statistics._states[0]
-    sides = state.sides()
+    sides = view.sides()
     side = int(sides[node])
     if side < 0:
         return np.empty(0, dtype=np.int64)
-    csr = statistics._merged[0]
+    csr = statistics.csr()
     row = csr.indices[csr.indptr[node] : csr.indptr[node + 1]]
     members = np.flatnonzero(np.isin(csr.indices, row))
     member_nodes = np.searchsorted(csr.indptr, members, side="right") - 1
     stranded_with = np.empty(0, dtype=np.int64)
-    if state.bilateral:
-        blocks = statistics._read[2]
-        stranded = (blocks.first_sizes == blocks.sizes)[csr.indices[members]]
+    if view.bilateral:
+        row_of = np.repeat(np.arange(csr.num_entities), np.diff(csr.indptr))
+        stranded = np.ones(csr.num_blocks, dtype=bool)
+        stranded[csr.indices[sides[row_of] == 1]] = False
+        stranded = stranded[csr.indices[members]]
         stranded_with, member_nodes = member_nodes[stranded], member_nodes[~stranded]
     shares = np.zeros(sides.size, dtype=bool)
     shares[member_nodes] = True
-    shares &= sides == 1 - side if state.bilateral else sides >= 0
+    shares &= sides == 1 - side if view.bilateral else sides >= 0
     shares[stranded_with] = True
     shares[node] = False
     return np.flatnonzero(shares)
@@ -914,7 +946,7 @@ def reference_top_k(view, model, node: int, k: int) -> List[Dict]:
     against the cleaned statistics, scored, ordered by probability desc and
     packed key asc."""
     statistics = view.statistics(model.cleaning)
-    counterparts = reference_counterparts(statistics, node)
+    counterparts = reference_counterparts(view, statistics, node)
     if counterparts.size == 0:
         return []
     left, right = np.minimum(counterparts, node), np.maximum(counterparts, node)

@@ -18,7 +18,7 @@
 import numpy as np
 import pytest
 
-from reference import make_frozen_model, member_pairs, merged_replicas
+from reference import make_frozen_model, member_pairs, merged_replicas, pair_positions
 from repro.core.pruning import PRUNING_ALGORITHMS, get_pruning_algorithm
 from repro.datamodel import Block, make_profile
 from repro.datasets import load_benchmark
@@ -170,5 +170,5 @@ def test_derived_pairs_equal_the_python_set_union_of_the_member_pairs(tmp_path):
         set().union(*per_shard)
     )
     # a pair under two shards' tokens is one pair with a term from each
-    shared = derived.position_index()[(0, 1)]
+    shared = pair_positions(derived)[(0, 1)]
     assert index.statistics().pair_cooccurrence(derived).common[shared] == 2.0

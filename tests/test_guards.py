@@ -136,6 +136,15 @@ OBJECT_CHAIN = (
 #: the commit after deb1a3f, the one that removed the object chain
 ONE_PREPARATION = "deb1a3f+1"
 
+#: the ``CandidateSet`` surface only tests called (their helpers are
+#: ``candidate_set`` / ``pair_positions`` in ``tests/reference.py``)
+CANDIDATE_SET_TEST_ONLY = (
+    "CandidateSet.from_pairs", "CandidateSet.position_index", "CandidateSet.contains",
+    "CandidateSet.node_degrees",
+)
+#: the commit after bb2d0ad, the one that left one statistics implementation
+ONE_STATISTICS = "bb2d0ad+1"
+
 PRUNING = "src/repro/core/pruning"
 LOG = "src/repro/persistence/log.py"
 
@@ -677,6 +686,60 @@ GUARDS = (
         ONE_PREPARATION,
         "labels_for packs the truth past the largest candidate id, so it needs no per-pair "
         "fallback; the tuple-set lookup is the oracle in tests/reference.py",
+    ),
+    # -- one statistics implementation ---------------------------------------------
+    Guard(
+        "statistics-built-in-one-place", "call", ("BlockStatistics",), SRC, ONE_STATISTICS,
+        "batch statistics come from PreparedBlocks.statistics() and a stream's exact read "
+        "from IndexStatistics, its subclass; no caller builds them from a block collection",
+        only_in=("src/repro/blocking/arrayops.py::PreparedBlocks.statistics",),
+    ),
+    Guard(
+        "statistics-take-no-block-collection", "parameter", ("blocks",),
+        ("repro.weights.BlockStatistics", "repro.incremental.IndexStatistics"), ONE_STATISTICS,
+        "statistics read memberships grouped by block, never a BlockCollection",
+    ),
+    Guard(
+        "statistics-import-no-block-collection", "import",
+        (r"repro\.datamodel\.block(\..*)?", r".*\.BlockCollection"),
+        ("src/repro/weights/statistics.py", "src/repro/incremental/state.py"), ONE_STATISTICS,
+        "statistics read memberships grouped by block, never a BlockCollection",
+    ),
+    Guard(
+        "per-entity-sums-in-the-statistics-only", "call", ("entity_sums",), SRC, ONE_STATISTICS,
+        "BlockStatistics sums every collection's per-entity aggregates; only the insert-time "
+        "read, which reads no whole collection, sums its rows itself",
+        only_in=(
+            "src/repro/weights/statistics.py::BlockStatistics.__init__",
+            "src/repro/incremental/state.py::IndexStatistics._read_rows",
+        ),
+    ),
+    Guard(
+        "second-statistics-derivation-gone", "definition",
+        ("build_entity_block_csr", "BlockStatistics.seed_pair_cooccurrence",
+         "PairCooccurrenceCache.get", "IndexStatistics._merged", "IndexStatistics._read",
+         "IndexStatistics._inverse_weights", "IndexStatistics.pair_cooccurrence",
+         "IndexStatistics.local_candidate_counts_sparse"),
+        SRC, ONE_STATISTICS,
+        "the CSR, the inverse block weights, the pair cache and LCP are derived once, by "
+        "BlockStatistics, for batch preparation and the exact read alike",
+    ),
+    Guard(
+        "second-statistics-derivation-not-exported", "export", ("build_entity_block_csr",),
+        SRC, ONE_STATISTICS, "no export table names what left src/",
+    ),
+    *(
+        Guard(
+            f"candidate-set-test-only:{name}", "definition", (name,), SRC, ONE_STATISTICS,
+            "no caller under src/, benchmarks/ or examples/; the tests build and look up "
+            "pairs with tests/reference.py's candidate_set and pair_positions",
+        )
+        for name in CANDIDATE_SET_TEST_ONLY
+    ),
+    Guard(
+        "candidate-set-keeps-no-position-cache", "spelled", ("_position",),
+        ("src/repro/datamodel/candidates.py",), ONE_STATISTICS,
+        "the pair -> position dict served only CandidateSet.position_index / contains",
     ),
     # -- the oracle stays independent of what it checks ----------------------------
     Guard(

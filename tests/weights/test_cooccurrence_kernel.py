@@ -23,19 +23,24 @@ from hypothesis import strategies as st
 
 import repro.pairs as pairs
 import repro.weights.sparse as sparse
+import repro.weights.statistics as statistics_module
 from repro.blocking import BlockCleaning, prepare_blocks
 from repro.datamodel import Block, BlockCollection, EntityIndexSpace
 from repro.datasets import load_benchmark, load_dirty_dataset
 from repro.datasets.registry import DIRTY_ORDER
 from repro.incremental import MutableBlockIndex
-from repro.weights import BlockStatistics, build_entity_block_csr
 from repro.weights.sparse import (
     PairCooccurrence,
     compute_pair_cooccurrence,
     plan_block_major,
 )
 
-from reference import forced_cooccurrence_pass as forced, pair_tuples, reference_block_sets
+from reference import (
+    block_statistics,
+    forced_cooccurrence_pass as forced,
+    pair_tuples,
+    reference_block_sets,
+)
 
 pytestmark = pytest.mark.equivalence
 
@@ -121,7 +126,7 @@ def collections_and_pairs(draw):
 @settings(max_examples=150, deadline=None)
 def test_block_major_equals_pair_major_and_oracle(data):
     blocks, pairs = data
-    stats = BlockStatistics(blocks)
+    stats = block_statistics(blocks)
     left = np.array([i for i, _ in pairs], dtype=np.int64)
     right = np.array([j for _, j in pairs], dtype=np.int64)
     assert_paths_agree(
@@ -142,7 +147,7 @@ def test_block_major_really_runs_on_distinct_canonical_requests(data):
     any, every pair otherwise — and leaves exactly the rest to pair-major."""
     blocks, pairs = data
     distinct = sorted({(min(i, j), max(i, j)) for i, j in pairs if i != j}, reverse=True)
-    stats = BlockStatistics(blocks)
+    stats = block_statistics(blocks)
     csr = stats.csr()
     left = np.array([i for i, _ in distinct], dtype=np.int64)
     right = np.array([j for _, j in distinct], dtype=np.int64)
@@ -211,11 +216,11 @@ def test_empty_inputs():
     space = EntityIndexSpace(4)
     none = np.empty(0, dtype=np.int64)
     for blocks in ([], [Block("a", [0, 1, 2])]):
-        stats = BlockStatistics(BlockCollection(blocks, space))
+        stats = block_statistics(BlockCollection(blocks, space))
         args = (stats.csr(), stats.inverse_block_cardinalities, stats.inverse_block_sizes)
         assert assert_paths_agree(*args, none, none, stats.sides).common.shape == (0,)
     # pairs requested of a collection without a single membership
-    stats = BlockStatistics(BlockCollection([Block("empty", [])], space))
+    stats = block_statistics(BlockCollection([Block("empty", [])], space))
     result = compute_pair_cooccurrence(
         stats.csr(),
         stats.inverse_block_cardinalities,
@@ -232,7 +237,7 @@ def test_duplicates_self_pairs_and_orientation_through_the_entry_point():
         [Block("a", [0, 1, 2]), Block("b", [1, 2, 3]), Block("c", [2, 3])],
         EntityIndexSpace(4),
     )
-    stats = BlockStatistics(blocks)
+    stats = block_statistics(blocks)
     args = (stats.csr(), stats.inverse_block_cardinalities, stats.inverse_block_sizes)
     sides = stats.sides
 
@@ -258,9 +263,7 @@ def test_duplicates_self_pairs_and_orientation_through_the_entry_point():
 
 def test_key_space_overflow_falls_back_to_pair_major():
     """The packed ``(rank, rank, block id)`` keys must fit the bit budget."""
-    csr = build_entity_block_csr(
-        BlockCollection([Block("a", [0, 1, 2])], EntityIndexSpace(3))
-    )
+    csr = block_statistics(BlockCollection([Block("a", [0, 1, 2])], EntityIndexSpace(3))).csr()
     left, right, sides = np.array([0, 0, 1]), np.array([1, 2, 2]), np.zeros(3, dtype=np.int8)
     with forced("reduce"):
         assert plan_block_major(csr, left, right, sides) is not None
@@ -376,12 +379,12 @@ def test_slices_of_a_candidate_set_equal_the_whole(dblpacm_dataset):
 def test_prepared_aggregates_equal_the_kernel_and_do_not_call_it(name, monkeypatch):
     prepared = prepare_blocks(*_collections(name, 0.1))
     candidates = prepared.candidates
-    expected = BlockStatistics(prepared.blocks).pair_cooccurrence(candidates)
+    expected = block_statistics(prepared.blocks, candidates).pair_cooccurrence(candidates)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the handed-forward aggregates were not used")
 
-    monkeypatch.setattr(sparse, "compute_pair_cooccurrence", refuse)
+    monkeypatch.setattr(statistics_module, "compute_pair_cooccurrence", refuse)
     handed = prepared.statistics().pair_cooccurrence(candidates)
     assert handed is prepared.cooccurrence
     assert len(candidates) > 1000
@@ -407,7 +410,7 @@ def test_stranded_blocks_put_same_side_pairs_among_the_candidates():
     prepared = prepare_blocks(first, second, cleaning=BlockCleaning(filtering_ratio=0.8))
     candidates = prepared.candidates
     assert (0, 1) in pair_tuples(candidates)
-    stats = BlockStatistics(prepared.blocks)
+    stats = block_statistics(prepared.blocks, candidates)
     shared = reference_block_sets(prepared.blocks).of_node
     kinds = {prepared.blocks[b].is_bilateral for b in shared[0] & shared[1]}
     assert kinds == {True, False}

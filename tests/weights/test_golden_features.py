@@ -21,9 +21,9 @@ import pytest
 
 from repro.core import FeatureVectorGenerator
 from repro.datamodel import Block, BlockCollection, EntityIndexSpace
-from repro.weights import PAPER_FEATURES, BlockStatistics
+from repro.weights import PAPER_FEATURES
 
-from reference import pair_tuples, reference_candidates, reference_feature_matrix
+from reference import block_statistics, pair_tuples, reference_candidates, reference_feature_matrix
 
 pytestmark = pytest.mark.equivalence
 
@@ -77,11 +77,11 @@ def build_golden_cases():
 #: the two implementations of ``(blocks, candidates) -> FeatureMatrix``
 IMPLEMENTATIONS = {
     "loop": lambda blocks, candidates: reference_feature_matrix(
-        GOLDEN_FEATURE_SET, candidates, BlockStatistics(blocks)
+        GOLDEN_FEATURE_SET, candidates, blocks
     ),
     "sparse": lambda blocks, candidates: FeatureVectorGenerator(
         GOLDEN_FEATURE_SET
-    ).generate(candidates, BlockStatistics(blocks)),
+    ).generate(candidates, block_statistics(blocks)),
 }
 
 

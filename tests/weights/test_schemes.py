@@ -23,9 +23,11 @@ from repro.weights import (
     WeightedJaccardScheme,
 )
 
+from reference import pair_positions
+
 
 def pair_position(candidates: CandidateSet, i: int, j: int) -> int:
-    return candidates.position_index()[(i, j) if i < j else (j, i)]
+    return pair_positions(candidates)[(i, j) if i < j else (j, i)]
 
 
 @pytest.fixture(scope="module")

@@ -11,18 +11,15 @@ The expected values are hand-computed on the ``small_blocks`` fixture:
 import numpy as np
 import pytest
 
-from repro.datamodel import CandidateSet
-from repro.weights import BlockStatistics
-
-from reference import reference_block_sets, reference_lcp
+from reference import block_statistics, candidate_set, reference_block_sets, reference_lcp
 
 
 class TestBlockStatistics:
     def test_global_counts(self, small_stats):
         assert small_stats.num_blocks == 4
         assert small_stats.total_cardinality == 9.0
-        assert small_stats.block_sizes.tolist() == [3.0, 3.0, 4.0, 2.0]
-        assert small_stats.block_cardinalities.tolist() == [2.0, 2.0, 4.0, 1.0]
+        assert small_stats.inverse_block_sizes.tolist() == [1 / 3, 1 / 3, 1 / 4, 1 / 2]
+        assert small_stats.inverse_block_cardinalities.tolist() == [1 / 2, 1 / 2, 1 / 4, 1.0]
 
     def test_entity_memberships(self, small_stats):
         csr = small_stats.csr()
@@ -38,7 +35,7 @@ class TestBlockStatistics:
         # (0, 3) shares alpha and beta, (0, 5) nothing, (1, 4) gamma, and
         # (2, 5) gamma and delta
         pairs = [(0, 3), (0, 5), (1, 4), (2, 5)]
-        candidates = CandidateSet.from_pairs(pairs, small_blocks.index_space)
+        candidates = candidate_set(pairs, small_blocks.index_space)
         shared = small_stats.pair_cooccurrence(candidates)
         assert list(zip(candidates.left.tolist(), candidates.right.tolist())) == pairs
         assert shared.common.tolist() == [2.0, 0.0, 1.0, 2.0]
@@ -66,7 +63,7 @@ class TestBlockStatistics:
         assert lcp[5] == 2
 
     def test_lcp_is_cached(self, small_blocks):
-        stats = BlockStatistics(small_blocks)
+        stats = block_statistics(small_blocks)
         first = stats.local_candidate_counts_sparse()
         second = stats.local_candidate_counts_sparse()
         assert first is second
@@ -76,7 +73,7 @@ class TestBlockStatistics:
 
         space = EntityIndexSpace(4)
         blocks = BlockCollection([Block("k", [0, 1, 2]), Block("m", [2, 3])], space)
-        stats = BlockStatistics(blocks)
+        stats = block_statistics(blocks)
         lcp = stats.local_candidate_counts_sparse()
         assert lcp.tolist() == [2.0, 2.0, 3.0, 1.0]
 
@@ -93,15 +90,18 @@ def loop_entity_aggregates(blocks):
 
 
 class TestArrayNativeConstruction:
-    """``__init__`` reads the CSR; the sums over the blocks' member lists
-    (``tests/reference.py``) stay the oracle."""
+    """``__init__`` reads memberships grouped by block; the sums over the
+    blocks' member lists (``tests/reference.py``) stay the oracle."""
 
     @pytest.mark.parametrize("handoff", [True, False], ids=["prepared", "bare"])
     def test_entity_aggregates_match_the_loop_oracle(self, dblpacm_dataset, handoff):
         from repro.blocking import prepare_blocks
+        from repro.datamodel import BlockCollection
 
         prepared = prepare_blocks(dblpacm_dataset.first, dblpacm_dataset.second)
-        stats = prepared.statistics() if handoff else BlockStatistics(prepared.blocks)
+        # bare: the memberships of the Block objects, not of the prepared matrix
+        objects = BlockCollection(list(prepared.blocks), prepared.blocks.index_space)
+        stats = prepared.statistics() if handoff else block_statistics(objects, prepared.candidates)
         for name, expected in loop_entity_aggregates(prepared.blocks).items():
             np.testing.assert_allclose(
                 getattr(stats, name), expected, rtol=1e-12, atol=0, err_msg=name
@@ -116,14 +116,13 @@ class TestArrayNativeConstruction:
         dataset = request.getfixturevalue(fixture)
         prepared = prepare_blocks(dataset.first, dataset.second)
         handed_over = prepared.statistics()
-        bare = BlockStatistics(prepared.blocks)
         oracle = reference_lcp(prepared.blocks)
         assert oracle.sum() == 2 * len(prepared.candidates)
         assert np.array_equal(handed_over.local_candidate_counts_sparse(), oracle)
-        assert np.array_equal(bare.local_candidate_counts_sparse(), oracle)
 
     def test_bare_lcp_on_stranded_clean_clean_blocks(self):
-        """A clean-clean block whose second side emptied compares intra-side."""
+        """A clean-clean block whose second side emptied compares intra-side:
+        the degrees in its comparisons are the paper's LCP."""
         from repro.datamodel import Block, BlockCollection, EntityIndexSpace
 
         blocks = BlockCollection(
@@ -136,15 +135,20 @@ class TestArrayNativeConstruction:
             EntityIndexSpace(3, 2),
         )
         assert reference_lcp(blocks).tolist() == [4.0, 4.0, 2.0, 2.0, 2.0]
-        assert BlockStatistics(blocks).local_candidate_counts_sparse().tolist() == [
+        assert block_statistics(blocks).local_candidate_counts_sparse().tolist() == [
             4.0, 4.0, 2.0, 2.0, 2.0
         ]
 
     def test_mismatched_handoffs_rejected(self, small_blocks, small_candidates):
-        from repro.datamodel import CandidateSet, EntityIndexSpace
+        from repro.blocking import PreparedBlocks
+        from repro.datamodel import BlockCollection
 
-        stats = BlockStatistics(small_blocks, candidates=small_candidates)
+        stats = block_statistics(small_blocks, candidates=small_candidates)
         assert stats.local_candidate_counts_sparse().tolist() == [2, 3, 2, 2, 3, 2]
-        foreign = CandidateSet.from_pairs([(0, 7)], EntityIndexSpace(4, 4))
-        with pytest.raises(ValueError, match="candidate set does not match"):
-            BlockStatistics(small_blocks, candidates=foreign)
+        three = BlockCollection(list(small_blocks)[:3], small_blocks.index_space)
+        wrong = block_statistics(three).csr()
+        mismatched = PreparedBlocks(
+            small_blocks, small_blocks, small_blocks, small_candidates, csr=wrong
+        )
+        with pytest.raises(ValueError, match="precomputed CSR does not match"):
+            mismatched.statistics()
