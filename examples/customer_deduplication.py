@@ -72,10 +72,10 @@ def main() -> None:
     for position in order:
         if not result.retained_mask[position]:
             continue
-        pair = result.candidates.pair_at(int(position))
-        left = collection[pair.left]
-        right = collection[pair.right]
-        is_match = dataset.ground_truth.is_match(pair.left, pair.right)
+        i = int(result.candidates.left[position])
+        j = int(result.candidates.right[position])
+        left, right = collection[i], collection[j]
+        is_match = dataset.ground_truth.is_match(i, j)
         print(
             f"  p={result.probabilities[position]:.2f}  "
             f"[{left.entity_id}] {left.text()[:40]!r}  <->  "

@@ -54,7 +54,7 @@ def main() -> None:
 
     # Unsupervised meta-blocking: WNP's criterion on every pair's RACCB weight.
     weights = get_scheme("RACCB").compute(prepared.candidates, prepared.statistics())[:, 0]
-    mask = get_pruning_algorithm("WNP").retain(weights, prepared.candidates, prepared.blocks)
+    mask = get_pruning_algorithm("WNP").retain(weights, prepared.candidates)
     labels = dataset.ground_truth.labels_for(prepared.candidates)
     unsupervised = evaluate_retained_mask(mask, labels, len(dataset.ground_truth))
     rows.append(

@@ -44,10 +44,7 @@ __version__ = "1.14.0"
 _EXPORTS = {
     "BLAST_FEATURE_SET": "weights",
     "BinaryClassifierPruning": "core",
-    "Block": "datamodel",
-    "BlockCollection": "datamodel",
     "BlockStatistics": "weights",
-    "CandidatePair": "datamodel",
     "CandidateSet": "datamodel",
     "DeltaFeatureGenerator": "incremental",
     "EffectivenessReport": "evaluation",

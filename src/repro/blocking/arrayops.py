@@ -2,7 +2,7 @@
 
 Token Blocking -> Block Purging -> Block Filtering -> candidate extraction
 as batched array passes, with no per-entity token sets, dict-of-lists
-signature index, per-:class:`Block` loops or Python set of pair tuples:
+signature index, per-block loops or Python set of pair tuples:
 
 * **tokenise**: the blocking method returns one signature list per profile
   (:meth:`BlockingMethod.signature_lists`; for Token Blocking a byte-table
@@ -28,8 +28,8 @@ signature index, per-:class:`Block` loops or Python set of pair tuples:
   bounded memory, no tuple sets, no second expansion in the answer phase;
 * what the answer phase needs rides forward on :class:`PreparedBlocks`
   (entity x block CSR, candidates, aggregates), and every stage's blocks
-  are a :class:`LazyBlockCollection`: no :class:`Block` is built unless
-  something iterates one.
+  are its :class:`MembershipMatrix` — the one block representation of the
+  library.
 
 Every packed key asks :func:`repro.pairs.key_field_bits` for its field
 widths; a refusal raises :class:`OverflowError` (or, for the reduce pass,
@@ -38,7 +38,7 @@ takes the path that needs no such key).
 This is the one implementation of block preparation.  Its oracle is built
 from the paper's definitions in ``tests/reference.py``
 (``reference_prepare_blocks``): a dict per signature, purging and filtering
-over each ``Block``'s member lists, the Python set of every block's
+over each block's member lists, the Python set of every block's
 comparisons; ``tests/blocking/test_array_equivalence.py`` asserts
 block-for-block and pair-for-pair identical results.
 """
@@ -51,7 +51,6 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..datamodel.block import Block, BlockCollection
 from ..datamodel.candidates import CandidateSet
 from ..datamodel.entity import EntityCollection, EntityIndexSpace
 from ..utils.timing import StageTimer
@@ -79,7 +78,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DEFAULT_PAIR_CHUNK_KEYS: int = 1 << 22
 
 
-@dataclass
+@dataclass(eq=False)
 class MembershipMatrix:
     """A block collection as flat, distinct ``(block, entity)`` memberships.
 
@@ -87,7 +86,10 @@ class MembershipMatrix:
     row-pointer over blocks, so block ``b`` spans
     ``nodes[block_ptr[b]:block_ptr[b+1]]`` (sorted node ids).  Block ids
     follow the lexicographic signature order for raw collections, and
-    purging / filtering keep the survivors in that relative order.
+    purging / filtering keep the survivors in that relative order.  In
+    Clean-Clean ER a block's first-collection members are the node ids
+    below ``index_space.size_first``.  Equality is identity: compare two
+    matrices array by array.
     """
 
     #: block signature per block id
@@ -106,6 +108,9 @@ class MembershipMatrix:
         """Number of blocks."""
         return len(self.keys)
 
+    def __len__(self) -> int:
+        return self.num_blocks
+
     def block_sizes(self) -> np.ndarray:
         """``|b|`` per block (number of entities, both sides)."""
         return np.diff(self.block_ptr)
@@ -118,36 +123,15 @@ class MembershipMatrix:
         return np.bincount(self.block_of[mask], minlength=self.num_blocks)
 
     def block_cardinalities(self) -> np.ndarray:
-        """``||b||`` per block, matching :meth:`Block.cardinality` exactly.
+        """``||b||`` per block: first x second in Clean-Clean ER.
 
         A block whose second side is empty is treated as unilateral (intra
-        pairs over the first side), mirroring ``Block.is_bilateral`` — Block
-        Filtering can strand clean-clean blocks in that state.
+        pairs over the first side) — Block Filtering can strand clean-clean
+        blocks in that state.
         """
         return block_cardinalities(
             self.block_sizes(), self.first_side_sizes(), self.index_space.is_clean_clean
         )
-
-    def build_block_objects(self) -> List[Block]:
-        """Build the equivalent list of object-based :class:`Block` items."""
-        size_first = self.index_space.size_first
-        bilateral = self.index_space.is_clean_clean
-        blocks: List[Block] = []
-        ptr = self.block_ptr
-        for block_id, key in enumerate(self.keys):
-            members = self.nodes[ptr[block_id] : ptr[block_id + 1]]
-            if bilateral:
-                split = int(np.searchsorted(members, size_first))
-            else:
-                split = members.size
-            blocks.append(
-                Block(
-                    key=key,
-                    entities_first=members[:split].tolist(),
-                    entities_second=members[split:].tolist(),
-                )
-            )
-        return blocks
 
     def csr(self) -> EntityBlockCSR:
         """The entity x block CSR incidence structure of this collection."""
@@ -158,47 +142,6 @@ class MembershipMatrix:
             self.num_blocks,
             assume_unique=True,
         )
-
-
-class LazyBlockCollection(BlockCollection):
-    """A :class:`BlockCollection` materialized from its matrix on demand.
-
-    The array engine returns these for every stage: the pipeline reads a
-    collection's length, totals and per-block sizes / cardinalities, which
-    are answered from the matrix, so the per-block object construction is
-    deferred until something (tests, quality reports) actually reads the
-    blocks.
-    """
-
-    def __init__(self, matrix: MembershipMatrix) -> None:
-        self.name = matrix.name
-        self.index_space = matrix.index_space
-        self._matrix = matrix
-        self._cache: Optional[List[Block]] = None
-
-    @property
-    def _blocks(self) -> List[Block]:
-        if self._cache is None:
-            self._cache = self._matrix.build_block_objects()
-        return self._cache
-
-    def __len__(self) -> int:
-        return self._matrix.num_blocks
-
-    def total_block_assignments(self) -> int:
-        return int(self._matrix.nodes.size)
-
-    def membership_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self._matrix.block_of, self._matrix.nodes
-
-    def total_comparisons(self) -> int:
-        return int(self._matrix.block_cardinalities().sum())
-
-    def block_sizes(self) -> np.ndarray:
-        return self._matrix.block_sizes()
-
-    def block_cardinalities(self) -> np.ndarray:
-        return self._matrix.block_cardinalities()
 
 
 def _matrix_from_sorted(
@@ -393,32 +336,30 @@ def reduce_candidates(
     return CandidateSet(left, right, index_space), aggregates
 
 
-@dataclass
+@dataclass(eq=False)
 class PreparedBlocks:
     """Output of the standard block-preparation pipeline."""
 
     #: the raw blocks produced by the blocking method
-    raw_blocks: BlockCollection
+    raw_blocks: MembershipMatrix
     #: blocks surviving Block Purging
-    purged_blocks: BlockCollection
+    purged_blocks: MembershipMatrix
     #: blocks surviving Block Filtering — the collection Meta-blocking refines
-    blocks: BlockCollection
+    blocks: MembershipMatrix
     #: the distinct candidate pairs of ``blocks``
     candidates: CandidateSet
     #: entity x block CSR of ``blocks``, prebuilt by the preparation and
     #: reused by feature generation (statistics build it themselves when a
     #: hand-assembled instance leaves it ``None``)
-    csr: Optional[EntityBlockCSR] = field(default=None, compare=False)
+    csr: Optional[EntityBlockCSR] = None
     #: co-occurrence aggregates of ``candidates``, reduced by the preparation
     #: from the expansion that found them (``None``: computed by the
     #: statistics on first use)
-    cooccurrence: Optional[PairCooccurrence] = field(default=None, compare=False)
+    cooccurrence: Optional[PairCooccurrence] = None
     #: per-stage wall-clock of the preparation (blocking, purging,
     #: filtering, candidate-extraction)
-    timer: Optional[StageTimer] = field(default=None, compare=False)
-    _stats: Optional["BlockStatistics"] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    timer: Optional[StageTimer] = None
+    _stats: Optional["BlockStatistics"] = field(default=None, init=False, repr=False)
 
     def statistics(self) -> "BlockStatistics":
         """Block statistics of ``blocks``, reusing what was prepared (cached).
@@ -435,11 +376,10 @@ class PreparedBlocks:
             from ..weights.statistics import BlockStatistics
 
             blocks = self.blocks
-            block_of, nodes = blocks.membership_arrays()
             space = blocks.index_space
             self._stats = BlockStatistics(
-                nodes,
-                block_of,
+                blocks.nodes,
+                blocks.block_of,
                 blocks.block_sizes(),
                 blocks.block_cardinalities(),
                 (np.arange(space.total) >= space.size_first).astype(np.int8),

@@ -8,7 +8,8 @@ candidate extraction.
 
 The chain runs on the array-native engine of :mod:`repro.blocking.arrayops`
 (batched tokenization, CSR block assembly, array purging/filtering passes and
-one sort-and-reduce pass over the expanded comparisons).
+one sort-and-reduce pass over the expanded comparisons), and every stage's
+blocks are handed out as its :class:`~repro.blocking.MembershipMatrix`.
 
 The hand-off contract: everything the answer phase would otherwise derive
 again from the blocks rides forward on :class:`PreparedBlocks` —
@@ -32,7 +33,6 @@ from typing import Optional
 from ..datamodel.entity import EntityCollection
 from ..utils.timing import StageTimer
 from .arrayops import (
-    LazyBlockCollection,
     PreparedBlocks,
     assemble_blocks,
     filter_matrix,
@@ -52,9 +52,10 @@ def prepare_blocks(
 ) -> PreparedBlocks:
     """Run the paper's block-preparation pipeline.
 
-    Produces every stage's blocks and the distinct candidate pairs (see
-    :mod:`repro.blocking.arrayops`), plus the final collection's CSR
-    incidence structure and the candidates' co-occurrence aggregates.
+    Produces every stage's blocks as a membership matrix and the distinct
+    candidate pairs (see :mod:`repro.blocking.arrayops`), plus the final
+    collection's CSR incidence structure and the candidates' co-occurrence
+    aggregates.
 
     Parameters
     ----------
@@ -93,9 +94,9 @@ def prepare_blocks(
         csr = filtered_matrix.csr()
         candidates, cooccurrence = reduce_candidates(filtered_matrix, csr)
     return PreparedBlocks(
-        raw_blocks=LazyBlockCollection(raw_matrix),
-        purged_blocks=LazyBlockCollection(purged_matrix),
-        blocks=LazyBlockCollection(filtered_matrix),
+        raw_blocks=raw_matrix,
+        purged_blocks=purged_matrix,
+        blocks=filtered_matrix,
         candidates=candidates,
         csr=csr,
         cooccurrence=cooccurrence,

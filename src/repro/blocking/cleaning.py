@@ -137,9 +137,9 @@ def member_set_keys(
 def block_cardinalities(
     sizes: np.ndarray, first_sizes: np.ndarray, bilateral: bool
 ) -> np.ndarray:
-    """``||b||`` per block, as :meth:`repro.datamodel.Block.cardinality` counts
-    it: first x second, or — Dirty ER, and a two-sided block Block Filtering
-    stranded with only first-side members — every two members."""
+    """``||b||`` per block, as the paper counts it: first x second, or —
+    Dirty ER, and a two-sided block Block Filtering stranded with only
+    first-side members — every two members."""
     if not bilateral:
         return sizes * (sizes - 1) // 2
     second = sizes - first_sizes

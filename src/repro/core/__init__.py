@@ -5,6 +5,7 @@ from .._exports import lazy_exports
 #: public name -> the submodule that defines it (see repro._exports)
 _EXPORTS = {
     "BinaryClassifierPruning": "pruning",
+    "BlockTotals": "pruning",
     "CARDINALITY_BASED_ALGORITHMS": "pruning",
     "FeatureMatrix": "features",
     "FeatureSetCandidate": "feature_selection",

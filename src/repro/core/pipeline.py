@@ -17,11 +17,10 @@ the paper's RT measure (feature generation + training + scoring + pruning).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..datamodel.block import BlockCollection
 from ..datamodel.candidates import CandidateSet
 from ..datamodel.ground_truth import GroundTruth
 from ..ml.base import FrozenModel, ProbabilisticClassifier
@@ -32,8 +31,11 @@ from ..utils.timing import StageTimer
 from ..weights.registry import BLAST_FEATURE_SET
 from ..weights.statistics import BlockStatistics
 from .features import FeatureMatrix, FeatureVectorGenerator
-from .pruning import SupervisedPruningAlgorithm, get_pruning_algorithm
+from .pruning import BlockTotals, SupervisedPruningAlgorithm, get_pruning_algorithm
 from .training import TrainingSet, build_training_set
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..blocking.arrayops import MembershipMatrix
 
 ClassifierFactory = Callable[[], ProbabilisticClassifier]
 
@@ -126,7 +128,7 @@ class GeneralizedSupervisedMetaBlocking:
     # -- main entry points -----------------------------------------------------------
     def run(
         self,
-        blocks: BlockCollection,
+        blocks: "MembershipMatrix",
         candidates: CandidateSet,
         ground_truth: GroundTruth,
         stats: BlockStatistics,
@@ -139,7 +141,9 @@ class GeneralizedSupervisedMetaBlocking:
         Parameters
         ----------
         blocks, candidates:
-            The (purged/filtered) block collection and its distinct pairs.
+            The (purged/filtered) block collection's membership matrix and its
+            distinct pairs; the pruning reads the matrix's
+            :class:`~repro.core.pruning.BlockTotals`.
         ground_truth:
             Known duplicates, used only to label the training sample and to
             report per-pair labels for evaluation.
@@ -182,7 +186,9 @@ class GeneralizedSupervisedMetaBlocking:
             probabilities = model.score(feature_matrix.values)
 
         with timer.stage("pruning"):
-            retained_mask = self.pruning.prune(probabilities, candidates, blocks)
+            retained_mask = self.pruning.prune(
+                probabilities, candidates, BlockTotals.of(blocks)
+            )
 
         retained = candidates.subset(retained_mask)
         return MetaBlockingResult(

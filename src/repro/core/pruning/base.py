@@ -11,25 +11,25 @@ given a weighting scheme's values instead of probabilities it is classic
 (unsupervised) Meta-blocking, since a pruning algorithm only needs one score
 per pair.
 
-The ``blocks`` parameter of :meth:`SupervisedPruningAlgorithm.prune` is read
-by the cardinality-based algorithms only, and only for the two integers of
+The ``totals`` parameter of :meth:`SupervisedPruningAlgorithm.prune` is read
+by the cardinality-based algorithms only: the two integers of
 :class:`BlockTotals` — ``Σ|b|`` and ``|E1|+|E2|`` — from which their budgets
-``K`` and ``k`` derive.  Batch callers hand in the
-:class:`~repro.datamodel.BlockCollection` itself; the streaming indexes and
-the serving view maintain the two integers under every mutation and hand in
-a :class:`BlockTotals` (``block_totals()``), so an online answer never
-materialises a block collection.
+``K`` and ``k`` derive.  Batch callers read them off the prepared membership
+matrix (:meth:`BlockTotals.of`); the streaming indexes and the serving view
+maintain them under every mutation (``block_totals()``).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
-from ...datamodel.block import BlockCollection
 from ...datamodel.candidates import CandidateSet
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ...blocking.arrayops import MembershipMatrix
 
 #: Candidate pairs with a classification probability below this value are
 #: discarded before any pruning criterion is applied (paper Definition 2).
@@ -46,18 +46,11 @@ class BlockTotals(NamedTuple):
     entities: int
 
     @classmethod
-    def of(cls, blocks: "BlockSource") -> "BlockTotals":
-        """``blocks`` itself when already totals, else read off the collection:
-        ``Σ|b|`` over the blocks whose cardinality is positive."""
-        if isinstance(blocks, cls):
-            return blocks
-        spawning = np.asarray(blocks.block_cardinalities()) > 0
-        sizes = np.asarray(blocks.block_sizes(), dtype=np.int64)
-        return cls(int(sizes[spawning].sum()), blocks.index_space.total)
-
-
-#: what ``prune`` accepts as ``blocks``
-BlockSource = Union[BlockCollection, BlockTotals]
+    def of(cls, blocks: "MembershipMatrix") -> "BlockTotals":
+        """The totals of a membership matrix: ``Σ|b|`` over the blocks whose
+        cardinality is positive, and its index space's entities."""
+        spawning = blocks.block_cardinalities() > 0
+        return cls(int(blocks.block_sizes()[spawning].sum()), blocks.index_space.total)
 
 
 class SupervisedPruningAlgorithm(ABC):
@@ -72,7 +65,7 @@ class SupervisedPruningAlgorithm(ABC):
         self,
         probabilities: np.ndarray,
         candidates: CandidateSet,
-        blocks: Optional[BlockSource] = None,
+        totals: Optional[BlockTotals] = None,
     ) -> np.ndarray:
         """Return a boolean mask over the candidate pairs (True = retained).
 
@@ -83,15 +76,15 @@ class SupervisedPruningAlgorithm(ABC):
             ``candidates``.
         candidates:
             The candidate pairs being pruned.
-        blocks:
-            The originating block collection or its :class:`BlockTotals`;
+        totals:
+            The :class:`BlockTotals` of the originating block collection;
             required by cardinality-based algorithms to derive their
             retention budgets (K and k), ignored by the others.
         """
         probabilities = self._validate(probabilities, candidates)
         positions = np.flatnonzero(probabilities >= VALIDITY_THRESHOLD)
         mask = np.zeros(len(candidates), dtype=bool)
-        retained = self._retain(probabilities[positions], candidates.subset(positions), blocks)
+        retained = self._retain(probabilities[positions], candidates.subset(positions), totals)
         mask[positions[retained]] = True
         return mask
 
@@ -99,7 +92,7 @@ class SupervisedPruningAlgorithm(ABC):
         self,
         weights: np.ndarray,
         candidates: CandidateSet,
-        blocks: Optional[BlockSource] = None,
+        totals: Optional[BlockTotals] = None,
     ) -> np.ndarray:
         """The algorithm's criterion applied to *every* pair, with no validity
         threshold: a boolean mask over ``candidates``.
@@ -107,15 +100,15 @@ class SupervisedPruningAlgorithm(ABC):
         This is unsupervised Meta-blocking when ``weights`` are a weighting
         scheme's values (one per pair, e.g. ``get_scheme("RACCB")
         .compute(candidates, stats)[:, 0]``): they need not lie in
-        [0, 1], so only their shape is checked.  ``blocks`` is read as by
+        [0, 1], so only their shape is checked.  ``totals`` is read as by
         :meth:`prune`.
         """
         weights = self._aligned(weights, candidates, "weights")
-        return self._retain(weights, candidates, blocks)
+        return self._retain(weights, candidates, totals)
 
     @abstractmethod
     def _retain(
-        self, probabilities: np.ndarray, valid: CandidateSet, blocks: Optional[BlockSource]
+        self, probabilities: np.ndarray, valid: CandidateSet, totals: Optional[BlockTotals]
     ) -> np.ndarray:
         """The algorithm's criterion: a boolean mask over the pairs handed in.
 

@@ -28,16 +28,16 @@ from typing import Optional
 import numpy as np
 
 from ...datamodel.candidates import CandidateSet
-from .base import BlockSource, BlockTotals, SupervisedPruningAlgorithm
+from .base import BlockTotals, SupervisedPruningAlgorithm
 from .kernels import top_k, top_k_per_node
 
 
-def cep_budget(blocks: BlockSource) -> int:
+def cep_budget(totals: BlockTotals) -> int:
     """The CEP retention budget: half the sum of block sizes, at least 1."""
-    return max(1, BlockTotals.of(blocks).assignments // 2)
+    return max(1, totals.assignments // 2)
 
 
-def cnp_budget(blocks: BlockSource) -> int:
+def cnp_budget(totals: BlockTotals) -> int:
     """The CNP per-entity budget: the average number of blocks per entity.
 
     ``k = max(1, Σ_{b∈B} |b| / (|E1| + |E2|))``, rounded to the nearest
@@ -45,16 +45,16 @@ def cnp_budget(blocks: BlockSource) -> int:
     neighbour (10 assignments over 4 entities give 2, not 3).  Whether the
     paper's own implementation rounds a half this way is unverified.
     """
-    assignments, entities = BlockTotals.of(blocks)
+    assignments, entities = totals
     if entities == 0:
         return 1
     return max(1, int(round(assignments / entities)))
 
 
 def resolve_budget(
-    algorithm, blocks: Optional[BlockSource], derive, symbol: str
+    algorithm, totals: Optional[BlockTotals], derive, symbol: str
 ) -> int:
-    """The algorithm's explicit ``budget``, else ``derive(blocks)``.
+    """The algorithm's explicit ``budget``, else ``derive(totals)``.
 
     The one place the "explicit budget, else derive it, else refuse" rule
     lives — ``prune`` (valid pairs) and ``retain`` (every pair) both resolve
@@ -62,11 +62,11 @@ def resolve_budget(
     """
     if algorithm.budget is not None:
         return algorithm.budget
-    if blocks is None:
+    if totals is None:
         raise ValueError(
-            f"{algorithm.name} needs the block collection to derive its budget {symbol}"
+            f"{algorithm.name} needs the block totals to derive its budget {symbol}"
         )
-    return derive(blocks)
+    return derive(totals)
 
 
 class SupervisedCEP(SupervisedPruningAlgorithm):
@@ -76,7 +76,7 @@ class SupervisedCEP(SupervisedPruningAlgorithm):
     ----------
     budget:
         Optional explicit K; when ``None`` it is derived from the block
-        collection with :func:`cep_budget`.
+        totals with :func:`cep_budget`.
     """
 
     name = "CEP"
@@ -88,9 +88,9 @@ class SupervisedCEP(SupervisedPruningAlgorithm):
         self.budget = budget
 
     def _retain(
-        self, probabilities: np.ndarray, valid: CandidateSet, blocks: Optional[BlockSource]
+        self, probabilities: np.ndarray, valid: CandidateSet, totals: Optional[BlockTotals]
     ) -> np.ndarray:
-        budget = resolve_budget(self, blocks, cep_budget, "K")
+        budget = resolve_budget(self, totals, cep_budget, "K")
         return top_k(probabilities, valid.packed_keys(), budget)
 
 
@@ -101,7 +101,7 @@ class SupervisedCNP(SupervisedPruningAlgorithm):
     ----------
     budget:
         Optional explicit per-entity k; when ``None`` it is derived from the
-        block collection with :func:`cnp_budget`.
+        block totals with :func:`cnp_budget`.
     """
 
     name = "CNP"
@@ -115,9 +115,9 @@ class SupervisedCNP(SupervisedPruningAlgorithm):
         self.budget = budget
 
     def _retain(
-        self, probabilities: np.ndarray, valid: CandidateSet, blocks: Optional[BlockSource]
+        self, probabilities: np.ndarray, valid: CandidateSet, totals: Optional[BlockTotals]
     ) -> np.ndarray:
-        budget = resolve_budget(self, blocks, cnp_budget, "k")
+        budget = resolve_budget(self, totals, cnp_budget, "k")
         in_left, in_right = top_k_per_node(
             valid.left, valid.right, probabilities, valid.packed_keys(), budget
         )

@@ -24,7 +24,7 @@ import numpy as np
 
 from ...datamodel.candidates import CandidateSet
 from ...utils.validation import check_ratio
-from .base import BlockSource, SupervisedPruningAlgorithm
+from .base import BlockTotals, SupervisedPruningAlgorithm
 from .kernels import node_averages, node_maxima
 
 
@@ -40,7 +40,7 @@ class BinaryClassifierPruning(SupervisedPruningAlgorithm):
     kind = "baseline"
 
     def _retain(
-        self, probabilities: np.ndarray, valid: CandidateSet, blocks: Optional[BlockSource]
+        self, probabilities: np.ndarray, valid: CandidateSet, totals: Optional[BlockTotals]
     ) -> np.ndarray:
         return np.ones(len(valid), dtype=bool)
 
@@ -52,7 +52,7 @@ class SupervisedWEP(SupervisedPruningAlgorithm):
     kind = "weight"
 
     def _retain(
-        self, probabilities: np.ndarray, valid: CandidateSet, blocks: Optional[BlockSource]
+        self, probabilities: np.ndarray, valid: CandidateSet, totals: Optional[BlockTotals]
     ) -> np.ndarray:
         if not probabilities.size:
             return np.zeros(0, dtype=bool)
@@ -72,7 +72,7 @@ class SupervisedWNP(SupervisedPruningAlgorithm):
     require_both = False
 
     def _retain(
-        self, probabilities: np.ndarray, valid: CandidateSet, blocks: Optional[BlockSource]
+        self, probabilities: np.ndarray, valid: CandidateSet, totals: Optional[BlockTotals]
     ) -> np.ndarray:
         averages = node_averages(
             valid.left, valid.right, probabilities, valid.index_space.total
@@ -106,7 +106,7 @@ class SupervisedBLAST(SupervisedPruningAlgorithm):
         self.ratio = check_ratio(ratio, "ratio")
 
     def _retain(
-        self, probabilities: np.ndarray, valid: CandidateSet, blocks: Optional[BlockSource]
+        self, probabilities: np.ndarray, valid: CandidateSet, totals: Optional[BlockTotals]
     ) -> np.ndarray:
         maxima = node_maxima(valid.left, valid.right, probabilities, valid.index_space.total)
         return probabilities >= self.ratio * (maxima[valid.left] + maxima[valid.right])

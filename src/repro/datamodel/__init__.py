@@ -4,9 +4,6 @@ from .._exports import lazy_exports
 
 #: public name -> the submodule that defines it (see repro._exports)
 _EXPORTS = {
-    "Block": "block",
-    "BlockCollection": "block",
-    "CandidatePair": "candidates",
     "CandidateSet": "candidates",
     "EntityCollection": "entity",
     "EntityIndexSpace": "entity",

@@ -9,26 +9,9 @@ and pruning vectorised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
-
 import numpy as np
 
 from .entity import EntityIndexSpace
-
-
-@dataclass(frozen=True)
-class CandidatePair:
-    """A single comparison between two entities, referenced by node id."""
-
-    left: int
-    right: int
-
-    def canonical(self) -> "CandidatePair":
-        """Return the pair with the smaller node id first."""
-        if self.left <= self.right:
-            return self
-        return CandidatePair(self.right, self.left)
 
 
 class CandidateSet:
@@ -62,14 +45,6 @@ class CandidateSet:
     # -- container protocol ----------------------------------------------------
     def __len__(self) -> int:
         return int(self.left.size)
-
-    def __iter__(self) -> Iterator[CandidatePair]:
-        for i, j in zip(self.left.tolist(), self.right.tolist()):
-            yield CandidatePair(i, j)
-
-    def pair_at(self, position: int) -> CandidatePair:
-        """Return the ``position``-th pair."""
-        return CandidatePair(int(self.left[position]), int(self.right[position]))
 
     def subset(self, mask: np.ndarray) -> "CandidateSet":
         """Return the pairs selected by a boolean mask or index array."""

@@ -1,7 +1,7 @@
 """The mutation side of the streaming index.
 
-The batch pipeline flattens a finished :class:`BlockCollection` into the
-entity x block CSR incidence structure once (:mod:`repro.weights.sparse`).
+The batch pipeline flattens a finished block collection's membership matrix
+into the entity x block CSR incidence structure once (:mod:`repro.weights.sparse`).
 Streaming workloads cannot afford that: inserting one entity must cost work
 proportional to the blocks it touches, not to the whole collection.
 
@@ -236,7 +236,7 @@ def compacted_rows(state: Dict[str, object]) -> Tuple[np.ndarray, np.ndarray]:
     Raises
     ------
     ValueError
-        When the CSR does not fit the state's rows and key table.
+        When the CSR does not fit the state's rows or key table, naming which.
     """
     indptr = np.asarray(state["csr_indptr"], dtype=np.int64)
     indices = np.asarray(state["csr_indices"], dtype=np.int64)
@@ -246,9 +246,10 @@ def compacted_rows(state: Dict[str, object]) -> Tuple[np.ndarray, np.ndarray]:
         or indptr[0] != 0
         or (lengths < 0).any()
         or indptr[-1] != indices.size
-        or (indices.size and (indices.min() < 0 or indices.max() >= len(state["block_keys"])))
     ):
-        raise ValueError("a compacted state's CSR does not fit its rows and key table")
+        raise ValueError("a compacted state's CSR row pointers do not fit its rows")
+    if indices.size and (indices.min() < 0 or indices.max() >= len(state["block_keys"])):
+        raise ValueError("a compacted state's CSR names a block outside its key table")
     row_starts = np.zeros(indices.size, dtype=bool)
     row_starts[indptr[:-1][lengths > 0]] = True
     if ((np.diff(indices) <= 0) & ~row_starts[1:]).any():

@@ -127,7 +127,7 @@ def pair_expansion_plan(
     * **cross block** (both sides present): a first-side member pairs with
       the whole second side, a second-side member emits nothing;
     * **intra block** (Dirty ER, or a *stranded* clean-clean block whose
-      second side Block Filtering emptied — ``Block.is_bilateral`` flips):
+      second side Block Filtering emptied):
       a member pairs with the strictly-later members of its block.
 
     Returned per membership: the repeat count, the start of its contiguous

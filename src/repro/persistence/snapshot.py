@@ -144,7 +144,7 @@ def row_signatures(state: Dict[str, Any], owned: Optional[np.ndarray] = None) ->
     Raises
     ------
     ValueError
-        When the CSR does not fit the rows and the key table.
+        When the CSR does not fit the rows or the key table.
     """
     keys = state["block_keys"]
     indptr, indices = compacted_rows(state)

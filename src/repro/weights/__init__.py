@@ -5,7 +5,7 @@ implementation of it, ``WeightingScheme.compute`` (:mod:`repro.weights.sparse`):
 the block collection is flattened once into an entity x block CSR incidence
 structure and the per-pair co-occurrence aggregates of *all* candidate pairs
 are computed in batched NumPy operations.  The per-pair reference lives in
-``tests/reference.py``: the paper's set formulas over each ``Block``'s member
+``tests/reference.py``: the paper's set formulas over each block's member
 lists, line by line, with no CSR and no :class:`BlockStatistics` array.
 ``tests/weights/test_backend_equivalence.py`` and
 ``tests/weights/test_golden_features.py`` guard ``np.allclose``-identical

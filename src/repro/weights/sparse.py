@@ -29,7 +29,7 @@ Python) by one of two passes that add a pair's terms in the same order:
 Cached aggregates are read-only (:class:`PairCooccurrenceCache`); entity-level
 log factors (CF-IBF, EJS) are taken per entity (:func:`entity_log_ratios`).
 
-The paper's per-pair set formulas over each ``Block``'s member lists
+The paper's per-pair set formulas over each block's member lists
 (``tests/reference.py::reference_feature_matrix``) are the reference these
 kernels are checked against: ``tests/weights/test_backend_equivalence.py``
 and ``tests/weights/test_golden_features.py`` assert ``np.allclose``-identical

@@ -16,7 +16,7 @@ per-pair ones for all candidate pairs in one batched co-occurrence pass
 batch preparation builds it from its filtered matrix
 (:meth:`repro.blocking.PreparedBlocks.statistics`) and a stream's exact read
 from its cleaned live rows (:class:`repro.incremental.IndexStatistics`).  The
-per-pair set formulas the tests hold it against read each ``Block``'s member
+per-pair set formulas the tests hold it against read each block's member
 lists in ``tests/reference.py``.
 """
 

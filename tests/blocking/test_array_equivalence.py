@@ -4,12 +4,14 @@ definitions.
 The array engine (:mod:`repro.blocking.arrayops`) must be block-for-block and
 pair-for-pair identical to ``reference_prepare_blocks`` — a dict per
 signature, purging and filtering over ``Block`` member lists, the Python set
-of every block's comparisons — raw, purged
-and filtered collections, candidate pairs, and the handed-over CSR incidence
-structure — across unilateral and bilateral inputs, with and without
-purging/filtering, and under stop-word and minimum-token-length variants,
-for every blocking method, over texts the tokeniser's fold actually changes
-(mixed case, punctuation, accents, repeated tokens).
+of every block's comparisons — raw, purged and filtered collections (read
+back through ``blocks_of``, with the per-block sizes, cardinalities and the
+pruning totals the library reads off each matrix), candidate pairs, and the
+handed-over CSR incidence structure — across unilateral and bilateral
+inputs, with and without purging/filtering, and under stop-word and
+minimum-token-length variants, for every blocking method, over texts the
+tokeniser's fold actually changes (mixed case, punctuation, accents,
+repeated tokens).
 """
 
 import numpy as np
@@ -28,10 +30,17 @@ from repro.blocking import (
     prepare_blocks,
 )
 from repro.blocking.arrayops import _dictionary_encode, encode_signatures
+from repro.core.pruning import BlockTotals
 from repro.datamodel import EntityCollection, make_profile
 from repro.datasets import load_dirty_dataset
 
-from reference import pair_tuples, reference_encode_signatures, reference_prepare_blocks
+from reference import (
+    blocks_of,
+    pair_tuples,
+    reference_encode_signatures,
+    reference_prepare_blocks,
+    reference_totals,
+)
 
 pytestmark = pytest.mark.equivalence
 
@@ -107,12 +116,22 @@ def token_blocking_variants(draw):
 
 
 def assert_collections_identical(loop_blocks, array_blocks):
-    assert array_blocks.name == loop_blocks.name
-    assert len(array_blocks) == len(loop_blocks)
-    for loop_block, array_block in zip(loop_blocks, array_blocks):
+    """Block for block, read back as the oracle's objects; then the sizes,
+    cardinalities and totals the library reads off its matrix, against the
+    oracle's own per-block counts."""
+    loop_objects, array_objects = blocks_of(loop_blocks), blocks_of(array_blocks)
+    assert array_objects.name == loop_objects.name
+    assert array_objects.index_space == loop_objects.index_space
+    assert len(array_blocks) == len(array_objects) == len(loop_objects)
+    for loop_block, array_block in zip(loop_objects, array_objects):
         assert array_block.key == loop_block.key
         assert array_block.entities_first == loop_block.entities_first
         assert array_block.entities_second == loop_block.entities_second
+    sizes = [block.size() for block in loop_objects]
+    cardinalities = [block.cardinality() for block in loop_objects]
+    assert array_blocks.block_sizes().tolist() == sizes
+    assert array_blocks.block_cardinalities().tolist() == cardinalities
+    assert BlockTotals.of(array_blocks) == reference_totals(loop_objects)
 
 
 def assert_equivalent(first, second, blocking=None, cleaning=PAPER_CLEANING):
@@ -124,6 +143,7 @@ def assert_equivalent(first, second, blocking=None, cleaning=PAPER_CLEANING):
     assert pair_tuples(loop.candidates) == pair_tuples(array.candidates)
     assert loop.candidates.index_space == array.candidates.index_space
     reference_csr = loop.statistics().csr()
+    assert array.statistics().num_blocks == len(loop.blocks)
     assert array.csr is not None
     assert np.array_equal(array.csr.indptr, reference_csr.indptr)
     assert np.array_equal(array.csr.indices, reference_csr.indices)
@@ -285,7 +305,7 @@ class TestEdgeCases:
         loop, array = assert_equivalent(
             first, second, cleaning=BlockCleaning(filtering_ratio=0.3)
         )
-        stranded = [block for block in loop.blocks if not block.is_bilateral]
+        stranded = [block for block in blocks_of(loop.blocks) if not block.is_bilateral]
         assert stranded, "the construction must strand a single-side block"
         # the stranded block spawns an intra-source pair both implementations keep
         assert (2, 3) in pair_tuples(loop.candidates)

@@ -12,10 +12,12 @@ from repro.blocking import (
 )
 from repro.datamodel import EntityCollection, make_profile
 
+from reference import blocks_of
+
 
 def raw_blocks(method, first, second=None):
-    """The blocks ``method`` assembles, uncleaned."""
-    return prepare_blocks(first, second, method, NO_CLEANING).blocks
+    """The blocks ``method`` assembles, uncleaned, as the oracle's objects."""
+    return blocks_of(prepare_blocks(first, second, method, NO_CLEANING).blocks)
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 
 import pytest
 
-from reference import pair_tuples, reference_candidates
+from reference import blocks_of, pair_tuples, reference_candidates
 from repro.blocking import NO_CLEANING, BlockCleaning, TokenBlocking, prepare_blocks
 from repro.datamodel import EntityCollection, make_profile
 from repro.evaluation import evaluate_candidates
@@ -31,7 +31,7 @@ def _prepare(collections, purging_fraction=None, filtering_ratio=None):
 
 
 def _keys(blocks):
-    return [block.key for block in blocks]
+    return list(blocks.keys)
 
 
 class TestBlockPurging:
@@ -54,21 +54,19 @@ class TestBlockPurging:
 class TestBlockFiltering:
     def test_entities_keep_smallest_blocks(self, skewed_collections):
         prepared = _prepare(skewed_collections, filtering_ratio=0.5)
-        blocks = {block.key: block for block in prepared.blocks}
+        blocks = {block.key: block for block in blocks_of(prepared.blocks)}
         # the small distinctive blocks survive; the huge block loses members
         assert "rareone" in blocks and "raretwo" in blocks
         assert "stopword" not in blocks or blocks["stopword"].size() < 12
 
     def test_ratio_one_is_identity_on_memberships(self, skewed_collections):
         prepared = _prepare(skewed_collections, filtering_ratio=1.0)
-        assert prepared.blocks.total_block_assignments() == (
-            prepared.purged_blocks.total_block_assignments()
-        )
+        assert prepared.blocks.nodes.size == prepared.purged_blocks.nodes.size
         assert _keys(prepared.blocks) == _keys(prepared.purged_blocks)
 
     def test_every_entity_keeps_at_least_one_block(self, skewed_collections):
         prepared = _prepare(skewed_collections, filtering_ratio=0.2)
-        kept = {node for block in prepared.blocks for node in block.all_entities()}
+        kept = set(prepared.blocks.nodes.tolist())
         # every entity of the twelve was in a block, and keeps one: the four
         # holding ``stopword`` alone keep it, with one another
         assert kept == set(range(12))
@@ -80,7 +78,8 @@ class TestBlockFiltering:
 
     def test_reduces_comparisons(self, skewed_collections):
         prepared = _prepare(skewed_collections, filtering_ratio=0.5)
-        assert prepared.blocks.total_comparisons() < prepared.raw_blocks.total_comparisons()
+        filtered = prepared.blocks.block_cardinalities().sum()
+        assert filtered < prepared.raw_blocks.block_cardinalities().sum()
 
 
 class TestCandidateExtraction:

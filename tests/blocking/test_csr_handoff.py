@@ -14,9 +14,8 @@ import pytest
 import repro.weights.statistics as statistics_module
 from repro.blocking import PreparedBlocks, prepare_blocks
 from repro.core.pipeline import GeneralizedSupervisedMetaBlocking
-from repro.datamodel import BlockCollection
 
-from reference import block_statistics
+from reference import block_statistics, blocks_of
 
 
 @pytest.fixture()
@@ -32,8 +31,7 @@ def forbid_csr_rebuild(monkeypatch):
 class TestHandoff:
     def test_prepared_csr_matches_a_fresh_build(self, dblpacm_dataset):
         prepared = prepare_blocks(dblpacm_dataset.first, dblpacm_dataset.second)
-        objects = BlockCollection(list(prepared.blocks), prepared.blocks.index_space)
-        reference = block_statistics(objects, prepared.candidates).csr()
+        reference = block_statistics(blocks_of(prepared.blocks), prepared.candidates).csr()
         assert np.array_equal(prepared.csr.indptr, reference.indptr)
         assert np.array_equal(prepared.csr.indices, reference.indices)
 

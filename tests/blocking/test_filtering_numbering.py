@@ -26,10 +26,9 @@ from hypothesis import strategies as st
 
 from repro.blocking import BlockCleaning, TokenBlocking, prepare_blocks
 from repro.blocking.arrayops import _matrix_from_sorted, assemble_blocks, filter_matrix
-from repro.datamodel import BlockCollection
 from repro.datasets import load_benchmark
 
-from reference import reference_filter, reference_prepare_blocks
+from reference import BlockCollection, blocks_of, reference_filter, reference_prepare_blocks
 from test_array_equivalence import collections
 
 pytestmark = pytest.mark.equivalence
@@ -52,7 +51,7 @@ def _relabelled(matrix, order):
 
 def _members_of(matrix):
     """Signature -> the member set of its block in ``matrix``."""
-    return {block.key: frozenset(block.all_entities()) for block in matrix.build_block_objects()}
+    return {block.key: frozenset(block.all_entities()) for block in blocks_of(matrix)}
 
 
 def _memberships(matrix, members=None):
@@ -84,7 +83,7 @@ def _orders(num_blocks, seed):
 def _assert_numbering_free(matrix, ratio, seed):
     members = _members_of(matrix)
     filtered = filter_matrix(matrix, ratio)
-    objects = BlockCollection(matrix.build_block_objects(), matrix.index_space)
+    objects = blocks_of(matrix)
     assert _object_memberships(reference_filter(objects, ratio)) == _memberships(filtered)
     filtered = _memberships(filtered, members)
     for order in _orders(matrix.num_blocks, seed):
@@ -110,10 +109,9 @@ def test_filtering_is_independent_of_block_numbering(first, second, ratio, purge
     cleaning = BlockCleaning(fraction, ratio)
     prepared = prepare_blocks(first, second, cleaning=cleaning)
     chain = reference_prepare_blocks(first, second, cleaning=cleaning)
-    assert _object_memberships(chain.blocks) == _object_memberships(prepared.blocks)
+    assert _memberships(chain.blocks) == _memberships(prepared.blocks)
     purged = prepare_blocks(first, second, cleaning=BlockCleaning(fraction))
-    assert _object_memberships(purged.blocks) == _memberships(purged.blocks._matrix)
-    _assert_numbering_free(purged.blocks._matrix, ratio, seed)
+    _assert_numbering_free(purged.blocks, ratio, seed)
     if raw.num_blocks:
         _assert_numbering_free(raw, ratio, seed)
 
@@ -123,4 +121,4 @@ def test_a_real_collection_is_numbering_free():
     filtered memberships; under the member-set key it moves none."""
     dataset = load_benchmark("AbtBuy", seed=7, scale=0.2)
     purged = prepare_blocks(dataset.first, dataset.second, cleaning=BlockCleaning(0.5))
-    _assert_numbering_free(purged.blocks._matrix, 0.8, 7)
+    _assert_numbering_free(purged.blocks, 0.8, 7)

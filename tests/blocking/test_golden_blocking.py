@@ -24,7 +24,7 @@ import pytest
 from repro.blocking import prepare_blocks
 from repro.datasets import load_benchmark
 
-from reference import pair_tuples, reference_prepare_blocks
+from reference import blocks_of, pair_tuples, reference_prepare_blocks
 
 pytestmark = pytest.mark.equivalence
 
@@ -42,6 +42,7 @@ def _prepare(implementation):
 
 
 def _snapshot(prepared):
+    raw, blocks = blocks_of(prepared.raw_blocks), blocks_of(prepared.blocks)
     pairs = pair_tuples(prepared.candidates)
     digest = hashlib.sha256(
         ",".join(f"{i}-{j}" for i, j in pairs).encode("ascii")
@@ -50,11 +51,11 @@ def _snapshot(prepared):
         "raw_blocks": len(prepared.raw_blocks),
         "purged_blocks": len(prepared.purged_blocks),
         "filtered_blocks": len(prepared.blocks),
-        "raw_comparisons": prepared.raw_blocks.total_comparisons(),
-        "filtered_comparisons": prepared.blocks.total_comparisons(),
-        "block_assignments": prepared.blocks.total_block_assignments(),
-        "first_keys": [block.key for block in list(prepared.blocks)[:5]],
-        "last_keys": [block.key for block in list(prepared.blocks)[-5:]],
+        "raw_comparisons": sum(block.cardinality() for block in raw),
+        "filtered_comparisons": sum(block.cardinality() for block in blocks),
+        "block_assignments": sum(block.size() for block in blocks),
+        "first_keys": [block.key for block in blocks.blocks[:5]],
+        "last_keys": [block.key for block in blocks.blocks[-5:]],
         "candidate_pairs": len(pairs),
         "pair_digest": digest,
         "first_pairs": [list(pair) for pair in pairs[:10]],

@@ -10,16 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from reference import block_statistics, reference_candidates
+from reference import Block, BlockCollection, block_statistics, reference_candidates
 from repro.blocking import prepare_blocks
-from repro.datamodel import (
-    Block,
-    BlockCollection,
-    EntityCollection,
-    EntityIndexSpace,
-    GroundTruth,
-    make_profile,
-)
+from repro.datamodel import EntityCollection, EntityIndexSpace, GroundTruth, make_profile
 from repro.datasets import load_benchmark, load_dirty_dataset
 from repro.evaluation import PreparedDataset
 

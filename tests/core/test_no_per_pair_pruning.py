@@ -24,7 +24,7 @@ import pytest
 
 from repro.blocking import prepare_blocks
 from repro.core.pipeline import GeneralizedSupervisedMetaBlocking
-from repro.core.pruning import PRUNING_ALGORITHMS, VALIDITY_THRESHOLD
+from repro.core.pruning import PRUNING_ALGORITHMS, VALIDITY_THRESHOLD, BlockTotals
 from repro.datasets import load_benchmark, load_dirty_dataset
 from repro.weights import get_scheme
 from source_tree import ROOT
@@ -77,9 +77,9 @@ def test_prepare_and_run_prune_without_a_per_pair_loop(dataset, monkeypatch, pru
     calls = []
     prune = algorithm.prune
 
-    def counted(probabilities, candidates, blocks=None):
+    def counted(probabilities, candidates, totals=None):
         with _repro_lines_run() as executed:
-            mask = prune(probabilities, candidates, blocks)
+            mask = prune(probabilities, candidates, totals)
         valid = int(np.count_nonzero(np.asarray(probabilities) >= VALIDITY_THRESHOLD))
         calls.append((executed[0], valid))
         return mask
@@ -103,8 +103,9 @@ def test_retain_on_every_pair_runs_without_a_per_pair_loop(dataset, pruning):
     prepared = prepare_blocks(first, second)
     candidates = prepared.candidates
     weights = get_scheme("CBS").compute(candidates, prepared.statistics())[:, 0]
+    totals = BlockTotals.of(prepared.blocks)
     with _repro_lines_run() as executed:
-        mask = algorithm.retain(weights, candidates, prepared.blocks)
+        mask = algorithm.retain(weights, candidates, totals)
     assert mask.dtype == bool and 0 < np.count_nonzero(mask) <= len(candidates)
     assert len(candidates) >= MIN_PAIRS
     assert executed[0] < len(candidates), (

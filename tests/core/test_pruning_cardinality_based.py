@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    BlockTotals,
     SupervisedCEP,
     SupervisedCNP,
     SupervisedRCNP,
     cep_budget,
     cnp_budget,
 )
-from repro.datamodel import Block, BlockCollection, CandidateSet, EntityIndexSpace
+from repro.datamodel import CandidateSet, EntityIndexSpace
 
-from reference import candidate_set
+from reference import Block, BlockCollection, candidate_set, matrix_of, pair_tuples
+
+
+def totals_of(blocks: BlockCollection) -> BlockTotals:
+    """The library's totals of a hand-built collection's membership matrix."""
+    return BlockTotals.of(matrix_of(blocks))
 
 
 @pytest.fixture
@@ -24,18 +30,21 @@ def dense_candidates():
 
 
 @pytest.fixture
-def dense_blocks():
+def dense_totals():
     space = EntityIndexSpace(2, 3)
-    return BlockCollection(
-        [Block("a", [0, 1], [2, 3]), Block("b", [0], [4]), Block("c", [1], [2, 3, 4])],
-        space,
+    return totals_of(
+        BlockCollection(
+            [Block("a", [0, 1], [2, 3]), Block("b", [0], [4]), Block("c", [1], [2, 3, 4])],
+            space,
+        )
     )
 
 
 class TestBudgets:
-    def test_cep_budget_half_block_assignments(self, dense_blocks):
+    def test_cep_budget_half_block_assignments(self, dense_totals):
         # block sizes 4 + 2 + 4 = 10 -> K = 5
-        assert cep_budget(dense_blocks) == 5
+        assert dense_totals == (10, 5)
+        assert cep_budget(dense_totals) == 5
 
     @pytest.mark.parametrize(
         "sides, members, expected",
@@ -55,11 +64,11 @@ class TestBudgets:
             [Block(str(key), first, second) for key, (first, second) in enumerate(members)],
             EntityIndexSpace(*sides),
         )
-        assert cnp_budget(blocks) == expected
+        assert cnp_budget(totals_of(blocks)) == expected
 
     def test_budgets_at_least_one(self):
         space = EntityIndexSpace(2)
-        empty = BlockCollection([], space)
+        empty = totals_of(BlockCollection([], space))
         assert cep_budget(empty) == 1
         assert cnp_budget(empty) == 1
 
@@ -77,10 +86,10 @@ class TestCEP:
         mask = SupervisedCEP(budget=4).prune(probabilities, dense_candidates)
         assert mask.sum() == 1  # only one valid pair exists
 
-    def test_budget_derived_from_blocks(self, dense_candidates, dense_blocks):
+    def test_budget_derived_from_blocks(self, dense_candidates, dense_totals):
         probabilities = np.full(6, 0.9)
-        mask = SupervisedCEP().prune(probabilities, dense_candidates, dense_blocks)
-        assert mask.sum() == cep_budget(dense_blocks)
+        mask = SupervisedCEP().prune(probabilities, dense_candidates, dense_totals)
+        assert mask.sum() == cep_budget(dense_totals)
 
     def test_missing_blocks_raises(self, dense_candidates):
         with pytest.raises(ValueError):
@@ -99,32 +108,24 @@ class TestCNP:
         # entity 0 keeps (0,2); entity 1 keeps (1,4); entities 2,3,4 keep their best:
         # node 2 best = (0,2); node 3 best = (0,3); node 4 best = (0,4)
         expected = {(0, 2), (0, 3), (0, 4), (1, 4)}
-        retained = {
-            (pair.left, pair.right)
-            for pair in map(dense_candidates.pair_at, np.flatnonzero(mask))
-        }
-        assert retained == expected
+        assert set(pair_tuples(dense_candidates.subset(mask))) == expected
 
     def test_rcnp_and_semantics_prunes_deeper(self, dense_candidates):
         probabilities = np.array([0.95, 0.9, 0.85, 0.6, 0.55, 0.8])
         cnp = SupervisedCNP(budget=1).prune(probabilities, dense_candidates)
         rcnp = SupervisedRCNP(budget=1).prune(probabilities, dense_candidates)
         assert np.all(~rcnp | cnp)  # RCNP retains a subset of CNP
-        retained = {
-            (pair.left, pair.right)
-            for pair in map(dense_candidates.pair_at, np.flatnonzero(rcnp))
-        }
         # only (0,2) is the top pair of both of its entities
-        assert retained == {(0, 2)}
+        assert set(pair_tuples(dense_candidates.subset(rcnp))) == {(0, 2)}
 
     def test_invalid_pairs_never_retained(self, dense_candidates):
         probabilities = np.array([0.95, 0.45, 0.85, 0.3, 0.55, 0.2])
         mask = SupervisedCNP(budget=3).prune(probabilities, dense_candidates)
         assert not mask[1] and not mask[3] and not mask[5]
 
-    def test_budget_from_blocks(self, dense_candidates, dense_blocks):
+    def test_budget_from_blocks(self, dense_candidates, dense_totals):
         probabilities = np.full(6, 0.9)
-        mask = SupervisedCNP().prune(probabilities, dense_candidates, dense_blocks)
+        mask = SupervisedCNP().prune(probabilities, dense_candidates, dense_totals)
         assert mask.sum() >= 1
 
     def test_missing_blocks_raises(self, dense_candidates):

@@ -10,7 +10,8 @@ Meta-blocking of Papadakis et al.  Its weights need not lie in [0, 1].
 import numpy as np
 import pytest
 
-from repro.core.pruning import PRUNING_ALGORITHMS, get_pruning_algorithm
+from reference import matrix_of
+from repro.core.pruning import PRUNING_ALGORITHMS, BlockTotals, get_pruning_algorithm
 from repro.evaluation import evaluate_candidates, evaluate_retained_mask
 from repro.weights import get_scheme
 
@@ -38,9 +39,9 @@ def test_every_algorithm_is_covered():
 
 
 @pytest.mark.parametrize("name,kwargs", ALGORITHMS, ids=[name for name, _ in ALGORITHMS])
-def test_masks_align_with_the_pairs(small_blocks, small_candidates, small_stats, name, kwargs):
+def test_masks_align_with_the_pairs(small_candidates, small_stats, name, kwargs):
     weights = _weights("JS", small_candidates, small_stats)
-    mask = get_pruning_algorithm(name, **kwargs).retain(weights, small_candidates, small_blocks)
+    mask = get_pruning_algorithm(name, **kwargs).retain(weights, small_candidates)
     assert mask.shape == (len(small_candidates),)
     assert mask.dtype == bool
 
@@ -85,10 +86,10 @@ def test_cep_derives_its_budget_from_the_blocks_and_refuses_without(
 ):
     weights = _weights("CBS", small_candidates, small_stats)
     cep = get_pruning_algorithm("CEP")
-    with pytest.raises(ValueError, match="^CEP needs the block collection to derive its budget K$"):
+    with pytest.raises(ValueError, match="^CEP needs the block totals to derive its budget K$"):
         cep.retain(weights, small_candidates)
-    mask = cep.retain(weights, small_candidates, small_blocks)
-    budget = max(1, small_blocks.total_block_assignments() // 2)
+    mask = cep.retain(weights, small_candidates, BlockTotals.of(matrix_of(small_blocks)))
+    budget = max(1, sum(block.size() for block in small_blocks) // 2)
     assert mask.sum() == min(budget, len(small_candidates))
 
 
@@ -112,7 +113,7 @@ def test_weighted_wnp_raises_precision_on_abtbuy(prepared_abtbuy, scheme):
     prepared = prepared_abtbuy.prepared
     truth = prepared_abtbuy.ground_truth
     weights = _weights(scheme, prepared.candidates, prepared.statistics())
-    mask = get_pruning_algorithm("WNP").retain(weights, prepared.candidates, prepared.blocks)
+    mask = get_pruning_algorithm("WNP").retain(weights, prepared.candidates)
     report = evaluate_retained_mask(mask, truth.labels_for(prepared.candidates), len(truth))
     assert report.precision > evaluate_candidates(prepared.candidates, truth).precision
     assert report.recall > 0.5

@@ -1,16 +1,10 @@
-"""Tests for candidate pairs and candidate sets."""
+"""Tests for candidate sets: the distinct pairs as two parallel arrays."""
 
 import numpy as np
 import pytest
 
 from reference import pair_tuples, reference_candidates
-from repro.datamodel import CandidatePair, CandidateSet, EntityIndexSpace
-
-
-class TestCandidatePair:
-    def test_canonical_orders_nodes(self):
-        assert CandidatePair(5, 2).canonical() == CandidatePair(2, 5)
-        assert CandidatePair(2, 5).canonical() == CandidatePair(2, 5)
+from repro.datamodel import CandidateSet, EntityIndexSpace
 
 
 class TestCandidateSet:
@@ -31,7 +25,7 @@ class TestCandidateSet:
         mask[0] = True
         subset = small_candidates.subset(mask)
         assert len(subset) == 1
-        assert subset.pair_at(0) == small_candidates.pair_at(0)
+        assert pair_tuples(subset) == pair_tuples(small_candidates)[:1]
 
     def test_non_canonical_arrays_rejected(self):
         space = EntityIndexSpace(4)
@@ -47,9 +41,4 @@ class TestCandidateSet:
         space = EntityIndexSpace(4)
         candidates = CandidateSet(np.empty(0), np.empty(0), space)
         assert len(candidates) == 0
-        assert list(candidates) == []
-
-    def test_iteration_yields_pairs(self, small_candidates):
-        pairs = list(small_candidates)
-        assert all(isinstance(pair, CandidatePair) for pair in pairs)
-        assert len(pairs) == len(small_candidates)
+        assert pair_tuples(candidates) == []

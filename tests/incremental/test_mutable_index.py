@@ -9,7 +9,13 @@ purging/filtering steps disabled).
 import numpy as np
 import pytest
 
-from reference import block_statistics, pair_positions, reference_blocks, reference_lcp
+from reference import (
+    block_statistics,
+    blocks_of,
+    pair_positions,
+    reference_blocks,
+    reference_lcp,
+)
 from repro.blocking import NO_CLEANING, prepare_blocks
 from repro.core import FeatureVectorGenerator
 from repro.datamodel import EntityCollection, make_profile
@@ -68,11 +74,8 @@ def _assert_matches_batch(index, first, second):
 
     # global aggregates
     assert index.num_nonempty_blocks == len(prepared.blocks)
-    assert index.total_cardinality == prepared.blocks.total_comparisons()
-    assert (
-        index.statistics().block_totals().assignments
-        == prepared.blocks.total_block_assignments()
-    )
+    assert index.total_cardinality == prepared.blocks.block_cardinalities().sum()
+    assert index.statistics().block_totals().assignments == prepared.blocks.nodes.size
 
     # per-entity aggregates
     view = index.statistics()
@@ -117,7 +120,7 @@ def _assert_reference_blocks_match_batch(index, first, second):
     budget and crash properties check the CSR against — equals the batch
     pipeline's raw blocks on the live data."""
     prepared = prepare_blocks(first, second, cleaning=NO_CLEANING)
-    assert _block_rows(reference_blocks(index)) == _block_rows(prepared.blocks)
+    assert _block_rows(reference_blocks(index)) == _block_rows(blocks_of(prepared.blocks))
 
 
 class TestBilateralIndex:
@@ -219,11 +222,8 @@ def _assert_matches_batch_canonical(index, first, second):
     assert streamed == batch
 
     assert index.num_nonempty_blocks == len(prepared.blocks)
-    assert index.total_cardinality == prepared.blocks.total_comparisons()
-    assert (
-        index.statistics().block_totals().assignments
-        == prepared.blocks.total_block_assignments()
-    )
+    assert index.total_cardinality == prepared.blocks.block_cardinalities().sum()
+    assert index.statistics().block_totals().assignments == prepared.blocks.nodes.size
 
     live = np.flatnonzero(canonical >= 0)
     order = live[np.argsort(canonical[live])]
@@ -252,7 +252,7 @@ def _assert_matches_batch_canonical(index, first, second):
     }
     batch_blocks = {
         (block.key, tuple(block.entities_first), tuple(block.entities_second))
-        for block in prepared.blocks
+        for block in blocks_of(prepared.blocks)
     }
     assert snapshot == batch_blocks
 

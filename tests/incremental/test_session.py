@@ -12,7 +12,7 @@ import pytest
 
 from repro.blocking import NO_CLEANING, prepare_blocks
 from repro.core import FeatureVectorGenerator, GeneralizedSupervisedMetaBlocking
-from repro.core.pruning import get_pruning_algorithm
+from repro.core.pruning import BlockTotals, get_pruning_algorithm
 from repro.datamodel import EntityCollection, make_profile
 from repro.datasets import load_benchmark
 from repro.incremental import (
@@ -96,7 +96,7 @@ def _batch_retained_on_live(model, first, second, pruning):
     if len(prepared.candidates) == 0:
         return set()
     mask = get_pruning_algorithm(pruning).prune(
-        probabilities, prepared.candidates, prepared.blocks
+        probabilities, prepared.candidates, BlockTotals.of(prepared.blocks)
     )
     size_first = len(first)
     return {

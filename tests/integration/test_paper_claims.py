@@ -144,12 +144,12 @@ class TestClaimLcpIsExpensive:
     """
 
     def test_adding_lcp_adds_feature_work(self, prepared_abtbuy, monkeypatch):
-        from reference import reference_feature_matrix
-        from repro.datamodel import BlockCollection
+        from reference import BlockCollection, blocks_of, reference_feature_matrix
 
         base_features = ("CF-IBF", "RACCB", "JS")
         enumerate_blocks = BlockCollection.__iter__
         prepared = prepared_abtbuy.prepared
+        blocks = blocks_of(prepared.blocks)
 
         def block_visits(feature_set):
             visits = 0
@@ -162,13 +162,13 @@ class TestClaimLcpIsExpensive:
 
             with monkeypatch.context() as patch:
                 patch.setattr(BlockCollection, "__iter__", counted)
-                reference_feature_matrix(feature_set, prepared.candidates, prepared.blocks)
+                reference_feature_matrix(feature_set, prepared.candidates, blocks)
             return visits
 
         without_lcp = block_visits(base_features)
         with_lcp = block_visits(base_features + ("LCP",))
-        assert without_lcp == prepared.blocks.total_block_assignments() > 0
-        assert with_lcp - without_lcp == prepared.blocks.total_block_assignments()
+        assert without_lcp == prepared.blocks.nodes.size > 0
+        assert with_lcp - without_lcp == prepared.blocks.nodes.size
 
 
 class TestClaimMetaBlockingImprovesBlocks:

@@ -49,7 +49,7 @@ class TestPaperExample:
         assert report.precision < 1.0  # superfluous comparisons exist
 
     def test_redundant_comparisons_removed(self, example_blocks, candidates):
-        assert len(candidates) < example_blocks.total_comparisons()
+        assert len(candidates) < example_blocks.block_cardinalities().sum()
 
     def test_common_blocks_weighting_matches_figure2(
         self, example, candidates, paper_example_profiles
@@ -63,12 +63,12 @@ class TestPaperExample:
         assert weights[position] == 3.0
 
     def test_unsupervised_meta_blocking_keeps_matches(
-        self, example, example_blocks, candidates, paper_example_profiles
+        self, example, candidates, paper_example_profiles
     ):
         """Example 2: WNP on the CBS-weighted blocking graph of Figure 2a."""
         _, _, truth = paper_example_profiles
         weights = CommonBlocksScheme().compute(candidates, example.statistics())[:, 0]
-        mask = get_pruning_algorithm("WNP").retain(weights, candidates, example_blocks)
+        mask = get_pruning_algorithm("WNP").retain(weights, candidates)
         labels = truth.labels_for(candidates)
         report = evaluate_retained_mask(mask, labels, len(truth))
         assert report.recall == 1.0

@@ -490,3 +490,50 @@ def test_a_snapshot_whose_degrees_are_no_pair_set_is_refused(tmp_path, forge):
     _rewritten(forged / snapshot.name, edit)
     with pytest.raises(ValueError, match="degrees"):
         MatchingSession.recover(forged)
+
+
+def _short_row_pointers(section):
+    section["csr_indptr"] = np.asarray(section["csr_indptr"])[:-1]
+
+
+def _block_past_the_key_table(section):
+    indices = np.array(section["csr_indices"])
+    indices[-1] = len(section["block_keys"]["ends"])  # the packed keys' count
+    section["csr_indices"] = indices
+
+
+def _two_block_ids_swapped(section):
+    indptr, indices = np.asarray(section["csr_indptr"]), np.array(section["csr_indices"])
+    row = int(np.flatnonzero(np.diff(indptr) >= 2)[0])
+    start = int(indptr[row])
+    indices[[start, start + 1]] = indices[[start + 1, start]]
+    section["csr_indices"] = indices
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(_short_row_pointers, "CSR row pointers do not fit its rows",
+                     id="indptr-one-row-short"),
+        pytest.param(_block_past_the_key_table, "CSR names a block outside its key table",
+                     id="block-id-past-the-key-table"),
+        pytest.param(_two_block_ids_swapped, "CSR row lists its blocks out of order",
+                     id="block-ids-swapped"),
+    ],
+)
+def test_a_snapshot_whose_csr_does_not_fit_is_refused(tmp_path, edit, message):
+    """The compacted CSR is what recovery and replica adoption rebuild every
+    row from: row pointers that miss a row, a block id past the key table and
+    a row whose block ids are out of order are each refused by name."""
+    session = MatchingSession(make_frozen_model(FEATURE_SET), wal_path=tmp_path / "wal")
+    for serial in range(10):
+        session.insert(make_profile(f"e{serial}", t=f"w{serial % 3} x{serial % 2}"))
+    snapshot = session.checkpoint()
+    session.close()
+    forged = _copy(tmp_path / "wal", tmp_path / "forged")
+    recovered = MatchingSession.recover(tmp_path / "wal")
+    recovered.close()
+    assert recovered.num_pairs == session.num_pairs
+    _rewritten(forged / snapshot.name, edit)
+    with pytest.raises(ValueError, match=f"^a compacted state's {message}$"):
+        MatchingSession.recover(forged)

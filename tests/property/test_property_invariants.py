@@ -7,7 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reference import BoundedTopQueue, block_statistics, pair_tuples, reference_candidates
+from reference import (
+    Block,
+    BlockCollection,
+    BoundedTopQueue,
+    block_statistics,
+    pair_tuples,
+    reference_candidates,
+)
 from repro.core import (
     BinaryClassifierPruning,
     SupervisedBLAST,
@@ -18,7 +25,7 @@ from repro.core import (
     SupervisedWEP,
     SupervisedWNP,
 )
-from repro.datamodel import Block, BlockCollection, EntityIndexSpace
+from repro.datamodel import EntityIndexSpace
 from repro.ml import LogisticRegression, PlattScaler, StandardScaler, balanced_sample
 from repro.utils import jaccard, qgrams, suffixes, tokens
 from repro.weights import JaccardScheme, RACCBScheme, WeightedJaccardScheme
@@ -161,7 +168,7 @@ class TestPruningProperties:
         ]
         invalid = probabilities < 0.5
         for algorithm in algorithms:
-            mask = algorithm.prune(probabilities, candidate_set, blocks)
+            mask = algorithm.prune(probabilities, candidate_set)
             assert mask.shape == (len(candidate_set),)
             assert not np.any(mask & invalid), algorithm.name
 
@@ -183,7 +190,7 @@ class TestPruningProperties:
         blocks, candidate_set, probabilities = data
         bcl = BinaryClassifierPruning().prune(probabilities, candidate_set)
         for algorithm in (SupervisedWEP(), SupervisedRWNP(), SupervisedBLAST()):
-            mask = algorithm.prune(probabilities, candidate_set, blocks)
+            mask = algorithm.prune(probabilities, candidate_set)
             assert np.all(~mask | bcl), algorithm.name
 
     @settings(max_examples=30, deadline=None)
@@ -209,7 +216,7 @@ class TestCandidateSetProperties:
     @given(bilateral_blocks())
     def test_candidate_count_never_exceeds_block_cardinality(self, blocks):
         candidate_set = reference_candidates(blocks)
-        assert len(candidate_set) <= blocks.total_comparisons()
+        assert len(candidate_set) <= sum(block.cardinality() for block in blocks)
 
 
 # -- machine learning --------------------------------------------------------------------------

@@ -7,15 +7,22 @@ weighting schemes' reference lives here outright: the paper's set formulas
 (:func:`reference_block_sets`, :func:`reference_feature_matrix`) and LCP as
 the walk over every block of every entity (:func:`reference_lcp`) — neither
 reads the CSR or an array of ``BlockStatistics``, so a fault in building them
-cannot hide in an equivalence test.  Block preparation's reference is built
-here from the paper's definitions too, over ``Block`` objects and Python
-sets: a dict from every signature ``signatures_of`` yields to the entities
-exhibiting it (:func:`reference_raw_blocks`), Block Purging and Block
-Filtering over each block's member lists (:func:`reference_purge`,
-:func:`reference_filter`, with the member-set key in Python integers) and the
-set of every block's comparisons (:func:`reference_candidates`);
-:func:`reference_prepare_blocks` chains them into the shape
-``prepare_blocks`` returns, so an equivalence, golden or perf-smoke test
+cannot hide in an equivalence test.  The oracle owns its object model: a
+:class:`Block` with the paper's ``|b|`` / ``||b||`` and a
+:class:`BlockCollection` of them over an index space, which the library no
+longer has — it passes every collection as a ``MembershipMatrix``.
+:func:`blocks_of` and :func:`matrix_of` convert at that boundary, and every
+oracle below that reads blocks takes either form (a matrix is read as
+``blocks_of`` gives it), so a test hands it ``prepared.blocks`` as it is.
+Block preparation's reference is built here from the paper's definitions too,
+over ``Block`` objects and Python sets: a dict from every signature
+``signatures_of`` yields to the entities exhibiting it
+(:func:`reference_raw_blocks`), Block Purging and Block Filtering over each
+block's member lists (:func:`reference_purge`, :func:`reference_filter`, with
+the member-set key in Python integers) and the set of every block's
+comparisons (:func:`reference_candidates`); :func:`reference_prepare_blocks`
+chains them into the shape ``prepare_blocks`` returns (each stage's blocks
+through :func:`matrix_of`), so an equivalence, golden or perf-smoke test
 compares like with like.  So does labelling's: the truth's tuple set looked
 up pair by pair (:func:`labels_for_pairs`), which ``GroundTruth.labels_for``
 replaced with packed keys.
@@ -24,7 +31,8 @@ Pruning's references live here too: the bounded priority queue
 (:class:`BoundedTopQueue`) and the bodies of CEP / CNP / RCNP on it
 (Algorithms 4-5 as the paper writes them, one push per pair) and the
 ``np.add.at`` / ``np.maximum.at`` per-node passes, which the library
-replaced with the array kernels of ``repro.core.pruning.kernels``.
+replaced with the array kernels of ``repro.core.pruning.kernels``, and the
+budgets' two totals summed over the member lists (:func:`reference_totals`).
 So do tokenisation's: the regular expression ``repro.utils.text.tokens``
 replaced with a byte table, and the per-token ``dict.setdefault`` loop
 ``repro.blocking.arrayops.encode_signatures`` replaced with ``map``.  And the
@@ -67,7 +75,7 @@ import math
 import re
 import unicodedata
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, FrozenSet, Generic, List, Optional, Sequence, Tuple, TypeVar
 from unittest import mock
@@ -76,13 +84,16 @@ import numpy as np
 
 import repro.weights.sparse as sparse
 
-from repro.blocking import BlockingMethod, PreparedBlocks, TokenBlocking
+from repro.blocking import BlockingMethod, MembershipMatrix, PreparedBlocks, TokenBlocking
 from repro.blocking.cleaning import NO_CLEANING, PAPER_CLEANING, BlockCleaning
 from repro.core.features import FeatureMatrix, FeatureVectorGenerator
-from repro.core.pruning import VALIDITY_THRESHOLD, get_pruning_algorithm, strength_order
+from repro.core.pruning import (
+    VALIDITY_THRESHOLD,
+    BlockTotals,
+    get_pruning_algorithm,
+    strength_order,
+)
 from repro.datamodel import (
-    Block,
-    BlockCollection,
     CandidateSet,
     EntityCollection,
     EntityIndexSpace,
@@ -104,6 +115,107 @@ from repro.utils.text import STOP_WORDS
 from repro.weights import RCNP_FEATURE_SET, BlockStatistics
 
 _TOKEN_PATTERN = re.compile(r"[a-z0-9]+")
+
+
+@dataclass
+class Block:
+    """One block as the paper writes it: the entities sharing signature
+    ``key``, one member list per source in Clean-Clean ER (the second empty in
+    Dirty ER)."""
+
+    key: str
+    entities_first: List[int] = field(default_factory=list)
+    entities_second: List[int] = field(default_factory=list)
+
+    @property
+    def is_bilateral(self) -> bool:
+        """Whether the block compares across sources: its second list is
+        populated.  A clean-clean block Block Filtering stranded with
+        first-side members only is unilateral again."""
+        return bool(self.entities_second)
+
+    def size(self) -> int:
+        """``|b|``: the entities of both lists."""
+        return len(self.entities_first) + len(self.entities_second)
+
+    def cardinality(self) -> int:
+        """``||b||``: first x second when bilateral, every two members
+        otherwise."""
+        if self.is_bilateral:
+            return len(self.entities_first) * len(self.entities_second)
+        inner = len(self.entities_first)
+        return inner * (inner - 1) // 2
+
+    def all_entities(self) -> List[int]:
+        """The members of both lists, first list first."""
+        return list(self.entities_first) + list(self.entities_second)
+
+
+@dataclass
+class BlockCollection:
+    """The oracle's block collection: its blocks in order — block ids are
+    positions — over the node id space they refer to."""
+
+    blocks: List[Block]
+    index_space: EntityIndexSpace
+    name: str = "blocks"
+
+    def __iter__(self):
+        return iter(self.blocks)
+
+    def __len__(self) -> int:
+        return len(self.blocks)
+
+    def __getitem__(self, block_id: int) -> Block:
+        return self.blocks[block_id]
+
+
+def blocks_of(matrix: MembershipMatrix) -> BlockCollection:
+    """The oracle's blocks of a membership matrix, block by block: in
+    Clean-Clean ER the members below ``size_first`` make the first list."""
+    space = matrix.index_space
+    bound = space.size_first if space.is_clean_clean else space.total
+    ptr = matrix.block_ptr.tolist()
+    blocks = []
+    for block_id, key in enumerate(matrix.keys):
+        members = matrix.nodes[ptr[block_id] : ptr[block_id + 1]].tolist()
+        blocks.append(
+            Block(
+                key,
+                [node for node in members if node < bound],
+                [node for node in members if node >= bound],
+            )
+        )
+    return BlockCollection(blocks, space, matrix.name)
+
+
+def matrix_of(blocks: BlockCollection) -> MembershipMatrix:
+    """The membership matrix of the oracle's blocks: one row per block, in
+    order, its members sorted."""
+    members = [sorted(block.all_entities()) for block in blocks]
+    sizes = np.array([len(row) for row in members], dtype=np.int64)
+    block_ptr = np.zeros(len(members) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=block_ptr[1:])
+    return MembershipMatrix(
+        keys=[block.key for block in blocks],
+        block_ptr=block_ptr,
+        block_of=np.repeat(np.arange(len(members), dtype=np.int64), sizes),
+        nodes=np.array(list(itertools.chain.from_iterable(members)), dtype=np.int64),
+        index_space=blocks.index_space,
+        name=blocks.name,
+    )
+
+
+def _objects(blocks) -> BlockCollection:
+    """``blocks`` as the oracle reads them: its own collection as it is, a
+    membership matrix through :func:`blocks_of`."""
+    return blocks if isinstance(blocks, BlockCollection) else blocks_of(blocks)
+
+
+def _matrix(blocks) -> MembershipMatrix:
+    """``blocks`` as the library reads them: a matrix as it is, the oracle's
+    collection through :func:`matrix_of`."""
+    return matrix_of(blocks) if isinstance(blocks, BlockCollection) else blocks
 
 
 @contextmanager
@@ -196,8 +308,9 @@ class BlockSets:
         return sum(1.0 / max(self.size[block], 1) for block in ids)
 
 
-def reference_block_sets(blocks: BlockCollection) -> BlockSets:
+def reference_block_sets(blocks) -> BlockSets:
     """One pass over the blocks' member lists: no CSR, no statistics array."""
+    blocks = _objects(blocks)
     of_node = [set() for _ in range(blocks.index_space.total)]
     size, cardinality = [], []
     for block_id, block in enumerate(blocks):
@@ -208,10 +321,11 @@ def reference_block_sets(blocks: BlockCollection) -> BlockSets:
     return BlockSets([frozenset(ids) for ids in of_node], size, cardinality)
 
 
-def reference_lcp(blocks: BlockCollection) -> np.ndarray:
+def reference_lcp(blocks) -> np.ndarray:
     """``LCP(e_i)``, as the paper counts it: walk every block of every entity
     and collect the distinct entities it is compared with there — the other
     side of a bilateral block, the other members of a unilateral one."""
+    blocks = _objects(blocks)
     neighbours = [set() for _ in range(blocks.index_space.total)]
     for block in blocks:
         if block.is_bilateral:
@@ -237,7 +351,7 @@ def _ratio(numerator: float, denominator: float) -> float:
 
 
 def reference_feature_matrix(
-    feature_set: Sequence[str], candidates: CandidateSet, blocks: BlockCollection
+    feature_set: Sequence[str], candidates: CandidateSet, blocks
 ) -> FeatureMatrix:
     """The feature matrix of ``candidates`` from the paper's set formulas
     (Section 4), pair by pair, over the member lists of ``blocks``.
@@ -247,6 +361,7 @@ def reference_feature_matrix(
     a difference.
     """
     generator = FeatureVectorGenerator(feature_set)
+    blocks = _objects(blocks)
     sets = reference_block_sets(blocks)
     num_blocks = len(sets.size)
     total_cardinality = sum(sets.cardinality)
@@ -416,23 +531,23 @@ def pair_positions(candidates: CandidateSet) -> Dict[Tuple[int, int], int]:
     return {pair: position for position, pair in enumerate(pair_tuples(candidates))}
 
 
-def reference_candidates(blocks: BlockCollection) -> CandidateSet:
+def reference_candidates(blocks) -> CandidateSet:
     """The distinct comparisons of ``blocks``: the Python set of every
     block's comparisons, sorted."""
+    blocks = _objects(blocks)
     return candidate_set(set().union(*map(block_comparisons, blocks)), blocks.index_space)
 
 
-def block_statistics(
-    blocks: BlockCollection, candidates: Optional[CandidateSet] = None
-) -> BlockStatistics:
-    """The library's statistics of a hand-built collection, as
-    ``PreparedBlocks.statistics()`` builds them from its memberships
-    (``BlockCollection.membership_arrays``): LCP the degrees in
+def block_statistics(blocks, candidates: Optional[CandidateSet] = None) -> BlockStatistics:
+    """The library's statistics of a collection, as
+    ``PreparedBlocks.statistics()`` builds them from its membership matrix
+    (:func:`matrix_of` for a hand-built one): LCP the degrees in
     ``candidates`` — by default the collection's comparisons
     (:func:`reference_candidates`) — and no CSR or aggregates handed over."""
     if candidates is None:
         candidates = reference_candidates(blocks)
-    return PreparedBlocks(blocks, blocks, blocks, candidates).statistics()
+    matrix = _matrix(blocks)
+    return PreparedBlocks(matrix, matrix, matrix, candidates).statistics()
 
 
 def reference_prepare_blocks(
@@ -443,10 +558,11 @@ def reference_prepare_blocks(
 ) -> PreparedBlocks:
     """``prepare_blocks`` from the definitions: the raw blocks, Block Purging,
     Block Filtering (a ``None`` field of ``cleaning``: that step is off), the
-    distinct comparisons.
+    distinct comparisons; each stage's blocks handed over as
+    :func:`matrix_of` gives them.
 
     No CSR and no timer are handed over: statistics built from the result
-    derive the CSR from the block objects.
+    derive the CSR from the filtered matrix.
     """
     method = blocking if blocking is not None else TokenBlocking()
     raw = reference_raw_blocks(method, first, second)
@@ -454,9 +570,9 @@ def reference_prepare_blocks(
     purged = raw if fraction is None else reference_purge(raw, fraction)
     filtered = purged if ratio is None else reference_filter(purged, ratio)
     return PreparedBlocks(
-        raw_blocks=raw,
-        purged_blocks=purged,
-        blocks=filtered,
+        raw_blocks=matrix_of(raw),
+        purged_blocks=matrix_of(purged),
+        blocks=matrix_of(filtered),
         candidates=reference_candidates(filtered),
     )
 
@@ -634,28 +750,28 @@ def reference_node_maxima(
     return maxima
 
 
+def reference_totals(blocks) -> BlockTotals:
+    """The two integers the cardinality budgets read, summed here rather than
+    by the library: Σ|b| over each block's member lists, counting only the
+    blocks that spawn a comparison (:func:`block_comparisons`: a stranded
+    first-side-only block of two members spawns one), and |E1| + |E2|, the
+    collection's index space."""
+    blocks = _objects(blocks)
+    assignments = sum(block.size() for block in blocks if block_comparisons(block))
+    return BlockTotals(assignments, blocks.index_space.total)
+
+
 def reference_budget(name: str, blocks) -> int:
     """CEP's K, or CNP's / RCNP's k, derived here rather than by the library.
 
     K = max(1, Σ|b| // 2) and k = max(1, round(Σ|b| / (|E1| + |E2|))), the
     budgets of the paper's Algorithms 4-5; ``round`` takes an exact half to
     the even neighbour (Σ|b| / (|E1| + |E2|) = 2.5 gives k = 2), the rule the
-    library follows.  ``blocks`` is either the two
-    integers of a ``BlockTotals``, used as they are, or a block collection:
-    Σ|b| is then summed over each ``Block``'s member lists, counting only the
-    blocks that spawn a comparison (:func:`block_comparisons`: a stranded
-    first-side-only block of two members spawns one), and |E1| + |E2| is its
-    index space.
+    library follows.  ``blocks`` is either the two integers of a
+    ``BlockTotals``, used as they are, or a block collection, read by
+    :func:`reference_totals`.
     """
-    if isinstance(blocks, BlockCollection):
-        assignments = sum(
-            len(block.entities_first) + len(block.entities_second)
-            for block in blocks
-            if block_comparisons(block)
-        )
-        entities = blocks.index_space.total
-    else:
-        assignments, entities = blocks
+    assignments, entities = blocks if isinstance(blocks, tuple) else reference_totals(blocks)
     if name == "CEP":
         return max(1, assignments // 2)
     return max(1, round(assignments / entities)) if entities else 1
@@ -753,11 +869,14 @@ CLEANINGS = {"raw": NO_CLEANING, "paper": PAPER_CLEANING}
 
 def batch_retained_ids(blocks, candidates, model, pruning, id_of) -> set:
     """The pairs the batch pipeline retains — ``model`` scoring the features
-    of ``candidates`` over ``blocks``, ``pruning`` — as entity-id frozensets."""
+    of ``candidates`` over ``blocks``, ``pruning`` on their
+    :func:`reference_totals` — as entity-id frozensets."""
     stats = block_statistics(blocks, candidates)
     matrix = FeatureVectorGenerator(model.feature_set).generate(candidates, stats)
     probabilities = model.score(matrix.values)
-    mask = get_pruning_algorithm(pruning).prune(probabilities, candidates, blocks)
+    mask = get_pruning_algorithm(pruning).prune(
+        probabilities, candidates, reference_totals(blocks)
+    )
     return {
         frozenset((id_of(int(i)), id_of(int(j))))
         for i, j in zip(candidates.left[mask], candidates.right[mask])

@@ -8,14 +8,15 @@ replicas of its log (adopting its newest checkpoint), merged — plus a
 WAL-recovered session and a checkpoint-adopting serving view, after every
 operation:
 
-* the totals equal ``reference_blocks(index).total_block_assignments()``
-  and ``reference_blocks(index).index_space.total`` — the raw collection
-  read off the writer's block member lists (``tests/reference.py``), not
-  the CSR the totals derive from;
+* the totals equal ``reference_totals(reference_blocks(index))`` — summed
+  over the raw collection read off the writer's block member lists
+  (``tests/reference.py``), not the CSR the totals derive from — and the
+  totals the batch path reads off that collection's membership matrix
+  (``BlockTotals.of``);
 * for WEP, BLAST, CEP, CNP and RCNP the mask of the shared read helper
   (:func:`repro.incremental.session.exact_answer`) equals the mask obtained
-  by handing ``reference_blocks(index)`` to ``prune`` explicitly — the reference
-  every exact read ran before the totals existed.
+  by handing ``prune`` the matrix's totals explicitly — the reference every
+  exact read ran before the totals existed.
 """
 
 import tempfile
@@ -26,7 +27,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import make_frozen_model, merged_replicas, reference_blocks
+from reference import (
+    make_frozen_model,
+    matrix_of,
+    merged_replicas,
+    reference_blocks,
+    reference_totals,
+)
 from repro.core.pruning import BlockTotals, get_pruning_algorithm
 from repro.datamodel import make_profile
 from repro.incremental import DeltaFeatureGenerator, MatchingSession, MutableBlockIndex
@@ -100,9 +107,8 @@ def _assert_totals_and_masks(index, snapshot=None):
     if snapshot is None:
         snapshot = reference_blocks(index)
     totals = index.statistics().block_totals()
-    assert totals.assignments == snapshot.total_block_assignments()
-    assert totals.entities == snapshot.index_space.total
-    assert BlockTotals.of(snapshot) == totals
+    materialised = BlockTotals.of(matrix_of(snapshot))
+    assert totals == reference_totals(snapshot) == materialised
     features = DeltaFeatureGenerator(index, MODEL.feature_set)
     for name in ALGORITHMS:
         pruning = get_pruning_algorithm(name)
@@ -111,7 +117,7 @@ def _assert_totals_and_masks(index, snapshot=None):
             assert mask.size == 0
             continue
         reference = pruning.prune(
-            probabilities, candidates.canonical, snapshot
+            probabilities, candidates.canonical, materialised
         )
         assert np.array_equal(mask, reference), f"{name} mask differs"
 

@@ -1,9 +1,10 @@
 """The exact read path is array-only and its derived pair set is exact.
 
 * No exact answer — ``MatchingSession.retained()``, the serving ``match``
-  and ``top_k`` — constructs a :class:`repro.datamodel.Block`, for any
-  pruning algorithm: the budgets of the cardinality-based ones come from the
-  maintained block totals, not from a materialised collection.
+  and ``top_k`` — reads its totals off a membership matrix
+  (``BlockTotals.of``), for any pruning algorithm: the budgets of the
+  cardinality-based ones come from the maintained block totals, not from a
+  materialised collection.
 * The candidate set the merged shard replicas of an index's log derive from
   their merged CSR is exactly the sorted plain-Python set union of the pairs
   the replicas' block member lists spawn, including a pair alive in two shards at once and a shard
@@ -19,8 +20,8 @@ import numpy as np
 import pytest
 
 from reference import make_frozen_model, member_pairs, merged_replicas, pair_positions
-from repro.core.pruning import PRUNING_ALGORITHMS, get_pruning_algorithm
-from repro.datamodel import Block, make_profile
+from repro.core.pruning import PRUNING_ALGORITHMS, BlockTotals, get_pruning_algorithm
+from repro.datamodel import make_profile
 from repro.datasets import load_benchmark
 from repro.incremental import (
     DeltaFeatureGenerator,
@@ -42,15 +43,15 @@ MODEL = make_frozen_model()
 _TEXTS = ("alpha beta", "beta gamma", "alpha gamma delta", "gamma delta", "alpha eps")
 
 
-def _forbid_blocks(monkeypatch):
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a Block was constructed on the exact read path")
+def _forbid_collection_totals(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact read path read its totals off a collection")
 
-    monkeypatch.setattr(Block, "__init__", refuse)
+    monkeypatch.setattr(BlockTotals, "of", refuse)
 
 
 @pytest.mark.parametrize("pruning", sorted(PRUNING_ALGORITHMS))
-def test_no_exact_answer_constructs_a_block(tmp_path, monkeypatch, pruning):
+def test_no_exact_answer_reads_totals_off_a_collection(tmp_path, monkeypatch, pruning):
     session = MatchingSession(MODEL, bilateral=True, pruning=pruning, wal_path=tmp_path)
     replicas = [ShardReplica(tmp_path, shard, 2) for shard in range(2)]
     try:
@@ -64,7 +65,7 @@ def test_no_exact_answer_constructs_a_block(tmp_path, monkeypatch, pruning):
             [replica.read_state() for replica in replicas], session.index.entity_id
         )
 
-        _forbid_blocks(monkeypatch)
+        _forbid_collection_totals(monkeypatch)
         result = session.retained()
         answer = match_answer(view, MODEL, session.pruning)
         matches = top_k_answer(view, MODEL, session.index.node_of("a0", side=0), 3)

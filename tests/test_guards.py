@@ -145,6 +145,16 @@ CANDIDATE_SET_TEST_ONLY = (
 #: the commit after bb2d0ad, the one that left one statistics implementation
 ONE_STATISTICS = "bb2d0ad+1"
 
+#: the block and pair objects that left ``src/``: a block collection is a
+#: ``MembershipMatrix``, a pair set a ``CandidateSet``'s two arrays, and the
+#: objects are the oracle's (``tests/reference.py``)
+BLOCK_OBJECTS = (
+    "Block", "BlockCollection", "LazyBlockCollection", "build_block_objects", "BlockSource",
+    "CandidatePair",
+)
+#: the commit after b35edee, the one that left one block representation
+ONE_REPRESENTATION = "b35edee+1"
+
 PRUNING = "src/repro/core/pruning"
 LOG = "src/repro/persistence/log.py"
 
@@ -741,22 +751,58 @@ GUARDS = (
         ("src/repro/datamodel/candidates.py",), ONE_STATISTICS,
         "the pair -> position dict served only CandidateSet.position_index / contains",
     ),
+    # -- one block representation --------------------------------------------------
+    Guard(
+        "block-objects-gone", "spelled", BLOCK_OBJECTS, ("src", "examples", "benchmarks"),
+        ONE_REPRESENTATION,
+        "the library passes every block collection as its MembershipMatrix, so no batch, "
+        "stream or served answer builds a Block; Block and BlockCollection are the oracle's, "
+        "in tests/reference.py",
+    ),
+    Guard(
+        "block-module-gone", "module", ("repro.datamodel.block",), (), ONE_REPRESENTATION,
+        "the object model of blocks lives in tests/reference.py",
+    ),
+    Guard(
+        "block-objects-not-exported", "export", BLOCK_OBJECTS, SRC, ONE_REPRESENTATION,
+        "no export table names what left src/",
+    ),
+    Guard(
+        "pairs-are-arrays", "definition", ("CandidateSet.__iter__", "CandidateSet.pair_at"),
+        SRC, ONE_REPRESENTATION,
+        "a candidate set is read through its left / right arrays; the tests read pairs "
+        "as tuples with tests/reference.py's pair_tuples",
+    ),
+    Guard(
+        "pairs-read-by-position-through-the-arrays", "spelled", ("pair_at",),
+        ("src", "examples", "benchmarks"), ONE_REPRESENTATION,
+        "candidates.left[position] / candidates.right[position] is the pair at a position",
+    ),
+    Guard(
+        "pruning-takes-block-totals", "parameter", ("blocks",),
+        ("repro.core.pruning.SupervisedPruningAlgorithm.prune",
+         "repro.core.pruning.SupervisedPruningAlgorithm.retain",
+         "repro.core.pruning.cep_budget", "repro.core.pruning.cnp_budget"),
+        ONE_REPRESENTATION,
+        "cardinality pruning reads two integers, BlockTotals: a stream maintains them, a "
+        "batch caller reads them off its matrix with BlockTotals.of",
+    ),
     # -- the oracle stays independent of what it checks ----------------------------
     Guard(
         "reference-imports-pinned", "import", (r"repro(\..*)?",), ("tests/reference.py",), None,
-        "the oracle imports the data model it reads and builds, and the layers it drives, "
-        "never a derivation it should check (the pruning budgets, the blocks, their "
-        "cleaning and comparisons are its own); a new import is a reviewed edit of this row",
+        "the oracle imports the data model it converts to and builds, and the layers it "
+        "drives, never a derivation it should check (the block objects, the pruning totals "
+        "and budgets, the blocks, their cleaning and comparisons are its own); a new import "
+        "is a reviewed edit of this row",
         only=(
             "repro.weights.sparse",
-            "repro.blocking.BlockingMethod", "repro.blocking.PreparedBlocks",
-            "repro.blocking.TokenBlocking",
+            "repro.blocking.BlockingMethod", "repro.blocking.MembershipMatrix",
+            "repro.blocking.PreparedBlocks", "repro.blocking.TokenBlocking",
             "repro.blocking.cleaning.NO_CLEANING", "repro.blocking.cleaning.PAPER_CLEANING",
             "repro.blocking.cleaning.BlockCleaning",
             "repro.core.features.FeatureMatrix", "repro.core.features.FeatureVectorGenerator",
-            "repro.core.pruning.VALIDITY_THRESHOLD", "repro.core.pruning.get_pruning_algorithm",
-            "repro.core.pruning.strength_order",
-            "repro.datamodel.Block", "repro.datamodel.BlockCollection",
+            "repro.core.pruning.VALIDITY_THRESHOLD", "repro.core.pruning.BlockTotals",
+            "repro.core.pruning.get_pruning_algorithm", "repro.core.pruning.strength_order",
             "repro.datamodel.CandidateSet", "repro.datamodel.EntityCollection",
             "repro.datamodel.EntityIndexSpace", "repro.datamodel.GroundTruth",
             "repro.datasets.vocabulary.COMMON_WORDS", "repro.datasets.vocabulary.Vocabulary",

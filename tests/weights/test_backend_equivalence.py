@@ -21,10 +21,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core import FeatureVectorGenerator
-from repro.datamodel import Block, BlockCollection, CandidateSet, EntityIndexSpace
+from repro.datamodel import CandidateSet, EntityIndexSpace
 from repro.weights import PAPER_FEATURES, SCHEME_CLASSES, schemes, sparse
 
 from reference import (
+    Block,
+    BlockCollection,
     block_statistics,
     candidate_set,
     pair_tuples,

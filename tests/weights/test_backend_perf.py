@@ -18,10 +18,16 @@ import numpy as np
 import pytest
 
 from repro.core import FeatureVectorGenerator
-from repro.datamodel import Block, BlockCollection, EntityIndexSpace
+from repro.datamodel import EntityIndexSpace
 from repro.weights import BLAST_FEATURE_SET, PAPER_FEATURES
 
-from reference import block_statistics, reference_candidates, reference_feature_matrix
+from reference import (
+    Block,
+    BlockCollection,
+    block_statistics,
+    reference_candidates,
+    reference_feature_matrix,
+)
 
 pytestmark = [
     pytest.mark.perf,

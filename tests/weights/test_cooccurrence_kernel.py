@@ -25,7 +25,7 @@ import repro.pairs as pairs
 import repro.weights.sparse as sparse
 import repro.weights.statistics as statistics_module
 from repro.blocking import BlockCleaning, prepare_blocks
-from repro.datamodel import Block, BlockCollection, EntityIndexSpace
+from repro.datamodel import EntityIndexSpace
 from repro.datasets import load_benchmark, load_dirty_dataset
 from repro.datasets.registry import DIRTY_ORDER
 from repro.incremental import MutableBlockIndex
@@ -36,7 +36,10 @@ from repro.weights.sparse import (
 )
 
 from reference import (
+    Block,
+    BlockCollection,
     block_statistics,
+    blocks_of,
     forced_cooccurrence_pass as forced,
     pair_tuples,
     reference_block_sets,
@@ -412,7 +415,8 @@ def test_stranded_blocks_put_same_side_pairs_among_the_candidates():
     assert (0, 1) in pair_tuples(candidates)
     stats = block_statistics(prepared.blocks, candidates)
     shared = reference_block_sets(prepared.blocks).of_node
-    kinds = {prepared.blocks[b].is_bilateral for b in shared[0] & shared[1]}
+    blocks = blocks_of(prepared.blocks)
+    kinds = {blocks[b].is_bilateral for b in shared[0] & shared[1]}
     assert kinds == {True, False}
     assert_paths_agree(
         stats.csr(),

@@ -20,10 +20,17 @@ import numpy as np
 import pytest
 
 from repro.core import FeatureVectorGenerator
-from repro.datamodel import Block, BlockCollection, EntityIndexSpace
+from repro.datamodel import EntityIndexSpace
 from repro.weights import PAPER_FEATURES
 
-from reference import block_statistics, pair_tuples, reference_candidates, reference_feature_matrix
+from reference import (
+    Block,
+    BlockCollection,
+    block_statistics,
+    pair_tuples,
+    reference_candidates,
+    reference_feature_matrix,
+)
 
 pytestmark = pytest.mark.equivalence
 

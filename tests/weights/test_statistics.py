@@ -11,7 +11,17 @@ The expected values are hand-computed on the ``small_blocks`` fixture:
 import numpy as np
 import pytest
 
-from reference import block_statistics, candidate_set, reference_block_sets, reference_lcp
+from reference import (
+    Block,
+    BlockCollection,
+    block_statistics,
+    blocks_of,
+    candidate_set,
+    matrix_of,
+    reference_block_sets,
+    reference_lcp,
+)
+from repro.datamodel import EntityIndexSpace
 
 
 class TestBlockStatistics:
@@ -69,8 +79,6 @@ class TestBlockStatistics:
         assert first is second
 
     def test_dirty_blocks_lcp(self):
-        from repro.datamodel import Block, BlockCollection, EntityIndexSpace
-
         space = EntityIndexSpace(4)
         blocks = BlockCollection([Block("k", [0, 1, 2]), Block("m", [2, 3])], space)
         stats = block_statistics(blocks)
@@ -96,18 +104,17 @@ class TestArrayNativeConstruction:
     @pytest.mark.parametrize("handoff", [True, False], ids=["prepared", "bare"])
     def test_entity_aggregates_match_the_loop_oracle(self, dblpacm_dataset, handoff):
         from repro.blocking import prepare_blocks
-        from repro.datamodel import BlockCollection
 
         prepared = prepare_blocks(dblpacm_dataset.first, dblpacm_dataset.second)
-        # bare: the memberships of the Block objects, not of the prepared matrix
-        objects = BlockCollection(list(prepared.blocks), prepared.blocks.index_space)
+        # bare: the matrix rebuilt from the oracle's blocks, no CSR handed over
+        objects = blocks_of(prepared.blocks)
         stats = prepared.statistics() if handoff else block_statistics(objects, prepared.candidates)
         for name, expected in loop_entity_aggregates(prepared.blocks).items():
             np.testing.assert_allclose(
                 getattr(stats, name), expected, rtol=1e-12, atol=0, err_msg=name
             )
         # integer-valued sums are exact in any order
-        assert stats.blocks_per_entity.sum() == prepared.blocks.total_block_assignments()
+        assert stats.blocks_per_entity.sum() == prepared.blocks.nodes.size
 
     @pytest.mark.parametrize("fixture", ["dblpacm_dataset", "abtbuy_dataset"])
     def test_lcp_is_the_candidate_degree(self, request, fixture):
@@ -123,8 +130,6 @@ class TestArrayNativeConstruction:
     def test_bare_lcp_on_stranded_clean_clean_blocks(self):
         """A clean-clean block whose second side emptied compares intra-side:
         the degrees in its comparisons are the paper's LCP."""
-        from repro.datamodel import Block, BlockCollection, EntityIndexSpace
-
         blocks = BlockCollection(
             [
                 Block("cross", [0, 1], [3, 4]),
@@ -141,14 +146,12 @@ class TestArrayNativeConstruction:
 
     def test_mismatched_handoffs_rejected(self, small_blocks, small_candidates):
         from repro.blocking import PreparedBlocks
-        from repro.datamodel import BlockCollection
 
         stats = block_statistics(small_blocks, candidates=small_candidates)
         assert stats.local_candidate_counts_sparse().tolist() == [2, 3, 2, 2, 3, 2]
-        three = BlockCollection(list(small_blocks)[:3], small_blocks.index_space)
+        three = BlockCollection(small_blocks.blocks[:3], small_blocks.index_space)
         wrong = block_statistics(three).csr()
-        mismatched = PreparedBlocks(
-            small_blocks, small_blocks, small_blocks, small_candidates, csr=wrong
-        )
+        matrix = matrix_of(small_blocks)
+        mismatched = PreparedBlocks(matrix, matrix, matrix, small_candidates, csr=wrong)
         with pytest.raises(ValueError, match="precomputed CSR does not match"):
             mismatched.statistics()
