@@ -10,14 +10,14 @@ importing it the same way (``ledger_spec``, ``ledger_workloads``,
 against a daemon started with ``--event-log``, then every ``request`` event's
 span tree is walked and, per operation and span path, the number of samples
 and the min / median / mean milliseconds are printed — the read path as the
-daemon itself measured it (queue-wait, fan-out, each shard's catch-up and
-export, view-apply, the four score-and-prune stages), ROADMAP item 5(b)'s
-budget table in its smallest form.
+daemon itself measured it (queue-wait, the advance of its read view on the
+mutation thread, the four score-and-prune stages), ROADMAP item 8(b)'s budget
+table in its smallest form.
 
 A daemon records spans exactly when it has an event log, so the ledger's
 untraced pass (no ``--event-log``) records none: the budget is the traced
-pass's.  Judge a change by the medians: the first ``match`` ships every
-shard in full and is in ``n``.
+pass's.  Judge a change by the medians: the first ``match`` builds the view
+from a full export and is in ``n``.
 """
 
 from __future__ import annotations

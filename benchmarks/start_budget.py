@@ -24,10 +24,12 @@ the banner and the first ``match``.
 *how much*.  The import families count the daemon's own interpreter only;
 any other interpreter that writes to the same stderr is counted on a line of
 its own, as ``multiprocessing.resource_tracker`` starts.  That line must read
-0: shard workers ship their read states over their pipes as array
-containers and use no shared memory, so nothing starts a tracker (the
-shared-memory transport before that started one per worker, on its first
-export; a parent tree prints 2 at ``--shards 2``).  For the "before" timeline copy this file and ``profile_answer.py``
+0: the shard workers use no shared memory and ship nothing — the first
+``match`` answers from the daemon's own read view, built from a full export
+of the recovered authority on the mutation thread — so nothing starts a
+tracker (the shared-memory transport of older trees started one per worker,
+on its first export, and printed 2 at ``--shards 2``).  For the "before"
+timeline copy this file and ``profile_answer.py``
 (it imports the re-exec helper from there) into a clone of the parent.
 """
 

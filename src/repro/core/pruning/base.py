@@ -82,6 +82,7 @@ class SupervisedPruningAlgorithm(ABC):
             retention budgets (K and k), ignored by the others.
         """
         probabilities = self._validate(probabilities, candidates)
+        totals = self._checked_totals(totals)
         positions = np.flatnonzero(probabilities >= VALIDITY_THRESHOLD)
         mask = np.zeros(len(candidates), dtype=bool)
         retained = self._retain(probabilities[positions], candidates.subset(positions), totals)
@@ -104,7 +105,7 @@ class SupervisedPruningAlgorithm(ABC):
         :meth:`prune`.
         """
         weights = self._aligned(weights, candidates, "weights")
-        return self._retain(weights, candidates, totals)
+        return self._retain(weights, candidates, self._checked_totals(totals))
 
     @abstractmethod
     def _retain(
@@ -127,6 +128,14 @@ class SupervisedPruningAlgorithm(ABC):
         if array.size != len(candidates):
             raise ValueError(f"expected {len(candidates)} {what}, got {array.size}")
         return array
+
+    @staticmethod
+    def _checked_totals(totals) -> Optional[BlockTotals]:
+        """``totals``, refused unless ``None`` or a :class:`BlockTotals` — a
+        membership matrix goes through :meth:`BlockTotals.of` first."""
+        if totals is not None and not isinstance(totals, BlockTotals):
+            raise TypeError(f"totals must be a BlockTotals or None, got {type(totals).__name__}")
+        return totals
 
     @classmethod
     def _validate(cls, probabilities: np.ndarray, candidates: CandidateSet) -> np.ndarray:

@@ -6,11 +6,11 @@ provides the streaming execution mode: entities are inserted one at a time,
 each insert costs work proportional to its candidate delta, and a frozen
 batch-trained classifier serves online match decisions.
 
-* :class:`IndexState` — the read state of a streaming index (ten arrays, a
+* :class:`IndexState` — the read state of a streaming index (three arrays, a
   few scalars) and every read over it, :class:`IndexStatistics` (the
   :class:`repro.weights.BlockStatistics` of the live collection) and the
-  derived :class:`LiveCandidates` included; what a worker ships and a router
-  holds;
+  derived :class:`LiveCandidates` included; what the serving daemon's read
+  view holds;
 * :class:`MutableBlockIndex` — the state that mutates itself: the
   incrementally maintained token/block inverted index, fully dynamic:
   per-entity inserts, removals (:meth:`MutableBlockIndex.remove_entity`),

@@ -6,7 +6,7 @@ an arbitrary subset of candidate pairs — typically the delta introduced by
 one insert — against the *current* state of anything with the read surface
 of an :class:`~repro.incremental.IndexState`: a live
 :class:`MutableBlockIndex`, or a :class:`~repro.incremental.MergedIndexView`
-over shards or shipped states.  The scheme implementations are reused
+over shards or bare states.  The scheme implementations are reused
 unchanged: an :class:`~repro.incremental.IndexStatistics` *is* a
 :class:`repro.weights.BlockStatistics`, the exact read building it from its
 cleaned live rows as batch preparation does from its filtered matrix.

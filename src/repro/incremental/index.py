@@ -1062,9 +1062,10 @@ class MutableBlockIndex(IndexState):
     def enable_delta_tracking(self) -> int:
         """Start (or restart) recording dirty sets from the current epoch.
 
-        Called by the read path right after a full ship: subsequent
-        :meth:`export_delta` calls against the returned epoch ship only
-        what changed.  Single consumer — re-enabling rebases the tracker.
+        Called by the serving daemon's read view right after a full export:
+        subsequent :meth:`export_delta` calls against the returned epoch
+        ship only what changed.  Single consumer — re-enabling rebases the
+        tracker.
         """
         self._delta = _DeltaTracker(self)
         return self.epoch

@@ -7,8 +7,8 @@ per shard (a shard whose filter yields no signature still registers the
 entity with an empty row) — the way the shard replicas of
 :mod:`repro.serve.workers` follow the daemon's write-ahead log.
 :class:`MergedIndexView` is the read-only merge of such shards — any
-:class:`~repro.incremental.IndexState` objects: live indexes, or the bare
-states a router was shipped — and guarantees, because:
+:class:`~repro.incremental.IndexState` objects: live indexes, or bare states
+rebuilt from their exports — and guarantees, because:
 
 * every shard sees every entity in the same order, node ids — and the
   canonical batch numbering — are **identical across shards** (registry

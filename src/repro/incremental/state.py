@@ -35,9 +35,9 @@ subclasses :class:`IndexState` and adds what only a writer needs (the token
 dictionary, member lists, per-block vectors, maintained degrees, WAL hook,
 delta tracker), so its mutation code writes the very fields a reader reads,
 "the shipped state equals the worker's state" is a comparison of two objects
-of one type, and no delegation layer sits between them.  The router's
-resident per-shard copy is a bare :class:`IndexState` advanced by
-:meth:`~IndexState.apply_delta`.
+of one type, and no delegation layer sits between them.  The serving
+daemon's read view (:class:`repro.serve.router.ReadView`) is a bare
+:class:`IndexState` advanced by :meth:`~IndexState.apply_delta`.
 """
 
 from __future__ import annotations
@@ -135,12 +135,6 @@ APPENDED = (
     ("indices", "_indices", np.int64, 1024),
     ("sides", "_sides", np.int8, 64),
 )
-#: the arrays a ship of each kind holds: :meth:`IndexState.export_state`'s
-#: and :meth:`~repro.incremental.MutableBlockIndex.export_delta`'s
-SHIPS = {
-    "full": frozenset(name for name, _, _, _ in APPENDED),
-    "delta": frozenset([*(f"{name}_tail" for name, _, _, _ in APPENDED), "tombstoned_nodes"]),
-}
 
 
 def merged_csr(states: Sequence["IndexState"]) -> EntityBlockCSR:

@@ -4,8 +4,7 @@ The serving stack's observability layer, in three parts that share a
 trace id as the join key:
 
 * :mod:`repro.obs.trace` — per-request span trees propagated across
-  threads (:func:`activate` / :func:`hook_span`) and processes
-  (:meth:`RequestTrace.graft` over the worker fan-out handshake);
+  threads (:func:`activate` / :func:`hook_span`);
 * :mod:`repro.obs.events` — a JSON-lines event sink shared by every
   process in the serving tree (``--event-log DIR`` /
   ``REPRO_EVENT_LOG``) plus the :func:`get_logger` logging pipeline

@@ -137,7 +137,7 @@ class MetricsRegistry:
             "mutation_queue_depth": 0,
             "read_queue_depth": 0,
         }
-        #: fault-tolerance event counters (worker_restarts, degraded_reads,
+        #: fault-tolerance event counters (worker_restarts,
         #: shed_mutations, shed_reads, deadline_exceeded, wal_failures, ...)
         self._counters: Dict[str, int] = {}
         #: sampled gauges: name -> zero-arg callable returning a number

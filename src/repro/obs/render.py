@@ -13,11 +13,12 @@ def render_span_tree(tree: Optional[Dict[str, Any]], indent: str = "") -> str:
 
     ::
 
-        match                                 12.412ms
-        ├─ dispatch-wait                       0.101ms
-        └─ fan-out                            11.871ms  shards=2
-           ├─ shard0                           5.002ms  records_replayed=3
-           └─ shard1                           4.998ms
+        match                                  3.412ms
+        ├─ queue-wait                          0.101ms  queue=read
+        ├─ advance                             0.210ms
+        └─ score-and-prune                     3.050ms  shared=False
+           ├─ merge-pairs                      0.802ms
+           └─ features                         1.411ms
     """
     if not tree:
         return "(no trace recorded)"
@@ -130,18 +131,6 @@ def render_stats(stats: Dict[str, Any]) -> str:
             + ", ".join(f"{name}={depth}" for name, depth in sorted(queues.items()))
         )
     counters = metrics.get("counters", {})
-    delta_reads = counters.get("delta_reads", 0)
-    full_reads = counters.get("full_reads", 0)
-    if delta_reads or full_reads:
-        shipped = delta_reads + full_reads
-        hit_rate = delta_reads / shipped if shipped else 0.0
-        lines.append(
-            f"read shipping: {delta_reads} delta / {full_reads} full "
-            f"({hit_rate:.1%} delta hit rate), "
-            f"{counters.get('read_bytes_shipped', 0)} bytes shipped "
-            f"({counters.get('read_bytes_delta', 0)} delta, "
-            f"{counters.get('read_bytes_full', 0)} full)"
-        )
     if counters:
         lines.append(
             "events: "

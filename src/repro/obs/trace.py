@@ -3,14 +3,14 @@
 Every request entering the serving stack gets a **trace id** — minted by
 the daemon's front end, or supplied by the client and carried in the
 protocol envelope — and a :class:`RequestTrace` that records **spans** as
-the request crosses the asyncio loop, the mutation/read dispatch threads,
-the WAL append path and the shard-worker fan-out.  The result is a span
+the request crosses the asyncio loop, the mutation/read dispatch threads
+and the WAL append path.  The result is a span
 tree: ``finish()`` returns a JSON-encodable nesting of
 ``{name, ms, tags, children}`` that the daemon attaches to the request's
 event-log record, making every request queryable by id after the fact
 (``repro trace <id>``).
 
-Three integration styles, by how far the instrumented code is from the
+Two integration styles, by how far the instrumented code is from the
 request:
 
 * code that *has* the trace object uses :meth:`RequestTrace.span`
@@ -18,10 +18,7 @@ request:
 * deep layers that must not know about serving (the write-ahead log)
   call :func:`hook_span`, which attributes the measurement to whatever
   trace is *active on the current thread* (:func:`activate`) and costs
-  one attribute check when none is;
-* other *processes* (shard workers) measure locally and ship
-  ``[{name, ms, ...}]`` lists back over their pipe; the parent grafts
-  them into the live trace with :meth:`RequestTrace.graft`.
+  one attribute check when none is.
 
 A trace is touched by one thread at a time (the daemon awaits its
 dispatch executors), so spans need no locking; :func:`activate` is
@@ -35,7 +32,7 @@ import threading
 import time
 import uuid
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional
 
 __all__ = [
     "RequestTrace",
@@ -117,29 +114,6 @@ class RequestTrace:
         span = Span(name, **tags)
         span.ms = float(ms)
         self._stack[-1].children.append(span)
-
-    def graft(self, name: str, spans: Sequence[Dict[str, Any]], **tags: Any) -> None:
-        """Attach a subtree measured in another process.
-
-        ``spans`` is a list of ``{"name": ..., "ms": ..., <tags>}`` objects
-        (the shape shard workers ship in their read-state meta); they become
-        children of a new ``name`` span whose duration is their sum.
-        """
-        if not self.enabled:
-            return
-        parent = Span(name, **tags)
-        total = 0.0
-        for entry in spans:
-            entry = dict(entry)
-            child = Span(
-                str(entry.pop("name", "span")),
-                **{key: value for key, value in entry.items() if key != "ms"},
-            )
-            child.ms = float(entry.get("ms", 0.0))
-            total += child.ms
-            parent.children.append(child)
-        parent.ms = total
-        self._stack[-1].children.append(parent)
 
     def finish(self) -> Optional[Dict[str, Any]]:
         """Close the root span and return the span tree (``None`` if disabled)."""

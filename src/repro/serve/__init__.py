@@ -1,10 +1,12 @@
 """``repro.serve``: a persistent matching service over a WAL-backed session.
 
 The serving subsystem turns the streaming :class:`~repro.incremental.MatchingSession`
-into a long-lived daemon: K shard-affine worker processes replicate the
-session's write-ahead log (one signature shard each, the PR 5 routing
-contract) and answer ``match``/``top_k`` queries at *pinned* WAL offsets, so
-every response is snapshot-consistent under concurrent ingest.  The wire
+into a long-lived daemon that answers ``match``/``top_k`` queries at *pinned*
+WAL offsets from one read view it advances from its own index, so every
+response is snapshot-consistent under concurrent ingest; K shard-affine
+worker processes replicate the session's write-ahead log (one signature
+shard each, the PR 5 routing contract), answer ``stats`` and are
+supervised.  The wire
 protocol is length-prefixed JSON with CRC32 framing — the WAL's record
 discipline applied to a socket.
 
@@ -15,12 +17,11 @@ Modules
 ``daemon``
     :class:`MatchingDaemon` — the asyncio front end and its dispatch threads.
 ``workers``
-    :class:`ShardReplica` + the worker process body and parent-side handle;
-    a read state rides the worker's pipe reply as one array container
-    (:mod:`repro.persistence.container`), decoded with every check on.
+    :class:`ShardReplica` + the worker process body and parent-side handle.
 ``router``
-    Pinned read views assembled from per-shard states; ``match``/``top_k``
-    answer kernels.
+    The daemon's read view (advanced by the authority index's deltas), the
+    ``match``/``top_k`` answer kernels, and the fleet's follow / ``stats``
+    fan-out.
 ``client``
     :class:`ServeClient` — the blocking stdlib client.
 ``supervision``
@@ -59,7 +60,6 @@ _EXPORTS = {
     "ProtocolError": "protocol",
     "encode_message": "protocol",
     "profile_to_wire": "protocol",
-    "build_pinned_view": "router",
     "match_answer": "router",
     "top_k_answer": "router",
 }

@@ -9,22 +9,23 @@ edition):
   a single dedicated mutation thread (the index is not thread-safe, and one
   writer keeps the WAL append order the commit order) while the asyncio
   loop keeps accepting connections;
-* **reads** (``match``/``top_k``/``stats``) are served from K long-lived
-  shard worker processes (:mod:`repro.serve.workers`), each owning one
-  signature shard replicated by tailing the same WAL — eagerly: the
-  mutation thread wakes the router's follower after every applied write, so
-  the workers replay it while they would otherwise idle.  A read pins the
-  WAL offset inside the router's fan-out, once every worker's lock is held
-  (:mod:`repro.serve.router`), and the router assembles the per-shard
-  states at that offset into a merged read view, so every response equals
-  the canonical view as of the offset it reports — writes arriving *during*
-  the query change nothing the query sees;
-* reads run on their own single dispatch thread; the offsets the workers
-  see are monotone because every one of them — a read's, a ``stats``', a
-  follow's — is taken under the workers' locks (replicas never rewind).
-  That thread keeps the last exact read (:class:`~repro.serve.router.SharedRead`):
-  a ``match`` or ``top_k`` whose pinned view has the same shard states — no
-  write in between — formats or selects from it instead of reading again.
+* **reads** (``match``/``top_k``) run on their own single dispatch thread
+  over one resident read view (:class:`~repro.serve.router.ReadView`).  A
+  read first has the mutation thread advance the view from the authority
+  index by its delta, resolve ``top_k``'s node and pin the WAL offset —
+  one short step between two writes — and then computes its answer over
+  the view, off the mutation thread: every response equals the canonical
+  view as of the offset it reports, and writes arriving *during* the query
+  change nothing the query sees.  The read thread keeps the last exact read
+  (:class:`~repro.serve.router.SharedRead`): a ``match`` or ``top_k`` at the
+  same view state — no write in between — formats or selects from it
+  instead of reading again;
+* K long-lived shard worker processes (:mod:`repro.serve.workers`) each
+  replicate one signature shard by tailing the same WAL — eagerly: the
+  mutation thread wakes the router's follower after every applied write.
+  They answer ``stats`` (whose offset, like a follow's, is taken under the
+  workers' locks: replicas never rewind) and are supervised; no read uses
+  them.
 
 Durability: mutations are journaled before they are applied (the session's
 WAL discipline), and a SIGTERM/SIGINT drains in-flight requests, writes a
@@ -65,9 +66,8 @@ from .protocol import (
     read_message,
     write_message,
 )
-from .router import ExactRead, SharedRead, ShardRouter, match_answer, top_k_answer
+from .router import ExactRead, ReadView, SharedRead, ShardRouter, match_answer, top_k_answer
 from .supervision import WorkerSupervisor, check_timing
-from .workers import WalFollowError, WorkerError
 
 #: operations serialized on the mutation thread
 MUTATION_OPS = frozenset({"insert", "insert_bulk", "remove", "update", "checkpoint"})
@@ -220,16 +220,12 @@ class MatchingDaemon:
         self.max_pending = max_pending
         self.metrics = MetricsRegistry()
         # one serial per applied mutation; the router samples it whenever it
-        # pins an offset (``serial_source``) — for a read or for a follow —
+        # pins an offset (``serial_source``) — for ``stats`` or for a follow —
         # which makes per-shard replication lag measurable in *records*
         self._mutation_serial = 0
-        # entity ids by node come from the authority index's append-only
-        # registry: node slots are never reused, so the live resolver is
-        # correct for every node visible at any pinned offset
         self.router = ShardRouter(
             wal_path,
             num_shards,
-            self.session.index.entity_id,
             adopt_floor=adopt_floor,
             allow_from_zero=allow_from_zero,
             metrics=self.metrics,
@@ -249,7 +245,10 @@ class MatchingDaemon:
         # queue depths live on the asyncio loop thread only — plain ints
         # are race-free there, and they bound what run_in_executor enqueues
         self._pending = {"mutation": 0, "read": 0}
-        # the read thread's last exact read, reused while no write moves it
+        # what reads answer from: advanced on the mutation thread, read on
+        # the read thread; and the last exact read, reused while no write
+        # moves it
+        self._view = ReadView(self.session.index)
         self._shared_read = SharedRead()
 
     # -- observability -----------------------------------------------------------
@@ -331,9 +330,11 @@ class MatchingDaemon:
             server.close()
             await server.wait_closed()
             await self._drain_connections()
+            # a read still running advances its view on the mutation
+            # thread: it finishes before the final checkpoint
+            self._reader.shutdown(wait=True)
             await loop.run_in_executor(self._mutator, self._final_checkpoint)
             self._mutator.shutdown(wait=True)
-            self._reader.shutdown(wait=True)
             # no write is left to follow; join the follower while the
             # supervisor can still unblock a follow stuck on a wedged worker
             self.router.stop_following()
@@ -635,72 +636,19 @@ class MatchingDaemon:
         trace: Optional[RequestTrace] = None,
     ) -> Any:
         self._check_deadline(deadline)
-        try:
-            with activate(trace):
-                return self._read(op, args)
-        except (WorkerError, WalFollowError) as error:
-            if self._supervisor is not None:
-                self._supervisor.kick()
-            # ``stats`` tolerates a failed shard inside its fan-out (an
-            # ``error`` entry); only ``match`` / ``top_k`` reach the fleet
-            # unguarded, and they degrade to the authority
-            if op == "stats":
-                raise
-            self.metrics.increment("degraded_reads")
-            events.emit(
-                "degraded_read",
-                trace=trace.trace_id if trace is not None else None,
-                op=op,
-                cause=f"{type(error).__name__}: {error}"[:200],
-            )
-            return self._mutator.submit(
-                self._degraded_read, op, args, deadline, trace
-            ).result()
-
-    def _degraded_read(
-        self,
-        op: str,
-        args: Dict[str, Any],
-        deadline: Optional[float],
-        trace: Optional[RequestTrace] = None,
-    ) -> Any:
-        """Serve a read directly from the authority index.
-
-        Runs on the mutation thread — the authority index is not
-        thread-safe, so a degraded read serializes with writes; the answer
-        reflects the current offset (fresh, not the originally pinned one)
-        and carries ``degraded: true``.  This is the availability escape
-        hatch while a shard worker is being respawned and re-bootstrapped.
-        """
-        self._check_deadline(deadline)
-        span = (
-            trace.span("degraded-read", op=op)
-            if trace is not None
-            else nullcontext()
-        )
-        with activate(trace), span:
-            index = self.session.index
-            node = index.node_of(args["entity_id"], args["side"]) if op == "top_k" else -1
-            answer = self._answer(op, args, index, node, self._offset())
-            answer["degraded"] = True
-            return answer
-
-    def _answer(
-        self, op: str, args: Dict[str, Any], index, node: int, offset: int, read=None
-    ) -> Dict[str, Any]:
-        """``match``'s or ``top_k``'s answer over ``index`` (a pinned view,
-        or the authority index for a degraded read) at ``offset``."""
-        if op == "match":
-            answer = match_answer(index, self.session.model, self.session.pruning, read)
-        else:
-            matches = top_k_answer(index, self.session.model, node, args["k"], read)
-            answer = {"entity_id": args["entity_id"], "matches": matches}
-        answer["offset"] = offset
-        return answer
+        with activate(trace):
+            return self._read(op, args)
 
     # -- mutation thread ---------------------------------------------------------
     def _offset(self) -> int:
         return int(self.session.wal.log_offset)
+
+    def _advance(self, op: str, args: Dict[str, Any]) -> Tuple[Any, int, int]:
+        """A read's step between two writes: advance the view, resolve
+        ``top_k``'s node and pin the offset the view now reflects."""
+        view = self._view.advance()
+        node = self.session.index.node_of(args["entity_id"], args["side"]) if op == "top_k" else -1
+        return view, node, self._offset()
 
     def _mutate(self, op: str, args: Dict[str, Any]) -> Any:
         if op == "insert":
@@ -745,7 +693,7 @@ class MatchingDaemon:
     @contextmanager
     def _exact_read(self, view, span: str) -> Iterator[ExactRead]:
         """The exact read at ``view``, inside the answer's ``span``: the
-        last one when ``view`` reads the same shard states (``shared``)."""
+        last one when ``view`` is at the same state (``shared``)."""
         read = self._shared_read.held(view)
         with hook_span(span, shared=read is not None):
             if read is None:
@@ -755,19 +703,24 @@ class MatchingDaemon:
             yield read
 
     def _read(self, op: str, args: Dict[str, Any]) -> Any:
-        # the router pins: it reads its ``offset_source`` (``_offset``, handed
-        # over at construction) inside its fan-out, once every worker's lock
-        # is held, and hands the pin back for the response.  An
-        # offset read out here could already be behind a worker by the time
-        # the locks are taken — the follower keeps moving them forward
         if op in ("match", "top_k"):
-            lookup = (args["side"], args["entity_id"]) if op == "top_k" else None
-            view, node, offset = self.router.pinned_view(lookup=lookup)
-            if lookup is not None and node < 0:
-                raise UnknownEntityError(args["entity_id"], args["side"])
-            with self._exact_read(view, "score-top-k" if lookup else "score-and-prune") as read:
-                return self._answer(op, args, view, node, offset, read)
-        # stats: ``op`` was checked against the request table
+            # the view and the offset are taken together, between two
+            # writes: an offset read out here could be past the view
+            with hook_span("advance"):
+                view, node, offset = self._mutator.submit(self._advance, op, args).result()
+            entity_id = self.session.index.entity_id
+            model, pruning = self.session.model, self.session.pruning
+            if op == "match":
+                with self._exact_read(view, "score-and-prune") as read:
+                    answer = match_answer(view, entity_id, model, pruning, read)
+            else:
+                with self._exact_read(view, "score-top-k") as read:
+                    matches = top_k_answer(view, entity_id, model, node, args["k"], read)
+                answer = {"entity_id": args["entity_id"], "matches": matches}
+            answer["offset"] = offset
+            return answer
+        # stats: ``op`` was checked against the request table; the router
+        # pins its offset under the workers' locks
         offset, shards = self.router.shard_stats()
         return {
             "daemon": {

@@ -1,107 +1,85 @@
-"""Pinned read views over the shard workers' states: the shipping handshake.
+"""The daemon's read view, its answers, and the shard fleet that follows the log.
 
-A ``match`` or ``top_k`` query pins a WAL offset — read once every worker's
-handle lock is held, the moment the reader *starts reading* — asks every
-shard worker for its read state *at exactly that offset*, and reads the K
-states as one index through a :class:`~repro.incremental.MergedIndexView`.
-Between reads a follower thread keeps the workers at the head of the log
-(**follow eagerly, pin late**), so the pin usually finds them caught up.
-What a state is (three arrays plus a handful of scalars; no pair list —
-the live pairs are derived from the CSR), how a delta advances it and when a
-ship is refused live in :mod:`repro.incremental.state`; what makes K shards
-mergeable in :mod:`repro.incremental.sharded`; and the answer itself is
-:func:`repro.incremental.session.exact_answer`, the very function
-:meth:`MatchingSession.retained` runs — so a pinned read computes
+**Reads.**  A ``match`` or ``top_k`` answers from one resident
+:class:`~repro.incremental.IndexState`, the :class:`ReadView`, which the
+daemon advances from its own authority index.  At the start of every read
+the mutation thread — where every write is serialised — runs the
+authority's :meth:`~repro.incremental.MutableBlockIndex.export_delta` (the
+first time :meth:`~repro.incremental.IndexState.export_state` plus
+:meth:`~repro.incremental.MutableBlockIndex.enable_delta_tracking`), applies
+it to the view with :meth:`~repro.incremental.IndexState.apply_delta`,
+resolves ``top_k``'s node and pins the WAL offset.  The exact read then runs
+on the daemon's one read thread over the view, so a write never waits for
+it and no view moves under a read (PesaDB's reader boundary, SNIPPET 1).
+The answer is :func:`repro.incremental.session.exact_answer`, the very
+function :meth:`MatchingSession.retained` runs, so a read computes
 **exactly** what an offline :class:`~repro.incremental.MatchingSession`
 computes after replaying the same log prefix.  A ``top_k`` is a selection
-over that read, and reads at the same shard states share one
-(:class:`SharedRead`).  This module is what is left: who ships what to
-whom, and when.
+over that read, and reads at the same view state share one
+(:class:`SharedRead`).
 
-Shipping is incremental: the router keeps one **resident**
-:class:`~repro.incremental.IndexState` per shard and hands each worker a
-``{"lineage", "epoch"}`` handshake describing the state it already holds
-(the epoch is the state's own: it is adopted only by a ship that applied
-cleanly); the worker replies with a delta (applied to the resident state in
-place) or a full state (first contact, respawned worker, checkpoint
-adoption — anything that breaks the lineage).  Either rides the worker's
-pipe reply as one array container, decoded with every container
-check on (:meth:`~repro.serve.workers.ShardWorkerHandle.materialize`).  Every
-shard's ship is applied; a shard whose ship is torn or fails to apply loses
-its resident state, so its next read full-ships, while the shards whose
-ships applied keep theirs and go on shipping deltas.  Only the cheap merged
-view is rebuilt per query.
+Entity ids are resolved through the authority index: node ids are
+append-only there (slots are tombstoned, never reused), so its live
+``entity_id(node)`` is correct for any node of any view at or behind the
+current offset.
 
-Entity-id resolution is delegated to a caller-provided function: node ids
-are append-only in the authority index (slots are tombstoned, never
-reused), so the daemon's live ``entity_id(node)`` is correct for any node
-that exists at *any* pinned offset ≤ the current one.
+**The fleet.**  K shard worker processes (:mod:`repro.serve.workers`)
+replicate the same WAL, one signature shard each.  No read uses them: the
+:class:`ShardRouter` keeps them at the head of the log, answers ``stats``
+from them, and hands them to the supervisor.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager, nullcontext
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.pruning import SupervisedPruningAlgorithm, strength_order
 from ..obs import events
-from ..obs.trace import current_trace, hook_span
+from ..obs.trace import hook_span
 from ..incremental.delta import DeltaFeatureGenerator
+from ..incremental.index import MutableBlockIndex
 from ..incremental.session import exact_answer, scored_read
-from ..incremental.sharded import MergedIndexView
-from ..incremental.state import IndexState, IndexStateError, LiveCandidates
+from ..incremental.state import IndexState, LiveCandidates
 from ..pairs import pack_pair_keys
 from .workers import ShardWorkerHandle, WorkerError
 
 
-class _ResidentShard(NamedTuple):
-    """One shard's resident state plus the lineage it was shipped under."""
+class ReadView:
+    """One resident :class:`~repro.incremental.IndexState` that follows the
+    authority index ``index`` read by read.
 
-    state: IndexState
-    lineage: str
-
-
-def build_pinned_view(
-    states: Sequence[Dict[str, Any]],
-    resolve_entity_id: Callable[[int], str],
-    name: str = "serve-pinned",
-) -> MergedIndexView:
-    """Assemble *full* shard states into a read-only merged view.
-
-    The from-scratch assembly (and the oracle the resident delta-maintained
-    path is property-tested against): every state must be a ``kind ==
-    "full"`` ship, all pinned at the same WAL offset.
+    :meth:`advance` must run where the authority's mutations serialise: the
+    arrays an export hands over are zero-copy views into the index, valid
+    until its next mutation.  A delta that does not apply leaves the view
+    behind the authority's delta tracker, which the export has already
+    rebased, so the next :meth:`advance` rebuilds the view whole.
     """
-    if not states:
-        raise ValueError("at least one shard state is required")
-    offsets = {int(state["meta"]["offset"]) for state in states}
-    if len(offsets) != 1:
-        raise ValueError(f"shard states pin different offsets: {sorted(offsets)}")
-    shards = []
-    for state in states:
-        if state.get("kind", state["meta"].get("kind", "full")) != "full":
-            raise ValueError("build_pinned_view requires full shard states")
-        shard = IndexState()
-        shard.apply_full(state["arrays"], state["meta"])
-        shards.append(shard)
-    return MergedIndexView(shards, resolve_entity_id, name)
+
+    def __init__(self, index: MutableBlockIndex) -> None:
+        self._index = index
+        #: the view: ``None`` until the first read
+        self.state: Optional[IndexState] = None
+
+    def advance(self) -> IndexState:
+        """Bring the view to the authority's current state and return it."""
+        index = self._index
+        ship = None if self.state is None else index.export_delta(self.state.epoch)
+        if ship is None:
+            ship = index.export_state()
+            self.state = IndexState()
+            self.state.apply_full(ship["arrays"], ship["meta"])
+            index.enable_delta_tracking()
+        else:
+            self.state.apply_delta(ship["arrays"], ship["meta"])
+        return self.state
 
 
-# -- query evaluation over a pinned view -----------------------------------------
+# -- query evaluation over a view ------------------------------------------------
 
 #: one exact read: the live candidates (raw node ids, batch candidate
 #: order), their probabilities and the retained mask — what
@@ -110,19 +88,20 @@ ExactRead = Tuple[LiveCandidates, np.ndarray, np.ndarray]
 
 
 def match_answer(
-    view: MergedIndexView,
+    view: IndexState,
+    entity_id: Callable[[int], str],
     model,
     pruning: SupervisedPruningAlgorithm,
     read: Optional[ExactRead] = None,
 ) -> Dict[str, Any]:
-    """The exact retained set at the view's pinned offset.
+    """The exact retained set of ``view``.
 
     Formats ``read``, the view's exact read, or — when none is given — runs
     :func:`~repro.incremental.session.exact_answer` (the function behind
-    :meth:`MatchingSession.retained`) against the pinned view instead of the
-    live index.  The retained list is sorted by entity-id pair, so the
-    response is byte-identical however the pairs were distributed over
-    shards.
+    :meth:`MatchingSession.retained`) against the view instead of the live
+    index.  ``entity_id`` names a node.  The retained list is sorted by
+    entity-id pair, so the response is byte-identical however the view was
+    built.
     """
     if read is None:
         read = exact_answer(DeltaFeatureGenerator(view, model.feature_set), model, pruning)
@@ -130,16 +109,21 @@ def match_answer(
     retained = sorted(
         [*ids, probability]
         for ids, probability in zip(
-            candidates.id_pairs(mask, view.entity_id), probabilities[mask].tolist()
+            candidates.id_pairs(mask, entity_id), probabilities[mask].tolist()
         )
     )
     return {"num_candidates": len(candidates), "retained": retained}
 
 
 def top_k_answer(
-    view: MergedIndexView, model, node: int, k: int, read: Optional[ExactRead] = None
+    view: IndexState,
+    entity_id: Callable[[int], str],
+    model,
+    node: int,
+    k: int,
+    read: Optional[ExactRead] = None,
 ) -> List[Dict[str, Any]]:
-    """The ``k`` (≥ 0) most likely matches of one entity at the pinned offset.
+    """The ``k`` (≥ 0) most likely matches of one entity in ``view``.
 
     A selection over ``read``, the view's exact read — or, when none is
     given, its scored pairs (:func:`~repro.incremental.session.scored_read`):
@@ -159,7 +143,7 @@ def top_k_answer(
         # the other side of a bilateral index, unless filtering stranded a block
         sides = view.sides()[counterparts].tolist()
         return [
-            {"entity_id": view.entity_id(counterpart), "side": side, "probability": probability}
+            {"entity_id": entity_id(counterpart), "side": side, "probability": probability}
             for counterpart, side, probability in zip(
                 counterparts.tolist(), sides, probabilities[mine][order].tolist()
             )
@@ -167,77 +151,62 @@ def top_k_answer(
 
 
 class SharedRead:
-    """The last exact read, and the shard states it was computed at.
+    """The last exact read, and the view state it was computed at.
 
-    A pinned view over the very state objects of the last read, each at the
-    same ``epoch``, reads the same index: every logged mutation bumps every
-    shard's epoch, a delta — an empty one included — sets it, and a full
-    ship or a respawn builds a new state.  The states themselves are held,
-    so no ``id`` is reused while the read is.  Nothing is reused once a state
-    has moved: a read at any other states releases the held one *before*
-    computing its own, so at most one read is held.
+    A view state at the same ``epoch`` reads the same index: every logged
+    mutation bumps the authority's epoch, an advance — an empty one included
+    — sets the view's, and a rebuilt view is a new state.  The state itself
+    is held, so no ``id`` is reused while the read is.  Nothing is reused
+    once the state has moved: a read at any other state releases the held
+    one *before* computing its own, so at most one read is held.
 
-    One reader at a time: the daemon's read thread.  A degraded read runs
-    over the authority index and never touches it.
+    One reader at a time: the daemon's read thread.
     """
 
     def __init__(self) -> None:
-        self._states: Tuple[Tuple[IndexState, int], ...] = ()
+        self._state: Optional[IndexState] = None
+        self._epoch = -1
         self._read: Optional[ExactRead] = None
 
-    def held(self, view: MergedIndexView) -> Optional[ExactRead]:
-        """The held read if ``view`` reads the states it was computed at;
+    def held(self, state: IndexState) -> Optional[ExactRead]:
+        """The held read if ``state`` is the state it was computed at;
         otherwise ``None``, and the held read is released."""
-        if len(self._states) == len(view.shards) and all(
-            held is state and epoch == state.epoch
-            for (held, epoch), state in zip(self._states, view.shards)
-        ):
+        if state is self._state and state.epoch == self._epoch:
             return self._read
-        self._states, self._read = (), None
+        self._state, self._read = None, None
         return None
 
-    def compute(self, view: MergedIndexView, model, pruning) -> ExactRead:
-        """The exact read at ``view``, held for the reads that follow it."""
-        read = exact_answer(DeltaFeatureGenerator(view, model.feature_set), model, pruning)
-        self._states = tuple((state, state.epoch) for state in view.shards)
-        self._read = read
+    def compute(self, state: IndexState, model, pruning) -> ExactRead:
+        """The exact read at ``state``, held for the reads that follow it."""
+        read = exact_answer(DeltaFeatureGenerator(state, model.feature_set), model, pruning)
+        self._state, self._epoch, self._read = state, state.epoch, read
         return read
 
 
 class ShardRouter:
-    """The daemon's fleet of shard workers plus the pinned-view assembly.
+    """The daemon's fleet of shard workers.
 
     The fleet is mutable: :meth:`respawn` replaces one shard's worker with
-    a freshly spawned one (checkpoint adoption makes the replacement cheap)
-    while reads keep flowing through the others.  Handle swaps happen under
-    the router lock; request traffic holds each handle's own lock, so a
-    swapped-out worker is never written to mid-request.
-
-    Reads are delta-shipped: the router keeps one resident
-    :class:`~repro.incremental.IndexState` per shard and passes each worker
-    the ``{"lineage", "epoch"}`` base it holds, so a warm read ships only
-    what changed since the previous one.  A respawn invalidates the shard's
-    resident entry; even if an in-flight read resurrects a stale entry the
-    replacement worker's fresh lineage token forces the next read to ship
-    full state, so the resident state can never silently diverge.
+    a freshly spawned one (checkpoint adoption makes the replacement cheap).
+    Handle swaps happen under the router lock; request traffic holds each
+    handle's own lock, so a swapped-out worker is never written to
+    mid-request.
 
     Replication is eager: a router that was handed an ``offset_source`` (the
     daemon's WAL head) runs one **follower thread** between :meth:`start`
     and :meth:`stop`.  :meth:`notify_write` wakes it after every applied
-    mutation and it fans ``("follow", offset)`` out to the fleet, so the
-    workers replay a write while they would otherwise idle, not inside the
-    next read.  Every command that carries an offset — ``read``, ``stats``,
-    ``follow`` — takes it from that one source through :meth:`_pin`, which
-    says why.  A router without an offset source (benches) pins nothing and
-    never follows; one that has it but is never notified of a write (bare
-    tests) pins its reads and its follower sleeps.
+    mutation and it fans ``("follow", offset)`` out to the fleet.  Every
+    command that carries an offset — ``stats`` and ``follow`` — takes it
+    from that one source through :meth:`_pin`, which says why.  A router
+    without an offset source (benches) pins nothing and never follows; one
+    that has it but is never notified of a write (bare tests) pins its
+    ``stats`` and its follower sleeps.
     """
 
     def __init__(
         self,
         wal_dir,
         num_shards: int,
-        resolve_entity_id: Callable[[int], str],
         adopt_floor: Optional[int] = None,
         allow_from_zero: bool = True,
         metrics=None,
@@ -246,28 +215,23 @@ class ShardRouter:
             raise ValueError("num_shards must be at least 1")
         self.wal_dir = wal_dir
         self.num_shards = num_shards
-        self._resolve = resolve_entity_id
         self._adopt_floor = adopt_floor
         self._allow_from_zero = allow_from_zero
         self.metrics = metrics
         self._lock = threading.Lock()
         self._handles: List[ShardWorkerHandle] = []
-        #: reads are serialized (the daemon already runs them on a single
-        #: reader thread; the lock makes the resident state safe regardless)
-        self._read_lock = threading.Lock()
-        self._resident: List[Optional[_ResidentShard]] = [None] * num_shards
         #: the daemon's mutation serial counter, for replica-lag gauges
         #: (assigned after construction; ``None`` disables lag tracking)
         self.serial_source: Optional[Callable[[], int]] = None
-        #: the WAL head: what every ``read`` and ``stats`` is pinned at and
-        #: the follower thread keeps the fleet at (assigned after construction;
-        #: ``None`` refuses to pin and starts no thread)
+        #: the WAL head: what every ``stats`` is pinned at and the follower
+        #: thread keeps the fleet at (assigned after construction; ``None``
+        #: refuses to pin and starts no thread)
         self.offset_source: Optional[Callable[[], int]] = None
         #: the supervisor's ``kick``, called when a follow fails (assigned
         #: once a supervisor exists; the router never imports supervision)
         self.kick_supervisor: Optional[Callable[[], None]] = None
         #: per-shard mutation serial the worker is known to have replayed:
-        #: advanced by every follow ack and every shipped read
+        #: advanced by every follow ack
         self.followed_serials: Dict[int, int] = {}
         self._follower: Optional[threading.Thread] = None
         self._follow_wake = threading.Event()
@@ -331,9 +295,6 @@ class ShardRouter:
             if swapped:
                 current = self._handles[shard]
                 self._handles[shard] = fresh
-                # the replacement holds no shipped base; drop the resident
-                # view so the next read full-ships from the new worker
-                self._resident[shard] = None
                 # whatever the old worker had replayed dies with it: the
                 # replacement lags until it is followed
                 self.followed_serials.pop(shard, None)
@@ -374,7 +335,7 @@ class ShardRouter:
 
         A replica never rewinds, so an offset read *before* the locks could
         reach a worker the follower has meanwhile taken past it.  Read under
-        them, and from the one source reads, ``stats`` and follows share,
+        them, and from the one source ``stats`` and follows share,
         every earlier command to these workers carried an offset ≤ this one
         and every later one will carry one ≥ it.  The serial is read first:
         each mutation it counts was journaled before it was counted.
@@ -392,7 +353,7 @@ class ShardRouter:
         next write's follow corrects it."""
         if serial is None:
             return
-        with self._lock:  # the read thread and the follower both report
+        with self._lock:
             for shard in range(self.num_shards):
                 if serial > self.followed_serials.get(shard, -1):
                     self.followed_serials[shard] = serial
@@ -401,11 +362,10 @@ class ShardRouter:
         """Send a command to every worker first, then collect — workers
         compute concurrently.
 
-        ``command`` is one tuple broadcast to the whole fleet, a list of
-        per-shard tuples (positional; must match the fleet size), or a
-        callable returning either — evaluated only once every handle's lock
-        is held, which is where a command that carries a WAL offset must
-        take it (:meth:`_pin`).
+        ``command`` is one tuple broadcast to the whole fleet, or a callable
+        returning one — evaluated only once every handle's lock is held,
+        which is where a command that carries a WAL offset must take it
+        (:meth:`_pin`).
 
         Every handle's lock is held for the duration (``busy_since`` set for
         the supervisor's hang detection).  On a partial failure the workers
@@ -416,17 +376,10 @@ class ShardRouter:
         with self._held_fleet() as handles:
             if callable(command):
                 command = command()
-            per_handle = command if isinstance(command, list) else None
-            if per_handle is not None and len(per_handle) != len(handles):
-                raise WorkerError(
-                    f"{len(per_handle)} per-shard commands for {len(handles)} workers"
-                )
             owed: List[ShardWorkerHandle] = []
             try:
-                for position, handle in enumerate(handles):
-                    handle.send(
-                        per_handle[position] if per_handle is not None else command
-                    )
+                for handle in handles:
+                    handle.send(command)
                     owed.append(handle)
                 results = []
                 while owed:
@@ -455,19 +408,19 @@ class ShardRouter:
                 return
             try:
                 self._follow()
-            except Exception:  # noqa: BLE001 - reads still catch up at their pin
+            except Exception:  # noqa: BLE001 - the next write's follow retries
                 pass
 
     def _follow(self) -> None:
         """Bring the fleet to the head of the log: one ``follow`` fan-out.
 
-        The worker serves it with the very ``catch_up`` a read calls, so a
-        read that comes next finds nothing left to replay.  A follow that
-        fails may have left its worker half-way through a record; that
-        worker must never answer again, so it is killed here and the
-        supervisor kicked — which finds it dead and replaces it through the
-        one respawn path (counted, journaled); until then reads degrade, as
-        after any other worker failure.
+        The worker serves it with the very ``catch_up`` a ``stats`` calls,
+        so the ``stats`` that comes next finds nothing left to replay.  A
+        follow that fails may have left its worker half-way through a
+        record; that worker must never answer again, so it is killed here
+        and the supervisor kicked — which finds it dead and replaces it
+        through the one respawn path (counted, journaled); until then its
+        shard's ``stats`` entry is an ``error``.
         """
         offset = serial = None
 
@@ -515,126 +468,8 @@ class ShardRouter:
         if follower is not None:
             follower.join()
 
-    def pinned_view(
-        self, lookup: Optional[Tuple[int, str]] = None
-    ) -> Tuple[MergedIndexView, int, int]:
-        """A read view, the optional node lookup, and the offset it is pinned at.
-
-        The pin is the head of ``offset_source``, taken inside the fan-out
-        once every handle lock is held (:meth:`_pin`) — the caller learns it
-        from the return value and must report that one, not an offset of its
-        own.
-
-        Ships deltas against the resident per-shard states when the workers
-        still hold the lineage the router last received from them; any
-        mismatch (first contact, respawn, checkpoint adoption, a ship that
-        failed to apply) degrades to a full ship for that shard.
-        """
-        with self._read_lock:
-            trace = current_trace()
-            traced = trace is not None and trace.enabled
-            with self._lock:
-                resident = list(self._resident)
-            bases = [
-                {"lineage": entry.lineage, "epoch": entry.state.epoch}
-                if entry is not None
-                else None
-                for entry in resident
-            ]
-            offset = serial = None
-
-            def commands() -> List[Tuple]:
-                nonlocal offset, serial
-                offset, serial = self._pin()
-                trace_id = trace.trace_id if traced else None
-                return [("read", offset, lookup, base, trace_id) for base in bases]
-
-            with (
-                trace.span("fan-out", shards=self.num_shards)
-                if traced
-                else nullcontext()
-            ) as span:
-                payloads = self._fan_out(commands)
-                if span is not None:
-                    span.tags["offset"] = offset
-                    # the workers measured their replay/export phases
-                    # locally; graft them under this fan-out span
-                    for shard, payload in enumerate(payloads):
-                        if payload.get("spans"):
-                            trace.graft(f"shard{shard}", payload["spans"])
-            started = time.perf_counter()
-            full_reads = delta_reads = 0
-            bytes_full = bytes_delta = 0
-            failed: List[Tuple[int, Exception]] = []
-            for shard, payload in enumerate(payloads):
-                try:
-                    state = ShardWorkerHandle.materialize(payload, shard)
-                    meta = state["meta"]
-                    if int(meta["offset"]) != offset:
-                        raise IndexStateError(
-                            f"shipped at offset {meta['offset']} for a read pinned at {offset}"
-                        )
-                    if state["kind"] == "delta":
-                        entry = resident[shard]
-                        if (
-                            entry is None
-                            or entry.lineage != meta["lineage"]
-                            or entry.state.epoch != int(meta["base_epoch"])
-                        ):
-                            raise IndexStateError(
-                                "shipped a delta against a base the router does not hold"
-                            )
-                        entry.state.apply_delta(state["arrays"], meta)
-                        delta_reads += 1
-                        bytes_delta += len(payload["ship"])
-                    else:
-                        shipped = IndexState()
-                        shipped.apply_full(state["arrays"], meta)
-                        resident[shard] = _ResidentShard(shipped, str(meta["lineage"]))
-                        full_reads += 1
-                        bytes_full += len(payload["ship"])
-                    # every shard holds the whole registry: any one resolves
-                    lookup_node = int(meta["lookup_node"])
-                except Exception as error:  # noqa: BLE001 - raised below
-                    # a ship that did not apply leaves nothing to build on: the
-                    # shard's next read ships full.  The other shards applied
-                    # theirs, and their workers rebased on it: they stay
-                    failed.append((shard, error))
-                    resident[shard] = None
-            with self._lock:
-                self._resident = resident
-            if failed:
-                shard, error = failed[0]
-                if isinstance(error, WorkerError):
-                    raise error
-                raise WorkerError(f"shard {shard}: {type(error).__name__}: {error}") from error
-            # every shard shipped state consistent with this pin, so the
-            # whole fleet is caught up to the serial captured at pin time
-            self._mark_followed(serial)
-            if traced:
-                trace.add_span(
-                    "view-apply",
-                    (time.perf_counter() - started) * 1e3,
-                    full=full_reads,
-                    delta=delta_reads,
-                    bytes=bytes_full + bytes_delta,
-                )
-            if self.metrics is not None:
-                self.metrics.increment("read_bytes_shipped", bytes_full + bytes_delta)
-                self.metrics.increment("read_bytes_full", bytes_full)
-                self.metrics.increment("read_bytes_delta", bytes_delta)
-                self.metrics.increment("full_reads", full_reads)
-                self.metrics.increment("delta_reads", delta_reads)
-                self.metrics.record(
-                    "view_apply", time.perf_counter() - started, True
-                )
-            view = MergedIndexView(
-                [entry.state for entry in resident], self._resolve, "serve-pinned"
-            )
-            return view, lookup_node, offset
-
     def shard_stats(self) -> Tuple[int, List[Dict[str, Any]]]:
-        """The offset pinned (under the handle locks, like a read's) and the
+        """The offset pinned (under the handle locks, like a follow's) and the
         per-shard counters at it — tolerant: a dead or rebuilding worker
         reports an ``error`` entry instead of failing the call."""
         stats: List[Dict[str, Any]] = []
@@ -650,14 +485,10 @@ class ShardRouter:
                     stats.append({"shard": shard, "error": str(error)})
         return offset, stats
 
-    def ping(self) -> List[Dict[str, Any]]:
-        return self._fan_out(("ping",))
-
     def stop(self) -> None:
         """Stop the follower, then every worker (idempotent)."""
         self.stop_following()
         with self._lock:
             handles, self._handles = self._handles, []
-            self._resident = [None] * self.num_shards
         for handle in handles:
             handle.stop()

@@ -13,28 +13,25 @@ behind it — replay-to-offset is what makes reads snapshot-consistent.
 *When* the log is read: on every write's heels — the router's follower
 thread sends ``("follow", offset)`` as soon as a mutation is applied, so the
 replay happens while the worker would otherwise sit idle in ``recv()`` — and
-again at each read's pin, for whatever is left (nothing, or the one record
-in flight).  Both are the same :meth:`ShardReplica.catch_up`; there is one
-replay path.  A replica never rewinds, so whoever sends an offset must have
-read it with the worker's handle lock held (:mod:`repro.serve.router`).
+again at each ``stats``' pin, for whatever is left.  Both are the same
+:meth:`ShardReplica.catch_up`; there is one replay path.  A replica never
+rewinds, so whoever sends an offset must have read it with the worker's
+handle lock held (:mod:`repro.serve.router`).
 
 Workers are ``multiprocessing`` processes (``fork`` where available) with
-their own supervisor (:mod:`repro.serve.supervision`), not a pool.  Every
-``read`` reply carries the shard's read state — full or delta, a few hundred
-bytes to tens of kilobytes — as one array container
-(:mod:`repro.persistence.container`, the encoding snapshots use) inside the
-worker's pipe reply.  The parent decodes it with every container check on
-(:meth:`ShardWorkerHandle.materialize`) and assembles the per-shard states
-into a pinned read view (:mod:`repro.serve.router`).  A worker is one
-process: nothing it does starts a helper interpreter.
+their own supervisor (:mod:`repro.serve.supervision`), not a pool.  No read
+uses them: the daemon answers ``match`` and ``top_k`` from its own read view
+(:class:`repro.serve.router.ReadView`), and a worker reports only small
+counters.  A worker is one process: nothing it does starts a helper
+interpreter.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import threading
 import time
 import traceback
-import uuid
 from itertools import groupby
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -42,17 +39,10 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import faults
-from ..incremental.index import MutableBlockIndex, UnknownEntityError
+from ..incremental.index import MutableBlockIndex
 from ..incremental.sharded import shard_of_signature
-from ..incremental.state import SHIPS
 from ..obs import events
-from ..persistence.container import (
-    SNAPSHOT_FORMAT,
-    StateFormatError,
-    check_state_format,
-    decode_container,
-    encode_container,
-)
+from ..persistence.container import StateFormatError, check_state_format
 from ..persistence.log import LOG_MAGIC, WalRecord, WriteAheadLog, _decoded_frames
 from ..persistence.snapshot import compacted_from_state, key_shards, row_signatures
 
@@ -202,16 +192,6 @@ class ShardReplica:
         self.allow_from_zero = allow_from_zero
         #: sequence number of the snapshot this replica adopted, if any
         self.adopted_sequence: Optional[int] = None
-        #: delta-shipping lineage token: a delta is only valid against a
-        #: base shipped by this very replica object.  Respawned workers get
-        #: a fresh token, so a router holding a dead worker's state always
-        #: receives a full re-ship (an epoch number alone could collide —
-        #: a fresh replica deterministically replaying the same log reaches
-        #: the same epochs)
-        self.lineage = uuid.uuid4().hex
-        #: read-state ship counters (full vs delta), for the stats endpoint
-        self.ships_full = 0
-        self.ships_delta = 0
 
     @property
     def offset(self) -> int:
@@ -243,10 +223,10 @@ class ShardReplica:
         """Best-effort warm start: adopt the newest eligible checkpoint.
 
         Called once at worker spawn, before any pinned offset arrives, so
-        the first read request only replays the tail past the snapshot.
-        Reads pinned *before* this worker was spawned never reach it (the
-        router swaps workers in only after spawn), so any snapshot existing
-        now is at or behind every offset this worker will be asked for.
+        the first command only replays the tail past the snapshot.  Offsets
+        pinned *before* this worker was spawned never reach it (the router
+        swaps workers in only after spawn), so any snapshot existing now is
+        at or behind every offset this worker will be asked for.
         """
         if self.index is None:
             self._adopt(target=None)
@@ -291,7 +271,6 @@ class ShardReplica:
                 shard=self.shard,
                 sequence=int(sequence),
                 snapshot_offset=int(state["log_offset"]),
-                lineage=self.lineage,
             )
             return True
         if require:
@@ -380,59 +359,6 @@ class ShardReplica:
             )
         faults.on_record_applied()
 
-    # -- read-state extraction ---------------------------------------------------
-    def read_state(
-        self,
-        lookup: Optional[Tuple[int, str]] = None,
-        base: Optional[Dict[str, Any]] = None,
-    ) -> Dict[str, Any]:
-        """The shard's read surface: a full state or a delta against ``base``.
-
-        ``base`` is the router's handshake — ``{"lineage", "epoch"}``
-        describing the state it already holds.  When the lineage matches
-        this replica and the delta tracker's base matches the epoch, only
-        what changed since is shipped (``kind == "delta"``); otherwise —
-        first contact, respawned worker, index replaced by checkpoint
-        adoption — the complete state is shipped
-        (``kind == "full"``) and delta tracking is (re-)armed.
-
-        ``lookup`` optionally resolves ``(side, entity_id)`` to its node id
-        at this state (every shard holds the full entity registry, so any
-        shard can answer); unknown entities resolve to -1.
-        """
-        index = self.index
-        if index is None:
-            raise WalFollowError(
-                "the replica has not reached the log's meta record yet"
-            )
-        lookup_node = -1
-        if lookup is not None:
-            side, entity_id = lookup
-            try:
-                lookup_node = index.node_of(entity_id, side=int(side))
-            except UnknownEntityError:
-                lookup_node = -1
-        shipped = None
-        if base is not None and base.get("lineage") == self.lineage:
-            shipped = index.export_delta(base.get("epoch"))
-        if shipped is None:
-            shipped = index.export_state()
-            index.enable_delta_tracking()
-            self.ships_full += 1
-        else:
-            self.ships_delta += 1
-        meta = dict(shipped["meta"])
-        meta.update(
-            shard=self.shard,
-            offset=self.offset,
-            lookup_node=int(lookup_node),
-            lineage=self.lineage,
-            records_replayed=self.follower.records_delivered,
-            bytes_skipped=self.follower.bytes_skipped,
-            adopted_snapshot=self.adopted_sequence,
-        )
-        return {"kind": meta["kind"], "arrays": shipped["arrays"], "meta": meta}
-
     def shard_stats(self) -> Dict[str, Any]:
         """Small per-shard counters for the ``stats`` endpoint."""
         index = self.index
@@ -440,8 +366,6 @@ class ShardReplica:
             "records_replayed": self.follower.records_delivered,
             "bytes_skipped": self.follower.bytes_skipped,
             "adopted_snapshot": self.adopted_sequence,
-            "ships_full": self.ships_full,
-            "ships_delta": self.ships_delta,
         }
         if index is None:
             return {"shard": self.shard, "offset": self.offset, "blocks": 0,
@@ -475,15 +399,9 @@ def shard_worker_main(
     Commands arrive as tuples on the pipe:
 
     * ``("ping",)`` — liveness check;
-    * ``("read", offset, lookup, base[, trace_id])`` — catch up to the
-      pinned offset and ship the shard's read state as one container
-      (:func:`encode_ship`): a delta against ``base`` when the handshake
-      matches, full otherwise.  When a trace id rides along, the reply
-      carries per-phase ``spans`` beside the container, so replay/export
-      time is attributed to the originating request;
     * ``("stats", offset)`` — catch up and return small counters;
     * ``("follow", offset)`` — catch up to *at least* ``offset`` and
-      acknowledge with the replica's position: the replay a read would
+      acknowledge with the replica's position: the replay a ``stats`` would
       otherwise do, sent on every write's heels by the router's follower;
     * ``("stop",)`` — clean up and exit.
 
@@ -499,14 +417,14 @@ def shard_worker_main(
         adopt_floor=adopt_floor,
         allow_from_zero=allow_from_zero,
     )
-    events.emit("worker_spawn", shard=shard, lineage=replica.lineage)
+    events.emit("worker_spawn", shard=shard)
     try:
         # warm start is best-effort: a failed adoption is retried (or
         # surfaced) on the first real catch_up, never fatal at spawn
         replica.prime()
     except Exception:  # noqa: BLE001 - see above
         _logger.warning(
-            "shard %d warm start failed; retrying on first read",
+            "shard %d warm start failed; retrying on first command",
             shard,
             exc_info=True,
         )
@@ -522,37 +440,6 @@ def shard_worker_main(
                     if faults.on_heartbeat():
                         continue  # injected wedge: swallow the ping
                     connection.send(("ok", {"shard": shard, "offset": replica.offset}))
-                elif name == "read":
-                    _, offset, lookup, base = command[:4]
-                    trace_id = command[4] if len(command) > 4 else None
-                    spans: Optional[List[Dict[str, Any]]] = (
-                        [] if trace_id is not None else None
-                    )
-                    records_before = replica.follower.records_delivered
-                    started = time.perf_counter()
-                    replica.catch_up(int(offset))
-                    if spans is not None:
-                        spans.append(
-                            {
-                                "name": "catch-up",
-                                "ms": (time.perf_counter() - started) * 1e3,
-                                "records": replica.follower.records_delivered
-                                - records_before,
-                            }
-                        )
-                        started = time.perf_counter()
-                    # the "export" span times the extraction and the encode
-                    state = replica.read_state(lookup, base=base)
-                    ship = encode_ship(state)
-                    if spans is not None:
-                        spans.append(
-                            {
-                                "name": "export",
-                                "ms": (time.perf_counter() - started) * 1e3,
-                                "kind": state["kind"],
-                            }
-                        )
-                    connection.send(("ok", {"ship": ship, "spans": spans}))
                 elif name == "stats":
                     _, offset = command
                     replica.catch_up(int(offset))
@@ -595,13 +482,6 @@ def shard_worker_main(
             pass
 
 
-def encode_ship(state: Dict[str, Any]) -> bytes:
-    """A :meth:`ShardReplica.read_state` as one container buffer: the
-    snapshot encoding (:mod:`repro.persistence.container`), so no array
-    crosses the pipe as anything but its raw bytes."""
-    return b"".join(encode_container({"format": SNAPSHOT_FORMAT, **state}))
-
-
 def _preferred_start_method() -> str:
     """``fork`` where available (zero-copy inherited state, fast startup);
     ``spawn`` elsewhere."""
@@ -629,9 +509,6 @@ class ShardWorkerHandle:
         adopt_floor: Optional[int] = None,
         allow_from_zero: bool = True,
     ) -> None:
-        import threading
-        import time
-
         self.shard = shard
         self.lock = threading.Lock()
         #: monotonic time the in-flight request started, ``None`` when idle
@@ -679,8 +556,6 @@ class ShardWorkerHandle:
         )
 
     def request(self, command: Tuple) -> Any:
-        import time
-
         with self.lock:
             self.busy_since = time.monotonic()
             try:
@@ -720,45 +595,6 @@ class ShardWorkerHandle:
     @property
     def pid(self) -> Optional[int]:
         return self._process.pid
-
-    @staticmethod
-    def materialize(payload: Dict[str, Any], shard: int) -> Dict[str, Any]:
-        """Decode a ``read`` reply into ``{"kind", "arrays", "meta"}``.
-
-        :func:`~repro.persistence.container.decode_container` checks the CRC
-        and every array extent before the first view exists, and the arrays
-        must be exactly those a ship of its ``kind`` holds
-        (:data:`~repro.incremental.state.SHIPS`).  A torn or malformed ship
-        is a :class:`WorkerError` naming ``shard``, raised before any
-        resident state sees it.  The arrays are read-only views into the
-        reply's buffer; applying a ship copies them.
-        """
-        try:
-            state = decode_container(payload["ship"])
-        except (KeyError, TypeError, StateFormatError):
-            state = None
-        if state is not None:
-            kind, arrays, meta = state.get("kind"), state.get("arrays"), state.get("meta")
-            if (
-                isinstance(kind, str)
-                and kind in SHIPS
-                and isinstance(arrays, dict)
-                and set(arrays) == SHIPS[kind]
-                and isinstance(meta, dict)
-            ):
-                return {"kind": kind, "arrays": arrays, "meta": meta}
-        raise WorkerError(f"shard worker {shard} shipped a torn or malformed read state")
-
-    def read_state(
-        self,
-        offset: int,
-        lookup: Optional[Tuple[int, str]] = None,
-        base: Optional[Dict[str, Any]] = None,
-        trace_id: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        return self.materialize(
-            self.request(("read", int(offset), lookup, base, trace_id)), self.shard
-        )
 
     def stop(self, timeout: float = 5.0) -> None:
         """Ask the worker to exit; escalate to terminate if it does not."""

@@ -93,6 +93,25 @@ def test_cep_derives_its_budget_from_the_blocks_and_refuses_without(
     assert mask.sum() == min(budget, len(small_candidates))
 
 
+@pytest.mark.parametrize("name", [name for name, _ in ALGORITHMS])
+def test_totals_that_are_not_block_totals_are_refused_by_name(
+    small_blocks, small_candidates, small_stats, name
+):
+    """A cardinality algorithm handed the membership matrix itself fails
+    before it reads a budget, and a weight-based one, which reads no totals,
+    does not accept it either: every algorithm names what it was handed."""
+    weights = _weights("CBS", small_candidates, small_stats)
+    probabilities = np.linspace(0.5, 1.0, len(small_candidates))
+    algorithm = get_pruning_algorithm(name)
+    matrix, message = matrix_of(small_blocks), "^totals must be a BlockTotals or None, got MembershipMatrix$"
+    with pytest.raises(TypeError, match=message):
+        algorithm.retain(weights, small_candidates, matrix)
+    with pytest.raises(TypeError, match=message):
+        algorithm.prune(probabilities, small_candidates, matrix)
+    with pytest.raises(TypeError, match="got tuple$"):
+        algorithm.prune(probabilities, small_candidates, (21, 7))
+
+
 @pytest.mark.parametrize(
     "weights,message",
     [

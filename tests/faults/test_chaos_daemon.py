@@ -2,10 +2,10 @@
 
 The ``REPRO_FAULTS`` plan SIGKILLs every shard worker mid-replay (each at
 a seed-drawn applied-record ordinal) while a client keeps ingesting and
-reading.  The daemon must keep answering throughout (degrading reads
-while shards rebuild), every worker must be replaced, and after healing
-and shutdown the offline recovery must hold every acked write with the
-exact retained set the last clean read reported.
+reading.  The daemon must keep answering throughout (no read uses the
+fleet), every worker must be replaced, and after healing and shutdown the
+offline recovery must hold every acked write with the exact retained set
+the last read reported.
 
 Seed selection: ``REPRO_CHAOS_SEED`` (default 0).  CI runs the fixed
 seed plus one randomized seed, logging it — the plan line printed below
@@ -77,8 +77,8 @@ class TestSeededKillLoop:
 
             with ServeClient(*daemon.address) as client:
                 # ingest + read until the kill loop has claimed BOTH shard
-                # workers; reads drive replica replay, so they are what
-                # walks each worker onto its kill ordinal
+                # workers; the follows of the writes drive replica replay,
+                # so they are what walks each worker onto its kill ordinal
                 deadline = time.monotonic() + 60
                 serial = 0
                 while not every_worker_replaced():
@@ -94,22 +94,14 @@ class TestSeededKillLoop:
                         side=side,
                     )
                     acked.append((entity_id, side))
-                    client.match()  # may be degraded mid-kill; must answer
+                    client.match()  # answers mid-kill: no read uses the fleet
                     serial += 1
                 assert daemon._supervisor.restarts >= 2
 
-                # heal: stop arming respawned workers, then wait for a
-                # clean (non-degraded) read from the rebuilt fleet
+                # heal: stop arming respawned workers
                 monkeypatch.delenv(FAULTS_ENV)
                 faults.clear()
-                deadline = time.monotonic() + 30
-                while time.monotonic() < deadline:
-                    answer = client.match()
-                    if answer.get("degraded") is None:
-                        final = answer
-                        break
-                    time.sleep(0.1)
-                assert final is not None, "reads never healed after the loop"
+                final = client.match()
         finally:
             faults.clear()
             daemon.request_shutdown()
@@ -124,7 +116,7 @@ class TestSeededKillLoop:
                     f"({plan!r})"
                 )
             assert reference_retained(recovered) == final["retained"], (
-                "the healed fleet's answer is not the canonical state"
+                "the answer after the kill loop is not the canonical state"
             )
         finally:
             recovered.close()

@@ -4,29 +4,31 @@ The acceptance contract of the observability subsystem: after driving the
 live daemon through a supervisor respawn, the merged structured event log
 must tell the whole story with joinable identifiers —
 
-    client request (trace id)
-      → injected fault / liveness detection (worker pid)
+    injected fault (worker pid)
+      → failed follow (shard, cause)
+      → liveness detection (worker pid)
       → supervisor respawn (old pid → new pid)
-      → replacement worker spawn (new pid, lineage token)
-      → checkpoint adoption (same lineage)
-      → degraded read (same trace id as the failing request)
+      → replacement worker spawn (new pid)
+      → checkpoint adoption (same pid)
 
-Two scenarios: a SIGKILL mid-replay (detected as a dead/wedged worker by
-the kicked supervisor) and a wedged-but-alive worker that swallows its
-heartbeats (detected as a missed heartbeat).
+while every client request (trace id) around it answers, because no read
+uses the fleet.  Two scenarios: a SIGKILL mid-replay (detected as a
+dead/wedged worker by the kicked supervisor) and a wedged-but-alive worker
+that swallows its heartbeats (detected as a missed heartbeat).
 """
 
 import threading
-import time
 
 import pytest
 
+from reference import reference_retained
 from repro import faults
 from repro.datamodel import make_profile
 from repro.faults import FAULTS_ENV, FaultPlan
 from repro.obs import events as obs_events
 from repro.obs import read_events
 from repro.serve import MatchingDaemon, ServeClient
+from waits import notified_by
 
 TEXTS = (
     "alpha beta gamma",
@@ -34,12 +36,16 @@ TEXTS = (
     "alpha delta eps",
     "gamma eps zeta",
 )
+#: the record shard 0's first worker dies applying
+KILL_ORDINAL = 3
 
 
 def _start(daemon):
     thread = threading.Thread(target=daemon.serve, daemon=True)
     thread.start()
     assert daemon.ready.wait(60), "daemon did not come up"
+    # every respawn wakes the waits below
+    daemon.waiter = notified_by(daemon._supervisor, "on_restart")
     return thread
 
 
@@ -64,7 +70,7 @@ class TestKillChain:
     def test_event_log_reconstructs_the_kill_respawn_adoption_chain(
         self, tmp_path, frozen_model, monkeypatch
     ):
-        plan = FaultPlan(kill_worker={0: 3})
+        plan = FaultPlan(kill_worker={0: KILL_ORDINAL})
         monkeypatch.setenv(FAULTS_ENV, plan.to_json())
         faults.clear()  # the worker inherits the armed env at spawn
         daemon = MatchingDaemon(
@@ -77,20 +83,15 @@ class TestKillChain:
             event_log=tmp_path / "events",
         )
         thread = _start(daemon)
-        degraded_trace = None
+        reads = []
         try:
             with ServeClient(*daemon.address) as client:
-                # walk shard 0's replica onto its kill ordinal: inserts
-                # journal records, and the router's follower — or a read
-                # that gets there first — makes the replica replay them.  A
-                # worker killed by a *follow* may be replaced before any
-                # read meets it; the replacement inherits the armed plan
-                # and is walked onto the ordinal in turn, until a read does
-                # land on a dead worker
-                deadline = time.monotonic() + 60
-                serial = 0
-                while degraded_trace is None:
-                    assert time.monotonic() < deadline, "kill never fired"
+                # shard 0's replica dies applying the KILL_ORDINAL-th record,
+                # replayed by the follow of that write; a read after every
+                # write, the kill's included, answers from the daemon's own
+                # view.  The replacement inherits the armed plan, so no
+                # record is written after the kill for it to replay
+                for serial in range(KILL_ORDINAL):
                     side = serial % 2
                     client.insert(
                         make_profile(
@@ -100,34 +101,16 @@ class TestKillChain:
                         side=side,
                     )
                     answer = client.match()
-                    if answer.get("degraded"):
-                        degraded_trace = client.last_trace_id
-                    serial += 1
-                # heal: disarm before asserting, so the replacement
-                # worker stays alive
+                    assert "degraded" not in answer
+                    assert answer["retained"] == reference_retained(daemon.session)
+                    reads.append(client.last_trace_id)
+                assert daemon.waiter.until(
+                    lambda: daemon._supervisor.restarts >= 1
+                ), "the killed worker was never replaced"
                 monkeypatch.delenv(FAULTS_ENV)
                 faults.clear()
-                # the victim is the worker whose kill degraded that read:
-                # the last one to die before it
-                deadline = time.monotonic() + 30
-                while True:
-                    log = read_events(tmp_path / "events")
-                    (degraded,) = _events_of(
-                        log, "degraded_read", trace=degraded_trace
-                    )
-                    victim_pid = [
-                        event["pid"]
-                        for event in _events_of(
-                            log, "fault_injected", kind="kill_worker"
-                        )
-                        if log.index(event) < log.index(degraded)
-                    ][-1]
-                    if _events_of(
-                        log, "worker_respawn", shard=0, old_pid=victim_pid
-                    ):
-                        break
-                    assert time.monotonic() < deadline, "victim never replaced"
-                    time.sleep(0.05)
+                assert client.match()["retained"] == reference_retained(daemon.session)
+                reads.append(client.last_trace_id)
         finally:
             faults.clear()
             _stop(daemon, thread)
@@ -135,15 +118,19 @@ class TestKillChain:
         log = read_events(tmp_path / "events")
 
         # 1. the injected fault announced itself before killing, from
-        #    inside the victim process — shard 0's worker at the time
-        (fault,) = _events_of(
-            log, "fault_injected", kind="kill_worker", pid=victim_pid
-        )
+        #    inside the victim process — shard 0's first worker (a follow
+        #    woken twice may walk an armed replacement onto it in turn)
+        fault = _events_of(log, "fault_injected", kind="kill_worker")[0]
+        victim_pid = fault["pid"]
         assert fault["shard"] == 0
         assert fault["role"] == "shard0"
         assert _events_of(log, "worker_spawn", shard=0, pid=victim_pid)
 
-        # 2. the supervisor noticed the loss of that exact pid...
+        # 2. the follow that met the kill journaled its shard and cause ...
+        follow_error = _events_of(log, "replica_follow_error", shard=0)[0]
+        assert follow_error["cause"].startswith("WorkerError: shard worker 0")
+
+        # 3. ... and the supervisor it kicked noticed the loss of that pid
         liveness = (
             _events_of(log, "worker_dead", shard=0, pid=victim_pid)
             + _events_of(log, "worker_hang", shard=0, pid=victim_pid)
@@ -151,34 +138,31 @@ class TestKillChain:
         )
         assert liveness, "no liveness event for the killed worker"
 
-        # 3. ...and respawned it: old pid joins the victim, new pid joins
-        #    the replacement's own spawn record
+        # 4. and respawned it: old pid joins the victim, new pid joins the
+        #    replacement's own spawn record
         respawns = _events_of(log, "worker_respawn", shard=0, old_pid=victim_pid)
         assert respawns
         new_pid = respawns[0]["new_pid"]
         (spawn,) = _events_of(log, "worker_spawn", shard=0, pid=new_pid)
 
-        # 4. the replacement adopted a checkpoint under the same lineage
-        adoptions = _events_of(
-            log, "checkpoint_adoption", shard=0, pid=new_pid,
-            lineage=spawn["lineage"],
-        )
-        assert adoptions, "no checkpoint adoption for the replacement lineage"
+        # 5. the replacement adopted a checkpoint in its own process
+        adoptions = _events_of(log, "checkpoint_adoption", shard=0, pid=new_pid)
+        assert adoptions, "no checkpoint adoption for the replacement"
 
-        # 5. the read that hit the dead worker degraded under ITS trace id
-        #    and still completed successfully
-        assert _events_of(log, "degraded_read", trace=degraded_trace)
-        (request,) = _events_of(log, "request", trace=degraded_trace)
-        assert request["op"] == "match"
-        assert request["ok"] is True
+        # 6. every read answered, under its own trace id, and none fell back
+        #    to anything: no read touches the fleet
+        for trace in reads:
+            (request,) = _events_of(log, "request", trace=trace)
+            assert request["op"] == "match" and request["ok"] is True
+        assert not _events_of(log, "degraded_read")
 
-        # 6. and the story is ordered (merged across three processes):
-        #    the fault precedes everything; the replacement spawns before
-        #    it adopts; the swap record lands after the fault.  (spawn may
-        #    precede the respawn record — the router spawns the
-        #    replacement BEFORE swapping, to keep downtime to one swap)
+        # 7. and the story is ordered (merged across three processes): the
+        #    fault precedes the failed follow and everything after it; the
+        #    replacement spawns before it adopts.  (spawn may precede the
+        #    respawn record — the router spawns the replacement BEFORE
+        #    swapping, to keep downtime to one swap)
+        assert log.index(fault) < log.index(follow_error) < log.index(respawns[0])
         assert log.index(fault) < log.index(spawn) < log.index(adoptions[0])
-        assert log.index(fault) < log.index(respawns[0])
 
 
 @pytest.mark.chaos
@@ -202,13 +186,13 @@ class TestHeartbeatChain:
         thread = _start(daemon)
         try:
             victim_pid = daemon.router.handle(0).pid
-            deadline = time.monotonic() + 30
-            while not _events_of(
-                read_events(tmp_path / "events"),
-                "worker_respawn", shard=0, old_pid=victim_pid,
-            ):
-                assert time.monotonic() < deadline, "heartbeat miss never fired"
-                time.sleep(0.1)
+            # the respawn is journaled before its callback wakes this wait
+            assert daemon.waiter.until(
+                lambda: _events_of(
+                    read_events(tmp_path / "events"),
+                    "worker_respawn", shard=0, old_pid=victim_pid,
+                )
+            ), "heartbeat miss never fired"
             # disarm so replacement workers answer their pings again
             monkeypatch.delenv(FAULTS_ENV)
             faults.clear()
@@ -227,9 +211,7 @@ class TestHeartbeatChain:
         assert respawn["reason"] == "missed heartbeat"
         spawns = _events_of(log, "worker_spawn", shard=0, pid=respawn["new_pid"])
         assert spawns
-        assert _events_of(
-            log, "checkpoint_adoption", shard=0, lineage=spawns[0]["lineage"]
-        )
+        assert _events_of(log, "checkpoint_adoption", shard=0, pid=respawn["new_pid"])
         # miss precedes both halves of the swap; adoption follows the
         # spawn (spawn may precede the respawn record — the replacement
         # is launched before the supervisor journals the swap)

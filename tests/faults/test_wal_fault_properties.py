@@ -3,7 +3,8 @@
 The write-ahead log's contract under injected failures:
 
 * a failed **fsync** undoes the partial append (append-or-nothing) and the
-  writer keeps working — the log is *not* broken;
+  writer keeps working — the log is *not* broken; only when the undo fails
+  too is the writer broken, and the log reopens at its committed offset;
 * a **torn** or **corrupt** tail cannot be undone blindly, so the writer
   marks itself broken and refuses further appends (:class:`WalBrokenError`)
   while the log stays readable — ``scan()`` drops the damaged tail;
@@ -16,6 +17,7 @@ The Hypothesis properties drive both the raw log and a full
 operation sequences under random fault schedules.
 """
 
+import errno
 import shutil
 import tempfile
 from pathlib import Path
@@ -43,6 +45,30 @@ def _record(n):
     return {"op": "remove", "id": f"e{n}", "side": 0}
 
 
+class _TruncateFails:
+    """A writer's log file whose truncate fails; everything else passes
+    through to the real file."""
+
+    def __init__(self, file):
+        self._file = file
+
+    def truncate(self, *size):
+        raise OSError(errno.EIO, "injected truncate failure")
+
+    def __getattr__(self, name):
+        return getattr(self._file, name)
+
+
+class _WriteTornAndTruncateFails(_TruncateFails):
+    """Also: a write gets half its bytes onto the disk, then the disk is
+    full."""
+
+    def write(self, blob):
+        self._file.write(blob[: len(blob) // 2])
+        self._file.flush()
+        raise OSError(errno.ENOSPC, "injected short write")
+
+
 class TestFsyncFaults:
     def test_failed_fsync_undoes_the_append_and_writer_survives(self, tmp_path):
         faults.install(FaultPlan(fsync_error=(1,)))
@@ -59,6 +85,66 @@ class TestFsyncFaults:
         assert [entry.record for entry in scan.records] == [_record(1)]
         assert not scan.truncated
         wal.close()
+
+    def test_a_failed_undo_breaks_the_writer_and_the_committed_prefix_reopens(
+        self, tmp_path
+    ):
+        """The fsync fails, and so does the truncate that would undo the
+        partial append: the tail is in an unknown state, so the writer is
+        broken — but the log stays readable and reopens at its committed
+        offset."""
+        faults.install(FaultPlan(fsync_error=(2,)))
+        wal = WriteAheadLog(tmp_path).open()
+        wal.append_record(_record(0))
+        committed = wal.log_offset
+        wal._file = _TruncateFails(wal._file)
+        with pytest.raises(InjectedFaultError):
+            wal.append_record(_record(1))
+        assert wal.broken
+        assert wal.log_offset == committed
+        with pytest.raises(WalBrokenError):
+            wal.append_record(_record(2))
+        faults.clear()
+        scan = wal.scan()
+        assert scan.records[0].record == _record(0)
+        assert scan.records[0].end == committed
+        wal.close()
+        reopened = WriteAheadLog(tmp_path).open(truncate_at=committed)
+        try:
+            assert reopened.log_offset == committed and not reopened.broken
+            reopened.append_record(_record(3))
+            assert [entry.record for entry in reopened.scan().records] == [
+                _record(0), _record(3),
+            ]
+        finally:
+            reopened.close()
+
+    def test_a_torn_write_whose_undo_fails_is_dropped_on_reopen(self, tmp_path):
+        """The half record a failed write left cannot be truncated away: the
+        writer is broken, the scan keeps the committed prefix and names the
+        torn tail, and the log reopens without it."""
+        wal = WriteAheadLog(tmp_path).open()
+        wal.append_record(_record(0))
+        committed = wal.log_offset
+        wal._file = _WriteTornAndTruncateFails(wal._file)
+        with pytest.raises(OSError, match="injected short write"):
+            wal.append_record(_record(1))
+        assert wal.broken and wal.log_offset == committed
+        with pytest.raises(WalBrokenError):
+            wal.append_record(_record(2))
+        scan = wal.scan()
+        assert [entry.record for entry in scan.records] == [_record(0)]
+        assert scan.truncated
+        wal.close()
+        reopened = WriteAheadLog(tmp_path).open(truncate_at=committed)
+        try:
+            assert reopened.log_offset == committed and not reopened.broken
+            reopened.append_record(_record(3))
+            scan = reopened.scan()
+            assert [entry.record for entry in scan.records] == [_record(0), _record(3)]
+            assert not scan.truncated
+        finally:
+            reopened.close()
 
     def test_failed_batch_sync_does_not_block_scan(self, tmp_path):
         wal = WriteAheadLog(tmp_path, sync="batch").open()

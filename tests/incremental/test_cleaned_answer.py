@@ -26,7 +26,13 @@ import shutil
 import numpy as np
 import pytest
 
-from reference import CLEANINGS, batch_retained_ids, make_frozen_model, reference_retained
+from reference import (
+    CLEANINGS,
+    batch_retained_ids,
+    make_frozen_model,
+    rebuilt_view,
+    reference_retained,
+)
 from repro.blocking import prepare_blocks
 from repro.blocking.cleaning import NO_CLEANING, PAPER_CLEANING
 from repro.core.features import FeatureVectorGenerator
@@ -34,7 +40,7 @@ from repro.datamodel import EntityCollection, make_profile
 from repro.incremental import MatchingSession
 from repro.pairs import pack_pair_keys
 from repro.persistence import WriteAheadLog
-from repro.serve.router import build_pinned_view, match_answer, top_k_answer
+from repro.serve.router import match_answer, top_k_answer
 from repro.serve.workers import ShardReplica
 
 pytestmark = pytest.mark.equivalence
@@ -153,16 +159,14 @@ def test_a_stranded_block_pairs_its_first_side_as_batch_does(tmp_path):
         )
         for replica in replicas:
             replica.catch_up(session.wal.log_offset)
-        view = build_pinned_view(
-            [replica.read_state() for replica in replicas], session.index.entity_id
-        )
-        assert match_answer(view, PAPER, session.pruning)["retained"] == reference
+        view = rebuilt_view([replica.index for replica in replicas], session.index.entity_id)
+        assert match_answer(view, view.entity_id, PAPER, session.pruning)["retained"] == reference
         # top_k's same-side counterpart, with match's probability
         probability = _probabilities(
             view.entity_id, streamed.candidates.left, streamed.candidates.right,
             streamed.probabilities,
         )
-        matches = top_k_answer(view, PAPER, session.index.node_of("a0", side=0), k=5)
+        matches = top_k_answer(view, view.entity_id, PAPER, session.index.node_of("a0", side=0), k=5)
         assert {(match["entity_id"], match["side"]) for match in matches} == {("a1", 0), ("b1", 1)}
         for match in matches:
             assert match["probability"] == probability[frozenset(("a0", match["entity_id"]))]

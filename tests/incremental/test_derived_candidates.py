@@ -51,7 +51,7 @@ from repro.blocking import prepare_blocks
 from repro.blocking.cleaning import NO_CLEANING, PAPER_CLEANING
 from repro.core.pruning import PRUNING_ALGORITHMS, BlockTotals
 from repro.datamodel import EntityCollection, make_profile
-from repro.incremental import IndexState, MatchingSession, MergedIndexView
+from repro.incremental import MatchingSession
 from repro.serve.router import match_answer
 from repro.weights import sparse
 from repro.weights import statistics as statistics_module
@@ -62,6 +62,7 @@ from reference import (
     batch_retained_ids,
     member_pairs,
     merged_replicas,
+    rebuilt_view,
     reference_counterparts,
 )
 from reference import forced_cooccurrence_pass as forced
@@ -318,16 +319,6 @@ def test_the_edges_derive_nothing_and_recover(bilateral, num_shards):
         assert reference_counterparts(index, statistics, 4).size == 0
 
 
-def _shipped(index):
-    """The bare states a router would hold for ``index``'s shards."""
-    states = []
-    for shard in index.shards:
-        state = IndexState()
-        state.apply_full(**shard.export_state())
-        states.append(state)
-    return MergedIndexView(states, index.entity_id)
-
-
 @pytest.mark.parametrize("cleaning", sorted(CLEANINGS))
 @pytest.mark.parametrize("pruning", sorted(PRUNING_ALGORITHMS))
 def test_a_refused_key_falls_back_to_the_pairs_alone(tmp_path, pruning, cleaning):
@@ -373,7 +364,8 @@ def test_a_refused_key_falls_back_to_the_pairs_alone(tmp_path, pruning, cleaning
     )
     with refusing, no_reduce:
         result = session.retained()
-        answer = match_answer(_shipped(sharded), model, session.pruning)
+        view = rebuilt_view(sharded.shards, sharded.entity_id)
+        answer = match_answer(view, view.entity_id, model, session.pruning)
     assert np.array_equal(result.candidates.canonical.left, prepared.candidates.left)
     assert np.array_equal(result.candidates.canonical.right, prepared.candidates.right)
     assert {frozenset(pair) for pair in result.retained_ids} == oracle

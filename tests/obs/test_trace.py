@@ -2,6 +2,8 @@
 
 import threading
 
+import pytest
+
 from repro.obs.trace import (
     RequestTrace,
     activate,
@@ -40,36 +42,36 @@ class TestSpanTree:
         assert measured["tags"] == {"kind": "delta"}
         assert tree["ms"] >= outer["ms"] >= 0.0
 
-    def test_graft_builds_a_child_subtree_with_summed_duration(self):
-        trace = RequestTrace("abc", "match")
-        trace.graft(
-            "shard0",
-            [
-                {"name": "catch-up", "ms": 2.0, "records": 3},
-                {"name": "export", "ms": 1.0},
-            ],
-        )
-        tree = trace.finish()
-        (shard,) = tree["children"]
-        assert shard["name"] == "shard0"
-        assert shard["ms"] == 3.0
-        assert [c["name"] for c in shard["children"]] == ["catch-up", "export"]
-        assert shard["children"][0]["tags"] == {"records": 3}
-
     def test_disabled_trace_records_nothing_and_costs_nothing(self):
         trace = RequestTrace("abc", "match", enabled=False)
         with trace.span("outer") as span:
             assert span is None
         trace.add_span("x", 1.0)
-        trace.graft("shard0", [{"name": "a", "ms": 1.0}])
         assert trace.finish() is None
+
+    def test_a_span_an_exception_leaves_is_closed_and_unwound(self):
+        """An error response carries its trace too: the failed span keeps
+        its duration, and later spans nest at its parent again."""
+        trace = RequestTrace("abc", "insert")
+        with pytest.raises(KeyError):
+            with trace.span("mutate"):
+                with trace.span("wal-append"):
+                    raise KeyError("duplicate")
+        trace.add_span("queue-wait", 0.25)
+        tree = trace.finish()
+        mutate, queue_wait = tree["children"]
+        assert mutate["name"] == "mutate" and queue_wait["name"] == "queue-wait"
+        (append,) = mutate["children"]
+        assert append["name"] == "wal-append"
+        assert mutate["ms"] >= append["ms"] >= 0.0
+        assert tree["ms"] >= mutate["ms"]
 
     def test_trees_are_json_serializable(self):
         import json
 
         trace = RequestTrace("abc", "match")
-        with trace.span("fan-out", shards=2):
-            trace.graft("shard0", [{"name": "export", "ms": 0.5}])
+        with trace.span("score-and-prune", shared=False):
+            trace.add_span("merge-pairs", 0.5, rows=3)
         json.dumps(trace.finish())
 
 

@@ -103,6 +103,7 @@ from repro.datasets.vocabulary import COMMON_WORDS, Vocabulary
 from repro.incremental import (
     DeltaFeatureGenerator,
     FrozenModel,
+    IndexState,
     MergedIndexView,
     MutableBlockIndex,
 )
@@ -1024,6 +1025,19 @@ def merged_replicas(
     for replica in replicas:
         replica.catch_up(wal.log_offset)
     return MergedIndexView([replica.index for replica in replicas], authority.entity_id), replicas
+
+
+def rebuilt_view(indexes: Sequence[IndexState], entity_id) -> MergedIndexView:
+    """``indexes`` — shard replicas, or one authority — read as one index
+    through bare states rebuilt from their full exports: what a reader that
+    holds no member list, no per-block vector and no delta sees, built from
+    scratch (the oracle a view advanced by deltas is held to)."""
+    states = []
+    for index in indexes:
+        state = IndexState()
+        state.apply_full(**index.export_state())
+        states.append(state)
+    return MergedIndexView(states, entity_id)
 
 
 def reference_counterparts(view, statistics, node: int) -> np.ndarray:

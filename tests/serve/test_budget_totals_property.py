@@ -31,6 +31,7 @@ from reference import (
     make_frozen_model,
     matrix_of,
     merged_replicas,
+    rebuilt_view,
     reference_blocks,
     reference_totals,
 )
@@ -40,7 +41,6 @@ from repro.incremental import DeltaFeatureGenerator, MatchingSession, MutableBlo
 from repro.incremental.session import exact_answer
 from repro.persistence import WriteAheadLog
 from repro.persistence.snapshot import snapshot_state
-from repro.serve.router import build_pinned_view
 from repro.serve.workers import ShardReplica
 
 pytestmark = pytest.mark.equivalence
@@ -199,10 +199,7 @@ def test_checkpoint_adopting_view_answers_from_shipped_totals(tmp_path, num_shar
             for replica in replicas:
                 replica.catch_up(session.wal.log_offset)
             assert all(replica.adopted_sequence is not None for replica in replicas)
-            view = build_pinned_view(
-                [replica.read_state() for replica in replicas],
-                session.index.entity_id,
-            )
+            view = rebuilt_view([replica.index for replica in replicas], session.index.entity_id)
             # the view ships no member lists: the authority's materialised
             # collection is the reference for the totals read off the rows
             _assert_totals_and_masks(view, snapshot=reference_blocks(session.index))

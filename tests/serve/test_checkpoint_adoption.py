@@ -27,12 +27,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import make_frozen_model, reference_retained
+from reference import make_frozen_model, rebuilt_view, reference_retained
 from repro.datamodel import make_profile
 from repro.incremental import MatchingSession
 from repro.persistence.log import LOG_MAGIC, WriteAheadLog
 from repro.persistence import SNAPSHOT_FORMAT
-from repro.serve.router import build_pinned_view, match_answer
+from repro.serve.router import match_answer
 from repro.serve.workers import ShardReplica, WalFollowError
 
 MODEL = make_frozen_model()
@@ -131,9 +131,10 @@ def _assert_replicas_identical(adopted, from_zero):
             ours, right["per_node"][name], rtol=0, atol=1e-12,
             err_msg=f"array {name!r}",
         )
-    left_meta = adopted.read_state()["meta"]
-    right_meta = from_zero.read_state()["meta"]
-    for key in ("shard", "offset", "bilateral", "side_counts"):
+    assert (adopted.shard, adopted.offset) == (from_zero.shard, from_zero.offset)
+    left_meta = adopted.index.export_state()["meta"]
+    right_meta = from_zero.index.export_state()["meta"]
+    for key in ("bilateral", "side_counts"):
         assert left_meta[key] == right_meta[key], f"meta {key!r}"
     for name in ("num_nonempty_blocks", "total_cardinality"):
         assert getattr(adopted.index, name) == getattr(from_zero.index, name), name
@@ -194,10 +195,8 @@ class TestAdoptionUnit:
             for replica in replicas:
                 replica.catch_up(offset)
             assert all(r.adopted_sequence is not None for r in replicas)
-            view = build_pinned_view(
-                [r.read_state() for r in replicas], session.index.entity_id
-            )
-            answer = match_answer(view, MODEL, session.pruning)
+            view = rebuilt_view([r.index for r in replicas], session.index.entity_id)
+            answer = match_answer(view, view.entity_id, MODEL, session.pruning)
             assert answer["retained"] == reference_retained(session)
             for replica in replicas:
                 replica.close()

@@ -15,6 +15,7 @@ is the batch pipeline's on the live entities, cleaned as the model records.
 
 import shutil
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -22,14 +23,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import CLEANINGS, batch_retained_ids, make_frozen_model, reference_retained
+from reference import (
+    CLEANINGS,
+    batch_retained_ids,
+    make_frozen_model,
+    rebuilt_view,
+    reference_retained,
+)
 from repro.blocking import prepare_blocks
 from repro.datamodel import EntityCollection, make_profile
-from repro.incremental import IndexState, MatchingSession, MergedIndexView, MutableBlockIndex
+from repro.incremental import IndexState, MatchingSession, MutableBlockIndex
 from repro.incremental.state import APPENDED, Growable, IndexStateError
 from repro.persistence import WriteAheadLog
 from repro.persistence.recovery import recover_session
-from repro.serve.router import build_pinned_view, match_answer, top_k_answer
+from repro.serve.router import ReadView, SharedRead, match_answer, top_k_answer
 from repro.serve.workers import ShardReplica, WalFollowError
 
 pytestmark = pytest.mark.equivalence
@@ -42,20 +49,18 @@ MODEL = make_frozen_model()
 MODELS = {name: make_frozen_model(cleaning=cleaning) for name, cleaning in CLEANINGS.items()}
 
 
-def _operations():
+def _operation():
     sides = st.sampled_from((0, 1))
-    return st.lists(
-        st.one_of(
-            st.tuples(st.just("add"), sides, _text),
-            st.tuples(
-                st.just("bulk"), sides, st.lists(_text, min_size=1, max_size=3)
-            ),
-            st.tuples(st.just("remove"), sides, st.integers(0, 32)),
-            st.tuples(st.just("update"), sides, st.integers(0, 32), _text),
-        ),
-        min_size=1,
-        max_size=12,
+    return st.one_of(
+        st.tuples(st.just("add"), sides, _text),
+        st.tuples(st.just("bulk"), sides, st.lists(_text, min_size=1, max_size=3)),
+        st.tuples(st.just("remove"), sides, st.integers(0, 32)),
+        st.tuples(st.just("update"), sides, st.integers(0, 32), _text),
     )
+
+
+def _operations():
+    return st.lists(_operation(), min_size=1, max_size=12)
 
 
 def _stream(session, operations, arrival=None):
@@ -141,11 +146,8 @@ def test_every_pinned_offset_equals_canonical(cleaning, operations, num_shards):
             for offset, reference in pinned:
                 for replica in replicas:
                     replica.catch_up(offset)
-                view = build_pinned_view(
-                    [replica.read_state() for replica in replicas],
-                    session.index.entity_id,
-                )
-                answer = match_answer(view, model, session.pruning)
+                view = rebuilt_view([replica.index for replica in replicas], session.index.entity_id)
+                answer = match_answer(view, view.entity_id, model, session.pruning)
                 assert answer["retained"] == reference
         finally:
             for replica in replicas:
@@ -191,101 +193,149 @@ def _assert_stub_identical(actual: IndexState, oracle: IndexState):
     assert dict(actual._export_meta(), epoch=0) == dict(oracle._export_meta(), epoch=0)
 
 
-@settings(max_examples=15, deadline=None)
-@given(
-    operations=_operations(),
-    num_shards=st.sampled_from((1, 2, 3)),
-    respawn_at=st.integers(0, 64),
-)
-def test_resident_delta_view_equals_rebuild(operations, num_shards, respawn_at):
-    """The delta-maintained resident view is *identical* — same arrays, same
-    scalars, same answers — to a from-scratch rebuild *and to the worker's
-    own live index* at every pinned offset, including across a forced
-    replica respawn mid-stream (which must full-re-ship); and the state
-    reads every array and every index scalar a worker ships, full or
-    delta."""
+def _between():
+    """What happens between two writes: nothing, a checkpoint, or a run of
+    reads — ``("match",)`` or ``("top_k", side, pick, k)``."""
+    sides = st.sampled_from((0, 1))
+    read = st.one_of(
+        st.just(("match",)),
+        st.tuples(st.just("top_k"), sides, st.integers(0, 32), st.integers(0, 4)),
+    )
+    return st.one_of(
+        st.just(()), st.just(("checkpoint",)), st.lists(read, min_size=1, max_size=3)
+    )
+
+
+@pytest.mark.parametrize("cleaning", sorted(CLEANINGS))
+@settings(max_examples=20, deadline=None)
+@given(operations=_operations(), between=st.lists(_between(), min_size=13, max_size=13))
+def test_the_advanced_view_answers_as_a_fresh_retained(cleaning, operations, between):
+    """Over random interleavings of insert, update, remove, bulk, checkpoint
+    and reads, the daemon's view — advanced by the authority's
+    ``export_delta`` / ``apply_delta`` at each read, its exact read shared
+    by the reads at one state — answers ``match`` and ``top_k`` as a fresh
+    ``session.retained()`` does at every pinned offset."""
     tmp = Path(tempfile.mkdtemp())
-    session = MatchingSession(MODEL, bilateral=True, wal_path=tmp)
+    model = MODELS[cleaning]
+    session = MatchingSession(model, bilateral=True, wal_path=tmp)
+    view, shared = ReadView(session.index), SharedRead()
+    entity_id = session.index.entity_id
     try:
-        pinned = [(session.wal.log_offset, reference_retained(session))]
-        for _ in _stream(session, operations):
-            pinned.append((session.wal.log_offset, reference_retained(session)))
-        resident = [
-            ShardReplica(tmp, shard, num_shards) for shard in range(num_shards)
-        ]
-        oracles = [
-            ShardReplica(tmp, shard, num_shards) for shard in range(num_shards)
-        ]
-        stubs = [None] * num_shards
-        bases = [None] * num_shards
-        respawn_pin = respawn_at % len(pinned)
-        respawn_shard = respawn_at % num_shards
-        try:
-            for pin, (offset, reference) in enumerate(pinned):
-                respawned = pin == respawn_pin and pin > 0
-                if respawned:
-                    # a fresh replica process: new lineage, no shipped base —
-                    # the router-side stub and base survive the swap, and the
-                    # lineage mismatch must force a full re-ship
-                    resident[respawn_shard].close()
-                    resident[respawn_shard] = ShardReplica(
-                        tmp, respawn_shard, num_shards
-                    )
-                for shard in range(num_shards):
-                    resident[shard].catch_up(offset)
-                    state = resident[shard].read_state(base=bases[shard])
-                    meta = _ReadRecorder(state["meta"])
-                    if pin == 0 or (respawned and shard == respawn_shard):
-                        assert state["kind"] == "full"
-                    else:
-                        assert state["kind"] == "delta"
-                    arrays = _ReadRecorder(state["arrays"])
-                    if state["kind"] == "full":
-                        stub = IndexState()
-                        stub.apply_full(arrays, meta)
-                        stubs[shard] = stub
-                    else:
-                        assert meta["lineage"] == bases[shard]["lineage"]
-                        assert int(meta["base_epoch"]) == bases[shard]["epoch"]
-                        stubs[shard].apply_delta(arrays, meta)
-                    # the converse of array identity: nothing is shipped
-                    # that the stub does not read (a delta's value arrays
-                    # are skipped only when their id array came empty)
-                    shipped = {name for name, array in arrays.items() if array.size}
-                    assert shipped <= arrays.read, (state["kind"], shipped - arrays.read)
-                    # ... and no index scalar either (``bilateral`` cannot
-                    # change under a delta; ``epoch`` is the next read's base)
-                    scalars = set(session.index._export_meta())
-                    scalars -= {"epoch"} if state["kind"] == "full" else {"epoch", "bilateral"}
-                    assert scalars <= meta.read, (state["kind"], scalars - meta.read)
-                    bases[shard] = {
-                        "lineage": meta["lineage"],
-                        "epoch": int(meta["epoch"]),
-                    }
-                for oracle in oracles:
-                    oracle.catch_up(offset)
-                oracle_view = build_pinned_view(
-                    [oracle.read_state() for oracle in oracles],
-                    session.index.entity_id,
-                )
-                for shard in range(num_shards):
-                    _assert_stub_identical(stubs[shard], oracle_view.shards[shard])
-                    # ... and with the index it was shipped from, which never
-                    # went through apply_full
-                    _assert_stub_identical(stubs[shard], resident[shard].index)
-                    assert stubs[shard].epoch == resident[shard].index.epoch
-                answer = match_answer(
-                    MergedIndexView(stubs, session.index.entity_id),
-                    MODEL,
-                    session.pruning,
-                )
-                assert answer["retained"] == reference
-        finally:
-            for replica in resident + oracles:
-                replica.close()
+        for action, _ in zip(between, chain([None], _stream(session, operations))):
+            if action == ("checkpoint",):
+                session.checkpoint()
+                continue
+            for read in action:
+                state = view.advance()
+                exact = shared.held(state) or shared.compute(state, model, session.pruning)
+                fresh = session.retained()
+                if read[0] == "match":
+                    answer = match_answer(state, entity_id, model, session.pruning, exact)
+                    assert [row[:2] for row in answer["retained"]] == sorted(
+                        list(pair) for pair in fresh.retained_ids
+                    ), session.wal.log_offset
+                    assert answer["retained"] == reference_retained(session)
+                    assert answer["num_candidates"] == len(fresh.candidates)
+                    continue
+                _, side, pick, k = read
+                live = np.flatnonzero(state.sides() == side)
+                if not live.size:
+                    continue
+                node = int(live[pick % live.size])
+                fresh_read = (fresh.candidates, fresh.probabilities, fresh.retained_mask)
+                assert top_k_answer(state, entity_id, model, node, k, exact) == top_k_answer(
+                    session.index, entity_id, model, node, k, fresh_read
+                ), (session.wal.log_offset, node, k)
     finally:
         session.close()
         shutil.rmtree(tmp, ignore_errors=True)
+
+
+@settings(max_examples=15, deadline=None)
+@given(operations=_operations(), read_after=st.lists(st.booleans(), min_size=12, max_size=12))
+def test_the_advanced_view_equals_its_authority(operations, read_after):
+    """The view a run of advances maintains is *identical* — same arrays,
+    same scalars, same epoch — to the authority index it follows, after any
+    run of writes between two reads: the first advance ships the state full, every later one a
+    delta; and the view reads every array and every index scalar a ship
+    carries."""
+    tmp = Path(tempfile.mkdtemp())
+    session = MatchingSession(MODEL, bilateral=True, wal_path=tmp)
+    index = session.index
+    shipped = []
+    for name in ("export_state", "export_delta"):
+        exported = getattr(index, name)
+
+        def recording(*args, exported=exported):
+            ship = exported(*args)
+            if ship is not None:
+                ship = {"arrays": _ReadRecorder(ship["arrays"]), "meta": _ReadRecorder(ship["meta"])}
+                shipped.append(ship)
+            return ship
+
+        setattr(index, name, recording)
+    view = ReadView(index)
+    try:
+        reads = 0
+        for read, _ in zip([True, *read_after], chain([None], _stream(session, operations))):
+            if not read:
+                continue
+            state = view.advance()
+            reads += 1
+            arrays, meta = shipped[-1]["arrays"], shipped[-1]["meta"]
+            kind = "full" if reads == 1 else "delta"
+            assert len(shipped) == reads and meta["kind"] == kind
+            _assert_stub_identical(state, index)
+            assert state.epoch == index.epoch
+            # nothing is shipped that the view does not read (a delta's
+            # value arrays are skipped only when they came empty) ...
+            read_arrays = {name for name, array in arrays.items() if array.size}
+            assert read_arrays <= arrays.read, (kind, read_arrays - arrays.read)
+            # ... and no index scalar either (``bilateral`` cannot change
+            # under a delta)
+            scalars = set(index._export_meta()) - ({"bilateral"} if kind == "delta" else set())
+            assert scalars <= meta.read, (kind, scalars - meta.read)
+            answer = match_answer(state, index.entity_id, MODEL, session.pruning)
+            assert answer["retained"] == reference_retained(session)
+    finally:
+        session.close()
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def test_a_delta_that_does_not_apply_rebuilds_the_view_whole(tmp_path):
+    """A refused delta leaves nothing the next read advances from: the
+    export rebased the authority's tracker past the view's epoch, so the
+    next advance ships the state full into a new view."""
+    session = MatchingSession(MODEL, bilateral=True, wal_path=tmp_path)
+    view = ReadView(session.index)
+    try:
+        for serial, text in enumerate(("alpha beta", "beta gamma", "alpha gamma")):
+            session.insert(make_profile(f"a{serial}", text=text), side=0)
+            session.insert(make_profile(f"b{serial}", text=text), side=1)
+        held = view.advance()
+        epoch = held.epoch
+        session.insert(make_profile("a9", text="beta gamma"), side=0)
+        export_delta = session.index.export_delta
+
+        def forged(since_epoch):
+            ship = export_delta(since_epoch)
+            # the new CSR row arrives one membership short of its row pointer
+            ship["arrays"]["indices_tail"] = ship["arrays"]["indices_tail"][:-1]
+            return ship
+
+        session.index.export_delta = forged
+        with pytest.raises(IndexStateError, match="CSR rows ending at"):
+            view.advance()
+        del session.index.export_delta
+        assert held.epoch == epoch
+        rebuilt = view.advance()
+        assert rebuilt is not held and rebuilt.epoch == session.index.epoch
+        _assert_stub_identical(rebuilt, session.index)
+        assert match_answer(
+            rebuilt, session.index.entity_id, MODEL, session.pruning
+        )["retained"] == reference_retained(session)
+    finally:
+        session.close()
 
 
 class _ReadGrowable(Growable):
@@ -322,16 +372,14 @@ def test_the_answers_read_every_array_a_full_ship_carries(tmp_path):
         session.remove("b1", side=1)
         for replica in replicas:
             replica.catch_up(session.wal.log_offset)
-        view = build_pinned_view(
-            [replica.read_state() for replica in replicas], session.index.entity_id
-        )
+        view = rebuilt_view([replica.index for replica in replicas], session.index.entity_id)
         reads = [set() for _ in view.shards]
         for shard, log in zip(view.shards, reads):
             for name, field, _, _ in APPENDED:
                 setattr(shard, field, _ReadGrowable(getattr(shard, field), name, log))
-        answer = match_answer(view, MODEL, session.pruning)
+        answer = match_answer(view, view.entity_id, MODEL, session.pruning)
         assert answer["retained"] == reference_retained(session)
-        assert top_k_answer(view, MODEL, session.index.node_of("a0", side=0), 3)
+        assert top_k_answer(view, view.entity_id, MODEL, session.index.node_of("a0", side=0), 3)
         shipped = {name for name, _, _, _ in APPENDED}
         assert reads[0] == shipped
         # node ids, and so the side flags, are identical in every shard: the
@@ -354,7 +402,7 @@ def test_stub_refuses_a_state_whose_csr_does_not_add_up(tmp_path):
             session.insert(make_profile(f"a{i}", text=text), side=0)
             session.insert(make_profile(f"b{i}", text=text), side=1)
         replica.catch_up(session.wal.log_offset)
-        state = replica.read_state()
+        state = replica.index.export_state()
         stub = IndexState()
         stub.apply_full(state["arrays"], state["meta"])
         assert len(stub.candidate_set()) == session.index.num_pairs > 0
@@ -496,11 +544,8 @@ class TestSnapshotBootstrap:
                 for replica in replicas:
                     replica.catch_up(offset)
                 assert [replica.adopted_sequence for replica in replicas] == [floor] * 2
-                view = build_pinned_view(
-                    [replica.read_state() for replica in replicas],
-                    recovered.index.entity_id,
-                )
-                answer = match_answer(view, MODEL, recovered.pruning)
+                view = rebuilt_view([replica.index for replica in replicas], recovered.index.entity_id)
+                answer = match_answer(view, view.entity_id, MODEL, recovered.pruning)
                 assert answer["retained"] == reference_retained(recovered)
             finally:
                 for replica in replicas:

@@ -171,6 +171,73 @@ class TestBasicOperations:
         assert Path(result["snapshot"]).exists()
 
 
+class TestReadView:
+    """``match`` / ``top_k`` answer from the daemon's read view: the mutation
+    thread advances it, the read thread answers over it."""
+
+    def test_a_write_is_applied_while_a_read_is_answered(self, daemon):
+        """The answer runs off the mutation thread: an insert is acknowledged
+        while a ``match`` is held inside its exact read, and that ``match``
+        answers the state it pinned before the insert."""
+        entered, release = threading.Event(), threading.Event()
+        compute = daemon._shared_read.compute
+
+        def held_open(*args):
+            entered.set()
+            assert release.wait(30), "the read was never released"
+            return compute(*args)
+
+        daemon._shared_read.compute = held_open
+        answers = []
+
+        def read():
+            with ServeClient(*daemon.address) as reader:
+                answers.append(reader.match())
+
+        reader_thread = threading.Thread(target=read, daemon=True)
+        try:
+            with ServeClient(*daemon.address, timeout=10) as writer:
+                for i in (0, 1, 2):
+                    writer.insert(make_profile(f"a{i}", text=TEXTS[i]), side=0)
+                    before = writer.insert(make_profile(f"b{i}", text=TEXTS[i]), side=1)
+                expected = reference_retained(daemon.session)
+                reader_thread.start()
+                assert entered.wait(30), "the read never reached its exact read"
+                after = writer.insert(make_profile("a9", text=TEXTS[3]), side=0)
+                assert after["offset"] > before["offset"]
+                assert not answers
+                release.set()
+                reader_thread.join(30)
+                assert not reader_thread.is_alive()
+                (held,) = answers
+                assert held["offset"] == before["offset"]
+                assert held["retained"] == expected
+                fresh = writer.match()
+                assert fresh["offset"] == after["offset"]
+                assert fresh["retained"] == reference_retained(daemon.session)
+        finally:
+            release.set()
+            if reader_thread.ident is not None:
+                reader_thread.join(30)
+
+    def test_a_removed_entity_leaves_every_read(self, daemon):
+        with ServeClient(*daemon.address) as client:
+            for i in (0, 1, 2):
+                client.insert(make_profile(f"a{i}", text=TEXTS[i]), side=0)
+                client.insert(make_profile(f"b{i}", text=TEXTS[i + 1]), side=1)
+            # the view is warm: the remove reaches it as a delta
+            assert client.top_k("a1", side=0, k=10)["matches"]
+            client.remove("b0", side=1)
+            with pytest.raises(ServeError) as excinfo:
+                client.top_k("b0", side=1)
+            assert excinfo.value.error_type == "unknown_entity"
+            matches = client.top_k("a1", side=0, k=10)["matches"]
+            assert "b0" not in {match["entity_id"] for match in matches}
+            retained = client.match()["retained"]
+            assert not any("b0" in pair[:2] for pair in retained)
+            assert retained == reference_retained(daemon.session)
+
+
 class TestErrorPaths:
     def test_unknown_entity(self, daemon):
         with ServeClient(*daemon.address) as client:

@@ -1,71 +1,198 @@
-"""Delta-shipped reads: protocol units, ships across growth and the router.
+"""Delta-advanced read views: protocol units and ships across growth.
 
-Covers the three layers of the delta read path separately from the
+Covers the two layers of the delta read path separately from the
 consistency property suite:
 
-* every ship a worker sends — full, then deltas across inserts that grow
-  every array many times over — rebuilds exactly the worker's own state;
+* every advance of the daemon's read view — full, then deltas across
+  inserts that grow every array many times over — rebuilds exactly the
+  authority's own state;
+* the view is built whole once, then moves by deltas of O(changed) bytes:
+  an advance with no write between is an empty delta at the same state, a
+  remove tombstones the view's slot, and a view whose epoch another export
+  consumed is rebuilt whole;
 * :meth:`MutableBlockIndex.export_delta` is all-or-nothing: stale or
   consumed epochs and untracked indexes all refuse to ship a delta (forcing
-  a full ship) instead of shipping a wrong one;
-* :class:`ShardRouter` keeps resident per-shard views, ships deltas on warm
-  reads — under a quarter of a full ship's bytes at a few hundred
-  entities — full states on first contact and after a respawn, and records
-  the byte/read counters the stats panel renders.
+  a full ship) instead of shipping a wrong one.
 """
 
 import numpy as np
-import pytest
 
 from reference import make_frozen_model, reference_retained
 from repro.datamodel import make_profile
-from repro.datasets import load_benchmark
 from repro.incremental import MatchingSession
+from repro.datasets import load_benchmark
 from repro.incremental.index import MutableBlockIndex
-from repro.obs.registry import MetricsRegistry
-from repro.obs.render import render_stats
-from repro.incremental.state import IndexState
-from repro.serve.router import ShardRouter, match_answer
-from repro.serve.workers import ShardReplica, ShardWorkerHandle, WorkerError
+from repro.serve.router import ReadView, SharedRead, match_answer
 
 MODEL = make_frozen_model()
+TEXTS = ("alpha beta", "beta gamma", "alpha gamma")
+
+
+def _seeded_session():
+    session = MatchingSession(MODEL, bilateral=True)
+    for serial, text in enumerate(TEXTS):
+        session.insert(make_profile(f"a{serial}", text=text), side=0)
+        session.insert(make_profile(f"b{serial}", text=text), side=1)
+    return session
+
+
+def _assert_same_state(held, authority):
+    # looked up on the class: not an export :func:`_recorded_exports` counts
+    expected, shipped = type(authority).export_state(authority), held.export_state()
+    assert shipped["meta"] == expected["meta"]
+    for name, array in expected["arrays"].items():
+        assert np.array_equal(shipped["arrays"][name], array), name
+
+
+def _recorded_exports(index):
+    """Every export ``index`` hands out from now on, as ``(kind, bytes)``."""
+    exports = []
+    for name in ("export_state", "export_delta"):
+        exported = getattr(index, name)
+
+        def recording(*args, exported=exported):
+            ship = exported(*args)
+            if ship is not None:
+                size = sum(array.nbytes for array in ship["arrays"].values())
+                exports.append((ship["meta"]["kind"], size))
+            return ship
+
+        setattr(index, name, recording)
+    return exports
+
+
+def _answers_as_the_session(view, session):
+    assert match_answer(
+        view, session.index.entity_id, MODEL, session.pruning
+    )["retained"] == reference_retained(session)
 
 
 class TestShipsAcrossGrowth:
-    def test_every_read_equals_the_worker_side_state(self, tmp_path):
+    def test_every_read_equals_the_authority_state(self):
         """A full ship, then a delta per insert across 40 inserts that grow
-        every array far past its first size: after each one the resident
-        state equals ``export_state()`` of the same shard replayed here."""
-        session = MatchingSession(MODEL, bilateral=True, wal_path=tmp_path)
-        handle = None
-        replica = ShardReplica(tmp_path, 0, 1)
-        resident = IndexState()
-        try:
-            session.insert(make_profile("a0", text="alpha beta"), side=0)
-            session.insert(make_profile("b0", text="alpha beta"), side=1)
-            handle = ShardWorkerHandle(tmp_path, 0, 1)
-            base = None
-            for serial in range(1, 41):
-                ship = handle.read_state(session.wal.log_offset, base=base)
-                assert ship["kind"] == ("full" if base is None else "delta")
-                if base is None:
-                    resident.apply_full(ship["arrays"], ship["meta"])
-                else:
-                    resident.apply_delta(ship["arrays"], ship["meta"])
-                base = {"lineage": ship["meta"]["lineage"], "epoch": resident.epoch}
-                replica.catch_up(session.wal.log_offset)
-                expected, held = replica.index.export_state(), resident.export_state()
-                assert held["meta"] == expected["meta"]
-                for name, array in expected["arrays"].items():
-                    assert np.array_equal(held["arrays"][name], array), name
-                session.insert(
-                    make_profile(f"a{serial}", text=f"alpha tok{serial}"), side=0
-                )
-        finally:
-            if handle is not None:
-                handle.stop()
-            replica.close()
-            session.close()
+        every array far past its first size: after each one the view's
+        state equals ``export_state()`` of the authority it follows, and it
+        stays one object."""
+        session = MatchingSession(MODEL, bilateral=True)
+        view = ReadView(session.index)
+        session.insert(make_profile("a0", text="alpha beta"), side=0)
+        session.insert(make_profile("b0", text="alpha beta"), side=1)
+        first = view.advance()
+        for serial in range(1, 41):
+            held = view.advance()
+            assert held is first
+            expected, shipped = session.index.export_state(), held.export_state()
+            assert shipped["meta"] == expected["meta"]
+            for name, array in expected["arrays"].items():
+                assert np.array_equal(shipped["arrays"][name], array), name
+            session.insert(make_profile(f"a{serial}", text=f"alpha tok{serial}"), side=0)
+        assert match_answer(
+            view.advance(), session.index.entity_id, MODEL, session.pruning
+        )["retained"] == reference_retained(session)
+
+
+class TestReadView:
+    def test_the_first_advance_builds_the_view_whole_and_tracks_deltas_from_it(self):
+        session = _seeded_session()
+        index = session.index
+        view = ReadView(index)
+        assert view.state is None
+        # nothing tracks the authority's changes before the first read
+        assert index.export_delta(index.epoch) is None
+        exports = _recorded_exports(index)
+        first = view.advance()
+        assert view.state is first and [kind for kind, _ in exports] == ["full"]
+        _assert_same_state(first, index)
+        session.insert(make_profile("a9", text="beta gamma"), side=0)
+        assert view.advance() is first
+        assert [kind for kind, _ in exports] == ["full", "delta"]
+        _assert_same_state(first, index)
+        _answers_as_the_session(first, session)
+
+    def test_an_empty_index_advances_to_an_empty_view_and_grows_by_deltas(self):
+        session = MatchingSession(MODEL, bilateral=True)
+        view = ReadView(session.index)
+        empty = view.advance()
+        assert empty.num_slots == 0 and empty.num_blocks == 0
+        assert match_answer(empty, session.index.entity_id, MODEL, session.pruning) == {
+            "num_candidates": 0, "retained": [],
+        }
+        exports = _recorded_exports(session.index)
+        for serial, text in enumerate(TEXTS):
+            session.insert(make_profile(f"a{serial}", text=text), side=0)
+            session.insert(make_profile(f"b{serial}", text=text), side=1)
+            assert view.advance() is empty
+        assert [kind for kind, _ in exports] == ["delta"] * len(TEXTS)
+        _assert_same_state(empty, session.index)
+        _answers_as_the_session(empty, session)
+
+    def test_an_advance_without_a_write_is_an_empty_delta_at_the_same_state(self):
+        """So the exact read of the last advance is the next one's too."""
+        session = _seeded_session()
+        view = ReadView(session.index)
+        state = view.advance()
+        epoch = state.epoch
+        shared = SharedRead()
+        read = shared.compute(state, MODEL, session.pruning)
+        exports = _recorded_exports(session.index)
+        assert view.advance() is state and state.epoch == epoch
+        assert exports == [("delta", 0)]
+        assert shared.held(state) is read
+
+    def test_a_remove_between_advances_tombstones_the_view(self):
+        session = _seeded_session()
+        view = ReadView(session.index)
+        state = view.advance()
+        node = session.index.node_of("b1", side=1)
+        assert state.is_live(node)
+        session.remove("b1", side=1)
+        assert view.advance() is state
+        assert not state.is_live(node) and state.sides()[node] == -1
+        _assert_same_state(state, session.index)
+        retained = match_answer(state, session.index.entity_id, MODEL, session.pruning)["retained"]
+        assert not any("b1" in pair[:2] for pair in retained)
+        _answers_as_the_session(state, session)
+
+    def test_a_view_whose_epoch_another_export_consumed_is_rebuilt_whole(self):
+        """The authority tracks one reader: an export the view did not make
+        rebases the tracker, the view's next delta is refused and it ships
+        the state full into a new view."""
+        session = _seeded_session()
+        index = session.index
+        view = ReadView(index)
+        held = view.advance()
+        session.insert(make_profile("a9", text="beta gamma"), side=0)
+        assert index.export_delta(held.epoch) is not None
+        exports = _recorded_exports(index)
+        rebuilt = view.advance()
+        assert rebuilt is not held and view.state is rebuilt
+        assert [kind for kind, _ in exports] == ["full"]
+        _assert_same_state(rebuilt, index)
+        _answers_as_the_session(rebuilt, session)
+        # and the rebuilt view is tracked again
+        session.insert(make_profile("b9", text="alpha beta"), side=1)
+        assert view.advance() is rebuilt
+        assert [kind for kind, _ in exports] == ["full", "delta"]
+
+    def test_a_warm_advance_moves_under_a_quarter_of_a_full_export(self):
+        """Delta bytes stay O(changed) while a full export grows with the
+        state: one insert into a few hundred entities moves under a quarter
+        of what the full export of that same state weighs."""
+        dataset = load_benchmark("DblpAcm", seed=0, scale=0.05)
+        first, second = list(dataset.first), list(dataset.second)
+        session = MatchingSession(MODEL, bilateral=True)
+        session.insert_bulk(first[:-1], side=0)
+        session.insert_bulk(second, side=1)
+        view = ReadView(session.index)
+        state = view.advance()
+        session.insert(first[-1], side=0)
+        exports = _recorded_exports(session.index)
+        assert view.advance() is state
+        session.index.export_state()
+        ((delta, delta_bytes), (full, full_bytes)) = exports
+        assert (delta, full) == ("delta", "full")
+        assert delta_bytes < full_bytes / 4, (delta_bytes, full_bytes)
+        _answers_as_the_session(state, session)
 
 
 class TestExportDeltaContract:
@@ -124,152 +251,3 @@ class TestExportDeltaContract:
         # a1 was born after the base: its -1 side flag rides in the tail
         assert delta["arrays"]["tombstoned_nodes"].tolist() == [0]  # a0
         assert delta["arrays"]["sides_tail"].tolist() == [-1]
-
-
-class TestRouterResidentViews:
-    def _counters(self, metrics):
-        return metrics.snapshot()["counters"]
-
-    def test_warm_reads_ship_deltas_and_respawn_reships_full(self, tmp_path):
-        session = MatchingSession(MODEL, bilateral=True, wal_path=tmp_path)
-        metrics = MetricsRegistry()
-        router = ShardRouter(
-            tmp_path, 2, session.index.entity_id, metrics=metrics
-        )
-        router.offset_source = lambda: session.wal.log_offset
-        try:
-            for serial, text in enumerate(
-                ("alpha beta", "beta gamma", "alpha gamma")
-            ):
-                session.insert(make_profile(f"a{serial}", text=text), side=0)
-                session.insert(make_profile(f"b{serial}", text=text), side=1)
-            router.start()
-
-            view, _, _ = router.pinned_view()
-            counters = self._counters(metrics)
-            assert counters["full_reads"] == 2
-            assert counters.get("delta_reads", 0) == 0
-            reference = reference_retained(session)
-            assert match_answer(view, MODEL, session.pruning)["retained"] == reference
-
-            session.insert(make_profile("a9", text="beta gamma"), side=0)
-            view, _, _ = router.pinned_view()
-            counters = self._counters(metrics)
-            assert counters["full_reads"] == 2
-            assert counters["delta_reads"] == 2
-            assert counters["read_bytes_delta"] < counters["read_bytes_full"]
-            assert counters["read_bytes_shipped"] == (
-                counters["read_bytes_full"] + counters["read_bytes_delta"]
-            )
-            reference = reference_retained(session)
-            assert match_answer(view, MODEL, session.pruning)["retained"] == reference
-
-            # a respawned worker holds no shipped base: its shard must ship
-            # full again while the untouched shard keeps shipping deltas
-            assert router.respawn(0) is not None
-            view, _, _ = router.pinned_view()
-            counters = self._counters(metrics)
-            assert counters["full_reads"] == 3
-            assert counters["delta_reads"] == 3
-            assert match_answer(view, MODEL, session.pruning)["retained"] == reference
-        finally:
-            router.stop()
-            session.close()
-
-    def test_a_failed_apply_never_advances_the_handshake(self, tmp_path, monkeypatch):
-        """A delta refused by a desynchronisation check must leave nothing
-        behind the next read could be shipped a delta against: the epoch
-        lives in the state and is adopted only after the checks, and the
-        router drops the shard's resident state."""
-        session = MatchingSession(MODEL, bilateral=True, wal_path=tmp_path)
-        metrics = MetricsRegistry()
-        router = ShardRouter(tmp_path, 2, session.index.entity_id, metrics=metrics)
-        router.offset_source = lambda: session.wal.log_offset
-        try:
-            for serial, text in enumerate(("alpha beta", "beta gamma", "alpha gamma")):
-                session.insert(make_profile(f"a{serial}", text=text), side=0)
-                session.insert(make_profile(f"b{serial}", text=text), side=1)
-            router.start()
-            router.pinned_view()
-            assert self._counters(metrics)["full_reads"] == 2
-
-            session.insert(make_profile("a9", text="beta gamma"), side=0)
-            materialize = ShardWorkerHandle.materialize
-
-            def forged(payload, shard):
-                state = materialize(payload, shard)
-                if shard == 1:
-                    assert state["kind"] == "delta"
-                    # both tokens of the insert hash to shard 1: its new CSR
-                    # row arrives one membership short of its row pointer
-                    assert state["arrays"]["indices_tail"].size == 2
-                    state["arrays"]["indices_tail"] = state["arrays"]["indices_tail"][:-1]
-                return state
-
-            monkeypatch.setattr(ShardWorkerHandle, "materialize", staticmethod(forged))
-            with pytest.raises(WorkerError, match="CSR rows ending at"):
-                router.pinned_view()
-            monkeypatch.undo()
-
-            # shard 0's delta applied and its worker rebased: an (empty) delta
-            # again; shard 1 holds nothing any more: exactly one full ship
-            before = self._counters(metrics)
-            view, _, _ = router.pinned_view()
-            after = self._counters(metrics)
-            assert after["full_reads"] - before["full_reads"] == 1
-            assert after["delta_reads"] - before.get("delta_reads", 0) == 1
-            assert (
-                match_answer(view, MODEL, session.pruning)["retained"]
-                == reference_retained(session)
-            )
-        finally:
-            router.stop()
-            session.close()
-
-    def test_a_warm_delta_read_ships_under_a_quarter_of_a_full_ship(self, tmp_path):
-        """Delta bytes stay O(changed) while a full ship grows with the
-        state: one insert into a few hundred entities, read warm, ships
-        under a quarter of what both shards' full ships of that same state
-        weigh (forced by respawning both workers)."""
-        dataset = load_benchmark("DblpAcm", seed=0, scale=0.05)
-        first, second = list(dataset.first), list(dataset.second)
-        session = MatchingSession(MODEL, bilateral=True, wal_path=tmp_path)
-        metrics = MetricsRegistry()
-        router = ShardRouter(tmp_path, 2, session.index.entity_id, metrics=metrics)
-        router.offset_source = lambda: session.wal.log_offset
-        try:
-            session.insert_bulk(first[:-1], side=0)
-            session.insert_bulk(second, side=1)
-            router.start()
-            router.pinned_view()
-            session.insert(first[-1], side=0)
-            before = self._counters(metrics)
-            router.pinned_view()
-            warm = self._counters(metrics)
-            assert warm["delta_reads"] - before.get("delta_reads", 0) == 2
-            delta_bytes = warm["read_bytes_delta"] - before.get("read_bytes_delta", 0)
-            for shard in range(2):
-                assert router.respawn(shard) is not None
-            view, _, _ = router.pinned_view()
-            after = self._counters(metrics)
-            assert after["full_reads"] - warm["full_reads"] == 2
-            full_bytes = after["read_bytes_full"] - warm["read_bytes_full"]
-            assert delta_bytes < full_bytes / 4, (delta_bytes, full_bytes)
-            assert (
-                match_answer(view, MODEL, session.pruning)["retained"]
-                == reference_retained(session)
-            )
-        finally:
-            router.stop()
-            session.close()
-
-    def test_render_stats_shows_the_shipping_panel(self):
-        metrics = MetricsRegistry()
-        metrics.increment("full_reads", 2)
-        metrics.increment("delta_reads", 6)
-        metrics.increment("read_bytes_shipped", 1000)
-        metrics.increment("read_bytes_full", 900)
-        metrics.increment("read_bytes_delta", 100)
-        rendered = render_stats({"metrics": metrics.snapshot()})
-        assert "read shipping: 6 delta / 2 full (75.0% delta hit rate)" in rendered
-        assert "1000 bytes shipped (100 delta, 900 full)" in rendered

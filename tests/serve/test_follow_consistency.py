@@ -1,17 +1,17 @@
-"""Follow eagerly, pin late: replication off the read path stays consistent.
+"""Follow eagerly, pin late: replication beside the read path stays consistent.
 
 The router's follower thread moves every shard worker forward as soon as a
-write is applied, so a read's offset can no longer be taken *before* the
-fan-out — a worker might already be past it, and replicas never rewind.
-These tests pin the contract that survives moving the replay:
+write is applied, so a ``stats``' offset can no longer be taken *before*
+the fan-out — a worker might already be past it, and replicas never rewind.
+These tests pin the contract:
 
 * under a concurrent writer, every ``match`` equals the canonical session
-  replayed from the WAL to exactly the offset the answer reports — no read
-  degrades, no worker is restarted, ``stats`` never sees a shard error;
+  replayed from the WAL to exactly the offset the answer reports, no worker
+  is restarted, ``stats`` never sees a shard error;
 * ``_fan_out`` evaluates a callable command only once every handle lock is
-  held — where ``read``, ``stats`` and ``follow`` take their offset;
+  held — where ``stats`` and ``follow`` take their offset;
 * a follow that fails never leaves its worker answering: the worker is
-  killed, the supervisor replaces it once, the next ``match`` is canonical;
+  killed, the supervisor replaces it once, and no ``match`` noticed;
 * a replica whose ``apply`` raises stays at its last applied record.
 """
 
@@ -19,7 +19,6 @@ import os
 import random
 import signal
 import threading
-import time
 
 import pytest
 
@@ -32,6 +31,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.serve import MatchingDaemon, ServeClient
 from repro.serve.router import ShardRouter
 from repro.serve.workers import ShardReplica, WalRecordFollower, WorkerError
+from waits import notified_by
 
 pytestmark = pytest.mark.equivalence
 
@@ -48,6 +48,8 @@ def _start(tmp_path, **kwargs):
     thread = threading.Thread(target=daemon.serve, daemon=True)
     thread.start()
     assert daemon.ready.wait(60), "daemon did not come up"
+    # every respawn wakes the waits below
+    daemon.waiter = notified_by(daemon._supervisor, "on_restart")
     return daemon, thread
 
 
@@ -55,15 +57,6 @@ def _stop(daemon, thread):
     daemon.request_shutdown()
     thread.join(60)
     assert not thread.is_alive(), "daemon did not shut down"
-
-
-def _wait_until(predicate, timeout=30.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.02)
-    return False
 
 
 def _restarts(stats):
@@ -138,7 +131,7 @@ class TestConcurrentWriterAndReader:
             _stop(daemon, thread)
 
         assert len(answers) == READS
-        assert not any(answer.get("degraded") for answer in answers)
+        assert not any("degraded" in answer for answer in answers)
         canonical = _canonical_answers(
             tmp_path / "wal", [answer["offset"] for answer in answers]
         )
@@ -154,7 +147,6 @@ class TestConcurrentWriterAndReader:
             assert {s["offset"] for s in snapshot["shards"]} == {
                 snapshot["daemon"]["wal_offset"]
             }
-        assert stats["metrics"]["counters"].get("degraded_reads", 0) == 0
         assert stats["daemon"]["supervision"]["worker_restarts"] == 0
         follows = stats["metrics"]["operations"]["replica_follow"]
         assert follows["count"] >= 1 and follows["errors"] == 0
@@ -185,7 +177,7 @@ class _FakeHandle:
 
 
 def _bare_router(tmp_path, handles, metrics=None):
-    router = ShardRouter(tmp_path, len(handles), str, metrics=metrics)
+    router = ShardRouter(tmp_path, len(handles), metrics=metrics)
     router._handles = list(handles)
     return router
 
@@ -268,9 +260,7 @@ class TestPinUnderTheLocks:
         try:
             assert router._follower is None
             router.notify_write()  # nobody listens; nothing blocks
-            # one source for reads, stats and follows — and no way around it
-            with pytest.raises(WorkerError, match="no offset source"):
-                router.pinned_view()
+            # one source for stats and follows — and no way around it
             with pytest.raises(WorkerError, match="no offset source"):
                 router.shard_stats()
             assert handle.sent == [] and not handle.lock.locked()
@@ -311,13 +301,13 @@ class TestFollowFailure:
                         side=side,
                     )
                     assert reply["offset"] == daemon.session.wal.log_offset
-                assert _wait_until(
-                    lambda: _restarts(client.stats()) == 1
+                assert daemon.waiter.until(
+                    lambda: daemon._supervisor.restarts == 1
                 ), "the failed follow never had its worker replaced"
                 assert not victim.alive
                 assert daemon.router.handle(0) is not victim
                 answer = client.match()
-                assert answer.get("degraded") is None
+                assert "degraded" not in answer
                 assert answer["offset"] == daemon.session.wal.log_offset
                 assert answer["retained"] == reference_retained(daemon.session)
                 # the replacement is followed like any other worker
@@ -327,7 +317,6 @@ class TestFollowFailure:
                 )
                 stats = client.stats()
             assert _restarts(stats) == 1
-            assert stats["metrics"]["counters"].get("degraded_reads", 0) == 0
             follows = stats["metrics"]["operations"]["replica_follow"]
             assert follows["errors"] >= 1
         finally:
@@ -343,11 +332,11 @@ class TestFollowFailure:
                 # acked although nobody can follow it on shard 1
                 reply = client.insert(make_profile("b0", text="alpha beta"), side=1)
                 assert reply["offset"] == daemon.session.wal.log_offset
-                assert _wait_until(
-                    lambda: client.match().get("degraded") is None
-                )
                 assert client.match()["retained"] == reference_retained(
                     daemon.session
+                )
+                assert daemon.waiter.until(lambda: daemon._supervisor.restarts == 1), (
+                    "the failed follow never had its worker replaced"
                 )
                 assert _restarts(client.stats()) == 1
         finally:

@@ -9,14 +9,13 @@ exercising:
 * the ``metrics`` protocol op (Prometheus text exposition) and the
   process gauges behind it;
 * request events in the structured log, with span trees that cross the
-  dispatch threads, the WAL and the shard-worker processes;
+  dispatch threads and the WAL, and the shard workers' lifecycle events;
 * ``render_stats`` of a live ``stats`` payload (including the new
   gauges line).
 """
 
 import socket
 import threading
-import time
 from contextlib import contextmanager
 
 import pytest
@@ -29,6 +28,7 @@ from repro.obs import read_events, render_stats
 from repro.serve import MatchingDaemon, ServeClient
 from repro.serve.protocol import read_message_from, write_message_to
 from repro.serve.workers import ShardWorkerHandle
+from waits import notified_by
 
 
 def _span_names(tree):
@@ -60,6 +60,10 @@ def _serving(tmp_path, frozen_model):
     thread = threading.Thread(target=daemon.serve, daemon=True)
     thread.start()
     assert daemon.ready.wait(60), "daemon did not come up"
+    # hooked before any write: every follow acknowledgement and every
+    # respawn wakes the waits below
+    daemon.waiter = notified_by(daemon.router, "_mark_followed")
+    notified_by(daemon._supervisor, "on_restart", daemon.waiter)
     try:
         yield daemon
     finally:
@@ -75,18 +79,20 @@ def obs_daemon(tmp_path, frozen_model):
         yield daemon
 
 
-def _await_followed(client):
-    """The ``metrics`` half of the first ``stats`` in which no shard lags."""
-    deadline = time.monotonic() + 30
-    while True:
-        stats = client.stats()["metrics"]
-        lags = [
-            stats["gauges"][f"shard{shard}_replica_lag_records"] for shard in (0, 1)
-        ]
-        if lags == [0.0, 0.0]:
-            return stats
-        assert time.monotonic() < deadline, f"never followed: lag {lags}"
-        time.sleep(0.02)
+def _await_followed(daemon, client):
+    """The ``metrics`` half of a ``stats`` taken once no shard lags: every
+    shard acknowledged a follow of the last acked write."""
+    followed = daemon.waiter.until(
+        lambda: all(
+            daemon.router.followed_serials.get(shard, 0) >= daemon._mutation_serial
+            for shard in (0, 1)
+        )
+    )
+    assert followed, f"never followed: {daemon.router.followed_serials}"
+    stats = client.stats()["metrics"]
+    lags = [stats["gauges"][f"shard{shard}_replica_lag_records"] for shard in (0, 1)]
+    assert lags == [0.0, 0.0]
+    return stats
 
 
 def _raw_request(address, message):
@@ -158,38 +164,36 @@ class TestMetricsOp:
         with ServeClient(*obs_daemon.address) as client:
             client.insert(make_profile("a1", text="alpha beta"), side=0)
             client.insert(make_profile("b1", text="alpha beta"), side=1)
-            # no read yet, and none is needed: the follower replays each
-            # write on the workers as it is acked, and its acks — not "writes
-            # since the last ship" — are what the gauge subtracts
-            stats = _await_followed(client)
+            # no read is needed: the follower replays each write on the
+            # workers as it is acked, and its acks are what the gauge
+            # subtracts
+            stats = _await_followed(obs_daemon, client)
             assert stats["operations"].get("match") is None
             # the follow fan-outs are an operation like any other: count, mean
             follows = stats["operations"]["replica_follow"]
             assert 1 <= follows["count"] <= 2 and follows["errors"] == 0
             assert follows["mean_ms"] > 0
-            client.match()  # ships both shards at the pinned serial
-            gauges = client.stats()["metrics"]["gauges"]
-            assert gauges["shard0_replica_lag_records"] == 0.0
-            assert gauges["shard1_replica_lag_records"] == 0.0
 
     def test_a_respawned_worker_lags_until_it_is_followed(self, obs_daemon):
         with ServeClient(*obs_daemon.address) as client:
             client.insert(make_profile("a1", text="alpha beta"), side=0)
-            _await_followed(client)  # no follow is left in flight to ack late
+            _await_followed(obs_daemon, client)  # no follow is left in flight
             assert obs_daemon.router.respawn(0) is not None
             gauges = client.stats()["metrics"]["gauges"]
             # the replacement has acknowledged nothing yet; its peer has
             assert gauges["shard0_replica_lag_records"] == 1.0
             assert gauges["shard1_replica_lag_records"] == 0.0
+            # a read reaches no worker, so it follows nothing ...
             client.match()
             gauges = client.stats()["metrics"]["gauges"]
-            assert gauges["shard0_replica_lag_records"] == 0.0
+            assert gauges["shard0_replica_lag_records"] == 1.0
+            # ... the next write's follow does
+            client.insert(make_profile("b1", text="alpha beta"), side=1)
+            _await_followed(obs_daemon, client)
 
 
 class TestRequestEvents:
-    def test_request_events_reconstruct_span_trees_across_processes(
-        self, obs_daemon, tmp_path
-    ):
+    def test_request_events_reconstruct_span_trees(self, obs_daemon, tmp_path):
         with ServeClient(*obs_daemon.address) as client:
             client.insert(make_profile("a1", text="alpha beta"), side=0)
             insert_trace = client.last_trace_id
@@ -214,12 +218,11 @@ class TestRequestEvents:
         # the mutation's span tree reaches down into the WAL
         insert_spans = _span_names(requests[insert_trace]["spans"])
         assert {"insert", "queue-wait", "mutate", "wal-append"} <= insert_spans
-        # the read's span tree crosses into both worker processes
+        # the read's span tree: its queue, the view's advance on the
+        # mutation thread, the answer — and no worker
         match_spans = _span_names(requests[match_trace]["spans"])
-        assert {
-            "match", "fan-out", "shard0", "shard1",
-            "catch-up", "export", "view-apply", "score-and-prune",
-        } <= match_spans
+        assert {"match", "queue-wait", "advance", "score-and-prune"} <= match_spans
+        assert not match_spans & {"fan-out", "view-apply", "shard0", "shard1"}
         # the answer is split into its stages, once each per request: the
         # first read at a state computes the exact read, and a read at the
         # same state after it (no write in between) reuses it
@@ -250,21 +253,14 @@ class TestRequestEvents:
                 offset = client.insert(
                     make_profile("a1", text="alpha beta"), side=0
                 )["offset"]
-                deadline = time.monotonic() + 30
-                while True:
-                    log = read_events(tmp_path / "events")
-                    errors = [
-                        event for event in log
-                        if event["type"] == "replica_follow_error"
-                    ]
-                    if errors and any(
-                        event["type"] == "worker_respawn" for event in log
-                    ):
-                        break
-                    assert time.monotonic() < deadline, (
-                        "the failed follow left no event, or its worker no heir"
-                    )
-                    time.sleep(0.02)
+                # the follow error is journaled before the kick that has
+                # its worker replaced, and the respawn before its callback
+                assert daemon.waiter.until(lambda: daemon._supervisor.restarts >= 1), (
+                    "the failed follow's worker found no heir"
+                )
+                log = read_events(tmp_path / "events")
+                errors = [event for event in log if event["type"] == "replica_follow_error"]
+                assert errors and any(event["type"] == "worker_respawn" for event in log)
         assert errors[0]["shard"] == 1
         assert errors[0]["offset"] == offset
         assert errors[0]["cause"].startswith("WorkerError: shard worker 1")
@@ -285,34 +281,20 @@ class TestRequestEvents:
 
     def test_worker_lifecycle_events_are_journaled(self, obs_daemon, tmp_path):
         with ServeClient(*obs_daemon.address) as client:
-            client.ping()
-        # workers journal their spawn/adoption asynchronously while they
-        # bootstrap; wait for both shards to have reported
-        deadline = time.monotonic() + 30
-        while True:
-            log = read_events(tmp_path / "events")
-            spawns = [
-                event for event in log if event["type"] == "worker_spawn"
-            ]
-            adoptions = [
-                event for event in log if event["type"] == "checkpoint_adoption"
-            ]
-            if (
-                {event["shard"] for event in spawns}
-                == {event["shard"] for event in adoptions}
-                == {0, 1}
-            ):
-                break
-            assert time.monotonic() < deadline, "worker lifecycle not journaled"
-            time.sleep(0.05)
+            # a worker journals its spawn and adoption before it serves its
+            # first command, so a ``stats`` every shard answered orders both
+            # before this point
+            assert not [shard for shard in client.stats()["shards"] if "error" in shard]
+        log = read_events(tmp_path / "events")
+        spawns = [event for event in log if event["type"] == "worker_spawn"]
+        adoptions = [event for event in log if event["type"] == "checkpoint_adoption"]
         assert {event["shard"] for event in spawns} == {0, 1}
         assert {event["shard"] for event in adoptions} == {0, 1}
-        # adoption joins back to its worker through the lineage token
-        lineages = {event["lineage"] for event in spawns}
-        assert all(event["lineage"] in lineages for event in adoptions)
+        # adoption joins back to its worker through the process id
+        assert {event["pid"] for event in adoptions} <= {event["pid"] for event in spawns}
         assert all(event["role"].startswith("shard") for event in spawns)
 
-    def test_without_an_event_log_the_envelope_keeps_its_trace_and_no_worker_gets_one(
+    def test_without_an_event_log_the_envelope_keeps_its_trace_and_no_read_reaches_a_worker(
         self, tmp_path, frozen_model, monkeypatch
     ):
         monkeypatch.delenv(obs_events.EVENT_LOG_ENV, raising=False)
@@ -342,9 +324,9 @@ class TestRequestEvents:
             obs_events.configure(None)
         assert response["ok"] is True
         assert response["trace"] == "cafe0123beef4567"
-        reads = [command for command in sent if command[0] == "read"]
-        assert reads, "the match never reached the worker"
-        assert all(command[4] is None for command in reads)
+        assert response["result"]["retained"]
+        # the match reached no worker: a worker is only ever followed or pinged
+        assert {command[0] for command in sent} <= {"follow", "ping"}
 
 
 class TestStatsRendering:

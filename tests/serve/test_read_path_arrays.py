@@ -19,7 +19,13 @@
 import numpy as np
 import pytest
 
-from reference import make_frozen_model, member_pairs, merged_replicas, pair_positions
+from reference import (
+    make_frozen_model,
+    member_pairs,
+    merged_replicas,
+    pair_positions,
+    rebuilt_view,
+)
 from repro.core.pruning import PRUNING_ALGORITHMS, BlockTotals, get_pruning_algorithm
 from repro.datamodel import make_profile
 from repro.datasets import load_benchmark
@@ -33,7 +39,7 @@ from repro.incremental import (
 from repro.incremental.session import exact_answer
 from repro.incremental.sharded import shard_of_signature
 from repro.persistence import WriteAheadLog
-from repro.serve.router import build_pinned_view, match_answer, top_k_answer
+from repro.serve.router import match_answer, top_k_answer
 from repro.serve.workers import ShardReplica
 
 pytestmark = pytest.mark.equivalence
@@ -61,14 +67,12 @@ def test_no_exact_answer_reads_totals_off_a_collection(tmp_path, monkeypatch, pr
         session.remove("a1", side=0)
         for replica in replicas:
             replica.catch_up(session.wal.log_offset)
-        view = build_pinned_view(
-            [replica.read_state() for replica in replicas], session.index.entity_id
-        )
+        view = rebuilt_view([replica.index for replica in replicas], session.index.entity_id)
 
         _forbid_collection_totals(monkeypatch)
         result = session.retained()
-        answer = match_answer(view, MODEL, session.pruning)
-        matches = top_k_answer(view, MODEL, session.index.node_of("a0", side=0), 3)
+        answer = match_answer(view, view.entity_id, MODEL, session.pruning)
+        matches = top_k_answer(view, view.entity_id, MODEL, session.index.node_of("a0", side=0), 3)
     finally:
         for replica in replicas:
             replica.close()
@@ -99,9 +103,7 @@ def test_top_k_probabilities_equal_the_exact_answers_bit_for_bit(tmp_path):
             )
         for replica in replicas:
             replica.catch_up(session.wal.log_offset)
-        view = build_pinned_view(
-            [replica.read_state() for replica in replicas], session.index.entity_id
-        )
+        view = rebuilt_view([replica.index for replica in replicas], session.index.entity_id)
         candidates, probabilities, _ = exact_answer(
             DeltaFeatureGenerator(view, model.feature_set), model, session.pruning
         )
@@ -115,7 +117,7 @@ def test_top_k_probabilities_equal_the_exact_answers_bit_for_bit(tmp_path):
         lone = np.flatnonzero(degrees == 1)
         assert lone.size == 24
         for node in [*lone.tolist(), *np.flatnonzero(degrees > 1)[::3].tolist()]:
-            matches = top_k_answer(view, model, node, k=int(degrees[node]))
+            matches = top_k_answer(view, view.entity_id, model, node, k=int(degrees[node]))
             assert len(matches) == degrees[node]
             for match in matches:
                 pair = frozenset((view.entity_id(node), match["entity_id"]))

@@ -2,27 +2,29 @@
 
 The daemon's read thread keeps the last exact read
 (:class:`~repro.serve.router.SharedRead`) and reuses it for a ``match`` or
-``top_k`` whose pinned view reads the same shard states.  Two properties
-hold that in place:
+``top_k`` whose advanced view is at the same state.  Two properties hold
+that in place:
 
 * **selection = the subset path.**  Over random interleavings of add,
-  remove, update and bulk, with 1-3 shards and both block cleanings, the
-  ``top_k`` of every live node selected from the shared read is
-  byte-identical to the way ``top_k`` was computed before it selected: the
-  node's counterparts read off the cleaned CSR, only those pairs scored
-  (``tests/reference.py::reference_top_k``);
+  remove, update and bulk, with both block cleanings, the ``top_k`` of
+  every live node selected from the shared read of the view advanced to
+  each state is byte-identical to the way ``top_k`` was computed before it
+  selected: the node's counterparts read off the cleaned CSR, only those
+  pairs scored (``tests/reference.py::reference_top_k``);
 * **reuse never crosses a state change.**  Writes, ``match``, ``top_k`` and
-  a worker killed and respawned between two reads, against a live daemon:
-  every answer equals the canonical session replayed to the offset it
-  reports, a read whose offset moved or whose fleet was respawned since the
-  read before it computes its own (``shared: false`` on its answer span),
-  and a read directly behind one at the same state reuses it.
+  a shard worker killed and respawned between two reads, against a live
+  daemon: every answer equals the canonical session replayed to the offset
+  it reports, a read whose offset moved since the read before it computes
+  its own (``shared: false`` on its answer span), and a read directly
+  behind one at the same offset reuses it — a respawned worker moves
+  nothing a read uses.
 """
 
 import json
 import shutil
 import tempfile
 import threading
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +38,8 @@ from repro.incremental import MatchingSession
 from repro.obs import events as obs_events
 from repro.obs import read_events
 from repro.serve import MatchingDaemon, ServeClient
-from repro.serve.router import SharedRead, build_pinned_view, top_k_answer
-from repro.serve.workers import ShardReplica, WalRecordFollower
+from repro.serve.router import ReadView, SharedRead, top_k_answer
+from repro.serve.workers import WalRecordFollower
 
 from test_consistency_property import _operations, _stream
 
@@ -55,38 +57,20 @@ def _wire(matches):
 
 @pytest.mark.parametrize("cleaning", sorted(CLEANINGS))
 @settings(max_examples=25, deadline=None)
-@given(operations=_operations(), num_shards=st.sampled_from((1, 2, 3)))
-def test_top_k_from_the_shared_read_is_the_subset_computation(
-    cleaning, operations, num_shards
-):
-    tmp = Path(tempfile.mkdtemp())
+@given(operations=_operations())
+def test_top_k_from_the_shared_read_is_the_subset_computation(cleaning, operations):
     model = MODELS[cleaning]
-    session = MatchingSession(model, bilateral=True, wal_path=tmp)
-    offsets = [session.wal.log_offset]
-    try:
-        for _ in _stream(session, operations):
-            offsets.append(session.wal.log_offset)
-        replicas = [ShardReplica(tmp, shard, num_shards) for shard in range(num_shards)]
-        try:
-            for offset in offsets:
-                for replica in replicas:
-                    replica.catch_up(offset)
-                view = build_pinned_view(
-                    [replica.read_state() for replica in replicas],
-                    session.index.entity_id,
-                )
-                read = SharedRead().compute(view, model, session.pruning)
-                for node in np.flatnonzero(view.sides() >= 0).tolist():
-                    for k in (2, view.num_slots):
-                        assert _wire(top_k_answer(view, model, node, k, read)) == _wire(
-                            reference_top_k(view, model, node, k)
-                        ), (offset, node, k)
-        finally:
-            for replica in replicas:
-                replica.close()
-    finally:
-        session.close()
-        shutil.rmtree(tmp, ignore_errors=True)
+    session = MatchingSession(model, bilateral=True)
+    view = ReadView(session.index)
+    entity_id = session.index.entity_id
+    for _ in chain([None], _stream(session, operations)):
+        state = view.advance()
+        read = SharedRead().compute(state, model, session.pruning)
+        for node in np.flatnonzero(state.sides() >= 0).tolist():
+            for k in (2, state.num_slots):
+                assert _wire(top_k_answer(state, entity_id, model, node, k, read)) == _wire(
+                    reference_top_k(session.index, model, node, k)
+                ), (session.index.epoch, node, k)
 
 
 def _steps():
@@ -158,8 +142,7 @@ def test_a_read_is_shared_only_at_the_state_it_was_computed_at(steps):
         assert daemon.ready.wait(60), "daemon did not come up"
         live = ([], [])
         serial = 0
-        moved = True  # no read yet: the first one computes
-        last_offset = last_restarts = None
+        last_offset = None  # no read yet: the first one computes
         with ServeClient(*daemon.address) as client:
             for step in steps:
                 kind = step[0]
@@ -187,12 +170,7 @@ def test_a_read_is_shared_only_at_the_state_it_was_computed_at(steps):
                         client.update(make_profile(entity_id, text=step[3]), side=side)
                 elif kind == "respawn":
                     assert daemon.router.respawn(step[1]) is not None
-                    moved = True
                 else:
-                    # a respawn by the supervisor (a missed heartbeat on a
-                    # loaded box) moves the states as the test's own does;
-                    # one that lands mid-read leaves that read unjudged
-                    restarts = daemon._supervisor.restarts
                     if kind == "match":
                         answer, query = client.match(), None
                     else:
@@ -202,17 +180,10 @@ def test_a_read_is_shared_only_at_the_state_it_was_computed_at(steps):
                         entity_id = live[side][step[2] % len(live[side])]
                         answer = client.top_k(entity_id, side=side, k=step[3])
                         query = (side, entity_id, step[3])
-                    assert not answer.get("degraded")
-                    expected_shared = (
-                        not moved
-                        and answer["offset"] == last_offset
-                        and restarts == last_restarts
-                    )
-                    if daemon._supervisor.restarts != restarts:
-                        expected_shared = None
+                    assert "degraded" not in answer
+                    expected_shared = answer["offset"] == last_offset
                     reads.append((client.last_trace_id, answer, query, expected_shared))
-                    moved, last_offset = False, answer["offset"]
-                    last_restarts = daemon._supervisor.restarts
+                    last_offset = answer["offset"]
     finally:
         daemon.request_shutdown()
         thread.join(60)
@@ -241,8 +212,7 @@ def test_a_read_is_shared_only_at_the_state_it_was_computed_at(steps):
             got = answer["retained"] if query is None else answer["matches"]
             assert _wire(got) == _wire(canonical[trace_id]), (answer["offset"], query)
             shared, children = _answer_span(spans[trace_id])
-            if expected_shared is not None:
-                assert shared is expected_shared, (answer["offset"], query)
+            assert shared is expected_shared, (answer["offset"], query)
             computed = [] if shared else ["merge-pairs", "features", "score", "prune"]
             assert children == computed + ([] if query is None else ["select"])
     finally:

@@ -1,14 +1,13 @@
-"""Worker supervision, degraded reads, deadlines and backpressure.
+"""Worker supervision, reads without the fleet, deadlines and backpressure.
 
 The daemon runs in-process with fast supervision timings; workers are
 real processes killed with SIGKILL (or wedged via injected heartbeat
 drops), and every availability claim is checked end-to-end through a
 real client:
 
-* while a shard worker is down, ``match`` / ``top_k`` degrade to the
-  authority (``degraded: true``) and still answer the canonical retained
-  set; ``stats``, which has no degraded form, still answers, the dead
-  shard reporting an ``error`` entry;
+* while a shard worker is down, ``match`` / ``top_k`` answer the canonical
+  retained set as ever — no read uses the fleet; ``stats`` still answers,
+  the dead shard reporting an ``error`` entry;
 * the supervisor respawns the worker, and the replacement adopts the
   newest checkpoint: its ``records_replayed`` accounting proves it
   parsed only the post-snapshot WAL tail;
@@ -30,6 +29,7 @@ from repro.datamodel import make_profile
 from repro.faults import FAULTS_ENV, FaultPlan
 from repro.serve import MatchingDaemon, ServeClient, ServeError
 from repro.serve.supervision import WorkerSupervisor
+from waits import notified_by
 
 TEXTS = (
     "alpha beta gamma",
@@ -54,6 +54,8 @@ def _start(daemon):
     thread = threading.Thread(target=daemon.serve, daemon=True)
     thread.start()
     assert daemon.ready.wait(60), "daemon did not come up"
+    # every respawn wakes the waits below
+    daemon.waiter = notified_by(daemon._supervisor, "on_restart")
     return thread
 
 
@@ -72,13 +74,13 @@ def _daemon(tmp_path, model, **kwargs):
     return daemon, _start(daemon)
 
 
-def _wait_until(predicate, timeout=30.0, interval=0.05):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return False
+def _await_restart(daemon):
+    """Whether the supervisor replaced a worker within the deadline."""
+    return daemon.waiter.until(lambda: daemon._supervisor.restarts >= 1)
+
+
+def _shard_errors(client):
+    return [shard["shard"] for shard in client.stats()["shards"] if "error" in shard]
 
 
 def _seed(client, count=len(TEXTS)):
@@ -94,8 +96,10 @@ def _kill_worker(daemon, shard):
     os.kill(daemon.router.handle(shard).pid, signal.SIGKILL)
 
 
-class TestDegradedReads:
-    def test_degraded_read_serves_canonical_answer(self, tmp_path, frozen_model):
+class TestReadsWithoutTheFleet:
+    def test_a_read_with_a_dead_worker_is_the_canonical_answer(
+        self, tmp_path, frozen_model
+    ):
         daemon, thread = _daemon(tmp_path, frozen_model)
         try:
             # park the supervisor so the worker stays down deterministically
@@ -104,18 +108,19 @@ class TestDegradedReads:
                 _seed(client)
                 _kill_worker(daemon, 0)
                 answer = client.match()
-                assert answer["degraded"] is True
+                assert "degraded" not in answer
                 assert answer["retained"] == reference_retained(daemon.session)
+                assert _shard_errors(client) == [0]
 
-                # supervision resumes -> the shard heals -> reads un-degrade
+                # supervision resumes -> the shard heals; reads never noticed
                 daemon._supervisor.start()
-                assert _wait_until(
-                    lambda: client.match().get("degraded") is None
-                ), "reads never recovered after the supervisor resumed"
-                assert daemon._supervisor.restarts >= 1
+                assert _await_restart(daemon), "the dead worker was never replaced"
+                assert _shard_errors(client) == []
                 assert client.match()["retained"] == reference_retained(
                     daemon.session
                 )
+                counters = client.stats()["metrics"]["counters"]
+                assert "degraded_reads" not in counters
         finally:
             _stop(daemon, thread)
 
@@ -126,8 +131,8 @@ class TestDegradedReads:
             with ServeClient(*daemon.address, retries=0) as client:
                 _seed(client, count=2)
                 _kill_worker(daemon, 1)
-                assert client.match()["degraded"] is True
-                assert client.top_k("a0", side=0)["degraded"] is True
+                assert "degraded" not in client.match()
+                assert "degraded" not in client.top_k("a0", side=0)
                 # stats stays answerable (per-shard tolerance): the dead
                 # shard reports an error entry instead of failing the call
                 shards = client.stats()["shards"]
@@ -135,6 +140,37 @@ class TestDegradedReads:
                 assert "error" not in shards[0]
                 # mutations are unaffected by a dead reader fleet
                 client.insert(make_profile("c0", text=TEXTS[0]), side=0)
+            daemon._supervisor.start()
+        finally:
+            _stop(daemon, thread)
+
+    def test_reads_and_writes_go_on_with_the_whole_fleet_dead(
+        self, tmp_path, frozen_model
+    ):
+        """No read or write waits on a worker: with every shard down, each
+        ``match`` — across writes made after the fleet died — is the
+        canonical answer, and a ``top_k`` gives the probabilities ``match``
+        gives the same pairs."""
+        daemon, thread = _daemon(tmp_path, frozen_model)
+        try:
+            daemon._supervisor.stop()
+            with ServeClient(*daemon.address, retries=0) as client:
+                _seed(client)
+                for shard in range(2):
+                    _kill_worker(daemon, shard)
+                assert client.match()["retained"] == reference_retained(daemon.session)
+                client.insert(make_profile("c0", text=TEXTS[0]), side=0)
+                client.remove("b1", side=1)
+                answer = client.match()
+                assert answer["retained"] == reference_retained(daemon.session)
+                retained = {(a, b): p for a, b, p in answer["retained"]}
+                shared = [
+                    (match["probability"], retained[("c0", match["entity_id"])])
+                    for match in client.top_k("c0", side=0, k=10)["matches"]
+                    if ("c0", match["entity_id"]) in retained
+                ]
+                assert shared and all(top == kept for top, kept in shared)
+                assert _shard_errors(client) == [0, 1]
             daemon._supervisor.start()
         finally:
             _stop(daemon, thread)
@@ -148,10 +184,8 @@ class TestSupervisorRespawns:
                 _seed(client)
                 before = client.match()
                 _kill_worker(daemon, 0)
-                assert _wait_until(lambda: daemon._supervisor.restarts >= 1)
-                assert _wait_until(
-                    lambda: client.match().get("degraded") is None
-                ), "the respawned worker never served a clean read"
+                assert _await_restart(daemon)
+                assert _shard_errors(client) == [], "the respawned worker never answered"
                 after = client.match()
                 assert after["retained"] == before["retained"]
                 stats = client.stats()
@@ -170,16 +204,14 @@ class TestSupervisorRespawns:
         faults.clear()  # re-arm the parent's cached plan from the env
         daemon, thread = _daemon(tmp_path, frozen_model, spawn_grace=0.0)
         try:
-            assert _wait_until(lambda: daemon._supervisor.restarts >= 1), (
+            assert _await_restart(daemon), (
                 "a worker swallowing pings was never replaced"
             )
             monkeypatch.delenv(FAULTS_ENV)
             faults.clear()
             with ServeClient(*daemon.address) as client:
                 _seed(client, count=2)
-                assert _wait_until(
-                    lambda: client.match().get("degraded") is None
-                )
+                assert client.match()["retained"] == reference_retained(daemon.session)
         finally:
             faults.clear()
             _stop(daemon, thread)
@@ -199,12 +231,9 @@ class TestSupervisorRespawns:
                     client.insert(
                         make_profile(f"t{i}", text=TEXTS[i]), side=i % 2
                     )
-                client.match()  # both workers are caught up past the tail
+                client.stats()  # both workers are caught up past the tail
                 _kill_worker(daemon, 0)
-                assert _wait_until(lambda: daemon._supervisor.restarts >= 1)
-                assert _wait_until(
-                    lambda: client.match().get("degraded") is None
-                )
+                assert _await_restart(daemon)
                 fresh = client.stats()["shards"][0]
                 assert fresh["adopted_snapshot"] >= 2
                 assert fresh["bytes_skipped"] > 0

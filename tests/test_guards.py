@@ -155,6 +155,26 @@ BLOCK_OBJECTS = (
 #: the commit after b35edee, the one that left one block representation
 ONE_REPRESENTATION = "b35edee+1"
 
+#: the fleet's read path: reads answer from the daemon's own view since the
+#: commit after 52436a0
+FLEET_READS = (
+    "ShardRouter.pinned_view", "ShardRouter.ping", "build_pinned_view", "_ResidentShard",
+    "ShardReplica.read_state", "ShardWorkerHandle.read_state",
+    "ShardWorkerHandle.materialize", "encode_ship", "MatchingDaemon._degraded_read",
+    "MatchingDaemon._answer", "RequestTrace.graft", "SHIPS",
+)
+#: what the fleet's reads named: the degraded answer and its counter, the
+#: read-shipping counters, the per-shard ship counts, the worker spans and
+#: the delta-shipping lineage token
+FLEET_READ_NAMES = (
+    "pinned_view", "build_pinned_view", "read_state", "materialize", "_degraded_read",
+    "encode_ship", "graft", "lineage", "degraded", "degraded_read", "degraded_reads",
+    "read_bytes_shipped", "read_bytes_full", "read_bytes_delta", "full_reads",
+    "delta_reads", "view_apply", "ships_full", "ships_delta", "fan-out", "view-apply",
+    "degraded-read", "_resident", "_read_lock",
+)
+ONE_READ_VIEW = "52436a0+1"
+
 PRUNING = "src/repro/core/pruning"
 LOG = "src/repro/persistence/log.py"
 
@@ -480,14 +500,46 @@ GUARDS = (
         ("delta_shipping", "degraded_reads", "tracing", "start_method", "adopt_min_gap",
          "max_pending_mutations", "max_pending_reads"),
         SRC, "edf28d0",
-        "reads always ship deltas, match / top_k always degrade, spans are recorded "
-        "exactly when there is an event log; the knobs only tests set are gone",
+        "how a read is answered is not a switch, spans are recorded exactly when "
+        "there is an event log; the knobs only tests set are gone",
     ),
     Guard(
         "serving-switch-flags-gone", "flag",
         ("--delta-shipping on", "--degraded-reads off", "--tracing off"),
         ("serve --wal unused",), "edf28d0",
         "how the daemon ships, degrades and traces a read is no longer a switch",
+    ),
+    # -- reads leave the shard fleet ------------------------------------------------
+    Guard(
+        "fleet-read-path-not-defined", "definition", FLEET_READS, SRC, ONE_READ_VIEW,
+        "match and top_k answer from one view the daemon advances from its own index; "
+        "the workers compute nothing a read uses, so nothing ships them to a read",
+    ),
+    Guard(
+        "fleet-read-path-not-spelled", "spelled", FLEET_READ_NAMES,
+        (*SRC, "benchmarks/bench_fault_recovery.py", "benchmarks/serve_budget.py",
+         "benchmarks/start_budget.py"),
+        ONE_READ_VIEW,
+        "no read reaches a worker, so none degrades when one is down, none is shipped, "
+        "counted or grafted, and no incarnation token names a ship's base",
+    ),
+    Guard(
+        "workers-take-no-read-command", "text", (r'\(\s*"read"\s*,',),
+        ("src/repro/serve/workers.py", "src/repro/serve/router.py"), ONE_READ_VIEW,
+        "a worker follows the log, answers stats and pings; the read command is gone",
+    ),
+    Guard(
+        "router-resolves-no-entity", "parameter", ("resolve_entity_id",),
+        ("repro.serve.ShardRouter",), ONE_READ_VIEW,
+        "the fleet resolves no node: the daemon's view names entities through the "
+        "authority index",
+    ),
+    Guard(
+        "view-advanced-in-one-place", "call", ("export_delta", "enable_delta_tracking"), SRC,
+        ONE_READ_VIEW,
+        "the authority's deltas feed one reader, the daemon's view; a second consumer "
+        "would rebase the tracker under it",
+        only_in=("src/repro/serve/router.py::ReadView.advance",) * 2,
     ),
     # -- one storage lifecycle -----------------------------------------------------
     Guard(
@@ -807,6 +859,7 @@ GUARDS = (
             "repro.datamodel.EntityIndexSpace", "repro.datamodel.GroundTruth",
             "repro.datasets.vocabulary.COMMON_WORDS", "repro.datasets.vocabulary.Vocabulary",
             "repro.incremental.DeltaFeatureGenerator", "repro.incremental.FrozenModel",
+            "repro.incremental.IndexState",
             "repro.incremental.MergedIndexView", "repro.incremental.MutableBlockIndex",
             "repro.incremental.sharded.shard_of_signature",
             "repro.ml.state.MODEL_CLASSES", "repro.ml.state.RestorableClass",

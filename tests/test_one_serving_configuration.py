@@ -1,11 +1,11 @@
-"""One serving configuration: how the daemon ships, degrades and traces a
-read is no longer a switch.
+"""One serving configuration: how the daemon answers and traces a read is
+no longer a switch.
 
-Reads always ship deltas when the router holds a base; ``match`` /
-``top_k`` always fall back to the authority when the fleet fails; a request
-records its span tree exactly when the daemon journals events.  The
-switches, their flags and the knobs only tests set stay gone by the rows of
-``tests/test_guards.py``; a live daemon shows the rest.
+``match`` / ``top_k`` always answer from the daemon's own view, advanced by
+the authority index's deltas; a request records its span tree exactly when
+the daemon journals events.  The switches, their flags and the knobs only
+tests set stay gone by the rows of ``tests/test_guards.py``; a live daemon
+shows the rest.
 """
 
 import threading
@@ -73,9 +73,7 @@ def test_the_stats_reply_names_no_switch(tmp_path, monkeypatch):
     assert "tracing" not in daemon["observability"]
 
 
-def test_a_daemon_with_an_event_log_journals_span_trees_with_worker_grafts(
-    tmp_path, monkeypatch
-):
+def test_a_daemon_with_an_event_log_journals_span_trees(tmp_path, monkeypatch):
     with _serving(tmp_path, tmp_path / "events", monkeypatch) as client:
         trace = client.last_trace_id
     trees = [tree for op, tree in _RecordedTrace.finished if op == "match"]
@@ -85,9 +83,7 @@ def test_a_daemon_with_an_event_log_journals_span_trees_with_worker_grafts(
         for event in read_events(tmp_path / "events")
         if event["type"] == "request" and event["trace"] == trace
     ]
-    assert {"fan-out", "shard0", "shard1", "catch-up", "export"} <= _span_names(
-        request["spans"]
-    )
+    assert {"advance", "score-and-prune"} <= _span_names(request["spans"])
 
 
 def test_a_daemon_without_an_event_log_records_no_span(tmp_path, monkeypatch):
