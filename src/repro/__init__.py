@@ -63,10 +63,7 @@ _EXPORTS = {
     "MutableBlockIndex": "incremental",
     "ORIGINAL_FEATURE_SET": "weights",
     "PAPER_FEATURES": "weights",
-    "QGramsBlocking": "blocking",
     "RCNP_FEATURE_SET": "weights",
-    "StandardBlocking": "blocking",
-    "SuffixArraysBlocking": "blocking",
     "SupervisedBLAST": "core",
     "SupervisedCEP": "core",
     "SupervisedCNP": "core",
@@ -74,7 +71,6 @@ _EXPORTS = {
     "SupervisedRWNP": "core",
     "SupervisedWEP": "core",
     "SupervisedWNP": "core",
-    "TokenBlocking": "blocking",
     "evaluate_candidates": "evaluation",
     "evaluate_result": "evaluation",
     "evaluate_retained_mask": "evaluation",

@@ -4,13 +4,13 @@ A package ``__init__`` under :mod:`repro` holds no ``from .x import ...``
 block.  It declares its public names once, as a table mapping each name to
 the submodule that defines it, and hands the table to :func:`lazy_exports`::
 
-    _EXPORTS = {"TokenBlocking": "token_blocking", ...}
+    _EXPORTS = {"prepare_blocks": "candidate_extraction", ...}
     __all__ = list(_EXPORTS)
     __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-``from repro.blocking import TokenBlocking``, ``repro.blocking.TokenBlocking``
-and ``from repro.blocking import *`` then import ``token_blocking`` — and only
-it — on first access, so a process pays for the modules it uses: ``repro serve
+``from repro.blocking import prepare_blocks``, ``repro.blocking.prepare_blocks``
+and ``from repro.blocking import *`` then import ``candidate_extraction`` — and
+only what it imports — on first access, so a process pays for the modules it uses: ``repro serve
 --recover`` never loads the experiment suite, ``repro --help`` never loads the
 serving stack.  A submodule is reachable as an attribute the same way
 (``import repro; repro.blocking``), as it was when the ``__init__`` imported

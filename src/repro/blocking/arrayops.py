@@ -4,17 +4,15 @@ Token Blocking -> Block Purging -> Block Filtering -> candidate extraction
 as batched array passes, with no per-entity token sets, dict-of-lists
 signature index, per-block loops or Python set of pair tuples:
 
-* **tokenise**: the blocking method returns one signature list per profile
-  (:meth:`BlockingMethod.signature_lists`; for Token Blocking a byte-table
-  ``translate`` + ``split`` per profile, :func:`repro.utils.text.tokens`);
-* **encode**: :func:`encode_signatures` turns the lists of any method into a
-  token-id array at C speed — the flattened lists, their sorted set as the
+* **tokenise**: one token list per profile, a byte-table ``translate`` +
+  ``split`` of its text (:func:`repro.utils.text.tokens`);
+* **encode**: :func:`encode_signatures` turns the lists into a token-id
+  array at C speed — the flattened lists, their sorted set as the
   vocabulary, the ranks looked up with ``map`` (sorted-vocabulary ranks, so
   blocks come in sorted signature order);
 * **assemble**: blocks are built directly as flat ``(block, entity)``
   membership arrays — a block x entity CSR — via packed-key sorted dedup,
-  with no per-signature dict; a method's ``max_block_size`` cut-off is one
-  mask over the block sizes;
+  with no per-signature dict;
 * Block Purging and Block Filtering are the membership-level kernel of
   :mod:`repro.blocking.cleaning`, which the streamed answer runs too
   (per-block sizes/cardinalities with ``np.bincount``).  Block Filtering
@@ -53,6 +51,7 @@ import numpy as np
 
 from ..datamodel.candidates import CandidateSet
 from ..datamodel.entity import EntityCollection, EntityIndexSpace
+from ..utils.text import tokens
 from ..utils.timing import StageTimer
 from ..pairs import key_field_bits, sorted_unique
 from ..weights.sparse import (
@@ -62,7 +61,6 @@ from ..weights.sparse import (
     inverse_block_weights,
     reduce_blocks,
 )
-from .base import BlockingMethod
 from .cleaning import (
     block_cardinalities,
     check_filtering_ratio,
@@ -172,9 +170,9 @@ def encode_signatures(
 
     ``codes`` holds one entry per signature occurrence (duplicates included,
     input order) and indexes the lexicographically sorted ``vocabulary``, so
-    sorting by code yields the blocks in sorted signature order; ``lengths`` is the number of signatures per profile.  It only
-    sees the lists, so it serves every :class:`BlockingMethod`; the ranks
-    are looked up by ``map`` over the flattened lists — no per-token Python.
+    sorting by code yields the blocks in sorted signature order; ``lengths``
+    is the number of signatures per profile.  The ranks are looked up by
+    ``map`` over the flattened lists — no per-token Python.
     """
     lengths = np.fromiter(map(len, signature_lists), np.int64, len(signature_lists))
     flat = list(chain.from_iterable(signature_lists))
@@ -185,44 +183,40 @@ def encode_signatures(
 
 
 def _dictionary_encode(
-    method: BlockingMethod,
     first: EntityCollection,
     second: Optional[EntityCollection],
 ) -> Tuple[np.ndarray, np.ndarray, List[str]]:
     """Batch-tokenize both collections into a token-id membership stream.
 
     Returns ``(codes, nodes, vocabulary)``: :func:`encode_signatures` over
-    the concatenated (first, second) profiles, whose positions ARE the node
-    ids.
+    the token lists of the concatenated (first, second) profiles, whose
+    positions ARE the node ids.
     """
-    signature_lists = method.signature_lists(first)
-    if second is not None:
-        signature_lists = signature_lists + method.signature_lists(second)
-    codes, lengths, vocabulary = encode_signatures(signature_lists)
+    profiles = first if second is None else chain(first, second)
+    codes, lengths, vocabulary = encode_signatures(
+        [tokens(profile.text()) for profile in profiles]
+    )
     nodes = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
     return codes, nodes, vocabulary
 
 
 def assemble_blocks(
-    method: BlockingMethod,
     first: EntityCollection,
     second: Optional[EntityCollection] = None,
 ) -> MembershipMatrix:
-    """Token Blocking (or any blocking method) as one array pass.
+    """Token Blocking as one array pass.
 
     Valid signatures — at least two distinct entities for Dirty ER, at least
     one entity per source for Clean-Clean ER — become blocks in sorted
-    signature order (a signature that spawns no comparison makes no block);
-    blocks over the method's ``max_block_size`` (the Suffix-Arrays frequency
-    cut-off) are then dropped.
+    signature order (a signature that spawns no comparison makes no block).
     """
     if second is None:
         index_space = EntityIndexSpace(len(first))
-        name = f"{method.name}({first.name})"
+        name = f"token-blocking({first.name})"
     else:
         index_space = EntityIndexSpace(len(first), len(second))
-        name = f"{method.name}({first.name},{second.name})"
-    codes, nodes, vocabulary = _dictionary_encode(method, first, second)
+        name = f"token-blocking({first.name},{second.name})"
+    codes, nodes, vocabulary = _dictionary_encode(first, second)
     num_codes = len(vocabulary)
     if codes.size:
         bits = key_field_bits(num_codes, index_space.total)
@@ -249,10 +243,7 @@ def assemble_blocks(
     block_of = new_block_id[codes[keep_membership]]
     kept_nodes = nodes[keep_membership]
     keys = [vocabulary[code] for code in np.flatnonzero(keep_code)]
-    matrix = _matrix_from_sorted(keys, block_of, kept_nodes, index_space, name)
-    if method.max_block_size is not None:
-        matrix = _select_blocks(matrix, matrix.block_sizes() <= method.max_block_size, name)
-    return matrix
+    return _matrix_from_sorted(keys, block_of, kept_nodes, index_space, name)
 
 
 def _select_blocks(
@@ -340,7 +331,7 @@ def reduce_candidates(
 class PreparedBlocks:
     """Output of the standard block-preparation pipeline."""
 
-    #: the raw blocks produced by the blocking method
+    #: the raw blocks Token Blocking produced
     raw_blocks: MembershipMatrix
     #: blocks surviving Block Purging
     purged_blocks: MembershipMatrix

@@ -39,30 +39,25 @@ from .arrayops import (
     purge_matrix,
     reduce_candidates,
 )
-from .base import BlockingMethod
 from .cleaning import PAPER_CLEANING, BlockCleaning
-from .token_blocking import TokenBlocking
 
 
 def prepare_blocks(
     first: EntityCollection,
     second: Optional[EntityCollection] = None,
-    blocking: Optional[BlockingMethod] = None,
     cleaning: BlockCleaning = PAPER_CLEANING,
 ) -> PreparedBlocks:
     """Run the paper's block-preparation pipeline.
 
-    Produces every stage's blocks as a membership matrix and the distinct
-    candidate pairs (see :mod:`repro.blocking.arrayops`), plus the final
-    collection's CSR incidence structure and the candidates' co-occurrence
-    aggregates.
+    Token Blocking, Block Purging, Block Filtering and candidate extraction:
+    every stage's blocks as a membership matrix and the distinct candidate
+    pairs (see :mod:`repro.blocking.arrayops`), plus the final collection's
+    CSR incidence structure and the candidates' co-occurrence aggregates.
 
     Parameters
     ----------
     first, second:
         The input entity collection(s); ``second`` is ``None`` for Dirty ER.
-    blocking:
-        The blocking method (default :class:`TokenBlocking`, as in the paper).
     cleaning:
         Block Purging's size threshold as a fraction of all entities and
         Block Filtering's retention ratio (0.8 = drop each entity's largest
@@ -75,9 +70,8 @@ def prepare_blocks(
         When a cleaning parameter lies outside ``(0, 1]``.
     """
     stages = StageTimer()
-    method = blocking if blocking is not None else TokenBlocking()
     with stages.stage("blocking"):
-        raw_matrix = assemble_blocks(method, first, second)
+        raw_matrix = assemble_blocks(first, second)
     with stages.stage("purging"):
         purged_matrix = (
             raw_matrix

@@ -79,12 +79,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..blocking.base import BlockingMethod
-from ..blocking.token_blocking import TokenBlocking
 from ..datamodel.candidates import CandidateSet
 from ..datamodel.entity import EntityProfile
 from ..pairs import MAX_NODE_ID, node_id_overflow, pack_pair_keys, sorted_unique
 from ..schema import META_FORMAT, check_record
+from ..utils.text import tokens
 from .state import APPENDED, Growable, IndexState, IndexStatistics
 
 
@@ -266,15 +265,12 @@ class MutableBlockIndex(IndexState):
     totals, :meth:`export_state`) is inherited and reads the very arrays the
     mutations below write — that also owns what only a writer needs.
 
+    An entity's signatures are its Token Blocking tokens,
+    :func:`repro.utils.text.tokens` of ``profile.text()`` — the tokens batch
+    preparation assembles its blocks from.
+
     Parameters
     ----------
-    blocking:
-        The signature extractor (default :class:`TokenBlocking`, as in the
-        paper's evaluation).  Only :meth:`BlockingMethod.signatures_of` /
-        :meth:`BlockingMethod.signature_lists` are used — index assembly is
-        incremental and works on the raw signatures: the batch-only
-        ``BlockingMethod.max_block_size`` cut-off (Suffix-Arrays Blocking)
-        is not, and never was, applied to a streaming index.
     bilateral:
         ``True`` for Clean-Clean ER streams (entities arrive tagged with a
         source side, only cross-side pairs are candidates); ``False`` for
@@ -283,14 +279,8 @@ class MutableBlockIndex(IndexState):
         Label used in snapshots and reports.
     """
 
-    def __init__(
-        self,
-        blocking: Optional[BlockingMethod] = None,
-        bilateral: bool = False,
-        name: str = "stream",
-    ) -> None:
+    def __init__(self, bilateral: bool = False, name: str = "stream") -> None:
         super().__init__(bilateral)
-        self.blocking = blocking if blocking is not None else TokenBlocking()
         self.name = name
 
         # token -> block id
@@ -397,8 +387,8 @@ class MutableBlockIndex(IndexState):
         Parameters
         ----------
         profile:
-            The entity profile; signatures are extracted with the configured
-            blocking method.
+            The entity profile; its signatures are the distinct tokens of its
+            text.
         side:
             Source collection (0 or 1) for bilateral streams; must be 0 for
             unilateral streams.
@@ -412,7 +402,7 @@ class MutableBlockIndex(IndexState):
             When an entity with the same id is currently live on ``side``
             (remove or :meth:`update_entity` it instead).
         """
-        signatures = sorted(self.blocking.signatures_of(profile))
+        signatures = sorted(set(tokens(profile.text())))
         record = self._validated(
             {"op": "add", "id": profile.entity_id, "side": side, "sig": signatures}
         )
@@ -469,8 +459,8 @@ class MutableBlockIndex(IndexState):
     ) -> BulkInsertDelta:
         """Insert a batch of same-side entities in one array pass.
 
-        The batch is tokenized with :meth:`BlockingMethod.signature_lists`
-        (the array engine's entry point), its memberships
+        The batch is tokenized as batch preparation tokenizes (one
+        :func:`~repro.utils.text.tokens` list per profile), its memberships
         deduplicated via packed-key sort (:mod:`repro.blocking.arrayops`),
         and the result merged into the live CSR with a single append instead
         of one row append per entity.  Per-block aggregate adjustments are
@@ -491,11 +481,7 @@ class MutableBlockIndex(IndexState):
         profiles = list(profiles)
         # batch tokenization happens before any state change, so a logged
         # bulk record always precedes its application (append-before-apply)
-        signature_lists = self.blocking.signature_lists(profiles)
-        entries = [
-            (profile.entity_id, list(signatures))
-            for profile, signatures in zip(profiles, signature_lists)
-        ]
+        entries = [(profile.entity_id, tokens(profile.text())) for profile in profiles]
         record = self._validated({"op": "bulk", "side": side, "entities": entries})
         seen_batch = set()
         for profile in profiles:
@@ -798,7 +784,7 @@ class MutableBlockIndex(IndexState):
         # validate and tokenize first, so neither the index nor the log ever
         # holds a failing op; one logical "update" record covers the inner
         # remove + insert
-        signatures = sorted(self.blocking.signatures_of(profile))
+        signatures = sorted(set(tokens(profile.text())))
         record = self._validated(
             {"op": "update", "id": profile.entity_id, "side": side, "sig": signatures}
         )

@@ -320,9 +320,6 @@ class MatchingSession:
     bilateral:
         ``True`` for Clean-Clean streams (two sources, cross-source pairs),
         ``False`` for Dirty streams.
-    blocking:
-        Signature extractor for the underlying index (default token
-        blocking).
     pruning:
         The *batch* pruning algorithm name or instance applied by
         :meth:`retained` (default BLAST, the paper's best weight-based
@@ -348,7 +345,6 @@ class MatchingSession:
         self,
         model: FrozenModel,
         bilateral: bool = False,
-        blocking=None,
         pruning: Union[str, SupervisedPruningAlgorithm] = "BLAST",
         wal_path=None,
         snapshot_every: Optional[int] = None,
@@ -357,7 +353,7 @@ class MatchingSession:
         if snapshot_every is not None and snapshot_every < 1:
             raise ValueError(f"snapshot_every must be at least 1, got {snapshot_every}")
         self.model = model
-        self.index = MutableBlockIndex(blocking=blocking, bilateral=bilateral)
+        self.index = MutableBlockIndex(bilateral=bilateral)
         self.features = DeltaFeatureGenerator(self.index, model.feature_set)
         self.pruning = (
             get_pruning_algorithm(pruning) if isinstance(pruning, str) else pruning

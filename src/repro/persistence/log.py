@@ -69,6 +69,17 @@ class WalBrokenError(OSError):
     """
 
 
+class WalIndeterminateError(OSError):
+    """An append failed and so did its undo: the record's fate is unknown.
+
+    Whatever reached the file stays there, so the log may hold the whole
+    record, part of it or none of it — only a scan of the file tells, and
+    recovery replays the record exactly when the scan returns it.  The writer
+    is broken (every further append raises :class:`WalBrokenError`), and the
+    caller must not report the record as refused.
+    """
+
+
 def encode_record(record: Dict[str, Any]) -> bytes:
     """Frame one logical record: header (length + CRC32) and JSON payload."""
     payload = json.dumps(record, separators=(",", ":"), sort_keys=True).encode("utf-8")
@@ -273,9 +284,10 @@ class WriteAheadLog:
         A failed write/flush/fsync truncates the file back to the last
         committed offset before re-raising, so the append either happened
         entirely or not at all; when even the truncate fails the log is
-        marked broken and every further append raises
-        :class:`WalBrokenError`.  A record its table refuses raises
-        :class:`~repro.schema.SchemaError` before any byte is written.
+        marked broken, the append raises :class:`WalIndeterminateError` and
+        every further append :class:`WalBrokenError`.  A record its table
+        refuses raises :class:`~repro.schema.SchemaError` before any byte is
+        written.
         """
         if self._broken:
             raise WalBrokenError(
@@ -298,8 +310,13 @@ class WriteAheadLog:
                 if self.sync_mode == "always":
                     faults.on_wal_fsync()
                     os.fsync(self._file.fileno())
-        except OSError:
-            self._undo_partial_append()
+        except OSError as error:
+            if not self._undo_partial_append():
+                raise WalIndeterminateError(
+                    f"an append to {self.log_path} failed ({error}) and so did its undo: "
+                    "the record may have been logged; recover the directory to learn "
+                    "whether it was"
+                ) from error
             raise
         self._offset += len(blob)
         events.emit("wal_append", offset=self._offset, bytes=len(blob))
@@ -319,8 +336,9 @@ class WriteAheadLog:
         events.emit("wal_broken", cause=f"injected {damage} tail", offset=self._offset)
         raise faults.InjectedFaultError(f"injected {damage} WAL tail")
 
-    def _undo_partial_append(self) -> None:
-        """Restore the append-or-nothing invariant after a failed append.
+    def _undo_partial_append(self) -> bool:
+        """Restore the append-or-nothing invariant after a failed append;
+        whether it was restored.
 
         Whatever prefix of the record reached the file is truncated away;
         the committed offset is untouched, so the writer keeps working.  If
@@ -338,6 +356,8 @@ class WriteAheadLog:
                 "wal_broken", cause="undo of a partial append failed",
                 offset=self._offset,
             )
+            return False
+        return True
 
     def sync(self) -> None:
         """Flush and fsync pending appends (a no-op when nothing is open)."""

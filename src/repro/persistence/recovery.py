@@ -49,7 +49,12 @@ import numpy as np
 from ..obs import events
 from .container import check_state_format
 from .log import WriteAheadLog
-from .snapshot import build_index_from_state, joined_pair_keys, restore_pruning
+from .snapshot import (
+    build_index_from_state,
+    check_blocking,
+    joined_pair_keys,
+    restore_pruning,
+)
 
 
 def recover_session(path: Union[str, Path], sync: str = "always"):
@@ -63,9 +68,11 @@ def recover_session(path: Union[str, Path], sync: str = "always"):
     replayed mutation with the frozen model — deterministic), then truncates
     any torn tail and resumes journaling.
 
-    A snapshot written by an older tree may also name its online ``policy``
-    and a ``top_k`` budget: ``top_k`` is ignored, and a ``policy`` other than
-    ``"wep"`` is refused by name before any state is built.
+    A snapshot written by an older tree may also name its online ``policy``,
+    a ``top_k`` budget and its index's blocking method: ``top_k`` is
+    ignored, and a ``policy`` other than ``"wep"`` or a blocking method other
+    than Token Blocking with its defaults (:func:`check_blocking`) is refused
+    by name before any state is built.
     """
     from ..incremental.session import MatchingSession, OnlineWEP, PairProbabilities
     from ..ml.state import restore_model
@@ -88,6 +95,7 @@ def recover_session(path: Union[str, Path], sync: str = "always"):
             f"the snapshot's session runs online policy {policy!r}, which this "
             f"version does not restore; only {OnlineWEP.name!r} is"
         )
+    check_blocking(snapshot["index"])
     start = int(snapshot["log_offset"])
     scan = wal.scan(start)
     if scan.first is not None and scan.first["op"] != "meta":

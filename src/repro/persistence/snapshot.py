@@ -16,14 +16,15 @@ Per-pair session state (the insert-time probabilities) is stored keyed by
 *canonical packed pair key* — independent of raw node ids — so on the
 recovered index those keys are the raw keys the session keeps its per-pair
 state under.  The online WEP threshold is stored as its running sum and
-count.  The model, the pruning algorithm and the blocking method are stored
-as parameters and arrays and restored through closed registries of names; an
-object outside them is not checkpointable, and saying so is an error.
+count.  The model and the pruning algorithm are stored as parameters and
+arrays and restored through closed registries of names; an object outside
+them is not checkpointable, and saying so is an error.  No blocking method is
+stored: every index tokenises with Token Blocking, and recovery refuses a
+snapshot whose index names any other (:func:`check_blocking`).
 """
 
 from __future__ import annotations
 
-from importlib import import_module
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -35,37 +36,28 @@ from ..ml.state import export_model
 from ..pairs import MAX_NODE_ID, pack_pair_keys
 from .container import SNAPSHOT_FORMAT, pack_strings, unpack_strings
 
-#: the blocking methods a snapshot names, and the module defining each
-BLOCKING_METHODS = {
-    "TokenBlocking": "repro.blocking.token_blocking",
-    "QGramsBlocking": "repro.blocking.qgrams",
-    "StandardBlocking": "repro.blocking.standard_blocking",
-    "SuffixArraysBlocking": "repro.blocking.suffix_arrays",
+#: the ``blocking`` entry of the index section of every snapshot written
+#: before the entry was dropped: Token Blocking with its defaults
+TOKEN_BLOCKING = {
+    "class": "TokenBlocking",
+    "parameters": {"min_token_length": 1, "remove_stop_words": False},
 }
 
 
 # -- registries ----------------------------------------------------------------------
 
-def export_blocking(blocking) -> Dict[str, Any]:
-    """A registered blocking method as its class name and parameters."""
-    name = type(blocking).__name__
-    if BLOCKING_METHODS.get(name) != type(blocking).__module__:
-        raise ValueError(
-            f"cannot checkpoint blocking method {type(blocking).__qualname__}: a "
-            f"snapshot restores {sorted(BLOCKING_METHODS)} only"
-        )
-    return {"class": name, "parameters": dict(vars(blocking))}
+def check_blocking(state: Dict[str, Any]) -> None:
+    """Refuse an index section built by anything but Token Blocking.
 
-
-def restore_blocking(state: Dict[str, Any]):
-    """The blocking method :func:`export_blocking` exported."""
-    name = state["class"]
-    if name not in BLOCKING_METHODS:
+    A section written since the entry was dropped holds none; an older one
+    holds :data:`TOKEN_BLOCKING`.  Any other entry is refused by name.
+    """
+    blocking = state.get("blocking", TOKEN_BLOCKING)
+    if blocking != TOKEN_BLOCKING:
         raise ValueError(
-            f"the snapshot names blocking method {name!r}, which this version "
-            f"does not restore; known: {sorted(BLOCKING_METHODS)}"
+            f"the snapshot's index names blocking method {blocking!r}, which this "
+            "version does not restore; only Token Blocking with its defaults is"
         )
-    return getattr(import_module(BLOCKING_METHODS[name]), name)(**state["parameters"])
 
 
 def export_pruning(pruning) -> Dict[str, Any]:
@@ -99,7 +91,6 @@ def dump_index_state(index) -> Dict[str, Any]:
         kind="index",
         bilateral=index.bilateral,
         name=index.name,
-        blocking=export_blocking(index.blocking),
         entity_ids=pack_strings(state["entity_ids"]),
         block_keys=pack_strings(state["block_keys"]),
     )
@@ -161,15 +152,11 @@ def row_signatures(state: Dict[str, Any], owned: Optional[np.ndarray] = None) ->
 
 def construct_index(state: Dict[str, Any]):
     """An empty index matching the topology of a snapshot's ``"index"``
-    section: its ``kind`` (which must be ``"index"``), ``bilateral``, name
-    and blocking method."""
+    section: its ``kind`` (which must be ``"index"``), ``bilateral`` and
+    name."""
     if state["kind"] != "index":
         raise ValueError(f"unknown index kind {state['kind']!r} in WAL state")
-    return MutableBlockIndex(
-        blocking=restore_blocking(state["blocking"]),
-        bilateral=state["bilateral"],
-        name=state.get("name") or "stream",
-    )
+    return MutableBlockIndex(bilateral=state["bilateral"], name=state.get("name") or "stream")
 
 
 def build_index_from_state(state: Dict[str, Any]):
@@ -241,8 +228,8 @@ def session_snapshot_state(session) -> Dict[str, Any]:
     Raises
     ------
     ValueError
-        When the model, pruning algorithm or blocking method is an object a
-        snapshot cannot restore by name.
+        When the model or pruning algorithm is an object a snapshot cannot
+        restore by name.
     """
     index = session.index
     raw, probabilities = session.insert_time_probabilities()

@@ -39,6 +39,7 @@ from .._exports import lazy_exports
 #: public name -> the submodule that defines it (see repro._exports)
 _EXPORTS = {
     "DeadlineExceededError": "daemon",
+    "IndeterminateError": "daemon",
     "MatchingDaemon": "daemon",
     "OverloadedError": "daemon",
     "ServeClient": "client",
@@ -52,6 +53,7 @@ _EXPORTS = {
     "WorkerError": "workers",
     "WorkerSupervisor": "supervision",
     "ERROR_DEADLINE": "protocol",
+    "ERROR_INDETERMINATE": "protocol",
     "ERROR_OVERLOADED": "protocol",
     "ERROR_WAL": "protocol",
     "IDEMPOTENT_OPS": "protocol",

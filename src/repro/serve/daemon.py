@@ -30,7 +30,11 @@ edition):
 Durability: mutations are journaled before they are applied (the session's
 WAL discipline), and a SIGTERM/SIGINT drains in-flight requests, writes a
 final checkpoint, fsyncs and exits cleanly — ``repro serve --recover``
-resumes the identical retained set.
+resumes the identical retained set.  A mutation whose append failed and
+whose undo failed too may or may not be in the log: it is answered
+``indeterminate``, and the daemon fail-stops — it answers no read or write
+after it, takes no checkpoint and exits 1, since only recovery can tell
+which state the log holds.
 """
 
 from __future__ import annotations
@@ -53,10 +57,11 @@ from ..incremental.session import MatchingSession
 from ..obs import events
 from ..obs.registry import MetricsRegistry, process_rss_bytes, render_prometheus
 from ..obs.trace import RequestTrace, activate, hook_span, mint_trace_id
-from ..persistence.log import WalBrokenError, WriteAheadLog
+from ..persistence.log import WalBrokenError, WalIndeterminateError, WriteAheadLog
 from ..schema import SchemaError, check
 from .protocol import (
     ERROR_DEADLINE,
+    ERROR_INDETERMINATE,
     ERROR_OVERLOADED,
     ERROR_WAL,
     PROTOCOL_VERSION,
@@ -88,12 +93,18 @@ class WalFailedError(RuntimeError):
     """The write-ahead log failed; the mutation was neither logged nor applied."""
 
 
+class IndeterminateError(RuntimeError):
+    """A mutation may have been logged but was not applied; the daemon has
+    stopped serving, and recovering its directory tells which."""
+
+
 #: the error type each refusal a request may raise answers with (the metric
 #: it counts is bumped where it is raised)
 _REFUSALS = {
     OverloadedError: ERROR_OVERLOADED,
     DeadlineExceededError: ERROR_DEADLINE,
     WalFailedError: ERROR_WAL,
+    IndeterminateError: ERROR_INDETERMINATE,
     UnknownEntityError: "unknown_entity",
     DuplicateEntityError: "duplicate_entity",
 }
@@ -250,6 +261,8 @@ class MatchingDaemon:
         # moves it
         self._view = ReadView(self.session.index)
         self._shared_read = SharedRead()
+        # why the daemon fail-stopped (a write's fate unknown), or None
+        self._failed: Optional[str] = None
 
     # -- observability -----------------------------------------------------------
     def _register_gauges(self) -> None:
@@ -345,9 +358,10 @@ class MatchingDaemon:
             events.emit("daemon_stopped")
 
     def serve(self) -> int:
-        """Blocking entry point; returns the process exit code."""
+        """Blocking entry point; returns the process exit code (1 after a
+        fail-stop)."""
         asyncio.run(self.run())
-        return 0
+        return 1 if self._failed else 0
 
     def request_shutdown(self) -> None:
         """Thread-safe shutdown trigger (signal handlers, tests, ``shutdown``)."""
@@ -390,10 +404,12 @@ class MatchingDaemon:
 
         A broken WAL (failed mid-append and unrepaired) cannot take the
         shutdown snapshot; everything acked is already durable in the log,
-        so shutdown proceeds rather than hanging the exit path.
+        so shutdown proceeds rather than hanging the exit path.  After a
+        fail-stop none is taken: the session's state may not be the log's.
         """
         try:
-            self.session.checkpoint()
+            if self._failed is None:
+                self.session.checkpoint()
         except OSError:
             pass
         finally:
@@ -496,6 +512,10 @@ class MatchingDaemon:
             else:
                 queue = "mutation" if op in MUTATION_OPS else "read"
                 result = await self._run(queue, op, args, deadline, trace)
+                if queue == "read":
+                    # no read is answered after a fail-stop: it read a state
+                    # recovery may not reproduce
+                    self._refuse_if_failed()
             return ok_response(request_id, result, trace=trace_id)
         except tuple(_REFUSALS) as error:
             ok = False
@@ -608,12 +628,18 @@ class MatchingDaemon:
         # `deadline` was unambiguously NOT applied (clients must never
         # retry a non-idempotent op whose deadline raced the apply)
         self._check_deadline(deadline)
+        # a mutation queued behind a fail-stop is refused before it is journaled
+        self._refuse_if_failed()
         try:
             # the active trace lets deep layers (the WAL append/fsync hook
             # spans) attribute their time to this request without plumbing
             with activate(trace):
                 with trace.span("mutate") if trace is not None else nullcontext():
                     result = self._mutate(op, args)
+        except WalIndeterminateError as error:
+            self.metrics.increment("wal_failures")
+            self._fail_stop(str(error))
+            raise IndeterminateError(f"the mutation was not applied: {error}") from error
         except WalBrokenError as error:
             self.metrics.increment("wal_failures")
             raise WalFailedError(str(error)) from error
@@ -627,6 +653,20 @@ class MatchingDaemon:
             # the workers replay it now, not inside the next read
             self.router.notify_write()
         return result
+
+    def _fail_stop(self, reason: str) -> None:
+        """Stop serving: the log may hold a write the session did not apply,
+        so no state the daemon holds is one recovery will reproduce."""
+        self._failed = reason
+        events.emit("daemon_fail_stop", reason=reason)
+        self.request_shutdown()
+
+    def _refuse_if_failed(self) -> None:
+        if self._failed is not None:
+            raise IndeterminateError(
+                "the daemon stopped serving after a write whose fate is unknown "
+                f"({self._failed})"
+            )
 
     def _read_checked(
         self,

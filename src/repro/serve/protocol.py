@@ -58,8 +58,13 @@ ERROR_OVERLOADED = "overloaded"
 #: — the request's deadline passed before (for mutations: strictly before)
 #:   the operation was applied
 ERROR_DEADLINE = "deadline"
-#: — the write-ahead log failed; the daemon refuses further mutations
+#: — the write-ahead log failed and the mutation was not logged; the daemon
+#:   refuses further mutations
 ERROR_WAL = "wal_failed"
+#: — the mutation may have been logged (its append and the undo both
+#:   failed): recover the directory to learn which; the daemon refuses every
+#:   further request and stops
+ERROR_INDETERMINATE = "indeterminate"
 
 
 class ProtocolError(RuntimeError):

@@ -8,10 +8,8 @@ of every block's comparisons — raw, purged and filtered collections (read
 back through ``blocks_of``, with the per-block sizes, cardinalities and the
 pruning totals the library reads off each matrix), candidate pairs, and the
 handed-over CSR incidence structure — across unilateral and bilateral
-inputs, with and without purging/filtering, and under stop-word and
-minimum-token-length variants, for every blocking method, over texts the
-tokeniser's fold actually changes (mixed case, punctuation, accents,
-repeated tokens).
+inputs, with and without purging/filtering, over texts the tokeniser's fold
+actually changes (mixed case, punctuation, accents, repeated tokens).
 """
 
 import numpy as np
@@ -19,20 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blocking import (
-    NO_CLEANING,
-    PAPER_CLEANING,
-    BlockCleaning,
-    QGramsBlocking,
-    StandardBlocking,
-    SuffixArraysBlocking,
-    TokenBlocking,
-    prepare_blocks,
-)
+import repro.blocking.arrayops as arrayops
+import repro.utils.text as utils_text
+from repro.blocking import NO_CLEANING, PAPER_CLEANING, BlockCleaning, prepare_blocks
 from repro.blocking.arrayops import _dictionary_encode, encode_signatures
 from repro.core.pruning import BlockTotals
 from repro.datamodel import EntityCollection, make_profile
 from repro.datasets import load_dirty_dataset
+from repro.utils.text import tokens
 
 from reference import (
     blocks_of,
@@ -44,7 +36,7 @@ from reference import (
 
 pytestmark = pytest.mark.equivalence
 
-#: a small vocabulary (stop-words included) so random texts collide heavily
+#: a small vocabulary (frequent words included) so random texts collide heavily
 WORDS = (
     "apple", "samsung", "phone", "smartphone", "mate", "fold", "x",
     "s20", "20", "the", "and", "a", "pro", "mini",
@@ -87,32 +79,12 @@ def collections(draw, name, min_entities=1, max_entities=8):
     return make_collection(rows, name)
 
 
-#: every blocking method, with the parameters that change its signatures
-blocking_methods = st.one_of(
-    st.builds(QGramsBlocking, q=st.sampled_from((2, 3))),
-    st.builds(
-        SuffixArraysBlocking,
-        min_suffix_length=st.sampled_from((2, 3)),
-        max_block_size=st.sampled_from((None, 2, 53)),
-    ),
-    st.builds(StandardBlocking, st.just(["text"]), tokenize=st.booleans()),
-)
-
-
 #: a cleaning with each step off (``None``) or on at one of a few parameters
 cleanings = st.builds(
     BlockCleaning,
     st.one_of(st.none(), st.sampled_from((0.3, 0.5, 1.0))),
     st.one_of(st.none(), st.sampled_from((0.3, 0.5, 0.8, 1.0))),
 )
-
-
-@st.composite
-def token_blocking_variants(draw):
-    return TokenBlocking(
-        min_token_length=draw(st.sampled_from((1, 2))),
-        remove_stop_words=draw(st.booleans()),
-    )
 
 
 def assert_collections_identical(loop_blocks, array_blocks):
@@ -134,9 +106,9 @@ def assert_collections_identical(loop_blocks, array_blocks):
     assert BlockTotals.of(array_blocks) == reference_totals(loop_objects)
 
 
-def assert_equivalent(first, second, blocking=None, cleaning=PAPER_CLEANING):
-    loop = reference_prepare_blocks(first, second, blocking, cleaning)
-    array = prepare_blocks(first, second, blocking, cleaning)
+def assert_equivalent(first, second, cleaning=PAPER_CLEANING):
+    loop = reference_prepare_blocks(first, second, cleaning)
+    array = prepare_blocks(first, second, cleaning)
     assert_collections_identical(loop.raw_blocks, array.raw_blocks)
     assert_collections_identical(loop.purged_blocks, array.purged_blocks)
     assert_collections_identical(loop.blocks, array.blocks)
@@ -157,47 +129,17 @@ class TestPropertyEquivalence:
         first=collections(name="shop-1"),
         second=collections(name="shop-2"),
         cleaning=cleanings,
-        blocking=token_blocking_variants(),
     )
-    def test_bilateral(self, first, second, cleaning, blocking):
-        assert_equivalent(first, second, blocking, cleaning)
+    def test_bilateral(self, first, second, cleaning):
+        assert_equivalent(first, second, cleaning)
 
     @settings(max_examples=60, deadline=None)
     @given(
         collection=collections(name="dirty", max_entities=10),
         cleaning=cleanings,
-        blocking=token_blocking_variants(),
     )
-    def test_unilateral(self, collection, cleaning, blocking):
-        assert_equivalent(collection, None, blocking, cleaning)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        first=collections(name="shop-1"),
-        second=collections(name="shop-2"),
-    )
-    def test_bilateral_qgrams_method(self, first, second):
-        """The generic signature_lists path (non-token blocking methods)."""
-        assert_equivalent(first, second, blocking=QGramsBlocking(q=3))
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        first=collections(name="shop-1"),
-        second=collections(name="shop-2"),
-        cleaning=cleanings,
-        blocking=blocking_methods,
-    )
-    def test_bilateral_every_method(self, first, second, cleaning, blocking):
-        assert_equivalent(first, second, blocking, cleaning)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        collection=collections(name="dirty", max_entities=10),
-        cleaning=cleanings,
-        blocking=blocking_methods,
-    )
-    def test_unilateral_every_method(self, collection, cleaning, blocking):
-        assert_equivalent(collection, None, blocking, cleaning)
+    def test_unilateral(self, collection, cleaning):
+        assert_equivalent(collection, None, cleaning)
 
 
 class TestEncodeKernel:
@@ -207,15 +149,15 @@ class TestEncodeKernel:
     @given(
         first=collections(name="shop-1"),
         second=st.one_of(st.none(), collections(name="shop-2")),
-        blocking=st.one_of(token_blocking_variants(), blocking_methods),
     )
-    def test_same_stream_as_the_loop(self, first, second, blocking):
+    def test_same_stream_as_the_loop(self, first, second):
         profiles = list(first) + list(second or ())
-        expected = reference_encode_signatures(blocking.signature_lists(profiles))
-        ours_all = encode_signatures(blocking.signature_lists(profiles))
+        token_lists = [tokens(profile.text()) for profile in profiles]
+        expected = reference_encode_signatures(token_lists)
+        ours_all = encode_signatures(token_lists)
         for ours, theirs in zip(ours_all, expected):
             assert_same_array(ours, theirs)
-        codes, nodes, vocabulary = _dictionary_encode(blocking, first, second)
+        codes, nodes, vocabulary = _dictionary_encode(first, second)
         assert_same_array(codes, expected[0])
         assert_same_array(nodes, np.repeat(np.arange(len(profiles)), expected[1]))
         assert vocabulary == expected[2]
@@ -244,16 +186,6 @@ def assert_same_array(ours, theirs):
 
 
 class TestEdgeCases:
-    def test_suffix_arrays_cut_off_reaches_the_array_engine(self):
-        """The array engine applies the method's ``max_block_size``."""
-        collection = make_collection(
-            [[f"widget{position % 3}", "gadget"] for position in range(8)], "dirty"
-        )
-        loop, _ = assert_equivalent(collection, None, SuffixArraysBlocking(3, 2), NO_CLEANING)
-        assert len(loop.blocks) == 5 and max(loop.blocks.block_sizes()) == 2
-        uncut = prepare_blocks(collection, None, SuffixArraysBlocking(3, None), NO_CLEANING)
-        assert len(uncut.blocks) == 19 and max(uncut.blocks.block_sizes()) == 8
-
     def test_empty_collections(self):
         empty = make_collection([], "empty")
         other = make_collection([["apple"]], "other")
@@ -328,6 +260,19 @@ class TestBackendSwitch:
             "blocking", "purging", "filtering", "candidate-extraction",
         }
         assert prepared.statistics().csr().num_blocks == len(prepared.blocks)
+
+    def test_the_oracle_never_calls_the_tokeniser_it_checks(self, monkeypatch):
+        """``reference_prepare_blocks`` finds the tokens with its own regular
+        expression (its imports are pinned in ``tests/test_guards.py``)."""
+
+        def refused(text):
+            raise AssertionError("the oracle called repro.utils.text.tokens")
+
+        monkeypatch.setattr(utils_text, "tokens", refused)
+        monkeypatch.setattr(arrayops, "tokens", refused)
+        collection = make_collection([["Apple", "x"], ["apple"]], "dirty")
+        prepared = reference_prepare_blocks(collection, None, NO_CLEANING)
+        assert prepared.raw_blocks.keys == ["apple"] and len(prepared.candidates) == 1
 
     def test_array_is_the_default(self):
         collection = make_collection([["apple", "x"], ["apple"]], "dirty")

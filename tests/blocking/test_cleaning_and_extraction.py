@@ -3,7 +3,7 @@
 import pytest
 
 from reference import blocks_of, pair_tuples, reference_candidates
-from repro.blocking import NO_CLEANING, BlockCleaning, TokenBlocking, prepare_blocks
+from repro.blocking import NO_CLEANING, BlockCleaning, prepare_blocks
 from repro.datamodel import EntityCollection, make_profile
 from repro.evaluation import evaluate_candidates
 
@@ -104,14 +104,6 @@ class TestCandidateExtraction:
         )
         with_cleaning = prepare_blocks(dblpacm_dataset.first, dblpacm_dataset.second)
         assert len(with_cleaning.candidates) <= len(without_cleaning.candidates)
-
-    def test_prepare_blocks_custom_method(self, dblpacm_dataset):
-        prepared = prepare_blocks(
-            dblpacm_dataset.first,
-            dblpacm_dataset.second,
-            blocking=TokenBlocking(min_token_length=2),
-        )
-        assert len(prepared.candidates) > 0
 
     def test_prepare_blocks_dirty(self, prepared_dirty):
         assert len(prepared_dirty.prepared.candidates) > 0

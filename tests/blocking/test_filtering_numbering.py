@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blocking import BlockCleaning, TokenBlocking, prepare_blocks
+from repro.blocking import BlockCleaning, prepare_blocks
 from repro.blocking.arrayops import _matrix_from_sorted, assemble_blocks, filter_matrix
 from repro.datasets import load_benchmark
 
@@ -104,7 +104,7 @@ def _assert_numbering_free(matrix, ratio, seed):
     seed=st.integers(0, 2**16),
 )
 def test_filtering_is_independent_of_block_numbering(first, second, ratio, purge, seed):
-    raw = assemble_blocks(TokenBlocking(), first, second)
+    raw = assemble_blocks(first, second)
     fraction = 0.5 if purge else None
     cleaning = BlockCleaning(fraction, ratio)
     prepared = prepare_blocks(first, second, cleaning=cleaning)

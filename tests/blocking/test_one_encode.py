@@ -15,9 +15,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-import repro.blocking.token_blocking as token_blocking
+import repro.blocking.arrayops as arrayops
 from repro import pairs
-from repro.blocking import TokenBlocking, prepare_blocks
+from repro.blocking import prepare_blocks
 from repro.blocking.arrayops import _dictionary_encode, assemble_blocks, filter_matrix
 from repro.datasets import load_benchmark
 
@@ -35,20 +35,20 @@ def _key_bits(*extents):
 
 
 def test_the_code_node_pack_asks_the_key_budget(collections):
-    matrix = assemble_blocks(TokenBlocking(), *collections)
-    signatures = _dictionary_encode(TokenBlocking(), *collections)[2]
+    matrix = assemble_blocks(*collections)
+    signatures = _dictionary_encode(*collections)[2]
     needed = _key_bits(len(signatures), matrix.index_space.total)
     with mock.patch.object(pairs, "KEY_BITS", needed):
-        fitted = assemble_blocks(TokenBlocking(), *collections)
+        fitted = assemble_blocks(*collections)
     assert fitted.keys == matrix.keys and np.array_equal(fitted.nodes, matrix.nodes)
     with mock.patch.object(pairs, "KEY_BITS", needed - 1):
         with pytest.raises(OverflowError) as refused:
-            assemble_blocks(TokenBlocking(), *collections)
+            assemble_blocks(*collections)
     assert f"{len(signatures)} x {matrix.index_space.total}" in str(refused.value)
 
 
 def test_the_node_rank_pack_asks_the_key_budget(collections):
-    matrix = assemble_blocks(TokenBlocking(), *collections)
+    matrix = assemble_blocks(*collections)
     filtered = filter_matrix(matrix, 0.5)
     assert 0 < filtered.nodes.size < matrix.nodes.size
     needed = _key_bits(matrix.index_space.total, matrix.num_blocks)
@@ -62,22 +62,21 @@ def test_the_node_rank_pack_asks_the_key_budget(collections):
 
 
 def test_two_preparations_do_the_same_work_twice(collections, monkeypatch):
-    """Nothing is memoised on a profile, a collection or the blocking method."""
+    """Nothing is memoised on a profile or a collection."""
     calls = []
 
-    def counted(text, *args):
+    def counted(text):
         calls.append(text)
-        return tokens(text, *args)
+        return tokens(text)
 
-    tokens = token_blocking.tokens
+    tokens = arrayops.tokens
     assert not hasattr(tokens, "cache_info")
-    monkeypatch.setattr(token_blocking, "tokens", counted)
-    method = TokenBlocking()
-    watched = [method, *collections, *collections[0], *collections[1]]
+    monkeypatch.setattr(arrayops, "tokens", counted)
+    watched = [*collections, *collections[0], *collections[1]]
     before = [sorted(vars(item)) for item in watched]
     profiles = len(collections[0]) + len(collections[1])
     for round_number in (1, 2):
-        prepared = prepare_blocks(*collections, blocking=method)
+        prepared = prepare_blocks(*collections)
         assert len(prepared.candidates) > 0
         assert len(calls) == round_number * profiles
         assert [sorted(vars(item)) for item in watched] == before

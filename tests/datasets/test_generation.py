@@ -145,15 +145,15 @@ class TestCleanCleanGeneration:
         assert dataset.first.is_clean and dataset.second.is_clean
 
     def test_noisy_profile_shares_fewer_tokens_than_clean(self):
-        from repro.utils.text import distinct_tokens
+        from repro.utils.text import tokens
 
         def average_overlap(dataset):
             overlaps = []
             for left, right in list(dataset.ground_truth)[:50]:
                 first_profile = dataset.first[left]
                 second_profile = dataset.second[right - len(dataset.first)]
-                first_tokens = distinct_tokens(first_profile.text())
-                second_tokens = distinct_tokens(second_profile.text())
+                first_tokens = set(tokens(first_profile.text()))
+                second_tokens = set(tokens(second_profile.text()))
                 union = first_tokens | second_tokens
                 if union:
                     overlaps.append(len(first_tokens & second_tokens) / len(union))

@@ -4,7 +4,10 @@ The write-ahead log's contract under injected failures:
 
 * a failed **fsync** undoes the partial append (append-or-nothing) and the
   writer keeps working — the log is *not* broken; only when the undo fails
-  too is the writer broken, and the log reopens at its committed offset;
+  too is the writer broken and the append's fate unknown
+  (:class:`WalIndeterminateError`): a daemon answers it ``indeterminate``,
+  answers nothing after it and stops, and recovery replays the record
+  exactly when the scan returns it;
 * a **torn** or **corrupt** tail cannot be undone blindly, so the writer
   marks itself broken and refuses further appends (:class:`WalBrokenError`)
   while the log stays readable — ``scan()`` drops the damaged tail;
@@ -20,19 +23,31 @@ operation sequences under random fault schedules.
 import errno
 import shutil
 import tempfile
+import threading
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import make_frozen_model, reference_retained
+from reference import make_frozen_model, reference_replay, reference_retained
 from repro import faults
 from repro.datamodel import make_profile
 from repro.faults import FaultPlan, InjectedFaultError
-from repro.incremental import MatchingSession
-from repro.persistence.log import WalBrokenError, WriteAheadLog
+from repro.incremental import DeltaFeatureGenerator, MatchingSession
+from repro.incremental.session import exact_answer
+from repro.persistence.log import WalBrokenError, WalIndeterminateError, WriteAheadLog
 from repro.persistence.recovery import recover_session
+from repro.serve import (
+    ERROR_INDETERMINATE,
+    ERROR_WAL,
+    MatchingDaemon,
+    ProtocolError,
+    ServeClient,
+    ServeError,
+)
 
 MODEL = make_frozen_model()
 
@@ -90,16 +105,17 @@ class TestFsyncFaults:
         self, tmp_path
     ):
         """The fsync fails, and so does the truncate that would undo the
-        partial append: the tail is in an unknown state, so the writer is
-        broken — but the log stays readable and reopens at its committed
-        offset."""
+        partial append: the tail is in an unknown state, so the append is
+        indeterminate and the writer broken — but the log stays readable and
+        reopens at its committed offset."""
         faults.install(FaultPlan(fsync_error=(2,)))
         wal = WriteAheadLog(tmp_path).open()
         wal.append_record(_record(0))
         committed = wal.log_offset
         wal._file = _TruncateFails(wal._file)
-        with pytest.raises(InjectedFaultError):
+        with pytest.raises(WalIndeterminateError, match="may have been logged") as failed:
             wal.append_record(_record(1))
+        assert isinstance(failed.value.__cause__, InjectedFaultError)
         assert wal.broken
         assert wal.log_offset == committed
         with pytest.raises(WalBrokenError):
@@ -127,7 +143,7 @@ class TestFsyncFaults:
         wal.append_record(_record(0))
         committed = wal.log_offset
         wal._file = _WriteTornAndTruncateFails(wal._file)
-        with pytest.raises(OSError, match="injected short write"):
+        with pytest.raises(WalIndeterminateError, match="injected short write"):
             wal.append_record(_record(1))
         assert wal.broken and wal.log_offset == committed
         with pytest.raises(WalBrokenError):
@@ -157,6 +173,143 @@ class TestFsyncFaults:
         assert [entry.record for entry in wal.scan().records] == [_record(0)]
         faults.clear()
         wal.close()
+
+
+def _serving(daemon):
+    """Serve ``daemon`` on a thread; the thread and a list that receives the
+    exit code ``serve`` returns."""
+    code = []
+    thread = threading.Thread(target=lambda: code.append(daemon.serve()), daemon=True)
+    thread.start()
+    assert daemon.ready.wait(60), "daemon did not come up"
+    return thread, code
+
+
+def _stopped(daemon, thread):
+    if thread.is_alive():
+        daemon.request_shutdown()
+        thread.join(60)
+    assert not thread.is_alive(), "daemon did not shut down"
+
+
+def _insert_until_the_undo_fails(daemon, client):
+    """Two acked inserts, then one whose fsync fails and whose undo fails
+    too (the second fsync after the plan is installed); its refusal."""
+    client.insert(make_profile("a0", text="alpha beta"), side=0)
+    faults.install(FaultPlan(fsync_error=(2,)))
+    client.insert(make_profile("b0", text="alpha gamma"), side=1)
+    wal = daemon.session.wal
+    wal._file = _TruncateFails(wal._file)
+    with pytest.raises(ServeError) as refused:
+        client.insert(make_profile("a1", text="beta gamma"), side=0)
+    return refused.value
+
+
+class TestIndeterminateWrites:
+    """A daemon's write whose append and undo both failed: answered
+    ``indeterminate``, then nothing is answered and the daemon stops."""
+
+    def test_the_reply_is_indeterminate_and_recovery_replays_what_the_scan_holds(
+        self, tmp_path, frozen_model
+    ):
+        directory = tmp_path / "wal"
+        daemon = MatchingDaemon(directory, frozen_model, num_shards=1, bilateral=True)
+        thread, code = _serving(daemon)
+        try:
+            with ServeClient(*daemon.address, retries=0) as client:
+                refused = _insert_until_the_undo_fails(daemon, client)
+                assert refused.error_type == ERROR_INDETERMINATE
+                assert "may have been logged" in refused.server_message
+                with pytest.raises((ServeError, OSError, ProtocolError)) as read:
+                    client.match()
+                if isinstance(read.value, ServeError):
+                    assert read.value.error_type == ERROR_INDETERMINATE
+            # it stops by itself, with the fail-stop exit code
+            thread.join(60)
+            assert not thread.is_alive() and code == [1]
+        finally:
+            _stopped(daemon, thread)
+        faults.clear()
+        # no shutdown checkpoint: only the bootstrap snapshot
+        assert len(WriteAheadLog(directory).snapshot_paths()) == 1
+        records = [entry.record for entry in WriteAheadLog(directory).scan().records]
+        # the refused record's bytes are complete on disk
+        assert [record.get("id") for record in records[1:]] == ["a0", "b0", "a1"]
+        oracle = reference_replay(records)
+        recovered = recover_session(directory)
+        try:
+            assert recovered.index.has_entity("a1", side=0)
+            assert recovered.num_entities == oracle.num_entities
+            expected = oracle.candidate_set().canonical
+            ours = recovered.index.candidate_set().canonical
+            assert np.array_equal(ours.left, expected.left)
+            assert np.array_equal(ours.right, expected.right)
+            features = DeltaFeatureGenerator(oracle, recovered.model.feature_set)
+            candidates, _, mask = exact_answer(features, recovered.model, recovered.pruning)
+            assert recovered.retained().retained_id_set() == set(
+                candidates.id_pairs(mask, oracle.entity_id)
+            )
+        finally:
+            recovered.close()
+
+    def test_after_it_no_read_or_write_is_answered(self, tmp_path, frozen_model):
+        """Held up (its shutdown request swallowed), the daemon refuses every
+        read and write ``indeterminate`` — a read would answer from a state
+        recovery does not reproduce — and journals nothing more."""
+        directory = tmp_path / "wal"
+        daemon = MatchingDaemon(directory, frozen_model, num_shards=1, bilateral=True)
+        with mock.patch.object(daemon, "request_shutdown") as shutdown:
+            thread, code = _serving(daemon)
+            try:
+                with ServeClient(*daemon.address, retries=0) as client:
+                    refused = _insert_until_the_undo_fails(daemon, client)
+                    assert refused.error_type == ERROR_INDETERMINATE
+                    shutdown.assert_called_once_with()
+                    log_bytes = (directory / "wal.log").read_bytes()
+                    requests = (
+                        client.match,
+                        lambda: client.top_k("a0", side=0, k=1),
+                        client.stats,
+                        lambda: client.insert(make_profile("b1", text="alpha"), side=1),
+                        lambda: client.remove("a0", side=0),
+                        client.checkpoint,
+                    )
+                    for request in requests:
+                        with pytest.raises(ServeError) as answered:
+                            request()
+                        assert answered.value.error_type == ERROR_INDETERMINATE
+                    assert client.ping()["offset"] < len(log_bytes)
+                    assert (directory / "wal.log").read_bytes() == log_bytes
+                    assert len(WriteAheadLog(directory).snapshot_paths()) == 1
+            finally:
+                faults.clear()
+        _stopped(daemon, thread)
+        assert code == [1]
+        assert len(WriteAheadLog(directory).snapshot_paths()) == 1
+
+    def test_a_failed_append_whose_undo_succeeds_is_still_wal_failed(
+        self, tmp_path, frozen_model
+    ):
+        directory = tmp_path / "wal"
+        daemon = MatchingDaemon(directory, frozen_model, num_shards=1, bilateral=True)
+        thread, code = _serving(daemon)
+        try:
+            with ServeClient(*daemon.address, retries=0) as client:
+                client.insert(make_profile("a0", text="alpha beta"), side=0)
+                faults.install(FaultPlan(fsync_error=(2,)))
+                client.insert(make_profile("b0", text="alpha gamma"), side=1)
+                with pytest.raises(ServeError) as refused:
+                    client.insert(make_profile("a1", text="beta gamma"), side=0)
+                assert refused.value.error_type == ERROR_WAL
+                # the writer survived: the daemon goes on answering
+                client.insert(make_profile("b1", text="beta gamma"), side=1)
+                assert client.match()["num_candidates"] > 0
+        finally:
+            faults.clear()
+            _stopped(daemon, thread)
+        assert code == [0]
+        records = [entry.record for entry in WriteAheadLog(directory).scan().records]
+        assert [record.get("id") for record in records[1:]] == ["a0", "b0", "b1"]
 
 
 class TestTornAndCorruptTails:

@@ -29,6 +29,7 @@ from repro.persistence import (
     canonical_pair_keys,
     encode_record,
 )
+from repro.persistence.container import decode_container, encode_container
 from repro.schema import META_FORMAT, SchemaError
 from repro.serve.workers import ShardReplica
 from source_tree import ROOT, parse
@@ -238,6 +239,56 @@ def test_a_top_k_session_written_by_the_parent_tree_is_refused_by_name(tmp_path)
     with refusing, pytest.raises(ValueError, match="online policy 'topk'"):
         MatchingSession.recover(wal)
     assert {path.name: path.read_bytes() for path in wal.iterdir()} == before
+
+
+def test_every_recorded_snapshot_names_token_blocking_with_its_defaults():
+    """Every snapshot written before the index's ``blocking`` entry was
+    dropped holds the one entry recovery accepts."""
+    for name in ("wep", "topk"):
+        for path in WriteAheadLog(RECORDED / name).snapshot_paths():
+            entry = WriteAheadLog(RECORDED / name).load_snapshot(path)["index"]["blocking"]
+            assert entry == repro.persistence.snapshot.TOKEN_BLOCKING
+
+
+@pytest.mark.parametrize(
+    "blocking, named",
+    [
+        pytest.param({"class": "QGramsBlocking", "parameters": {"q": 3}}, "QGramsBlocking",
+                     id="qgrams"),
+        pytest.param({"class": "TokenBlocking",
+                      "parameters": {"min_token_length": 3, "remove_stop_words": False}},
+                     "'min_token_length': 3", id="token-blocking-min-length-3"),
+    ],
+)
+def test_a_snapshot_built_by_another_blocking_method_is_refused_by_name(
+    tmp_path, blocking, named
+):
+    """Token Blocking with its defaults is the only signature extractor: a
+    snapshot whose index names another method, or other parameters, is
+    refused, naming it, before any index is built and before the log is
+    touched."""
+    wal = _copy_recorded("wep", tmp_path / "wal")
+    for path in WriteAheadLog(wal).snapshot_paths():
+        state = decode_container(path.read_bytes())
+        state["index"]["blocking"] = blocking
+        path.write_bytes(b"".join(bytes(memoryview(buffer)) for buffer in encode_container(state)))
+    before = {path.name: path.read_bytes() for path in wal.iterdir()}
+    refusing = mock.patch.object(
+        repro.persistence.snapshot,
+        "MutableBlockIndex",
+        side_effect=AssertionError("an index was built"),
+    )
+    with refusing, pytest.raises(ValueError, match=f"blocking method .*{re.escape(named)}"):
+        MatchingSession.recover(wal)
+    assert {path.name: path.read_bytes() for path in wal.iterdir()} == before
+
+
+def test_a_session_snapshot_stores_no_blocking_method(tmp_path):
+    session = MatchingSession(make_frozen_model(FEATURE_SET), wal_path=tmp_path / "wal")
+    session.insert(make_profile("e0", t="common tok"))
+    path = session.checkpoint()
+    session.close()
+    assert "blocking" not in WriteAheadLog(tmp_path / "wal").load_snapshot(path)["index"]
 
 
 def test_a_session_snapshot_stores_the_wep_aggregate_and_no_policy_choice(tmp_path):

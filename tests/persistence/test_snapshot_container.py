@@ -13,6 +13,7 @@ to the previous snapshot with the uninterrupted run's answer.  A format-1
 import json
 import os
 import pickle
+import re
 import shutil
 import stat
 import struct
@@ -37,8 +38,10 @@ from repro.persistence.container import (
     SNAPSHOT_FORMAT,
     decode_container,
     encode_container,
+    pack_strings,
+    unpack_strings,
 )
-from repro.persistence.snapshot import restore_blocking, restore_pruning
+from repro.persistence.snapshot import restore_pruning
 from repro.serve.workers import ShardReplica
 
 pytestmark = pytest.mark.equivalence
@@ -132,6 +135,43 @@ class TestLayout:
             encode_container({"format": SNAPSHOT_FORMAT, "x": np.zeros(2, dtype=">f8")})
         with pytest.raises(ValueError, match="which no container holds"):
             encode_container({"format": SNAPSHOT_FORMAT, "x": np.zeros(2, dtype=bool)})
+
+    @pytest.mark.parametrize(
+        "key", [7, ("a", "b"), "a/b", "/"], ids=["int", "tuple", "separator", "separator-alone"]
+    )
+    def test_a_key_that_is_not_a_plain_string_is_refused(self, key):
+        """A state key becomes one segment of an array path: a key that is no
+        string, or that holds the path separator, is refused by name, at any
+        depth."""
+        message = f"snapshot state key {re.escape(repr(key))} is not a plain string"
+        with pytest.raises(ValueError, match=message):
+            encode_container({"format": SNAPSHOT_FORMAT, key: np.zeros(2)})
+        with pytest.raises(ValueError, match=message):
+            encode_container({"format": SNAPSHOT_FORMAT, "index": {"ok": 1, key: 2}})
+
+    def test_a_string_table_round_trips(self):
+        strings = ["", "apple", "é中", "", "x/y"]
+        assert unpack_strings(pack_strings(strings)) == strings
+        assert unpack_strings(pack_strings([])) == []
+
+    @pytest.mark.parametrize(
+        "ends",
+        [
+            pytest.param([3, 2, 5], id="decreasing"),
+            pytest.param([-1, 5], id="negative"),
+            pytest.param([2, 6], id="overrunning"),
+            pytest.param([2, 4], id="short-of-the-text"),
+            pytest.param([[2, 5]], id="not-one-dimensional"),
+        ],
+    )
+    def test_ends_that_do_not_partition_the_text_are_refused(self, ends):
+        packed = pack_strings(["ab", "cde"])
+        assert packed["ends"].tolist() == [2, 5]
+        packed["ends"] = np.array(ends, dtype=np.int64)
+        with pytest.raises(
+            ValueError, match="^a snapshot string table does not partition its text$"
+        ):
+            unpack_strings(packed)
 
     def test_the_index_section_stores_nothing_a_load_recomputes(self, tmp_path):
         _, _, newest = _session_with_two_snapshots(tmp_path / "wal", bilateral=True)
@@ -326,8 +366,6 @@ class TestRegistries:
             )
         with pytest.raises(ValueError, match="pruning algorithm 'Evil'"):
             restore_pruning({"name": "Evil", "parameters": {}})
-        with pytest.raises(ValueError, match="blocking method 'Evil'"):
-            restore_blocking({"class": "Evil", "parameters": {}})
 
     def test_custom_instances_are_not_checkpointable(self, tmp_path):
         class TunedBLAST(SupervisedBLAST):

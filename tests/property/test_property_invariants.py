@@ -27,7 +27,7 @@ from repro.core import (
 )
 from repro.datamodel import EntityIndexSpace
 from repro.ml import LogisticRegression, PlattScaler, StandardScaler, balanced_sample
-from repro.utils import jaccard, qgrams, suffixes, tokens
+from repro.utils import tokens
 from repro.weights import JaccardScheme, RACCBScheme, WeightedJaccardScheme
 
 
@@ -81,29 +81,6 @@ class TestTextProperties:
         for token in tokens(text):
             assert token == token.lower()
             assert token.isalnum()
-
-    @given(st.text(max_size=60), st.integers(min_value=1, max_value=4))
-    def test_qgrams_never_longer_than_q(self, text, q):
-        for gram in qgrams(text, q=q):
-            assert len(gram) <= max(
-                q, max((len(t) for t in tokens(text)), default=0)
-            )
-            assert len(gram) >= 1
-
-    @given(st.text(max_size=60))
-    def test_suffixes_are_token_suffixes(self, text):
-        token_set = tokens(text)
-        for suffix in suffixes(text):
-            assert any(token.endswith(suffix) for token in token_set)
-
-    @given(
-        st.sets(st.text(min_size=1, max_size=5), max_size=10),
-        st.sets(st.text(min_size=1, max_size=5), max_size=10),
-    )
-    def test_jaccard_bounds_and_symmetry(self, first, second):
-        value = jaccard(first, second)
-        assert 0.0 <= value <= 1.0
-        assert value == jaccard(second, first)
 
 
 # -- priority queue -----------------------------------------------------------------------

@@ -15,10 +15,10 @@ longer has — it passes every collection as a ``MembershipMatrix``.
 oracle below that reads blocks takes either form (a matrix is read as
 ``blocks_of`` gives it), so a test hands it ``prepared.blocks`` as it is.
 Block preparation's reference is built here from the paper's definitions too,
-over ``Block`` objects and Python sets: a dict from every signature
-``signatures_of`` yields to the entities exhibiting it
-(:func:`reference_raw_blocks`), Block Purging and Block Filtering over each
-block's member lists (:func:`reference_purge`, :func:`reference_filter`, with
+over ``Block`` objects and Python sets: a dict from every token the regular
+expression of :func:`reference_tokens` finds in a profile's text to the
+entities exhibiting it (:func:`reference_raw_blocks`), Block Purging and
+Block Filtering over each block's member lists (:func:`reference_purge`, :func:`reference_filter`, with
 the member-set key in Python integers) and the set of every block's
 comparisons (:func:`reference_candidates`); :func:`reference_prepare_blocks`
 chains them into the shape ``prepare_blocks`` returns (each stage's blocks
@@ -84,7 +84,7 @@ import numpy as np
 
 import repro.weights.sparse as sparse
 
-from repro.blocking import BlockingMethod, MembershipMatrix, PreparedBlocks, TokenBlocking
+from repro.blocking import MembershipMatrix, PreparedBlocks
 from repro.blocking.cleaning import NO_CLEANING, PAPER_CLEANING, BlockCleaning
 from repro.core.features import FeatureMatrix, FeatureVectorGenerator
 from repro.core.pruning import (
@@ -112,7 +112,6 @@ from repro.ml.state import MODEL_CLASSES, RestorableClass
 from repro.pairs import pack_pair_keys
 from repro.persistence.snapshot import compacted_from_state, row_signatures
 from repro.serve.workers import ShardReplica
-from repro.utils.text import STOP_WORDS
 from repro.weights import RCNP_FEATURE_SET, BlockStatistics
 
 _TOKEN_PATTERN = re.compile(r"[a-z0-9]+")
@@ -233,17 +232,10 @@ def forced_cooccurrence_pass(path):
         yield
 
 
-def reference_tokens(
-    text: str, min_length: int = 1, remove_stop_words: bool = False
-) -> List[str]:
+def reference_tokens(text: str) -> List[str]:
     """``repro.utils.text.tokens`` as a regular expression over the folded text."""
     folded = unicodedata.normalize("NFKD", text).encode("ascii", "ignore").decode("ascii")
-    result = [
-        token for token in _TOKEN_PATTERN.findall(folded.lower()) if len(token) >= min_length
-    ]
-    if remove_stop_words:
-        result = [token for token in result if token not in STOP_WORDS]
-    return result
+    return _TOKEN_PATTERN.findall(folded.lower())
 
 
 def reference_encode_signatures(
@@ -453,34 +445,32 @@ def block_comparisons(block: Block) -> set:
 
 
 def reference_raw_blocks(
-    method: BlockingMethod, first: EntityCollection, second: Optional[EntityCollection] = None
+    first: EntityCollection, second: Optional[EntityCollection] = None
 ) -> BlockCollection:
-    """The blocks of ``method``: a dict from every signature ``signatures_of``
-    yields to the node ids exhibiting it, one block per key in sorted order —
-    in Clean-Clean ER for the keys both sides share, in Dirty ER for the keys
-    of two or more entities — minus the blocks over ``max_block_size``."""
+    """Token Blocking: a dict from every token :func:`reference_tokens` finds
+    in a profile's text to the node ids exhibiting it, one block per key in
+    sorted order — in Clean-Clean ER for the keys both sides share, in Dirty
+    ER for the keys of two or more entities."""
 
     def exhibiting(collection: EntityCollection, offset: int) -> Dict[str, set]:
         index: Dict[str, set] = {}
         for position, profile in enumerate(collection):
-            for signature in method.signatures_of(profile):
-                index.setdefault(signature, set()).add(offset + position)
+            for token in reference_tokens(profile.text()):
+                index.setdefault(token, set()).add(offset + position)
         return index
 
     ones = exhibiting(first, 0)
     if second is None:
-        space, name = EntityIndexSpace(len(first)), f"{method.name}({first.name})"
+        space, name = EntityIndexSpace(len(first)), f"token-blocking({first.name})"
         blocks = [Block(key, sorted(ones[key])) for key in sorted(ones) if len(ones[key]) >= 2]
     else:
         space = EntityIndexSpace(len(first), len(second))
-        name = f"{method.name}({first.name},{second.name})"
+        name = f"token-blocking({first.name},{second.name})"
         twos = exhibiting(second, len(first))
         blocks = [
             Block(key, sorted(ones[key]), sorted(twos[key]))
             for key in sorted(ones.keys() & twos.keys())
         ]
-    if method.max_block_size is not None:
-        blocks = [block for block in blocks if block.size() <= method.max_block_size]
     return BlockCollection(blocks, space, name=name)
 
 
@@ -554,7 +544,6 @@ def block_statistics(blocks, candidates: Optional[CandidateSet] = None) -> Block
 def reference_prepare_blocks(
     first: EntityCollection,
     second: Optional[EntityCollection] = None,
-    blocking: Optional[BlockingMethod] = None,
     cleaning: BlockCleaning = PAPER_CLEANING,
 ) -> PreparedBlocks:
     """``prepare_blocks`` from the definitions: the raw blocks, Block Purging,
@@ -565,8 +554,7 @@ def reference_prepare_blocks(
     No CSR and no timer are handed over: statistics built from the result
     derive the CSR from the filtered matrix.
     """
-    method = blocking if blocking is not None else TokenBlocking()
-    raw = reference_raw_blocks(method, first, second)
+    raw = reference_raw_blocks(first, second)
     fraction, ratio = cleaning
     purged = raw if fraction is None else reference_purge(raw, fraction)
     filtered = purged if ratio is None else reference_filter(purged, ratio)

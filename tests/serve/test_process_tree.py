@@ -10,10 +10,10 @@ the real ``python -m repro serve`` subprocess, answers a ``match``
 
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -48,20 +48,22 @@ def descendants(pid: int) -> list:
 
 
 def test_descendants_sees_a_grandchild():
-    script = "import subprocess, sys; subprocess.run([sys.executable, '-c', 'import time; time.sleep(30)'])"
-    child = subprocess.Popen([sys.executable, "-c", script])
+    """The grandchild announces itself on the stdout it inherits from the
+    child; once its line is read it is running, so one walk must see it."""
+    grandchild = "import sys, time; print('up', flush=True); time.sleep(30)"
+    script = f"import subprocess, sys; subprocess.run([sys.executable, '-c', {grandchild!r}])"
+    child = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True)
     try:
-        for _ in range(200):
-            tree = descendants(child.pid)
-            if tree:
-                break
-            time.sleep(0.05)
-        assert len(tree) == 1
+        ready, _, _ = select.select([child.stdout], [], [], 30)
+        assert ready, "the grandchild did not announce itself within 30 s"
+        assert child.stdout.readline() == "up\n"
+        assert len(descendants(child.pid)) == 1
     finally:
         for pid in descendants(child.pid):
             os.kill(pid, signal.SIGKILL)
         child.kill()
         child.wait()
+        child.stdout.close()
 
 
 @pytest.mark.parametrize("num_shards", [1, 2])

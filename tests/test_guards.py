@@ -175,6 +175,23 @@ FLEET_READ_NAMES = (
 )
 ONE_READ_VIEW = "52436a0+1"
 
+#: the blocking plug-in seam: Token Blocking is the one signature extractor
+#: since the commit after 733f758
+BLOCKING_PLUG_IN = (
+    "BlockingMethod", "QGramsBlocking", "SuffixArraysBlocking", "StandardBlocking",
+    "signatures_of", "BLOCKING_METHODS", "export_blocking", "restore_blocking",
+)
+BLOCKING_MODULES = (
+    "repro.blocking.base", "repro.blocking.qgrams", "repro.blocking.suffix_arrays",
+    "repro.blocking.standard_blocking", "repro.blocking.token_blocking",
+)
+#: the text helpers only the other blocking methods and the tests read
+SIGNATURE_HELPERS = (
+    "qgrams", "suffixes", "distinct_qgrams", "distinct_suffixes", "distinct_tokens",
+    "normalize", "jaccard", "STOP_WORDS",
+)
+ONE_BLOCKING_METHOD = "733f758+1"
+
 PRUNING = "src/repro/core/pruning"
 LOG = "src/repro/persistence/log.py"
 
@@ -839,6 +856,76 @@ GUARDS = (
         "cardinality pruning reads two integers, BlockTotals: a stream maintains them, a "
         "batch caller reads them off its matrix with BlockTotals.of",
     ),
+    # -- one blocking method --------------------------------------------------------
+    Guard(
+        "blocking-plug-in-gone", "spelled", BLOCKING_PLUG_IN, ("src", "examples", "benchmarks"),
+        ONE_BLOCKING_METHOD,
+        "the paper builds every block collection with Token Blocking (Section 5.1), and no "
+        "experiment, CLI flag, example or served session chose another: batch assembly and "
+        "the index tokenise with repro.utils.text.tokens directly",
+    ),
+    Guard(
+        "token-blocking-class-gone", "definition", ("TokenBlocking",), SRC, ONE_BLOCKING_METHOD,
+        "with one signature extractor there is nothing to configure; a snapshot's old "
+        "'TokenBlocking' entry is checked as data (persistence.snapshot.check_blocking)",
+    ),
+    Guard(
+        "blocking-method-modules-gone", "module", BLOCKING_MODULES, (), ONE_BLOCKING_METHOD,
+        "the plug-in base class and the three methods no caller selected left src/",
+    ),
+    Guard(
+        "blocking-methods-not-exported", "export",
+        BLOCKING_PLUG_IN + ("TokenBlocking",) + BLOCKING_MODULES, SRC, ONE_BLOCKING_METHOD,
+        "no export table names what left src/",
+    ),
+    Guard(
+        "blocks-have-no-size-cut-off", "spelled", ("max_block_size",),
+        ("src", "tests", "examples", "benchmarks"), ONE_BLOCKING_METHOD,
+        "the Suffix-Arrays cut-off was batch-only, so a stream built with it could not "
+        "equal its batch answer; Block Purging is the paper's size limit",
+    ),
+    Guard(
+        "signature-helpers-gone", "definition", SIGNATURE_HELPERS, SRC, ONE_BLOCKING_METHOD,
+        "q-grams, suffixes, the stop-word list and the set helpers had no reader but the "
+        "deleted methods and the tests",
+    ),
+    Guard(
+        "signature-helpers-not-exported", "export", SIGNATURE_HELPERS, SRC,
+        ONE_BLOCKING_METHOD, "no export table names what left src/",
+    ),
+    Guard(
+        "stop-words-gone", "spelled", ("STOP_WORDS",), ("src", "examples", "benchmarks"),
+        ONE_BLOCKING_METHOD,
+        "the paper relies on Block Purging, not a stop-word list, to drop uninformative tokens",
+    ),
+    Guard(
+        "token-knobs-spelled-only-as-snapshot-data", "spelled",
+        ("remove_stop_words", "min_token_length"), ("src", "examples", "benchmarks"),
+        ONE_BLOCKING_METHOD,
+        "a token is a maximal [a-z0-9] run of the folded text, whatever its length or "
+        "frequency; only the old snapshot entry recovery accepts spells the two knobs",
+        only_in=("src/repro/persistence/snapshot.py",),
+    ),
+    Guard(
+        "tokeniser-takes-no-knob", "parameter", ("min_length", "remove_stop_words"),
+        ("repro.utils.text.tokens",), ONE_BLOCKING_METHOD,
+        "a token is a maximal [a-z0-9] run of the folded text, whatever its length",
+    ),
+    Guard(
+        "no-blocking-parameter", "parameter", ("blocking", "method"),
+        ("repro.blocking.prepare_blocks", "repro.blocking.assemble_blocks",
+         "repro.blocking.arrayops._dictionary_encode", "repro.incremental.MutableBlockIndex",
+         "repro.incremental.MatchingSession"),
+        ONE_BLOCKING_METHOD,
+        "Token Blocking is not a choice: batch preparation, the streaming index and the "
+        "session tokenise the same way, so a stream always equals its batch answer",
+    ),
+    Guard(
+        "index-holds-no-blocking-method", "parameter", ("blocking",),
+        ("src/repro/incremental", "src/repro/persistence", "src/repro/serve/workers.py"),
+        ONE_BLOCKING_METHOD,
+        "no index carries a signature extractor, so no snapshot stores one",
+    ),
     # -- the oracle stays independent of what it checks ----------------------------
     Guard(
         "reference-imports-pinned", "import", (r"repro(\..*)?",), ("tests/reference.py",), None,
@@ -848,8 +935,7 @@ GUARDS = (
         "is a reviewed edit of this row",
         only=(
             "repro.weights.sparse",
-            "repro.blocking.BlockingMethod", "repro.blocking.MembershipMatrix",
-            "repro.blocking.PreparedBlocks", "repro.blocking.TokenBlocking",
+            "repro.blocking.MembershipMatrix", "repro.blocking.PreparedBlocks",
             "repro.blocking.cleaning.NO_CLEANING", "repro.blocking.cleaning.PAPER_CLEANING",
             "repro.blocking.cleaning.BlockCleaning",
             "repro.core.features.FeatureMatrix", "repro.core.features.FeatureVectorGenerator",
@@ -867,7 +953,6 @@ GUARDS = (
             "repro.persistence.snapshot.compacted_from_state",
             "repro.persistence.snapshot.row_signatures",
             "repro.serve.workers.ShardReplica",
-            "repro.utils.text.STOP_WORDS",
             "repro.weights.RCNP_FEATURE_SET", "repro.weights.BlockStatistics",
         ),
     ),
